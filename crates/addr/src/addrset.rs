@@ -54,9 +54,9 @@ enum ChunkData {
 }
 
 impl ChunkData {
-    /// Builds the canonical representation of a sorted, deduplicated,
-    /// non-empty value list.
-    fn from_vec(values: Vec<u128>) -> ChunkData {
+    /// The bitmap form of a sorted, deduplicated, non-empty value list,
+    /// when that is its canonical representation.
+    fn bitmap_of(values: &[u128]) -> Option<ChunkData> {
         debug_assert!(!values.is_empty());
         debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
         let base = values[0];
@@ -64,17 +64,28 @@ impl ChunkData {
         // Bitmap bytes = ceil(span/64)·8; sorted bytes = n·16. The bitmap
         // wins exactly when span ≤ 128·n — at least one member per 16
         // bytes of bit array, the break-even density.
-        if values.len() >= 2 && span <= 128 * values.len() as u128 {
-            let word_count = span.div_ceil(64) as usize;
-            let mut words = vec![0u64; word_count];
-            for &v in &values {
-                let offset = (v - base) as usize;
-                words[offset / 64] |= 1 << (offset % 64);
-            }
-            ChunkData::Bitmap { base, words }
-        } else {
-            ChunkData::Sorted(values)
+        if values.len() < 2 || span > 128 * values.len() as u128 {
+            return None;
         }
+        let mut words = vec![0u64; span.div_ceil(64) as usize];
+        for &v in values {
+            let offset = (v - base) as usize;
+            words[offset / 64] |= 1 << (offset % 64);
+        }
+        Some(ChunkData::Bitmap { base, words })
+    }
+
+    /// Builds the canonical representation of a sorted, deduplicated,
+    /// non-empty value list, keeping the vector when the chunk stays a
+    /// sorted block.
+    fn from_vec(values: Vec<u128>) -> ChunkData {
+        ChunkData::bitmap_of(&values).unwrap_or(ChunkData::Sorted(values))
+    }
+
+    /// [`ChunkData::from_vec`] over a borrowed run: a sorted block is one
+    /// exactly sized copy.
+    fn from_slice(values: &[u128]) -> ChunkData {
+        ChunkData::bitmap_of(values).unwrap_or_else(|| ChunkData::Sorted(values.to_vec()))
     }
 
     fn len(&self) -> usize {
@@ -167,25 +178,29 @@ impl AddrSet {
 
     /// Builds from a sorted, strictly increasing (deduplicated) vector.
     /// This is the zero-comparison fast path used when the caller already
-    /// holds canonical order — debug builds assert it.
-    pub fn from_sorted(values: Vec<u128>) -> AddrSet {
+    /// holds canonical order — debug builds assert it. The input is cut
+    /// into its /32 runs and each chunk is built from its run at its exact
+    /// size; a set inside one /32 keeps the vector it was given.
+    pub fn from_sorted(mut values: Vec<u128>) -> AddrSet {
         debug_assert!(values.windows(2).all(|w| w[0] < w[1]), "input must be strictly increasing");
-        let mut set = AddrSet::new();
-        set.len = values.len();
-        let mut values = values.into_iter().peekable();
-        while let Some(&first) = values.peek() {
-            let key = key_of(first);
-            let mut chunk_values = Vec::new();
-            while let Some(&v) = values.peek() {
-                if key_of(v) != key {
-                    break;
-                }
-                chunk_values.push(v);
-                values.next();
-            }
-            set.chunks.push(Chunk::from_vec(key, chunk_values));
+        let len = values.len();
+        let (Some(&first), Some(&last)) = (values.first(), values.last()) else {
+            return AddrSet::new();
+        };
+        if key_of(first) == key_of(last) {
+            values.shrink_to_fit();
+            return AddrSet { chunks: vec![Chunk::from_vec(key_of(first), values)], len };
         }
-        set
+        let mut chunks = Vec::new();
+        let mut rest = values.as_slice();
+        while let Some(&head) = rest.first() {
+            let key = key_of(head);
+            let run_len = rest.iter().position(|&v| key_of(v) != key).unwrap_or(rest.len());
+            let (run, tail) = rest.split_at(run_len);
+            chunks.push(Chunk { key, data: ChunkData::from_slice(run) });
+            rest = tail;
+        }
+        AddrSet { chunks, len }
     }
 
     /// Builds from values in any order, with duplicates allowed.
@@ -600,6 +615,12 @@ mod tests {
             .collect()
     }
 
+    fn clustered_sorted(n: u128, prefixes: u128) -> Vec<u128> {
+        let mut values = clustered(n, prefixes);
+        sorted::normalize(&mut values);
+        values
+    }
+
     #[test]
     fn canonical_representation_is_construction_independent() {
         let values = clustered(1000, 7);
@@ -736,6 +757,70 @@ mod tests {
         let sparse: Vec<u128> = (0..1000u128).map(|i| i << 80).collect();
         let set = AddrSet::from_sorted(sparse);
         assert_eq!(set.bitmap_chunk_count(), 0);
+    }
+
+    /// The construction `from_sorted` used before it sliced its input by
+    /// /32 run: one value at a time into a growing per-chunk vector. Kept
+    /// as the reference the slicing construction is compared against.
+    fn from_sorted_one_by_one(values: Vec<u128>) -> AddrSet {
+        let mut set = AddrSet::new();
+        set.len = values.len();
+        let mut values = values.into_iter().peekable();
+        while let Some(&first) = values.peek() {
+            let key = key_of(first);
+            let mut chunk_values = Vec::new();
+            while let Some(v) = values.next_if(|&v| key_of(v) == key) {
+                chunk_values.push(v);
+            }
+            set.chunks.push(Chunk::from_vec(key, chunk_values));
+        }
+        set
+    }
+
+    #[test]
+    fn from_sorted_matches_the_one_by_one_construction() {
+        // `n` values in one /32 whose span is exactly `span`.
+        let run = |key: u128, n: u128, span: u128| -> Vec<u128> {
+            let base = (key << 96) | 0x1000;
+            (0..n - 1).map(|i| base + i).chain([base + span - 1]).collect()
+        };
+        let mut inputs: Vec<Vec<u128>> = vec![
+            vec![],
+            vec![0],
+            vec![u128::MAX],
+            vec![0, u128::MAX],
+            clustered_sorted(5_000, 11),
+            (0..1_000u128).map(|i| i << 80).collect(),
+            (0..100_000u128).map(|i| (0x2001u128 << 96) + i).collect(),
+        ];
+        for n in [2u128, 3, 64, 1_000] {
+            // Either side of the sorted↔bitmap threshold, alone (the
+            // input vector is reused) and between other runs (sliced).
+            for span in [128 * n, 128 * n + 1] {
+                inputs.push(run(7, n, span));
+                let mut mixed = run(6, 40, 40);
+                mixed.extend(run(7, n, span));
+                mixed.extend(run(8, 5, 1 << 40));
+                mixed.extend(run(9, n, 128 * n + 1));
+                mixed.extend(run(10, n, 128 * n));
+                inputs.push(mixed);
+            }
+        }
+        for values in inputs {
+            let reference = from_sorted_one_by_one(values.clone());
+            let set = AddrSet::from_sorted(values.clone());
+            assert_eq!(set, reference, "{} values", values.len());
+            assert_eq!(set.len(), values.len());
+            assert_eq!(set.to_vec(), values);
+            assert!(set.mem_bytes() <= reference.mem_bytes(), "chunks are built at their size");
+            // Spare capacity in the input does not leak into the set.
+            let mut roomy = Vec::with_capacity(values.len() * 2 + 8);
+            roomy.extend_from_slice(&values);
+            assert_eq!(AddrSet::from_sorted(roomy).mem_bytes(), set.mem_bytes());
+        }
+        let at = AddrSet::from_sorted(run(7, 64, 128 * 64));
+        let over = AddrSet::from_sorted(run(7, 64, 128 * 64 + 1));
+        assert_eq!((at.bitmap_chunk_count(), over.bitmap_chunk_count()), (1, 0));
     }
 
     #[test]

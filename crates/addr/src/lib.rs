@@ -29,6 +29,9 @@
 //!   `Vec<Addr>`. The linear merge kernels (union/diff/intersect over
 //!   sorted slices) that used to be public as `sorted::*` are now
 //!   crate-private plumbing behind this type.
+//! * [`digest`] — the content digest of an item set (FNV-1a 64), one-shot
+//!   and streaming: the value `manifest.json` records and the serve layer
+//!   uses as ETag and delta frame.
 //!
 //! All types are `Copy` where possible, serializable, and allocate only when
 //! a collection genuinely must.
@@ -39,6 +42,7 @@
 mod addr;
 mod addrset;
 pub mod classify;
+pub mod digest;
 mod eui64;
 mod prefix;
 pub mod prf;

@@ -53,24 +53,11 @@ pub struct Manifest {
     pub digests: Vec<(String, String)>,
 }
 
-/// FNV-1a 64-bit digest over the little-endian bytes of each item — the
-/// stable content digest recorded per artifact in [`Manifest::digests`].
-/// Items must arrive in ascending deduplicated order (the order every
-/// [`AddrSet`] iterates in) so the digest depends on content, not render
-/// order. Streaming: consumes any item iterator without materializing a
-/// flat vector. Byte-for-byte the same function as
-/// `sixdust_serve::codec::content_digest`, so serve-layer ETags match
-/// what the manifest records.
-pub fn content_digest<I: IntoIterator<Item = u128>>(items: I) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for item in items {
-        for byte in item.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    hash
-}
+/// The stable content digest recorded per artifact in
+/// [`Manifest::digests`] — [`sixdust_addr::digest::content_digest`], the
+/// same function the serve layer keys ETags and delta frames off, so the
+/// two cannot disagree about what a set is called.
+pub use sixdust_addr::digest::content_digest;
 
 fn collect_set(addrs: impl IntoIterator<Item = Addr>) -> AddrSet {
     addrs.into_iter().collect()

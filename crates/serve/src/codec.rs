@@ -23,9 +23,26 @@
 //! set's ascending iterator (the byte streams are unchanged — they were
 //! always defined over the sorted item sequence, which is exactly the
 //! order an `AddrSet` iterates in), and decoders hand back an `AddrSet`.
+//!
+//! # Two consumers of a delta
+//!
+//! * [`apply_delta`] is for a consumer that wants the new set: it hashes
+//!   the base it is given, rebuilds the result and returns it.
+//! * [`verify_delta`] is for a consumer that only has to decide whether
+//!   the stream is a faithful path from a set it holds to a set it has
+//!   been told to expect — an edge mirror adopting the origin's version
+//!   handle. It takes the base's digest from the caller, builds nothing,
+//!   and additionally pins the result to the expected digest.
+//!
+//! Both read the stream through one header parser and one merge walk, so
+//! they run the same checks in the same order and reject the same
+//! streams with the same error; the content digest is a serial multiply
+//! chain (about 22 ns per item), which is why each entry point hashes a
+//! set only when nobody has hashed it yet.
 
 use std::fmt;
 
+use sixdust_addr::digest::ContentHasher;
 use sixdust_addr::AddrSet;
 
 /// Magic prefix of a full-snapshot stream (`SDF1`).
@@ -92,24 +109,11 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// FNV-1a 64-bit digest over the little-endian bytes of each item — the
-/// stable per-artifact content digest. Streaming: consumes any item
-/// iterator, and an `&AddrSet` directly; items must arrive in ascending
-/// deduplicated order (the order every [`AddrSet`] iterates in) so the
-/// digest depends on content alone.
-///
-/// Matches [`sixdust_hitlist::publish::content_digest`] byte for byte so
-/// serve-layer ETags key off the same value `manifest.json` records.
-pub fn content_digest<I: IntoIterator<Item = u128>>(items: I) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for item in items {
-        for byte in item.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    hash
-}
+/// The per-artifact content digest: [`sixdust_addr::digest::content_digest`],
+/// re-exported where the serve layer has always offered it. The same
+/// function as `sixdust_hitlist::publish::content_digest`, so serve-layer
+/// ETags key off the value `manifest.json` records.
+pub use sixdust_addr::digest::content_digest;
 
 /// FNV-1a 64-bit over raw bytes (stream checksums).
 fn fnv_bytes(bytes: &[u8]) -> u64 {
@@ -295,8 +299,23 @@ pub fn verify_full(bytes: &[u8], expected_digest: u64) -> Result<AddrSet, CodecE
 
 /// Encodes the delta from set `prev` to set `next`: the removed and
 /// added items, framed by the digests of both endpoints. One merge walk
-/// over both sets' streaming iterators.
+/// over both sets' streaming iterators. Hashes both sets, for a caller
+/// that holds no digest of either.
 pub fn encode_delta(prev: &AddrSet, next: &AddrSet) -> Vec<u8> {
+    encode_delta_with(prev, content_digest(prev), next, content_digest(next))
+}
+
+/// [`encode_delta`] for a caller that holds both endpoint digests (the
+/// store computed them to key its versions): the same bytes, with no set
+/// hashed again. The digests are written as given, so this stays inside
+/// the crate, next to the one caller whose digests are
+/// `content_digest(items)` by construction.
+pub(crate) fn encode_delta_with(
+    prev: &AddrSet,
+    prev_digest: u64,
+    next: &AddrSet,
+    next_digest: u64,
+) -> Vec<u8> {
     let mut removed = Vec::new();
     let mut added = Vec::new();
     let mut i = prev.iter().peekable();
@@ -326,19 +345,27 @@ pub fn encode_delta(prev: &AddrSet, next: &AddrSet) -> Vec<u8> {
             (None, None) => break,
         }
     }
+    frame_delta(prev_digest, next_digest, &removed, &added)
+}
+
+/// Writes a delta stream: magic, the two endpoint digests, the removed
+/// and the added items, checksum.
+fn frame_delta(base_digest: u64, result_digest: u64, removed: &[u128], added: &[u128]) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + (removed.len() + added.len()) * 2);
     out.extend_from_slice(&DELTA_MAGIC);
-    out.extend_from_slice(&content_digest(prev).to_le_bytes());
-    out.extend_from_slice(&content_digest(next).to_le_bytes());
+    out.extend_from_slice(&base_digest.to_le_bytes());
+    out.extend_from_slice(&result_digest.to_le_bytes());
     push_items(&mut out, removed.iter().copied());
     push_items(&mut out, added.iter().copied());
     push_checksum(&mut out);
     out
 }
 
-/// The `(base, result)` digests a delta stream was encoded against,
-/// without applying it — the serve layer's ETag fast path.
-pub fn delta_digests(bytes: &[u8]) -> Result<(u64, u64), CodecError> {
+/// The fixed head of a delta stream — checksum, magic, then the two
+/// endpoint digests — and the payload whose item streams start at byte
+/// 20. The one parser [`delta_digests`], [`apply_delta`] and
+/// [`verify_delta`] read a delta header through.
+fn delta_header(bytes: &[u8]) -> Result<(&[u8], u64, u64), CodecError> {
     let payload = checked_payload(bytes)?;
     if payload[..4] != DELTA_MAGIC {
         return Err(CodecError::BadMagic);
@@ -348,65 +375,127 @@ pub fn delta_digests(bytes: &[u8]) -> Result<(u64, u64), CodecError> {
     }
     let base = u64::from_le_bytes(payload[4..12].try_into().expect("8 bytes"));
     let result = u64::from_le_bytes(payload[12..20].try_into().expect("8 bytes"));
+    Ok((payload, base, result))
+}
+
+/// The `(base, result)` digests a delta stream was encoded against,
+/// without applying it — the serve layer's ETag fast path.
+pub fn delta_digests(bytes: &[u8]) -> Result<(u64, u64), CodecError> {
+    let (_, base, result) = delta_header(bytes)?;
     Ok((base, result))
 }
 
+/// A delta stream that passed every check which needs no base set:
+/// checksum, magic, both item streams well-formed, nothing trailing.
+struct ParsedDelta {
+    base_digest: u64,
+    result_digest: u64,
+    removed: Vec<u128>,
+    added: Vec<u128>,
+}
+
+impl ParsedDelta {
+    fn parse(bytes: &[u8]) -> Result<ParsedDelta, CodecError> {
+        let (payload, base_digest, result_digest) = delta_header(bytes)?;
+        let mut pos = 20;
+        let removed = read_items(payload, &mut pos)?;
+        let added = read_items(payload, &mut pos)?;
+        if pos != payload.len() {
+            return Err(CodecError::TrailingBytes);
+        }
+        Ok(ParsedDelta { base_digest, result_digest, removed, added })
+    }
+
+    /// Replays the delta over `prev`, whose content digest is
+    /// `prev_digest`: fails fast on a wrong base, then one merge walk
+    /// over the base set's streaming iterator — drop removed items (which
+    /// must exist), keep the rest, interleave added items (which must be
+    /// new) — handing each item of the result to `sink` in ascending
+    /// order and folding it into a running digest, which must come out
+    /// as the digest the stream promised. Returns that digest.
+    fn replay(
+        &self,
+        prev: &AddrSet,
+        prev_digest: u64,
+        mut sink: impl FnMut(u128),
+    ) -> Result<u64, CodecError> {
+        if prev_digest != self.base_digest {
+            return Err(CodecError::BaseMismatch {
+                expected: self.base_digest,
+                actual: prev_digest,
+            });
+        }
+        let mut hasher = ContentHasher::new();
+        let mut emit = |item: u128| {
+            hasher.push(item);
+            sink(item);
+        };
+        let mut rem = self.removed.iter().copied().peekable();
+        let mut add = self.added.iter().copied().peekable();
+        for p in prev.iter() {
+            while let Some(a) = add.next_if(|&a| a < p) {
+                emit(a);
+            }
+            if add.peek() == Some(&p) {
+                return Err(CodecError::InconsistentDelta);
+            }
+            if rem.next_if_eq(&p).is_none() {
+                emit(p);
+            }
+        }
+        add.for_each(&mut emit);
+        if rem.next().is_some() {
+            return Err(CodecError::InconsistentDelta);
+        }
+        let actual = hasher.finish();
+        if actual != self.result_digest {
+            return Err(CodecError::ResultMismatch { expected: self.result_digest, actual });
+        }
+        Ok(actual)
+    }
+}
+
 /// Applies a delta stream to the base set `prev`, returning the
-/// reconstructed result set.
+/// reconstructed result set. For a consumer that wants the set and holds
+/// no digest of `prev`: the base is hashed here.
 ///
 /// Three layers of validation guard the reconstruction: the stream
 /// checksum, the base digest (wrong-base application fails fast), and the
 /// result digest (a forged-but-checksummed delta still cannot produce a
 /// silently wrong set).
 pub fn apply_delta(prev: &AddrSet, bytes: &[u8]) -> Result<AddrSet, CodecError> {
-    let payload = checked_payload(bytes)?;
-    if payload[..4] != DELTA_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    if payload.len() < 20 {
-        return Err(CodecError::Truncated);
-    }
-    let base_digest = u64::from_le_bytes(payload[4..12].try_into().expect("8 bytes"));
-    let result_digest = u64::from_le_bytes(payload[12..20].try_into().expect("8 bytes"));
-    let mut pos = 20;
-    let removed = read_items(payload, &mut pos)?;
-    let added = read_items(payload, &mut pos)?;
-    if pos != payload.len() {
-        return Err(CodecError::TrailingBytes);
-    }
-    let actual_base = content_digest(prev);
-    if actual_base != base_digest {
-        return Err(CodecError::BaseMismatch { expected: base_digest, actual: actual_base });
-    }
-
-    // Merge walk over the base set's streaming iterator: drop removed
-    // items (which must exist), keep the rest, interleave added items
-    // (which must be new).
-    let mut next = Vec::with_capacity(prev.len() + added.len() - removed.len().min(prev.len()));
-    let mut rem = removed.iter().copied().peekable();
-    let mut add = added.iter().copied().peekable();
-    for p in prev.iter() {
-        while add.peek().is_some_and(|&a| a < p) {
-            next.push(add.next().expect("peeked"));
-        }
-        if add.peek() == Some(&p) {
-            return Err(CodecError::InconsistentDelta);
-        }
-        if rem.peek() == Some(&p) {
-            rem.next();
-        } else {
-            next.push(p);
-        }
-    }
-    next.extend(add);
-    if rem.next().is_some() {
-        return Err(CodecError::InconsistentDelta);
-    }
-    let actual = content_digest(next.iter().copied());
-    if actual != result_digest {
-        return Err(CodecError::ResultMismatch { expected: result_digest, actual });
-    }
+    let delta = ParsedDelta::parse(bytes)?;
+    let kept = prev.len().saturating_sub(delta.removed.len());
+    let mut next = Vec::with_capacity(kept + delta.added.len());
+    delta.replay(prev, content_digest(prev), |item| next.push(item))?;
     Ok(AddrSet::from_sorted(next))
+}
+
+/// Validates a delta stream against the base set `prev` without
+/// materialising the result — what an edge mirror runs on a sync
+/// transfer, where the origin's version handle is adopted and the
+/// reconstructed set would be thrown away.
+///
+/// Every check of [`apply_delta`] runs, in the same order and through the
+/// same parser and merge walk; the walk feeds only the running digest.
+/// Two things differ. The base is not hashed again: the caller passes
+/// `prev_digest`, the digest it holds for `prev` (for a store's
+/// [`ArtifactVersion`](crate::store::ArtifactVersion), `digest()` is
+/// `content_digest(items())` by construction). And the reconstructed
+/// digest must equal `expected_digest` as well as the digest the stream
+/// carries, so a well-formed delta from the right base to some *other*
+/// set is rejected, as [`verify_full`] rejects such a body.
+pub fn verify_delta(
+    prev: &AddrSet,
+    prev_digest: u64,
+    bytes: &[u8],
+    expected_digest: u64,
+) -> Result<(), CodecError> {
+    let actual = ParsedDelta::parse(bytes)?.replay(prev, prev_digest, |_| {})?;
+    if actual != expected_digest {
+        return Err(CodecError::ResultMismatch { expected: expected_digest, actual });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -416,6 +505,10 @@ mod tests {
     fn set(v: &[u128]) -> AddrSet {
         AddrSet::from_unsorted(v.to_vec())
     }
+
+    /// Length and FNV-1a of `encode_delta(hitlist_generations())`.
+    const GOLDEN_LEN: usize = 1302;
+    const GOLDEN_FNV: u64 = 0xb469_e3f4_4fa3_0117;
 
     #[test]
     fn full_round_trips() {
@@ -503,6 +596,146 @@ mod tests {
         let delta = encode_delta(&prev, &next);
         let err = apply_delta(&set(&[1, 2]), &delta).expect_err("wrong base");
         assert!(matches!(err, CodecError::BaseMismatch { .. }), "{err:?}");
+    }
+
+    /// Two generations of a hitlist-shaped artifact: dense runs inside a
+    /// few /32s (bitmap chunks), a sparse tail (sorted chunks), and a day
+    /// of churn between them — some addresses gone, some new, one /32
+    /// appearing and one disappearing.
+    fn hitlist_generations() -> (AddrSet, AddrSet) {
+        let mut prev: Vec<u128> = Vec::new();
+        for net in 0..4u128 {
+            let base = (0x2001_0db8 + net) << 96;
+            prev.extend((0..600u128).map(|i| base + i * 2));
+        }
+        prev.extend((0..150u128).map(|i| (0x2a00_0000u128 << 96) | (i << 64) | (i * i + 1)));
+        let mut next: Vec<u128> =
+            prev.iter().copied().filter(|v| v % 37 != 0 && v >> 96 != 0x2001_0dbb).collect();
+        next.extend((0..300u128).map(|i| (0x2001_0db8u128 << 96) + 1 + i * 6));
+        next.extend((0..80u128).map(|i| (0x2c0f_0000u128 << 96) | (i << 70)));
+        let (prev, next) = (set(&prev), set(&next));
+        assert!(prev.bitmap_chunk_count() > 0 && prev.bitmap_chunk_count() < prev.chunk_count());
+        (prev, next)
+    }
+
+    /// Runs both consumers on one stream, with the digests an honest
+    /// mirror would hold, and insists they agree: same verdict, same
+    /// error, and on success the set `apply_delta` built is the expected
+    /// one. Returns the shared verdict.
+    fn both(prev: &AddrSet, bytes: &[u8], expected: &AddrSet) -> Result<(), CodecError> {
+        let applied = apply_delta(prev, bytes);
+        let verified = verify_delta(prev, content_digest(prev), bytes, content_digest(expected));
+        if let Ok(rebuilt) = &applied {
+            assert_eq!(rebuilt, expected, "apply_delta accepted a stream to some other set");
+        }
+        assert_eq!(applied.map(|_| ()), verified, "apply_delta and verify_delta disagree");
+        verified
+    }
+
+    #[test]
+    fn delta_stream_bytes_are_pinned() {
+        // The stream is a published format: mirrors and consumers written
+        // against it must keep decoding it. One golden stream's length
+        // and FNV-1a, taken from the encoder before it learned to reuse
+        // digests, pin every byte of it.
+        let (prev, next) = hitlist_generations();
+        let delta = encode_delta(&prev, &next);
+        assert_eq!((delta.len(), fnv_bytes(&delta)), (GOLDEN_LEN, GOLDEN_FNV));
+        // The digest-reusing encoder writes the same bytes.
+        let reused = encode_delta_with(&prev, content_digest(&prev), &next, content_digest(&next));
+        assert_eq!(reused, delta);
+    }
+
+    #[test]
+    fn verify_delta_agrees_with_apply_delta_on_every_byte_flip() {
+        let (prev, next) = hitlist_generations();
+        let good = encode_delta(&prev, &next);
+        assert_eq!(both(&prev, &good, &next), Ok(()));
+        for i in 0..good.len() {
+            // As corrupted in flight: the checksum layer fires.
+            let mut flipped = good.clone();
+            flipped[i] ^= 0x20;
+            assert_eq!(both(&prev, &flipped, &next), Err(CodecError::ChecksumMismatch), "at {i}");
+            // As forged: the checksum is made to fit again, so the flip
+            // reaches whichever inner check guards that byte.
+            if i < good.len() - 8 {
+                flipped.truncate(good.len() - 8);
+                push_checksum(&mut flipped);
+                assert!(both(&prev, &flipped, &next).is_err(), "forged flip at {i} accepted");
+            }
+        }
+        // Truncation at every length, and bytes after the checksum.
+        for len in 0..good.len() {
+            assert!(both(&prev, &good[..len], &next).is_err(), "truncated to {len} accepted");
+        }
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert_eq!(both(&prev, &trailing, &next), Err(CodecError::ChecksumMismatch));
+        // Bytes between the item streams and a checksum that covers them.
+        let mut padded = good[..good.len() - 8].to_vec();
+        padded.push(0);
+        push_checksum(&mut padded);
+        assert_eq!(both(&prev, &padded, &next), Err(CodecError::TrailingBytes));
+    }
+
+    #[test]
+    fn verify_delta_rejects_what_apply_delta_rejects_for_the_same_reason() {
+        let (prev, next) = hitlist_generations();
+        let good = encode_delta(&prev, &next);
+        let (d_prev, d_next) = (content_digest(&prev), content_digest(&next));
+
+        // Wrong base: fails before any reconstruction.
+        let mut other = prev.clone();
+        other.insert(7);
+        let err = both(&other, &good, &next).expect_err("wrong base");
+        assert_eq!(
+            err,
+            CodecError::BaseMismatch { expected: d_prev, actual: content_digest(&other) }
+        );
+
+        let member = prev.iter().nth(10).expect("non-empty");
+        let absent = member + 1;
+        assert!(!prev.contains(absent));
+        // Removing an item the base does not hold, early and past its end.
+        for ghost in [absent, u128::MAX] {
+            let forged = frame_delta(d_prev, d_next, &[ghost], &[]);
+            assert_eq!(both(&prev, &forged, &next), Err(CodecError::InconsistentDelta));
+        }
+        // Adding an item the base already holds.
+        let forged = frame_delta(d_prev, d_next, &[], &[member]);
+        assert_eq!(both(&prev, &forged, &next), Err(CodecError::InconsistentDelta));
+        // A consistent delta whose promised result digest is a lie.
+        let forged = frame_delta(d_prev, d_next, &[member], &[absent]);
+        assert!(matches!(
+            both(&prev, &forged, &next),
+            Err(CodecError::ResultMismatch { expected, .. }) if expected == d_next
+        ));
+    }
+
+    #[test]
+    fn verify_delta_pins_the_result_to_the_expected_digest() {
+        // An honest, checksummed delta from the right base to a set the
+        // caller did not ask for: `apply_delta` has no expectation to
+        // hold it to, `verify_delta` does.
+        let (prev, next) = hitlist_generations();
+        let mut elsewhere = next.clone();
+        elsewhere.insert(9);
+        let detour = encode_delta(&prev, &elsewhere);
+        assert_eq!(apply_delta(&prev, &detour).expect("a valid delta"), elsewhere);
+        let (d_prev, d_next) = (content_digest(&prev), content_digest(&next));
+        assert_eq!(
+            verify_delta(&prev, d_prev, &detour, d_next),
+            Err(CodecError::ResultMismatch {
+                expected: d_next,
+                actual: content_digest(&elsewhere)
+            })
+        );
+        assert_eq!(verify_delta(&prev, d_prev, &detour, content_digest(&elsewhere)), Ok(()));
+        // A stale digest for the base is a wrong base.
+        assert!(matches!(
+            verify_delta(&prev, d_prev ^ 1, &detour, content_digest(&elsewhere)),
+            Err(CodecError::BaseMismatch { .. })
+        ));
     }
 
     #[test]

@@ -61,7 +61,8 @@ pub mod server;
 pub mod store;
 
 pub use codec::{
-    apply_delta, content_digest, decode_full, encode_delta, encode_full, verify_full, CodecError,
+    apply_delta, content_digest, decode_full, encode_delta, encode_full, verify_delta, verify_full,
+    CodecError,
 };
 pub use faults::ServeFaultConfig;
 pub use fleet::{

@@ -502,9 +502,12 @@ impl MirrorTier {
             };
             // Checksum-first validation: a flip anywhere rejects the
             // whole sync, and the mirror keeps its last-good generation.
+            // Either branch pins the body to the origin version's digest;
+            // the delta is replayed over the held set without building
+            // the result, since the handle adopted below is the origin's.
             let valid = if use_delta {
                 let base = held.as_ref().expect("delta implies held");
-                codec::apply_delta(base.items(), body).is_ok()
+                codec::verify_delta(base.items(), base.digest(), body, version.digest()).is_ok()
             } else {
                 codec::verify_full(body, version.digest()).is_ok()
             };
@@ -693,6 +696,63 @@ mod tests {
         assert!(matches!(out, Outcome::Body { round: 1, .. }));
         assert!(tier.totals().stale_served > 0);
         assert!(tier.totals().revalidations > 0, "stale service schedules a revalidation");
+    }
+
+    #[test]
+    fn a_delta_to_some_other_generation_is_rejected_and_last_good_is_kept() {
+        let mut tier = tier_over(1, ServeFaultConfig::lossless(), 1);
+        let v1 = tier.origin().artifact(ArtifactKind::Responsive).expect("round 1");
+        tier.origin().publish_round(2, "d2", artifacts(2));
+        tier.set_target_round(2);
+        let honest: Vec<Arc<ArtifactVersion>> = ArtifactKind::ALL
+            .iter()
+            .map(|&kind| tier.origin().artifact(kind).expect("round 2"))
+            .collect();
+        // Round 2's handle, but the delta it ships leads from round 1 to
+        // a set that is not round 2: a well-formed, checksummed stream
+        // whose own base and result digests are both true.
+        let v2 = &honest[ArtifactKind::Responsive.index()];
+        let mut elsewhere = (**v2.items()).clone();
+        elsewhere.insert(u128::MAX);
+        let detour = codec::encode_delta(v1.items(), &elsewhere);
+        assert_eq!(codec::apply_delta(v1.items(), &detour).expect("a valid delta"), elsewhere);
+        let mut swapped = honest.clone();
+        swapped[ArtifactKind::Responsive.index()] =
+            Arc::new(crate::store::tests::with_delta(v2, detour));
+        assert!(tier.origin().install_generation(2, "d2", swapped));
+
+        assert!(!tier.try_sync(0, 1), "the delta does not lead to the origin's version");
+        assert_eq!(tier.totals().sync_rejected, 1);
+        assert_eq!(tier.totals().syncs, 0);
+        assert_eq!(tier.mirror_round(0), Some(1), "the mirror keeps its last-good generation");
+        let held = tier.mirrors[0].store.artifact(ArtifactKind::Responsive).expect("held");
+        assert!(Arc::ptr_eq(&held, &v1));
+
+        // The same sync with the delta that does lead there goes through.
+        assert!(tier.origin().install_generation(2, "d2", honest));
+        assert!(tier.try_sync(0, 2));
+        assert_eq!(tier.totals().sync_delta, 1);
+        assert_eq!(tier.mirror_round(0), Some(2));
+    }
+
+    #[test]
+    fn every_generation_a_mirror_holds_carries_content_digests() {
+        use crate::store::tests::assert_digests_are_content_digests;
+        // Half the transfers corrupt: mirrors lag, catch up over deltas
+        // and full snapshots, and reject syncs in between.
+        let faults = ServeFaultConfig::builder().with_sync_corrupt_permille(500);
+        let mut tier = tier_over(1, faults, 3);
+        for round in 2..=8u64 {
+            tier.origin().publish_round(round, &format!("d{round}"), artifacts(round));
+            tier.set_target_round(round);
+            tier.advance(round * 1_000_000);
+            assert_digests_are_content_digests(tier.origin());
+            for mirror in &tier.mirrors {
+                assert_digests_are_content_digests(&mirror.store);
+            }
+        }
+        let totals = tier.totals();
+        assert!(totals.sync_rejected > 0 && totals.sync_delta > 0 && totals.sync_full > 0);
     }
 
     #[test]

@@ -254,11 +254,22 @@ impl SnapshotStore {
     }
 
     /// Publishes one round: an item set per artifact kind (missing kinds
-    /// publish as empty sets). [`AddrSet`]s are deduplicated and
-    /// canonically ordered by construction, so no normalization happens
-    /// here. Readers keep serving the previous generation until the
-    /// single atomic swap at the end.
-    pub fn publish_round(&self, round: u64, date: &str, artifacts: Vec<(ArtifactKind, AddrSet)>) {
+    /// publish as empty sets; of two entries for one kind the first is
+    /// published). [`AddrSet`]s are deduplicated and canonically ordered
+    /// by construction, so no normalization happens here. Readers keep
+    /// serving the previous generation until the single atomic swap at
+    /// the end.
+    ///
+    /// Each address is hashed twice per publish — once into its
+    /// artifact's digest, once into its shard's — and every later user
+    /// of a digest (the delta frame, a mirror's sync, an ETag) reads the
+    /// stored value.
+    pub fn publish_round(
+        &self,
+        round: u64,
+        date: &str,
+        mut artifacts: Vec<(ArtifactKind, AddrSet)>,
+    ) {
         let started = std::time::Instant::now();
         let prev = self.current.read().expect("store lock").clone();
         let mut reused = 0u64;
@@ -269,9 +280,9 @@ impl SnapshotStore {
         let mut versions: Vec<Arc<ArtifactVersion>> = Vec::with_capacity(ArtifactKind::ALL.len());
         for kind in ArtifactKind::ALL {
             let items: AddrSet = artifacts
-                .iter()
+                .iter_mut()
                 .find(|(k, _)| *k == kind)
-                .map(|(_, v)| v.clone())
+                .map(|(_, set)| std::mem::take(set))
                 .unwrap_or_default();
             let digest = codec::content_digest(&items);
             let prev_version = prev.as_ref().map(|g| &g.artifacts[kind.index()]);
@@ -321,7 +332,8 @@ impl SnapshotStore {
             bytes_full += full.len() as u64;
             let (delta, prev_round) = match prev_version {
                 Some(pv) => {
-                    let d = Arc::new(codec::encode_delta(&pv.items, &items));
+                    let d =
+                        Arc::new(codec::encode_delta_with(&pv.items, pv.digest, &items, digest));
                     bytes_delta += d.len() as u64;
                     (Some(d), Some(pv.round))
                 }
@@ -411,11 +423,44 @@ pub fn service_artifacts(svc: &sixdust_hitlist::HitlistService) -> Vec<(Artifact
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn items(range: std::ops::Range<u128>) -> AddrSet {
         range.map(|i| i * 97 + 5).collect()
+    }
+
+    /// `version` carrying some other delta stream: what an origin that
+    /// swapped generations mid-transfer would hand a mirror.
+    pub(crate) fn with_delta(version: &ArtifactVersion, delta: Vec<u8>) -> ArtifactVersion {
+        ArtifactVersion {
+            kind: version.kind,
+            round: version.round,
+            digest: version.digest,
+            items: version.items.clone(),
+            full: version.full.clone(),
+            delta: Some(Arc::new(delta)),
+            prev_round: version.prev_round,
+            shards: version.shards.clone(),
+        }
+    }
+
+    /// What lets a publish and a sync reuse a stored digest in place of
+    /// hashing the set again: every version and every shard the store
+    /// currently holds carries `content_digest` of its own items.
+    pub(crate) fn assert_digests_are_content_digests(store: &SnapshotStore) {
+        for kind in ArtifactKind::ALL {
+            let version = store.artifact(kind).expect("a generation holds every kind");
+            assert_eq!(
+                version.digest(),
+                codec::content_digest(&**version.items()),
+                "{kind:?} round {}",
+                version.round()
+            );
+            for shard in version.shards() {
+                assert_eq!(shard.digest(), codec::content_digest(shard.items()), "{kind:?} shard");
+            }
+        }
     }
 
     fn store() -> SnapshotStore {
@@ -465,6 +510,9 @@ mod tests {
         let delta = v2.delta_encoded().expect("delta");
         let rebuilt = codec::apply_delta(v1.items(), delta).expect("applies");
         assert_eq!(rebuilt, next);
+        // Framed with the stored digests, it is the stream the encoder
+        // that hashes both sets writes.
+        assert_eq!(**delta, codec::encode_delta(v1.items(), &next));
         let shared = v1.shards().iter().zip(v2.shards()).filter(|(a, b)| Arc::ptr_eq(a, b)).count();
         assert_eq!(shared, s.shard_count() - 1, "only the touched shard rebuilds");
     }
@@ -478,6 +526,62 @@ mod tests {
         let v2 = s.artifact(ArtifactKind::AliasedPrefixes).expect("v2");
         assert!(Arc::ptr_eq(&v1, &v2), "identical content carries the version over");
         assert_eq!(v2.round(), 1, "round stays the one that built it");
+    }
+
+    #[test]
+    fn stored_digests_are_content_digests_after_every_publish_and_install() {
+        let origin = store();
+        let mirror = store();
+        // Growth, churn, an unchanged artifact, an artifact emptied and a
+        // kind that comes and goes: every way a version is built or kept.
+        let rounds: Vec<Vec<(ArtifactKind, AddrSet)>> = vec![
+            vec![(ArtifactKind::Responsive, items(0..400))],
+            vec![
+                (ArtifactKind::Responsive, items(0..450)),
+                (ArtifactKind::AliasedPrefixes, items(1_000..1_040)),
+            ],
+            vec![
+                (ArtifactKind::Responsive, items(30..470)),
+                (ArtifactKind::AliasedPrefixes, items(1_000..1_040)),
+                (ArtifactKind::GfwFiltered, (0..3_000u128).map(|i| (0x2001 << 96) + i).collect()),
+            ],
+            vec![(ArtifactKind::Responsive, items(30..470))],
+            vec![],
+        ];
+        for (i, artifacts) in rounds.into_iter().enumerate() {
+            let round = i as u64 + 1;
+            origin.publish_round(round, "d", artifacts);
+            assert_digests_are_content_digests(&origin);
+            let versions = ArtifactKind::ALL.map(|k| origin.artifact(k).expect("published"));
+            assert!(mirror.install_generation(round, "d", versions.to_vec()));
+            assert_digests_are_content_digests(&mirror);
+        }
+    }
+
+    #[test]
+    fn missing_kinds_publish_empty_and_the_first_duplicate_wins() {
+        let s = store();
+        s.publish_round(
+            1,
+            "d1",
+            vec![
+                (ArtifactKind::GfwFiltered, items(0..10)),
+                (ArtifactKind::Responsive, items(0..100)),
+                (ArtifactKind::GfwFiltered, items(500..700)),
+                (ArtifactKind::Responsive, AddrSet::new()),
+            ],
+        );
+        let published = |kind| s.artifact(kind).expect("every kind is published");
+        assert_eq!(**published(ArtifactKind::Responsive).items(), items(0..100));
+        assert_eq!(**published(ArtifactKind::GfwFiltered).items(), items(0..10));
+        for kind in ArtifactKind::ALL {
+            if !matches!(kind, ArtifactKind::Responsive | ArtifactKind::GfwFiltered) {
+                let version = published(kind);
+                assert!(version.items().is_empty(), "{kind:?} was not supplied");
+                assert_eq!(version.digest(), codec::content_digest(&AddrSet::new()));
+                assert_eq!(version.shards().len(), s.shard_count());
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,10 @@
 #
 #   scripts/verify.sh            # build + tests + clippy + bench compile + docs
 #   scripts/verify.sh --quick    # build + tests only (fast pre-push check)
+#
+# Without the registry only the grep gates and scripts/test_offline.sh run
+# before the first failure; scripts/test_offline.sh alone is the offline
+# check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,6 +44,11 @@ if [ "$missing" != 0 ]; then
   echo "grep gate FAILED: add the missing metric names to METRICS.md" >&2
   exit 1
 fi
+
+echo "== unit tests, offline (benchmark workspace + rustc --test; needs no registry)"
+# Runs first among the cargo steps: it is the one that works where the
+# registry is unreachable, so a broken unit test shows even there.
+scripts/test_offline.sh
 
 echo "== cargo fmt --all --check"
 cargo fmt --all --check

@@ -212,8 +212,9 @@ fn concurrent_readers_never_observe_torn_state() {
 
 #[test]
 fn manifest_and_serve_digests_agree_across_crates() {
-    // The hitlist manifest and the serve codec implement the same
-    // content digest; ETags from either side must match bit-for-bit.
+    // The hitlist manifest and the serve codec re-export one content
+    // digest (`sixdust_addr::digest`); both paths must keep resolving and
+    // ETags from either side must match bit-for-bit.
     let samples: Vec<Vec<u128>> = vec![
         vec![],
         vec![0],
