@@ -227,26 +227,38 @@ mod tests {
         assert!(!built.parallel_protocols);
     }
 
-    #[test]
-    fn parallel_rounds_identical_to_sequential_at_any_thread_budget() {
-        // The tentpole determinism pin: concurrent protocol scans with
-        // any round-level thread budget produce byte-identical rounds,
-        // snapshots and checkpoints to the sequential path.
-        let reference_net = net();
+    /// Days 0..=10 run sequentially, and run with concurrent protocol
+    /// scans at round-level thread budgets 1, 4 and 8.
+    fn sequential_and_parallel_runs() -> (HitlistService, Vec<(usize, HitlistService)>) {
+        let net = net();
         let base = quick_config().with_snapshot_days(vec![Day(5)]);
-        let sequential = {
-            let mut svc = HitlistService::new(base.clone().with_parallel_protocols(false));
-            svc.run(&reference_net, Day(0), Day(10));
+        let run = |cfg: ServiceConfig| {
+            let mut svc = HitlistService::new(cfg);
+            svc.run(&net, Day(0), Day(10));
             svc
         };
-        let seq_checkpoint = ServiceState::capture(&sequential).to_json();
+        let sequential = run(base.clone().with_parallel_protocols(false));
+        let parallel = [1usize, 4, 8]
+            .into_iter()
+            .map(|budget| {
+                let scan = sixdust_scan::ScanConfig::default().with_threads(budget);
+                let cfg = base.clone().with_scan(scan);
+                assert!(cfg.parallel_protocols);
+                (budget, run(cfg))
+            })
+            .collect();
+        (sequential, parallel)
+    }
+
+    #[test]
+    fn parallel_rounds_identical_to_sequential_at_any_thread_budget() {
+        // The determinism pin: concurrent protocol scans with any
+        // round-level thread budget produce the rounds, snapshots, sets
+        // and checkpoint the sequential path produces.
+        let (sequential, parallel) = sequential_and_parallel_runs();
         assert!(!sequential.snapshots().is_empty(), "snapshot comparison is non-trivial");
-        for budget in [1usize, 4, 8] {
-            let cfg =
-                base.clone().with_scan(sixdust_scan::ScanConfig::default().with_threads(budget));
-            assert!(cfg.parallel_protocols);
-            let mut svc = HitlistService::new(cfg);
-            svc.run(&reference_net, Day(0), Day(10));
+        let seq_checkpoint = ServiceState::capture(&sequential);
+        for (budget, svc) in &parallel {
             assert_eq!(svc.rounds(), sequential.rounds(), "rounds at budget {budget}");
             assert_eq!(svc.snapshots(), sequential.snapshots(), "snapshots at budget {budget}");
             assert_eq!(
@@ -259,8 +271,17 @@ mod tests {
                 sequential.proto_responsive(),
                 "per-protocol sets at budget {budget}"
             );
+            assert_eq!(ServiceState::capture(svc), seq_checkpoint, "checkpoint at budget {budget}");
+        }
+    }
+
+    #[test]
+    fn parallel_checkpoint_bytes_identical_to_sequential_at_any_thread_budget() {
+        let (sequential, parallel) = sequential_and_parallel_runs();
+        let seq_checkpoint = ServiceState::capture(&sequential).to_json();
+        for (budget, svc) in &parallel {
             assert_eq!(
-                ServiceState::capture(&svc).to_json(),
+                ServiceState::capture(svc).to_json(),
                 seq_checkpoint,
                 "checkpoint bytes at budget {budget}"
             );

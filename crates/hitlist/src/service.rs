@@ -600,6 +600,8 @@ impl HitlistService {
             (Some(snap), Some(round)) if snap.day == round.day => snap.cleaned.clone(),
             _ => Vec::new(),
         };
+        // The week whose zone sample the input already holds; see
+        // `ingest_sources` for why a resume must not forget it.
         svc.last_zone_week = state.rounds.last().map(|r| r.day.0 / 7);
         let mut pending = svc.config.snapshot_days.clone();
         pending.sort_unstable();
@@ -687,24 +689,31 @@ impl HitlistService {
         bytes
     }
 
+    /// Round stage 1: admits every candidate that is due on `day`.
+    ///
+    /// The service *samples* the zone once a week, on the first round of
+    /// each week; the zone itself moves faster (cloud answers rotate on
+    /// `day / 4`), so which rotation slots the input accumulates depends
+    /// on the days it is walked. `last_zone_week` is therefore resume
+    /// state: [`HitlistService::from_state`] restores it from the last
+    /// checkpointed round, or a service resumed mid-week would walk the
+    /// zone again and ingest a 4-day slot the uninterrupted run never saw.
     fn ingest_sources(&mut self, net: &Internet, day: Day) {
         let week = day.0 / 7;
-        let run_zone_sources = self.last_zone_week != Some(week);
-        if run_zone_sources {
-            self.last_zone_week = Some(week);
-        }
-        for (kind, addrs) in sources::recurring(net, day) {
-            // Zone-backed sources only change weekly; skip re-runs.
-            if !run_zone_sources
-                && matches!(kind, sources::SourceKind::DomainsAaaa | sources::SourceKind::CtLogs)
-            {
-                continue;
+        let zone_due = self.last_zone_week != Some(week);
+        self.last_zone_week = Some(week);
+        let (input, unresp) = (&mut self.input, &mut self.unresp);
+        let (mut offered, mut new) = (0u64, 0u64);
+        sources::for_each_due(net, day, zone_due, |a| {
+            offered += 1;
+            if input.insert(a) {
+                unresp.register(a, day);
+                new += 1;
             }
-            for a in addrs {
-                if self.input.insert(a) {
-                    self.unresp.register(a, day);
-                }
-            }
+        });
+        if let Some(t) = &self.telemetry {
+            t.counter("service.ingest.offered").add(offered);
+            t.counter("service.ingest.new").add(new);
         }
     }
 
@@ -716,9 +725,12 @@ impl HitlistService {
         let probe = ProbeKind::IcmpEcho { size: 16 };
         let mut discovered = Vec::new();
         for t in targets {
-            let plen = net.path_len(t);
+            let route = net.route(t);
+            let plen = route.path_len();
             for ttl in plen.saturating_sub(3)..plen {
-                if let Some(Response::TimeExceeded { hop }) = net.probe_ttl(t, ttl, &probe, day) {
+                if let Some(Response::TimeExceeded { hop }) =
+                    net.probe_ttl_on(&route, ttl, &probe, day)
+                {
                     discovered.push(hop);
                 }
             }
@@ -783,6 +795,16 @@ impl HitlistService {
         self.ingest_sources(net, day);
         self.record_phase("ingest", phase_started.elapsed());
 
+        self.select_targets(net, day, round_span)
+    }
+
+    /// Round stages 2–3, over whatever the input holds once stage 1 ran.
+    fn select_targets(
+        &mut self,
+        net: &Internet,
+        day: Day,
+        round_span: Option<TraceSpan>,
+    ) -> PreparedRound {
         // 2. Alias detection (periodic) — runs before target selection so
         // even the very first scan is alias-filtered, like the pipeline in
         // Fig. 1.
@@ -1339,6 +1361,128 @@ mod tests {
         let state = crate::state::ServiceState::capture(&svc);
         let resumed = HitlistService::from_state(ServiceConfig::builder().build(), &state);
         assert_eq!(resumed.staleness_rounds, 2, "degraded then anomalous, never reset");
+    }
+
+    /// Stage 1 as the service ran it before sources streamed: every source
+    /// materialised, in the old order, and the zone-backed ones dropped
+    /// afterwards when their week had not changed.
+    fn ingest_eagerly(svc: &mut HitlistService, net: &Internet, day: Day) {
+        let week = day.0 / 7;
+        let run_zone_sources = svc.last_zone_week != Some(week);
+        svc.last_zone_week = Some(week);
+        let zone_backed = [sources::domains_aaaa(net, day), sources::ct_logs(net, day)];
+        let others = [
+            sources::ripe_atlas(net, day),
+            sources::rdns_import(net, day),
+            sources::initial_import(net, day),
+            sources::passive_visible(net, day),
+            sources::discovery_drip(net, day),
+        ];
+        for addrs in zone_backed.into_iter().filter(|_| run_zone_sources).chain(others) {
+            for a in addrs {
+                if svc.input.insert(a) {
+                    svc.unresp.register(a, day);
+                }
+            }
+        }
+    }
+
+    fn active_clocks(svc: &HitlistService) -> HashMap<Addr, Day> {
+        svc.unresponsive().active_entries().collect()
+    }
+
+    #[test]
+    fn streamed_ingestion_matches_the_eager_reference() {
+        // Sixteen daily rounds from launch cross the launch import and two
+        // week boundaries; the second window crosses the rDNS import.
+        let windows =
+            [Day(0)..Day(16), Day(events::RDNS_IMPORT.0 - 2)..events::RDNS_IMPORT.plus(3)];
+        for scale in [Scale::tiny(), Scale::tiny().with_population_mult(5)] {
+            let net = Internet::build(scale).with_faults(FaultConfig::lossless());
+            let domains = net.zones().total_domains();
+            for window in windows.clone() {
+                let cfg = ServiceConfig::builder().traceroute_cap(300).build();
+                let registry = Registry::new();
+                let mut streamed =
+                    HitlistService::new(cfg.clone()).with_telemetry(registry.clone());
+                let mut eager = HitlistService::new(cfg);
+                let (mut offered_before, mut new_before) = (0, 0);
+                for day in (window.start.0..window.end.0).map(Day) {
+                    let input_before = streamed.input().len();
+                    assert_eq!(
+                        input_before,
+                        streamed.rounds().last().map_or(0, |r| r.input_total),
+                        "ingestion starts from the last record's input on {day:?}"
+                    );
+                    let zone_due = streamed.last_zone_week != Some(day.0 / 7);
+                    streamed.ingest_sources(&net, day);
+                    ingest_eagerly(&mut eager, &net, day);
+                    assert_eq!(streamed.input(), eager.input(), "input after ingesting {day:?}");
+                    assert_eq!(active_clocks(&streamed), active_clocks(&eager), "clocks, {day:?}");
+
+                    // The wasted-work counters: what was offered, and what
+                    // of it the input did not hold yet.
+                    let snap = registry.snapshot();
+                    let offered = snap.counter("service.ingest.offered").unwrap() - offered_before;
+                    let new = snap.counter("service.ingest.new").unwrap() - new_before;
+                    (offered_before, new_before) = (offered_before + offered, new_before + new);
+                    assert_eq!(new as usize, streamed.input().len() - input_before, "{day:?}");
+                    assert!(offered >= new, "{day:?}: {new} new of {offered}");
+                    // Only a due round pays for the zone, and once per domain.
+                    assert_eq!(zone_due, day == window.start || day.0 % 7 == 0, "{day:?}");
+                    let zone_share = if zone_due { domains } else { 0 };
+                    assert!(
+                        (zone_share..zone_share + domains).contains(&offered),
+                        "{day:?}: {offered} offered, {domains} domains, zone due: {zone_due}"
+                    );
+
+                    for svc in [&mut streamed, &mut eager] {
+                        let prepared = svc.select_targets(&net, day, None);
+                        let results = svc.scan_prepared(&net, &prepared);
+                        svc.complete_round(&net, prepared, results);
+                    }
+                    assert_eq!(streamed.rounds(), eager.rounds(), "records through {day:?}");
+                    assert_eq!(streamed.input(), eager.input(), "input after round {day:?}");
+                    assert_eq!(active_clocks(&streamed), active_clocks(&eager), "swept, {day:?}");
+                }
+                assert_eq!(
+                    crate::ServiceState::capture(&streamed),
+                    crate::ServiceState::capture(&eager),
+                    "checkpoints after {window:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mid_week_resume_does_not_walk_the_zone_again() {
+        let net = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
+        // One detection at launch: a resumed detector restarts cold.
+        let cfg = ServiceConfig::builder().traceroute_cap(300).alias_every_days(10_000).build();
+        let mut uninterrupted = HitlistService::new(cfg.clone());
+        uninterrupted.run(&net, Day(0), Day(9));
+
+        // Day 9 is in the week the day-7 round sampled, but in another of
+        // the cloud answers' 4-day slots (9 / 4 != 7 / 4).
+        let mut first_leg = HitlistService::new(cfg.clone());
+        first_leg.run(&net, Day(0), Day(8));
+        let checkpoint = crate::ServiceState::capture(&first_leg);
+        let mut resumed = HitlistService::from_state(cfg.clone(), &checkpoint);
+        assert_eq!(resumed.last_zone_week, Some(1));
+        resumed.run_round(&net, Day(9));
+        assert_eq!(
+            crate::ServiceState::capture(&resumed),
+            crate::ServiceState::capture(&uninterrupted)
+        );
+
+        // What restoring the week prevents.
+        let mut forgetful = HitlistService::from_state(cfg, &checkpoint);
+        forgetful.last_zone_week = None;
+        forgetful.run_round(&net, Day(9));
+        assert!(
+            forgetful.input().len() > uninterrupted.input().len(),
+            "a second walk in the same week ingests a slot the uninterrupted run never saw"
+        );
     }
 
     #[test]

@@ -14,62 +14,89 @@
 //!   2019→2020 dip of Table 1.
 //! * `passive_visible` is the small public sample of dense server
 //!   deployments (the seeds TGAs later extrapolate).
+//!
+//! A service round ingests through [`for_each_due`], which streams what
+//! is due on the day into a sink and computes nothing else. The zone is
+//! the expensive source and the service *samples* it once a week: its
+//! answers move faster than that (cloud load balancers rotate on
+//! `day / 4`, narrow prefixes on `day / 7`, see `DnsZones::resolve`), so
+//! which rotation slots the input accumulates depends on the days the
+//! service walks the zone, and the caller decides when a walk is due. The
+//! per-source functions below return one source's candidates on their own
+//! (bias analysis, tests).
 
 use sixdust_addr::{prf, Addr};
 use sixdust_net::{events, Day, Internet};
 
-/// Identifies where a candidate came from (used for bias analysis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SourceKind {
-    /// Forward DNS AAAA resolutions.
-    DomainsAaaa,
-    /// Certificate-transparency-derived domains.
-    CtLogs,
-    /// RIPE-Atlas-style traceroute/probe addresses (CPE-heavy).
-    RipeAtlas,
-    /// One-time reverse-DNS import.
-    Rdns,
-    /// The launch-time bulk corpus.
-    Initial,
-    /// Publicly visible sample of dense deployments.
-    PassiveVisible,
-    /// The service's own traceroutes (handled by the service loop).
-    Traceroute,
-    /// Slow aggregate discovery drip from minor feeds.
-    Drip,
+/// The AAAA answer of every `step`-th domain of the zone file.
+fn zone_answers(net: &Internet, day: Day, step: usize) -> impl Iterator<Item = Addr> + '_ {
+    let zones = net.zones();
+    let pop = net.population();
+    (0..zones.total_domains()).step_by(step).map(move |d| zones.resolve(pop, d, day).0)
 }
 
-/// AAAA resolutions of the full zone file (weekly granularity — addresses
-/// rotate per week, so finer sampling adds nothing).
+/// AAAA resolutions of the full zone file, one answer per domain.
 pub fn domains_aaaa(net: &Internet, day: Day) -> Vec<Addr> {
-    let zones = net.zones();
-    let pop = net.population();
-    (0..zones.total_domains()).map(|d| zones.resolve(pop, d, day).0).collect()
+    zone_answers(net, day, 1).collect()
 }
 
-/// CT-log-derived domains: a third of the namespace, same resolution path.
+/// CT-log-derived domains: a third of the namespace, same resolution path
+/// — so always a subset of [`domains_aaaa`] on the same day, and a round
+/// that walks the zone learns nothing more from walking this slice again.
 pub fn ct_logs(net: &Internet, day: Day) -> Vec<Addr> {
-    let zones = net.zones();
+    zone_answers(net, day, 3).collect()
+}
+
+fn atlas_addrs(net: &Internet, day: Day) -> impl Iterator<Item = Addr> + '_ {
     let pop = net.population();
-    (0..zones.total_domains())
-        .filter(|d| d % 3 == 0)
-        .map(|d| zones.resolve(pop, d, day).0)
-        .collect()
+    let cpe = pop.cpe_fleets().iter().flat_map(move |fleet| fleet.current_addrs(day));
+    let routers = pop
+        .router_pools()
+        .iter()
+        .filter(|pool| pool.rotation_days == 0)
+        .flat_map(move |pool| pool.addrs_at(day).take(16));
+    cpe.chain(routers)
 }
 
 /// RIPE-Atlas-style source: the current addresses of every CPE fleet plus
 /// a sample of stable router interfaces.
 pub fn ripe_atlas(net: &Internet, day: Day) -> Vec<Addr> {
-    let mut out = Vec::new();
-    for fleet in net.population().cpe_fleets() {
-        out.extend(fleet.current_addrs(day));
-    }
-    for pool in net.population().router_pools() {
-        if pool.rotation_days == 0 {
-            out.extend(pool.addrs_at(day).take(16));
+    atlas_addrs(net, day).collect()
+}
+
+/// Feeds `sink` the live addresses on `day` that `picks` selects, hidden
+/// dense clusters excluded (they were never public): what a sampling feed
+/// sees of the population.
+fn sample_population(
+    net: &Internet,
+    day: Day,
+    picks: impl Fn(Addr) -> bool,
+    mut sink: impl FnMut(Addr),
+) {
+    let pop = net.population();
+    pop.for_each_responsive(day, |a, _, _| {
+        if picks(a) && !pop.is_dense_member(a) {
+            sink(a);
         }
-    }
+    });
+}
+
+fn collect_sample(net: &Internet, day: Day, picks: impl Fn(Addr) -> bool) -> Vec<Addr> {
+    let mut out = Vec::new();
+    sample_population(net, day, picks, |a| out.push(a));
     out
+}
+
+fn rdns_picks(a: Addr) -> bool {
+    prf::chance(0xD45, a.0, 0x1, 3, 10)
+}
+
+fn launch_picks(a: Addr) -> bool {
+    prf::chance(0xB007, a.0, 0, 11, 20)
+}
+
+fn drip_picks(a: Addr, day: Day) -> bool {
+    prf::chance(0xD819, a.0, u64::from(day.0 / 7), 3, 100)
 }
 
 /// One-time rDNS import (fires only on the configured day): a broad sample
@@ -78,14 +105,7 @@ pub fn rdns_import(net: &Internet, day: Day) -> Vec<Addr> {
     if day != events::RDNS_IMPORT {
         return Vec::new();
     }
-    net.population()
-        .enumerate_responsive(day)
-        .into_iter()
-        .filter(|(a, ..)| {
-            prf::chance(0xD45, a.0, 0x1, 3, 10) && !net.population().is_dense_member(*a)
-        })
-        .map(|(a, ..)| a)
-        .collect()
+    collect_sample(net, day, rdns_picks)
 }
 
 /// The slow discovery drip: the union of many minor feeds (peer lists,
@@ -93,15 +113,7 @@ pub fn rdns_import(net: &Internet, day: Day) -> Vec<Addr> {
 /// weekly sample of the live population, which is how newly activated
 /// deployments keep entering the hitlist between the big sources.
 pub fn discovery_drip(net: &Internet, day: Day) -> Vec<Addr> {
-    let week = u64::from(day.0 / 7);
-    net.population()
-        .enumerate_responsive(day)
-        .into_iter()
-        .filter(|(a, ..)| {
-            prf::chance(0xD819, a.0, week, 3, 100) && !net.population().is_dense_member(*a)
-        })
-        .map(|(a, ..)| a)
-        .collect()
+    collect_sample(net, day, |a| drip_picks(a, day))
 }
 
 /// The service's launch import: the 2018 hitlist already started from a
@@ -111,14 +123,7 @@ pub fn initial_import(net: &Internet, day: Day) -> Vec<Addr> {
     if day != Day(0) {
         return Vec::new();
     }
-    net.population()
-        .enumerate_responsive(day)
-        .into_iter()
-        .filter(|(a, ..)| {
-            prf::chance(0xB007, a.0, 0, 11, 20) && !net.population().is_dense_member(*a)
-        })
-        .map(|(a, ..)| a)
-        .collect()
+    collect_sample(net, day, launch_picks)
 }
 
 /// The public sample of dense deployments (per-AS visibility fractions).
@@ -126,17 +131,25 @@ pub fn passive_visible(net: &Internet, day: Day) -> Vec<Addr> {
     net.population().dense_visible(day)
 }
 
-/// All recurring sources for a service round.
-pub fn recurring(net: &Internet, day: Day) -> Vec<(SourceKind, Vec<Addr>)> {
-    vec![
-        (SourceKind::DomainsAaaa, domains_aaaa(net, day)),
-        (SourceKind::CtLogs, ct_logs(net, day)),
-        (SourceKind::RipeAtlas, ripe_atlas(net, day)),
-        (SourceKind::Rdns, rdns_import(net, day)),
-        (SourceKind::Initial, initial_import(net, day)),
-        (SourceKind::PassiveVisible, passive_visible(net, day)),
-        (SourceKind::Drip, discovery_drip(net, day)),
-    ]
+/// Streams every candidate that is due on `day` into `sink`, duplicates
+/// included: the zone's AAAA answers when `zone_due` (the CT-log slice is
+/// among them), the RIPE-Atlas view, the public dense sample, and — from
+/// one walk of the live population — the weekly drip plus, on their days,
+/// the launch and rDNS imports.
+pub fn for_each_due(net: &Internet, day: Day, zone_due: bool, mut sink: impl FnMut(Addr)) {
+    if zone_due {
+        zone_answers(net, day, 1).for_each(&mut sink);
+    }
+    atlas_addrs(net, day).for_each(&mut sink);
+    passive_visible(net, day).into_iter().for_each(&mut sink);
+    let rdns = day == events::RDNS_IMPORT;
+    let launch = day == Day(0);
+    sample_population(
+        net,
+        day,
+        |a| drip_picks(a, day) || (launch && launch_picks(a)) || (rdns && rdns_picks(a)),
+        sink,
+    );
 }
 
 #[cfg(test)]
@@ -158,6 +171,22 @@ mod tests {
         let later = domains_aaaa(&net, Day(21));
         let fresh: usize = later.iter().filter(|x| !a.contains(x)).count();
         assert!(fresh > 0, "rotating CDN answers accumulate new addresses");
+    }
+
+    #[test]
+    fn ct_logs_are_a_subset_of_the_zone_walk() {
+        let net = net();
+        // Days 3 → 4 and 7 → 8 cross a `day / 4` rotation of the cloud
+        // answers, 6 → 7 a `day / 7` one.
+        for day in [0, 3, 4, 6, 7, 8, 21, 400].map(Day) {
+            let zone: std::collections::HashSet<Addr> =
+                domains_aaaa(&net, day).into_iter().collect();
+            let ct = ct_logs(&net, day);
+            assert!(!ct.is_empty());
+            assert!(ct.iter().all(|a| zone.contains(a)), "{day:?}");
+        }
+        let rotated = domains_aaaa(&net, Day(3)) != domains_aaaa(&net, Day(4));
+        assert!(rotated, "cloud answers move inside a week");
     }
 
     #[test]
@@ -188,13 +217,6 @@ mod tests {
         for a in visible.iter().take(50) {
             assert!(net.population().lookup(*a, day).is_some(), "{a}");
         }
-    }
-
-    #[test]
-    fn recurring_covers_all_kinds() {
-        let net = net();
-        let all = recurring(&net, Day(10));
-        assert_eq!(all.len(), 7);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use sixdust_wire::{Ipv6Header, Packet, Transport};
 
 use crate::faults::{FaultConfig, OutageScope};
 use crate::fingerprint::{DnsBehavior, TcpFingerprint};
+use crate::fleet::RouterPool;
 use crate::gfw::Gfw;
 use crate::population::{HostView, Population};
 use crate::proto::Protocol;
@@ -123,6 +124,28 @@ pub struct Internet {
     /// default vantage (the historical single-vantage behavior,
     /// bit-for-bit).
     source_vantage: Option<AsId>,
+    /// The transit AS whose router pool answers hops 2 and 3 of every
+    /// path (and the last hops of a destination AS that owns no pool).
+    transit: Option<AsId>,
+}
+
+/// A destination's route as far as it does not depend on the hop: what
+/// [`Internet::route`] resolves once so that the hop-limited probes of
+/// one traceroute ([`Internet::probe_ttl_on`]) share it.
+#[derive(Debug, Clone, Copy)]
+pub struct Route<'a> {
+    dst: Addr,
+    path_len: u8,
+    /// The router pool of the destination's origin AS (the last hops).
+    own: Option<&'a RouterPool>,
+}
+
+impl Route<'_> {
+    /// Number of hops from the vantage point to the destination (the
+    /// destination is hop `path_len`).
+    pub fn path_len(&self) -> u8 {
+        self.path_len
+    }
 }
 
 /// Always-on traffic counters of one [`Internet`]. They count from the
@@ -185,6 +208,7 @@ impl Internet {
             }
         }
         let zones = DnsZones::build(&registry, &population);
+        let transit = registry.by_asn(3356);
         Internet {
             gfw: Gfw::new(prf::mix2(scale.seed, 0x6F0)),
             seed: scale.seed,
@@ -197,6 +221,7 @@ impl Internet {
             ns_log: Mutex::new(Vec::new()),
             counters: NetCounters::default(),
             source_vantage: None,
+            transit,
         }
     }
 
@@ -369,13 +394,24 @@ impl Internet {
         5 + (prf::prf_u128(self.seed, dst.0 >> 80, 0x9A7) % 4) as u8
     }
 
+    /// Resolves the route to `dst`: its length and the origin AS's router
+    /// pool, the one BGP lookup a traceroute needs however many hops it
+    /// probes.
+    pub fn route(&self, dst: Addr) -> Route<'_> {
+        let own = self.registry.origin(dst).and_then(|id| self.population.router_pool_of(id));
+        Route { dst, path_len: self.path_len(dst), own }
+    }
+
     /// The router interface answering at `hop` (1-based, `< path_len`) on
     /// the way to `dst`.
     pub fn hop_addr(&self, dst: Addr, hop: u8, day: Day) -> Addr {
+        self.hop_on(&self.route(dst), hop, day)
+    }
+
+    fn hop_on(&self, route: &Route<'_>, hop: u8, day: Day) -> Addr {
+        let dst = route.dst;
         let vantage_as = self.source_vantage();
-        let dst_as = self.registry.origin(dst);
-        let transit = self.registry.by_asn(3356).and_then(|id| self.population.router_pool_of(id));
-        let own = dst_as.and_then(|id| self.population.router_pool_of(id));
+        let transit = self.transit.and_then(|id| self.population.router_pool_of(id));
         let key = dst.0 >> 80; // route varies per /48-ish block
         match hop {
             1 => match self.population.router_pool_of(vantage_as) {
@@ -400,7 +436,7 @@ impl Internet {
                 ),
                 None => Addr(0),
             },
-            h => match own.or(transit) {
+            h => match route.own.or(transit) {
                 Some(pool) => pool.hop_addr(
                     prf::prf_u128(self.seed, dst.0 >> 64, u64::from(h)) % pool.slots.max(1),
                     day,
@@ -419,6 +455,19 @@ impl Internet {
         kind: &ProbeKind,
         day: Day,
     ) -> Option<Response> {
+        self.probe_ttl_on(&self.route(dst), hop_limit, kind, day)
+    }
+
+    /// [`Internet::probe_ttl`] toward the destination of an already
+    /// resolved [`Route`].
+    pub fn probe_ttl_on(
+        &self,
+        route: &Route<'_>,
+        hop_limit: u8,
+        kind: &ProbeKind,
+        day: Day,
+    ) -> Option<Response> {
+        let dst = route.dst;
         self.counters.ttl_probes.incr();
         if self.outage_silenced(dst, probe_proto(kind), day) {
             self.counters.faults_dropped.incr();
@@ -428,9 +477,8 @@ impl Internet {
             self.counters.faults_dropped.incr();
             return None;
         }
-        let plen = self.path_len(dst);
-        if hop_limit < plen {
-            let hop = self.hop_addr(dst, hop_limit.max(1), day);
+        if hop_limit < route.path_len {
+            let hop = self.hop_on(route, hop_limit.max(1), day);
             if hop == Addr(0) {
                 return None;
             }
@@ -1035,6 +1083,73 @@ mod tests {
         assert!(matches!(r, Response::TimeExceeded { .. }));
         let r2 = net.probe_ttl(dst, plen, &ProbeKind::IcmpEcho { size: 16 }, day);
         assert_eq!(r2, Some(Response::EchoReply { fragmented: false }));
+    }
+
+    /// `hop_addr` as it was before routes were resolved once: every pool
+    /// found by a search, per hop.
+    fn hop_addr_by_search(net: &Internet, dst: Addr, hop: u8, day: Day) -> Addr {
+        let pool_of = |id: AsId| net.population.router_pools().iter().find(|r| r.asid == id);
+        let transit = net.registry.by_asn(3356).and_then(pool_of);
+        let key = dst.0 >> 80;
+        let slot = |pool: &RouterPool, key: u128, tweak: u8| {
+            pool.hop_addr(prf::prf_u128(net.seed, key, u64::from(tweak)) % pool.slots.max(1), day)
+        };
+        match hop {
+            1 => match pool_of(net.source_vantage()) {
+                Some(pool) => slot(pool, key, 1),
+                None => {
+                    let base = net.registry.vantage_addr_of(net.source_vantage());
+                    let iid = 2 + prf::prf_u128(net.seed, key, 0xF4_11) % 14;
+                    Addr((base.0 & (u128::MAX << 64)) | u128::from(iid))
+                }
+            },
+            2 | 3 => transit.map_or(Addr(0), |pool| slot(pool, key, hop)),
+            h => net
+                .registry
+                .origin(dst)
+                .and_then(pool_of)
+                .or(transit)
+                .map_or(Addr(0), |pool| slot(pool, dst.0 >> 64, h)),
+        }
+    }
+
+    #[test]
+    fn resolved_routes_answer_with_the_same_hops() {
+        let probe = ProbeKind::IcmpEcho { size: 16 };
+        let day = Day(400);
+        let mut late = net();
+        let late_vantage = late.register_vantage(64_999, "late vantage", "ZZ");
+        for net in [net(), late.with_source_vantage(late_vantage)] {
+            let dsts: Vec<Addr> = net
+                .population()
+                .enumerate_responsive(day)
+                .into_iter()
+                .step_by(3)
+                .map(|(a, ..)| a)
+                .chain(["3fff::1".parse().unwrap()])
+                .collect();
+            let mut hops = 0u64;
+            for &dst in &dsts {
+                let route = net.route(dst);
+                assert_eq!(route.path_len(), net.path_len(dst));
+                for ttl in 1..route.path_len() {
+                    let expected = hop_addr_by_search(&net, dst, ttl, day);
+                    assert_eq!(net.hop_addr(dst, ttl, day), expected, "{dst} hop {ttl}");
+                    let answer =
+                        (expected != Addr(0)).then_some(Response::TimeExceeded { hop: expected });
+                    assert_eq!(net.probe_ttl_on(&route, ttl, &probe, day), answer);
+                    assert_eq!(net.probe_ttl(dst, ttl, &probe, day), answer);
+                    hops += 1;
+                }
+            }
+            assert!(hops > 1000, "{hops} hops compared");
+            assert_eq!(net.counters().ttl_probes.get(), 2 * hops, "one count per TTL probe");
+            // Hop 1 from a vantage without a pool: once per `hop_addr`,
+            // `probe_ttl_on` and `probe_ttl` above, as before.
+            let fallback = net.counters().hops_vantage_fallback.get();
+            let pool = net.population().router_pool_of(net.source_vantage());
+            assert_eq!(fallback, if pool.is_some() { 0 } else { 3 * dsts.len() as u64 });
+        }
     }
 
     #[test]

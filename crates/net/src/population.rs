@@ -184,6 +184,9 @@ pub struct Population {
     cpe_trie: PrefixTrie<u32>,
     routers: Vec<RouterPool>,
     router_trie: PrefixTrie<u32>,
+    /// `routers` index of each AS's pool, by `AsId` (ASes registered
+    /// after the build lie past the end and own none).
+    router_of_as: Vec<Option<u32>>,
     seed: u64,
 }
 
@@ -513,10 +516,12 @@ impl Population {
             cpe_trie.insert(f.region, i as u32);
         }
         let mut router_trie = PrefixTrie::new();
+        let mut router_of_as = vec![None; registry.len()];
         for (i, r) in routers.iter().enumerate() {
             router_trie.insert(r.region, i as u32);
+            router_of_as[r.asid.0 as usize] = Some(i as u32);
         }
-        Population { groups, trie, cpe, cpe_trie, routers, router_trie, seed }
+        Population { groups, trie, cpe, cpe_trie, routers, router_trie, router_of_as, seed }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -599,7 +604,8 @@ impl Population {
 
     /// The router pool owned by `asid`, if any.
     pub fn router_pool_of(&self, asid: AsId) -> Option<&RouterPool> {
-        self.routers.iter().find(|r| r.asid == asid)
+        let i = (*self.router_of_as.get(asid.0 as usize)?)?;
+        Some(&self.routers[i as usize])
     }
 
     /// Resolves an address to a live host view on `day`.
@@ -690,11 +696,12 @@ impl Population {
         })
     }
 
-    /// Enumerates responsive addresses on `day` from non-aliased groups
-    /// (ground truth; also the raw material for TGA seed corpora).
-    /// Aliased prefixes are skipped — they are unbounded by construction.
-    pub fn enumerate_responsive(&self, day: Day) -> Vec<(Addr, ProtoSet, AsId)> {
-        let mut out = Vec::new();
+    /// Calls `f` for every responsive address on `day` from non-aliased
+    /// groups (ground truth; also the raw material for TGA seed corpora),
+    /// with its protocols and owning AS: group members in group order,
+    /// then stable router interfaces, then CPE devices. Aliased prefixes
+    /// are skipped — they are unbounded by construction.
+    pub fn for_each_responsive(&self, day: Day, mut f: impl FnMut(Addr, ProtoSet, AsId)) {
         for g in &self.groups {
             if matches!(g.kind, GroupKind::Aliased { .. }) {
                 continue;
@@ -703,7 +710,7 @@ impl Population {
             for m in 0..n {
                 if g.member_alive(self.seed, m, day) {
                     let protos = g.member_protos(self.seed, m);
-                    out.push((g.pattern.member_addr(g.prefix, m), protos, g.asid));
+                    f(g.pattern.member_addr(g.prefix, m), protos, g.asid);
                 }
             }
         }
@@ -712,23 +719,25 @@ impl Population {
             if pool.rotation_days == 0 {
                 for s in 0..pool.slots {
                     if pool.slot_responds(s, day) {
-                        out.push((
-                            pool.hop_addr(s, day),
-                            ProtoSet::of(&[Protocol::Icmp]),
-                            pool.asid,
-                        ));
+                        f(pool.hop_addr(s, day), ProtoSet::of(&[Protocol::Icmp]), pool.asid);
                     }
                 }
             }
         }
         // CPE devices currently responding.
-        for f in &self.cpe {
-            for d in 0..f.devices {
-                if f.device_responds(d) {
-                    out.push((f.current_addr(d, day), ProtoSet::of(&[Protocol::Icmp]), f.asid));
+        for fleet in &self.cpe {
+            for d in 0..fleet.devices {
+                if fleet.device_responds(d) {
+                    f(fleet.current_addr(d, day), ProtoSet::of(&[Protocol::Icmp]), fleet.asid);
                 }
             }
         }
+    }
+
+    /// [`Population::for_each_responsive`], collected.
+    pub fn enumerate_responsive(&self, day: Day) -> Vec<(Addr, ProtoSet, AsId)> {
+        let mut out = Vec::new();
+        self.for_each_responsive(day, |addr, protos, asid| out.push((addr, protos, asid)));
         out
     }
 
@@ -819,6 +828,59 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 100);
+    }
+
+    /// `enumerate_responsive` as it was before it became a collector over
+    /// `for_each_responsive`.
+    fn enumerate_eagerly(p: &Population, day: Day) -> Vec<(Addr, ProtoSet, AsId)> {
+        let mut out = Vec::new();
+        for g in &p.groups {
+            if matches!(g.kind, GroupKind::Aliased { .. }) {
+                continue;
+            }
+            for m in 0..g.pattern.count(g.prefix) {
+                if g.member_alive(p.seed, m, day) {
+                    let protos = g.member_protos(p.seed, m);
+                    out.push((g.pattern.member_addr(g.prefix, m), protos, g.asid));
+                }
+            }
+        }
+        for pool in p.routers.iter().filter(|pool| pool.rotation_days == 0) {
+            for s in (0..pool.slots).filter(|s| pool.slot_responds(*s, day)) {
+                out.push((pool.hop_addr(s, day), ProtoSet::of(&[Protocol::Icmp]), pool.asid));
+            }
+        }
+        for f in &p.cpe {
+            for d in (0..f.devices).filter(|d| f.device_responds(*d)) {
+                out.push((f.current_addr(d, day), ProtoSet::of(&[Protocol::Icmp]), f.asid));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn for_each_responsive_walks_what_enumerate_collected() {
+        let (_, p) = pop();
+        for day in [Day(0), Day(13), Day(14), Day(700), Day::PAPER_END] {
+            let eager = enumerate_eagerly(&p, day);
+            assert!(!eager.is_empty());
+            let mut walked = Vec::new();
+            p.for_each_responsive(day, |addr, protos, asid| walked.push((addr, protos, asid)));
+            assert_eq!(walked, eager, "element for element on {day:?}");
+            assert_eq!(p.enumerate_responsive(day), eager, "the collector on {day:?}");
+        }
+    }
+
+    #[test]
+    fn router_pool_index_matches_a_linear_search() {
+        let (r, p) = pop();
+        assert!(!p.router_pools().is_empty());
+        // One past the registry: an AS registered after the build.
+        for id in (0..=r.len() as u32).map(AsId) {
+            let found = p.router_pool_of(id).map(|pool| pool.region);
+            let searched = p.router_pools().iter().find(|pool| pool.asid == id).map(|x| x.region);
+            assert_eq!(found, searched, "{id:?}");
+        }
     }
 
     #[test]

@@ -33,10 +33,10 @@ pub struct DomainHost {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct HostingEntry {
     asid: AsId,
-    /// Hyperscale clouds rotate their load-balancer addresses weekly
-    /// (the Amazon-style input accumulation); CDNs answer from a small
-    /// static pool per prefix.
-    weekly_rotation: bool,
+    /// Hyperscale clouds rotate their load-balancer addresses every four
+    /// days (the Amazon-style input accumulation); CDNs answer from a
+    /// small static pool per prefix.
+    fast_rotation: bool,
     /// Alias groups of the AS (empty ⇒ hosted on regular servers).
     alias_groups: Vec<u32>,
     /// Server groups of the AS usable as stable targets.
@@ -82,7 +82,7 @@ impl DnsZones {
             if alias_domains > 0 && !alias_groups.is_empty() {
                 entries.push(HostingEntry {
                     asid,
-                    weekly_rotation: matches!(info.category, AsCategory::Cloud),
+                    fast_rotation: matches!(info.category, AsCategory::Cloud),
                     alias_groups: alias_groups.clone(),
                     server_groups: server_groups.clone(),
                     weight: scale.addrs(alias_domains, 2),
@@ -92,7 +92,7 @@ impl DnsZones {
             if info.profile.domains > 0 && !server_groups.is_empty() {
                 entries.push(HostingEntry {
                     asid,
-                    weekly_rotation: false,
+                    fast_rotation: false,
                     alias_groups: Vec::new(),
                     server_groups,
                     weight: scale.addrs(info.profile.domains, 2),
@@ -163,15 +163,15 @@ impl DnsZones {
             // Load-balancer addresses are a property of the *prefix*, not
             // the domain: every domain on the same prefix resolves into the
             // same small answer pool. Hyperscale clouds rotate that pool
-            // weekly (each rotation mints one new input address per prefix
-            // — the Amazon accumulation of Sec. 4.1); CDNs keep a static
-            // pool of eight.
+            // every four days (each rotation mints one new input address
+            // per prefix — the Amazon accumulation of Sec. 4.1); CDNs keep
+            // a static pool of eight.
             let group_key = prf::mix2(self.seed, u64::from(gidx));
             // Hyperscale clouds rotate fast; narrow (>64) prefixes rotate
             // weekly regardless of operator (their small host space cycles
             // visibly — also what accumulates the 100+ input addresses the
             // long-prefix alias detection class needs).
-            let slot = if entry.weekly_rotation && g.prefix.len() >= 64 {
+            let slot = if entry.fast_rotation && g.prefix.len() >= 64 {
                 u64::from(day.0 / 4)
             } else if g.prefix.len() > 64 {
                 u64::from(day.0 / 7)

@@ -4,9 +4,9 @@
 #   scripts/verify.sh            # build + tests + clippy + bench compile + docs
 #   scripts/verify.sh --quick    # build + tests only (fast pre-push check)
 #
-# Without the registry only the grep gates and scripts/test_offline.sh run
-# before the first failure; scripts/test_offline.sh alone is the offline
-# check.
+# Without the registry only the grep gates, scripts/test_offline.sh and the
+# benchmark harness steps run before the first failure; those are the
+# offline check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,6 +49,12 @@ echo "== unit tests, offline (benchmark workspace + rustc --test; needs no regis
 # Runs first among the cargo steps: it is the one that works where the
 # registry is unreachable, so a broken unit test shows even there.
 scripts/test_offline.sh
+
+echo "== benchmark harness: its own tests, then every workload once (quick)"
+# Needs no registry either. `all --quick` (seconds) runs every output
+# check and fails on a ledger that differs between two passes of one seed.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --quick
 
 echo "== cargo fmt --all --check"
 cargo fmt --all --check
