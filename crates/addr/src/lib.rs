@@ -14,9 +14,11 @@
 //! * [`teredo`] — Teredo (RFC 4380) tunnel-address encoding/decoding; the
 //!   Great Firewall's 2021/2022 DNS injections carried Teredo AAAA records,
 //!   which is the detection signal the paper's cleaning filter keys on.
-//! * [`PrefixTrie`] / [`PrefixSet`] — binary radix tries for longest-prefix
-//!   match (BGP-style lookups) and prefix-set membership (blocklists,
-//!   aliased-prefix filters).
+//! * [`PrefixTrie`] / [`PrefixSet`] — a sorted prefix table with
+//!   enclosing-entry links for longest-prefix match (BGP-style lookups, the
+//!   population index) and prefix-set membership (blocklists,
+//!   aliased-prefix filters): one binary search and a short walk per
+//!   lookup.
 //! * [`classify`] — interface-identifier taxonomy (low-byte, EUI-64,
 //!   embedded IPv4, port/word, random) used by the bias analyses and the
 //!   6GAN-style seed classes.

@@ -48,21 +48,7 @@ impl PrefixSet {
     /// Whether any stored prefix covers the *whole* given prefix
     /// (i.e. a stored prefix at least as short contains it).
     pub fn covers_prefix(&self, prefix: Prefix) -> bool {
-        // A stored prefix covers `prefix` iff it covers its network address
-        // with length <= prefix.len(). LPM on the network address finds the
-        // most specific covering prefix of the network address; any stored
-        // covering prefix of the full range must also cover the network
-        // address, so checking all covering lengths via repeated trims is
-        // equivalent to one LPM walk — but the LPM result may be *longer*
-        // than `prefix`. Walk up from the LPM match instead.
-        let mut cur = Some(prefix);
-        while let Some(p) = cur {
-            if self.contains_exact(p) {
-                return true;
-            }
-            cur = p.supernet();
-        }
-        false
+        self.trie.lookup_covering(prefix).is_some()
     }
 
     /// Iterates the stored prefixes in lexicographic order.
@@ -72,27 +58,19 @@ impl PrefixSet {
 
     /// Adds every prefix of `other` into `self`.
     pub fn extend_from(&mut self, other: &PrefixSet) {
-        for p in other.iter() {
-            self.insert(p);
-        }
+        self.extend(other.iter());
     }
 }
 
 impl FromIterator<Prefix> for PrefixSet {
     fn from_iter<I: IntoIterator<Item = Prefix>>(iter: I) -> PrefixSet {
-        let mut s = PrefixSet::new();
-        for p in iter {
-            s.insert(p);
-        }
-        s
+        PrefixSet { trie: iter.into_iter().map(|p| (p, ())).collect() }
     }
 }
 
 impl Extend<Prefix> for PrefixSet {
     fn extend<I: IntoIterator<Item = Prefix>>(&mut self, iter: I) {
-        for p in iter {
-            self.insert(p);
-        }
+        self.trie.extend(iter.into_iter().map(|p| (p, ())));
     }
 }
 
@@ -124,6 +102,22 @@ mod tests {
         assert!(s.covers_prefix(p("2001:db8::/32")), "exact covered");
         assert!(!s.covers_prefix(p("2001::/16")), "shorter not covered");
         assert!(!s.covers_prefix(p("2001:db9::/48")));
+        assert!(s.covers_prefix(p("2001:db8::1/128")), "a host route inside");
+        assert!(!s.covers_prefix(p("2001:db9::1/128")), "a host route outside");
+
+        // The match of the network address may be longer than the query:
+        // the answer is an encloser of that match.
+        let nested: PrefixSet =
+            [p("2001:db8::/32"), p("2001:db8::/64"), p("2001:db8::1/128")].into_iter().collect();
+        assert!(nested.covers_prefix(p("2001:db8::/48")), "covered by the /32 above the /64");
+        assert!(nested.covers_prefix(p("2001:db8::1/128")), "a stored /128 covers itself");
+        assert!(!nested.covers_prefix(p("2001::/16")));
+
+        let all: PrefixSet = [p("::/0")].into_iter().collect();
+        assert!(all.covers_prefix(p("::/0")), "::/0 stored covers ::/0");
+        assert!(all.covers_prefix(p("2001:db8::/32")), "::/0 stored covers everything");
+        assert!(all.covers_prefix(p("ffff::1/128")));
+        assert!(!s.covers_prefix(p("::/0")), "nothing short of ::/0 covers ::/0");
     }
 
     #[test]

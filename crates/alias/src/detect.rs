@@ -328,13 +328,7 @@ impl AliasDetector {
 
     /// The current label set: the union over the merge window.
     pub fn aliased(&self) -> PrefixSet {
-        let mut set = PrefixSet::new();
-        for round in &self.history {
-            for p in round {
-                set.insert(*p);
-            }
-        }
-        set
+        self.history.iter().flatten().copied().collect()
     }
 
     /// All labeled prefixes with their per-protocol detection detail.

@@ -6,14 +6,18 @@
 //! paper's validation experiment (Sec. 4.2: 93.8 % errors, 4.6 % recursive,
 //! referrals, proxies, broken).
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 use sixdust_addr::prf;
 
 /// The TCP handshake features used to fingerprint aliased prefixes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TcpFingerprint {
-    /// Order-preserving options string (e.g. `MSTNW`).
-    pub optionstext: String,
+    /// Order-preserving options string (e.g. `MSTNW`): borrowed from the
+    /// profile pool for a simulated host — every answered probe builds a
+    /// fingerprint, most never read it — owned when parsed off the wire.
+    pub optionstext: Cow<'static, str>,
     /// Receive window.
     pub window: u16,
     /// Window scale option.
@@ -49,7 +53,7 @@ impl TcpFingerprint {
     pub fn profile(idx: u64) -> TcpFingerprint {
         let p = &PROFILES[(idx % PROFILES.len() as u64) as usize];
         TcpFingerprint {
-            optionstext: p.optionstext.to_string(),
+            optionstext: Cow::Borrowed(p.optionstext),
             window: p.window,
             wscale: p.wscale,
             mss: p.mss,

@@ -200,13 +200,16 @@ impl Internet {
         // this is what makes them BGP candidates for the alias detection,
         // mirroring how Cloudflare's /48s or EpicUp's /28s show up in
         // routing tables.
-        for g in population.groups() {
-            if matches!(g.kind, crate::population::GroupKind::Aliased { .. })
-                && g.prefix.len() <= 64
-            {
-                registry.add_route(g.prefix, g.asid);
-            }
-        }
+        registry.add_routes(
+            population
+                .groups()
+                .iter()
+                .filter(|g| {
+                    matches!(g.kind, crate::population::GroupKind::Aliased { .. })
+                        && g.prefix.len() <= 64
+                })
+                .map(|g| (g.prefix, g.asid)),
+        );
         let zones = DnsZones::build(&registry, &population);
         let transit = registry.by_asn(3356);
         Internet {

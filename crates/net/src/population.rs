@@ -175,15 +175,25 @@ pub struct HostView {
     pub group: Option<GroupId>,
 }
 
+/// What a prefix of the population index resolves to: an index into
+/// `groups`, `routers` or `cpe`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+enum Owner {
+    Group(u32),
+    RouterPool(u32),
+    CpeFleet(u32),
+}
+
 /// The full population.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Population {
     groups: Vec<SubnetGroup>,
-    trie: PrefixTrie<u32>,
     cpe: Vec<CpeFleet>,
-    cpe_trie: PrefixTrie<u32>,
     routers: Vec<RouterPool>,
-    router_trie: PrefixTrie<u32>,
+    /// Group prefixes, router regions and CPE regions in one table. Group
+    /// prefixes may nest among themselves; a region nests with nothing
+    /// ([`Population::assemble`] asserts it).
+    index: PrefixTrie<Owner>,
     /// `routers` index of each AS's pool, by `AsId` (ASes registered
     /// after the build lie past the end and own none).
     router_of_as: Vec<Option<u32>>,
@@ -507,21 +517,55 @@ impl Population {
             }
         }
 
-        let mut trie = PrefixTrie::new();
-        for g in &groups {
-            trie.insert(g.prefix, g.id);
+        Population::assemble(groups, cpe, routers, registry.len(), seed)
+    }
+
+    /// Indexes the generated groups, fleets and pools.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the two prefixes, if a router or CPE region nests
+    /// with (or equals) a group prefix or another region. That
+    /// disjointness is what lets [`Population::lookup`] take the one
+    /// longest match as the answer.
+    fn assemble(
+        groups: Vec<SubnetGroup>,
+        cpe: Vec<CpeFleet>,
+        routers: Vec<RouterPool>,
+        as_count: usize,
+        seed: u64,
+    ) -> Population {
+        // Regions first: a later prefix replaces an equal earlier one, so
+        // a region that is also a fleet's or a group's prefix does not
+        // resolve to itself below. Two groups may share a prefix (their
+        // /64s are drawn); the later one answers, as it always did.
+        let regions = (routers.iter().enumerate())
+            .map(|(i, r)| (r.region, Owner::RouterPool(i as u32)))
+            .chain(cpe.iter().enumerate().map(|(i, f)| (f.region, Owner::CpeFleet(i as u32))));
+        let index: PrefixTrie<Owner> =
+            regions.clone().chain(groups.iter().map(|g| (g.prefix, Owner::Group(g.id)))).collect();
+        for (region, owner) in regions {
+            let found = index.get(region);
+            assert!(found == Some(&owner), "region {region} of {owner:?} is also {found:?}");
         }
-        let mut cpe_trie = PrefixTrie::new();
-        for (i, f) in cpe.iter().enumerate() {
-            cpe_trie.insert(f.region, i as u32);
+        // In sorted order an entry is enclosed by an earlier one exactly
+        // when it starts at or before the furthest end seen so far.
+        let mut outer: Option<(Prefix, Owner)> = None;
+        for (prefix, owner) in index.iter().map(|(prefix, owner)| (prefix, *owner)) {
+            match outer {
+                Some((enclosing, by)) if prefix.network() <= enclosing.last() => assert!(
+                    matches!((by, owner), (Owner::Group(_), Owner::Group(_))),
+                    "population prefixes nest across families: {prefix} ({owner:?}) \
+                     lies inside {enclosing} ({by:?})"
+                ),
+                _ => outer = Some((prefix, owner)),
+            }
         }
-        let mut router_trie = PrefixTrie::new();
-        let mut router_of_as = vec![None; registry.len()];
+        let mut router_of_as = vec![None; as_count];
         for (i, r) in routers.iter().enumerate() {
-            router_trie.insert(r.region, i as u32);
             router_of_as[r.asid.0 as usize] = Some(i as u32);
         }
-        Population { groups, trie, cpe, cpe_trie, routers, router_trie, router_of_as, seed }
+        Population { groups, cpe, routers, index, router_of_as, seed }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -609,45 +653,23 @@ impl Population {
     }
 
     /// Resolves an address to a live host view on `day`.
+    ///
+    /// One longest-prefix match over the population index decides who, if
+    /// anyone, owns the address. That is the whole answer because router
+    /// and CPE regions nest with nothing — not with each other and not
+    /// with a group prefix — which [`Population::build`] asserts: an
+    /// address inside a group prefix that is no member of the group cannot
+    /// also lie in a region.
     pub fn lookup(&self, addr: Addr, day: Day) -> Option<HostView> {
-        if let Some(&gid) = self.trie.lookup_value(addr) {
-            let g = &self.groups[gid as usize];
-            if let Some(member) = g.pattern.member_index(g.prefix, addr) {
-                return self.member_view(g, member, addr, day);
+        match *self.index.lookup_value(addr)? {
+            Owner::Group(gid) => {
+                let g = &self.groups[gid as usize];
+                let member = g.pattern.member_index(g.prefix, addr)?;
+                self.member_view(g, member, addr, day)
             }
+            Owner::RouterPool(ri) => router_view(&self.routers[ri as usize], addr, day),
+            Owner::CpeFleet(ci) => cpe_view(&self.cpe[ci as usize], addr, day),
         }
-        if let Some(&ri) = self.router_trie.lookup_value(addr) {
-            let pool = &self.routers[ri as usize];
-            if let Some(slot) = pool.lookup_static(addr) {
-                if pool.slot_responds(slot, day) {
-                    return Some(HostView {
-                        backend_uid: prf::mix2(pool.seed, slot) | (1 << 62),
-                        asid: pool.asid,
-                        protos: ProtoSet::of(&[Protocol::Icmp]),
-                        fingerprint: TcpFingerprint::profile(4),
-                        dns: None,
-                        group: None,
-                    });
-                }
-            }
-            return None;
-        }
-        if let Some(&ci) = self.cpe_trie.lookup_value(addr) {
-            let fleet = &self.cpe[ci as usize];
-            let v = fleet.lookup(addr, day)?;
-            if v.current && v.responds {
-                return Some(HostView {
-                    backend_uid: prf::mix2(fleet.seed, v.device) | (1 << 63),
-                    asid: fleet.asid,
-                    protos: ProtoSet::of(&[Protocol::Icmp]),
-                    fingerprint: TcpFingerprint::profile(5),
-                    dns: None,
-                    group: None,
-                });
-            }
-            return None;
-        }
-        None
     }
 
     fn member_view(&self, g: &SubnetGroup, member: u64, addr: Addr, day: Day) -> Option<HostView> {
@@ -745,12 +767,11 @@ impl Population {
     /// definition invisible to generic discovery feeds; only the
     /// [`Population::dense_visible`] sample ever reaches public data).
     pub fn is_dense_member(&self, addr: Addr) -> bool {
-        if let Some(&gid) = self.trie.lookup_value(addr) {
-            let g = &self.groups[gid as usize];
-            return matches!(g.kind, GroupKind::DenseHidden)
-                && g.pattern.member_index(g.prefix, addr).is_some();
-        }
-        false
+        let Some(&Owner::Group(gid)) = self.index.lookup_value(addr) else {
+            return false;
+        };
+        let g = &self.groups[gid as usize];
+        matches!(g.kind, GroupKind::DenseHidden) && g.pattern.member_index(g.prefix, addr).is_some()
     }
 
     /// The passive-source-visible sample of the dense hidden clusters:
@@ -787,6 +808,32 @@ impl Population {
             _ => false,
         })
     }
+}
+
+/// A stable router interface that answers echo on `day`.
+fn router_view(pool: &RouterPool, addr: Addr, day: Day) -> Option<HostView> {
+    let slot = pool.lookup_static(addr)?;
+    pool.slot_responds(slot, day).then(|| HostView {
+        backend_uid: prf::mix2(pool.seed, slot) | (1 << 62),
+        asid: pool.asid,
+        protos: ProtoSet::of(&[Protocol::Icmp]),
+        fingerprint: TcpFingerprint::profile(4),
+        dns: None,
+        group: None,
+    })
+}
+
+/// A CPE device at its current address, if it is one that answers.
+fn cpe_view(fleet: &CpeFleet, addr: Addr, day: Day) -> Option<HostView> {
+    let v = fleet.lookup(addr, day)?;
+    (v.current && v.responds).then(|| HostView {
+        backend_uid: prf::mix2(fleet.seed, v.device) | (1 << 63),
+        asid: fleet.asid,
+        protos: ProtoSet::of(&[Protocol::Icmp]),
+        fingerprint: TcpFingerprint::profile(5),
+        dns: None,
+        group: None,
+    })
 }
 
 fn cpe_oui(asn: u32) -> u32 {
@@ -881,6 +928,132 @@ mod tests {
             let searched = p.router_pools().iter().find(|pool| pool.asid == id).map(|x| x.region);
             assert_eq!(found, searched, "{id:?}");
         }
+    }
+
+    /// `lookup` as it read when the population kept three tries, with every
+    /// prefix found by a linear scan: the most specific group prefix first,
+    /// falling through when the address is no member of that group, then
+    /// the router regions, then the CPE regions.
+    fn lookup_by_scanning(p: &Population, addr: Addr, day: Day) -> Option<HostView> {
+        // `max_by_key` keeps the last of equals, as a later insert replaced
+        // an earlier one.
+        let group =
+            p.groups.iter().filter(|g| g.prefix.contains(addr)).max_by_key(|g| g.prefix.len());
+        if let Some(g) = group {
+            if let Some(member) = g.pattern.member_index(g.prefix, addr) {
+                return p.member_view(g, member, addr, day);
+            }
+        }
+        let pool =
+            p.routers.iter().filter(|r| r.region.contains(addr)).max_by_key(|r| r.region.len());
+        if let Some(pool) = pool {
+            return router_view(pool, addr, day);
+        }
+        let fleet = p.cpe.iter().filter(|f| f.region.contains(addr)).max_by_key(|f| f.region.len());
+        fleet.and_then(|fleet| cpe_view(fleet, addr, day))
+    }
+
+    fn is_dense_member_by_scanning(p: &Population, addr: Addr) -> bool {
+        p.groups
+            .iter()
+            .filter(|g| g.prefix.contains(addr))
+            .max_by_key(|g| g.prefix.len())
+            .is_some_and(|g| {
+                matches!(g.kind, GroupKind::DenseHidden)
+                    && g.pattern.member_index(g.prefix, addr).is_some()
+            })
+    }
+
+    #[test]
+    fn one_index_resolves_what_three_scans_resolved() {
+        for scale in [Scale::tiny(), Scale::tiny().with_population_mult(5)] {
+            let p = Population::build(&AsRegistry::build(scale));
+            let prefixes: Vec<Prefix> = (p.groups.iter().map(|g| g.prefix))
+                .chain(p.routers.iter().map(|r| r.region))
+                .chain(p.cpe.iter().map(|f| f.region))
+                .collect();
+            assert!(!p.routers.is_empty() && !p.cpe.is_empty());
+
+            let days = [Day(0), Day(700), Day::PAPER_END];
+            // Whether the address is live, once both ways agree.
+            let check = |addr: Addr, day: Day| {
+                let found = p.lookup(addr, day);
+                assert_eq!(found, lookup_by_scanning(&p, addr, day), "{addr} on {day:?}");
+                assert_eq!(
+                    p.is_dense_member(addr),
+                    is_dense_member_by_scanning(&p, addr),
+                    "{addr}"
+                );
+                found.is_some()
+            };
+            // Everything that answers.
+            for day in days {
+                let mut responsive = Vec::new();
+                p.for_each_responsive(day, |addr, _, _| responsive.push(addr));
+                assert!(responsive.len() > 100, "{} answer on {day:?}", responsive.len());
+                for addr in responsive {
+                    assert!(check(addr, day), "{addr} answers on {day:?}");
+                }
+            }
+            // The edges of every prefix and what lies just outside them.
+            for q in &prefixes {
+                let (first, last) = (q.network().0, q.last().0);
+                for addr in [first, last, first.wrapping_sub(1), last.wrapping_add(1)] {
+                    check(Addr(addr), days[1]);
+                }
+            }
+            // Dark space: inside a prefix of the index (a member only by
+            // accident), inside announced space, and anywhere at all.
+            let mut live = 0;
+            for i in 0..10_000u64 {
+                let r = prf::prf_u128(scale.seed, u128::from(i), 0xDA2C);
+                let addr = match i % 3 {
+                    0 => prefixes[(r % prefixes.len() as u64) as usize].random_addr(r),
+                    1 => {
+                        let g = &p.groups[(r % p.groups.len() as u64) as usize];
+                        Prefix::new(g.prefix.network(), 28).random_addr(r)
+                    }
+                    _ => Addr(u128::from(r) << 64 | u128::from(prf::mix64(r))),
+                };
+                live += usize::from(check(addr, days[(i % 3) as usize]));
+            }
+            assert!((100..5000).contains(&live), "{live} of the 10 000 drawn addresses are live");
+        }
+    }
+
+    /// The panic message of `assemble` over the tiny population with its
+    /// first group's prefix replaced.
+    fn assemble_with_first_group_at(prefix: impl Fn(&Population) -> Prefix) -> String {
+        let (r, p) = pop();
+        let mut groups = p.groups.clone();
+        groups[0].prefix = prefix(&p);
+        let payload = std::panic::catch_unwind(|| {
+            Population::assemble(groups, p.cpe.clone(), p.routers.clone(), r.len(), p.seed)
+        })
+        .expect_err("a group nested with a region must not assemble");
+        payload.downcast_ref::<String>().expect("a formatted panic").clone()
+    }
+
+    #[test]
+    fn build_refuses_a_group_that_nests_with_a_region() {
+        let (r, p) = pop();
+        // As generated, the parts assemble.
+        Population::assemble(p.groups.clone(), p.cpe.clone(), p.routers.clone(), r.len(), p.seed);
+
+        let router = p.routers[0].region;
+        let fleet = p.cpe[0].region;
+        let inside = Prefix::new(router.last(), 64);
+        let message = assemble_with_first_group_at(|_| inside);
+        assert!(message.contains(&inside.to_string()), "{message}");
+        assert!(message.contains(&router.to_string()), "{message}");
+
+        let around = fleet.trim(36);
+        let message = assemble_with_first_group_at(|_| around);
+        assert!(message.contains(&around.to_string()), "{message}");
+        assert!(message.contains(&fleet.to_string()), "{message}");
+
+        let message = assemble_with_first_group_at(|_| router);
+        assert!(message.contains(&router.to_string()) && message.contains("Group(0)"), "{message}");
     }
 
     #[test]

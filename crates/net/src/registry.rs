@@ -381,20 +381,13 @@ impl AsRegistry {
             });
         }
 
-        let mut by_asn = HashMap::with_capacity(infos.len());
-        let mut bgp = PrefixTrie::new();
-        for (i, info) in infos.iter().enumerate() {
-            let id = AsId(i as u32);
-            by_asn.insert(info.asn, id);
-            for p in &info.prefixes {
-                bgp.insert(*p, id);
-            }
-        }
-        let vantage_ids = infos
-            .iter()
-            .enumerate()
+        let ids = || infos.iter().enumerate().map(|(i, info)| (AsId(i as u32), info));
+        let by_asn = ids().map(|(id, info)| (info.asn, id)).collect();
+        let bgp =
+            ids().flat_map(|(id, info)| info.prefixes.iter().map(move |p| (*p, id))).collect();
+        let vantage_ids = ids()
             .filter(|(_, info)| info.category == AsCategory::Measurement)
-            .map(|(i, _)| AsId(i as u32))
+            .map(|(id, _)| id)
             .collect();
         AsRegistry { infos, by_asn, bgp, scale, vantage_ids }
     }
@@ -439,6 +432,12 @@ impl AsRegistry {
     /// in the alias detection's BGP candidate class).
     pub fn add_route(&mut self, prefix: Prefix, id: AsId) {
         self.bgp.insert(prefix, id);
+    }
+
+    /// [`AsRegistry::add_route`] for a batch, in one rebuild of the table
+    /// instead of one shift of it per route.
+    pub fn add_routes(&mut self, routes: impl IntoIterator<Item = (Prefix, AsId)>) {
+        self.bgp.extend(routes);
     }
 
     /// Iterates all ASes.
@@ -953,6 +952,46 @@ mod tests {
                 assert_eq!(r.origin(probe), Some(id), "AS{} prefix {p}", info.asn);
             }
         }
+    }
+
+    #[test]
+    fn batched_routes_resolve_like_routes_added_one_by_one() {
+        use crate::population::{GroupKind, Population};
+        let base = registry();
+        let population = Population::build(&base);
+        // The routes `Internet::build` adds: the aliased prefixes an
+        // operator announces.
+        let routes: Vec<(Prefix, AsId)> = population
+            .groups()
+            .iter()
+            .filter(|g| matches!(g.kind, GroupKind::Aliased { .. }) && g.prefix.len() <= 64)
+            .map(|g| (g.prefix, g.asid))
+            .collect();
+        assert!(routes.len() > 100, "{} routes", routes.len());
+        let mut batched = base.clone();
+        batched.add_routes(routes.iter().copied());
+        let mut one_by_one = base.clone();
+        for (prefix, id) in &routes {
+            one_by_one.add_route(*prefix, *id);
+        }
+
+        let table = |r: &AsRegistry| r.announced_prefixes().collect::<Vec<_>>();
+        assert_eq!(table(&batched), table(&one_by_one));
+        assert!(table(&batched).len() > table(&base).len());
+        assert_eq!(table(crate::Internet::build(Scale::tiny()).registry()), table(&one_by_one));
+
+        let mut more_specific = 0;
+        for (i, (prefix, _)) in table(&batched).into_iter().enumerate() {
+            let (first, last) = (prefix.network().0, prefix.last().0);
+            let inside = prefix.random_addr(i as u64).0;
+            for addr in [first, last, inside, first.wrapping_sub(1), last.wrapping_add(1)] {
+                let origin = batched.origin_prefix(Addr(addr));
+                assert_eq!(origin, one_by_one.origin_prefix(Addr(addr)), "{prefix} at {addr:x}");
+                assert_eq!(batched.origin(Addr(addr)), origin.map(|(id, _)| id));
+                more_specific += usize::from(origin != base.origin_prefix(Addr(addr)));
+            }
+        }
+        assert!(more_specific > 100, "the added routes answer for their space");
     }
 
     #[test]

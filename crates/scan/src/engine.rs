@@ -324,7 +324,7 @@ pub fn classify(protocol: Protocol, responses: &[Response]) -> (bool, Detail) {
                     return (
                         true,
                         Detail::SynAck {
-                            optionstext: fp.optionstext.clone(),
+                            optionstext: fp.optionstext.to_string(),
                             window: fp.window,
                             wscale: fp.wscale,
                             mss: fp.mss,
@@ -560,8 +560,7 @@ pub fn scan_with(
         .map(|start| (start, per_worker.min(cycle - start)))
         .collect();
     let chunk_hist = telemetry.map(|t| t.histogram("scan.worker.chunk_ms"));
-    // Resolved once per scan; workers clone the journal handle, not the
-    // registry lookup.
+    // Resolved once per scan, not once per worker.
     let tracer = telemetry.and_then(|t| t.tracer());
     let _scan_span = tracer.as_ref().map(|j| {
         j.span_with(
@@ -572,52 +571,53 @@ pub fn scan_with(
 
     let mut outcomes: Vec<ScanOutcome> = Vec::with_capacity(targets.len());
     let mut tally = SegmentTally::default();
-    let results: Vec<(Vec<ScanOutcome>, SegmentTally)> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .map(|(worker, &(start, len))| {
-                let chunk_hist = chunk_hist.clone();
-                let worker_tracer = tracer.clone();
-                let perm = &perm;
-                let handle = s.spawn(move |_| {
-                    let _span = chunk_hist.as_ref().map(SpanTimer::start);
-                    let _trace_span = worker_tracer.as_ref().map(|j| {
-                        j.span_with(
-                            "scan.worker",
-                            &[
-                                ("worker", worker.to_string().as_str()),
-                                ("chunk", len.to_string().as_str()),
-                            ],
-                        )
-                    });
-                    scan_segment(net, protocol, targets, day, config, perm, start, len)
-                });
-                (worker, start, len, handle)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(worker, start, len, handle)| {
-                handle.join().unwrap_or_else(|payload| {
-                    panic!(
-                        "scan worker {worker} ({protocol} day {}, cycle positions \
-                         {start}..{}, {len} of them) panicked: {}",
-                        day.0,
-                        start + len,
-                        panic_message(&*payload)
-                    )
+    let run_chunk = |worker: usize, start: u64, len: u64| {
+        let _span = chunk_hist.as_ref().map(SpanTimer::start);
+        let _trace_span = tracer.as_ref().map(|j| {
+            j.span_with(
+                "scan.worker",
+                &[("worker", worker.to_string().as_str()), ("chunk", len.to_string().as_str())],
+            )
+        });
+        scan_segment(net, protocol, targets, day, config, &perm, start, len)
+    };
+    let results: Vec<(Vec<ScanOutcome>, SegmentTally)> = if let [(start, len)] = ranges[..] {
+        // One range (a thread budget of 1, or fewer targets than workers):
+        // the calling thread would only wait for the worker it spawned.
+        vec![run_chunk(0, start, len)]
+    } else {
+        let run_chunk = &run_chunk;
+        crossbeam::thread::scope(|s| {
+            let handles: Vec<_> = ranges
+                .iter()
+                .enumerate()
+                .map(|(worker, &(start, len))| {
+                    (worker, start, len, s.spawn(move |_| run_chunk(worker, start, len)))
                 })
-            })
-            .collect()
-    })
-    .unwrap_or_else(|payload| {
-        panic!(
-            "scan scope ({protocol} day {}, {n} targets) panicked: {}",
-            day.0,
-            panic_message(&*payload)
-        )
-    });
+                .collect();
+            handles
+                .into_iter()
+                .map(|(worker, start, len, handle)| {
+                    handle.join().unwrap_or_else(|payload| {
+                        panic!(
+                            "scan worker {worker} ({protocol} day {}, cycle positions \
+                             {start}..{}, {len} of them) panicked: {}",
+                            day.0,
+                            start + len,
+                            panic_message(&*payload)
+                        )
+                    })
+                })
+                .collect()
+        })
+        .unwrap_or_else(|payload| {
+            panic!(
+                "scan scope ({protocol} day {}, {n} targets) panicked: {}",
+                day.0,
+                panic_message(&*payload)
+            )
+        })
+    };
     for (r, segment_tally) in results {
         outcomes.extend(r);
         tally.merge(segment_tally);
@@ -768,7 +768,7 @@ fn parse_response(protocol: Protocol, bytes: &[u8]) -> Option<Response> {
             if seg.flags.syn && seg.flags.ack {
                 Some(Response::SynAck {
                     fp: sixdust_net::fingerprint::TcpFingerprint {
-                        optionstext: seg.optionstext(),
+                        optionstext: seg.optionstext().into(),
                         window: seg.window,
                         wscale: seg.window_scale().unwrap_or(0),
                         mss: seg.mss().unwrap_or(0),

@@ -56,6 +56,11 @@ echo "== benchmark harness: its own tests, then every workload once (quick)"
 cargo test --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --quick
 
+echo "== pinned ledgers: every workload still computes what scripts/ledgers.txt records"
+# `all --quick` compares the passes of one commit with each other; this
+# compares the commit with the ones before it.
+scripts/check_ledgers.sh
+
 echo "== cargo fmt --all --check"
 cargo fmt --all --check
 
