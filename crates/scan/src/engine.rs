@@ -22,7 +22,7 @@ use sixdust_wire::udp::UdpDatagram;
 use sixdust_wire::{Ipv6Header, Packet, Transport};
 
 use crate::permute::CyclicPermutation;
-use crate::rate::{Clock, TokenBucket, VirtualClock};
+use crate::rate::{Limit, TokenBucket};
 
 /// The DNS name the hitlist's UDP/53 module queries. Blocked by the GFW —
 /// which is the root cause of the injected-response pollution.
@@ -649,17 +649,19 @@ pub fn scan_wire_with(
     telemetry: Option<&Registry>,
 ) -> ScanResult {
     let src = net.registry().vantage_addr();
-    let bucket = TokenBucket::new(config.rate_pps, 128);
-    let clock = VirtualClock::new();
+    assert!(config.rate_pps > 0, "rate must be positive");
+    let limit = Limit { rate: config.rate_pps, period_us: 1_000_000, burst: 128 };
+    let mut bucket = TokenBucket::full(&limit);
+    let mut now_us = 0u64;
     let wait_hist = telemetry.map(|t| t.histogram("scan.rate.wait_us"));
     let mut outcomes = Vec::with_capacity(targets.len());
     for i in CyclicPermutation::new(targets.len() as u64, config.seed ^ u64::from(day.0)) {
         let target = targets[i as usize];
         let mut waited_us = 0u64;
-        while !bucket.try_take(&clock) {
-            let step = bucket.wait_hint_micros().max(1);
+        while !bucket.try_take(&limit, now_us) {
+            let step = bucket.wait_hint_micros(&limit);
             waited_us += step;
-            clock.advance(step);
+            now_us += step;
         }
         if let Some(h) = &wait_hist {
             h.record(waited_us);
@@ -688,7 +690,7 @@ pub fn scan_wire_with(
             sent,
             received,
             hits,
-            duration_secs: clock.now_micros() as f64 / 1e6,
+            duration_secs: now_us as f64 / 1e6,
             ..ScanStats::default()
         },
     }

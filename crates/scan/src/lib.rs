@@ -34,7 +34,7 @@ pub use engine::{
 };
 pub use pcap::{PcapReader, PcapWriter};
 pub use permute::{CyclicPermutation, PermutationSegment};
-pub use rate::{Clock, MonotonicClock, TokenBucket, VirtualClock};
+pub use rate::{Limit, TokenBucket};
 pub use yarrp::{yarrp, Trace, YarrpConfig, YarrpConfigBuilder, YarrpResult};
 
 #[cfg(test)]

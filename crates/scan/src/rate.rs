@@ -1,117 +1,84 @@
-//! A token-bucket rate limiter with a pluggable clock.
+//! The workspace's one token bucket, in exact integer arithmetic on
+//! virtual microseconds the caller passes in. Used by
+//! [`scan_wire_with`](crate::scan_wire_with) (probes per second) and by
+//! `sixdust_serve::Frontend` (requests per client per minute).
 //!
-//! The hitlist service scans "with a limited rate" (ethics, Sec. 3.3).
-//! Inside the simulation no wall-clock time passes, so the limiter is
-//! written against a [`Clock`] trait: production code can use
-//! [`MonotonicClock`], the scan engine uses a [`VirtualClock`] it advances
-//! as probes are accounted — the same arithmetic either way.
+//! A bucket is three `u64`s — whole tokens, the time of the last call, the
+//! refill residue — 24 bytes, because the front end keeps one per client;
+//! the [`Limit`] it enforces is held once by the caller. Refill is
+//! `accrued = elapsed · rate + carry`, `tokens += accrued / period_us`,
+//! `carry = accrued % period_us`: the remainder rides to the next call, so
+//! what a bucket earns depends on the time that passed, never on how the
+//! calls were spaced. A bucket at its burst forfeits the carry.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// A time source measured in microseconds.
-pub trait Clock {
-    /// Microseconds since an arbitrary epoch.
-    fn now_micros(&self) -> u64;
+/// What a bucket enforces: `rate` tokens per `period_us` (at least 1), at
+/// most `burst` banked. A zero rate is a finite quota: the burst, then
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Limit {
+    /// Tokens earned per period.
+    pub rate: u64,
+    /// The period `rate` is counted over, microseconds.
+    pub period_us: u64,
+    /// Most tokens a bucket holds, and what it starts with.
+    pub burst: u64,
 }
 
-/// Wall-clock time.
-#[derive(Debug)]
-pub struct MonotonicClock {
-    start: Instant,
-}
-
-impl MonotonicClock {
-    /// Creates a clock anchored at construction time.
-    pub fn new() -> MonotonicClock {
-        MonotonicClock { start: Instant::now() }
-    }
-}
-
-impl Default for MonotonicClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for MonotonicClock {
-    fn now_micros(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-}
-
-/// A manually advanced clock for simulation and tests.
-#[derive(Debug, Default)]
-pub struct VirtualClock {
-    micros: AtomicU64,
-}
-
-impl VirtualClock {
-    /// Creates a clock at time zero.
-    pub fn new() -> VirtualClock {
-        VirtualClock::default()
-    }
-
-    /// Advances by `micros`.
-    pub fn advance(&self, micros: u64) {
-        self.micros.fetch_add(micros, Ordering::Relaxed);
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now_micros(&self) -> u64 {
-        self.micros.load(Ordering::Relaxed)
-    }
-}
-
-/// A token bucket: `rate_pps` probes per second sustained, `burst` tokens
-/// of headroom.
-#[derive(Debug)]
+/// One bucket's state. Single-owner: every call takes `&mut self`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TokenBucket {
-    rate_pps: u64,
-    burst: u64,
-    tokens_femto: AtomicU64, // tokens * 1e6 to keep integer math exact
-    last_micros: AtomicU64,
+    tokens: u64,
+    last_us: u64,
+    /// Refill residue in µs·rate units, always `< period_us`.
+    carry: u64,
 }
 
 impl TokenBucket {
-    /// Creates a bucket that starts full.
-    pub fn new(rate_pps: u64, burst: u64) -> TokenBucket {
-        assert!(rate_pps > 0, "rate must be positive");
-        TokenBucket {
-            rate_pps,
-            burst: burst.max(1),
-            tokens_femto: AtomicU64::new(burst.max(1) * 1_000_000),
-            last_micros: AtomicU64::new(0),
-        }
+    /// A full bucket at time zero.
+    pub fn full(limit: &Limit) -> TokenBucket {
+        TokenBucket { tokens: limit.burst, last_us: 0, carry: 0 }
     }
 
-    /// Attempts to take one token at the clock's current time.
-    pub fn try_take(&self, clock: &dyn Clock) -> bool {
-        let now = clock.now_micros();
-        let last = self.last_micros.swap(now, Ordering::Relaxed);
-        let elapsed = now.saturating_sub(last);
-        // Refill: elapsed_micros * rate tokens-per-second = tokens*1e6.
-        let refill = elapsed.saturating_mul(self.rate_pps);
-        let cap = self.burst * 1_000_000;
-        let mut cur = self.tokens_femto.load(Ordering::Relaxed);
-        cur = (cur + refill).min(cap);
-        if cur >= 1_000_000 {
-            self.tokens_femto.store(cur - 1_000_000, Ordering::Relaxed);
+    /// Refills for the time since the last call, then takes one token if
+    /// there is one. `now_us` must not run backwards.
+    #[inline]
+    pub fn try_take(&mut self, limit: &Limit, now_us: u64) -> bool {
+        let elapsed = now_us.saturating_sub(self.last_us);
+        self.last_us = now_us;
+        // 128 bits: a long idle gap at a high rate does not fit in 64.
+        let accrued = u128::from(elapsed) * u128::from(limit.rate) + u128::from(self.carry);
+        let (earned, carry) = match u64::try_from(accrued) {
+            Ok(accrued) => (accrued / limit.period_us, accrued % limit.period_us),
+            Err(_) => {
+                let period = u128::from(limit.period_us);
+                (u64::try_from(accrued / period).unwrap_or(u64::MAX), (accrued % period) as u64)
+            }
+        };
+        self.tokens = self.tokens.saturating_add(earned);
+        if self.tokens >= limit.burst {
+            // Otherwise a long-idle owner would bank credit past the burst.
+            self.tokens = limit.burst;
+            self.carry = 0;
+        } else {
+            self.carry = carry;
+        }
+        if self.tokens > 0 {
+            self.tokens -= 1;
             true
         } else {
-            self.tokens_femto.store(cur, Ordering::Relaxed);
             false
         }
     }
 
-    /// Microseconds until a token would be available (0 when one is ready).
-    pub fn wait_hint_micros(&self) -> u64 {
-        let cur = self.tokens_femto.load(Ordering::Relaxed);
-        if cur >= 1_000_000 {
+    /// Microseconds after the last call at which a token is available: 0
+    /// when one is banked, `u64::MAX` when the rate is zero.
+    pub fn wait_hint_micros(&self, limit: &Limit) -> u64 {
+        if self.tokens > 0 {
             0
+        } else if limit.rate == 0 {
+            u64::MAX
         } else {
-            (1_000_000 - cur) / self.rate_pps.max(1)
+            (limit.period_us - self.carry).div_ceil(limit.rate)
         }
     }
 }
@@ -120,29 +87,33 @@ impl TokenBucket {
 mod tests {
     use super::*;
 
+    fn per_second(rate: u64, burst: u64) -> Limit {
+        Limit { rate, period_us: 1_000_000, burst }
+    }
+
     #[test]
     fn burst_then_starve() {
-        let clock = VirtualClock::new();
-        let bucket = TokenBucket::new(1000, 5);
+        let limit = per_second(1000, 5);
+        let mut bucket = TokenBucket::full(&limit);
+        let mut now = 0;
         // Burst allows 5 immediate probes...
-        let got = (0..10).filter(|_| bucket.try_take(&clock)).count();
+        let got = (0..10).filter(|_| bucket.try_take(&limit, now)).count();
         assert_eq!(got, 5);
         // ...then the bucket is empty until time passes.
-        assert!(!bucket.try_take(&clock));
-        clock.advance(1_000); // 1 ms at 1000 pps = 1 token
-        assert!(bucket.try_take(&clock));
-        assert!(!bucket.try_take(&clock));
+        assert!(!bucket.try_take(&limit, now));
+        now += 1_000; // 1 ms at 1000 pps = 1 token
+        assert!(bucket.try_take(&limit, now));
+        assert!(!bucket.try_take(&limit, now));
     }
 
     #[test]
     fn sustained_rate_enforced() {
-        let clock = VirtualClock::new();
-        let bucket = TokenBucket::new(100, 1);
+        let limit = per_second(100, 1);
+        let mut bucket = TokenBucket::full(&limit);
         let mut sent = 0;
         // Simulate one second in 1 ms steps.
-        for _ in 0..1000 {
-            clock.advance(1_000);
-            if bucket.try_take(&clock) {
+        for step in 1..=1000 {
+            if bucket.try_take(&limit, step * 1_000) {
                 sent += 1;
             }
         }
@@ -151,28 +122,54 @@ mod tests {
 
     #[test]
     fn refill_caps_at_burst() {
-        let clock = VirtualClock::new();
-        let bucket = TokenBucket::new(1000, 3);
-        clock.advance(10_000_000); // ten seconds idle
-        let got = (0..10).filter(|_| bucket.try_take(&clock)).count();
+        let limit = per_second(1000, 3);
+        let mut bucket = TokenBucket::full(&limit);
+        let now = 10_000_000; // ten seconds idle
+        let got = (0..10).filter(|_| bucket.try_take(&limit, now)).count();
         assert_eq!(got, 3, "burst cap respected after idle");
     }
 
     #[test]
-    fn wait_hint() {
-        let clock = VirtualClock::new();
-        let bucket = TokenBucket::new(1000, 1);
-        assert!(bucket.try_take(&clock));
-        assert!(bucket.wait_hint_micros() > 0);
-        clock.advance(bucket.wait_hint_micros().max(1));
-        assert!(bucket.try_take(&clock));
+    fn a_long_idle_gap_at_a_high_rate_does_not_overflow() {
+        // elapsed · rate = 2 · u64::MAX: `cur + refill` after a
+        // saturating multiply used to overflow here.
+        let limit = per_second(u64::MAX, 1);
+        let mut bucket = TokenBucket::full(&limit);
+        assert!(bucket.try_take(&limit, 0));
+        assert!(bucket.try_take(&limit, 2), "refilled to the burst");
+        assert!(!bucket.try_take(&limit, 2), "and not past it");
+        let limit = Limit { rate: u64::MAX, period_us: 1, burst: u64::MAX };
+        let mut bucket = TokenBucket { tokens: 0, last_us: 0, carry: 0 };
+        assert!(bucket.try_take(&limit, u64::MAX), "earned tokens saturate at the burst");
     }
 
     #[test]
-    fn monotonic_clock_advances() {
-        let c = MonotonicClock::new();
-        let a = c.now_micros();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(c.now_micros() > a);
+    fn the_next_take_succeeds_exactly_at_the_hint() {
+        // 3 pps: a token every 333 333.3 µs, so a floored hint is one
+        // microsecond short.
+        for rate in [1, 3, 7, 1000, 999_999] {
+            let limit = per_second(rate, 1);
+            let mut bucket = TokenBucket::full(&limit);
+            let mut now = 0;
+            assert!(bucket.try_take(&limit, now));
+            for _ in 0..50 {
+                let hint = bucket.wait_hint_micros(&limit);
+                assert!(hint > 0);
+                let mut early = bucket;
+                assert!(!early.try_take(&limit, now + hint - 1), "rate {rate}: not before");
+                now += hint;
+                assert!(bucket.try_take(&limit, now), "rate {rate}: at the hint");
+            }
+        }
+        let quota = per_second(0, 1);
+        let mut bucket = TokenBucket::full(&quota);
+        assert_eq!(bucket.wait_hint_micros(&quota), 0);
+        assert!(bucket.try_take(&quota, 0));
+        assert_eq!(bucket.wait_hint_micros(&quota), u64::MAX, "a zero rate never refills");
+    }
+
+    #[test]
+    fn a_bucket_is_three_words() {
+        assert_eq!(std::mem::size_of::<TokenBucket>(), 24);
     }
 }

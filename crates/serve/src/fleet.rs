@@ -7,7 +7,9 @@
 //! [`ArtifactKind::ALL`] (the full responsive list dominates, exotic
 //! slices tail off), matching how real hitlist mirrors see traffic.
 //!
-//! Two load shapes share one replay engine:
+//! One driver, [`drive_day`], replays every day: it expands the schedule
+//! and, for each arrival, delivers the transfers that have finished,
+//! draws the request and submits it. Two load shapes feed it:
 //!
 //! * **Uniform** (the default): `requests` arrivals spread PRF-uniform
 //!   across the day — the original 100k-request replay.
@@ -18,23 +20,20 @@
 //!   the way real consumers pile onto a fresh hitlist. This is what
 //!   scales the day to a million-plus virtual clients.
 //!
-//! Either shape drives the [`EventLoop`](crate::reactor::EventLoop)
-//! front end by default ([`simulate_day`]); [`simulate_day_sync`] is the
-//! synchronous reference path the event loop's ledger is pinned
-//! byte-identical against.
+//! Two backends answer it through the
+//! [`EventLoop`](crate::reactor::EventLoop): a bare [`Frontend`]
+//! ([`simulate_day`]) and the resilient client of a mirror tier
+//! ([`run_chaos_day`](crate::run_chaos_day)); [`Clients`] is where their
+//! clients differ. [`simulate_day_sync`] is the synchronous reference
+//! engine the event loop's ledger is pinned byte-identical against.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use sixdust_addr::prf::prf_u128;
-use sixdust_telemetry::{
-    Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, Registry, SeriesRecorder,
-    SloEngine,
-};
+use sixdust_telemetry::Registry;
 
-use crate::mirror::{MirrorTier, TimedPublish};
-use crate::reactor::{Completion, EventLoop};
+use crate::reactor::{served_latency, Backend, Completion, EventLoop, Timeline};
 use crate::server::{FetchKind, Frontend, FrontendConfig, FrontendTotals, Outcome, Request};
 use crate::store::{ArtifactKind, SnapshotStore};
 
@@ -43,8 +42,6 @@ const TAG_CLIENT: u64 = 2;
 const TAG_KIND: u64 = 3;
 const TAG_FRESH: u64 = 4;
 const TAG_COND: u64 = 5;
-const TAG_AFFINITY: u64 = 6;
-const TAG_JITTER: u64 = 7;
 const TAG_SESSION_LEN: u64 = 8;
 const TAG_FLASH: u64 = 9;
 const TAG_SPIKE: u64 = 10;
@@ -230,7 +227,7 @@ impl FleetConfig {
 
     /// Sets the consumer count.
     pub fn with_clients(mut self, clients: u64) -> FleetConfig {
-        self.clients = clients.max(1);
+        self.clients = clients;
         self
     }
 
@@ -443,13 +440,36 @@ fn pick_kind(cumulative: &[u64], draw: u64) -> ArtifactKind {
     ArtifactKind::ALL[pick_weighted(cumulative, draw)]
 }
 
-/// What each (client, kind) pair remembers between requests: the
-/// content digest of the copy it last downloaded (its ETag). Updated
-/// when the transfer *completes* — a client cannot revalidate against a
-/// digest still on the wire.
+/// What a client remembers of the copy of one artifact it last
+/// downloaded. Updated when the transfer *completes* — a client cannot
+/// revalidate against a digest still on the wire.
 #[derive(Debug, Clone, Copy)]
 struct Held {
+    round: u64,
+    /// The content digest: the client's ETag.
     digest: u64,
+}
+
+/// `(client, artifact kind)` packed into one word, so a held entry of a
+/// million-client day stays three words.
+fn held_key(client: u64, kind: ArtifactKind) -> u64 {
+    client.wrapping_mul(ArtifactKind::ALL.len() as u64).wrapping_add(kind.index() as u64)
+}
+
+/// Whose clients a day's are: what they ask for, given what they hold,
+/// is the one thing the two kinds of day differ in on the client side.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Clients {
+    /// One front end's, over a store that stands still all day. A
+    /// one-behind client holds the round the store diffed against at day
+    /// start (yesterday's sync) and asks for the delta without an ETag; an
+    /// up-to-date one revalidates on the `conditional_permille` draw.
+    OfOneFrontend,
+    /// A mirror tier's, republishing during the day. A one-behind client
+    /// asks for the delta on the round it holds, and every holder
+    /// revalidates: the mirror's generation may lag the one the client
+    /// fetched elsewhere, and the ETag keeps that cheap (304).
+    OfATier,
 }
 
 /// One scheduled arrival of the day, after the load shape has been
@@ -466,14 +486,13 @@ struct Arrival {
 /// generation order. Returns the schedule and the number of arrivals
 /// that landed inside a flash-crowd window.
 fn build_schedule(config: &FleetConfig) -> (Vec<Arrival>, u64) {
-    let day = config.day_micros.max(1);
+    let day = config.day_micros;
     let mut flash_arrivals = 0u64;
     let mut schedule: Vec<Arrival> = match &config.session {
         None => (0..config.requests)
             .map(|i| {
                 let at = prf_u128(config.seed, u128::from(i), TAG_TIME) % day;
-                let client = prf_u128(config.seed, u128::from(i), TAG_CLIENT)
-                    % config.clients.max(1);
+                let client = prf_u128(config.seed, u128::from(i), TAG_CLIENT) % config.clients;
                 Arrival { at_us: at, id: i, client }
             })
             .collect(),
@@ -536,184 +555,131 @@ fn build_schedule(config: &FleetConfig) -> (Vec<Arrival>, u64) {
     (schedule, flash_arrivals)
 }
 
-/// The per-request PRF draws shared by every replay path: which
-/// artifact, delta-vs-full freshness, and conditional revalidation.
+/// The per-request PRF draws: which artifact, delta-vs-full freshness,
+/// and conditional revalidation.
 fn draw_request(
     config: &FleetConfig,
+    clients: Clients,
     cumulative: &[u64],
     prev_rounds: &[Option<u64>],
-    held: &HashMap<(u64, usize), Held>,
+    held: &HashMap<u64, Held>,
     arrival: Arrival,
 ) -> Request {
-    let i = arrival.id;
-    let kind = pick_kind(cumulative, prf_u128(config.seed, u128::from(i), TAG_KIND));
-    let state = held.get(&(arrival.client, kind.index())).copied();
-
-    // Freshness: a slice of the fleet holds the store's previous
-    // round (yesterday's sync) and asks for a delta on top of it;
-    // everyone else asks for the full snapshot. Knowingly-stale
-    // consumers do not send an ETag; up-to-date ones (with a body
-    // fetched earlier today) conditionally revalidate instead.
-    let fresh_draw = prf_u128(config.seed, u128::from(i), TAG_FRESH) % 1000;
-    let one_behind = fresh_draw < u64::from(config.one_behind_permille);
-    let fetch = match prev_rounds[kind.index()] {
-        Some(prev) if one_behind => FetchKind::DeltaSince(prev),
-        _ => FetchKind::Full,
-    };
-    let cond_draw = prf_u128(config.seed, u128::from(i), TAG_COND) % 1000;
-    let if_none_match = match state {
-        Some(h) if !one_behind && cond_draw < u64::from(config.conditional_permille) => {
-            Some(h.digest)
+    let id = u128::from(arrival.id);
+    let kind = pick_kind(cumulative, prf_u128(config.seed, id, TAG_KIND));
+    let state = held.get(&held_key(arrival.client, kind)).copied();
+    let one_behind =
+        prf_u128(config.seed, id, TAG_FRESH) % 1000 < u64::from(config.one_behind_permille);
+    let (delta_base, if_none_match) = match clients {
+        Clients::OfOneFrontend => {
+            let conditional = !one_behind
+                && prf_u128(config.seed, id, TAG_COND) % 1000
+                    < u64::from(config.conditional_permille);
+            (prev_rounds[kind.index()], state.filter(|_| conditional).map(|h| h.digest))
         }
-        _ => None,
+        Clients::OfATier => (state.map(|h| h.round), state.map(|h| h.digest)),
+    };
+    let fetch = match delta_base {
+        Some(round) if one_behind => FetchKind::DeltaSince(round),
+        _ => FetchKind::Full,
     };
     Request { client: arrival.client, kind, fetch, if_none_match, at_us: arrival.at_us }
 }
 
-/// A completion queued by the synchronous comparator engine, ordered by
-/// `(retire time, submission order)` — the same total order the event
-/// loop delivers in.
-struct PendingCompletion {
-    at_us: u64,
-    seq: u64,
-    completion: Completion,
+/// What [`drive_day`] drives: submissions in arrival order, completions
+/// back in `(retire time, submission order)` order.
+pub(crate) trait Engine {
+    type Backend: Backend;
+    fn submit(&mut self, id: u64, request: &Request);
+    fn poll(&mut self, until_us: u64, deliver: impl FnMut(Completion));
+    fn backend(&self) -> &Self::Backend;
 }
 
-impl PartialEq for PendingCompletion {
-    fn eq(&self, other: &PendingCompletion) -> bool {
-        (self.at_us, self.seq) == (other.at_us, other.seq)
+impl<B: Backend> Engine for EventLoop<'_, B> {
+    type Backend = B;
+
+    fn submit(&mut self, id: u64, request: &Request) {
+        EventLoop::submit(self, id, request);
     }
-}
 
-impl Eq for PendingCompletion {}
-
-impl PartialOrd for PendingCompletion {
-    fn partial_cmp(&self, other: &PendingCompletion) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    fn poll(&mut self, until_us: u64, deliver: impl FnMut(Completion)) {
+        self.poll_each(until_us, deliver);
     }
-}
 
-impl Ord for PendingCompletion {
-    fn cmp(&self, other: &PendingCompletion) -> std::cmp::Ordering {
-        (self.at_us, self.seq).cmp(&(other.at_us, other.seq))
+    fn backend(&self) -> &B {
+        EventLoop::backend(self)
     }
 }
 
-/// The two replay engines behind one driver: the event-loop reactor and
-/// the synchronous reference path. Both call the same `Frontend::handle`
-/// at the same instants and deliver completions in the same total
-/// order, which is what pins their ledgers byte-identical.
-enum Engine<'a> {
-    Reactor(EventLoop<'a>),
-    Sync {
-        frontend: &'a mut Frontend,
-        pending: BinaryHeap<Reverse<PendingCompletion>>,
-        seq: u64,
-    },
+/// The synchronous reference engine: a request runs to completion inline
+/// in `Frontend::handle` and its completion is queued arithmetically.
+/// Shares nothing with the event loop but the queue's order.
+struct SyncEngine<'a> {
+    frontend: &'a mut Frontend,
+    pending: Timeline<Completion>,
 }
 
-impl Engine<'_> {
-    fn serve(&mut self, id: u64, request: &Request) {
-        match self {
-            Engine::Reactor(el) => el.submit(id, request),
-            Engine::Sync { frontend, pending, seq } => {
-                let outcome = frontend.handle(request);
-                let latency = match &outcome {
-                    Outcome::Body { latency_us, .. } | Outcome::NotModified { latency_us, .. } => {
-                        *latency_us
-                    }
-                    _ => 0,
-                };
-                let at_us = request.at_us.saturating_add(latency);
-                *seq += 1;
-                pending.push(Reverse(PendingCompletion {
-                    at_us,
-                    seq: *seq,
-                    completion: Completion {
-                        id,
-                        client: request.client,
-                        kind: request.kind,
-                        at_us,
-                        outcome,
-                    },
-                }));
-            }
-        }
+impl Engine for SyncEngine<'_> {
+    type Backend = Frontend;
+
+    fn submit(&mut self, id: u64, request: &Request) {
+        let mut outcome = self.frontend.handle(request);
+        let latency = served_latency(&mut outcome).map_or(0, |latency_us| *latency_us);
+        let at_us = request.at_us.saturating_add(latency);
+        self.pending.push(
+            at_us,
+            Completion { id, client: request.client, kind: request.kind, at_us, outcome },
+        );
     }
 
-    fn poll(&mut self, until_us: u64) -> Vec<Completion> {
-        match self {
-            Engine::Reactor(el) => el.poll(until_us),
-            Engine::Sync { pending, .. } => {
-                let mut done = Vec::new();
-                while pending.peek().is_some_and(|Reverse(p)| p.at_us <= until_us) {
-                    done.push(pending.pop().expect("peeked").0.completion);
-                }
-                done
-            }
-        }
+    fn poll(&mut self, until_us: u64, deliver: impl FnMut(Completion)) {
+        std::iter::from_fn(|| self.pending.pop_due(until_us)).for_each(deliver);
     }
 
-    fn finish(&mut self) -> Vec<Completion> {
-        self.poll(u64::MAX)
-    }
-
-    fn totals(&self) -> FrontendTotals {
-        match self {
-            Engine::Reactor(el) => el.frontend().totals().clone(),
-            Engine::Sync { frontend, .. } => frontend.totals().clone(),
-        }
-    }
-
-    fn latency(&self) -> HistogramSnapshot {
-        match self {
-            Engine::Reactor(el) => el.frontend().latency_snapshot(),
-            Engine::Sync { frontend, .. } => frontend.latency_snapshot(),
-        }
+    fn backend(&self) -> &Frontend {
+        self.frontend
     }
 }
 
-/// The shared day driver: expand the schedule, and for each arrival
-/// first apply every completion whose transfer has finished (updating
-/// client-held ETags), then draw and serve the request.
-fn drive_day(config: &FleetConfig, mut engine: Engine<'_>, store: &SnapshotStore) -> DayReport {
+/// The one day driver: expand the schedule, and for each arrival first
+/// apply every completion whose transfer has finished (updating what the
+/// clients hold), then draw and submit the request. `store` is where
+/// publications land: its round at day's end is the report's.
+pub(crate) fn drive_day(
+    config: &FleetConfig,
+    clients: Clients,
+    mut engine: impl Engine,
+    store: &SnapshotStore,
+) -> DayReport {
     config.validate().expect("FleetConfig rejected");
     let cumulative = zipf_cumulative(config.zipf_exponent_milli);
-    let current_round = store.current_round().unwrap_or(0);
-    // The round each artifact's delta was diffed against, fixed at day
-    // start: the base a one-behind consumer holds.
     let prev_rounds: Vec<Option<u64>> =
         ArtifactKind::ALL.iter().map(|&k| store.artifact(k).and_then(|v| v.prev_round())).collect();
     let (schedule, flash_arrivals) = build_schedule(config);
 
-    let mut held: HashMap<(u64, usize), Held> = HashMap::new();
+    let mut held: HashMap<u64, Held> = HashMap::new();
     let mut bodies_by_kind = vec![0u64; ArtifactKind::ALL.len()];
-    let apply = |c: Completion,
-                     held: &mut HashMap<(u64, usize), Held>,
-                     bodies_by_kind: &mut Vec<u64>| {
-        if let Outcome::Body { digest, .. } = c.outcome {
+    // Only a body leaves a client holding something.
+    let mut deliver = |c: Completion, held: &mut HashMap<u64, Held>| {
+        if let Outcome::Body { round, digest, .. } = c.outcome {
             bodies_by_kind[c.kind.index()] += 1;
-            held.insert((c.client, c.kind.index()), Held { digest });
+            held.insert(held_key(c.client, c.kind), Held { round, digest });
         }
     };
 
     for &arrival in &schedule {
-        for c in engine.poll(arrival.at_us) {
-            apply(c, &mut held, &mut bodies_by_kind);
-        }
-        let request = draw_request(config, &cumulative, &prev_rounds, &held, arrival);
-        engine.serve(arrival.id, &request);
+        engine.poll(arrival.at_us, |c| deliver(c, &mut held));
+        let request = draw_request(config, clients, &cumulative, &prev_rounds, &held, arrival);
+        engine.submit(arrival.id, &request);
     }
-    for c in engine.finish() {
-        apply(c, &mut held, &mut bodies_by_kind);
-    }
+    engine.poll(u64::MAX, |c| deliver(c, &mut held));
 
-    let totals = engine.totals();
-    let latency = engine.latency();
+    let totals = engine.backend().totals();
+    let latency = engine.backend().latency();
     DayReport {
         seed: config.seed,
         clients: config.clients,
-        round: current_round,
+        round: store.current_round().unwrap_or(0),
         bytes_saved_by_delta: totals.bytes_saved_by_delta,
         delta_fallbacks: totals.delta_fallbacks,
         shed: totals.shed_client + totals.shed_global,
@@ -745,33 +711,19 @@ pub fn simulate_day(
     frontend: &mut Frontend,
     store: &SnapshotStore,
 ) -> DayReport {
-    simulate_day_reactor(config, frontend, store, None)
+    drive_day(config, Clients::OfOneFrontend, EventLoop::new(frontend), store)
 }
 
-/// [`simulate_day`] with the reactor's `serve.loop.*` meters attached.
-fn simulate_day_reactor(
-    config: &FleetConfig,
-    frontend: &mut Frontend,
-    store: &SnapshotStore,
-    registry: Option<&Registry>,
-) -> DayReport {
-    let mut el = EventLoop::new(frontend);
-    if let Some(registry) = registry {
-        el = el.with_telemetry(registry);
-    }
-    drive_day(config, Engine::Reactor(el), store)
-}
-
-/// The synchronous reference path: one request runs admit → render →
-/// transfer to completion inline, with held-state completions queued
-/// arithmetically. Exists to pin the event loop's ledger — the two must
-/// produce byte-identical [`DayReport`]s at matched config.
+/// The synchronous reference path: [`simulate_day`] without the event
+/// loop. Exists to pin the event loop's ledger — the two must produce
+/// byte-identical [`DayReport`]s at matched config.
 pub fn simulate_day_sync(
     config: &FleetConfig,
     frontend: &mut Frontend,
     store: &SnapshotStore,
 ) -> DayReport {
-    drive_day(config, Engine::Sync { frontend, pending: BinaryHeap::new(), seq: 0 }, store)
+    let engine = SyncEngine { frontend, pending: Timeline::new() };
+    drive_day(config, Clients::OfOneFrontend, engine, store)
 }
 
 /// Convenience wrapper: build a front end over `store` with `frontend`
@@ -780,7 +732,7 @@ pub fn run_day(
     fleet: &FleetConfig,
     frontend: FrontendConfig,
     store: &Arc<SnapshotStore>,
-    telemetry: Option<&sixdust_telemetry::Registry>,
+    telemetry: Option<&Registry>,
 ) -> DayReport {
     run_day_observed(fleet, frontend, store, telemetry, None)
 }
@@ -792,7 +744,7 @@ pub fn run_day_observed(
     fleet: &FleetConfig,
     frontend: FrontendConfig,
     store: &Arc<SnapshotStore>,
-    telemetry: Option<&sixdust_telemetry::Registry>,
+    telemetry: Option<&Registry>,
     flight: Option<&sixdust_telemetry::FlightRecorder>,
 ) -> DayReport {
     let mut fe = Frontend::new(frontend, store.clone());
@@ -802,662 +754,19 @@ pub fn run_day_observed(
     if let Some(recorder) = flight {
         fe = fe.with_flight(recorder.clone());
     }
-    simulate_day_reactor(fleet, &mut fe, store, telemetry)
-}
-
-/// Deterministic retry policy of the resilient client path: exponential
-/// backoff with seeded jitter, and a hedging threshold after which a
-/// second request races the slow primary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Attempt budget per logical request (primary + retries; hedges and
-    /// breaker-skipped mirrors do not consume it).
-    pub max_attempts: u32,
-    /// Backoff before retry `n` is `base << (n-1)`, capped.
-    pub backoff_base_us: u64,
-    /// Upper bound on a single backoff.
-    pub backoff_cap_us: u64,
-    /// Jitter span in permille of the backoff: the drawn backoff is
-    /// uniform in `[b - b*j/1000, b + b*j/1000]`, seeded per
-    /// (request, retry) so the day replays byte-identically.
-    pub jitter_permille: u32,
-    /// Serve latency above which a hedged second request is sent to the
-    /// next healthy mirror; the client takes whichever answer is
-    /// effectively earlier.
-    pub hedge_after_us: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 5,
-            backoff_base_us: 50_000,
-            backoff_cap_us: 2_000_000,
-            jitter_permille: 250,
-            hedge_after_us: 15_000,
-        }
+    let mut el = EventLoop::new(&mut fe);
+    if let Some(registry) = telemetry {
+        el = el.with_telemetry(registry);
     }
-}
-
-/// Per-mirror circuit-breaker policy (closed → open → half-open).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive health failures (mirror down / nothing published)
-    /// that trip the breaker open. Load sheds are *not* health failures.
-    pub failure_threshold: u32,
-    /// How long an open breaker skips its mirror before letting
-    /// half-open probe requests through, virtual microseconds.
-    pub open_cooldown_us: u64,
-    /// Successful half-open probes required to re-close.
-    pub half_open_probes: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig { failure_threshold: 3, open_cooldown_us: 600_000_000, half_open_probes: 2 }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    Closed,
-    Open { until_us: u64 },
-    HalfOpen { successes: u32 },
-}
-
-/// One mirror's client-side circuit breaker, driven on virtual time.
-#[derive(Debug, Clone, Copy)]
-struct Breaker {
-    state: BreakerState,
-    consecutive_failures: u32,
-}
-
-enum BreakerGate {
-    /// Closed: attempt freely.
-    Allowed,
-    /// Half-open: this attempt is a probe.
-    Probe,
-    /// Open: skip this mirror.
-    Skipped,
-}
-
-impl Breaker {
-    fn new() -> Breaker {
-        Breaker { state: BreakerState::Closed, consecutive_failures: 0 }
-    }
-
-    /// Whether the breaker is currently engaged (open or half-open) —
-    /// the level the `serve.breaker.open` gauge reports.
-    fn engaged(&self) -> bool {
-        !matches!(self.state, BreakerState::Closed)
-    }
-
-    fn gate(&mut self, at_us: u64) -> BreakerGate {
-        match self.state {
-            BreakerState::Closed => BreakerGate::Allowed,
-            BreakerState::Open { until_us } if at_us >= until_us => {
-                self.state = BreakerState::HalfOpen { successes: 0 };
-                BreakerGate::Probe
-            }
-            BreakerState::Open { .. } => BreakerGate::Skipped,
-            BreakerState::HalfOpen { .. } => BreakerGate::Probe,
-        }
-    }
-
-    /// Returns whether this success re-closed a half-open breaker.
-    fn on_success(&mut self, config: &BreakerConfig) -> bool {
-        match self.state {
-            BreakerState::Closed => {
-                self.consecutive_failures = 0;
-                false
-            }
-            BreakerState::HalfOpen { successes } => {
-                let successes = successes + 1;
-                if successes >= config.half_open_probes {
-                    self.state = BreakerState::Closed;
-                    self.consecutive_failures = 0;
-                    true
-                } else {
-                    self.state = BreakerState::HalfOpen { successes };
-                    false
-                }
-            }
-            BreakerState::Open { .. } => false,
-        }
-    }
-
-    /// Returns whether this failure tripped the breaker open.
-    fn on_failure(&mut self, at_us: u64, config: &BreakerConfig) -> bool {
-        match self.state {
-            BreakerState::Closed => {
-                self.consecutive_failures += 1;
-                if self.consecutive_failures >= config.failure_threshold {
-                    self.state = BreakerState::Open { until_us: at_us + config.open_cooldown_us };
-                    true
-                } else {
-                    false
-                }
-            }
-            BreakerState::HalfOpen { .. } => {
-                self.state = BreakerState::Open { until_us: at_us + config.open_cooldown_us };
-                true
-            }
-            BreakerState::Open { .. } => false,
-        }
-    }
-}
-
-/// Configuration of one chaos day: the fleet plus the client-side
-/// resilience policies.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosDayConfig {
-    /// The consumer fleet (same knobs as a single-frontend day).
-    pub fleet: FleetConfig,
-    /// Retry / backoff / hedging policy.
-    pub retry: RetryPolicy,
-    /// Per-mirror circuit-breaker policy.
-    pub breaker: BreakerConfig,
-}
-
-impl ChaosDayConfig {
-    /// Starts from the default configuration.
-    pub fn builder() -> ChaosDayConfig {
-        ChaosDayConfig::default()
-    }
-
-    /// Sets the fleet configuration.
-    pub fn with_fleet(mut self, fleet: FleetConfig) -> ChaosDayConfig {
-        self.fleet = fleet;
-        self
-    }
-
-    /// Sets the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> ChaosDayConfig {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the breaker policy.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> ChaosDayConfig {
-        self.breaker = breaker;
-        self
-    }
-}
-
-/// The observability sidecar of a chaos day: a shared registry, hourly
-/// series rounds, the standard SLO set (publish-freshness burns under an
-/// origin blackout, mirror-availability under outages) and a flight
-/// recorder that freezes a capture at blackout onset and at each SLO
-/// breach onset.
-pub struct ChaosObserver {
-    registry: Registry,
-    recorder: SeriesRecorder,
-    slo: SloEngine,
-    flight: FlightRecorder,
-    staleness_gauge: Gauge,
-    last_hour: Option<u32>,
-}
-
-impl ChaosObserver {
-    /// Builds the sidecar over `registry` (attach the same registry to
-    /// the tier via [`MirrorTier::with_telemetry`] so the SLO columns
-    /// exist).
-    pub fn new(registry: Registry) -> ChaosObserver {
-        let recorder = SeriesRecorder::new(registry.clone(), 32);
-        let slo = SloEngine::standard().with_registry(&registry);
-        let staleness_gauge = registry.gauge("service.publish.staleness_rounds");
-        ChaosObserver {
-            registry,
-            recorder,
-            slo,
-            flight: FlightRecorder::new(),
-            staleness_gauge,
-            last_hour: None,
-        }
-    }
-
-    /// The shared registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The flight recorder (captures frozen at incident onsets).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
-    /// The SLO engine (burn rates, breach log).
-    pub fn slo(&self) -> &SloEngine {
-        &self.slo
-    }
-
-    /// The hourly series rounds recorded across the day.
-    pub fn recorder(&self) -> &SeriesRecorder {
-        &self.recorder
-    }
-
-    fn tick(&mut self, hour: u32) {
-        if self.last_hour == Some(hour) {
-            return;
-        }
-        self.last_hour = Some(hour);
-        let round = self.recorder.record(hour).clone();
-        self.flight.note_round(&round);
-        for breach in self.slo.observe(&round) {
-            self.flight.note(
-                hour,
-                "slo.breach",
-                &[("slo", &breach.slo), ("bad_permille", &breach.bad_permille.to_string())],
-            );
-            if breach.onset {
-                self.flight.capture(hour, &format!("slo:{}", breach.slo));
-            }
-        }
-    }
-}
-
-/// Telemetry handles of the resilient client path, resolved once.
-struct RetryMeters {
-    attempts: Counter,
-    retries: Counter,
-    failovers: Counter,
-    hedged: Counter,
-    hedge_wins: Counter,
-    exhausted: Counter,
-    down_attempts: Counter,
-    backoff_us: Histogram,
-    breaker_opened: Counter,
-    breaker_closed: Counter,
-    breaker_skipped: Counter,
-    breaker_probes: Counter,
-    breaker_open_gauge: Gauge,
-}
-
-impl RetryMeters {
-    fn resolve(registry: &Registry) -> RetryMeters {
-        RetryMeters {
-            attempts: registry.counter("serve.retry.attempts"),
-            retries: registry.counter("serve.retry.retries"),
-            failovers: registry.counter("serve.retry.failovers"),
-            hedged: registry.counter("serve.retry.hedged"),
-            hedge_wins: registry.counter("serve.retry.hedge_wins"),
-            exhausted: registry.counter("serve.retry.exhausted"),
-            down_attempts: registry.counter("serve.mirror.down_attempts"),
-            backoff_us: registry.histogram("serve.retry.backoff_us"),
-            breaker_opened: registry.counter("serve.breaker.opened"),
-            breaker_closed: registry.counter("serve.breaker.closed"),
-            breaker_skipped: registry.counter("serve.breaker.skipped"),
-            breaker_probes: registry.counter("serve.breaker.probes"),
-            breaker_open_gauge: registry.gauge("serve.breaker.open"),
-        }
-    }
-}
-
-/// The seeded backoff before retry `retry_no` (1-based) of request
-/// `request`: exponential in the retry number, jittered by a PRF draw so
-/// equal seeds replay identical delays.
-fn backoff_us(policy: &RetryPolicy, seed: u64, request: u64, retry_no: u32) -> u64 {
-    let exp = retry_no.saturating_sub(1).min(20);
-    let base = policy.backoff_base_us.saturating_mul(1u64 << exp).min(policy.backoff_cap_us);
-    let jitter = base * u64::from(policy.jitter_permille.min(1_000)) / 1_000;
-    if jitter == 0 {
-        return base;
-    }
-    let draw = prf_u128(seed, u128::from(request) << 8 | u128::from(retry_no), TAG_JITTER)
-        % (2 * jitter + 1);
-    base - jitter + draw
-}
-
-/// What each (client, kind) pair remembers across a chaos day: the round
-/// and digest of the copy it last downloaded.
-#[derive(Debug, Clone, Copy)]
-struct HeldGeneration {
-    round: u64,
-    digest: u64,
-}
-
-/// Replays one day of fleet load against a [`MirrorTier`] through the
-/// resilient client path: per-client mirror affinity, failover to the
-/// next healthy mirror, deterministic retries with exponential backoff
-/// and seeded jitter, hedged second requests past a latency threshold,
-/// and per-mirror circuit breakers. `plan` is the day's scheduled
-/// publishes; entries falling inside an origin blackout are deferred
-/// until the window lifts while the target round (and hence staleness
-/// accounting) advances on schedule.
-///
-/// Latency percentiles in the returned report are *client-observed*:
-/// served latency plus accumulated backoff, with hedges taking
-/// `min(primary, hedge_after + hedge)`. Deterministic for a fixed
-/// (config, tier construction, plan) — byte-identical reports across
-/// runs at the same seed.
-pub fn run_chaos_day(
-    config: &ChaosDayConfig,
-    tier: &mut MirrorTier,
-    plan: &[TimedPublish],
-    mut observer: Option<&mut ChaosObserver>,
-) -> DayReport {
-    let fleet = &config.fleet;
-    fleet.validate().expect("FleetConfig rejected");
-    let mirrors = tier.mirror_count();
-    let cumulative = zipf_cumulative(fleet.zipf_exponent_milli);
-    let meters = observer.as_ref().map(|o| RetryMeters::resolve(o.registry()));
-
-    // Publish plan, time-ordered; deferred entries wait out the blackout.
-    let mut ordered: Vec<&TimedPublish> = plan.iter().collect();
-    ordered.sort_by_key(|p| (p.at_us, p.round));
-    let mut next_publish = 0usize;
-    let mut pending: Vec<&TimedPublish> = Vec::new();
-
-    let (schedule, flash_arrivals) = build_schedule(fleet);
-
-    let mut held: HashMap<(u64, usize), HeldGeneration> = HashMap::new();
-    // Transfers in flight: the client learns (round, digest) only when
-    // the transfer completes at `at + latency + penalty`, ordered by
-    // (retire time, submission order) like the event loop's heap.
-    let mut inflight: BinaryHeap<Reverse<(u64, u64, u64, usize, u64, u64)>> = BinaryHeap::new();
-    let mut inflight_seq = 0u64;
-    let mut breakers = vec![Breaker::new(); mirrors];
-    let mut bodies_by_kind = vec![0u64; ArtifactKind::ALL.len()];
-    let latency = Histogram::default();
-    let mut res = ResilienceTotals {
-        mirrors: mirrors as u64,
-        logical_requests: schedule.len() as u64,
-        ..ResilienceTotals::default()
-    };
-    let mut was_blackout = false;
-
-    for &Arrival { at_us: at, id: i, client } in &schedule {
-        // Deliver every transfer that finished before this arrival.
-        while inflight.peek().is_some_and(|Reverse(c)| c.0 <= at) {
-            let Reverse((_, _, hclient, kidx, round, digest)) =
-                inflight.pop().expect("peeked");
-            held.insert((hclient, kidx), HeldGeneration { round, digest });
-        }
-        // Land every publish that has come due (or been unblocked).
-        while next_publish < ordered.len() && ordered[next_publish].at_us <= at {
-            let p = ordered[next_publish];
-            next_publish += 1;
-            if !tier.apply_publish(p.at_us, p) {
-                pending.push(p);
-            }
-        }
-        if !pending.is_empty() && !tier.faults().origin_blackout(at) {
-            pending.retain(|p| !tier.apply_publish(at, p));
-        }
-
-        let hour = (at / 3_600_000_000) as u32;
-        let now_blackout = tier.faults().origin_blackout(at);
-        if let Some(o) = observer.as_deref_mut() {
-            o.staleness_gauge.set(tier.staleness_rounds() as i64);
-            if now_blackout && !was_blackout {
-                o.flight.note(hour, "serve.origin.blackout", &[("at_us", &at.to_string())]);
-                o.flight.capture(hour, "origin-blackout");
-            }
-            o.tick(hour);
-        }
-        was_blackout = now_blackout;
-
-        // The logical request (same PRF draws as a single-frontend day).
-        let kind = pick_kind(&cumulative, prf_u128(fleet.seed, u128::from(i), TAG_KIND));
-        let state = held.get(&(client, kind.index())).copied();
-        let fresh_draw = prf_u128(fleet.seed, u128::from(i), TAG_FRESH) % 1000;
-        let one_behind = fresh_draw < u64::from(fleet.one_behind_permille);
-        let fetch = match state {
-            Some(h) if one_behind => FetchKind::DeltaSince(h.round),
-            _ => FetchKind::Full,
-        };
-        // Against a mirror tier every holder revalidates: the mirror's
-        // generation may lag the one the client fetched elsewhere, and
-        // the ETag check is what keeps that cheap (304 when unchanged).
-        let if_none_match = state.map(|h| h.digest);
-        let request = Request { client, kind, fetch, if_none_match, at_us: at };
-
-        // Affinity + failover walk with retry budget and breakers.
-        let preferred =
-            (prf_u128(fleet.seed, u128::from(client), TAG_AFFINITY) % mirrors as u64) as usize;
-        let mut attempts_used = 0u32;
-        let mut penalty_us = 0u64;
-        let mut winner: Option<(usize, Outcome)> = None;
-        let mut policy_shed = false;
-        let mut saw_global_shed = false;
-        let mut iter = 0usize;
-        let max_iter = config.retry.max_attempts as usize + mirrors;
-        while attempts_used < config.retry.max_attempts && iter < max_iter {
-            let m = (preferred + iter) % mirrors;
-            iter += 1;
-            match breakers[m].gate(at) {
-                BreakerGate::Skipped => {
-                    // Fail open on the final iteration of an all-skipped
-                    // walk: when every mirror's breaker is open, honoring
-                    // the skip would turn a partial outage into a total
-                    // one — attempt anyway rather than hard-fail.
-                    if iter < max_iter || attempts_used > 0 {
-                        res.breaker_skipped += 1;
-                        if let Some(mt) = &meters {
-                            mt.breaker_skipped.incr();
-                        }
-                        continue;
-                    }
-                }
-                BreakerGate::Probe => {
-                    if let Some(mt) = &meters {
-                        mt.breaker_probes.incr();
-                    }
-                    // An expired open window moving to half-open frees
-                    // the gauge only on re-close; track opens below.
-                }
-                BreakerGate::Allowed => {}
-            }
-            attempts_used += 1;
-            res.attempts += 1;
-            if let Some(mt) = &meters {
-                mt.attempts.incr();
-            }
-            if attempts_used >= 2 {
-                res.retries += 1;
-                let b = backoff_us(&config.retry, fleet.seed, i, attempts_used - 1);
-                penalty_us += b;
-                if let Some(mt) = &meters {
-                    mt.retries.incr();
-                    mt.backoff_us.record(b.max(1));
-                }
-            }
-            if m != preferred {
-                res.failovers += 1;
-                if let Some(mt) = &meters {
-                    mt.failovers.incr();
-                }
-            }
-            match tier.handle(m, &request) {
-                None => {
-                    res.down_attempts += 1;
-                    if let Some(mt) = &meters {
-                        mt.down_attempts.incr();
-                    }
-                    if breakers[m].on_failure(at, &config.breaker) {
-                        res.breaker_opened += 1;
-                        if let Some(mt) = &meters {
-                            mt.breaker_opened.incr();
-                        }
-                    }
-                }
-                Some(Outcome::Unavailable) => {
-                    if breakers[m].on_failure(at, &config.breaker) {
-                        res.breaker_opened += 1;
-                        if let Some(mt) = &meters {
-                            mt.breaker_opened.incr();
-                        }
-                    }
-                }
-                Some(Outcome::ShedClient) => {
-                    // A quota rejection is an answer, not a health
-                    // signal; retrying it elsewhere would evade policy.
-                    policy_shed = true;
-                    break;
-                }
-                Some(Outcome::ShedGlobal) => {
-                    // Overload: fail over, but an overloaded mirror is
-                    // not an unhealthy mirror — no breaker penalty.
-                    saw_global_shed = true;
-                }
-                Some(outcome) => {
-                    if breakers[m].on_success(&config.breaker) {
-                        res.breaker_closed += 1;
-                        if let Some(mt) = &meters {
-                            mt.breaker_closed.incr();
-                        }
-                    }
-                    winner = Some((m, outcome));
-                    break;
-                }
-            }
-        }
-
-        // Hedging: a slow (but successful) primary races one more
-        // request on the next breaker-admitted mirror; the adopted
-        // outcome carries the client-observed latency
-        // `hedge_after + hedge serve time`.
-        let primary = winner.as_ref().map(|(m, outcome)| {
-            let lat = match outcome {
-                Outcome::Body { latency_us, .. } | Outcome::NotModified { latency_us, .. } => {
-                    *latency_us
-                }
-                _ => 0,
-            };
-            (*m, lat)
-        });
-        if let Some((m, primary_latency)) = primary {
-            if primary_latency > config.retry.hedge_after_us && mirrors > 1 {
-                let hedge_target = (1..mirrors)
-                    .map(|k| (m + k) % mirrors)
-                    .find(|&c| !matches!(breakers[c].gate(at), BreakerGate::Skipped));
-                if let Some(m2) = hedge_target {
-                    res.hedged += 1;
-                    res.attempts += 1;
-                    if let Some(mt) = &meters {
-                        mt.hedged.incr();
-                        mt.attempts.incr();
-                    }
-                    match tier.handle(m2, &request) {
-                        Some(mut h @ (Outcome::Body { .. } | Outcome::NotModified { .. })) => {
-                            if breakers[m2].on_success(&config.breaker) {
-                                res.breaker_closed += 1;
-                                if let Some(mt) = &meters {
-                                    mt.breaker_closed.incr();
-                                }
-                            }
-                            let hedged_total = config.retry.hedge_after_us
-                                + match &h {
-                                    Outcome::Body { latency_us, .. }
-                                    | Outcome::NotModified { latency_us, .. } => *latency_us,
-                                    _ => 0,
-                                };
-                            if hedged_total < primary_latency {
-                                res.hedge_wins += 1;
-                                if let Some(mt) = &meters {
-                                    mt.hedge_wins.incr();
-                                }
-                                match &mut h {
-                                    Outcome::Body { latency_us, .. }
-                                    | Outcome::NotModified { latency_us, .. } => {
-                                        *latency_us = hedged_total;
-                                    }
-                                    _ => {}
-                                }
-                                winner = Some((m2, h));
-                            }
-                        }
-                        None => {
-                            res.down_attempts += 1;
-                            if let Some(mt) = &meters {
-                                mt.down_attempts.incr();
-                            }
-                            if breakers[m2].on_failure(at, &config.breaker) {
-                                res.breaker_opened += 1;
-                                if let Some(mt) = &meters {
-                                    mt.breaker_opened.incr();
-                                }
-                            }
-                        }
-                        Some(_) => {}
-                    }
-                }
-            }
-        }
-
-        if let Some(mt) = &meters {
-            mt.breaker_open_gauge.set(breakers.iter().filter(|b| b.engaged()).count() as i64);
-        }
-
-        match &winner {
-            Some((_, Outcome::Body { digest, round, latency_us, .. })) => {
-                bodies_by_kind[kind.index()] += 1;
-                inflight_seq += 1;
-                inflight.push(Reverse((
-                    at.saturating_add(*latency_us).saturating_add(penalty_us),
-                    inflight_seq,
-                    client,
-                    kind.index(),
-                    *round,
-                    *digest,
-                )));
-                latency.record((*latency_us + penalty_us).max(1));
-            }
-            Some((_, Outcome::NotModified { latency_us, .. })) => {
-                latency.record((*latency_us + penalty_us).max(1));
-            }
-            _ => {
-                if !policy_shed && !saw_global_shed {
-                    res.hard_failures += 1;
-                    if let Some(mt) = &meters {
-                        mt.exhausted.incr();
-                    }
-                }
-            }
-        }
-    }
-
-    // Flush the final partial hour so the SLO engine judges it.
-    if let Some(o) = observer {
-        o.staleness_gauge.set(tier.staleness_rounds() as i64);
-        o.tick((fleet.day_micros / 3_600_000_000) as u32 + 1);
-    }
-
-    let tier_totals = tier.totals().clone();
-    res.stale_served = tier_totals.stale_served;
-    res.revalidations = tier_totals.revalidations;
-    res.syncs = tier_totals.syncs;
-    res.sync_rejected = tier_totals.sync_rejected;
-
-    let totals = tier.merged_frontend_totals();
-    let snapshot = latency.snapshot();
-    DayReport {
-        seed: fleet.seed,
-        clients: fleet.clients,
-        round: tier.origin().current_round().unwrap_or(0),
-        bytes_saved_by_delta: totals.bytes_saved_by_delta,
-        delta_fallbacks: totals.delta_fallbacks,
-        shed: totals.shed_client + totals.shed_global,
-        flash_arrivals,
-        bodies_by_kind: ArtifactKind::ALL
-            .iter()
-            .zip(bodies_by_kind)
-            .map(|(kind, n)| (kind.file_stem(), n))
-            .collect(),
-        totals,
-        latency_p50_us: snapshot.p50(),
-        latency_p90_us: snapshot.p90(),
-        latency_p99_us: snapshot.p99(),
-        resilience: res,
-    }
+    drive_day(fleet, Clients::OfOneFrontend, el, store)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::store::StoreConfig;
 
-    fn seeded_store() -> Arc<SnapshotStore> {
+    pub(crate) fn seeded_store() -> Arc<SnapshotStore> {
         let store = SnapshotStore::new(StoreConfig::default());
         for round in 1..=3u64 {
             let artifacts = ArtifactKind::ALL
@@ -1507,8 +816,8 @@ mod tests {
     #[test]
     fn build_rejects_degenerate_configs() {
         assert!(FleetConfig::builder().build().is_ok());
-        let err = FleetConfig { clients: 0, ..FleetConfig::default() }.build().unwrap_err();
-        assert_eq!(err, FleetConfigError::ZeroClients);
+        let err = FleetConfig::builder().with_clients(0).build().unwrap_err();
+        assert_eq!(err, FleetConfigError::ZeroClients, "the builder does not clamp it away");
         let err = FleetConfig { requests: 0, ..FleetConfig::default() }.build().unwrap_err();
         assert_eq!(err, FleetConfigError::ZeroRequests);
         let err = FleetConfig { day_micros: 0, ..FleetConfig::default() }.build().unwrap_err();
@@ -1684,81 +993,19 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_seeded_exponential_and_capped() {
-        let policy = RetryPolicy::default();
-        // Deterministic: same (seed, request, retry) → same delay.
-        assert_eq!(backoff_us(&policy, 7, 42, 1), backoff_us(&policy, 7, 42, 1));
-        // Jitter keeps each delay within ±25% of the exponential base.
-        for retry in 1..=6u32 {
-            let base = (policy.backoff_base_us << (retry - 1)).min(policy.backoff_cap_us);
-            let b = backoff_us(&policy, 7, 42, retry);
-            let jitter = base / 4;
-            assert!(
-                b >= base - jitter && b <= base + jitter,
-                "retry {retry}: {b} outside [{}, {}]",
-                base - jitter,
-                base + jitter
-            );
-        }
-        // Zero jitter degenerates to the pure exponential.
-        let flat = RetryPolicy { jitter_permille: 0, ..policy };
-        assert_eq!(backoff_us(&flat, 7, 42, 1), 50_000);
-        assert_eq!(backoff_us(&flat, 7, 42, 2), 100_000);
-        assert_eq!(backoff_us(&flat, 7, 42, 20), 2_000_000, "cap holds");
-    }
-
-    #[test]
-    fn breaker_walks_closed_open_half_open_deterministically() {
-        let config =
-            BreakerConfig { failure_threshold: 2, open_cooldown_us: 100, half_open_probes: 2 };
-        let mut b = Breaker::new();
-        assert!(matches!(b.gate(0), BreakerGate::Allowed));
-        assert!(!b.on_failure(10, &config), "first failure under threshold");
-        assert!(b.on_failure(10, &config), "second failure trips open");
-        assert!(b.engaged());
-        assert!(matches!(b.gate(50), BreakerGate::Skipped), "open inside cooldown");
-        assert!(matches!(b.gate(110), BreakerGate::Probe), "cooldown expiry half-opens");
-        assert!(!b.on_success(&config), "one probe is not enough");
-        assert!(b.on_success(&config), "second probe re-closes");
-        assert!(!b.engaged());
-        // A half-open failure re-opens immediately (no threshold grace).
-        let mut b = Breaker::new();
-        b.on_failure(0, &config);
-        b.on_failure(0, &config);
-        assert!(matches!(b.gate(100), BreakerGate::Probe));
-        assert!(b.on_failure(100, &config), "half-open failure re-trips");
-        assert!(matches!(b.gate(150), BreakerGate::Skipped));
-    }
-
-    #[test]
-    fn chaos_day_on_a_healthy_tier_matches_itself_and_never_hard_fails() {
-        use crate::faults::ServeFaultConfig;
-        use crate::mirror::MirrorTierConfig;
-        let run = || {
-            let origin = seeded_store();
-            let mut tier = MirrorTier::new(
-                MirrorTierConfig::builder().with_mirrors(3),
-                origin,
-                ServeFaultConfig::lossless(),
-            );
-            let config = ChaosDayConfig::builder()
-                .with_fleet(FleetConfig::builder().with_requests(4_000).with_clients(30));
-            run_chaos_day(&config, &mut tier, &[], None)
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "chaos day replays byte-identically at a fixed seed");
-        assert_eq!(a.resilience.hard_failures, 0);
-        assert_eq!(a.resilience.logical_requests, 4_000);
-        assert!(a.resilience.attempts >= 4_000);
-        assert_eq!(a.resilience.mirrors, 3);
-        assert_eq!(a.round, 3);
-        // Healthy tier: no breaker ever opens, warm-deployed mirrors
-        // need no sync traffic (the plan is empty), and answered
-        // requests land in the latency histogram.
-        assert_eq!(a.resilience.breaker_opened, 0);
-        assert_eq!(a.resilience.syncs, 0, "warm deploy: in sync without a transfer");
-        assert_eq!(a.resilience.stale_served, 0);
-        assert!(a.latency_p50_us > 0);
+    fn event_loop_equals_synchronous_on_a_day_that_sheds() {
+        // One virtual hour of 20 000 requests from 60 clients over a
+        // two-slot front end: both the buckets and the global cap shed,
+        // and a shed completes at its arrival instant in both engines.
+        let store = seeded_store();
+        let mut fleet = FleetConfig::builder().with_requests(20_000).with_clients(60);
+        fleet.day_micros = 3_600_000_000;
+        let config = FrontendConfig::builder().with_global_concurrency(2);
+        let mut fe = Frontend::new(config.clone(), store.clone());
+        let reactor = simulate_day(&fleet, &mut fe, &store);
+        let mut fe = Frontend::new(config, store.clone());
+        let sync = simulate_day_sync(&fleet, &mut fe, &store);
+        assert_eq!(reactor, sync);
+        assert_eq!((reactor.totals.shed_client, reactor.totals.shed_global), (5_329, 2));
     }
 }

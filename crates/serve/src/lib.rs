@@ -23,21 +23,23 @@
 //!   latency in microseconds, and delta/304 byte-savings counters;
 //!   shed decisions feed an attached
 //!   [`FlightRecorder`](sixdust_telemetry::FlightRecorder).
-//! * [`fleet`] — a seeded, Zipf-popular simulated consumer fleet that
-//!   replays a deterministic high-QPS day and emits a [`DayReport`].
-//!   Load comes in two shapes: the classic uniform request spread and
-//!   session-based generation ([`SessionShape`]) — heavy-tailed
-//!   per-client request counts, think time, and flash-crowd spikes —
-//!   which scales a day past a million virtual clients.
-//!   [`run_chaos_day`] drives the same fleet through the resilient
-//!   client path (affinity, failover, retries with seeded backoff,
-//!   hedging, per-mirror circuit breakers).
-//! * [`reactor`] — the event-loop front end: requests run as
-//!   per-request state machines (admit → render → transfer → retire)
-//!   on a virtual-time completion heap, so in-flight concurrency is
-//!   bounded by the loop, not the caller's thread. Its ledger is pinned
-//!   byte-identical to the synchronous path
-//!   ([`simulate_day_sync`](fleet::simulate_day_sync)).
+//! * [`fleet`] — a seeded, Zipf-popular simulated consumer fleet and the
+//!   one driver that replays its day into a [`DayReport`]. Load comes in
+//!   two shapes: the classic uniform request spread and session-based
+//!   generation ([`SessionShape`]) — heavy-tailed per-client request
+//!   counts, think time, and flash-crowd spikes — which scales a day past
+//!   a million virtual clients. Either shape runs against either backend
+//!   of the reactor.
+//! * [`reactor`] — the event-loop front end the driver submits to:
+//!   requests run as per-request state machines (admit → render →
+//!   transfer → retire) on a virtual-time completion heap, so in-flight
+//!   concurrency is bounded by the loop, not the caller's thread. It is
+//!   generic, by static dispatch, over what answers a request: a bare
+//!   [`Frontend`] ([`run_day`]), whose ledger is pinned byte-identical to
+//!   the synchronous path ([`simulate_day_sync`]), or
+//! * [`resilience`] — the resilient client of a mirror tier
+//!   ([`run_chaos_day`]): affinity, failover, retries with seeded backoff,
+//!   hedging and per-mirror circuit breakers around each logical request.
 //! * [`mirror`] — the fault-tolerant distribution tier: N edge mirrors
 //!   syncing generations from the origin store over the delta codec
 //!   with checksum-first torn-sync rejection, serving stale-but-counted
@@ -57,6 +59,7 @@ pub mod faults;
 pub mod fleet;
 pub mod mirror;
 pub mod reactor;
+pub mod resilience;
 pub mod server;
 pub mod store;
 
@@ -66,12 +69,12 @@ pub use codec::{
 };
 pub use faults::ServeFaultConfig;
 pub use fleet::{
-    run_chaos_day, run_day, run_day_observed, simulate_day, simulate_day_sync, BreakerConfig,
-    ChaosDayConfig, ChaosObserver, DayReport, FlashSpike, FleetConfig, FleetConfigError,
-    ResilienceTotals, RetryPolicy, SessionShape,
+    run_day, run_day_observed, simulate_day, simulate_day_sync, DayReport, FlashSpike, FleetConfig,
+    FleetConfigError, ResilienceTotals, SessionShape,
 };
 pub use mirror::{MirrorTier, MirrorTierConfig, TierTotals, TimedPublish};
-pub use reactor::{Completion, EventLoop, LoopStats};
+pub use reactor::{Backend, Completion, EventLoop, LoopStats};
+pub use resilience::{run_chaos_day, BreakerConfig, ChaosDayConfig, ChaosObserver, RetryPolicy};
 pub use server::{
     FetchKind, Frontend, FrontendConfig, FrontendConfigError, FrontendTotals, Outcome, Request,
 };

@@ -240,12 +240,20 @@ impl MirrorTier {
     /// # Panics
     ///
     /// If `config.frontend` fails [`FrontendConfig::validate`] (same
-    /// contract as [`Frontend::new`]).
+    /// contract as [`Frontend::new`]), or on zero `mirrors` or a zero
+    /// `sync_interval_us`: the fields are public and only the `with_*`
+    /// builders clamp them, and [`MirrorTier::advance`] would schedule the
+    /// next sync of a zero interval at the same instant forever.
     pub fn new(
         config: MirrorTierConfig,
         origin: Arc<SnapshotStore>,
         faults: ServeFaultConfig,
     ) -> MirrorTier {
+        assert!(config.mirrors > 0, "MirrorTierConfig rejected: mirrors must be at least 1");
+        assert!(
+            config.sync_interval_us > 0,
+            "MirrorTierConfig rejected: sync_interval_us must be at least 1"
+        );
         let target_round = origin.current_round().unwrap_or(0);
         let mut tier = MirrorTier {
             mirrors: Vec::new(),
@@ -259,7 +267,7 @@ impl MirrorTier {
             meters: None,
             totals: TierTotals::default(),
         };
-        tier.mirrors = (0..tier.config.mirrors.max(1))
+        tier.mirrors = (0..tier.config.mirrors)
             .map(|i| {
                 let store = Arc::new(SnapshotStore::new(StoreConfig::default()));
                 Mirror {
@@ -636,6 +644,24 @@ mod tests {
             .with_sync_stagger_us(0)
             .with_sync_interval_us(1_000_000);
         MirrorTier::new(config, origin, faults)
+    }
+
+    #[test]
+    #[should_panic(expected = "sync_interval_us must be at least 1")]
+    fn a_zero_sync_interval_is_rejected_not_spun_on() {
+        // Set past the clamping builder: `advance` would reschedule the
+        // sync at `scheduled + 0` forever.
+        let config = MirrorTierConfig { sync_interval_us: 0, ..MirrorTierConfig::default() };
+        let origin = Arc::new(SnapshotStore::new(StoreConfig::default()));
+        let _ = MirrorTier::new(config, origin, ServeFaultConfig::lossless());
+    }
+
+    #[test]
+    #[should_panic(expected = "mirrors must be at least 1")]
+    fn a_tier_of_no_mirrors_is_rejected() {
+        let config = MirrorTierConfig { mirrors: 0, ..MirrorTierConfig::default() };
+        let origin = Arc::new(SnapshotStore::new(StoreConfig::default()));
+        let _ = MirrorTier::new(config, origin, ServeFaultConfig::lossless());
     }
 
     #[test]

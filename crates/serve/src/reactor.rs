@@ -1,4 +1,4 @@
-//! The event-loop front end: virtual-time reactor over a [`Frontend`].
+//! The event-loop front end: a virtual-time reactor over a [`Backend`].
 //!
 //! The synchronous serve path couples one request to one caller "thread"
 //! — `Frontend::handle` runs admit → cache/render → transfer to
@@ -12,6 +12,13 @@
 //! virtual clients can have thousands of transfers in flight while the
 //! driver keeps submitting.
 //!
+//! The loop schedules over a [`Backend`]: a bare [`Frontend`], or the
+//! resilient client of a mirror tier ([`resilience`](crate::resilience)).
+//! It is generic over the backend, one compiled copy each, so a uniform
+//! day still calls `Frontend::handle` directly where a `dyn` backend
+//! would put an indirect call, and no inlining, on each of a day's
+//! million requests.
+//!
 //! Determinism contract: submissions must arrive in non-decreasing
 //! virtual time, and the loop calls the *same* `Frontend::handle` at the
 //! same instants the synchronous path would, so the
@@ -24,10 +31,64 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sixdust_telemetry::{Counter, Gauge, Registry};
+use sixdust_telemetry::{Counter, Gauge, HistogramSnapshot, Registry};
 
-use crate::server::{Frontend, Outcome, Request};
+use crate::server::{Frontend, FrontendTotals, Outcome, Request};
 use crate::store::ArtifactKind;
+
+/// What an [`EventLoop`] schedules over, and what a day's report reads
+/// back afterwards.
+pub trait Backend {
+    /// Answers `request` (submission `id`) at its arrival instant: the
+    /// outcome the client adopts, and the microseconds the client itself
+    /// waited on top of the outcome's served latency (retry backoff; zero
+    /// for a front end). `None` when the client is left with no answer —
+    /// nothing retires into a completion then.
+    fn answer(&mut self, id: u64, request: &Request) -> Option<(Outcome, u64)>;
+
+    /// How long after arrival a cache-miss body's render phase ends, for
+    /// a backend that is one front end; `None` when several may serve one
+    /// request and there is no single render phase to schedule.
+    fn render_us(&self) -> Option<u64> {
+        None
+    }
+
+    /// Front-end totals over every request answered so far.
+    fn totals(&self) -> FrontendTotals;
+
+    /// The client-observed latency distribution so far, microseconds.
+    fn latency(&self) -> HistogramSnapshot;
+}
+
+impl Backend for Frontend {
+    #[inline]
+    fn answer(&mut self, _id: u64, request: &Request) -> Option<(Outcome, u64)> {
+        Some((self.handle(request), 0))
+    }
+
+    fn render_us(&self) -> Option<u64> {
+        Some(self.config().base_latency_us.saturating_add(self.config().render_latency_us))
+    }
+
+    fn totals(&self) -> FrontendTotals {
+        Frontend::totals(self).clone()
+    }
+
+    fn latency(&self) -> HistogramSnapshot {
+        self.latency_snapshot()
+    }
+}
+
+/// The served latency of an answer (a shed or unavailable outcome has
+/// none).
+pub(crate) fn served_latency(outcome: &mut Outcome) -> Option<&mut u64> {
+    match outcome {
+        Outcome::Body { latency_us, .. } | Outcome::NotModified { latency_us, .. } => {
+            Some(latency_us)
+        }
+        _ => None,
+    }
+}
 
 /// A retired request, delivered by [`EventLoop::poll`] once its
 /// transfer has completed on the virtual timeline.
@@ -39,50 +100,80 @@ pub struct Completion {
     pub client: u64,
     /// The artifact the request asked for.
     pub kind: ArtifactKind,
-    /// Retire time: arrival plus the served latency (arrival itself for
-    /// shed and unavailable outcomes, which never occupy the loop).
+    /// Retire time: arrival plus the served latency plus the client's own
+    /// delay (arrival itself for shed and unavailable outcomes, which
+    /// never occupy the loop).
     pub at_us: u64,
-    /// How the front end answered.
+    /// How the backend answered.
     pub outcome: Outcome,
 }
 
-/// What a pending heap event does when its time comes.
+/// One entry of a [`Timeline`], ordered by `(at_us, seq)` alone.
+#[derive(Debug)]
+struct Timed<T> {
+    at_us: u64,
+    seq: u64,
+    item: T,
+}
+
+impl<T> PartialEq for Timed<T> {
+    fn eq(&self, other: &Timed<T>) -> bool {
+        (self.at_us, self.seq) == (other.at_us, other.seq)
+    }
+}
+
+impl<T> Eq for Timed<T> {}
+
+impl<T> PartialOrd for Timed<T> {
+    fn partial_cmp(&self, other: &Timed<T>) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Timed<T> {
+    fn cmp(&self, other: &Timed<T>) -> std::cmp::Ordering {
+        (self.at_us, self.seq).cmp(&(other.at_us, other.seq))
+    }
+}
+
+/// Items due at virtual instants, handed back in `(time, push order)`
+/// order — the one total order every replay path delivers in.
+#[derive(Debug)]
+pub(crate) struct Timeline<T> {
+    heap: BinaryHeap<Reverse<Timed<T>>>,
+    seq: u64,
+}
+
+impl<T> Timeline<T> {
+    pub(crate) fn new() -> Timeline<T> {
+        Timeline { heap: BinaryHeap::new(), seq: 0 }
+    }
+
+    pub(crate) fn push(&mut self, at_us: u64, item: T) {
+        self.seq += 1;
+        self.heap.push(Reverse(Timed { at_us, seq: self.seq, item }));
+    }
+
+    /// The earliest item due at or before `until_us`, if any.
+    pub(crate) fn pop_due(&mut self, until_us: u64) -> Option<T> {
+        if self.heap.peek()?.0.at_us > until_us {
+            return None;
+        }
+        self.heap.pop().map(|Reverse(timed)| timed.item)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
+/// What a pending timeline event does when its time comes.
 #[derive(Debug)]
 enum Phase {
     /// A cache-miss body finished rendering (the transfer continues).
     RenderDone,
     /// The request retires: deliver its completion and free its slot.
     Retire(Completion),
-}
-
-/// One scheduled phase transition. Ordered by `(at_us, seq)` so events
-/// at the same instant fire in submission order — the same total order
-/// the synchronous comparator path uses.
-#[derive(Debug)]
-struct Event {
-    at_us: u64,
-    seq: u64,
-    phase: Phase,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Event) -> bool {
-        (self.at_us, self.seq) == (other.at_us, other.seq)
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Event) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Event) -> std::cmp::Ordering {
-        (self.at_us, self.seq).cmp(&(other.at_us, other.seq))
-    }
 }
 
 /// The loop's own running counters — phase traffic and occupancy,
@@ -126,63 +217,56 @@ impl LoopMeters {
     }
 }
 
-/// A virtual-time event loop over a borrowed [`Frontend`].
-pub struct EventLoop<'a> {
-    frontend: &'a mut Frontend,
-    heap: BinaryHeap<Reverse<Event>>,
+/// A virtual-time event loop over a borrowed [`Backend`].
+pub struct EventLoop<'a, B = Frontend> {
+    backend: &'a mut B,
+    pending: Timeline<Phase>,
     /// Completions whose retire time has passed, awaiting a `poll`.
     ready: Vec<Completion>,
     stats: LoopStats,
     meters: Option<LoopMeters>,
-    seq: u64,
     clock: u64,
 }
 
-impl std::fmt::Debug for EventLoop<'_> {
+impl<B> std::fmt::Debug for EventLoop<'_, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventLoop")
             .field("clock", &self.clock)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.pending.len())
             .field("stats", &self.stats)
             .finish()
     }
 }
 
-impl<'a> EventLoop<'a> {
-    /// Wraps a front end in a reactor. The front end keeps its totals,
-    /// cache, buckets and latency histogram — the loop only schedules.
-    pub fn new(frontend: &'a mut Frontend) -> EventLoop<'a> {
+impl<'a, B: Backend> EventLoop<'a, B> {
+    /// Wraps a backend in a reactor. The backend keeps its totals, cache,
+    /// buckets and latency histogram — the loop only schedules.
+    pub fn new(backend: &'a mut B) -> EventLoop<'a, B> {
         EventLoop {
-            frontend,
-            heap: BinaryHeap::new(),
+            backend,
+            pending: Timeline::new(),
             ready: Vec::new(),
             stats: LoopStats::default(),
             meters: None,
-            seq: 0,
             clock: 0,
         }
     }
 
     /// Attaches a metrics registry (`serve.loop.{arrivals,renders,`
     /// `transfers,retired,inflight,inflight_peak}`).
-    pub fn with_telemetry(mut self, registry: &Registry) -> EventLoop<'a> {
+    pub fn with_telemetry(mut self, registry: &Registry) -> EventLoop<'a, B> {
         self.meters = Some(LoopMeters::resolve(registry));
         self
     }
 
-    /// The wrapped front end (totals, latency snapshot).
-    pub fn frontend(&self) -> &Frontend {
-        self.frontend
+    /// The wrapped backend (totals, latency snapshot).
+    pub fn backend(&self) -> &B {
+        self.backend
     }
 
     /// The loop's phase counters and occupancy so far.
     pub fn stats(&self) -> LoopStats {
         self.stats
-    }
-
-    fn push(&mut self, at_us: u64, phase: Phase) {
-        self.seq += 1;
-        self.heap.push(Reverse(Event { at_us, seq: self.seq, phase }));
     }
 
     fn set_inflight(&mut self, delta: i64) {
@@ -196,7 +280,7 @@ impl<'a> EventLoop<'a> {
 
     /// Non-blocking admission of one arrival. Every ledger decision
     /// (admit, shed, cache, totals, latency) is made here, at arrival
-    /// time, through the same `Frontend::handle` the synchronous path
+    /// time, through the same [`Backend::answer`] the synchronous path
     /// calls — the loop then schedules the request's remaining phases
     /// and returns immediately. Arrivals must be submitted in
     /// non-decreasing `at_us` order.
@@ -208,66 +292,50 @@ impl<'a> EventLoop<'a> {
         if let Some(m) = &self.meters {
             m.arrivals.incr();
         }
-        let outcome = self.frontend.handle(request);
         let at = request.at_us;
-        match &outcome {
-            Outcome::Body { cached, latency_us, .. } => {
-                let retire = at.saturating_add(*latency_us);
-                if !*cached {
-                    // Render slot: the body was reserved (and the cache
-                    // populated) at admission; the render *phase* ends
-                    // after base + render latency, mid-transfer.
-                    let config = self.frontend.config();
-                    let done = at
-                        .saturating_add(config.base_latency_us)
-                        .saturating_add(config.render_latency_us);
-                    self.push(done.min(retire), Phase::RenderDone);
-                }
+        let mut answer = self.backend.answer(id, request);
+        // A served answer occupies the loop until its transfer and the
+        // client's own delay are over.
+        let retire = answer.as_mut().and_then(|(outcome, delay_us)| {
+            let latency_us = *served_latency(outcome)?;
+            Some(at.saturating_add(latency_us).saturating_add(*delay_us))
+        });
+        if let (Some(retire), Some((Outcome::Body { cached: false, .. }, _)), Some(render_us)) =
+            (retire, &answer, self.backend.render_us())
+        {
+            // Render slot: the body was reserved (and the cache
+            // populated) at admission; the render *phase* ends after
+            // base + render latency, mid-transfer.
+            self.pending.push(at.saturating_add(render_us).min(retire), Phase::RenderDone);
+        }
+        let completion = answer.map(|(outcome, _)| Completion {
+            id,
+            client: request.client,
+            kind: request.kind,
+            at_us: retire.unwrap_or(at),
+            outcome,
+        });
+        match (retire, completion) {
+            (Some(retire), Some(completion)) => {
                 self.set_inflight(1);
-                let completion = Completion {
-                    id,
-                    client: request.client,
-                    kind: request.kind,
-                    at_us: retire,
-                    outcome,
-                };
-                self.push(retire, Phase::Retire(completion));
+                self.pending.push(retire, Phase::Retire(completion));
             }
-            Outcome::NotModified { latency_us, .. } => {
-                let retire = at.saturating_add(*latency_us);
-                self.set_inflight(1);
-                let completion = Completion {
-                    id,
-                    client: request.client,
-                    kind: request.kind,
-                    at_us: retire,
-                    outcome,
-                };
-                self.push(retire, Phase::Retire(completion));
-            }
-            Outcome::ShedClient | Outcome::ShedGlobal | Outcome::Unavailable => {
-                // Rejected at admission: retires on the spot, occupying
-                // nothing — delivered on the next poll so the driver
-                // still sees every submission resolve exactly once.
+            (_, rejection) => {
+                // Rejected at admission, or left without an answer:
+                // retires on the spot, occupying nothing. A rejection is
+                // delivered on the next poll; no answer delivers nothing.
                 self.stats.retired += 1;
                 if let Some(m) = &self.meters {
                     m.retired.incr();
                 }
-                self.ready.push(Completion {
-                    id,
-                    client: request.client,
-                    kind: request.kind,
-                    at_us: at,
-                    outcome,
-                });
+                self.ready.extend(rejection);
             }
         }
     }
 
     fn advance_to(&mut self, until_us: u64) {
-        while self.heap.peek().is_some_and(|Reverse(e)| e.at_us <= until_us) {
-            let Reverse(event) = self.heap.pop().expect("peeked");
-            match event.phase {
+        while let Some(phase) = self.pending.pop_due(until_us) {
+            match phase {
                 Phase::RenderDone => {
                     self.stats.renders += 1;
                     if let Some(m) = &self.meters {
@@ -299,6 +367,12 @@ impl<'a> EventLoop<'a> {
     pub fn poll(&mut self, until_us: u64) -> Vec<Completion> {
         self.advance_to(until_us);
         std::mem::take(&mut self.ready)
+    }
+
+    /// [`poll`](EventLoop::poll) without a `Vec` allocated per call.
+    pub(crate) fn poll_each(&mut self, until_us: u64, deliver: impl FnMut(Completion)) {
+        self.advance_to(until_us);
+        self.ready.drain(..).for_each(deliver);
     }
 
     /// Drains the loop: fires every remaining event and returns the

@@ -14,6 +14,7 @@ use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use sixdust_scan::rate::{Limit, TokenBucket};
 use sixdust_telemetry::{Counter, FlightRecorder, Histogram, HistogramSnapshot, Registry};
 
 use crate::store::{ArtifactKind, SnapshotStore};
@@ -255,21 +256,6 @@ impl FrontendTotals {
     }
 }
 
-/// Per-client token bucket on virtual time. Integer math in
-/// milli-tokens keeps refill exact and the replay deterministic.
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    milli_tokens: u64,
-    last_us: u64,
-    /// Refill residue in µs·rate units, always `< 60_000` (one
-    /// milli-token's worth). Without it, every poll truncates the
-    /// fractional part of the refill *and* advances `last_us`, so a
-    /// client polled at sub-milli-token intervals refills zero tokens
-    /// forever — the error grows with arrival density, i.e. exactly
-    /// under flash-crowd load.
-    carry: u64,
-}
-
 /// A tiny exact LRU keyed by `(artifact, round, delta)`. Capacity is a
 /// handful of entries, so linear scans beat pointer-chasing here.
 #[derive(Debug)]
@@ -373,7 +359,7 @@ pub struct Frontend {
     config: FrontendConfig,
     store: Arc<SnapshotStore>,
     cache: LruCache,
-    buckets: HashMap<u64, Bucket>,
+    buckets: HashMap<u64, TokenBucket>,
     /// Completion times of requests currently in flight (min-heap).
     inflight: BinaryHeap<std::cmp::Reverse<u64>>,
     meters: Option<Meters>,
@@ -457,36 +443,15 @@ impl Frontend {
     }
 
     fn admit_client(&mut self, client: u64, now_us: u64) -> bool {
-        let burst = u64::from(self.config.client_burst) * 1_000;
-        let rate = u64::from(self.config.client_rate_per_min);
-        let bucket = self
-            .buckets
+        let limit = Limit {
+            rate: u64::from(self.config.client_rate_per_min),
+            period_us: 60_000_000,
+            burst: u64::from(self.config.client_burst),
+        };
+        self.buckets
             .entry(client)
-            .or_insert(Bucket { milli_tokens: burst, last_us: 0, carry: 0 });
-        let elapsed = now_us.saturating_sub(bucket.last_us);
-        bucket.last_us = now_us;
-        // rate tokens/minute = rate * 1000 milli-tokens / 60e6 µs: one
-        // milli-token per 60_000 µs·rate of accrual. The division's
-        // remainder rides in `carry` to the next call, so the refill a
-        // client earns depends only on total elapsed time, never on how
-        // its arrivals are spaced.
-        let accrued = elapsed.saturating_mul(rate).saturating_add(bucket.carry);
-        bucket.milli_tokens = bucket.milli_tokens.saturating_add(accrued / 60_000);
-        if bucket.milli_tokens >= burst {
-            // Clamped at the cap: a full bucket accrues nothing, so the
-            // residue is forfeit too (otherwise a long-idle client would
-            // bank credit beyond its burst).
-            bucket.milli_tokens = burst;
-            bucket.carry = 0;
-        } else {
-            bucket.carry = accrued % 60_000;
-        }
-        if bucket.milli_tokens >= 1_000 {
-            bucket.milli_tokens -= 1_000;
-            true
-        } else {
-            false
-        }
+            .or_insert_with(|| TokenBucket::full(&limit))
+            .try_take(&limit, now_us)
     }
 
     /// Handles one request at its virtual arrival time. Requests must be
