@@ -20,6 +20,7 @@ use std::collections::{HashMap, HashSet};
 use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr, Prefix, PrefixSet};
 use sixdust_net::{Day, Internet, ProbeKind, Response};
+use sixdust_scan::execute;
 use sixdust_telemetry::{Registry, SpanTimer};
 
 /// Detector configuration.
@@ -131,6 +132,11 @@ pub struct AliasDetector {
     /// Optional metrics sink; not part of checkpointed state.
     #[serde(skip)]
     telemetry: Option<Registry>,
+    /// Thread budget of a detection round, set by whoever owns the
+    /// detector ([`AliasDetector::with_workers`]); not part of
+    /// checkpointed state. Unset it is 0, which the executor reads as 1.
+    #[serde(skip)]
+    workers: usize,
 }
 
 /// Builds the candidate prefix list from the BGP table and the service
@@ -176,26 +182,18 @@ pub fn candidates(net: &Internet, input: &[Addr], min_addrs_long: usize) -> Vec<
     v
 }
 
-/// Renders a worker-panic payload as text.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
-    }
-}
-
 impl AliasDetector {
     /// Creates a detector.
     pub fn new(config: DetectorConfig) -> AliasDetector {
-        AliasDetector {
-            history: Vec::new(),
-            last_round_info: HashMap::new(),
-            config,
-            telemetry: None,
-        }
+        AliasDetector { config, ..AliasDetector::default() }
+    }
+
+    /// Returns the detector with the thread budget of its detection
+    /// rounds replaced (the calling thread included). A detector built
+    /// with [`AliasDetector::new`] alone probes inline.
+    pub fn with_workers(mut self, workers: usize) -> AliasDetector {
+        self.workers = workers;
+        self
     }
 
     /// The configuration.
@@ -262,49 +260,23 @@ impl AliasDetector {
         let mut detected = Vec::new();
         let mut probes = 0u64;
         let chunk = cands.len().div_ceil(8).max(1);
-        let results: Vec<(Prefix, bool, bool, u64)> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = cands
-                .chunks(chunk)
-                .enumerate()
-                .map(|(worker, chunk_cands)| {
-                    let handle = s.spawn(move |_| {
-                        chunk_cands
-                            .iter()
-                            .map(|p| {
-                                let ps = prf::mix2(seed, p.network().iid() ^ u64::from(p.len()));
-                                let (icmp, tcp, n) = Self::probe_prefix(net, *p, day, ps);
-                                (*p, icmp, tcp, n)
-                            })
-                            .collect::<Vec<_>>()
-                    });
-                    (worker, chunk_cands.len(), handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|(worker, len, handle)| {
-                    handle.join().unwrap_or_else(|payload| {
-                        let start = worker * chunk;
-                        panic!(
-                            "alias detector worker {worker} (day {}, candidates \
-                             {start}..{}, {len} prefixes) panicked: {}",
-                            day.0,
-                            start + len,
-                            panic_message(&*payload)
-                        )
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_else(|payload| {
-            panic!(
-                "alias detector scope (day {}, {} candidates) panicked: {}",
-                day.0,
-                cands.len(),
-                panic_message(&*payload)
-            )
-        });
-        for (p, icmp, tcp80, n) in results {
+        let tasks: Vec<_> = cands
+            .chunks(chunk)
+            .map(|chunk_cands| {
+                move || {
+                    chunk_cands
+                        .iter()
+                        .map(|p| {
+                            let ps = prf::mix2(seed, p.network().iid() ^ u64::from(p.len()));
+                            let (icmp, tcp, n) = Self::probe_prefix(net, *p, day, ps);
+                            (*p, icmp, tcp, n)
+                        })
+                        .collect::<Vec<_>>()
+                }
+            })
+            .collect();
+        let (results, _) = execute(self.workers, tasks);
+        for (p, icmp, tcp80, n) in results.into_iter().flatten() {
             probes += n;
             if icmp || tcp80 {
                 let d = DetectedPrefix { prefix: p, icmp, tcp80 };

@@ -63,7 +63,7 @@ fn ablation_merge_window(c: &mut Criterion) {
     g.finish();
 }
 
-/// Scan worker threads (the crossbeam fan-out).
+/// Scan worker threads (the executor fan-out).
 fn ablation_threads(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_scan_threads");
     let t = targets();

@@ -1,5 +1,5 @@
 //! Round hot-path throughput: full `HitlistService` rounds per second at
-//! several thread budgets, plus the sequential baseline the parallel path
+//! several thread budgets, plus the one-thread baseline the threaded path
 //! must stay byte-identical with. `scripts/bench_round.sh` distils the
 //! estimates into `BENCH_round.json` so future PRs have a trajectory to
 //! compare against.
@@ -28,34 +28,22 @@ fn run_window(config: ServiceConfig) -> usize {
     svc.rounds().len()
 }
 
-/// Rounds/sec of the scan + merge hot path. `round_seq` runs the five
-/// protocol scans strictly in `Protocol::ALL` order; `round_par_N` splits a
-/// round-level budget of N threads across the five concurrent scans. The
-/// merge stays sequential in all variants, so throughput is the only thing
-/// that may differ — outputs are pinned byte-identical by
+/// Rounds/sec of the scan + merge hot path. `round_seq` is a round-level
+/// budget of one thread: every scan and alias round runs inline on the
+/// calling thread. `round_par_N` hands the same rounds' segments to the
+/// executor on N threads. The merge stays sequential in all variants, so
+/// throughput is the only thing that may differ — outputs are pinned
+/// byte-identical by
 /// `parallel_rounds_identical_to_sequential_at_any_thread_budget`.
 fn bench_round(c: &mut Criterion) {
     let mut g = c.benchmark_group("round");
     g.sample_size(10);
-    g.bench_function("round_seq", |b| {
-        b.iter(|| {
-            black_box(run_window(
-                ServiceConfig::default()
-                    .with_parallel_protocols(false)
-                    .with_scan(ScanConfig::default().with_threads(4)),
-            ))
-        })
-    });
-    for budget in [1usize, 4, 8] {
-        g.bench_function(format!("round_par_{budget}"), |b| {
-            b.iter(|| {
-                black_box(run_window(
-                    ServiceConfig::default()
-                        .with_parallel_protocols(true)
-                        .with_scan(ScanConfig::default().with_threads(budget)),
-                ))
-            })
-        });
+    let window = |threads: usize| {
+        run_window(ServiceConfig::default().with_scan(ScanConfig::default().with_threads(threads)))
+    };
+    g.bench_function("round_seq", |b| b.iter(|| black_box(window(1))));
+    for budget in [2usize, 4, 8] {
+        g.bench_function(format!("round_par_{budget}"), |b| b.iter(|| black_box(window(budget))));
     }
     g.finish();
 }

@@ -199,7 +199,6 @@ mod tests {
     #[test]
     fn builder_reproduces_default() {
         assert_eq!(ServiceConfig::builder().build(), ServiceConfig::default());
-        assert!(ServiceConfig::default().parallel_protocols, "concurrent scans are the default");
         let built = ServiceConfig::builder()
             .scan(sixdust_scan::ScanConfig::builder().attempts(2).build())
             .detector(sixdust_alias::DetectorConfig::default())
@@ -207,7 +206,6 @@ mod tests {
             .alias_every_days(7)
             .traceroute_cap(123)
             .degraded_loss_permille(400)
-            .parallel_protocols(false)
             .snapshot_days(vec![Day(3)])
             .build();
         let chained = ServiceConfig::default()
@@ -217,44 +215,44 @@ mod tests {
             .with_alias_every_days(7)
             .with_traceroute_cap(123)
             .with_degraded_loss_permille(400)
-            .with_parallel_protocols(false)
             .with_snapshot_days(vec![Day(3)]);
         assert_eq!(built, chained);
         assert_eq!(built.alias_every_days, 7);
         assert_eq!(built.scan.attempts, 2);
         assert_eq!(built.gfw_filter_from, None);
         assert_eq!(built.degraded_loss_permille, 400);
-        assert!(!built.parallel_protocols);
     }
 
-    /// Days 0..=10 run sequentially, and run with concurrent protocol
-    /// scans at round-level thread budgets 1, 4 and 8.
+    #[test]
+    fn config_json_with_a_retired_key_still_parses() {
+        // Configs written before the protocol scans moved onto the one
+        // executor carry a key the struct no longer has; it is ignored.
+        let json = serde_json::to_string(&ServiceConfig::default()).unwrap();
+        let legacy = json.replacen('{', "{\"parallel_protocols\":true,", 1);
+        let parsed: ServiceConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(parsed, ServiceConfig::default());
+    }
+
+    /// Days 0..=10 run at a round-level thread budget of 1 — every scan
+    /// and alias round inline on the calling thread, the sequential
+    /// reference — and at budgets 2, 4 and 8.
     fn sequential_and_parallel_runs() -> (HitlistService, Vec<(usize, HitlistService)>) {
         let net = net();
         let base = quick_config().with_snapshot_days(vec![Day(5)]);
-        let run = |cfg: ServiceConfig| {
-            let mut svc = HitlistService::new(cfg);
+        let run = |budget: usize| {
+            let scan = sixdust_scan::ScanConfig::default().with_threads(budget);
+            let mut svc = HitlistService::new(base.clone().with_scan(scan));
             svc.run(&net, Day(0), Day(10));
             svc
         };
-        let sequential = run(base.clone().with_parallel_protocols(false));
-        let parallel = [1usize, 4, 8]
-            .into_iter()
-            .map(|budget| {
-                let scan = sixdust_scan::ScanConfig::default().with_threads(budget);
-                let cfg = base.clone().with_scan(scan);
-                assert!(cfg.parallel_protocols);
-                (budget, run(cfg))
-            })
-            .collect();
-        (sequential, parallel)
+        let parallel = [2usize, 4, 8].into_iter().map(|budget| (budget, run(budget))).collect();
+        (run(1), parallel)
     }
 
     #[test]
     fn parallel_rounds_identical_to_sequential_at_any_thread_budget() {
-        // The determinism pin: concurrent protocol scans with any
-        // round-level thread budget produce the rounds, snapshots, sets
-        // and checkpoint the sequential path produces.
+        // The determinism pin: any round-level thread budget produces
+        // the rounds, snapshots, sets and checkpoint a budget of 1 does.
         let (sequential, parallel) = sequential_and_parallel_runs();
         assert!(!sequential.snapshots().is_empty(), "snapshot comparison is non-trivial");
         let seq_checkpoint = ServiceState::capture(&sequential);

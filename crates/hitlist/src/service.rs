@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr, AddrSet, PrefixSet};
 use sixdust_alias::{candidates, AliasDetector, DetectorConfig};
 use sixdust_net::{events, Day, Internet, ProbeKind, ProtoSet, Protocol, Response};
-use sixdust_scan::{proto_metric_key, scan_with, ScanConfig, ScanResult};
+use sixdust_scan::{proto_metric_key, scan_jobs, ScanConfig, ScanJob, ScanResult};
 use sixdust_telemetry::{
     FlightRecorder, MadConfig, MadDetector, Registry, SeriesRecorder, SloEngine, TraceSpan,
 };
@@ -28,6 +28,8 @@ use crate::sources;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceConfig {
     /// Scanner settings shared by all protocol modules.
+    /// [`ScanConfig::threads`] is the round's one thread budget: the
+    /// five protocol scans share it, and alias detection runs on it.
     pub scan: ScanConfig,
     /// Alias detector settings.
     pub detector: DetectorConfig,
@@ -47,23 +49,10 @@ pub struct ServiceConfig {
     /// responses (vantage blackout).
     #[serde(default = "default_degraded_loss_permille")]
     pub degraded_loss_permille: u32,
-    /// Run each round's five protocol scans concurrently (one scanner
-    /// module per protocol, with [`ScanConfig::threads`] acting as a
-    /// round-level worker budget split across the in-flight scans).
-    /// Results are merged strictly in `Protocol::ALL` order either way,
-    /// so round records, snapshots and checkpoints are byte-identical
-    /// with the sequential path — this switch only trades cores for
-    /// wall-clock.
-    #[serde(default = "default_parallel_protocols")]
-    pub parallel_protocols: bool,
 }
 
 fn default_degraded_loss_permille() -> u32 {
     350
-}
-
-fn default_parallel_protocols() -> bool {
-    true
 }
 
 impl Default for ServiceConfig {
@@ -76,7 +65,6 @@ impl Default for ServiceConfig {
             traceroute_cap: 4000,
             snapshot_days: Day::SNAPSHOTS.to_vec(),
             degraded_loss_permille: default_degraded_loss_permille(),
-            parallel_protocols: default_parallel_protocols(),
         }
     }
 }
@@ -120,12 +108,6 @@ impl ServiceConfig {
     /// Returns the config with a different degraded-round loss threshold.
     pub fn with_degraded_loss_permille(mut self, permille: u32) -> ServiceConfig {
         self.degraded_loss_permille = permille;
-        self
-    }
-
-    /// Returns the config with concurrent protocol scans on or off.
-    pub fn with_parallel_protocols(mut self, parallel: bool) -> ServiceConfig {
-        self.parallel_protocols = parallel;
         self
     }
 
@@ -176,12 +158,6 @@ impl ServiceConfigBuilder {
     /// Sets the degraded-round loss threshold (permille).
     pub fn degraded_loss_permille(mut self, permille: u32) -> ServiceConfigBuilder {
         self.config.degraded_loss_permille = permille;
-        self
-    }
-
-    /// Turns concurrent protocol scans on or off.
-    pub fn parallel_protocols(mut self, parallel: bool) -> ServiceConfigBuilder {
-        self.config.parallel_protocols = parallel;
         self
     }
 
@@ -358,7 +334,7 @@ impl HitlistService {
         let mut pending = config.snapshot_days.clone();
         pending.sort_unstable();
         HitlistService {
-            detector: AliasDetector::new(config.detector.clone()),
+            detector: AliasDetector::new(config.detector.clone()).with_workers(config.scan.threads),
             config,
             telemetry: None,
             input: HashSet::new(),
@@ -626,15 +602,9 @@ impl HitlistService {
         &self.cumulative
     }
 
-    /// The service configuration (external schedulers read the scan
-    /// settings to reproduce the built-in executor's partitioning).
+    /// The service configuration.
     pub fn config(&self) -> &ServiceConfig {
         &self.config
-    }
-
-    /// The attached telemetry registry, if any.
-    pub fn telemetry(&self) -> Option<&Registry> {
-        self.telemetry.as_ref()
     }
 
     /// Longitudinal per-round records.
@@ -833,59 +803,37 @@ impl HitlistService {
         PreparedRound { day, targets, gfw_live, round_span }
     }
 
+    /// The five protocol scans of a prepared round as scheduler jobs, in
+    /// `Protocol::ALL` order — what [`HitlistService::scan_prepared`]
+    /// runs, for an executor that batches several services' rounds.
+    pub fn round_jobs<'a>(
+        &'a self,
+        net: &'a Internet,
+        prepared: &'a PreparedRound,
+    ) -> [ScanJob<'a>; 5] {
+        Protocol::ALL.map(|protocol| ScanJob {
+            net,
+            protocol,
+            targets: &prepared.targets,
+            day: prepared.day,
+            config: &self.config.scan,
+            telemetry: self.telemetry.as_ref(),
+        })
+    }
+
     /// Round stage 3b: the five protocol scans over a prepared round's
-    /// targets. The protocol modules run concurrently (each with its
-    /// slice of the round's thread budget) or back to back, depending on
-    /// `parallel_protocols`. A scan is a pure function of (net, protocol,
-    /// targets, day, config), so the only ordering that matters is the
-    /// merge in [`HitlistService::complete_round`], which is strictly
-    /// sequential in Protocol::ALL order either way: records, snapshots
+    /// targets, as one [`scan_jobs`] call on the round's thread budget
+    /// (a budget of 1 scans on the calling thread, one protocol after
+    /// the other). A scan is a pure function of (net, protocol, targets,
+    /// day, config), and the merge in [`HitlistService::complete_round`]
+    /// is strictly sequential in Protocol::ALL order: records, snapshots
     /// and checkpoints come out byte-identical at any thread budget. The
     /// returned results are in `Protocol::ALL` order, which is what
     /// `complete_round` requires — external executors producing the same
     /// ordered results by other partitions are interchangeable.
     pub fn scan_prepared(&self, net: &Internet, prepared: &PreparedRound) -> Vec<ScanResult> {
-        let day = prepared.day;
-        let targets = &prepared.targets;
-        let telemetry = self.telemetry.as_ref();
         let scan_started = Instant::now();
-        let results: Vec<ScanResult> = if self.config.parallel_protocols {
-            let budgets = split_thread_budget(self.config.scan.threads);
-            let scan_cfg = &self.config.scan;
-            let targets = &targets[..];
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = Protocol::ALL
-                    .into_iter()
-                    .zip(budgets)
-                    .map(|(proto, budget)| {
-                        let cfg = scan_cfg.clone().with_threads(budget);
-                        let handle =
-                            s.spawn(move |_| scan_with(net, proto, targets, day, &cfg, telemetry));
-                        (proto, handle)
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|(proto, handle)| {
-                        handle.join().unwrap_or_else(|payload| {
-                            panic!(
-                                "{proto} scan (day {}) panicked: {}",
-                                day.0,
-                                panic_message(&*payload)
-                            )
-                        })
-                    })
-                    .collect()
-            })
-            .unwrap_or_else(|payload| {
-                panic!("round scan scope (day {}) panicked: {}", day.0, panic_message(&*payload))
-            })
-        } else {
-            Protocol::ALL
-                .into_iter()
-                .map(|proto| scan_with(net, proto, targets, day, &self.config.scan, telemetry))
-                .collect()
-        };
+        let (results, _) = scan_jobs(self.config.scan.threads, &self.round_jobs(net, prepared));
         self.record_phase("scan", scan_started.elapsed());
         results
     }
@@ -1193,18 +1141,6 @@ impl HitlistService {
     }
 }
 
-/// Splits the round-level worker budget ([`ScanConfig::threads`]) across
-/// the five concurrent protocol scans. Earlier protocols (Protocol::ALL
-/// order) receive the remainder, and every scan keeps at least one
-/// worker — a budget below five oversubscribes instead of starving a
-/// protocol.
-fn split_thread_budget(budget: usize) -> [usize; 5] {
-    let budget = budget.max(1);
-    let base = budget / 5;
-    let extra = budget % 5;
-    std::array::from_fn(|i| (base + usize::from(i < extra)).max(1))
-}
-
 /// One week's rotating traceroute sample. The PRF filter admits roughly
 /// `cap · stride` of the input; the cap then keeps the `cap` *lowest
 /// draws*, a fresh pseudo-random cross-section each week. Ranking by the
@@ -1228,35 +1164,10 @@ fn traceroute_sample(input: &HashSet<Addr>, cap: usize, week: u64) -> Vec<Addr> 
     ranked.into_iter().map(|(_, a)| a).collect()
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sixdust_net::{FaultConfig, Internet, Scale};
-
-    #[test]
-    fn thread_budget_split_covers_all_protocols() {
-        assert_eq!(split_thread_budget(0), [1, 1, 1, 1, 1]);
-        assert_eq!(split_thread_budget(1), [1, 1, 1, 1, 1]);
-        assert_eq!(split_thread_budget(4), [1, 1, 1, 1, 1]);
-        assert_eq!(split_thread_budget(5), [1, 1, 1, 1, 1]);
-        assert_eq!(split_thread_budget(8), [2, 2, 2, 1, 1]);
-        assert_eq!(split_thread_budget(32), [7, 7, 6, 6, 6]);
-        for budget in 0..40 {
-            let split = split_thread_budget(budget);
-            assert!(split.iter().all(|w| *w >= 1), "budget {budget}: {split:?}");
-            assert_eq!(split.iter().sum::<usize>(), budget.clamp(5, usize::MAX), "budget {budget}");
-        }
-    }
 
     #[test]
     fn traceroute_sample_rotates_weekly_beyond_the_cap() {

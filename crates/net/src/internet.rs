@@ -10,11 +10,11 @@
 //!
 //! Mutable state is limited to PMTU caches (what the Too Big Trick pokes)
 //! and the controlled-domain query log (what the validation experiment
-//! reads), both behind a `parking_lot::Mutex`.
+//! reads), both behind a `Mutex`.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use sixdust_addr::{prf, Addr};
 use sixdust_telemetry::{Counter, Registry};
 use sixdust_wire::dns::{DnsMessage, Rcode, Rdata, Record};
@@ -301,14 +301,14 @@ impl Internet {
     /// Resets mutable state (PMTU caches, ICMPv6 rate budgets, NS query
     /// log).
     pub fn reset_state(&self) {
-        self.pmtu.lock().clear();
-        self.icmp_budget.lock().clear();
-        self.ns_log.lock().clear();
+        lock(&self.pmtu).clear();
+        lock(&self.icmp_budget).clear();
+        lock(&self.ns_log).clear();
     }
 
     /// Drains the controlled-domain query log.
     pub fn take_ns_log(&self) -> Vec<(Addr, String)> {
-        std::mem::take(&mut self.ns_log.lock())
+        std::mem::take(&mut lock(&self.ns_log))
     }
 
     /// The fault-stream seed: the world seed mixed with the fault
@@ -380,7 +380,7 @@ impl Internet {
         let Some(limit) = self.faults.icmp_rate_limit else {
             return false;
         };
-        let mut budgets = self.icmp_budget.lock();
+        let mut budgets = lock(&self.icmp_budget);
         let slot = budgets.entry((class, entity)).or_insert((day.0, 0));
         if slot.0 != day.0 {
             *slot = (day.0, 0);
@@ -594,7 +594,7 @@ impl Internet {
                 if !host.protos.contains(Protocol::Icmp) {
                     return None;
                 }
-                let mtu = self.pmtu.lock().get(&host.backend_uid).copied().unwrap_or(DEFAULT_MTU);
+                let mtu = lock(&self.pmtu).get(&host.backend_uid).copied().unwrap_or(DEFAULT_MTU);
                 Some(Response::EchoReply { fragmented: u32::from(*size) + 48 > mtu })
             }
             ProbeKind::TooBig { mtu } => {
@@ -607,8 +607,7 @@ impl Internet {
                         self.counters.faults_rate_limited.incr();
                         return None;
                     }
-                    self.pmtu
-                        .lock()
+                    lock(&self.pmtu)
                         .insert(host.backend_uid, (*mtu).max(sixdust_wire::IPV6_MIN_MTU));
                 }
                 None
@@ -679,7 +678,7 @@ impl Internet {
                     } else {
                         responder
                     };
-                    self.ns_log.lock().push((observed_src, qname.clone()));
+                    lock(&self.ns_log).push((observed_src, qname.clone()));
                     resp.answers.push(Record {
                         name: qname,
                         ttl: 300,
@@ -924,6 +923,13 @@ impl Internet {
         self.counters.faults_corrupted.incr();
         bytes
     }
+}
+
+/// Takes one of the simulator's state locks. Every update under them is
+/// a single map or vector operation, so a lock poisoned by a panicking
+/// scan worker is recovered rather than failing every later probe.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The scan protocol a probe kind exercises (for per-protocol fault

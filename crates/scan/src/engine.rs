@@ -21,6 +21,7 @@ use sixdust_wire::tcp::TcpSegment;
 use sixdust_wire::udp::UdpDatagram;
 use sixdust_wire::{Ipv6Header, Packet, Transport};
 
+use crate::executor::{clamp_threads, execute, ExecutorStats};
 use crate::permute::CyclicPermutation;
 use crate::rate::{Limit, TokenBucket};
 
@@ -47,12 +48,12 @@ pub fn proto_metric_key(protocol: Protocol) -> &'static str {
 /// compatibility but new code should prefer the builder.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScanConfig {
-    /// Worker threads. The engine clamps the effective value to
-    /// `1..=32` at scan time — a `0` runs single-threaded and anything
-    /// above 32 runs with 32. A clamped scan bumps the
-    /// `scan.config.threads_clamped` telemetry counter (once per scan)
-    /// when a registry is attached, so a misconfigured fleet is visible
-    /// instead of silently slower.
+    /// The thread budget, calling thread included: 1 scans inline. The
+    /// executor clamps the effective value to `1..=32` at scan time — a
+    /// `0` runs single-threaded and anything above 32 runs with 32. A
+    /// clamped scan bumps the `scan.config.threads_clamped` telemetry
+    /// counter (once per scan) when a registry is attached, so a
+    /// misconfigured fleet is visible instead of silently slower.
     pub threads: usize,
     /// Probes sent per target (ZMap default 1; retries mask loss).
     ///
@@ -400,13 +401,11 @@ impl SegmentTally {
 /// Probes one contiguous range of a scan's permutation cycle and returns
 /// the outcomes (in cycle order) plus the segment's tally.
 ///
-/// This is the probing kernel [`scan_with`] fans out to its workers, made
-/// public so external executors (the multi-vantage work-stealing
-/// scheduler in `sixdust-vantage`) can partition a scan differently:
-/// concatenating the outcome vectors of contiguous segments in cycle
-/// order and merging their tallies reproduces `scan_with`'s result
-/// byte-for-byte regardless of which thread ran which segment —
-/// see [`assemble_scan`].
+/// This is the probing kernel [`scan_jobs`] hands to the executor, public
+/// so a caller can time or partition a scan itself: concatenating the
+/// outcome vectors of contiguous segments in cycle order and merging
+/// their tallies reproduces `scan_with`'s result byte-for-byte regardless
+/// of which thread ran which segment — see [`assemble_scan`].
 pub fn scan_segment(
     net: &Internet,
     protocol: Protocol,
@@ -498,17 +497,6 @@ pub fn assemble_scan(
     }
 }
 
-/// Renders a worker-panic payload as text.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
-    }
-}
-
 /// Runs one protocol scan over the target list (semantic fast path).
 pub fn scan(
     net: &Internet,
@@ -520,15 +508,8 @@ pub fn scan(
     scan_with(net, protocol, targets, day, config, None)
 }
 
-/// [`scan`] with an optional telemetry registry attached.
-///
-/// With a registry, the scan records per-protocol counters
-/// (`scan.<proto>.probes_sent` / `.responses` / `.hits`) and per-worker
-/// chunk timings (`scan.worker.chunk_ms`). If the registry has a trace
-/// journal installed (see [`Registry::install_tracer`]), the scan also
-/// emits one `scan.<proto>` span covering the whole scan plus one
-/// `scan.worker` span per worker chunk. With `None` the only cost over
-/// the uninstrumented path is a handful of branches.
+/// [`scan`] with an optional telemetry registry attached: one
+/// [`ScanJob`] on a budget of `config.threads`.
 pub fn scan_with(
     net: &Internet,
     protocol: Protocol,
@@ -537,92 +518,110 @@ pub fn scan_with(
     config: &ScanConfig,
     telemetry: Option<&Registry>,
 ) -> ScanResult {
-    let n = targets.len() as u64;
-    let perm = CyclicPermutation::new(n, config.seed ^ u64::from(day.0));
-    let threads = config.threads.clamp(1, 32);
-    if threads != config.threads {
-        // The clamp used to be silent; a configured 0 or 200 ran with a
-        // different parallelism than asked and nothing recorded the fact.
-        if let Some(t) = telemetry {
-            t.counter("scan.config.threads_clamped").incr();
-        }
-    }
-    // Partition the permutation's raw group cycle instead of materializing
-    // the whole order (one u64 per target, five times a round): each worker
-    // jumps to its contiguous range of cycle positions (O(log start) setup,
-    // O(1) state) and walks it lazily. Concatenating the ranges in worker
-    // order reproduces the materialized order exactly, so outcomes stay
-    // byte-identical for any worker count.
-    let cycle = perm.cycle_len();
-    let per_worker = cycle.div_ceil(threads as u64).max(1);
-    let ranges: Vec<(u64, u64)> = (0..cycle)
-        .step_by(per_worker as usize)
-        .map(|start| (start, per_worker.min(cycle - start)))
-        .collect();
-    let chunk_hist = telemetry.map(|t| t.histogram("scan.worker.chunk_ms"));
-    // Resolved once per scan, not once per worker.
-    let tracer = telemetry.and_then(|t| t.tracer());
-    let _scan_span = tracer.as_ref().map(|j| {
-        j.span_with(
-            &format!("scan.{}", proto_metric_key(protocol)),
-            &[("day", day.0.to_string().as_str()), ("targets", n.to_string().as_str())],
-        )
-    });
+    let job = ScanJob { net, protocol, targets, day, config, telemetry };
+    let (mut results, _) = scan_jobs(config.threads, &[job]);
+    results.pop().expect("one result per job")
+}
 
-    let mut outcomes: Vec<ScanOutcome> = Vec::with_capacity(targets.len());
-    let mut tally = SegmentTally::default();
-    let run_chunk = |worker: usize, start: u64, len: u64| {
-        let _span = chunk_hist.as_ref().map(SpanTimer::start);
-        let _trace_span = tracer.as_ref().map(|j| {
+/// One protocol scan for [`scan_jobs`] to run: what [`scan_with`] takes.
+///
+/// With a registry, the scan records per-protocol counters
+/// (`scan.<proto>.probes_sent` / `.responses` / `.hits`) and per-segment
+/// timings (`scan.worker.chunk_ms`). If the registry has a trace journal
+/// installed (see [`Registry::install_tracer`]), the scan also emits one
+/// `scan.<proto>` span covering the whole call plus one `scan.worker`
+/// span per segment. With `None` the only cost over the uninstrumented
+/// path is a handful of branches.
+pub struct ScanJob<'a> {
+    /// The world to probe.
+    pub net: &'a Internet,
+    /// The protocol module.
+    pub protocol: Protocol,
+    /// The target list.
+    pub targets: &'a [Addr],
+    /// Simulation day of the scan.
+    pub day: Day,
+    /// Scanner settings; [`ScanConfig::threads`] is not read here — the
+    /// budget is [`scan_jobs`]' argument.
+    pub config: &'a ScanConfig,
+    /// Where the scan's metrics and spans go, if anywhere.
+    pub telemetry: Option<&'a Registry>,
+}
+
+/// The scan scheduler: runs every job on one budget of `threads` and
+/// returns one [`ScanResult`] per job, in job order.
+///
+/// Each job's permutation cycle is cut into `threads` contiguous ranges
+/// instead of materializing the whole order (one u64 per target): a
+/// range jumps to its first cycle position (O(log start) setup, O(1)
+/// state) and walks it lazily. Every range of every job goes to
+/// [`execute`] as one flat task list — where an idle job's workers drain
+/// a busy one's segments — and each job's outcomes are concatenated in
+/// cycle order through [`assemble_scan`], so results are byte-identical
+/// at any budget. A budget outside `1..=32` is clamped, and counted once
+/// per instrumented job in `scan.config.threads_clamped`.
+pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, ExecutorStats) {
+    let budget = clamp_threads(threads);
+    let mut tasks = Vec::new();
+    // Per job: how many segments it was cut into, and its whole-scan span.
+    let mut cuts = Vec::with_capacity(jobs.len());
+    for &ScanJob { net, protocol, targets, day, config, telemetry } in jobs {
+        let n = targets.len() as u64;
+        let perm = CyclicPermutation::new(n, config.seed ^ u64::from(day.0));
+        if budget != threads {
+            if let Some(t) = telemetry {
+                t.counter("scan.config.threads_clamped").incr();
+            }
+        }
+        // Resolved once per scan, not once per segment.
+        let chunk_hist = telemetry.map(|t| t.histogram("scan.worker.chunk_ms"));
+        let tracer = telemetry.and_then(|t| t.tracer());
+        let scan_span = tracer.as_ref().map(|j| {
             j.span_with(
-                "scan.worker",
-                &[("worker", worker.to_string().as_str()), ("chunk", len.to_string().as_str())],
+                &format!("scan.{}", proto_metric_key(protocol)),
+                &[("day", day.0.to_string().as_str()), ("targets", n.to_string().as_str())],
             )
         });
-        scan_segment(net, protocol, targets, day, config, &perm, start, len)
-    };
-    let results: Vec<(Vec<ScanOutcome>, SegmentTally)> = if let [(start, len)] = ranges[..] {
-        // One range (a thread budget of 1, or fewer targets than workers):
-        // the calling thread would only wait for the worker it spawned.
-        vec![run_chunk(0, start, len)]
-    } else {
-        let run_chunk = &run_chunk;
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .enumerate()
-                .map(|(worker, &(start, len))| {
-                    (worker, start, len, s.spawn(move |_| run_chunk(worker, start, len)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(worker, start, len, handle)| {
-                    handle.join().unwrap_or_else(|payload| {
-                        panic!(
-                            "scan worker {worker} ({protocol} day {}, cycle positions \
-                             {start}..{}, {len} of them) panicked: {}",
-                            day.0,
-                            start + len,
-                            panic_message(&*payload)
-                        )
-                    })
-                })
-                .collect()
-        })
-        .unwrap_or_else(|payload| {
-            panic!(
-                "scan scope ({protocol} day {}, {n} targets) panicked: {}",
-                day.0,
-                panic_message(&*payload)
-            )
-        })
-    };
-    for (r, segment_tally) in results {
-        outcomes.extend(r);
-        tally.merge(segment_tally);
+        let cycle = perm.cycle_len();
+        let per_segment = cycle.div_ceil(budget as u64).max(1);
+        let first = tasks.len();
+        for (worker, start) in (0..cycle).step_by(per_segment as usize).enumerate() {
+            let len = per_segment.min(cycle - start);
+            let (perm, chunk_hist, tracer) = (perm.clone(), chunk_hist.clone(), tracer.clone());
+            tasks.push(move || {
+                let _span = chunk_hist.as_ref().map(SpanTimer::start);
+                let _trace_span = tracer.as_ref().map(|j| {
+                    j.span_with(
+                        "scan.worker",
+                        &[
+                            ("worker", worker.to_string().as_str()),
+                            ("chunk", len.to_string().as_str()),
+                        ],
+                    )
+                });
+                scan_segment(net, protocol, targets, day, config, &perm, start, len)
+            });
+        }
+        cuts.push((tasks.len() - first, scan_span));
     }
-    assemble_scan(protocol, day, config, outcomes, tally, telemetry)
+    let (segment_results, stats) = execute(budget, tasks);
+    // Results come back in submission order, so each job's segments are
+    // contiguous and in cycle order.
+    let mut segment_results = segment_results.into_iter();
+    let results = jobs
+        .iter()
+        .zip(cuts)
+        .map(|(job, (segments, _scan_span))| {
+            let mut outcomes = Vec::with_capacity(job.targets.len());
+            let mut tally = SegmentTally::default();
+            for (segment_outcomes, segment_tally) in segment_results.by_ref().take(segments) {
+                outcomes.extend(segment_outcomes);
+                tally.merge(segment_tally);
+            }
+            assemble_scan(job.protocol, job.day, job.config, outcomes, tally, job.telemetry)
+        })
+        .collect();
+    (results, stats)
 }
 
 /// Runs the same scan through the byte-level wire path. Slower; used by

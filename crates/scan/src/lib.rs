@@ -11,6 +11,9 @@
 //!   polluted the hitlist).
 //! * [`yarrp`] — stateless randomized traceroute over the `(target, TTL)`
 //!   space, the service's router-harvesting input source.
+//! * [`executor`] — the one work-stealing task executor: scans, the
+//!   service's rounds, the vantage fleet's batches and alias detection
+//!   all submit to it.
 //! * [`permute`] / [`rate`] — the reusable mechanics.
 //! * [`pcap`] — libpcap traces of wire-mode runs (Wireshark-inspectable).
 //!
@@ -22,16 +25,18 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod executor;
 pub mod pcap;
 pub mod permute;
 pub mod rate;
 pub mod yarrp;
 
 pub use engine::{
-    assemble_scan, proto_metric_key, reassemble_replies, scan, scan_segment, scan_wire,
-    scan_wire_with, scan_with, Detail, ScanConfig, ScanConfigBuilder, ScanOutcome, ScanResult,
-    ScanStats, SegmentTally,
+    assemble_scan, proto_metric_key, reassemble_replies, scan, scan_jobs, scan_segment, scan_wire,
+    scan_wire_with, scan_with, Detail, ScanConfig, ScanConfigBuilder, ScanJob, ScanOutcome,
+    ScanResult, ScanStats, SegmentTally,
 };
+pub use executor::{execute, ExecutorStats};
 pub use pcap::{PcapReader, PcapWriter};
 pub use permute::{CyclicPermutation, PermutationSegment};
 pub use rate::{Limit, TokenBucket};

@@ -19,12 +19,11 @@
 //! and the serve frontend.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::json;
 use crate::series::{is_deterministic_metric, SeriesRound};
+use crate::sync::lock;
 
 /// Default bound on the event ring.
 pub const DEFAULT_FLIGHT_EVENTS: usize = 128;
@@ -161,7 +160,7 @@ impl FlightRecorder {
 
     /// Records one event into the ring.
     pub fn note(&self, key: u32, kind: &str, args: &[(&str, &str)]) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.events.len() == inner.max_events {
             inner.events.pop_front();
             inner.dropped_events += 1;
@@ -188,7 +187,7 @@ impl FlightRecorder {
                 .cloned()
                 .collect(),
         };
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.rounds.len() == inner.max_rounds {
             inner.rounds.pop_front();
         }
@@ -199,7 +198,7 @@ impl FlightRecorder {
     /// bound is reached (the incident is still counted, see
     /// [`FlightRecorder::dropped_captures`]).
     pub fn capture(&self, key: u32, reason: &str) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.captures.len() >= inner.max_captures {
             inner.dropped_captures += 1;
             return false;
@@ -219,22 +218,22 @@ impl FlightRecorder {
 
     /// Every retained capture, oldest first.
     pub fn captures(&self) -> Vec<FlightCapture> {
-        self.inner.lock().captures.clone()
+        lock(&self.inner).captures.clone()
     }
 
     /// Retained capture count.
     pub fn captures_len(&self) -> usize {
-        self.inner.lock().captures.len()
+        lock(&self.inner).captures.len()
     }
 
     /// Incidents that fired after the capture bound was reached.
     pub fn dropped_captures(&self) -> u64 {
-        self.inner.lock().dropped_captures
+        lock(&self.inner).dropped_captures
     }
 
     /// Events aged out of the ring so far.
     pub fn dropped_events(&self) -> u64 {
-        self.inner.lock().dropped_events
+        lock(&self.inner).dropped_events
     }
 
     /// Every retained capture as one deterministic JSON array.
@@ -254,7 +253,7 @@ impl FlightRecorder {
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         f.debug_struct("FlightRecorder")
             .field("events", &inner.events.len())
             .field("rounds", &inner.rounds.len())

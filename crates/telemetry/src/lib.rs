@@ -82,6 +82,7 @@ mod registry;
 mod report;
 mod series;
 mod slo;
+mod sync;
 mod trace;
 
 pub use anomaly::{flag_series, MadConfig, MadDetector, Verdict};

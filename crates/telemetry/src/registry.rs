@@ -2,12 +2,11 @@
 //! metric handles, cheap to clone and share across the whole pipeline.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock};
 
 use crate::json;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::sync::{read, write};
 use crate::trace::TraceJournal;
 
 #[derive(Default)]
@@ -45,26 +44,26 @@ impl Registry {
 
     /// Returns the counter named `name`, creating it at zero if absent.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = self.inner.counters.read().get(name) {
+        if let Some(c) = read(&self.inner.counters).get(name) {
             return c.clone();
         }
-        self.inner.counters.write().entry(name.to_string()).or_default().clone()
+        write(&self.inner.counters).entry(name.to_string()).or_default().clone()
     }
 
     /// Returns the gauge named `name`, creating it at zero if absent.
     pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = self.inner.gauges.read().get(name) {
+        if let Some(g) = read(&self.inner.gauges).get(name) {
             return g.clone();
         }
-        self.inner.gauges.write().entry(name.to_string()).or_default().clone()
+        write(&self.inner.gauges).entry(name.to_string()).or_default().clone()
     }
 
     /// Returns the histogram named `name`, creating it empty if absent.
     pub fn histogram(&self, name: &str) -> Histogram {
-        if let Some(h) = self.inner.histograms.read().get(name) {
+        if let Some(h) = read(&self.inner.histograms).get(name) {
             return h.clone();
         }
-        self.inner.histograms.write().entry(name.to_string()).or_default().clone()
+        write(&self.inner.histograms).entry(name.to_string()).or_default().clone()
     }
 
     /// Attaches an existing counter handle under `name`, so always-on
@@ -72,17 +71,17 @@ impl Registry {
     /// snapshots. Replaces any counter previously registered under the
     /// same name.
     pub fn register_counter(&self, name: &str, counter: &Counter) {
-        self.inner.counters.write().insert(name.to_string(), counter.clone());
+        write(&self.inner.counters).insert(name.to_string(), counter.clone());
     }
 
     /// Attaches an existing gauge handle under `name`.
     pub fn register_gauge(&self, name: &str, gauge: &Gauge) {
-        self.inner.gauges.write().insert(name.to_string(), gauge.clone());
+        write(&self.inner.gauges).insert(name.to_string(), gauge.clone());
     }
 
     /// Attaches an existing histogram handle under `name`.
     pub fn register_histogram(&self, name: &str, histogram: &Histogram) {
-        self.inner.histograms.write().insert(name.to_string(), histogram.clone());
+        write(&self.inner.histograms).insert(name.to_string(), histogram.clone());
     }
 
     /// Installs a trace journal: code paths that already hold this
@@ -90,30 +89,24 @@ impl Registry {
     /// plumbing (see [`Registry::tracer`]). Replaces a previously
     /// installed journal.
     pub fn install_tracer(&self, journal: &TraceJournal) {
-        *self.inner.tracer.write() = Some(journal.clone());
+        *write(&self.inner.tracer) = Some(journal.clone());
     }
 
     /// The installed trace journal, if any. Callers should resolve this
     /// once per scan/round (like metric handles), not per event.
     pub fn tracer(&self) -> Option<TraceJournal> {
-        self.inner.tracer.read().clone()
+        read(&self.inner.tracer).clone()
     }
 
     /// A point-in-time copy of every registered metric, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            counters: self
-                .inner
-                .counters
-                .read()
+            counters: read(&self.inner.counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: self.inner.gauges.read().iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-            histograms: self
-                .inner
-                .histograms
-                .read()
+            gauges: read(&self.inner.gauges).iter().map(|(k, v)| (k.clone(), v.get())).collect(),
+            histograms: read(&self.inner.histograms)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
@@ -124,9 +117,9 @@ impl Registry {
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registry")
-            .field("counters", &self.inner.counters.read().len())
-            .field("gauges", &self.inner.gauges.read().len())
-            .field("histograms", &self.inner.histograms.read().len())
+            .field("counters", &read(&self.inner.counters).len())
+            .field("gauges", &read(&self.inner.gauges).len())
+            .field("histograms", &read(&self.inner.histograms).len())
             .finish()
     }
 }

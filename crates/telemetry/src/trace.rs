@@ -30,12 +30,11 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use crate::json;
+use crate::sync::lock;
 
 /// Default journal capacity in events. A four-year paper-scale service
 /// run emits a few events per round per protocol — well under this.
@@ -129,7 +128,7 @@ impl TraceJournal {
     }
 
     fn push(&self, event: TraceEvent) {
-        let mut events = self.inner.events.lock();
+        let mut events = lock(&self.inner.events);
         if events.len() < self.inner.capacity {
             events.push(event);
         } else {
@@ -167,7 +166,7 @@ impl TraceJournal {
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.inner.events.lock().len()
+        lock(&self.inner.events).len()
     }
 
     /// Whether the journal holds no events.
@@ -182,7 +181,7 @@ impl TraceJournal {
 
     /// A copy of the retained events, in recording order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.events.lock().clone()
+        lock(&self.inner.events).clone()
     }
 
     /// Serializes the journal as a Chrome trace-event JSON document

@@ -12,8 +12,8 @@
 //! `(day, vantage)` events. Every vantage replays the historical scan
 //! cadence ([`events::scan_gap`]); vantages due on the same day form a
 //! *synchronized batch*: their rounds are prepared together, all their
-//! protocol scans are cut into permutation-cycle segments and executed
-//! on one work-stealing pool ([`crate::executor::execute`]), and their
+//! protocol scans run as one [`sixdust_scan::scan_jobs`] call — cut into
+//! permutation-cycle segments on one work-stealing budget — and their
 //! rounds complete in roster order. Segment outcomes are merged in
 //! cycle order, so every round artifact is byte-identical at any
 //! thread budget — with one vantage, identical to
@@ -26,19 +26,12 @@ use std::time::Instant;
 use sixdust_addr::{Addr, AddrSet};
 use sixdust_hitlist::{HitlistService, PreparedRound, ServiceConfig};
 use sixdust_net::{events, Day, FaultConfig, Internet, Protocol, Scale};
-use sixdust_scan::{
-    assemble_scan, scan_segment, CyclicPermutation, ScanOutcome, ScanResult, SegmentTally,
-};
+use sixdust_scan::{scan_jobs, ExecutorStats, ScanJob, ScanResult};
 use sixdust_telemetry::Registry;
 
-use crate::executor::{execute, ExecutorStats};
 use crate::report::VantageReport;
 use crate::spec::VantageSpec;
 use crate::state::FleetState;
-
-/// One work-stealing unit: a contiguous permutation-cycle segment of
-/// one vantage's protocol scan.
-type SegmentTask<'a> = Box<dyn FnOnce() -> (Vec<ScanOutcome>, SegmentTally) + Send + 'a>;
 
 /// Everything a fleet needs to exist: the world, the faults, the
 /// per-vantage service configuration, the roster, and a worker budget.
@@ -303,10 +296,9 @@ impl VantageFleet {
     }
 
     /// Runs one synchronized batch: prepare every due vantage's round,
-    /// fan all their protocol scans out as permutation segments on the
-    /// work-stealing pool, reassemble, complete in roster order, then
-    /// (if the whole fleet scanned) build the day's disagreement
-    /// report.
+    /// run all their protocol scans as one [`scan_jobs`] call, complete
+    /// in roster order, then (if the whole fleet scanned) build the
+    /// day's disagreement report.
     fn run_batch(&mut self, day: Day, batch: &[usize]) {
         // Stage 1: prepare (sources, alias detection, target selection).
         let mut prepared: Vec<PreparedRound> = Vec::with_capacity(batch.len());
@@ -315,92 +307,35 @@ impl VantageFleet {
             prepared.push(unit.svc.prepare_round(&unit.net, day));
         }
 
-        // Stage 2: cut every (vantage, protocol) scan into contiguous
-        // cycle segments. The segment size is the executor's even
-        // share; outcomes are concatenated in cycle order afterwards,
-        // so the cut is a scheduling decision, not a semantic one.
-        let threads = self.config.threads.clamp(1, 32);
-        struct Plan {
-            slot: usize,
-            proto: Protocol,
-            perm: CyclicPermutation,
-            ranges: Vec<(u64, u64)>,
-        }
-        let mut plans: Vec<Plan> = Vec::with_capacity(batch.len() * Protocol::ALL.len());
-        for (slot, &v) in batch.iter().enumerate() {
-            let cfg = &self.units[v].svc.config().scan;
-            let n = prepared[slot].targets.len() as u64;
-            for proto in Protocol::ALL {
-                let perm = CyclicPermutation::new(n, cfg.seed ^ u64::from(day.0));
-                let cycle = perm.cycle_len();
-                let per_seg = cycle.div_ceil(threads as u64).max(1);
-                let ranges: Vec<(u64, u64)> = (0..cycle)
-                    .step_by(per_seg as usize)
-                    .map(|start| (start, per_seg.min(cycle - start)))
-                    .collect();
-                plans.push(Plan { slot, proto, perm, ranges });
-            }
-        }
-
-        // Stage 3: one flat task list for the whole batch — this is
-        // where an idle vantage's workers drain a busy one's segments.
+        // Stage 2: every (vantage, protocol) scan of the batch on the
+        // fleet's one budget — this is where an idle vantage's workers
+        // drain a busy one's segments.
         let scan_started = Instant::now();
-        let units = &self.units;
-        let mut tasks: Vec<SegmentTask<'_>> = Vec::new();
-        for plan in &plans {
-            let v = batch[plan.slot];
-            let net = &units[v].net;
-            let cfg = &units[v].svc.config().scan;
-            let targets = &prepared[plan.slot].targets;
-            for &(start, len) in &plan.ranges {
-                let perm = &plan.perm;
-                let proto = plan.proto;
-                tasks.push(Box::new(move || {
-                    scan_segment(net, proto, targets, day, cfg, perm, start, len)
-                }));
-            }
-        }
-        let (segment_results, stats) = execute(threads, tasks);
+        let jobs: Vec<ScanJob<'_>> = batch
+            .iter()
+            .zip(&prepared)
+            .flat_map(|(&v, prep)| self.units[v].svc.round_jobs(&self.units[v].net, prep))
+            .collect();
+        let (results, stats) = scan_jobs(self.config.threads, &jobs);
         let scan_elapsed = scan_started.elapsed();
-        self.stats.merge(stats);
+        self.stats.executed += stats.executed;
+        self.stats.stolen += stats.stolen;
 
-        // Stage 4: reassemble per (vantage, protocol) in cycle order —
-        // segment results come back in submission order, so each plan's
-        // segments are contiguous.
-        let mut results_by_slot: Vec<Vec<ScanResult>> =
-            (0..batch.len()).map(|_| Vec::new()).collect();
-        let mut segments = segment_results.into_iter();
-        for plan in &plans {
-            let mut outcomes = Vec::new();
-            let mut tally = SegmentTally::default();
-            for _ in &plan.ranges {
-                let (mut segment_outcomes, segment_tally) =
-                    segments.next().expect("one result per submitted segment");
-                outcomes.append(&mut segment_outcomes);
-                tally.merge(segment_tally);
-            }
-            let v = batch[plan.slot];
-            let telemetry = if v == 0 { self.units[0].svc.telemetry() } else { None };
-            let cfg = &self.units[v].svc.config().scan;
-            results_by_slot[plan.slot]
-                .push(assemble_scan(plan.proto, day, cfg, outcomes, tally, telemetry));
-        }
-
-        // Stage 5: raw (pre-cleaning) responsive sets for the
-        // disagreement merge, then complete every round in roster
+        // Stage 3: per vantage, the raw (pre-cleaning) responsive set for
+        // the disagreement merge, then complete its round — in roster
         // order. The scan-phase histogram gets its one sample per round
-        // here, since stage 3 bypassed `scan_prepared`.
-        let raw_sets: Vec<AddrSet> =
-            results_by_slot.iter().map(|results| raw_hits(results)).collect();
-        for ((&v, prep), results) in
-            batch.iter().zip(prepared.into_iter()).zip(results_by_slot.into_iter())
-        {
+        // here, since stage 2 bypassed `scan_prepared`.
+        let mut results = results.into_iter();
+        let mut raw_sets: Vec<AddrSet> = Vec::with_capacity(batch.len());
+        for (&v, prep) in batch.iter().zip(prepared) {
+            let results: Vec<ScanResult> = results.by_ref().take(Protocol::ALL.len()).collect();
+            raw_sets.push(raw_hits(&results));
             let unit = &mut self.units[v];
             unit.svc.record_external_scan_phase(scan_elapsed);
             unit.svc.complete_round(&unit.net, prep, results);
         }
 
-        // Stage 6: cross-vantage merge + disagreement analysis, only
+        // Stage 4: cross-vantage merge + disagreement analysis, only
         // when the whole fleet scanned this day (a partially resumed
         // fleet skips the days it cannot compare).
         if batch.len() == self.units.len() {

@@ -14,13 +14,14 @@
 //! * **Scheduler** ([`VantageFleet`]): a min-heap of `(day, vantage)`
 //!   events replays the historical scan cadence per vantage; all
 //!   vantages due on the same day form one synchronized batch.
-//! * **Executor** ([`executor::execute`]): every protocol scan of a
-//!   batch is cut into lazy [`sixdust_scan::CyclicPermutation`] cycle
-//!   segments — no materialized permutations — and fanned out across a
-//!   work-stealing deque; idle workers steal segments from busy
-//!   siblings, so a slow vantage's scan is finished by the whole fleet.
-//!   Segment outcomes merge in cycle order, which keeps results
-//!   byte-identical no matter which worker ran which segment.
+//! * **Executor** ([`execute`], which lives in `sixdust-scan`): every
+//!   protocol scan of a batch is one [`sixdust_scan::ScanJob`], cut into
+//!   lazy [`sixdust_scan::CyclicPermutation`] cycle segments — no
+//!   materialized permutations — and fanned out across a work-stealing
+//!   deque; idle workers steal segments from busy siblings, so a slow
+//!   vantage's scan is finished by the whole fleet. Segment outcomes
+//!   merge in cycle order, which keeps results byte-identical no matter
+//!   which worker ran which segment.
 //! * **Disagreement analysis** ([`VantageReport`]): per synchronized
 //!   batch, the per-vantage responsive sets are merged with
 //!   [`sixdust_addr::AddrSet`] union/intersection kernels and every
@@ -32,14 +33,13 @@
 //! Everything is a pure function of the scale seed: same inputs, same
 //! fleet, same disagreements, at any worker count.
 
-mod executor;
 mod fleet;
 mod report;
 mod spec;
 mod state;
 
-pub use executor::{execute, ExecutorStats};
 pub use fleet::{FleetConfig, VantageFleet};
 pub use report::{AddrSample, AsDisagreement, DisagreementClass, VantageReport};
+pub use sixdust_scan::{execute, ExecutorStats};
 pub use spec::VantageSpec;
 pub use state::FleetState;

@@ -34,6 +34,7 @@ hitlist state::tests::capture_roundtrips_through_json
 hitlist state::tests::save_atomic_then_load_round_trips_and_leaves_no_temp
 hitlist state::tests::v2_checkpoint_loads_into_v3_state
 hitlist state::tests::version_gate
+hitlist tests::config_json_with_a_retired_key_still_parses
 hitlist tests::parallel_checkpoint_bytes_identical_to_sequential_at_any_thread_budget
 serve faults::tests::serde_defaults_round_trip
 serve fleet::tests::event_loop_ledger_is_byte_identical_to_synchronous

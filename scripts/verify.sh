@@ -46,6 +46,15 @@ if [ "$missing" != 0 ]; then
   exit 1
 fi
 
+echo "== grep gate: crossbeam, parking_lot, bytes and rand stay out of every manifest"
+# Threads and locks are std's, the wire crate never used `bytes`, and
+# `sixdust_addr::prf` is the project's RNG. benchmark/ keeps its own
+# stand-ins until the rest of the registry dependencies go.
+if grep -nE '^(crossbeam|parking_lot|bytes|rand)\b' Cargo.toml crates/*/Cargo.toml; then
+  echo "grep gate FAILED: a removed dependency is back in a Cargo.toml" >&2
+  exit 1
+fi
+
 echo "== unit tests, offline (benchmark workspace + rustc --test; needs no registry)"
 # Runs first among the cargo steps: it is the one that works where the
 # registry is unreachable, so a broken unit test shows even there.
