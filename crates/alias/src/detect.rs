@@ -19,7 +19,7 @@ use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr, Prefix, PrefixSet};
-use sixdust_net::{Day, Internet, ProbeKind, Response};
+use sixdust_net::{Day, Internet, ProbeKind, ProbeTally, Response};
 use sixdust_scan::execute;
 use sixdust_telemetry::{Registry, SpanTimer};
 
@@ -211,17 +211,25 @@ impl AliasDetector {
     }
 
     /// Probes one candidate: 16 pseudo-random addresses, one per nibble
-    /// sub-prefix, on ICMP and TCP/80. Returns per-protocol all-16 flags.
-    fn probe_prefix(net: &Internet, prefix: Prefix, day: Day, seed: u64) -> (bool, bool, u64) {
+    /// sub-prefix, each resolved once and probed on ICMP and TCP/80.
+    /// Returns per-protocol all-16 flags and the probes sent; what the
+    /// simulator counts goes to the caller's `tally`.
+    fn probe_prefix(
+        net: &Internet,
+        prefix: Prefix,
+        day: Day,
+        seed: u64,
+        tally: &mut ProbeTally,
+    ) -> (bool, bool, u64) {
         let mut icmp_all = true;
         let mut tcp_all = true;
         let mut probes = 0u64;
         for (i, sub) in prefix.nibble_subprefixes().enumerate() {
-            let target = sub.random_addr(prf::mix2(seed, i as u64));
+            let target = net.resolve(sub.random_addr(prf::mix2(seed, i as u64)), day);
             if icmp_all {
                 probes += 1;
                 let ok = net
-                    .probe(target, &ProbeKind::IcmpEcho { size: 8 }, day)
+                    .probe_resolved(&target, &ProbeKind::IcmpEcho { size: 8 }, 0, tally)
                     .iter()
                     .any(|r| matches!(r, Response::EchoReply { .. }));
                 icmp_all &= ok;
@@ -229,7 +237,7 @@ impl AliasDetector {
             if tcp_all {
                 probes += 1;
                 let ok = net
-                    .probe(target, &ProbeKind::TcpSyn { port: 80 }, day)
+                    .probe_resolved(&target, &ProbeKind::TcpSyn { port: 80 }, 0, tally)
                     .iter()
                     .any(|r| matches!(r, Response::SynAck { .. }));
                 tcp_all &= ok;
@@ -264,14 +272,19 @@ impl AliasDetector {
             .chunks(chunk)
             .map(|chunk_cands| {
                 move || {
-                    chunk_cands
+                    // One tally per chunk: its probes reach the shared
+                    // counters in one add when the task is done.
+                    let mut tally = ProbeTally::default();
+                    let labels = chunk_cands
                         .iter()
                         .map(|p| {
                             let ps = prf::mix2(seed, p.network().iid() ^ u64::from(p.len()));
-                            let (icmp, tcp, n) = Self::probe_prefix(net, *p, day, ps);
+                            let (icmp, tcp, n) = Self::probe_prefix(net, *p, day, ps, &mut tally);
                             (*p, icmp, tcp, n)
                         })
-                        .collect::<Vec<_>>()
+                        .collect::<Vec<_>>();
+                    net.counters().add(&tally);
+                    labels
                 }
             })
             .collect();
@@ -480,6 +493,36 @@ mod tests {
         assert_eq!(snap.counter("alias.probes"), Some(round.probes));
         assert_eq!(snap.counter("alias.detected"), Some(round.detected.len() as u64));
         assert_eq!(snap.histogram("alias.round_ms").unwrap().count, 1);
+    }
+
+    #[test]
+    fn a_round_counts_on_the_simulator_what_it_reports_at_any_budget() {
+        let day = Day(100);
+        let world = net();
+        // Aliased prefixes (all 32 probes sent) and server /64s (early
+        // exit after the first silent address).
+        let mut cands: Vec<Prefix> =
+            world.population().aliased_groups(day).map(|g| g.prefix).take(20).collect();
+        cands.extend(
+            world
+                .population()
+                .enumerate_responsive(day)
+                .iter()
+                .take(20)
+                .map(|(a, ..)| Prefix::new(*a, 64)),
+        );
+        let mut rounds = Vec::new();
+        for workers in [1usize, 3] {
+            let net = net();
+            let mut det = AliasDetector::new(DetectorConfig::default()).with_workers(workers);
+            let round = det.run_round(&net, &cands, day);
+            // Each chunk adds its tally once; after the round the shared
+            // counter is exact.
+            assert_eq!(net.counters().probes.get(), round.probes, "{workers} workers");
+            rounds.push((round.probes, round.detected));
+        }
+        assert_eq!(rounds[0], rounds[1]);
+        assert!(rounds[0].0 > 20 * 32, "{} probes", rounds[0].0);
     }
 
     #[test]

@@ -803,37 +803,35 @@ impl HitlistService {
         PreparedRound { day, targets, gfw_live, round_span }
     }
 
-    /// The five protocol scans of a prepared round as scheduler jobs, in
-    /// `Protocol::ALL` order — what [`HitlistService::scan_prepared`]
-    /// runs, for an executor that batches several services' rounds.
-    pub fn round_jobs<'a>(
-        &'a self,
-        net: &'a Internet,
-        prepared: &'a PreparedRound,
-    ) -> [ScanJob<'a>; 5] {
-        Protocol::ALL.map(|protocol| ScanJob {
+    /// The scans of a prepared round as one scheduler job: every target
+    /// probed on the five protocols, results in `Protocol::ALL` order —
+    /// what [`HitlistService::scan_prepared`] runs, for an executor that
+    /// batches several services' rounds.
+    pub fn round_job<'a>(&'a self, net: &'a Internet, prepared: &'a PreparedRound) -> ScanJob<'a> {
+        ScanJob {
             net,
-            protocol,
+            protocols: &Protocol::ALL,
             targets: &prepared.targets,
             day: prepared.day,
             config: &self.config.scan,
             telemetry: self.telemetry.as_ref(),
-        })
+        }
     }
 
     /// Round stage 3b: the five protocol scans over a prepared round's
-    /// targets, as one [`scan_jobs`] call on the round's thread budget
-    /// (a budget of 1 scans on the calling thread, one protocol after
-    /// the other). A scan is a pure function of (net, protocol, targets,
-    /// day, config), and the merge in [`HitlistService::complete_round`]
-    /// is strictly sequential in Protocol::ALL order: records, snapshots
-    /// and checkpoints come out byte-identical at any thread budget. The
-    /// returned results are in `Protocol::ALL` order, which is what
-    /// `complete_round` requires — external executors producing the same
-    /// ordered results by other partitions are interchangeable.
+    /// targets, as one [`scan_jobs`] call on the round's thread budget:
+    /// one walk of the targets, each resolved once and probed on all five
+    /// protocols (a budget of 1 walks on the calling thread). A scan is a
+    /// pure function of (net, protocol, targets, day, config), and the
+    /// merge in [`HitlistService::complete_round`] is strictly sequential
+    /// in Protocol::ALL order: records, snapshots and checkpoints come
+    /// out byte-identical at any thread budget. The returned results are
+    /// in `Protocol::ALL` order, which is what `complete_round` requires —
+    /// external executors producing the same ordered results by other
+    /// partitions are interchangeable.
     pub fn scan_prepared(&self, net: &Internet, prepared: &PreparedRound) -> Vec<ScanResult> {
         let scan_started = Instant::now();
-        let (results, _) = scan_jobs(self.config.scan.threads, &self.round_jobs(net, prepared));
+        let (results, _) = scan_jobs(self.config.scan.threads, &[self.round_job(net, prepared)]);
         self.record_phase("scan", scan_started.elapsed());
         results
     }

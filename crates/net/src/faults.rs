@@ -337,6 +337,7 @@ impl FaultConfig {
     /// burst channel state for the destination /64, and the per-protocol
     /// and per-AS overrides. Outages are handled separately (total
     /// silence, not a loss rate).
+    #[inline]
     pub fn loss_permille(
         &self,
         seed: u64,
@@ -350,11 +351,7 @@ impl FaultConfig {
             permille = permille.max(burst.drop_permille_on(seed, dst.0 >> 64, day));
         }
         if let Some(p) = proto {
-            for (proto, rate) in &self.proto_drop {
-                if *proto == p {
-                    permille = permille.max(*rate);
-                }
-            }
+            permille = permille.max(self.proto_drop_permille(p));
         }
         if let Some(asn) = origin_asn {
             for (o_asn, rate) in &self.as_drop {
@@ -364,6 +361,18 @@ impl FaultConfig {
             }
         }
         permille
+    }
+
+    /// The loss override (permille) configured for `proto`; zero without
+    /// one. The one term of [`FaultConfig::loss_permille`] that depends
+    /// on the protocol.
+    pub fn proto_drop_permille(&self, proto: Protocol) -> u32 {
+        self.proto_drop
+            .iter()
+            .filter(|(p, _)| *p == proto)
+            .map(|(_, rate)| *rate)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Whether any stochastic fault is configured (fast-path gate: a

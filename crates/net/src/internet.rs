@@ -2,7 +2,9 @@
 //! with a probe/response interface at two fidelity levels.
 //!
 //! * [`Internet::probe`] — the semantic fast path the bulk scanner uses
-//!   (hundreds of millions of probes across a four-year service run).
+//!   (hundreds of millions of probes across a four-year service run). It
+//!   is [`Internet::resolve`] followed by [`Internet::probe_resolved`]: a
+//!   caller that sends a target several probes resolves it once.
 //! * [`Internet::send_bytes`] — the wire path: real packet bytes in, real
 //!   packet bytes out, built on the same semantics. Integration tests
 //!   assert the two paths agree, so the fast path inherits the wire
@@ -12,6 +14,7 @@
 //! and the controlled-domain query log (what the validation experiment
 //! reads), both behind a `Mutex`.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -22,7 +25,7 @@ use sixdust_wire::icmpv6::Icmpv6;
 use sixdust_wire::quic::{QuicPacket, QUIC_V1};
 use sixdust_wire::tcp::{TcpOption, TcpSegment};
 use sixdust_wire::udp::UdpDatagram;
-use sixdust_wire::{Ipv6Header, Packet, Transport};
+use sixdust_wire::{Ipv6Header, Packet, Transport, IPV6_MIN_MTU};
 
 use crate::faults::{FaultConfig, OutageScope};
 use crate::fingerprint::{DnsBehavior, TcpFingerprint};
@@ -30,7 +33,7 @@ use crate::fleet::RouterPool;
 use crate::gfw::Gfw;
 use crate::population::{HostView, Population};
 use crate::proto::Protocol;
-use crate::registry::{AsId, AsRegistry};
+use crate::registry::{AsId, AsInfo, AsRegistry};
 use crate::scale::Scale;
 use crate::time::Day;
 use crate::zones::{DnsZones, CONTROLLED_DOMAIN};
@@ -148,6 +151,47 @@ impl Route<'_> {
     }
 }
 
+/// A destination on one day as far as it does not depend on the probe:
+/// what [`Internet::resolve`] works out once so that the probes of
+/// several protocols and retry attempts ([`Internet::probe_resolved`])
+/// share it.
+#[derive(Debug)]
+pub struct ResolvedTarget {
+    dst: Addr,
+    day: Day,
+    /// An outage window silences every protocol: the source vantage is
+    /// down, or the origin AS has withdrawn its routes.
+    path_down: bool,
+    /// The loss rate every protocol shares, in permille: the baseline,
+    /// the /64's burst state and the origin AS's override.
+    loss_permille: u32,
+    /// The loss draw of attempt 0, which each protocol holds against its
+    /// own rate. A retry's draw is made when the retry is sent.
+    first_draw: u32,
+    /// The BGP origin, matched at most once and only when something
+    /// asks: AS-scoped loss or outages, or a DNS probe during a GFW era.
+    origin: OnceCell<Option<AsId>>,
+    /// The host answering at `dst` on `day`, if any.
+    host: Option<HostView>,
+}
+
+/// What the end-to-end probes of one task counted. A scan worker keeps
+/// one beside its loop and adds it to the shared [`NetCounters`] once
+/// ([`NetCounters::add`]) instead of bumping an atomic per probe.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProbeTally {
+    /// Probes sent ([`NetCounters::probes`]).
+    probes: u64,
+    /// Probes silenced by loss or an outage window
+    /// ([`NetCounters::faults_dropped`]).
+    dropped: u64,
+    /// Responses delivered twice ([`NetCounters::faults_duplicated`]).
+    duplicated: u64,
+    /// DNS queries filtered on egress
+    /// ([`NetCounters::gfw_egress_filtered`]).
+    gfw_egress_filtered: u64,
+}
+
 /// Always-on traffic counters of one [`Internet`]. They count from the
 /// moment the simulator is built; attaching a registry (see
 /// [`Internet::with_telemetry`]) merely makes them visible in snapshots.
@@ -188,6 +232,21 @@ impl NetCounters {
         registry.register_counter("net.faults.rate_limited", &self.faults_rate_limited);
         registry.register_counter("net.hops.vantage_fallback", &self.hops_vantage_fallback);
         registry.register_counter("net.gfw.egress_filtered", &self.gfw_egress_filtered);
+    }
+
+    /// Adds what a task's probes counted. A count of zero touches
+    /// nothing, so a single probe costs the one atomic it always did.
+    pub fn add(&self, tally: &ProbeTally) {
+        for (counter, n) in [
+            (&self.probes, tally.probes),
+            (&self.faults_dropped, tally.dropped),
+            (&self.faults_duplicated, tally.duplicated),
+            (&self.gfw_egress_filtered, tally.gfw_egress_filtered),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
     }
 }
 
@@ -331,46 +390,57 @@ impl Internet {
         }
     }
 
-    /// Whether an outage window silences `dst` on `day` — the source
-    /// vantage is down (nothing answers), the probe's protocol is blacked
-    /// out, or the destination's origin AS has withdrawn its routes.
-    fn outage_silenced(&self, dst: Addr, proto: Protocol, day: Day) -> bool {
-        if self.faults.outages.is_empty() {
-            return false;
-        }
-        let source_asn = self.registry.get(self.source_vantage()).asn;
-        if self.faults.vantage_down_from(source_asn, day) {
-            return true;
-        }
-        if self.faults.proto_down(proto, day) {
-            return true;
-        }
-        if self.faults.outages.iter().any(|o| matches!(o.scope, OutageScope::Asn(_))) {
-            if let Some(asid) = self.registry.origin(dst) {
-                return self.faults.asn_down(self.registry.get(asid).asn, day);
-            }
-        }
-        false
+    /// The AS announcing `dst`, through a cell that holds the one BGP
+    /// match per destination.
+    fn origin_as(&self, dst: Addr, origin: &OnceCell<Option<AsId>>) -> Option<&AsInfo> {
+        origin.get_or_init(|| self.registry.origin(dst)).map(|id| self.registry.get(id))
     }
 
-    fn dropped(&self, dst: Addr, proto: Option<Protocol>, day: Day, salt: u64) -> bool {
-        if !self.faults.any_loss() {
-            return false;
-        }
+    /// The half of an outage check no protocol changes, for a config
+    /// that has outage windows: the source vantage is down (nothing
+    /// answers), or the destination's origin AS has withdrawn its routes.
+    fn path_down(&self, dst: Addr, day: Day, origin: &OnceCell<Option<AsId>>) -> bool {
+        let source_asn = self.registry.get(self.source_vantage()).asn;
+        self.faults.vantage_down_from(source_asn, day)
+            || (self.faults.outages.iter().any(|o| matches!(o.scope, OutageScope::Asn(_)))
+                && self.origin_as(dst, origin).is_some_and(|o| self.faults.asn_down(o.asn, day)))
+    }
+
+    /// The loss rate toward `dst` on `day` before any per-protocol
+    /// override.
+    fn shared_loss_permille(&self, dst: Addr, day: Day, origin: &OnceCell<Option<AsId>>) -> u32 {
         let origin_asn = if self.faults.as_drop.is_empty() {
             None
         } else {
-            self.registry.origin(dst).map(|id| self.registry.get(id).asn)
+            self.origin_as(dst, origin).map(|o| o.asn)
         };
-        let permille = self.faults.loss_permille(self.fault_seed(), dst, proto, origin_asn, day);
-        permille > 0
-            && prf::chance(
-                self.fault_seed() ^ salt,
-                dst.0,
-                0x10_55 ^ u64::from(day.0),
-                u64::from(permille),
-                1000,
-            )
+        self.faults.loss_permille(self.fault_seed(), dst, None, origin_asn, day)
+    }
+
+    /// The loss coin of one probe, in `0..1000`: the probe is lost when
+    /// it falls below the loss rate in permille.
+    #[inline]
+    fn loss_draw(&self, dst: Addr, day: Day, salt: u64) -> u32 {
+        (prf::prf_u128(self.fault_seed() ^ salt, dst.0, 0x10_55 ^ u64::from(day.0)) % 1000) as u32
+    }
+
+    /// Whether an outage window silences a hop-limited probe toward
+    /// `dst` on `day` — the path is down or the probe's protocol is
+    /// blacked out.
+    fn outage_silenced(&self, dst: Addr, proto: Protocol, day: Day) -> bool {
+        !self.faults.outages.is_empty()
+            && (self.path_down(dst, day, &OnceCell::new()) || self.faults.proto_down(proto, day))
+    }
+
+    /// Whether a hop-limited probe toward `dst` is lost.
+    fn dropped(&self, dst: Addr, proto: Protocol, day: Day, salt: u64) -> bool {
+        if !self.faults.any_loss() {
+            return false;
+        }
+        let permille = self
+            .shared_loss_permille(dst, day, &OnceCell::new())
+            .max(self.faults.proto_drop_permille(proto));
+        permille > 0 && self.loss_draw(dst, day, salt) < permille
     }
 
     /// Charges one ICMPv6 message against `entity`'s daily budget and
@@ -476,7 +546,7 @@ impl Internet {
             self.counters.faults_dropped.incr();
             return None;
         }
-        if self.dropped(dst, Some(probe_proto(kind)), day, u64::from(hop_limit)) {
+        if self.dropped(dst, probe_proto(kind), day, u64::from(hop_limit)) {
             self.counters.faults_dropped.incr();
             return None;
         }
@@ -513,6 +583,9 @@ impl Internet {
     /// retries actually mask loss (a retry loop replaying attempt 0 gets
     /// the identical coin and learns nothing). Attempt 0 reproduces the
     /// historical [`Internet::probe`] stream bit-for-bit.
+    ///
+    /// One [`Internet::resolve`], one [`Internet::probe_resolved`], and
+    /// the probe's counts added to [`Internet::counters`].
     pub fn probe_attempt(
         &self,
         dst: Addr,
@@ -520,49 +593,116 @@ impl Internet {
         day: Day,
         attempt: u8,
     ) -> Vec<Response> {
-        self.counters.probes.incr();
-        if self.outage_silenced(dst, probe_proto(kind), day) {
-            self.counters.faults_dropped.incr();
-            return Vec::new();
-        }
-        if self.dropped(dst, Some(probe_proto(kind)), day, attempt_salt(attempt)) {
-            self.counters.faults_dropped.incr();
-            return Vec::new();
-        }
+        let mut tally = ProbeTally::default();
+        let out = self.probe_resolved(&self.resolve(dst, day), kind, attempt, &mut tally);
+        self.counters.add(&tally);
+        out
+    }
 
-        // A vantage behind the firewall can't get blocked queries *out*:
-        // during an active era the GFW filters on egress too, so a
-        // CN-source scanner sees silence where an EU vantage sees
-        // injected answers — the disagreement the multi-vantage analysis
-        // classifies.
-        if let ProbeKind::Dns { qname } = kind {
-            if Gfw::is_blocked(qname)
-                && Gfw::era(day).is_some()
-                && self.registry.get(self.source_vantage()).behind_gfw()
-            {
-                self.counters.gfw_egress_filtered.incr();
-                return Vec::new();
-            }
-        }
-        let mut out = Vec::new();
-
-        // The firewall sits on-path and acts before delivery.
-        if let ProbeKind::Dns { qname } = kind {
-            if let Some(asid) = self.registry.origin(dst) {
-                if self.registry.get(asid).behind_gfw() {
-                    let query = DnsMessage::aaaa_query(0, qname);
-                    for resp in self.gfw.inject(dst, &query, day) {
-                        out.push(Response::Dns(resp));
-                    }
-                }
-            }
-        }
-
+    /// Resolves `dst` on `day` as far as no probe kind changes it: the
+    /// host behind the address (the one population lookup of the
+    /// end-to-end path), whether an outage takes the whole path down, and
+    /// the loss rate and first loss draw all protocols share. The BGP
+    /// origin is matched only if a fault scoped to an AS, or later a DNS
+    /// probe in a GFW era, asks for it.
+    ///
+    /// Inlined into its callers (as are `loss_draw` and
+    /// [`FaultConfig::loss_permille`] beneath it): built in place, the
+    /// resolution keeps a single probe of a dark address at the cost it
+    /// had before the probe was split.
+    #[inline]
+    pub fn resolve(&self, dst: Addr, day: Day) -> ResolvedTarget {
+        let origin = OnceCell::new();
+        let path_down = !self.faults.outages.is_empty() && self.path_down(dst, day, &origin);
+        let (loss_permille, first_draw) = if self.faults.any_loss() {
+            (
+                self.shared_loss_permille(dst, day, &origin),
+                self.loss_draw(dst, day, attempt_salt(0)),
+            )
+        } else {
+            (0, 0)
+        };
         let host = self.population.lookup(dst, day);
-        if let Some(host) = host {
-            if let Some(resp) = self.host_response(dst, &host, kind, day) {
-                out.push(resp);
+        ResolvedTarget { dst, day, path_down, loss_permille, first_draw, origin, host }
+    }
+
+    /// [`Internet::probe_attempt`] toward an already resolved target,
+    /// counting into the caller's `tally` (see [`NetCounters::add`])
+    /// instead of the shared counters. This is the one end-to-end probe
+    /// body: a scan resolves a target once and sends it every protocol's
+    /// probes and retries through here.
+    pub fn probe_resolved(
+        &self,
+        target: &ResolvedTarget,
+        kind: &ProbeKind,
+        attempt: u8,
+        tally: &mut ProbeTally,
+    ) -> Vec<Response> {
+        let (dst, day) = (target.dst, target.day);
+        let proto = probe_proto(kind);
+        tally.probes += 1;
+        let loss_permille = target.loss_permille.max(self.faults.proto_drop_permille(proto));
+        let lost = loss_permille > 0
+            && loss_permille
+                > match attempt {
+                    0 => target.first_draw,
+                    _ => self.loss_draw(dst, day, attempt_salt(attempt)),
+                };
+        if target.path_down || self.faults.proto_down(proto, day) || lost {
+            tally.dropped += 1;
+            return Vec::new();
+        }
+        // The name the firewall acts on: a blocked one, inside an era.
+        // Tested before anything is built: on a day without an era a
+        // query pays for neither the BGP match nor the message the
+        // injector would read.
+        let censored = match kind {
+            ProbeKind::Dns { qname } if Gfw::era(day).is_some() && Gfw::is_blocked(qname) => {
+                Some(qname.as_str())
             }
+            _ => None,
+        };
+        // Only a host or the firewall can answer.
+        if target.host.is_none() && censored.is_none() {
+            return Vec::new();
+        }
+        self.answers(target, kind, censored, attempt, tally)
+    }
+
+    /// What comes back for a probe that was neither silenced nor lost,
+    /// `censored` being the name the firewall acts on, if it does. Out
+    /// of line on purpose: nine probes in ten of a scan end before this,
+    /// and should not pay for the frame the answers need.
+    #[inline(never)]
+    fn answers(
+        &self,
+        target: &ResolvedTarget,
+        kind: &ProbeKind,
+        censored: Option<&str>,
+        attempt: u8,
+        tally: &mut ProbeTally,
+    ) -> Vec<Response> {
+        let (dst, day) = (target.dst, target.day);
+        let mut out = Vec::new();
+        if let Some(qname) = censored {
+            // A vantage behind the firewall can't get blocked queries
+            // *out*: during an active era the GFW filters on egress too,
+            // so a CN-source scanner sees silence where an EU vantage
+            // sees injected answers — the disagreement the multi-vantage
+            // analysis classifies.
+            if self.registry.get(self.source_vantage()).behind_gfw() {
+                tally.gfw_egress_filtered += 1;
+                return out;
+            }
+            // The firewall sits on-path and acts before delivery.
+            if self.origin_as(dst, &target.origin).is_some_and(AsInfo::behind_gfw) {
+                let query = DnsMessage::aaaa_query(0, qname);
+                out.extend(self.gfw.inject(dst, &query, day).into_iter().map(Response::Dns));
+            }
+        }
+
+        if let Some(host) = &target.host {
+            out.extend(self.host_response(dst, host, kind, day));
         }
 
         // In-flight duplication: the last response arrives twice.
@@ -577,7 +717,7 @@ impl Internet {
             )
         {
             out.push(out.last().expect("non-empty").clone());
-            self.counters.faults_duplicated.incr();
+            tally.duplicated += 1;
         }
         out
     }
@@ -594,8 +734,14 @@ impl Internet {
                 if !host.protos.contains(Protocol::Icmp) {
                     return None;
                 }
-                let mtu = lock(&self.pmtu).get(&host.backend_uid).copied().unwrap_or(DEFAULT_MTU);
-                Some(Response::EchoReply { fragmented: u32::from(*size) + 48 > mtu })
+                // Every cached MTU is held to `IPV6_MIN_MTU` or more when a
+                // Too Big is absorbed (below), so an echo that fits the
+                // minimum never fragments and never needs the cache.
+                let wire_len = u32::from(*size) + 48;
+                let fragmented = wire_len > IPV6_MIN_MTU
+                    && wire_len
+                        > lock(&self.pmtu).get(&host.backend_uid).copied().unwrap_or(DEFAULT_MTU);
+                Some(Response::EchoReply { fragmented })
             }
             ProbeKind::TooBig { mtu } => {
                 // Only hosts that answer pings process the error message.
@@ -607,8 +753,7 @@ impl Internet {
                         self.counters.faults_rate_limited.incr();
                         return None;
                     }
-                    lock(&self.pmtu)
-                        .insert(host.backend_uid, (*mtu).max(sixdust_wire::IPV6_MIN_MTU));
+                    lock(&self.pmtu).insert(host.backend_uid, (*mtu).max(IPV6_MIN_MTU));
                 }
                 None
             }
@@ -780,7 +925,7 @@ impl Internet {
         // Hop-limited probes expire on-path.
         let plen = self.path_len(dst);
         if pkt.ipv6.hop_limit < plen {
-            if self.dropped(dst, Some(probe_proto(&kind)), day, u64::from(pkt.ipv6.hop_limit)) {
+            if self.dropped(dst, probe_proto(&kind), day, u64::from(pkt.ipv6.hop_limit)) {
                 self.counters.faults_dropped.incr();
                 return Vec::new();
             }
@@ -1079,6 +1224,153 @@ mod tests {
             net.probe(b, &ProbeKind::IcmpEcho { size: 1300 }, day),
             vec![Response::EchoReply { fragmented: false }]
         );
+    }
+
+    #[test]
+    fn an_echo_within_the_minimum_mtu_never_reads_the_pmtu_cache() {
+        let net = net();
+        let day = Day(100);
+        let dst = find_host(&net, day, Protocol::Icmp);
+        let scan_echo = ProbeKind::IcmpEcho { size: 8 };
+        let whole = vec![Response::EchoReply { fragmented: false }];
+        assert_eq!(net.probe(dst, &scan_echo, day), whole);
+        // A Too Big is absorbed, and one advertising less than the IPv6
+        // minimum is held to the minimum: no cached MTU is below 1280.
+        net.probe(dst, &ProbeKind::TooBig { mtu: 1280 }, day);
+        net.probe(dst, &ProbeKind::TooBig { mtu: 600 }, day);
+        assert_eq!(net.probe(dst, &scan_echo, day), whole, "same answer after the Too Big");
+        // The boundary: 1232 + 48 bytes is the minimum MTU exactly.
+        assert_eq!(net.probe(dst, &ProbeKind::IcmpEcho { size: 1232 }, day), whole);
+        assert_eq!(
+            net.probe(dst, &ProbeKind::IcmpEcho { size: 1233 }, day),
+            vec![Response::EchoReply { fragmented: true }]
+        );
+    }
+
+    /// Every kind of probe a caller sends, the TBT's pair included.
+    fn every_probe_kind() -> Vec<ProbeKind> {
+        vec![
+            ProbeKind::IcmpEcho { size: 8 },
+            ProbeKind::IcmpEcho { size: 1300 },
+            ProbeKind::TooBig { mtu: 1280 },
+            ProbeKind::IcmpEcho { size: 1300 },
+            ProbeKind::TcpSyn { port: 80 },
+            ProbeKind::TcpSyn { port: 443 },
+            ProbeKind::TcpSyn { port: 8080 },
+            ProbeKind::Dns { qname: "www.google.com".into() },
+            ProbeKind::Dns { qname: "harmless.example".into() },
+            ProbeKind::Quic,
+        ]
+    }
+
+    /// Group members, aliased addresses, router interfaces, CPE devices,
+    /// dark space and dark space behind the firewall.
+    fn every_target_class(net: &Internet, day: Day) -> Vec<Addr> {
+        let (mut members, mut routers, mut cpe) = (Vec::new(), Vec::new(), Vec::new());
+        for (addr, ..) in net.population().enumerate_responsive(day) {
+            let view = net.population().lookup(addr, day).expect("enumerated as responsive");
+            let class = match (view.group, view.backend_uid >> 62) {
+                (Some(_), _) => &mut members,
+                (None, 1) => &mut routers,
+                (None, _) => &mut cpe,
+            };
+            class.push(addr);
+        }
+        let aliased: Vec<Addr> = net
+            .population()
+            .aliased_groups(day)
+            .take(20)
+            .flat_map(|g| [g.prefix.random_addr(1), g.prefix.random_addr(2)])
+            .collect();
+        let ct = net.registry().get(net.registry().by_asn(4134).unwrap());
+        let behind_firewall =
+            (0..10u128).map(|i| Addr(ct.prefixes[0].network().0 | (0xdead_0000 + i)));
+        let dark = (0..10u128).map(|i| Addr((0x3fff_u128 << 112) | i));
+        for (class, name) in
+            [(&members, "members"), (&routers, "routers"), (&cpe, "cpe"), (&aliased, "aliased")]
+        {
+            assert!(class.len() >= 10, "only {} {name} to probe", class.len());
+        }
+        let step = |class: &[Addr]| class.iter().copied().step_by(class.len() / 40 + 1).collect();
+        let sampled: [Vec<Addr>; 3] = [step(&members), step(&routers), step(&cpe)];
+        sampled.into_iter().flatten().chain(aliased).chain(behind_firewall).chain(dark).collect()
+    }
+
+    #[test]
+    fn resolve_then_probe_is_probe_attempt() {
+        // Loss from every source at once, so that a target's shared rate,
+        // its per-protocol override and its per-attempt draws all matter.
+        let era_day = crate::time::events::GFW_ERA3.0.plus(5);
+        // The AS whose routes the plan withdraws holds the first target.
+        let plain = net();
+        let first = every_target_class(&plain, Day(100))[0];
+        let withdrawn = plain.registry().get(plain.registry().origin(first).unwrap()).asn;
+        let faults = |day: Day| {
+            FaultConfig::builder()
+                .seed(7)
+                .drop_permille(200)
+                .burst(crate::faults::GilbertElliott {
+                    mean_good_days: 3,
+                    mean_bad_days: 3,
+                    good_drop_permille: 20,
+                    bad_drop_permille: 600,
+                })
+                .proto_drop(Protocol::Udp53, 450)
+                .as_drop(4134, 700)
+                .duplicate_permille(300)
+                .outage(crate::faults::Outage::protocol(Protocol::Udp443, day, day.plus(1)))
+                .outage(crate::faults::Outage::asn(withdrawn, day, day.plus(1)))
+                .build()
+        };
+        for (day, behind_firewall) in [(Day(100), false), (era_day, false), (era_day, true)] {
+            let world = || {
+                let mut net = Internet::build(Scale::tiny());
+                let cn = net.register_vantage(64_498, "cn vantage", "CN");
+                let net = net.with_faults(faults(day));
+                if behind_firewall {
+                    net.with_source_vantage(cn)
+                } else {
+                    net
+                }
+            };
+            let (one_by_one, resolved_once) = (world(), world());
+            let kinds = every_probe_kind();
+            let mut tally = ProbeTally::default();
+            let mut sent = 0u64;
+            for dst in every_target_class(&one_by_one, day) {
+                // One resolution serves every kind and every attempt.
+                let target = resolved_once.resolve(dst, day);
+                for kind in &kinds {
+                    for attempt in 0..3 {
+                        assert_eq!(
+                            resolved_once.probe_resolved(&target, kind, attempt, &mut tally),
+                            one_by_one.probe_attempt(dst, kind, day, attempt),
+                            "{dst} {kind:?} attempt {attempt} on day {}",
+                            day.0
+                        );
+                        sent += 1;
+                    }
+                }
+            }
+            // Nothing reaches the shared counters until the caller adds
+            // its tally; then they read as if every probe had counted.
+            let counted = |net: &Internet| {
+                let c = net.counters();
+                [&c.probes, &c.faults_dropped, &c.faults_duplicated, &c.gfw_egress_filtered]
+                    .map(Counter::get)
+            };
+            assert_eq!(counted(&resolved_once), [0; 4]);
+            resolved_once.counters().add(&tally);
+            assert_eq!(counted(&resolved_once), counted(&one_by_one));
+            let [probes, dropped, duplicated, egress_filtered] = counted(&one_by_one);
+            assert_eq!(probes, sent);
+            assert!(dropped > 0 && duplicated > 0, "{dropped} dropped, {duplicated} duplicated");
+            assert_eq!(
+                egress_filtered > 0,
+                behind_firewall,
+                "{egress_filtered} filtered on egress"
+            );
+        }
     }
 
     #[test]

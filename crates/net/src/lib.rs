@@ -48,7 +48,7 @@ pub mod zones;
 pub use faults::{
     FaultConfig, FaultConfigBuilder, GilbertElliott, IcmpRateLimit, Outage, OutageScope,
 };
-pub use internet::{Internet, NetCounters, ProbeKind, Response, Route};
+pub use internet::{Internet, NetCounters, ProbeKind, ProbeTally, ResolvedTarget, Response, Route};
 pub use population::{GroupId, GroupKind, HostView, Population, SubnetGroup};
 pub use proto::{ProtoSet, Protocol};
 pub use registry::{AsCategory, AsId, AsInfo, AsRegistry, BackendMode};

@@ -10,9 +10,11 @@
 //! hitlist's cleaning filter can act on them, exactly like the ZMap-output
 //! filter tool the authors published.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
-use sixdust_net::{Day, Internet, ProbeKind, Protocol, Response};
+use sixdust_net::{Day, Internet, ProbeKind, ProbeTally, Protocol, Response};
 use sixdust_telemetry::{Registry, SpanTimer};
 use sixdust_wire::dns::DnsMessage;
 use sixdust_wire::icmpv6::Icmpv6;
@@ -212,8 +214,11 @@ pub enum Detail {
     Echo,
     /// TCP SYN-ACK with fingerprint features.
     SynAck {
-        /// Order-preserving options string.
-        optionstext: String,
+        /// Order-preserving options string: borrowed from the simulator's
+        /// profile pool on the semantic path, owned when parsed off the
+        /// wire — the [`sixdust_net::fingerprint::TcpFingerprint`] field
+        /// as it is. Serializes as a plain string either way.
+        optionstext: Cow<'static, str>,
         /// Window size.
         window: u16,
         /// Window scale.
@@ -237,7 +242,7 @@ pub enum Detail {
 }
 
 /// Aggregate statistics of one scan.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScanStats {
     /// Probes sent.
     pub sent: u64,
@@ -325,7 +330,7 @@ pub fn classify(protocol: Protocol, responses: &[Response]) -> (bool, Detail) {
                     return (
                         true,
                         Detail::SynAck {
-                            optionstext: fp.optionstext.to_string(),
+                            optionstext: fp.optionstext.clone(),
                             window: fp.window,
                             wscale: fp.wscale,
                             mss: fp.mss,
@@ -341,20 +346,19 @@ pub fn classify(protocol: Protocol, responses: &[Response]) -> (bool, Detail) {
             }
         }
         Protocol::Udp53 => {
-            let dns: Vec<&DnsMessage> = responses
-                .iter()
-                .filter_map(|r| match r {
-                    Response::Dns(m) => Some(m),
-                    _ => None,
-                })
-                .collect();
-            if dns.is_empty() {
+            let (mut answers, mut injected) = (0usize, false);
+            for r in responses {
+                if let Response::Dns(m) = r {
+                    answers += 1;
+                    injected |= sixdust_net::gfw::looks_injected(m);
+                }
+            }
+            if answers == 0 {
                 (false, Detail::Silent)
             } else {
                 // ZMap semantics: any response is success. The injection
                 // marker is recorded for the post-scan cleaning filter.
-                let injected = dns.iter().any(|m| sixdust_net::gfw::looks_injected(m));
-                (true, Detail::Dns { responses: dns.len().min(255) as u8, injected })
+                (true, Detail::Dns { responses: answers.min(255) as u8, injected })
             }
         }
         Protocol::Udp443 => {
@@ -367,11 +371,11 @@ pub fn classify(protocol: Protocol, responses: &[Response]) -> (bool, Detail) {
     }
 }
 
-/// Per-segment probe accounting, merged into [`ScanStats`] once every
-/// segment of a scan has run. Every field is a sum, so merging segment
-/// tallies in any order yields the same totals — what lets a
-/// work-stealing executor hand segments to arbitrary workers without
-/// perturbing the assembled [`ScanResult`].
+/// Per-segment accounting of one protocol's probes, merged into
+/// [`ScanStats`] once every segment of a scan has run. Every field is a
+/// sum, so merging segment tallies in any order yields the same totals —
+/// what lets a work-stealing executor hand segments to arbitrary workers
+/// without perturbing the assembled [`ScanResult`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SegmentTally {
     /// Probe attempts actually emitted (the retry loop stops early).
@@ -385,6 +389,10 @@ pub struct SegmentTally {
     pub responders: u64,
     /// Accumulated exponential-backoff wait.
     pub backoff_ms: u64,
+    /// Targets whose outcome is anything but [`Detail::Silent`].
+    pub received: u64,
+    /// Targets classified responsive.
+    pub hits: u64,
 }
 
 impl SegmentTally {
@@ -395,17 +403,86 @@ impl SegmentTally {
         self.failed_of_responders += other.failed_of_responders;
         self.responders += other.responders;
         self.backoff_ms += other.backoff_ms;
+        self.received += other.received;
+        self.hits += other.hits;
     }
+}
+
+/// One protocol's share of a walked segment: its outcomes, in cycle
+/// order, and their tally.
+type Lane = (Vec<ScanOutcome>, SegmentTally);
+
+/// The one segment kernel: walks a contiguous range of `job`'s
+/// permutation cycle and returns one [`Lane`] per protocol of the job, in
+/// the job's protocol order.
+///
+/// A target is resolved once ([`Internet::resolve`]) and every
+/// protocol's retry loop, classification and outcome runs against that
+/// one resolution, so a round of five protocols pays one population
+/// lookup per target, not five. What the probes count on the simulator's
+/// side is kept beside the loop and added to the shared counters once,
+/// when the segment is done. Each lane's vector starts with room for
+/// `capacity` outcomes.
+fn walk_segment(
+    job: &ScanJob<'_>,
+    perm: &CyclicPermutation,
+    start: u64,
+    len: u64,
+    capacity: usize,
+) -> Vec<Lane> {
+    let &ScanJob { net, protocols, targets, day, config, .. } = job;
+    let probes: Vec<ProbeKind> =
+        protocols.iter().map(|p| probe_for(*p, &config.dns_qname)).collect();
+    let mut lanes: Vec<Lane> =
+        protocols.iter().map(|_| (Vec::with_capacity(capacity), SegmentTally::default())).collect();
+    let mut net_tally = ProbeTally::default();
+    for i in perm.segment(start, len) {
+        let target = targets[i as usize];
+        let resolved = net.resolve(target, day);
+        for ((&protocol, probe), (out, tally)) in protocols.iter().zip(&probes).zip(&mut lanes) {
+            let mut responses = Vec::new();
+            // The retry loop stops on the first response, so count the
+            // probes actually emitted instead of assuming `attempts` per
+            // target. Each attempt draws an independent loss coin, so
+            // retries mask transient loss rather than replaying it.
+            let mut failed_before_response = 0u64;
+            for attempt in 0..config.attempts.max(1) {
+                if attempt > 0 {
+                    tally.retries += 1;
+                    tally.backoff_ms += config
+                        .retry_backoff_ms
+                        .saturating_mul(1u64 << (u64::from(attempt) - 1).min(32));
+                }
+                tally.sent += 1;
+                responses = net.probe_resolved(&resolved, probe, attempt, &mut net_tally);
+                if !responses.is_empty() {
+                    break;
+                }
+                failed_before_response += 1;
+            }
+            if !responses.is_empty() {
+                tally.responders += 1;
+                tally.failed_of_responders += failed_before_response;
+            }
+            let (success, detail) = classify(protocol, &responses);
+            tally.received += u64::from(detail != Detail::Silent);
+            tally.hits += u64::from(success);
+            out.push(ScanOutcome { target, success, detail });
+        }
+    }
+    net.counters().add(&net_tally);
+    lanes
 }
 
 /// Probes one contiguous range of a scan's permutation cycle and returns
 /// the outcomes (in cycle order) plus the segment's tally.
 ///
-/// This is the probing kernel [`scan_jobs`] hands to the executor, public
-/// so a caller can time or partition a scan itself: concatenating the
-/// outcome vectors of contiguous segments in cycle order and merging
-/// their tallies reproduces `scan_with`'s result byte-for-byte regardless
-/// of which thread ran which segment — see [`assemble_scan`].
+/// The one-protocol case of the kernel [`scan_jobs`] hands to the
+/// executor, public so a caller can time or partition a scan itself:
+/// concatenating the outcome vectors of contiguous segments in cycle
+/// order and merging their tallies reproduces `scan_with`'s result
+/// byte-for-byte regardless of which thread ran which segment — see
+/// [`assemble_scan`].
 pub fn scan_segment(
     net: &Internet,
     protocol: Protocol,
@@ -416,39 +493,9 @@ pub fn scan_segment(
     start: u64,
     len: u64,
 ) -> (Vec<ScanOutcome>, SegmentTally) {
-    let probe = probe_for(protocol, &config.dns_qname);
-    let mut out = Vec::with_capacity(len.min(targets.len() as u64) as usize);
-    let mut tally = SegmentTally::default();
-    for i in perm.segment(start, len) {
-        let target = targets[i as usize];
-        let mut responses = Vec::new();
-        // The retry loop stops on the first response, so count the
-        // probes actually emitted instead of assuming `attempts` per
-        // target. Each attempt draws an independent loss coin, so
-        // retries mask transient loss rather than replaying it.
-        let mut failed_before_response = 0u64;
-        for attempt in 0..config.attempts.max(1) {
-            if attempt > 0 {
-                tally.retries += 1;
-                tally.backoff_ms += config
-                    .retry_backoff_ms
-                    .saturating_mul(1u64 << (u64::from(attempt) - 1).min(32));
-            }
-            tally.sent += 1;
-            responses = net.probe_attempt(target, &probe, day, attempt);
-            if !responses.is_empty() {
-                break;
-            }
-            failed_before_response += 1;
-        }
-        if !responses.is_empty() {
-            tally.responders += 1;
-            tally.failed_of_responders += failed_before_response;
-        }
-        let (success, detail) = classify(protocol, &responses);
-        out.push(ScanOutcome { target, success, detail });
-    }
-    (out, tally)
+    let job = ScanJob { net, protocols: &[protocol], targets, day, config, telemetry: None };
+    let capacity = len.min(targets.len() as u64) as usize;
+    walk_segment(&job, perm, start, len, capacity).pop().expect("one lane per protocol")
 }
 
 /// Assembles a [`ScanResult`] from merged segment outcomes and the
@@ -463,8 +510,6 @@ pub fn assemble_scan(
     tally: SegmentTally,
     telemetry: Option<&Registry>,
 ) -> ScanResult {
-    let received = outcomes.iter().filter(|o| !matches!(o.detail, Detail::Silent)).count() as u64;
-    let hits = outcomes.iter().filter(|o| o.success).count() as u64;
     let loss_samples = tally.failed_of_responders + tally.responders;
     let loss_estimate_permille = if loss_samples == 0 {
         0
@@ -474,8 +519,8 @@ pub fn assemble_scan(
     if let Some(reg) = telemetry {
         let key = proto_metric_key(protocol);
         reg.counter(&format!("scan.{key}.probes_sent")).add(tally.sent);
-        reg.counter(&format!("scan.{key}.responses")).add(received);
-        reg.counter(&format!("scan.{key}.hits")).add(hits);
+        reg.counter(&format!("scan.{key}.responses")).add(tally.received);
+        reg.counter(&format!("scan.{key}.hits")).add(tally.hits);
         reg.counter(&format!("scan.{key}.retries")).add(tally.retries);
         reg.gauge(&format!("scan.{key}.loss_estimate_permille"))
             .set(i64::from(loss_estimate_permille));
@@ -487,8 +532,8 @@ pub fn assemble_scan(
         outcomes,
         stats: ScanStats {
             sent: tally.sent,
-            received,
-            hits,
+            received: tally.received,
+            hits: tally.hits,
             duration_secs: tally.sent as f64 / config.rate_pps.max(1) as f64 + backoff_secs,
             retries: tally.retries,
             loss_estimate_permille,
@@ -509,7 +554,7 @@ pub fn scan(
 }
 
 /// [`scan`] with an optional telemetry registry attached: one
-/// [`ScanJob`] on a budget of `config.threads`.
+/// [`ScanJob`] of one protocol on a budget of `config.threads`.
 pub fn scan_with(
     net: &Internet,
     protocol: Protocol,
@@ -518,25 +563,30 @@ pub fn scan_with(
     config: &ScanConfig,
     telemetry: Option<&Registry>,
 ) -> ScanResult {
-    let job = ScanJob { net, protocol, targets, day, config, telemetry };
+    let job = ScanJob { net, protocols: &[protocol], targets, day, config, telemetry };
     let (mut results, _) = scan_jobs(config.threads, &[job]);
-    results.pop().expect("one result per job")
+    results.pop().expect("one result per protocol")
 }
 
-/// One protocol scan for [`scan_jobs`] to run: what [`scan_with`] takes.
+/// One walk of a target list for [`scan_jobs`] to run, probing every
+/// target on each of `protocols`: what [`scan_with`] takes, for one
+/// protocol or several.
 ///
-/// With a registry, the scan records per-protocol counters
-/// (`scan.<proto>.probes_sent` / `.responses` / `.hits`) and per-segment
-/// timings (`scan.worker.chunk_ms`). If the registry has a trace journal
-/// installed (see [`Registry::install_tracer`]), the scan also emits one
-/// `scan.<proto>` span covering the whole call plus one `scan.worker`
-/// span per segment. With `None` the only cost over the uninstrumented
-/// path is a handful of branches.
+/// With a registry, the job records per-protocol counters
+/// (`scan.<proto>.probes_sent` / `.responses` / `.hits` / `.retries`) and
+/// per-segment timings (`scan.worker.chunk_ms`). If the registry has a
+/// trace journal installed (see [`Registry::install_tracer`]), the job
+/// also emits one span covering the whole call, named for the protocols
+/// it walks (`scan.icmp` for one, `scan.icmp+tcp443+tcp80+udp443+udp53`
+/// for a service round), plus one `scan.worker` span per segment. With
+/// `None` the only cost over the uninstrumented path is a handful of
+/// branches.
+#[derive(Clone, Copy)]
 pub struct ScanJob<'a> {
     /// The world to probe.
     pub net: &'a Internet,
-    /// The protocol module.
-    pub protocol: Protocol,
+    /// The protocol modules, in the order their results come back.
+    pub protocols: &'a [Protocol],
     /// The target list.
     pub targets: &'a [Addr],
     /// Simulation day of the scan.
@@ -549,23 +599,30 @@ pub struct ScanJob<'a> {
 }
 
 /// The scan scheduler: runs every job on one budget of `threads` and
-/// returns one [`ScanResult`] per job, in job order.
+/// returns one [`ScanResult`] per (job, protocol), in job order and
+/// within a job in the order of [`ScanJob::protocols`].
 ///
 /// Each job's permutation cycle is cut into `threads` contiguous ranges
 /// instead of materializing the whole order (one u64 per target): a
 /// range jumps to its first cycle position (O(log start) setup, O(1)
-/// state) and walks it lazily. Every range of every job goes to
+/// state) and walks it lazily, every protocol of the job against one
+/// resolution of each target. Every range of every job goes to
 /// [`execute`] as one flat task list — where an idle job's workers drain
-/// a busy one's segments — and each job's outcomes are concatenated in
-/// cycle order through [`assemble_scan`], so results are byte-identical
-/// at any budget. A budget outside `1..=32` is clamped, and counted once
-/// per instrumented job in `scan.config.threads_clamped`.
+/// a busy one's segments — and each job's outcomes are put together in
+/// cycle order, so results are byte-identical at any budget. An outcome
+/// is written once: a job's first segment starts its vectors with room
+/// for the whole job and the result adopts them, later segments are
+/// appended (how many of a cycle range's indices fall inside the target
+/// list is not known up front), so at a budget of 1 nothing is copied. A
+/// budget outside `1..=32` is clamped, and counted once per instrumented
+/// job in `scan.config.threads_clamped`.
 pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, ExecutorStats) {
     let budget = clamp_threads(threads);
     let mut tasks = Vec::new();
     // Per job: how many segments it was cut into, and its whole-scan span.
     let mut cuts = Vec::with_capacity(jobs.len());
-    for &ScanJob { net, protocol, targets, day, config, telemetry } in jobs {
+    for &job in jobs {
+        let ScanJob { protocols, targets, day, config, telemetry, .. } = job;
         let n = targets.len() as u64;
         let perm = CyclicPermutation::new(n, config.seed ^ u64::from(day.0));
         if budget != threads {
@@ -573,12 +630,13 @@ pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, Exec
                 t.counter("scan.config.threads_clamped").incr();
             }
         }
-        // Resolved once per scan, not once per segment.
+        // Resolved once per job, not once per segment.
         let chunk_hist = telemetry.map(|t| t.histogram("scan.worker.chunk_ms"));
         let tracer = telemetry.and_then(|t| t.tracer());
         let scan_span = tracer.as_ref().map(|j| {
+            let keys: Vec<&str> = protocols.iter().map(|p| proto_metric_key(*p)).collect();
             j.span_with(
-                &format!("scan.{}", proto_metric_key(protocol)),
+                &format!("scan.{}", keys.join("+")),
                 &[("day", day.0.to_string().as_str()), ("targets", n.to_string().as_str())],
             )
         });
@@ -587,6 +645,8 @@ pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, Exec
         let first = tasks.len();
         for (worker, start) in (0..cycle).step_by(per_segment as usize).enumerate() {
             let len = per_segment.min(cycle - start);
+            // The first segment's vectors become the job's.
+            let capacity = if worker == 0 { n } else { len.min(n) } as usize;
             let (perm, chunk_hist, tracer) = (perm.clone(), chunk_hist.clone(), tracer.clone());
             tasks.push(move || {
                 let _span = chunk_hist.as_ref().map(SpanTimer::start);
@@ -599,7 +659,7 @@ pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, Exec
                         ],
                     )
                 });
-                scan_segment(net, protocol, targets, day, config, &perm, start, len)
+                walk_segment(&job, &perm, start, len, capacity)
             });
         }
         cuts.push((tasks.len() - first, scan_span));
@@ -608,19 +668,23 @@ pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, Exec
     // Results come back in submission order, so each job's segments are
     // contiguous and in cycle order.
     let mut segment_results = segment_results.into_iter();
-    let results = jobs
-        .iter()
-        .zip(cuts)
-        .map(|(job, (segments, _scan_span))| {
-            let mut outcomes = Vec::with_capacity(job.targets.len());
-            let mut tally = SegmentTally::default();
-            for (segment_outcomes, segment_tally) in segment_results.by_ref().take(segments) {
-                outcomes.extend(segment_outcomes);
-                tally.merge(segment_tally);
+    let mut results = Vec::new();
+    for (job, (segments, _scan_span)) in jobs.iter().zip(cuts) {
+        let mut segments = segment_results.by_ref().take(segments);
+        // An empty target list has an empty cycle and no segment at all.
+        let mut lanes = segments
+            .next()
+            .unwrap_or_else(|| job.protocols.iter().map(|_| Lane::default()).collect());
+        for later in segments {
+            for ((outcomes, tally), (more, more_tally)) in lanes.iter_mut().zip(later) {
+                outcomes.extend(more);
+                tally.merge(more_tally);
             }
-            assemble_scan(job.protocol, job.day, job.config, outcomes, tally, job.telemetry)
-        })
-        .collect();
+        }
+        results.extend(job.protocols.iter().zip(lanes).map(|(&protocol, (outcomes, tally))| {
+            assemble_scan(protocol, job.day, job.config, outcomes, tally, job.telemetry)
+        }));
+    }
     (results, stats)
 }
 

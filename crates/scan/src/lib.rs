@@ -324,6 +324,46 @@ mod tests {
     }
 
     #[test]
+    fn a_fused_job_records_per_protocol_counters_and_one_sample_per_segment() {
+        let net = net();
+        let day = Day(100);
+        let targets = responsive_targets(&net, day, Protocol::Icmp, 30);
+        let reg = sixdust_telemetry::Registry::new();
+        let journal = sixdust_telemetry::TraceJournal::new();
+        reg.install_tracer(&journal);
+        let config = ScanConfig::builder().attempts(2).build();
+        let job = ScanJob {
+            net: &net,
+            protocols: &Protocol::ALL,
+            targets: &targets,
+            day,
+            config: &config,
+            telemetry: Some(&reg),
+        };
+        let (results, stats) = scan_jobs(2, &[job]);
+        let snap = reg.snapshot();
+        for r in &results {
+            let key = proto_metric_key(r.protocol);
+            let counter = |measure: &str| snap.counter(&format!("scan.{key}.{measure}"));
+            assert_eq!(counter("probes_sent"), Some(r.stats.sent), "{key}");
+            assert_eq!(counter("responses"), Some(r.stats.received), "{key}");
+            assert_eq!(counter("hits"), Some(r.stats.hits), "{key}");
+            assert_eq!(counter("retries"), Some(r.stats.retries), "{key}");
+        }
+        // A segment walks all five protocols: two segments, two samples,
+        // two worker spans, under one span named for what the job walks.
+        assert_eq!(stats.executed, 2);
+        assert_eq!(snap.histogram("scan.worker.chunk_ms").unwrap().count, 2);
+        let spans = |name: &str| journal.events().iter().filter(|e| e.name == name).count();
+        assert_eq!(spans("scan.worker"), 2);
+        assert_eq!(spans("scan.icmp+tcp443+tcp80+udp443+udp53"), 1);
+        // The simulator's own count arrives once per segment and is exact
+        // once the scan has returned.
+        let sent: u64 = results.iter().map(|r| r.stats.sent).sum();
+        assert_eq!(net.counters().probes.get(), sent);
+    }
+
+    #[test]
     fn scan_outcomes_identical_across_thread_counts() {
         // The permutation is walked as lazily-segmented cycle ranges whose
         // concatenation is the materialized order — so the worker count
@@ -341,6 +381,130 @@ mod tests {
             assert_eq!(result.stats.received, base.stats.received, "{threads} threads");
             assert_eq!(result.stats.hits, base.stats.hits, "{threads} threads");
         }
+    }
+
+    #[test]
+    fn one_fused_job_equals_five_single_protocol_scans() {
+        use sixdust_net::{GilbertElliott, Outage};
+        // A plan that takes every per-protocol branch of the probe: base
+        // loss under a UDP/53 override, a burst channel, duplicates, a
+        // TCP/443 blackout and an AS outage, with retries and backoff.
+        let plain = net();
+        let era_day = events::GFW_ERA3.0.plus(5);
+        let config = ScanConfig::builder().attempts(3).retry_backoff_ms(10).seed(77).build();
+        let dtag = 3320;
+        assert!(plain.registry().by_asn(dtag).is_some());
+        let faults = |day: Day| {
+            FaultConfig::builder()
+                .seed(5)
+                .drop_permille(150)
+                .proto_drop(Protocol::Udp53, 400)
+                .duplicate_permille(200)
+                .burst(GilbertElliott {
+                    mean_good_days: 3,
+                    mean_bad_days: 3,
+                    good_drop_permille: 40,
+                    bad_drop_permille: 700,
+                })
+                .outage(Outage::protocol(Protocol::Tcp443, day, day.plus(1)))
+                .outage(Outage::asn(dtag, day, day.plus(1)))
+                .build()
+        };
+        // An ordinary day; an era day from the default vantage (the
+        // firewall injects) and from a vantage behind it (egress filter).
+        for (day, behind_firewall) in [(Day(100), false), (era_day, false), (era_day, true)] {
+            let world = || {
+                let mut net = Internet::build(Scale::tiny());
+                let cn = net.register_vantage(64_498, "cn vantage", "CN");
+                let net = net.with_faults(faults(day));
+                if behind_firewall {
+                    net.with_source_vantage(cn)
+                } else {
+                    net
+                }
+            };
+            // Hosts of every protocol mix, dark space, and dark space
+            // behind the firewall.
+            let ct = plain.registry().get(plain.registry().by_asn(4134).unwrap());
+            let mut targets: Vec<Addr> = plain
+                .population()
+                .enumerate_responsive(day)
+                .into_iter()
+                .map(|(a, ..)| a)
+                .step_by(5)
+                .take(600)
+                .collect();
+            targets.extend((0..60u128).map(|i| Addr((0x3fff_u128 << 112) | i)));
+            targets
+                .extend((0..60u128).map(|i| Addr(ct.prefixes[0].network().0 | (0xdead_0000 + i))));
+
+            let one_by_one = world();
+            let single = config.clone().with_threads(1);
+            let reference: Vec<ScanResult> = Protocol::ALL
+                .iter()
+                .map(|p| scan_with(&one_by_one, *p, &targets, day, &single, None))
+                .collect();
+            let counted = |net: &Internet| {
+                let c = net.counters();
+                [&c.probes, &c.faults_dropped, &c.faults_duplicated, &c.gfw_egress_filtered]
+                    .map(|counter| counter.get())
+            };
+            let sent: u64 = reference.iter().map(|r| r.stats.sent).sum();
+            assert_eq!(counted(&one_by_one)[0], sent, "net.probes is the probes the scans sent");
+
+            for budget in [1usize, 2, 4, 8] {
+                let fused_net = world();
+                let job = ScanJob {
+                    net: &fused_net,
+                    protocols: &Protocol::ALL,
+                    targets: &targets,
+                    day,
+                    config: &config,
+                    telemetry: None,
+                };
+                let (fused, _) = scan_jobs(budget, &[job]);
+                assert_eq!(fused.len(), reference.len());
+                for (f, r) in fused.iter().zip(&reference) {
+                    let at = format!("{} on day {} at budget {budget}", r.protocol, day.0);
+                    assert_eq!((f.protocol, f.day), (r.protocol, r.day), "{at}");
+                    assert_eq!(f.outcomes, r.outcomes, "{at}");
+                    assert_eq!(f.stats, r.stats, "{at}");
+                }
+                assert_eq!(counted(&fused_net), counted(&one_by_one), "budget {budget}");
+            }
+
+            // The plan bit where it was meant to.
+            let of = |p: Protocol| reference.iter().find(|r| r.protocol == p).unwrap();
+            assert_eq!(of(Protocol::Tcp443).stats.received, 0, "TCP/443 is blacked out");
+            assert!(of(Protocol::Icmp).stats.hits > 0);
+            assert!(reference.iter().all(|r| r.stats.retries > 0 && r.stats.backoff_secs > 0.0));
+            let [_, dropped, duplicated, egress_filtered] = counted(&one_by_one);
+            assert!(dropped > 0 && duplicated > 0, "{dropped} dropped, {duplicated} duplicated");
+            let injected = of(Protocol::Udp53)
+                .outcomes
+                .iter()
+                .filter(|o| matches!(o.detail, Detail::Dns { injected: true, .. }))
+                .count();
+            assert_eq!(injected > 0, day == era_day && !behind_firewall, "{injected} injected");
+            assert_eq!(egress_filtered > 0, behind_firewall, "{egress_filtered} egress-filtered");
+        }
+    }
+
+    #[test]
+    fn an_empty_target_list_still_yields_a_result_per_protocol() {
+        let net = net();
+        let job = ScanJob {
+            net: &net,
+            protocols: &Protocol::ALL,
+            targets: &[],
+            day: Day(100),
+            config: &ScanConfig::default(),
+            telemetry: None,
+        };
+        let (results, stats) = scan_jobs(4, &[job]);
+        assert_eq!(stats.executed, 0, "an empty cycle is cut into no segment");
+        assert_eq!(results.iter().map(|r| r.protocol).collect::<Vec<_>>(), Protocol::ALL);
+        assert!(results.iter().all(|r| r.outcomes.is_empty() && r.stats == ScanStats::default()));
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! The scheduler is a discrete-event loop over a min-heap of
 //! `(day, vantage)` events. Every vantage replays the historical scan
 //! cadence ([`events::scan_gap`]); vantages due on the same day form a
-//! *synchronized batch*: their rounds are prepared together, all their
-//! protocol scans run as one [`sixdust_scan::scan_jobs`] call — cut into
-//! permutation-cycle segments on one work-stealing budget — and their
-//! rounds complete in roster order. Segment outcomes are merged in
-//! cycle order, so every round artifact is byte-identical at any
-//! thread budget — with one vantage, identical to
+//! *synchronized batch*: their rounds are prepared together, their scans
+//! run as one [`sixdust_scan::scan_jobs`] call — one five-protocol job
+//! per vantage, cut into permutation-cycle segments on one work-stealing
+//! budget — and their rounds complete in roster order. Segment outcomes
+//! are merged in cycle order, so every round artifact is byte-identical
+//! at any thread budget — with one vantage, identical to
 //! [`HitlistService::run_with`] itself.
 
 use std::cmp::Reverse;
@@ -296,9 +296,9 @@ impl VantageFleet {
     }
 
     /// Runs one synchronized batch: prepare every due vantage's round,
-    /// run all their protocol scans as one [`scan_jobs`] call, complete
-    /// in roster order, then (if the whole fleet scanned) build the
-    /// day's disagreement report.
+    /// run their scans as one [`scan_jobs`] call (a job per vantage),
+    /// complete in roster order, then (if the whole fleet scanned) build
+    /// the day's disagreement report.
     fn run_batch(&mut self, day: Day, batch: &[usize]) {
         // Stage 1: prepare (sources, alias detection, target selection).
         let mut prepared: Vec<PreparedRound> = Vec::with_capacity(batch.len());
@@ -307,14 +307,14 @@ impl VantageFleet {
             prepared.push(unit.svc.prepare_round(&unit.net, day));
         }
 
-        // Stage 2: every (vantage, protocol) scan of the batch on the
+        // Stage 2: one five-protocol job per due vantage, all on the
         // fleet's one budget — this is where an idle vantage's workers
         // drain a busy one's segments.
         let scan_started = Instant::now();
         let jobs: Vec<ScanJob<'_>> = batch
             .iter()
             .zip(&prepared)
-            .flat_map(|(&v, prep)| self.units[v].svc.round_jobs(&self.units[v].net, prep))
+            .map(|(&v, prep)| self.units[v].svc.round_job(&self.units[v].net, prep))
             .collect();
         let (results, stats) = scan_jobs(self.config.threads, &jobs);
         let scan_elapsed = scan_started.elapsed();

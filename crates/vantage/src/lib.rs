@@ -15,8 +15,9 @@
 //!   events replays the historical scan cadence per vantage; all
 //!   vantages due on the same day form one synchronized batch.
 //! * **Executor** ([`execute`], which lives in `sixdust-scan`): every
-//!   protocol scan of a batch is one [`sixdust_scan::ScanJob`], cut into
-//!   lazy [`sixdust_scan::CyclicPermutation`] cycle segments — no
+//!   vantage round of a batch is one five-protocol
+//!   [`sixdust_scan::ScanJob`], cut into lazy
+//!   [`sixdust_scan::CyclicPermutation`] cycle segments — no
 //!   materialized permutations — and fanned out across a work-stealing
 //!   deque; idle workers steal segments from busy siblings, so a slow
 //!   vantage's scan is finished by the whole fleet. Segment outcomes

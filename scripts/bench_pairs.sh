@@ -1,0 +1,108 @@
+#!/usr/bin/env bash
+# The alternating-pairs protocol for claiming (or ruling out) a change in
+# a workload's throughput on a host that drifts.
+#
+#   scripts/bench_pairs.sh <parent-binary> <change-binary> <workload> [pairs=10] [seconds=6]
+#
+# Both arguments are prebuilt `sixdust-benchmark` binaries, one per
+# commit (cargo build --release --offline --manifest-path
+# benchmark/Cargo.toml, then copy benchmark/target/release/sixdust-benchmark
+# somewhere the next build will not overwrite). Every pair runs the
+# workload once on each side with tracing off, back to back, on a seed of
+# its own (SEED0, default 101, plus the pair's index); which side goes
+# first flips every pair, so neither always inherits the warmer or the
+# busier host. A pair is only counted if both runs are correct, nothing
+# failed and, the seed being the same, both print the same ledger.
+#
+# Printed: every pair, then per side the median and quartiles of
+# `ops_per_s` and `ops_per_s_median`, and the pairs the change won. The
+# rule this repository claims a gain by: the change ahead in at least nine
+# pairs of ten, and the medians further apart than the parent's own
+# quartiles are.
+set -euo pipefail
+
+if [ "$#" -lt 3 ]; then
+  sed -n '2,21p' "$0" >&2
+  exit 2
+fi
+parent=$1
+change=$2
+workload=$3
+pairs=${4:-10}
+seconds=${5:-6}
+seed0=${SEED0:-101}
+
+# run <binary> <seed>: one run; sets r_ops, r_med and r_ledger.
+run() {
+  local out json
+  if ! out=$("$1" --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0); then
+    echo "bench_pairs: $1 --workload $workload --seed $2 failed" >&2
+    exit 1
+  fi
+  json=$(tail -n 1 <<<"$out")
+  if ! grep -q '"correct":true' <<<"$json" || ! grep -q '"failed":0[,}]' <<<"$json"; then
+    echo "bench_pairs: $1 on seed $2 is not correct or has failures: $json" >&2
+    exit 1
+  fi
+  # `"ops_per_s":` cannot match inside `"ops_per_s_median":`: the quote closes the name.
+  r_ops=$(metric ops_per_s <<<"$json")
+  r_med=$(metric ops_per_s_median <<<"$json")
+  r_ledger=$(sed -n "s/^ledger $workload //p" <<<"$out")
+}
+
+metric() {
+  sed -E "s/.*\"$1\":\{\"value\":([-+0-9.eE]+).*/\1/"
+}
+
+# Quartiles of the numbers on standard input, by linear interpolation.
+quartiles() {
+  sort -g | awk '
+    { v[NR] = $1 }
+    function q(p,   h, lo) { h = (NR - 1) * p + 1; lo = int(h); return v[lo] + (h - lo) * (v[lo + (lo < NR)] - v[lo]) }
+    END { printf "median %.4g  q1 %.4g  q3 %.4g  (iqr %.3g, n %d)\n", q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25), NR }'
+}
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+won=0
+lost=0
+printf '%-5s %-6s %-6s %12s %12s %12s %12s\n' pair seed first parent change parent_med change_med
+for ((i = 0; i < pairs; i++)); do
+  seed=$((seed0 + i))
+  # Even pairs run the parent first, odd pairs the change.
+  sides=(parent change)
+  if ((i % 2 == 1)); then
+    sides=(change parent)
+  fi
+  for side in "${sides[@]}"; do
+    if [ "$side" = parent ]; then
+      run "$parent" "$seed"
+      p_ops=$r_ops p_med=$r_med p_ledger=$r_ledger
+    else
+      run "$change" "$seed"
+      c_ops=$r_ops c_med=$r_med c_ledger=$r_ledger
+    fi
+  done
+  if [ -z "$p_ledger" ] || [ "$p_ledger" != "$c_ledger" ]; then
+    echo "bench_pairs: seed $seed: ledgers differ (parent '$p_ledger', change '$c_ledger')" >&2
+    exit 1
+  fi
+  printf '%-5s %-6s %-6s %12.4f %12.4f %12.4f %12.4f\n' \
+    "$((i + 1))" "$seed" "${sides[0]}" "$p_ops" "$c_ops" "$p_med" "$c_med"
+  echo "$p_ops" >>"$tmp/parent.ops"
+  echo "$c_ops" >>"$tmp/change.ops"
+  echo "$p_med" >>"$tmp/parent.med"
+  echo "$c_med" >>"$tmp/change.med"
+  case $(awk -v p="$p_ops" -v c="$c_ops" 'BEGIN { print (c > p) ? "won" : (c < p) ? "lost" : "tie" }') in
+    won) won=$((won + 1)) ;;
+    lost) lost=$((lost + 1)) ;;
+  esac
+done
+
+echo
+echo "$workload, $pairs pairs of $seconds s, seeds $seed0..$((seed0 + pairs - 1)), every ledger equal:"
+for side in parent change; do
+  echo "  $side ops_per_s         $(quartiles <"$tmp/$side.ops")"
+  echo "  $side ops_per_s_median  $(quartiles <"$tmp/$side.med")"
+done
+echo "  change ahead on ops_per_s in $won of $pairs pairs, behind in $lost"
