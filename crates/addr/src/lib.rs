@@ -31,6 +31,9 @@
 //!   `Vec<Addr>`. The linear merge kernels (union/diff/intersect over
 //!   sorted slices) that used to be public as `sorted::*` are now
 //!   crate-private plumbing behind this type.
+//! * [`AddrHashSet`] / [`AddrHashMap`] — the std hash tables for mutable
+//!   address-keyed state, under a per-table-keyed hasher that spends one
+//!   [`prf::mix64`] on an address where SipHash spends several.
 //! * [`digest`] — the content digest of an item set (FNV-1a 64), one-shot
 //!   and streaming: the value `manifest.json` records and the serve layer
 //!   uses as ETag and delta frame.
@@ -46,6 +49,7 @@ mod addrset;
 pub mod classify;
 pub mod digest;
 mod eui64;
+mod hash;
 mod prefix;
 pub mod prf;
 mod set;
@@ -57,6 +61,7 @@ pub use addr::Addr;
 pub use addrset::{AddrSet, Iter as AddrSetIter};
 pub use classify::{classify_iid, IidBreakdown, IidClass};
 pub use eui64::{Eui64, OuiVendor, OUI_REGISTRY, ZTE_OUI};
+pub use hash::{AddrBuildHasher, AddrHashMap, AddrHashSet, AddrHasher};
 pub use prefix::{ParsePrefixError, Prefix, SubPrefixes};
 pub use set::PrefixSet;
 pub use trie::PrefixTrie;

@@ -2,7 +2,6 @@
 //! service run, one set of new-source evaluations — reused by every
 //! table/figure so `all` does the expensive work exactly once.
 
-use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -287,7 +286,7 @@ impl Ctx {
         let day = Day::PAPER_END;
         let scan_days = [day, day.plus(7), day.plus(14), day.plus(21)];
         let cfg = ScanConfig::default();
-        let known: &HashSet<Addr> = self.svc.input();
+        let known = self.svc.input();
         let seeds = self.tga_seeds();
         eprintln!("[ctx] evaluating new sources ({} TGA seeds)…", seeds.len());
 

@@ -5,10 +5,8 @@
 //! added, and the **30-day unresponsive filter**. Each is a small, testable
 //! unit; the service composes them.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
-use sixdust_addr::{Addr, Prefix, PrefixSet};
+use sixdust_addr::{Addr, AddrHashMap, AddrHashSet, Prefix, PrefixSet};
 use sixdust_net::Day;
 use sixdust_scan::{Detail, ScanResult};
 
@@ -64,7 +62,7 @@ impl Blocklist {
 /// or Teredo AAAA records), and remembers every address ever flagged.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GfwFilter {
-    impacted: std::collections::HashSet<Addr>,
+    impacted: AddrHashSet,
 }
 
 impl GfwFilter {
@@ -95,7 +93,7 @@ impl GfwFilter {
     }
 
     /// Every address ever seen with an injected response.
-    pub fn impacted(&self) -> &std::collections::HashSet<Addr> {
+    pub fn impacted(&self) -> &AddrHashSet {
         &self.impacted
     }
 }
@@ -112,9 +110,9 @@ impl GfwFilter {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UnresponsiveFilter {
     /// Day an address last answered any protocol (or entered the input).
-    last_seen: HashMap<Addr, Day>,
+    last_seen: AddrHashMap<Day>,
     /// Addresses permanently dropped.
-    dropped: std::collections::HashSet<Addr>,
+    dropped: AddrHashSet,
     /// The cutoff in days.
     pub window: u32,
     /// Half-open `[from, until)` day windows whose silence is forgiven.
@@ -126,8 +124,8 @@ pub struct UnresponsiveFilter {
 impl Default for UnresponsiveFilter {
     fn default() -> UnresponsiveFilter {
         UnresponsiveFilter {
-            last_seen: HashMap::new(),
-            dropped: Default::default(),
+            last_seen: AddrHashMap::default(),
+            dropped: AddrHashSet::default(),
             window: 30,
             quarantined: Vec::new(),
         }
@@ -233,7 +231,7 @@ impl UnresponsiveFilter {
     }
 
     /// The permanently dropped pool (Sec. 6's re-scan source).
-    pub fn dropped_pool(&self) -> &std::collections::HashSet<Addr> {
+    pub fn dropped_pool(&self) -> &AddrHashSet {
         &self.dropped
     }
 }

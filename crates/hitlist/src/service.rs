@@ -9,11 +9,10 @@
 //! **cleaned** view (the paper's retroactive correction) so Fig. 3 can be
 //! drawn from one run.
 
-use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-use sixdust_addr::{prf, Addr, AddrSet, PrefixSet};
+use sixdust_addr::{prf, Addr, AddrHashMap, AddrHashSet, AddrSet, PrefixSet};
 use sixdust_alias::{candidates, AliasDetector, DetectorConfig};
 use sixdust_net::{events, Day, Internet, ProbeKind, ProtoSet, Protocol, Response};
 use sixdust_scan::{proto_metric_key, scan_jobs, ScanConfig, ScanJob, ScanResult};
@@ -286,14 +285,14 @@ pub struct PreparedRound {
 pub struct HitlistService {
     config: ServiceConfig,
     telemetry: Option<Registry>,
-    input: HashSet<Addr>,
+    input: AddrHashSet,
     blocklist: Blocklist,
     unresp: UnresponsiveFilter,
     gfw: GfwFilter,
     detector: AliasDetector,
     aliased: PrefixSet,
     /// Cumulative per-address protocols (cleaned view).
-    cumulative: HashMap<Addr, ProtoSet>,
+    cumulative: AddrHashMap<ProtoSet>,
     /// Previous round's cleaned responsive set (churn baseline).
     prev_responsive: AddrSet,
     /// Every address ever seen cleaned-responsive.
@@ -337,12 +336,12 @@ impl HitlistService {
             detector: AliasDetector::new(config.detector.clone()).with_workers(config.scan.threads),
             config,
             telemetry: None,
-            input: HashSet::new(),
+            input: AddrHashSet::default(),
             blocklist: Blocklist::new(),
             unresp: UnresponsiveFilter::new(),
             gfw: GfwFilter::new(),
             aliased: PrefixSet::new(),
-            cumulative: HashMap::new(),
+            cumulative: AddrHashMap::default(),
             prev_responsive: AddrSet::new(),
             ever: AddrSet::new(),
             proto_seen: [false; 5],
@@ -494,7 +493,7 @@ impl HitlistService {
     }
 
     /// Accumulated input addresses.
-    pub fn input(&self) -> &HashSet<Addr> {
+    pub fn input(&self) -> &AddrHashSet {
         &self.input
     }
 
@@ -509,12 +508,12 @@ impl HitlistService {
     }
 
     /// GFW-impacted addresses recorded so far.
-    pub fn gfw_impacted(&self) -> &HashSet<Addr> {
+    pub fn gfw_impacted(&self) -> &AddrHashSet {
         self.gfw.impacted()
     }
 
     /// The 30-day-filtered pool (Sec. 6's re-scan source).
-    pub fn unresponsive_pool(&self) -> &HashSet<Addr> {
+    pub fn unresponsive_pool(&self) -> &AddrHashSet {
         self.unresp.dropped_pool()
     }
 
@@ -598,7 +597,7 @@ impl HitlistService {
 
     /// Addresses responsive at least once, with their cumulative protocol
     /// sets (cleaned view).
-    pub fn cumulative(&self) -> &HashMap<Addr, ProtoSet> {
+    pub fn cumulative(&self) -> &AddrHashMap<ProtoSet> {
         &self.cumulative
     }
 
@@ -673,9 +672,8 @@ impl HitlistService {
         let zone_due = self.last_zone_week != Some(week);
         self.last_zone_week = Some(week);
         let (input, unresp) = (&mut self.input, &mut self.unresp);
-        let (mut offered, mut new) = (0u64, 0u64);
-        sources::for_each_due(net, day, zone_due, |a| {
-            offered += 1;
+        let mut new = 0u64;
+        let offered = sources::for_each_due(net, day, zone_due, |a| {
             if input.insert(a) {
                 unresp.register(a, day);
                 new += 1;
@@ -705,10 +703,18 @@ impl HitlistService {
                 }
             }
         }
-        for hop in discovered {
+        // The input's other way in: with `service.ingest.new`, these add
+        // up to its growth.
+        let mut new = 0u64;
+        for &hop in &discovered {
             if self.input.insert(hop) {
                 self.unresp.register(hop, day);
+                new += 1;
             }
+        }
+        if let Some(t) = &self.telemetry {
+            t.counter("service.traceroute.offered").add(discovered.len() as u64);
+            t.counter("service.traceroute.new").add(new);
         }
     }
 
@@ -1148,7 +1154,7 @@ impl HitlistService {
 /// and with `stride == 1` returned the identical set every single week.
 /// Ties break by address, so the result is deterministic at any HashSet
 /// iteration order.
-fn traceroute_sample(input: &HashSet<Addr>, cap: usize, week: u64) -> Vec<Addr> {
+fn traceroute_sample(input: &AddrHashSet, cap: usize, week: u64) -> Vec<Addr> {
     let stride = (input.len() / cap.max(1)).max(1) as u64;
     let mut ranked: Vec<(u64, Addr)> = input
         .iter()
@@ -1164,6 +1170,8 @@ fn traceroute_sample(input: &HashSet<Addr>, cap: usize, week: u64) -> Vec<Addr> 
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use sixdust_net::{FaultConfig, Internet, Scale};
 
@@ -1174,7 +1182,7 @@ mod tests {
         // sorted-by-address list at the cap returned the identical
         // lowest-`cap` set every single week.
         let cap = 100;
-        let input: HashSet<Addr> =
+        let input: AddrHashSet =
             (0..150u128).map(|i| Addr((0x2001u128 << 112) | (i << 82) | 7)).collect();
         let mut all: Vec<Addr> = input.iter().copied().collect();
         all.sort_unstable();
@@ -1199,7 +1207,7 @@ mod tests {
             AddrSet::from_sorted_addrs(&w0).intersect_count(&AddrSet::from_sorted_addrs(&w1));
         assert!(overlap < cap, "rotation changes membership beyond the cap boundary");
         // Small inputs are untouched: everything under the cap is traced.
-        let tiny: HashSet<Addr> = all.iter().take(10).copied().collect();
+        let tiny: AddrHashSet = all.iter().take(10).copied().collect();
         let mut traced = traceroute_sample(&tiny, cap, 3);
         traced.sort_unstable();
         assert_eq!(traced, all[..10].to_vec());
@@ -1315,7 +1323,7 @@ mod tests {
                 let mut streamed =
                     HitlistService::new(cfg.clone()).with_telemetry(registry.clone());
                 let mut eager = HitlistService::new(cfg);
-                let (mut offered_before, mut new_before) = (0, 0);
+                let (mut offered_before, mut new_before, mut traced_before) = (0, 0, 0);
                 for day in (window.start.0..window.end.0).map(Day) {
                     let input_before = streamed.input().len();
                     assert_eq!(
@@ -1351,6 +1359,16 @@ mod tests {
                         svc.complete_round(&net, prepared, results);
                     }
                     assert_eq!(streamed.rounds(), eager.rounds(), "records through {day:?}");
+                    // Ingestion and traceroute are the input's only ways
+                    // in: their `new` counters add up to its growth.
+                    let snap = registry.snapshot();
+                    let hops = snap.counter("service.traceroute.offered").unwrap();
+                    let traced_so_far = snap.counter("service.traceroute.new").unwrap();
+                    assert!(hops >= traced_so_far, "{day:?}: {traced_so_far} new of {hops} hops");
+                    let traced = traced_so_far - traced_before;
+                    traced_before = traced_so_far;
+                    let grown = streamed.rounds().last().unwrap().input_total - input_before;
+                    assert_eq!(grown as u64, new + traced, "input growth on {day:?}");
                     assert_eq!(streamed.input(), eager.input(), "input after round {day:?}");
                     assert_eq!(active_clocks(&streamed), active_clocks(&eager), "swept, {day:?}");
                 }
@@ -1385,12 +1403,29 @@ mod tests {
         );
 
         // What restoring the week prevents.
-        let mut forgetful = HitlistService::from_state(cfg, &checkpoint);
+        let mut forgetful = HitlistService::from_state(cfg.clone(), &checkpoint);
         forgetful.last_zone_week = None;
         forgetful.run_round(&net, Day(9));
         assert!(
             forgetful.input().len() > uninterrupted.input().len(),
             "a second walk in the same week ingests a slot the uninterrupted run never saw"
+        );
+
+        // The zone index `net` has built by now is a cache, not resume
+        // state: a simulator that has never walked its zone resumes alike,
+        // through the day-14 walk that makes it build its own.
+        let fresh = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
+        let mut elsewhere = HitlistService::from_state(cfg, &checkpoint);
+        for day in (9..=14).map(Day) {
+            elsewhere.run_round(&fresh, day);
+        }
+        for day in (10..=14).map(Day) {
+            uninterrupted.run_round(&net, day);
+        }
+        assert_eq!(
+            crate::ServiceState::capture(&elsewhere),
+            crate::ServiceState::capture(&uninterrupted),
+            "resumed mid-week against a freshly built Internet"
         );
     }
 
@@ -1401,7 +1436,7 @@ mod tests {
         // different targets, so the discovered hop interfaces differ too.
         let net = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
         let cfg = ServiceConfig::builder().traceroute_cap(40).alias_every_days(10_000).build();
-        let input: HashSet<Addr> =
+        let input: AddrHashSet =
             (0..80u128).map(|i| Addr((0x2001u128 << 112) | (i << 82) | 7)).collect();
         let mut week_a = HitlistService::new(cfg.clone());
         week_a.input = input.clone();

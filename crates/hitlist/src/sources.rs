@@ -21,9 +21,12 @@
 //! answers move faster than that (cloud load balancers rotate on
 //! `day / 4`, narrow prefixes on `day / 7`, see `DnsZones::resolve`), so
 //! which rotation slots the input accumulates depends on the days the
-//! service walks the zone, and the caller decides when a walk is due. The
-//! per-source functions below return one source's candidates on their own
-//! (bias analysis, tests).
+//! service walks the zone, and the caller decides when a walk is due. A
+//! walk goes through the simulator's index of the zone's distinct answers
+//! and costs per answer, not per domain. The per-source functions below
+//! return one source's candidates on their own, one per domain for the
+//! zone-backed two (bias analysis, and the eager reference the streamed
+//! ingestion is tested against).
 
 use sixdust_addr::{prf, Addr};
 use sixdust_net::{events, Day, Internet};
@@ -131,25 +134,35 @@ pub fn passive_visible(net: &Internet, day: Day) -> Vec<Addr> {
     net.population().dense_visible(day)
 }
 
-/// Streams every candidate that is due on `day` into `sink`, duplicates
-/// included: the zone's AAAA answers when `zone_due` (the CT-log slice is
-/// among them), the RIPE-Atlas view, the public dense sample, and — from
-/// one walk of the live population — the weekly drip plus, on their days,
-/// the launch and rDNS imports.
-pub fn for_each_due(net: &Internet, day: Day, zone_due: bool, mut sink: impl FnMut(Addr)) {
+/// Streams every candidate that is due on `day` into `sink` and returns
+/// how many that was: the zone's AAAA answers when `zone_due` (the CT-log
+/// slice is among them), the RIPE-Atlas view, the public dense sample, and
+/// — from one walk of the live population — the weekly drip plus, on their
+/// days, the launch and rDNS imports. Duplicates included, except the
+/// zone's: a walk counts one candidate per domain, as [`domains_aaaa`]
+/// would offer, and hands `sink` each distinct answer once
+/// ([`Internet::for_each_zone_answer`]).
+pub fn for_each_due(net: &Internet, day: Day, zone_due: bool, mut sink: impl FnMut(Addr)) -> u64 {
+    let mut offered = 0;
     if zone_due {
-        zone_answers(net, day, 1).for_each(&mut sink);
+        net.for_each_zone_answer(day, &mut sink);
+        offered += net.zones().total_domains();
     }
-    atlas_addrs(net, day).for_each(&mut sink);
-    passive_visible(net, day).into_iter().for_each(&mut sink);
+    let mut counted = |a| {
+        offered += 1;
+        sink(a);
+    };
+    atlas_addrs(net, day).for_each(&mut counted);
+    passive_visible(net, day).into_iter().for_each(&mut counted);
     let rdns = day == events::RDNS_IMPORT;
     let launch = day == Day(0);
     sample_population(
         net,
         day,
         |a| drip_picks(a, day) || (launch && launch_picks(a)) || (rdns && rdns_picks(a)),
-        sink,
+        counted,
     );
+    offered
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use sixdust_addr::{prf, Addr};
 use sixdust_telemetry::{Counter, Registry};
@@ -36,7 +36,7 @@ use crate::proto::Protocol;
 use crate::registry::{AsId, AsInfo, AsRegistry};
 use crate::scale::Scale;
 use crate::time::Day;
-use crate::zones::{DnsZones, CONTROLLED_DOMAIN};
+use crate::zones::{DnsZones, ZoneIndex, CONTROLLED_DOMAIN};
 
 /// Default path MTU when no Packet Too Big message has been absorbed.
 pub const DEFAULT_MTU: u32 = 1500;
@@ -112,6 +112,10 @@ pub struct Internet {
     registry: AsRegistry,
     population: Population,
     zones: DnsZones,
+    /// The zone's distinct answers, built by the first zone walk and not
+    /// by [`Internet::build`]; a cache of `zones` over `population`,
+    /// never state.
+    zone_index: OnceLock<ZoneIndex>,
     gfw: Gfw,
     faults: FaultConfig,
     pmtu: Mutex<HashMap<u64, u32>>,
@@ -277,6 +281,7 @@ impl Internet {
             registry,
             population,
             zones,
+            zone_index: OnceLock::new(),
             faults: FaultConfig::default_loss(),
             pmtu: Mutex::new(HashMap::new()),
             icmp_budget: Mutex::new(HashMap::new()),
@@ -355,6 +360,16 @@ impl Internet {
     /// The DNS namespace.
     pub fn zones(&self) -> &DnsZones {
         &self.zones
+    }
+
+    /// Feeds `sink` the zone's AAAA answers on `day`, each distinct
+    /// address at least once and in no particular order: what
+    /// [`DnsZones::resolve`] returns over every domain, without a call per
+    /// domain. The first walk indexes the zone (one pass over the domains);
+    /// every later one costs in proportion to the distinct answers.
+    pub fn for_each_zone_answer(&self, day: Day, sink: impl FnMut(Addr)) {
+        let index = self.zone_index.get_or_init(|| self.zones.index(&self.population));
+        self.zones.walk(&self.population, index, day, sink);
     }
 
     /// Resets mutable state (PMTU caches, ICMPv6 rate budgets, NS query

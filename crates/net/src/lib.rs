@@ -27,7 +27,10 @@
 //!
 //! Everything is a pure function of [`scale::Scale::seed`]; the only
 //! mutable state is PMTU caches (poked by the Too Big Trick), ICMPv6
-//! rate-limiter budgets, and the controlled-domain query log.
+//! rate-limiter budgets, and the controlled-domain query log. (The index
+//! of the zone's distinct answers that the first
+//! [`Internet::for_each_zone_answer`] builds is a cache of that pure
+//! function, not state.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -57,6 +57,28 @@ pub struct DnsZones {
     seed: u64,
 }
 
+/// Which host a resolution key names, before the day is known.
+#[derive(Debug, Clone, Copy)]
+enum Pick {
+    /// Member `member` of a server group: the same address every day.
+    Member { group: u32, member: u64 },
+    /// Slot `slot` of an alias group's static answer pool of eight.
+    Pooled { group: u32, slot: u8 },
+    /// An alias group's one current answer, replaced every `period` days.
+    Rotating { group: u32, period: u32 },
+}
+
+/// The zone's distinct AAAA answers: what one walk over every domain
+/// resolves to, without the repeats. Holds no day — a walk materialises
+/// the rotating pools for the day it is asked about.
+#[derive(Debug)]
+pub(crate) struct ZoneIndex {
+    /// Every answer that is the same on every day, ascending.
+    fixed: Vec<Addr>,
+    /// The `(group, period)` of every pool whose answer moves, ascending.
+    rotating: Vec<(u32, u32)>,
+}
+
 impl DnsZones {
     /// Builds the namespace from the registry and population.
     pub fn build(registry: &AsRegistry, population: &Population) -> DnsZones {
@@ -142,6 +164,63 @@ impl DnsZones {
         &self.entries[i]
     }
 
+    /// The day-free half of an answer: which host `key` names under
+    /// `entry`.
+    fn pick(&self, entry: &HostingEntry, population: &Population, key: u64) -> Pick {
+        if !entry.alias_groups.is_empty() {
+            // Head-heavy pick: a quarter of the weight lands on the first
+            // group (Cloudflare's 3.94 M-domain /48 pattern).
+            let group = if prf::chance(self.seed, u128::from(key), 0xD1, 1, 4) {
+                entry.alias_groups[0]
+            } else {
+                let j =
+                    prf::uniform(self.seed, u128::from(key), 0xD2, entry.alias_groups.len() as u64);
+                entry.alias_groups[j as usize]
+            };
+            let g = population.group(GroupId(group));
+            // Load-balancer addresses are a property of the *prefix*, not
+            // the domain: every domain on the same prefix resolves into the
+            // same small answer pool. Hyperscale clouds rotate that pool
+            // every four days (each rotation mints one new input address
+            // per prefix — the Amazon accumulation of Sec. 4.1); narrow
+            // (>64) prefixes rotate weekly regardless of operator (their
+            // small host space cycles visibly — also what accumulates the
+            // 100+ input addresses the long-prefix alias detection class
+            // needs); CDNs keep a static pool of eight.
+            if entry.fast_rotation && g.prefix.len() >= 64 {
+                Pick::Rotating { group, period: 4 }
+            } else if g.prefix.len() > 64 {
+                Pick::Rotating { group, period: 7 }
+            } else {
+                let slot = (prf::prf_u128(self.seed, u128::from(key), 0xDC) % 8) as u8;
+                Pick::Pooled { group, slot }
+            }
+        } else {
+            let group = entry.server_groups[(prf::prf_u128(self.seed, u128::from(key), 0xD3)
+                % entry.server_groups.len() as u64)
+                as usize];
+            let g = population.group(GroupId(group));
+            let n = g.pattern.count(g.prefix).max(1);
+            Pick::Member { group, member: prf::uniform(self.seed, u128::from(key), 0xD4, n) }
+        }
+    }
+
+    /// The address `pick` stands for on `day`.
+    fn materialise(&self, population: &Population, pick: Pick, day: Day) -> Addr {
+        let pool_answer = |group: u32, slot: u64| {
+            let group_key = prf::mix2(self.seed, u64::from(group));
+            population.group(GroupId(group)).prefix.random_addr(prf::mix2(group_key, slot))
+        };
+        match pick {
+            Pick::Member { group, member } => {
+                let g = population.group(GroupId(group));
+                g.pattern.member_addr(g.prefix, member)
+            }
+            Pick::Pooled { group, slot } => pool_answer(group, u64::from(slot)),
+            Pick::Rotating { group, period } => pool_answer(group, u64::from(day.0 / period)),
+        }
+    }
+
     fn resolve_entry(
         &self,
         entry: &HostingEntry,
@@ -149,55 +228,79 @@ impl DnsZones {
         key: u64,
         day: Day,
     ) -> (Addr, DomainHost) {
-        if !entry.alias_groups.is_empty() {
-            // Head-heavy pick: a quarter of the weight lands on the first
-            // group (Cloudflare's 3.94 M-domain /48 pattern).
-            let gidx = if prf::chance(self.seed, u128::from(key), 0xD1, 1, 4) {
-                entry.alias_groups[0]
-            } else {
-                let j =
-                    prf::uniform(self.seed, u128::from(key), 0xD2, entry.alias_groups.len() as u64);
-                entry.alias_groups[j as usize]
-            };
-            let g = population.group(GroupId(gidx));
-            // Load-balancer addresses are a property of the *prefix*, not
-            // the domain: every domain on the same prefix resolves into the
-            // same small answer pool. Hyperscale clouds rotate that pool
-            // every four days (each rotation mints one new input address
-            // per prefix — the Amazon accumulation of Sec. 4.1); CDNs keep
-            // a static pool of eight.
-            let group_key = prf::mix2(self.seed, u64::from(gidx));
-            // Hyperscale clouds rotate fast; narrow (>64) prefixes rotate
-            // weekly regardless of operator (their small host space cycles
-            // visibly — also what accumulates the 100+ input addresses the
-            // long-prefix alias detection class needs).
-            let slot = if entry.fast_rotation && g.prefix.len() >= 64 {
-                u64::from(day.0 / 4)
-            } else if g.prefix.len() > 64 {
-                u64::from(day.0 / 7)
-            } else {
-                prf::prf_u128(self.seed, u128::from(key), 0xDC) % 8
-            };
-            let addr = g.prefix.random_addr(prf::mix2(group_key, slot));
-            (addr, DomainHost { asid: entry.asid, aliased: Some(GroupId(gidx)) })
-        } else {
-            let gidx = entry.server_groups[(prf::prf_u128(self.seed, u128::from(key), 0xD3)
-                % entry.server_groups.len() as u64)
-                as usize];
-            let g = population.group(GroupId(gidx));
-            let n = g.pattern.count(g.prefix).max(1);
-            let member = prf::uniform(self.seed, u128::from(key), 0xD4, n);
-            (
-                g.pattern.member_addr(g.prefix, member),
-                DomainHost { asid: entry.asid, aliased: None },
-            )
-        }
+        let pick = self.pick(entry, population, key);
+        let aliased = match pick {
+            Pick::Member { .. } => None,
+            Pick::Pooled { group, .. } | Pick::Rotating { group, .. } => Some(GroupId(group)),
+        };
+        (self.materialise(population, pick, day), DomainHost { asid: entry.asid, aliased })
     }
 
     /// Resolves domain `d`'s AAAA record at `day`.
     pub fn resolve(&self, population: &Population, d: u64, day: Day) -> (Addr, DomainHost) {
         debug_assert!(d < self.total_domains);
         self.resolve_entry(self.entry_for(d), population, d, day)
+    }
+
+    /// One pass over the domains, marking what each one picks: a bit per
+    /// picked member or pool slot of a group, and the rotating pools as a
+    /// short sorted list. No address is built for a repeated pick.
+    pub(crate) fn index(&self, population: &Population) -> ZoneIndex {
+        let groups = population.groups().len();
+        let mut members: Vec<Vec<u64>> = vec![Vec::new(); groups];
+        let mut slots = vec![0u8; groups];
+        let mut rotating: Vec<(u32, u32)> = Vec::new();
+        for d in 0..self.total_domains {
+            match self.pick(self.entry_for(d), population, d) {
+                Pick::Member { group, member } => {
+                    let words = &mut members[group as usize];
+                    let word = (member / 64) as usize;
+                    if words.len() <= word {
+                        words.resize(word + 1, 0);
+                    }
+                    words[word] |= 1 << (member % 64);
+                }
+                Pick::Pooled { group, slot } => slots[group as usize] |= 1 << slot,
+                Pick::Rotating { group, period } => {
+                    if let Err(at) = rotating.binary_search(&(group, period)) {
+                        rotating.insert(at, (group, period));
+                    }
+                }
+            }
+        }
+        let mut fixed = Vec::new();
+        let day = Day(0); // a fixed answer does not read it
+        for (group, (words, slots)) in members.iter().zip(&slots).enumerate() {
+            let group = group as u32;
+            for (word, bits) in words.iter().enumerate() {
+                for bit in (0..64).filter(|bit| (bits >> bit) & 1 == 1) {
+                    let member = word as u64 * 64 + bit;
+                    fixed.push(self.materialise(population, Pick::Member { group, member }, day));
+                }
+            }
+            for slot in (0..8).filter(|slot| (slots >> slot) & 1 == 1) {
+                fixed.push(self.materialise(population, Pick::Pooled { group, slot }, day));
+            }
+        }
+        // Two picks may name one address.
+        fixed.sort_unstable();
+        fixed.dedup();
+        fixed.shrink_to_fit();
+        ZoneIndex { fixed, rotating }
+    }
+
+    /// Feeds `sink` every distinct answer of `index` on `day`.
+    pub(crate) fn walk(
+        &self,
+        population: &Population,
+        index: &ZoneIndex,
+        day: Day,
+        mut sink: impl FnMut(Addr),
+    ) {
+        index.fixed.iter().copied().for_each(&mut sink);
+        for &(group, period) in &index.rotating {
+            sink(self.materialise(population, Pick::Rotating { group, period }, day));
+        }
     }
 
     /// Resolves the name-server host of domain `d`. NS hosting is heavily
@@ -373,5 +476,67 @@ mod tests {
         for d in 0..1000 {
             assert!(!crate::gfw::Gfw::is_blocked(&z.domain_name(d)));
         }
+    }
+
+    #[test]
+    fn the_zone_walk_is_every_distinct_answer() {
+        use crate::Internet;
+        // Days 3 → 4 and 7 → 8 cross a `day / 4` rotation, 6 → 7 a
+        // `day / 7` one.
+        let days = [0, 3, 4, 6, 7, 8, 21, 400, Day::PAPER_END.0].map(Day);
+        let second_world = Scale { seed: 0x5eed, ..Scale::tiny() };
+        for scale in [Scale::tiny(), Scale::tiny().with_population_mult(5), second_world] {
+            // One simulator for every day: its index holds none of them.
+            let net = Internet::build(scale);
+            let (p, z) = (net.population(), net.zones());
+            let index = z.index(p);
+            assert!(index.fixed.windows(2).all(|w| w[0] < w[1]), "ascending, no address twice");
+            assert!(index.rotating.windows(2).all(|w| w[0] < w[1]));
+            let mut walks = Vec::new();
+            for day in days {
+                let mut walked = Vec::new();
+                net.for_each_zone_answer(day, |a| walked.push(a));
+                assert!((walked.len() as u64) < z.total_domains() / 2, "{} offered", walked.len());
+                walked.sort_unstable();
+                walked.dedup();
+                let mut resolved: Vec<Addr> =
+                    (0..z.total_domains()).map(|d| z.resolve(p, d, day).0).collect();
+                resolved.sort_unstable();
+                resolved.dedup();
+                assert_eq!(walked, resolved, "seed {:#x}, {day:?}", scale.seed);
+                walks.push(walked);
+            }
+            assert_eq!(walks[0], walks[1], "days 0 and 3 share every rotation slot");
+            assert_ne!(walks[1], walks[2], "the cloud pools moved between days 3 and 4");
+        }
+    }
+
+    /// FNV-1a over every answer `resolve`, `resolve_ns` and `resolve_mx`
+    /// give the first 2 000 domains on three days, hosts included.
+    fn answers_digest(scale: Scale) -> u64 {
+        let r = AsRegistry::build(scale);
+        let p = Population::build(&r);
+        let z = DnsZones::build(&r, &p);
+        let mut h = sixdust_addr::digest::ContentHasher::new();
+        for day in [Day(0), Day(9), Day(1000)] {
+            for d in 0..2_000 {
+                for (addr, host) in
+                    [z.resolve(&p, d, day), z.resolve_ns(&p, d, day), z.resolve_mx(&p, d, day)]
+                {
+                    h.push(addr.0);
+                    h.push(u128::from(host.asid.0));
+                    h.push(host.aliased.map_or(u128::MAX, |g| u128::from(g.0)));
+                }
+            }
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn answers_are_pinned() {
+        // Computed before `resolve_entry` was split into `pick` and
+        // `materialise`: the split must answer as the one function did.
+        assert_eq!(answers_digest(Scale::tiny()), 0x85bf36a0166d8a8e);
+        assert_eq!(answers_digest(Scale::tiny().with_population_mult(5)), 0xf1be270efdee68ec);
     }
 }

@@ -5,14 +5,18 @@
 #   scripts/bench_pairs.sh <parent-binary> <change-binary> <workload> [pairs=10] [seconds=6]
 #
 # Both arguments are prebuilt `sixdust-benchmark` binaries, one per
-# commit (cargo build --release --offline --manifest-path
-# benchmark/Cargo.toml, then copy benchmark/target/release/sixdust-benchmark
-# somewhere the next build will not overwrite). Every pair runs the
-# workload once on each side with tracing off, back to back, on a seed of
-# its own (SEED0, default 101, plus the pair's index); which side goes
-# first flips every pair, so neither always inherits the warmer or the
-# busier host. A pair is only counted if both runs are correct, nothing
-# failed and, the seed being the same, both print the same ledger.
+# commit, which scripts/bench_build.sh makes without touching the working
+# tree:
+#
+#   scripts/bench_build.sh HEAD~1 target/bench-parent
+#   scripts/bench_build.sh HEAD   target/bench-change
+#
+# Every pair runs the workload once on each side with tracing off, back
+# to back, on a seed of its own (SEED0, default 101, plus the pair's
+# index); which side goes first flips every pair, so neither always
+# inherits the warmer or the busier host. A pair is only counted if both
+# runs are correct, nothing failed and, the seed being the same, both
+# print the same ledger.
 #
 # Printed: every pair, then per side the median and quartiles of
 # `ops_per_s` and `ops_per_s_median`, and the pairs the change won. The
@@ -22,7 +26,7 @@
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-  sed -n '2,21p' "$0" >&2
+  sed -n '2,25p' "$0" >&2
   exit 2
 fi
 parent=$1
