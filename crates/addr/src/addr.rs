@@ -4,7 +4,7 @@ use std::fmt;
 use std::net::Ipv6Addr;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use sixdust_json::{Error, FromJson, ToJson, Value};
 
 /// A 128-bit IPv6 address.
 ///
@@ -20,8 +20,21 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.nibble(31), 0x1);
 /// assert_eq!(a.to_string(), "2001:db8::1");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr(pub u128);
+
+/// A bare 128-bit integer on the wire.
+impl ToJson for Addr {
+    fn to_value(&self) -> Value {
+        Value::UInt(self.0)
+    }
+}
+
+impl FromJson for Addr {
+    fn from_value(v: &Value) -> Result<Addr, Error> {
+        u128::from_value(v).map(Addr)
+    }
+}
 
 impl Addr {
     /// The unspecified address `::`.

@@ -21,13 +21,11 @@
 //!
 //! Iteration is ascending and streaming (chunk by chunk, never
 //! materializing the whole set), identical to the order a normalized
-//! `Vec<u128>` would give. Serde writes the same plain sequence of
+//! `Vec<u128>` would give. The JSON form is the same plain sequence of
 //! integers a `Vec<Addr>` writes, so existing checkpoints and manifests
 //! parse unchanged.
 
-use serde::de::{SeqAccess, Visitor};
-use serde::ser::SerializeSeq;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use sixdust_json::{Error, FromJson, ToJson, Value};
 
 use crate::sorted;
 use crate::Addr;
@@ -153,7 +151,7 @@ impl Chunk {
 /// crate boundary; see the [module docs](self) for the layout.
 ///
 /// Deterministic: iteration is ascending, equal content means equal
-/// structure, and serde output matches a sorted `Vec<Addr>` element for
+/// structure, and JSON output matches a sorted `Vec<Addr>` element for
 /// element.
 ///
 /// ```
@@ -563,39 +561,20 @@ impl From<Vec<u128>> for AddrSet {
     }
 }
 
-impl Serialize for AddrSet {
-    /// Serializes as a plain ascending sequence of integers — the exact
-    /// shape a sorted `Vec<Addr>` (or `Vec<u128>`) serializes to, so
-    /// checkpoints and artifacts stay byte-identical across the
-    /// representation change.
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut seq = serializer.serialize_seq(Some(self.len))?;
-        for v in self.iter() {
-            seq.serialize_element(&v)?;
-        }
-        seq.end()
+impl ToJson for AddrSet {
+    /// A plain ascending array of integers — the exact shape a sorted
+    /// `Vec<Addr>` (or `Vec<u128>`) has, so checkpoints and artifacts
+    /// stay byte-identical across the representation change.
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(Value::UInt).collect())
     }
 }
 
-impl<'de> Deserialize<'de> for AddrSet {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<AddrSet, D::Error> {
-        struct SetVisitor;
-        impl<'de> Visitor<'de> for SetVisitor {
-            type Value = AddrSet;
-
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("a sequence of 128-bit addresses")
-            }
-
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<AddrSet, A::Error> {
-                let mut values: Vec<u128> = Vec::with_capacity(seq.size_hint().unwrap_or(0));
-                while let Some(v) = seq.next_element::<u128>()? {
-                    values.push(v);
-                }
-                Ok(AddrSet::from_unsorted(values))
-            }
-        }
-        deserializer.deserialize_seq(SetVisitor)
+impl FromJson for AddrSet {
+    /// Reads an array of 128-bit integers in any order, duplicates
+    /// included: a legacy `Vec<Addr>` payload normalizes on the way in.
+    fn from_value(v: &Value) -> Result<AddrSet, Error> {
+        Vec::<u128>::from_value(v).map(AddrSet::from_unsorted)
     }
 }
 
@@ -724,18 +703,18 @@ mod tests {
     }
 
     #[test]
-    fn serde_matches_vec_of_addrs_byte_for_byte() {
+    fn json_matches_vec_of_addrs_byte_for_byte() {
         let values = clustered(300, 4);
         let set = AddrSet::from_unsorted(values.clone());
         let vec: Vec<Addr> = set.addrs().collect();
-        let set_json = serde_json::to_string(&set).expect("set serializes");
-        let vec_json = serde_json::to_string(&vec).expect("vec serializes");
+        let set_json = sixdust_json::to_string(&set);
+        let vec_json = sixdust_json::to_string(&vec);
         assert_eq!(set_json, vec_json, "AddrSet must serialize exactly like a sorted Vec<Addr>");
-        let back: AddrSet = serde_json::from_str(&set_json).expect("round trip");
+        let back: AddrSet = sixdust_json::from_str(&set_json).expect("round trip");
         assert_eq!(back, set);
         // A legacy unsorted Vec<Addr> payload still parses (and
         // normalizes) — backward compatibility with v2 checkpoints.
-        let legacy: AddrSet = serde_json::from_str("[3, 1, 2, 3]").expect("legacy payload");
+        let legacy: AddrSet = sixdust_json::from_str("[3, 1, 2, 3]").expect("legacy payload");
         assert_eq!(legacy.to_vec(), vec![1, 2, 3]);
     }
 

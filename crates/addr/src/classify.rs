@@ -7,12 +7,10 @@
 //! means dual-stack conventions, high-entropy means privacy extensions or
 //! load balancers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Addr, Eui64};
 
 /// How an address's interface identifier appears to have been assigned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IidClass {
     /// Small-integer IIDs (`::1`, `::2:15`) — manually numbered hosts.
     LowByte,
@@ -97,7 +95,7 @@ pub fn classify_iid(addr: Addr) -> IidClass {
 }
 
 /// Classification counts over a corpus.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IidBreakdown {
     /// Count per class, in [`IidClass`] declaration order.
     pub counts: [u64; 5],

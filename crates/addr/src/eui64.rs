@@ -10,12 +10,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Addr;
 
 /// A MAC address, the source material of an EUI-64 IID.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Eui64 {
     mac: [u8; 6],
 }

@@ -27,7 +27,7 @@
 //!   probe address generation).
 //! * [`AddrSet`] — the chunked address-set type every crate boundary
 //!   speaks: /32-bucketed, per-density sorted-block or bitmap chunks,
-//!   streaming ascending iteration, and serde output identical to a sorted
+//!   streaming ascending iteration, and JSON output identical to a sorted
 //!   `Vec<Addr>`. The linear merge kernels (union/diff/intersect over
 //!   sorted slices) that used to be public as `sorted::*` are now
 //!   crate-private plumbing behind this type.

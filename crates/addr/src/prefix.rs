@@ -3,7 +3,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use sixdust_json::{Error, FromJson, ToJson, Value};
 
 use crate::prf;
 use crate::Addr;
@@ -13,10 +13,32 @@ use crate::Addr;
 /// The address part is always stored in canonical (masked) form: bits past
 /// the prefix length are zero. Ordering is `(network, len)` so that a sorted
 /// list groups covering prefixes before their more-specifics.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     network: Addr,
     len: u8,
+}
+
+impl ToJson for Prefix {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("network".to_string(), self.network.to_value()),
+            ("len".to_string(), self.len.to_value()),
+        ])
+    }
+}
+
+impl FromJson for Prefix {
+    /// Rejects a length past 128 and masks the network, so a prefix read
+    /// from a file has the same canonical form as one built in memory.
+    fn from_value(v: &Value) -> Result<Prefix, Error> {
+        let fields = v.fields("Prefix")?;
+        let (network, len): (Addr, u8) = (fields.get("network")?, fields.get("len")?);
+        if len > 128 {
+            return Err(Error::new(format!("prefix length {len} out of range")));
+        }
+        Ok(Prefix::new(network, len))
+    }
 }
 
 /// Error returned when parsing a [`Prefix`] from text fails.

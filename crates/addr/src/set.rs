@@ -3,13 +3,11 @@
 //! Used for the blocklist filter, the aliased-prefix filter and the GFW
 //! impacted-address bookkeeping of the hitlist pipeline.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Addr, Prefix, PrefixTrie};
 
 /// A set of IPv6 prefixes answering "is this address covered?" and
 /// "is this prefix (partially) covered?".
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PrefixSet {
     trie: PrefixTrie<()>,
 }

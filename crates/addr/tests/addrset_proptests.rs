@@ -2,75 +2,94 @@
 //! obviously-correct model (`BTreeSet<u128>`) regardless of which chunk
 //! representation — sorted block or bitmap — each /32 bucket lands in,
 //! and the serialized form must stay byte-identical to a sorted
-//! `Vec<Addr>`.
+//! `Vec<Addr>`. Seeded loops, 256 cases each.
 
 use std::collections::BTreeSet;
 
-use proptest::prelude::*;
+use sixdust_addr::prf::PrfStream;
 use sixdust_addr::{Addr, AddrSet};
 
-/// Raw items mixing dense runs (bitmap chunks), strided mid-density
-/// buckets, several distinct /32 keys, and fully random sparse values.
-fn arb_items(max_len: usize) -> impl Strategy<Value = Vec<u128>> {
-    prop::collection::vec(
-        prop_oneof![
-            0..10_000u128,
-            (0..4u128, 0..2_000u128).prop_map(|(h, l)| (h << 96) + l * 17),
-            any::<u64>().prop_map(u128::from),
-            any::<u128>(),
-            Just(u128::MAX),
-        ],
-        0..max_len,
-    )
+const CASES: u64 = 256;
+
+fn stream(property: u64, case: u64) -> PrfStream {
+    PrfStream::new(0xADD5, u128::from(case), property)
+}
+
+/// Up to `max_len` raw items mixing dense runs (bitmap chunks), strided
+/// mid-density buckets, several distinct /32 keys, and fully random
+/// sparse values.
+fn items(rng: &mut PrfStream, max_len: u64) -> Vec<u128> {
+    (0..rng.next_bounded(max_len))
+        .map(|_| match rng.next_bounded(5) {
+            0 => u128::from(rng.next_bounded(10_000)),
+            1 => (u128::from(rng.next_bounded(4)) << 96) + u128::from(rng.next_bounded(2_000)) * 17,
+            2 => u128::from(rng.next_u64()),
+            3 => u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64()),
+            _ => u128::MAX,
+        })
+        .collect()
 }
 
 fn model(items: &[u128]) -> BTreeSet<u128> {
     items.iter().copied().collect()
 }
 
-proptest! {
-    #[test]
-    fn construction_matches_model(items in arb_items(400)) {
+#[test]
+fn construction_matches_model() {
+    for case in 0..CASES {
+        let items = items(&mut stream(1, case), 400);
         let set = AddrSet::from_unsorted(items.clone());
         let reference = model(&items);
-        prop_assert_eq!(set.len(), reference.len());
-        prop_assert!(set.iter().eq(reference.iter().copied()), "iteration order is sorted");
-        prop_assert_eq!(set.to_vec(), reference.iter().copied().collect::<Vec<_>>());
+        assert_eq!(set.len(), reference.len());
+        assert!(set.iter().eq(reference.iter().copied()), "iteration order is sorted");
+        assert_eq!(set.to_vec(), reference.iter().copied().collect::<Vec<_>>());
         // Bulk and incremental construction canonicalize identically.
         let mut incremental = AddrSet::new();
         for &item in &items {
             incremental.insert(item);
         }
-        prop_assert_eq!(&incremental, &set);
-        prop_assert_eq!(incremental.bitmap_chunk_count(), set.bitmap_chunk_count());
+        assert_eq!(incremental, set);
+        assert_eq!(incremental.bitmap_chunk_count(), set.bitmap_chunk_count());
     }
+}
 
-    #[test]
-    fn contains_matches_model(items in arb_items(200), probes in arb_items(50)) {
+#[test]
+fn contains_matches_model() {
+    for case in 0..CASES {
+        let rng = &mut stream(2, case);
+        let (items, probes) = (items(rng, 200), items(rng, 50));
         let set = AddrSet::from_unsorted(items.clone());
         let reference = model(&items);
         for p in items.iter().chain(probes.iter()) {
-            prop_assert_eq!(set.contains(*p), reference.contains(p));
+            assert_eq!(set.contains(*p), reference.contains(p));
         }
     }
+}
 
-    #[test]
-    fn insert_remove_match_model(items in arb_items(200), ops in arb_items(60), mask in any::<u64>()) {
+#[test]
+fn insert_remove_match_model() {
+    for case in 0..CASES {
+        let rng = &mut stream(3, case);
+        let (items, ops, mask) = (items(rng, 200), items(rng, 60), rng.next_u64());
         let mut set = AddrSet::from_unsorted(items.clone());
         let mut reference = model(&items);
         for (i, &v) in ops.iter().enumerate() {
             if mask >> (i % 64) & 1 == 0 {
-                prop_assert_eq!(set.insert(v), reference.insert(v));
+                assert_eq!(set.insert(v), reference.insert(v));
             } else {
-                prop_assert_eq!(set.remove(v), reference.remove(&v));
+                assert_eq!(set.remove(v), reference.remove(&v));
             }
-            prop_assert_eq!(set.len(), reference.len());
+            assert_eq!(set.len(), reference.len());
         }
-        prop_assert!(set.iter().eq(reference.iter().copied()));
+        assert!(set.iter().eq(reference.iter().copied()));
     }
+}
 
-    #[test]
-    fn set_algebra_matches_model(a in arb_items(250), b in arb_items(250)) {
+#[test]
+fn set_algebra_matches_model() {
+    for case in 0..CASES {
+        let rng = &mut stream(4, case);
+        let (a, b) = (items(rng, 250), items(rng, 250));
         let sa = AddrSet::from_unsorted(a.clone());
         let sb = AddrSet::from_unsorted(b.clone());
         let ma = model(&a);
@@ -78,43 +97,50 @@ proptest! {
 
         let mut union = sa.clone();
         union.union_in_place(&sb);
-        prop_assert!(union.iter().eq(ma.union(&mb).copied()));
+        assert!(union.iter().eq(ma.union(&mb).copied()));
 
         let diff = sa.diff(&sb);
-        prop_assert!(diff.iter().eq(ma.difference(&mb).copied()));
-        prop_assert_eq!(sa.diff_count(&sb), ma.difference(&mb).count());
+        assert!(diff.iter().eq(ma.difference(&mb).copied()));
+        assert_eq!(sa.diff_count(&sb), ma.difference(&mb).count());
 
         let inter = sa.intersect(&sb);
-        prop_assert!(inter.iter().eq(ma.intersection(&mb).copied()));
-        prop_assert_eq!(sa.intersect_count(&sb), ma.intersection(&mb).count());
+        assert!(inter.iter().eq(ma.intersection(&mb).copied()));
+        assert_eq!(sa.intersect_count(&sb), ma.intersection(&mb).count());
 
         // Counting shortcuts agree with materializing.
-        prop_assert_eq!(sa.diff_count(&sb), diff.len());
-        prop_assert_eq!(sa.intersect_count(&sb), inter.len());
+        assert_eq!(sa.diff_count(&sb), diff.len());
+        assert_eq!(sa.intersect_count(&sb), inter.len());
     }
+}
 
-    #[test]
-    fn serde_is_byte_identical_to_sorted_vec(items in arb_items(200)) {
+#[test]
+fn json_is_byte_identical_to_sorted_vec() {
+    for case in 0..CASES {
+        let items = items(&mut stream(5, case), 200);
         let set = AddrSet::from_unsorted(items.clone());
         let flat: Vec<Addr> = model(&items).into_iter().map(Addr).collect();
-        let via_set = serde_json::to_string(&set).expect("set serializes");
-        let via_vec = serde_json::to_string(&flat).expect("vec serializes");
-        prop_assert_eq!(&via_set, &via_vec, "AddrSet wire form is the sorted Vec<Addr> wire form");
-        let back: AddrSet = serde_json::from_str(&via_set).expect("round trip");
-        prop_assert_eq!(back, set);
+        let via_set = sixdust_json::to_string(&set);
+        let via_vec = sixdust_json::to_string(&flat);
+        assert_eq!(via_set, via_vec, "AddrSet wire form is the sorted Vec<Addr> wire form");
+        let back: AddrSet = sixdust_json::from_str(&via_set).expect("round trip");
+        assert_eq!(back, set);
+        // The legacy form: the raw items, unsorted and duplicated.
+        let legacy: AddrSet = sixdust_json::from_str(&sixdust_json::to_string(&items)).unwrap();
+        assert_eq!(legacy, set);
     }
+}
 
-    #[test]
-    fn mem_bytes_accounts_every_chunk(items in arb_items(300)) {
-        let set = AddrSet::from_unsorted(items);
+#[test]
+fn mem_bytes_accounts_every_chunk() {
+    for case in 0..CASES {
+        let set = AddrSet::from_unsorted(items(&mut stream(6, case), 300));
         // Lower bound: the bookkeeping itself, plus at least one byte of
-        // payload per chunk; dense buckets must come in under the flat
-        // 16-bytes-per-item cost they replace.
+        // payload per chunk.
         if set.is_empty() {
-            prop_assert_eq!(set.chunk_count(), 0);
+            assert_eq!(set.chunk_count(), 0);
         } else {
-            prop_assert!(set.mem_bytes() > 0);
-            prop_assert!(set.chunk_count() >= 1);
+            assert!(set.mem_bytes() > 0);
+            assert!(set.chunk_count() >= 1);
         }
     }
 }

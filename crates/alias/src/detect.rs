@@ -17,8 +17,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr, Prefix, PrefixSet};
+use sixdust_json::json_struct;
 use sixdust_net::{Day, Internet, ProbeKind, ProbeTally, Response};
 use sixdust_scan::execute;
 use sixdust_telemetry::{Registry, SpanTimer};
@@ -27,7 +27,7 @@ use sixdust_telemetry::{Registry, SpanTimer};
 ///
 /// Construct via [`DetectorConfig::builder`] or the chainable `with_*`
 /// methods.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectorConfig {
     /// Minimum input addresses for longer-than-/64 candidates.
     pub min_addrs_long: usize,
@@ -36,6 +36,7 @@ pub struct DetectorConfig {
     /// Per-round probe seed basis.
     pub seed: u64,
 }
+json_struct!(DetectorConfig { min_addrs_long, merge_rounds, seed });
 
 impl Default for DetectorConfig {
     fn default() -> DetectorConfig {
@@ -100,7 +101,7 @@ impl DetectorConfigBuilder {
 }
 
 /// A prefix labeled fully responsive, with the protocols that answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectedPrefix {
     /// The fully responsive prefix.
     pub prefix: Prefix,
@@ -111,7 +112,7 @@ pub struct DetectedPrefix {
 }
 
 /// One detection round's outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DetectionRound {
     /// Day the round ran.
     pub day: Day,
@@ -124,18 +125,16 @@ pub struct DetectionRound {
 }
 
 /// The stateful detector (holds the merge window).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AliasDetector {
     history: Vec<HashSet<Prefix>>,
     last_round_info: HashMap<Prefix, DetectedPrefix>,
     config: DetectorConfig,
     /// Optional metrics sink; not part of checkpointed state.
-    #[serde(skip)]
     telemetry: Option<Registry>,
     /// Thread budget of a detection round, set by whoever owns the
     /// detector ([`AliasDetector::with_workers`]); not part of
     /// checkpointed state. Unset it is 0, which the executor reads as 1.
-    #[serde(skip)]
     workers: usize,
 }
 

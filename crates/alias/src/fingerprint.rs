@@ -8,12 +8,11 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Prefix};
 use sixdust_net::{Day, Internet, ProbeKind, Response};
 
 /// Per-feature uniformity of one prefix's fingerprints.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixFingerprint {
     /// The prefix under test.
     pub prefix: Prefix,
@@ -52,7 +51,7 @@ impl PrefixFingerprint {
 }
 
 /// Summary across all fingerprinted prefixes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FingerprintSummary {
     /// Prefixes with at least one TCP/80 SYN-ACK.
     pub fingerprintable: usize,

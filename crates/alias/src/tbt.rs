@@ -14,7 +14,6 @@
 //! independent per-address state; two-to-seven ⇒ a load-balanced pool
 //! (the Akamai/Cloudflare cohort).
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr, Prefix};
 use sixdust_net::{Day, Internet, ProbeKind, Response};
 use sixdust_wire::IPV6_MIN_MTU;
@@ -25,7 +24,7 @@ pub const TBT_ADDRS: usize = 8;
 pub const TBT_PROBE_SIZE: u16 = 1300;
 
 /// The classification of one prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TbtOutcome {
     /// Preconditions failed (no unfragmented baseline from all addresses).
     Unsuitable,
@@ -39,7 +38,7 @@ pub enum TbtOutcome {
 }
 
 /// A full TBT measurement of one prefix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TbtResult {
     /// The prefix under test.
     pub prefix: Prefix,
@@ -103,7 +102,7 @@ pub fn too_big_trick(net: &Internet, prefix: Prefix, day: Day, seed: u64) -> Tbt
 }
 
 /// Aggregate TBT statistics over many prefixes (the Sec. 5.1 table).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TbtSummary {
     /// Prefixes with successful preconditions.
     pub successful: usize,

@@ -1,9 +1,7 @@
 //! Cumulative distributions across ASes (Figs. 2, 8, 9).
 
-use serde::{Deserialize, Serialize};
-
 /// A CDF over ranked category counts (e.g. addresses per AS).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RankCdf {
     /// Counts sorted descending.
     pub counts: Vec<u64>,

@@ -3,11 +3,10 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
 
 /// A histogram over prefix lengths.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlenHistogram {
     counts: Vec<u64>, // one bin per prefix length 0..=128
     total: u64,
@@ -57,7 +56,7 @@ impl PlenHistogram {
 
 /// A row-normalized overlap matrix: entry `(i, j)` is the percentage of
 /// row `i`'s set also present in set `j` (Fig. 7's convention).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OverlapMatrix {
     /// Row/column labels.
     pub labels: Vec<String>,

@@ -1,8 +1,6 @@
 //! Longitudinal series utilities: resampling, growth and spike detection
 //! over per-scan records (the numeric backbone of Figs. 3 and 4).
 
-use serde::{Deserialize, Serialize};
-
 /// A `(day, value)` time series with irregular spacing (scan cadence grows
 /// from 1 to 5 days over the window).
 ///
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// let s = Series::new(pts);
 /// assert_eq!(s.spike_windows(10.0, 3), vec![(30, 34)]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Series {
     /// `(day, value)` points in ascending day order.
     pub points: Vec<(u32, u64)>,

@@ -11,11 +11,11 @@
 //! 5. the three-round merge again, but under *bursty* Gilbert–Elliott
 //!    loss (chaos profile) instead of steady thinning.
 
-use serde_json::json;
 use sixdust_addr::{Addr, Prefix};
 use sixdust_alias::{AliasDetector, DetectorConfig};
 use sixdust_analysis::{human, pct, TextTable};
 use sixdust_hitlist::{HitlistService, ServiceConfig};
+use sixdust_json::{json, Value};
 use sixdust_net::{events, Day, FaultConfig, GilbertElliott, Internet, Protocol, Scale};
 use sixdust_tga::{DistanceClustering, TargetGenerator};
 
@@ -31,7 +31,7 @@ fn ablation_net(drop_permille: u32) -> Internet {
 
 /// Ablation 1: the alias detector's merge window vs single-round labels
 /// under increasing loss.
-fn merge_window(out: &mut String, json_rows: &mut Vec<serde_json::Value>) {
+fn merge_window(out: &mut String, json_rows: &mut Vec<Value>) {
     out.push_str("\n-- ablation 1: alias-detection merge window under loss --\n");
     out.push_str("(share of truly aliased prefixes labeled; single round vs 3-round merge)\n\n");
     let mut t = TextTable::new(&["loss", "single round", "merged (paper)", "gain"]);
@@ -67,7 +67,7 @@ fn merge_window(out: &mut String, json_rows: &mut Vec<serde_json::Value>) {
 
 /// Ablation 2: GFW filter off — what the published UDP/53 series looks
 /// like with and without the paper's contribution.
-fn gfw_filter(out: &mut String, json_rows: &mut Vec<serde_json::Value>) {
+fn gfw_filter(out: &mut String, json_rows: &mut Vec<Value>) {
     out.push_str("\n-- ablation 2: the GFW cleaning filter --\n");
     let net = ablation_net(2);
     let start = Day(events::GFW_ERA1.0 .0 - 40);
@@ -94,7 +94,7 @@ fn gfw_filter(out: &mut String, json_rows: &mut Vec<serde_json::Value>) {
 }
 
 /// Ablation 3: the 30-day filter off — scan-load growth.
-fn thirty_day_filter(out: &mut String, json_rows: &mut Vec<serde_json::Value>) {
+fn thirty_day_filter(out: &mut String, json_rows: &mut Vec<Value>) {
     out.push_str("\n-- ablation 3: the 30-day unresponsive filter --\n");
     let net = ablation_net(2);
     let run = |window: u32| {
@@ -119,7 +119,7 @@ fn thirty_day_filter(out: &mut String, json_rows: &mut Vec<serde_json::Value>) {
 }
 
 /// Ablation 4: distance clustering parameters.
-fn dc_params(ctx: &Ctx, out: &mut String, json_rows: &mut Vec<serde_json::Value>) {
+fn dc_params(ctx: &Ctx, out: &mut String, json_rows: &mut Vec<Value>) {
     out.push_str("\n-- ablation 4: distance clustering parameters --\n");
     let day = Day(1249);
     let seeds: Vec<Addr> = {
@@ -167,7 +167,7 @@ fn dc_params(ctx: &Ctx, out: &mut String, json_rows: &mut Vec<serde_json::Value>
 /// spends whole days in a Bad state is the harder case — if a burst
 /// covers the entire merge window, no amount of merging helps, so the
 /// gain here bounds what graceful degradation can recover.
-fn chaos_merge(out: &mut String, json_rows: &mut Vec<serde_json::Value>) {
+fn chaos_merge(out: &mut String, json_rows: &mut Vec<Value>) {
     out.push_str(
         "\n-- ablation 5: alias merge window under bursty (Gilbert\u{2013}Elliott) loss --\n",
     );

@@ -3,10 +3,10 @@
 
 use std::collections::HashMap;
 
-use serde_json::json;
 use sixdust_addr::Prefix;
 use sixdust_alias::{fingerprint_all, minimal_cover, tbt_all};
 use sixdust_analysis::{human, pct, PlenHistogram, TextTable};
+use sixdust_json::json;
 use sixdust_net::{Day, ProbeKind, Protocol, Response};
 
 use crate::context::Ctx;

@@ -8,10 +8,10 @@
 
 use std::collections::HashSet;
 
-use serde_json::json;
 use sixdust_addr::Addr;
 use sixdust_analysis::{human, pct, TextTable};
 use sixdust_hitlist::publish::publish;
+use sixdust_json::json;
 use sixdust_net::{Day, ProbeKind, Protocol};
 use sixdust_tga::Seedless;
 

@@ -2,10 +2,10 @@
 
 use std::collections::HashSet;
 
-use serde_json::json;
 use sixdust_addr::Addr;
 use sixdust_analysis::{human, pct, OverlapMatrix, RankCdf, TextTable};
 use sixdust_hitlist::newsources::by_as;
+use sixdust_json::json;
 use sixdust_net::{Day, Protocol};
 
 use crate::context::Ctx;

@@ -3,9 +3,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use serde_json::json;
 use sixdust_addr::Addr;
 use sixdust_analysis::{human, pct, sparkline, OverlapMatrix, RankCdf, Series, TextTable};
+use sixdust_json::{json, Value};
 use sixdust_net::{events, AsId, Day, Protocol};
 
 use crate::context::Ctx;
@@ -210,38 +210,38 @@ pub fn table1(ctx: &Ctx) -> ExpOutput {
     for snap_day in Day::SNAPSHOTS {
         let snap = ctx.snapshot_at(snap_day);
         let mut cells = vec![snap.day.to_date()];
-        let mut jrow = serde_json::Map::new();
-        jrow.insert("date".into(), json!(snap.day.to_date()));
+        let mut jrow: Vec<(String, Value)> = Vec::new();
+        jrow.push(("date".into(), json!(snap.day.to_date())));
         for proto in Protocol::ALL {
             let addrs = snap.cleaned_for(proto);
             let ases = as_counts(ctx, addrs.addrs()).len();
             cells.push(human(addrs.len() as u64));
             cells.push(ases.to_string());
-            jrow.insert(format!("{proto}"), json!({ "addrs": addrs.len(), "ases": ases }));
+            jrow.push((format!("{proto}"), json!({ "addrs": addrs.len(), "ases": ases })));
         }
         let total = snap.cleaned_total();
         let total_ases = as_counts(ctx, total.addrs()).len();
         cells.push(human(total.len() as u64));
         cells.push(total_ases.to_string());
-        jrow.insert("total".into(), json!({ "addrs": total.len(), "ases": total_ases }));
+        jrow.push(("total".into(), json!({ "addrs": total.len(), "ases": total_ases })));
         t.row(cells);
-        json_rows.push(serde_json::Value::Object(jrow));
+        json_rows.push(Value::sorted_object(jrow));
     }
     // Cumulative row.
     let cumulative = ctx.svc.cumulative();
     let mut cells = vec!["Cumulative".to_string()];
-    let mut jrow = serde_json::Map::new();
+    let mut jrow: Vec<(String, Value)> = Vec::new();
     for proto in Protocol::ALL {
         let n = cumulative.values().filter(|p| p.contains(proto)).count();
         cells.push(human(n as u64));
         cells.push(String::new());
-        jrow.insert(format!("{proto}"), json!(n));
+        jrow.push((format!("{proto}"), json!(n)));
     }
     cells.push(human(cumulative.len() as u64));
     cells.push(String::new());
-    jrow.insert("total".into(), json!(cumulative.len()));
+    jrow.push(("total".into(), json!(cumulative.len())));
     t.row(cells);
-    json_rows.push(serde_json::Value::Object(jrow));
+    json_rows.push(Value::sorted_object(jrow));
 
     let first_total = ctx.snapshot_at(Day::SNAPSHOTS[0]).cleaned_total().len();
     let last_total = ctx.snapshot_at(Day::PAPER_END).cleaned_total().len();

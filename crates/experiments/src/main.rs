@@ -54,7 +54,7 @@ pub struct ExpOutput {
     /// Human-readable block.
     pub text: String,
     /// Machine-readable result.
-    pub json: serde_json::Value,
+    pub json: sixdust_json::Value,
 }
 
 const EXPERIMENTS: &[&str] = &[
@@ -362,7 +362,7 @@ fn main() {
             observer.flight().captures_len(),
         );
         if let Some(path) = &serve_report_path {
-            let json = serde_json::to_string_pretty(&report).expect("report serializes");
+            let json = sixdust_json::to_string_pretty(&report);
             write_observability(path, &json);
             eprintln!("[obs] wrote chaos serve report to {}", path.display());
         }
@@ -417,7 +417,7 @@ fn main() {
             report.totals.requests as f64 / wall.max(1e-9),
         );
         if let Some(path) = &serve_report_path {
-            let json = serde_json::to_string_pretty(&report).expect("report serializes");
+            let json = sixdust_json::to_string_pretty(&report);
             write_observability(path, &json);
             eprintln!("[obs] wrote serve report to {}", path.display());
         }
@@ -476,13 +476,12 @@ fn main() {
         std::fs::write(&txt_path, &out.text).expect("write txt");
         let json_path = out_dir.join(format!("{}.json", out.id));
         let mut f = std::fs::File::create(&json_path).expect("create json");
-        let enriched = serde_json::json!({
+        let enriched = sixdust_json::json!({
             "experiment": out.id,
             "scale": { "addr_div": scale.addr_div, "entity_div": scale.entity_div, "seed": scale.seed },
             "result": out.json,
         });
-        writeln!(f, "{}", serde_json::to_string_pretty(&enriched).expect("serialize"))
-            .expect("write json");
+        writeln!(f, "{}", enriched.pretty()).expect("write json");
         // Dump after every experiment so the telemetry and trace files are
         // complete even if a later experiment aborts the run (experiments
         // keep emitting spans, e.g. the new-source alias pass).
@@ -572,7 +571,7 @@ fn run_vantage_fleet(
     });
 
     let artifact = out_dir.join("vantage_disagreement.json");
-    let json = serde_json::to_string_pretty(fleet.reports()).expect("reports serialize");
+    let json = sixdust_json::to_string_pretty(fleet.reports());
     write_observability(&artifact, &json);
     let total: u64 = fleet.reports().iter().map(|r| r.disagreements).sum();
     let gfw: u64 = fleet.reports().iter().map(|r| r.gfw_disagreements).sum();
@@ -633,7 +632,7 @@ fn run_one(ctx: &mut Ctx, cmd: &str) -> ExpOutput {
         "pipeline" => ExpOutput {
             id: "pipeline",
             text: pipeline_text(),
-            json: serde_json::json!({ "see": "DESIGN.md" }),
+            json: sixdust_json::json!({ "see": "DESIGN.md" }),
         },
         other => unreachable!("validated: {other}"),
     }

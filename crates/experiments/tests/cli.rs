@@ -1,0 +1,74 @@
+//! `sixdust-exp` end to end, as cargo built it: one tiny-scale `pipeline`
+//! run with every machine-readable output switched on, each file then read
+//! back through the same JSON layer that wrote it.
+
+use std::path::Path;
+use std::process::Command;
+
+use sixdust_hitlist::ServiceState;
+use sixdust_serve::DayReport;
+use sixdust_telemetry::Snapshot;
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn tiny_pipeline_writes_json_that_reads_back() {
+    let out = std::env::temp_dir().join(format!("sixdust_exp_cli_{}", std::process::id()));
+    std::fs::remove_dir_all(&out).ok();
+    let run = Command::new(env!("CARGO_BIN_EXE_sixdust-exp"))
+        .args(["--scale", "tiny", "--seed", "11", "--out"])
+        .arg(&out)
+        .arg("--telemetry")
+        .arg(out.join("telemetry.json"))
+        .arg("--checkpoint")
+        .arg(out.join("service.ckpt"))
+        .arg("--serve-report")
+        .arg(out.join("serve.json"))
+        .args(["pipeline", "table1"])
+        .output()
+        .expect("sixdust-exp runs");
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+
+    // Every .json in the output directory is one well-formed document.
+    let mut parsed = Vec::new();
+    for entry in std::fs::read_dir(&out).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|ext| ext == "json") {
+            let doc = sixdust_json::parse(&read(&path))
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            parsed.push((path.file_name().unwrap().to_string_lossy().into_owned(), doc));
+        }
+    }
+    parsed.sort_by(|a, b| a.0.cmp(&b.0));
+    let names: Vec<&str> = parsed.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["pipeline.json", "serve.json", "table1.json", "telemetry.json"]);
+
+    // The experiment envelope: id, the scale it ran at, the result rows.
+    let table1 = &parsed[2].1;
+    assert_eq!(table1.get("experiment"), Some(&sixdust_json::json!("table1")));
+    assert_eq!(
+        table1.get("scale"),
+        Some(&sixdust_json::json!({ "addr_div": 20_000u64, "entity_div": 50u64, "seed": 11u64 }))
+    );
+    let rows = table1.get("result").and_then(|r| r.get("rows")).expect("rows").as_array().unwrap();
+    assert_eq!(rows.len(), 6, "five snapshot rows and the cumulative one");
+
+    // The typed readers accept what the typed writers wrote, and the
+    // ledgers inside reconcile.
+    let report: DayReport = sixdust_json::from_str(&read(&out.join("serve.json"))).expect("report");
+    assert_eq!(report.seed, 11);
+    assert!(report.totals.requests > 0 && report.totals.bodies > 0);
+    let state = ServiceState::load(&out.join("service.ckpt")).expect("checkpoint loads");
+    assert!(!out.join("service.ckpt.tmp").exists(), "temp renamed away");
+    let telemetry = Snapshot::from_json(&read(&out.join("telemetry.json"))).expect("telemetry");
+    assert_eq!(telemetry.counter("service.rounds"), Some(state.rounds.len() as u64));
+    assert_eq!(
+        telemetry.counter("scan.icmp.hits"),
+        telemetry.counter("service.hits.cleaned.icmp"),
+        "scanner and service count the same ICMP hits"
+    );
+
+    std::fs::remove_dir_all(&out).ok();
+}

@@ -5,7 +5,6 @@
 //! added, and the **30-day unresponsive filter**. Each is a small, testable
 //! unit; the service composes them.
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{Addr, AddrHashMap, AddrHashSet, Prefix, PrefixSet};
 use sixdust_net::Day;
 use sixdust_scan::{Detail, ScanResult};
@@ -19,7 +18,7 @@ use sixdust_scan::{Detail, ScanResult};
 /// assert!(!b.allows("2001:db8::1".parse().unwrap()));
 /// assert!(b.allows("2001:db9::1".parse().unwrap()));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Blocklist {
     prefixes: PrefixSet,
 }
@@ -60,7 +59,7 @@ impl Blocklist {
 /// The GFW cleaning filter (Sec. 4.2): removes UDP/53 successes whose
 /// responses carried injection markers (A records answering AAAA queries,
 /// or Teredo AAAA records), and remembers every address ever flagged.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GfwFilter {
     impacted: AddrHashSet,
 }
@@ -107,7 +106,7 @@ impl GfwFilter {
 /// outage at the vantage) do not count toward an address's silence, so a
 /// multi-round outage cannot mass-evict the pool: eviction is deferred by
 /// exactly the quarantined days, not skipped.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UnresponsiveFilter {
     /// Day an address last answered any protocol (or entered the input).
     last_seen: AddrHashMap<Day>,
@@ -117,7 +116,6 @@ pub struct UnresponsiveFilter {
     pub window: u32,
     /// Half-open `[from, until)` day windows whose silence is forgiven.
     /// Absent in checkpoints written before quarantine existed.
-    #[serde(default)]
     quarantined: Vec<(Day, Day)>,
 }
 

@@ -15,11 +15,13 @@
 //! * [`publish`] — the community-facing artifact set the service ships
 //!   (responsive addresses, aliased prefixes, GFW-filter output).
 //! * [`state`] — serializable checkpoints so a restarted service keeps its
-//!   four years of accumulated knowledge.
+//!   four years of accumulated knowledge; [`checkpoint`] writes them to
+//!   disk so that a crash cannot truncate one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod checkpoint;
 pub mod filters;
 pub mod newsources;
 pub mod publish;
@@ -227,9 +229,9 @@ mod tests {
     fn config_json_with_a_retired_key_still_parses() {
         // Configs written before the protocol scans moved onto the one
         // executor carry a key the struct no longer has; it is ignored.
-        let json = serde_json::to_string(&ServiceConfig::default()).unwrap();
+        let json = sixdust_json::to_string(&ServiceConfig::default());
         let legacy = json.replacen('{', "{\"parallel_protocols\":true,", 1);
-        let parsed: ServiceConfig = serde_json::from_str(&legacy).unwrap();
+        let parsed: ServiceConfig = sixdust_json::from_str(&legacy).unwrap();
         assert_eq!(parsed, ServiceConfig::default());
     }
 

@@ -13,7 +13,6 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr, PrefixSet};
 use sixdust_net::{Day, Internet, ProtoSet, Protocol};
 use sixdust_scan::{scan, Detail, ScanConfig};
@@ -93,7 +92,7 @@ pub fn passive_sources(net: &Internet, day: Day) -> Vec<Addr> {
 }
 
 /// Result of evaluating one candidate source (a Table 3 + Table 4 row).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SourceEval {
     /// Source label.
     pub name: String,

@@ -9,13 +9,13 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{Addr, AddrSet};
+use sixdust_json::json_struct;
 
 use crate::service::HitlistService;
 
 /// The artifact set of one publication.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Publication {
     /// ISO date of the underlying scan round.
     pub date: String,
@@ -35,7 +35,7 @@ pub struct Publication {
 }
 
 /// The machine-readable manifest of one publication.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Manifest {
     /// ISO date.
     pub date: String,
@@ -48,10 +48,10 @@ pub struct Manifest {
     /// not render-derived: two manifests list the same digest exactly
     /// when the artifact holds the same addresses, so consumers can key
     /// ETags and deltas off it. Absent in manifests written before
-    /// digests existed, hence the serde default.
-    #[serde(default)]
+    /// digests existed, hence the optional key.
     pub digests: Vec<(String, String)>,
 }
+json_struct!(Manifest { date, counts, gfw_filter_active, digests = Vec::new() });
 
 /// The stable content digest recorded per artifact in
 /// [`Manifest::digests`] — [`sixdust_addr::digest::content_digest`], the
@@ -159,8 +159,7 @@ impl Publication {
         for (stem, body) in &self.per_protocol {
             std::fs::write(dir.join(stem), body)?;
         }
-        let manifest = serde_json::to_string_pretty(&self.manifest).expect("manifest serializes");
-        std::fs::write(dir.join("manifest.json"), manifest)?;
+        std::fs::write(dir.join("manifest.json"), sixdust_json::to_string_pretty(&self.manifest))?;
         Ok(())
     }
 
@@ -270,13 +269,13 @@ mod tests {
             "counts": [["responsive-addresses.txt", 3]],
             "gfw_filter_active": false
         }"#;
-        let m: Manifest = serde_json::from_str(old).expect("old manifest readable");
+        let m: Manifest = sixdust_json::from_str(old).expect("old manifest readable");
         assert!(m.digests.is_empty());
         assert_eq!(m.counts.len(), 1);
         // And a new manifest round-trips with digests intact.
         let p = published();
-        let json = serde_json::to_string(&p.manifest).expect("serializes");
-        let back: Manifest = serde_json::from_str(&json).expect("round trip");
+        let json = sixdust_json::to_string(&p.manifest);
+        let back: Manifest = sixdust_json::from_str(&json).expect("round trip");
         assert_eq!(back.digests, p.manifest.digests);
     }
 

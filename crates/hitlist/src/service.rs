@@ -11,9 +11,9 @@
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr, AddrHashMap, AddrHashSet, AddrSet, PrefixSet};
 use sixdust_alias::{candidates, AliasDetector, DetectorConfig};
+use sixdust_json::json_struct;
 use sixdust_net::{events, Day, Internet, ProbeKind, ProtoSet, Protocol, Response};
 use sixdust_scan::{proto_metric_key, scan_jobs, ScanConfig, ScanJob, ScanResult};
 use sixdust_telemetry::{
@@ -24,7 +24,7 @@ use crate::filters::{Blocklist, GfwFilter, UnresponsiveFilter};
 use crate::sources;
 
 /// Service configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Scanner settings shared by all protocol modules.
     /// [`ScanConfig::threads`] is the round's one thread budget: the
@@ -46,13 +46,17 @@ pub struct ServiceConfig {
     /// filter. A round is also degraded when ≥3 protocol monitors flag a
     /// *downward* anomaly, or when a non-empty target list yields zero
     /// responses (vantage blackout).
-    #[serde(default = "default_degraded_loss_permille")]
     pub degraded_loss_permille: u32,
 }
-
-fn default_degraded_loss_permille() -> u32 {
-    350
-}
+json_struct!(ServiceConfig {
+    scan,
+    detector,
+    gfw_filter_from,
+    alias_every_days,
+    traceroute_cap,
+    snapshot_days,
+    degraded_loss_permille = 350,
+});
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
@@ -63,7 +67,7 @@ impl Default for ServiceConfig {
             alias_every_days: 28,
             traceroute_cap: 4000,
             snapshot_days: Day::SNAPSHOTS.to_vec(),
-            degraded_loss_permille: default_degraded_loss_permille(),
+            degraded_loss_permille: 350,
         }
     }
 }
@@ -173,7 +177,7 @@ impl ServiceConfigBuilder {
 }
 
 /// Per-round longitudinal record (the rows behind Figs. 3 and 4).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRecord {
     /// Scan day.
     pub day: Day,
@@ -204,14 +208,12 @@ pub struct RoundRecord {
     /// (Protocol::ALL order): `true` where the online MAD monitor judged
     /// this round's count far outside its rolling baseline — the live
     /// version of Fig. 3's GFW spike eras. Absent in records checkpointed
-    /// before the monitor existed, hence the serde default.
-    #[serde(default)]
+    /// before the monitor existed, hence the optional key.
     pub anomalous: [bool; 5],
     /// Whether this round was classified degraded (heavy loss, outage or
     /// broad downward anomaly) and therefore quarantined: the 30-day
     /// filter did not sweep, and the silent days will not count against
     /// any address. Absent in pre-quarantine checkpoints.
-    #[serde(default)]
     pub degraded: bool,
     /// Aggregate loss estimate for the round's scans in permille,
     /// weighting each protocol by the probes it *sent* (0 when
@@ -220,9 +222,25 @@ pub struct RoundRecord {
     /// 1000‰ for its share of probes: weighting by responses — as this
     /// service once did — gives exactly the blacked-out scans zero say
     /// in the average the degraded-round classifier reads.
-    #[serde(default)]
     pub loss_estimate_permille: u32,
 }
+json_struct!(RoundRecord {
+    day,
+    input_total,
+    targets,
+    published,
+    cleaned,
+    total_published,
+    total_cleaned,
+    churn_brand_new,
+    churn_recurring,
+    churn_gone,
+    aliased_prefixes,
+    dropped,
+    anomalous = [false; 5],
+    degraded = false,
+    loss_estimate_permille = 0,
+});
 
 /// A retained full snapshot (Table 1 / Figs. 2, 9, 10 inputs).
 ///
@@ -230,7 +248,7 @@ pub struct RoundRecord {
 /// plain address sequences the old `Vec<Addr>` layout wrote, so
 /// checkpoints containing snapshots are byte-identical across the
 /// representation change.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Snapshot day (the first scan round at or after the requested day).
     pub day: Day,
@@ -241,6 +259,7 @@ pub struct Snapshot {
     /// Aliased prefix labels at snapshot time (Fig. 5's yearly series).
     pub aliased: Vec<sixdust_addr::Prefix>,
 }
+json_struct!(Snapshot { day, cleaned, published, aliased });
 
 /// The shared empty set returned by by-protocol accessors when a
 /// protocol has no retained slice.

@@ -11,8 +11,8 @@
 use std::collections::HashSet;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{Addr, AddrSet, Prefix};
+use sixdust_json::json_struct;
 use sixdust_net::{Day, ProtoSet};
 
 use crate::service::{HitlistService, RoundRecord, ServiceConfig, Snapshot};
@@ -20,8 +20,8 @@ use crate::service::{HitlistService, RoundRecord, ServiceConfig, Snapshot};
 /// A serializable checkpoint of the service's accumulated knowledge.
 ///
 /// Version 2 added the resume-critical fields (`active` clocks, quarantine
-/// windows, `current_responsive`, `next_alias_day`); they carry serde
-/// defaults so version-1 checkpoints still parse, restoring with a
+/// windows, `current_responsive`, `next_alias_day`); their keys are
+/// optional so version-1 checkpoints still parse, restoring with a
 /// documented, slightly lenient fallback (see
 /// [`HitlistService::from_state`]).
 ///
@@ -32,7 +32,7 @@ use crate::service::{HitlistService, RoundRecord, ServiceConfig, Snapshot};
 /// `Vec<Addr>` fields wrote, and parses legacy (even unsorted) payloads
 /// by normalizing — so v2 checkpoints load without a migration step and
 /// a v3 checkpoint differs from its v2 twin only in the `version` field.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceState {
     /// Format version for forward compatibility.
     pub version: u32,
@@ -51,25 +51,31 @@ pub struct ServiceState {
     /// Retained full snapshots.
     pub snapshots: Vec<Snapshot>,
     /// Active scan targets with the day each last answered (v2).
-    #[serde(default)]
     pub active: Vec<(Addr, Day)>,
     /// Quarantined `[from, until)` day windows of degraded rounds (v2).
-    #[serde(default)]
     pub quarantined: Vec<(Day, Day)>,
     /// The most recent cleaned responsive set (v2; churn baseline).
-    #[serde(default)]
     pub current_responsive: AddrSet,
     /// The day the next periodic alias detection is due (v2).
-    #[serde(default)]
     pub next_alias_day: Day,
     /// The 30-day filter's window override, in days (v2).
-    #[serde(default = "default_unresponsive_window")]
     pub unresponsive_window: u32,
 }
-
-fn default_unresponsive_window() -> u32 {
-    30
-}
+json_struct!(ServiceState {
+    version,
+    input,
+    aliased,
+    gfw_impacted,
+    unresponsive_pool,
+    cumulative,
+    rounds,
+    snapshots,
+    active = Vec::new(),
+    quarantined = Vec::new(),
+    current_responsive = AddrSet::new(),
+    next_alias_day = Day::default(),
+    unresponsive_window = 30,
+});
 
 /// Current checkpoint format version.
 pub const STATE_VERSION: u32 = 3;
@@ -113,13 +119,13 @@ impl ServiceState {
 
     /// Serializes to pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("state serializes")
+        sixdust_json::to_string_pretty(self)
     }
 
     /// Parses a checkpoint, rejecting unknown versions.
     pub fn from_json(json: &str) -> Result<ServiceState, String> {
         let state: ServiceState =
-            serde_json::from_str(json).map_err(|e| format!("checkpoint parse: {e}"))?;
+            sixdust_json::from_str(json).map_err(|e| format!("checkpoint parse: {e}"))?;
         if !(OLDEST_SUPPORTED_STATE_VERSION..=STATE_VERSION).contains(&state.version) {
             return Err(format!(
                 "checkpoint version {} unsupported (expected \
@@ -130,24 +136,16 @@ impl ServiceState {
         Ok(state)
     }
 
-    /// Writes the checkpoint crash-safely: serializes to a sibling
-    /// temporary file, then atomically renames it over `path`. A crash
-    /// mid-write leaves either the previous checkpoint or a stray `.tmp`
-    /// file — never a truncated checkpoint at `path`.
+    /// Writes the checkpoint crash-safely; see
+    /// [`checkpoint::save_atomic`](crate::checkpoint::save_atomic).
     pub fn save_atomic(&self, path: &Path) -> std::io::Result<()> {
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        crate::checkpoint::save_atomic(path, &self.to_json())
     }
 
     /// Loads, parses and validates a checkpoint written by
     /// [`ServiceState::save_atomic`].
     pub fn load(path: &Path) -> Result<ServiceState, String> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| format!("checkpoint read {}: {e}", path.display()))?;
-        let state = ServiceState::from_json(&json)?;
+        let state = ServiceState::from_json(&crate::checkpoint::load(path)?)?;
         state.validate()?;
         Ok(state)
     }
@@ -224,6 +222,18 @@ mod tests {
         let json = state.to_json();
         let back = ServiceState::from_json(&json).expect("parses");
         assert_eq!(back, state);
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        // The pretty bytes of a tiny-scale checkpoint, by length and
+        // content digest: a writer that drifts (spacing, key order, number
+        // form) fails here instead of silently forking the on-disk format.
+        let json = ServiceState::capture(&run_service(8)).to_json();
+        assert!(json.starts_with("{\n  \"version\": 3,\n  \"input\": [\n    "), "{:.60}", json);
+        assert!(json.ends_with("\n  \"unresponsive_window\": 30\n}"), "no trailing newline");
+        let digest = sixdust_addr::digest::content_digest(json.bytes().map(u128::from));
+        assert_eq!((json.len(), digest), (487_624, 15_575_141_471_646_519_657));
     }
 
     #[test]
@@ -304,22 +314,6 @@ mod tests {
         assert_eq!(resumed.cumulative().len(), original.cumulative().len());
         assert_eq!(resumed.snapshots().len(), original.snapshots().len());
         assert_eq!(resumed.current_responsive().len(), original.current_responsive().len());
-    }
-
-    #[test]
-    fn save_atomic_then_load_round_trips_and_leaves_no_temp() {
-        let svc = run_service(6);
-        let state = ServiceState::capture(&svc);
-        let dir = std::env::temp_dir().join("sixdust_state_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("checkpoint.json");
-        state.save_atomic(&path).expect("atomic save");
-        assert!(!dir.join("checkpoint.json.tmp").exists(), "temp renamed away");
-        let back = ServiceState::load(&path).expect("load validates");
-        assert_eq!(back, state);
-        // Overwriting an existing checkpoint is also atomic.
-        state.save_atomic(&path).expect("overwrite");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -2,12 +2,19 @@
 //! whatever it finds on disk — a checkpoint from an older version, a file
 //! truncated by a crash, or plain garbage — and must reject bad input with
 //! an error, never a panic, and never accept an inconsistent timeline.
+//! Seeded loops, at least 64 cases each.
 
 use std::sync::OnceLock;
 
-use proptest::prelude::*;
+use sixdust_addr::prf::PrfStream;
 use sixdust_hitlist::{HitlistService, ServiceConfig, ServiceState};
 use sixdust_net::{Day, FaultConfig, Internet, Scale};
+
+const CASES: u64 = 64;
+
+fn stream(property: u64, case: u64) -> PrfStream {
+    PrfStream::new(0xC4EC, u128::from(case), property)
+}
 
 /// One small service run, captured once: the donor checkpoint every
 /// mutation case starts from.
@@ -25,87 +32,133 @@ fn donor() -> &'static ServiceState {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Arbitrary bytes are not a checkpoint: parsing must return `Err`,
-    /// never panic — and on the off chance something parses, validation
-    /// must not panic either.
-    #[test]
-    fn garbage_never_panics(json in "\\PC*") {
-        if let Ok(state) = ServiceState::from_json(&json) {
+/// Arbitrary text is not a checkpoint: parsing must return `Err`, never
+/// panic — and on the off chance something parses, validation must not
+/// panic either.
+#[test]
+fn garbage_never_panics() {
+    const SHAPED: &[u8] = b"{}[]\",:-0123456789.eE\\u";
+    for case in 0..4 * CASES {
+        let rng = &mut stream(1, case);
+        let text: String = (0..rng.next_bounded(200))
+            .filter_map(|_| match rng.next_bounded(3) {
+                0 => char::from_u32(rng.next_bounded(0x80) as u32),
+                1 => Some(SHAPED[rng.next_bounded(SHAPED.len() as u64) as usize] as char),
+                _ => char::from_u32(rng.next_bounded(0x11_0000) as u32),
+            })
+            .collect();
+        if let Ok(state) = ServiceState::from_json(&text) {
             let _ = state.validate();
         }
     }
+}
 
-    /// JSON-shaped garbage (braces, quotes, numbers in plausible places)
-    /// is still rejected gracefully.
-    #[test]
-    fn json_shaped_garbage_never_panics(
-        version in any::<u32>(),
-        filler in "[a-z_]{1,12}",
-        n in any::<i64>(),
-    ) {
+/// JSON-shaped garbage (braces, quotes, numbers in plausible places) is
+/// still rejected gracefully.
+#[test]
+fn json_shaped_garbage_never_panics() {
+    for case in 0..CASES {
+        let rng = &mut stream(2, case);
+        let version = rng.next_u64() as u32;
+        let filler: String = (0..1 + rng.next_bounded(12))
+            .map(|_| b"abcdefghijklmnopqrstuvwxyz_"[rng.next_bounded(27) as usize] as char)
+            .collect();
+        let n = rng.next_u64() as i64;
         let json = format!("{{\"version\": {version}, \"{filler}\": {n}}}");
-        prop_assert!(ServiceState::from_json(&json).is_err());
+        assert!(ServiceState::from_json(&json).is_err(), "{json}");
     }
-
-    /// A checkpoint cut off mid-write (any strict prefix of a real one)
-    /// parses to an error, never a panic and never a silently shorter
-    /// history — exactly the crash `save_atomic` defends against.
-    #[test]
-    fn truncated_checkpoints_are_rejected(cut_frac in 0.0f64..1.0) {
-        let json = donor().to_json();
-        let boundaries: Vec<usize> = json.char_indices().map(|(i, _)| i).collect();
-        let cut = boundaries[(cut_frac * (boundaries.len() - 1) as f64) as usize];
-        prop_assume!(cut < json.len());
-        prop_assert!(ServiceState::from_json(&json[..cut]).is_err());
+    // Right keys, wrong or hostile values.
+    let donor = donor().to_json();
+    for (from, to) in [
+        ("\"version\": 3", "\"version\": -3"),
+        ("\"version\": 3", "\"version\": 3.0"),
+        ("\"version\": 3", "\"version\": 4294967296"),
+        ("\"version\": 3", "\"version\": \"3\""),
+        ("\"input\": [", "\"input\": [-1, "),
+        ("\"input\": [", "\"input\": [340282366920938463463374607431768211456, "),
+        ("\"input\": [", "\"input\": [null, "),
+        ("\"len\": ", "\"len\": 1"),
+        ("\"rounds\": [", "\"rounds\": [{}, "),
+        ("\"unresponsive_window\": 30", "\"unresponsive_window\": 30, \"version\": 3"),
+    ] {
+        assert!(donor.contains(from), "{from}");
+        assert!(ServiceState::from_json(&donor.replacen(from, to, 1)).is_err(), "{from} -> {to}");
     }
+}
 
-    /// One flipped byte can shift a brace or a digit; whatever it does,
-    /// the parser must not panic, and a still-parseable checkpoint must
-    /// survive validation without panicking.
-    #[test]
-    fn corrupted_checkpoints_never_panic(pos_frac in 0.0f64..1.0, flip in 1u8..=255) {
-        let mut bytes = donor().to_json().into_bytes();
-        let pos = (pos_frac * (bytes.len() - 1) as f64) as usize;
-        bytes[pos] ^= flip;
+/// A checkpoint cut off mid-write (any strict prefix of a real one)
+/// parses to an error, never a panic and never a silently shorter
+/// history — exactly the crash `save_atomic` defends against.
+#[test]
+fn truncated_checkpoints_are_rejected() {
+    let json = donor().to_json();
+    // Parsing every prefix of half a megabyte is quadratic: the last 64
+    // bytes (where a document is nearly whole) one by one, then seeded
+    // cuts over the rest.
+    let tail = (json.len() - 64..json.len()).collect::<Vec<_>>();
+    let seeded =
+        (0..4 * CASES).map(|case| stream(3, case).next_bounded(json.len() as u64) as usize);
+    for cut in tail.into_iter().chain(seeded).filter(|&cut| json.is_char_boundary(cut)) {
+        assert!(ServiceState::from_json(&json[..cut]).is_err(), "prefix of {cut} bytes parsed");
+    }
+}
+
+/// One flipped byte can shift a brace or a digit; whatever it does, the
+/// parser must not panic, and a still-parseable checkpoint must survive
+/// validation without panicking.
+#[test]
+fn corrupted_checkpoints_never_panic() {
+    let json = donor().to_json();
+    for case in 0..CASES {
+        let rng = &mut stream(4, case);
+        let mut bytes = json.clone().into_bytes();
+        let pos = rng.next_bounded(bytes.len() as u64) as usize;
+        bytes[pos] ^= 1 + rng.next_bounded(255) as u8;
         if let Ok(json) = String::from_utf8(bytes) {
             if let Ok(state) = ServiceState::from_json(&json) {
                 let _ = state.validate();
             }
         }
     }
+}
 
-    /// Day monotonicity: round records and snapshots must be strictly
-    /// increasing in day. Reordering any two rounds, or duplicating any
-    /// snapshot, must fail validation.
-    #[test]
-    fn shuffled_timelines_fail_validation(i in 0usize..8, j in 0usize..8) {
-        prop_assume!(i != j);
+/// Day monotonicity: round records and snapshots must be strictly
+/// increasing in day. Reordering any two rounds, or duplicating any
+/// snapshot, must fail validation.
+#[test]
+fn shuffled_timelines_fail_validation() {
+    let rounds = donor().rounds.len();
+    assert!(rounds >= 8);
+    for (i, j) in (0..rounds).flat_map(|i| (0..rounds).map(move |j| (i, j))).filter(|(i, j)| i != j)
+    {
         let mut state = donor().clone();
-        prop_assume!(i < state.rounds.len() && j < state.rounds.len());
         state.rounds.swap(i, j);
-        prop_assert!(state.validate().is_err(), "swapped rounds {i} and {j} accepted");
+        assert!(state.validate().is_err(), "swapped rounds {i} and {j} accepted");
     }
+}
 
-    #[test]
-    fn duplicated_snapshots_fail_validation(idx in 0usize..2) {
+#[test]
+fn duplicated_snapshots_fail_validation() {
+    assert_eq!(donor().snapshots.len(), 2);
+    for idx in 0..2 {
         let mut state = donor().clone();
-        prop_assume!(idx < state.snapshots.len());
         let dup = state.snapshots[idx].clone();
         state.snapshots.insert(idx, dup);
-        prop_assert!(state.validate().is_err());
+        assert!(state.validate().is_err());
     }
+}
 
-    /// Quarantine windows are half-open `[from, until)`: empty or inverted
-    /// windows must be rejected.
-    #[test]
-    fn inverted_quarantine_windows_fail_validation(from in 0u32..2000, len in 0u32..100) {
+/// Quarantine windows are half-open `[from, until)`: empty or inverted
+/// windows must be rejected.
+#[test]
+fn inverted_quarantine_windows_fail_validation() {
+    for case in 0..CASES {
+        let rng = &mut stream(5, case);
+        let (from, len) = (rng.next_bounded(2000) as u32, rng.next_bounded(100) as u32);
         let mut state = donor().clone();
         // len == 0 is the degenerate from == until empty window; larger
         // len inverts the bounds. Both must be rejected.
         state.quarantined.push((Day(from + len), Day(from)));
-        prop_assert!(state.validate().is_err());
+        assert!(state.validate().is_err());
     }
 }

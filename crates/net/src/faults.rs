@@ -33,9 +33,8 @@
 //!
 //! [Gilbert–Elliott]: https://en.wikipedia.org/wiki/Burst_error#Gilbert%E2%80%93Elliott_model
 
-use serde::{Deserialize, Serialize};
-
 use sixdust_addr::{prf, Addr};
+use sixdust_json::{json_struct, Error, FromJson, ToJson, Value};
 
 use crate::proto::Protocol;
 use crate::time::Day;
@@ -50,7 +49,7 @@ use crate::time::Day;
 /// rate-limited path stays lossy for `mean_bad_days` in a row rather
 /// than losing an uncorrelated trickle — the failure shape that defeats
 /// naive retry loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GilbertElliott {
     /// Mean sojourn time in the Good state, in days (≥ 1).
     pub mean_good_days: u32,
@@ -62,6 +61,12 @@ pub struct GilbertElliott {
     /// Loss probability in the Bad state, in permille.
     pub bad_drop_permille: u32,
 }
+json_struct!(GilbertElliott {
+    mean_good_days,
+    mean_bad_days,
+    good_drop_permille,
+    bad_drop_permille
+});
 
 impl Default for GilbertElliott {
     fn default() -> GilbertElliott {
@@ -114,14 +119,15 @@ impl GilbertElliott {
 /// limit ICMPv6 error generation (RFC 4443 §2.4f); under a tight budget
 /// yarrp's Time Exceeded harvest and the Too Big Trick's cache seeding
 /// degrade exactly like they do against production hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IcmpRateLimit {
     /// ICMPv6 error/control messages each entity handles per day.
     pub per_day: u32,
 }
+json_struct!(IcmpRateLimit { per_day });
 
 /// What an [`Outage`] takes down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutageScope {
     /// The scanning vantage point itself: *nothing* answers (the scanner
     /// is cut off, every probe of every protocol times out).
@@ -135,10 +141,39 @@ pub enum OutageScope {
     Protocol(Protocol),
 }
 
+/// `"Vantage"`, `{"Asn": 4134}`, `{"Protocol": "Udp53"}`.
+impl ToJson for OutageScope {
+    fn to_value(&self) -> Value {
+        match self {
+            OutageScope::Vantage => "Vantage".to_value(),
+            OutageScope::Asn(asn) => Value::Object(vec![("Asn".to_string(), asn.to_value())]),
+            OutageScope::Protocol(proto) => {
+                Value::Object(vec![("Protocol".to_string(), proto.to_value())])
+            }
+        }
+    }
+}
+
+impl FromJson for OutageScope {
+    fn from_value(v: &Value) -> Result<OutageScope, Error> {
+        match v {
+            Value::String(s) if s == "Vantage" => Ok(OutageScope::Vantage),
+            Value::Object(members) => match members.as_slice() {
+                [(tag, asn)] if tag == "Asn" => u32::from_value(asn).map(OutageScope::Asn),
+                [(tag, proto)] if tag == "Protocol" => {
+                    Protocol::from_value(proto).map(OutageScope::Protocol)
+                }
+                _ => Err(Error::new("unknown OutageScope variant")),
+            },
+            other => Err(Error::expected("an OutageScope", other)),
+        }
+    }
+}
+
 /// A scheduled outage window `[from, until)` on the simulation timeline —
 /// the same [`Day`] axis as the GFW eras and source events in
 /// [`crate::time::events`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outage {
     /// First day of the outage (inclusive).
     pub from: Day,
@@ -149,10 +184,10 @@ pub struct Outage {
     /// For [`OutageScope::Vantage`]: the ASN of the *specific* vantage
     /// point this window cuts off, or `None` for the historical meaning
     /// of "every vantage is down". Ignored for the other scopes. The
-    /// serde default keeps pre-existing serialized configs global.
-    #[serde(default)]
+    /// Absent in configs serialized before it existed, which stay global.
     pub vantage: Option<u32>,
 }
+json_struct!(Outage { from, until, scope, vantage });
 
 impl Outage {
     /// A vantage-point outage window `[from, until)` downing every
@@ -202,8 +237,7 @@ impl Outage {
 /// assert!(faults.vantage_down(Day(63)));
 /// assert!(!faults.vantage_down(Day(68)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-#[serde(default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultConfig {
     /// Baseline probe/response drop probability in permille (applies per
     /// probe attempt).
@@ -234,6 +268,18 @@ pub struct FaultConfig {
     /// Scheduled outage windows.
     pub outages: Vec<Outage>,
 }
+// Every key is optional: an old single-knob config still loads.
+json_struct!(FaultConfig: default {
+    drop_permille,
+    seed,
+    burst,
+    proto_drop,
+    as_drop,
+    duplicate_permille,
+    corrupt_permille,
+    icmp_rate_limit,
+    outages
+});
 
 impl FaultConfig {
     /// The historical default: 0.4 % uniform loss, no other faults.
@@ -559,17 +605,32 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn json_roundtrip() {
         let f = FaultConfig::builder()
             .drop_permille(7)
             .burst(GilbertElliott::default())
             .outage(Outage::asn(4134, Day(1), Day(4)))
+            .outage(Outage::protocol(Protocol::Udp53, Day(2), Day(3)))
+            .outage(Outage::vantage_asn(64497, Day(5), Day(6)))
             .build();
-        let json = serde_json::to_string(&f).unwrap();
-        let back: FaultConfig = serde_json::from_str(&json).unwrap();
+        let json = sixdust_json::to_string(&f);
+        // The shape serde derived: newtype variants as one-key objects,
+        // unit variants as strings, `None` as null.
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"drop_permille":7,"seed":0,"burst":{"mean_good_days":12,"mean_bad_days":3,"#,
+                r#""good_drop_permille":5,"bad_drop_permille":500},"proto_drop":[],"as_drop":[],"#,
+                r#""duplicate_permille":0,"corrupt_permille":0,"icmp_rate_limit":null,"outages":["#,
+                r#"{"from":1,"until":4,"scope":{"Asn":4134},"vantage":null},"#,
+                r#"{"from":2,"until":3,"scope":{"Protocol":"Udp53"},"vantage":null},"#,
+                r#"{"from":5,"until":6,"scope":"Vantage","vantage":64497}]}"#
+            )
+        );
+        let back: FaultConfig = sixdust_json::from_str(&json).unwrap();
         assert_eq!(back, f);
-        // Old single-knob configs still parse (serde defaults).
-        let legacy: FaultConfig = serde_json::from_str(r#"{"drop_permille": 4}"#).unwrap();
+        // Old single-knob configs still parse (every key is optional).
+        let legacy: FaultConfig = sixdust_json::from_str(r#"{"drop_permille": 4}"#).unwrap();
         assert_eq!(legacy, FaultConfig::default_loss());
     }
 }

@@ -8,11 +8,10 @@
 
 use std::borrow::Cow;
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::prf;
 
 /// The TCP handshake features used to fingerprint aliased prefixes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TcpFingerprint {
     /// Order-preserving options string (e.g. `MSTNW`): borrowed from the
     /// profile pool for a simulated host — every answered probe builds a
@@ -76,7 +75,7 @@ impl TcpFingerprint {
 }
 
 /// DNS responder behaviour classes (Sec. 4.2 validation experiment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DnsBehavior {
     /// An authoritative server or locked-down resolver: answers every query
     /// for a foreign name with REFUSED — a *valid* DNS response, hence

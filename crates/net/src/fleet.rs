@@ -12,7 +12,6 @@
 //!   weekly with random IIDs; together with the GFW's DNS injection they
 //!   produce the 134 M falsely-responsive UDP/53 addresses.
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr, Eui64, Prefix};
 
 use crate::registry::AsId;
@@ -24,7 +23,7 @@ const SHARED_MAC_SERIAL: u32 = 7;
 const SERIAL_BASE: u32 = 0x10;
 
 /// A fleet of rotating CPE devices inside one AS.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpeFleet {
     /// Owning AS.
     pub asid: AsId,
@@ -131,7 +130,7 @@ impl CpeFleet {
 }
 
 /// A pool of router interfaces for one AS.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RouterPool {
     /// Owning AS.
     pub asid: AsId,

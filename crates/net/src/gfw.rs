@@ -18,7 +18,6 @@
 //!   (`events::GFW_ERA{1,2,3}`), which is what makes the published
 //!   time series spike and fall (Fig. 3 left).
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, teredo, Addr};
 use sixdust_wire::dns::{DnsMessage, Rcode, Rdata, Record};
 
@@ -48,7 +47,7 @@ pub const WRONG_OPERATOR_V4: &[u32] = &[
 ];
 
 /// Which injection era is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GfwEra {
     /// First event: A-record injection.
     ARecord1,
@@ -59,7 +58,7 @@ pub enum GfwEra {
 }
 
 /// The firewall model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gfw {
     seed: u64,
 }

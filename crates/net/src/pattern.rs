@@ -14,14 +14,13 @@
 //! inverts the permutation and checks the index bound — random-looking
 //! addresses with O(1) membership and no stored state.
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr, Eui64, Prefix};
 
 /// A 4-round balanced Feistel permutation over `u64`, keyed by `key`.
 ///
 /// Not cryptography — just a deterministic bijection whose output looks
 /// uniform, which is all an address simulator needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Feistel64 {
     key: u64,
 }
@@ -62,7 +61,7 @@ impl Feistel64 {
 }
 
 /// How member addresses are laid out inside a group's prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddrPattern {
     /// `prefix::1 … prefix::count` — the classic low-byte server block.
     LowByte {

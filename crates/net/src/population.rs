@@ -15,7 +15,6 @@
 //! by capacity), then one slot each for servers, dense clusters, flaky
 //! hosts, DNS servers, the CPE region and the router region.
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr, Prefix, PrefixTrie};
 
 use crate::fingerprint::{DnsBehavior, TcpFingerprint};
@@ -25,11 +24,11 @@ use crate::registry::{AsCategory, AsId, AsRegistry, BackendMode, ProtoMix};
 use crate::time::Day;
 
 /// Index of a subnet group in the population.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GroupId(pub u32);
 
 /// What kind of hosts a group holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupKind {
     /// Stable responsive servers (churny, growing).
     Servers,
@@ -52,7 +51,7 @@ pub enum GroupKind {
 }
 
 /// A subnet group: a prefix, a member pattern and liveness parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubnetGroup {
     /// Covering prefix (a /64 except for aliased groups).
     pub prefix: Prefix,
@@ -177,7 +176,7 @@ pub struct HostView {
 
 /// What a prefix of the population index resolves to: an index into
 /// `groups`, `routers` or `cpe`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Owner {
     Group(u32),
     RouterPool(u32),
@@ -185,7 +184,7 @@ enum Owner {
 }
 
 /// The full population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Population {
     groups: Vec<SubnetGroup>,
     cpe: Vec<CpeFleet>,

@@ -2,10 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use sixdust_json::{json_enum, Error, FromJson, ToJson, Value};
 
 /// A protocol the IPv6 Hitlist scans (Fig. 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Protocol {
     /// ICMPv6 echo.
     Icmp,
@@ -18,6 +18,7 @@ pub enum Protocol {
     /// UDP port 443 (QUIC).
     Udp443,
 }
+json_enum!(Protocol { Icmp, Tcp80, Tcp443, Udp53, Udp443 });
 
 impl Protocol {
     /// All five protocols in the paper's table order
@@ -55,8 +56,20 @@ impl fmt::Display for Protocol {
 }
 
 /// A set of protocols as a 5-bit mask.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ProtoSet(pub u8);
+
+impl ToJson for ProtoSet {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+impl FromJson for ProtoSet {
+    fn from_value(v: &Value) -> Result<ProtoSet, Error> {
+        u8::from_value(v).map(ProtoSet)
+    }
+}
 
 impl ProtoSet {
     /// The empty set.

@@ -14,7 +14,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr, Prefix, PrefixTrie};
 
 use crate::proto::{ProtoSet, Protocol};
@@ -22,11 +21,11 @@ use crate::scale::Scale;
 use crate::time::{events, Day};
 
 /// Index of an AS inside the registry (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AsId(pub u32);
 
 /// Behavioural category of an AS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsCategory {
     /// Eyeball ISP with a CPE fleet.
     Isp,
@@ -50,7 +49,7 @@ pub enum AsCategory {
 
 /// How addresses within a fully responsive prefix map to backend hosts,
 /// which is what the Too Big Trick distinguishes (Sec. 5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendMode {
     /// A true alias: one host owns the whole prefix (one PMTU cache).
     Single,
@@ -61,7 +60,7 @@ pub enum BackendMode {
 }
 
 /// A specification of fully responsive ("aliased") prefixes within an AS.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AliasSpec {
     /// Prefix length of each aliased prefix.
     pub plen: u8,
@@ -98,7 +97,7 @@ impl AliasSpec {
 }
 
 /// Protocol-mix archetypes used to draw per-server protocol sets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtoMix {
     /// General server population: everything answers ICMP; a third HTTP,
     /// a bit less HTTPS, little QUIC, rare DNS — matches the cleaned
@@ -151,7 +150,7 @@ impl ProtoMix {
 
 /// Static behavioural profile of an AS (paper-scale magnitudes; the
 /// population builder scales them).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AsProfile {
     /// Stable responsive server addresses at the end of the window.
     pub responsive_servers: u64,
@@ -207,7 +206,7 @@ impl Default for AsProfile {
 }
 
 /// A registered AS.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsInfo {
     /// The autonomous system number.
     pub asn: u32,
@@ -240,7 +239,7 @@ impl AsInfo {
 }
 
 /// The AS registry: all ASes plus the BGP table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsRegistry {
     infos: Vec<AsInfo>,
     by_asn: HashMap<u32, AsId>,
@@ -250,7 +249,6 @@ pub struct AsRegistry {
     /// first entry is the default vantage. Serde default keeps old
     /// serialized registries loading; [`AsRegistry::vantage`] falls back
     /// to a category scan when the list is empty.
-    #[serde(default)]
     vantage_ids: Vec<AsId>,
 }
 

@@ -12,14 +12,10 @@
 //! bench can sweep population without touching the entity structure —
 //! the same ASes and prefixes, each simply denser.
 
-use serde::{Deserialize, Serialize};
-
-fn default_population_mult() -> u64 {
-    1
-}
+use sixdust_json::json_struct;
 
 /// Magnitude scaling configuration for the simulated Internet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
     /// Divisor applied to the paper's address counts (population sizes,
     /// source volumes). `1000` means one simulated address per thousand
@@ -34,11 +30,11 @@ pub struct Scale {
     /// paper magnitudes while the entity structure (AS and prefix
     /// counts) stays fixed. Defaults to 1, so configs written before
     /// the knob existed deserialize unchanged.
-    #[serde(default = "default_population_mult")]
     pub population_mult: u64,
     /// Master RNG seed; every derived decision is a pure function of this.
     pub seed: u64,
 }
+json_struct!(Scale { addr_div, entity_div, population_mult = 1, seed });
 
 impl Scale {
     /// The default experiment scale: 1/1000 of paper address magnitudes,
@@ -141,9 +137,9 @@ mod tests {
     #[test]
     fn pre_mult_configs_deserialize_with_default() {
         let old = r#"{"addr_div": 1000, "entity_div": 10, "seed": 1}"#;
-        let s: Scale = serde_json::from_str(old).expect("old config readable");
+        let s: Scale = sixdust_json::from_str(old).expect("old config readable");
         assert_eq!(s.population_mult, 1);
-        let round: Scale = serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
+        let round: Scale = sixdust_json::from_str(&sixdust_json::to_string(&s)).unwrap();
         assert_eq!(round, s);
     }
 }

@@ -6,13 +6,23 @@
 //! deployment) are constants here so the whole timeline is auditable in one
 //! place.
 
-use serde::{Deserialize, Serialize};
+use sixdust_json::{Error, FromJson, ToJson, Value};
 
 /// A simulation day (days since 2018-07-01).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Day(pub u32);
+
+impl ToJson for Day {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+impl FromJson for Day {
+    fn from_value(v: &Value) -> Result<Day, Error> {
+        u32::from_value(v).map(Day)
+    }
+}
 
 impl Day {
     /// Service launch, 2018-07-01.

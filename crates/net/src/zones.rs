@@ -9,7 +9,6 @@
 //!   aliased prefixes, Cloudflare's 3.94 M-domain /48, top-list presence),
 //! * the **controlled-domain validation experiment** (Sec. 4.2).
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr};
 
 use crate::population::{GroupId, GroupKind, Population};
@@ -21,7 +20,7 @@ use crate::time::Day;
 pub const CONTROLLED_DOMAIN: &str = "sixdust-owned.test";
 
 /// Where a domain's AAAA record points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DomainHost {
     /// Origin AS of the record target.
     pub asid: AsId,
@@ -30,7 +29,7 @@ pub struct DomainHost {
     pub aliased: Option<GroupId>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct HostingEntry {
     asid: AsId,
     /// Hyperscale clouds rotate their load-balancer addresses every four
@@ -46,7 +45,7 @@ struct HostingEntry {
 }
 
 /// The zone universe.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DnsZones {
     entries: Vec<HostingEntry>,
     total_weight: u64,

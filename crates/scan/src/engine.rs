@@ -12,8 +12,8 @@
 
 use std::borrow::Cow;
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
+use sixdust_json::json_struct;
 use sixdust_net::{Day, Internet, ProbeKind, ProbeTally, Protocol, Response};
 use sixdust_telemetry::{Registry, SpanTimer};
 use sixdust_wire::dns::DnsMessage;
@@ -48,7 +48,7 @@ pub fn proto_metric_key(protocol: Protocol) -> &'static str {
 /// Construct via [`ScanConfig::builder`] (or the chainable `with_*`
 /// methods); direct field access remains available for serialization
 /// compatibility but new code should prefer the builder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanConfig {
     /// The thread budget, calling thread included: 1 scans inline. The
     /// executor clamps the effective value to `1..=32` at scan time — a
@@ -76,9 +76,9 @@ pub struct ScanConfig {
     /// virtual (accounted in [`ScanStats::backoff_secs`]) and never sleep
     /// the real thread. `0` (the default) retries back-to-back, matching
     /// the engine's historical behaviour.
-    #[serde(default)]
     pub retry_backoff_ms: u64,
 }
+json_struct!(ScanConfig { threads, attempts, rate_pps, seed, dns_qname, retry_backoff_ms = 0 });
 
 impl Default for ScanConfig {
     fn default() -> ScanConfig {
@@ -195,7 +195,7 @@ impl ScanConfigBuilder {
 }
 
 /// Per-target scan outcome.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanOutcome {
     /// Probed address.
     pub target: Addr,
@@ -206,7 +206,7 @@ pub struct ScanOutcome {
 }
 
 /// Classification detail per protocol module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Detail {
     /// No response.
     Silent,
@@ -217,7 +217,7 @@ pub enum Detail {
         /// Order-preserving options string: borrowed from the simulator's
         /// profile pool on the semantic path, owned when parsed off the
         /// wire — the [`sixdust_net::fingerprint::TcpFingerprint`] field
-        /// as it is. Serializes as a plain string either way.
+        /// as it is.
         optionstext: Cow<'static, str>,
         /// Window size.
         window: u16,
@@ -242,7 +242,7 @@ pub enum Detail {
 }
 
 /// Aggregate statistics of one scan.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScanStats {
     /// Probes sent.
     pub sent: u64,
@@ -255,7 +255,6 @@ pub struct ScanStats {
     pub duration_secs: f64,
     /// Probes beyond the first attempt per target (0 when `attempts` is 1
     /// or every target answered immediately).
-    #[serde(default)]
     pub retries: u64,
     /// Online loss estimate in permille: of the targets that eventually
     /// responded, the fraction of their probe attempts that went
@@ -263,16 +262,14 @@ pub struct ScanStats {
     /// targets are excluded (dark space is indistinguishable from loss),
     /// so with `attempts == 1` this is always 0; retries are what make
     /// loss observable.
-    #[serde(default)]
     pub loss_estimate_permille: u32,
     /// Virtual seconds spent in retry backoff (already folded into
     /// `duration_secs`).
-    #[serde(default)]
     pub backoff_secs: f64,
 }
 
 /// A completed scan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScanResult {
     /// Scanned protocol.
     pub protocol: Protocol,

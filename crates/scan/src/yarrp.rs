@@ -9,7 +9,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
 use sixdust_net::{Day, Internet, ProbeKind, Response};
 
@@ -19,7 +18,7 @@ use crate::permute::CyclicPermutation;
 ///
 /// Construct via [`YarrpConfig::builder`] or the chainable `with_*`
 /// methods.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YarrpConfig {
     /// Highest TTL probed.
     pub max_ttl: u8,
@@ -78,7 +77,7 @@ impl YarrpConfigBuilder {
 }
 
 /// The trace toward one target.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// The traced target.
     pub target: Addr,
@@ -102,7 +101,7 @@ impl Trace {
 }
 
 /// The result of a Yarrp run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct YarrpResult {
     /// Per-target traces (targets with zero responses included).
     pub traces: Vec<Trace>,

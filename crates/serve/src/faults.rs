@@ -20,20 +20,19 @@
 //!
 //! Every stochastic decision is a pure function of `(seed, question)`
 //! via [`sixdust_addr::prf`], so a chaos day replays byte-identically.
-//! The shape mirrors `sixdust-net`: serde with `#[serde(default)]`, a
-//! [`ServeFaultConfig::builder`], chainable `with_*` methods, and a
+//! The shape mirrors `sixdust-net`: a JSON form whose every key is
+//! optional, a [`ServeFaultConfig::builder`], chainable `with_*` methods, and a
 //! [`ServeFaultConfig::lossless`] all-off preset.
 
-use serde::{Deserialize, Serialize};
-
 use sixdust_addr::prf;
+use sixdust_json::json_struct;
 
 const TAG_SYNC_CORRUPT: u64 = 0x5F_C0DE;
 
 /// A scheduled outage of one edge mirror: the mirror answers nothing
 /// (requests and sync attempts both fail) for `[from_us, until_us)` on
 /// the virtual-day timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MirrorOutage {
     /// Index of the mirror that goes dark.
     pub mirror: usize,
@@ -42,6 +41,7 @@ pub struct MirrorOutage {
     /// End of the outage, microseconds into the day (exclusive).
     pub until_us: u64,
 }
+json_struct!(MirrorOutage { mirror, from_us, until_us });
 
 impl MirrorOutage {
     /// Whether the window covers `at_us`.
@@ -53,13 +53,14 @@ impl MirrorOutage {
 /// A window during which the origin cannot publish new generations and
 /// mirrors cannot sync — the condition stale-while-revalidate exists
 /// for. `[from_us, until_us)` on the virtual-day timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Blackout {
     /// Start of the blackout, microseconds into the day (inclusive).
     pub from_us: u64,
     /// End of the blackout, microseconds into the day (exclusive).
     pub until_us: u64,
 }
+json_struct!(Blackout { from_us, until_us });
 
 impl Blackout {
     /// Whether the window covers `at_us`.
@@ -70,13 +71,14 @@ impl Blackout {
 
 /// A persistently slow mirror: every served latency is multiplied by
 /// `(1000 + inflate_permille) / 1000`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlowMirror {
     /// Index of the slow mirror.
     pub mirror: usize,
     /// Extra latency in permille of the true latency (4000 = 5× slower).
     pub inflate_permille: u32,
 }
+json_struct!(SlowMirror { mirror, inflate_permille });
 
 /// Fault injection knobs for the distribution tier.
 ///
@@ -94,8 +96,7 @@ pub struct SlowMirror {
 /// assert!(!faults.mirror_down(1, 7_200_000_000));
 /// assert!(faults.origin_blackout(50_000_000_000));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
-#[serde(default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServeFaultConfig {
     /// Fault-stream seed, mixed into every stochastic fault decision.
     /// Varying it yields a different fault *realization*; equal seed and
@@ -114,6 +115,13 @@ pub struct ServeFaultConfig {
     /// must reject it wholesale (no torn generation).
     pub sync_corrupt_permille: u32,
 }
+json_struct!(ServeFaultConfig: default {
+    seed,
+    mirror_outages,
+    slow_mirrors,
+    origin_blackouts,
+    sync_corrupt_permille
+});
 
 impl ServeFaultConfig {
     /// Every fault off — the deterministic-world preset unit tests use.
@@ -301,12 +309,12 @@ mod tests {
     }
 
     #[test]
-    fn serde_defaults_round_trip() {
-        let parsed: ServeFaultConfig = serde_json::from_str("{}").expect("all fields default");
+    fn json_defaults_round_trip() {
+        let parsed: ServeFaultConfig = sixdust_json::from_str("{}").expect("all fields default");
         assert_eq!(parsed, ServeFaultConfig::lossless());
         let chaos = ServeFaultConfig::chaos(11, 4);
-        let json = serde_json::to_string(&chaos).expect("serializes");
-        let back: ServeFaultConfig = serde_json::from_str(&json).expect("parses");
+        let json = sixdust_json::to_string(&chaos);
+        let back: ServeFaultConfig = sixdust_json::from_str(&json).expect("parses");
         assert_eq!(back, chaos);
     }
 }

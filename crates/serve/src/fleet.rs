@@ -31,6 +31,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sixdust_addr::prf::prf_u128;
+use sixdust_json::json_struct;
 use sixdust_telemetry::Registry;
 
 use crate::reactor::{served_latency, Backend, Completion, EventLoop, Timeline};
@@ -298,7 +299,7 @@ impl FleetConfig {
 
 /// The report card of one simulated day, serializable for
 /// `--serve-report`.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DayReport {
     /// Seed the day was generated from.
     pub seed: u64,
@@ -311,42 +312,49 @@ pub struct DayReport {
     /// Served bodies per artifact kind, in [`ArtifactKind::ALL`] order.
     pub bodies_by_kind: Vec<(String, u64)>,
     /// Median answered-request latency, virtual microseconds. Zero when
-    /// the report predates these fields (`serde(default)`) or no request
+    /// the report predates these fields (their keys are optional) or no request
     /// was answered.
-    #[serde(default)]
     pub latency_p50_us: u64,
     /// 90th-percentile answered-request latency, virtual microseconds.
-    #[serde(default)]
     pub latency_p90_us: u64,
     /// 99th-percentile answered-request latency, virtual microseconds.
-    #[serde(default)]
     pub latency_p99_us: u64,
     /// Bytes the delta encoding saved across the day (full bodies
     /// replaced minus delta bytes sent).
-    #[serde(default)]
     pub bytes_saved_by_delta: u64,
     /// Delta requests that fell back to a full body because the client's
     /// base round was not the store's diff base — degradation made
     /// visible in the replayed-day artifact, not only in telemetry.
-    #[serde(default)]
     pub delta_fallbacks: u64,
     /// Requests shed by policy (per-client buckets + the global
     /// concurrency cap).
-    #[serde(default)]
     pub shed: u64,
     /// Arrivals that landed inside a flash-crowd window (zero for
     /// uniform days and for reports predating this field).
-    #[serde(default)]
     pub flash_arrivals: u64,
     /// Resilience accounting of a mirror-tier chaos day (all zero for a
     /// single-frontend day and for reports predating these fields).
-    #[serde(default)]
     pub resilience: ResilienceTotals,
 }
+json_struct!(DayReport {
+    seed,
+    clients,
+    round,
+    totals,
+    bodies_by_kind,
+    latency_p50_us = 0,
+    latency_p90_us = 0,
+    latency_p99_us = 0,
+    bytes_saved_by_delta = 0,
+    delta_fallbacks = 0,
+    shed = 0,
+    flash_arrivals = 0,
+    resilience = ResilienceTotals::default(),
+});
 
 /// The resilience ledger of one chaos day: what the retry / hedging /
 /// circuit-breaker client path and the mirror sync machinery did.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResilienceTotals {
     /// Mirrors in the tier.
     pub mirrors: u64,
@@ -386,6 +394,24 @@ pub struct ResilienceTotals {
     /// at zero.
     pub hard_failures: u64,
 }
+json_struct!(ResilienceTotals {
+    mirrors,
+    logical_requests,
+    attempts,
+    retries,
+    failovers,
+    hedged,
+    hedge_wins,
+    breaker_opened,
+    breaker_closed,
+    breaker_skipped,
+    down_attempts,
+    stale_served,
+    revalidations,
+    syncs,
+    sync_rejected,
+    hard_failures,
+});
 
 /// Zipf cumulative weights over `n` popularity ranks, in integer
 /// weights so the draw is exact and portable. Returns `None` when the
@@ -540,11 +566,9 @@ fn build_schedule(config: &FleetConfig) -> (Vec<Arrival>, u64) {
                             flash_arrivals += 1;
                         }
                     }
-                    let think = prf_u128(
-                        config.seed,
-                        u128::from(client) << 32 | u128::from(r),
-                        TAG_THINK,
-                    ) % (2 * shape.think_time_us).max(1);
+                    let think =
+                        prf_u128(config.seed, u128::from(client) << 32 | u128::from(r), TAG_THINK)
+                            % (2 * shape.think_time_us).max(1);
                     at = at.saturating_add(1 + think);
                 }
             }
@@ -855,19 +879,18 @@ pub(crate) mod tests {
         let b = simulate_day_sync(&fleet, &mut fe_b, &store);
         assert_eq!(a, b, "reactor and synchronous paths keep one ledger");
         assert_eq!(
-            serde_json::to_string(&a).expect("serialize"),
-            serde_json::to_string(&b).expect("serialize"),
-            "byte-identical on the wire, not merely Eq"
+            sixdust_json::to_string_pretty(&a),
+            sixdust_json::to_string_pretty(&b),
+            "byte-identical as `--serve-report` writes them, not merely Eq"
         );
+        assert_eq!(sixdust_json::from_str::<DayReport>(&sixdust_json::to_string(&a)), Ok(a));
     }
 
     #[test]
     fn session_day_front_loads_the_flash_crowd() {
         let spike_at = 10_000_000_000u64;
         let window = 600_000_000u64;
-        let shape = SessionShape::builder()
-            .with_spike(spike_at, window)
-            .with_flash_permille(500);
+        let shape = SessionShape::builder().with_spike(spike_at, window).with_flash_permille(500);
         let config = FleetConfig::builder()
             .with_clients(2_000)
             .with_session(shape)

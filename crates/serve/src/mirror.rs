@@ -142,7 +142,7 @@ impl TimedPublish {
 
 /// Running totals of the tier's sync and degradation machinery — the
 /// mirror-side rows of the day's report card.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TierTotals {
     /// Completed generation syncs (mirror adopted a new generation).
     pub syncs: u64,
@@ -438,8 +438,7 @@ impl MirrorTier {
                 self.mirrors[i].next_sync_us = scheduled + self.config.sync_interval_us;
             }
         }
-        self.next_due_us =
-            self.mirrors.iter().map(|m| m.next_sync_us).min().unwrap_or(u64::MAX);
+        self.next_due_us = self.mirrors.iter().map(|m| m.next_sync_us).min().unwrap_or(u64::MAX);
         if let Some(m) = &self.meters {
             m.lag_rounds.set(self.max_lag_rounds() as i64);
         }

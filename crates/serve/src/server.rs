@@ -14,6 +14,7 @@ use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use sixdust_json::json_struct;
 use sixdust_scan::rate::{Limit, TokenBucket};
 use sixdust_telemetry::{Counter, FlightRecorder, Histogram, HistogramSnapshot, Registry};
 
@@ -203,7 +204,7 @@ pub enum Outcome {
 }
 
 /// Running totals of one front end — the per-day report card.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FrontendTotals {
     /// Requests received (every outcome counts).
     pub requests: u64,
@@ -231,9 +232,23 @@ pub struct FrontendTotals {
     pub unavailable: u64,
     /// Bytes the delta encoding saved: the size of the full bodies each
     /// served delta replaced, minus the delta bytes actually sent.
-    #[serde(default)]
     pub bytes_saved_by_delta: u64,
 }
+json_struct!(FrontendTotals {
+    requests,
+    bodies,
+    bytes_sent,
+    not_modified,
+    cache_hits,
+    cache_misses,
+    shed_client,
+    shed_global,
+    delta_fetches,
+    full_fetches,
+    delta_fallbacks,
+    unavailable,
+    bytes_saved_by_delta = 0,
+});
 
 impl FrontendTotals {
     /// Adds another front end's totals into this one — how a

@@ -21,9 +21,9 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use crate::json;
 use crate::series::{is_deterministic_metric, SeriesRound};
 use crate::sync::lock;
+use sixdust_json::escape;
 
 /// Default bound on the event ring.
 pub const DEFAULT_FLIGHT_EVENTS: usize = 128;
@@ -67,22 +67,22 @@ impl FlightCapture {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\"reason\": ");
-        json::escape(&self.reason, &mut out);
+        escape(&self.reason, &mut out);
         out.push_str(&format!(", \"key\": {}, \"seq\": {}, \"events\": [", self.key, self.seq));
         for (i, e) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
             out.push_str(&format!("{{\"seq\": {}, \"key\": {}, \"kind\": ", e.seq, e.key));
-            json::escape(&e.kind, &mut out);
+            escape(&e.kind, &mut out);
             out.push_str(", \"args\": {");
             for (j, (name, value)) in e.args.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                json::escape(name, &mut out);
+                escape(name, &mut out);
                 out.push_str(": ");
-                json::escape(value, &mut out);
+                escape(value, &mut out);
             }
             out.push_str("}}");
         }
@@ -96,7 +96,7 @@ impl FlightCapture {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                json::escape(name, &mut out);
+                escape(name, &mut out);
                 out.push_str(&format!(": {value}"));
             }
             out.push_str("}}");

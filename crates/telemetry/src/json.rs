@@ -1,8 +1,7 @@
-//! Hand-rolled JSON export/import for [`Snapshot`]s.
+//! JSON export/import for [`Snapshot`]s.
 //!
-//! The telemetry crate deliberately avoids a serde dependency so it can
-//! sit below every other crate in the workspace. The emitted document is
-//! deterministic (metric names are sorted) and uses a fixed shape:
+//! The emitted document is deterministic (metric names are sorted) and
+//! keeps a fixed, hand-formatted shape:
 //!
 //! ```json
 //! {
@@ -21,31 +20,13 @@
 //! `p50`/`p90`/`p99` are derived from the buckets on export and ignored
 //! on import (the buckets are authoritative), so documents round-trip.
 //!
-//! The parser accepts exactly this shape (plus arbitrary whitespace); it
-//! is not a general JSON parser.
+//! Reading goes through `sixdust_json::parse`; only this shape is
+//! accepted — an unknown section or histogram field is an error.
+
+use sixdust_json::{escape, Error, FromJson, Value};
 
 use crate::metrics::HistogramSnapshot;
 use crate::registry::Snapshot;
-
-/// Escapes a metric name for use as a JSON string literal. Shared with
-/// the series and trace exporters.
-pub(crate) fn escape(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 pub(crate) fn snapshot_to_json(snap: &Snapshot) -> String {
     let mut out = String::with_capacity(256);
@@ -88,229 +69,48 @@ pub(crate) fn snapshot_to_json(snap: &Snapshot) -> String {
     out
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The members of the object `v`, each value read as a `T`.
+fn named<T: FromJson>(v: &Value) -> Result<Vec<(String, T)>, Error> {
+    v.as_object()?.iter().map(|(name, value)| Ok((name.clone(), T::from_value(value)?))).collect()
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {} of telemetry JSON", c as char, self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string in telemetry JSON".to_string());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape in telemetry JSON".to_string());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code).ok_or("invalid \\u codepoint".to_string())?,
-                            );
-                        }
-                        other => {
-                            return Err(format!("unknown escape '\\{}'", other as char));
-                        }
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or("invalid UTF-8 in telemetry JSON")?;
-                    out.push_str(chunk);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn integer(&mut self) -> Result<i128, String> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        // The scanned range is '-' and ASCII digits only, but never trust
-        // an unwrap on parser state: truncated or exotic input must come
-        // back as Err, not a panic.
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid bytes at {start} of telemetry JSON"))?
-            .parse::<i128>()
-            .map_err(|_| format!("expected integer at byte {start} of telemetry JSON"))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let v = self.integer()?;
-        u64::try_from(v).map_err(|_| format!("value {v} out of range for u64"))
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        let v = self.integer()?;
-        i64::try_from(v).map_err(|_| format!("value {v} out of range for i64"))
-    }
-
-    /// Parses `{ "name": <V>, ... }` with `parse_value` handling each value.
-    fn object<V>(
-        &mut self,
-        mut parse_value: impl FnMut(&mut Self) -> Result<V, String>,
-    ) -> Result<Vec<(String, V)>, String> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            out.push((key, parse_value(self)?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn histogram(&mut self) -> Result<HistogramSnapshot, String> {
+impl FromJson for HistogramSnapshot {
+    fn from_value(v: &Value) -> Result<HistogramSnapshot, Error> {
         let mut snap = HistogramSnapshot { count: 0, sum: 0, min: 0, max: 0, buckets: vec![] };
-        let fields = self.object(|p| {
-            if p.peek() == Some(b'[') {
-                // buckets: [[floor, count], ...]
-                p.expect(b'[')?;
-                let mut buckets = Vec::new();
-                if p.peek() == Some(b']') {
-                    p.pos += 1;
-                } else {
-                    loop {
-                        p.expect(b'[')?;
-                        let floor = p.u64()?;
-                        p.expect(b',')?;
-                        let count = p.u64()?;
-                        p.expect(b']')?;
-                        buckets.push((floor, count));
-                        match p.peek() {
-                            Some(b',') => p.pos += 1,
-                            Some(b']') => {
-                                p.pos += 1;
-                                break;
-                            }
-                            _ => return Err("malformed bucket list".to_string()),
-                        }
-                    }
-                }
-                Ok(Field::Buckets(buckets))
-            } else {
-                Ok(Field::Number(p.u64()?))
-            }
-        })?;
-        for (key, value) in fields {
-            match (key.as_str(), value) {
-                ("count", Field::Number(v)) => snap.count = v,
-                ("sum", Field::Number(v)) => snap.sum = v,
-                ("min", Field::Number(v)) => snap.min = v,
-                ("max", Field::Number(v)) => snap.max = v,
+        for (key, value) in v.as_object()? {
+            match key.as_str() {
+                "count" => snap.count = u64::from_value(value)?,
+                "sum" => snap.sum = u64::from_value(value)?,
+                "min" => snap.min = u64::from_value(value)?,
+                "max" => snap.max = u64::from_value(value)?,
                 // Percentiles are derived from the buckets; accepted and
                 // ignored so exports round-trip.
-                ("p50" | "p90" | "p99", Field::Number(_)) => {}
-                ("buckets", Field::Buckets(b)) => snap.buckets = b,
-                (other, _) => return Err(format!("unknown histogram field '{other}'")),
+                "p50" | "p90" | "p99" => {
+                    u64::from_value(value)?;
+                }
+                "buckets" => snap.buckets = Vec::from_value(value)?,
+                other => return Err(Error::new(format!("unknown histogram field '{other}'"))),
             }
         }
         Ok(snap)
     }
 }
 
-enum Field {
-    Number(u64),
-    Buckets(Vec<(u64, u64)>),
-}
-
-pub(crate) fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
+fn read_snapshot(text: &str) -> Result<Snapshot, Error> {
     let mut snap = Snapshot::default();
-    let mut p = Parser::new(text);
-    p.expect(b'{')?;
-    if p.peek() == Some(b'}') {
-        return Ok(snap);
-    }
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
-        match key.as_str() {
-            "counters" => snap.counters = p.object(|p| p.u64())?,
-            "gauges" => snap.gauges = p.object(|p| p.i64())?,
-            "histograms" => snap.histograms = p.object(|p| p.histogram())?,
-            other => return Err(format!("unknown section '{other}' in telemetry JSON")),
-        }
-        match p.peek() {
-            Some(b',') => p.pos += 1,
-            Some(b'}') => break,
-            _ => return Err(format!("expected ',' or '}}' at byte {}", p.pos)),
+    for (section, value) in sixdust_json::parse(text)?.as_object()? {
+        match section.as_str() {
+            "counters" => snap.counters = named(value)?,
+            "gauges" => snap.gauges = named(value)?,
+            "histograms" => snap.histograms = named(value)?,
+            other => return Err(Error::new(format!("unknown section '{other}'"))),
         }
     }
     Ok(snap)
+}
+
+pub(crate) fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
+    read_snapshot(text).map_err(|e| format!("telemetry JSON: {e}"))
 }
 
 #[cfg(test)]
@@ -375,8 +175,7 @@ mod tests {
     }
 
     /// A tiny deterministic LCG so the structured "fuzz" tests below are
-    /// reproducible without a proptest dependency (the full proptest
-    /// suite lives in `tests/proptests.rs`).
+    /// reproducible (the wider seeded suite lives in `tests/proptests.rs`).
     struct Lcg(u64);
 
     impl Lcg {

@@ -12,8 +12,8 @@
 //! Handles are `Arc`-backed and record with relaxed atomics, so cloning
 //! them into worker threads is free and recording never locks or
 //! allocates. A [`Registry`] names the metrics and produces deterministic
-//! [`Snapshot`]s exportable to JSON (see [`Snapshot::to_json`]); the
-//! format is hand-rolled so this crate needs no serde dependency.
+//! [`Snapshot`]s exportable to JSON (see [`Snapshot::to_json`]): the
+//! document is formatted by hand and read back through `sixdust-json`.
 //!
 //! On top of the point-in-time primitives sit three longitudinal layers
 //! (added after the GFW post-mortem showed snapshots alone hide exactly

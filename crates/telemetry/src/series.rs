@@ -25,9 +25,9 @@
 
 use std::collections::VecDeque;
 
-use crate::json;
 use crate::metrics::HistogramSnapshot;
 use crate::registry::{Registry, Snapshot};
+use sixdust_json::escape;
 
 /// Default ring-buffer capacity: four years of daily rounds with room to
 /// spare.
@@ -224,7 +224,7 @@ impl SeriesRecorder {
             out.push_str(&format!("{{\"key\": {}", round.key));
             for (name, value) in &round.values {
                 out.push_str(", ");
-                json::escape(name, &mut out);
+                escape(name, &mut out);
                 out.push_str(&format!(": {value}"));
             }
             out.push_str("}\n");

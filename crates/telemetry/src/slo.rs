@@ -35,10 +35,10 @@
 
 use std::collections::VecDeque;
 
-use crate::json;
 use crate::metrics::{Counter, Gauge};
 use crate::registry::Registry;
 use crate::series::SeriesRound;
+use sixdust_json::escape;
 
 /// Retained breach-log entries before the oldest are dropped (the drop
 /// count is kept, so truncation is never silent).
@@ -406,7 +406,7 @@ impl SloEngine {
         let mut out = String::with_capacity(self.breaches.len() * 96);
         for b in &self.breaches {
             out.push_str("{\"slo\": ");
-            json::escape(&b.slo, &mut out);
+            escape(&b.slo, &mut out);
             out.push_str(&format!(
                 ", \"key\": {}, \"bad_permille\": {}, \"burn_short_milli\": {}, \
                  \"burn_long_milli\": {}, \"onset\": {}}}\n",

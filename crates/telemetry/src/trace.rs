@@ -33,8 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json;
 use crate::sync::lock;
+use sixdust_json::escape;
 
 /// Default journal capacity in events. A four-year paper-scale service
 /// run emits a few events per round per protocol — well under this.
@@ -196,10 +196,10 @@ impl TraceJournal {
                 out.push_str(",\n");
             }
             out.push_str("  {\"name\": ");
-            json::escape(&e.name, &mut out);
+            escape(&e.name, &mut out);
             out.push_str(", \"cat\": ");
             let cat = e.name.split('.').next().unwrap_or("trace");
-            json::escape(cat, &mut out);
+            escape(cat, &mut out);
             match e.phase {
                 TracePhase::Complete => {
                     out.push_str(&format!(
@@ -218,9 +218,9 @@ impl TraceJournal {
                     if j > 0 {
                         out.push_str(", ");
                     }
-                    json::escape(k, &mut out);
+                    escape(k, &mut out);
                     out.push_str(": ");
-                    json::escape(v, &mut out);
+                    escape(v, &mut out);
                 }
                 out.push('}');
             }

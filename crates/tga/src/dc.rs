@@ -6,7 +6,6 @@
 //! the best hit rate (~12 %) of all evaluated generators, because dense
 //! address regions are dense for a reason — active assignment policies.
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
 
 use crate::corpus::dedup_excluding;
@@ -24,7 +23,7 @@ use crate::TargetGenerator;
 /// assert!(out.contains(&Addr(0x2001_0db8 << 96 | 1)));
 /// assert!(!out.contains(&seeds[0]), "seeds are never re-emitted");
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DistanceClustering {
     /// Minimum addresses per cluster.
     pub min_cluster: usize,
@@ -39,7 +38,7 @@ impl Default for DistanceClustering {
 }
 
 /// A detected seed cluster.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cluster {
     /// Lowest member.
     pub min: Addr,

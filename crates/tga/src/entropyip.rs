@@ -10,14 +10,13 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr};
 
 use crate::corpus::{dedup_excluding, nibble_entropy};
 use crate::TargetGenerator;
 
 /// Entropy/IP-style generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EntropyIp {
     /// Entropy difference that starts a new segment.
     pub split_threshold: f64,
@@ -32,7 +31,7 @@ impl Default for EntropyIp {
 }
 
 /// A segment of adjacent nibble positions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// First nibble position (inclusive).
     pub start: usize,

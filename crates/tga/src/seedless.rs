@@ -14,14 +14,13 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
 use sixdust_addr::Prefix;
 
 use crate::corpus::dedup_excluding;
 
 /// Seedless generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Seedless {
     /// Candidate conventions emitted per uncovered /64.
     pub per_subnet: usize,

@@ -12,14 +12,13 @@
 //! nibble statistics but rarely lands on individual live addresses — is
 //! preserved.
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr, Eui64};
 
 use crate::corpus::dedup_excluding;
 use crate::TargetGenerator;
 
 /// Seed pattern classes (the "multi-pattern" part of 6GAN).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SeedClass {
     /// Low-byte / small-integer IIDs.
     LowByte,
@@ -41,7 +40,7 @@ pub fn classify(addr: Addr) -> SeedClass {
 }
 
 /// 6GAN-style generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SixGan {
     /// Sampling seed (stands in for the GAN's noise vector).
     pub seed: u64,

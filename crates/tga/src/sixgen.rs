@@ -12,14 +12,13 @@
 //! budgeted emit phase, organized per /64 like the reference tool's
 //! cluster loop.
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
 
 use crate::corpus::{by_network, dedup_excluding};
 use crate::TargetGenerator;
 
 /// 6Gen configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SixGen {
     /// Number of range-growth steps per cluster.
     pub growth_steps: usize,
@@ -34,7 +33,7 @@ impl Default for SixGen {
 }
 
 /// A nibble range: per-position low/high bounds.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NibbleRange {
     /// Inclusive per-position bounds.
     pub bounds: [(u8, u8); 32],

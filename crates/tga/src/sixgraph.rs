@@ -10,14 +10,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
 
 use crate::corpus::{by_network, dedup_excluding};
 use crate::TargetGenerator;
 
 /// 6Graph configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SixGraph {
     /// Minimum seeds for a /64 bucket to form a pattern.
     pub min_bucket: usize,
@@ -33,7 +32,7 @@ impl Default for SixGraph {
 
 /// A mined pattern: a nibble template plus wildcard positions with their
 /// observed value ranges.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pattern {
     /// Template nibbles (wildcard positions hold the minimum value).
     pub template: [u8; 32],

@@ -9,14 +9,13 @@
 //! 6Tree's (ineffective) built-in alias heuristic — so this is the pure
 //! generation component.
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
 
 use crate::corpus::dedup_excluding;
 use crate::TargetGenerator;
 
 /// 6Tree configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SixTree {
     /// Maximum seeds per leaf before splitting stops.
     pub leaf_size: usize,

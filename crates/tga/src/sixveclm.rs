@@ -9,14 +9,13 @@
 //! *small*, low-diversity candidate set with a very low hit rate — it
 //! keeps re-deriving near-seed sequences.
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{prf, Addr};
 
 use crate::corpus::{dedup_excluding, nibble_entropy};
 use crate::TargetGenerator;
 
 /// 6VecLM-style generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SixVecLm {
     /// Decoding temperature in permille (higher = more exploration).
     pub temperature_permille: u32,

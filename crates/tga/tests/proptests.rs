@@ -1,32 +1,35 @@
 //! Property tests for the target generation algorithms: every generator
-//! must honour the shared contract for arbitrary seed corpora.
+//! must honour the shared contract for arbitrary seed corpora. Seeded
+//! loops, 48 cases each.
 
-use proptest::prelude::*;
+use sixdust_addr::prf::PrfStream;
 use sixdust_addr::Addr;
 use sixdust_tga::{
     corpus, DistanceClustering, EntropyIp, SixGan, SixGen, SixGraph, SixTree, SixVecLm,
     TargetGenerator,
 };
 
+const CASES: u64 = 48;
+
+fn stream(property: u64, case: u64) -> PrfStream {
+    PrfStream::new(0x76A, u128::from(case), property)
+}
+
 /// Structured corpora: a few /64 networks with clustered low IIDs — the
 /// regime all generators are built for (fully random corpora are
 /// degenerate for every method).
-fn arb_corpus() -> impl Strategy<Value = Vec<Addr>> {
-    (proptest::collection::vec((0u8..4, 0u64..0x400, 1u64..32), 4..40), any::<u32>()).prop_map(
-        |(specs, salt)| {
-            let mut out = Vec::new();
-            for (net_id, base, stride) in specs {
-                let net =
-                    (0x2001_0db8_0000_0000u128 + u128::from(net_id) + u128::from(salt % 7)) << 64;
-                for j in 0..6u64 {
-                    out.push(Addr(net | u128::from(base + j * stride)));
-                }
-            }
-            out.sort_unstable();
-            out.dedup();
-            out
-        },
-    )
+fn seed_corpus(rng: &mut PrfStream) -> Vec<Addr> {
+    let salt = rng.next_bounded(7);
+    let mut out = Vec::new();
+    for _ in 0..4 + rng.next_bounded(36) {
+        let (net_id, base, stride) =
+            (rng.next_bounded(4), rng.next_bounded(0x400), 1 + rng.next_bounded(31));
+        let net = (0x2001_0db8_0000_0000u128 + u128::from(net_id + salt)) << 64;
+        out.extend((0..6u64).map(|j| Addr(net | u128::from(base + j * stride))));
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 fn generators() -> Vec<Box<dyn TargetGenerator>> {
@@ -42,40 +45,47 @@ fn generators() -> Vec<Box<dyn TargetGenerator>> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn generators_respect_budget_and_exclusions(seeds in arb_corpus(), budget in 0usize..800) {
+#[test]
+fn generators_respect_budget_and_exclusions() {
+    for case in 0..CASES {
+        let rng = &mut stream(1, case);
+        let (seeds, budget) = (seed_corpus(rng), rng.next_bounded(800) as usize);
         for g in generators() {
             let out = g.generate(&seeds, budget);
-            prop_assert!(out.len() <= budget, "{} exceeded budget", g.name());
+            assert!(out.len() <= budget, "{} exceeded budget", g.name());
             let set: std::collections::HashSet<Addr> = out.iter().copied().collect();
-            prop_assert_eq!(set.len(), out.len(), "{} emitted duplicates", g.name());
+            assert_eq!(set.len(), out.len(), "{} emitted duplicates", g.name());
             for s in &seeds {
-                prop_assert!(!set.contains(s), "{} re-emitted a seed", g.name());
+                assert!(!set.contains(s), "{} re-emitted a seed", g.name());
             }
         }
     }
+}
 
-    #[test]
-    fn generators_are_deterministic(seeds in arb_corpus()) {
+#[test]
+fn generators_are_deterministic() {
+    for case in 0..CASES {
+        let seeds = seed_corpus(&mut stream(2, case));
         for g in generators() {
-            prop_assert_eq!(
+            assert_eq!(
                 g.generate(&seeds, 300),
                 g.generate(&seeds, 300),
-                "{} nondeterministic", g.name()
+                "{} nondeterministic",
+                g.name()
             );
         }
     }
+}
 
-    #[test]
-    fn dc_output_stays_within_cluster_hulls(seeds in arb_corpus()) {
+#[test]
+fn dc_output_stays_within_cluster_hulls() {
+    for case in 0..CASES {
+        let seeds = seed_corpus(&mut stream(3, case));
         let dc = DistanceClustering::default();
         let clusters = dc.clusters(&seeds);
         let out = dc.generate(&seeds, 5_000);
         for a in &out {
-            prop_assert!(
+            assert!(
                 clusters.iter().any(|c| *a >= c.min && *a <= c.max),
                 "{a} outside every cluster hull"
             );
@@ -83,47 +93,45 @@ proptest! {
         // And the fill is complete under a large budget: every non-seed
         // position inside a hull is emitted.
         let seed_set: std::collections::HashSet<Addr> = seeds.iter().copied().collect();
-        let expected: usize = clusters
-            .iter()
-            .map(|c| (c.max.0 - c.min.0 + 1) as usize - c.seeds)
-            .sum();
+        let expected: usize =
+            clusters.iter().map(|c| (c.max.0 - c.min.0 + 1) as usize - c.seeds).sum();
         if expected <= 5_000 {
-            prop_assert_eq!(out.len(), expected);
+            assert_eq!(out.len(), expected);
             for c in &clusters {
-                let mut v = c.min.0;
-                while v <= c.max.0 {
+                for v in c.min.0..=c.max.0 {
                     let a = Addr(v);
-                    prop_assert!(seed_set.contains(&a) || out.contains(&a));
-                    v += 1;
+                    assert!(seed_set.contains(&a) || out.contains(&a));
                 }
             }
         }
     }
+}
 
-    #[test]
-    fn dc_clusters_satisfy_thresholds(seeds in arb_corpus(), min in 2usize..12, gap in 1u128..200) {
+#[test]
+fn dc_clusters_satisfy_thresholds() {
+    for case in 0..CASES {
+        let rng = &mut stream(4, case);
+        let seeds = seed_corpus(rng);
+        let (min, gap) = (2 + rng.next_bounded(10) as usize, 1 + u128::from(rng.next_bounded(199)));
         let dc = DistanceClustering { min_cluster: min, max_gap: gap };
         for c in dc.clusters(&seeds) {
-            prop_assert!(c.seeds >= min);
-            prop_assert!(c.max >= c.min);
+            assert!(c.seeds >= min);
+            assert!(c.max >= c.min);
             // The hull's widest internal seed gap is <= gap by construction:
-            let inside: Vec<Addr> = {
-                let mut v: Vec<Addr> = seeds
-                    .iter()
-                    .filter(|a| **a >= c.min && **a <= c.max)
-                    .copied()
-                    .collect();
-                v.sort_unstable();
-                v
-            };
+            let mut inside: Vec<Addr> =
+                seeds.iter().filter(|a| **a >= c.min && **a <= c.max).copied().collect();
+            inside.sort_unstable();
             for w in inside.windows(2) {
-                prop_assert!(w[1].distance(w[0]) <= gap);
+                assert!(w[1].distance(w[0]) <= gap);
             }
         }
     }
+}
 
-    #[test]
-    fn pattern_miners_stay_inside_seed_networks(seeds in arb_corpus()) {
+#[test]
+fn pattern_miners_stay_inside_seed_networks() {
+    for case in 0..CASES {
+        let seeds = seed_corpus(&mut stream(5, case));
         // 6Tree/6Graph generalize within observed nibble bounds; they must
         // never invent addresses outside the /32 hull of the corpus.
         let hull_min = seeds.iter().map(|a| a.0 >> 96).min().unwrap_or(0);
@@ -131,36 +139,48 @@ proptest! {
         for g in [&SixTree::default() as &dyn TargetGenerator, &SixGraph::default()] {
             for a in g.generate(&seeds, 2_000) {
                 let top = a.0 >> 96;
-                prop_assert!(top >= hull_min && top <= hull_max, "{} left the hull", g.name());
+                assert!(top >= hull_min && top <= hull_max, "{} left the hull", g.name());
             }
         }
     }
+}
 
-    #[test]
-    fn dedup_excluding_invariants(
-        cands in proptest::collection::vec(any::<u128>(), 0..200),
-        seeds in proptest::collection::vec(any::<u128>(), 0..50),
-    ) {
-        let cands: Vec<Addr> = cands.into_iter().map(Addr).collect();
-        let seeds: Vec<Addr> = seeds.into_iter().map(Addr).collect();
+#[test]
+fn dedup_excluding_invariants() {
+    for case in 0..CASES {
+        let rng = &mut stream(6, case);
+        // A narrow range, so candidates repeat and collide with seeds.
+        let mut draw = |max_len: u64| -> Vec<Addr> {
+            (0..rng.next_bounded(max_len))
+                .map(|_| Addr(u128::from(rng.next_bounded(256))))
+                .collect()
+        };
+        let (cands, seeds) = (draw(200), draw(50));
         let out = corpus::dedup_excluding(cands.clone(), &seeds);
-        // Sorted, unique, disjoint from seeds, subset of candidates.
+        // Sorted, unique, disjoint from seeds, exactly the rest of the
+        // candidates.
         for w in out.windows(2) {
-            prop_assert!(w[0] < w[1]);
+            assert!(w[0] < w[1]);
         }
         for a in &out {
-            prop_assert!(cands.contains(a));
-            prop_assert!(!seeds.contains(a));
+            assert!(cands.contains(a));
+            assert!(!seeds.contains(a));
+        }
+        for a in cands.iter().filter(|a| !seeds.contains(a)) {
+            assert!(out.contains(a), "{a} dropped");
         }
     }
+}
 
-    #[test]
-    fn entropy_matches_definition(seeds in arb_corpus()) {
+#[test]
+fn entropy_matches_definition() {
+    for case in 0..CASES {
+        let seeds = seed_corpus(&mut stream(7, case));
         let h = corpus::nibble_entropy(&seeds);
         for (i, v) in h.iter().enumerate() {
-            prop_assert!((0.0..=4.0).contains(v), "entropy[{i}] = {v}");
+            assert!((0.0..=4.0).contains(v), "entropy[{i}] = {v}");
         }
         // A constant position has zero entropy.
-        prop_assert!(h[0] < 1e-9, "leading nibble is constant in the corpus");
+        assert!(h[0] < 1e-9, "leading nibble is constant in the corpus");
     }
 }

@@ -14,8 +14,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::{Addr, AddrSet};
+use sixdust_json::{json_enum, json_struct};
 use sixdust_net::{AsRegistry, Day};
 
 /// How many concrete example addresses each per-AS entry carries.
@@ -23,7 +23,7 @@ const SAMPLES_PER_AS: usize = 8;
 
 /// Why a set of addresses looks responsive from one vantage and silent
 /// from another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DisagreementClass {
     /// Origin AS is behind the Great Firewall: injection makes the
     /// address visible from abroad, egress filtering hides it at home.
@@ -31,9 +31,10 @@ pub enum DisagreementClass {
     /// Plain per-vantage fault realization (loss, outage, rate limits).
     Fault,
 }
+json_enum!(DisagreementClass { Gfw, Fault });
 
 /// One concrete disagreeing address with the split that condemned it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddrSample {
     /// The address.
     pub addr: Addr,
@@ -42,9 +43,10 @@ pub struct AddrSample {
     /// Vantage ASNs whose scans found it silent this round.
     pub silent_from: Vec<u32>,
 }
+json_struct!(AddrSample { addr, responsive_from, silent_from });
 
 /// All disagreeing addresses originated by one AS.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsDisagreement {
     /// Origin AS number (`0` for addresses with no BGP origin).
     pub asn: u32,
@@ -58,10 +60,11 @@ pub struct AsDisagreement {
     /// deterministic because the union set iterates in address order.
     pub samples: Vec<AddrSample>,
 }
+json_struct!(AsDisagreement { asn, country, class, addrs, samples });
 
 /// One synchronized batch's cross-vantage merge and disagreement
 /// breakdown. Serialized as the `vantage_disagreement.json` artifact.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VantageReport {
     /// The batch day.
     pub day: Day,
@@ -78,6 +81,15 @@ pub struct VantageReport {
     /// Per-origin-AS breakdown, ascending ASN.
     pub by_as: Vec<AsDisagreement>,
 }
+json_struct!(VantageReport {
+    day,
+    vantages,
+    union,
+    intersection,
+    disagreements,
+    gfw_disagreements,
+    by_as
+});
 
 impl VantageReport {
     /// Builds the report for one synchronized batch from the raw

@@ -1,6 +1,6 @@
 //! Vantage-point rosters.
 
-use serde::{Deserialize, Serialize};
+use sixdust_json::json_struct;
 
 /// The ASN of the service's historical single vantage (the Munich
 /// measurement network every pre-fleet round scanned from). A fleet's
@@ -16,7 +16,7 @@ pub const DEFAULT_VANTAGE_ASN: u32 = 64496;
 /// probes for blocked names are egress-filtered during filtering eras
 /// and it never sees the injected answers foreign vantages mistake for
 /// responsiveness.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VantageSpec {
     /// Source AS number.
     pub asn: u32,
@@ -25,6 +25,7 @@ pub struct VantageSpec {
     /// ISO country code; drives GFW position and disagreement labels.
     pub country: String,
 }
+json_struct!(VantageSpec { asn, name, country });
 
 impl VantageSpec {
     /// Builds a spec.

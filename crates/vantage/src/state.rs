@@ -10,8 +10,8 @@
 
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
-use sixdust_hitlist::ServiceState;
+use sixdust_hitlist::{checkpoint, ServiceState};
+use sixdust_json::json_struct;
 
 use crate::fleet::VantageFleet;
 use crate::report::VantageReport;
@@ -21,7 +21,7 @@ use crate::spec::VantageSpec;
 pub const FLEET_STATE_VERSION: u32 = 1;
 
 /// A serializable checkpoint of a whole vantage fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetState {
     /// Format version for forward compatibility.
     pub version: u32,
@@ -32,6 +32,7 @@ pub struct FleetState {
     /// Disagreement reports for every synchronized batch completed.
     pub reports: Vec<VantageReport>,
 }
+json_struct!(FleetState { version, specs, services, reports });
 
 impl FleetState {
     /// Captures a checkpoint from a running fleet.
@@ -46,13 +47,13 @@ impl FleetState {
 
     /// Serializes to pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("fleet state serializes")
+        sixdust_json::to_string_pretty(self)
     }
 
     /// Parses a fleet checkpoint, rejecting unknown versions.
     pub fn from_json(json: &str) -> Result<FleetState, String> {
         let state: FleetState =
-            serde_json::from_str(json).map_err(|e| format!("fleet checkpoint parse: {e}"))?;
+            sixdust_json::from_str(json).map_err(|e| format!("fleet checkpoint parse: {e}"))?;
         if state.version != FLEET_STATE_VERSION {
             return Err(format!(
                 "fleet checkpoint version {} unsupported (expected {FLEET_STATE_VERSION})",
@@ -82,22 +83,16 @@ impl FleetState {
         Ok(())
     }
 
-    /// Writes the checkpoint crash-safely (temp file + atomic rename),
-    /// mirroring [`ServiceState::save_atomic`].
+    /// Writes the checkpoint crash-safely, through the writer
+    /// [`ServiceState::save_atomic`] uses.
     pub fn save_atomic(&self, path: &Path) -> std::io::Result<()> {
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        checkpoint::save_atomic(path, &self.to_json())
     }
 
     /// Loads, parses and validates a checkpoint written by
     /// [`FleetState::save_atomic`].
     pub fn load(path: &Path) -> Result<FleetState, String> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| format!("fleet checkpoint read {}: {e}", path.display()))?;
-        let state = FleetState::from_json(&json)?;
+        let state = FleetState::from_json(&checkpoint::load(path)?)?;
         state.validate()?;
         Ok(state)
     }

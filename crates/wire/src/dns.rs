@@ -12,13 +12,12 @@
 //! Names are encoded without compression (queries and injected answers are
 //! tiny); compression pointers are *decoded* for completeness.
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
 
 use crate::WireError;
 
 /// DNS response codes sixdust distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rcode {
     /// NOERROR (0).
     NoError,
@@ -65,7 +64,7 @@ impl Rcode {
 }
 
 /// Record types sixdust encodes/decodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RrType {
     /// A (1).
     A,
@@ -107,7 +106,7 @@ impl RrType {
 }
 
 /// The data of a resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rdata {
     /// An IPv4 address — the GFW's early-era injections put these in
     /// response to AAAA queries.
@@ -138,7 +137,7 @@ impl Rdata {
 }
 
 /// A resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Owner name.
     pub name: String,
@@ -149,7 +148,7 @@ pub struct Record {
 }
 
 /// A question.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Question {
     /// Queried name.
     pub qname: String,
@@ -158,7 +157,7 @@ pub struct Question {
 }
 
 /// A DNS message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DnsMessage {
     /// Transaction id.
     pub id: u16,

@@ -8,7 +8,6 @@
 //! a response came back fragmented without modelling full fragment
 //! reassembly.
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
 
 use crate::checksum;
@@ -21,7 +20,7 @@ const TYPE_ECHO_REQUEST: u8 = 128;
 const TYPE_ECHO_REPLY: u8 = 129;
 
 /// An ICMPv6 message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Icmpv6 {
     /// Echo Request (type 128).
     EchoRequest {

@@ -1,6 +1,5 @@
 //! The fixed IPv6 header (RFC 8200 §3).
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
 
 use crate::WireError;
@@ -13,7 +12,7 @@ pub const IPV6_HEADER_LEN: usize = 40;
 pub const IPV6_MIN_MTU: u32 = 1280;
 
 /// IPv6 next-header values sixdust decodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NextHeader {
     /// TCP (6).
     Tcp,
@@ -49,7 +48,7 @@ impl From<u8> for NextHeader {
 }
 
 /// The fixed IPv6 header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv6Header {
     /// Traffic class (DSCP+ECN).
     pub traffic_class: u8,

@@ -6,8 +6,6 @@
 //! **Version Negotiation** packet, which is the success signal. Only those
 //! two packet shapes are modelled.
 
-use serde::{Deserialize, Serialize};
-
 use crate::WireError;
 
 /// The reserved version-negotiation-forcing version (any 0x?a?a?a?a is
@@ -18,7 +16,7 @@ pub const FORCE_VN_VERSION: u32 = 0x1a2a_3a4a;
 pub const QUIC_V1: u32 = 0x0000_0001;
 
 /// A QUIC long-header packet, reduced to what the probe path needs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QuicPacket {
     /// A client Initial(-like) probe.
     Initial {

@@ -7,14 +7,13 @@
 //! survives the roundtrip, and [`TcpSegment::optionstext`] renders the
 //! canonical string.
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
 
 use crate::checksum;
 use crate::WireError;
 
 /// TCP header flags (subset sixdust uses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpFlags {
     /// SYN.
     pub syn: bool,
@@ -60,7 +59,7 @@ impl TcpFlags {
 }
 
 /// A TCP option.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpOption {
     /// End of option list (kind 0).
     EndOfList,
@@ -92,7 +91,7 @@ impl TcpOption {
 }
 
 /// A TCP segment (header only; sixdust probes carry no TCP payload).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TcpSegment {
     /// Source port.
     pub src_port: u16,

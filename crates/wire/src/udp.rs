@@ -1,6 +1,5 @@
 //! UDP datagrams (RFC 768 over IPv6 per RFC 8200 §8.1).
 
-use serde::{Deserialize, Serialize};
 use sixdust_addr::Addr;
 
 use crate::checksum;
@@ -8,7 +7,7 @@ use crate::WireError;
 
 /// A UDP datagram: ports plus an opaque payload (DNS or QUIC bytes in
 /// sixdust's probes).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UdpDatagram {
     /// Source port.
     pub src_port: u16,

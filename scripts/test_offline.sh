@@ -1,149 +1,7 @@
 #!/usr/bin/env bash
-# The library crates' unit tests and the root integration tests, run for
-# real without the registry.
-#
-#   scripts/test_offline.sh                # every crate below, then itests
-#   scripts/test_offline.sh serve itests   # only these
-#
-# The root workspace cannot resolve its registry dependencies offline, but
-# the benchmark's workspace can: it patches them to the stand-ins under
-# benchmark/shim/, and its build leaves every library crate and stand-in
-# as an rlib in benchmark/target/release/deps. Each crate's lib.rs is
-# compiled against those with `rustc --test` and the binary is run.
-# `itests` compiles sixdust-analysis and the root package as rlibs the
-# same way and runs every file under tests/ against them: the serve-day
-# oracles (serve.rs, serve_chaos.rs, flash_crowd.rs) live there.
-#
-# What this does not cover: the tests under crates/*/tests (they need
-# proptest), the unit tests of sixdust-analysis, and sixdust-experiments
-# and -bench, which the benchmark does not build.
+# Every test of the root workspace, with no registry: the workspace has no
+# dependency outside itself, so this is cargo and nothing else. Arguments
+# go to `cargo test` (`scripts/test_offline.sh -p sixdust-serve`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-# Tests that cannot pass here because `serde_json` is a stand-in whose
-# every entry point panics (benchmark/shim/serde_json). One is allowed to
-# fail only with that stand-in's panic message; any other failure, a
-# failure not named here, or a crate that stops compiling fails the script.
-ALLOWED_FAILURES="
-addr addrset::tests::serde_matches_vec_of_addrs_byte_for_byte
-net faults::tests::serde_roundtrip
-net scale::tests::pre_mult_configs_deserialize_with_default
-hitlist publish::tests::manifest_stays_backward_readable
-hitlist publish::tests::writes_to_disk
-hitlist state::tests::capture_roundtrips_through_json
-hitlist state::tests::save_atomic_then_load_round_trips_and_leaves_no_temp
-hitlist state::tests::v2_checkpoint_loads_into_v3_state
-hitlist state::tests::version_gate
-hitlist tests::config_json_with_a_retired_key_still_parses
-hitlist tests::parallel_checkpoint_bytes_identical_to_sequential_at_any_thread_budget
-serve faults::tests::serde_defaults_round_trip
-serve fleet::tests::event_loop_ledger_is_byte_identical_to_synchronous
-itest_flash_crowd event_loop_ledger_equals_synchronous_at_flash_crowd_scale
-itest_vantage fleet_checkpoint_round_trips_through_disk
-itest_vantage one_vantage_fleet_is_byte_identical_to_the_service
-"
-STAND_IN_PANIC="serde_json stand-in reached"
-
-CRATES=(telemetry addr wire net scan alias tga hitlist vantage serve itests)
-if [ "$#" -gt 0 ]; then
-  CRATES=("$@")
-fi
-
-deps=benchmark/target/release/deps
-out=target/offline-tests
-
-echo "== cargo build --release --offline --manifest-path benchmark/Cargo.toml"
-cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
-mkdir -p "$out"
-
-# One --extern per library in the deps directory, newest build of each.
-declare -A newest
-for lib in $(ls -t "$deps"/lib*.rlib "$deps"/libserde_derive-*.so); do
-  name=$(basename "$lib")
-  name=${name#lib}
-  name=${name%-*}
-  : "${newest[$name]:=$lib}"
-done
-
-# Runs the test binary $out/$1 from directory $2 and holds its failures
-# against the allow-list, where they are listed under the name $1.
-status=0
-run_tests() {
-  local name=$1 dir=$2 log="$out/$1.log" failed why unexpected=0
-  (cd "$dir" && "$OLDPWD/$out/$name") >"$log" 2>&1 || true
-  if ! grep -q '^test result:' "$log"; then
-    echo "$name: the test binary did not finish" >&2
-    tail -20 "$log" >&2
-    status=1
-    return
-  fi
-  grep '^test result:' "$log"
-  while read -r failed; do
-    # The failed test's captured output: from its header to the next one.
-    why=$(awk -v head="---- $failed stdout ----" \
-      '$0 == head { on = 1; next } /^---- .* stdout ----$/ { on = 0 } on' "$log")
-    if grep -qxF "$name $failed" <<<"$ALLOWED_FAILURES" && grep -qF "$STAND_IN_PANIC" <<<"$why"; then
-      echo "   allowed (serde_json stand-in): $failed"
-    else
-      echo "$name: FAILED $failed" >&2
-      unexpected=1
-    fi
-  done < <(sed -n 's/^test \(.*\) \.\.\. FAILED$/\1/p' "$log")
-  if [ "$unexpected" != 0 ]; then
-    sed -n '/^failures:$/,/^test result:/p' "$log" >&2
-    status=1
-  fi
-}
-
-# --extern for every library in the deps directory but sixdust_$1.
-externs_without() {
-  externs=()
-  for name in "${!newest[@]}"; do
-    if [ "$name" != "sixdust_$1" ]; then
-      externs+=(--extern "$name=${newest[$name]}")
-    fi
-  done
-}
-
-# The files under tests/, against sixdust-analysis and the root package
-# compiled as rlibs next to the test binaries.
-itests() {
-  externs_without none
-  echo "== tests/: sixdust-analysis and sixdust as rlibs, rustc --test on every file"
-  rustc --edition 2021 --crate-type rlib -O -A warnings \
-    --crate-name sixdust_analysis crates/analysis/src/lib.rs \
-    -L "dependency=$deps" "${externs[@]}" -o "$out/libsixdust_analysis.rlib"
-  externs+=(--extern "sixdust_analysis=$out/libsixdust_analysis.rlib")
-  rustc --edition 2021 --crate-type rlib -O -A warnings \
-    --crate-name sixdust src/lib.rs \
-    -L "dependency=$deps" "${externs[@]}" -o "$out/libsixdust.rlib"
-  local file name
-  for file in tests/*.rs; do
-    name=itest_$(basename "$file" .rs)
-    rustc --edition 2021 --test -O -A warnings --crate-name "$name" "$file" \
-      -L "dependency=$deps" -L "dependency=$out" "${externs[@]}" \
-      --extern "sixdust=$out/libsixdust.rlib" -o "$out/$name"
-    echo "== $file"
-    run_tests "$name" .
-  done
-}
-
-for crate in "${CRATES[@]}"; do
-  if [ "$crate" = itests ]; then
-    itests
-    continue
-  fi
-  externs_without "$crate"
-  echo "== sixdust-$crate: rustc --test"
-  rustc --edition 2021 --test -O -A warnings \
-    --crate-name "sixdust_$crate" "crates/$crate/src/lib.rs" \
-    -L "dependency=$deps" "${externs[@]}" -o "$out/$crate"
-  # As cargo runs it: from the crate's own directory.
-  run_tests "$crate" "crates/$crate"
-done
-
-if [ "$status" != 0 ]; then
-  echo "test_offline: FAILED" >&2
-  exit 1
-fi
-echo "test_offline: OK"
+exec cargo test --offline "$@"

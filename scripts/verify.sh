@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: everything CI runs, runnable locally in one shot.
 #
-#   scripts/verify.sh            # build + tests + clippy + bench compile + docs
+#   scripts/verify.sh            # build + tests + clippy + docs
 #   scripts/verify.sh --quick    # build + tests only (fast pre-push check)
 #
-# Without the registry only the grep gates, scripts/test_offline.sh and the
-# benchmark harness steps run before the first failure; those are the
-# offline check.
+# Nothing here needs a registry or a network: the root workspace depends on
+# nothing outside itself.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,19 +45,26 @@ if [ "$missing" != 0 ]; then
   exit 1
 fi
 
-echo "== grep gate: crossbeam, parking_lot, bytes and rand stay out of every manifest"
-# Threads and locks are std's, the wire crate never used `bytes`, and
-# `sixdust_addr::prf` is the project's RNG. benchmark/ keeps its own
-# stand-ins until the rest of the registry dependencies go.
-if grep -nE '^(crossbeam|parking_lot|bytes|rand)\b' Cargo.toml crates/*/Cargo.toml; then
+echo "== grep gate: no registry crate in a manifest, only sixdust* in Cargo.lock"
+# JSON is sixdust-json, threads and locks are std's, `sixdust_addr::prf` is
+# the project's RNG and the property tests are seeded loops over it.
+# benchmark/ keeps its unused stand-ins until a benchmark PR deletes them.
+if grep -nE '^(serde|serde_json|proptest|criterion|crossbeam|parking_lot|bytes|rand)\b' \
+    Cargo.toml crates/*/Cargo.toml; then
   echo "grep gate FAILED: a removed dependency is back in a Cargo.toml" >&2
   exit 1
 fi
+if grep '^name = ' Cargo.lock | grep -v '^name = "sixdust'; then
+  echo "grep gate FAILED: Cargo.lock names a package from outside the workspace" >&2
+  exit 1
+fi
 
-echo "== unit tests, offline (benchmark workspace + rustc --test; needs no registry)"
-# Runs first among the cargo steps: it is the one that works where the
-# registry is unreachable, so a broken unit test shows even there.
-scripts/test_offline.sh
+echo "== cargo build --release --offline && cargo test -q --offline (Tier-1)"
+# Every crate's unit tests, crates/*/tests, tests/*.rs, doctests, the
+# examples and sixdust-exp; crates/experiments/tests/cli.rs runs
+# `sixdust-exp --scale tiny pipeline` and reads its JSON back.
+cargo build --release --offline
+cargo test -q --offline
 
 echo "== benchmark harness: its own tests, then every workload once (quick)"
 # Needs no registry either. `all --quick` (seconds) runs every output
@@ -74,18 +80,11 @@ scripts/check_ledgers.sh
 echo "== cargo fmt --all --check"
 cargo fmt --all --check
 
-echo "== cargo build --workspace --release"
-cargo build --workspace --release
-
-echo "== cargo test --workspace"
-cargo test --workspace --release -q
-
 echo "== mirror chaos scenario (quick mode: 3-mirror chaos replay, byte-identical)"
 # A seeded chaos day (mirror outages, an origin publish blackout, sync
 # corruption) replayed over a 3-mirror tier at tiny scale: the resilient
 # client path must absorb the fault plan with zero hard failures, and
 # the identical seed must reproduce the DayReport byte-for-byte.
-cargo build --release -q -p sixdust-experiments
 chaos_dir=target/verify-chaos
 rm -rf "$chaos_dir" && mkdir -p "$chaos_dir"
 for run in a b; do
@@ -140,26 +139,14 @@ grep "serve day:" "$flash_dir/a.log"
 grep "flash crowd:" "$flash_dir/a.log"
 
 if [ "${1:-}" != "--quick" ]; then
+  echo "== cargo test --release -q --offline (arithmetic and assertions under optimisation)"
+  cargo test --release -q --offline
+
   echo "== cargo clippy --workspace --all-targets -- -D warnings"
-  cargo clippy --workspace --all-targets -- -D warnings
-
-  echo "== cargo bench --workspace --no-run"
-  cargo bench --workspace --no-run
-
-  echo "== cargo bench -p sixdust-bench --bench round -- --test (quick mode)"
-  cargo bench -p sixdust-bench --bench round -- --test
-
-  echo "== cargo bench -p sixdust-bench --bench addrset -- --test (quick mode)"
-  cargo bench -p sixdust-bench --bench addrset -- --test
-
-  echo "== cargo bench -p sixdust-bench --bench serve -- --test (quick mode)"
-  cargo bench -p sixdust-bench --bench serve -- --test
-
-  echo "== cargo bench -p sixdust-bench --bench vantage -- --test (quick mode)"
-  cargo bench -p sixdust-bench --bench vantage -- --test
+  cargo clippy --offline --workspace --all-targets -- -D warnings
 
   echo "== cargo doc --workspace --no-deps (warnings denied)"
-  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+  RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 fi
 
 echo "verify: OK"

@@ -24,6 +24,8 @@
 //!   behind-GFW CN) over one simulated Internet, with work-stealing
 //!   segment execution and cross-vantage disagreement analysis;
 //! * [`analysis`] — tables, CDFs and histograms for the experiments;
+//! * [`json`] — the one JSON layer: checkpoints, manifests and reports
+//!   are written and read back through it;
 //! * [`telemetry`] — always-on counters, histograms and span timers for
 //!   every stage above, plus the longitudinal layer: per-round series
 //!   recording, a Chrome-trace journal and online MAD anomaly
@@ -48,6 +50,7 @@ pub use sixdust_addr as addr;
 pub use sixdust_alias as alias;
 pub use sixdust_analysis as analysis;
 pub use sixdust_hitlist as hitlist;
+pub use sixdust_json as json;
 pub use sixdust_net as net;
 pub use sixdust_scan as scan;
 pub use sixdust_serve as serve;

@@ -91,19 +91,17 @@ fn event_loop_ledger_equals_synchronous_at_flash_crowd_scale() {
     let sync = simulate_day_sync(&fleet, &mut sync_fe, &store);
     assert_eq!(reactor, sync, "the reactor's ledger is pinned to the synchronous path");
     assert_eq!(
-        serde_json::to_string(&reactor).expect("serializes"),
-        serde_json::to_string(&sync).expect("serializes"),
-        "byte-identical on the wire, not merely Eq"
+        sixdust::json::to_string_pretty(&reactor),
+        sixdust::json::to_string_pretty(&sync),
+        "byte-identical as `--serve-report` writes them, not merely Eq"
     );
     assert!(reactor.flash_arrivals > 0);
 }
 
 #[test]
 fn chaos_faults_reconcile_under_session_load() {
-    let fleet = FleetConfig::builder()
-        .with_clients(20_000)
-        .with_seed(7)
-        .with_session(flash_shape());
+    let fleet =
+        FleetConfig::builder().with_clients(20_000).with_seed(7).with_session(flash_shape());
     let config = ChaosDayConfig::builder().with_fleet(fleet);
     let plan: Vec<TimedPublish> = (0..2u64)
         .map(|i| TimedPublish {
@@ -126,10 +124,7 @@ fn chaos_faults_reconcile_under_session_load() {
     let b = run();
     assert_eq!(a, b, "a session chaos day replays byte-identically");
     assert!(a.flash_arrivals > 0, "flash arrivals are counted on the chaos path too");
-    assert!(
-        a.resilience.logical_requests > 20_000,
-        "sessions expand past one request per client"
-    );
+    assert!(a.resilience.logical_requests > 20_000, "sessions expand past one request per client");
     assert!(a.resilience.down_attempts > 0, "the fault plan was live");
     assert_eq!(
         a.resilience.attempts,

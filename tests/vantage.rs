@@ -57,6 +57,13 @@ fn one_vantage_fleet_is_byte_identical_to_the_service() {
             baseline.to_json(),
             "checkpoint bytes diverged at thread budget {threads}"
         );
+        // And inside the fleet's own checkpoint file the service payload
+        // is the service's checkpoint, byte for byte (compact form: the
+        // pretty one sits two levels deeper there).
+        let fleet_doc = sixdust::json::parse(&FleetState::capture(&fleet).to_json()).unwrap();
+        let services = fleet_doc.get("services").expect("services key").as_array().unwrap();
+        assert_eq!(services.len(), 1);
+        assert_eq!(services[0].compact(), sixdust::json::to_string(&baseline));
         // A single vantage never disagrees with itself.
         for report in fleet.reports() {
             assert_eq!(report.disagreements, 0);
@@ -173,25 +180,27 @@ fn fleet_checkpoint_resumes_mid_run() {
 }
 
 /// The fleet checkpoint file format round-trips: JSON parse, version
-/// gate, crash-safe save/load. Skipped gracefully where the JSON layer
-/// is stubbed out (offline harness); on CI the round-trip is exact.
+/// gate, and the crash-safe writer and reader it shares with the
+/// single-vantage service.
 #[test]
 fn fleet_checkpoint_round_trips_through_disk() {
     let mut fleet = VantageFleet::build(fleet_config(2, 2));
     fleet.run(Day(0), Day(4));
     let state = FleetState::capture(&fleet);
-    match FleetState::from_json(&state.to_json()) {
-        Err(e) => eprintln!("skipping fleet checkpoint JSON round-trip ({e})"),
-        Ok(back) => {
-            assert_eq!(back, state);
-            let dir = std::env::temp_dir().join("sixdust_vantage_itest");
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("fleet.json");
-            state.save_atomic(&path).expect("atomic save");
-            assert!(!dir.join("fleet.json.tmp").exists(), "temp renamed away");
-            let loaded = FleetState::load(&path).expect("load validates");
-            assert_eq!(loaded, state);
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
+    let json = state.to_json();
+    assert_eq!(FleetState::from_json(&json).as_ref(), Ok(&state));
+    let next_version = json.replacen("\"version\": 1", "\"version\": 2", 1);
+    assert!(FleetState::from_json(&next_version).unwrap_err().contains("version 2"));
+
+    let dir = std::env::temp_dir().join("sixdust_vantage_itest");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fleet.json");
+    state.save_atomic(&path).expect("atomic save");
+    assert!(!dir.join("fleet.json.tmp").exists(), "temp renamed away");
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), json, "the file holds the pretty form");
+    assert_eq!(FleetState::load(&path).as_ref(), Ok(&state), "load validates");
+    // A checkpoint cut short by anything but this writer is refused.
+    std::fs::write(&path, &json[..json.len() / 2]).unwrap();
+    assert!(FleetState::load(&path).is_err());
+    std::fs::remove_dir_all(&dir).ok();
 }
