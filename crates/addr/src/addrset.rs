@@ -147,8 +147,10 @@ impl Chunk {
 }
 
 /// A set of 128-bit addresses, chunked by /32 prefix with per-density
-/// chunk representations. The address-set currency at every sixdust
-/// crate boundary; see the [module docs](self) for the layout.
+/// chunk representations: a chunk is a sorted block or, exactly when
+/// that is no larger, a base offset and a bitmap — a function of its
+/// content alone. The address-set currency at every sixdust crate
+/// boundary.
 ///
 /// Deterministic: iteration is ascending, equal content means equal
 /// structure, and JSON output matches a sorted `Vec<Addr>` element for
@@ -533,6 +535,10 @@ impl Iterator for Iter<'_> {
 }
 
 impl ExactSizeIterator for Iter<'_> {}
+
+/// Once the chunks run out they stay out, and the last cursor stays
+/// drained: `None` repeats.
+impl std::iter::FusedIterator for Iter<'_> {}
 
 impl<'a> IntoIterator for &'a AddrSet {
     type Item = u128;

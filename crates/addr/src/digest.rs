@@ -6,15 +6,42 @@
 //! delta stream with the digests of both endpoints. It is defined here,
 //! once, so the publisher and the distribution tier cannot drift apart.
 //!
-//! The function is a serial multiply chain (sixteen dependent multiplies
-//! per item), so the way to make a caller faster is to hash each set
-//! once and carry the value, not to hash faster: any other mixing would
-//! change every published digest.
+//! The function is a serial multiply chain — sixteen dependent multiplies
+//! per item, about 20 ns — and any other mixing would change every
+//! published digest, so one set cannot be hashed faster. Several sets
+//! can: their chains are independent, and [`content_digests`] steps up
+//! to four of them side by side through the same byte step, which costs
+//! the multiplier's throughput (5 ns per item off flat slices, 9 off
+//! chunked sets' iterators) where one chain costs its latency. A caller with two or more sets to hash — a publish
+//! has eight artifacts and then each artifact's shards, a mirror sync
+//! the changed artifacts of a generation, a delta both of its endpoints
+//! — hands them over together; a caller with one calls
+//! [`content_digest`], and either way a set is hashed once and the value
+//! carried.
 
 /// FNV-1a 64 offset basis: the digest of the empty set.
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64 prime.
 const PRIME: u64 = 0x100_0000_01b3;
+/// Chains [`content_digests`] keeps in flight: a multiply takes about
+/// three cycles to finish and one can start every cycle, so a fourth
+/// chain is the last that still finds the multiplier idle.
+const LANES: usize = 4;
+// `content_digests` names a lockstep for every group size up to this.
+const _: () = assert!(LANES == 4);
+
+/// The byte step of the digest, the only one there is: folds one item
+/// into each of `N` running digests, a byte of every lane at a time, so
+/// that the `N` multiply chains overlap.
+#[inline(always)]
+fn fold<const N: usize>(hashes: &mut [u64; N], items: [u128; N]) {
+    let bytes = items.map(u128::to_le_bytes);
+    for byte in 0..16 {
+        for (hash, item) in hashes.iter_mut().zip(&bytes) {
+            *hash = (*hash ^ u64::from(item[byte])).wrapping_mul(PRIME);
+        }
+    }
+}
 
 /// The streaming form of [`content_digest`]: push items in ascending
 /// deduplicated order, then [`finish`](ContentHasher::finish).
@@ -39,12 +66,7 @@ impl ContentHasher {
     /// Folds one item into the digest.
     #[inline]
     pub fn push(&mut self, item: u128) {
-        let mut hash = self.0;
-        for byte in item.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        self.0 = hash;
+        fold(std::array::from_mut(&mut self.0), [item]);
     }
 
     /// The digest of the items pushed so far.
@@ -72,10 +94,87 @@ pub fn content_digest<I: IntoIterator<Item = u128>>(items: I) -> u64 {
     hasher.finish()
 }
 
+/// [`content_digest`] of every stream, in the order given: the same
+/// values, several chains at a time. Streams are taken four to a group
+/// and stepped in lockstep, an item of each per step, until the shortest
+/// of the group runs out; what is left of the others, and a stream that
+/// has a group to itself, is hashed as [`content_digest`] would. A group
+/// of two or three runs as many chains. Sets of similar length therefore
+/// gain the most, and no order of the streams changes a value.
+///
+/// The streams are consumed as they come — pass `&AddrSet`s or
+/// `slice.iter().copied()`, not flat copies made for the call.
+///
+/// ```
+/// use sixdust_addr::digest::{content_digest, content_digests};
+/// let sets = [vec![1u128, 5, 9], vec![], vec![2, 3]];
+/// let together = content_digests(sets.iter().map(|set| set.iter().copied()));
+/// let apart: Vec<u64> = sets.iter().map(|set| content_digest(set.iter().copied())).collect();
+/// assert_eq!(together, apart);
+/// ```
+pub fn content_digests<S>(streams: impl IntoIterator<Item = S>) -> Vec<u64>
+where
+    S: IntoIterator<Item = u128>,
+{
+    let mut streams: Vec<_> = streams.into_iter().map(|s| s.into_iter().fuse()).collect();
+    let mut digests = vec![OFFSET_BASIS; streams.len()];
+    for (group, hashes) in streams.chunks_mut(LANES).zip(digests.chunks_mut(LANES)) {
+        match group.len() {
+            4 => lockstep::<4, _>(group, hashes),
+            3 => lockstep::<3, _>(group, hashes),
+            2 => lockstep::<2, _>(group, hashes),
+            _ => {}
+        }
+        for (stream, hash) in group.iter_mut().zip(hashes) {
+            for item in stream {
+                fold(std::array::from_mut(hash), [item]);
+            }
+        }
+    }
+    digests
+}
+
+/// Steps `N` streams side by side, folding an item of each into its
+/// digest per step, until one of them ends; no item is taken from a
+/// stream without being folded in.
+fn lockstep<const N: usize, I: Iterator<Item = u128>>(streams: &mut [I], hashes: &mut [u64]) {
+    let mut running: [u64; N] = (&*hashes).try_into().expect("one digest per lane");
+    let (items, taken) = loop {
+        let mut items = [0u128; N];
+        let mut taken = 0;
+        for stream in streams.iter_mut() {
+            let Some(item) = stream.next() else { break };
+            items[taken] = item;
+            taken += 1;
+        }
+        if taken < N {
+            break (items, taken);
+        }
+        fold(&mut running, items);
+    };
+    // The lanes before the one that ended gave up an item in that step.
+    for (hash, &item) in running.iter_mut().zip(&items[..taken]) {
+        fold(std::array::from_mut(hash), [item]);
+    }
+    hashes.copy_from_slice(&running);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AddrSet;
+    use crate::{prf, AddrSet};
+
+    /// A set of about `len` items, seeded: dense runs in two /32s (bitmap
+    /// chunks once long enough) and one item in five alone in a /32 of its
+    /// own (sorted chunks).
+    fn mixed_set(seed: u64, len: u64) -> AddrSet {
+        (0..u128::from(len))
+            .map(|i| match i % 5 {
+                0 => (u128::from(prf::prf_u128(seed, i, 1)) << 64) | i,
+                _ => ((0x2001_0db8 + i % 2) << 96) | (u128::from(seed % 7 + 1) * i),
+            })
+            .collect()
+    }
 
     #[test]
     fn empty_input_is_the_offset_basis() {
@@ -90,6 +189,53 @@ mod tests {
         assert_eq!(content_digest([0u128]), 0x88201fb960ff6465);
         assert_eq!(content_digest([1u128, 2, 3]), 0x135739c3fb88c6e5);
         assert_eq!(content_digest([u128::MAX]), 0xd6607508f5a1e855);
+    }
+
+    #[test]
+    fn side_by_side_digests_equal_one_at_a_time_for_every_stream_count() {
+        // How long stream `i` of `count` is under each shape; 40 rounds
+        // of seeded ragged lengths follow the three fixed ones.
+        type Shape = fn(u64, u64, u64) -> u64;
+        let all_equal: Shape = |_, _, _| 333;
+        let one_long: Shape = |_, i, count| if i == count / 2 { 4_000 } else { 100 };
+        let some_empty: Shape = |seed, i, _| if (seed + i) % 3 == 0 { 0 } else { 150 + 7 * i };
+        let ragged: Shape = |seed, i, _| match prf::prf_u128(seed, u128::from(i), 9) % 700 {
+            len if len < 70 => 0,
+            len => len,
+        };
+        let shapes = [all_equal, one_long, some_empty].into_iter().chain([ragged; 40]);
+        let mut bitmap_chunks = 0;
+        let mut sorted_chunks = 0;
+        for (round, shape) in shapes.enumerate() {
+            for count in 0..=9u64 {
+                let seed = round as u64 * 16 + count;
+                let sets: Vec<AddrSet> =
+                    (0..count).map(|i| mixed_set(seed + i, shape(seed, i, count))).collect();
+                bitmap_chunks += sets.iter().map(AddrSet::bitmap_chunk_count).sum::<usize>();
+                sorted_chunks += sets
+                    .iter()
+                    .map(|set| set.chunk_count() - set.bitmap_chunk_count())
+                    .sum::<usize>();
+                let apart: Vec<u64> = sets.iter().map(content_digest).collect();
+                assert_eq!(content_digests(&sets), apart, "round {round}, {count} sets");
+                // Flat copies of the same items, and the reverse order.
+                let flat: Vec<Vec<u128>> = sets.iter().map(AddrSet::to_vec).collect();
+                assert_eq!(content_digests(flat.iter().map(|v| v.iter().copied())), apart);
+                let reversed: Vec<u64> = content_digests(sets.iter().rev());
+                assert!(reversed.iter().eq(apart.iter().rev()), "round {round}, {count} sets");
+            }
+        }
+        assert!(bitmap_chunks > 100 && sorted_chunks > 100, "test needs both chunk forms");
+    }
+
+    #[test]
+    fn a_stream_that_ends_mid_step_loses_no_item() {
+        // Lane 2 of 4 ends first: lanes 0 and 1 have already handed over
+        // their item of that step.
+        let streams = [vec![1u128, 2, 3], vec![4, 5, 6], vec![7, 8], vec![9, 10, 11]];
+        let apart: Vec<u64> = streams.iter().map(|s| content_digest(s.iter().copied())).collect();
+        assert_eq!(content_digests(streams.iter().map(|s| s.iter().copied())), apart);
+        assert_eq!(content_digests(Vec::<Vec<u128>>::new()), Vec::<u64>::new());
     }
 
     #[test]

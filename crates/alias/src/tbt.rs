@@ -161,21 +161,19 @@ mod tests {
             .aliased_groups(day)
             .find(|g| {
                 g.protos.contains(Protocol::Icmp)
-                    && match (&g.kind, want) {
+                    && matches!(
+                        (&g.kind, want),
                         (
                             GroupKind::Aliased { backends: BackendMode::Single, .. },
                             BackendMode::Single,
-                        ) => true,
-                        (
+                        ) | (
                             GroupKind::Aliased { backends: BackendMode::PerAddr, .. },
                             BackendMode::PerAddr,
-                        ) => true,
-                        (
+                        ) | (
                             GroupKind::Aliased { backends: BackendMode::LoadBalanced(_), .. },
                             BackendMode::LoadBalanced(_),
-                        ) => true,
-                        _ => false,
-                    }
+                        )
+                    )
             })
             .map(|g| g.prefix)
     }

@@ -221,7 +221,7 @@ pub fn domains(ctx: &Ctx) -> ExpOutput {
     let max_prefix = per_prefix.iter().max_by_key(|(_, n)| **n);
     let mut as_rows: Vec<(String, u64)> =
         per_as.iter().map(|(id, n)| (ctx.net.registry().get(*id).name.clone(), *n)).collect();
-    as_rows.sort_by(|a, b| b.1.cmp(&a.1));
+    as_rows.sort_by_key(|row| std::cmp::Reverse(row.1));
 
     // Top lists.
     let mut toplist_counts = Vec::new();

@@ -269,7 +269,7 @@ pub fn table5(ctx: &Ctx) -> ExpOutput {
             (info.asn, info.name.clone(), n)
         })
         .collect();
-    rows.sort_by(|a, b| b.2.cmp(&a.2));
+    rows.sort_by_key(|row| std::cmp::Reverse(row.2));
     let mut t = TextTable::new(&["ASN", "Name", "# Addresses", "%", "CDF"]);
     let mut cdf = 0.0;
     let mut json_rows = Vec::new();

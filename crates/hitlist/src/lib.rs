@@ -12,7 +12,7 @@
 //!   the *published* and the *cleaned* views of responsiveness.
 //! * [`newsources`] — the Sec. 6 evaluation harness: NS/MX, Ark, DET,
 //!   the re-scanned unresponsive pool, and TGA candidates.
-//! * [`publish`] — the community-facing artifact set the service ships
+//! * [`mod@publish`] — the community-facing artifact set the service ships
 //!   (responsive addresses, aliased prefixes, GFW-filter output).
 //! * [`state`] — serializable checkpoints so a restarted service keeps its
 //!   four years of accumulated knowledge; [`checkpoint`] writes them to

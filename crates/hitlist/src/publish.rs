@@ -58,6 +58,7 @@ json_struct!(Manifest { date, counts, gfw_filter_active, digests = Vec::new() })
 /// same function the serve layer keys ETags and delta frames off, so the
 /// two cannot disagree about what a set is called.
 pub use sixdust_addr::digest::content_digest;
+use sixdust_addr::digest::content_digests;
 
 fn collect_set(addrs: impl IntoIterator<Item = Addr>) -> AddrSet {
     addrs.into_iter().collect()
@@ -69,10 +70,6 @@ fn render(set: &AddrSet) -> String {
         let _ = writeln!(out, "{a}");
     }
     out
-}
-
-fn digest_hex(set: &AddrSet) -> String {
-    format!("{:016x}", content_digest(set.iter()))
 }
 
 /// Renders the current publication from a service.
@@ -92,10 +89,8 @@ pub fn publish(svc: &HitlistService) -> Publication {
         }
         // Prefixes digest over their packed form (network | len), the
         // same item encoding the serve layer ships them in.
-        let mut packed: Vec<u128> =
+        let packed: AddrSet =
             svc.aliased().iter().map(|p| p.network().0 | u128::from(p.len())).collect();
-        packed.sort_unstable();
-        packed.dedup();
         (out, packed)
     };
     let gfw_set = collect_set(svc.gfw_impacted().iter().copied());
@@ -127,15 +122,16 @@ pub fn publish(svc: &HitlistService) -> Publication {
         counts.push((stem.clone(), body.lines().count()));
     }
 
-    let mut digests = vec![
-        ("responsive-addresses.txt".to_string(), digest_hex(responsive_set)),
-        ("aliased-prefixes.txt".to_string(), format!("{:016x}", content_digest(aliased_packed))),
-        ("gfw-filtered.txt".to_string(), digest_hex(&gfw_set)),
-        ("input-candidates.txt".to_string(), digest_hex(&input_set)),
-    ];
-    for (stem, set) in &proto_sets {
-        digests.push((stem.clone(), digest_hex(set)));
-    }
+    // One digest per counted artifact, in the same order, hashed side by
+    // side.
+    let digested = [responsive_set, &aliased_packed, &gfw_set, &input_set]
+        .into_iter()
+        .chain(proto_sets.iter().map(|(_, set)| *set));
+    let digests = counts
+        .iter()
+        .zip(content_digests(digested))
+        .map(|((stem, _), digest)| (stem.clone(), format!("{digest:016x}")))
+        .collect();
 
     Publication {
         manifest: Manifest { date: date.clone(), counts, gfw_filter_active: gfw_active, digests },

@@ -3,7 +3,7 @@
 //! A long-running measurement service must survive restarts without losing
 //! four years of accumulated state (the real hitlist's input list *is* its
 //! history). [`ServiceState`] is a serializable snapshot of everything a
-//! [`HitlistService`](crate::HitlistService) has learned; it round-trips
+//! [`HitlistService`] has learned; it round-trips
 //! through JSON so checkpoints are diffable and versionable, writes to
 //! disk crash-safely ([`ServiceState::save_atomic`]), and restores into a
 //! running service ([`ServiceState::restore`]).

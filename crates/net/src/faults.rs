@@ -363,7 +363,9 @@ impl FaultConfig {
     /// true for global vantage outages and for windows naming `asn`.
     pub fn vantage_down_from(&self, asn: u32, day: Day) -> bool {
         self.outages.iter().any(|o| {
-            o.scope == OutageScope::Vantage && o.active(day) && o.vantage.map_or(true, |v| v == asn)
+            o.scope == OutageScope::Vantage
+                && o.active(day)
+                && (o.vantage.is_none() || o.vantage == Some(asn))
         })
     }
 

@@ -480,6 +480,9 @@ fn walk_segment(
 /// order and merging their tallies reproduces `scan_with`'s result
 /// byte-for-byte regardless of which thread ran which segment — see
 /// [`assemble_scan`].
+// One argument over clippy's limit: the benchmark's scan kernel calls
+// this signature, and the arguments are the scan's own coordinates.
+#[allow(clippy::too_many_arguments)]
 pub fn scan_segment(
     net: &Internet,
     protocol: Protocol,
@@ -508,11 +511,8 @@ pub fn assemble_scan(
     telemetry: Option<&Registry>,
 ) -> ScanResult {
     let loss_samples = tally.failed_of_responders + tally.responders;
-    let loss_estimate_permille = if loss_samples == 0 {
-        0
-    } else {
-        (tally.failed_of_responders * 1000 / loss_samples) as u32
-    };
+    let loss_estimate_permille =
+        (tally.failed_of_responders * 1000).checked_div(loss_samples).unwrap_or(0) as u32;
     if let Some(reg) = telemetry {
         let key = proto_metric_key(protocol);
         reg.counter(&format!("scan.{key}.probes_sent")).add(tally.sent);

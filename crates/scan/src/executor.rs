@@ -124,7 +124,7 @@ mod tests {
 
     /// A task whose cost depends on its index: every seventh spins long.
     fn uneven(i: u64) -> (u64, u64) {
-        let spin = if i % 7 == 0 { 20_000 } else { 10 };
+        let spin = if i.is_multiple_of(7) { 20_000 } else { 10 };
         let mut acc = i;
         for k in 0..spin {
             acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);

@@ -9,7 +9,7 @@
 //!   permutation, token-bucket rate limiting, and faithful classification
 //!   semantics (a DNS *response* is a success, which is how GFW injections
 //!   polluted the hitlist).
-//! * [`yarrp`] — stateless randomized traceroute over the `(target, TTL)`
+//! * [`mod@yarrp`] — stateless randomized traceroute over the `(target, TTL)`
 //!   space, the service's router-harvesting input source.
 //! * [`executor`] — the one work-stealing task executor: scans, the
 //!   service's rounds, the vantage fleet's batches and alias detection
@@ -514,8 +514,7 @@ mod tests {
         assert_eq!(ScanConfig::default().with_attempts(0).attempts, 1);
         // Even a hand-rolled struct literal smuggling attempts = 0
         // through direct field access still probes every target once.
-        let mut cfg = ScanConfig::default();
-        cfg.attempts = 0;
+        let cfg = ScanConfig { attempts: 0, ..ScanConfig::default() };
         let net = net();
         let day = Day(100);
         let targets = responsive_targets(&net, day, Protocol::Icmp, 5);

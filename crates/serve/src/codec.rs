@@ -24,25 +24,35 @@
 //! always defined over the sorted item sequence, which is exactly the
 //! order an `AddrSet` iterates in), and decoders hand back an `AddrSet`.
 //!
-//! # Two consumers of a delta
+//! # Consumers of a delta
 //!
-//! * [`apply_delta`] is for a consumer that wants the new set: it hashes
-//!   the base it is given, rebuilds the result and returns it.
+//! * [`apply_delta`] is for a consumer that wants the new set and holds
+//!   no digest: it rebuilds the result, hashes base and result and
+//!   returns the set.
 //! * [`verify_delta`] is for a consumer that only has to decide whether
 //!   the stream is a faithful path from a set it holds to a set it has
-//!   been told to expect — an edge mirror adopting the origin's version
-//!   handle. It takes the base's digest from the caller, builds nothing,
-//!   and additionally pins the result to the expected digest.
+//!   been told to expect. It takes the base's digest from the caller and
+//!   additionally pins the result to the expected digest.
+//! * An edge mirror's sync ([`MirrorTier::try_sync`](crate::mirror::MirrorTier::try_sync))
+//!   opens every changed artifact of a generation the same way
+//!   (`Opened`) and confirms them together.
 //!
-//! Both read the stream through one header parser and one merge walk, so
-//! they run the same checks in the same order and reject the same
-//! streams with the same error; the content digest is a serial multiply
-//! chain (about 22 ns per item), which is why each entry point hashes a
-//! set only when nobody has hashed it yet.
+//! All read the stream through one header parser and rebuild the result
+//! by one walk (`ParsedDelta::replay`): the base is flattened, each
+//! removed or added item is found by binary search from where the last
+//! one was, and the run between two of them — what the delta leaves
+//! alone — is copied as a block. They run the same checks in the same
+//! order and reject the same streams with the same error. The result
+//! digest is always computed from the items the walk produced; it is a
+//! serial multiply chain (about 20 ns per item), which is why each entry
+//! point hashes a set only when nobody has hashed it yet, and hashes the
+//! sets it must side by side
+//! ([`content_digests`]).
 
+use std::cmp::Ordering;
 use std::fmt;
 
-use sixdust_addr::digest::ContentHasher;
+use sixdust_addr::digest::content_digests;
 use sixdust_addr::AddrSet;
 
 /// Magic prefix of a full-snapshot stream (`SDF1`).
@@ -268,6 +278,13 @@ where
 /// Decodes a full snapshot, verifying magic, checksum, sortedness and
 /// exact consumption. Never panics on corrupt input.
 pub fn decode_full(bytes: &[u8]) -> Result<AddrSet, CodecError> {
+    // `read_items` enforces strictly increasing order, so the canonical
+    // fast path applies.
+    Ok(AddrSet::from_sorted(full_items(bytes)?))
+}
+
+/// The items of a full-snapshot stream that passed every stream check.
+fn full_items(bytes: &[u8]) -> Result<Vec<u128>, CodecError> {
     let payload = checked_payload(bytes)?;
     if payload[..4] != FULL_MAGIC {
         return Err(CodecError::BadMagic);
@@ -277,9 +294,7 @@ pub fn decode_full(bytes: &[u8]) -> Result<AddrSet, CodecError> {
     if pos != payload.len() {
         return Err(CodecError::TrailingBytes);
     }
-    // `read_items` enforces strictly increasing order, so the canonical
-    // fast path applies.
-    Ok(AddrSet::from_sorted(items))
+    Ok(items)
 }
 
 /// Decodes a full snapshot *and* pins it to an expected content digest
@@ -289,20 +304,17 @@ pub fn decode_full(bytes: &[u8]) -> Result<AddrSet, CodecError> {
 /// well-formed-but-wrong body (e.g. the origin swapped generations
 /// mid-transfer).
 pub fn verify_full(bytes: &[u8], expected_digest: u64) -> Result<AddrSet, CodecError> {
-    let items = decode_full(bytes)?;
-    let actual = content_digest(&items);
-    if actual != expected_digest {
-        return Err(CodecError::ResultMismatch { expected: expected_digest, actual });
-    }
-    Ok(items)
+    let opened = Opened::full(bytes, expected_digest)?;
+    confirm(std::slice::from_ref(&opened))?;
+    Ok(AddrSet::from_sorted(opened.items))
 }
 
 /// Encodes the delta from set `prev` to set `next`: the removed and
-/// added items, framed by the digests of both endpoints. One merge walk
-/// over both sets' streaming iterators. Hashes both sets, for a caller
-/// that holds no digest of either.
+/// added items, framed by the digests of both endpoints. Hashes both
+/// sets, side by side, for a caller that holds no digest of either.
 pub fn encode_delta(prev: &AddrSet, next: &AddrSet) -> Vec<u8> {
-    encode_delta_with(prev, content_digest(prev), next, content_digest(next))
+    let digests = content_digests([prev, next]);
+    encode_delta_with(prev, digests[0], next, digests[1])
 }
 
 /// [`encode_delta`] for a caller that holds both endpoint digests (the
@@ -316,55 +328,31 @@ pub(crate) fn encode_delta_with(
     next: &AddrSet,
     next_digest: u64,
 ) -> Vec<u8> {
-    let mut removed = Vec::new();
-    let mut added = Vec::new();
-    let mut i = prev.iter().peekable();
-    let mut j = next.iter().peekable();
-    loop {
-        match (i.peek().copied(), j.peek().copied()) {
-            (Some(p), Some(n)) if p == n => {
-                i.next();
-                j.next();
-            }
-            (Some(p), Some(n)) if p < n => {
-                removed.push(p);
-                i.next();
-            }
-            (Some(_), Some(n)) => {
-                added.push(n);
-                j.next();
-            }
-            (Some(p), None) => {
-                removed.push(p);
-                i.next();
-            }
-            (None, Some(n)) => {
-                added.push(n);
-                j.next();
-            }
-            (None, None) => break,
-        }
-    }
-    frame_delta(prev_digest, next_digest, &removed, &added)
+    frame_delta(prev_digest, next_digest, &prev.diff(next), &next.diff(prev))
 }
 
 /// Writes a delta stream: magic, the two endpoint digests, the removed
 /// and the added items, checksum.
-fn frame_delta(base_digest: u64, result_digest: u64, removed: &[u128], added: &[u128]) -> Vec<u8> {
+fn frame_delta(
+    base_digest: u64,
+    result_digest: u64,
+    removed: &AddrSet,
+    added: &AddrSet,
+) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + (removed.len() + added.len()) * 2);
     out.extend_from_slice(&DELTA_MAGIC);
     out.extend_from_slice(&base_digest.to_le_bytes());
     out.extend_from_slice(&result_digest.to_le_bytes());
-    push_items(&mut out, removed.iter().copied());
-    push_items(&mut out, added.iter().copied());
+    push_items(&mut out, removed.iter());
+    push_items(&mut out, added.iter());
     push_checksum(&mut out);
     out
 }
 
 /// The fixed head of a delta stream — checksum, magic, then the two
 /// endpoint digests — and the payload whose item streams start at byte
-/// 20. The one parser [`delta_digests`], [`apply_delta`] and
-/// [`verify_delta`] read a delta header through.
+/// 20. The one parser [`delta_digests`] and [`ParsedDelta::parse`] read
+/// a delta header through.
 fn delta_header(bytes: &[u8]) -> Result<(&[u8], u64, u64), CodecError> {
     let payload = checked_payload(bytes)?;
     if payload[..4] != DELTA_MAGIC {
@@ -406,32 +394,192 @@ impl ParsedDelta {
         Ok(ParsedDelta { base_digest, result_digest, removed, added })
     }
 
-    /// Replays the delta over `prev`, whose content digest is
-    /// `prev_digest`: fails fast on a wrong base, then one merge walk
-    /// over the base set's streaming iterator — drop removed items (which
-    /// must exist), keep the rest, interleave added items (which must be
-    /// new) — handing each item of the result to `sink` in ascending
-    /// order and folding it into a running digest, which must come out
-    /// as the digest the stream promised. Returns that digest.
-    fn replay(
-        &self,
+    /// A base whose content digest is `actual` must be the one the
+    /// stream was encoded against. The first check that involves the
+    /// base: a wrong base is reported as such, not as whatever its
+    /// items make of the delta.
+    fn check_base(&self, actual: u64) -> Result<(), CodecError> {
+        if actual != self.base_digest {
+            return Err(CodecError::BaseMismatch { expected: self.base_digest, actual });
+        }
+        Ok(())
+    }
+
+    /// Replays the delta over `base`, the ascending items of the base
+    /// set, and returns the ascending items of the result: every removed
+    /// item must be in the base and is dropped, every added item must be
+    /// new and is put in its place, and the runs of the base between two
+    /// such places are copied whole. The caller owes the result the two
+    /// digest checks ([`ParsedDelta::check_base`] before reporting an
+    /// error from here, the result digest after).
+    fn replay(&self, base: &[u128]) -> Result<Vec<u128>, CodecError> {
+        let kept = base.len().saturating_sub(self.removed.len());
+        let mut next = Vec::with_capacity(kept + self.added.len());
+        let mut rest = base;
+        let (mut removed, mut added) = (self.removed.as_slice(), self.added.as_slice());
+        loop {
+            // The next place the delta touches, in item order; an item
+            // in both lists contradicts itself.
+            let (item, removal) = match (removed.first(), added.first()) {
+                (Some(&r), Some(&a)) => match r.cmp(&a) {
+                    Ordering::Less => (r, true),
+                    Ordering::Greater => (a, false),
+                    Ordering::Equal => return Err(CodecError::InconsistentDelta),
+                },
+                (Some(&r), None) => (r, true),
+                (None, Some(&a)) => (a, false),
+                (None, None) => break,
+            };
+            let (untouched, from_item) = rest.split_at(rest.partition_point(|&held| held < item));
+            next.extend_from_slice(untouched);
+            let held = from_item.first() == Some(&item);
+            if held != removal {
+                return Err(CodecError::InconsistentDelta);
+            }
+            if removal {
+                rest = &from_item[1..];
+                removed = &removed[1..];
+            } else {
+                next.push(item);
+                rest = from_item;
+                added = &added[1..];
+            }
+        }
+        next.extend_from_slice(rest);
+        Ok(next)
+    }
+}
+
+/// The items a transfer carries, every check passed that needs no
+/// content digest of them: for a full snapshot the stream checks, for a
+/// delta also the base digest and the replay. What is still owed is
+/// [`confirm`], which settles several transfers at once — an edge
+/// mirror's sync opens every changed artifact of a generation first.
+pub(crate) struct Opened {
+    items: Vec<u128>,
+    /// The result digest a delta stream carries.
+    promised: Option<u64>,
+    /// The digest the receiver was told to expect.
+    expected: u64,
+}
+
+impl Opened {
+    /// Opens a full-snapshot stream that should hold the set whose
+    /// content digest is `expected`.
+    pub(crate) fn full(bytes: &[u8], expected: u64) -> Result<Opened, CodecError> {
+        Ok(Opened { items: full_items(bytes)?, promised: None, expected })
+    }
+
+    /// Opens a delta stream that should lead from the base set `prev`,
+    /// whose content digest the caller holds as `prev_digest`, to the
+    /// set whose content digest is `expected`.
+    pub(crate) fn delta(
         prev: &AddrSet,
         prev_digest: u64,
-        mut sink: impl FnMut(u128),
-    ) -> Result<u64, CodecError> {
-        if prev_digest != self.base_digest {
-            return Err(CodecError::BaseMismatch {
-                expected: self.base_digest,
-                actual: prev_digest,
-            });
-        }
+        bytes: &[u8],
+        expected: u64,
+    ) -> Result<Opened, CodecError> {
+        let delta = ParsedDelta::parse(bytes)?;
+        delta.check_base(prev_digest)?;
+        let items = delta.replay(&prev.to_vec())?;
+        Ok(Opened { items, promised: Some(delta.result_digest), expected })
+    }
+}
+
+/// A reconstructed set whose content digest is `actual` must be the one
+/// whose digest is `expected`.
+fn check_result(actual: u64, expected: u64) -> Result<(), CodecError> {
+    if actual != expected {
+        return Err(CodecError::ResultMismatch { expected, actual });
+    }
+    Ok(())
+}
+
+/// Hashes the items of every opened transfer, side by side, and holds
+/// each to the digest its receiver was told to expect — and first, for a
+/// delta, to the digest its own stream promised. The first transfer that
+/// fails either is the error.
+pub(crate) fn confirm(opened: &[Opened]) -> Result<(), CodecError> {
+    let digests = content_digests(opened.iter().map(|o| o.items.iter().copied()));
+    for (transfer, actual) in opened.iter().zip(digests) {
+        let mut owed = transfer.promised.into_iter().chain([transfer.expected]);
+        owed.try_for_each(|expected| check_result(actual, expected))?;
+    }
+    Ok(())
+}
+
+/// Applies a delta stream to the base set `prev`, returning the
+/// reconstructed result set. For a consumer that wants the set and holds
+/// no digest of `prev`: base and result are hashed here, side by side.
+///
+/// Three layers of validation guard the reconstruction: the stream
+/// checksum, the base digest (a wrong base is reported as
+/// [`CodecError::BaseMismatch`] whatever else its items make of the
+/// delta), and the result digest (a forged-but-checksummed delta still
+/// cannot produce a silently wrong set).
+pub fn apply_delta(prev: &AddrSet, bytes: &[u8]) -> Result<AddrSet, CodecError> {
+    let delta = ParsedDelta::parse(bytes)?;
+    let base = prev.to_vec();
+    let replayed = delta.replay(&base);
+    // A replay that failed leaves the base alone to hash.
+    let sets = [Some(&base), replayed.as_ref().ok()];
+    let digests = content_digests(sets.iter().flatten().map(|items| items.iter().copied()));
+    delta.check_base(digests[0])?;
+    let next = replayed?;
+    check_result(digests[1], delta.result_digest)?;
+    Ok(AddrSet::from_sorted(next))
+}
+
+/// Validates a delta stream against the base set `prev` — a faithful
+/// path from `prev` to the set whose digest is `expected_digest`, or an
+/// error.
+///
+/// Every check of [`apply_delta`] runs, in the same order and through the
+/// same parser and replay. Two things differ. The base is not hashed:
+/// the caller passes `prev_digest`, the digest it holds for `prev` (for
+/// a store's [`ArtifactVersion`](crate::store::ArtifactVersion),
+/// `digest()` is `content_digest(items())` by construction). And the
+/// reconstructed digest must equal `expected_digest` as well as the
+/// digest the stream carries, so a well-formed delta from the right base
+/// to some *other* set is rejected, as [`verify_full`] rejects such a
+/// body.
+pub fn verify_delta(
+    prev: &AddrSet,
+    prev_digest: u64,
+    bytes: &[u8],
+    expected_digest: u64,
+) -> Result<(), CodecError> {
+    let opened = Opened::delta(prev, prev_digest, bytes, expected_digest)?;
+    confirm(std::slice::from_ref(&opened))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    use sixdust_addr::digest::ContentHasher;
+    use sixdust_addr::prf;
+
+    fn set(v: &[u128]) -> AddrSet {
+        AddrSet::from_unsorted(v.to_vec())
+    }
+
+    /// The reference oracle: `apply_delta` as it was before the replay
+    /// copied runs — the base hashed first, then one merge walk that
+    /// visits every base item, drops removed items (which must exist),
+    /// interleaves added items (which must be new) and folds each item
+    /// of the result into a running digest as it goes.
+    fn reference_apply(prev: &AddrSet, bytes: &[u8]) -> Result<AddrSet, CodecError> {
+        let delta = ParsedDelta::parse(bytes)?;
+        delta.check_base(content_digest(prev))?;
         let mut hasher = ContentHasher::new();
+        let mut next = Vec::new();
         let mut emit = |item: u128| {
             hasher.push(item);
-            sink(item);
+            next.push(item);
         };
-        let mut rem = self.removed.iter().copied().peekable();
-        let mut add = self.added.iter().copied().peekable();
+        let mut rem = delta.removed.iter().copied().peekable();
+        let mut add = delta.added.iter().copied().peekable();
         for p in prev.iter() {
             while let Some(a) = add.next_if(|&a| a < p) {
                 emit(a);
@@ -447,63 +595,8 @@ impl ParsedDelta {
         if rem.next().is_some() {
             return Err(CodecError::InconsistentDelta);
         }
-        let actual = hasher.finish();
-        if actual != self.result_digest {
-            return Err(CodecError::ResultMismatch { expected: self.result_digest, actual });
-        }
-        Ok(actual)
-    }
-}
-
-/// Applies a delta stream to the base set `prev`, returning the
-/// reconstructed result set. For a consumer that wants the set and holds
-/// no digest of `prev`: the base is hashed here.
-///
-/// Three layers of validation guard the reconstruction: the stream
-/// checksum, the base digest (wrong-base application fails fast), and the
-/// result digest (a forged-but-checksummed delta still cannot produce a
-/// silently wrong set).
-pub fn apply_delta(prev: &AddrSet, bytes: &[u8]) -> Result<AddrSet, CodecError> {
-    let delta = ParsedDelta::parse(bytes)?;
-    let kept = prev.len().saturating_sub(delta.removed.len());
-    let mut next = Vec::with_capacity(kept + delta.added.len());
-    delta.replay(prev, content_digest(prev), |item| next.push(item))?;
-    Ok(AddrSet::from_sorted(next))
-}
-
-/// Validates a delta stream against the base set `prev` without
-/// materialising the result — what an edge mirror runs on a sync
-/// transfer, where the origin's version handle is adopted and the
-/// reconstructed set would be thrown away.
-///
-/// Every check of [`apply_delta`] runs, in the same order and through the
-/// same parser and merge walk; the walk feeds only the running digest.
-/// Two things differ. The base is not hashed again: the caller passes
-/// `prev_digest`, the digest it holds for `prev` (for a store's
-/// [`ArtifactVersion`](crate::store::ArtifactVersion), `digest()` is
-/// `content_digest(items())` by construction). And the reconstructed
-/// digest must equal `expected_digest` as well as the digest the stream
-/// carries, so a well-formed delta from the right base to some *other*
-/// set is rejected, as [`verify_full`] rejects such a body.
-pub fn verify_delta(
-    prev: &AddrSet,
-    prev_digest: u64,
-    bytes: &[u8],
-    expected_digest: u64,
-) -> Result<(), CodecError> {
-    let actual = ParsedDelta::parse(bytes)?.replay(prev, prev_digest, |_| {})?;
-    if actual != expected_digest {
-        return Err(CodecError::ResultMismatch { expected: expected_digest, actual });
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn set(v: &[u128]) -> AddrSet {
-        AddrSet::from_unsorted(v.to_vec())
+        check_result(hasher.finish(), delta.result_digest)?;
+        Ok(AddrSet::from_sorted(next))
     }
 
     /// Length and FNV-1a of `encode_delta(hitlist_generations())`.
@@ -619,15 +712,17 @@ mod tests {
     }
 
     /// Runs both consumers on one stream, with the digests an honest
-    /// mirror would hold, and insists they agree: same verdict, same
-    /// error, and on success the set `apply_delta` built is the expected
-    /// one. Returns the shared verdict.
+    /// mirror would hold, and insists they agree with each other and
+    /// with the reference walk: same verdict, same error, and on success
+    /// the set `apply_delta` built is the expected one. Returns the
+    /// shared verdict.
     fn both(prev: &AddrSet, bytes: &[u8], expected: &AddrSet) -> Result<(), CodecError> {
         let applied = apply_delta(prev, bytes);
         let verified = verify_delta(prev, content_digest(prev), bytes, content_digest(expected));
         if let Ok(rebuilt) = &applied {
             assert_eq!(rebuilt, expected, "apply_delta accepted a stream to some other set");
         }
+        assert_eq!(applied, reference_apply(prev, bytes), "the replay left the reference walk");
         assert_eq!(applied.map(|_| ()), verified, "apply_delta and verify_delta disagree");
         verified
     }
@@ -698,18 +793,91 @@ mod tests {
         assert!(!prev.contains(absent));
         // Removing an item the base does not hold, early and past its end.
         for ghost in [absent, u128::MAX] {
-            let forged = frame_delta(d_prev, d_next, &[ghost], &[]);
+            let forged = frame_delta(d_prev, d_next, &set(&[ghost]), &set(&[]));
             assert_eq!(both(&prev, &forged, &next), Err(CodecError::InconsistentDelta));
         }
         // Adding an item the base already holds.
-        let forged = frame_delta(d_prev, d_next, &[], &[member]);
+        let forged = frame_delta(d_prev, d_next, &set(&[]), &set(&[member]));
         assert_eq!(both(&prev, &forged, &next), Err(CodecError::InconsistentDelta));
         // A consistent delta whose promised result digest is a lie.
-        let forged = frame_delta(d_prev, d_next, &[member], &[absent]);
+        let forged = frame_delta(d_prev, d_next, &set(&[member]), &set(&[absent]));
         assert!(matches!(
             both(&prev, &forged, &next),
             Err(CodecError::ResultMismatch { expected, .. }) if expected == d_next
         ));
+    }
+
+    #[test]
+    fn run_replay_agrees_with_the_reference_walk_on_seeded_triples() {
+        // (base, removed, added) from a seed: honest triples, and the
+        // same triples bent each way a hostile stream can be. Every
+        // stream is well-formed and checksummed, so what answers is the
+        // replay; `both` holds it to the reference walk's items or error.
+        let mut accepted = 0;
+        // By error: inconsistent, wrong base, wrong result.
+        let mut rejected = [0usize; 3];
+        for seed in 0..240u64 {
+            let draw = |tag: u64, modulo: u64| prf::prf_u128(seed, u128::from(tag), 21) % modulo;
+            let (len, churn) = (draw(0, 900), 2 + draw(1, 40));
+            // Dense runs in two /32s and a sparse tail: both chunk forms.
+            let base: AddrSet = (0..u128::from(len))
+                .map(|i| match i % 7 {
+                    0 => (u128::from(prf::prf_u128(seed, i, 22)) << 64) | i,
+                    _ => ((0x2001_0db8 + i % 2) << 96) | (i * 3),
+                })
+                .collect();
+            let pick = |tag: u64| base.iter().nth(draw(tag, len.max(1)) as usize);
+            let fresh = |tag: u64| (0x2001_0db8 + u128::from(draw(tag, 3))) << 96 | 1 << 40 | 1;
+            let mut removed: Vec<u128> =
+                base.iter().filter(|v| prf::prf_u128(seed, *v, 23).is_multiple_of(churn)).collect();
+            let mut added: Vec<u128> = (0..u128::from(len / churn))
+                .map(|i| (0x2001_0db8 + i % 3) << 96 | 1 << 40 | i << 8 | 2)
+                .collect();
+            let next: AddrSet =
+                base.iter().filter(|v| !removed.contains(v)).chain(added.iter().copied()).collect();
+            let mut held = base.clone();
+            let bent = seed % 7;
+            match bent {
+                // A removed item the base does not hold.
+                1 => removed.push(fresh(2)),
+                // An added item the base holds.
+                2 => added.extend(pick(3).filter(|v| !removed.contains(v))),
+                // One item in both lists, held or not.
+                3 => {
+                    let item = if seed % 2 == 0 { pick(4) } else { Some(fresh(4)) };
+                    removed.extend(item);
+                    added.extend(item);
+                }
+                // A removal past the end of the base.
+                4 => removed.push(u128::MAX - u128::from(draw(5, 9))),
+                // A consistent delta applied to some other base — and,
+                // every other time, one that is inconsistent with it too.
+                5 => {
+                    held.insert(fresh(6) + 1);
+                    if seed % 2 == 0 {
+                        held.remove(removed.first().copied().unwrap_or(0));
+                    }
+                }
+                _ => {}
+            }
+            let stream = frame_delta(
+                content_digest(&base),
+                // Bent 6: a consistent delta whose promised result is a lie.
+                content_digest(&next) ^ u64::from(bent == 6),
+                &set(&removed),
+                &set(&added),
+            );
+            match both(&held, &stream, &next) {
+                // Bent 0, and bent 2 or 3 over a base with nothing to pick.
+                Ok(()) => accepted += 1,
+                Err(CodecError::InconsistentDelta) if (1..=4).contains(&bent) => rejected[0] += 1,
+                Err(CodecError::BaseMismatch { .. }) if bent == 5 => rejected[1] += 1,
+                Err(CodecError::ResultMismatch { .. }) if bent == 6 => rejected[2] += 1,
+                other => panic!("seed {seed} (bent {bent}): {other:?}"),
+            }
+        }
+        assert!(accepted >= 30 && rejected.iter().all(|&n| n >= 30), "{accepted} {rejected:?}");
+        assert!(accepted <= 40 && rejected[0] >= 130, "too few triples came out bent");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`ArtifactKind::ALL`] (the full responsive list dominates, exotic
 //! slices tail off), matching how real hitlist mirrors see traffic.
 //!
-//! One driver, [`drive_day`], replays every day: it expands the schedule
+//! One driver, `drive_day`, replays every day: it expands the schedule
 //! and, for each arrival, delivers the transfers that have finished,
 //! draws the request and submits it. Two load shapes feed it:
 //!
@@ -21,9 +21,9 @@
 //!   scales the day to a million-plus virtual clients.
 //!
 //! Two backends answer it through the
-//! [`EventLoop`](crate::reactor::EventLoop): a bare [`Frontend`]
+//! [`EventLoop`]: a bare [`Frontend`]
 //! ([`simulate_day`]) and the resilient client of a mirror tier
-//! ([`run_chaos_day`](crate::run_chaos_day)); [`Clients`] is where their
+//! ([`run_chaos_day`](crate::run_chaos_day)); `Clients` is where their
 //! clients differ. [`simulate_day_sync`] is the synchronous reference
 //! engine the event loop's ledger is pinned byte-identical against.
 

@@ -449,6 +449,16 @@ impl MirrorTier {
     /// base), validate checksum-first, adopt the whole generation or
     /// nothing. Returns whether the mirror is in sync with the origin
     /// afterwards.
+    ///
+    /// Validation has two halves. Each transfer is opened as it arrives
+    /// — stream checksum, magic, strict parse and, for a delta, the base
+    /// digest and the replay over the held set — and the first that
+    /// fails ends the sync. The reconstructed sets of the generation are
+    /// then hashed side by side, and each must carry the origin
+    /// version's digest (and the one its delta stream promised). The
+    /// sets are dropped afterwards: the handles adopted are the
+    /// origin's. Whichever check fails, the sync counts as rejected
+    /// once.
     pub fn try_sync(&mut self, i: usize, at_us: u64) -> bool {
         if self.faults.origin_blackout(at_us) || self.faults.mirror_down(i, at_us) {
             self.totals.sync_blocked += 1;
@@ -468,6 +478,9 @@ impl MirrorTier {
         let attempt = self.mirrors[i].sync_attempts;
 
         let mut adopted: Vec<Arc<ArtifactVersion>> = Vec::with_capacity(ArtifactKind::ALL.len());
+        // The transfer of every changed artifact, opened.
+        let mut opened: Vec<codec::Opened> = Vec::new();
+        let mut torn = false;
         let mut full_transfers = 0u64;
         let mut delta_transfers = 0u64;
         let mut wire_bytes = 0u64;
@@ -481,12 +494,10 @@ impl MirrorTier {
                 adopted.push(version);
                 continue;
             }
-            let use_delta = held.as_ref().is_some_and(|h| Some(h.round()) == version.prev_round())
-                && version.delta_encoded().is_some();
-            let wire: Arc<Vec<u8>> = if use_delta {
-                version.delta_encoded().expect("checked above").clone()
-            } else {
-                version.full_encoded().clone()
+            let base = held.filter(|h| Some(h.round()) == version.prev_round());
+            let (wire, base) = match (version.delta_encoded(), base) {
+                (Some(delta), Some(base)) => (delta.clone(), Some(base)),
+                _ => (version.full_encoded().clone(), None),
             };
             // In-flight corruption (seeded, per transfer identity).
             let mut transfer: Vec<u8>;
@@ -509,29 +520,30 @@ impl MirrorTier {
             };
             // Checksum-first validation: a flip anywhere rejects the
             // whole sync, and the mirror keeps its last-good generation.
-            // Either branch pins the body to the origin version's digest;
-            // the delta is replayed over the held set without building
-            // the result, since the handle adopted below is the origin's.
-            let valid = if use_delta {
-                let base = held.as_ref().expect("delta implies held");
-                codec::verify_delta(base.items(), base.digest(), body, version.digest()).is_ok()
-            } else {
-                codec::verify_full(body, version.digest()).is_ok()
-            };
-            if !valid {
-                self.totals.sync_rejected += 1;
-                if let Some(m) = &self.meters {
-                    m.sync_rejected.incr();
+            let arrived = match &base {
+                Some(base) => {
+                    delta_transfers += 1;
+                    codec::Opened::delta(base.items(), base.digest(), body, version.digest())
                 }
-                return false;
-            }
+                None => {
+                    full_transfers += 1;
+                    codec::Opened::full(body, version.digest())
+                }
+            };
+            let Ok(arrived) = arrived else {
+                torn = true;
+                break;
+            };
+            opened.push(arrived);
             wire_bytes += wire.len() as u64;
-            if use_delta {
-                delta_transfers += 1;
-            } else {
-                full_transfers += 1;
-            }
             adopted.push(version);
+        }
+        if torn || codec::confirm(&opened).is_err() {
+            self.totals.sync_rejected += 1;
+            if let Some(m) = &self.meters {
+                m.sync_rejected.incr();
+            }
+            return false;
         }
 
         let installed = self.mirrors[i].store.install_generation(origin_round, &date, adopted);
@@ -758,6 +770,99 @@ mod tests {
         assert!(tier.try_sync(0, 2));
         assert_eq!(tier.totals().sync_delta, 1);
         assert_eq!(tier.mirror_round(0), Some(2));
+    }
+
+    /// A generation in which every kind changes from round to round.
+    fn whole_generation(round: u64) -> Vec<(ArtifactKind, AddrSet)> {
+        ArtifactKind::ALL
+            .iter()
+            .map(|&kind| {
+                let k = kind.index() as u128;
+                let len = 300 + 25 * k + 11 * u128::from(round);
+                (kind, (0..len).map(|i| ((0x2001_0db8 + k) << 96) | (i * (k + 2))).collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_bad_transfer_at_any_index_rejects_the_generation_once_and_keeps_last_good() {
+        use crate::store::tests::{with_delta, with_full};
+        // How the transfer of one artifact goes wrong: a byte flipped in
+        // flight, or a well-formed stream that leads to some other set.
+        // `warm`: the mirror holds round 1 and syncs over deltas; cold, it
+        // holds nothing and pulls full snapshots.
+        for (warm, flipped) in [(true, true), (true, false), (false, true), (false, false)] {
+            for bad in 0..ArtifactKind::ALL.len() {
+                let origin = Arc::new(SnapshotStore::new(StoreConfig::default()));
+                if warm {
+                    origin.publish_round(1, "d1", whole_generation(1));
+                }
+                let config = MirrorTierConfig::builder().with_mirrors(1);
+                let mut tier = MirrorTier::new(config, origin, ServeFaultConfig::lossless());
+                let last_good = ArtifactKind::ALL.map(|kind| tier.mirrors[0].store.artifact(kind));
+                tier.origin().publish_round(2, "d2", whole_generation(2));
+                tier.set_target_round(2);
+                let honest = ArtifactKind::ALL.map(|kind| tier.origin().artifact(kind).unwrap());
+
+                let version = &honest[bad];
+                let mut elsewhere = (**version.items()).clone();
+                elsewhere.insert(u128::MAX);
+                let tampered = match (warm, flipped) {
+                    (true, true) => {
+                        let mut delta = (**version.delta_encoded().expect("round 2")).clone();
+                        let at = delta.len() * (bad + 1) / 10;
+                        delta[at] ^= 0x20;
+                        with_delta(version, delta)
+                    }
+                    (true, false) => {
+                        let base = last_good[bad].as_ref().expect("warm").items();
+                        with_delta(version, codec::encode_delta(base, &elsewhere))
+                    }
+                    (false, true) => {
+                        let mut full = (**version.full_encoded()).clone();
+                        let at = full.len() * (bad + 1) / 10;
+                        full[at] ^= 0x20;
+                        with_full(version, full)
+                    }
+                    (false, false) => with_full(version, codec::encode_full(&elsewhere)),
+                };
+                let mut swapped = honest.to_vec();
+                swapped[bad] = Arc::new(tampered);
+                assert!(tier.origin().install_generation(2, "d2", swapped));
+
+                let case = format!("warm {warm}, flipped {flipped}, artifact {bad}");
+                assert!(!tier.try_sync(0, 1), "{case}");
+                let rejected = TierTotals { sync_rejected: 1, ..TierTotals::default() };
+                assert_eq!(*tier.totals(), rejected, "{case}: one rejection, nothing else moved");
+                assert_eq!(tier.mirror_round(0), warm.then_some(1), "{case}");
+                for (kind, held) in ArtifactKind::ALL.into_iter().zip(&last_good) {
+                    let now = tier.mirrors[0].store.artifact(kind);
+                    assert_eq!(now.is_some(), held.is_some(), "{case}: {kind:?}");
+                    if let (Some(now), Some(held)) = (&now, held) {
+                        assert!(Arc::ptr_eq(now, held), "{case}: {kind:?} was adopted");
+                    }
+                }
+                if warm {
+                    let request = Request { kind: ArtifactKind::ALL[bad], ..request(1, 2) };
+                    let served = tier.mirrors[0].frontend.handle(&request);
+                    assert!(matches!(served, Outcome::Body { round: 1, .. }), "{case}: {served:?}");
+                }
+
+                // The same sync once the transfer is clean goes through.
+                assert!(tier.origin().install_generation(2, "d2", honest.to_vec()));
+                assert!(tier.try_sync(0, 2), "{case}");
+                let all = ArtifactKind::ALL.len() as u64;
+                let (deltas, fulls) = if warm { (all, 0) } else { (0, all) };
+                assert_eq!(tier.totals().syncs, 1, "{case}");
+                assert_eq!(tier.totals().sync_rejected, 1, "{case}");
+                assert_eq!((tier.totals().sync_delta, tier.totals().sync_full), (deltas, fulls));
+                assert_eq!(tier.mirror_round(0), Some(2), "{case}");
+                for (kind, version) in ArtifactKind::ALL.into_iter().zip(&honest) {
+                    let now = tier.mirrors[0].store.artifact(kind).expect("synced");
+                    assert!(Arc::ptr_eq(&now, version), "{case}: {kind:?}");
+                }
+            }
+        }
     }
 
     #[test]

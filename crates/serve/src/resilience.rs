@@ -1,7 +1,7 @@
 //! The resilient client of a mirror tier, as a backend of the reactor.
 //!
-//! A chaos day is an ordinary day ([`drive_day`]) whose requests a
-//! [`TierClient`] answers instead of a bare front end. Its
+//! A chaos day is an ordinary day (`fleet::drive_day`) whose requests a
+//! `TierClient` answers instead of a bare front end. Its
 //! [`Backend::answer`] first brings the tier up to the arrival instant —
 //! due publishes land on the origin or wait out a blackout, an attached
 //! [`ChaosObserver`] ticks its hourly series — then handles one logical
@@ -285,9 +285,12 @@ impl ChaosObserver {
     }
 }
 
+/// Reads one count off the ledger.
+type Count = fn(&ResilienceTotals) -> u64;
+
 /// The registry's view of the ledger: each counter and the count it
 /// carries.
-const PUBLISHED: [(&str, fn(&ResilienceTotals) -> u64); 10] = [
+const PUBLISHED: [(&str, Count); 10] = [
     ("serve.retry.attempts", |t| t.attempts),
     ("serve.retry.retries", |t| t.retries),
     ("serve.retry.failovers", |t| t.failovers),
@@ -846,7 +849,7 @@ mod tests {
         let config = ChaosDayConfig::default();
         let seed = config.fleet.seed;
         let prefers_dark = (0u64..)
-            .find(|&c| prf_u128(seed, u128::from(c), TAG_AFFINITY) % 2 == 0)
+            .find(|&c| prf_u128(seed, u128::from(c), TAG_AFFINITY).is_multiple_of(2))
             .expect("some client prefers mirror 0");
         let request = |at_us| Request {
             client: prefers_dark,

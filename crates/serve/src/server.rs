@@ -876,8 +876,7 @@ mod tests {
             FrontendConfig::builder().with_client_bucket(0, 60).build(),
             Err(FrontendConfigError::ZeroClientBurst)
         );
-        let mut zero_rate_transfer = FrontendConfig::default();
-        zero_rate_transfer.bytes_per_us = 0;
+        let zero_rate_transfer = FrontendConfig { bytes_per_us: 0, ..FrontendConfig::default() };
         assert_eq!(zero_rate_transfer.build(), Err(FrontendConfigError::ZeroTransferRate));
         // A zero refill rate with a positive burst is a finite total
         // quota, not a pathology — it must keep building.

@@ -12,6 +12,7 @@
 
 use std::sync::{Arc, RwLock};
 
+use sixdust_addr::digest::content_digests;
 use sixdust_addr::AddrSet;
 use sixdust_net::Protocol;
 use sixdust_scan::proto_metric_key;
@@ -263,7 +264,9 @@ impl SnapshotStore {
     /// Each address is hashed twice per publish — once into its
     /// artifact's digest, once into its shard's — and every later user
     /// of a digest (the delta frame, a mirror's sync, an ETag) reads the
-    /// stored value.
+    /// stored value. The eight artifacts are hashed side by side, and so
+    /// are the shards of each changed artifact
+    /// ([`content_digests`]).
     pub fn publish_round(
         &self,
         round: u64,
@@ -277,14 +280,17 @@ impl SnapshotStore {
         let mut bytes_full = 0u64;
         let mut bytes_delta = 0u64;
 
+        let sets: Vec<AddrSet> = ArtifactKind::ALL
+            .iter()
+            .map(|kind| {
+                let supplied = artifacts.iter_mut().find(|(k, _)| k == kind);
+                supplied.map(|(_, set)| std::mem::take(set)).unwrap_or_default()
+            })
+            .collect();
+        let digests = content_digests(&sets);
+
         let mut versions: Vec<Arc<ArtifactVersion>> = Vec::with_capacity(ArtifactKind::ALL.len());
-        for kind in ArtifactKind::ALL {
-            let items: AddrSet = artifacts
-                .iter_mut()
-                .find(|(k, _)| *k == kind)
-                .map(|(_, set)| std::mem::take(set))
-                .unwrap_or_default();
-            let digest = codec::content_digest(&items);
+        for ((kind, items), digest) in ArtifactKind::ALL.into_iter().zip(sets).zip(digests) {
             let prev_version = prev.as_ref().map(|g| &g.artifacts[kind.index()]);
 
             // Unchanged artifact: carry the whole version over, only
@@ -304,9 +310,11 @@ impl SnapshotStore {
             for item in items.iter() {
                 per_shard[shard_of(item, self.shards)].push(item);
             }
+            let shard_digests = content_digests(per_shard.iter().map(|s| s.iter().copied()));
             let mut shards: Vec<Arc<ShardData>> = Vec::with_capacity(self.shards);
-            for (i, shard_items) in per_shard.into_iter().enumerate() {
-                let shard_digest = codec::content_digest(shard_items.iter().copied());
+            for (i, (shard_items, shard_digest)) in
+                per_shard.into_iter().zip(shard_digests).enumerate()
+            {
                 let reusable = prev_version.and_then(|pv| pv.shards.get(i)).filter(|old| {
                     old.digest == shard_digest && old.items.iter().eq(shard_items.iter().copied())
                 });
@@ -430,19 +438,28 @@ pub(crate) mod tests {
         range.map(|i| i * 97 + 5).collect()
     }
 
-    /// `version` carrying some other delta stream: what an origin that
-    /// swapped generations mid-transfer would hand a mirror.
-    pub(crate) fn with_delta(version: &ArtifactVersion, delta: Vec<u8>) -> ArtifactVersion {
+    fn copy_of(version: &ArtifactVersion) -> ArtifactVersion {
         ArtifactVersion {
             kind: version.kind,
             round: version.round,
             digest: version.digest,
             items: version.items.clone(),
             full: version.full.clone(),
-            delta: Some(Arc::new(delta)),
+            delta: version.delta.clone(),
             prev_round: version.prev_round,
             shards: version.shards.clone(),
         }
+    }
+
+    /// `version` carrying some other delta stream: what an origin that
+    /// swapped generations mid-transfer would hand a mirror.
+    pub(crate) fn with_delta(version: &ArtifactVersion, delta: Vec<u8>) -> ArtifactVersion {
+        ArtifactVersion { delta: Some(Arc::new(delta)), ..copy_of(version) }
+    }
+
+    /// `version` carrying some other full body.
+    pub(crate) fn with_full(version: &ArtifactVersion, full: Vec<u8>) -> ArtifactVersion {
+        ArtifactVersion { full: Arc::new(full), ..copy_of(version) }
     }
 
     /// What lets a publish and a sync reuse a stored digest in place of

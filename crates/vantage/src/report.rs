@@ -56,7 +56,7 @@ pub struct AsDisagreement {
     pub class: DisagreementClass,
     /// How many distinct addresses disagreed.
     pub addrs: u64,
-    /// Up to [`SAMPLES_PER_AS`] example addresses, lowest first —
+    /// Up to eight (`SAMPLES_PER_AS`) example addresses, lowest first —
     /// deterministic because the union set iterates in address order.
     pub samples: Vec<AddrSample>,
 }

@@ -27,7 +27,7 @@ fn main() {
     let mut day = Day(0);
     while day <= Day(365) {
         let r = svc.run_round(&net, day);
-        if day.0 % 28 == 0 {
+        if day.0.is_multiple_of(28) {
             println!(
                 "{:>5} {:>9} {:>8} {:>7} {:>7} {:>7} {:>8} {:>7}",
                 r.day.0,

@@ -42,7 +42,7 @@ fn main() {
         }
     }
     let mut rows: Vec<_> = by_as.into_iter().collect();
-    rows.sort_by(|a, b| b.1.cmp(&a.1));
+    rows.sort_by_key(|row| std::cmp::Reverse(row.1));
     println!("\nrouter interfaces per AS:");
     for (name, n) in rows.iter().take(8) {
         println!("  {name:<28} {n}");

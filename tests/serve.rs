@@ -17,12 +17,13 @@ use sixdust::telemetry::Registry;
 
 const LAST_DAY: Day = Day(30);
 
+/// The responsive artifact's items per published round.
+type History = Vec<(u64, Arc<AddrSet>)>;
+
 /// Runs a seeded month of the service, publishing every round into a
 /// fresh store; returns the service, the store, and the responsive
 /// artifact's item history per published round.
-fn run_and_publish(
-    registry: Option<&Registry>,
-) -> (HitlistService, Arc<SnapshotStore>, Vec<(u64, Arc<AddrSet>)>) {
+fn run_and_publish(registry: Option<&Registry>) -> (HitlistService, Arc<SnapshotStore>, History) {
     let net = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
     let mut store = SnapshotStore::new(StoreConfig::builder().with_shards(8));
     if let Some(reg) = registry {
@@ -31,7 +32,7 @@ fn run_and_publish(
     let store = Arc::new(store);
     let mut svc =
         HitlistService::new(ServiceConfig::builder().snapshot_days(vec![LAST_DAY]).build());
-    let mut history: Vec<(u64, Arc<AddrSet>)> = Vec::new();
+    let mut history = History::new();
     let hook_store = store.clone();
     svc.run_with(&net, Day(0), LAST_DAY, |svc, day| {
         hook_store.publish_service(svc, u64::from(day.0), &day.to_date());
