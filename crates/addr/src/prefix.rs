@@ -94,6 +94,15 @@ impl Prefix {
         self.len
     }
 
+    /// The prefix as one 128-bit item, `network | len`: how the
+    /// aliased-prefix artifact, and its digest, carry a prefix among
+    /// addresses. The length sits in the low byte, which the network of a
+    /// prefix no longer than /120 leaves zero.
+    #[inline]
+    pub fn packed(self) -> u128 {
+        self.network.0 | u128::from(self.len)
+    }
+
     /// `true` only for `::/0`.
     #[inline]
     pub fn is_default(self) -> bool {
@@ -275,6 +284,13 @@ mod tests {
         assert!(net.covers(p("2001:db8:1::/48")));
         assert!(net.covers(net));
         assert!(!p("2001:db8:1::/48").covers(net));
+    }
+
+    #[test]
+    fn packed_keeps_network_and_length_apart() {
+        assert_eq!(p("2001:db8::/32").packed(), 0x2001_0db8 << 96 | 32);
+        assert_eq!(p("2001:db8::ab00/120").packed() & 0xff, 120);
+        assert_eq!(Prefix::ALL.packed(), 0);
     }
 
     #[test]

@@ -25,8 +25,8 @@ use sixdust_telemetry::{Registry, SpanTimer};
 
 /// Detector configuration.
 ///
-/// Construct via [`DetectorConfig::builder`] or the chainable `with_*`
-/// methods.
+/// Construct with the chainable `with_*` methods on
+/// [`DetectorConfig::default`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectorConfig {
     /// Minimum input addresses for longer-than-/64 candidates.
@@ -45,11 +45,6 @@ impl Default for DetectorConfig {
 }
 
 impl DetectorConfig {
-    /// Starts a builder seeded with the default configuration.
-    pub fn builder() -> DetectorConfigBuilder {
-        DetectorConfigBuilder::default()
-    }
-
     /// Returns the config with the long-prefix address floor replaced.
     pub fn with_min_addrs_long(mut self, min_addrs_long: usize) -> DetectorConfig {
         self.min_addrs_long = min_addrs_long;
@@ -69,37 +64,6 @@ impl DetectorConfig {
     }
 }
 
-/// Builder for [`DetectorConfig`]; starts from [`DetectorConfig::default`].
-#[derive(Debug, Clone, Default)]
-pub struct DetectorConfigBuilder {
-    config: DetectorConfig,
-}
-
-impl DetectorConfigBuilder {
-    /// Sets the minimum input addresses for longer-than-/64 candidates.
-    pub fn min_addrs_long(mut self, min_addrs_long: usize) -> DetectorConfigBuilder {
-        self.config.min_addrs_long = min_addrs_long;
-        self
-    }
-
-    /// Sets how many past rounds merge into the current label.
-    pub fn merge_rounds(mut self, merge_rounds: usize) -> DetectorConfigBuilder {
-        self.config.merge_rounds = merge_rounds;
-        self
-    }
-
-    /// Sets the per-round probe seed basis.
-    pub fn seed(mut self, seed: u64) -> DetectorConfigBuilder {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> DetectorConfig {
-        self.config
-    }
-}
-
 /// A prefix labeled fully responsive, with the protocols that answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectedPrefix {
@@ -110,6 +74,7 @@ pub struct DetectedPrefix {
     /// Whether all 16 probes answered TCP/80.
     pub tcp80: bool,
 }
+json_struct!(DetectedPrefix { prefix, icmp, tcp80 });
 
 /// One detection round's outcome.
 #[derive(Debug, Clone)]
@@ -315,6 +280,29 @@ impl AliasDetector {
         self.history.iter().flatten().copied().collect()
     }
 
+    /// The merge window, oldest round first: the prefixes each round
+    /// detected, ascending. With [`AliasDetector::detected_details`] it is
+    /// what a checkpoint keeps of a detector.
+    pub fn window(&self) -> Vec<Vec<Prefix>> {
+        let ascending = |round: &HashSet<Prefix>| {
+            let mut round: Vec<Prefix> = round.iter().copied().collect();
+            round.sort_unstable();
+            round
+        };
+        self.history.iter().map(ascending).collect()
+    }
+
+    /// Puts back what [`AliasDetector::window`] and
+    /// [`AliasDetector::detected_details`] returned, so the next rounds
+    /// merge into the window the checkpointed detector had; an empty
+    /// window is a cold start. Rounds older than this detector's
+    /// `merge_rounds` reaches are left out.
+    pub fn restore(&mut self, window: &[Vec<Prefix>], details: &[DetectedPrefix]) {
+        let reach = window.len().saturating_sub(self.config.merge_rounds + 1);
+        self.history = window[reach..].iter().map(|r| r.iter().copied().collect()).collect();
+        self.last_round_info = details.iter().map(|d| (d.prefix, *d)).collect();
+    }
+
     /// All labeled prefixes with their per-protocol detection detail.
     pub fn detected_details(&self) -> Vec<DetectedPrefix> {
         let labels = self.aliased();
@@ -473,10 +461,9 @@ mod tests {
 
     #[test]
     fn builder_reproduces_default_and_round_metrics_reconcile() {
-        assert_eq!(DetectorConfig::builder().build(), DetectorConfig::default());
         assert_eq!(
-            DetectorConfig::default().with_merge_rounds(0).with_seed(9),
-            DetectorConfig::builder().merge_rounds(0).seed(9).build()
+            DetectorConfig::default().with_min_addrs_long(5).with_merge_rounds(0).with_seed(9),
+            DetectorConfig { min_addrs_long: 5, merge_rounds: 0, seed: 9 }
         );
         let net = net();
         let day = Day(100);

@@ -21,7 +21,6 @@ pub mod tbt;
 
 pub use detect::{
     candidates, minimal_cover, AliasDetector, DetectedPrefix, DetectionRound, DetectorConfig,
-    DetectorConfigBuilder,
 };
 pub use fingerprint::{fingerprint_all, fingerprint_prefix, FingerprintSummary, PrefixFingerprint};
 pub use tbt::{tbt_all, too_big_trick, TbtOutcome, TbtResult, TbtSummary};

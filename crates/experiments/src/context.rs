@@ -155,7 +155,7 @@ impl Ctx {
         let mut days = Day::SNAPSHOTS.to_vec();
         days.push(TGA_SEED_DAY);
         days.sort_unstable();
-        let config = ServiceConfig::builder().snapshot_days(days).build();
+        let config = ServiceConfig::default().with_snapshot_days(days);
 
         let mut resume_from: Option<Day> = None;
         let mut svc = match checkpoint.filter(|p| p.exists()) {

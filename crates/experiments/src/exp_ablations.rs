@@ -45,7 +45,7 @@ fn merge_window(out: &mut String, json_rows: &mut Vec<Value>) {
             .map(|g| g.prefix)
             .take(250)
             .collect();
-        let mut single = AliasDetector::new(DetectorConfig::builder().merge_rounds(0).build());
+        let mut single = AliasDetector::new(DetectorConfig::default().with_merge_rounds(0));
         single.run_round(&net, &truth, day);
         let single_hits = truth.iter().filter(|p| single.aliased().contains_exact(**p)).count();
         let mut merged = AliasDetector::new(DetectorConfig::default());
@@ -75,7 +75,7 @@ fn gfw_filter(out: &mut String, json_rows: &mut Vec<Value>) {
     let idx53 = Protocol::ALL.iter().position(|p| *p == Protocol::Udp53).expect("udp53");
     let run = |gfw_filter_from: Option<Day>| {
         let mut svc = HitlistService::new(
-            ServiceConfig::builder().gfw_filter_from(gfw_filter_from).traceroute_cap(800).build(),
+            ServiceConfig::default().with_gfw_filter_from(gfw_filter_from).with_traceroute_cap(800),
         );
         svc.run(&net, start, end);
         svc.rounds().iter().map(|r| r.published[idx53]).max().unwrap_or(0)
@@ -98,7 +98,7 @@ fn thirty_day_filter(out: &mut String, json_rows: &mut Vec<Value>) {
     out.push_str("\n-- ablation 3: the 30-day unresponsive filter --\n");
     let net = ablation_net(2);
     let run = |window: u32| {
-        let mut svc = HitlistService::new(ServiceConfig::builder().traceroute_cap(800).build());
+        let mut svc = HitlistService::new(ServiceConfig::default().with_traceroute_cap(800));
         // A very large window disables the filter in practice.
         svc.set_unresponsive_window(window);
         svc.run(&net, Day(0), Day(90));
@@ -213,7 +213,7 @@ fn chaos_merge(out: &mut String, json_rows: &mut Vec<Value>) {
             .map(|g| g.prefix)
             .take(250)
             .collect();
-        let mut single = AliasDetector::new(DetectorConfig::builder().merge_rounds(0).build());
+        let mut single = AliasDetector::new(DetectorConfig::default().with_merge_rounds(0));
         single.run_round(&net, &truth, day);
         let single_hits = truth.iter().filter(|p| single.aliased().contains_exact(**p)).count();
         let mut merged = AliasDetector::new(DetectorConfig::default());

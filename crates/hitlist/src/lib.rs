@@ -32,9 +32,7 @@ pub mod state;
 pub use filters::{Blocklist, GfwFilter, UnresponsiveFilter};
 pub use newsources::{evaluate_source, passive_sources, SourceEval};
 pub use publish::{publish, Manifest, Publication};
-pub use service::{
-    HitlistService, PreparedRound, RoundRecord, ServiceConfig, ServiceConfigBuilder, Snapshot,
-};
+pub use service::{HitlistService, PreparedRound, RoundRecord, ServiceConfig, Snapshot};
 pub use state::ServiceState;
 
 #[cfg(test)]
@@ -47,7 +45,7 @@ mod tests {
     }
 
     fn quick_config() -> ServiceConfig {
-        ServiceConfig::builder().alias_every_days(14).traceroute_cap(600).build()
+        ServiceConfig::default().with_alias_every_days(14).with_traceroute_cap(600)
     }
 
     #[test]
@@ -200,29 +198,26 @@ mod tests {
 
     #[test]
     fn builder_reproduces_default() {
-        assert_eq!(ServiceConfig::builder().build(), ServiceConfig::default());
-        let built = ServiceConfig::builder()
-            .scan(sixdust_scan::ScanConfig::builder().attempts(2).build())
-            .detector(sixdust_alias::DetectorConfig::default())
-            .gfw_filter_from(None)
-            .alias_every_days(7)
-            .traceroute_cap(123)
-            .degraded_loss_permille(400)
-            .snapshot_days(vec![Day(3)])
-            .build();
+        let scan = sixdust_scan::ScanConfig::default().with_attempts(2);
+        let detector = sixdust_alias::DetectorConfig::default().with_merge_rounds(1);
         let chained = ServiceConfig::default()
-            .with_scan(sixdust_scan::ScanConfig::default().with_attempts(2))
-            .with_detector(sixdust_alias::DetectorConfig::default())
+            .with_scan(scan.clone())
+            .with_detector(detector.clone())
             .with_gfw_filter_from(None)
             .with_alias_every_days(7)
             .with_traceroute_cap(123)
             .with_degraded_loss_permille(400)
             .with_snapshot_days(vec![Day(3)]);
-        assert_eq!(built, chained);
-        assert_eq!(built.alias_every_days, 7);
-        assert_eq!(built.scan.attempts, 2);
-        assert_eq!(built.gfw_filter_from, None);
-        assert_eq!(built.degraded_loss_permille, 400);
+        let literal = ServiceConfig {
+            scan,
+            detector,
+            gfw_filter_from: None,
+            alias_every_days: 7,
+            traceroute_cap: 123,
+            snapshot_days: vec![Day(3)],
+            degraded_loss_permille: 400,
+        };
+        assert_eq!(chained, literal);
     }
 
     #[test]

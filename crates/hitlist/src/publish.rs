@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use sixdust_addr::{Addr, AddrSet};
+use sixdust_addr::{Addr, AddrSet, Prefix};
 use sixdust_json::json_struct;
 
 use crate::service::HitlistService;
@@ -89,8 +89,7 @@ pub fn publish(svc: &HitlistService) -> Publication {
         }
         // Prefixes digest over their packed form (network | len), the
         // same item encoding the serve layer ships them in.
-        let packed: AddrSet =
-            svc.aliased().iter().map(|p| p.network().0 | u128::from(p.len())).collect();
+        let packed: AddrSet = svc.aliased().iter().map(Prefix::packed).collect();
         (out, packed)
     };
     let gfw_set = collect_set(svc.gfw_impacted().iter().copied());
@@ -175,7 +174,7 @@ mod tests {
     fn published() -> Publication {
         let net = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
         let mut svc =
-            HitlistService::new(ServiceConfig::builder().snapshot_days(vec![Day(8)]).build());
+            HitlistService::new(ServiceConfig::default().with_snapshot_days(vec![Day(8)]));
         svc.run(&net, Day(0), Day(8));
         publish(&svc)
     }

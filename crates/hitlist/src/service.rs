@@ -73,11 +73,6 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Starts a builder seeded with [`ServiceConfig::default`].
-    pub fn builder() -> ServiceConfigBuilder {
-        ServiceConfigBuilder { config: ServiceConfig::default() }
-    }
-
     /// Returns the config with a different scanner configuration.
     pub fn with_scan(mut self, scan: ScanConfig) -> ServiceConfig {
         self.scan = scan;
@@ -118,61 +113,6 @@ impl ServiceConfig {
     pub fn with_snapshot_days(mut self, days: Vec<Day>) -> ServiceConfig {
         self.snapshot_days = days;
         self
-    }
-}
-
-/// Chainable builder for [`ServiceConfig`]; see [`ServiceConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct ServiceConfigBuilder {
-    config: ServiceConfig,
-}
-
-impl ServiceConfigBuilder {
-    /// Sets the scanner configuration shared by all protocol modules.
-    pub fn scan(mut self, scan: ScanConfig) -> ServiceConfigBuilder {
-        self.config.scan = scan;
-        self
-    }
-
-    /// Sets the alias detector configuration.
-    pub fn detector(mut self, detector: DetectorConfig) -> ServiceConfigBuilder {
-        self.config.detector = detector;
-        self
-    }
-
-    /// Sets the day the GFW cleaning filter goes live (None = never).
-    pub fn gfw_filter_from(mut self, day: Option<Day>) -> ServiceConfigBuilder {
-        self.config.gfw_filter_from = day;
-        self
-    }
-
-    /// Sets the days between alias detection runs.
-    pub fn alias_every_days(mut self, days: u32) -> ServiceConfigBuilder {
-        self.config.alias_every_days = days;
-        self
-    }
-
-    /// Sets the maximum traceroute targets per round.
-    pub fn traceroute_cap(mut self, cap: usize) -> ServiceConfigBuilder {
-        self.config.traceroute_cap = cap;
-        self
-    }
-
-    /// Sets the degraded-round loss threshold (permille).
-    pub fn degraded_loss_permille(mut self, permille: u32) -> ServiceConfigBuilder {
-        self.config.degraded_loss_permille = permille;
-        self
-    }
-
-    /// Sets the days whose full responsive sets are kept as snapshots.
-    pub fn snapshot_days(mut self, days: Vec<Day>) -> ServiceConfigBuilder {
-        self.config.snapshot_days = days;
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> ServiceConfig {
-        self.config
     }
 }
 
@@ -554,15 +494,16 @@ impl HitlistService {
 
     /// Rebuilds a service from a checkpoint — the inverse of
     /// [`ServiceState::capture`](crate::ServiceState::capture). The alias
-    /// detector restarts cold (its labels are restored; fingerprint detail
-    /// re-accumulates at the next periodic detection) and the per-protocol
-    /// anomaly monitors are re-warmed by replaying the checkpointed
-    /// published series, so a resumed service continues the timeline the
-    /// original would have produced.
+    /// detector gets its merge window back (a checkpoint older than v4
+    /// has none: the labels are restored and the detector restarts cold)
+    /// and the per-protocol anomaly monitors are re-warmed by replaying
+    /// the checkpointed published series, so a resumed service continues
+    /// the timeline the original would have produced.
     pub fn from_state(config: ServiceConfig, state: &crate::state::ServiceState) -> HitlistService {
         let mut svc = HitlistService::new(config);
         svc.input = state.input.addrs().collect();
         svc.aliased = state.aliased.iter().copied().collect();
+        svc.detector.restore(&state.alias_window, &state.alias_detail);
         svc.gfw = crate::filters::GfwFilter::restore(state.gfw_impacted.addrs());
         let active: Vec<(Addr, Day)> = if state.active.is_empty() && !state.input.is_empty() {
             // v1 checkpoint: per-address clocks were not captured, so
@@ -1234,7 +1175,7 @@ mod tests {
 
     #[test]
     fn slo_breach_through_shared_series_path_freezes_a_capture() {
-        let mut svc = HitlistService::new(ServiceConfig::builder().build())
+        let mut svc = HitlistService::new(ServiceConfig::default())
             .with_slo(SloEngine::standard())
             .with_flight(FlightRecorder::new());
         assert!(svc.series().is_some(), "with_slo implies a series recorder");
@@ -1268,7 +1209,7 @@ mod tests {
 
     #[test]
     fn freshness_clock_counts_suspect_rounds_and_replays_through_checkpoints() {
-        let mut svc = HitlistService::new(ServiceConfig::builder().build());
+        let mut svc = HitlistService::new(ServiceConfig::default());
         // Synthesize a round history: clean, degraded, anomalous, clean.
         let mk = |day: u32, degraded: bool, anomalous: bool| RoundRecord {
             day: Day(day),
@@ -1290,12 +1231,12 @@ mod tests {
         svc.rounds =
             vec![mk(0, false, false), mk(1, true, false), mk(2, false, true), mk(3, false, false)];
         let state = crate::state::ServiceState::capture(&svc);
-        let resumed = HitlistService::from_state(ServiceConfig::builder().build(), &state);
+        let resumed = HitlistService::from_state(ServiceConfig::default(), &state);
         assert_eq!(resumed.staleness_rounds, 0, "last round was a clean publish");
         // Drop the final clean round: two suspect rounds back-to-back.
         svc.rounds.pop();
         let state = crate::state::ServiceState::capture(&svc);
-        let resumed = HitlistService::from_state(ServiceConfig::builder().build(), &state);
+        let resumed = HitlistService::from_state(ServiceConfig::default(), &state);
         assert_eq!(resumed.staleness_rounds, 2, "degraded then anomalous, never reset");
     }
 
@@ -1337,7 +1278,7 @@ mod tests {
             let net = Internet::build(scale).with_faults(FaultConfig::lossless());
             let domains = net.zones().total_domains();
             for window in windows.clone() {
-                let cfg = ServiceConfig::builder().traceroute_cap(300).build();
+                let cfg = ServiceConfig::default().with_traceroute_cap(300);
                 let registry = Registry::new();
                 let mut streamed =
                     HitlistService::new(cfg.clone()).with_telemetry(registry.clone());
@@ -1404,7 +1345,7 @@ mod tests {
     fn mid_week_resume_does_not_walk_the_zone_again() {
         let net = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
         // One detection at launch: a resumed detector restarts cold.
-        let cfg = ServiceConfig::builder().traceroute_cap(300).alias_every_days(10_000).build();
+        let cfg = ServiceConfig::default().with_traceroute_cap(300).with_alias_every_days(10_000);
         let mut uninterrupted = HitlistService::new(cfg.clone());
         uninterrupted.run(&net, Day(0), Day(9));
 
@@ -1454,7 +1395,7 @@ mod tests {
         // weeks on the same day-of-week: the rotated samples reach
         // different targets, so the discovered hop interfaces differ too.
         let net = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
-        let cfg = ServiceConfig::builder().traceroute_cap(40).alias_every_days(10_000).build();
+        let cfg = ServiceConfig::default().with_traceroute_cap(40).with_alias_every_days(10_000);
         let input: AddrHashSet =
             (0..80u128).map(|i| Addr((0x2001u128 << 112) | (i << 82) | 7)).collect();
         let mut week_a = HitlistService::new(cfg.clone());

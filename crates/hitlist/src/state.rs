@@ -12,6 +12,7 @@ use std::collections::HashSet;
 use std::path::Path;
 
 use sixdust_addr::{Addr, AddrSet, Prefix};
+use sixdust_alias::DetectedPrefix;
 use sixdust_json::json_struct;
 use sixdust_net::{Day, ProtoSet};
 
@@ -32,6 +33,12 @@ use crate::service::{HitlistService, RoundRecord, ServiceConfig, Snapshot};
 /// `Vec<Addr>` fields wrote, and parses legacy (even unsorted) payloads
 /// by normalizing — so v2 checkpoints load without a migration step and
 /// a v3 checkpoint differs from its v2 twin only in the `version` field.
+///
+/// Version 4 added the alias detector's merge window and the detection
+/// detail of its labels (`alias_window`, `alias_detail`), without which
+/// the alias rounds after a resume merged into an empty window. Their
+/// keys are optional: a v1–v3 checkpoint restores the labels alone and
+/// the detector starts cold, as it did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceState {
     /// Format version for forward compatibility.
@@ -60,6 +67,12 @@ pub struct ServiceState {
     pub next_alias_day: Day,
     /// The 30-day filter's window override, in days (v2).
     pub unresponsive_window: u32,
+    /// The alias detector's merge window, oldest round first: the
+    /// prefixes each detection round labelled, ascending (v4).
+    pub alias_window: Vec<Vec<Prefix>>,
+    /// Per-protocol detection detail of the labels in the window,
+    /// ascending by prefix (v4).
+    pub alias_detail: Vec<DetectedPrefix>,
 }
 json_struct!(ServiceState {
     version,
@@ -75,10 +88,12 @@ json_struct!(ServiceState {
     current_responsive = AddrSet::new(),
     next_alias_day = Day::default(),
     unresponsive_window = 30,
+    alias_window = Vec::new(),
+    alias_detail = Vec::new(),
 });
 
 /// Current checkpoint format version.
-pub const STATE_VERSION: u32 = 3;
+pub const STATE_VERSION: u32 = 4;
 
 /// Oldest checkpoint version [`ServiceState::from_json`] still accepts.
 pub const OLDEST_SUPPORTED_STATE_VERSION: u32 = 1;
@@ -108,6 +123,8 @@ impl ServiceState {
             current_responsive: svc.current_responsive().clone(),
             next_alias_day: svc.next_alias_day(),
             unresponsive_window: svc.unresponsive().window,
+            alias_window: svc.detector().window(),
+            alias_detail: svc.detector().detected_details(),
         }
     }
 
@@ -189,6 +206,22 @@ impl ServiceState {
         {
             return Err(format!("{a} both active and permanently dropped"));
         }
+        // A cold window (v1–v3, or no detection yet) says nothing; a
+        // warm one is what the labels were merged from.
+        if !self.alias_window.is_empty() {
+            let mut merged: Vec<Prefix> = self.alias_window.concat();
+            merged.sort_unstable();
+            merged.dedup();
+            let mut labels = self.aliased.clone();
+            labels.sort_unstable();
+            if merged != labels {
+                return Err("alias window does not merge to the aliased labels".into());
+            }
+            let detailed: Vec<Prefix> = self.alias_detail.iter().map(|d| d.prefix).collect();
+            if detailed != labels {
+                return Err("alias detail does not cover the aliased labels".into());
+            }
+        }
         Ok(())
     }
 }
@@ -204,7 +237,7 @@ mod tests {
     }
 
     fn test_config() -> ServiceConfig {
-        ServiceConfig::builder().snapshot_days(vec![Day(5)]).build()
+        ServiceConfig::default().with_snapshot_days(vec![Day(5)])
     }
 
     fn run_service(days: u32) -> HitlistService {
@@ -230,10 +263,11 @@ mod tests {
         // content digest: a writer that drifts (spacing, key order, number
         // form) fails here instead of silently forking the on-disk format.
         let json = ServiceState::capture(&run_service(8)).to_json();
-        assert!(json.starts_with("{\n  \"version\": 3,\n  \"input\": [\n    "), "{:.60}", json);
-        assert!(json.ends_with("\n  \"unresponsive_window\": 30\n}"), "no trailing newline");
+        assert!(json.starts_with("{\n  \"version\": 4,\n  \"input\": [\n    "), "{:.60}", json);
+        assert!(json.contains("\n  \"unresponsive_window\": 30,\n  \"alias_window\": [\n    [\n"));
+        assert!(json.ends_with("\n      \"tcp80\": true\n    }\n  ]\n}"), "no trailing newline");
         let digest = sixdust_addr::digest::content_digest(json.bytes().map(u128::from));
-        assert_eq!((json.len(), digest), (487_624, 15_575_141_471_646_519_657));
+        assert_eq!((json.len(), digest), (652_091, 17_253_704_505_380_632_577));
     }
 
     #[test]
@@ -251,19 +285,24 @@ mod tests {
     fn v2_checkpoint_loads_into_v3_state() {
         let svc = run_service(8);
         let state = ServiceState::capture(&svc);
-        // A v2 checkpoint is byte-identical to today's output except for
-        // the version field: the address-set fields serialized as sorted
-        // address sequences then, and `AddrSet` writes the same sequence
-        // now. Rewriting the version therefore reconstructs a faithful
-        // v2 payload.
-        let v2_json = state.to_json().replacen("\"version\": 3", "\"version\": 2", 1);
-        assert_ne!(v2_json, state.to_json(), "version field rewritten");
+        // A v2 checkpoint is today's output without the v4 keys and with
+        // another version field: the address-set fields serialized as
+        // sorted address sequences then, and `AddrSet` writes the same
+        // sequence now. Cutting the tail and rewriting the version
+        // therefore reconstructs a faithful v2 payload (and a v3 one).
+        let json = state.to_json();
+        let v4_keys = json.find(",\n  \"alias_window\": [").expect("the v4 keys come last");
+        let v2_json =
+            format!("{}\n}}", &json[..v4_keys]).replacen("\"version\": 4", "\"version\": 2", 1);
         let upgraded = ServiceState::from_json(&v2_json).expect("v2 checkpoint parses");
         upgraded.validate().expect("v2 checkpoint validates");
         assert_eq!(upgraded.version, 2);
+        assert!(upgraded.alias_window.is_empty() && upgraded.alias_detail.is_empty());
         let mut as_current = upgraded.clone();
         as_current.version = STATE_VERSION;
-        assert_eq!(as_current, state, "v2 payload loads into the identical v3 state");
+        as_current.alias_window = state.alias_window.clone();
+        as_current.alias_detail = state.alias_detail.clone();
+        assert_eq!(as_current, state, "v2 payload loads into the identical state otherwise");
         // Restoring from the v2 state drives the same service forward.
         let resumed = upgraded.restore(test_config());
         assert_eq!(resumed.rounds(), svc.rounds());
@@ -317,6 +356,31 @@ mod tests {
     }
 
     #[test]
+    fn a_resume_between_two_alias_rounds_keeps_the_merge_window() {
+        let net = test_net();
+        // Detection every third day: the checkpoint after day 8 falls
+        // between the rounds of days 6 and 9, and by day 24 six more have
+        // run, past the `merge_rounds + 1` the window holds.
+        let config = || test_config().with_alias_every_days(3);
+        let mut original = HitlistService::new(config());
+        original.run(&net, Day(0), Day(24));
+        let mut first_leg = HitlistService::new(config());
+        first_leg.run(&net, Day(0), Day(8));
+        let checkpoint = ServiceState::capture(&first_leg).to_json();
+        let state = ServiceState::from_json(&checkpoint).expect("parses");
+        state.validate().expect("mid-run checkpoint is valid");
+        assert_eq!(state.alias_window.len(), 3, "days 0, 3 and 6");
+        let mut resumed = state.restore(config());
+        resumed.run(&net, Day(9), Day(24));
+        assert!(resumed.detector().window().len() > config().detector.merge_rounds);
+        assert_eq!(
+            ServiceState::capture(&resumed).to_json(),
+            ServiceState::capture(&original).to_json(),
+            "the resumed service is the uninterrupted one, to the byte"
+        );
+    }
+
+    #[test]
     fn validation_catches_v2_inconsistencies() {
         let svc = run_service(5);
         let base = ServiceState::capture(&svc);
@@ -328,6 +392,9 @@ mod tests {
             bad.unresponsive_pool.insert(a.0);
             assert!(bad.validate().is_err(), "active address in dropped pool");
         }
+        let mut bad = base.clone();
+        bad.alias_window[0].pop().expect("the first round labelled something");
+        assert!(bad.validate().is_err(), "a label no round of the window detected");
         let mut bad = base;
         if bad.snapshots.is_empty() {
             return;

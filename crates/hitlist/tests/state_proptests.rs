@@ -22,9 +22,8 @@ fn donor() -> &'static ServiceState {
     static STATE: OnceLock<ServiceState> = OnceLock::new();
     STATE.get_or_init(|| {
         let net = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
-        let mut svc = HitlistService::new(
-            ServiceConfig::builder().snapshot_days(vec![Day(3), Day(6)]).build(),
-        );
+        let mut svc =
+            HitlistService::new(ServiceConfig::default().with_snapshot_days(vec![Day(3), Day(6)]));
         svc.run(&net, Day(0), Day(8));
         let state = ServiceState::capture(&svc);
         state.validate().expect("fresh capture is valid");
@@ -70,16 +69,18 @@ fn json_shaped_garbage_never_panics() {
     // Right keys, wrong or hostile values.
     let donor = donor().to_json();
     for (from, to) in [
-        ("\"version\": 3", "\"version\": -3"),
-        ("\"version\": 3", "\"version\": 3.0"),
-        ("\"version\": 3", "\"version\": 4294967296"),
-        ("\"version\": 3", "\"version\": \"3\""),
+        ("\"version\": 4", "\"version\": -4"),
+        ("\"version\": 4", "\"version\": 4.0"),
+        ("\"version\": 4", "\"version\": 4294967296"),
+        ("\"version\": 4", "\"version\": \"4\""),
         ("\"input\": [", "\"input\": [-1, "),
         ("\"input\": [", "\"input\": [340282366920938463463374607431768211456, "),
         ("\"input\": [", "\"input\": [null, "),
         ("\"len\": ", "\"len\": 1"),
         ("\"rounds\": [", "\"rounds\": [{}, "),
-        ("\"unresponsive_window\": 30", "\"unresponsive_window\": 30, \"version\": 3"),
+        ("\"unresponsive_window\": 30", "\"unresponsive_window\": 30, \"version\": 4"),
+        ("\"alias_window\": [", "\"alias_window\": [{}, "),
+        ("\"alias_detail\": [", "\"alias_detail\": [[], "),
     ] {
         assert!(donor.contains(from), "{from}");
         assert!(ServiceState::from_json(&donor.replacen(from, to, 1)).is_err(), "{from} -> {to}");

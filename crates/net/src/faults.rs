@@ -221,19 +221,19 @@ impl Outage {
 /// Fault injection knobs (smoltcp-style: every example and test can dial
 /// adverse conditions in).
 ///
-/// Construct via [`FaultConfig::builder`] or the chainable `with_*`
-/// methods, like every other config in the workspace; [`FaultConfig::lossless`]
-/// is the all-off preset unit tests want. The default reproduces the
-/// original single-knob model: 0.4 % uniform loss, nothing else.
+/// Construct with the chainable `with_*` methods, like every other config
+/// in the workspace, from [`FaultConfig::lossless`] — the all-off preset
+/// unit tests want, and the `Default` — or from
+/// [`FaultConfig::default_loss`], the original single-knob model: 0.4 %
+/// uniform loss, nothing else.
 ///
 /// ```
 /// use sixdust_net::{Day, FaultConfig, GilbertElliott, Outage};
-/// let faults = FaultConfig::builder()
-///     .drop_permille(10)
-///     .burst(GilbertElliott::default())
-///     .duplicate_permille(20)
-///     .outage(Outage::vantage(Day(60), Day(68)))
-///     .build();
+/// let faults = FaultConfig::lossless()
+///     .with_drop_permille(10)
+///     .with_burst(GilbertElliott::default())
+///     .with_duplicate_permille(20)
+///     .with_outage(Outage::vantage(Day(60), Day(68)));
 /// assert!(faults.vantage_down(Day(63)));
 /// assert!(!faults.vantage_down(Day(68)));
 /// ```
@@ -290,11 +290,6 @@ impl FaultConfig {
     /// Every fault off — the deterministic-world preset unit tests use.
     pub fn lossless() -> FaultConfig {
         FaultConfig::default()
-    }
-
-    /// Starts a builder seeded with [`FaultConfig::lossless`].
-    pub fn builder() -> FaultConfigBuilder {
-        FaultConfigBuilder::default()
     }
 
     /// Returns the config with the baseline drop rate replaced.
@@ -433,91 +428,13 @@ impl FaultConfig {
     }
 }
 
-/// Builder for [`FaultConfig`]; starts from [`FaultConfig::lossless`].
-#[derive(Debug, Clone, Default)]
-pub struct FaultConfigBuilder {
-    config: FaultConfig,
-}
-
-impl FaultConfigBuilder {
-    /// Sets the baseline drop probability in permille.
-    pub fn drop_permille(mut self, permille: u32) -> FaultConfigBuilder {
-        self.config.drop_permille = permille;
-        self
-    }
-
-    /// Sets the fault-stream seed.
-    pub fn seed(mut self, seed: u64) -> FaultConfigBuilder {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Enables the bursty Gilbert–Elliott loss channel.
-    pub fn burst(mut self, burst: GilbertElliott) -> FaultConfigBuilder {
-        self.config.burst = Some(burst);
-        self
-    }
-
-    /// Adds a per-protocol loss override in permille.
-    pub fn proto_drop(mut self, proto: Protocol, permille: u32) -> FaultConfigBuilder {
-        self.config.proto_drop.push((proto, permille));
-        self
-    }
-
-    /// Adds a per-AS loss override in permille.
-    pub fn as_drop(mut self, asn: u32, permille: u32) -> FaultConfigBuilder {
-        self.config.as_drop.push((asn, permille));
-        self
-    }
-
-    /// Sets the response duplication probability in permille.
-    pub fn duplicate_permille(mut self, permille: u32) -> FaultConfigBuilder {
-        self.config.duplicate_permille = permille;
-        self
-    }
-
-    /// Sets the wire-response corruption probability in permille.
-    pub fn corrupt_permille(mut self, permille: u32) -> FaultConfigBuilder {
-        self.config.corrupt_permille = permille;
-        self
-    }
-
-    /// Enables per-router ICMPv6 rate limiting.
-    pub fn icmp_rate_limit(mut self, limit: IcmpRateLimit) -> FaultConfigBuilder {
-        self.config.icmp_rate_limit = Some(limit);
-        self
-    }
-
-    /// Adds a scheduled outage window.
-    pub fn outage(mut self, outage: Outage) -> FaultConfigBuilder {
-        self.config.outages.push(outage);
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> FaultConfig {
-        self.config
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn builder_reproduces_chained() {
-        let a = FaultConfig::builder()
-            .drop_permille(7)
-            .seed(9)
-            .burst(GilbertElliott::default())
-            .proto_drop(Protocol::Udp53, 100)
-            .as_drop(4134, 200)
-            .duplicate_permille(3)
-            .corrupt_permille(2)
-            .icmp_rate_limit(IcmpRateLimit { per_day: 10 })
-            .outage(Outage::vantage(Day(1), Day(2)))
-            .build();
-        let b = FaultConfig::lossless()
+        let a = FaultConfig::lossless()
             .with_drop_permille(7)
             .with_seed(9)
             .with_burst(GilbertElliott::default())
@@ -527,6 +444,17 @@ mod tests {
             .with_corrupt_permille(2)
             .with_icmp_rate_limit(IcmpRateLimit { per_day: 10 })
             .with_outage(Outage::vantage(Day(1), Day(2)));
+        let b = FaultConfig {
+            drop_permille: 7,
+            seed: 9,
+            burst: Some(GilbertElliott::default()),
+            proto_drop: vec![(Protocol::Udp53, 100)],
+            as_drop: vec![(4134, 200)],
+            duplicate_permille: 3,
+            corrupt_permille: 2,
+            icmp_rate_limit: Some(IcmpRateLimit { per_day: 10 }),
+            outages: vec![Outage::vantage(Day(1), Day(2))],
+        };
         assert_eq!(a, b);
     }
 
@@ -573,11 +501,10 @@ mod tests {
 
     #[test]
     fn loss_composes_by_max() {
-        let f = FaultConfig::builder()
-            .drop_permille(10)
-            .proto_drop(Protocol::Udp53, 300)
-            .as_drop(4134, 500)
-            .build();
+        let f = FaultConfig::lossless()
+            .with_drop_permille(10)
+            .with_proto_drop(Protocol::Udp53, 300)
+            .with_as_drop(4134, 500);
         let a: Addr = "2001:db8::1".parse().unwrap();
         assert_eq!(f.loss_permille(1, a, Some(Protocol::Icmp), None, Day(0)), 10);
         assert_eq!(f.loss_permille(1, a, Some(Protocol::Udp53), None, Day(0)), 300);
@@ -587,11 +514,10 @@ mod tests {
 
     #[test]
     fn outage_windows_half_open() {
-        let f = FaultConfig::builder()
-            .outage(Outage::vantage(Day(10), Day(12)))
-            .outage(Outage::asn(4134, Day(20), Day(25)))
-            .outage(Outage::protocol(Protocol::Udp53, Day(30), Day(33)))
-            .build();
+        let f = FaultConfig::lossless()
+            .with_outage(Outage::vantage(Day(10), Day(12)))
+            .with_outage(Outage::asn(4134, Day(20), Day(25)))
+            .with_outage(Outage::protocol(Protocol::Udp53, Day(30), Day(33)));
         assert!(!f.vantage_down(Day(9)));
         assert!(f.vantage_down(Day(10)));
         assert!(f.vantage_down(Day(11)));
@@ -608,13 +534,12 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let f = FaultConfig::builder()
-            .drop_permille(7)
-            .burst(GilbertElliott::default())
-            .outage(Outage::asn(4134, Day(1), Day(4)))
-            .outage(Outage::protocol(Protocol::Udp53, Day(2), Day(3)))
-            .outage(Outage::vantage_asn(64497, Day(5), Day(6)))
-            .build();
+        let f = FaultConfig::lossless()
+            .with_drop_permille(7)
+            .with_burst(GilbertElliott::default())
+            .with_outage(Outage::asn(4134, Day(1), Day(4)))
+            .with_outage(Outage::protocol(Protocol::Udp53, Day(2), Day(3)))
+            .with_outage(Outage::vantage_asn(64497, Day(5), Day(6)));
         let json = sixdust_json::to_string(&f);
         // The shape serde derived: newtype variants as one-key objects,
         // unit variants as strings, `None` as null.

@@ -1321,21 +1321,20 @@ mod tests {
         let first = every_target_class(&plain, Day(100))[0];
         let withdrawn = plain.registry().get(plain.registry().origin(first).unwrap()).asn;
         let faults = |day: Day| {
-            FaultConfig::builder()
-                .seed(7)
-                .drop_permille(200)
-                .burst(crate::faults::GilbertElliott {
+            FaultConfig::lossless()
+                .with_seed(7)
+                .with_drop_permille(200)
+                .with_burst(crate::faults::GilbertElliott {
                     mean_good_days: 3,
                     mean_bad_days: 3,
                     good_drop_permille: 20,
                     bad_drop_permille: 600,
                 })
-                .proto_drop(Protocol::Udp53, 450)
-                .as_drop(4134, 700)
-                .duplicate_permille(300)
-                .outage(crate::faults::Outage::protocol(Protocol::Udp443, day, day.plus(1)))
-                .outage(crate::faults::Outage::asn(withdrawn, day, day.plus(1)))
-                .build()
+                .with_proto_drop(Protocol::Udp53, 450)
+                .with_as_drop(4134, 700)
+                .with_duplicate_permille(300)
+                .with_outage(crate::faults::Outage::protocol(Protocol::Udp443, day, day.plus(1)))
+                .with_outage(crate::faults::Outage::asn(withdrawn, day, day.plus(1)))
         };
         for (day, behind_firewall) in [(Day(100), false), (era_day, false), (era_day, true)] {
             let world = || {

@@ -48,9 +48,7 @@ pub mod scale;
 pub mod time;
 pub mod zones;
 
-pub use faults::{
-    FaultConfig, FaultConfigBuilder, GilbertElliott, IcmpRateLimit, Outage, OutageScope,
-};
+pub use faults::{FaultConfig, GilbertElliott, IcmpRateLimit, Outage, OutageScope};
 pub use internet::{Internet, NetCounters, ProbeKind, ProbeTally, ResolvedTarget, Response, Route};
 pub use population::{GroupId, GroupKind, HostView, Population, SubnetGroup};
 pub use proto::{ProtoSet, Protocol};

@@ -45,9 +45,15 @@ pub fn proto_metric_key(protocol: Protocol) -> &'static str {
 
 /// Scan engine configuration.
 ///
-/// Construct via [`ScanConfig::builder`] (or the chainable `with_*`
-/// methods); direct field access remains available for serialization
-/// compatibility but new code should prefer the builder.
+/// Construct with the chainable `with_*` methods on
+/// [`ScanConfig::default`]; direct field access remains available for
+/// serialization compatibility.
+///
+/// ```
+/// use sixdust_scan::ScanConfig;
+/// let cfg = ScanConfig::default().with_threads(8).with_rate_pps(1_000_000);
+/// assert_eq!(cfg.threads, 8);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanConfig {
     /// The thread budget, calling thread included: 1 scans inline. The
@@ -59,10 +65,10 @@ pub struct ScanConfig {
     pub threads: usize,
     /// Probes sent per target (ZMap default 1; retries mask loss).
     ///
-    /// Invariant: `attempts >= 1`. The builder and `with_attempts` clamp
-    /// 0 to 1 (a "scan that sends nothing" config is always a bug);
-    /// the engine additionally defends against a hand-rolled struct
-    /// literal smuggling a 0 through direct field access.
+    /// Invariant: `attempts >= 1`. `with_attempts` clamps 0 to 1 (a "scan
+    /// that sends nothing" config is always a bug); the engine
+    /// additionally defends against a hand-rolled struct literal
+    /// smuggling a 0 through direct field access.
     pub attempts: u8,
     /// Probe rate in packets per second of virtual time.
     pub rate_pps: u64,
@@ -94,17 +100,6 @@ impl Default for ScanConfig {
 }
 
 impl ScanConfig {
-    /// Starts a builder seeded with the default configuration.
-    ///
-    /// ```
-    /// use sixdust_scan::ScanConfig;
-    /// let cfg = ScanConfig::builder().threads(8).rate_pps(1_000_000).build();
-    /// assert_eq!(cfg.threads, 8);
-    /// ```
-    pub fn builder() -> ScanConfigBuilder {
-        ScanConfigBuilder::default()
-    }
-
     /// Returns the config with the worker-thread count replaced.
     pub fn with_threads(mut self, threads: usize) -> ScanConfig {
         self.threads = threads;
@@ -140,57 +135,6 @@ impl ScanConfig {
     pub fn with_dns_qname(mut self, dns_qname: impl Into<String>) -> ScanConfig {
         self.dns_qname = dns_qname.into();
         self
-    }
-}
-
-/// Builder for [`ScanConfig`]; starts from [`ScanConfig::default`].
-#[derive(Debug, Clone, Default)]
-pub struct ScanConfigBuilder {
-    config: ScanConfig,
-}
-
-impl ScanConfigBuilder {
-    /// Sets the worker-thread count.
-    pub fn threads(mut self, threads: usize) -> ScanConfigBuilder {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Sets the per-target attempt count, clamped to at least 1: a scan
-    /// that never sends is always a misconfiguration, so `attempts(0)`
-    /// yields 1 instead of a silently empty scan.
-    pub fn attempts(mut self, attempts: u8) -> ScanConfigBuilder {
-        self.config.attempts = attempts.max(1);
-        self
-    }
-
-    /// Sets the base virtual-time backoff between retries (milliseconds).
-    pub fn retry_backoff_ms(mut self, retry_backoff_ms: u64) -> ScanConfigBuilder {
-        self.config.retry_backoff_ms = retry_backoff_ms;
-        self
-    }
-
-    /// Sets the probe rate in packets per second of virtual time.
-    pub fn rate_pps(mut self, rate_pps: u64) -> ScanConfigBuilder {
-        self.config.rate_pps = rate_pps;
-        self
-    }
-
-    /// Sets the permutation seed.
-    pub fn seed(mut self, seed: u64) -> ScanConfigBuilder {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the DNS query name for the UDP/53 module.
-    pub fn dns_qname(mut self, dns_qname: impl Into<String>) -> ScanConfigBuilder {
-        self.config.dns_qname = dns_qname.into();
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> ScanConfig {
-        self.config
     }
 }
 

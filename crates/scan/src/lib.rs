@@ -33,14 +33,14 @@ pub mod yarrp;
 
 pub use engine::{
     assemble_scan, proto_metric_key, reassemble_replies, scan, scan_jobs, scan_segment, scan_wire,
-    scan_wire_with, scan_with, Detail, ScanConfig, ScanConfigBuilder, ScanJob, ScanOutcome,
-    ScanResult, ScanStats, SegmentTally,
+    scan_wire_with, scan_with, Detail, ScanConfig, ScanJob, ScanOutcome, ScanResult, ScanStats,
+    SegmentTally,
 };
 pub use executor::{execute, ExecutorStats};
 pub use pcap::{PcapReader, PcapWriter};
 pub use permute::{CyclicPermutation, PermutationSegment};
 pub use rate::{Limit, TokenBucket};
-pub use yarrp::{yarrp, Trace, YarrpConfig, YarrpConfigBuilder, YarrpResult};
+pub use yarrp::{yarrp, Trace, YarrpConfig, YarrpResult};
 
 #[cfg(test)]
 mod tests {
@@ -205,7 +205,7 @@ mod tests {
             .take(200)
             .collect();
         let one =
-            scan(&lossy, Protocol::Icmp, &targets, day, &ScanConfig::builder().attempts(1).build());
+            scan(&lossy, Protocol::Icmp, &targets, day, &ScanConfig::default().with_attempts(1));
         // With a single attempt per target, drops are only masked by
         // merging *multiple days* (same-day retries with independent
         // loss coins are exercised in retries_mask_loss_and_estimate_it).
@@ -256,28 +256,30 @@ mod tests {
 
     #[test]
     fn builders_reproduce_defaults() {
-        assert_eq!(ScanConfig::builder().build(), ScanConfig::default());
-        assert_eq!(YarrpConfig::builder().build(), YarrpConfig::default());
-        let cfg = ScanConfig::builder()
-            .threads(8)
-            .attempts(2)
-            .rate_pps(1_000_000)
-            .seed(42)
-            .dns_qname("example.org")
-            .build();
-        assert_eq!(cfg.threads, 8);
-        assert_eq!(cfg.attempts, 2);
-        assert_eq!(cfg.rate_pps, 1_000_000);
-        assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.dns_qname, "example.org");
-        // Chainable with_* methods are equivalent.
+        // Each setter replaces its own field of the default and no other.
+        let cfg = ScanConfig::default()
+            .with_threads(8)
+            .with_attempts(2)
+            .with_rate_pps(1_000_000)
+            .with_seed(42)
+            .with_dns_qname("example.org")
+            .with_retry_backoff_ms(10);
+        let literal = ScanConfig {
+            threads: 8,
+            attempts: 2,
+            rate_pps: 1_000_000,
+            seed: 42,
+            dns_qname: "example.org".to_string(),
+            retry_backoff_ms: 10,
+        };
+        assert_eq!(cfg, literal);
         assert_eq!(
-            ScanConfig::default().with_threads(8).with_rate_pps(1_000_000),
-            ScanConfig::builder().threads(8).rate_pps(1_000_000).build()
+            ScanConfig::default().with_threads(8),
+            ScanConfig { threads: 8, ..ScanConfig::default() }
         );
         assert_eq!(
             YarrpConfig::default().with_max_ttl(20).with_seed(3),
-            YarrpConfig::builder().max_ttl(20).seed(3).build()
+            YarrpConfig { max_ttl: 20, seed: 3 }
         );
     }
 
@@ -288,7 +290,7 @@ mod tests {
         let live = responsive_targets(&net, day, Protocol::Icmp, 0);
         let dark = 25usize;
         let targets = responsive_targets(&net, day, Protocol::Icmp, dark);
-        let cfg = ScanConfig::builder().attempts(3).build();
+        let cfg = ScanConfig::default().with_attempts(3);
         let result = scan(&net, Protocol::Icmp, &targets, day, &cfg);
         // Live targets answer the first probe (no faults); only dark
         // targets burn all three attempts.
@@ -331,7 +333,7 @@ mod tests {
         let reg = sixdust_telemetry::Registry::new();
         let journal = sixdust_telemetry::TraceJournal::new();
         reg.install_tracer(&journal);
-        let config = ScanConfig::builder().attempts(2).build();
+        let config = ScanConfig::default().with_attempts(2);
         let job = ScanJob {
             net: &net,
             protocols: &Protocol::ALL,
@@ -372,9 +374,9 @@ mod tests {
         let day = Day(100);
         let targets = responsive_targets(&net, day, Protocol::Icmp, 40);
         let base =
-            scan(&net, Protocol::Icmp, &targets, day, &ScanConfig::builder().threads(1).build());
+            scan(&net, Protocol::Icmp, &targets, day, &ScanConfig::default().with_threads(1));
         for threads in [2usize, 4, 8, 32] {
-            let cfg = ScanConfig::builder().threads(threads).build();
+            let cfg = ScanConfig::default().with_threads(threads);
             let result = scan(&net, Protocol::Icmp, &targets, day, &cfg);
             assert_eq!(result.outcomes, base.outcomes, "{threads} threads");
             assert_eq!(result.stats.sent, base.stats.sent, "{threads} threads");
@@ -391,24 +393,23 @@ mod tests {
         // TCP/443 blackout and an AS outage, with retries and backoff.
         let plain = net();
         let era_day = events::GFW_ERA3.0.plus(5);
-        let config = ScanConfig::builder().attempts(3).retry_backoff_ms(10).seed(77).build();
+        let config = ScanConfig::default().with_attempts(3).with_retry_backoff_ms(10).with_seed(77);
         let dtag = 3320;
         assert!(plain.registry().by_asn(dtag).is_some());
         let faults = |day: Day| {
-            FaultConfig::builder()
-                .seed(5)
-                .drop_permille(150)
-                .proto_drop(Protocol::Udp53, 400)
-                .duplicate_permille(200)
-                .burst(GilbertElliott {
+            FaultConfig::lossless()
+                .with_seed(5)
+                .with_drop_permille(150)
+                .with_proto_drop(Protocol::Udp53, 400)
+                .with_duplicate_permille(200)
+                .with_burst(GilbertElliott {
                     mean_good_days: 3,
                     mean_bad_days: 3,
                     good_drop_permille: 40,
                     bad_drop_permille: 700,
                 })
-                .outage(Outage::protocol(Protocol::Tcp443, day, day.plus(1)))
-                .outage(Outage::asn(dtag, day, day.plus(1)))
-                .build()
+                .with_outage(Outage::protocol(Protocol::Tcp443, day, day.plus(1)))
+                .with_outage(Outage::asn(dtag, day, day.plus(1)))
         };
         // An ordinary day; an era day from the default vantage (the
         // firewall injects) and from a vantage behind it (egress filter).
@@ -509,8 +510,7 @@ mod tests {
 
     #[test]
     fn attempts_zero_clamps_to_one() {
-        // Builder and chainable setter clamp the invalid 0.
-        assert_eq!(ScanConfig::builder().attempts(0).build().attempts, 1);
+        // The setter clamps the invalid 0.
         assert_eq!(ScanConfig::default().with_attempts(0).attempts, 1);
         // Even a hand-rolled struct literal smuggling attempts = 0
         // through direct field access still probes every target once.
@@ -537,11 +537,11 @@ mod tests {
             .take(200)
             .collect();
         let single =
-            scan(&lossy, Protocol::Icmp, &targets, day, &ScanConfig::builder().attempts(1).build());
+            scan(&lossy, Protocol::Icmp, &targets, day, &ScanConfig::default().with_attempts(1));
         assert_eq!(single.stats.retries, 0);
         assert_eq!(single.stats.loss_estimate_permille, 0, "one attempt cannot observe loss");
         let retried =
-            scan(&lossy, Protocol::Icmp, &targets, day, &ScanConfig::builder().attempts(4).build());
+            scan(&lossy, Protocol::Icmp, &targets, day, &ScanConfig::default().with_attempts(4));
         assert!(
             retried.stats.hits > single.stats.hits,
             "independent retry coins recover dropped targets: {} vs {}",
@@ -575,8 +575,8 @@ mod tests {
             .map(|(a, ..)| a)
             .take(100)
             .collect();
-        let flat = ScanConfig::builder().attempts(3).build();
-        let backoff = ScanConfig::builder().attempts(3).retry_backoff_ms(10).build();
+        let flat = ScanConfig::default().with_attempts(3);
+        let backoff = ScanConfig::default().with_attempts(3).with_retry_backoff_ms(10);
         let a = scan(&lossy, Protocol::Icmp, &targets, day, &flat);
         let b = scan(&lossy, Protocol::Icmp, &targets, day, &backoff);
         // Same seed, same coins: identical outcomes and retry counts.
@@ -602,7 +602,7 @@ mod tests {
             .take(150)
             .collect();
         let reg = sixdust_telemetry::Registry::new();
-        let cfg = ScanConfig::builder().attempts(3).build();
+        let cfg = ScanConfig::default().with_attempts(3);
         let result = scan_with(&lossy, Protocol::Icmp, &targets, day, &cfg, Some(&reg));
         let snap = reg.snapshot();
         assert_eq!(snap.counter("scan.icmp.retries"), Some(result.stats.retries));
@@ -627,12 +627,12 @@ mod tests {
         let reg = sixdust_telemetry::Registry::new();
         // Out-of-range settings clamp (0 -> 1, 200 -> 32) and count.
         for threads in [0usize, 200] {
-            let cfg = ScanConfig::builder().threads(threads).build();
+            let cfg = ScanConfig::default().with_threads(threads);
             scan_with(&net, Protocol::Icmp, &targets, day, &cfg, Some(&reg));
         }
         assert_eq!(reg.snapshot().counter("scan.config.threads_clamped"), Some(2));
         // An in-range setting does not.
-        let cfg = ScanConfig::builder().threads(4).build();
+        let cfg = ScanConfig::default().with_threads(4);
         scan_with(&net, Protocol::Icmp, &targets, day, &cfg, Some(&reg));
         assert_eq!(reg.snapshot().counter("scan.config.threads_clamped"), Some(2));
     }

@@ -16,8 +16,8 @@ use crate::permute::CyclicPermutation;
 
 /// Traceroute engine configuration.
 ///
-/// Construct via [`YarrpConfig::builder`] or the chainable `with_*`
-/// methods.
+/// Construct with the chainable `with_*` methods on
+/// [`YarrpConfig::default`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct YarrpConfig {
     /// Highest TTL probed.
@@ -33,11 +33,6 @@ impl Default for YarrpConfig {
 }
 
 impl YarrpConfig {
-    /// Starts a builder seeded with the default configuration.
-    pub fn builder() -> YarrpConfigBuilder {
-        YarrpConfigBuilder::default()
-    }
-
     /// Returns the config with the highest probed TTL replaced.
     pub fn with_max_ttl(mut self, max_ttl: u8) -> YarrpConfig {
         self.max_ttl = max_ttl;
@@ -48,31 +43,6 @@ impl YarrpConfig {
     pub fn with_seed(mut self, seed: u64) -> YarrpConfig {
         self.seed = seed;
         self
-    }
-}
-
-/// Builder for [`YarrpConfig`]; starts from [`YarrpConfig::default`].
-#[derive(Debug, Clone, Default)]
-pub struct YarrpConfigBuilder {
-    config: YarrpConfig,
-}
-
-impl YarrpConfigBuilder {
-    /// Sets the highest TTL probed.
-    pub fn max_ttl(mut self, max_ttl: u8) -> YarrpConfigBuilder {
-        self.config.max_ttl = max_ttl;
-        self
-    }
-
-    /// Sets the permutation seed.
-    pub fn seed(mut self, seed: u64) -> YarrpConfigBuilder {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> YarrpConfig {
-        self.config
     }
 }
 

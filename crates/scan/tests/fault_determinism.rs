@@ -70,7 +70,7 @@ fn results_identical_across_worker_counts() {
             .collect();
         assert!(!targets.is_empty(), "no responsive host on {day:?}");
         let config = |threads: usize| {
-            ScanConfig::builder().threads(threads).attempts(attempts).seed(scan_seed).build()
+            ScanConfig::default().with_threads(threads).with_attempts(attempts).with_seed(scan_seed)
         };
         let single = scan(&net, protocol, &targets, day, &config(1));
         let double = scan(&net, protocol, &targets, day, &config(2));
@@ -102,7 +102,7 @@ fn faulty_hits_are_a_subset_of_lossless_hits() {
             .take(300)
             .collect();
         assert!(!targets.is_empty(), "no responsive host on {day:?}");
-        let config = ScanConfig::builder().attempts(attempts).build();
+        let config = ScanConfig::default().with_attempts(attempts);
         let faulty = scan(&lossy, Protocol::Icmp, &targets, day, &config);
         let baseline = scan(&clean, Protocol::Icmp, &targets, day, &config);
         let baseline_hits: std::collections::HashSet<Addr> = baseline.hits().collect();

@@ -617,6 +617,9 @@ pub(crate) trait Engine {
     fn submit(&mut self, id: u64, request: &Request);
     fn poll(&mut self, until_us: u64, deliver: impl FnMut(Completion));
     fn backend(&self) -> &Self::Backend;
+    /// Tells the attached registries what the engine's and its backend's
+    /// ledgers have counted.
+    fn publish(&mut self);
 }
 
 impl<B: Backend> Engine for EventLoop<'_, B> {
@@ -632,6 +635,10 @@ impl<B: Backend> Engine for EventLoop<'_, B> {
 
     fn backend(&self) -> &B {
         EventLoop::backend(self)
+    }
+
+    fn publish(&mut self) {
+        EventLoop::publish(self);
     }
 }
 
@@ -663,16 +670,21 @@ impl Engine for SyncEngine<'_> {
     fn backend(&self) -> &Frontend {
         self.frontend
     }
+
+    fn publish(&mut self) {
+        self.frontend.publish();
+    }
 }
 
 /// The one day driver: expand the schedule, and for each arrival first
 /// apply every completion whose transfer has finished (updating what the
 /// clients hold), then draw and submit the request. `store` is where
-/// publications land: its round at day's end is the report's.
+/// publications land: its round at day's end is the report's. The day's
+/// ledgers are published to the attached registries when it ends.
 pub(crate) fn drive_day(
     config: &FleetConfig,
     clients: Clients,
-    mut engine: impl Engine,
+    engine: &mut impl Engine,
     store: &SnapshotStore,
 ) -> DayReport {
     config.validate().expect("FleetConfig rejected");
@@ -697,6 +709,7 @@ pub(crate) fn drive_day(
         engine.submit(arrival.id, &request);
     }
     engine.poll(u64::MAX, |c| deliver(c, &mut held));
+    engine.publish();
 
     let totals = engine.backend().totals();
     let latency = engine.backend().latency();
@@ -735,7 +748,7 @@ pub fn simulate_day(
     frontend: &mut Frontend,
     store: &SnapshotStore,
 ) -> DayReport {
-    drive_day(config, Clients::OfOneFrontend, EventLoop::new(frontend), store)
+    drive_day(config, Clients::OfOneFrontend, &mut EventLoop::new(frontend), store)
 }
 
 /// The synchronous reference path: [`simulate_day`] without the event
@@ -746,8 +759,8 @@ pub fn simulate_day_sync(
     frontend: &mut Frontend,
     store: &SnapshotStore,
 ) -> DayReport {
-    let engine = SyncEngine { frontend, pending: Timeline::new() };
-    drive_day(config, Clients::OfOneFrontend, engine, store)
+    let mut engine = SyncEngine { frontend, pending: Timeline::new() };
+    drive_day(config, Clients::OfOneFrontend, &mut engine, store)
 }
 
 /// Convenience wrapper: build a front end over `store` with `frontend`
@@ -782,7 +795,7 @@ pub fn run_day_observed(
     if let Some(registry) = telemetry {
         el = el.with_telemetry(registry);
     }
-    drive_day(fleet, Clients::OfOneFrontend, el, store)
+    drive_day(fleet, Clients::OfOneFrontend, &mut el, store)
 }
 
 #[cfg(test)]

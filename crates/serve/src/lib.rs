@@ -50,6 +50,16 @@
 //!
 //! All request handling runs on virtual time, so a 100k-request day
 //! replays in milliseconds and bit-identically for a fixed seed.
+//!
+//! A ledger is its own meter: a front end, the loop, a tier and the
+//! resilient client count into their own totals and nothing else as they
+//! work, and each has one `PUBLISHED` table naming the registry counter
+//! that carries each count.
+//! [`Registry::publish`](sixdust_telemetry::Registry::publish) brings an
+//! attached registry level with the ledger where a reader can look: when
+//! a day ends, before each hourly round of a [`ChaosObserver`], and on an
+//! explicit `publish()` ([`Frontend::publish`], [`EventLoop::publish`],
+//! [`MirrorTier::publish`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

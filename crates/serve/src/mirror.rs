@@ -29,7 +29,7 @@
 use std::sync::Arc;
 
 use sixdust_addr::AddrSet;
-use sixdust_telemetry::{Counter, FlightRecorder, Gauge, Registry};
+use sixdust_telemetry::{FlightRecorder, Gauge, Published, Registry};
 
 use crate::codec;
 use crate::faults::ServeFaultConfig;
@@ -164,33 +164,24 @@ pub struct TierTotals {
     pub revalidations: u64,
 }
 
-/// Telemetry handles, resolved once at attachment (hot-path rule).
-struct TierMeters {
-    syncs: Counter,
-    sync_full: Counter,
-    sync_delta: Counter,
-    sync_rejected: Counter,
-    sync_blocked: Counter,
-    sync_bytes: Counter,
-    stale_served: Counter,
-    revalidations: Counter,
-    lag_rounds: Gauge,
-}
+/// The registry's view of the tier's sync and degradation ledger.
+pub(crate) const PUBLISHED: [Published<TierTotals>; 8] = [
+    ("serve.mirror.syncs", |t| t.syncs),
+    ("serve.mirror.sync_full", |t| t.sync_full),
+    ("serve.mirror.sync_delta", |t| t.sync_delta),
+    ("serve.mirror.sync_rejected", |t| t.sync_rejected),
+    ("serve.mirror.sync_blocked", |t| t.sync_blocked),
+    ("serve.mirror.sync_bytes", |t| t.sync_bytes),
+    ("serve.mirror.stale_served", |t| t.stale_served),
+    ("serve.mirror.revalidations", |t| t.revalidations),
+];
 
-impl TierMeters {
-    fn resolve(registry: &Registry) -> TierMeters {
-        TierMeters {
-            syncs: registry.counter("serve.mirror.syncs"),
-            sync_full: registry.counter("serve.mirror.sync_full"),
-            sync_delta: registry.counter("serve.mirror.sync_delta"),
-            sync_rejected: registry.counter("serve.mirror.sync_rejected"),
-            sync_blocked: registry.counter("serve.mirror.sync_blocked"),
-            sync_bytes: registry.counter("serve.mirror.sync_bytes"),
-            stale_served: registry.counter("serve.mirror.stale_served"),
-            revalidations: registry.counter("serve.mirror.revalidations"),
-            lag_rounds: registry.gauge("serve.mirror.lag_rounds"),
-        }
-    }
+/// An attached registry: the lag gauge, set on every walk of the tier,
+/// and how much of [`TierTotals`] it has been told.
+struct TierMeters {
+    registry: Registry,
+    told: [u64; PUBLISHED.len()],
+    lag_rounds: Gauge,
 }
 
 /// One edge mirror: its own store (generation state) and front end.
@@ -217,7 +208,6 @@ pub struct MirrorTier {
     /// return without walking the tier when nothing is due (zero forces a
     /// full walk on the next call, e.g. after a publish moves the target).
     next_due_us: u64,
-    registry: Option<Registry>,
     flight: Option<FlightRecorder>,
     meters: Option<TierMeters>,
     totals: TierTotals,
@@ -262,7 +252,6 @@ impl MirrorTier {
             faults,
             target_round,
             next_due_us: 0,
-            registry: None,
             flight: None,
             meters: None,
             totals: TierTotals::default(),
@@ -296,12 +285,33 @@ impl MirrorTier {
 
     /// Attaches a metrics registry (`serve.mirror.*` plus every mirror
     /// front end's `serve.*` set, aggregated across mirrors). Attach
-    /// before serving traffic: the mirror front ends are rebuilt.
+    /// before serving traffic: the mirror front ends are rebuilt. The lag
+    /// gauge is set on every walk of the tier; the counters are
+    /// [`TierTotals`], and reach the registry on [`MirrorTier::publish`].
     pub fn with_telemetry(mut self, registry: &Registry) -> MirrorTier {
-        self.meters = Some(TierMeters::resolve(registry));
-        self.registry = Some(registry.clone());
+        self.meters = Some(TierMeters {
+            registry: registry.clone(),
+            told: [0; PUBLISHED.len()],
+            lag_rounds: registry.gauge("serve.mirror.lag_rounds"),
+        });
         self.rebuild_frontends();
+        // Every counter exists, at zero, from here on.
+        self.publish();
         self
+    }
+
+    /// Tells the attached registry, if any, what the tier and each of its
+    /// mirrors' front ends have counted since they were last told. A
+    /// chaos day does this before each hourly round of its observer and
+    /// when the day ends; a caller of [`MirrorTier::handle`] does before
+    /// reading the registry.
+    pub fn publish(&mut self) {
+        if let Some(m) = &mut self.meters {
+            m.registry.publish(&PUBLISHED, &self.totals, &mut m.told);
+        }
+        for mirror in &mut self.mirrors {
+            mirror.frontend.publish();
+        }
     }
 
     /// Attaches a flight recorder to every mirror front end (shed
@@ -315,8 +325,8 @@ impl MirrorTier {
     fn rebuild_frontends(&mut self) {
         for mirror in &mut self.mirrors {
             let mut fe = Frontend::new(self.config.frontend.clone(), mirror.store.clone());
-            if let Some(registry) = &self.registry {
-                fe = fe.with_telemetry(registry);
+            if let Some(meters) = &self.meters {
+                fe = fe.with_telemetry(&meters.registry);
             }
             if let Some(flight) = &self.flight {
                 fe = fe.with_flight(flight.clone());
@@ -375,11 +385,16 @@ impl MirrorTier {
         self.mirrors[mirror].frontend.totals()
     }
 
+    /// Every mirror's front end, in mirror order.
+    pub(crate) fn frontends(&self) -> impl Iterator<Item = &Frontend> {
+        self.mirrors.iter().map(|m| &m.frontend)
+    }
+
     /// Every mirror front end's totals folded into one report card.
     pub fn merged_frontend_totals(&self) -> FrontendTotals {
         let mut merged = FrontendTotals::default();
-        for mirror in &self.mirrors {
-            merged.merge(mirror.frontend.totals());
+        for frontend in self.frontends() {
+            merged.merge(frontend.totals());
         }
         merged
     }
@@ -462,9 +477,6 @@ impl MirrorTier {
     pub fn try_sync(&mut self, i: usize, at_us: u64) -> bool {
         if self.faults.origin_blackout(at_us) || self.faults.mirror_down(i, at_us) {
             self.totals.sync_blocked += 1;
-            if let Some(m) = &self.meters {
-                m.sync_blocked.incr();
-            }
             return false;
         }
         let Some(origin_round) = self.origin.current_round() else {
@@ -540,9 +552,6 @@ impl MirrorTier {
         }
         if torn || codec::confirm(&opened).is_err() {
             self.totals.sync_rejected += 1;
-            if let Some(m) = &self.meters {
-                m.sync_rejected.incr();
-            }
             return false;
         }
 
@@ -552,12 +561,6 @@ impl MirrorTier {
         self.totals.sync_full += full_transfers;
         self.totals.sync_delta += delta_transfers;
         self.totals.sync_bytes += wire_bytes;
-        if let Some(m) = &self.meters {
-            m.syncs.incr();
-            m.sync_full.add(full_transfers);
-            m.sync_delta.add(delta_transfers);
-            m.sync_bytes.add(wire_bytes);
-        }
         true
     }
 
@@ -584,9 +587,6 @@ impl MirrorTier {
         {
             self.mirrors[mirror].next_revalidate_us = at + self.config.revalidate_cooldown_us;
             self.totals.revalidations += 1;
-            if let Some(m) = &self.meters {
-                m.revalidations.incr();
-            }
             self.try_sync(mirror, at);
         }
         let outcome = match self.mirrors[mirror].frontend.handle(request) {
@@ -610,15 +610,9 @@ impl MirrorTier {
         };
         if served_round.is_some_and(|r| r < self.target_round) {
             self.totals.stale_served += 1;
-            if let Some(m) = &self.meters {
-                m.stale_served.incr();
-            }
             if at >= self.mirrors[mirror].next_revalidate_us {
                 self.mirrors[mirror].next_revalidate_us = at + self.config.revalidate_cooldown_us;
                 self.totals.revalidations += 1;
-                if let Some(m) = &self.meters {
-                    m.revalidations.incr();
-                }
                 self.try_sync(mirror, at);
             }
         }

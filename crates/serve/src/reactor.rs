@@ -31,7 +31,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sixdust_telemetry::{Counter, Gauge, HistogramSnapshot, Registry};
+use sixdust_telemetry::{Gauge, HistogramSnapshot, Published, Registry};
 
 use crate::server::{Frontend, FrontendTotals, Outcome, Request};
 use crate::store::ArtifactKind;
@@ -58,6 +58,10 @@ pub trait Backend {
 
     /// The client-observed latency distribution so far, microseconds.
     fn latency(&self) -> HistogramSnapshot;
+
+    /// Tells the attached registries, if any, what the backend's ledgers
+    /// have counted since they were last told.
+    fn publish(&mut self);
 }
 
 impl Backend for Frontend {
@@ -76,6 +80,10 @@ impl Backend for Frontend {
 
     fn latency(&self) -> HistogramSnapshot {
         self.latency_snapshot()
+    }
+
+    fn publish(&mut self) {
+        Frontend::publish(self);
     }
 }
 
@@ -194,27 +202,21 @@ pub struct LoopStats {
     pub inflight_peak: u64,
 }
 
-/// Telemetry handles, resolved once at attachment (hot-path rule).
+/// The registry's view of the loop's phase counters.
+pub(crate) const PUBLISHED: [Published<LoopStats>; 4] = [
+    ("serve.loop.arrivals", |s| s.arrivals),
+    ("serve.loop.renders", |s| s.renders),
+    ("serve.loop.transfers", |s| s.transfers),
+    ("serve.loop.retired", |s| s.retired),
+];
+
+/// An attached registry: the occupancy gauges, set as occupancy changes,
+/// and how much of [`LoopStats`] it has been told.
 struct LoopMeters {
-    arrivals: Counter,
-    renders: Counter,
-    transfers: Counter,
-    retired: Counter,
+    registry: Registry,
+    told: [u64; PUBLISHED.len()],
     inflight: Gauge,
     inflight_peak: Gauge,
-}
-
-impl LoopMeters {
-    fn resolve(registry: &Registry) -> LoopMeters {
-        LoopMeters {
-            arrivals: registry.counter("serve.loop.arrivals"),
-            renders: registry.counter("serve.loop.renders"),
-            transfers: registry.counter("serve.loop.transfers"),
-            retired: registry.counter("serve.loop.retired"),
-            inflight: registry.gauge("serve.loop.inflight"),
-            inflight_peak: registry.gauge("serve.loop.inflight_peak"),
-        }
-    }
 }
 
 /// A virtual-time event loop over a borrowed [`Backend`].
@@ -253,10 +255,30 @@ impl<'a, B: Backend> EventLoop<'a, B> {
     }
 
     /// Attaches a metrics registry (`serve.loop.{arrivals,renders,`
-    /// `transfers,retired,inflight,inflight_peak}`).
+    /// `transfers,retired,inflight,inflight_peak}`). The gauges follow
+    /// occupancy as it changes; the counters are [`LoopStats`], and reach
+    /// the registry on [`EventLoop::publish`].
     pub fn with_telemetry(mut self, registry: &Registry) -> EventLoop<'a, B> {
-        self.meters = Some(LoopMeters::resolve(registry));
+        self.meters = Some(LoopMeters {
+            registry: registry.clone(),
+            told: [0; PUBLISHED.len()],
+            inflight: registry.gauge("serve.loop.inflight"),
+            inflight_peak: registry.gauge("serve.loop.inflight_peak"),
+        });
+        // Every counter exists, at zero, from here on.
+        self.publish();
         self
+    }
+
+    /// Tells the attached registry, if any, what the loop has counted
+    /// since it was last told, and has the backend do the same. A day
+    /// driver calls this when the day ends; a caller of
+    /// [`EventLoop::submit`] does before reading the registry.
+    pub fn publish(&mut self) {
+        if let Some(m) = &mut self.meters {
+            m.registry.publish(&PUBLISHED, &self.stats, &mut m.told);
+        }
+        self.backend.publish();
     }
 
     /// The wrapped backend (totals, latency snapshot).
@@ -289,9 +311,6 @@ impl<'a, B: Backend> EventLoop<'a, B> {
         self.advance_to(request.at_us);
         self.clock = request.at_us;
         self.stats.arrivals += 1;
-        if let Some(m) = &self.meters {
-            m.arrivals.incr();
-        }
         let at = request.at_us;
         let mut answer = self.backend.answer(id, request);
         // A served answer occupies the loop until its transfer and the
@@ -325,9 +344,6 @@ impl<'a, B: Backend> EventLoop<'a, B> {
                 // retires on the spot, occupying nothing. A rejection is
                 // delivered on the next poll; no answer delivers nothing.
                 self.stats.retired += 1;
-                if let Some(m) = &self.meters {
-                    m.retired.incr();
-                }
                 self.ready.extend(rejection);
             }
         }
@@ -338,20 +354,11 @@ impl<'a, B: Backend> EventLoop<'a, B> {
             match phase {
                 Phase::RenderDone => {
                     self.stats.renders += 1;
-                    if let Some(m) = &self.meters {
-                        m.renders.incr();
-                    }
                 }
                 Phase::Retire(completion) => {
                     self.stats.retired += 1;
                     if matches!(completion.outcome, Outcome::Body { .. }) {
                         self.stats.transfers += 1;
-                        if let Some(m) = &self.meters {
-                            m.transfers.incr();
-                        }
-                    }
-                    if let Some(m) = &self.meters {
-                        m.retired.incr();
                     }
                     self.set_inflight(-1);
                     self.ready.push(completion);
@@ -450,11 +457,15 @@ mod tests {
             el.submit(i as u64, &request(client, i as u64 * 10));
         }
         el.finish();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("serve.loop.arrivals"), Some(4));
-        assert_eq!(snap.counter("serve.loop.retired"), Some(4));
-        assert_eq!(snap.counter("serve.loop.renders"), Some(1), "one miss, then cache hits");
-        assert_eq!(snap.counter("serve.loop.transfers"), Some(4));
-        assert!(snap.gauge("serve.loop.inflight_peak").unwrap_or(0) >= 1);
+        assert_eq!(reg.snapshot().counter("serve.loop.arrivals"), Some(0), "not told yet");
+        el.publish();
+        let (snap, stats) = (reg.snapshot(), el.stats());
+        assert_eq!((stats.arrivals, stats.retired, stats.transfers), (4, 4, 4));
+        assert_eq!(stats.renders, 1, "one miss, then cache hits");
+        for (name, read) in PUBLISHED {
+            assert_eq!(snap.counter(name), Some(read(&stats)), "{name}");
+        }
+        assert_eq!(snap.gauge("serve.loop.inflight_peak"), Some(stats.inflight_peak as i64));
+        assert!(stats.inflight_peak >= 1);
     }
 }

@@ -8,13 +8,15 @@
 //! request, however many attempts that takes (affinity, failover, seeded
 //! backoff, one hedge, a breaker per mirror), and returns the winning
 //! [`Outcome`] with the backoff the client sat through. The walk counts
-//! into [`ResilienceTotals`] alone; an observed day publishes that ledger
-//! to the registry just before each tick.
+//! into [`ResilienceTotals`] alone, as the tier and its front ends count
+//! into theirs; the ledgers are published to the registries just before
+//! each tick, which is where the observer reads them, and when the day
+//! ends.
 
 use sixdust_addr::prf::prf_u128;
 use sixdust_telemetry::{
-    Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, Registry, SeriesRecorder,
-    SloEngine,
+    Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, Published, Registry,
+    SeriesRecorder, SloEngine,
 };
 
 use crate::fleet::{drive_day, Clients, DayReport, FleetConfig, ResilienceTotals};
@@ -258,18 +260,11 @@ impl ChaosObserver {
         &self.recorder
     }
 
-    /// Records `hour`'s series round, once. The recorder snapshots the
-    /// registry only here, so this is also where the ledger reaches it:
-    /// each counter of [`PUBLISHED`] gains what it has not been `told`.
-    fn tick(&mut self, hour: u32, ledger: &ResilienceTotals, told: &mut [u64; PUBLISHED.len()]) {
-        if self.last_hour == Some(hour) {
-            return;
-        }
+    /// Records `hour`'s series round and judges it against the SLOs. The
+    /// recorder snapshots the registry only here, so the caller publishes
+    /// its ledgers first.
+    fn record(&mut self, hour: u32) {
         self.last_hour = Some(hour);
-        for ((name, read), told) in PUBLISHED.iter().zip(told) {
-            self.registry.counter(name).add(read(ledger) - *told);
-            *told = read(ledger);
-        }
         let round = self.recorder.record(hour).clone();
         self.flight.note_round(&round);
         for breach in self.slo.observe(&round) {
@@ -285,12 +280,8 @@ impl ChaosObserver {
     }
 }
 
-/// Reads one count off the ledger.
-type Count = fn(&ResilienceTotals) -> u64;
-
-/// The registry's view of the ledger: each counter and the count it
-/// carries.
-const PUBLISHED: [(&str, Count); 10] = [
+/// The registry's view of the client's side of the ledger.
+pub(crate) const PUBLISHED: [Published<ResilienceTotals>; 10] = [
     ("serve.retry.attempts", |t| t.attempts),
     ("serve.retry.retries", |t| t.retries),
     ("serve.retry.failovers", |t| t.failovers),
@@ -394,16 +385,28 @@ impl<'a> TierClient<'a> {
             let tier = &mut *self.tier;
             self.deferred.retain(|p| !tier.apply_publish(at, p));
         }
-        if let Some(o) = &mut self.observer {
-            let hour = (at / HOUR_US) as u32;
+        let hour = (at / HOUR_US) as u32;
+        if let Some(o) = &self.observer {
             o.staleness_gauge.set(self.tier.staleness_rounds() as i64);
             if blackout && !self.was_blackout {
                 o.flight.note(hour, "serve.origin.blackout", &[("at_us", &at.to_string())]);
                 o.flight.capture(hour, "origin-blackout");
             }
-            o.tick(hour, &self.ledger, &mut self.told);
         }
+        self.tick(hour);
         self.was_blackout = blackout;
+    }
+
+    /// Records `hour`'s round on an attached observer, once, the day's
+    /// ledgers published first.
+    fn tick(&mut self, hour: u32) {
+        if self.observer.as_ref().is_none_or(|o| o.last_hour == Some(hour)) {
+            return;
+        }
+        self.publish();
+        if let Some(o) = &mut self.observer {
+            o.record(hour);
+        }
     }
 
     /// A health failure of mirror `m` (down, or nothing published) as its
@@ -445,10 +448,10 @@ impl<'a> TierClient<'a> {
     /// partial hour gets its tick so the SLO engine judges it — and closes
     /// the ledger with the tier's side of it.
     fn finish(mut self, final_hour: u32) -> ResilienceTotals {
-        if let Some(o) = &mut self.observer {
+        if let Some(o) = &self.observer {
             o.staleness_gauge.set(self.tier.staleness_rounds() as i64);
-            o.tick(final_hour, &self.ledger, &mut self.told);
         }
+        self.tick(final_hour);
         let tier = self.tier.totals();
         ResilienceTotals {
             mirrors: self.breakers.len() as u64,
@@ -561,6 +564,15 @@ impl Backend for TierClient<'_> {
     fn latency(&self) -> HistogramSnapshot {
         self.latency.snapshot()
     }
+
+    /// The tier's and its front ends' ledgers to the registry attached to
+    /// the tier, the client's own to the observer's.
+    fn publish(&mut self) {
+        self.tier.publish();
+        if let Some(o) = &self.observer {
+            o.registry.publish(&PUBLISHED, &self.ledger, &mut self.told);
+        }
+    }
 }
 
 /// Replays one day of fleet load against a [`MirrorTier`] through the
@@ -586,8 +598,8 @@ pub fn run_chaos_day(
     let origin = tier.origin().clone();
     let day_hours = (config.fleet.day_micros / HOUR_US) as u32;
     let mut client = TierClient::new(config, tier, plan, observer);
-    let engine = EventLoop::new(&mut client);
-    let mut report = drive_day(&config.fleet, Clients::OfATier, engine, &origin);
+    let mut report =
+        drive_day(&config.fleet, Clients::OfATier, &mut EventLoop::new(&mut client), &origin);
     report.resilience = client.finish(day_hours + 1);
     report
 }
@@ -604,7 +616,7 @@ mod tests {
     use crate::fleet::SessionShape;
     use crate::mirror::MirrorTierConfig;
     use crate::reactor::Completion;
-    use crate::server::{FetchKind, FrontendConfig};
+    use crate::server::{FetchKind, Frontend, FrontendConfig};
     use crate::store::{ArtifactKind, SnapshotStore, StoreConfig};
 
     #[test]
@@ -833,6 +845,91 @@ mod tests {
             let rounds: Vec<_> = observer.recorder().rounds().collect();
             assert_eq!(debug_digest(&rounds), pinned.hourly_rounds);
             assert_eq!(debug_digest(&captures), pinned.full_captures);
+        }
+    }
+
+    /// Every counter of `table` carries what it reads off `ledgers`,
+    /// summed.
+    fn assert_reconciles<'a, L: 'a>(
+        day: &str,
+        snap: &sixdust_telemetry::Snapshot,
+        table: &[Published<L>],
+        ledgers: impl IntoIterator<Item = &'a L> + Clone,
+    ) {
+        for (name, read) in table {
+            let counted: u64 = ledgers.clone().into_iter().map(read).sum();
+            assert_eq!(snap.counter(name), Some(counted), "{day}: {name}");
+        }
+    }
+
+    #[test]
+    fn every_published_counter_equals_its_ledger_after_each_kind_of_day() {
+        use crate::fleet::simulate_day_sync;
+        use crate::{mirror, reactor, server};
+
+        // One front end: through the loop, through the synchronous
+        // engine, and an hour that sheds from the buckets and the cap.
+        let store = seeded_store();
+        let uniform = FleetConfig::builder().with_requests(20_000).with_clients(60);
+        let hour = FleetConfig { day_micros: HOUR_US, ..uniform.clone() };
+        let tight = FrontendConfig::builder().with_global_concurrency(2);
+        for (day, fleet, frontend, through_the_loop) in [
+            ("uniform", &uniform, FrontendConfig::default(), true),
+            ("sync engine", &uniform, FrontendConfig::default(), false),
+            ("shedding", &hour, tight, true),
+        ] {
+            let registry = Registry::new();
+            let mut fe = Frontend::new(frontend, store.clone()).with_telemetry(&registry);
+            if through_the_loop {
+                let mut el = EventLoop::new(&mut fe).with_telemetry(&registry);
+                drive_day(fleet, Clients::OfOneFrontend, &mut el, &store);
+                let stats = el.stats();
+                assert_eq!(stats.retired, 20_000);
+                assert_reconciles(day, &registry.snapshot(), &reactor::PUBLISHED, [&stats]);
+            } else {
+                simulate_day_sync(fleet, &mut fe, &store);
+            }
+            let totals = fe.totals();
+            assert_eq!(totals.requests, 20_000);
+            assert_eq!(totals.shed_client + totals.shed_global > 0, day == "shedding");
+            assert_reconciles(day, &registry.snapshot(), &server::PUBLISHED, [fe.ledger()]);
+        }
+
+        // Three mirrors under the chaos fault plan, observed.
+        for (day, chaos) in
+            [("uniform chaos", uniform_chaos as fn() -> Day), ("session chaos", session_chaos)]
+        {
+            let (config, tier, plan) = chaos();
+            let mut observer = ChaosObserver::new(Registry::new());
+            let mut tier = tier.with_telemetry(observer.registry());
+            let report = run_chaos_day(&config, &mut tier, &plan, Some(&mut observer));
+            let snap = observer.registry().snapshot();
+            assert!(report.resilience.retries > 0 && tier.totals().sync_rejected > 0, "{day}");
+            assert_reconciles(day, &snap, &PUBLISHED, [&report.resilience]);
+            assert_reconciles(day, &snap, &mirror::PUBLISHED, [tier.totals()]);
+            let ledgers: Vec<&server::Ledger> = tier.frontends().map(Frontend::ledger).collect();
+            assert_eq!(ledgers.len(), 3);
+            assert_reconciles(day, &snap, &server::PUBLISHED, ledgers);
+        }
+    }
+
+    #[test]
+    fn every_published_counter_is_inventoried_in_metrics_md() {
+        let inventory =
+            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../METRICS.md"))
+                .expect("METRICS.md at the repository root");
+        let names = (crate::server::PUBLISHED.iter().map(|row| row.0))
+            .chain(crate::reactor::PUBLISHED.iter().map(|row| row.0))
+            .chain(crate::mirror::PUBLISHED.iter().map(|row| row.0))
+            .chain(PUBLISHED.iter().map(|row| row.0));
+        for name in names {
+            // The per-kind family is inventoried as a pattern.
+            let listed =
+                match name.strip_prefix("serve.kind.").and_then(|rest| rest.split_once('.')) {
+                    Some((_stem, field)) => format!("`serve.kind.<stem>.{field}`"),
+                    None => format!("`{name}`"),
+                };
+            assert!(inventory.contains(&listed), "{listed} is published but not in METRICS.md");
         }
     }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use sixdust_json::json_struct;
 use sixdust_scan::rate::{Limit, TokenBucket};
-use sixdust_telemetry::{Counter, FlightRecorder, Histogram, HistogramSnapshot, Registry};
+use sixdust_telemetry::{FlightRecorder, Histogram, HistogramSnapshot, Published, Registry};
 
 use crate::store::{ArtifactKind, SnapshotStore};
 
@@ -309,17 +309,63 @@ impl LruCache {
     }
 }
 
-/// Telemetry handles, resolved once at construction (hot-path rule).
+/// One artifact kind's share of the request stream.
+#[derive(Debug, Clone, Copy, Default)]
+struct KindCounts {
+    requests: u64,
+    /// Sheds and unavailable answers.
+    errors: u64,
+}
+
+/// Everything one front end counts. `totals` is the report card; what
+/// sits beside it only the registry carries, so the serialized
+/// [`FrontendTotals`] keeps its shape.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    totals: FrontendTotals,
+    /// Full-body bytes the 304s did not resend.
+    bytes_saved_not_modified: u64,
+    /// Indexed by [`ArtifactKind::index`].
+    kinds: [KindCounts; ArtifactKind::ALL.len()],
+}
+
+/// The registry's view of a front end's ledger; the per-kind rows follow
+/// [`ArtifactKind::ALL`] and [`ArtifactKind::file_stem`].
+pub(crate) const PUBLISHED: [Published<Ledger>; 27] = [
+    ("serve.requests", |l| l.totals.requests),
+    ("serve.bytes_sent", |l| l.totals.bytes_sent),
+    ("serve.cache.hits", |l| l.totals.cache_hits),
+    ("serve.cache.misses", |l| l.totals.cache_misses),
+    ("serve.shed", |l| l.totals.shed_client + l.totals.shed_global),
+    ("serve.shed.client", |l| l.totals.shed_client),
+    ("serve.shed.global", |l| l.totals.shed_global),
+    ("serve.not_modified", |l| l.totals.not_modified),
+    ("serve.delta_fallback", |l| l.totals.delta_fallbacks),
+    ("serve.bytes_saved.delta", |l| l.totals.bytes_saved_by_delta),
+    ("serve.bytes_saved.not_modified", |l| l.bytes_saved_not_modified),
+    ("serve.kind.responsive-addresses.requests", |l| l.kinds[0].requests),
+    ("serve.kind.responsive-addresses.errors", |l| l.kinds[0].errors),
+    ("serve.kind.responsive-icmp.requests", |l| l.kinds[1].requests),
+    ("serve.kind.responsive-icmp.errors", |l| l.kinds[1].errors),
+    ("serve.kind.aliased-prefixes.requests", |l| l.kinds[2].requests),
+    ("serve.kind.aliased-prefixes.errors", |l| l.kinds[2].errors),
+    ("serve.kind.responsive-tcp443.requests", |l| l.kinds[3].requests),
+    ("serve.kind.responsive-tcp443.errors", |l| l.kinds[3].errors),
+    ("serve.kind.gfw-filtered.requests", |l| l.kinds[4].requests),
+    ("serve.kind.gfw-filtered.errors", |l| l.kinds[4].errors),
+    ("serve.kind.responsive-udp53.requests", |l| l.kinds[5].requests),
+    ("serve.kind.responsive-udp53.errors", |l| l.kinds[5].errors),
+    ("serve.kind.responsive-tcp80.requests", |l| l.kinds[6].requests),
+    ("serve.kind.responsive-tcp80.errors", |l| l.kinds[6].errors),
+    ("serve.kind.responsive-udp443.requests", |l| l.kinds[7].requests),
+    ("serve.kind.responsive-udp443.errors", |l| l.kinds[7].errors),
+];
+
+/// An attached registry: the histograms, which have no ledger and are fed
+/// as requests finish, and how much of the ledger it has been told.
 struct Meters {
-    requests: Counter,
-    bytes_sent: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    shed: Counter,
-    shed_client: Counter,
-    shed_global: Counter,
-    not_modified: Counter,
-    delta_fallback: Counter,
+    registry: Registry,
+    told: [u64; PUBLISHED.len()],
     /// Virtual-time request latency in microseconds — the measurement
     /// of record. Base latency is 1.5 ms, so log2 *millisecond* buckets
     /// crush the whole distribution into two bins; microseconds give the
@@ -328,39 +374,17 @@ struct Meters {
     /// Millisecond view derived from the same sample (`us/1000` rounded
     /// up to at least 1), kept for naming-scheme continuity.
     latency_ms: Histogram,
-    bytes_saved_delta: Counter,
-    bytes_saved_not_modified: Counter,
-    /// Per-artifact-kind RED triplets (rate, errors, duration), indexed
-    /// by [`ArtifactKind::index`]. Errors are shed + unavailable.
-    kind_requests: Vec<Counter>,
-    kind_errors: Vec<Counter>,
+    /// Per-artifact-kind duration, indexed by [`ArtifactKind::index`].
     kind_latency_us: Vec<Histogram>,
 }
 
 impl Meters {
     fn resolve(registry: &Registry) -> Meters {
-        let per_kind = |field: &str| -> Vec<Counter> {
-            ArtifactKind::ALL
-                .iter()
-                .map(|k| registry.counter(&format!("serve.kind.{}.{field}", k.file_stem())))
-                .collect()
-        };
         Meters {
-            requests: registry.counter("serve.requests"),
-            bytes_sent: registry.counter("serve.bytes_sent"),
-            cache_hits: registry.counter("serve.cache.hits"),
-            cache_misses: registry.counter("serve.cache.misses"),
-            shed: registry.counter("serve.shed"),
-            shed_client: registry.counter("serve.shed.client"),
-            shed_global: registry.counter("serve.shed.global"),
-            not_modified: registry.counter("serve.not_modified"),
-            delta_fallback: registry.counter("serve.delta_fallback"),
+            registry: registry.clone(),
+            told: [0; PUBLISHED.len()],
             latency_us: registry.histogram("serve.latency_us"),
             latency_ms: registry.histogram("serve.latency_ms"),
-            bytes_saved_delta: registry.counter("serve.bytes_saved.delta"),
-            bytes_saved_not_modified: registry.counter("serve.bytes_saved.not_modified"),
-            kind_requests: per_kind("requests"),
-            kind_errors: per_kind("errors"),
             kind_latency_us: ArtifactKind::ALL
                 .iter()
                 .map(|k| registry.histogram(&format!("serve.kind.{}.latency_us", k.file_stem())))
@@ -378,7 +402,7 @@ pub struct Frontend {
     /// Completion times of requests currently in flight (min-heap).
     inflight: BinaryHeap<std::cmp::Reverse<u64>>,
     meters: Option<Meters>,
-    totals: FrontendTotals,
+    ledger: Ledger,
     /// Always-on virtual-time latency distribution, independent of the
     /// optional registry — [`DayReport`](crate::DayReport) percentiles
     /// come from here.
@@ -392,7 +416,7 @@ impl std::fmt::Debug for Frontend {
         f.debug_struct("Frontend")
             .field("clients", &self.buckets.len())
             .field("inflight", &self.inflight.len())
-            .field("totals", &self.totals)
+            .field("totals", &self.ledger.totals)
             .finish()
     }
 }
@@ -414,7 +438,7 @@ impl Frontend {
             buckets: HashMap::new(),
             inflight: BinaryHeap::new(),
             meters: None,
-            totals: FrontendTotals::default(),
+            ledger: Ledger::default(),
             latency: Histogram::default(),
             flight: None,
         }
@@ -425,10 +449,24 @@ impl Frontend {
     /// `serve.not_modified`, `serve.delta_fallback`,
     /// `serve.latency_us`/`serve.latency_ms`,
     /// `serve.bytes_saved.{delta,not_modified}`, and the per-kind RED
-    /// triplet `serve.kind.<stem>.{requests,errors,latency_us}`).
+    /// triplet `serve.kind.<stem>.{requests,errors,latency_us}`). The
+    /// histograms are fed as requests finish; the counters are the ledger,
+    /// and reach the registry on [`Frontend::publish`].
     pub fn with_telemetry(mut self, registry: &Registry) -> Frontend {
         self.meters = Some(Meters::resolve(registry));
+        // Every counter exists, at zero, from here on.
+        self.publish();
         self
+    }
+
+    /// Tells the attached registry, if any, what the ledger has counted
+    /// since it was last told. A day driver does this when the day ends
+    /// (and a chaos day's observer before each hourly round); a caller of
+    /// [`Frontend::handle`] does it before reading the registry.
+    pub fn publish(&mut self) {
+        if let Some(m) = &mut self.meters {
+            m.registry.publish(&PUBLISHED, &self.ledger, &mut m.told);
+        }
     }
 
     /// Attaches a flight recorder: shed decisions are noted into its
@@ -441,7 +479,13 @@ impl Frontend {
 
     /// The running totals so far.
     pub fn totals(&self) -> &FrontendTotals {
-        &self.totals
+        &self.ledger.totals
+    }
+
+    /// Everything counted so far: what [`PUBLISHED`] reads.
+    #[cfg(test)]
+    pub(crate) fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
     /// Snapshot of the virtual-time latency distribution (microseconds)
@@ -475,11 +519,8 @@ impl Frontend {
     /// in-flight request whose completion time has passed.
     pub fn handle(&mut self, request: &Request) -> Outcome {
         let kind = request.kind.index();
-        self.totals.requests += 1;
-        if let Some(m) = &self.meters {
-            m.requests.incr();
-            m.kind_requests[kind].incr();
-        }
+        self.ledger.totals.requests += 1;
+        self.ledger.kinds[kind].requests += 1;
         let now = request.at_us;
         while self.inflight.peek().is_some_and(|done| done.0 <= now) {
             self.inflight.pop();
@@ -488,31 +529,21 @@ impl Frontend {
         // Admission: the client's bucket first (cheapest rejection),
         // then the global in-flight cap.
         if !self.admit_client(request.client, now) {
-            self.totals.shed_client += 1;
-            if let Some(m) = &self.meters {
-                m.shed.incr();
-                m.shed_client.incr();
-                m.kind_errors[kind].incr();
-            }
+            self.ledger.totals.shed_client += 1;
+            self.ledger.kinds[kind].errors += 1;
             self.note_shed(request, "serve.shed.client");
             return Outcome::ShedClient;
         }
         if self.inflight.len() >= self.config.global_concurrency {
-            self.totals.shed_global += 1;
-            if let Some(m) = &self.meters {
-                m.shed.incr();
-                m.shed_global.incr();
-                m.kind_errors[kind].incr();
-            }
+            self.ledger.totals.shed_global += 1;
+            self.ledger.kinds[kind].errors += 1;
             self.note_shed(request, "serve.shed.global");
             return Outcome::ShedGlobal;
         }
 
         let Some(version) = self.store.artifact(request.kind) else {
-            self.totals.unavailable += 1;
-            if let Some(m) = &self.meters {
-                m.kind_errors[kind].incr();
-            }
+            self.ledger.totals.unavailable += 1;
+            self.ledger.kinds[kind].errors += 1;
             return Outcome::Unavailable;
         };
 
@@ -521,11 +552,8 @@ impl Frontend {
         if request.if_none_match == Some(version.digest()) {
             let latency = self.config.base_latency_us;
             self.finish(now, latency, kind);
-            self.totals.not_modified += 1;
-            if let Some(m) = &self.meters {
-                m.not_modified.incr();
-                m.bytes_saved_not_modified.add(version.full_encoded().len() as u64);
-            }
+            self.ledger.totals.not_modified += 1;
+            self.ledger.bytes_saved_not_modified += version.full_encoded().len() as u64;
             return Outcome::NotModified { round: version.round(), latency_us: latency };
         }
 
@@ -539,37 +567,25 @@ impl Frontend {
                     serve_delta = true;
                     let saved =
                         (version.full_encoded().len() as u64).saturating_sub(delta.len() as u64);
-                    self.totals.bytes_saved_by_delta += saved;
-                    if let Some(m) = &self.meters {
-                        m.bytes_saved_delta.add(saved);
-                    }
+                    self.ledger.totals.bytes_saved_by_delta += saved;
                     delta.clone()
                 }
                 _ => {
-                    self.totals.delta_fallbacks += 1;
-                    if let Some(m) = &self.meters {
-                        m.delta_fallback.incr();
-                    }
+                    self.ledger.totals.delta_fallbacks += 1;
                     version.full_encoded().clone()
                 }
             },
             FetchKind::Full => version.full_encoded().clone(),
         };
 
-        let key: CacheKey = (request.kind.index(), version.round(), serve_delta);
+        let key: CacheKey = (kind, version.round(), serve_delta);
         let (body, cached) = match self.cache.get(key) {
             Some(body) => {
-                self.totals.cache_hits += 1;
-                if let Some(m) = &self.meters {
-                    m.cache_hits.incr();
-                }
+                self.ledger.totals.cache_hits += 1;
                 (body, true)
             }
             None => {
-                self.totals.cache_misses += 1;
-                if let Some(m) = &self.meters {
-                    m.cache_misses.incr();
-                }
+                self.ledger.totals.cache_misses += 1;
                 self.cache.insert(key, body_src.clone());
                 (body_src, false)
             }
@@ -581,15 +597,12 @@ impl Frontend {
             latency += self.config.render_latency_us;
         }
         self.finish(now, latency, kind);
-        self.totals.bodies += 1;
-        self.totals.bytes_sent += bytes;
+        self.ledger.totals.bodies += 1;
+        self.ledger.totals.bytes_sent += bytes;
         if serve_delta {
-            self.totals.delta_fetches += 1;
+            self.ledger.totals.delta_fetches += 1;
         } else {
-            self.totals.full_fetches += 1;
-        }
-        if let Some(m) = &self.meters {
-            m.bytes_sent.add(bytes);
+            self.ledger.totals.full_fetches += 1;
         }
         Outcome::Body {
             bytes,
@@ -829,6 +842,7 @@ mod tests {
         let mut req = request(2, 10);
         req.if_none_match = Some(digest);
         assert!(matches!(fe.handle(&req), Outcome::NotModified { .. }));
+        fe.publish();
         let snap = reg.snapshot();
         assert_eq!(snap.counter("serve.bytes_saved.delta"), Some(fe.totals().bytes_saved_by_delta));
         assert!(snap.counter("serve.bytes_saved.not_modified").unwrap() > delta_bytes);
@@ -859,7 +873,31 @@ mod tests {
         assert_eq!(e.kind, "serve.shed.client");
         assert_eq!(e.key, 2, "keyed by virtual hour of day");
         assert_eq!(e.args[0], ("client".to_string(), "7".to_string()));
-        assert_eq!(reg.snapshot().counter("serve.kind.responsive-addresses.errors"), Some(1));
+        fe.publish();
+        let snap = reg.snapshot();
+        for (name, read) in PUBLISHED {
+            assert_eq!(snap.counter(name), Some(read(fe.ledger())), "{name}");
+        }
+        assert_eq!(snap.counter("serve.kind.responsive-addresses.errors"), Some(1));
+        assert_eq!(snap.counter("serve.shed"), Some(1));
+    }
+
+    #[test]
+    fn the_per_kind_rows_follow_the_kinds_and_their_file_stems() {
+        for (i, kind) in ArtifactKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+            let mut ledger = Ledger::default();
+            ledger.kinds[i] = KindCounts { requests: 3, errors: 2 };
+            for (field, count) in [("requests", 3), ("errors", 2)] {
+                let name = format!("serve.kind.{}.{field}", kind.file_stem());
+                let row = PUBLISHED.iter().find(|(n, _)| *n == name).expect(&name);
+                assert_eq!((row.1)(&ledger), count, "{name}");
+            }
+        }
+        let mut names: Vec<&str> = PUBLISHED.iter().map(|(name, _)| *name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), PUBLISHED.len(), "a row is listed twice");
     }
 
     #[test]

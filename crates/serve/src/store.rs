@@ -13,7 +13,7 @@
 use std::sync::{Arc, RwLock};
 
 use sixdust_addr::digest::content_digests;
-use sixdust_addr::AddrSet;
+use sixdust_addr::{AddrSet, Prefix};
 use sixdust_net::Protocol;
 use sixdust_scan::proto_metric_key;
 use sixdust_telemetry::Registry;
@@ -418,10 +418,7 @@ impl SnapshotStore {
 pub fn service_artifacts(svc: &sixdust_hitlist::HitlistService) -> Vec<(ArtifactKind, AddrSet)> {
     let mut artifacts: Vec<(ArtifactKind, AddrSet)> = vec![
         (ArtifactKind::Responsive, svc.current_responsive().clone()),
-        (
-            ArtifactKind::AliasedPrefixes,
-            svc.aliased().iter().map(|p| p.network().0 | u128::from(p.len())).collect(),
-        ),
+        (ArtifactKind::AliasedPrefixes, svc.aliased().iter().map(Prefix::packed).collect()),
         (ArtifactKind::GfwFiltered, svc.gfw_impacted().iter().map(|a| a.0).collect()),
     ];
     for (proto, set) in svc.proto_responsive() {

@@ -93,7 +93,7 @@ pub use flight::{
 pub use metrics::{
     bucket_floor, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, SpanTimer, BUCKETS,
 };
-pub use registry::{Registry, Snapshot};
+pub use registry::{Published, Registry, Snapshot};
 pub use report::Dashboard;
 pub use series::{is_deterministic_metric, SeriesRecorder, SeriesRound, DEFAULT_SERIES_CAPACITY};
 pub use slo::{SloBreach, SloEngine, SloSignal, SloSpec, SloStatus, MAX_BREACH_LOG};

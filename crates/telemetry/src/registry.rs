@@ -9,6 +9,10 @@ use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::sync::{read, write};
 use crate::trace::TraceJournal;
 
+/// One row of a ledger's view in a registry: a counter's name, and how
+/// to read the count it carries off the ledger `L`.
+pub type Published<L> = (&'static str, fn(&L) -> u64);
+
 #[derive(Default)]
 struct Inner {
     counters: RwLock<BTreeMap<String, Counter>>,
@@ -74,14 +78,25 @@ impl Registry {
         write(&self.inner.counters).insert(name.to_string(), counter.clone());
     }
 
-    /// Attaches an existing gauge handle under `name`.
-    pub fn register_gauge(&self, name: &str, gauge: &Gauge) {
-        write(&self.inner.gauges).insert(name.to_string(), gauge.clone());
-    }
-
-    /// Attaches an existing histogram handle under `name`.
-    pub fn register_histogram(&self, name: &str, histogram: &Histogram) {
-        write(&self.inner.histograms).insert(name.to_string(), histogram.clone());
+    /// Tells the registry what `ledger` has counted since this caller
+    /// last did: each counter of `table` gains the growth of its count
+    /// over `told`, the caller's record of what it has published, which
+    /// is brought level. A component counts into its own ledger on its
+    /// hot path and calls this where a reader can look; ledgers that
+    /// share a table (the front ends of a mirror tier) add up under its
+    /// names.
+    ///
+    /// # Panics
+    ///
+    /// If `told` is not as long as `table`, or a count fell below what
+    /// was told (ledgers only grow).
+    pub fn publish<L>(&self, table: &[Published<L>], ledger: &L, told: &mut [u64]) {
+        assert_eq!(table.len(), told.len(), "one told count per table row");
+        for ((name, read), told) in table.iter().zip(told) {
+            let count = read(ledger);
+            self.counter(name).add(count - *told);
+            *told = count;
+        }
     }
 
     /// Installs a trace journal: code paths that already hold this
@@ -195,6 +210,22 @@ mod tests {
         // Later increments through the original handle are visible.
         detached.incr();
         assert_eq!(reg.snapshot().counter("net.probes"), Some(8));
+    }
+
+    #[test]
+    fn publish_adds_what_a_ledger_grew_by_and_ledgers_sharing_a_table_add_up() {
+        const TABLE: [Published<(u64, u64)>; 2] = [("first", |l| l.0), ("sum", |l| l.0 + l.1)];
+        let reg = Registry::new();
+        let (mut told_a, mut told_b) = ([0; 2], [0; 2]);
+        reg.publish(&TABLE, &(0, 0), &mut told_a);
+        assert_eq!(reg.snapshot().counter("first"), Some(0), "a first publish registers");
+        reg.publish(&TABLE, &(2, 3), &mut told_a);
+        reg.publish(&TABLE, &(2, 3), &mut told_a);
+        reg.publish(&TABLE, &(10, 0), &mut told_b);
+        reg.publish(&TABLE, &(4, 3), &mut told_a);
+        let snap = reg.snapshot();
+        assert_eq!((snap.counter("first"), snap.counter("sum")), (Some(14), Some(17)));
+        assert_eq!((told_a, told_b), ([4, 7], [10, 10]));
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl FleetConfig {
         FleetConfig {
             scale,
             faults: FaultConfig::lossless(),
-            service: ServiceConfig::builder().build(),
+            service: ServiceConfig::default(),
             specs: VantageSpec::default_roster(n),
             threads: 4,
         }
@@ -407,7 +407,7 @@ mod tests {
     fn one_vantage_fleet_matches_the_plain_service() {
         let scale = Scale::tiny();
         let faults = FaultConfig::lossless().with_drop_permille(2);
-        let config = ServiceConfig::builder().build();
+        let config = ServiceConfig::default();
 
         let net = Internet::build(scale).with_faults(faults.clone());
         let mut svc = HitlistService::new(config.clone());

@@ -16,7 +16,7 @@ fn main() {
     let net = Internet::build(Scale::tiny())
         .with_faults(FaultConfig::lossless().with_drop_permille(2))
         .with_telemetry(&registry);
-    let config = ServiceConfig::builder().alias_every_days(28).build();
+    let config = ServiceConfig::default().with_alias_every_days(28);
     let mut svc = HitlistService::new(config).with_telemetry(registry.clone());
 
     println!("== one simulated year of the IPv6 Hitlist service ==\n");

@@ -40,7 +40,7 @@
 //!
 //! let net = Internet::build(Scale::tiny());
 //! let registry = Registry::new();
-//! let config = ServiceConfig::builder().alias_every_days(14).build();
+//! let config = ServiceConfig::default().with_alias_every_days(14);
 //! let mut svc = HitlistService::new(config).with_telemetry(registry.clone());
 //! svc.run(&net, Day(0), Day(28));
 //! println!("{}", registry.snapshot().to_json());

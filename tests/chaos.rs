@@ -40,10 +40,9 @@ fn chaos_faults() -> FaultConfig {
 /// A service configured for degraded operation: retries mask loss so the
 /// estimator can see it, and backoff spaces the re-probes out.
 fn chaos_service(registry: &Registry) -> HitlistService {
-    let config = ServiceConfig::builder()
-        .scan(ScanConfig::builder().attempts(3).retry_backoff_ms(10).build())
-        .traceroute_cap(800)
-        .build();
+    let config = ServiceConfig::default()
+        .with_scan(ScanConfig::default().with_attempts(3).with_retry_backoff_ms(10))
+        .with_traceroute_cap(800);
     HitlistService::new(config).with_telemetry(registry.clone())
 }
 

@@ -42,10 +42,9 @@ fn chaos_faults() -> FaultConfig {
 /// A service carrying the full judgment stack: series recorder, the
 /// standard SLO set and a flight recorder.
 fn ops_service(registry: &Registry) -> HitlistService {
-    let config = ServiceConfig::builder()
-        .scan(ScanConfig::builder().attempts(3).retry_backoff_ms(10).build())
-        .traceroute_cap(800)
-        .build();
+    let config = ServiceConfig::default()
+        .with_scan(ScanConfig::default().with_attempts(3).with_retry_backoff_ms(10))
+        .with_traceroute_cap(800);
     HitlistService::new(config)
         .with_telemetry(registry.clone())
         .with_series(DEFAULT_SERIES_CAPACITY)
@@ -124,7 +123,7 @@ fn gfw_era_keeps_publishes_stale_and_fires_the_freshness_slo() {
     let net =
         Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless().with_drop_permille(2));
     let registry = Registry::new();
-    let config = ServiceConfig::builder().alias_every_days(14).traceroute_cap(600).build();
+    let config = ServiceConfig::default().with_alias_every_days(14).with_traceroute_cap(600);
     let mut svc = HitlistService::new(config)
         .with_telemetry(registry.clone())
         .with_series(DEFAULT_SERIES_CAPACITY)

@@ -188,3 +188,47 @@ fn a_lossless_tier_day_matches_the_acceptance_identities() {
     assert!(report.resilience.syncs > 0, "mirrors synced all three generations");
     assert_eq!(report.round, 3, "the last planned publish landed");
 }
+
+#[test]
+fn an_observer_sees_each_hour_what_it_saw_when_the_counters_were_live() {
+    // The tier, its front ends and the client count into their ledgers
+    // and tell the registry before each hourly round. Digests of the
+    // hourly series, the SLO breach log and the flight captures, recorded
+    // at 2f32690, where every serve counter was incremented per event:
+    // the seeded chaos day above, and the blackout day, which breaches.
+    let digest = |text: &str| sixdust::addr::digest::content_digest(text.bytes().map(u128::from));
+    let blackout: Vec<TimedPublish> = plan(4)
+        .into_iter()
+        .zip(0..)
+        .map(|(publish, i)| TimedPublish { at_us: (3 + 2 * i) * HOUR, ..publish })
+        .collect();
+    let days = [
+        (
+            fleet(7, 6_000, 40),
+            (3, ServeFaultConfig::chaos(7, 3), plan(3)),
+            (0, [0xf4f7_c365_4e72_afe8, 0xd406_8488_2ca7_c363, 0x1eb1_f858_f694_a61e]),
+        ),
+        (
+            fleet(13, 3_000, 20),
+            (2, ServeFaultConfig::builder().with_origin_blackout(2 * HOUR, DAY), blackout),
+            (17, [0x7d3c_fb50_b573_f08a, 0xe27c_b54c_07cf_8eeb, 0x536b_000d_e0d8_f276]),
+        ),
+    ];
+    for (fleet, (mirrors, faults, plan), (breach_rounds, pinned)) in days {
+        let mut observer = ChaosObserver::new(Registry::new());
+        let config = MirrorTierConfig::builder().with_mirrors(mirrors);
+        let mut tier = MirrorTier::new(config, origin(), faults)
+            .with_telemetry(observer.registry())
+            .with_flight(observer.flight().clone());
+        let config = ChaosDayConfig::builder().with_fleet(fleet);
+        run_chaos_day(&config, &mut tier, &plan, Some(&mut observer));
+        let breaches = observer.slo().breaches();
+        assert_eq!(breaches.len(), breach_rounds);
+        let seen = [
+            digest(&observer.recorder().to_jsonl()),
+            digest(&format!("{breaches:?}")),
+            digest(&observer.flight().captures_json()),
+        ];
+        assert_eq!(seen, pinned, "{seen:#x?}");
+    }
+}

@@ -25,7 +25,7 @@ fn faults() -> FaultConfig {
 fn fleet_config(n: usize, threads: usize) -> FleetConfig {
     FleetConfig::new(Scale::tiny(), n)
         .with_faults(faults())
-        .with_service(ServiceConfig::builder().build())
+        .with_service(ServiceConfig::default())
         .with_threads(threads)
 }
 
@@ -36,7 +36,7 @@ fn fleet_config(n: usize, threads: usize) -> FleetConfig {
 fn one_vantage_fleet_is_byte_identical_to_the_service() {
     let until = Day(14);
     let net = Internet::build(Scale::tiny()).with_faults(faults());
-    let mut svc = HitlistService::new(ServiceConfig::builder().build());
+    let mut svc = HitlistService::new(ServiceConfig::default());
     svc.run(&net, Day(0), until);
     let baseline = ServiceState::capture(&svc);
 
