@@ -185,6 +185,27 @@ impl<V> PrefixTrie<V> {
         None
     }
 
+    /// [`PrefixTrie::lookup_value`], and the last address up to which the
+    /// answer stays the one `addr` gets: the match ends there, or the next
+    /// stored prefix starts right after it. A caller that asks about
+    /// ascending addresses asks the table once per span.
+    pub fn lookup_span(&self, addr: Addr) -> (Option<&V>, Addr) {
+        let mut at = self.entries.partition_point(|e| e.network <= addr);
+        // No prefix starts in `addr + 1..=last`, so every address there
+        // walks up from the same entry, past the same enclosers that end
+        // below `addr`.
+        let last = self.entries.get(at).map_or(Addr(u128::MAX), |next| Addr(next.network.0 - 1));
+        while at != 0 {
+            let e = &self.entries[at - 1];
+            let stored = e.prefix();
+            if stored.contains(addr) {
+                return (Some(&e.value), last.min(stored.last()));
+            }
+            at = e.up as usize;
+        }
+        (None, last)
+    }
+
     /// Shorthand: the value of the longest matching prefix, if any.
     #[inline]
     pub fn lookup_value(&self, addr: Addr) -> Option<&V> {
@@ -447,6 +468,20 @@ mod tests {
             assert_eq!(t.lookup(*addr), want, "lookup {addr}");
             assert_eq!(t.lookup_value(*addr), want.map(|(v, _)| v), "lookup_value {addr}");
             assert_eq!(t.covers(*addr), want.is_some(), "covers {addr}");
+            // The span holds one answer from end to end and stops only
+            // where the match does or another prefix starts.
+            let (value, last) = t.lookup_span(*addr);
+            assert_eq!(value, want.map(|(v, _)| v), "lookup_span {addr}");
+            assert!(last >= *addr, "span of {addr} ends at {last}");
+            for inside in [last, Addr(addr.0 + (last.0 - addr.0) / 2)] {
+                let there = naive.lookup_covering(Prefix::new(inside, 128));
+                assert_eq!(there, want, "{inside} in the span of {addr}");
+            }
+            if let Some(after) = last.0.checked_add(1).map(Addr) {
+                let ends = want.is_some_and(|(_, q)| q.last() == last);
+                let starts = naive.0.iter().any(|(q, _)| q.network() == after);
+                assert!(ends || starts, "the span of {addr} stops short at {last}");
+            }
         }
     }
 

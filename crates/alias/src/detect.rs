@@ -110,19 +110,18 @@ pub struct AliasDetector {
 /// addresses, so the per-length counting walks a sorted copy instead of
 /// hashing every (address, length) pair.
 pub fn candidates(net: &Internet, input: &[Addr], min_addrs_long: usize) -> Vec<Prefix> {
-    let mut set: HashSet<Prefix> = HashSet::new();
     // 1. BGP-announced prefixes (only those that can have 16 nibble subs).
-    for (p, _) in net.registry().announced_prefixes() {
-        if p.len() <= 124 {
-            set.insert(p);
-        }
-    }
+    let mut found: Vec<Prefix> =
+        net.registry().announced_prefixes().map(|(p, _)| p).filter(|p| p.len() <= 124).collect();
     let mut sorted: Vec<Addr> = input.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
-    // 2. /64s with at least one input address.
+    // 2. /64s with at least one input address, each once.
     for a in &sorted {
-        set.insert(Prefix::new(*a, 64));
+        let subnet = Prefix::new(*a, 64);
+        if found.last() != Some(&subnet) {
+            found.push(subnet);
+        }
     }
     // 3. Longer prefixes (4-bit steps) with >= min_addrs_long addresses:
     // consecutive runs in sorted order share prefixes, so one linear pass
@@ -135,15 +134,16 @@ pub fn candidates(net: &Internet, input: &[Addr], min_addrs_long: usize) -> Vec<
                 i == sorted.len() || (sorted[i].0 >> shift) != (sorted[run_start].0 >> shift);
             if boundary {
                 if i - run_start >= min_addrs_long {
-                    set.insert(Prefix::new(sorted[run_start], plen));
+                    found.push(Prefix::new(sorted[run_start], plen));
                 }
                 run_start = i;
             }
         }
     }
-    let mut v: Vec<Prefix> = set.into_iter().collect();
-    v.sort_unstable();
-    v
+    // A /64 or a longer prefix may be announced as well.
+    found.sort_unstable();
+    found.dedup();
+    found
 }
 
 impl AliasDetector {
@@ -360,6 +360,75 @@ mod tests {
         // BGP prefixes are included.
         let some_bgp = net.registry().announced_prefixes().next().unwrap().0;
         assert!(cands.contains(&some_bgp));
+    }
+
+    /// `candidates` as it read before: every class thrown into a hash set,
+    /// which did the deduplicating.
+    fn candidates_by_hashing(net: &Internet, input: &[Addr], min_addrs_long: usize) -> Vec<Prefix> {
+        let mut set: HashSet<Prefix> = net
+            .registry()
+            .announced_prefixes()
+            .map(|(p, _)| p)
+            .filter(|p| p.len() <= 124)
+            .collect();
+        let mut sorted: Vec<Addr> = input.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        set.extend(sorted.iter().map(|a| Prefix::new(*a, 64)));
+        for plen in (68..=124u8).step_by(4) {
+            let shift = 128 - u32::from(plen);
+            let mut run_start = 0usize;
+            for i in 1..=sorted.len() {
+                let boundary =
+                    i == sorted.len() || (sorted[i].0 >> shift) != (sorted[run_start].0 >> shift);
+                if boundary {
+                    if i - run_start >= min_addrs_long {
+                        set.insert(Prefix::new(sorted[run_start], plen));
+                    }
+                    run_start = i;
+                }
+            }
+        }
+        let mut v: Vec<Prefix> = set.into_iter().collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn candidates_are_the_hashed_set_in_order() {
+        let net = net();
+        let announced: Vec<Prefix> = net.registry().announced_prefixes().map(|(p, _)| p).collect();
+        let mut rng = prf::PrfStream::new(0xca4d, 0, 0);
+        for case in 0..40u64 {
+            let min_addrs_long = [1, 2, 5, 100][(case % 4) as usize];
+            let mut input: Vec<Addr> = Vec::new();
+            // Clusters one short of, at and one past the floor, under
+            // prefixes of every candidate length, some inside announced
+            // space (where a /64 or a longer prefix can be announced too).
+            for cluster in 0..12u64 {
+                let base = if cluster % 3 == 0 {
+                    announced[rng.next_bounded(announced.len() as u64) as usize].random_addr(case).0
+                } else {
+                    u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())
+                };
+                let plen = 64 + 4 * rng.next_bounded(16) as u32;
+                let room = 128 - plen;
+                let size = (min_addrs_long + cluster as usize % 3).saturating_sub(1).max(1);
+                for _ in 0..size {
+                    let inside = u128::from(rng.next_u64()) & ((1u128 << room) - 1).max(1);
+                    input.push(Addr((base >> room << room) | inside));
+                }
+            }
+            // Duplicates, and no particular order.
+            let repeats: Vec<Addr> = input.iter().copied().step_by(3).collect();
+            input.extend(repeats);
+            input.sort_by_key(|a| prf::prf_u128(case, a.0, 1));
+            let found = candidates(&net, &input, min_addrs_long);
+            assert_eq!(found, candidates_by_hashing(&net, &input, min_addrs_long), "case {case}");
+            let long = found.iter().filter(|p| p.len() > 64).count();
+            assert!(long > 0 || min_addrs_long == 100, "case {case}: {long} long candidates");
+        }
+        assert_eq!(candidates(&net, &[], 100), candidates_by_hashing(&net, &[], 100));
     }
 
     #[test]

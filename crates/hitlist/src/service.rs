@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 use sixdust_addr::{prf, Addr, AddrHashMap, AddrHashSet, AddrSet, PrefixSet};
 use sixdust_alias::{candidates, AliasDetector, DetectorConfig};
 use sixdust_json::json_struct;
-use sixdust_net::{events, Day, Internet, ProbeKind, ProtoSet, Protocol, Response};
-use sixdust_scan::{proto_metric_key, scan_jobs, ScanConfig, ScanJob, ScanResult};
+use sixdust_net::{events, Day, Internet, ProbeKind, ProtoSet, Protocol};
+use sixdust_scan::{scan_jobs, ScanConfig, ScanJob, ScanResult};
 use sixdust_telemetry::{
     FlightRecorder, MadConfig, MadDetector, Registry, SeriesRecorder, SloEngine, TraceSpan,
 };
@@ -650,19 +650,8 @@ impl HitlistService {
         // router pools whose interfaces rotate weekly).
         let targets =
             traceroute_sample(&self.input, self.config.traceroute_cap, u64::from(day.0 / 7));
-        let probe = ProbeKind::IcmpEcho { size: 16 };
-        let mut discovered = Vec::new();
-        for t in targets {
-            let route = net.route(t);
-            let plen = route.path_len();
-            for ttl in plen.saturating_sub(3)..plen {
-                if let Some(Response::TimeExceeded { hop }) =
-                    net.probe_ttl_on(&route, ttl, &probe, day)
-                {
-                    discovered.push(hop);
-                }
-            }
-        }
+        let (discovered, answered) =
+            net.trace_tails(&targets, 3, &ProbeKind::IcmpEcho { size: 16 }, day);
         // The input's other way in: with `service.ingest.new`, these add
         // up to its growth.
         let mut new = 0u64;
@@ -673,7 +662,7 @@ impl HitlistService {
             }
         }
         if let Some(t) = &self.telemetry {
-            t.counter("service.traceroute.offered").add(discovered.len() as u64);
+            t.counter("service.traceroute.offered").add(answered);
             t.counter("service.traceroute.new").add(new);
         }
     }
@@ -683,9 +672,9 @@ impl HitlistService {
     /// `service.round.phase.*` histogram has exactly one sample per round;
     /// sub-millisecond phases round up to `1` rather than truncating to a
     /// never-ran-looking `0` (see [`sixdust_telemetry::Histogram::record_duration`]).
-    fn record_phase(&self, phase: &str, elapsed: Duration) {
+    fn record_phase(&self, phase: Phase, elapsed: Duration) {
         if let Some(t) = &self.telemetry {
-            t.histogram(&format!("service.round.phase.{phase}_ms")).record_duration(elapsed);
+            t.histogram(Phase::HISTOGRAMS[phase as usize]).record_duration(elapsed);
         }
     }
 
@@ -696,7 +685,7 @@ impl HitlistService {
     /// exactly one sample per round, the invariant every other phase
     /// histogram upholds.
     pub fn record_external_scan_phase(&self, elapsed: Duration) {
-        self.record_phase("scan", elapsed);
+        self.record_phase(Phase::Scan, elapsed);
     }
 
     /// Runs one full service round on `day`.
@@ -729,7 +718,7 @@ impl HitlistService {
         // 1. Sources.
         let phase_started = Instant::now();
         self.ingest_sources(net, day);
-        self.record_phase("ingest", phase_started.elapsed());
+        self.record_phase(Phase::Ingest, phase_started.elapsed());
 
         self.select_targets(net, day, round_span)
     }
@@ -752,7 +741,7 @@ impl HitlistService {
             self.aliased = self.detector.aliased();
             self.next_alias_day = day.plus(self.config.alias_every_days);
         }
-        self.record_phase("alias", phase_started.elapsed());
+        self.record_phase(Phase::Alias, phase_started.elapsed());
 
         // 3. Target selection.
         let phase_started = Instant::now();
@@ -763,7 +752,7 @@ impl HitlistService {
             .active_targets()
             .filter(|a| blocklist.allows(*a) && !aliased.covers_addr(*a))
             .collect();
-        self.record_phase("select", phase_started.elapsed());
+        self.record_phase(Phase::Select, phase_started.elapsed());
 
         let gfw_live = self.config.gfw_filter_from.map(|d| day >= d).unwrap_or(false);
         PreparedRound { day, targets, gfw_live, round_span }
@@ -798,7 +787,7 @@ impl HitlistService {
     pub fn scan_prepared(&self, net: &Internet, prepared: &PreparedRound) -> Vec<ScanResult> {
         let scan_started = Instant::now();
         let (results, _) = scan_jobs(self.config.scan.threads, &[self.round_job(net, prepared)]);
-        self.record_phase("scan", scan_started.elapsed());
+        self.record_phase(Phase::Scan, scan_started.elapsed());
         results
     }
 
@@ -874,7 +863,7 @@ impl HitlistService {
             proto_published_sets.push((proto, pub_set));
             proto_cleaned_sets.push((proto, clean_set));
         }
-        self.record_phase("gfw", gfw_elapsed);
+        self.record_phase(Phase::Gfw, gfw_elapsed);
 
         // 4. Once the filter is deployed the service *publishes* cleaned
         // results too (the February 2022 drop in Fig. 3 left).
@@ -891,7 +880,7 @@ impl HitlistService {
         // broad *downward* anomalies feed the degraded-round classifier.
         let mut anomalous = [false; 5];
         let mut downward_anomalies = 0usize;
-        for (i, proto) in Protocol::ALL.into_iter().enumerate() {
+        for (i, [.., anomaly_name]) in PROTO_COUNTERS.into_iter().enumerate() {
             let verdict = self.anomaly[i].observe(published[i] as f64);
             anomalous[i] = verdict.anomalous;
             if verdict.anomalous && verdict.z < 0.0 {
@@ -903,14 +892,10 @@ impl HitlistService {
                 let args =
                     [("day", day_str.as_str()), ("value", value.as_str()), ("z", z.as_str())];
                 if let Some(j) = &tracer {
-                    j.instant(&format!("service.anomaly.{}", proto_metric_key(proto)), &args);
+                    j.instant(anomaly_name, &args);
                 }
                 if let Some(flight) = &self.flight {
-                    flight.note(
-                        day.0,
-                        &format!("service.anomaly.{}", proto_metric_key(proto)),
-                        &args,
-                    );
+                    flight.note(day.0, anomaly_name, &args);
                 }
             }
         }
@@ -972,7 +957,7 @@ impl HitlistService {
         // 6. Traceroutes discover new candidates for the next round.
         let phase_started = Instant::now();
         self.traceroute(net, day);
-        self.record_phase("traceroute", phase_started.elapsed());
+        self.record_phase(Phase::Traceroute, phase_started.elapsed());
 
         // 7. Churn accounting (cleaned view, Fig. 4): an address newly
         // responsive this round is "brand new" if no earlier round ever saw
@@ -986,7 +971,7 @@ impl HitlistService {
         let churn_brand_new = (newly.len() - churn_recurring as usize) as u64;
         let churn_gone = self.prev_responsive.diff_count(&responsive_cleaned) as u64;
         self.ever.union_in_place(&responsive_cleaned);
-        self.record_phase("churn", phase_started.elapsed());
+        self.record_phase(Phase::Churn, phase_started.elapsed());
 
         let record = RoundRecord {
             day,
@@ -1024,13 +1009,12 @@ impl HitlistService {
                 .add(record.anomalous.iter().filter(|&&a| a).count() as u64);
             t.gauge("service.loss_estimate_permille").set(i64::from(record.loss_estimate_permille));
             t.gauge("service.publish.staleness_rounds").set(i64::from(self.staleness_rounds));
-            for (i, proto) in Protocol::ALL.into_iter().enumerate() {
-                let key = proto_metric_key(proto);
-                t.counter(&format!("service.hits.published.{key}")).add(record.published[i]);
-                t.counter(&format!("service.hits.cleaned.{key}")).add(record.cleaned[i]);
+            for (i, [published, cleaned, anomaly]) in PROTO_COUNTERS.into_iter().enumerate() {
+                t.counter(published).add(record.published[i]);
+                t.counter(cleaned).add(record.cleaned[i]);
                 // 0/1 per round, so the series recorder's deltas expose a
                 // ready-made per-round anomaly flag series.
-                t.counter(&format!("service.anomaly.{key}")).add(u64::from(record.anomalous[i]));
+                t.counter(anomaly).add(u64::from(record.anomalous[i]));
             }
         }
 
@@ -1105,27 +1089,104 @@ impl HitlistService {
     }
 }
 
-/// One week's rotating traceroute sample. The PRF filter admits roughly
-/// `cap · stride` of the input; the cap then keeps the `cap` *lowest
-/// draws*, a fresh pseudo-random cross-section each week. Ranking by the
-/// draw rather than by address is what makes the sample actually rotate:
-/// cutting a sorted-by-address candidate list at `cap` — as this service
-/// once did — handed the numerically lowest addresses a permanent seat,
-/// and with `stride == 1` returned the identical set every single week.
-/// Ties break by address, so the result is deterministic at any HashSet
-/// iteration order.
+/// The timed phases of a round; each records one sample a round.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    Ingest,
+    Alias,
+    Select,
+    Scan,
+    Gfw,
+    Traceroute,
+    Churn,
+}
+
+impl Phase {
+    /// The phases' histograms, in declaration order.
+    const HISTOGRAMS: [&'static str; 7] = [
+        "service.round.phase.ingest_ms",
+        "service.round.phase.alias_ms",
+        "service.round.phase.select_ms",
+        "service.round.phase.scan_ms",
+        "service.round.phase.gfw_ms",
+        "service.round.phase.traceroute_ms",
+        "service.round.phase.churn_ms",
+    ];
+}
+
+/// The per-protocol counters of a round in `Protocol::ALL` order:
+/// published hits, cleaned hits and the 0/1 anomaly flag.
+const PROTO_COUNTERS: [[&str; 3]; 5] = [
+    ["service.hits.published.icmp", "service.hits.cleaned.icmp", "service.anomaly.icmp"],
+    ["service.hits.published.tcp443", "service.hits.cleaned.tcp443", "service.anomaly.tcp443"],
+    ["service.hits.published.tcp80", "service.hits.cleaned.tcp80", "service.anomaly.tcp80"],
+    ["service.hits.published.udp443", "service.hits.cleaned.udp443", "service.anomaly.udp443"],
+    ["service.hits.published.udp53", "service.hits.cleaned.udp53", "service.anomaly.udp53"],
+];
+
+/// One week's rotating traceroute sample, ascending by address. The PRF
+/// filter admits roughly `cap · stride` of the input; the cap then keeps
+/// the `cap` *lowest draws*, a fresh pseudo-random cross-section each
+/// week. Ranking by the draw rather than by address is what makes the
+/// sample actually rotate: cutting a sorted-by-address candidate list at
+/// `cap` — as this service once did — handed the numerically lowest
+/// addresses a permanent seat, and with `stride == 1` returned the
+/// identical set every single week. Ties break by address, so the result
+/// is deterministic at any HashSet iteration order.
+///
+/// The draw chooses and the address orders: nothing a traceroute finds or
+/// counts depends on the order of its targets, and neighbours in address
+/// order share the BGP table's cache lines ([`Internet::trace_tails`]).
 fn traceroute_sample(input: &AddrHashSet, cap: usize, week: u64) -> Vec<Addr> {
-    let stride = (input.len() / cap.max(1)).max(1) as u64;
+    let stride = MultipleOf::new((input.len() / cap.max(1)).max(1) as u64);
+    let draws = prf::Keyed::new(0x7ace, week);
     let mut ranked: Vec<(u64, Addr)> = input
         .iter()
         .filter_map(|a| {
-            let draw = prf::prf_u128(0x7ace, a.0, week);
-            draw.is_multiple_of(stride).then_some((draw, *a))
+            let draw = draws.draw(a.0);
+            stride.divides(draw).then_some((draw, *a))
         })
         .collect();
-    ranked.sort_unstable();
-    ranked.truncate(cap);
-    ranked.into_iter().map(|(_, a)| a).collect()
+    if cap < ranked.len() {
+        ranked.select_nth_unstable(cap);
+        ranked.truncate(cap);
+    }
+    let mut sample: Vec<Addr> = ranked.into_iter().map(|(_, a)| a).collect();
+    sample.sort_unstable();
+    sample
+}
+
+/// `n % d == 0` for one divisor and many `n`, without dividing: `d` is
+/// `odd · 2^k`, multiplying by the inverse of `odd` modulo 2^64 sends its
+/// multiples — and nothing else — onto `0..=u64::MAX / odd`, and rotating
+/// the low `k` bits to the top leaves a value that small only if they
+/// were zero (Granlund and Montgomery 1994; Lemire, Kaser and Kurz 2019).
+#[derive(Debug, Clone, Copy)]
+struct MultipleOf {
+    odd_inverse: u64,
+    twos: u32,
+    largest_quotient: u64,
+}
+
+impl MultipleOf {
+    /// The test for multiples of `d`, which must not be zero.
+    fn new(d: u64) -> MultipleOf {
+        assert!(d > 0, "zero divisor");
+        let twos = d.trailing_zeros();
+        let odd = d >> twos;
+        // Newton's iteration doubles the correct low bits: 3, 6, … 96.
+        let mut odd_inverse = odd;
+        for _ in 0..5 {
+            odd_inverse =
+                odd_inverse.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(odd_inverse)));
+        }
+        MultipleOf { odd_inverse, twos, largest_quotient: u64::MAX / d }
+    }
+
+    #[inline]
+    fn divides(self, n: u64) -> bool {
+        n.wrapping_mul(self.odd_inverse).rotate_right(self.twos) <= self.largest_quotient
+    }
 }
 
 #[cfg(test)]
@@ -1171,6 +1232,111 @@ mod tests {
         let mut traced = traceroute_sample(&tiny, cap, 3);
         traced.sort_unstable();
         assert_eq!(traced, all[..10].to_vec());
+    }
+
+    /// `traceroute_sample` as it read before: a remainder per address, and
+    /// every admitted draw sorted to keep the lowest `cap`.
+    fn traceroute_sample_by_sorting(input: &AddrHashSet, cap: usize, week: u64) -> Vec<Addr> {
+        let stride = (input.len() / cap.max(1)).max(1) as u64;
+        let mut ranked: Vec<(u64, Addr)> = input
+            .iter()
+            .filter_map(|a| {
+                let draw = prf::prf_u128(0x7ace, a.0, week);
+                draw.is_multiple_of(stride).then_some((draw, *a))
+            })
+            .collect();
+        ranked.sort_unstable();
+        ranked.truncate(cap);
+        ranked.into_iter().map(|(_, a)| a).collect()
+    }
+
+    #[test]
+    fn traceroute_sample_is_the_sorted_formula_as_a_set() {
+        let mut rng = prf::PrfStream::new(0x5a3b1e, 0, 0);
+        let mut addrs = |n: usize| -> AddrHashSet {
+            (0..n)
+                .map(|_| Addr(u128::from(rng.next_u64() % 64) << 64 | u128::from(rng.next_u64())))
+                .collect()
+        };
+        // Strides of one, odd, a power of two and mixed; a cap of nothing,
+        // a cap no filter fills, and an input smaller than the cap.
+        let shapes = [1usize, 2, 3, 4, 6, 7, 8, 9, 12, 40]
+            .map(|stride| (50, 50 * stride + 13))
+            .into_iter()
+            .chain([(0, 300), (1, 97), (300, 301), (300, 299), (1000, 300), (7, 0)]);
+        let mut filled = 0;
+        for (cap, len) in shapes {
+            let input = addrs(len);
+            for week in 0..6 {
+                let sample = traceroute_sample(&input, cap, week);
+                assert!(sample.is_sorted(), "cap {cap} of {len}, week {week}: ascending");
+                let mut expected = traceroute_sample_by_sorting(&input, cap, week);
+                expected.sort_unstable();
+                assert_eq!(sample, expected, "cap {cap} of {len}, week {week}");
+                filled += usize::from(cap > 0 && sample.len() == cap);
+            }
+        }
+        assert!(filled >= 20, "the cap cut {filled} samples");
+    }
+
+    #[test]
+    fn multiple_of_is_the_remainder_test() {
+        let mut rng = prf::PrfStream::new(0xd1f1de, 0, 0);
+        let fixed = [1, 2, 3, 5, 6, 7, 8, 12, 96, 1000, 1 << 32, 1 << 63, u64::MAX, u64::MAX - 1];
+        let drawn: Vec<u64> = (0..200)
+            .map(|i| match i % 4 {
+                // Odd, a power of two, mixed and small.
+                0 => rng.next_u64() | 1,
+                1 => 1 << rng.next_bounded(64),
+                2 => (rng.next_u64() >> rng.next_bounded(60)).max(1) << rng.next_bounded(4),
+                _ => 1 + rng.next_bounded(5000),
+            })
+            .collect();
+        for d in fixed.into_iter().chain(drawn) {
+            let test = MultipleOf::new(d);
+            // The ends, and every neighbour of the first and the last
+            // multiples and of a few between.
+            let mut quotients = vec![0, 1, 2, u64::MAX / d - 1, u64::MAX / d];
+            quotients.extend((0..8).map(|_| rng.next_bounded(u64::MAX / d) + 1));
+            let around = quotients
+                .into_iter()
+                .filter_map(|q| q.checked_mul(d))
+                .flat_map(|m| [m.checked_sub(1), Some(m), m.checked_add(1)]);
+            let anywhere: Vec<u64> = (0..32).map(|_| rng.next_u64()).collect();
+            let mut multiples = 0;
+            for n in around.flatten().chain([0, u64::MAX]).chain(anywhere) {
+                assert_eq!(test.divides(n), n.is_multiple_of(d), "{n} by {d}");
+                multiples += u32::from(n.is_multiple_of(d));
+            }
+            assert!(multiples >= 6, "{d}: {multiples} multiples asked about");
+        }
+    }
+
+    #[test]
+    fn metric_name_tables_spell_the_families_out() {
+        for (i, proto) in Protocol::ALL.into_iter().enumerate() {
+            let key = sixdust_scan::proto_metric_key(proto);
+            let expected = [
+                format!("service.hits.published.{key}"),
+                format!("service.hits.cleaned.{key}"),
+                format!("service.anomaly.{key}"),
+            ];
+            assert_eq!(PROTO_COUNTERS[i].map(str::to_string), expected);
+        }
+        let phases = [
+            (Phase::Ingest, "ingest"),
+            (Phase::Alias, "alias"),
+            (Phase::Select, "select"),
+            (Phase::Scan, "scan"),
+            (Phase::Gfw, "gfw"),
+            (Phase::Traceroute, "traceroute"),
+            (Phase::Churn, "churn"),
+        ];
+        assert_eq!(phases.len(), Phase::HISTOGRAMS.len());
+        for (phase, name) in phases {
+            let expected = format!("service.round.phase.{name}_ms");
+            assert_eq!(Phase::HISTOGRAMS[phase as usize], expected);
+        }
     }
 
     #[test]
@@ -1387,6 +1553,39 @@ mod tests {
             crate::ServiceState::capture(&uninterrupted),
             "resumed mid-week against a freshly built Internet"
         );
+    }
+
+    #[test]
+    fn traceroute_offers_every_answered_expiry() {
+        let net = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
+        let day = Day(30);
+        let cfg = ServiceConfig::default().with_traceroute_cap(150);
+        let registry = Registry::new();
+        let mut svc = HitlistService::new(cfg).with_telemetry(registry.clone());
+        let input: AddrHashSet = net
+            .population()
+            .enumerate_responsive(day)
+            .into_iter()
+            .map(|(a, ..)| a)
+            .take(400)
+            .collect();
+        svc.input = input.clone();
+        // Sent one by one: every expiry an interface answers is an offer,
+        // however many paths share the interface.
+        let probe = ProbeKind::IcmpEcho { size: 16 };
+        let mut answered = 0;
+        for dst in traceroute_sample(&input, 150, u64::from(day.0 / 7)) {
+            let path_len = net.path_len(dst);
+            for ttl in path_len - 3..path_len {
+                answered += u64::from(net.probe_ttl(dst, ttl, &probe, day).is_some());
+            }
+        }
+        svc.traceroute(&net, day);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("service.traceroute.offered"), Some(answered));
+        let new = (svc.input.len() - input.len()) as u64;
+        assert_eq!(snap.counter("service.traceroute.new"), Some(new));
+        assert!(0 < new && new < answered, "{new} new interfaces of {answered} offered");
     }
 
     #[test]

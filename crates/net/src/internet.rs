@@ -16,9 +16,10 @@
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use sixdust_addr::{prf, Addr};
+use sixdust_addr::{prf, Addr, AddrBuildHasher};
 use sixdust_telemetry::{Counter, Registry};
 use sixdust_wire::dns::{DnsMessage, Rcode, Rdata, Record};
 use sixdust_wire::icmpv6::Icmpv6;
@@ -136,24 +137,50 @@ pub struct Internet {
     transit: Option<AsId>,
 }
 
-/// A destination's route as far as it does not depend on the hop: what
-/// [`Internet::route`] resolves once so that the hop-limited probes of
-/// one traceroute ([`Internet::probe_ttl_on`]) share it.
-#[derive(Debug, Clone, Copy)]
-pub struct Route<'a> {
+/// A destination's path on one day as far as no hop changes it: what
+/// [`HopWalk::path`] resolves once for every hop-limited probe toward it.
+struct HopPath<'a> {
     dst: Addr,
+    /// Hops from the vantage point to `dst`, which is hop `path_len`.
     path_len: u8,
     /// The router pool of the destination's origin AS (the last hops).
     own: Option<&'a RouterPool>,
+    /// An outage window silences the probes: the path is down or their
+    /// protocol is blacked out.
+    silenced: bool,
+    /// The loss rate of the probes' protocol toward `dst`, in permille.
+    loss_permille: u32,
 }
 
-impl Route<'_> {
-    /// Number of hops from the vantage point to the destination (the
-    /// destination is hop `path_len`).
-    pub fn path_len(&self) -> u8 {
-        self.path_len
-    }
+/// What the hop-limited probes of one call share — one
+/// [`Internet::probe_ttl`] or every traceroute of a round
+/// ([`Internet::trace_tails`]): the protocol's fault state on the day, the
+/// two router pools every path crosses, the interfaces resolved so far and
+/// the counts, which [`HopWalk::finish`] adds to the shared counters.
+struct HopWalk<'a> {
+    net: &'a Internet,
+    day: Day,
+    proto_down: bool,
+    proto_drop_permille: u32,
+    /// The source vantage's pool: hop 1.
+    first: Option<&'a RouterPool>,
+    /// Hops 2 and 3, and the last hops of an origin AS that owns no pool.
+    transit: Option<&'a RouterPool>,
+    /// The slot draw and the loss draw with the hop limit mixed in, for
+    /// every hop limit that can expire on a path.
+    slot_draws: [prf::Keyed; MAX_PATH_LEN],
+    loss_draws: [prf::Keyed; MAX_PATH_LEN],
+    /// The last BGP match: the addresses it holds for, and the origin
+    /// ([`AsRegistry::origin_span`]). Neighbours in address order share it.
+    origin_span: (RangeInclusive<Addr>, Option<AsId>),
+    /// `(owner AS, slot) -> (interface, whether it has answered)`:
+    /// [`RouterPool::hop_addr`] is a pure function, computed once a slot.
+    interfaces: HashMap<u128, (Addr, bool), AddrBuildHasher>,
+    tally: ProbeTally,
 }
+
+/// The longest path: [`Internet::path_len`] is five to eight hops.
+const MAX_PATH_LEN: usize = 8;
 
 /// A destination on one day as far as it does not depend on the probe:
 /// what [`Internet::resolve`] works out once so that the probes of
@@ -179,18 +206,24 @@ pub struct ResolvedTarget {
     host: Option<HostView>,
 }
 
-/// What the end-to-end probes of one task counted. A scan worker keeps
-/// one beside its loop and adds it to the shared [`NetCounters`] once
-/// ([`NetCounters::add`]) instead of bumping an atomic per probe.
+/// What the probes of one task counted. A scan worker or a round's
+/// traceroutes keep one beside their loop and add it to the shared
+/// [`NetCounters`] once ([`NetCounters::add`]) instead of bumping an
+/// atomic per probe.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeTally {
-    /// Probes sent ([`NetCounters::probes`]).
+    /// End-to-end probes sent ([`NetCounters::probes`]).
     probes: u64,
+    /// Hop-limited probes sent ([`NetCounters::ttl_probes`]).
+    ttl_probes: u64,
     /// Probes silenced by loss or an outage window
     /// ([`NetCounters::faults_dropped`]).
     dropped: u64,
     /// Responses delivered twice ([`NetCounters::faults_duplicated`]).
     duplicated: u64,
+    /// Hop-limit expiries a router's ICMPv6 budget left unanswered
+    /// ([`NetCounters::faults_rate_limited`]).
+    rate_limited: u64,
     /// DNS queries filtered on egress
     /// ([`NetCounters::gfw_egress_filtered`]).
     gfw_egress_filtered: u64,
@@ -243,8 +276,10 @@ impl NetCounters {
     pub fn add(&self, tally: &ProbeTally) {
         for (counter, n) in [
             (&self.probes, tally.probes),
+            (&self.ttl_probes, tally.ttl_probes),
             (&self.faults_dropped, tally.dropped),
             (&self.faults_duplicated, tally.duplicated),
+            (&self.faults_rate_limited, tally.rate_limited),
             (&self.gfw_egress_filtered, tally.gfw_egress_filtered),
         ] {
             if n > 0 {
@@ -432,30 +467,18 @@ impl Internet {
         self.faults.loss_permille(self.fault_seed(), dst, None, origin_asn, day)
     }
 
-    /// The loss coin of one probe, in `0..1000`: the probe is lost when
-    /// it falls below the loss rate in permille.
+    /// The loss coins of one day under one salt, keyed for many
+    /// destinations ([`loss_coin`]).
     #[inline]
-    fn loss_draw(&self, dst: Addr, day: Day, salt: u64) -> u32 {
-        (prf::prf_u128(self.fault_seed() ^ salt, dst.0, 0x10_55 ^ u64::from(day.0)) % 1000) as u32
+    fn loss_draws(&self, day: Day, salt: u64) -> prf::Keyed {
+        prf::Keyed::new(self.fault_seed() ^ salt, 0x10_55 ^ u64::from(day.0))
     }
 
-    /// Whether an outage window silences a hop-limited probe toward
-    /// `dst` on `day` — the path is down or the probe's protocol is
-    /// blacked out.
+    /// Whether an outage window silences a wire packet toward `dst` on
+    /// `day` — the path is down or the probe's protocol is blacked out.
     fn outage_silenced(&self, dst: Addr, proto: Protocol, day: Day) -> bool {
         !self.faults.outages.is_empty()
             && (self.path_down(dst, day, &OnceCell::new()) || self.faults.proto_down(proto, day))
-    }
-
-    /// Whether a hop-limited probe toward `dst` is lost.
-    fn dropped(&self, dst: Addr, proto: Protocol, day: Day, salt: u64) -> bool {
-        if !self.faults.any_loss() {
-            return false;
-        }
-        let permille = self
-            .shared_loss_permille(dst, day, &OnceCell::new())
-            .max(self.faults.proto_drop_permille(proto));
-        permille > 0 && self.loss_draw(dst, day, salt) < permille
     }
 
     /// Charges one ICMPv6 message against `entity`'s daily budget and
@@ -482,60 +505,38 @@ impl Internet {
         5 + (prf::prf_u128(self.seed, dst.0 >> 80, 0x9A7) % 4) as u8
     }
 
-    /// Resolves the route to `dst`: its length and the origin AS's router
-    /// pool, the one BGP lookup a traceroute needs however many hops it
-    /// probes.
-    pub fn route(&self, dst: Addr) -> Route<'_> {
-        let own = self.registry.origin(dst).and_then(|id| self.population.router_pool_of(id));
-        Route { dst, path_len: self.path_len(dst), own }
-    }
-
     /// The router interface answering at `hop` (1-based, `< path_len`) on
-    /// the way to `dst`.
+    /// the way to `dst`; `Addr(0)` where no router sits.
     pub fn hop_addr(&self, dst: Addr, hop: u8, day: Day) -> Addr {
-        self.hop_on(&self.route(dst), hop, day)
+        let mut walk = self.hop_walk(Protocol::Icmp, day);
+        let path = walk.path(dst);
+        walk.interface(&path, hop).map_or(Addr(0), |(addr, _)| *addr)
     }
 
-    fn hop_on(&self, route: &Route<'_>, hop: u8, day: Day) -> Addr {
-        let dst = route.dst;
-        let vantage_as = self.source_vantage();
-        let transit = self.transit.and_then(|id| self.population.router_pool_of(id));
-        let key = dst.0 >> 80; // route varies per /48-ish block
-        match hop {
-            1 => match self.population.router_pool_of(vantage_as) {
-                Some(pool) => {
-                    pool.hop_addr(prf::prf_u128(self.seed, key, 1) % pool.slots.max(1), day)
-                }
-                None => {
-                    // Vantages registered after the population was built
-                    // own no router pool; synthesize a stable first-hop
-                    // interface inside the vantage's own prefix instead
-                    // of panicking.
-                    self.counters.hops_vantage_fallback.incr();
-                    let base = self.registry.vantage_addr_of(vantage_as);
-                    let iid = 2 + prf::prf_u128(self.seed, key, 0xF4_11) % 14;
-                    Addr((base.0 & (u128::MAX << 64)) | u128::from(iid))
-                }
-            },
-            2 | 3 => match transit {
-                Some(pool) => pool.hop_addr(
-                    prf::prf_u128(self.seed, key, u64::from(hop)) % pool.slots.max(1),
-                    day,
-                ),
-                None => Addr(0),
-            },
-            h => match route.own.or(transit) {
-                Some(pool) => pool.hop_addr(
-                    prf::prf_u128(self.seed, dst.0 >> 64, u64::from(h)) % pool.slots.max(1),
-                    day,
-                ),
-                None => Addr(0),
-            },
+    /// What every hop-limited probe of protocol `proto` on `day` shares.
+    fn hop_walk(&self, proto: Protocol, day: Day) -> HopWalk<'_> {
+        HopWalk {
+            net: self,
+            day,
+            proto_down: self.faults.proto_down(proto, day),
+            proto_drop_permille: self.faults.proto_drop_permille(proto),
+            first: self.population.router_pool_of(self.source_vantage()),
+            transit: self.transit.and_then(|id| self.population.router_pool_of(id)),
+            slot_draws: std::array::from_fn(|hop| prf::Keyed::new(self.seed, hop as u64)),
+            loss_draws: std::array::from_fn(|ttl| self.loss_draws(day, ttl as u64)),
+            // Empty: the first destination asks the table.
+            origin_span: (Addr(1)..=Addr(0), None),
+            interfaces: HashMap::default(),
+            tally: ProbeTally::default(),
         }
     }
 
     /// A probe carrying an explicit hop limit (traceroute). Returns the
     /// single response, if any.
+    ///
+    /// One probe through the steps [`Internet::trace_tails`] takes for
+    /// every hop of every destination, and past the last hop an
+    /// end-to-end [`Internet::probe`].
     pub fn probe_ttl(
         &self,
         dst: Addr,
@@ -543,43 +544,56 @@ impl Internet {
         kind: &ProbeKind,
         day: Day,
     ) -> Option<Response> {
-        self.probe_ttl_on(&self.route(dst), hop_limit, kind, day)
+        let mut walk = self.hop_walk(probe_proto(kind), day);
+        let path = walk.path(dst);
+        let answer = if !walk.send(&path, hop_limit) {
+            None
+        } else if hop_limit < path.path_len {
+            walk.expire(&path, hop_limit).map(|(hop, _)| Response::TimeExceeded { hop })
+        } else {
+            self.probe(dst, kind, day).into_iter().next()
+        };
+        walk.finish();
+        answer
     }
 
-    /// [`Internet::probe_ttl`] toward the destination of an already
-    /// resolved [`Route`].
-    pub fn probe_ttl_on(
+    /// Traceroutes toward every one of `dsts`, each cut down to the last
+    /// `tail` hops before the destination — where the interfaces a hitlist
+    /// does not know yet sit. Returns the interfaces that answered, each
+    /// once and in the order they first did, and the number of expiries
+    /// answered (an interface shared by many paths answers many).
+    ///
+    /// A destination's BGP origin is matched once, for its route and its
+    /// fault state alike; what is left per hop is the loss draw, the slot
+    /// draw and the ICMPv6 budget of the interface, which every expiry
+    /// charges. No result depends on the order of `dsts` (a budget admits
+    /// its first `per_day` expiries whichever they are); ascending
+    /// addresses make the BGP matches cheapest.
+    pub fn trace_tails(
         &self,
-        route: &Route<'_>,
-        hop_limit: u8,
+        dsts: &[Addr],
+        tail: u8,
         kind: &ProbeKind,
         day: Day,
-    ) -> Option<Response> {
-        let dst = route.dst;
-        self.counters.ttl_probes.incr();
-        if self.outage_silenced(dst, probe_proto(kind), day) {
-            self.counters.faults_dropped.incr();
-            return None;
-        }
-        if self.dropped(dst, probe_proto(kind), day, u64::from(hop_limit)) {
-            self.counters.faults_dropped.incr();
-            return None;
-        }
-        if hop_limit < route.path_len {
-            let hop = self.hop_on(route, hop_limit.max(1), day);
-            if hop == Addr(0) {
-                return None;
+    ) -> (Vec<Addr>, u64) {
+        let mut walk = self.hop_walk(probe_proto(kind), day);
+        let (mut hops, mut answered) = (Vec::new(), 0u64);
+        for &dst in dsts {
+            let path = walk.path(dst);
+            for ttl in path.path_len.saturating_sub(tail)..path.path_len {
+                if !walk.send(&path, ttl) {
+                    continue;
+                }
+                if let Some((hop, answered_before)) = walk.expire(&path, ttl) {
+                    answered += 1;
+                    if !answered_before {
+                        hops.push(hop);
+                    }
+                }
             }
-            // Routers rate-limit ICMPv6 error generation (RFC 4443
-            // §2.4f): once an interface's daily budget is spent, further
-            // expiries go unanswered and yarrp sees a gap.
-            if self.icmp_rate_limited(RL_ROUTER, (hop.0 >> 64) as u64 ^ hop.0 as u64, day) {
-                self.counters.faults_rate_limited.incr();
-                return None;
-            }
-            return Some(Response::TimeExceeded { hop });
         }
-        self.probe(dst, kind, day).into_iter().next()
+        walk.finish();
+        (hops, answered)
     }
 
     // ---- end-to-end probes ----------------------------------------------
@@ -632,7 +646,7 @@ impl Internet {
         let (loss_permille, first_draw) = if self.faults.any_loss() {
             (
                 self.shared_loss_permille(dst, day, &origin),
-                self.loss_draw(dst, day, attempt_salt(0)),
+                loss_coin(self.loss_draws(day, attempt_salt(0)), dst),
             )
         } else {
             (0, 0)
@@ -661,7 +675,7 @@ impl Internet {
             && loss_permille
                 > match attempt {
                     0 => target.first_draw,
-                    _ => self.loss_draw(dst, day, attempt_salt(attempt)),
+                    _ => loss_coin(self.loss_draws(day, attempt_salt(attempt)), dst),
                 };
         if target.path_down || self.faults.proto_down(proto, day) || lost {
             tally.dropped += 1;
@@ -937,21 +951,20 @@ impl Internet {
             return Vec::new();
         }
 
-        // Hop-limited probes expire on-path.
-        let plen = self.path_len(dst);
-        if pkt.ipv6.hop_limit < plen {
-            if self.dropped(dst, probe_proto(&kind), day, u64::from(pkt.ipv6.hop_limit)) {
+        // Hop-limited probes expire on-path: one probe of a [`HopWalk`],
+        // counted as the wire packet it is.
+        if pkt.ipv6.hop_limit < self.path_len(dst) {
+            let mut walk = self.hop_walk(probe_proto(&kind), day);
+            let path = walk.path(dst);
+            if walk.lost(&path, pkt.ipv6.hop_limit) {
                 self.counters.faults_dropped.incr();
                 return Vec::new();
             }
-            let hop = self.hop_addr(dst, pkt.ipv6.hop_limit.max(1), day);
-            if hop == Addr(0) {
+            let answer = walk.expire(&path, pkt.ipv6.hop_limit);
+            walk.finish();
+            let Some((hop, _)) = answer else {
                 return Vec::new();
-            }
-            if self.icmp_rate_limited(RL_ROUTER, (hop.0 >> 64) as u64 ^ hop.0 as u64, day) {
-                self.counters.faults_rate_limited.incr();
-                return Vec::new();
-            }
+            };
             let reply = Packet {
                 ipv6: Ipv6Header::new(hop, src, 64),
                 transport: Transport::Icmpv6(Icmpv6::TimeExceeded { orig_dst: dst }),
@@ -1085,6 +1098,111 @@ impl Internet {
     }
 }
 
+impl<'a> HopWalk<'a> {
+    /// Resolves the path to `dst`: one BGP match at most, which finds the
+    /// origin AS's router pool and decides the AS-scoped outages and loss.
+    fn path(&mut self, dst: Addr) -> HopPath<'a> {
+        let net = self.net;
+        if !self.origin_span.0.contains(&dst) {
+            let (origin, last) = net.registry.origin_span(dst);
+            self.origin_span = (dst..=last, origin);
+        }
+        let origin = OnceCell::from(self.origin_span.1);
+        let silenced = !net.faults.outages.is_empty()
+            && (self.proto_down || net.path_down(dst, self.day, &origin));
+        let loss_permille = if net.faults.any_loss() {
+            net.shared_loss_permille(dst, self.day, &origin).max(self.proto_drop_permille)
+        } else {
+            0
+        };
+        let own = origin.into_inner().flatten().and_then(|id| net.population.router_pool_of(id));
+        let path_len = net.path_len(dst);
+        debug_assert!(usize::from(path_len) <= MAX_PATH_LEN);
+        HopPath { dst, path_len, own, silenced, loss_permille }
+    }
+
+    /// Whether a probe toward `path.dst` with hop limit `ttl` is silenced
+    /// by an outage or lost on the way. The loss coin is salted by `ttl`,
+    /// which past every path's length (the probe arrives) has no key made.
+    fn lost(&self, path: &HopPath<'_>, ttl: u8) -> bool {
+        let coin = || {
+            let made = self.loss_draws.get(usize::from(ttl)).copied();
+            loss_coin(made.unwrap_or_else(|| self.net.loss_draws(self.day, ttl.into())), path.dst)
+        };
+        path.silenced || (path.loss_permille > 0 && coin() < path.loss_permille)
+    }
+
+    /// Counts one probe with hop limit `ttl`; false when it is [lost].
+    ///
+    /// [lost]: HopWalk::lost
+    fn send(&mut self, path: &HopPath<'_>, ttl: u8) -> bool {
+        let lost = self.lost(path, ttl);
+        self.tally.ttl_probes += 1;
+        self.tally.dropped += u64::from(lost);
+        !lost
+    }
+
+    /// The router interface at `hop` (1-based, `< path_len`) of the path,
+    /// and whether it has answered in this walk; `None` where no router
+    /// sits.
+    fn interface(&mut self, path: &HopPath<'_>, hop: u8) -> Option<&mut (Addr, bool)> {
+        let (net, day) = (self.net, self.day);
+        // A route varies per /48-ish block up to the transit and per /64
+        // inside the destination's network.
+        let (pool, key) = match hop {
+            1 => (self.first, path.dst.0 >> 80),
+            2 | 3 => (self.transit, path.dst.0 >> 80),
+            _ => (path.own.or(self.transit), path.dst.0 >> 64),
+        };
+        let (owner, slot) = match pool {
+            // No path is long enough for a hop the table has no key for.
+            Some(pool) => {
+                (pool.asid, self.slot_draws.get(usize::from(hop))?.draw(key) % pool.slots.max(1))
+            }
+            // Vantages registered after the population was built own no
+            // router pool; synthesize a stable first-hop interface inside
+            // the vantage's own prefix instead of panicking.
+            None if hop == 1 => {
+                net.counters.hops_vantage_fallback.incr();
+                (net.source_vantage(), 2 + prf::prf_u128(net.seed, key, 0xF4_11) % 14)
+            }
+            None => return None,
+        };
+        let resolved = self.interfaces.entry(u128::from(owner.0) << 64 | u128::from(slot));
+        Some(resolved.or_insert_with(|| {
+            let addr = match pool {
+                Some(pool) => pool.hop_addr(slot, day),
+                None => {
+                    Addr(net.registry.vantage_addr_of(owner).0 & (u128::MAX << 64) | slot as u128)
+                }
+            };
+            (addr, false)
+        }))
+    }
+
+    /// Lets a probe that was not lost expire at hop `ttl` (`< path_len`):
+    /// the interface there and whether it had answered before, or `None`
+    /// where no router sits or its ICMPv6 budget is spent.
+    fn expire(&mut self, path: &HopPath<'_>, ttl: u8) -> Option<(Addr, bool)> {
+        let (net, day) = (self.net, self.day);
+        let interface = self.interface(path, ttl.max(1))?;
+        let hop = interface.0;
+        // Routers rate-limit ICMPv6 error generation (RFC 4443 §2.4f):
+        // once an interface's daily budget is spent, further expiries go
+        // unanswered and yarrp sees a gap. Every expiry charges it.
+        if net.icmp_rate_limited(RL_ROUTER, (hop.0 >> 64) as u64 ^ hop.0 as u64, day) {
+            self.tally.rate_limited += 1;
+            return None;
+        }
+        Some((hop, std::mem::replace(&mut interface.1, true)))
+    }
+
+    /// Adds the walk's counts to the shared counters.
+    fn finish(self) {
+        self.net.counters.add(&self.tally);
+    }
+}
+
 /// Takes one of the simulator's state locks. Every update under them is
 /// a single map or vector operation, so a lock poisoned by a panicking
 /// scan worker is recovered rather than failing every later probe.
@@ -1102,6 +1220,13 @@ fn probe_proto(kind: &ProbeKind) -> Protocol {
         ProbeKind::Dns { .. } => Protocol::Udp53,
         ProbeKind::Quic => Protocol::Udp443,
     }
+}
+
+/// One probe's loss coin, in `0..1000`: the probe is lost when it falls
+/// below the loss rate in permille.
+#[inline]
+fn loss_coin(draws: prf::Keyed, dst: Addr) -> u32 {
+    (draws.draw(dst.0) % 1000) as u32
 }
 
 /// Salts the per-attempt loss coin. Attempt 0 maps to salt 0 so the
@@ -1428,6 +1553,235 @@ mod tests {
         }
     }
 
+    /// `probe_ttl` as it read before the hop-limited probes of a call
+    /// shared a [`HopWalk`]: every probe matches the BGP origin for its
+    /// outage check, again for its loss rate and again for its route,
+    /// resolves its interface anew and bumps the shared counters itself.
+    fn probe_ttl_one_by_one(
+        net: &Internet,
+        dst: Addr,
+        hop_limit: u8,
+        kind: &ProbeKind,
+        day: Day,
+    ) -> Option<Response> {
+        let proto = probe_proto(kind);
+        net.counters.ttl_probes.incr();
+        let silenced = !net.faults.outages.is_empty()
+            && (net.path_down(dst, day, &OnceCell::new()) || net.faults.proto_down(proto, day));
+        let lost = net.faults.any_loss() && {
+            let permille = net
+                .shared_loss_permille(dst, day, &OnceCell::new())
+                .max(net.faults.proto_drop_permille(proto));
+            let tag = 0x10_55 ^ u64::from(day.0);
+            let draw = prf::prf_u128(net.fault_seed() ^ u64::from(hop_limit), dst.0, tag) % 1000;
+            draw < u64::from(permille)
+        };
+        if silenced || lost {
+            net.counters.faults_dropped.incr();
+            return None;
+        }
+        if hop_limit >= net.path_len(dst) {
+            return net.probe(dst, kind, day).into_iter().next();
+        }
+        let first_hop = hop_limit <= 1;
+        if first_hop && net.population.router_pool_of(net.source_vantage()).is_none() {
+            net.counters.hops_vantage_fallback.incr();
+        }
+        let hop = hop_addr_by_search(net, dst, hop_limit.max(1), day);
+        if hop == Addr(0) {
+            return None;
+        }
+        if net.icmp_rate_limited(RL_ROUTER, (hop.0 >> 64) as u64 ^ hop.0 as u64, day) {
+            net.counters.faults_rate_limited.incr();
+            return None;
+        }
+        Some(Response::TimeExceeded { hop })
+    }
+
+    /// What a batch of traceroutes leaves behind, however it was sent: the
+    /// interfaces that answered, how many expiries they answered, and
+    /// what the simulator counted.
+    #[derive(Debug, PartialEq)]
+    struct Traced {
+        hops: Vec<Addr>,
+        answered: u64,
+        counted: [u64; 5],
+    }
+
+    /// Runs `trace` on a simulator with fresh ICMPv6 budgets and reads
+    /// the counters' growth.
+    fn traced(net: &Internet, trace: impl FnOnce() -> (Vec<Addr>, u64)) -> Traced {
+        let counted = || {
+            let c = net.counters();
+            [
+                &c.ttl_probes,
+                &c.faults_dropped,
+                &c.faults_rate_limited,
+                &c.hops_vantage_fallback,
+                &c.probes,
+            ]
+            .map(Counter::get)
+        };
+        net.reset_state();
+        let before = counted();
+        let (mut hops, answered) = trace();
+        let after = counted();
+        hops.sort_unstable();
+        Traced { hops, answered, counted: std::array::from_fn(|i| after[i] - before[i]) }
+    }
+
+    #[test]
+    fn a_walk_of_tails_is_the_probes_sent_one_by_one() {
+        use crate::faults::{GilbertElliott, IcmpRateLimit, Outage};
+        let probe = ProbeKind::IcmpEcho { size: 16 };
+        let day = Day(400);
+        let plain = net();
+        let mut dsts: Vec<Addr> = plain
+            .population()
+            .enumerate_responsive(day)
+            .into_iter()
+            .step_by(7)
+            .map(|(a, ..)| a)
+            .chain(every_target_class(&plain, day))
+            .collect();
+        dsts.sort_unstable();
+        dsts.dedup();
+        let in_address_order = dsts.clone();
+        let mut in_draw_order = dsts;
+        in_draw_order.sort_by_key(|a| prf::prf_u128(0x7ace, a.0, 57));
+        // An AS that originates a good share of the destinations.
+        let busy = {
+            let registry = plain.registry();
+            let asn_of = |a: &Addr| registry.origin(*a).map(|id| registry.get(id).asn);
+            let asns: Vec<u32> = in_address_order.iter().filter_map(asn_of).collect();
+            *asns.iter().max_by_key(|asn| asns.iter().filter(|a| a == asn).count()).unwrap()
+        };
+        let late_asn = 64_999;
+        let bursts = GilbertElliott {
+            mean_good_days: 3,
+            mean_bad_days: 3,
+            good_drop_permille: 20,
+            bad_drop_permille: 600,
+        };
+        let window = |scope: fn(Day, Day) -> Outage| scope(day, day.plus(1));
+        let lossless = FaultConfig::lossless;
+        let plans: Vec<(&str, FaultConfig)> = vec![
+            ("lossless", lossless()),
+            ("base loss", lossless().with_seed(3).with_drop_permille(150)),
+            ("bursts", lossless().with_seed(5).with_drop_permille(10).with_burst(bursts)),
+            ("as and protocol loss", {
+                lossless().with_as_drop(busy, 700).with_proto_drop(Protocol::Icmp, 90)
+            }),
+            ("every vantage down", lossless().with_outage(window(Outage::vantage))),
+            ("late vantage down", {
+                lossless().with_outage(Outage::vantage_asn(late_asn, day, day.plus(1)))
+            }),
+            ("origin withdrawn", {
+                lossless().with_drop_permille(100).with_outage(Outage::asn(busy, day, day.plus(1)))
+            }),
+            ("icmp blacked out", {
+                lossless().with_outage(Outage::protocol(Protocol::Icmp, day, day.plus(1)))
+            }),
+            ("another day's outage", {
+                lossless().with_outage(Outage::protocol(Protocol::Icmp, day.plus(1), day.plus(2)))
+            }),
+            ("tcp blacked out", {
+                lossless().with_outage(Outage::protocol(Protocol::Tcp80, day, day.plus(1)))
+            }),
+        ]
+        .into_iter()
+        .chain([0u32, 1, 3].map(|per_day| {
+            let limited =
+                lossless().with_drop_permille(50).with_icmp_rate_limit(IcmpRateLimit { per_day });
+            ("rate limit", limited)
+        }))
+        .collect();
+
+        let mut seen = [false; 5];
+        for (name, faults) in plans {
+            for late in [false, true] {
+                // A vantage registered after the build owns no router
+                // pool: its first hop is synthesised.
+                let mut net = Internet::build(Scale::tiny());
+                let late_vantage = net.register_vantage(late_asn, "late vantage", "ZZ");
+                let mut net = net.with_faults(faults.clone());
+                if late {
+                    net = net.with_source_vantage(late_vantage);
+                }
+                // The service's three last hops, and whole paths: hop 1,
+                // and a hop limit of zero, which expires there too.
+                for tail in [3u8, u8::MAX] {
+                    let one_by_one = |dsts: &[Addr]| {
+                        traced(&net, || {
+                            let mut hops = Vec::new();
+                            let mut answered = 0;
+                            for &dst in dsts {
+                                let path_len = net.path_len(dst);
+                                for ttl in path_len.saturating_sub(tail)..path_len {
+                                    match probe_ttl_one_by_one(&net, dst, ttl, &probe, day) {
+                                        Some(Response::TimeExceeded { hop }) => {
+                                            answered += 1;
+                                            hops.push(hop);
+                                        }
+                                        Some(other) => panic!("{other:?} before the last hop"),
+                                        None => {}
+                                    }
+                                }
+                            }
+                            hops.sort_unstable();
+                            hops.dedup();
+                            (hops, answered)
+                        })
+                    };
+                    let walked = |dsts: &[Addr]| {
+                        let (hops, answered) = net.trace_tails(dsts, tail, &probe, day);
+                        let mut distinct = hops.clone();
+                        distinct.sort_unstable();
+                        distinct.dedup();
+                        assert_eq!(distinct.len(), hops.len(), "{name}: a hop reported twice");
+                        (hops, answered)
+                    };
+                    let expected = one_by_one(&in_draw_order);
+                    let case = format!("{name}, late vantage {late}, tail {tail}");
+                    // No budget, draw or count depends on the order.
+                    assert_eq!(one_by_one(&in_address_order), expected, "{case}");
+                    assert_eq!(traced(&net, || walked(&in_draw_order)), expected, "{case}");
+                    assert_eq!(traced(&net, || walked(&in_address_order)), expected, "{case}");
+                    let [sent, dropped, rate_limited, fallback, end_to_end] = expected.counted;
+                    assert!(sent >= 3 * in_address_order.len() as u64, "{case}: {sent} sent");
+                    assert_eq!(end_to_end, 0, "{case}: no hop limit reaches a destination");
+                    assert!(fallback == 0 || (late && tail == u8::MAX), "{case}: {fallback}");
+                    seen[4] |= fallback > 0;
+                    seen[0] |= dropped > 0 && dropped < sent;
+                    seen[1] |= dropped == sent;
+                    seen[2] |= rate_limited > 0 && expected.answered > 0;
+                    seen[3] |= rate_limited > 0 && expected.answered == 0;
+                }
+
+                // One probe at a time, past the last hop too: a hop limit
+                // that reaches the destination is an end-to-end probe.
+                let single = |send: &dyn Fn(Addr, u8) -> Option<Response>| {
+                    let mut answers = Vec::new();
+                    let sent = traced(&net, || {
+                        for &dst in in_draw_order.iter().step_by(5) {
+                            for ttl in 0..net.path_len(dst) + 2 {
+                                answers.push(send(dst, ttl));
+                            }
+                        }
+                        (Vec::new(), 0)
+                    });
+                    (answers, sent.counted)
+                };
+                assert_eq!(
+                    single(&|dst, ttl| net.probe_ttl(dst, ttl, &probe, day)),
+                    single(&|dst, ttl| probe_ttl_one_by_one(&net, dst, ttl, &probe, day)),
+                    "{name}, late vantage {late}: single probes"
+                );
+            }
+        }
+        assert_eq!(seen, [true; 5], "loss, silence, budgets spent and absent, a made-up hop");
+    }
+
     #[test]
     fn resolved_routes_answer_with_the_same_hops() {
         let probe = ProbeKind::IcmpEcho { size: 16 };
@@ -1445,14 +1799,12 @@ mod tests {
                 .collect();
             let mut hops = 0u64;
             for &dst in &dsts {
-                let route = net.route(dst);
-                assert_eq!(route.path_len(), net.path_len(dst));
-                for ttl in 1..route.path_len() {
+                for ttl in 1..net.path_len(dst) {
                     let expected = hop_addr_by_search(&net, dst, ttl, day);
                     assert_eq!(net.hop_addr(dst, ttl, day), expected, "{dst} hop {ttl}");
                     let answer =
                         (expected != Addr(0)).then_some(Response::TimeExceeded { hop: expected });
-                    assert_eq!(net.probe_ttl_on(&route, ttl, &probe, day), answer);
+                    assert_eq!(probe_ttl_one_by_one(&net, dst, ttl, &probe, day), answer);
                     assert_eq!(net.probe_ttl(dst, ttl, &probe, day), answer);
                     hops += 1;
                 }
@@ -1460,7 +1812,7 @@ mod tests {
             assert!(hops > 1000, "{hops} hops compared");
             assert_eq!(net.counters().ttl_probes.get(), 2 * hops, "one count per TTL probe");
             // Hop 1 from a vantage without a pool: once per `hop_addr`,
-            // `probe_ttl_on` and `probe_ttl` above, as before.
+            // `probe_ttl_one_by_one` and `probe_ttl` above, as before.
             let fallback = net.counters().hops_vantage_fallback.get();
             let pool = net.population().router_pool_of(net.source_vantage());
             assert_eq!(fallback, if pool.is_some() { 0 } else { 3 * dsts.len() as u64 });

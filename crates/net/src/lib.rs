@@ -49,7 +49,7 @@ pub mod time;
 pub mod zones;
 
 pub use faults::{FaultConfig, GilbertElliott, IcmpRateLimit, Outage, OutageScope};
-pub use internet::{Internet, NetCounters, ProbeKind, ProbeTally, ResolvedTarget, Response, Route};
+pub use internet::{Internet, NetCounters, ProbeKind, ProbeTally, ResolvedTarget, Response};
 pub use population::{GroupId, GroupKind, HostView, Population, SubnetGroup};
 pub use proto::{ProtoSet, Protocol};
 pub use registry::{AsCategory, AsId, AsInfo, AsRegistry, BackendMode};

@@ -420,6 +420,13 @@ impl AsRegistry {
         self.bgp.lookup_value(addr).copied()
     }
 
+    /// [`AsRegistry::origin`], and the last address up to which the origin
+    /// stays the same BGP match ([`PrefixTrie::lookup_span`]).
+    pub fn origin_span(&self, addr: Addr) -> (Option<AsId>, Addr) {
+        let (origin, last) = self.bgp.lookup_span(addr);
+        (origin.copied(), last)
+    }
+
     /// The matched announced prefix for an address.
     pub fn origin_prefix(&self, addr: Addr) -> Option<(AsId, Prefix)> {
         self.bgp.lookup(addr).map(|(id, p)| (*id, p))

@@ -3,11 +3,32 @@
 #
 #   scripts/verify.sh            # build + tests + clippy + docs
 #   scripts/verify.sh --quick    # build + tests only (fast pre-push check)
+#   scripts/verify.sh --against <parent-binary>
+#                                # full mode, and every workload's ledger equal
+#                                # to the parent commit's on seeds 101-103
+#                                # (scripts/bench_build.sh makes the binary)
 #
 # Nothing here needs a registry or a network: the root workspace depends on
 # nothing outside itself.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+quick=0
+parent=
+while [ "$#" -gt 0 ]; do
+  case $1 in
+    --quick) quick=1 ;;
+    --against)
+      parent=$(realpath "${2:?verify: --against needs a parent benchmark binary}")
+      shift
+      ;;
+    *)
+      sed -n '2,10p' "$0" >&2
+      exit 2
+      ;;
+  esac
+  shift
+done
 
 echo "== grep gate: no Vec<u128> in public signatures outside crates/addr"
 # AddrSet is the only address-set currency at crate boundaries; a public
@@ -142,7 +163,12 @@ grep -Eq "flash crowd: [1-9][0-9]* arrivals" "$flash_dir/a.log" \
 grep "serve day:" "$flash_dir/a.log"
 grep "flash crowd:" "$flash_dir/a.log"
 
-if [ "${1:-}" != "--quick" ]; then
+if [ "$quick" = 0 ]; then
+  if [ -n "$parent" ]; then
+    echo "== ledgers on seeds the change was not written against: equal to the parent's"
+    scripts/check_ledgers.sh --against "$parent"
+  fi
+
   echo "== cargo test --release -q --offline (arithmetic and assertions under optimisation)"
   cargo test --release -q --offline
 
