@@ -1,155 +1,97 @@
-//! [`AddrSet`] — the chunked address-set type every crate boundary
-//! speaks.
+//! [`AddrSet`] — the address-set type every crate boundary speaks.
 //!
 //! The paper's pipeline tracked hundreds of millions of candidates (134 M
-//! GFW-polluted addresses alone); a flat sorted `Vec<u128>` spends 16
-//! bytes per address no matter how clustered the population is, and leaks
-//! that representation into every API that touches a set. `AddrSet`
-//! buckets addresses by their top 32 bits (the routing /32) into chunks,
-//! roaring-bitmap style, and picks each chunk's representation by
-//! density:
+//! GFW-polluted addresses alone), and hitlist addresses cluster by /64: the
+//! sets of the four-year service hold two to three members for every
+//! distinct /64 among them. A flat sorted `Vec<u128>` spends 16 bytes
+//! on every member and repeats its /64 in each. `AddrSet` stores each /64
+//! once, in three columns:
 //!
-//! * **sorted block** — a sorted, deduplicated `Vec<u128>`; the sparse
-//!   default, merged with the same linear kernels the round hot path has
-//!   always used.
-//! * **bitmap** — a base offset plus a `u64` bit array; chosen exactly
-//!   when it is no larger than the sorted block it replaces, which makes
-//!   the representation a pure function of the chunk's *content*. Two
-//!   sets holding the same addresses are structurally identical no matter
-//!   how they were built, so `PartialEq` derives and snapshots stay
-//!   byte-stable.
+//! * `keys` — the distinct /64s (the members' high 64 bits), ascending;
+//! * `ends` — where each key's run ends in `lows`, a `u32`;
+//! * `lows` — the members' low 64 bits, ascending within each run.
 //!
-//! Iteration is ascending and streaming (chunk by chunk, never
-//! materializing the whole set), identical to the order a normalized
-//! `Vec<u128>` would give. The JSON form is the same plain sequence of
-//! integers a `Vec<Addr>` writes, so existing checkpoints and manifests
-//! parse unchanged.
+//! A member costs 8 bytes and a /64 12, and every kernel builds its output
+//! at its exact size, so a set holds `size_of::<AddrSet>() + 12 × runs +
+//! 8 × members` bytes. There is one representation: equal content is equal
+//! columns, so `PartialEq` derives and snapshots stay byte-stable.
+//!
+//! Every kernel is a merge over keys. A stretch of runs only one side holds
+//! is found by galloping and copied whole; where the keys meet, the two
+//! runs' lows go through the linear kernels of `sorted`.
+//!
+//! Iteration is ascending and streaming, identical to the order a
+//! normalized `Vec<u128>` would give. The JSON form is the same plain
+//! sequence of integers a `Vec<Addr>` writes, so existing checkpoints and
+//! manifests parse unchanged.
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 use sixdust_json::{Error, FromJson, ToJson, Value};
 
 use crate::sorted;
 use crate::Addr;
 
-/// A chunk's bucket key: the top 32 bits of the address (its /32).
-fn key_of(value: u128) -> u32 {
-    (value >> 96) as u32
+/// A value's run key: its high 64 bits, the /64 it lies in.
+fn key_of(value: u128) -> u64 {
+    (value >> 64) as u64
 }
 
-/// Per-chunk payload. The variant is canonical: [`ChunkData::from_vec`]
-/// picks the bitmap exactly when its backing array is no larger than the
-/// sorted block, so equal content always yields equal structure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum ChunkData {
-    /// Sorted, deduplicated values (full 128-bit form).
-    Sorted(Vec<u128>),
-    /// Dense range: bit `i` set means `base + i` is a member.
-    Bitmap {
-        /// The lowest member; bit 0 of `words[0]`.
-        base: u128,
-        /// The bit array, little-endian within each word.
-        words: Vec<u64>,
-    },
+/// A run end at `len` members; a set holds fewer than 2³² of them.
+fn end_at(len: usize) -> u32 {
+    u32::try_from(len).expect("an AddrSet holds fewer than 2^32 members")
 }
 
-impl ChunkData {
-    /// The bitmap form of a sorted, deduplicated, non-empty value list,
-    /// when that is its canonical representation.
-    fn bitmap_of(values: &[u128]) -> Option<ChunkData> {
-        debug_assert!(!values.is_empty());
-        debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
-        let base = values[0];
-        let span = values[values.len() - 1] - base + 1;
-        // Bitmap bytes = ceil(span/64)·8; sorted bytes = n·16. The bitmap
-        // wins exactly when span ≤ 128·n — at least one member per 16
-        // bytes of bit array, the break-even density.
-        if values.len() < 2 || span > 128 * values.len() as u128 {
-            return None;
-        }
-        let mut words = vec![0u64; span.div_ceil(64) as usize];
-        for &v in values {
-            let offset = (v - base) as usize;
-            words[offset / 64] |= 1 << (offset % 64);
-        }
-        Some(ChunkData::Bitmap { base, words })
+/// How many of the ascending `keys` lie below `bound`: doubling probes,
+/// then a binary search inside the last step, so a stretch costs the log
+/// of its own length rather than of the whole column.
+fn count_below(keys: &[u64], bound: u64) -> usize {
+    let mut end = 1;
+    while end < keys.len() && keys[end] < bound {
+        end *= 2;
     }
-
-    /// Builds the canonical representation of a sorted, deduplicated,
-    /// non-empty value list, keeping the vector when the chunk stays a
-    /// sorted block.
-    fn from_vec(values: Vec<u128>) -> ChunkData {
-        ChunkData::bitmap_of(&values).unwrap_or(ChunkData::Sorted(values))
-    }
-
-    /// [`ChunkData::from_vec`] over a borrowed run: a sorted block is one
-    /// exactly sized copy.
-    fn from_slice(values: &[u128]) -> ChunkData {
-        ChunkData::bitmap_of(values).unwrap_or_else(|| ChunkData::Sorted(values.to_vec()))
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            ChunkData::Sorted(v) => v.len(),
-            ChunkData::Bitmap { words, .. } => words.iter().map(|w| w.count_ones() as usize).sum(),
-        }
-    }
-
-    fn contains(&self, value: u128) -> bool {
-        match self {
-            ChunkData::Sorted(v) => v.binary_search(&value).is_ok(),
-            ChunkData::Bitmap { base, words } => {
-                if value < *base {
-                    return false;
-                }
-                let offset = value - base;
-                let word = (offset / 64) as usize;
-                word < words.len() && words[word] & (1 << (offset % 64)) != 0
-            }
-        }
-    }
-
-    /// Appends the chunk's values, ascending, onto `out`.
-    fn extend_into(&self, out: &mut Vec<u128>) {
-        match self {
-            ChunkData::Sorted(v) => out.extend_from_slice(v),
-            ChunkData::Bitmap { base, words } => {
-                for (i, &word) in words.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let bit = bits.trailing_zeros();
-                        out.push(base + (i as u128) * 64 + u128::from(bit));
-                        bits &= bits - 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Heap bytes held by the chunk payload.
-    fn heap_bytes(&self) -> usize {
-        match self {
-            ChunkData::Sorted(v) => v.capacity() * std::mem::size_of::<u128>(),
-            ChunkData::Bitmap { words, .. } => words.capacity() * std::mem::size_of::<u64>(),
-        }
-    }
+    let end = end.min(keys.len());
+    let start = end / 2;
+    start + keys[start..end].partition_point(|&k| k < bound)
 }
 
-/// One /32 bucket of the set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Chunk {
-    key: u32,
-    data: ChunkData,
+/// One step of a merge over two sets' keys.
+enum Step {
+    /// A stretch of runs only the left set holds.
+    Left(Range<usize>),
+    /// A stretch of runs only the right set holds.
+    Right(Range<usize>),
+    /// A key both sets hold: the left run and the right run.
+    Both(usize, usize),
 }
 
-impl Chunk {
-    fn from_vec(key: u32, values: Vec<u128>) -> Chunk {
-        Chunk { key, data: ChunkData::from_vec(values) }
-    }
+/// The steps of a merge of the ascending keys `a` with `b`, in key order.
+fn steps<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = Step> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let step = match (a.get(i), b.get(j)) {
+            (Some(&ka), Some(&kb)) => match ka.cmp(&kb) {
+                Ordering::Less => Step::Left(i..i + count_below(&a[i..], kb)),
+                Ordering::Greater => Step::Right(j..j + count_below(&b[j..], ka)),
+                Ordering::Equal => Step::Both(i, j),
+            },
+            (Some(_), None) => Step::Left(i..a.len()),
+            (None, Some(_)) => Step::Right(j..b.len()),
+            (None, None) => return None,
+        };
+        match &step {
+            Step::Left(runs) => i = runs.end,
+            Step::Right(runs) => j = runs.end,
+            Step::Both(..) => (i, j) = (i + 1, j + 1),
+        }
+        Some(step)
+    })
 }
 
-/// A set of 128-bit addresses, chunked by /32 prefix with per-density
-/// chunk representations: a chunk is a sorted block or, exactly when
-/// that is no larger, a base offset and a bitmap — a function of its
-/// content alone. The address-set currency at every sixdust crate
+/// A set of 128-bit addresses in /64 columns: each distinct /64 once, and
+/// the low 64 bits of its members in one ascending run. A member costs 8
+/// bytes and a /64 12. The address-set currency at every sixdust crate
 /// boundary.
 ///
 /// Deterministic: iteration is ascending, equal content means equal
@@ -165,42 +107,74 @@ impl Chunk {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AddrSet {
-    chunks: Vec<Chunk>,
-    len: usize,
+    /// The distinct /64s, ascending.
+    keys: Vec<u64>,
+    /// Where each key's run ends in `lows`; a run starts where the one
+    /// before it ends. Strictly increasing: no run is empty.
+    ends: Vec<u32>,
+    /// The members' low halves, ascending within each run.
+    lows: Vec<u64>,
 }
 
 impl AddrSet {
     /// Creates an empty set. `const`, so a `static` empty set costs
     /// nothing.
     pub const fn new() -> AddrSet {
-        AddrSet { chunks: Vec::new(), len: 0 }
+        AddrSet { keys: Vec::new(), ends: Vec::new(), lows: Vec::new() }
+    }
+
+    /// An empty set with room for `runs` runs and `members` members: a
+    /// kernel's output buffer, sized for the most it can hold.
+    fn with_capacity(runs: usize, members: usize) -> AddrSet {
+        AddrSet {
+            keys: Vec::with_capacity(runs),
+            ends: Vec::with_capacity(runs),
+            lows: Vec::with_capacity(members),
+        }
+    }
+
+    /// Drops the spare capacity of a kernel's output, so that what
+    /// [`AddrSet::mem_bytes`] counts is what the set holds.
+    fn shrink_to_fit(&mut self) {
+        self.keys.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.lows.shrink_to_fit();
     }
 
     /// Builds from a sorted, strictly increasing (deduplicated) vector.
     /// This is the zero-comparison fast path used when the caller already
-    /// holds canonical order — debug builds assert it. The input is cut
-    /// into its /32 runs and each chunk is built from its run at its exact
-    /// size; a set inside one /32 keeps the vector it was given.
-    pub fn from_sorted(mut values: Vec<u128>) -> AddrSet {
-        debug_assert!(values.windows(2).all(|w| w[0] < w[1]), "input must be strictly increasing");
-        let len = values.len();
-        let (Some(&first), Some(&last)) = (values.first(), values.last()) else {
-            return AddrSet::new();
+    /// holds canonical order — debug builds assert it. The runs are
+    /// counted first, so each column is allocated once, at its exact size.
+    pub fn from_sorted(values: Vec<u128>) -> AddrSet {
+        AddrSet::from_ascending(values.iter().copied())
+    }
+
+    /// [`AddrSet::from_sorted`] over any strictly increasing values.
+    fn from_ascending(values: impl ExactSizeIterator<Item = u128> + Clone) -> AddrSet {
+        debug_assert!(
+            values.clone().zip(values.clone().skip(1)).all(|(a, b)| a < b),
+            "input must be strictly increasing"
+        );
+        // Fewer than 2^32 members, so every end below fits its `u32`.
+        end_at(values.len());
+        let keys = values.clone().map(key_of);
+        let runs = usize::from(values.len() > 0)
+            + keys.clone().zip(keys.clone().skip(1)).filter(|(a, b)| a != b).count();
+        let mut set = AddrSet {
+            keys: vec![0; runs],
+            ends: vec![0; runs],
+            lows: values.clone().map(|value| value as u64).collect(),
         };
-        if key_of(first) == key_of(last) {
-            values.shrink_to_fit();
-            return AddrSet { chunks: vec![Chunk::from_vec(key_of(first), values)], len };
+        // Every member writes its run's key and end, so the walk does not
+        // branch on where runs start.
+        let (mut run, mut last) = (0, None);
+        for (at, key) in keys.enumerate() {
+            run += usize::from(last != Some(key));
+            last = Some(key);
+            set.keys[run - 1] = key;
+            set.ends[run - 1] = at as u32 + 1;
         }
-        let mut chunks = Vec::new();
-        let mut rest = values.as_slice();
-        while let Some(&head) = rest.first() {
-            let key = key_of(head);
-            let run_len = rest.iter().position(|&v| key_of(v) != key).unwrap_or(rest.len());
-            let (run, tail) = rest.split_at(run_len);
-            chunks.push(Chunk { key, data: ChunkData::from_slice(run) });
-            rest = tail;
-        }
-        AddrSet { chunks, len }
+        set
     }
 
     /// Builds from values in any order, with duplicates allowed.
@@ -212,47 +186,78 @@ impl AddrSet {
     /// Builds from a sorted, strictly increasing slice of [`Addr`]s — the
     /// form the scan merge path produces.
     pub fn from_sorted_addrs(addrs: &[Addr]) -> AddrSet {
-        AddrSet::from_sorted(addrs.iter().map(|a| a.0).collect())
+        AddrSet::from_ascending(addrs.iter().map(|a| a.0))
     }
 
     /// Number of addresses in the set.
     pub fn len(&self) -> usize {
-        self.len
+        self.lows.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.lows.is_empty()
     }
 
-    /// Number of chunks (distinct /32 buckets).
+    /// Number of runs: the distinct /64s the members lie in.
     pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+        self.keys.len()
     }
 
-    /// Number of chunks currently stored as bitmaps (dense buckets).
-    pub fn bitmap_chunk_count(&self) -> usize {
-        self.chunks.iter().filter(|c| matches!(c.data, ChunkData::Bitmap { .. })).count()
-    }
-
-    /// Resident bytes: the struct itself plus all heap the chunks hold.
-    /// This is what the population-scale bench curve tracks.
+    /// Resident bytes: the struct itself plus the heap its three columns
+    /// hold — `12 × runs + 8 × members` for a set a kernel built. This is
+    /// what the population-scale bench curve tracks.
     pub fn mem_bytes(&self) -> usize {
         std::mem::size_of::<AddrSet>()
-            + self.chunks.capacity() * std::mem::size_of::<Chunk>()
-            + self.chunks.iter().map(|c| c.data.heap_bytes()).sum::<usize>()
+            + self.keys.capacity() * std::mem::size_of::<u64>()
+            + self.ends.capacity() * std::mem::size_of::<u32>()
+            + self.lows.capacity() * std::mem::size_of::<u64>()
     }
 
-    fn chunk_index(&self, key: u32) -> Result<usize, usize> {
-        self.chunks.binary_search_by_key(&key, |c| c.key)
+    /// Where run `run` starts in `lows`; `len()` for the run past the last.
+    fn start(&self, run: usize) -> usize {
+        run.checked_sub(1).map_or(0, |before| self.ends[before] as usize)
+    }
+
+    /// The positions in `lows` of the runs `runs`.
+    fn span(&self, runs: Range<usize>) -> Range<usize> {
+        self.start(runs.start)..self.start(runs.end)
+    }
+
+    /// The lows of run `run`.
+    fn run(&self, run: usize) -> &[u64] {
+        &self.lows[self.span(run..run + 1)]
+    }
+
+    /// Appends the runs `runs` of `src`, whose keys all lie above this
+    /// set's last: one copy of their keys, one of their lows, and their
+    /// ends moved to where those lows now lie.
+    fn extend_runs(&mut self, src: &AddrSet, runs: Range<usize>) {
+        let lows = src.span(runs.clone());
+        let shift = end_at(self.lows.len()).wrapping_sub(lows.start as u32);
+        self.lows.extend_from_slice(&src.lows[lows]);
+        // The last end moved fits its `u32`, so the wrapping shift puts
+        // every end where its lows now lie.
+        end_at(self.lows.len());
+        self.ends.extend(src.ends[runs.clone()].iter().map(|&end| end.wrapping_add(shift)));
+        self.keys.extend_from_slice(&src.keys[runs]);
+    }
+
+    /// Closes the run of `key` whose lows a kernel has just appended; an
+    /// empty run is not kept.
+    fn close_run(&mut self, key: u64) {
+        let end = end_at(self.lows.len());
+        if self.ends.last().map_or(0, |&last| last) < end {
+            self.keys.push(key);
+            self.ends.push(end);
+        }
     }
 
     /// Whether `value` is a member.
     pub fn contains(&self, value: u128) -> bool {
-        match self.chunk_index(key_of(value)) {
-            Ok(i) => self.chunks[i].data.contains(value),
-            Err(_) => false,
-        }
+        self.keys
+            .binary_search(&key_of(value))
+            .is_ok_and(|run| sorted::contains(self.run(run), &(value as u64)))
     }
 
     /// Whether `addr` is a member.
@@ -262,96 +267,75 @@ impl AddrSet {
 
     /// Inserts one value; returns `true` if it was new. Prefer the bulk
     /// operations ([`AddrSet::union_in_place`]) on hot paths — a single
-    /// insert rebuilds its chunk.
+    /// insert shifts every member above it.
     pub fn insert(&mut self, value: u128) -> bool {
-        let key = key_of(value);
-        match self.chunk_index(key) {
-            Ok(i) => {
-                if self.chunks[i].data.contains(value) {
-                    return false;
-                }
-                let mut values = Vec::with_capacity(self.chunks[i].data.len() + 1);
-                self.chunks[i].data.extend_into(&mut values);
-                let at = values.binary_search(&value).expect_err("not a member");
-                values.insert(at, value);
-                self.chunks[i] = Chunk::from_vec(key, values);
-                self.len += 1;
-                true
-            }
-            Err(i) => {
-                self.chunks.insert(i, Chunk::from_vec(key, vec![value]));
-                self.len += 1;
-                true
-            }
+        let (key, low) = (key_of(value), value as u64);
+        let (run, known) = match self.keys.binary_search(&key) {
+            Ok(run) => (run, true),
+            Err(run) => (run, false),
+        };
+        let start = self.start(run);
+        let at = match known.then(|| self.run(run).binary_search(&low)) {
+            Some(Ok(_)) => return false,
+            Some(Err(at)) => start + at,
+            None => start,
+        };
+        end_at(self.len() + 1); // the member to come must fit
+        if !known {
+            self.keys.reserve_exact(1);
+            self.keys.insert(run, key);
+            self.ends.reserve_exact(1);
+            self.ends.insert(run, start as u32);
         }
+        self.lows.reserve_exact(1);
+        self.lows.insert(at, low);
+        for end in &mut self.ends[run..] {
+            *end += 1;
+        }
+        true
     }
 
     /// Removes one value; returns `true` if it was a member.
     pub fn remove(&mut self, value: u128) -> bool {
-        let key = key_of(value);
-        let Ok(i) = self.chunk_index(key) else { return false };
-        if !self.chunks[i].data.contains(value) {
-            return false;
+        let Ok(run) = self.keys.binary_search(&key_of(value)) else { return false };
+        let Ok(at) = self.run(run).binary_search(&(value as u64)) else { return false };
+        self.lows.remove(self.start(run) + at);
+        for end in &mut self.ends[run..] {
+            *end -= 1;
         }
-        let mut values = Vec::with_capacity(self.chunks[i].data.len());
-        self.chunks[i].data.extend_into(&mut values);
-        values.retain(|&v| v != value);
-        if values.is_empty() {
-            self.chunks.remove(i);
-        } else {
-            self.chunks[i] = Chunk::from_vec(key, values);
+        if self.run(run).is_empty() {
+            self.keys.remove(run);
+            self.ends.remove(run);
         }
-        self.len -= 1;
+        self.shrink_to_fit();
         true
     }
 
-    /// Merges `other` into `self`, chunk by chunk: untouched chunks of
-    /// either side are moved or cloned whole, overlapping /32 buckets go
-    /// through the linear union kernel. Never materializes more than one
-    /// bucket at a time.
+    /// Merges `other` into `self`, key by key: a stretch of runs only one
+    /// side holds is copied whole, and where the keys meet the two runs'
+    /// lows are merged.
     pub fn union_in_place(&mut self, other: &AddrSet) {
         if other.is_empty() {
             return;
         }
-        if self.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        let mut merged: Vec<Chunk> = Vec::with_capacity(self.chunks.len() + other.chunks.len());
-        let mut len = 0usize;
-        let mut ours = std::mem::take(&mut self.chunks).into_iter().peekable();
-        let mut theirs = other.chunks.iter().peekable();
-        let mut a_scratch: Vec<u128> = Vec::new();
-        let mut b_scratch: Vec<u128> = Vec::new();
-        let mut out_scratch: Vec<u128> = Vec::new();
-        loop {
-            let chunk = match (ours.peek(), theirs.peek()) {
-                (Some(a), Some(b)) if a.key == b.key => {
-                    let a = ours.next().expect("peeked");
-                    let b = theirs.next().expect("peeked");
-                    a_scratch.clear();
-                    b_scratch.clear();
-                    a.data.extend_into(&mut a_scratch);
-                    b.data.extend_into(&mut b_scratch);
-                    sorted::union_into(&a_scratch, &b_scratch, &mut out_scratch);
-                    Chunk::from_vec(a.key, out_scratch.clone())
+        let mut out =
+            AddrSet::with_capacity(self.keys.len() + other.keys.len(), self.len() + other.len());
+        for step in steps(&self.keys, &other.keys) {
+            match step {
+                Step::Left(runs) => out.extend_runs(self, runs),
+                Step::Right(runs) => out.extend_runs(other, runs),
+                Step::Both(i, j) => {
+                    sorted::union_into(self.run(i), other.run(j), &mut out.lows);
+                    out.close_run(self.keys[i]);
                 }
-                (Some(a), Some(b)) if a.key < b.key => ours.next().expect("peeked"),
-                (Some(_), Some(_)) => theirs.next().expect("peeked").clone(),
-                (Some(_), None) => ours.next().expect("peeked"),
-                (None, Some(_)) => theirs.next().expect("peeked").clone(),
-                (None, None) => break,
-            };
-            len += chunk.data.len();
-            merged.push(chunk);
+            }
         }
-        self.chunks = merged;
-        self.len = len;
+        out.shrink_to_fit();
+        *self = out;
     }
 
     /// Merges a sorted, strictly increasing [`Addr`] slice — the per-round
-    /// scan-merge hot path, equivalent to the old
-    /// `sorted::union_in_place` over flat vectors.
+    /// scan-merge hot path.
     pub fn union_sorted_addrs(&mut self, addrs: &[Addr]) {
         if addrs.is_empty() {
             return;
@@ -359,91 +343,60 @@ impl AddrSet {
         self.union_in_place(&AddrSet::from_sorted_addrs(addrs));
     }
 
-    /// Returns `self \ other` as a new set (chunks absent from `other`
-    /// are cloned whole; overlapping buckets go through the diff kernel).
+    /// Returns `self \ other` as a new set (runs whose key `other` lacks
+    /// are copied whole; where the keys meet, the lows are diffed).
     pub fn diff(&self, other: &AddrSet) -> AddrSet {
-        let mut out = AddrSet::new();
-        let mut a_scratch: Vec<u128> = Vec::new();
-        let mut b_scratch: Vec<u128> = Vec::new();
-        let mut d_scratch: Vec<u128> = Vec::new();
-        for chunk in &self.chunks {
-            match other.chunk_index(chunk.key) {
-                Err(_) => {
-                    out.len += chunk.data.len();
-                    out.chunks.push(chunk.clone());
-                }
-                Ok(i) => {
-                    a_scratch.clear();
-                    b_scratch.clear();
-                    chunk.data.extend_into(&mut a_scratch);
-                    other.chunks[i].data.extend_into(&mut b_scratch);
-                    sorted::diff_into(&a_scratch, &b_scratch, &mut d_scratch);
-                    if !d_scratch.is_empty() {
-                        out.len += d_scratch.len();
-                        out.chunks.push(Chunk::from_vec(chunk.key, d_scratch.clone()));
-                    }
+        let mut out = AddrSet::with_capacity(self.keys.len(), self.len());
+        for step in steps(&self.keys, &other.keys) {
+            match step {
+                Step::Left(runs) => out.extend_runs(self, runs),
+                Step::Right(_) => {}
+                Step::Both(i, j) => {
+                    sorted::diff_into(self.run(i), other.run(j), &mut out.lows);
+                    out.close_run(self.keys[i]);
                 }
             }
         }
+        out.shrink_to_fit();
         out
     }
 
     /// Counts `|self \ other|` without materializing the difference.
     pub fn diff_count(&self, other: &AddrSet) -> usize {
-        let mut count = 0usize;
-        let mut a_scratch: Vec<u128> = Vec::new();
-        let mut b_scratch: Vec<u128> = Vec::new();
-        for chunk in &self.chunks {
-            match other.chunk_index(chunk.key) {
-                Err(_) => count += chunk.data.len(),
-                Ok(i) => {
-                    a_scratch.clear();
-                    b_scratch.clear();
-                    chunk.data.extend_into(&mut a_scratch);
-                    other.chunks[i].data.extend_into(&mut b_scratch);
-                    count += sorted::diff_count(&a_scratch, &b_scratch);
-                }
-            }
-        }
-        count
+        steps(&self.keys, &other.keys)
+            .map(|step| match step {
+                Step::Left(runs) => self.span(runs).len(),
+                Step::Right(_) => 0,
+                Step::Both(i, j) => sorted::diff_count(self.run(i), other.run(j)),
+            })
+            .sum()
     }
 
     /// Counts `|self ∩ other|` without materializing the intersection.
     pub fn intersect_count(&self, other: &AddrSet) -> usize {
-        let mut count = 0usize;
-        let mut a_scratch: Vec<u128> = Vec::new();
-        let mut b_scratch: Vec<u128> = Vec::new();
-        for chunk in &self.chunks {
-            if let Ok(i) = other.chunk_index(chunk.key) {
-                a_scratch.clear();
-                b_scratch.clear();
-                chunk.data.extend_into(&mut a_scratch);
-                other.chunks[i].data.extend_into(&mut b_scratch);
-                count += a_scratch.len() - sorted::diff_count(&a_scratch, &b_scratch);
-            }
-        }
-        count
+        steps(&self.keys, &other.keys)
+            .map(|step| match step {
+                Step::Both(i, j) => {
+                    self.run(i).len() - sorted::diff_count(self.run(i), other.run(j))
+                }
+                Step::Left(_) | Step::Right(_) => 0,
+            })
+            .sum()
     }
 
     /// Returns `self ∩ other` as a new set.
     pub fn intersect(&self, other: &AddrSet) -> AddrSet {
-        let mut out = AddrSet::new();
-        let mut a_scratch: Vec<u128> = Vec::new();
-        let mut b_scratch: Vec<u128> = Vec::new();
-        let mut i_scratch: Vec<u128> = Vec::new();
-        for chunk in &self.chunks {
-            if let Ok(i) = other.chunk_index(chunk.key) {
-                a_scratch.clear();
-                b_scratch.clear();
-                chunk.data.extend_into(&mut a_scratch);
-                other.chunks[i].data.extend_into(&mut b_scratch);
-                sorted::intersect_into(&a_scratch, &b_scratch, &mut i_scratch);
-                if !i_scratch.is_empty() {
-                    out.len += i_scratch.len();
-                    out.chunks.push(Chunk::from_vec(chunk.key, i_scratch.clone()));
-                }
+        let mut out = AddrSet::with_capacity(
+            self.keys.len().min(other.keys.len()),
+            self.len().min(other.len()),
+        );
+        for step in steps(&self.keys, &other.keys) {
+            if let Step::Both(i, j) = step {
+                sorted::intersect_into(self.run(i), other.run(j), &mut out.lows);
+                out.close_run(self.keys[i]);
             }
         }
+        out.shrink_to_fit();
         out
     }
 
@@ -451,7 +404,7 @@ impl AddrSet {
     /// exactly the order a normalized `Vec<u128>` iterates in. Exact-size
     /// and cloneable, so encoders can write a count first.
     pub fn iter(&self) -> Iter<'_> {
-        Iter { chunks: self.chunks.iter(), current: ChunkCursor::Empty, remaining: self.len }
+        Iter { set: self, run: 0, key: 0, run_end: 0, at: 0 }
     }
 
     /// Streaming ascending iteration as [`Addr`]s.
@@ -462,9 +415,10 @@ impl AddrSet {
     /// Materializes the set as a sorted `Vec<u128>` (compatibility edges
     /// only — prefer [`AddrSet::iter`]).
     pub fn to_vec(&self) -> Vec<u128> {
-        let mut out = Vec::with_capacity(self.len);
-        for chunk in &self.chunks {
-            chunk.data.extend_into(&mut out);
+        let mut out = Vec::with_capacity(self.len());
+        for (run, &key) in self.keys.iter().enumerate() {
+            let key = u128::from(key) << 64;
+            out.extend(self.run(run).iter().map(|&low| key | u128::from(low)));
         }
         out
     }
@@ -475,69 +429,45 @@ impl AddrSet {
     }
 }
 
-/// Per-chunk cursor of the streaming iterator.
-#[derive(Debug, Clone)]
-enum ChunkCursor<'a> {
-    Empty,
-    Sorted(std::slice::Iter<'a, u128>),
-    Bitmap { base: u128, words: &'a [u64], word_index: usize, bits: u64 },
-}
-
 /// Streaming ascending iterator over an [`AddrSet`]; see
 /// [`AddrSet::iter`].
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    chunks: std::slice::Iter<'a, Chunk>,
-    current: ChunkCursor<'a>,
-    remaining: usize,
+    set: &'a AddrSet,
+    /// The next run to open.
+    run: usize,
+    /// The open run's key, shifted into place.
+    key: u128,
+    /// Where the open run ends in `lows`.
+    run_end: usize,
+    /// The next member's position in `lows`.
+    at: usize,
 }
 
 impl Iterator for Iter<'_> {
     type Item = u128;
 
     fn next(&mut self) -> Option<u128> {
-        loop {
-            match &mut self.current {
-                ChunkCursor::Sorted(it) => {
-                    if let Some(&v) = it.next() {
-                        self.remaining -= 1;
-                        return Some(v);
-                    }
-                }
-                ChunkCursor::Bitmap { base, words, word_index, bits } => loop {
-                    if *bits != 0 {
-                        let bit = bits.trailing_zeros();
-                        *bits &= *bits - 1;
-                        self.remaining -= 1;
-                        return Some(*base + (*word_index as u128 - 1) * 64 + u128::from(bit));
-                    }
-                    if *word_index >= words.len() {
-                        break;
-                    }
-                    *bits = words[*word_index];
-                    *word_index += 1;
-                },
-                ChunkCursor::Empty => {}
-            }
-            let chunk = self.chunks.next()?;
-            self.current = match &chunk.data {
-                ChunkData::Sorted(v) => ChunkCursor::Sorted(v.iter()),
-                ChunkData::Bitmap { base, words } => {
-                    ChunkCursor::Bitmap { base: *base, words, word_index: 0, bits: 0 }
-                }
-            };
+        let low = *self.set.lows.get(self.at)?;
+        // No run is empty, so a member past the open run opens the next.
+        if self.at == self.run_end {
+            self.key = u128::from(self.set.keys[self.run]) << 64;
+            self.run_end = self.set.ends[self.run] as usize;
+            self.run += 1;
         }
+        self.at += 1;
+        Some(self.key | u128::from(low))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        let remaining = self.set.len() - self.at;
+        (remaining, Some(remaining))
     }
 }
 
 impl ExactSizeIterator for Iter<'_> {}
 
-/// Once the chunks run out they stay out, and the last cursor stays
-/// drained: `None` repeats.
+/// Once the members run out they stay out: `None` repeats.
 impl std::iter::FusedIterator for Iter<'_> {}
 
 impl<'a> IntoIterator for &'a AddrSet {
@@ -606,6 +536,11 @@ mod tests {
         values
     }
 
+    /// What a set without spare capacity holds: 12 bytes a run, 8 a member.
+    fn exact_bytes(set: &AddrSet) -> usize {
+        std::mem::size_of::<AddrSet>() + 12 * set.chunk_count() + 8 * set.len()
+    }
+
     #[test]
     fn canonical_representation_is_construction_independent() {
         let values = clustered(1000, 7);
@@ -621,7 +556,9 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_eq!(a.chunk_count(), 7);
-        assert!(a.bitmap_chunk_count() > 0, "stride-3 buckets are dense enough for bitmaps");
+        for set in [&a, &b, &c] {
+            assert_eq!(set.mem_bytes(), exact_bytes(set), "built at its exact size");
+        }
     }
 
     #[test]
@@ -679,6 +616,9 @@ mod tests {
         let inter = a.intersect(&b);
         assert_eq!(inter.to_vec(), ma.intersection(&mb).copied().collect::<Vec<u128>>());
         assert_eq!(a.intersect_count(&b), ma.intersection(&mb).count());
+        for set in [&union, &diff, &inter] {
+            assert_eq!(set.mem_bytes(), exact_bytes(set), "no spare capacity");
+        }
     }
 
     #[test]
@@ -697,6 +637,7 @@ mod tests {
         let empty = AddrSet::new();
         assert!(empty.is_empty());
         assert_eq!(empty.iter().count(), 0);
+        assert_eq!(empty.mem_bytes(), std::mem::size_of::<AddrSet>());
         assert_eq!(empty.diff(&empty), AddrSet::new());
         assert_eq!(empty.diff_count(&empty), 0);
         assert_eq!(empty.intersect_count(&empty), 0);
@@ -726,99 +667,76 @@ mod tests {
 
     #[test]
     fn dense_chunks_use_less_memory_than_flat_vecs() {
-        // A fully dense /32 bucket: 100k consecutive addresses.
+        // A run of many: 100k consecutive addresses in one /64 cost their
+        // 8-byte lows and one key, half the flat vec.
         let dense: Vec<u128> = (0..100_000u128).map(|i| (0x2001u128 << 96) + i).collect();
         let flat_bytes = dense.len() * std::mem::size_of::<u128>();
         let set = AddrSet::from_sorted(dense);
-        assert_eq!(set.bitmap_chunk_count(), 1);
-        assert!(
-            set.mem_bytes() < flat_bytes / 8,
-            "dense bitmap ({} B) should be far under the flat vec ({} B)",
-            set.mem_bytes(),
-            flat_bytes
-        );
-        // A sparse population stays a sorted block and costs about the
-        // same as the flat vec.
+        assert_eq!(set.chunk_count(), 1);
+        assert_eq!(set.mem_bytes(), std::mem::size_of::<AddrSet>() + 12 + 8 * 100_000);
+        assert!(set.mem_bytes() < flat_bytes / 2 + 100, "{} B", set.mem_bytes());
+        // Runs of one: every member pays its /64 too, 20 B against the
+        // flat vec's 16.
         let sparse: Vec<u128> = (0..1000u128).map(|i| i << 80).collect();
         let set = AddrSet::from_sorted(sparse);
-        assert_eq!(set.bitmap_chunk_count(), 0);
-    }
-
-    /// The construction `from_sorted` used before it sliced its input by
-    /// /32 run: one value at a time into a growing per-chunk vector. Kept
-    /// as the reference the slicing construction is compared against.
-    fn from_sorted_one_by_one(values: Vec<u128>) -> AddrSet {
-        let mut set = AddrSet::new();
-        set.len = values.len();
-        let mut values = values.into_iter().peekable();
-        while let Some(&first) = values.peek() {
-            let key = key_of(first);
-            let mut chunk_values = Vec::new();
-            while let Some(v) = values.next_if(|&v| key_of(v) == key) {
-                chunk_values.push(v);
-            }
-            set.chunks.push(Chunk::from_vec(key, chunk_values));
-        }
-        set
+        assert_eq!(set.chunk_count(), 1000);
+        assert_eq!(set.mem_bytes(), std::mem::size_of::<AddrSet>() + 20 * 1000);
     }
 
     #[test]
     fn from_sorted_matches_the_one_by_one_construction() {
-        // `n` values in one /32 whose span is exactly `span`.
-        let run = |key: u128, n: u128, span: u128| -> Vec<u128> {
-            let base = (key << 96) | 0x1000;
-            (0..n - 1).map(|i| base + i).chain([base + span - 1]).collect()
-        };
-        let mut inputs: Vec<Vec<u128>> = vec![
+        let low_max = u128::from(u64::MAX);
+        let inputs: Vec<Vec<u128>> = vec![
             vec![],
             vec![0],
             vec![u128::MAX],
             vec![0, u128::MAX],
+            // Either side of the 2^64 boundary: keys 0 and 1.
+            vec![low_max, low_max + 1],
+            // Keys 0 and u64::MAX, each with lows 0 and u64::MAX.
+            vec![0, low_max, u128::MAX - low_max, u128::MAX],
             clustered_sorted(5_000, 11),
+            // Runs of one.
             (0..1_000u128).map(|i| i << 80).collect(),
-            (0..100_000u128).map(|i| (0x2001u128 << 96) + i).collect(),
+            // A run of many, and runs of many beside runs of one.
+            (0..20_000u128).map(|i| (0x2001u128 << 96) + i).collect(),
+            (0..3_000u128).map(|i| ((i / 300) << 64) | ((i % 300) * 7)).collect(),
         ];
-        for n in [2u128, 3, 64, 1_000] {
-            // Either side of the sorted↔bitmap threshold, alone (the
-            // input vector is reused) and between other runs (sliced).
-            for span in [128 * n, 128 * n + 1] {
-                inputs.push(run(7, n, span));
-                let mut mixed = run(6, 40, 40);
-                mixed.extend(run(7, n, span));
-                mixed.extend(run(8, 5, 1 << 40));
-                mixed.extend(run(9, n, 128 * n + 1));
-                mixed.extend(run(10, n, 128 * n));
-                inputs.push(mixed);
-            }
-        }
         for values in inputs {
-            let reference = from_sorted_one_by_one(values.clone());
+            // The reference: one insert at a time, each into its place.
+            let mut reference = AddrSet::new();
+            for &v in &values {
+                reference.insert(v);
+            }
             let set = AddrSet::from_sorted(values.clone());
             assert_eq!(set, reference, "{} values", values.len());
             assert_eq!(set.len(), values.len());
             assert_eq!(set.to_vec(), values);
-            assert!(set.mem_bytes() <= reference.mem_bytes(), "chunks are built at their size");
+            assert_eq!(set.mem_bytes(), exact_bytes(&set), "columns are built at their size");
+            assert_eq!(reference.mem_bytes(), set.mem_bytes(), "an insert grows by one member");
             // Spare capacity in the input does not leak into the set.
             let mut roomy = Vec::with_capacity(values.len() * 2 + 8);
             roomy.extend_from_slice(&values);
             assert_eq!(AddrSet::from_sorted(roomy).mem_bytes(), set.mem_bytes());
+            let addrs: Vec<Addr> = values.iter().copied().map(Addr).collect();
+            assert_eq!(AddrSet::from_sorted_addrs(&addrs), set);
         }
-        let at = AddrSet::from_sorted(run(7, 64, 128 * 64));
-        let over = AddrSet::from_sorted(run(7, 64, 128 * 64 + 1));
-        assert_eq!((at.bitmap_chunk_count(), over.bitmap_chunk_count()), (1, 0));
     }
 
     #[test]
     fn bitmap_threshold_is_exact_break_even() {
-        // Two values spanning exactly 256 positions: bitmap (4 words,
-        // 32 B) equals sorted (2 × 16 B) — the rule prefers the bitmap at
-        // break-even. One position wider and the sorted block wins.
-        let at = AddrSet::from_sorted(vec![0, 255]);
-        assert_eq!(at.bitmap_chunk_count(), 1);
-        let over = AddrSet::from_sorted(vec![0, 256]);
-        assert_eq!(over.bitmap_chunk_count(), 0);
-        // Both still iterate identically.
-        assert_eq!(at.to_vec(), vec![0, 255]);
-        assert_eq!(over.to_vec(), vec![0, 256]);
+        // There is no density threshold: a run costs 8 bytes a member
+        // whatever its span. Two members 255 apart, 256 apart or at the
+        // two ends of a /64 cost the same; the same two either side of
+        // the 2^64 boundary are two runs.
+        let one_run = std::mem::size_of::<AddrSet>() + 12 + 2 * 8;
+        for pair in [[0u128, 255], [0, 256], [0, u128::from(u64::MAX)]] {
+            let set = AddrSet::from_sorted(pair.to_vec());
+            assert_eq!((set.chunk_count(), set.mem_bytes()), (1, one_run), "{pair:?}");
+            assert_eq!(set.to_vec(), pair);
+        }
+        let straddle = AddrSet::from_sorted(vec![u128::from(u64::MAX), 1 << 64]);
+        assert_eq!((straddle.chunk_count(), straddle.mem_bytes()), (2, one_run + 12));
+        assert_eq!(straddle.to_vec(), vec![u128::from(u64::MAX), 1 << 64]);
     }
 }

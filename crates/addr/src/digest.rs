@@ -11,8 +11,9 @@
 //! published digest, so one set cannot be hashed faster. Several sets
 //! can: their chains are independent, and [`content_digests`] steps up
 //! to four of them side by side through the same byte step, which costs
-//! the multiplier's throughput (5 ns per item off flat slices, 9 off
-//! chunked sets' iterators) where one chain costs its latency. A caller with two or more sets to hash — a publish
+//! the multiplier's throughput (5 ns per item, off flat slices and
+//! `AddrSet` iterators alike) where one chain costs its latency. A caller
+//! with two or more sets to hash — a publish
 //! has eight artifacts and then each artifact's shards, a mirror sync
 //! the changed artifacts of a generation, a delta both of its endpoints
 //! — hands them over together; a caller with one calls
@@ -164,9 +165,8 @@ mod tests {
     use super::*;
     use crate::{prf, AddrSet};
 
-    /// A set of about `len` items, seeded: dense runs in two /32s (bitmap
-    /// chunks once long enough) and one item in five alone in a /32 of its
-    /// own (sorted chunks).
+    /// A set of about `len` items, seeded: runs of many in two /64s and
+    /// one item in five alone in a /64 of its own (runs of one).
     fn mixed_set(seed: u64, len: u64) -> AddrSet {
         (0..u128::from(len))
             .map(|i| match i % 5 {
@@ -174,6 +174,15 @@ mod tests {
                 _ => ((0x2001_0db8 + i % 2) << 96) | (u128::from(seed % 7 + 1) * i),
             })
             .collect()
+    }
+
+    /// How many of `set`'s /64 runs hold one member, and how many more.
+    fn run_shapes(set: &AddrSet) -> (usize, usize) {
+        let items = set.to_vec();
+        let runs: Vec<usize> =
+            items.chunk_by(|a, b| a >> 64 == b >> 64).map(<[u128]>::len).collect();
+        let one = runs.iter().filter(|&&len| len == 1).count();
+        (one, runs.len() - one)
     }
 
     #[test]
@@ -204,18 +213,17 @@ mod tests {
             len => len,
         };
         let shapes = [all_equal, one_long, some_empty].into_iter().chain([ragged; 40]);
-        let mut bitmap_chunks = 0;
-        let mut sorted_chunks = 0;
+        let (mut runs_of_one, mut runs_of_many) = (0, 0);
         for (round, shape) in shapes.enumerate() {
             for count in 0..=9u64 {
                 let seed = round as u64 * 16 + count;
                 let sets: Vec<AddrSet> =
                     (0..count).map(|i| mixed_set(seed + i, shape(seed, i, count))).collect();
-                bitmap_chunks += sets.iter().map(AddrSet::bitmap_chunk_count).sum::<usize>();
-                sorted_chunks += sets
-                    .iter()
-                    .map(|set| set.chunk_count() - set.bitmap_chunk_count())
-                    .sum::<usize>();
+                for set in &sets {
+                    let (one, many) = run_shapes(set);
+                    runs_of_one += one;
+                    runs_of_many += many;
+                }
                 let apart: Vec<u64> = sets.iter().map(content_digest).collect();
                 assert_eq!(content_digests(&sets), apart, "round {round}, {count} sets");
                 // Flat copies of the same items, and the reverse order.
@@ -225,7 +233,7 @@ mod tests {
                 assert!(reversed.iter().eq(apart.iter().rev()), "round {round}, {count} sets");
             }
         }
-        assert!(bitmap_chunks > 100 && sorted_chunks > 100, "test needs both chunk forms");
+        assert!(runs_of_one > 100 && runs_of_many > 100, "test needs both run shapes");
     }
 
     #[test]
@@ -240,10 +248,13 @@ mod tests {
 
     #[test]
     fn streaming_and_one_shot_agree_on_chunked_sets() {
+        // A run of 3 000, runs of one, and the two neighbours of the 2^64
+        // boundary (key 0 then joins `0 << 80` in a run of two).
         let mut items: Vec<u128> = (0..3_000u128).map(|i| (0x2001u128 << 96) + i).collect();
         items.extend((0..200u128).map(|i| i << 80));
+        items.extend([u128::from(u64::MAX), 1 << 64]);
         let set = AddrSet::from_unsorted(items);
-        assert!(set.bitmap_chunk_count() > 0, "test needs a bitmap chunk");
+        assert_eq!(run_shapes(&set), (200, 2), "test needs both run shapes");
         let mut hasher = ContentHasher::new();
         for item in set.iter() {
             hasher.push(item);

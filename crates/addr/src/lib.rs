@@ -25,12 +25,13 @@
 //! * [`prf`] — a small deterministic pseudo-random function used everywhere
 //!   a reproducible per-address coin flip is required (host liveness, churn,
 //!   probe address generation).
-//! * [`AddrSet`] — the chunked address-set type every crate boundary
-//!   speaks: /32-bucketed, per-density sorted-block or bitmap chunks,
-//!   streaming ascending iteration, and JSON output identical to a sorted
-//!   `Vec<Addr>`. The linear merge kernels (union/diff/intersect over
-//!   sorted slices) that used to be public as `sorted::*` are now
-//!   crate-private plumbing behind this type.
+//! * [`AddrSet`] — the address-set type every crate boundary speaks: /64
+//!   columns (each distinct /64 once, 12 bytes, and the low 64 bits of its
+//!   members in one ascending run, 8 bytes a member), streaming ascending
+//!   iteration, and JSON output identical to a sorted `Vec<Addr>`. The
+//!   linear merge kernels (union/diff/intersect over sorted slices) that
+//!   used to be public as `sorted::*` are now crate-private plumbing
+//!   behind this type.
 //! * [`AddrHashSet`] / [`AddrHashMap`] — the std hash tables for mutable
 //!   address-keyed state, under a per-table-keyed hasher that spends one
 //!   [`prf::mix64`] on an address where SipHash spends several.

@@ -4,17 +4,15 @@
 //! The hitlist service's round hot path used to shuffle its responsive
 //! sets through `HashSet` clones and rebuilds — one hash per address per
 //! protocol per round. These kernels replace that bookkeeping with linear
-//! merges over sorted, deduplicated `Vec`s: every operation is a single
-//! pass, the output buffers are caller-owned and reusable across rounds,
-//! and the resulting sets are canonically ordered (which also makes
-//! snapshots and published artifacts byte-stable for free). Since the
-//! `AddrSet` redesign these free functions are no longer exported; every
-//! external caller goes through the set type, which applies them one
-//! chunk at a time.
+//! merges over sorted, deduplicated slices: every operation is a single
+//! pass, and the results are canonically ordered (which also makes
+//! snapshots and published artifacts byte-stable for free). `AddrSet`
+//! applies them to the low halves of two runs whose /64 keys meet.
 //!
 //! All kernels require their inputs sorted ascending and free of
-//! duplicates; [`normalize`] produces that form. Outputs are cleared
-//! first and are themselves sorted and deduplicated.
+//! duplicates; [`normalize`] produces that form. The `*_into` kernels
+//! append their result, itself sorted and deduplicated, to `out`: a set's
+//! runs merge one after another into its one column of lows.
 
 /// Sorts `v` ascending and removes duplicates — the canonical form every
 /// other kernel in this module expects.
@@ -24,15 +22,12 @@ pub fn normalize<T: Ord>(v: &mut Vec<T>) {
 }
 
 /// Whether sorted slice `s` contains `item` (binary search).
-#[allow(dead_code)] // kept with the other merge kernels for the next caller
 pub fn contains<T: Ord>(s: &[T], item: &T) -> bool {
     s.binary_search(item).is_ok()
 }
 
-/// Writes `a ∪ b` into `out` (cleared first).
+/// Appends `a ∪ b` to `out`.
 pub fn union_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
-    out.clear();
-    out.reserve(a.len().max(b.len()));
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -55,25 +50,8 @@ pub fn union_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Merges `b` into the accumulator `acc` in place, using `scratch` as the
-/// reusable merge buffer (its capacity is retained across calls — the
-/// allocation-free steady state of a per-round accumulation loop).
-#[allow(dead_code)] // kept with the other merge kernels for the next caller
-pub fn union_in_place<T: Ord + Copy>(acc: &mut Vec<T>, b: &[T], scratch: &mut Vec<T>) {
-    if b.is_empty() {
-        return;
-    }
-    if acc.is_empty() {
-        acc.extend_from_slice(b);
-        return;
-    }
-    union_into(acc, b, scratch);
-    std::mem::swap(acc, scratch);
-}
-
-/// Writes `a \ b` into `out` (cleared first).
+/// Appends `a \ b` to `out`.
 pub fn diff_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
-    out.clear();
     let mut j = 0;
     for &x in a {
         while j < b.len() && b[j] < x {
@@ -100,9 +78,8 @@ pub fn diff_count<T: Ord>(a: &[T], b: &[T]) -> usize {
     count
 }
 
-/// Writes `a ∩ b` into `out` (cleared first).
+/// Appends `a ∩ b` to `out`.
 pub fn intersect_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
-    out.clear();
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -127,52 +104,48 @@ mod tests {
         v.iter().map(|x| Addr(*x)).collect()
     }
 
+    /// What a kernel appends to an empty buffer.
+    fn fresh<T>(kernel: impl FnOnce(&mut Vec<T>)) -> Vec<T> {
+        let mut out = Vec::new();
+        kernel(&mut out);
+        out
+    }
+
     #[test]
     fn union_diff_intersect_basic() {
         let a = addrs(&[1, 3, 5, 7]);
         let b = addrs(&[2, 3, 6, 7, 9]);
-        let mut out = Vec::new();
-        union_into(&a, &b, &mut out);
-        assert_eq!(out, addrs(&[1, 2, 3, 5, 6, 7, 9]));
-        diff_into(&a, &b, &mut out);
-        assert_eq!(out, addrs(&[1, 5]));
+        assert_eq!(fresh(|out| union_into(&a, &b, out)), addrs(&[1, 2, 3, 5, 6, 7, 9]));
+        assert_eq!(fresh(|out| diff_into(&a, &b, out)), addrs(&[1, 5]));
         assert_eq!(diff_count(&a, &b), 2);
-        diff_into(&b, &a, &mut out);
-        assert_eq!(out, addrs(&[2, 6, 9]));
+        assert_eq!(fresh(|out| diff_into(&b, &a, out)), addrs(&[2, 6, 9]));
         assert_eq!(diff_count(&b, &a), 3);
-        intersect_into(&a, &b, &mut out);
-        assert_eq!(out, addrs(&[3, 7]));
+        assert_eq!(fresh(|out| intersect_into(&a, &b, out)), addrs(&[3, 7]));
     }
 
     #[test]
     fn empty_and_disjoint_edges() {
         let a = addrs(&[1, 2]);
         let empty: Vec<Addr> = Vec::new();
-        let mut out = Vec::new();
-        union_into(&a, &empty, &mut out);
-        assert_eq!(out, a);
-        union_into(&empty, &a, &mut out);
-        assert_eq!(out, a);
-        diff_into(&a, &empty, &mut out);
-        assert_eq!(out, a);
-        diff_into(&empty, &a, &mut out);
-        assert!(out.is_empty());
+        assert_eq!(fresh(|out| union_into(&a, &empty, out)), a);
+        assert_eq!(fresh(|out| union_into(&empty, &a, out)), a);
+        assert_eq!(fresh(|out| diff_into(&a, &empty, out)), a);
+        assert!(fresh(|out| diff_into(&empty, &a, out)).is_empty());
         assert_eq!(diff_count(&empty, &a), 0);
-        intersect_into(&a, &addrs(&[3, 4]), &mut out);
-        assert!(out.is_empty());
+        assert!(fresh(|out| intersect_into(&a, &addrs(&[3, 4]), out)).is_empty());
     }
 
     #[test]
     fn union_in_place_reuses_scratch() {
-        let mut acc: Vec<Addr> = Vec::new();
-        let mut scratch: Vec<Addr> = Vec::new();
-        union_in_place(&mut acc, &addrs(&[5, 9]), &mut scratch);
-        union_in_place(&mut acc, &addrs(&[1, 5, 7]), &mut scratch);
-        union_in_place(&mut acc, &[], &mut scratch);
-        assert_eq!(acc, addrs(&[1, 5, 7, 9]));
-        union_in_place(&mut acc, &addrs(&[2]), &mut scratch);
-        assert_eq!(acc, addrs(&[1, 2, 5, 7, 9]));
-        assert!(scratch.capacity() > 0, "scratch keeps a reusable buffer after the swap");
+        // The kernels append: runs merge one after another into one
+        // buffer sized once, which keeps its allocation throughout.
+        let mut out: Vec<u64> = Vec::with_capacity(8);
+        let buffer = out.as_ptr();
+        union_into(&[5, 9], &[1, 5], &mut out);
+        diff_into(&[1, 2, 3], &[2], &mut out);
+        intersect_into(&[4, 6, 8], &[6, 8, 10], &mut out);
+        assert_eq!(out, [1, 5, 9, 1, 3, 6, 8]);
+        assert_eq!(out.as_ptr(), buffer, "no reallocation within the reserved size");
     }
 
     #[test]
@@ -196,22 +169,18 @@ mod tests {
         normalize(&mut b);
         let sa: HashSet<u128> = a.iter().copied().collect();
         let sb: HashSet<u128> = b.iter().copied().collect();
-        let mut out = Vec::new();
 
-        union_into(&a, &b, &mut out);
         let mut want: Vec<u128> = sa.union(&sb).copied().collect();
         want.sort_unstable();
-        assert_eq!(out, want);
+        assert_eq!(fresh(|out| union_into(&a, &b, out)), want);
 
-        diff_into(&a, &b, &mut out);
         let mut want: Vec<u128> = sa.difference(&sb).copied().collect();
         want.sort_unstable();
-        assert_eq!(out, want);
+        assert_eq!(fresh(|out| diff_into(&a, &b, out)), want);
         assert_eq!(diff_count(&a, &b), want.len());
 
-        intersect_into(&a, &b, &mut out);
         let mut want: Vec<u128> = sa.intersection(&sb).copied().collect();
         want.sort_unstable();
-        assert_eq!(out, want);
+        assert_eq!(fresh(|out| intersect_into(&a, &b, out)), want);
     }
 }

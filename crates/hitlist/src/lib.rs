@@ -65,6 +65,23 @@ mod tests {
     }
 
     #[test]
+    fn resident_sets_cost_under_eleven_bytes_an_address() {
+        // The address sets a month of daily rounds keeps — churn
+        // baselines, per-protocol slices, snapshots — against the input
+        // and responsive addresses: at 12 B a /64 and 8 a member they
+        // read about 7.8 B an address here.
+        let net = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
+        let mut svc = HitlistService::new(ServiceConfig::default());
+        for day in 0..30 {
+            svc.run_round(&net, Day(day));
+        }
+        let r = svc.rounds().last().unwrap();
+        let addrs = r.input_total + r.total_cleaned as usize;
+        let bytes = svc.resident_set_bytes();
+        assert!(bytes <= 11 * addrs, "{bytes} B for {addrs} addresses");
+    }
+
+    #[test]
     fn input_grows_monotonically() {
         let net = net();
         let mut svc = HitlistService::new(quick_config());

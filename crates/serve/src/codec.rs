@@ -614,7 +614,11 @@ mod tests {
         ] {
             let items = set(&items);
             let bytes = encode_full(&items);
-            assert_eq!(decode_full(&bytes).expect("round trip"), items);
+            let decoded = decode_full(&bytes).expect("round trip");
+            assert_eq!(decoded, items);
+            // Built at its exact size: the struct, 12 B a /64, 8 a member.
+            let exact = std::mem::size_of::<AddrSet>() + 12 * items.chunk_count() + 8 * items.len();
+            assert_eq!(decoded.mem_bytes(), exact);
         }
     }
 
@@ -635,13 +639,19 @@ mod tests {
 
     #[test]
     fn streams_are_byte_identical_across_chunk_representations() {
-        // A dense run (bitmap chunk), a sparse spread (sorted chunks) and
-        // a mix: the encoder streaming off the chunk cursors must produce
-        // the same bytes as one walking the flat sorted vector.
+        // A run of many in one /64, a sparse spread of runs of one, and
+        // the two neighbours of the 2^64 boundary: the encoder streaming
+        // off the /64 columns must produce the same bytes as one walking
+        // the flat sorted vector.
         let mut items: Vec<u128> = (0..5_000u128).map(|i| (0x2001u128 << 96) + i).collect();
         items.extend((0..100u128).map(|i| i << 80));
+        items.extend([u128::from(u64::MAX), 1 << 64]);
         let chunked = set(&items);
-        assert!(chunked.bitmap_chunk_count() > 0, "test needs a bitmap chunk");
+        assert_eq!(
+            (chunked.len(), chunked.chunk_count()),
+            (5_102, 1 + 100 + 1),
+            "a run of 5 000, runs of one"
+        );
         let flat = chunked.to_vec();
         assert_eq!(encode_full(&chunked), encode_full(flat.iter().copied()));
         assert_eq!(content_digest(&chunked), content_digest(flat.into_iter()));
@@ -691,10 +701,10 @@ mod tests {
         assert!(matches!(err, CodecError::BaseMismatch { .. }), "{err:?}");
     }
 
-    /// Two generations of a hitlist-shaped artifact: dense runs inside a
-    /// few /32s (bitmap chunks), a sparse tail (sorted chunks), and a day
-    /// of churn between them — some addresses gone, some new, one /32
-    /// appearing and one disappearing.
+    /// Two generations of a hitlist-shaped artifact: runs of many in a few
+    /// /64s, a sparse tail of runs of one, and a day of churn between
+    /// them — some addresses gone, some new, one /32 appearing and one
+    /// disappearing.
     fn hitlist_generations() -> (AddrSet, AddrSet) {
         let mut prev: Vec<u128> = Vec::new();
         for net in 0..4u128 {
@@ -707,7 +717,11 @@ mod tests {
         next.extend((0..300u128).map(|i| (0x2001_0db8u128 << 96) + 1 + i * 6));
         next.extend((0..80u128).map(|i| (0x2c0f_0000u128 << 96) | (i << 70)));
         let (prev, next) = (set(&prev), set(&next));
-        assert!(prev.bitmap_chunk_count() > 0 && prev.bitmap_chunk_count() < prev.chunk_count());
+        assert_eq!(
+            (prev.len(), prev.chunk_count()),
+            (4 * 600 + 150, 4 + 150),
+            "runs of 600 and of one"
+        );
         (prev, next)
     }
 

@@ -161,6 +161,7 @@ impl TraceJournal {
             name: name.to_string(),
             args: own_args(args),
             started_us: self.now_us(),
+            ended_us: None,
         }
     }
 
@@ -243,6 +244,9 @@ pub struct TraceSpan {
     name: String,
     args: Vec<(String, String)>,
     started_us: u64,
+    /// When [`TraceSpan::end`] read the clock: the event records that
+    /// instant, not a second reading taken at drop.
+    ended_us: Option<u64>,
 }
 
 impl TraceSpan {
@@ -251,17 +255,18 @@ impl TraceSpan {
         self.args.push((key.to_string(), value.to_string()));
     }
 
-    /// Ends the span now and returns its duration in microseconds.
-    pub fn end(self) -> u64 {
-        let dur = self.journal.now_us().saturating_sub(self.started_us);
-        drop(self);
-        dur
+    /// Ends the span now and returns its duration in microseconds, the
+    /// duration its event records.
+    pub fn end(mut self) -> u64 {
+        let now = self.journal.now_us();
+        self.ended_us = Some(now);
+        now.saturating_sub(self.started_us)
     }
 }
 
 impl Drop for TraceSpan {
     fn drop(&mut self) {
-        let now = self.journal.now_us();
+        let now = self.ended_us.unwrap_or_else(|| self.journal.now_us());
         self.journal.push(TraceEvent {
             name: std::mem::take(&mut self.name),
             phase: TracePhase::Complete,

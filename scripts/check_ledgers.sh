@@ -7,6 +7,11 @@
 # ledger every workload prints at seed 11, and this runs each workload once
 # (one pass, seconds) and compares. Needs no registry.
 #
+# The same runs read each workload's set_bytes_per_addr, which repeats
+# exactly for one seed too: scripts/set_bytes.txt pins it at seed 11, and a
+# value above the pinned one fails as a changed ledger does. A change that
+# lowers it updates the pin.
+#
 #   scripts/check_ledgers.sh
 #   scripts/check_ledgers.sh --against <parent-binary> [seed...]
 #
@@ -19,16 +24,26 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 pinned=scripts/ledgers.txt
+pinned_bytes=scripts/set_bytes.txt
 printed=target/ledgers.printed
 mkdir -p target
 
-# ledgers <seed> <command...>: the ledger line of every workload at <seed>.
-ledgers() {
-  local seed=$1 workload
+# runs <seed> <command...>: every workload once at <seed>; its ledger line,
+# then "set_bytes <workload> <B/addr>".
+runs() {
+  local seed=$1 workload out bytes
   shift
   while read -r _ workload _; do
-    "$@" --workload "$workload" --seed "$seed" --seconds 1 --trace 0 | grep '^ledger '
+    out=$("$@" --workload "$workload" --seed "$seed" --seconds 1 --trace 0)
+    grep '^ledger ' <<<"$out"
+    bytes=$(grep -o '"set_bytes_per_addr":{"value":[^,}]*' <<<"$out" | sed 's/.*://')
+    LC_ALL=C printf 'set_bytes %s %.4f\n' "$workload" "$bytes"
   done <"$pinned"
+}
+
+# ledgers <seed> <command...>: the ledger line of every workload at <seed>.
+ledgers() {
+  runs "$@" | grep '^ledger '
 }
 tree=(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --)
 
@@ -50,7 +65,8 @@ if [ "${1:-}" = --against ]; then
   exit 0
 fi
 
-ledgers 11 "${tree[@]}" >"$printed"
+runs 11 "${tree[@]}" >"$printed.all"
+grep '^ledger ' "$printed.all" >"$printed"
 
 if ! diff -u "$pinned" "$printed"; then
   echo "check_ledgers: FAILED: a workload no longer computes what $pinned records." >&2
@@ -58,4 +74,14 @@ if ! diff -u "$pinned" "$printed"; then
   echo "an optimisation must leave every ledger as it is." >&2
   exit 1
 fi
-echo "check_ledgers: OK ($(wc -l <"$pinned") workloads at seed 11)"
+grown=0
+while read -r _ workload pin; do
+  now=$(awk -v w="$workload" '$1 == "set_bytes" && $2 == w { print $3 }' "$printed.all")
+  if awk -v now="$now" -v pin="$pin" 'BEGIN { exit !(now == "" || now > pin) }'; then
+    echo "check_ledgers: FAILED: $workload's sets hold ${now:-?} B an address, above the" >&2
+    echo "$pin B that $pinned_bytes pins." >&2
+    grown=1
+  fi
+done <"$pinned_bytes"
+[ "$grown" = 0 ] || exit 1
+echo "check_ledgers: OK ($(wc -l <"$pinned") workloads at seed 11, set bytes within $pinned_bytes)"

@@ -99,7 +99,8 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- all --quic
 
 echo "== pinned ledgers: every workload still computes what scripts/ledgers.txt records"
 # `all --quick` compares the passes of one commit with each other; this
-# compares the commit with the ones before it.
+# compares the commit with the ones before it, and holds every workload's
+# set_bytes_per_addr to the ceiling in scripts/set_bytes.txt.
 scripts/check_ledgers.sh
 
 echo "== cargo fmt --all --check"
