@@ -11,9 +11,7 @@ use sixdust_hitlist::{newsources, HitlistService, ServiceConfig, ServiceState, S
 use sixdust_net::{events, Day, FaultConfig, Internet, Scale};
 use sixdust_scan::ScanConfig;
 use sixdust_serve::{SnapshotStore, StoreConfig, TimedPublish};
-use sixdust_telemetry::{
-    FlightRecorder, Registry, SloEngine, TraceJournal, DEFAULT_SERIES_CAPACITY,
-};
+use sixdust_telemetry::{FlightRecorder, Observer, Registry, SloEngine, TraceJournal};
 use sixdust_tga::instrumented_lineup;
 
 /// The day Table 3's TGA seeds are taken ("responsive addresses in
@@ -52,8 +50,8 @@ pub const PUBLISH_HISTORY: usize = 4;
 /// `--series` / `--trace` command-line flags.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ObsOptions {
-    /// Attach a per-round [`sixdust_telemetry::SeriesRecorder`] to the
-    /// service before the four-year run.
+    /// Attach an [`Observer`] recording the service's rounds before the
+    /// four-year run.
     pub series: bool,
     /// Install a [`TraceJournal`] into the registry so the service, scan
     /// engine and alias detector emit spans.
@@ -62,8 +60,8 @@ pub struct ObsOptions {
     /// the service run into it.
     pub serve: bool,
     /// Build the full ops stack for the HTML dashboard: implies `series`
-    /// and `serve`, and additionally attaches the standard
-    /// [`SloEngine`] and a [`FlightRecorder`] to the service.
+    /// and `serve`, judges the rounds by the standard [`SloEngine`] and
+    /// installs a [`FlightRecorder`] in the registry.
     pub dashboard: bool,
     /// Replay the serve day through a mirror tier (`--mirrors`): implies
     /// `serve` and additionally captures the tail of the publish history
@@ -77,8 +75,8 @@ pub const CHECKPOINT_EVERY_ROUNDS: usize = 64;
 /// Runs the service with the historical cadence from the round after
 /// `resume_from` (or day 0) to `until`, checkpointing atomically every
 /// [`CHECKPOINT_EVERY_ROUNDS`] rounds and at the end when `checkpoint` is
-/// given. Mirrors [`HitlistService::run`]'s cadence exactly so a resumed
-/// run lands on the same round days an uninterrupted one would.
+/// given. Walks the [`events::cadence`] [`HitlistService::run`] walks, so
+/// a resumed run lands on the same round days an uninterrupted one would.
 fn run_checkpointed(
     svc: &mut HitlistService,
     net: &Internet,
@@ -88,20 +86,11 @@ fn run_checkpointed(
     serve: Option<&SnapshotStore>,
     mut history: Option<&mut Vec<TimedPublish>>,
 ) {
-    let mut day = match resume_from {
-        Some(last) if last >= until => return,
-        Some(last) => {
-            let next = last.plus(events::scan_gap(last));
-            if next > until {
-                until
-            } else {
-                next
-            }
-        }
-        None => Day(0),
-    };
+    // A resumed run walks on from its last round, which already ran (one
+    // at or past `until` leaves nothing to run).
+    let days = events::cadence(resume_from.unwrap_or(Day(0)), until);
     let mut rounds_since_save = 0usize;
-    loop {
+    for day in days.into_iter().skip(usize::from(resume_from.is_some())) {
         svc.run_round(net, day);
         if let Some(store) = serve {
             store.publish_service(svc, u64::from(day.0), &day.to_date());
@@ -124,11 +113,6 @@ fn run_checkpointed(
                 }
             }
         }
-        if day >= until {
-            break;
-        }
-        let next = day.plus(events::scan_gap(day));
-        day = if next > until { until } else { next };
     }
 }
 
@@ -148,6 +132,9 @@ impl Ctx {
         let trace = opts.trace.then(TraceJournal::new);
         if let Some(journal) = &trace {
             telemetry.install_tracer(journal);
+        }
+        if opts.dashboard {
+            telemetry.install_flight(&FlightRecorder::new());
         }
         let net = Internet::build(scale)
             .with_faults(FaultConfig::lossless().with_drop_permille(2))
@@ -180,10 +167,11 @@ impl Ctx {
         };
         svc = svc.with_telemetry(telemetry.clone());
         if opts.series || opts.dashboard {
-            svc = svc.with_series(DEFAULT_SERIES_CAPACITY);
-        }
-        if opts.dashboard {
-            svc = svc.with_slo(SloEngine::standard()).with_flight(FlightRecorder::new());
+            // A bare `--series` run judges nothing, so its series carries
+            // no `slo.*` columns.
+            let slo =
+                if opts.dashboard { SloEngine::standard() } else { SloEngine::new(Vec::new()) };
+            svc = svc.with_observer(Observer::new(&telemetry, slo));
         }
         let serve = (opts.serve || opts.dashboard || opts.mirror).then(|| {
             Arc::new(SnapshotStore::new(StoreConfig::default()).with_telemetry(telemetry.clone()))

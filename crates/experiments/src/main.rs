@@ -147,324 +147,321 @@ fn fleet_for(
     fleet.build().expect("serve fleet config rejected")
 }
 
-fn main() {
-    let mut scale = Scale::paper();
-    let mut out_dir = PathBuf::from("results");
-    let mut telemetry_path: Option<PathBuf> = None;
-    let mut series_path: Option<PathBuf> = None;
-    let mut trace_path: Option<PathBuf> = None;
-    let mut checkpoint_path: Option<PathBuf> = None;
-    let mut serve_report_path: Option<PathBuf> = None;
-    let mut dashboard_path: Option<PathBuf> = None;
-    let mut mirrors: Option<usize> = None;
-    let mut vantages: Option<usize> = None;
-    let mut serve_faults = false;
-    let mut clients: Option<u64> = None;
-    let mut flash_crowd = false;
-    let mut cmds: Vec<String> = Vec::new();
+/// The command line, parsed.
+#[derive(Default)]
+struct Flags {
+    scale: Scale,
+    out_dir: PathBuf,
+    telemetry: Option<PathBuf>,
+    series: Option<PathBuf>,
+    trace: Option<PathBuf>,
+    checkpoint: Option<PathBuf>,
+    serve_report: Option<PathBuf>,
+    dashboard: Option<PathBuf>,
+    mirrors: Option<usize>,
+    vantages: Option<usize>,
+    serve_faults: bool,
+    clients: Option<u64>,
+    flash_crowd: bool,
+    cmds: Vec<String>,
+}
+
+fn parse_flags() -> Flags {
+    // The scale defaults to the paper's.
+    let mut flags = Flags { out_dir: PathBuf::from("results"), ..Flags::default() };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => match args.next().as_deref() {
-                Some("tiny") => {
-                    let seed = scale.seed;
-                    scale = Scale::tiny().with_seed(seed);
+            "--scale" => {
+                let seed = flags.scale.seed;
+                flags.scale = match args.next().as_deref() {
+                    Some("tiny") => Scale::tiny(),
+                    Some("small") => Scale::small(),
+                    Some("paper") => Scale::paper(),
+                    other => {
+                        eprintln!("unknown scale {other:?}");
+                        usage()
+                    }
                 }
-                Some("small") => {
-                    let seed = scale.seed;
-                    scale = Scale::small().with_seed(seed);
-                }
-                Some("paper") => {
-                    let seed = scale.seed;
-                    scale = Scale::paper().with_seed(seed);
-                }
-                other => {
-                    eprintln!("unknown scale {other:?}");
-                    usage()
-                }
-            },
+                .with_seed(seed);
+            }
             "--seed" => {
                 let Some(s) = args.next().and_then(|v| v.parse::<u64>().ok()) else {
                     usage();
                 };
-                scale = scale.with_seed(s);
+                flags.scale = flags.scale.with_seed(s);
             }
-            "--out" => {
-                let Some(d) = args.next() else { usage() };
-                out_dir = PathBuf::from(d);
-            }
-            "--telemetry" => {
-                let Some(p) = args.next() else { usage() };
-                telemetry_path = Some(PathBuf::from(p));
-            }
-            "--series" => {
-                let Some(p) = args.next() else { usage() };
-                series_path = Some(PathBuf::from(p));
-            }
-            "--trace" => {
-                let Some(p) = args.next() else { usage() };
-                trace_path = Some(PathBuf::from(p));
-            }
-            "--checkpoint" => {
-                let Some(p) = args.next() else { usage() };
-                checkpoint_path = Some(PathBuf::from(p));
-            }
-            "--serve-report" => {
-                let Some(p) = args.next() else { usage() };
-                serve_report_path = Some(PathBuf::from(p));
-            }
-            "--dashboard" => {
-                let Some(p) = args.next() else { usage() };
-                dashboard_path = Some(PathBuf::from(p));
-            }
-            "--mirrors" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n > 0)
-                else {
-                    usage();
-                };
-                mirrors = Some(n);
-            }
-            "--vantages" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n > 0)
-                else {
-                    usage();
-                };
-                vantages = Some(n);
-            }
-            "--clients" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<u64>().ok()).filter(|&n| n > 0)
-                else {
-                    usage();
-                };
-                clients = Some(n);
-            }
-            "--flash-crowd" => flash_crowd = true,
-            "--serve-faults" => serve_faults = true,
+            "--out" => flags.out_dir = path(args.next()),
+            "--telemetry" => flags.telemetry = Some(path(args.next())),
+            "--series" => flags.series = Some(path(args.next())),
+            "--trace" => flags.trace = Some(path(args.next())),
+            "--checkpoint" => flags.checkpoint = Some(path(args.next())),
+            "--serve-report" => flags.serve_report = Some(path(args.next())),
+            "--dashboard" => flags.dashboard = Some(path(args.next())),
+            "--mirrors" => flags.mirrors = Some(positive(args.next())),
+            "--vantages" => flags.vantages = Some(positive(args.next())),
+            "--clients" => flags.clients = Some(positive(args.next())),
+            "--flash-crowd" => flags.flash_crowd = true,
+            "--serve-faults" => flags.serve_faults = true,
             "--help" | "-h" => usage(),
-            other => cmds.push(other.to_string()),
+            other => flags.cmds.push(other.to_string()),
         }
     }
-    // `--vantages N` is its own mode: run the fleet, write the
-    // disagreement artifact, exit. The experiment suite stays
-    // single-vantage (its world *is* vantage 0's world).
-    if let Some(n) = vantages {
-        std::fs::create_dir_all(&out_dir).expect("create results dir");
-        run_vantage_fleet(
-            n,
-            scale,
-            &out_dir,
-            telemetry_path.as_deref(),
-            checkpoint_path.as_deref(),
-        );
-        return;
-    }
-    if cmds.is_empty() {
-        usage();
-    }
-    if cmds.iter().any(|c| c == "all") {
-        cmds = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-    }
-    for c in &cmds {
-        if !EXPERIMENTS.contains(&c.as_str()) {
+    // `--vantages N` needs no experiment.
+    if flags.vantages.is_none() {
+        if flags.cmds.is_empty() {
+            usage();
+        }
+        if flags.cmds.iter().any(|c| c == "all") {
+            flags.cmds = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+        }
+        if let Some(c) = flags.cmds.iter().find(|c| !EXPERIMENTS.contains(&c.as_str())) {
             eprintln!("unknown experiment {c:?}");
             usage();
         }
     }
+    flags
+}
 
-    std::fs::create_dir_all(&out_dir).expect("create results dir");
+/// A flag's value as a path, or the usage text.
+fn path(value: Option<String>) -> PathBuf {
+    value.map(PathBuf::from).unwrap_or_else(|| usage())
+}
+
+/// A flag's value as a number above zero, or the usage text.
+fn positive<T: std::str::FromStr + Default + PartialOrd>(value: Option<String>) -> T {
+    match value.and_then(|v| v.parse::<T>().ok()) {
+        Some(n) if n > T::default() => n,
+        _ => usage(),
+    }
+}
+
+fn main() {
+    let flags = parse_flags();
+    std::fs::create_dir_all(&flags.out_dir).expect("create results dir");
+    // `--vantages N` is its own mode: run the fleet, write the
+    // disagreement artifact, exit. The experiment suite stays
+    // single-vantage (its world *is* vantage 0's world).
+    if let Some(n) = flags.vantages {
+        run_vantage_fleet(n, &flags);
+        return;
+    }
     let mut ctx = Ctx::build_resumable(
-        scale,
+        flags.scale,
         context::ObsOptions {
-            series: series_path.is_some(),
-            trace: trace_path.is_some(),
-            serve: serve_report_path.is_some(),
-            dashboard: dashboard_path.is_some(),
-            mirror: mirrors.is_some(),
+            series: flags.series.is_some(),
+            trace: flags.trace.is_some(),
+            serve: flags.serve_report.is_some(),
+            dashboard: flags.dashboard.is_some(),
+            mirror: flags.mirrors.is_some(),
         },
-        checkpoint_path.as_deref(),
+        flags.checkpoint.as_deref(),
     );
+    if let Some(path) = &flags.series {
+        write_series(&ctx, path);
+    }
+    match flags.mirrors {
+        Some(n) => chaos_day(&ctx, n, &flags),
+        None if flags.serve_report.is_some() || flags.dashboard.is_some() => {
+            serve_day(&ctx, &flags);
+        }
+        None => {}
+    }
+    if let Some(path) = &flags.dashboard {
+        dashboard(&mut ctx, path, &flags);
+    }
+    run_experiments(&mut ctx, &flags);
+}
 
-    // The service run is over, so the per-round series is complete now;
-    // write it once up front rather than after each experiment.
-    if let Some(path) = &series_path {
-        let recorder = ctx.svc.series().expect("series recorder attached");
-        write_observability(path, &recorder.to_jsonl());
-        eprintln!("[obs] wrote {} rounds of series data to {}", recorder.len(), path.display());
+/// Writes the per-round series. The service run is over, so the series
+/// is complete now; it is written once up front rather than after each
+/// experiment.
+fn write_series(ctx: &Ctx, path: &std::path::Path) {
+    let recorder = ctx.svc.observer().expect("observer attached").series();
+    write_observability(path, &recorder.to_jsonl());
+    eprintln!("[obs] wrote {} rounds of series data to {}", recorder.len(), path.display());
+}
+
+/// Chaos replay (`--mirrors N`): rebuild the origin from the captured
+/// publish history and drive the same simulated day through an N-mirror
+/// tier via the resilient client path — affinity, failover, retries with
+/// seeded backoff, hedging, circuit breakers — under the seeded fault plan
+/// when `--serve-faults` is given. Replaces the flat single-frontend
+/// serve-day replay; metrics land in the chaos day's own registry so the
+/// shared one stays undisturbed.
+fn chaos_day(ctx: &Ctx, n: usize, flags: &Flags) {
+    let seed = flags.scale.seed;
+    let day = sixdust_serve::FleetConfig::default().day_micros;
+    let faults = if flags.serve_faults {
+        sixdust_serve::ServeFaultConfig::chaos_scaled(seed, n, day)
+    } else {
+        sixdust_serve::ServeFaultConfig::lossless()
+    };
+    let (origin, plan) = ctx.chaos_origin_and_plan(day);
+    // A flash crowd chases publications: one spike per planned
+    // publish (or fixed thirds of the day when the plan is empty).
+    let spikes: Vec<(u64, u64)> = if plan.is_empty() {
+        vec![(day / 3, FLASH_WINDOW_US), (2 * day / 3, FLASH_WINDOW_US)]
+    } else {
+        plan.iter().filter(|p| p.at_us < day).map(|p| (p.at_us, FLASH_WINDOW_US)).collect()
+    };
+    let fleet = fleet_for(seed, flags.clients, flags.flash_crowd, &spikes);
+    let registry = sixdust_telemetry::Registry::new();
+    let flight = sixdust_telemetry::FlightRecorder::new();
+    registry.install_flight(&flight);
+    let mut observer =
+        sixdust_telemetry::Observer::new(&registry, sixdust_telemetry::SloEngine::standard());
+    let mut tier = sixdust_serve::MirrorTier::new(
+        sixdust_serve::MirrorTierConfig::builder().with_mirrors(n),
+        origin,
+        faults,
+    )
+    .with_telemetry(&registry);
+    let config = sixdust_serve::ChaosDayConfig::builder().with_fleet(fleet);
+    let started = std::time::Instant::now();
+    let report = sixdust_serve::run_chaos_day(&config, &mut tier, &plan, Some(&mut observer));
+    let wall = started.elapsed().as_secs_f64();
+    let r = &report.resilience;
+    // Wall-clock throughput goes to stderr only: the report file
+    // stays byte-identical across runs at a fixed seed.
+    eprintln!(
+        "[bench] chaos day: {} requests in {:.3} s wall ({:.0} requests/sec)",
+        r.logical_requests,
+        wall,
+        r.logical_requests as f64 / wall.max(1e-9),
+    );
+    if report.flash_arrivals > 0 {
+        eprintln!("[obs] flash crowd: {} arrivals inside spike windows", report.flash_arrivals);
     }
-    // Chaos replay (`--mirrors N`): rebuild the origin from the captured
-    // publish history and drive the same simulated day through an
-    // N-mirror tier via the resilient client path — affinity, failover,
-    // retries with seeded backoff, hedging, circuit breakers — under the
-    // seeded fault plan when `--serve-faults` is given. Replaces the
-    // flat single-frontend serve-day replay; metrics land in the chaos
-    // observer's own registry so the shared one stays undisturbed.
-    if let Some(n) = mirrors {
-        let day = sixdust_serve::FleetConfig::default().day_micros;
-        let faults = if serve_faults {
-            sixdust_serve::ServeFaultConfig::chaos_scaled(scale.seed, n, day)
-        } else {
-            sixdust_serve::ServeFaultConfig::lossless()
-        };
-        let (origin, plan) = ctx.chaos_origin_and_plan(day);
-        // A flash crowd chases publications: one spike per planned
-        // publish (or fixed thirds of the day when the plan is empty).
-        let spikes: Vec<(u64, u64)> = if plan.is_empty() {
-            vec![(day / 3, FLASH_WINDOW_US), (2 * day / 3, FLASH_WINDOW_US)]
-        } else {
-            plan.iter().filter(|p| p.at_us < day).map(|p| (p.at_us, FLASH_WINDOW_US)).collect()
-        };
-        let fleet = fleet_for(scale.seed, clients, flash_crowd, &spikes);
-        let mut observer = sixdust_serve::ChaosObserver::new(sixdust_telemetry::Registry::new());
-        let mut tier = sixdust_serve::MirrorTier::new(
-            sixdust_serve::MirrorTierConfig::builder().with_mirrors(n),
-            origin,
-            faults,
-        )
-        .with_telemetry(observer.registry())
-        .with_flight(observer.flight().clone());
-        let config = sixdust_serve::ChaosDayConfig::builder().with_fleet(fleet);
-        let started = std::time::Instant::now();
-        let report = sixdust_serve::run_chaos_day(&config, &mut tier, &plan, Some(&mut observer));
-        let wall = started.elapsed().as_secs_f64();
-        let r = &report.resilience;
-        // Wall-clock throughput goes to stderr only: the report file
-        // stays byte-identical across runs at a fixed seed.
-        eprintln!(
-            "[bench] chaos day: {} requests in {:.3} s wall ({:.0} requests/sec)",
-            r.logical_requests,
-            wall,
-            r.logical_requests as f64 / wall.max(1e-9),
-        );
-        if report.flash_arrivals > 0 {
-            eprintln!("[obs] flash crowd: {} arrivals inside spike windows", report.flash_arrivals);
-        }
-        eprintln!(
-            "[obs] chaos day over {} mirrors ({}): {} requests / {} attempts, \
-             {} retries, {} failovers, {} hedged ({} wins), {} breaker opens, \
-             {} stale served, {} syncs ({} rejected), {} hard failures",
-            r.mirrors,
-            if serve_faults { "chaos faults" } else { "lossless" },
-            r.logical_requests,
-            r.attempts,
-            r.retries,
-            r.failovers,
-            r.hedged,
-            r.hedge_wins,
-            r.breaker_opened,
-            r.stale_served,
-            r.syncs,
-            r.sync_rejected,
-            r.hard_failures,
-        );
-        eprintln!(
-            "[obs] chaos day observability: {} SLO breach rounds, {} flight captures",
-            observer.slo().breaches().len(),
-            observer.flight().captures_len(),
-        );
-        if let Some(path) = &serve_report_path {
-            let json = sixdust_json::to_string_pretty(&report);
-            write_observability(path, &json);
-            eprintln!("[obs] wrote chaos serve report to {}", path.display());
-        }
+    eprintln!(
+        "[obs] chaos day over {} mirrors ({}): {} requests / {} attempts, \
+         {} retries, {} failovers, {} hedged ({} wins), {} breaker opens, \
+         {} stale served, {} syncs ({} rejected), {} hard failures",
+        r.mirrors,
+        if flags.serve_faults { "chaos faults" } else { "lossless" },
+        r.logical_requests,
+        r.attempts,
+        r.retries,
+        r.failovers,
+        r.hedged,
+        r.hedge_wins,
+        r.breaker_opened,
+        r.stale_served,
+        r.syncs,
+        r.sync_rejected,
+        r.hard_failures,
+    );
+    eprintln!(
+        "[obs] chaos day observability: {} SLO breach rounds, {} flight captures",
+        observer.slo().breaches().len(),
+        flight.captures_len(),
+    );
+    if let Some(path) = &flags.serve_report {
+        let json = sixdust_json::to_string_pretty(&report);
+        write_observability(path, &json);
+        eprintln!("[obs] wrote chaos serve report to {}", path.display());
     }
-    // The store now holds every round of the run; replay one high-QPS
-    // day of simulated consumer load against it and write the report.
-    if mirrors.is_none() && (serve_report_path.is_some() || dashboard_path.is_some()) {
-        let store = ctx.serve.clone().expect("serve store attached");
-        let day = sixdust_serve::FleetConfig::default().day_micros;
-        let spikes = [(day / 3, FLASH_WINDOW_US), (2 * day / 3, FLASH_WINDOW_US)];
-        let fleet = fleet_for(scale.seed, clients, flash_crowd, &spikes);
-        let started = std::time::Instant::now();
-        let report = sixdust_serve::run_day_observed(
-            &fleet,
-            sixdust_serve::FrontendConfig::default(),
-            &store,
-            Some(&ctx.telemetry),
-            ctx.svc.flight(),
-        );
-        let wall = started.elapsed().as_secs_f64();
-        eprintln!(
-            "[obs] serve day: {} requests, {} bodies ({} delta), {} bytes, {} hits/{} misses, \
-             {} not-modified, {} shed",
-            report.totals.requests,
-            report.totals.bodies,
-            report.totals.delta_fetches,
-            report.totals.bytes_sent,
-            report.totals.cache_hits,
-            report.totals.cache_misses,
-            report.totals.not_modified,
-            report.totals.shed_client + report.totals.shed_global,
-        );
-        if report.flash_arrivals > 0 {
-            eprintln!("[obs] flash crowd: {} arrivals inside spike windows", report.flash_arrivals);
-        }
-        eprintln!(
-            "[obs] serve day ledger: {} clients, {} bytes saved by delta, {} delta fallbacks, \
-             p50/p90/p99 latency {}/{}/{} us",
-            report.clients,
-            report.bytes_saved_by_delta,
-            report.delta_fallbacks,
-            report.latency_p50_us,
-            report.latency_p90_us,
-            report.latency_p99_us,
-        );
-        // Wall-clock throughput goes to stderr only: the report file
-        // stays byte-identical across runs at a fixed seed.
-        eprintln!(
-            "[bench] serve day: {} requests in {:.3} s wall ({:.0} requests/sec)",
-            report.totals.requests,
-            wall,
-            report.totals.requests as f64 / wall.max(1e-9),
-        );
-        if let Some(path) = &serve_report_path {
-            let json = sixdust_json::to_string_pretty(&report);
-            write_observability(path, &json);
-            eprintln!("[obs] wrote serve report to {}", path.display());
-        }
+}
+
+/// The flat serve day: the store holds every round of the run, so replay
+/// one high-QPS day of simulated consumer load against it and write the
+/// report.
+fn serve_day(ctx: &Ctx, flags: &Flags) {
+    let store = ctx.serve.clone().expect("serve store attached");
+    let day = sixdust_serve::FleetConfig::default().day_micros;
+    let spikes = [(day / 3, FLASH_WINDOW_US), (2 * day / 3, FLASH_WINDOW_US)];
+    let fleet = fleet_for(flags.scale.seed, flags.clients, flags.flash_crowd, &spikes);
+    let started = std::time::Instant::now();
+    let report = sixdust_serve::run_day(
+        &fleet,
+        sixdust_serve::FrontendConfig::default(),
+        &store,
+        Some(&ctx.telemetry),
+    );
+    let wall = started.elapsed().as_secs_f64();
+    eprintln!(
+        "[obs] serve day: {} requests, {} bodies ({} delta), {} bytes, {} hits/{} misses, \
+         {} not-modified, {} shed",
+        report.totals.requests,
+        report.totals.bodies,
+        report.totals.delta_fetches,
+        report.totals.bytes_sent,
+        report.totals.cache_hits,
+        report.totals.cache_misses,
+        report.totals.not_modified,
+        report.totals.shed_client + report.totals.shed_global,
+    );
+    if report.flash_arrivals > 0 {
+        eprintln!("[obs] flash crowd: {} arrivals inside spike windows", report.flash_arrivals);
     }
-    // Fold the serve day's registry deltas into the observability stream
-    // as one extra round (keyed past the last service day), then render
-    // the self-contained ops dashboard. Rendered before the experiments
-    // run so their registry churn cannot perturb the page: at a fixed
-    // seed the HTML is byte-identical across runs. A `--mirrors` chaos
-    // replay keeps its metrics in an isolated registry, so there is no
-    // flat serve day to fold in and the subtitle says so.
-    if let Some(path) = &dashboard_path {
-        if mirrors.is_none() {
-            let serve_key = ctx.svc.rounds().last().map(|r| r.day.0 + 1).unwrap_or(0);
-            ctx.svc.record_series_round(serve_key);
-        }
-        let subtitle = format!(
-            "scale addr 1/{} entity 1/{} seed {:#x} — {} service rounds{}",
-            scale.addr_div,
-            scale.entity_div,
-            scale.seed,
-            ctx.svc.rounds().len(),
-            if mirrors.is_none() { " + 1 serve day" } else { "" },
-        );
-        let dash = sixdust_telemetry::Dashboard {
-            title: "sixdust ops",
-            subtitle: &subtitle,
-            series: ctx.svc.series().expect("dashboard implies series"),
-            slo: ctx.svc.slo(),
-            flight: ctx.svc.flight(),
-        };
-        write_observability(path, &dash.render());
-        let breaches = ctx.svc.slo().map(|e| e.breaches().len()).unwrap_or(0);
-        let captures = ctx.svc.flight().map(|f| f.captures_len()).unwrap_or(0);
-        eprintln!(
-            "[obs] wrote ops dashboard to {} ({} SLO breach rounds, {} flight captures)",
-            path.display(),
-            breaches,
-            captures
-        );
+    eprintln!(
+        "[obs] serve day ledger: {} clients, {} bytes saved by delta, {} delta fallbacks, \
+         p50/p90/p99 latency {}/{}/{} us",
+        report.clients,
+        report.bytes_saved_by_delta,
+        report.delta_fallbacks,
+        report.latency_p50_us,
+        report.latency_p90_us,
+        report.latency_p99_us,
+    );
+    // Wall-clock throughput goes to stderr only: the report file
+    // stays byte-identical across runs at a fixed seed.
+    eprintln!(
+        "[bench] serve day: {} requests in {:.3} s wall ({:.0} requests/sec)",
+        report.totals.requests,
+        wall,
+        report.totals.requests as f64 / wall.max(1e-9),
+    );
+    if let Some(path) = &flags.serve_report {
+        let json = sixdust_json::to_string_pretty(&report);
+        write_observability(path, &json);
+        eprintln!("[obs] wrote serve report to {}", path.display());
     }
-    for cmd in &cmds {
+}
+
+/// Folds the flat serve day's registry deltas into the observability
+/// stream as one extra round (keyed past the last service day), then
+/// renders the self-contained ops dashboard. Rendered before the
+/// experiments run so their registry churn cannot perturb the page: at a
+/// fixed seed the HTML is byte-identical across runs. A `--mirrors` chaos
+/// replay keeps its metrics in a registry of its own, so there is no flat
+/// serve day to fold in and the subtitle says so.
+fn dashboard(ctx: &mut Ctx, path: &std::path::Path, flags: &Flags) {
+    let flat_day = flags.mirrors.is_none();
+    if flat_day {
+        let serve_key = ctx.svc.rounds().last().map(|r| r.day.0 + 1).unwrap_or(0);
+        ctx.svc.observer_mut().expect("dashboard implies an observer").record(serve_key);
+    }
+    let scale = flags.scale;
+    let subtitle = format!(
+        "scale addr 1/{} entity 1/{} seed {:#x} — {} service rounds{}",
+        scale.addr_div,
+        scale.entity_div,
+        scale.seed,
+        ctx.svc.rounds().len(),
+        if flat_day { " + 1 serve day" } else { "" },
+    );
+    let observer = ctx.svc.observer().expect("dashboard implies an observer");
+    let dash = sixdust_telemetry::Dashboard { title: "sixdust ops", subtitle: &subtitle, observer };
+    write_observability(path, &dash.render());
+    eprintln!(
+        "[obs] wrote ops dashboard to {} ({} SLO breach rounds, {} flight captures)",
+        path.display(),
+        observer.slo().breaches().len(),
+        observer.registry().flight().map_or(0, |f| f.captures_len()),
+    );
+}
+
+/// Runs each requested experiment, printing its text and writing
+/// `<out>/<id>.{txt,json}`.
+fn run_experiments(ctx: &mut Ctx, flags: &Flags) {
+    let scale = flags.scale;
+    for cmd in &flags.cmds {
         let t0 = std::time::Instant::now();
         let out = if cmd == "publish" {
-            exp_extensions::publish_artifacts(&ctx, &out_dir)
+            exp_extensions::publish_artifacts(ctx, &flags.out_dir)
         } else {
-            run_one(&mut ctx, cmd)
+            run_one(ctx, cmd)
         };
         println!(
             "\n================ {} ({:.1}s) ================",
@@ -472,9 +469,9 @@ fn main() {
             t0.elapsed().as_secs_f64()
         );
         println!("{}", out.text);
-        let txt_path = out_dir.join(format!("{}.txt", out.id));
+        let txt_path = flags.out_dir.join(format!("{}.txt", out.id));
         std::fs::write(&txt_path, &out.text).expect("write txt");
-        let json_path = out_dir.join(format!("{}.json", out.id));
+        let json_path = flags.out_dir.join(format!("{}.json", out.id));
         let mut f = std::fs::File::create(&json_path).expect("create json");
         let enriched = sixdust_json::json!({
             "experiment": out.id,
@@ -485,15 +482,15 @@ fn main() {
         // Dump after every experiment so the telemetry and trace files are
         // complete even if a later experiment aborts the run (experiments
         // keep emitting spans, e.g. the new-source alias pass).
-        if let Some(path) = &telemetry_path {
+        if let Some(path) = &flags.telemetry {
             write_observability(path, &ctx.telemetry.snapshot().to_json());
         }
-        if let Some(path) = &trace_path {
+        if let Some(path) = &flags.trace {
             let journal = ctx.trace.as_ref().expect("trace journal installed");
             write_observability(path, &journal.to_chrome_json());
         }
     }
-    if let Some(path) = &trace_path {
+    if let Some(path) = &flags.trace {
         let journal = ctx.trace.as_ref().expect("trace journal installed");
         eprintln!(
             "[obs] wrote {} trace events to {} (open in chrome://tracing)",
@@ -514,15 +511,13 @@ fn main() {
 /// corrupt or roster-incompatible checkpoint is reported and ignored.
 /// With `--telemetry PATH` the fleet's registry (including the
 /// `vantage.*` metrics) is dumped as JSON at the end of the run.
-fn run_vantage_fleet(
-    n: usize,
-    scale: Scale,
-    out_dir: &std::path::Path,
-    telemetry_path: Option<&std::path::Path>,
-    checkpoint_path: Option<&std::path::Path>,
-) {
+fn run_vantage_fleet(n: usize, flags: &Flags) {
     use sixdust_net::{events, FaultConfig};
     use sixdust_vantage::{FleetConfig, FleetState, VantageFleet};
+
+    let (scale, out_dir) = (flags.scale, &flags.out_dir);
+    let (telemetry_path, checkpoint_path) =
+        (flags.telemetry.as_deref(), flags.checkpoint.as_deref());
 
     let registry = sixdust_telemetry::Registry::new();
     let config = FleetConfig::new(scale, n)

@@ -7,7 +7,7 @@ use std::process::Command;
 
 use sixdust_hitlist::ServiceState;
 use sixdust_serve::DayReport;
-use sixdust_telemetry::Snapshot;
+use sixdust_telemetry::{is_deterministic_metric, Snapshot};
 
 fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
@@ -71,4 +71,46 @@ fn tiny_pipeline_writes_json_that_reads_back() {
     );
 
     std::fs::remove_dir_all(&out).ok();
+}
+
+#[test]
+fn the_dashboard_and_its_series_replay_byte_identically() {
+    // The service's rounds plus the flat serve day, folded in as one more
+    // round: the observer judges both, the flight recorder in the shared
+    // registry hears both.
+    let run = |name: &str| {
+        let out = std::env::temp_dir().join(format!("sixdust_exp_{name}_{}", std::process::id()));
+        std::fs::remove_dir_all(&out).ok();
+        let run = Command::new(env!("CARGO_BIN_EXE_sixdust-exp"))
+            .args(["--scale", "tiny", "--seed", "11", "--out"])
+            .arg(&out)
+            .arg("--series")
+            .arg(out.join("series.jsonl"))
+            .arg("--dashboard")
+            .arg(out.join("dash.html"))
+            .arg("pipeline")
+            .output()
+            .expect("sixdust-exp runs");
+        assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+        let files = (read(&out.join("dash.html")), read(&out.join("series.jsonl")));
+        std::fs::remove_dir_all(&out).ok();
+        files
+    };
+    let (page, series) = run("dash_a");
+    let (again, series_again) = run("dash_b");
+    assert!(page == again, "same seed, same page");
+    // The series also carries wall-clock timings; every other column
+    // replays exactly.
+    let deterministic = |series: &str| -> Vec<Vec<(String, sixdust_json::Value)>> {
+        let round = |line| sixdust_json::parse(line).expect("one JSON object a line");
+        (series.lines().map(round))
+            .map(|round| {
+                let columns = round.as_object().expect("an object").iter();
+                columns.filter(|(name, _)| is_deterministic_metric(name)).cloned().collect()
+            })
+            .collect()
+    };
+    assert!(deterministic(&series) == deterministic(&series_again), "same seed, same series");
+    assert!(page.contains("<h2>Flight-recorder captures</h2>"), "the page shows a capture");
+    assert!(page.contains(">serve.requests<"), "the serve day is a round of the page");
 }

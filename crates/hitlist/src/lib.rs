@@ -491,9 +491,13 @@ mod tests {
     #[test]
     fn series_recorder_reconciles_with_round_records() {
         let net = net();
-        let mut svc = HitlistService::new(quick_config()).with_series(1024);
+        let observer = sixdust_telemetry::Observer::new(
+            &sixdust_telemetry::Registry::new(),
+            sixdust_telemetry::SloEngine::new(Vec::new()),
+        );
+        let mut svc = HitlistService::new(quick_config()).with_observer(observer);
         svc.run(&net, Day(0), Day(12));
-        let rec = svc.series().expect("recorder attached");
+        let rec = svc.observer().expect("observer attached").series();
         assert_eq!(rec.len(), svc.rounds().len());
 
         let udp53_idx = Protocol::ALL.iter().position(|p| *p == Protocol::Udp53).unwrap();

@@ -16,9 +16,7 @@ use sixdust_alias::{candidates, AliasDetector, DetectorConfig};
 use sixdust_json::json_struct;
 use sixdust_net::{events, Day, Internet, ProbeKind, ProtoSet, Protocol};
 use sixdust_scan::{scan_jobs, ScanConfig, ScanJob, ScanResult};
-use sixdust_telemetry::{
-    FlightRecorder, MadConfig, MadDetector, Registry, SeriesRecorder, SloEngine, TraceSpan,
-};
+use sixdust_telemetry::{MadConfig, MadDetector, Observer, Registry, TraceSpan};
 
 use crate::filters::{Blocklist, GfwFilter, UnresponsiveFilter};
 use crate::sources;
@@ -276,14 +274,12 @@ pub struct HitlistService {
     /// counts (Protocol::ALL order). Always on: the detectors are a few
     /// floats of state and make every round self-describing.
     anomaly: [MadDetector; 5],
-    series: Option<SeriesRecorder>,
     /// Rounds since the last *clean* publish (neither degraded nor
     /// anomaly-flagged) — the publish-freshness signal, exported as the
     /// `service.publish.staleness_rounds` gauge and judged by the
     /// `publish-freshness` SLO.
     staleness_rounds: u32,
-    slo: Option<SloEngine>,
-    flight: Option<FlightRecorder>,
+    observer: Option<Observer>,
 }
 
 impl HitlistService {
@@ -311,10 +307,8 @@ impl HitlistService {
             last_proto_cleaned: Vec::new(),
             last_zone_week: None,
             anomaly: std::array::from_fn(|_| MadDetector::new(MadConfig::default())),
-            series: None,
             staleness_rounds: 0,
-            slo: None,
-            flight: None,
+            observer: None,
         }
     }
 
@@ -327,117 +321,29 @@ impl HitlistService {
         self
     }
 
-    /// Attaches a longitudinal series recorder keeping the last `capacity`
-    /// rounds of per-round metric deltas (see
-    /// [`sixdust_telemetry::SeriesRecorder`]). Creates and attaches a
-    /// fresh telemetry registry first if none was installed with
-    /// [`HitlistService::with_telemetry`]; the recorder is fed at the end
-    /// of every [`HitlistService::run_round`], after the round's counters.
-    pub fn with_series(self, capacity: usize) -> HitlistService {
-        let mut svc = if self.telemetry.is_some() {
-            self
-        } else {
-            let registry = Registry::new();
-            self.with_telemetry(registry)
-        };
-        let registry = svc.telemetry.clone().expect("telemetry attached above");
-        svc.series = Some(SeriesRecorder::new(registry, capacity));
+    /// Attaches an [`Observer`], which records and judges a round at the
+    /// end of every [`HitlistService::run_round`], after the round's
+    /// counters; its registry becomes the service's telemetry registry.
+    /// A flight recorder installed in that registry
+    /// ([`Registry::install_flight`]) also receives the round's anomaly
+    /// and degraded-round events, and a capture at each degraded-round or
+    /// anomaly onset.
+    pub fn with_observer(self, observer: Observer) -> HitlistService {
+        let mut svc = self.with_telemetry(observer.registry().clone());
+        svc.observer = Some(observer);
         svc
     }
 
-    /// The per-round series recorder, if one was attached with
-    /// [`HitlistService::with_series`].
-    pub fn series(&self) -> Option<&SeriesRecorder> {
-        self.series.as_ref()
+    /// The observer, if one was attached with
+    /// [`HitlistService::with_observer`].
+    pub fn observer(&self) -> Option<&Observer> {
+        self.observer.as_ref()
     }
 
-    /// Attaches an SLO engine (see [`sixdust_telemetry::SloEngine`]): each
-    /// recorded series round is judged against the engine's objectives and
-    /// burn-rate gauges/breach counters land in the service registry.
-    /// Implies [`HitlistService::with_series`] at the default capacity if
-    /// no recorder is attached yet, since the engine consumes the series
-    /// stream.
-    pub fn with_slo(self, engine: SloEngine) -> HitlistService {
-        let mut svc = if self.series.is_some() {
-            self
-        } else {
-            self.with_series(sixdust_telemetry::DEFAULT_SERIES_CAPACITY)
-        };
-        let registry = svc.telemetry.clone().expect("series implies telemetry");
-        svc.slo = Some(engine.with_registry(&registry));
-        svc
-    }
-
-    /// The SLO engine, if one was attached with
-    /// [`HitlistService::with_slo`].
-    pub fn slo(&self) -> Option<&SloEngine> {
-        self.slo.as_ref()
-    }
-
-    /// Attaches a black-box flight recorder (see
-    /// [`sixdust_telemetry::FlightRecorder`]): anomaly and degraded-round
-    /// events are noted into its ring, every recorded series round feeds
-    /// its round buffer, and a capture is frozen at each degraded-round,
-    /// anomaly, or SLO-breach onset. Clone the recorder before attaching
-    /// to keep a handle for reading captures (it shares state).
-    pub fn with_flight(mut self, recorder: FlightRecorder) -> HitlistService {
-        self.flight = Some(recorder);
-        self
-    }
-
-    /// The flight recorder, if one was attached with
-    /// [`HitlistService::with_flight`].
-    pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    /// Rounds since the last *clean* publish (neither degraded nor
-    /// anomaly-flagged) — the live value behind the
-    /// `service.publish.staleness_rounds` gauge. The serve-layer chaos
-    /// replay seeds its own staleness clock from this so a blackout that
-    /// begins mid-day burns freshness from the right baseline.
-    pub fn publish_staleness_rounds(&self) -> u32 {
-        self.staleness_rounds
-    }
-
-    /// Records one series round keyed by `key` and routes it through the
-    /// attached judgment layers: the round's metric deltas enter the
-    /// flight recorder's round ring, the SLO engine judges them (noting
-    /// every breach into the event ring and freezing a capture at each
-    /// breach *onset*). No-op without a series recorder.
-    ///
-    /// [`HitlistService::run_round`] calls this once per round; callers
-    /// folding out-of-band registry activity into the same observability
-    /// stream (e.g. the serve-layer day replay in `sixdust-exp`) may call
-    /// it directly with a key past the last round's day.
-    pub fn record_series_round(&mut self, key: u32) {
-        let Some(rec) = &mut self.series else { return };
-        let round = rec.record(key).clone();
-        if let Some(flight) = &self.flight {
-            flight.note_round(&round);
-        }
-        if let Some(engine) = &mut self.slo {
-            for breach in engine.observe(&round) {
-                if let Some(flight) = &self.flight {
-                    let bad = breach.bad_permille.to_string();
-                    let short = breach.burn_short_milli.to_string();
-                    let long = breach.burn_long_milli.to_string();
-                    flight.note(
-                        key,
-                        "slo.breach",
-                        &[
-                            ("slo", breach.slo.as_str()),
-                            ("bad_permille", bad.as_str()),
-                            ("burn_short_milli", short.as_str()),
-                            ("burn_long_milli", long.as_str()),
-                        ],
-                    );
-                    if breach.onset {
-                        flight.capture(key, &format!("slo:{}", breach.slo));
-                    }
-                }
-            }
-        }
+    /// The observer, to fold out-of-band registry activity (the serve day
+    /// `sixdust-exp` replays) into the same series as one more round.
+    pub fn observer_mut(&mut self) -> Option<&mut Observer> {
+        self.observer.as_mut()
     }
 
     /// The service's blocklist (opt-out registration).
@@ -803,6 +709,7 @@ impl HitlistService {
     ) -> &RoundRecord {
         let PreparedRound { day, targets, gfw_live, mut round_span } = prepared;
         let tracer = self.telemetry.as_ref().and_then(|t| t.tracer());
+        let flight = self.telemetry.as_ref().and_then(|t| t.flight());
         let day_str = day.0.to_string();
 
         // 3c. Merge, strictly in Protocol::ALL order. GFW cleaning
@@ -894,7 +801,7 @@ impl HitlistService {
                 if let Some(j) = &tracer {
                     j.instant(anomaly_name, &args);
                 }
-                if let Some(flight) = &self.flight {
+                if let Some(flight) = &flight {
                     flight.note(day.0, anomaly_name, &args);
                 }
             }
@@ -946,7 +853,7 @@ impl HitlistService {
             if let Some(j) = &tracer {
                 j.instant("service.degraded", &args);
             }
-            if let Some(flight) = &self.flight {
+            if let Some(flight) = &flight {
                 flight.note(day.0, "service.degraded", &args);
             }
             0
@@ -1041,11 +948,12 @@ impl HitlistService {
         self.rounds.push(record);
 
         // 9. Longitudinal series: record after every counter for the round
-        // has been fed, so each SeriesRound is exactly this round's deltas.
-        // The shared path also judges the round against attached SLOs and
-        // feeds the flight recorder.
-        self.record_series_round(day.0);
-        if let Some(flight) = &self.flight {
+        // has been fed, so each SeriesRound is exactly this round's deltas,
+        // and judge it.
+        if let Some(observer) = &mut self.observer {
+            observer.record(day.0);
+        }
+        if let Some(flight) = &flight {
             if degraded_onset {
                 flight.capture(day.0, "degraded-round");
             } else if anomaly_onset {
@@ -1077,15 +985,10 @@ impl HitlistService {
         until: Day,
         mut hook: impl FnMut(&HitlistService, Day),
     ) {
-        let mut day = from;
-        while day < until {
+        for day in events::cadence(from, until) {
             self.run_round(net, day);
             hook(self, day);
-            let next = day.plus(events::scan_gap(day));
-            day = if next > until { until } else { next };
         }
-        self.run_round(net, until);
-        hook(self, until);
     }
 }
 
@@ -1341,11 +1244,12 @@ mod tests {
 
     #[test]
     fn slo_breach_through_shared_series_path_freezes_a_capture() {
-        let mut svc = HitlistService::new(ServiceConfig::default())
-            .with_slo(SloEngine::standard())
-            .with_flight(FlightRecorder::new());
-        assert!(svc.series().is_some(), "with_slo implies a series recorder");
-        let reg = svc.telemetry.clone().expect("series implies telemetry");
+        let reg = Registry::new();
+        let flight = sixdust_telemetry::FlightRecorder::new();
+        reg.install_flight(&flight);
+        let observer = Observer::new(&reg, sixdust_telemetry::SloEngine::standard());
+        let mut svc = HitlistService::new(ServiceConfig::default()).with_observer(observer);
+        assert!(svc.telemetry.is_some(), "the observer's registry is the service's");
         let rounds = reg.counter("service.rounds");
         let degraded = reg.counter("service.degraded_rounds");
         // Three consecutive fully-degraded rounds: the degraded-rounds
@@ -1354,15 +1258,14 @@ mod tests {
         for key in 0..3 {
             rounds.incr();
             degraded.incr();
-            svc.record_series_round(key);
+            svc.observer_mut().expect("attached above").record(key);
         }
-        let engine = svc.slo().expect("attached above");
+        let engine = svc.observer().expect("attached above").slo();
         assert!(
             engine.breaches().iter().any(|b| b.slo == "degraded-rounds" && b.onset),
             "breach log must carry the degraded-rounds onset: {:?}",
             engine.breaches()
         );
-        let flight = svc.flight().expect("attached above");
         assert_eq!(flight.captures_len(), 1, "exactly one capture at the breach onset");
         let cap = &flight.captures()[0];
         assert_eq!(cap.reason, "slo:degraded-rounds");

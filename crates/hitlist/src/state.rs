@@ -336,14 +336,9 @@ mod tests {
         state.validate().expect("mid-run checkpoint is valid");
         let mut resumed = state.restore(test_config());
         // Continue from the day after the checkpointed round.
-        let mut day = Day(9);
-        let until = Day(16);
-        while day < until {
+        for day in sixdust_net::events::cadence(Day(9), Day(16)) {
             resumed.run_round(&net, day);
-            let next = day.plus(sixdust_net::events::scan_gap(day));
-            day = if next > until { until } else { next };
         }
-        resumed.run_round(&net, until);
         // The resumed service reproduces the uninterrupted timeline.
         assert_eq!(resumed.rounds().len(), original.rounds().len());
         for (r, o) in resumed.rounds().iter().zip(original.rounds()) {

@@ -109,6 +109,21 @@ pub mod events {
             _ => 5,
         }
     }
+
+    /// The round days of the historical cadence over `[from, until]`:
+    /// `from`, then a [`scan_gap`] after each round, and a final round
+    /// pinned to `until` (a window that starts at or past `until` is that
+    /// one round).
+    pub fn cadence(from: Day, until: Day) -> Vec<Day> {
+        let mut days = Vec::new();
+        let mut day = from;
+        while day < until {
+            days.push(day);
+            day = day.plus(scan_gap(day)).min(until);
+        }
+        days.push(until);
+        days
+    }
 }
 
 #[cfg(test)]
@@ -152,6 +167,18 @@ mod tests {
     fn cadence_slows() {
         assert_eq!(events::scan_gap(Day(0)), 1);
         assert!(events::scan_gap(Day::PAPER_END) > events::scan_gap(Day(0)));
+    }
+
+    #[test]
+    fn cadence_matches_the_service_walk() {
+        let days = events::cadence(Day(0), Day(10));
+        assert_eq!(days.first(), Some(&Day(0)));
+        assert_eq!(days.last(), Some(&Day(10)));
+        for pair in days.windows(2) {
+            assert!(pair[0] < pair[1], "strictly increasing");
+        }
+        // Degenerate window still lands the final round on `until`.
+        assert_eq!(events::cadence(Day(7), Day(7)), vec![Day(7)]);
     }
 
     #[test]

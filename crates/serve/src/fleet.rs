@@ -764,32 +764,18 @@ pub fn simulate_day_sync(
 }
 
 /// Convenience wrapper: build a front end over `store` with `frontend`
-/// config (telemetry optional) and replay one day of `fleet` load.
+/// config (telemetry optional) and replay one day of `fleet` load. With a
+/// flight recorder installed in the registry, every shed decision lands
+/// in its event ring.
 pub fn run_day(
     fleet: &FleetConfig,
     frontend: FrontendConfig,
     store: &Arc<SnapshotStore>,
     telemetry: Option<&Registry>,
 ) -> DayReport {
-    run_day_observed(fleet, frontend, store, telemetry, None)
-}
-
-/// Like [`run_day`], but additionally attaches a black-box flight
-/// recorder: every shed decision the front end makes lands in the
-/// recorder's event ring (keyed by virtual hour), available to captures.
-pub fn run_day_observed(
-    fleet: &FleetConfig,
-    frontend: FrontendConfig,
-    store: &Arc<SnapshotStore>,
-    telemetry: Option<&Registry>,
-    flight: Option<&sixdust_telemetry::FlightRecorder>,
-) -> DayReport {
     let mut fe = Frontend::new(frontend, store.clone());
     if let Some(registry) = telemetry {
         fe = fe.with_telemetry(registry);
-    }
-    if let Some(recorder) = flight {
-        fe = fe.with_flight(recorder.clone());
     }
     let mut el = EventLoop::new(&mut fe);
     if let Some(registry) = telemetry {

@@ -21,8 +21,9 @@
 //!   load-shedding accounting. Emits per-artifact-kind RED metrics
 //!   (`serve.kind.<stem>.{requests,errors,latency_us}`), virtual-time
 //!   latency in microseconds, and delta/304 byte-savings counters;
-//!   shed decisions feed an attached
-//!   [`FlightRecorder`](sixdust_telemetry::FlightRecorder).
+//!   shed decisions feed the
+//!   [`FlightRecorder`](sixdust_telemetry::FlightRecorder) installed in
+//!   the attached registry.
 //! * [`fleet`] — a seeded, Zipf-popular simulated consumer fleet and the
 //!   one driver that replays its day into a [`DayReport`]. Load comes in
 //!   two shapes: the classic uniform request spread and session-based
@@ -39,7 +40,9 @@
 //!   the synchronous path ([`simulate_day_sync`]), or
 //! * [`resilience`] — the resilient client of a mirror tier
 //!   ([`run_chaos_day`]): affinity, failover, retries with seeded backoff,
-//!   hedging and per-mirror circuit breakers around each logical request.
+//!   hedging and per-mirror circuit breakers around each logical request;
+//!   an [`Observer`](sixdust_telemetry::Observer) handed to the day
+//!   records and judges each virtual hour.
 //! * [`mirror`] — the fault-tolerant distribution tier: N edge mirrors
 //!   syncing generations from the origin store over the delta codec
 //!   with checksum-first torn-sync rejection, serving stale-but-counted
@@ -57,7 +60,7 @@
 //! that carries each count.
 //! [`Registry::publish`](sixdust_telemetry::Registry::publish) brings an
 //! attached registry level with the ledger where a reader can look: when
-//! a day ends, before each hourly round of a [`ChaosObserver`], and on an
+//! a day ends, before each hourly round of a chaos day's observer, and on an
 //! explicit `publish()` ([`Frontend::publish`], [`EventLoop::publish`],
 //! [`MirrorTier::publish`]).
 
@@ -79,12 +82,12 @@ pub use codec::{
 };
 pub use faults::ServeFaultConfig;
 pub use fleet::{
-    run_day, run_day_observed, simulate_day, simulate_day_sync, DayReport, FlashSpike, FleetConfig,
-    FleetConfigError, ResilienceTotals, SessionShape,
+    run_day, simulate_day, simulate_day_sync, DayReport, FlashSpike, FleetConfig, FleetConfigError,
+    ResilienceTotals, SessionShape,
 };
 pub use mirror::{MirrorTier, MirrorTierConfig, TierTotals, TimedPublish};
 pub use reactor::{Backend, Completion, EventLoop, LoopStats};
-pub use resilience::{run_chaos_day, BreakerConfig, ChaosDayConfig, ChaosObserver, RetryPolicy};
+pub use resilience::{run_chaos_day, BreakerConfig, ChaosDayConfig, RetryPolicy};
 pub use server::{
     FetchKind, Frontend, FrontendConfig, FrontendConfigError, FrontendTotals, Outcome, Request,
 };

@@ -29,7 +29,7 @@
 use std::sync::Arc;
 
 use sixdust_addr::AddrSet;
-use sixdust_telemetry::{FlightRecorder, Gauge, Published, Registry};
+use sixdust_telemetry::{Gauge, Published, Registry};
 
 use crate::codec;
 use crate::faults::ServeFaultConfig;
@@ -208,7 +208,6 @@ pub struct MirrorTier {
     /// return without walking the tier when nothing is due (zero forces a
     /// full walk on the next call, e.g. after a publish moves the target).
     next_due_us: u64,
-    flight: Option<FlightRecorder>,
     meters: Option<TierMeters>,
     totals: TierTotals,
 }
@@ -252,7 +251,6 @@ impl MirrorTier {
             faults,
             target_round,
             next_due_us: 0,
-            flight: None,
             meters: None,
             totals: TierTotals::default(),
         };
@@ -284,17 +282,22 @@ impl MirrorTier {
     }
 
     /// Attaches a metrics registry (`serve.mirror.*` plus every mirror
-    /// front end's `serve.*` set, aggregated across mirrors). Attach
-    /// before serving traffic: the mirror front ends are rebuilt. The lag
-    /// gauge is set on every walk of the tier; the counters are
-    /// [`TierTotals`], and reach the registry on [`MirrorTier::publish`].
+    /// front end's `serve.*` set, aggregated across mirrors; shed
+    /// decisions reach the registry's flight recorder, if one is
+    /// installed). Attach before serving traffic: the mirror front ends
+    /// are rebuilt. The lag gauge is set on every walk of the tier; the
+    /// counters are [`TierTotals`], and reach the registry on
+    /// [`MirrorTier::publish`].
     pub fn with_telemetry(mut self, registry: &Registry) -> MirrorTier {
         self.meters = Some(TierMeters {
             registry: registry.clone(),
             told: [0; PUBLISHED.len()],
             lag_rounds: registry.gauge("serve.mirror.lag_rounds"),
         });
-        self.rebuild_frontends();
+        for mirror in &mut self.mirrors {
+            mirror.frontend = Frontend::new(self.config.frontend.clone(), mirror.store.clone())
+                .with_telemetry(registry);
+        }
         // Every counter exists, at zero, from here on.
         self.publish();
         self
@@ -311,27 +314,6 @@ impl MirrorTier {
         }
         for mirror in &mut self.mirrors {
             mirror.frontend.publish();
-        }
-    }
-
-    /// Attaches a flight recorder to every mirror front end (shed
-    /// decisions land in its event ring). Attach before serving traffic.
-    pub fn with_flight(mut self, recorder: FlightRecorder) -> MirrorTier {
-        self.flight = Some(recorder);
-        self.rebuild_frontends();
-        self
-    }
-
-    fn rebuild_frontends(&mut self) {
-        for mirror in &mut self.mirrors {
-            let mut fe = Frontend::new(self.config.frontend.clone(), mirror.store.clone());
-            if let Some(meters) = &self.meters {
-                fe = fe.with_telemetry(&meters.registry);
-            }
-            if let Some(flight) = &self.flight {
-                fe = fe.with_flight(flight.clone());
-            }
-            mirror.frontend = fe;
         }
     }
 

@@ -4,7 +4,7 @@
 //! `TierClient` answers instead of a bare front end. Its
 //! [`Backend::answer`] first brings the tier up to the arrival instant —
 //! due publishes land on the origin or wait out a blackout, an attached
-//! [`ChaosObserver`] ticks its hourly series — then handles one logical
+//! [`Observer`] records and judges the hour — then handles one logical
 //! request, however many attempts that takes (affinity, failover, seeded
 //! backoff, one hedge, a breaker per mirror), and returns the winning
 //! [`Outcome`] with the backoff the client sat through. The walk counts
@@ -15,8 +15,7 @@
 
 use sixdust_addr::prf::prf_u128;
 use sixdust_telemetry::{
-    Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, Published, Registry,
-    SeriesRecorder, SloEngine,
+    Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, Observer, Published, Registry,
 };
 
 use crate::fleet::{drive_day, Clients, DayReport, FleetConfig, ResilienceTotals};
@@ -208,78 +207,6 @@ impl ChaosDayConfig {
     }
 }
 
-/// The observability sidecar of a chaos day: a shared registry, hourly
-/// series rounds, the standard SLO set (publish-freshness burns under an
-/// origin blackout, mirror-availability under outages) and a flight
-/// recorder that freezes a capture at blackout onset and at each SLO
-/// breach onset.
-pub struct ChaosObserver {
-    registry: Registry,
-    recorder: SeriesRecorder,
-    slo: SloEngine,
-    flight: FlightRecorder,
-    staleness_gauge: Gauge,
-    last_hour: Option<u32>,
-}
-
-impl ChaosObserver {
-    /// Builds the sidecar over `registry` (attach the same registry to
-    /// the tier via [`MirrorTier::with_telemetry`] so the SLO columns
-    /// exist).
-    pub fn new(registry: Registry) -> ChaosObserver {
-        let recorder = SeriesRecorder::new(registry.clone(), 32);
-        let slo = SloEngine::standard().with_registry(&registry);
-        let staleness_gauge = registry.gauge("service.publish.staleness_rounds");
-        ChaosObserver {
-            registry,
-            recorder,
-            slo,
-            flight: FlightRecorder::new(),
-            staleness_gauge,
-            last_hour: None,
-        }
-    }
-
-    /// The shared registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// The flight recorder (captures frozen at incident onsets).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
-    /// The SLO engine (burn rates, breach log).
-    pub fn slo(&self) -> &SloEngine {
-        &self.slo
-    }
-
-    /// The hourly series rounds recorded across the day.
-    pub fn recorder(&self) -> &SeriesRecorder {
-        &self.recorder
-    }
-
-    /// Records `hour`'s series round and judges it against the SLOs. The
-    /// recorder snapshots the registry only here, so the caller publishes
-    /// its ledgers first.
-    fn record(&mut self, hour: u32) {
-        self.last_hour = Some(hour);
-        let round = self.recorder.record(hour).clone();
-        self.flight.note_round(&round);
-        for breach in self.slo.observe(&round) {
-            self.flight.note(
-                hour,
-                "slo.breach",
-                &[("slo", &breach.slo), ("bad_permille", &breach.bad_permille.to_string())],
-            );
-            if breach.onset {
-                self.flight.capture(hour, &format!("slo:{}", breach.slo));
-            }
-        }
-    }
-}
-
 /// The registry's view of the client's side of the ledger.
 pub(crate) const PUBLISHED: [Published<ResilienceTotals>; 10] = [
     ("serve.retry.attempts", |t| t.attempts),
@@ -325,12 +252,19 @@ struct TierClient<'a> {
     /// Client-observed latency: served latency plus accumulated backoff,
     /// a winning hedge counting `hedge_after + its own`.
     latency: Histogram,
-    observer: Option<&'a mut ChaosObserver>,
+    /// Records and judges each hour of an observed day.
+    observer: Option<&'a mut Observer>,
+    /// The last hour the observer recorded.
+    last_hour: Option<u32>,
+    /// The observed registry's flight recorder: blackout onsets land there.
+    flight: Option<FlightRecorder>,
     /// How much of the ledger the observer's registry has been told.
     told: [u64; PUBLISHED.len()],
-    /// `serve.retry.backoff_us`, `serve.breaker.probes` and
-    /// `serve.breaker.open` of an observed day, which the ledger does not
-    /// carry; unregistered handles otherwise.
+    /// `service.publish.staleness_rounds`, `serve.retry.backoff_us`,
+    /// `serve.breaker.probes` and `serve.breaker.open` of an observed
+    /// day, which the ledger does not carry; unregistered handles
+    /// otherwise.
+    staleness: Gauge,
     backoff: Histogram,
     probes: Counter,
     breakers_engaged: Gauge,
@@ -341,12 +275,14 @@ impl<'a> TierClient<'a> {
         config: &'a ChaosDayConfig,
         tier: &'a mut MirrorTier,
         plan: &'a [TimedPublish],
-        observer: Option<&'a mut ChaosObserver>,
+        observer: Option<&'a mut Observer>,
     ) -> TierClient<'a> {
         let mut ordered: Vec<&TimedPublish> = plan.iter().collect();
         ordered.sort_by_key(|p| (p.at_us, p.round));
-        let (backoff, probes, breakers_engaged) = match observer.as_ref().map(|o| o.registry()) {
+        let registry = observer.as_ref().map(|o| o.registry());
+        let (staleness, backoff, probes, breakers_engaged) = match registry {
             Some(registry) => (
+                registry.gauge("service.publish.staleness_rounds"),
                 registry.histogram("serve.retry.backoff_us"),
                 registry.counter("serve.breaker.probes"),
                 registry.gauge("serve.breaker.open"),
@@ -362,10 +298,13 @@ impl<'a> TierClient<'a> {
             tier,
             ledger: ResilienceTotals::default(),
             latency: Histogram::default(),
+            flight: registry.and_then(Registry::flight),
+            staleness,
             backoff,
             probes,
             breakers_engaged,
             observer,
+            last_hour: None,
             told: [0; PUBLISHED.len()],
         }
     }
@@ -386,11 +325,10 @@ impl<'a> TierClient<'a> {
             self.deferred.retain(|p| !tier.apply_publish(at, p));
         }
         let hour = (at / HOUR_US) as u32;
-        if let Some(o) = &self.observer {
-            o.staleness_gauge.set(self.tier.staleness_rounds() as i64);
+        if let Some(flight) = &self.flight {
             if blackout && !self.was_blackout {
-                o.flight.note(hour, "serve.origin.blackout", &[("at_us", &at.to_string())]);
-                o.flight.capture(hour, "origin-blackout");
+                flight.note(hour, "serve.origin.blackout", &[("at_us", &at.to_string())]);
+                flight.capture(hour, "origin-blackout");
             }
         }
         self.tick(hour);
@@ -398,11 +336,13 @@ impl<'a> TierClient<'a> {
     }
 
     /// Records `hour`'s round on an attached observer, once, the day's
-    /// ledgers published first.
+    /// ledgers and the tier's staleness published first.
     fn tick(&mut self, hour: u32) {
-        if self.observer.as_ref().is_none_or(|o| o.last_hour == Some(hour)) {
+        if self.observer.is_none() || self.last_hour == Some(hour) {
             return;
         }
+        self.last_hour = Some(hour);
+        self.staleness.set(self.tier.staleness_rounds() as i64);
         self.publish();
         if let Some(o) = &mut self.observer {
             o.record(hour);
@@ -448,9 +388,6 @@ impl<'a> TierClient<'a> {
     /// partial hour gets its tick so the SLO engine judges it — and closes
     /// the ledger with the tier's side of it.
     fn finish(mut self, final_hour: u32) -> ResilienceTotals {
-        if let Some(o) = &self.observer {
-            o.staleness_gauge.set(self.tier.staleness_rounds() as i64);
-        }
         self.tick(final_hour);
         let tier = self.tier.totals();
         ResilienceTotals {
@@ -570,7 +507,7 @@ impl Backend for TierClient<'_> {
     fn publish(&mut self) {
         self.tier.publish();
         if let Some(o) = &self.observer {
-            o.registry.publish(&PUBLISHED, &self.ledger, &mut self.told);
+            o.registry().publish(&PUBLISHED, &self.ledger, &mut self.told);
         }
     }
 }
@@ -589,11 +526,17 @@ impl Backend for TierClient<'_> {
 /// `min(primary, hedge_after + hedge)`. Deterministic for a fixed
 /// (config, tier construction, plan) — byte-identical reports across
 /// runs at the same seed.
+///
+/// An `observer` records and judges one round per virtual hour, after
+/// the day's ledgers have been published to their registries; attach its
+/// registry to the tier too ([`MirrorTier::with_telemetry`]) so the
+/// serve columns its SLOs read exist. With a flight recorder installed in
+/// that registry, the origin blackout's onset freezes a capture.
 pub fn run_chaos_day(
     config: &ChaosDayConfig,
     tier: &mut MirrorTier,
     plan: &[TimedPublish],
-    observer: Option<&mut ChaosObserver>,
+    observer: Option<&mut Observer>,
 ) -> DayReport {
     let origin = tier.origin().clone();
     let day_hours = (config.fleet.day_micros / HOUR_US) as u32;
@@ -734,6 +677,13 @@ mod tests {
 
     type Day = (ChaosDayConfig, MirrorTier, Vec<TimedPublish>);
 
+    /// The standard SLO set over a fresh registry with a flight recorder.
+    fn standard_observer() -> Observer {
+        let registry = Registry::new();
+        registry.install_flight(&FlightRecorder::new());
+        Observer::new(&registry, sixdust_telemetry::SloEngine::standard())
+    }
+
     fn uniform_chaos() -> Day {
         let fleet = FleetConfig::builder().with_seed(7).with_requests(6_000).with_clients(40);
         let tier = tier(MirrorTierConfig::builder().with_mirrors(3), ServeFaultConfig::chaos(7, 3));
@@ -814,9 +764,8 @@ mod tests {
             let (config, mut tier, plan) = day();
             let bare = run_chaos_day(&config, &mut tier, &plan, None);
             let (config, tier, plan) = day();
-            let mut observer = ChaosObserver::new(Registry::new());
-            let mut tier =
-                tier.with_telemetry(observer.registry()).with_flight(observer.flight().clone());
+            let mut observer = standard_observer();
+            let mut tier = tier.with_telemetry(observer.registry());
             let observed = run_chaos_day(&config, &mut tier, &plan, Some(&mut observer));
             assert_eq!(observed, bare, "observing a day does not change it");
 
@@ -838,11 +787,11 @@ mod tests {
             let breaches: Vec<(&str, u32)> =
                 observer.slo().breaches().iter().map(|b| (b.slo.as_str(), b.key)).collect();
             assert_eq!(breaches, pinned.breaches);
-            let captures = observer.flight().captures();
+            let captures = observer.registry().flight().expect("installed").captures();
             let reasons: Vec<(u32, &str)> =
                 captures.iter().map(|c| (c.key, c.reason.as_str())).collect();
             assert_eq!(reasons, pinned.captures);
-            let rounds: Vec<_> = observer.recorder().rounds().collect();
+            let rounds: Vec<_> = observer.series().rounds().collect();
             assert_eq!(debug_digest(&rounds), pinned.hourly_rounds);
             assert_eq!(debug_digest(&captures), pinned.full_captures);
         }
@@ -900,7 +849,7 @@ mod tests {
             [("uniform chaos", uniform_chaos as fn() -> Day), ("session chaos", session_chaos)]
         {
             let (config, tier, plan) = chaos();
-            let mut observer = ChaosObserver::new(Registry::new());
+            let mut observer = standard_observer();
             let mut tier = tier.with_telemetry(observer.registry());
             let report = run_chaos_day(&config, &mut tier, &plan, Some(&mut observer));
             let snap = observer.registry().snapshot();

@@ -376,12 +376,15 @@ struct Meters {
     latency_ms: Histogram,
     /// Per-artifact-kind duration, indexed by [`ArtifactKind::index`].
     kind_latency_us: Vec<Histogram>,
+    /// The registry's flight recorder, fed on the shed path.
+    flight: Option<FlightRecorder>,
 }
 
 impl Meters {
     fn resolve(registry: &Registry) -> Meters {
         Meters {
             registry: registry.clone(),
+            flight: registry.flight(),
             told: [0; PUBLISHED.len()],
             latency_us: registry.histogram("serve.latency_us"),
             latency_ms: registry.histogram("serve.latency_ms"),
@@ -407,8 +410,6 @@ pub struct Frontend {
     /// optional registry — [`DayReport`](crate::DayReport) percentiles
     /// come from here.
     latency: Histogram,
-    /// Flight recorder fed on the shed path, if attached.
-    flight: Option<FlightRecorder>,
 }
 
 impl std::fmt::Debug for Frontend {
@@ -440,7 +441,6 @@ impl Frontend {
             meters: None,
             ledger: Ledger::default(),
             latency: Histogram::default(),
-            flight: None,
         }
     }
 
@@ -451,7 +451,9 @@ impl Frontend {
     /// `serve.bytes_saved.{delta,not_modified}`, and the per-kind RED
     /// triplet `serve.kind.<stem>.{requests,errors,latency_us}`). The
     /// histograms are fed as requests finish; the counters are the ledger,
-    /// and reach the registry on [`Frontend::publish`].
+    /// and reach the registry on [`Frontend::publish`]. Shed decisions
+    /// are noted into the registry's flight recorder, if one is installed,
+    /// keyed by the virtual hour of day.
     pub fn with_telemetry(mut self, registry: &Registry) -> Frontend {
         self.meters = Some(Meters::resolve(registry));
         // Every counter exists, at zero, from here on.
@@ -467,14 +469,6 @@ impl Frontend {
         if let Some(m) = &mut self.meters {
             m.registry.publish(&PUBLISHED, &self.ledger, &mut m.told);
         }
-    }
-
-    /// Attaches a flight recorder: shed decisions are noted into its
-    /// event ring, keyed by the virtual hour of day (deterministic —
-    /// no wall clock on this path).
-    pub fn with_flight(mut self, recorder: FlightRecorder) -> Frontend {
-        self.flight = Some(recorder);
-        self
     }
 
     /// The running totals so far.
@@ -628,7 +622,7 @@ impl Frontend {
     }
 
     fn note_shed(&self, request: &Request, kind: &str) {
-        if let Some(flight) = &self.flight {
+        if let Some(flight) = self.meters.as_ref().and_then(|m| m.flight.as_ref()) {
             flight.note(
                 (request.at_us / 3_600_000_000) as u32,
                 kind,
@@ -858,10 +852,10 @@ mod tests {
     #[test]
     fn shed_paths_feed_the_flight_recorder_and_error_meters() {
         let reg = sixdust_telemetry::Registry::new();
-        let flight = sixdust_telemetry::FlightRecorder::new();
+        let flight = FlightRecorder::new();
+        reg.install_flight(&flight);
         let config = FrontendConfig::builder().with_client_bucket(1, 0);
-        let mut fe =
-            Frontend::new(config, served_store()).with_telemetry(&reg).with_flight(flight.clone());
+        let mut fe = Frontend::new(config, served_store()).with_telemetry(&reg);
         assert!(matches!(fe.handle(&request(7, 0)), Outcome::Body { .. }));
         // Burst exhausted, no refill: the second request is shed and the
         // flight recorder notes it with deterministic virtual-time args.

@@ -36,7 +36,12 @@
 //!   log;
 //! - [`FlightRecorder`] — a bounded black-box ring of recent events and
 //!   metric deltas, frozen into deterministic JSON captures when a
-//!   degraded round, MAD anomaly or SLO breach fires;
+//!   degraded round, MAD anomaly or SLO breach fires; installed into a
+//!   [`Registry`] like the journal, so whatever counts into the registry
+//!   notes into it too;
+//! - [`Observer`] — a series recorder and an SLO engine over one
+//!   registry, recording and judging a round in one call: the hitlist
+//!   service's scan days and the chaos day's hours alike;
 //! - [`Dashboard`] — a self-contained static HTML ops dashboard
 //!   (inline SVG sparklines, zero dependencies, byte-identical across
 //!   runs at a fixed seed).
@@ -78,6 +83,7 @@ mod anomaly;
 mod flight;
 mod json;
 mod metrics;
+mod observer;
 mod registry;
 mod report;
 mod series;
@@ -93,6 +99,7 @@ pub use flight::{
 pub use metrics::{
     bucket_floor, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, SpanTimer, BUCKETS,
 };
+pub use observer::Observer;
 pub use registry::{Published, Registry, Snapshot};
 pub use report::Dashboard;
 pub use series::{is_deterministic_metric, SeriesRecorder, SeriesRound, DEFAULT_SERIES_CAPACITY};

@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
+use crate::flight::FlightRecorder;
 use crate::json;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::sync::{read, write};
@@ -19,6 +20,7 @@ struct Inner {
     gauges: RwLock<BTreeMap<String, Gauge>>,
     histograms: RwLock<BTreeMap<String, Histogram>>,
     tracer: RwLock<Option<TraceJournal>>,
+    flight: RwLock<Option<FlightRecorder>>,
 }
 
 /// A thread-safe collection of named metrics.
@@ -111,6 +113,19 @@ impl Registry {
     /// once per scan/round (like metric handles), not per event.
     pub fn tracer(&self) -> Option<TraceJournal> {
         read(&self.inner.tracer).clone()
+    }
+
+    /// Installs a flight recorder, as [`Registry::install_tracer`] installs
+    /// a journal: what this registry is attached to afterwards notes its
+    /// events and freezes its captures there.
+    pub fn install_flight(&self, recorder: &FlightRecorder) {
+        *write(&self.inner.flight) = Some(recorder.clone());
+    }
+
+    /// The installed flight recorder, if any. Resolve it once, like the
+    /// tracer.
+    pub fn flight(&self) -> Option<FlightRecorder> {
+        read(&self.inner.flight).clone()
     }
 
     /// A point-in-time copy of every registered metric, sorted by name.
@@ -252,6 +267,16 @@ mod tests {
         let via_clone = reg.clone().tracer().expect("installed");
         via_clone.instant("x", &[]);
         assert_eq!(journal.len(), 1, "clones resolve the same journal");
+    }
+
+    #[test]
+    fn flight_recorder_installs_and_shares_across_clones() {
+        let reg = Registry::new();
+        assert!(reg.flight().is_none());
+        let recorder = FlightRecorder::new();
+        reg.install_flight(&recorder);
+        reg.clone().flight().expect("installed").capture(3, "x");
+        assert_eq!(recorder.captures_len(), 1, "clones resolve the same recorder");
     }
 
     #[test]

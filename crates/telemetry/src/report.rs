@@ -12,9 +12,8 @@
 
 use std::fmt::Write as _;
 
-use crate::flight::FlightRecorder;
-use crate::series::{is_deterministic_metric, SeriesRecorder, SeriesRound};
-use crate::slo::SloEngine;
+use crate::observer::Observer;
+use crate::series::{is_deterministic_metric, SeriesRound};
 
 /// Maximum points per sparkline; longer series are downsampled by
 /// bucket-maximum so spikes survive.
@@ -29,18 +28,15 @@ pub struct Dashboard<'a> {
     pub title: &'a str,
     /// Subtitle line (seed, scale, …) — must itself be deterministic.
     pub subtitle: &'a str,
-    /// The recorded series, required.
-    pub series: &'a SeriesRecorder,
-    /// SLO engine state, if one was attached.
-    pub slo: Option<&'a SloEngine>,
-    /// Flight recorder, if one was attached.
-    pub flight: Option<&'a FlightRecorder>,
+    /// The recorded series, the SLO state and, through the observed
+    /// registry, the flight recorder's captures.
+    pub observer: &'a Observer,
 }
 
 impl Dashboard<'_> {
     /// Renders the complete HTML document.
     pub fn render(&self) -> String {
-        let rounds: Vec<&SeriesRound> = self.series.rounds().collect();
+        let rounds: Vec<&SeriesRound> = self.observer.series().rounds().collect();
         let mut out = String::with_capacity(64 * 1024);
         self.head(&mut out);
         self.tiles(&mut out, &rounds);
@@ -71,8 +67,9 @@ impl Dashboard<'_> {
     fn tiles(&self, out: &mut String, rounds: &[&SeriesRound]) {
         let sum = |metric: &str| -> u64 { rounds.iter().filter_map(|r| r.value(metric)).sum() };
         let breach_rounds: u64 =
-            self.slo.map(|s| s.status().iter().map(|st| st.breach_rounds).sum()).unwrap_or(0);
-        let captures = self.flight.map(|f| f.captures_len() as u64).unwrap_or(0);
+            self.observer.slo().status().iter().map(|st| st.breach_rounds).sum();
+        let captures =
+            self.observer.registry().flight().map(|f| f.captures_len() as u64).unwrap_or(0);
         out.push_str("<div class=\"tiles\">\n");
         tile(out, "rounds", rounds.len() as u64);
         tile(out, "degraded rounds", sum("service.degraded_rounds"));
@@ -84,7 +81,7 @@ impl Dashboard<'_> {
     }
 
     fn slo_section(&self, out: &mut String) {
-        let Some(engine) = self.slo else { return };
+        let engine = self.observer.slo();
         out.push_str(
             "<h2>Service-level objectives</h2>\n<table>\n<tr><th>SLO</th>\
                       <th>budget</th><th>burn (short)</th><th>burn (long)</th>\
@@ -199,8 +196,9 @@ impl Dashboard<'_> {
     }
 
     fn sparklines(&self, out: &mut String, rounds: &[&SeriesRound]) {
-        let names: Vec<String> =
-            self.series.metric_names().into_iter().filter(|n| is_deterministic_metric(n)).collect();
+        let names: Vec<String> = (self.observer.series().metric_names().into_iter())
+            .filter(|n| is_deterministic_metric(n))
+            .collect();
         let mut flat_zero = 0usize;
         out.push_str("<h2>Metric series</h2>\n");
         let mut group = "";
@@ -247,7 +245,7 @@ impl Dashboard<'_> {
     }
 
     fn captures(&self, out: &mut String) {
-        let Some(flight) = self.flight else { return };
+        let Some(flight) = self.observer.registry().flight() else { return };
         let captures = flight.captures();
         if captures.is_empty() {
             return;
@@ -368,35 +366,23 @@ footer{margin-top:32px;color:#a0aec0;font-size:12px}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::FlightRecorder;
     use crate::registry::Registry;
-    use crate::slo::SloSpec;
+    use crate::slo::{SloEngine, SloSpec};
 
     fn build() -> String {
         let reg = Registry::new();
-        let mut rec = SeriesRecorder::new(reg.clone(), 64);
-        let mut slo = SloEngine::new(vec![SloSpec::ratio("avail", "bad", "total", 50, 1, 2, 2000)]);
-        let flight = FlightRecorder::new();
+        reg.install_flight(&FlightRecorder::new());
+        let slo = SloEngine::new(vec![SloSpec::ratio("avail", "bad", "total", 50, 1, 2, 2000)]);
+        let mut observer = Observer::new(&reg, slo);
         for k in 0..6u32 {
             reg.counter("total").add(100);
             reg.counter("bad").add(if k >= 3 { 30 } else { 0 });
             reg.gauge("service.publish.staleness_rounds").set(i64::from(k));
             reg.histogram("service.round.phase.scan_ms").record(5);
-            let r = rec.record(k).clone();
-            flight.note_round(&r);
-            for b in slo.observe(&r) {
-                if b.onset {
-                    flight.capture(k, &format!("slo:{}", b.slo));
-                }
-            }
+            observer.record(k);
         }
-        Dashboard {
-            title: "test <dash>",
-            subtitle: "seed 0x1",
-            series: &rec,
-            slo: Some(&slo),
-            flight: Some(&flight),
-        }
-        .render()
+        Dashboard { title: "test <dash>", subtitle: "seed 0x1", observer: &observer }.render()
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! The scheduler is a discrete-event loop over a min-heap of
 //! `(day, vantage)` events. Every vantage replays the historical scan
-//! cadence ([`events::scan_gap`]); vantages due on the same day form a
+//! cadence ([`events::cadence`]); vantages due on the same day form a
 //! *synchronized batch*: their rounds are prepared together, their scans
 //! run as one [`sixdust_scan::scan_jobs`] call — one five-protocol job
 //! per vantage, cut into permutation-cycle segments on one work-stealing
@@ -257,7 +257,7 @@ impl VantageFleet {
     /// after a restore completes the run exactly as if it had never
     /// stopped.
     pub fn run_with(&mut self, from: Day, until: Day, mut hook: impl FnMut(&VantageFleet, Day)) {
-        let days = cadence(from, until);
+        let days = events::cadence(from, until);
         // Min-heap of (day, vantage) events; `Reverse` turns std's
         // max-heap around, and the tuple order makes same-day events
         // pop in roster order.
@@ -372,36 +372,9 @@ fn raw_hits(results: &[ScanResult]) -> AddrSet {
     AddrSet::from_sorted_addrs(&addrs)
 }
 
-/// The historical scan-cadence day list for `[from, until]`, exactly as
-/// [`HitlistService::run_with`] walks it: every round day plus a final
-/// round pinned to `until`.
-fn cadence(from: Day, until: Day) -> Vec<Day> {
-    let mut days = Vec::new();
-    let mut day = from;
-    while day < until {
-        days.push(day);
-        let next = day.plus(events::scan_gap(day));
-        day = if next > until { until } else { next };
-    }
-    days.push(until);
-    days
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cadence_matches_the_service_walk() {
-        let days = cadence(Day(0), Day(10));
-        assert_eq!(days.first(), Some(&Day(0)));
-        assert_eq!(days.last(), Some(&Day(10)));
-        for pair in days.windows(2) {
-            assert!(pair[0] < pair[1], "strictly increasing");
-        }
-        // Degenerate window still lands the final round on `until`.
-        assert_eq!(cadence(Day(7), Day(7)), vec![Day(7)]);
-    }
 
     #[test]
     fn one_vantage_fleet_matches_the_plain_service() {

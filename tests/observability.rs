@@ -15,8 +15,7 @@ use sixdust::net::{
 };
 use sixdust::scan::ScanConfig;
 use sixdust::telemetry::{
-    Dashboard, FlightRecorder, Registry, SeriesRecorder, SloEngine, SloSpec,
-    DEFAULT_SERIES_CAPACITY,
+    Dashboard, FlightRecorder, Observer, Registry, SeriesRecorder, SloEngine, SloSpec,
 };
 
 /// The outage window every chaos run schedules: days `[20, 25)`
@@ -39,17 +38,14 @@ fn chaos_faults() -> FaultConfig {
         .with_outage(Outage::vantage(OUTAGE_FROM, OUTAGE_UNTIL))
 }
 
-/// A service carrying the full judgment stack: series recorder, the
-/// standard SLO set and a flight recorder.
+/// A service carrying the full judgment stack: a flight recorder in its
+/// registry, and an observer judging its rounds by the standard SLO set.
 fn ops_service(registry: &Registry) -> HitlistService {
     let config = ServiceConfig::default()
         .with_scan(ScanConfig::default().with_attempts(3).with_retry_backoff_ms(10))
         .with_traceroute_cap(800);
-    HitlistService::new(config)
-        .with_telemetry(registry.clone())
-        .with_series(DEFAULT_SERIES_CAPACITY)
-        .with_slo(SloEngine::standard())
-        .with_flight(FlightRecorder::new())
+    registry.install_flight(&FlightRecorder::new());
+    HitlistService::new(config).with_observer(Observer::new(registry, SloEngine::standard()))
 }
 
 fn run_chaos_ops() -> HitlistService {
@@ -63,7 +59,7 @@ fn run_chaos_ops() -> HitlistService {
 #[test]
 fn outage_burns_the_degraded_budget_and_freezes_a_black_box() {
     let svc = run_chaos_ops();
-    let engine = svc.slo().expect("SLO engine attached");
+    let engine = svc.observer().expect("observer attached").slo();
 
     // The five-day blackout produces consecutive degraded rounds; by the
     // third the short (3-round) and long (12-round) windows both burn
@@ -90,7 +86,8 @@ fn outage_burns_the_degraded_budget_and_freezes_a_black_box() {
 
     // The flight recorder froze captures: one at the first degraded
     // round of an episode, one at each SLO breach onset.
-    let flight = svc.flight().expect("flight recorder attached");
+    let flight =
+        svc.observer().and_then(|o| o.registry().flight()).expect("flight recorder installed");
     let captures = flight.captures();
     assert!(!captures.is_empty(), "the blackout must freeze at least one capture");
     assert!(
@@ -123,12 +120,11 @@ fn gfw_era_keeps_publishes_stale_and_fires_the_freshness_slo() {
     let net =
         Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless().with_drop_permille(2));
     let registry = Registry::new();
+    let flight = FlightRecorder::new();
+    registry.install_flight(&flight);
     let config = ServiceConfig::default().with_alias_every_days(14).with_traceroute_cap(600);
-    let mut svc = HitlistService::new(config)
-        .with_telemetry(registry.clone())
-        .with_series(DEFAULT_SERIES_CAPACITY)
-        .with_slo(SloEngine::standard())
-        .with_flight(FlightRecorder::new());
+    let mut svc =
+        HitlistService::new(config).with_observer(Observer::new(&registry, SloEngine::standard()));
     let start = Day(events::GFW_ERA1.0 .0 - 40);
     svc.run(&net, start, events::GFW_ERA1.0.plus(10));
 
@@ -140,7 +136,7 @@ fn gfw_era_keeps_publishes_stale_and_fires_the_freshness_slo() {
     // Anomaly-flagged rounds never reset the freshness clock, so the
     // staleness gauge exceeds the SLO's 2-round objective and the
     // publish-freshness SLO records breach rounds during the era.
-    let engine = svc.slo().expect("SLO engine attached");
+    let engine = svc.observer().expect("observer attached").slo();
     assert!(
         engine.breaches().iter().any(|b| b.slo == "publish-freshness" && b.key >= era_start.0),
         "publish-freshness must breach during the era; log: {:?}",
@@ -152,7 +148,7 @@ fn gfw_era_keeps_publishes_stale_and_fires_the_freshness_slo() {
         "the era keeps the staleness clock above the objective"
     );
     // At least one black box froze (anomaly onset or breach onset).
-    assert!(svc.flight().expect("attached").captures_len() >= 1);
+    assert!(flight.captures_len() >= 1);
 }
 
 #[test]
@@ -164,9 +160,7 @@ fn ops_dashboard_renders_byte_identical_across_runs() {
         Dashboard {
             title: "sixdust ops",
             subtitle: "chaos fixture, seed 0xC4A05",
-            series: svc.series().expect("series attached"),
-            slo: svc.slo(),
-            flight: svc.flight(),
+            observer: svc.observer().expect("observer attached"),
         }
         .render()
     };
@@ -182,9 +176,9 @@ fn ops_dashboard_renders_byte_identical_across_runs() {
     assert!(!page_a.is_empty() && page_a.starts_with("<!DOCTYPE html>"));
 
     // The underlying machine-readable artifacts replay identically too.
-    let (ea, eb) = (a.slo().unwrap(), b.slo().unwrap());
-    assert_eq!(ea.breach_log_jsonl(), eb.breach_log_jsonl());
-    let (fa, fb) = (a.flight().unwrap(), b.flight().unwrap());
+    let (oa, ob) = (a.observer().unwrap(), b.observer().unwrap());
+    assert_eq!(oa.slo().breach_log_jsonl(), ob.slo().breach_log_jsonl());
+    let (fa, fb) = (oa.registry().flight().unwrap(), ob.registry().flight().unwrap());
     assert_eq!(fa.captures_json(), fb.captures_json());
 }
 

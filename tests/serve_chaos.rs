@@ -9,11 +9,12 @@
 use std::sync::Arc;
 
 use sixdust::addr::AddrSet;
+use sixdust::hitlist::{HitlistService, ServiceConfig};
 use sixdust::serve::{
-    run_chaos_day, ArtifactKind, ChaosDayConfig, ChaosObserver, FleetConfig, MirrorTier,
-    MirrorTierConfig, ServeFaultConfig, SnapshotStore, StoreConfig, TimedPublish,
+    run_chaos_day, ArtifactKind, ChaosDayConfig, FleetConfig, MirrorTier, MirrorTierConfig,
+    ServeFaultConfig, SnapshotStore, StoreConfig, TimedPublish,
 };
-use sixdust::telemetry::Registry;
+use sixdust::telemetry::{FlightCapture, FlightRecorder, Observer, Registry, SloEngine};
 
 const HOUR: u64 = 3_600_000_000;
 const DAY: u64 = 86_400_000_000;
@@ -51,6 +52,13 @@ fn plan(n: u64) -> Vec<TimedPublish> {
 
 fn fleet(seed: u64, requests: u64, clients: u64) -> FleetConfig {
     FleetConfig::builder().with_seed(seed).with_requests(requests).with_clients(clients)
+}
+
+/// The standard SLO set over a fresh registry with a flight recorder.
+fn standard_observer() -> Observer {
+    let registry = Registry::new();
+    registry.install_flight(&FlightRecorder::new());
+    Observer::new(&registry, SloEngine::standard())
 }
 
 #[test]
@@ -139,7 +147,7 @@ fn a_blackout_serves_stale_burns_the_freshness_slo_and_freezes_a_capture() {
     // the flight recorder freezes a capture at blackout onset.
     let faults = ServeFaultConfig::builder().with_origin_blackout(2 * HOUR, DAY);
     let mut tier = MirrorTier::new(MirrorTierConfig::builder().with_mirrors(2), origin(), faults);
-    let mut observer = ChaosObserver::new(Registry::new());
+    let mut observer = standard_observer();
     let publishes: Vec<TimedPublish> = (0..4)
         .map(|i| TimedPublish {
             at_us: (3 + 2 * i) * HOUR,
@@ -162,11 +170,29 @@ fn a_blackout_serves_stale_burns_the_freshness_slo_and_freezes_a_capture() {
         breaches.iter().any(|b| b.slo == "publish-freshness"),
         "sustained staleness > 2 rounds burns the publish-freshness SLO, got {breaches:?}"
     );
-    let captures = observer.flight().captures();
+    let captures = observer.registry().flight().expect("installed").captures();
     assert!(
         captures.iter().any(|c| c.reason == "origin-blackout"),
         "blackout onset freezes a flight capture"
     );
+
+    // A breach is noted alike whoever was judged: three degraded service
+    // rounds breach the degraded-rounds SLO through the same observer.
+    let breach_fields = |captures: &[FlightCapture]| -> Vec<String> {
+        let mut notes = captures.iter().flat_map(|c| &c.events);
+        let note = notes.find(|e| e.kind == "slo.breach").expect("a breach note");
+        note.args.iter().map(|(name, _)| name.clone()).collect()
+    };
+    let mut svc = HitlistService::new(ServiceConfig::default()).with_observer(standard_observer());
+    let registry = svc.observer().expect("attached").registry().clone();
+    for day in 0..3 {
+        registry.counter("service.rounds").incr();
+        registry.counter("service.degraded_rounds").incr();
+        svc.observer_mut().expect("attached").record(day);
+    }
+    let service_captures = registry.flight().expect("installed").captures();
+    assert_eq!(breach_fields(&service_captures), breach_fields(&captures));
+    assert_eq!(breach_fields(&captures), ["slo", "bad_permille"]);
 }
 
 #[test]
@@ -215,19 +241,18 @@ fn an_observer_sees_each_hour_what_it_saw_when_the_counters_were_live() {
         ),
     ];
     for (fleet, (mirrors, faults, plan), (breach_rounds, pinned)) in days {
-        let mut observer = ChaosObserver::new(Registry::new());
+        let mut observer = standard_observer();
         let config = MirrorTierConfig::builder().with_mirrors(mirrors);
-        let mut tier = MirrorTier::new(config, origin(), faults)
-            .with_telemetry(observer.registry())
-            .with_flight(observer.flight().clone());
+        let mut tier =
+            MirrorTier::new(config, origin(), faults).with_telemetry(observer.registry());
         let config = ChaosDayConfig::builder().with_fleet(fleet);
         run_chaos_day(&config, &mut tier, &plan, Some(&mut observer));
         let breaches = observer.slo().breaches();
         assert_eq!(breaches.len(), breach_rounds);
         let seen = [
-            digest(&observer.recorder().to_jsonl()),
+            digest(&observer.series().to_jsonl()),
             digest(&format!("{breaches:?}")),
-            digest(&observer.flight().captures_json()),
+            digest(&observer.registry().flight().expect("installed").captures_json()),
         ];
         assert_eq!(seen, pinned, "{seen:#x?}");
     }
