@@ -14,9 +14,9 @@
 //! the multiplier's throughput (5 ns per item, off flat slices and
 //! `AddrSet` iterators alike) where one chain costs its latency. A caller
 //! with two or more sets to hash — a publish
-//! has eight artifacts and then each artifact's shards, a mirror sync
-//! the changed artifacts of a generation, a delta both of its endpoints
-//! — hands them over together; a caller with one calls
+//! has eight artifacts, the first read of a version's shards those
+//! shards, a mirror sync the changed artifacts of a generation, a delta
+//! both of its endpoints — hands them over together; a caller with one calls
 //! [`content_digest`], and either way a set is hashed once and the value
 //! carried.
 

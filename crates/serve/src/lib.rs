@@ -5,12 +5,12 @@
 //! [`HitlistService`](sixdust_hitlist::HitlistService) rounds and a
 //! fleet of registered consumers:
 //!
-//! * [`store`] — a sharded snapshot store. Addresses are PRF-sharded
-//!   across N shards; a publishing round builds a fresh generation off
-//!   to the side and installs it with one atomic pointer swap, so
-//!   concurrent readers never block and never observe a torn mix of
-//!   rounds. Unchanged artifacts and shards are structurally shared
-//!   (`Arc` reuse) between generations.
+//! * [`store`] — a sharded snapshot store. A publishing round builds a
+//!   fresh generation off to the side and installs it with one atomic
+//!   pointer swap, so concurrent readers never block and never observe a
+//!   torn mix of rounds. A version's items are PRF-sharded across N
+//!   shards on first read. Unchanged artifacts, and unchanged shards of
+//!   a held previous version, are structurally shared (`Arc` reuse).
 //! * [`codec`] — full-snapshot and delta wire formats for sorted
 //!   `u128` address sets: varint delta-of-delta encoding, FNV-1a
 //!   content digests, and checksummed frames whose decoder rejects

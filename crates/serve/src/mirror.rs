@@ -34,7 +34,7 @@ use sixdust_telemetry::{Gauge, Published, Registry};
 use crate::codec;
 use crate::faults::ServeFaultConfig;
 use crate::server::{Frontend, FrontendConfig, FrontendTotals, Outcome, Request};
-use crate::store::{ArtifactKind, ArtifactVersion, SnapshotStore, StoreConfig};
+use crate::store::{ArtifactKind, SnapshotStore, StoreConfig};
 
 /// Tier configuration.
 #[derive(Debug, Clone)]
@@ -270,12 +270,9 @@ impl MirrorTier {
         // (an out-of-band copy, like service publication — not subject
         // to the fault plan) so a tier never boots cold behind a live
         // origin. Day-time sync traffic is what the faults govern.
-        if let Some(round) = tier.origin.current_round() {
-            let date = tier.origin.current_date().unwrap_or_default();
-            let versions: Vec<Arc<ArtifactVersion>> =
-                ArtifactKind::ALL.iter().filter_map(|&kind| tier.origin.artifact(kind)).collect();
+        if let Some(live) = tier.origin.generation() {
             for mirror in &tier.mirrors {
-                mirror.store.install_generation(round, &date, versions.clone());
+                mirror.store.install_generation(live.round, &live.date, live.artifacts.clone());
             }
         }
         tier
@@ -461,31 +458,27 @@ impl MirrorTier {
             self.totals.sync_blocked += 1;
             return false;
         }
-        let Some(origin_round) = self.origin.current_round() else {
+        // Round, date and versions of one publication, whatever lands on
+        // the origin meanwhile.
+        let Some(live) = self.origin.generation() else {
             return false;
         };
-        if self.mirrors[i].store.current_round() == Some(origin_round) {
+        if self.mirrors[i].store.current_round() == Some(live.round) {
             return true;
         }
-        let date = self.origin.current_date().unwrap_or_default();
         self.mirrors[i].sync_attempts += 1;
         let attempt = self.mirrors[i].sync_attempts;
 
-        let mut adopted: Vec<Arc<ArtifactVersion>> = Vec::with_capacity(ArtifactKind::ALL.len());
         // The transfer of every changed artifact, opened.
         let mut opened: Vec<codec::Opened> = Vec::new();
         let mut torn = false;
         let mut full_transfers = 0u64;
         let mut delta_transfers = 0u64;
         let mut wire_bytes = 0u64;
-        for kind in ArtifactKind::ALL {
-            let Some(version) = self.origin.artifact(kind) else {
-                return false;
-            };
+        for (kind, version) in ArtifactKind::ALL.into_iter().zip(&live.artifacts) {
             let held = self.mirrors[i].store.artifact(kind);
             // Unchanged content: adopt the handle, no transfer.
             if held.as_ref().is_some_and(|h| h.digest() == version.digest()) {
-                adopted.push(version);
                 continue;
             }
             let base = held.filter(|h| Some(h.round()) == version.prev_round());
@@ -530,14 +523,18 @@ impl MirrorTier {
             };
             opened.push(arrived);
             wire_bytes += wire.len() as u64;
-            adopted.push(version);
         }
         if torn || codec::confirm(&opened).is_err() {
             self.totals.sync_rejected += 1;
             return false;
         }
 
-        let installed = self.mirrors[i].store.install_generation(origin_round, &date, adopted);
+        // Every version adopted, transferred or not: the origin's handles.
+        let installed = self.mirrors[i].store.install_generation(
+            live.round,
+            &live.date,
+            live.artifacts.clone(),
+        );
         debug_assert!(installed, "origin generations are always complete and ordered");
         self.totals.syncs += 1;
         self.totals.sync_full += full_transfers;
@@ -606,6 +603,7 @@ impl MirrorTier {
 mod tests {
     use super::*;
     use crate::server::FetchKind;
+    use crate::store::ArtifactVersion;
 
     fn artifacts(round: u64) -> Vec<(ArtifactKind, AddrSet)> {
         vec![(ArtifactKind::Responsive, (0..500 + round as u128 * 40).map(|i| i * 13).collect())]
@@ -859,6 +857,50 @@ mod tests {
         }
         let totals = tier.totals();
         assert!(totals.sync_rejected > 0 && totals.sync_delta > 0 && totals.sync_full > 0);
+    }
+
+    #[test]
+    fn a_sync_racing_publishes_installs_one_generation() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Every round changes every kind: a sync that took the round
+        // before a publish landed and a version after it would install a
+        // generation labelled round N holding round N + 1. The sets are
+        // small, so a publish takes about as long as a sync and lands
+        // inside one often.
+        let generation = |round: u64| -> Vec<(ArtifactKind, AddrSet)> {
+            let items =
+                |k: usize| (0..16).map(move |i| (k as u128) << 64 | u128::from(round) << 4 | i);
+            ArtifactKind::ALL.iter().map(|&kind| (kind, items(kind.index()).collect())).collect()
+        };
+        let mut tier = tier_over(1, ServeFaultConfig::lossless(), 1);
+        let origin = tier.origin().clone();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 2..=10_000 {
+                    origin.publish_round(round, "d", generation(round));
+                }
+                done.store(true, Ordering::Release);
+            });
+            let mut at_us = 0;
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                at_us += 1;
+                if tier.try_sync(0, at_us) {
+                    let installed = tier.mirror_round(0).expect("synced");
+                    let held = ArtifactKind::ALL.map(|kind| tier.mirrors[0].store.artifact(kind));
+                    for (kind, version) in ArtifactKind::ALL.into_iter().zip(held) {
+                        let round = version.expect("a whole generation").round();
+                        assert_eq!(round, installed, "{kind:?} in the generation of {installed}");
+                    }
+                }
+                if finished {
+                    break;
+                }
+            }
+        });
+        assert!(tier.totals().syncs > 0);
+        assert_eq!(tier.totals().sync_rejected, 0);
     }
 
     #[test]

@@ -1,16 +1,21 @@
 //! The sharded snapshot store: publication-side state of the
 //! distribution subsystem.
 //!
-//! Addresses are hash-sharded across `N` shards. A publishing round
-//! builds every changed shard *off to the side* and then swaps one
+//! A publishing round builds what is served — each changed artifact's
+//! digest, full body and delta — *off to the side* and then swaps one
 //! [`Arc`] under a short write lock, so concurrent readers never block
-//! on a publication and never observe a torn (half-written) shard:
-//! every shard handle a reader clones is a complete, checksummed
-//! snapshot from exactly one round. Shards whose content did not change
-//! between rounds are structurally shared — their `Arc`s carry over —
-//! so a quiet round costs almost nothing to publish.
+//! on a publication and never observe a torn (half-written) generation.
+//! An artifact whose content did not change carries its whole version
+//! over, so a quiet round costs almost nothing to publish.
+//!
+//! Each version's items are also hash-sharded across `N` shards, built
+//! the first time something reads them ([`ArtifactVersion::shards`]):
+//! every shard handle is a complete, checksummed snapshot from exactly
+//! one round, and a shard whose content did not change since the
+//! previous version is shared with it — its `Arc` carries over — when
+//! that version is still held and its shards were built.
 
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, Weak};
 
 use sixdust_addr::digest::content_digests;
 use sixdust_addr::{AddrSet, Prefix};
@@ -75,8 +80,9 @@ pub struct ShardData {
 }
 
 impl ShardData {
-    /// The round this shard was built for (unchanged shards keep the
-    /// round that last rebuilt them).
+    /// The round of the version this shard was built for. A shard kept
+    /// from the previous version (see [`ArtifactVersion::shards`]) keeps
+    /// the round that built it.
     pub fn round(&self) -> u64 {
         self.round
     }
@@ -108,8 +114,9 @@ impl ShardData {
     }
 }
 
-/// One published version of one artifact: the full item set, its shards,
-/// the encoded full body, and the delta from the previous round.
+/// One published version of one artifact: the full item set, the
+/// encoded full body, the delta from the previous round, and its shards
+/// once something has read them.
 #[derive(Debug)]
 pub struct ArtifactVersion {
     kind: ArtifactKind,
@@ -119,7 +126,11 @@ pub struct ArtifactVersion {
     full: Arc<Vec<u8>>,
     delta: Option<Arc<Vec<u8>>>,
     prev_round: Option<u64>,
-    shards: Vec<Arc<ShardData>>,
+    shard_count: usize,
+    /// The version this one replaced; its built shards are reused while
+    /// someone still holds it.
+    prev: Weak<ArtifactVersion>,
+    shards: OnceLock<Vec<Arc<ShardData>>>,
 }
 
 impl ArtifactVersion {
@@ -159,18 +170,52 @@ impl ArtifactVersion {
         self.prev_round
     }
 
-    /// The shard handles of this version.
+    /// The shard handles of this version, built on first read. A shard
+    /// whose items equal those of the same shard of the previous version
+    /// is that shard (same `Arc`, same round) when the previous version
+    /// is still held and its shards were built. A reader may wait for
+    /// another reader's first build, never for a publication.
     pub fn shards(&self) -> &[Arc<ShardData>] {
-        &self.shards
+        self.shards.get_or_init(|| self.build_shards())
+    }
+
+    /// Splits the items by [`shard_of`] (each per-shard list stays
+    /// ascending), hashes the shards side by side ([`content_digests`])
+    /// and encodes every shard the previous version cannot lend.
+    fn build_shards(&self) -> Vec<Arc<ShardData>> {
+        let prev = self.prev.upgrade();
+        let prev_shards = prev.as_ref().and_then(|pv| pv.shards.get());
+        let mut per_shard: Vec<Vec<u128>> = vec![Vec::new(); self.shard_count];
+        for item in self.items.iter() {
+            per_shard[shard_of(item, self.shard_count)].push(item);
+        }
+        let digests = content_digests(per_shard.iter().map(|s| s.iter().copied()));
+        let mut shards: Vec<Arc<ShardData>> = Vec::with_capacity(self.shard_count);
+        for (i, (shard_items, shard_digest)) in per_shard.into_iter().zip(digests).enumerate() {
+            let reusable = prev_shards.and_then(|s| s.get(i)).filter(|old| {
+                old.digest == shard_digest && old.items.iter().eq(shard_items.iter().copied())
+            });
+            shards.push(match reusable {
+                Some(old) => old.clone(),
+                None => Arc::new(ShardData {
+                    round: self.round,
+                    digest: shard_digest,
+                    encoded: Arc::new(codec::encode_full(shard_items.iter().copied())),
+                    items: AddrSet::from_sorted(shard_items),
+                }),
+            });
+        }
+        shards
     }
 }
 
-/// One atomically-swapped generation: every artifact of one round.
+/// One atomically-swapped generation: every artifact of one round, in
+/// [`ArtifactKind::ALL`] order.
 #[derive(Debug)]
-struct Generation {
-    round: u64,
-    date: String,
-    artifacts: Vec<Arc<ArtifactVersion>>,
+pub(crate) struct Generation {
+    pub(crate) round: u64,
+    pub(crate) date: String,
+    pub(crate) artifacts: Vec<Arc<ArtifactVersion>>,
 }
 
 /// Store configuration.
@@ -241,6 +286,12 @@ impl SnapshotStore {
         self.current.read().expect("store lock").as_ref().map(|g| g.date.clone())
     }
 
+    /// The current generation, read under one lock: its round, date and
+    /// versions are one publication's, whatever lands afterwards.
+    pub(crate) fn generation(&self) -> Option<Arc<Generation>> {
+        self.current.read().expect("store lock").clone()
+    }
+
     /// The current version of one artifact. The returned handle stays
     /// valid (and immutable) across later publications.
     pub fn artifact(&self, kind: ArtifactKind) -> Option<Arc<ArtifactVersion>> {
@@ -261,12 +312,12 @@ impl SnapshotStore {
     /// serving the previous generation until the single atomic swap at
     /// the end.
     ///
-    /// Each address is hashed twice per publish — once into its
-    /// artifact's digest, once into its shard's — and every later user
-    /// of a digest (the delta frame, a mirror's sync, an ETag) reads the
-    /// stored value. The eight artifacts are hashed side by side, and so
-    /// are the shards of each changed artifact
-    /// ([`content_digests`]).
+    /// Each address is hashed once per publish, into its artifact's
+    /// digest, and every later user of a digest (the delta frame, a
+    /// mirror's sync, an ETag) reads the stored value. The eight
+    /// artifacts are hashed side by side ([`content_digests`]). Shards
+    /// are not built here: [`ArtifactVersion::shards`] builds them on
+    /// first read.
     pub fn publish_round(
         &self,
         round: u64,
@@ -274,9 +325,7 @@ impl SnapshotStore {
         mut artifacts: Vec<(ArtifactKind, AddrSet)>,
     ) {
         let started = std::time::Instant::now();
-        let prev = self.current.read().expect("store lock").clone();
-        let mut reused = 0u64;
-        let mut rebuilt = 0u64;
+        let prev = self.generation();
         let mut bytes_full = 0u64;
         let mut bytes_delta = 0u64;
 
@@ -297,42 +346,8 @@ impl SnapshotStore {
             // bumping nothing — readers keep the same Arcs.
             if let Some(pv) = prev_version {
                 if pv.digest == digest && *pv.items == items {
-                    reused += self.shards as u64;
                     versions.push(pv.clone());
                     continue;
-                }
-            }
-
-            // Split into shards off the set's streaming iterator (each
-            // per-shard list stays ascending); reuse any shard whose
-            // content is unchanged since the previous version.
-            let mut per_shard: Vec<Vec<u128>> = vec![Vec::new(); self.shards];
-            for item in items.iter() {
-                per_shard[shard_of(item, self.shards)].push(item);
-            }
-            let shard_digests = content_digests(per_shard.iter().map(|s| s.iter().copied()));
-            let mut shards: Vec<Arc<ShardData>> = Vec::with_capacity(self.shards);
-            for (i, (shard_items, shard_digest)) in
-                per_shard.into_iter().zip(shard_digests).enumerate()
-            {
-                let reusable = prev_version.and_then(|pv| pv.shards.get(i)).filter(|old| {
-                    old.digest == shard_digest && old.items.iter().eq(shard_items.iter().copied())
-                });
-                match reusable {
-                    Some(old) => {
-                        reused += 1;
-                        shards.push(old.clone());
-                    }
-                    None => {
-                        rebuilt += 1;
-                        let encoded = Arc::new(codec::encode_full(shard_items.iter().copied()));
-                        shards.push(Arc::new(ShardData {
-                            round,
-                            digest: shard_digest,
-                            items: AddrSet::from_sorted(shard_items),
-                            encoded,
-                        }));
-                    }
                 }
             }
 
@@ -355,7 +370,9 @@ impl SnapshotStore {
                 full,
                 delta,
                 prev_round,
-                shards,
+                shard_count: self.shards,
+                prev: prev_version.map_or_else(Weak::new, Arc::downgrade),
+                shards: OnceLock::new(),
             }));
         }
 
@@ -365,8 +382,6 @@ impl SnapshotStore {
 
         if let Some(t) = &self.telemetry {
             t.counter("serve.publish.rounds").incr();
-            t.counter("serve.publish.shards_rebuilt").add(rebuilt);
-            t.counter("serve.publish.shards_reused").add(reused);
             t.counter("serve.publish.bytes_full").add(bytes_full);
             t.counter("serve.publish.bytes_delta").add(bytes_delta);
             t.histogram("serve.publish.encode_ms").record_duration(started.elapsed());
@@ -444,6 +459,8 @@ pub(crate) mod tests {
             full: version.full.clone(),
             delta: version.delta.clone(),
             prev_round: version.prev_round,
+            shard_count: version.shard_count,
+            prev: version.prev.clone(),
             shards: version.shards.clone(),
         }
     }
@@ -570,6 +587,124 @@ pub(crate) mod tests {
             assert!(mirror.install_generation(round, "d", versions.to_vec()));
             assert_digests_are_content_digests(&mirror);
         }
+    }
+
+    /// One shard as the eager publish built it: round, digest, items and
+    /// encoded body.
+    type RefShard = (u64, u64, Vec<u128>, Vec<u8>);
+
+    /// The split a publish ran for every changed artifact before shards
+    /// were built on first read: every shard hashed and encoded, or kept
+    /// from the previous version's split when its content is unchanged.
+    fn eager_split(items: &AddrSet, round: u64, shards: usize, prev: &[RefShard]) -> Vec<RefShard> {
+        let mut per_shard: Vec<Vec<u128>> = vec![Vec::new(); shards];
+        for item in items.iter() {
+            per_shard[shard_of(item, shards)].push(item);
+        }
+        let split = per_shard.into_iter().enumerate().map(|(i, shard_items)| {
+            let digest = codec::content_digest(shard_items.iter().copied());
+            match prev.get(i).filter(|old| old.1 == digest && old.2 == shard_items) {
+                Some(old) => old.clone(),
+                None => {
+                    let encoded = codec::encode_full(shard_items.iter().copied());
+                    (round, digest, shard_items, encoded)
+                }
+            }
+        });
+        split.collect()
+    }
+
+    fn assert_shards_match(built: &[Arc<ShardData>], reference: &[RefShard], case: &str) {
+        assert_eq!(built.len(), reference.len(), "{case}");
+        for (i, (shard, (round, digest, items, encoded))) in built.iter().zip(reference).enumerate()
+        {
+            assert_eq!(shard.items().to_vec(), *items, "{case}, shard {i}");
+            assert_eq!(shard.digest(), *digest, "{case}, shard {i}");
+            assert_eq!(**shard.encoded(), *encoded, "{case}, shard {i}");
+            assert_eq!(shard.round(), *round, "{case}, shard {i}");
+        }
+    }
+
+    /// Round `round` of a seeded history: `Responsive` grows by zero to
+    /// two addresses a round and loses its lowest every third, the ICMP
+    /// slice is a fresh draw, the aliased prefixes never change (their
+    /// version carries over), and the GFW pool is emptied in round 4.
+    fn seeded_round(round: u64) -> Vec<(ArtifactKind, AddrSet)> {
+        use sixdust_addr::prf::prf_u128;
+        let grown: u128 = (1..=round).map(|r| u128::from(prf_u128(0x5EED, r.into(), 1) % 3)).sum();
+        let icmp = (0..300u128).filter(|&i| prf_u128(0x5EED, i, round).is_multiple_of(3));
+        let mut artifacts = vec![
+            (ArtifactKind::Responsive, items(u128::from(round / 3)..300 + grown)),
+            (ArtifactKind::PerProtocol(Protocol::Icmp), icmp.map(|i| i * 97 + 5).collect()),
+            (ArtifactKind::AliasedPrefixes, items(1_000..1_040)),
+        ];
+        if round != 4 {
+            let gfw = items(2_000..2_000 + 10 * u128::from(round));
+            artifacts.push((ArtifactKind::GfwFiltered, gfw));
+        }
+        artifacts
+    }
+
+    #[test]
+    fn a_publish_builds_no_shard_until_one_is_read() {
+        let s = store();
+        let mut reference: Vec<Vec<RefShard>> = vec![Vec::new(); ArtifactKind::ALL.len()];
+        let mut held: Option<[Arc<ArtifactVersion>; 8]> = None;
+        let (mut carried, mut kept) = (0, 0);
+        for round in 1..=9u64 {
+            s.publish_round(round, "d", seeded_round(round));
+            let versions = ArtifactKind::ALL.map(|kind| s.artifact(kind).expect("published"));
+            let is_carried =
+                |i: usize| held.as_ref().is_some_and(|h| Arc::ptr_eq(&h[i], &versions[i]));
+            for (i, version) in versions.iter().enumerate() {
+                // A carried-over version is the previous round's, read then.
+                assert!(
+                    is_carried(i) || version.shards.get().is_none(),
+                    "round {round}: {:?} was split at publish",
+                    version.kind()
+                );
+            }
+            for (i, version) in versions.iter().enumerate() {
+                if is_carried(i) {
+                    carried += 1;
+                } else {
+                    reference[i] = eager_split(version.items(), round, 4, &reference[i]);
+                }
+                let shards = version.shards();
+                kept += shards.iter().filter(|shard| shard.round() < version.round()).count();
+                assert_shards_match(shards, &reference[i], &format!("round {round}, {i}"));
+            }
+            held = Some(versions);
+        }
+        assert!(carried > 0 && kept > 0, "versions carried over ({carried}), shards kept ({kept})");
+    }
+
+    #[test]
+    fn shards_read_after_the_previous_version_is_dropped_or_unread_carry_the_new_round() {
+        let s = store();
+        let mut next = items(0..1000);
+        s.publish_round(1, "d1", vec![(ArtifactKind::Responsive, next.clone())]);
+        let v1 = s.artifact(ArtifactKind::Responsive).expect("v1");
+        assert_eq!(v1.shards().len(), s.shard_count());
+        // Dropped before the new version's shards are read.
+        next.insert(999_999_999);
+        s.publish_round(2, "d2", vec![(ArtifactKind::Responsive, next.clone())]);
+        drop(v1);
+        let v2 = s.artifact(ArtifactKind::Responsive).expect("v2");
+        let fresh = eager_split(v2.items(), 2, s.shard_count(), &[]);
+        assert!(fresh.iter().all(|shard| shard.0 == 2));
+        assert_shards_match(v2.shards(), &fresh, "round 2");
+        // Held but never read: nothing is shared, and nothing is built
+        // for it either.
+        next.insert(999_999_998);
+        s.publish_round(3, "d3", vec![(ArtifactKind::Responsive, next)]);
+        let v3 = s.artifact(ArtifactKind::Responsive).expect("v3");
+        drop(v2);
+        s.publish_round(4, "d4", vec![(ArtifactKind::Responsive, items(0..1000))]);
+        let v4 = s.artifact(ArtifactKind::Responsive).expect("v4");
+        let fresh = eager_split(v4.items(), 4, s.shard_count(), &[]);
+        assert_shards_match(v4.shards(), &fresh, "round 4");
+        assert!(v3.shards.get().is_none(), "reading a version builds no other");
     }
 
     #[test]

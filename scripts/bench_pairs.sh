@@ -22,11 +22,13 @@
 # `ops_per_s` and `ops_per_s_median`, and the pairs the change won. The
 # rule this repository claims a gain by: the change ahead in at least nine
 # pairs of ten, and the medians further apart than the parent's own
-# quartiles are.
+# quartiles are. Last, per side, the quartiles of the other two timed
+# end-to-end metrics of the same runs, `peak_rss_mib` and `setup_s`, so
+# that a change can show none of them got worse.
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-  sed -n '2,25p' "$0" >&2
+  sed -n '2,27p' "$0" >&2
   exit 2
 fi
 parent=$1
@@ -36,7 +38,7 @@ pairs=${4:-10}
 seconds=${5:-6}
 seed0=${SEED0:-101}
 
-# run <binary> <seed>: one run; sets r_ops, r_med and r_ledger.
+# run <binary> <seed>: one run; sets r_ops, r_med, r_rss, r_setup and r_ledger.
 run() {
   local out json
   if ! out=$("$1" --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0); then
@@ -51,6 +53,8 @@ run() {
   # `"ops_per_s":` cannot match inside `"ops_per_s_median":`: the quote closes the name.
   r_ops=$(metric ops_per_s <<<"$json")
   r_med=$(metric ops_per_s_median <<<"$json")
+  r_rss=$(metric peak_rss_mib <<<"$json")
+  r_setup=$(metric setup_s <<<"$json")
   r_ledger=$(sed -n "s/^ledger $workload //p" <<<"$out")
 }
 
@@ -82,9 +86,13 @@ for ((i = 0; i < pairs; i++)); do
     if [ "$side" = parent ]; then
       run "$parent" "$seed"
       p_ops=$r_ops p_med=$r_med p_ledger=$r_ledger
+      echo "$r_rss" >>"$tmp/parent.rss"
+      echo "$r_setup" >>"$tmp/parent.setup"
     else
       run "$change" "$seed"
       c_ops=$r_ops c_med=$r_med c_ledger=$r_ledger
+      echo "$r_rss" >>"$tmp/change.rss"
+      echo "$r_setup" >>"$tmp/change.setup"
     fi
   done
   if [ -z "$p_ledger" ] || [ "$p_ledger" != "$c_ledger" ]; then
@@ -110,3 +118,9 @@ for side in parent change; do
   echo "  $side ops_per_s_median  $(quartiles <"$tmp/$side.med")"
 done
 echo "  change ahead on ops_per_s in $won of $pairs pairs, behind in $lost"
+for side in parent change; do
+  echo "  $side peak_rss_mib      $(quartiles <"$tmp/$side.rss")"
+done
+for side in parent change; do
+  echo "  $side setup_s           $(quartiles <"$tmp/$side.setup")"
+done
