@@ -26,6 +26,8 @@ fn tiny_pipeline_writes_json_that_reads_back() {
         .arg(out.join("service.ckpt"))
         .arg("--serve-report")
         .arg(out.join("serve.json"))
+        .arg("--trace")
+        .arg(out.join("trace.json"))
         .args(["pipeline", "table1"])
         .output()
         .expect("sixdust-exp runs");
@@ -43,7 +45,10 @@ fn tiny_pipeline_writes_json_that_reads_back() {
     }
     parsed.sort_by(|a, b| a.0.cmp(&b.0));
     let names: Vec<&str> = parsed.iter().map(|(name, _)| name.as_str()).collect();
-    assert_eq!(names, ["pipeline.json", "serve.json", "table1.json", "telemetry.json"]);
+    assert_eq!(
+        names,
+        ["pipeline.json", "serve.json", "table1.json", "telemetry.json", "trace.json"]
+    );
 
     // The experiment envelope: id, the scale it ran at, the result rows.
     let table1 = &parsed[2].1;

@@ -11,6 +11,7 @@ use std::path::Path;
 
 use sixdust_addr::{Addr, AddrSet, Prefix};
 use sixdust_json::json_struct;
+use sixdust_scan::proto_metric_key;
 
 use crate::service::HitlistService;
 
@@ -103,10 +104,7 @@ pub fn publish(svc: &HitlistService) -> Publication {
     let proto_sets: Vec<(String, &AddrSet)> = svc
         .proto_responsive()
         .iter()
-        .map(|(p, set)| {
-            let stem = format!("responsive-{}.txt", p.label().to_lowercase().replace('/', ""));
-            (stem, set)
-        })
+        .map(|(p, set)| (format!("responsive-{}.txt", proto_metric_key(*p)), set))
         .collect();
     let per_protocol: Vec<(String, String)> =
         proto_sets.iter().map(|(stem, set)| (stem.clone(), render(set))).collect();

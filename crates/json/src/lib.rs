@@ -30,7 +30,6 @@ mod write;
 pub use convert::{from_str, to_string, to_string_pretty, FromJson, ToJson};
 pub use parse::{parse, MAX_DEPTH};
 pub use value::{Error, Fields, Value};
-pub use write::escape;
 
 /// Builds a [`Value`] from an object literal whose values are nested
 /// object literals or expressions implementing [`ToJson`], or from one

@@ -9,9 +9,8 @@ use std::fmt::Write as _;
 use crate::value::Value;
 
 /// Appends `s` as a JSON string literal — the one string escape in the
-/// workspace; the telemetry exporters that format their documents by
-/// hand call it too.
-pub fn escape(s: &str, out: &mut String) {
+/// workspace, private to the two writers below.
+fn escape(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

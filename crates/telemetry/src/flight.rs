@@ -23,7 +23,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::series::{is_deterministic_metric, SeriesRound};
 use crate::sync::lock;
-use sixdust_json::escape;
 
 /// Default bound on the event ring.
 pub const DEFAULT_FLIGHT_EVENTS: usize = 128;
@@ -60,50 +59,6 @@ pub struct FlightCapture {
     pub events: Vec<FlightEvent>,
     /// The retained (deterministic-column) series rounds, oldest first.
     pub rounds: Vec<SeriesRound>,
-}
-
-impl FlightCapture {
-    /// Serializes the capture as one deterministic JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"reason\": ");
-        escape(&self.reason, &mut out);
-        out.push_str(&format!(", \"key\": {}, \"seq\": {}, \"events\": [", self.key, self.seq));
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{{\"seq\": {}, \"key\": {}, \"kind\": ", e.seq, e.key));
-            escape(&e.kind, &mut out);
-            out.push_str(", \"args\": {");
-            for (j, (name, value)) in e.args.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                escape(name, &mut out);
-                out.push_str(": ");
-                escape(value, &mut out);
-            }
-            out.push_str("}}");
-        }
-        out.push_str("], \"rounds\": [");
-        for (i, r) in self.rounds.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{{\"key\": {}, \"values\": {{", r.key));
-            for (j, (name, value)) in r.values.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                escape(name, &mut out);
-                out.push_str(&format!(": {value}"));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 struct Inner {
@@ -235,20 +190,6 @@ impl FlightRecorder {
     pub fn dropped_events(&self) -> u64 {
         lock(&self.inner).dropped_events
     }
-
-    /// Every retained capture as one deterministic JSON array.
-    pub fn captures_json(&self) -> String {
-        let captures = self.captures();
-        let mut out = String::from("[");
-        for (i, c) in captures.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n ");
-            }
-            out.push_str(&c.to_json());
-        }
-        out.push(']');
-        out
-    }
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -265,6 +206,7 @@ impl std::fmt::Debug for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sixdust_json::json;
 
     fn round(key: u32, values: &[(&str, u64)]) -> SeriesRound {
         let mut values: Vec<(String, u64)> =
@@ -323,14 +265,23 @@ mod tests {
         let make = || {
             let fr = FlightRecorder::new();
             fr.note(1, "kind\"quote", &[("arg", "value\n")]);
-            fr.note_round(&round(1, &[("c", 3)]));
+            fr.note_round(&round(1, &[("scan.hits", 3)]));
             fr.capture(1, "slo:avail");
-            fr.captures_json()
+            sixdust_json::to_string_pretty(&fr.captures())
         };
         let a = make();
         assert_eq!(a, make(), "same inputs, same bytes");
-        assert!(a.contains("\"kind\\\"quote\""));
-        assert!(a.contains("\"value\\n\""));
-        assert!(a.starts_with("[{\"reason\": \"slo:avail\""));
+        let doc = sixdust_json::parse(&a).unwrap();
+        let capture = &doc.as_array().unwrap()[0];
+        assert_eq!(capture.get("reason"), Some(&json!("slo:avail")));
+        assert_eq!(
+            (capture.get("key"), capture.get("seq")),
+            (Some(&json!(1u32)), Some(&json!(1u64)))
+        );
+        let event = &capture.get("events").unwrap().as_array().unwrap()[0];
+        assert_eq!(event.get("kind"), Some(&json!("kind\"quote")));
+        assert_eq!(event.get("args"), Some(&json!({ "arg": "value\n" })));
+        let round = json!({ "key": 1u32, "scan.hits": 3u64 });
+        assert_eq!(capture.get("rounds"), Some(&json!([round])), "a round is a series line");
     }
 }

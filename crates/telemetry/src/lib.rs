@@ -12,15 +12,16 @@
 //! Handles are `Arc`-backed and record with relaxed atomics, so cloning
 //! them into worker threads is free and recording never locks or
 //! allocates. A [`Registry`] names the metrics and produces deterministic
-//! [`Snapshot`]s exportable to JSON (see [`Snapshot::to_json`]): the
-//! document is formatted by hand and read back through `sixdust-json`.
+//! [`Snapshot`]s exportable to JSON (see [`Snapshot::to_json`]). Every
+//! telemetry export is written, and a snapshot read back, through
+//! `sixdust-json`.
 //!
 //! On top of the point-in-time primitives sit three longitudinal layers
 //! (added after the GFW post-mortem showed snapshots alone hide exactly
 //! the events that matter):
 //!
 //! - [`SeriesRecorder`] — diffs successive registry snapshots into
-//!   bounded per-round delta series, exported as JSONL/CSV and
+//!   bounded per-round delta series, exported as JSON Lines and
 //!   convertible to `sixdust_analysis::Series`;
 //! - [`TraceJournal`] — a structured span/instant event journal exported
 //!   as Chrome trace-event JSON (`chrome://tracing`-loadable), installed
@@ -32,8 +33,7 @@
 //! layer (PR 7):
 //!
 //! - [`SloEngine`] — declarative SLOs with multi-window burn-rate
-//!   alerting over the series stream, plus a machine-readable breach
-//!   log;
+//!   alerting over the series stream, plus a bounded breach log;
 //! - [`FlightRecorder`] — a bounded black-box ring of recent events and
 //!   metric deltas, frozen into deterministic JSON captures when a
 //!   degraded round, MAD anomaly or SLO breach fires; installed into a
@@ -105,29 +105,3 @@ pub use report::Dashboard;
 pub use series::{is_deterministic_metric, SeriesRecorder, SeriesRound, DEFAULT_SERIES_CAPACITY};
 pub use slo::{SloBreach, SloEngine, SloSignal, SloSpec, SloStatus, MAX_BREACH_LOG};
 pub use trace::{TraceEvent, TraceJournal, TracePhase, TraceSpan, DEFAULT_TRACE_CAPACITY};
-
-/// Records the elapsed milliseconds since `started` into the histogram
-/// named `name`, if a registry is attached. The no-registry path is a
-/// single branch, keeping uninstrumented runs free of overhead.
-pub fn record_phase(registry: Option<&Registry>, name: &str, started: std::time::Instant) {
-    if let Some(reg) = registry {
-        reg.histogram(name).record_duration(started.elapsed());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn record_phase_is_a_noop_without_a_registry() {
-        record_phase(None, "service.round.phase.scan_ms", std::time::Instant::now());
-    }
-
-    #[test]
-    fn record_phase_records_into_named_histogram() {
-        let reg = Registry::new();
-        record_phase(Some(&reg), "service.round.phase.scan_ms", std::time::Instant::now());
-        assert_eq!(reg.histogram("service.round.phase.scan_ms").count(), 1);
-    }
-}

@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
 use crate::flight::FlightRecorder;
-use crate::json;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::sync::{read, write};
 use crate::trace::TraceJournal;
@@ -187,12 +186,12 @@ impl Snapshot {
 
     /// Serializes the snapshot to a deterministic JSON document.
     pub fn to_json(&self) -> String {
-        json::snapshot_to_json(self)
+        sixdust_json::to_string_pretty(self)
     }
 
     /// Parses a snapshot back from [`Snapshot::to_json`] output.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        json::snapshot_from_json(text)
+        sixdust_json::from_str(text).map_err(|e| format!("telemetry JSON: {e}"))
     }
 }
 

@@ -128,7 +128,7 @@ impl Dashboard<'_> {
             if breaches.len() > MAX_BREACH_ROWS {
                 let _ = writeln!(
                     out,
-                    "<tr><td colspan=\"6\">… and {} more (see breach log JSONL)</td></tr>",
+                    "<tr><td colspan=\"6\">… and {} more</td></tr>",
                     breaches.len() - MAX_BREACH_ROWS
                 );
             }
@@ -261,7 +261,7 @@ impl Dashboard<'_> {
                 c.events.len(),
                 c.rounds.len()
             );
-            escape_html(&c.to_json(), out);
+            escape_html(&sixdust_json::to_string_pretty(c), out);
             out.push_str("</pre></details>\n");
         }
         if flight.dropped_captures() > 0 {

@@ -17,8 +17,8 @@
 //!   recorded.
 //!
 //! Rounds are held in a bounded ring buffer ([`SeriesRecorder::evicted`]
-//! counts what aged out) and export as JSONL (one object per round) or
-//! CSV (one column per metric). [`SeriesRecorder::points`] extracts one
+//! counts what aged out) and export as JSON Lines (one flat object per
+//! round). [`SeriesRecorder::points`] extracts one
 //! metric as `(key, value)` pairs — the exact shape
 //! `sixdust_analysis::Series` consumes, so the existing spike/CDF
 //! machinery runs directly on live telemetry.
@@ -27,7 +27,6 @@ use std::collections::VecDeque;
 
 use crate::metrics::HistogramSnapshot;
 use crate::registry::{Registry, Snapshot};
-use sixdust_json::escape;
 
 /// Default ring-buffer capacity: four years of daily rounds with room to
 /// spare.
@@ -216,46 +215,10 @@ impl SeriesRecorder {
         names
     }
 
-    /// Exports every retained round as JSON Lines: one object per round
-    /// with a `"key"` field plus one field per metric, names sorted.
+    /// Exports every retained round as JSON Lines: one compact object per
+    /// round with a `"key"` field plus one field per metric, names sorted.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.rounds.len() * 128);
-        for round in &self.rounds {
-            out.push_str(&format!("{{\"key\": {}", round.key));
-            for (name, value) in &round.values {
-                out.push_str(", ");
-                escape(name, &mut out);
-                out.push_str(&format!(": {value}"));
-            }
-            out.push_str("}\n");
-        }
-        out
-    }
-
-    /// Exports every retained round as CSV: a `key` column followed by
-    /// one column per metric (the union across rounds, sorted); cells for
-    /// metrics absent in a round are left empty.
-    pub fn to_csv(&self) -> String {
-        let names = self.metric_names();
-        let mut out = String::from("key");
-        for n in &names {
-            out.push(',');
-            // Metric names are dot-separated identifiers; commas/quotes
-            // never appear, so no CSV quoting is needed.
-            out.push_str(n);
-        }
-        out.push('\n');
-        for round in &self.rounds {
-            out.push_str(&round.key.to_string());
-            for n in &names {
-                out.push(',');
-                if let Some(v) = round.value(n) {
-                    out.push_str(&v.to_string());
-                }
-            }
-            out.push('\n');
-        }
-        out
+        self.rounds.iter().map(|round| sixdust_json::to_string(round) + "\n").collect()
     }
 }
 
@@ -286,7 +249,9 @@ fn diff_histogram(cur: &HistogramSnapshot, prev: Option<&HistogramSnapshot>) -> 
     // min/max of just this round are unknowable from cumulative state;
     // bound them by the occupied delta buckets.
     let min = buckets.first().map(|(f, _)| *f).unwrap_or(0);
-    let max = buckets.last().map(|(f, _)| if *f == 0 { 0 } else { 2 * f - 1 }).unwrap_or(0);
+    // The top bucket's floor is 2^63, so its bound is written not to
+    // overflow.
+    let max = buckets.last().map(|(f, _)| if *f == 0 { 0 } else { f + (f - 1) }).unwrap_or(0);
     HistogramSnapshot { count, sum, min, max, buckets }
 }
 
@@ -370,25 +335,28 @@ mod tests {
         reg.counter("scan.hits").add(1);
         rec.record(101);
         let jsonl = rec.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], "{\"key\": 100, \"scan.hits\": 12}");
-        assert_eq!(lines[1], "{\"key\": 101, \"scan.hits\": 1}");
+        let lines: Vec<sixdust_json::Value> =
+            jsonl.lines().map(|line| sixdust_json::parse(line).unwrap()).collect();
+        assert_eq!(
+            lines,
+            [
+                sixdust_json::json!({ "key": 100u32, "scan.hits": 12u64 }),
+                sixdust_json::json!({ "key": 101u32, "scan.hits": 1u64 }),
+            ]
+        );
     }
 
     #[test]
-    fn csv_union_of_columns() {
+    fn a_sample_in_the_top_bucket_bounds_its_round_without_overflow() {
         let reg = Registry::new();
         let mut rec = SeriesRecorder::new(reg.clone(), 8);
-        reg.counter("a").add(1);
+        let h = reg.histogram("h");
+        h.record(1);
         rec.record(0);
-        reg.counter("b").add(2);
-        rec.record(1);
-        let csv = rec.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "key,a,b");
-        assert_eq!(lines[1], "0,1,");
-        assert_eq!(lines[2], "1,0,2");
+        h.record(u64::MAX);
+        let round = rec.record(1);
+        assert_eq!(round.value("h.count"), Some(1));
+        assert_eq!(round.value("h.p99"), Some(u64::MAX));
     }
 
     #[test]
@@ -421,7 +389,6 @@ mod tests {
         let rec = SeriesRecorder::new(Registry::new(), 4);
         assert!(rec.is_empty());
         assert_eq!(rec.to_jsonl(), "");
-        assert_eq!(rec.to_csv(), "key\n");
         assert_eq!(rec.points("x"), vec![]);
     }
 }

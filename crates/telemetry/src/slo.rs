@@ -13,8 +13,8 @@
 //! short window makes alerts fast to clear, the long window keeps a
 //! single noisy round from paging anyone.
 //!
-//! Breaches are appended to a bounded machine-readable log
-//! ([`SloEngine::breach_log_jsonl`]) and, when a [`Registry`] is
+//! Breaches are appended to a bounded log ([`SloEngine::breaches`])
+//! and, when a [`Registry`] is
 //! attached, emitted as `slo.<name>.burn_short_milli` /
 //! `slo.<name>.burn_long_milli` gauges, a `slo.<name>.breach_rounds`
 //! counter, and a `slo.breach` tracer instant.
@@ -38,7 +38,6 @@ use std::collections::VecDeque;
 use crate::metrics::{Counter, Gauge};
 use crate::registry::Registry;
 use crate::series::SeriesRound;
-use sixdust_json::escape;
 
 /// Retained breach-log entries before the oldest are dropped (the drop
 /// count is kept, so truncation is never silent).
@@ -400,21 +399,6 @@ impl SloEngine {
             })
             .collect()
     }
-
-    /// The breach log as JSON Lines, one object per breach.
-    pub fn breach_log_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.breaches.len() * 96);
-        for b in &self.breaches {
-            out.push_str("{\"slo\": ");
-            escape(&b.slo, &mut out);
-            out.push_str(&format!(
-                ", \"key\": {}, \"bad_permille\": {}, \"burn_short_milli\": {}, \
-                 \"burn_long_milli\": {}, \"onset\": {}}}\n",
-                b.key, b.bad_permille, b.burn_short_milli, b.burn_long_milli, b.onset
-            ));
-        }
-        out
-    }
 }
 
 impl std::fmt::Debug for SloEngine {
@@ -518,11 +502,9 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("slo.avail.breach_rounds"), Some(3));
         assert_eq!(snap.gauge("slo.avail.burn_short_milli"), Some(10_000));
-        let log = eng.breach_log_jsonl();
-        assert_eq!(log.lines().count(), 3);
-        assert!(log.starts_with("{\"slo\": \"avail\", \"key\": 0,"), "log: {log}");
-        assert!(log.contains("\"onset\": true"));
-        assert!(log.contains("\"onset\": false"));
+        let log: Vec<(&str, u32, bool)> =
+            eng.breaches().iter().map(|b| (b.slo.as_str(), b.key, b.onset)).collect();
+        assert_eq!(log, [("avail", 0, true), ("avail", 1, false), ("avail", 2, false)]);
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!     journal.instant("service.anomaly", &[("proto", "udp53")]);
 //! }
 //! assert_eq!(journal.len(), 2);
-//! assert!(journal.to_chrome_json().contains("\"traceEvents\""));
+//! let doc = sixdust_json::parse(&journal.to_chrome_json()).unwrap();
+//! assert_eq!(doc.get("traceEvents").unwrap().as_array().unwrap().len(), 2);
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,7 +35,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::sync::lock;
-use sixdust_json::escape;
 
 /// Default journal capacity in events. A four-year paper-scale service
 /// run emits a few events per round per protocol — well under this.
@@ -189,46 +189,7 @@ impl TraceJournal {
     /// (object format: `{"traceEvents": [...]}`), loadable in
     /// `chrome://tracing` and Perfetto.
     pub fn to_chrome_json(&self) -> String {
-        let events = self.events();
-        let mut out = String::with_capacity(64 + events.len() * 96);
-        out.push_str("{\"traceEvents\": [\n");
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("  {\"name\": ");
-            escape(&e.name, &mut out);
-            out.push_str(", \"cat\": ");
-            let cat = e.name.split('.').next().unwrap_or("trace");
-            escape(cat, &mut out);
-            match e.phase {
-                TracePhase::Complete => {
-                    out.push_str(&format!(
-                        ", \"ph\": \"X\", \"ts\": {}, \"dur\": {}",
-                        e.ts_us, e.dur_us
-                    ));
-                }
-                TracePhase::Instant => {
-                    out.push_str(&format!(", \"ph\": \"i\", \"ts\": {}, \"s\": \"t\"", e.ts_us));
-                }
-            }
-            out.push_str(&format!(", \"pid\": 1, \"tid\": {}", e.tid));
-            if !e.args.is_empty() {
-                out.push_str(", \"args\": {");
-                for (j, (k, v)) in e.args.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    escape(k, &mut out);
-                    out.push_str(": ");
-                    escape(v, &mut out);
-                }
-                out.push('}');
-            }
-            out.push('}');
-        }
-        out.push_str("\n]}\n");
-        out
+        sixdust_json::json!({ "traceEvents": self.events() }).pretty()
     }
 }
 
@@ -281,6 +242,7 @@ impl Drop for TraceSpan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sixdust_json::json;
 
     #[test]
     fn spans_record_on_drop_with_duration() {
@@ -327,14 +289,19 @@ mod tests {
             s.arg("day", "330");
         }
         j.instant("marker \"quoted\"", &[]);
-        let json = j.to_chrome_json();
-        assert!(json.starts_with("{\"traceEvents\": ["));
-        assert!(json.trim_end().ends_with("]}"));
-        assert!(json.contains("\"ph\": \"X\""));
-        assert!(json.contains("\"ph\": \"i\""));
-        assert!(json.contains("\"cat\": \"scan\""));
-        assert!(json.contains("\"args\": {\"day\": \"330\"}"));
-        assert!(json.contains("\\\"quoted\\\""), "names are JSON-escaped");
+        let doc = sixdust_json::parse(&j.to_chrome_json()).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        assert_eq!(events.len(), 2);
+        let (span, instant) = (&events[0], &events[1]);
+        assert_eq!(span.get("name"), Some(&json!("scan.udp53")));
+        assert_eq!(span.get("cat"), Some(&json!("scan")));
+        assert_eq!(span.get("ph"), Some(&json!("X")));
+        assert!(span.get("dur").is_some() && span.get("s").is_none());
+        assert_eq!(span.get("args"), Some(&json!({ "day": "330" })));
+        assert_eq!(instant.get("name"), Some(&json!("marker \"quoted\"")), "names are escaped");
+        assert_eq!((instant.get("ph"), instant.get("s")), (Some(&json!("i")), Some(&json!("t"))));
+        assert_eq!(instant.get("pid"), Some(&json!(1u64)));
+        assert!(instant.get("dur").is_none() && instant.get("args").is_none());
     }
 
     #[test]
@@ -369,6 +336,7 @@ mod tests {
     fn empty_journal_exports_valid_document() {
         let j = TraceJournal::new();
         assert!(j.is_empty());
-        assert_eq!(j.to_chrome_json(), "{\"traceEvents\": [\n\n]}\n");
+        let doc = sixdust_json::parse(&j.to_chrome_json());
+        assert_eq!(doc, Ok(json!({ "traceEvents": sixdust_json::Value::Array(Vec::new()) })));
     }
 }

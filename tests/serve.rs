@@ -232,3 +232,18 @@ fn manifest_and_serve_digests_agree_across_crates() {
         assert_eq!(codec::content_digest(&set), codec::content_digest(items.iter().copied()));
     }
 }
+
+#[test]
+fn manifest_and_store_name_and_digest_every_artifact_alike() {
+    // The publication's files and the store's artifact kinds list one
+    // artifact set: each kind's file stem names a manifest entry, and the
+    // entry records the digest the store serves it under.
+    let (svc, store, _) = run_and_publish(None);
+    let manifest = publish::publish(&svc).manifest;
+    for kind in ArtifactKind::ALL {
+        let file = format!("{}.txt", kind.file_stem());
+        let recorded = manifest.digests.iter().find(|(stem, _)| *stem == file).map(|(_, hex)| hex);
+        let served = store.artifact(kind).expect("published").digest();
+        assert_eq!(recorded, Some(&format!("{served:016x}")), "{file}");
+    }
+}
