@@ -1,4 +1,5 @@
-//! Hash tables keyed by an address, under a hasher that costs one mix.
+//! Hash tables keyed by an address or a word, under a hasher that costs
+//! one mix.
 //!
 //! std's default hasher is SipHash-1-3: keyed against collision attacks
 //! and several times the price of what an address table here needs —
@@ -6,9 +7,11 @@
 //! the service's own checkpoints, none from an adversary. An [`Addr`]
 //! hashes through [`Hasher::write_u128`], which [`AddrHasher`]
 //! answers with a single [`prf::mix64`] over the two halves folded into
-//! one word. Every table draws its own key when it is constructed, so
-//! iteration order still differs from table to table and from run to
-//! run: code that lets a record depend on it keeps getting caught.
+//! one word; a `u64` key (a client id, a packed `(client, kind)` pair)
+//! through [`Hasher::write_u64`], one [`prf::mix64`] of the word. Every
+//! table draws its own key when it is constructed, so iteration order
+//! still differs from table to table and from run to run: code that lets
+//! a record depend on it keeps getting caught.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher, RandomState};
@@ -56,7 +59,12 @@ impl Hasher for AddrHasher {
         self.0 = prf::mix64(self.0 ^ folded);
     }
 
-    /// The fallback for keys that are not a bare `u128`.
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = prf::mix64(self.0 ^ v);
+    }
+
+    /// The fallback for keys that are not a bare `u128` or `u64`.
     fn write(&mut self, bytes: &[u8]) {
         for &byte in bytes {
             self.0 = prf::mix64(self.0 ^ u64::from(byte));
@@ -100,17 +108,18 @@ mod tests {
         addrs
     }
 
-    #[test]
-    fn population_shapes_spread_like_uniform_draws() {
-        let addrs = population_shapes();
+    /// Asserts that 50 000 keys hashed under two table keys fill a table
+    /// as 50 000 uniform draws would.
+    fn assert_spread_like_uniform_draws<K: std::hash::Hash>(keys: &[K], what: &str) {
+        assert_eq!(keys.len(), 50_000);
         for key in [0, 0x5eed_0fa7_ab1e] {
             let build = AddrBuildHasher { key };
             // hashbrown indexes its buckets with the hash's low bits and
             // tags each entry with its top seven.
             let mut buckets = vec![0u32; 1 << 16];
             let mut tags = [0u32; 128];
-            for a in &addrs {
-                let h = build.hash_one(a);
+            for k in keys {
+                let h = build.hash_one(k);
                 buckets[(h & 0xffff) as usize] += 1;
                 tags[(h >> 57) as usize] += 1;
             }
@@ -119,14 +128,31 @@ mod tests {
             // about eight in the fullest; a tag expects 390.6 ± 20.
             let occupied = buckets.iter().filter(|n| **n > 0).count();
             let fullest = *buckets.iter().max().unwrap();
-            assert!(occupied >= 34_980 * 97 / 100, "key {key:#x}: {occupied} buckets occupied");
-            assert!(fullest <= 12, "key {key:#x}: {fullest} addresses in one bucket");
+            assert!(occupied >= 34_980 * 97 / 100, "{what}, key {key:#x}: {occupied} occupied");
+            assert!(fullest <= 12, "{what}, key {key:#x}: {fullest} in one bucket");
             let (low, high) = (*tags.iter().min().unwrap(), *tags.iter().max().unwrap());
             assert!(
                 low >= 293 && high <= 488,
-                "key {key:#x}: tags hold {low}..={high}, not 391 ± 25 %"
+                "{what}, key {key:#x}: tags hold {low}..={high}, not 391 ± 25 %"
             );
         }
+    }
+
+    #[test]
+    fn population_shapes_spread_like_uniform_draws() {
+        assert_spread_like_uniform_draws(&population_shapes(), "population shapes");
+    }
+
+    #[test]
+    fn packed_client_keys_spread_like_uniform_draws() {
+        // The shape of a serve day's `(client, kind)` table: `client * 8 +
+        // kind` over 150 000 clients, every third of which holds the kind
+        // its id selects. The low bits repeat every 8 192 clients and the
+        // top seven are zero, so a hash that passes the word through
+        // fills an eighth of the buckets and one tag.
+        let keys: Vec<u64> =
+            (0..150_000u64).step_by(3).map(|client| client * 8 + client % 8).collect();
+        assert_spread_like_uniform_draws(&keys, "packed client keys");
     }
 
     #[test]

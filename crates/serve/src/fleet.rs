@@ -31,6 +31,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sixdust_addr::prf::prf_u128;
+use sixdust_addr::AddrBuildHasher;
 use sixdust_json::json_struct;
 use sixdust_telemetry::Registry;
 
@@ -477,10 +478,13 @@ struct Held {
 }
 
 /// `(client, artifact kind)` packed into one word, so a held entry of a
-/// million-client day stays three words.
+/// million-client day stays three words and hashes in one mix.
 fn held_key(client: u64, kind: ArtifactKind) -> u64 {
     client.wrapping_mul(ArtifactKind::ALL.len() as u64).wrapping_add(kind.index() as u64)
 }
+
+/// What every client holds, by [`held_key`].
+type HeldTable = HashMap<u64, Held, AddrBuildHasher>;
 
 /// Whose clients a day's are: what they ask for, given what they hold,
 /// is the one thing the two kinds of day differ in on the client side.
@@ -586,7 +590,7 @@ fn draw_request(
     clients: Clients,
     cumulative: &[u64],
     prev_rounds: &[Option<u64>],
-    held: &HashMap<u64, Held>,
+    held: &HeldTable,
     arrival: Arrival,
 ) -> Request {
     let id = u128::from(arrival.id);
@@ -693,10 +697,10 @@ pub(crate) fn drive_day(
         ArtifactKind::ALL.iter().map(|&k| store.artifact(k).and_then(|v| v.prev_round())).collect();
     let (schedule, flash_arrivals) = build_schedule(config);
 
-    let mut held: HashMap<u64, Held> = HashMap::new();
+    let mut held = HeldTable::default();
     let mut bodies_by_kind = vec![0u64; ArtifactKind::ALL.len()];
     // Only a body leaves a client holding something.
-    let mut deliver = |c: Completion, held: &mut HashMap<u64, Held>| {
+    let mut deliver = |c: Completion, held: &mut HeldTable| {
         if let Outcome::Body { round, digest, .. } = c.outcome {
             bodies_by_kind[c.kind.index()] += 1;
             held.insert(held_key(c.client, c.kind), Held { round, digest });

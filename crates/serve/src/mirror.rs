@@ -560,7 +560,7 @@ impl MirrorTier {
         // (cooldown-limited, same knob as revalidation) before answering
         // rather than shrugging `Unavailable` until the next scheduled
         // sync comes around.
-        if self.mirrors[mirror].store.current_round().is_none()
+        if self.mirrors[mirror].frontend.current_round().is_none()
             && self.origin.current_round().is_some()
             && at >= self.mirrors[mirror].next_revalidate_us
         {
@@ -901,6 +901,59 @@ mod tests {
         });
         assert!(tier.totals().syncs > 0);
         assert_eq!(tier.totals().sync_rejected, 0);
+    }
+
+    #[test]
+    fn a_front_end_racing_publishes_answers_only_published_generations_in_order() {
+        use std::collections::HashSet;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Every round changes every kind, so each answer names the one
+        // generation it came from.
+        let generation = |round: u64| -> Vec<(ArtifactKind, AddrSet)> {
+            let items =
+                |k: usize| (0..16).map(move |i| (k as u128) << 64 | u128::from(round) << 4 | i);
+            ArtifactKind::ALL.iter().map(|&kind| (kind, items(kind.index()).collect())).collect()
+        };
+        const LAST: u64 = 2_001;
+        let published: HashSet<(usize, u64, u64)> = (1..=LAST)
+            .flat_map(|round| {
+                generation(round)
+                    .into_iter()
+                    .map(move |(kind, set)| (kind.index(), round, codec::content_digest(&set)))
+            })
+            .collect();
+        let origin = Arc::new(SnapshotStore::new(StoreConfig::default()));
+        origin.publish_round(1, "d", generation(1));
+        let mut reader = Frontend::new(FrontendConfig::default(), origin.clone());
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 2..=LAST {
+                    origin.publish_round(round, "d", generation(round));
+                }
+                done.store(true, Ordering::Release);
+            });
+            let mut last_round = 0;
+            for n in 0u64.. {
+                let finished = done.load(Ordering::Acquire);
+                // One request a virtual second, spread over 64 clients: no
+                // bucket or cap ever sheds.
+                let kind = ArtifactKind::ALL[n as usize % ArtifactKind::ALL.len()];
+                let served = reader.handle(&Request { kind, ..request(n % 64, n * 1_000_000) });
+                let Outcome::Body { round, digest, .. } = served else {
+                    panic!("request {n}: {served:?}");
+                };
+                let answer = (kind.index(), round, digest);
+                assert!(published.contains(&answer), "request {n}: {answer:?} was not published");
+                assert!(round >= last_round, "request {n}: round {round} after {last_round}");
+                last_round = round;
+                if finished {
+                    // Every publish happened before this request.
+                    assert_eq!(round, LAST, "request {n} after the last publish");
+                    break;
+                }
+            }
+        });
     }
 
     #[test]

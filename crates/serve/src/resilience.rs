@@ -15,7 +15,8 @@
 
 use sixdust_addr::prf::prf_u128;
 use sixdust_telemetry::{
-    Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, Observer, Published, Registry,
+    Counter, FlightRecorder, Gauge, Histogram, HistogramSnapshot, LocalHistogram, Observer,
+    Published, Registry,
 };
 
 use crate::fleet::{drive_day, Clients, DayReport, FleetConfig, ResilienceTotals};
@@ -223,17 +224,20 @@ pub(crate) const PUBLISHED: [Published<ResilienceTotals>; 10] = [
 
 /// The seeded backoff before retry `retry_no` (1-based) of request
 /// `request`: exponential in the retry number, jittered by a PRF draw so
-/// equal seeds replay identical delays.
+/// equal seeds replay identical delays. The jitter is worked in `u128`,
+/// where `base · permille`, `2 · jitter + 1` and `base + jitter` cannot
+/// overflow for any cap, and the delay saturates at `u64::MAX`.
 fn backoff_us(policy: &RetryPolicy, seed: u64, request: u64, retry_no: u32) -> u64 {
     let exp = retry_no.saturating_sub(1).min(20);
     let base = policy.backoff_base_us.saturating_mul(1u64 << exp).min(policy.backoff_cap_us);
-    let jitter = base * u64::from(policy.jitter_permille.min(1_000)) / 1_000;
+    let jitter = u128::from(base) * u128::from(policy.jitter_permille.min(1_000)) / 1_000;
     if jitter == 0 {
         return base;
     }
-    let draw = prf_u128(seed, u128::from(request) << 8 | u128::from(retry_no), TAG_JITTER)
-        % (2 * jitter + 1);
-    base - jitter + draw
+    let draw =
+        u128::from(prf_u128(seed, u128::from(request) << 8 | u128::from(retry_no), TAG_JITTER))
+            % (2 * jitter + 1);
+    u64::try_from(u128::from(base) - jitter + draw).unwrap_or(u64::MAX)
 }
 
 /// The resilient client path of one day over a [`MirrorTier`]: the
@@ -251,7 +255,7 @@ struct TierClient<'a> {
     ledger: ResilienceTotals,
     /// Client-observed latency: served latency plus accumulated backoff,
     /// a winning hedge counting `hedge_after + its own`.
-    latency: Histogram,
+    latency: LocalHistogram,
     /// Records and judges each hour of an observed day.
     observer: Option<&'a mut Observer>,
     /// The last hour the observer recorded.
@@ -297,7 +301,7 @@ impl<'a> TierClient<'a> {
             breakers: vec![Breaker::new(); tier.mirror_count()],
             tier,
             ledger: ResilienceTotals::default(),
-            latency: Histogram::default(),
+            latency: LocalHistogram::default(),
             flight: registry.and_then(Registry::flight),
             staleness,
             backoff,
@@ -584,6 +588,55 @@ mod tests {
         assert_eq!(backoff_us(&flat, 7, 42, 1), 50_000);
         assert_eq!(backoff_us(&flat, 7, 42, 2), 100_000);
         assert_eq!(backoff_us(&flat, 7, 42, 20), 2_000_000, "cap holds");
+    }
+
+    #[test]
+    fn the_default_policy_draws_the_delays_it_always_drew() {
+        // (seed, request, retry, delay), recorded before the jitter moved
+        // to u128: a chaos day's delays are bit-identical across it.
+        let pinned: [(u64, u64, u32, u64); 8] = [
+            (0x6d15_7a11, 0, 1, 60_143),
+            (0x6d15_7a11, 1, 2, 115_925),
+            (0x6d15_7a11, 17, 3, 207_218),
+            (7, 42, 4, 414_370),
+            (7, 42, 5, 850_354),
+            (7, 299_999, 6, 1_629_314),
+            (11, 123_456, 7, 1_961_102),
+            (11, 5, 20, 1_745_792),
+        ];
+        let policy = RetryPolicy::default();
+        for (seed, request, retry, delay) in pinned {
+            assert_eq!(
+                backoff_us(&policy, seed, request, retry),
+                delay,
+                "{seed} {request} {retry}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_backoff_under_an_unbounded_cap_saturates_instead_of_overflowing() {
+        for base_us in [50_000, u64::MAX / 1_000 + 1, u64::MAX / 4, u64::MAX] {
+            for jitter_permille in [250, 1_000] {
+                let policy = RetryPolicy {
+                    backoff_base_us: base_us,
+                    backoff_cap_us: u64::MAX,
+                    jitter_permille,
+                    ..RetryPolicy::default()
+                };
+                for retry in [1, 20, 40] {
+                    let base = base_us.saturating_mul(1 << (retry - 1).min(20));
+                    let jitter = u128::from(base) * u128::from(jitter_permille) / 1_000;
+                    let low = u128::from(base) - jitter;
+                    let high = u64::try_from(u128::from(base) + jitter).unwrap_or(u64::MAX);
+                    let delay = backoff_us(&policy, 7, 42, retry);
+                    assert!(
+                        u128::from(delay) >= low && delay <= high,
+                        "base {base_us}, jitter {jitter_permille}, retry {retry}: {delay}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

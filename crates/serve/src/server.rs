@@ -14,11 +14,14 @@ use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use sixdust_addr::AddrBuildHasher;
 use sixdust_json::json_struct;
 use sixdust_scan::rate::{Limit, TokenBucket};
-use sixdust_telemetry::{FlightRecorder, Histogram, HistogramSnapshot, Published, Registry};
+use sixdust_telemetry::{
+    FlightRecorder, Histogram, HistogramSnapshot, LocalHistogram, Published, Registry,
+};
 
-use crate::store::{ArtifactKind, SnapshotStore};
+use crate::store::{ArtifactKind, GenerationCache, SnapshotStore};
 
 /// Front-end configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -287,12 +290,13 @@ impl LruCache {
         LruCache { capacity: capacity.max(1), tick: 0, entries: Vec::new() }
     }
 
-    fn get(&mut self, key: CacheKey) -> Option<Arc<Vec<u8>>> {
+    /// The cached body's length, refreshing its recency.
+    fn get(&mut self, key: CacheKey) -> Option<u64> {
         self.tick += 1;
         let tick = self.tick;
         self.entries.iter_mut().find(|(k, _, _)| *k == key).map(|entry| {
             entry.2 = tick;
-            entry.1.clone()
+            entry.1.len() as u64
         })
     }
 
@@ -400,8 +404,10 @@ impl Meters {
 pub struct Frontend {
     config: FrontendConfig,
     store: Arc<SnapshotStore>,
+    /// The store's generation as of the last request.
+    seen: GenerationCache,
     cache: LruCache,
-    buckets: HashMap<u64, TokenBucket>,
+    buckets: HashMap<u64, TokenBucket, AddrBuildHasher>,
     /// Completion times of requests currently in flight (min-heap).
     inflight: BinaryHeap<std::cmp::Reverse<u64>>,
     meters: Option<Meters>,
@@ -409,7 +415,7 @@ pub struct Frontend {
     /// Always-on virtual-time latency distribution, independent of the
     /// optional registry — [`DayReport`](crate::DayReport) percentiles
     /// come from here.
-    latency: Histogram,
+    latency: LocalHistogram,
 }
 
 impl std::fmt::Debug for Frontend {
@@ -436,11 +442,12 @@ impl Frontend {
             cache: LruCache::new(config.cache_capacity),
             config,
             store,
-            buckets: HashMap::new(),
+            seen: GenerationCache::default(),
+            buckets: HashMap::default(),
             inflight: BinaryHeap::new(),
             meters: None,
             ledger: Ledger::default(),
-            latency: Histogram::default(),
+            latency: LocalHistogram::default(),
         }
     }
 
@@ -495,6 +502,13 @@ impl Frontend {
         &self.config
     }
 
+    /// The round of the generation the next request would be served
+    /// from, read as [`Frontend::handle`] reads it: without the lock
+    /// unless a swap has landed since.
+    pub(crate) fn current_round(&mut self) -> Option<u64> {
+        self.seen.current(&self.store).map(|g| g.round)
+    }
+
     fn admit_client(&mut self, client: u64, now_us: u64) -> bool {
         let limit = Limit {
             rate: u64::from(self.config.client_rate_per_min),
@@ -535,57 +549,60 @@ impl Frontend {
             return Outcome::ShedGlobal;
         }
 
-        let Some(version) = self.store.artifact(request.kind) else {
+        // The version and its bodies are borrowed from the generation the
+        // front end holds; only a cache miss clones a body, to keep it.
+        let Some(generation) = self.seen.current(&self.store) else {
             self.ledger.totals.unavailable += 1;
             self.ledger.kinds[kind].errors += 1;
             return Outcome::Unavailable;
         };
+        let version = &generation.artifacts[kind];
+        let (round, digest) = (version.round(), version.digest());
+        let full = version.full_encoded();
 
         // Conditional fetch: the ETag is the content digest, so an
         // up-to-date consumer pays one round trip and zero body bytes.
-        if request.if_none_match == Some(version.digest()) {
+        if request.if_none_match == Some(digest) {
+            self.ledger.bytes_saved_not_modified += full.len() as u64;
             let latency = self.config.base_latency_us;
             self.finish(now, latency, kind);
             self.ledger.totals.not_modified += 1;
-            self.ledger.bytes_saved_not_modified += version.full_encoded().len() as u64;
-            return Outcome::NotModified { round: version.round(), latency_us: latency };
+            return Outcome::NotModified { round, latency_us: latency };
         }
 
         // Body selection: a delta is only valid on top of the round the
         // store actually diffed against; anything else falls back to the
         // full snapshot (and is accounted, so staleness is visible).
         let mut serve_delta = false;
-        let body_src: Arc<Vec<u8>> = match request.fetch {
+        let body = match request.fetch {
             FetchKind::DeltaSince(have) => match version.delta_encoded() {
                 Some(delta) if version.prev_round() == Some(have) => {
                     serve_delta = true;
-                    let saved =
-                        (version.full_encoded().len() as u64).saturating_sub(delta.len() as u64);
+                    let saved = (full.len() as u64).saturating_sub(delta.len() as u64);
                     self.ledger.totals.bytes_saved_by_delta += saved;
-                    delta.clone()
+                    delta
                 }
                 _ => {
                     self.ledger.totals.delta_fallbacks += 1;
-                    version.full_encoded().clone()
+                    full
                 }
             },
-            FetchKind::Full => version.full_encoded().clone(),
+            FetchKind::Full => full,
         };
 
-        let key: CacheKey = (kind, version.round(), serve_delta);
-        let (body, cached) = match self.cache.get(key) {
-            Some(body) => {
+        let key: CacheKey = (kind, round, serve_delta);
+        let (bytes, cached) = match self.cache.get(key) {
+            Some(bytes) => {
                 self.ledger.totals.cache_hits += 1;
-                (body, true)
+                (bytes, true)
             }
             None => {
                 self.ledger.totals.cache_misses += 1;
-                self.cache.insert(key, body_src.clone());
-                (body_src, false)
+                self.cache.insert(key, body.clone());
+                (body.len() as u64, false)
             }
         };
 
-        let bytes = body.len() as u64;
         let mut latency = self.config.base_latency_us + bytes / self.config.bytes_per_us.max(1);
         if !cached {
             latency += self.config.render_latency_us;
@@ -598,14 +615,7 @@ impl Frontend {
         } else {
             self.ledger.totals.full_fetches += 1;
         }
-        Outcome::Body {
-            bytes,
-            round: version.round(),
-            digest: version.digest(),
-            delta: serve_delta,
-            cached,
-            latency_us: latency,
-        }
+        Outcome::Body { bytes, round, digest, delta: serve_delta, cached, latency_us: latency }
     }
 
     fn finish(&mut self, now_us: u64, latency_us: u64, kind: usize) {
@@ -929,6 +939,46 @@ mod tests {
         let store = Arc::new(SnapshotStore::new(StoreConfig::default()));
         let mut fe = Frontend::new(FrontendConfig::default(), store);
         assert_eq!(fe.handle(&request(1, 0)), Outcome::Unavailable);
+    }
+
+    #[test]
+    fn the_request_after_a_swap_is_served_from_the_new_generation() {
+        let store = Arc::new(SnapshotStore::new(StoreConfig::default()));
+        let source = SnapshotStore::new(StoreConfig::default());
+        let mut fe = Frontend::new(FrontendConfig::default(), store.clone());
+        assert_eq!(fe.handle(&request(0, 0)), Outcome::Unavailable);
+        let items = |n: u128| -> sixdust_addr::AddrSet { (0..n).map(|i| i * 31).collect() };
+        // Publishes and installs in turn, and once a generation installed
+        // under the round already served, with other content.
+        let swaps: [(bool, u64, u128); 6] = [
+            (true, 1, 100),
+            (false, 2, 150),
+            (true, 3, 200),
+            (false, 3, 260),
+            (true, 4, 10),
+            (false, 7, 5),
+        ];
+        let mut held: Option<u64> = None;
+        for (i, (publish, round, n)) in swaps.into_iter().enumerate() {
+            let artifacts = vec![(ArtifactKind::Responsive, items(n))];
+            if publish {
+                store.publish_round(round, "d", artifacts);
+            } else {
+                source.publish_round(round, "d", artifacts);
+                let versions = ArtifactKind::ALL.map(|k| source.artifact(k).expect("published"));
+                assert!(store.install_generation(round, "d", versions.to_vec()));
+            }
+            let expected = store.artifact(ArtifactKind::Responsive).expect("swapped in");
+            // The digest the previous answer carried is stale now: a body,
+            // not a 304.
+            let at = i as u64 * 60_000_000 + 1;
+            let out = fe.handle(&Request { if_none_match: held, ..request(i as u64, at) });
+            let Outcome::Body { round: served, digest, .. } = out else {
+                panic!("swap {i}: {out:?}");
+            };
+            assert_eq!((served, digest), (expected.round(), expected.digest()), "swap {i}");
+            held = Some(digest);
+        }
     }
 
     #[test]

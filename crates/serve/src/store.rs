@@ -14,7 +14,16 @@
 //! one round, and a shard whose content did not change since the
 //! previous version is shared with it — its `Arc` carries over — when
 //! that version is still held and its shards were built.
+//!
+//! Every swap also bumps the store's *epoch* while it holds the write
+//! lock. A front end that serves the store keeps the epoch it last saw
+//! with that generation's `Arc` (a `GenerationCache`): a request costs
+//! one acquire load of the epoch, a plain load on x86, and the lock is
+//! taken again only when a swap has moved it — so the request after a
+//! publication serves the new generation, and every other request takes
+//! no lock and no reference count.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, Weak};
 
 use sixdust_addr::digest::content_digests;
@@ -249,7 +258,33 @@ impl StoreConfig {
 pub struct SnapshotStore {
     shards: usize,
     current: RwLock<Option<Arc<Generation>>>,
+    /// Swaps of `current` so far, bumped under its write lock.
+    epoch: AtomicU64,
     telemetry: Option<Registry>,
+}
+
+/// One reader's copy of a store's current generation and the epoch it
+/// was read at. Epoch 0 is the empty store's, before any swap.
+#[derive(Debug, Default)]
+pub(crate) struct GenerationCache {
+    epoch: u64,
+    generation: Option<Arc<Generation>>,
+}
+
+impl GenerationCache {
+    /// `store`'s current generation: the one held, unless a swap has
+    /// moved the epoch since it was read. A reader that sees a bumped
+    /// epoch reads the generation under the lock after that swap's
+    /// release, so it never holds one older than the epoch it records.
+    #[inline]
+    pub(crate) fn current(&mut self, store: &SnapshotStore) -> Option<&Arc<Generation>> {
+        let epoch = store.epoch.load(Ordering::Acquire);
+        if epoch != self.epoch {
+            self.generation = store.generation();
+            self.epoch = epoch;
+        }
+        self.generation.as_ref()
+    }
 }
 
 /// Stable shard assignment for one item: any pure hash works, as long as
@@ -261,7 +296,12 @@ fn shard_of(item: u128, shards: usize) -> usize {
 impl SnapshotStore {
     /// Creates an empty store.
     pub fn new(config: StoreConfig) -> SnapshotStore {
-        SnapshotStore { shards: config.shards.max(1), current: RwLock::new(None), telemetry: None }
+        SnapshotStore {
+            shards: config.shards.max(1),
+            current: RwLock::new(None),
+            epoch: AtomicU64::new(0),
+            telemetry: None,
+        }
     }
 
     /// Attaches a metrics registry: publications report
@@ -376,9 +416,7 @@ impl SnapshotStore {
             }));
         }
 
-        let generation =
-            Arc::new(Generation { round, date: date.to_string(), artifacts: versions });
-        *self.current.write().expect("store lock") = Some(generation);
+        self.swap(Generation { round, date: date.to_string(), artifacts: versions });
 
         if let Some(t) = &self.telemetry {
             t.counter("serve.publish.rounds").incr();
@@ -407,12 +445,21 @@ impl SnapshotStore {
         {
             return false;
         }
-        let generation = Arc::new(Generation { round, date: date.to_string(), artifacts });
-        *self.current.write().expect("store lock") = Some(generation);
+        self.swap(Generation { round, date: date.to_string(), artifacts });
         if let Some(t) = &self.telemetry {
             t.counter("serve.publish.installed").incr();
         }
         true
+    }
+
+    /// Makes `generation` current and bumps the epoch before the write
+    /// lock is released: the one swap both publication paths share. The
+    /// bump's `Release` pairs with the `Acquire` load in
+    /// [`GenerationCache::current`].
+    fn swap(&self, generation: Generation) {
+        let mut current = self.current.write().expect("store lock");
+        *current = Some(Arc::new(generation));
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Publishes a [`HitlistService`](sixdust_hitlist::HitlistService)'s

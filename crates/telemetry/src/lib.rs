@@ -6,7 +6,8 @@
 //! - [`Counter`] — monotone event counts (probes sent, hits, rounds);
 //! - [`Gauge`] — signed levels (queue depths, pool sizes);
 //! - [`Histogram`] — log-bucketed `u64` samples (phase latencies in
-//!   milliseconds, chunk sizes);
+//!   milliseconds, chunk sizes), and [`LocalHistogram`], the same for a
+//!   distribution only its owner records and reads;
 //! - [`SpanTimer`] — RAII wall-clock spans recording into a histogram.
 //!
 //! Handles are `Arc`-backed and record with relaxed atomics, so cloning
@@ -97,7 +98,8 @@ pub use flight::{
     DEFAULT_FLIGHT_ROUNDS,
 };
 pub use metrics::{
-    bucket_floor, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, SpanTimer, BUCKETS,
+    bucket_floor, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram,
+    SpanTimer, BUCKETS,
 };
 pub use observer::Observer;
 pub use registry::{Published, Registry, Snapshot};

@@ -100,8 +100,12 @@ impl Default for HistogramCore {
 /// sizes in bytes, …).
 ///
 /// Bucket `0` holds the value `0`; bucket `i > 0` holds values in
-/// `[2^(i-1), 2^i)`. Recording is five relaxed atomic operations and never
-/// allocates.
+/// `[2^(i-1), 2^i)`. Recording is five relaxed atomic read-modify-writes
+/// (the minimum and maximum are compare-and-swap loops) and never
+/// allocates: the price of a handle that clones into a registry and into
+/// other threads. A distribution only its owner records and reads — a
+/// front end's or a client's own latency — is a [`LocalHistogram`]: the
+/// same buckets and the same snapshot, recorded with plain adds.
 #[derive(Clone, Default)]
 pub struct Histogram {
     inner: Arc<HistogramCore>,
@@ -187,26 +191,74 @@ impl Histogram {
     /// A point-in-time copy of the histogram's state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let core = &*self.inner;
-        let count = core.count.load(Ordering::Relaxed);
-        let buckets: Vec<(u64, u64)> = (0..BUCKETS)
-            .filter_map(|i| {
-                let c = core.buckets[i].load(Ordering::Relaxed);
-                (c > 0).then(|| (bucket_floor(i), c))
-            })
-            .collect();
-        HistogramSnapshot {
-            count,
-            sum: core.sum.load(Ordering::Relaxed),
-            min: if count == 0 { 0 } else { core.min.load(Ordering::Relaxed) },
-            max: core.max.load(Ordering::Relaxed),
-            buckets,
-        }
+        snapshot_of(
+            core.count.load(Ordering::Relaxed),
+            core.sum.load(Ordering::Relaxed),
+            core.min.load(Ordering::Relaxed),
+            core.max.load(Ordering::Relaxed),
+            |i| core.buckets[i].load(Ordering::Relaxed),
+        )
     }
 }
 
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram").field("count", &self.count()).field("sum", &self.sum()).finish()
+    }
+}
+
+/// The one snapshot builder of both histogram kinds: the totals as
+/// recorded (`min` starts at `u64::MAX`) and each bucket's count.
+fn snapshot_of(
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    bucket: impl Fn(usize) -> u64,
+) -> HistogramSnapshot {
+    let buckets: Vec<(u64, u64)> = (0..BUCKETS)
+        .filter_map(|i| {
+            let c = bucket(i);
+            (c > 0).then(|| (bucket_floor(i), c))
+        })
+        .collect();
+    HistogramSnapshot { count, sum, min: if count == 0 { 0 } else { min }, max, buckets }
+}
+
+/// A [`Histogram`] its one owner records through `&mut self`: the same
+/// buckets, totals (the sum wraps on overflow) and [`HistogramSnapshot`],
+/// with plain adds where the shared kind pays atomic read-modify-writes.
+/// It cannot be registered; a distribution a registry reads stays a
+/// [`Histogram`].
+#[derive(Debug, Clone)]
+pub struct LocalHistogram {
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> LocalHistogram {
+        LocalHistogram { buckets: [0; BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
+    }
+}
+
+impl LocalHistogram {
+    /// Records one sample.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.buckets[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
+    /// A copy of the histogram's state, as [`Histogram::snapshot`] gives.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        snapshot_of(self.count, self.sum, self.min, self.max, |i| self.buckets[i])
     }
 }
 
@@ -376,6 +428,39 @@ mod tests {
         // 0 → bucket 0; 1 → [1,2); 2 and 3 → [2,4); 1000 → [512,1024).
         assert_eq!(snap.buckets, vec![(0, 1), (1, 1), (2, 2), (512, 1)]);
         assert!((snap.mean() - 201.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_local_histogram_snapshots_as_the_shared_one() {
+        // Seeded sequences of every magnitude, each with 0, 1 and
+        // u64::MAX: the third sample already wraps the sum.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in [0usize, 1, 3, 17, 1_000] {
+            let shared = Histogram::new();
+            let mut local = LocalHistogram::default();
+            assert_eq!(local.snapshot(), shared.snapshot(), "empty");
+            let edges = [0, 1, u64::MAX];
+            for i in 0..len {
+                let value = match edges.get(i) {
+                    Some(&edge) => edge,
+                    None => next() >> (next() % 64),
+                };
+                shared.record(value);
+                local.record(value);
+            }
+            let (a, b) = (local.snapshot(), shared.snapshot());
+            assert_eq!(a, b, "{len} samples");
+            assert_eq!((a.p50(), a.p90(), a.p99()), (b.p50(), b.p90(), b.p99()), "{len} samples");
+            if len == 3 {
+                assert_eq!(a.sum, 0, "0 + 1 + u64::MAX wraps");
+            }
+        }
     }
 
     #[test]

@@ -19,16 +19,21 @@
 # print the same ledger.
 #
 # Printed: every pair, then per side the median and quartiles of
-# `ops_per_s` and `ops_per_s_median`, and the pairs the change won. The
-# rule this repository claims a gain by: the change ahead in at least nine
-# pairs of ten, and the medians further apart than the parent's own
-# quartiles are. Last, per side, the quartiles of the other two timed
-# end-to-end metrics of the same runs, `peak_rss_mib` and `setup_s`, so
-# that a change can show none of them got worse.
+# `ops_per_s` and `ops_per_s_median`, and the pairs the change won. Then,
+# per side, the quartiles of the other two timed end-to-end metrics of the
+# same runs, `peak_rss_mib` and `setup_s`, so that a change can show none
+# of them got worse.
+#
+# Last, the verdict on `ops_per_s` by the rule this repository claims a
+# gain by: the change ahead in at least nine pairs of ten (W/N ≥ 9/10),
+# and its median above the parent's by more than the parent's
+# interquartile range:
+#
+#   claim: met|not met (won W/N, gap G vs parent iqr I)
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-  sed -n '2,27p' "$0" >&2
+  sed -n '2,32p' "$0" >&2
   exit 2
 fi
 parent=$1
@@ -62,12 +67,21 @@ metric() {
   sed -E "s/.*\"$1\":\{\"value\":([-+0-9.eE]+).*/\1/"
 }
 
-# Quartiles of the numbers on standard input, by linear interpolation.
+# The p-quantile of the sorted numbers in v[1..NR], by linear interpolation.
+quantile='function q(p,   h, lo) { h = (NR - 1) * p + 1; lo = int(h); return v[lo] + (h - lo) * (v[lo + (lo < NR)] - v[lo]) }'
+
+# Quartiles of the numbers on standard input.
 quartiles() {
-  sort -g | awk '
+  sort -g | awk "$quantile"'
     { v[NR] = $1 }
-    function q(p,   h, lo) { h = (NR - 1) * p + 1; lo = int(h); return v[lo] + (h - lo) * (v[lo + (lo < NR)] - v[lo]) }
     END { printf "median %.4g  q1 %.4g  q3 %.4g  (iqr %.3g, n %d)\n", q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25), NR }'
+}
+
+# stat <median|iqr>: that statistic of the numbers on standard input.
+stat() {
+  sort -g | awk -v what="$1" "$quantile"'
+    { v[NR] = $1 }
+    END { print (what == "median") ? q(0.5) : q(0.75) - q(0.25) }'
 }
 
 tmp=$(mktemp -d)
@@ -124,3 +138,8 @@ done
 for side in parent change; do
   echo "  $side setup_s           $(quartiles <"$tmp/$side.setup")"
 done
+awk -v won="$won" -v n="$pairs" -v p="$(stat median <"$tmp/parent.ops")" \
+  -v c="$(stat median <"$tmp/change.ops")" -v iqr="$(stat iqr <"$tmp/parent.ops")" 'BEGIN {
+    met = (10 * won >= 9 * n) && (c - p > iqr)
+    printf "claim: %s (won %d/%d, gap %.4g vs parent iqr %.4g)\n", met ? "met" : "not met", won, n, c - p, iqr
+  }'
