@@ -74,7 +74,8 @@ pub fn fig6(ctx: &Ctx) -> ExpOutput {
             (info.name.clone(), info.asn, aliased_space.log2(), aliased_space / announced)
         })
         .collect();
-    rows.sort_by(|a, b| b.3.partial_cmp(&a.3).expect("finite"));
+    // `per_as` iterates in no fixed order: ties go by ASN.
+    rows.sort_by(|a, b| b.3.partial_cmp(&a.3).expect("finite").then(a.1.cmp(&b.1)));
     let over50 = rows.iter().filter(|r| r.3 > 0.5).count();
     let over90 = rows.iter().filter(|r| r.3 > 0.9).count();
     let mut t = TextTable::new(&["AS", "ASN", "aliased space (2^x)", "share of announced"]);

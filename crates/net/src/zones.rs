@@ -9,7 +9,8 @@
 //!   aliased prefixes, Cloudflare's 3.94 M-domain /48, top-list presence),
 //! * the **controlled-domain validation experiment** (Sec. 4.2).
 
-use sixdust_addr::{prf, Addr};
+use sixdust_addr::prf::{self, Keyed};
+use sixdust_addr::Addr;
 
 use crate::population::{GroupId, GroupKind, Population};
 use crate::registry::{AsCategory, AsId, AsRegistry};
@@ -18,6 +19,10 @@ use crate::time::Day;
 /// The domain sixdust "owns" for the validation experiment. The firewall
 /// never blocks it, and its authoritative server records incoming queries.
 pub const CONTROLLED_DOMAIN: &str = "sixdust-owned.test";
+
+/// Domains per block of [`DnsZones::index`]: the block's working lists
+/// stay in L1.
+const INDEX_BLOCK: usize = 256;
 
 /// Where a domain's AAAA record points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,28 +37,150 @@ pub struct DomainHost {
 #[derive(Debug, Clone)]
 struct HostingEntry {
     asid: AsId,
-    /// Hyperscale clouds rotate their load-balancer addresses every four
-    /// days (the Amazon-style input accumulation); CDNs answer from a
-    /// small static pool per prefix.
-    fast_rotation: bool,
     /// Alias groups of the AS (empty ⇒ hosted on regular servers).
-    alias_groups: Vec<u32>,
+    alias_groups: Vec<AliasGroup>,
     /// Server groups of the AS usable as stable targets.
-    server_groups: Vec<u32>,
-    weight: u64,
-    cumulative: u64,
+    server_groups: Vec<ServerGroup>,
+}
+
+/// An alias group and how its answer pool moves, fixed when the zone is
+/// built.
+#[derive(Debug, Clone, Copy)]
+struct AliasGroup {
+    group: u32,
+    /// Days between the pool's rotations; `None` for a static pool of
+    /// eight.
+    rotation: Option<u32>,
+}
+
+/// A server group and its member count (at least one).
+#[derive(Debug, Clone, Copy)]
+struct ServerGroup {
+    group: u32,
+    members: u64,
+}
+
+/// The zone's draw streams, one per fixed tag, keyed once when the zone
+/// is built.
+#[derive(Debug, Clone, Copy)]
+struct Draws {
+    /// `0xD0`: the hosting entry a domain or provider key lands in.
+    entry: Keyed,
+    /// `0xD1`: whether an alias pick takes the entry's first group.
+    alias_head: Keyed,
+    /// `0xD2`: an alias pick's group otherwise.
+    alias_group: Keyed,
+    /// `0xDC`: a static pool's slot.
+    pool_slot: Keyed,
+    /// `0xD3`: a server pick's group.
+    server_group: Keyed,
+    /// `0xD4`: a server pick's member.
+    member: Keyed,
+    /// `0xD5`: a domain's NS provider.
+    ns_provider: Keyed,
+    /// `0xD6`: whether an NS provider is hosted in aliased space.
+    ns_aliased: Keyed,
+    /// `0xD7`: a domain's MX provider.
+    mx_provider: Keyed,
+    /// `0xD8`: whether an MX provider is hosted in aliased space.
+    mx_aliased: Keyed,
+    /// `0xD9`: whether a top-list rank seeks an aliased-hosted domain.
+    top_aliased: Keyed,
+    /// `0xDB`: the domain a top-list rank names otherwise.
+    top_domain: Keyed,
+}
+
+impl Draws {
+    fn new(seed: u64) -> Draws {
+        let key = |tag| Keyed::new(seed, tag);
+        Draws {
+            entry: key(0xD0),
+            alias_head: key(0xD1),
+            alias_group: key(0xD2),
+            pool_slot: key(0xDC),
+            server_group: key(0xD3),
+            member: key(0xD4),
+            ns_provider: key(0xD5),
+            ns_aliased: key(0xD6),
+            mx_provider: key(0xD7),
+            mx_aliased: key(0xD8),
+            top_aliased: key(0xD9),
+            top_domain: key(0xDB),
+        }
+    }
+}
+
+/// The most cumulative weights one bucket of an [`EntryTable`] holds.
+const BUCKET_SPAN: usize = 4;
+
+/// The hosting entries' weights, cut so that a weight target finds its
+/// entry without a search.
+///
+/// The weights `0..=total` fall into buckets of `2^shift`: the coarsest
+/// cut whose every bucket holds at most [`BUCKET_SPAN`] of the entries'
+/// cumulative weights. A target's bucket tells how many cumulatives lie
+/// below the bucket, and comparing the next [`BUCKET_SPAN`] tells the
+/// rest.
+#[derive(Debug, Clone)]
+struct EntryTable {
+    /// Each entry's weight summed with those before it, ascending, then
+    /// [`BUCKET_SPAN`] copies of `u64::MAX`.
+    cumulative: Vec<u64>,
+    /// How many cumulatives lie below each bucket.
+    below: Vec<u32>,
+    shift: u32,
+}
+
+impl EntryTable {
+    /// The table over positive `weights`.
+    fn new(weights: &[u64]) -> EntryTable {
+        let mut cumulative: Vec<u64> = weights
+            .iter()
+            .scan(0u64, |sum, &weight| {
+                *sum += weight;
+                Some(*sum)
+            })
+            .collect();
+        let total = cumulative.last().copied().unwrap_or(0);
+        // At shift 0 no two distinct cumulatives share a bucket.
+        let shift = (0..u64::BITS)
+            .rev()
+            .find(|&shift| {
+                let runs = cumulative.chunk_by(|a, b| a >> shift == b >> shift);
+                runs.map(<[u64]>::len).all(|run| run <= BUCKET_SPAN)
+            })
+            .expect("the weights are positive");
+        let below = (0..=total >> shift)
+            .map(|bucket| cumulative.partition_point(|&sum| sum >> shift < bucket) as u32)
+            .collect();
+        cumulative.extend([u64::MAX; BUCKET_SPAN]);
+        EntryTable { cumulative, below, shift }
+    }
+
+    /// The entry a weight `target` falls in: the first whose cumulative
+    /// weight is above it, or the last. Nothing branches on `target`.
+    fn select(&self, target: u64) -> usize {
+        let bucket = ((target >> self.shift) as usize).min(self.below.len() - 1);
+        let first = self.below[bucket] as usize;
+        let window = &self.cumulative[first..first + BUCKET_SPAN];
+        let within: usize = window.iter().map(|&sum| usize::from(sum <= target)).sum();
+        (first + within).min(self.cumulative.len() - BUCKET_SPAN - 1)
+    }
 }
 
 /// The zone universe.
 #[derive(Debug, Clone)]
 pub struct DnsZones {
     entries: Vec<HostingEntry>,
+    /// Where a weight draw lands among `entries`.
+    table: EntryTable,
     total_weight: u64,
     total_domains: u64,
     toplist_len: u64,
     aliased_entry_idx: Vec<u32>,
     ns_providers: u64,
     seed: u64,
+    draws: Draws,
 }
 
 /// Which host a resolution key names, before the day is known.
@@ -96,48 +223,60 @@ impl DnsZones {
         }
 
         let mut entries = Vec::new();
+        let mut weights = Vec::new();
         for (asid, info) in registry.iter() {
             let alias_domains: u64 = info.profile.aliased.iter().map(|s| s.domains).sum();
-            let alias_groups = alias_by_as.get(&asid).cloned().unwrap_or_default();
-            let server_groups = servers_by_as.get(&asid).cloned().unwrap_or_default();
+            let alias_groups = alias_by_as.get(&asid).map(Vec::as_slice).unwrap_or_default();
+            let server_groups = servers_by_as.get(&asid).map(Vec::as_slice).unwrap_or_default();
             if alias_domains > 0 && !alias_groups.is_empty() {
-                entries.push(HostingEntry {
-                    asid,
-                    fast_rotation: matches!(info.category, AsCategory::Cloud),
-                    alias_groups: alias_groups.clone(),
-                    server_groups: server_groups.clone(),
-                    weight: scale.addrs(alias_domains, 2),
-                    cumulative: 0,
-                });
+                // Load-balancer addresses are a property of the *prefix*,
+                // not the domain: every domain on the same prefix resolves
+                // into the same small answer pool. Hyperscale clouds rotate
+                // that pool every four days (each rotation mints one new
+                // input address per prefix — the Amazon accumulation of
+                // Sec. 4.1); narrow (>64) prefixes rotate weekly regardless
+                // of operator (their small host space cycles visibly — also
+                // what accumulates the 100+ input addresses the long-prefix
+                // alias detection class needs); CDNs keep a static pool of
+                // eight.
+                let cloud = matches!(info.category, AsCategory::Cloud);
+                let alias_groups = alias_groups
+                    .iter()
+                    .map(|&group| {
+                        let len = population.group(GroupId(group)).prefix.len();
+                        let rotation =
+                            if cloud && len >= 64 { Some(4) } else { (len > 64).then_some(7) };
+                        AliasGroup { group, rotation }
+                    })
+                    .collect();
+                entries.push(HostingEntry { asid, alias_groups, server_groups: Vec::new() });
+                weights.push(scale.addrs(alias_domains, 2));
             }
             if info.profile.domains > 0 && !server_groups.is_empty() {
-                entries.push(HostingEntry {
-                    asid,
-                    fast_rotation: false,
-                    alias_groups: Vec::new(),
-                    server_groups,
-                    weight: scale.addrs(info.profile.domains, 2),
-                    cumulative: 0,
-                });
+                let server_groups = server_groups
+                    .iter()
+                    .map(|&group| {
+                        let g = population.group(GroupId(group));
+                        ServerGroup { group, members: g.pattern.count(g.prefix).max(1) }
+                    })
+                    .collect();
+                entries.push(HostingEntry { asid, alias_groups: Vec::new(), server_groups });
+                weights.push(scale.addrs(info.profile.domains, 2));
             }
         }
-        let mut cum = 0u64;
-        let mut aliased_entry_idx = Vec::new();
-        for (i, e) in entries.iter_mut().enumerate() {
-            cum += e.weight;
-            e.cumulative = cum;
-            if !e.alias_groups.is_empty() {
-                aliased_entry_idx.push(i as u32);
-            }
-        }
+        let aliased_entry_idx = (0..entries.len() as u32)
+            .filter(|&i| !entries[i as usize].alias_groups.is_empty())
+            .collect();
         DnsZones {
             entries,
-            total_weight: cum,
+            table: EntryTable::new(&weights),
+            total_weight: weights.iter().sum(),
             total_domains: scale.addrs(300_000_000, 3000),
             toplist_len: scale.addrs(1_000_000, 100),
             aliased_entry_idx,
             ns_providers: scale.addrs(520_000, 40),
             seed,
+            draws: Draws::new(seed),
         }
     }
 
@@ -156,52 +295,47 @@ impl DnsZones {
         format!("www.d{d}.sim-zone{}.example", d % 13)
     }
 
+    /// The index of the hosting entry `key` draws.
+    fn entry_index(&self, key: u64) -> usize {
+        self.table.select(self.draws.entry.draw(u128::from(key)) % self.total_weight.max(1))
+    }
+
     fn entry_for(&self, key: u64) -> &HostingEntry {
-        let target = prf::prf_u128(self.seed, u128::from(key), 0xD0) % self.total_weight.max(1);
-        let i =
-            self.entries.partition_point(|e| e.cumulative <= target).min(self.entries.len() - 1);
-        &self.entries[i]
+        &self.entries[self.entry_index(key)]
     }
 
     /// The day-free half of an answer: which host `key` names under
     /// `entry`.
-    fn pick(&self, entry: &HostingEntry, population: &Population, key: u64) -> Pick {
-        if !entry.alias_groups.is_empty() {
-            // Head-heavy pick: a quarter of the weight lands on the first
-            // group (Cloudflare's 3.94 M-domain /48 pattern).
-            let group = if prf::chance(self.seed, u128::from(key), 0xD1, 1, 4) {
-                entry.alias_groups[0]
-            } else {
-                let j =
-                    prf::uniform(self.seed, u128::from(key), 0xD2, entry.alias_groups.len() as u64);
-                entry.alias_groups[j as usize]
-            };
-            let g = population.group(GroupId(group));
-            // Load-balancer addresses are a property of the *prefix*, not
-            // the domain: every domain on the same prefix resolves into the
-            // same small answer pool. Hyperscale clouds rotate that pool
-            // every four days (each rotation mints one new input address
-            // per prefix — the Amazon accumulation of Sec. 4.1); narrow
-            // (>64) prefixes rotate weekly regardless of operator (their
-            // small host space cycles visibly — also what accumulates the
-            // 100+ input addresses the long-prefix alias detection class
-            // needs); CDNs keep a static pool of eight.
-            if entry.fast_rotation && g.prefix.len() >= 64 {
-                Pick::Rotating { group, period: 4 }
-            } else if g.prefix.len() > 64 {
-                Pick::Rotating { group, period: 7 }
-            } else {
-                let slot = (prf::prf_u128(self.seed, u128::from(key), 0xDC) % 8) as u8;
-                Pick::Pooled { group, slot }
-            }
+    fn pick(&self, entry: &HostingEntry, key: u64) -> Pick {
+        if entry.alias_groups.is_empty() {
+            self.pick_member(entry, key)
         } else {
-            let group = entry.server_groups[(prf::prf_u128(self.seed, u128::from(key), 0xD3)
-                % entry.server_groups.len() as u64)
-                as usize];
-            let g = population.group(GroupId(group));
-            let n = g.pattern.count(g.prefix).max(1);
-            Pick::Member { group, member: prf::uniform(self.seed, u128::from(key), 0xD4, n) }
+            self.pick_alias(entry, key)
         }
+    }
+
+    /// [`Self::pick`] under an entry hosted on alias groups.
+    fn pick_alias(&self, entry: &HostingEntry, key: u64) -> Pick {
+        let key = u128::from(key);
+        // Head-heavy pick: a quarter of the weight lands on the first
+        // group (Cloudflare's 3.94 M-domain /48 pattern).
+        let head = self.draws.alias_head.draw(key).is_multiple_of(4);
+        let any = self.draws.alias_group.draw(key) % entry.alias_groups.len() as u64;
+        let AliasGroup { group, rotation } =
+            entry.alias_groups[if head { 0 } else { any as usize }];
+        match rotation {
+            Some(period) => Pick::Rotating { group, period },
+            None => Pick::Pooled { group, slot: (self.draws.pool_slot.draw(key) % 8) as u8 },
+        }
+    }
+
+    /// [`Self::pick`] under an entry hosted on server groups.
+    fn pick_member(&self, entry: &HostingEntry, key: u64) -> Pick {
+        let key = u128::from(key);
+        let servers = &entry.server_groups;
+        let ServerGroup { group, members } =
+            servers[(self.draws.server_group.draw(key) % servers.len() as u64) as usize];
+        Pick::Member { group, member: self.draws.member.draw(key) % members }
     }
 
     /// The address `pick` stands for on `day`.
@@ -227,7 +361,7 @@ impl DnsZones {
         key: u64,
         day: Day,
     ) -> (Addr, DomainHost) {
-        let pick = self.pick(entry, population, key);
+        let pick = self.pick(entry, key);
         let aliased = match pick {
             Pick::Member { .. } => None,
             Pick::Pooled { group, .. } | Pick::Rotating { group, .. } => Some(GroupId(group)),
@@ -242,30 +376,62 @@ impl DnsZones {
     }
 
     /// One pass over the domains, marking what each one picks: a bit per
-    /// picked member or pool slot of a group, and the rotating pools as a
-    /// short sorted list. No address is built for a repeated pick.
+    /// picked member or pool slot of a group, and the period of a picked
+    /// rotating pool. No address is built for a repeated pick.
+    ///
+    /// The pass runs in blocks of [`INDEX_BLOCK`] domains, each in four
+    /// loops:
+    /// - draw every domain's entry through the [`EntryTable`] and append
+    ///   the domain to both the alias-hosted and the server-hosted list,
+    ///   advancing only the count of the list it belongs on, so that
+    ///   nothing branches on the draw;
+    /// - pick the alias-hosted list through [`Self::pick_alias`];
+    /// - pick the server-hosted list through [`Self::pick_member`];
+    /// - mark the block's picks.
+    ///
+    /// No pick branches on its entry's kind. Both halves are the ones
+    /// [`Self::pick`] calls, so `resolve` and the index answer by one
+    /// formula.
     pub(crate) fn index(&self, population: &Population) -> ZoneIndex {
         let groups = population.groups().len();
         let mut members: Vec<Vec<u64>> = vec![Vec::new(); groups];
         let mut slots = vec![0u8; groups];
-        let mut rotating: Vec<(u32, u32)> = Vec::new();
-        for d in 0..self.total_domains {
-            match self.pick(self.entry_for(d), population, d) {
-                Pick::Member { group, member } => {
-                    let words = &mut members[group as usize];
-                    let word = (member / 64) as usize;
-                    if words.len() <= word {
-                        words.resize(word + 1, 0);
-                    }
-                    words[word] |= 1 << (member % 64);
+        // A group's pool rotates on one period (its `AliasGroup`'s), or 0.
+        let mut periods = vec![0u32; groups];
+        let mut mark = |pick: Pick| match pick {
+            Pick::Member { group, member } => {
+                let words = &mut members[group as usize];
+                let word = (member / 64) as usize;
+                if words.len() <= word {
+                    words.resize(word + 1, 0);
                 }
-                Pick::Pooled { group, slot } => slots[group as usize] |= 1 << slot,
-                Pick::Rotating { group, period } => {
-                    if let Err(at) = rotating.binary_search(&(group, period)) {
-                        rotating.insert(at, (group, period));
-                    }
-                }
+                words[word] |= 1 << (member % 64);
             }
+            Pick::Pooled { group, slot } => slots[group as usize] |= 1 << slot,
+            Pick::Rotating { group, period } => periods[group as usize] = period,
+        };
+        // `(domain, entry)` pairs of the block, split by how the entry hosts.
+        let mut alias = [(0u64, 0usize); INDEX_BLOCK];
+        let mut server = [(0u64, 0usize); INDEX_BLOCK];
+        let mut picks = [Pick::Pooled { group: 0, slot: 0 }; INDEX_BLOCK];
+        for start in (0..self.total_domains).step_by(INDEX_BLOCK) {
+            let end = self.total_domains.min(start + INDEX_BLOCK as u64);
+            let (mut aliased, mut served) = (0, 0);
+            for d in start..end {
+                let e = self.entry_index(d);
+                alias[aliased] = (d, e);
+                server[served] = (d, e);
+                let on_alias = !self.entries[e].alias_groups.is_empty();
+                aliased += usize::from(on_alias);
+                served += usize::from(!on_alias);
+            }
+            for (pick, &(d, e)) in picks.iter_mut().zip(&alias[..aliased]) {
+                *pick = self.pick_alias(&self.entries[e], d);
+            }
+            for (pick, &(d, e)) in picks[aliased..].iter_mut().zip(&server[..served]) {
+                *pick = self.pick_member(&self.entries[e], d);
+            }
+            picks[..aliased + served].iter().for_each(|&pick| mark(pick));
         }
         let mut fixed = Vec::new();
         let day = Day(0); // a fixed answer does not read it
@@ -285,6 +451,7 @@ impl DnsZones {
         fixed.sort_unstable();
         fixed.dedup();
         fixed.shrink_to_fit();
+        let rotating = (0..groups as u32).zip(periods).filter(|&(_, period)| period > 0).collect();
         ZoneIndex { fixed, rotating }
     }
 
@@ -306,9 +473,9 @@ impl DnsZones {
     /// concentrated on a provider pool, 71 % of which resolves into the
     /// Amazon-style aliased space (Sec. 6.1).
     pub fn resolve_ns(&self, population: &Population, d: u64, day: Day) -> (Addr, DomainHost) {
-        let provider = prf::prf_u128(self.seed, u128::from(d), 0xD5) % self.ns_providers.max(1);
+        let provider = self.draws.ns_provider.draw(u128::from(d)) % self.ns_providers.max(1);
         let key = 0x4e50_0000_0000 | provider;
-        if prf::chance(self.seed, u128::from(provider), 0xD6, 71, 100) {
+        if self.draws.ns_aliased.draw(u128::from(provider)) % 100 < 71 {
             if let Some(&idx) = self.aliased_entry_idx.first() {
                 return self.resolve_entry(&self.entries[idx as usize], population, key, day);
             }
@@ -319,10 +486,9 @@ impl DnsZones {
     /// Resolves the mail-exchanger host of domain `d` (same provider-pool
     /// structure as NS records).
     pub fn resolve_mx(&self, population: &Population, d: u64, day: Day) -> (Addr, DomainHost) {
-        let provider =
-            prf::prf_u128(self.seed, u128::from(d), 0xD7) % (self.ns_providers / 2).max(1);
+        let provider = self.draws.mx_provider.draw(u128::from(d)) % (self.ns_providers / 2).max(1);
         let key = 0x4d58_0000_0000 | provider;
-        if prf::chance(self.seed, u128::from(provider), 0xD8, 60, 100) {
+        if self.draws.mx_aliased.draw(u128::from(provider)) % 100 < 60 {
             if let Some(&idx) = self.aliased_entry_idx.first() {
                 return self.resolve_entry(&self.entries[idx as usize], population, key, day);
             }
@@ -341,7 +507,7 @@ impl DnsZones {
             2 => 12,
             _ => 18,
         };
-        if prf::chance(self.seed, key, 0xD9, aliased_pct, 100) {
+        if self.draws.top_aliased.draw(key) % 100 < aliased_pct {
             // Draw until the domain resolves into an aliased entry —
             // bounded deterministic retries.
             for attempt in 0..16u64 {
@@ -351,7 +517,7 @@ impl DnsZones {
                 }
             }
         }
-        prf::prf_u128(self.seed, key, 0xDB) % self.total_domains
+        self.draws.top_domain.draw(key) % self.total_domains
     }
 
     /// Whether domain `d`'s hosting entry is an aliased deployment
@@ -529,6 +695,46 @@ mod tests {
             }
         }
         h.finish()
+    }
+
+    #[test]
+    fn the_dense_worlds_index_is_pinned() {
+        // The world `service_dense` runs, and the tiny one beside it. No
+        // block of 32 domains or more divides 15 000 or 750 000, so each
+        // ends on a partial block. In the dense world every answer of that
+        // block repeats an earlier domain's; in the tiny world some do not.
+        // Computed by the one-domain-at-a-time pass the block kernel
+        // replaced.
+        for (mult, domains, digest) in
+            [(1, 15_000, 0xd083b2e9ea44b006), (50, 750_000, 0xb48ae653001d69f3)]
+        {
+            let net = crate::Internet::build(Scale::tiny().with_population_mult(mult));
+            assert_eq!(net.zones().total_domains(), domains);
+            let index = net.zones().index(net.population());
+            let mut h = sixdust_addr::digest::ContentHasher::new();
+            index.fixed.iter().for_each(|a| h.push(a.0));
+            for &(group, period) in &index.rotating {
+                h.push(u128::from(group) << 32 | u128::from(period));
+            }
+            assert_eq!(h.finish(), digest, "population ×{mult}");
+        }
+    }
+
+    #[test]
+    fn entry_selection_is_partition_point() {
+        // 30, 107 and 494 hosting entries.
+        for scale in [Scale::tiny(), Scale::small(), Scale::paper()] {
+            let r = AsRegistry::build(scale);
+            let z = DnsZones::build(&r, &Population::build(&r));
+            let cumulative = &z.table.cumulative[..z.entries.len()];
+            let expected = |target: u64| {
+                cumulative.partition_point(|&sum| sum <= target).min(cumulative.len() - 1)
+            };
+            let around = cumulative.iter().flat_map(|&sum| [sum.saturating_sub(1), sum, sum + 1]);
+            for target in around.chain([0, z.total_weight - 1]) {
+                assert_eq!(z.table.select(target), expected(target), "target {target}");
+            }
+        }
     }
 
     #[test]

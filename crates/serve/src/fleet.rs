@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sixdust_addr::prf::prf_u128;
+use sixdust_addr::prf::Keyed;
 use sixdust_addr::AddrBuildHasher;
 use sixdust_json::json_struct;
 use sixdust_telemetry::Registry;
@@ -48,6 +48,37 @@ const TAG_SESSION_LEN: u64 = 8;
 const TAG_FLASH: u64 = 9;
 const TAG_SPIKE: u64 = 10;
 const TAG_THINK: u64 = 11;
+
+/// A day's draw streams, one per tag, keyed once from the fleet seed.
+#[derive(Debug, Clone, Copy)]
+struct Draws {
+    time: Keyed,
+    client: Keyed,
+    kind: Keyed,
+    fresh: Keyed,
+    cond: Keyed,
+    session_len: Keyed,
+    flash: Keyed,
+    spike: Keyed,
+    think: Keyed,
+}
+
+impl Draws {
+    fn new(seed: u64) -> Draws {
+        let key = |tag| Keyed::new(seed, tag);
+        Draws {
+            time: key(TAG_TIME),
+            client: key(TAG_CLIENT),
+            kind: key(TAG_KIND),
+            fresh: key(TAG_FRESH),
+            cond: key(TAG_COND),
+            session_len: key(TAG_SESSION_LEN),
+            flash: key(TAG_FLASH),
+            spike: key(TAG_SPIKE),
+            think: key(TAG_THINK),
+        }
+    }
+}
 
 /// Fleet configuration.
 #[derive(Debug, Clone)]
@@ -515,14 +546,14 @@ struct Arrival {
 /// sorted by `(time, id)` so replay order is total and independent of
 /// generation order. Returns the schedule and the number of arrivals
 /// that landed inside a flash-crowd window.
-fn build_schedule(config: &FleetConfig) -> (Vec<Arrival>, u64) {
+fn build_schedule(config: &FleetConfig, draws: &Draws) -> (Vec<Arrival>, u64) {
     let day = config.day_micros;
     let mut flash_arrivals = 0u64;
     let mut schedule: Vec<Arrival> = match &config.session {
         None => (0..config.requests)
             .map(|i| {
-                let at = prf_u128(config.seed, u128::from(i), TAG_TIME) % day;
-                let client = prf_u128(config.seed, u128::from(i), TAG_CLIENT) % config.clients;
+                let at = draws.time.draw(u128::from(i)) % day;
+                let client = draws.client.draw(u128::from(i)) % config.clients;
                 Arrival { at_us: at, id: i, client }
             })
             .collect(),
@@ -537,27 +568,29 @@ fn build_schedule(config: &FleetConfig) -> (Vec<Arrival>, u64) {
             for client in 0..config.clients {
                 // Heavy-tailed session length: rank 1 (one request)
                 // dominates, a Zipf tail of long sessions hammers on.
-                let len_draw = prf_u128(config.seed, u128::from(client), TAG_SESSION_LEN);
+                let len_draw = draws.session_len.draw(u128::from(client));
                 let count = 1 + pick_weighted(&lengths, len_draw) as u64;
                 // Flash crowd: a slice of sessions starts inside a spike
                 // window, offset quadratically toward the publication
                 // instant (d²/w front-loads small offsets).
                 let spike = (!shape.spikes.is_empty()
-                    && prf_u128(config.seed, u128::from(client), TAG_FLASH) % 1000
+                    && draws.flash.draw(u128::from(client)) % 1000
                         < u64::from(shape.flash_permille))
                 .then(|| {
-                    let pick = prf_u128(config.seed, u128::from(client), TAG_SPIKE)
-                        % shape.spikes.len() as u64;
+                    let pick = draws.spike.draw(u128::from(client)) % shape.spikes.len() as u64;
                     shape.spikes[pick as usize]
                 });
                 let mut at = match spike {
                     Some(s) => {
                         let w = s.window_us.max(1);
-                        let d = prf_u128(config.seed, u128::from(client), TAG_TIME) % w;
+                        let d = draws.time.draw(u128::from(client)) % w;
                         s.at_us + (u128::from(d) * u128::from(d) / u128::from(w)) as u64
                     }
-                    None => prf_u128(config.seed, u128::from(client), TAG_TIME) % day,
+                    None => draws.time.draw(u128::from(client)) % day,
                 };
+                // A gap is 1 + a draw below twice the mean think time; past
+                // a mean of `u64::MAX / 2` that bound takes 65 bits.
+                let think_bound = (2 * u128::from(shape.think_time_us)).max(1);
                 for r in 0..count {
                     if at >= day {
                         // The session is truncated at midnight.
@@ -571,9 +604,9 @@ fn build_schedule(config: &FleetConfig) -> (Vec<Arrival>, u64) {
                         }
                     }
                     let think =
-                        prf_u128(config.seed, u128::from(client) << 32 | u128::from(r), TAG_THINK)
-                            % (2 * shape.think_time_us).max(1);
-                    at = at.saturating_add(1 + think);
+                        u128::from(draws.think.draw(u128::from(client) << 32 | u128::from(r)))
+                            % think_bound;
+                    at = at.saturating_add(u64::try_from(1 + think).unwrap_or(u64::MAX));
                 }
             }
             arrivals
@@ -587,6 +620,7 @@ fn build_schedule(config: &FleetConfig) -> (Vec<Arrival>, u64) {
 /// and conditional revalidation.
 fn draw_request(
     config: &FleetConfig,
+    draws: &Draws,
     clients: Clients,
     cumulative: &[u64],
     prev_rounds: &[Option<u64>],
@@ -594,15 +628,13 @@ fn draw_request(
     arrival: Arrival,
 ) -> Request {
     let id = u128::from(arrival.id);
-    let kind = pick_kind(cumulative, prf_u128(config.seed, id, TAG_KIND));
+    let kind = pick_kind(cumulative, draws.kind.draw(id));
     let state = held.get(&held_key(arrival.client, kind)).copied();
-    let one_behind =
-        prf_u128(config.seed, id, TAG_FRESH) % 1000 < u64::from(config.one_behind_permille);
+    let one_behind = draws.fresh.draw(id) % 1000 < u64::from(config.one_behind_permille);
     let (delta_base, if_none_match) = match clients {
         Clients::OfOneFrontend => {
-            let conditional = !one_behind
-                && prf_u128(config.seed, id, TAG_COND) % 1000
-                    < u64::from(config.conditional_permille);
+            let conditional =
+                !one_behind && draws.cond.draw(id) % 1000 < u64::from(config.conditional_permille);
             (prev_rounds[kind.index()], state.filter(|_| conditional).map(|h| h.digest))
         }
         Clients::OfATier => (state.map(|h| h.round), state.map(|h| h.digest)),
@@ -695,7 +727,8 @@ pub(crate) fn drive_day(
     let cumulative = zipf_cumulative(config.zipf_exponent_milli);
     let prev_rounds: Vec<Option<u64>> =
         ArtifactKind::ALL.iter().map(|&k| store.artifact(k).and_then(|v| v.prev_round())).collect();
-    let (schedule, flash_arrivals) = build_schedule(config);
+    let draws = Draws::new(config.seed);
+    let (schedule, flash_arrivals) = build_schedule(config, &draws);
 
     let mut held = HeldTable::default();
     let mut bodies_by_kind = vec![0u64; ArtifactKind::ALL.len()];
@@ -709,7 +742,8 @@ pub(crate) fn drive_day(
 
     for &arrival in &schedule {
         engine.poll(arrival.at_us, |c| deliver(c, &mut held));
-        let request = draw_request(config, clients, &cumulative, &prev_rounds, &held, arrival);
+        let request =
+            draw_request(config, &draws, clients, &cumulative, &prev_rounds, &held, arrival);
         engine.submit(arrival.id, &request);
     }
     engine.poll(u64::MAX, |c| deliver(c, &mut held));
@@ -899,7 +933,8 @@ pub(crate) mod tests {
             .with_session(shape)
             .build()
             .expect("valid session config");
-        let (schedule, flash) = build_schedule(&config);
+        let draws = Draws::new(config.seed);
+        let (schedule, flash) = build_schedule(&config, &draws);
         assert!(!schedule.is_empty());
         assert!(flash > 0, "half the sessions chase the publication");
         assert!(
@@ -919,7 +954,7 @@ pub(crate) mod tests {
             .count();
         assert!(first > second, "front-loaded: {first} first-half vs {second} second-half");
         // And the expansion is deterministic.
-        let (again, flash_again) = build_schedule(&config);
+        let (again, flash_again) = build_schedule(&config, &draws);
         assert_eq!(flash, flash_again);
         assert_eq!(schedule.len(), again.len());
         assert!(schedule
@@ -943,6 +978,21 @@ pub(crate) mod tests {
         let mut fe = Frontend::new(FrontendConfig::default(), store.clone());
         let sync = simulate_day_sync(&fleet, &mut fe, &store);
         assert_eq!(a, sync, "event loop ≡ synchronous under sessions too");
+    }
+
+    #[test]
+    fn a_session_day_survives_the_longest_think_time() {
+        // Twice the mean no longer fits a `u64`: the gap saturates, and
+        // every session ends at midnight after its first request.
+        let store = seeded_store();
+        let shape = SessionShape::builder().with_think_time_us(u64::MAX);
+        let fleet = FleetConfig::builder()
+            .with_clients(3)
+            .with_session(shape)
+            .build()
+            .expect("any think time is valid");
+        let report = run_day(&fleet, FrontendConfig::default(), &store, None);
+        assert_eq!(report.totals.requests, 3);
     }
 
     #[test]
