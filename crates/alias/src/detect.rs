@@ -36,7 +36,6 @@ pub struct DetectorConfig {
     /// Per-round probe seed basis.
     pub seed: u64,
 }
-json_struct!(DetectorConfig { min_addrs_long, merge_rounds, seed });
 
 impl Default for DetectorConfig {
     fn default() -> DetectorConfig {

@@ -237,14 +237,34 @@ mod tests {
         assert_eq!(chained, literal);
     }
 
+    /// The 30-day filter splits the input: each address is on an active
+    /// clock or in the dropped pool, never both and never neither.
+    fn assert_input_split(svc: &HitlistService) {
+        let active: sixdust_addr::AddrHashSet =
+            svc.unresponsive().active_entries().map(|(a, _)| a).collect();
+        let pool = svc.unresponsive_pool();
+        assert!(active.iter().all(|a| !pool.contains(a)), "an address is active and dropped");
+        assert!(
+            svc.input().iter().all(|a| active.contains(a) || pool.contains(a)),
+            "an input address is neither active nor dropped"
+        );
+        assert_eq!(active.len() + pool.len(), svc.input().len(), "a filter entry is not input");
+    }
+
     #[test]
-    fn config_json_with_a_retired_key_still_parses() {
-        // Configs written before the protocol scans moved onto the one
-        // executor carry a key the struct no longer has; it is ignored.
-        let json = sixdust_json::to_string(&ServiceConfig::default());
-        let legacy = json.replacen('{', "{\"parallel_protocols\":true,", 1);
-        let parsed: ServiceConfig = sixdust_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed, ServiceConfig::default());
+    fn the_unresponsive_filter_splits_the_input_through_sweeps_and_a_resume() {
+        let net = net();
+        let mut svc = HitlistService::new(quick_config());
+        svc.set_unresponsive_window(3);
+        svc.run_with(&net, Day(0), Day(40), |svc, _| assert_input_split(svc));
+        assert!(!svc.unresponsive_pool().is_empty(), "sweeps dropped addresses");
+        assert!(svc.unresponsive().active_entries().next().is_some(), "some stay active");
+
+        let json = ServiceState::capture(&svc).to_json();
+        let mut resumed = ServiceState::from_json(&json).unwrap().restore(quick_config());
+        assert_eq!(resumed.unresponsive().window, 3, "the window survives the checkpoint");
+        assert_input_split(&resumed);
+        resumed.run_with(&net, Day(41), Day(60), |svc, _| assert_input_split(svc));
     }
 
     /// Days 0..=10 run at a round-level thread budget of 1 — every scan

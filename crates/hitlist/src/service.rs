@@ -46,15 +46,6 @@ pub struct ServiceConfig {
     /// responses (vantage blackout).
     pub degraded_loss_permille: u32,
 }
-json_struct!(ServiceConfig {
-    scan,
-    detector,
-    gfw_filter_from,
-    alias_every_days,
-    traceroute_cap,
-    snapshot_days,
-    degraded_loss_permille = 350,
-});
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {

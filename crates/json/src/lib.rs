@@ -67,44 +67,31 @@ macro_rules! json_members {
 /// fields: an object keyed by field name, in the order listed (list them
 /// in declaration order to keep the shape `serde` derived). Unknown keys
 /// are ignored on reading. `field = default` makes a key optional: absent,
-/// the field takes `default`. `Name: default { .. }` makes every key
-/// optional, absent fields coming from `Name::default()`.
+/// the field takes `default`.
 ///
 /// ```
 /// #[derive(Debug, PartialEq)]
-/// struct Scale { div: u64, mult: u64 }
-/// sixdust_json::json_struct!(Scale { div, mult = 1 });
-/// let old: Scale = sixdust_json::from_str(r#"{"div": 10, "retired": true}"#).unwrap();
-/// assert_eq!(old, Scale { div: 10, mult: 1 });
-/// assert_eq!(sixdust_json::to_string(&old), r#"{"div":10,"mult":1}"#);
+/// struct Window { days: u32, step: u32 }
+/// sixdust_json::json_struct!(Window { days, step = 1 });
+/// let old: Window = sixdust_json::from_str(r#"{"days": 30, "retired": true}"#).unwrap();
+/// assert_eq!(old, Window { days: 30, step: 1 });
+/// assert_eq!(sixdust_json::to_string(&old), r#"{"days":30,"step":1}"#);
 /// ```
 #[macro_export]
 macro_rules! json_struct {
     ($ty:ident { $($field:ident $(= $default:expr)?),+ $(,)? }) => {
-        $crate::json_struct!(@to $ty $($field)+);
-        impl $crate::FromJson for $ty {
-            fn from_value(v: &$crate::Value) -> Result<$ty, $crate::Error> {
-                let fields = v.fields(stringify!($ty))?;
-                Ok($ty { $($field: $crate::json_struct!(@read fields $field $($default)?)),+ })
-            }
-        }
-    };
-    ($ty:ident: default { $($field:ident),+ $(,)? }) => {
-        $crate::json_struct!(@to $ty $($field)+);
-        impl $crate::FromJson for $ty {
-            fn from_value(v: &$crate::Value) -> Result<$ty, $crate::Error> {
-                let fields = v.fields(stringify!($ty))?;
-                let default = <$ty>::default();
-                Ok($ty { $($field: fields.get_or(stringify!($field), default.$field)?),+ })
-            }
-        }
-    };
-    (@to $ty:ident $($field:ident)+) => {
         impl $crate::ToJson for $ty {
             fn to_value(&self) -> $crate::Value {
                 $crate::Value::Object(vec![
                     $((stringify!($field).to_string(), $crate::ToJson::to_value(&self.$field))),+
                 ])
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_value(v: &$crate::Value) -> Result<$ty, $crate::Error> {
+                let fields = v.fields(stringify!($ty))?;
+                Ok($ty { $($field: $crate::json_struct!(@read fields $field $($default)?)),+ })
             }
         }
     };

@@ -266,7 +266,7 @@ struct Knobs {
     windows: Vec<(u32, u32)>,
     limit: Option<u32>,
 }
-sixdust_json::json_struct!(Knobs: default { seed, windows, limit });
+sixdust_json::json_struct!(Knobs { seed = 0, windows = Vec::new(), limit });
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Mode {

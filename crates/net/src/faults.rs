@@ -34,7 +34,6 @@
 //! [Gilbert–Elliott]: https://en.wikipedia.org/wiki/Burst_error#Gilbert%E2%80%93Elliott_model
 
 use sixdust_addr::{prf, Addr};
-use sixdust_json::{json_struct, Error, FromJson, ToJson, Value};
 
 use crate::proto::Protocol;
 use crate::time::Day;
@@ -61,12 +60,6 @@ pub struct GilbertElliott {
     /// Loss probability in the Bad state, in permille.
     pub bad_drop_permille: u32,
 }
-json_struct!(GilbertElliott {
-    mean_good_days,
-    mean_bad_days,
-    good_drop_permille,
-    bad_drop_permille
-});
 
 impl Default for GilbertElliott {
     fn default() -> GilbertElliott {
@@ -124,7 +117,6 @@ pub struct IcmpRateLimit {
     /// ICMPv6 error/control messages each entity handles per day.
     pub per_day: u32,
 }
-json_struct!(IcmpRateLimit { per_day });
 
 /// What an [`Outage`] takes down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,35 +133,6 @@ pub enum OutageScope {
     Protocol(Protocol),
 }
 
-/// `"Vantage"`, `{"Asn": 4134}`, `{"Protocol": "Udp53"}`.
-impl ToJson for OutageScope {
-    fn to_value(&self) -> Value {
-        match self {
-            OutageScope::Vantage => "Vantage".to_value(),
-            OutageScope::Asn(asn) => Value::Object(vec![("Asn".to_string(), asn.to_value())]),
-            OutageScope::Protocol(proto) => {
-                Value::Object(vec![("Protocol".to_string(), proto.to_value())])
-            }
-        }
-    }
-}
-
-impl FromJson for OutageScope {
-    fn from_value(v: &Value) -> Result<OutageScope, Error> {
-        match v {
-            Value::String(s) if s == "Vantage" => Ok(OutageScope::Vantage),
-            Value::Object(members) => match members.as_slice() {
-                [(tag, asn)] if tag == "Asn" => u32::from_value(asn).map(OutageScope::Asn),
-                [(tag, proto)] if tag == "Protocol" => {
-                    Protocol::from_value(proto).map(OutageScope::Protocol)
-                }
-                _ => Err(Error::new("unknown OutageScope variant")),
-            },
-            other => Err(Error::expected("an OutageScope", other)),
-        }
-    }
-}
-
 /// A scheduled outage window `[from, until)` on the simulation timeline —
 /// the same [`Day`] axis as the GFW eras and source events in
 /// [`crate::time::events`].
@@ -183,11 +146,9 @@ pub struct Outage {
     pub scope: OutageScope,
     /// For [`OutageScope::Vantage`]: the ASN of the *specific* vantage
     /// point this window cuts off, or `None` for the historical meaning
-    /// of "every vantage is down". Ignored for the other scopes. The
-    /// Absent in configs serialized before it existed, which stay global.
+    /// of "every vantage is down". Ignored for the other scopes.
     pub vantage: Option<u32>,
 }
-json_struct!(Outage { from, until, scope, vantage });
 
 impl Outage {
     /// A vantage-point outage window `[from, until)` downing every
@@ -268,18 +229,6 @@ pub struct FaultConfig {
     /// Scheduled outage windows.
     pub outages: Vec<Outage>,
 }
-// Every key is optional: an old single-knob config still loads.
-json_struct!(FaultConfig: default {
-    drop_permille,
-    seed,
-    burst,
-    proto_drop,
-    as_drop,
-    duplicate_permille,
-    corrupt_permille,
-    icmp_rate_limit,
-    outages
-});
 
 impl FaultConfig {
     /// The historical default: 0.4 % uniform loss, no other faults.
@@ -530,34 +479,5 @@ mod tests {
         assert!(f.proto_down(Protocol::Udp53, Day(32)));
         assert!(!f.proto_down(Protocol::Udp53, Day(33)));
         assert!(!f.proto_down(Protocol::Icmp, Day(30)), "other protocols stay up");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let f = FaultConfig::lossless()
-            .with_drop_permille(7)
-            .with_burst(GilbertElliott::default())
-            .with_outage(Outage::asn(4134, Day(1), Day(4)))
-            .with_outage(Outage::protocol(Protocol::Udp53, Day(2), Day(3)))
-            .with_outage(Outage::vantage_asn(64497, Day(5), Day(6)));
-        let json = sixdust_json::to_string(&f);
-        // The shape serde derived: newtype variants as one-key objects,
-        // unit variants as strings, `None` as null.
-        assert_eq!(
-            json,
-            concat!(
-                r#"{"drop_permille":7,"seed":0,"burst":{"mean_good_days":12,"mean_bad_days":3,"#,
-                r#""good_drop_permille":5,"bad_drop_permille":500},"proto_drop":[],"as_drop":[],"#,
-                r#""duplicate_permille":0,"corrupt_permille":0,"icmp_rate_limit":null,"outages":["#,
-                r#"{"from":1,"until":4,"scope":{"Asn":4134},"vantage":null},"#,
-                r#"{"from":2,"until":3,"scope":{"Protocol":"Udp53"},"vantage":null},"#,
-                r#"{"from":5,"until":6,"scope":"Vantage","vantage":64497}]}"#
-            )
-        );
-        let back: FaultConfig = sixdust_json::from_str(&json).unwrap();
-        assert_eq!(back, f);
-        // Old single-knob configs still parse (every key is optional).
-        let legacy: FaultConfig = sixdust_json::from_str(r#"{"drop_permille": 4}"#).unwrap();
-        assert_eq!(legacy, FaultConfig::default_loss());
     }
 }

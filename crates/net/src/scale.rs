@@ -12,8 +12,6 @@
 //! bench can sweep population without touching the entity structure —
 //! the same ASes and prefixes, each simply denser.
 
-use sixdust_json::json_struct;
-
 /// Magnitude scaling configuration for the simulated Internet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scale {
@@ -28,13 +26,11 @@ pub struct Scale {
     /// Multiplier applied to scaled address counts, after `addr_div`.
     /// Sweeping 1 → 10 → 100 grows the simulated population toward
     /// paper magnitudes while the entity structure (AS and prefix
-    /// counts) stays fixed. Defaults to 1, so configs written before
-    /// the knob existed deserialize unchanged.
+    /// counts) stays fixed.
     pub population_mult: u64,
     /// Master RNG seed; every derived decision is a pure function of this.
     pub seed: u64,
 }
-json_struct!(Scale { addr_div, entity_div, population_mult = 1, seed });
 
 impl Scale {
     /// The default experiment scale: 1/1000 of paper address magnitudes,
@@ -132,14 +128,5 @@ mod tests {
         assert_eq!(s.addrs_frac(1_000_000, 7), Scale::paper().addrs_frac(1_000_000, 7) * 10);
         // Zero is clamped so a bad config can't empty the Internet.
         assert_eq!(Scale::paper().with_population_mult(0).addrs(1000, 1), 1);
-    }
-
-    #[test]
-    fn pre_mult_configs_deserialize_with_default() {
-        let old = r#"{"addr_div": 1000, "entity_div": 10, "seed": 1}"#;
-        let s: Scale = sixdust_json::from_str(old).expect("old config readable");
-        assert_eq!(s.population_mult, 1);
-        let round: Scale = sixdust_json::from_str(&sixdust_json::to_string(&s)).unwrap();
-        assert_eq!(round, s);
     }
 }

@@ -13,7 +13,6 @@
 use std::borrow::Cow;
 
 use sixdust_addr::Addr;
-use sixdust_json::json_struct;
 use sixdust_net::{Day, Internet, ProbeKind, ProbeTally, Protocol, Response};
 use sixdust_telemetry::{Registry, SpanTimer};
 use sixdust_wire::dns::DnsMessage;
@@ -46,8 +45,7 @@ pub fn proto_metric_key(protocol: Protocol) -> &'static str {
 /// Scan engine configuration.
 ///
 /// Construct with the chainable `with_*` methods on
-/// [`ScanConfig::default`]; direct field access remains available for
-/// serialization compatibility.
+/// [`ScanConfig::default`]; the fields stay public for struct literals.
 ///
 /// ```
 /// use sixdust_scan::ScanConfig;
@@ -84,7 +82,6 @@ pub struct ScanConfig {
     /// the engine's historical behaviour.
     pub retry_backoff_ms: u64,
 }
-json_struct!(ScanConfig { threads, attempts, rate_pps, seed, dns_qname, retry_backoff_ms = 0 });
 
 impl Default for ScanConfig {
     fn default() -> ScanConfig {

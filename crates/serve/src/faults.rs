@@ -20,12 +20,11 @@
 //!
 //! Every stochastic decision is a pure function of `(seed, question)`
 //! via [`sixdust_addr::prf`], so a chaos day replays byte-identically.
-//! The shape mirrors `sixdust-net`: a JSON form whose every key is
-//! optional, a [`ServeFaultConfig::builder`], chainable `with_*` methods, and a
-//! [`ServeFaultConfig::lossless`] all-off preset.
+//! The shape mirrors `sixdust-net`: a [`ServeFaultConfig::builder`],
+//! chainable `with_*` methods, and a [`ServeFaultConfig::lossless`]
+//! all-off preset.
 
 use sixdust_addr::prf;
-use sixdust_json::json_struct;
 
 const TAG_SYNC_CORRUPT: u64 = 0x5F_C0DE;
 
@@ -41,7 +40,6 @@ pub struct MirrorOutage {
     /// End of the outage, microseconds into the day (exclusive).
     pub until_us: u64,
 }
-json_struct!(MirrorOutage { mirror, from_us, until_us });
 
 impl MirrorOutage {
     /// Whether the window covers `at_us`.
@@ -60,7 +58,6 @@ pub struct Blackout {
     /// End of the blackout, microseconds into the day (exclusive).
     pub until_us: u64,
 }
-json_struct!(Blackout { from_us, until_us });
 
 impl Blackout {
     /// Whether the window covers `at_us`.
@@ -78,7 +75,6 @@ pub struct SlowMirror {
     /// Extra latency in permille of the true latency (4000 = 5× slower).
     pub inflate_permille: u32,
 }
-json_struct!(SlowMirror { mirror, inflate_permille });
 
 /// Fault injection knobs for the distribution tier.
 ///
@@ -115,13 +111,6 @@ pub struct ServeFaultConfig {
     /// must reject it wholesale (no torn generation).
     pub sync_corrupt_permille: u32,
 }
-json_struct!(ServeFaultConfig: default {
-    seed,
-    mirror_outages,
-    slow_mirrors,
-    origin_blackouts,
-    sync_corrupt_permille
-});
 
 impl ServeFaultConfig {
     /// Every fault off — the deterministic-world preset unit tests use.
@@ -306,15 +295,5 @@ mod tests {
         assert_ne!(hits, (0..100).map(|r| other.corrupt_sync(1, r, 0, 1)).collect::<Vec<_>>());
         assert!(!ServeFaultConfig::lossless().corrupt_sync(1, 1, 1, 1), "all-off preset");
         assert!(f.corrupt_position(1, 3, 0, 1, 64) < 64);
-    }
-
-    #[test]
-    fn json_defaults_round_trip() {
-        let parsed: ServeFaultConfig = sixdust_json::from_str("{}").expect("all fields default");
-        assert_eq!(parsed, ServeFaultConfig::lossless());
-        let chaos = ServeFaultConfig::chaos(11, 4);
-        let json = sixdust_json::to_string(&chaos);
-        let back: ServeFaultConfig = sixdust_json::from_str(&json).expect("parses");
-        assert_eq!(back, chaos);
     }
 }

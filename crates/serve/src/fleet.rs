@@ -1009,8 +1009,8 @@ pub(crate) mod tests {
     #[test]
     fn seeded_100k_day_has_resolved_percentiles_and_delta_savings() {
         // The microsecond histogram must give the percentiles real
-        // resolution: with the old serve.latency_ms recording, base
-        // latency 1.5 ms crushed p50 and p99 into the same log2 bin.
+        // resolution: in log2 millisecond bins, base latency 1.5 ms
+        // would crush p50 and p99 into the same bin.
         let store = seeded_store();
         let reg = sixdust_telemetry::Registry::new();
         let report =

@@ -87,7 +87,7 @@ pub use fleet::{
 };
 pub use mirror::{MirrorTier, MirrorTierConfig, TierTotals, TimedPublish};
 pub use reactor::{Backend, Completion, EventLoop, LoopStats};
-pub use resilience::{run_chaos_day, BreakerConfig, ChaosDayConfig, RetryPolicy};
+pub use resilience::{run_chaos_day, ChaosDayConfig};
 pub use server::{
     FetchKind, Frontend, FrontendConfig, FrontendConfigError, FrontendTotals, Outcome, Request,
 };

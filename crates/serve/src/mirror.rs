@@ -36,6 +36,10 @@ use crate::faults::ServeFaultConfig;
 use crate::server::{Frontend, FrontendConfig, FrontendTotals, Outcome, Request};
 use crate::store::{ArtifactKind, SnapshotStore, StoreConfig};
 
+/// Minimum gap between stale-triggered revalidation syncs of one mirror
+/// (stale-while-revalidate cooldown), virtual microseconds.
+const REVALIDATE_COOLDOWN_US: u64 = 300_000_000;
+
 /// Tier configuration.
 #[derive(Debug, Clone)]
 pub struct MirrorTierConfig {
@@ -48,9 +52,6 @@ pub struct MirrorTierConfig {
     /// tier does not hammer the origin in lockstep (and so per-mirror
     /// lag is observable).
     pub sync_stagger_us: u64,
-    /// Minimum gap between stale-triggered revalidation syncs of one
-    /// mirror (stale-while-revalidate cooldown).
-    pub revalidate_cooldown_us: u64,
     /// Front-end configuration applied to every mirror.
     pub frontend: FrontendConfig,
 }
@@ -61,7 +62,6 @@ impl Default for MirrorTierConfig {
             mirrors: 4,
             sync_interval_us: 3_600_000_000,
             sync_stagger_us: 60_000_000,
-            revalidate_cooldown_us: 300_000_000,
             frontend: FrontendConfig::default(),
         }
     }
@@ -88,12 +88,6 @@ impl MirrorTierConfig {
     /// Sets the per-mirror sync phase offset.
     pub fn with_sync_stagger_us(mut self, stagger: u64) -> MirrorTierConfig {
         self.sync_stagger_us = stagger;
-        self
-    }
-
-    /// Sets the revalidation cooldown.
-    pub fn with_revalidate_cooldown_us(mut self, cooldown: u64) -> MirrorTierConfig {
-        self.revalidate_cooldown_us = cooldown.max(1);
         self
     }
 
@@ -557,14 +551,14 @@ impl MirrorTier {
             return None;
         }
         // An empty mirror is infinitely stale: bootstrap-sync on demand
-        // (cooldown-limited, same knob as revalidation) before answering
+        // (cooldown-limited, same cooldown as revalidation) before answering
         // rather than shrugging `Unavailable` until the next scheduled
         // sync comes around.
         if self.mirrors[mirror].frontend.current_round().is_none()
             && self.origin.current_round().is_some()
             && at >= self.mirrors[mirror].next_revalidate_us
         {
-            self.mirrors[mirror].next_revalidate_us = at + self.config.revalidate_cooldown_us;
+            self.mirrors[mirror].next_revalidate_us = at + REVALIDATE_COOLDOWN_US;
             self.totals.revalidations += 1;
             self.try_sync(mirror, at);
         }
@@ -590,7 +584,7 @@ impl MirrorTier {
         if served_round.is_some_and(|r| r < self.target_round) {
             self.totals.stale_served += 1;
             if at >= self.mirrors[mirror].next_revalidate_us {
-                self.mirrors[mirror].next_revalidate_us = at + self.config.revalidate_cooldown_us;
+                self.mirrors[mirror].next_revalidate_us = at + REVALIDATE_COOLDOWN_US;
                 self.totals.revalidations += 1;
                 self.try_sync(mirror, at);
             }

@@ -32,55 +32,48 @@ const HOUR_US: u64 = 3_600_000_000;
 /// Deterministic retry policy of the resilient client path: exponential
 /// backoff with seeded jitter, and a hedging threshold after which a
 /// second request races the slow primary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
+struct RetryPolicy {
     /// Attempt budget per logical request (primary + retries; hedges and
     /// breaker-skipped mirrors do not consume it).
-    pub max_attempts: u32,
+    max_attempts: u32,
     /// Backoff before retry `n` is `base << (n-1)`, capped.
-    pub backoff_base_us: u64,
+    backoff_base_us: u64,
     /// Upper bound on a single backoff.
-    pub backoff_cap_us: u64,
+    backoff_cap_us: u64,
     /// Jitter span in permille of the backoff: the drawn backoff is
     /// uniform in `[b - b*j/1000, b + b*j/1000]`, seeded per
     /// (request, retry) so the day replays byte-identically.
-    pub jitter_permille: u32,
+    jitter_permille: u32,
     /// Serve latency above which a hedged second request is sent to the
     /// next healthy mirror; the client takes whichever answer is
     /// effectively earlier.
-    pub hedge_after_us: u64,
+    hedge_after_us: u64,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 5,
-            backoff_base_us: 50_000,
-            backoff_cap_us: 2_000_000,
-            jitter_permille: 250,
-            hedge_after_us: 15_000,
-        }
-    }
-}
+/// The retry policy every chaos day's client runs.
+const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 5,
+    backoff_base_us: 50_000,
+    backoff_cap_us: 2_000_000,
+    jitter_permille: 250,
+    hedge_after_us: 15_000,
+};
 
 /// Per-mirror circuit-breaker policy (closed → open → half-open).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
+struct BreakerConfig {
     /// Consecutive health failures (mirror down / nothing published)
     /// that trip the breaker open. Load sheds are *not* health failures.
-    pub failure_threshold: u32,
+    failure_threshold: u32,
     /// How long an open breaker skips its mirror before letting
     /// half-open probe requests through, virtual microseconds.
-    pub open_cooldown_us: u64,
+    open_cooldown_us: u64,
     /// Successful half-open probes required to re-close.
-    pub half_open_probes: u32,
+    half_open_probes: u32,
 }
 
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig { failure_threshold: 3, open_cooldown_us: 600_000_000, half_open_probes: 2 }
-    }
-}
+/// The breaker policy every chaos day's client runs.
+const BREAKER: BreakerConfig =
+    BreakerConfig { failure_threshold: 3, open_cooldown_us: 600_000_000, half_open_probes: 2 };
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BreakerState {
@@ -171,16 +164,13 @@ impl Breaker {
     }
 }
 
-/// Configuration of one chaos day: the fleet plus the client-side
-/// resilience policies.
+/// Configuration of one chaos day: the consumer fleet. The client's
+/// retry and breaker policies are this module's fixed `RETRY` and
+/// `BREAKER`.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosDayConfig {
     /// The consumer fleet (same knobs as a single-frontend day).
     pub fleet: FleetConfig,
-    /// Retry / backoff / hedging policy.
-    pub retry: RetryPolicy,
-    /// Per-mirror circuit-breaker policy.
-    pub breaker: BreakerConfig,
 }
 
 impl ChaosDayConfig {
@@ -192,18 +182,6 @@ impl ChaosDayConfig {
     /// Sets the fleet configuration.
     pub fn with_fleet(mut self, fleet: FleetConfig) -> ChaosDayConfig {
         self.fleet = fleet;
-        self
-    }
-
-    /// Sets the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> ChaosDayConfig {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the breaker policy.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> ChaosDayConfig {
-        self.breaker = breaker;
         self
     }
 }
@@ -356,7 +334,7 @@ impl<'a> TierClient<'a> {
     /// A health failure of mirror `m` (down, or nothing published) as its
     /// breaker sees it. Load sheds are not health failures.
     fn health_failure(&mut self, m: usize, at: u64) {
-        if self.breakers[m].on_failure(at, &self.config.breaker) {
+        if self.breakers[m].on_failure(at, &BREAKER) {
             self.ledger.breaker_opened += 1;
             self.set_engaged_gauge();
         }
@@ -378,7 +356,7 @@ impl<'a> TierClient<'a> {
                 self.health_failure(m, request.at_us);
             }
             Some(Outcome::Body { .. } | Outcome::NotModified { .. }) => {
-                if self.breakers[m].on_success(&self.config.breaker) {
+                if self.breakers[m].on_success(&BREAKER) {
                     self.ledger.breaker_closed += 1;
                     self.set_engaged_gauge();
                 }
@@ -419,9 +397,9 @@ impl Backend for TierClient<'_> {
         let mut backoff_total_us = 0u64;
         let mut winner: Option<(usize, Outcome)> = None;
         let mut shed = false;
-        let max_iter = self.config.retry.max_attempts as usize + mirrors;
+        let max_iter = RETRY.max_attempts as usize + mirrors;
         let mut iter = 0usize;
-        while attempts_used < self.config.retry.max_attempts && iter < max_iter {
+        while attempts_used < RETRY.max_attempts && iter < max_iter {
             let m = (preferred + iter) % mirrors;
             iter += 1;
             match self.breakers[m].gate(at) {
@@ -439,8 +417,7 @@ impl Backend for TierClient<'_> {
             attempts_used += 1;
             if attempts_used >= 2 {
                 self.ledger.retries += 1;
-                let b =
-                    backoff_us(&self.config.retry, self.config.fleet.seed, id, attempts_used - 1);
+                let b = backoff_us(&RETRY, self.config.fleet.seed, id, attempts_used - 1);
                 backoff_total_us += b;
                 self.backoff.record(b.max(1));
             }
@@ -477,7 +454,7 @@ impl Backend for TierClient<'_> {
             return None;
         };
         let mut latency = *served_latency(&mut outcome).expect("a winner was served");
-        if latency > self.config.retry.hedge_after_us {
+        if latency > RETRY.hedge_after_us {
             let target = (1..mirrors)
                 .map(|k| (m + k) % mirrors)
                 .find(|&c| !matches!(self.breakers[c].gate(at), BreakerGate::Skipped));
@@ -485,7 +462,7 @@ impl Backend for TierClient<'_> {
                 self.ledger.hedged += 1;
                 let mut hedge = self.attempt(m2, request);
                 if let Some(hedge_latency) = hedge.as_mut().and_then(served_latency) {
-                    *hedge_latency += self.config.retry.hedge_after_us;
+                    *hedge_latency += RETRY.hedge_after_us;
                     if *hedge_latency < latency {
                         self.ledger.hedge_wins += 1;
                         latency = *hedge_latency;
@@ -568,7 +545,7 @@ mod tests {
 
     #[test]
     fn backoff_is_seeded_exponential_and_capped() {
-        let policy = RetryPolicy::default();
+        let policy = RETRY;
         // Deterministic: same (seed, request, retry) → same delay.
         assert_eq!(backoff_us(&policy, 7, 42, 1), backoff_us(&policy, 7, 42, 1));
         // Jitter keeps each delay within ±25% of the exponential base.
@@ -604,7 +581,7 @@ mod tests {
             (11, 123_456, 7, 1_961_102),
             (11, 5, 20, 1_745_792),
         ];
-        let policy = RetryPolicy::default();
+        let policy = RETRY;
         for (seed, request, retry, delay) in pinned {
             assert_eq!(
                 backoff_us(&policy, seed, request, retry),
@@ -622,7 +599,7 @@ mod tests {
                     backoff_base_us: base_us,
                     backoff_cap_us: u64::MAX,
                     jitter_permille,
-                    ..RetryPolicy::default()
+                    ..RETRY
                 };
                 for retry in [1, 20, 40] {
                     let base = base_us.saturating_mul(1 << (retry - 1).min(20));
@@ -794,7 +771,7 @@ mod tests {
                     counters: 0x6c7b_5ad7_5fe1_0b82,
                     breaches: &[],
                     captures: &[(13, "origin-blackout")],
-                    hourly_rounds: 0x70e2_fdc5_c8ff_95ee,
+                    hourly_rounds: 0x3334_d509_fe92_1c27,
                     full_captures: 0x4abc_10d1_764e_b7d8,
                 },
             ),
@@ -808,7 +785,7 @@ mod tests {
                         ("publish-freshness", 19),
                     ],
                     captures: &[(13, "origin-blackout"), (17, "slo:publish-freshness")],
-                    hourly_rounds: 0xa6b4_44cb_4f5c_9da4,
+                    hourly_rounds: 0x3624_7de6_23cd_4de3,
                     full_captures: 0x1a3b_d987_fdc3_d378,
                 },
             ),
@@ -824,7 +801,11 @@ mod tests {
 
             // The resilience counters at end of day, the hourly series
             // (every column, gauges and histograms included, as each
-            // tick saw it) and what the flight recorder froze.
+            // tick saw it) and what the flight recorder froze. The series
+            // digests were re-pinned when the `serve.latency_ms`
+            // histogram was deleted: each is what the commit before that
+            // printed for its series with the `serve.latency_ms.*`
+            // entries filtered out.
             let counters: Vec<(String, u64)> = observer
                 .registry()
                 .snapshot()
@@ -962,7 +943,7 @@ mod tests {
 
         // A body: the dark preferred mirror costs one retry's backoff.
         el.submit(0, &request(1_000));
-        let backoff = backoff_us(&config.retry, seed, 0, 1);
+        let backoff = backoff_us(&RETRY, seed, 0, 1);
         let done = el.finish();
         let [Completion { at_us, outcome: Outcome::Body { latency_us, .. }, .. }] = &done[..]
         else {

@@ -375,9 +375,6 @@ struct Meters {
     /// crush the whole distribution into two bins; microseconds give the
     /// percentiles real resolution.
     latency_us: Histogram,
-    /// Millisecond view derived from the same sample (`us/1000` rounded
-    /// up to at least 1), kept for naming-scheme continuity.
-    latency_ms: Histogram,
     /// Per-artifact-kind duration, indexed by [`ArtifactKind::index`].
     kind_latency_us: Vec<Histogram>,
     /// The registry's flight recorder, fed on the shed path.
@@ -391,7 +388,6 @@ impl Meters {
             flight: registry.flight(),
             told: [0; PUBLISHED.len()],
             latency_us: registry.histogram("serve.latency_us"),
-            latency_ms: registry.histogram("serve.latency_ms"),
             kind_latency_us: ArtifactKind::ALL
                 .iter()
                 .map(|k| registry.histogram(&format!("serve.kind.{}.latency_us", k.file_stem())))
@@ -454,7 +450,7 @@ impl Frontend {
     /// Attaches a metrics registry (`serve.requests`, `serve.bytes_sent`,
     /// `serve.cache.{hits,misses}`, `serve.shed{,.client,.global}`,
     /// `serve.not_modified`, `serve.delta_fallback`,
-    /// `serve.latency_us`/`serve.latency_ms`,
+    /// `serve.latency_us`,
     /// `serve.bytes_saved.{delta,not_modified}`, and the per-kind RED
     /// triplet `serve.kind.<stem>.{requests,errors,latency_us}`). The
     /// histograms are fed as requests finish; the counters are the ledger,
@@ -623,11 +619,8 @@ impl Frontend {
         let us = latency_us.max(1);
         self.latency.record(us);
         if let Some(m) = &self.meters {
-            // Microseconds are the measurement of record; the ms view is
-            // derived from the same sample so the two always agree.
             m.latency_us.record(us);
             m.kind_latency_us[kind].record(us);
-            m.latency_ms.record(latency_us.div_ceil(1_000).max(1));
         }
     }
 

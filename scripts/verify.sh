@@ -67,6 +67,24 @@ if [ "$missing" != 0 ]; then
   exit 1
 fi
 
+echo "== grep gate: every metric METRICS.md inventories is a name literal in the sources"
+# The other direction: a table row whose name no source spells any more is
+# a stale contract. `<var>` patterns are checked by eye, the `addr` section
+# names benchmark figures, not metrics, and the test-only names sit in no
+# table.
+for name in $(awk '/^## / { skip = ($2 == "addr" || $2 == "Test-only") }
+    !skip && /^\| `/ { split($0, col, "|"); gsub(/[ `]/, "", col[2]); print col[2] }' METRICS.md \
+  | grep -v '<'); do
+  if ! grep -rqF "\"$name\"" crates/*/src --include='*.rs'; then
+    echo "metric \`$name\` is inventoried in METRICS.md but no source registers it" >&2
+    missing=1
+  fi
+done
+if [ "$missing" != 0 ]; then
+  echo "grep gate FAILED: drop the stale rows from METRICS.md" >&2
+  exit 1
+fi
+
 echo "== grep gate: no registry crate in a manifest, only sixdust* in Cargo.lock"
 # JSON is sixdust-json, threads and locks are std's, `sixdust_addr::prf` is
 # the project's RNG and the property tests are seeded loops over it.
