@@ -1,5 +1,5 @@
-//! Longitudinal series utilities: resampling, growth and spike detection
-//! over per-scan records (the numeric backbone of Figs. 3 and 4).
+//! Longitudinal series utilities: growth and spike detection over per-scan
+//! records (the numeric backbone of Figs. 3 and 4).
 
 /// A `(day, value)` time series with irregular spacing (scan cadence grows
 /// from 1 to 5 days over the window).
@@ -32,33 +32,6 @@ impl Series {
     /// Whether the series is empty.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Resamples into fixed-width buckets (mean per bucket) — what a
-    /// figure with hundreds of scan rounds needs before plotting.
-    pub fn resample(&self, bucket_days: u32) -> Series {
-        if self.points.is_empty() || bucket_days == 0 {
-            return self.clone();
-        }
-        let mut out = Vec::new();
-        let mut bucket_start = self.points[0].0 / bucket_days * bucket_days;
-        let mut sum = 0u64;
-        let mut n = 0u64;
-        for (d, v) in &self.points {
-            let b = d / bucket_days * bucket_days;
-            if b != bucket_start && n > 0 {
-                out.push((bucket_start, sum / n));
-                bucket_start = b;
-                sum = 0;
-                n = 0;
-            }
-            sum += v;
-            n += 1;
-        }
-        if let Some(mean) = sum.checked_div(n) {
-            out.push((bucket_start, mean));
-        }
-        Series { points: out }
     }
 
     /// End-over-start growth factor (`last / first`), ignoring zero starts.
@@ -111,41 +84,6 @@ impl Series {
         }
         self.points.iter().map(|(_, v)| *v as f64).sum::<f64>() / self.points.len() as f64
     }
-
-    /// Renders as CSV (`day,value` rows) for external plotting.
-    pub fn to_csv(&self, header: &str) -> String {
-        let mut out = format!("day,{header}\n");
-        for (d, v) in &self.points {
-            out.push_str(&format!("{d},{v}\n"));
-        }
-        out
-    }
-
-    /// Lifts one metric out of a live telemetry recorder into a `Series`,
-    /// so recorded per-round deltas flow straight into the spike/era and
-    /// resampling machinery without an export/import round trip.
-    ///
-    /// Rounds where the metric was absent (created later, or evicted from
-    /// the ring) are simply missing points — the series stays irregular,
-    /// which every method here already tolerates.
-    ///
-    /// ```
-    /// use sixdust_analysis::Series;
-    /// use sixdust_telemetry::{Registry, SeriesRecorder};
-    ///
-    /// let reg = Registry::new();
-    /// let mut rec = SeriesRecorder::new(reg.clone(), 512);
-    /// for day in 0..5u32 {
-    ///     reg.counter("scan.udp53.hits").add(100 + u64::from(day));
-    ///     rec.record(day);
-    /// }
-    /// let s = Series::from_telemetry(&rec, "scan.udp53.hits");
-    /// assert_eq!(s.len(), 5);
-    /// assert_eq!(s.points[0], (0, 100));
-    /// ```
-    pub fn from_telemetry(recorder: &sixdust_telemetry::SeriesRecorder, metric: &str) -> Series {
-        Series::new(recorder.points(metric))
-    }
 }
 
 #[cfg(test)]
@@ -168,15 +106,6 @@ mod tests {
         let s = Series::new(vec![(5, 1), (1, 2), (3, 3)]);
         assert_eq!(s.points, vec![(1, 2), (3, 3), (5, 1)]);
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn resample_means() {
-        let s = Series::new(vec![(0, 10), (1, 20), (2, 30), (10, 100)]);
-        let r = s.resample(7);
-        assert_eq!(r.points, vec![(0, 20), (7, 100)]);
-        // Degenerate bucket width leaves the series untouched.
-        assert_eq!(s.resample(0), s);
     }
 
     #[test]
@@ -207,33 +136,9 @@ mod tests {
     }
 
     #[test]
-    fn csv_rendering() {
-        let s = Series::new(vec![(1, 5), (2, 6)]);
-        assert_eq!(s.to_csv("udp53"), "day,udp53\n1,5\n2,6\n");
-    }
-
-    #[test]
     fn mean_value() {
         let s = Series::new(vec![(0, 10), (1, 30)]);
         assert!((s.mean() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn from_telemetry_lifts_recorded_deltas() {
-        let reg = sixdust_telemetry::Registry::new();
-        let mut rec = sixdust_telemetry::SeriesRecorder::new(reg.clone(), 512);
-        let hits = reg.counter("scan.udp53.hits");
-        // Deliberately record out of natural spike shape: baseline, spike,
-        // baseline — and confirm the lifted series feeds spike detection.
-        for day in 0..30u32 {
-            hits.add(if (10..13).contains(&day) { 9_000 } else { 100 });
-            rec.record(day);
-        }
-        let s = Series::from_telemetry(&rec, "scan.udp53.hits");
-        assert_eq!(s.len(), 30);
-        assert_eq!(s.spike_windows(10.0, 2), vec![(10, 12)]);
-        // Metrics the recorder never saw lift to an empty series.
-        assert!(Series::from_telemetry(&rec, "scan.icmp.hits").is_empty());
     }
 
     /// Paper-shaped responsive-count series: a UDP/53 baseline around

@@ -28,7 +28,7 @@ fn tiny_pipeline_writes_json_that_reads_back() {
         .arg(out.join("serve.json"))
         .arg("--trace")
         .arg(out.join("trace.json"))
-        .args(["pipeline", "table1"])
+        .args(["pipeline", "table1", "table3"])
         .output()
         .expect("sixdust-exp runs");
     assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
@@ -47,7 +47,14 @@ fn tiny_pipeline_writes_json_that_reads_back() {
     let names: Vec<&str> = parsed.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(
         names,
-        ["pipeline.json", "serve.json", "table1.json", "telemetry.json", "trace.json"]
+        [
+            "pipeline.json",
+            "serve.json",
+            "table1.json",
+            "table3.json",
+            "telemetry.json",
+            "trace.json"
+        ]
     );
 
     // The experiment envelope: id, the scale it ran at, the result rows.
@@ -74,6 +81,25 @@ fn tiny_pipeline_writes_json_that_reads_back() {
         telemetry.counter("service.hits.cleaned.icmp"),
         "scanner and service count the same ICMP hits"
     );
+
+    // Every generator of the new-source evaluation reports through its
+    // `tga.<source>.*` family exactly what its table3 row shows.
+    let rows = parsed[3].1.get("result").and_then(|r| r.get("rows")).expect("rows");
+    let mut generators = 0;
+    for row in rows.as_array().unwrap() {
+        let row = row.fields("table3 row").unwrap();
+        let source: String = row.get("source").unwrap();
+        if source == "passive" || source == "unresponsive" {
+            continue;
+        }
+        generators += 1;
+        let candidates: u64 = row.get("candidates").unwrap();
+        let counter = telemetry.counter(&format!("tga.{source}.candidates"));
+        assert_eq!(counter, Some(candidates), "{source}");
+        let gen_ms = telemetry.histogram(&format!("tga.{source}.gen_ms")).map(|h| h.count);
+        assert_eq!(gen_ms, Some(1), "{source} generated once");
+    }
+    assert_eq!(generators, 5, "the paper's five generators");
 
     std::fs::remove_dir_all(&out).ok();
 }

@@ -143,10 +143,12 @@ impl UnresponsiveFilter {
         }
     }
 
-    /// Marks an address responsive on `day`.
+    /// Marks an address responsive on `day`: restarts the clock of an
+    /// active address. An address never registered, or already dropped,
+    /// has no clock and gets none.
     pub fn mark_responsive(&mut self, addr: Addr, day: Day) {
-        if !self.dropped.contains(&addr) {
-            self.last_seen.insert(addr, day);
+        if let Some(last) = self.last_seen.get_mut(&addr) {
+            *last = day;
         }
     }
 
@@ -295,6 +297,18 @@ mod tests {
         f.register(a("::2"), Day(31));
         f.mark_responsive(a("::2"), Day(31));
         assert!(!f.active(a("::2")), "never re-tested after exclusion");
+    }
+
+    #[test]
+    fn an_address_the_input_never_admitted_gets_no_clock() {
+        let mut f = UnresponsiveFilter::new();
+        f.register(a("::1"), Day(0));
+        f.mark_responsive(a("::9"), Day(5));
+        assert!(!f.active(a("::9")));
+        assert_eq!(f.active_targets().collect::<Vec<_>>(), vec![a("::1")]);
+        // It never ages out either: it was never in the rotation.
+        assert_eq!(f.sweep(Day(40)), 1);
+        assert!(!f.dropped_pool().contains(&a("::9")));
     }
 
     #[test]

@@ -634,14 +634,4 @@ mod tests {
             Some(i64::from(last.loss_estimate_permille))
         );
     }
-
-    #[test]
-    fn overlap_pct_math() {
-        use sixdust_addr::Addr;
-        let a = vec![Addr(1), Addr(2), Addr(3), Addr(4)];
-        let b = vec![Addr(3), Addr(4), Addr(5)];
-        assert_eq!(newsources::overlap_pct(&a, &b), 50.0);
-        assert_eq!(newsources::overlap_pct(&b, &a), 200.0 / 3.0);
-        assert_eq!(newsources::overlap_pct(&[], &a), 0.0);
-    }
 }

@@ -14,7 +14,7 @@
 use std::collections::HashSet;
 
 use sixdust_addr::{prf, Addr, PrefixSet};
-use sixdust_net::{Day, Internet, ProtoSet, Protocol};
+use sixdust_net::{Day, Internet, Protocol};
 use sixdust_scan::{scan, Detail, ScanConfig};
 
 /// NS and MX record targets from the zone file (Sec. 6: "the name server
@@ -179,15 +179,6 @@ pub fn evaluate_source(
     }
 }
 
-/// Per-source protocol-set summary for overlap analysis (Fig. 7).
-pub fn overlap_pct(a: &[Addr], b: &[Addr]) -> f64 {
-    if a.is_empty() {
-        return 0.0;
-    }
-    let bs: HashSet<Addr> = b.iter().copied().collect();
-    a.iter().filter(|x| bs.contains(x)).count() as f64 * 100.0 / a.len() as f64
-}
-
 /// Groups responsive addresses by AS and returns `(asn, name, count)` rows
 /// sorted by count (Table 4's Top-AS columns, Fig. 8's distributions).
 pub fn by_as(net: &Internet, addrs: &[Addr]) -> Vec<(u32, String, usize)> {
@@ -206,15 +197,4 @@ pub fn by_as(net: &Internet, addrs: &[Addr]) -> Vec<(u32, String, usize)> {
         .collect();
     rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
     rows
-}
-
-/// The protocol set of one source evaluation as a [`ProtoSet`] union.
-pub fn proto_union(eval: &SourceEval) -> ProtoSet {
-    let mut s = ProtoSet::EMPTY;
-    for (p, v) in &eval.per_proto {
-        if !v.is_empty() {
-            s.insert(*p);
-        }
-    }
-    s
 }

@@ -487,17 +487,6 @@ impl HitlistService {
         &self.last_proto_cleaned
     }
 
-    /// The most recent round's cleaned responsive addresses for one
-    /// protocol; empty under the same conditions as
-    /// [`HitlistService::proto_responsive`].
-    pub fn current_responsive_for(&self, proto: Protocol) -> &AddrSet {
-        self.last_proto_cleaned
-            .iter()
-            .find(|(p, _)| *p == proto)
-            .map(|(_, v)| v)
-            .unwrap_or(&EMPTY_SET)
-    }
-
     /// Approximate heap bytes currently held by the service's address
     /// sets: the churn baselines, the per-protocol slices of the last
     /// round, and every retained snapshot. This is the resident-set

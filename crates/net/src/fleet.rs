@@ -168,11 +168,6 @@ impl RouterPool {
         Addr(net | u128::from(iid))
     }
 
-    /// Whether `addr` is (or was) one of this pool's interface addresses.
-    pub fn contains_region(&self, addr: Addr) -> bool {
-        self.region.contains(addr)
-    }
-
     /// Resolves an address back to a slot — only possible for *static*
     /// pools (rotating interfaces are write-only: they answer hop-limit
     /// expiry but never direct probes, like the Chinese last-hops of

@@ -290,11 +290,6 @@ impl DnsZones {
         self.toplist_len
     }
 
-    /// The DNS name of domain `d`.
-    pub fn domain_name(&self, d: u64) -> String {
-        format!("www.d{d}.sim-zone{}.example", d % 13)
-    }
-
     /// The index of the hosting entry `key` draws.
     fn entry_index(&self, key: u64) -> usize {
         self.table.select(self.draws.entry.draw(u128::from(key)) % self.total_weight.max(1))
@@ -632,14 +627,6 @@ mod tests {
         for d in 0..200 {
             let (addr, host) = z.resolve(&p, d, Day(10));
             assert_eq!(r.origin(addr), Some(host.asid), "domain {d}");
-        }
-    }
-
-    #[test]
-    fn domain_names_are_never_blocked() {
-        let (_, _, z) = setup();
-        for d in 0..1000 {
-            assert!(!crate::gfw::Gfw::is_blocked(&z.domain_name(d)));
         }
     }
 

@@ -2,10 +2,13 @@
 //!
 //! Yarrp (Beverly, IMC 2016) probes the `(target, TTL)` space in a random
 //! permutation, statelessly matching ICMPv6 Time Exceeded quotes back to
-//! probes. The hitlist service runs it over all targets to harvest router
-//! addresses as new input candidates — and that harvesting is precisely
-//! what drags the rotating Chinese last-hop addresses (later GFW-polluted)
-//! and rotating ISP CPE space into the input list (Sec. 4).
+//! probes. This is the full sweep over every (target, TTL) pair, the one
+//! `examples/topology.rs` maps a topology with. The hitlist service does
+//! not run it: a round traces a capped sample of its input that rotates
+//! weekly, and walks only the last hops of each path
+//! (`Internet::trace_tails`). That harvesting is what drags the rotating
+//! Chinese last-hop addresses (later GFW-polluted) and rotating ISP CPE
+//! space into the input list (Sec. 4).
 
 use std::collections::HashMap;
 

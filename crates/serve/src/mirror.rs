@@ -353,11 +353,6 @@ impl MirrorTier {
         &self.totals
     }
 
-    /// One mirror front end's running totals.
-    pub fn frontend_totals(&self, mirror: usize) -> &FrontendTotals {
-        self.mirrors[mirror].frontend.totals()
-    }
-
     /// Every mirror's front end, in mirror order.
     pub(crate) fn frontends(&self) -> impl Iterator<Item = &Frontend> {
         self.mirrors.iter().map(|m| &m.frontend)

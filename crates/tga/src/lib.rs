@@ -9,9 +9,7 @@
 //! | [`sixgraph`] | 6Graph (Yang 2022) | pattern mining; merges sibling /64s, biggest yield |
 //! | [`sixgan`] | 6GAN-style (Cui 2021) | per-class learned sampler; tiny hit rate |
 //! | [`sixveclm`] | 6VecLM-style (Cui 2021) | embedding LM decode; tiny, low-diversity output |
-//! | [`entropyip`] | Entropy/IP (Foremski 2016) | segment model; the lineage's ancestor |
 //! | [`dc`] | distance clustering | the paper's own naive gap-filler, best hit rate |
-//! | [`sixgen`] | 6Gen (Murdock 2017) | the lineage's range-growth ancestor |
 //! | [`seedless`] | AddrMiner-style (the paper's Sec. 7 future work) | convention transfer into seed-free ASes |
 //!
 //! The two learned methods substitute deterministic statistical cores for
@@ -27,10 +25,8 @@
 
 pub mod corpus;
 pub mod dc;
-pub mod entropyip;
 pub mod seedless;
 pub mod sixgan;
-pub mod sixgen;
 pub mod sixgraph;
 pub mod sixtree;
 pub mod sixveclm;
@@ -39,10 +35,8 @@ use sixdust_addr::Addr;
 use sixdust_telemetry::Registry;
 
 pub use dc::DistanceClustering;
-pub use entropyip::EntropyIp;
 pub use seedless::Seedless;
 pub use sixgan::SixGan;
-pub use sixgen::SixGen;
 pub use sixgraph::SixGraph;
 pub use sixtree::SixTree;
 pub use sixveclm::SixVecLm;

@@ -5,8 +5,7 @@
 use sixdust_addr::prf::PrfStream;
 use sixdust_addr::Addr;
 use sixdust_tga::{
-    corpus, DistanceClustering, EntropyIp, SixGan, SixGen, SixGraph, SixTree, SixVecLm,
-    TargetGenerator,
+    corpus, DistanceClustering, SixGan, SixGraph, SixTree, SixVecLm, TargetGenerator,
 };
 
 const CASES: u64 = 48;
@@ -38,8 +37,6 @@ fn generators() -> Vec<Box<dyn TargetGenerator>> {
         Box::new(SixGraph::default()),
         Box::new(SixGan::default()),
         Box::new(SixVecLm::default()),
-        Box::new(SixGen::default()),
-        Box::new(EntropyIp::default()),
         Box::new(DistanceClustering::default()),
         Box::new(DistanceClustering { min_cluster: 3, max_gap: 128 }),
     ]

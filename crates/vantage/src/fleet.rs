@@ -75,12 +75,6 @@ impl FleetConfig {
         self
     }
 
-    /// Replaces the roster.
-    pub fn with_specs(mut self, specs: Vec<VantageSpec>) -> FleetConfig {
-        self.specs = specs;
-        self
-    }
-
     /// Replaces the executor worker budget.
     pub fn with_threads(mut self, threads: usize) -> FleetConfig {
         self.threads = threads;

@@ -178,11 +178,6 @@ impl VantageReport {
                 .collect(),
         }
     }
-
-    /// The per-AS entry for `asn`, if any address of that AS disagreed.
-    pub fn for_as(&self, asn: u32) -> Option<&AsDisagreement> {
-        self.by_as.iter().find(|e| e.asn == asn)
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
-//! Map the simulated Internet's topology with Yarrp, the way the hitlist
-//! service harvests router addresses — and watch the Chinese last-hop
-//! rotation that feeds the GFW-impacted input (Sec. 4.2).
+//! Map the simulated Internet's topology with Yarrp's full (target, TTL)
+//! sweep — the wide form of the last-hop traces a hitlist round takes —
+//! and watch the Chinese last-hop rotation that feeds the GFW-impacted
+//! input (Sec. 4.2).
 //!
 //! ```sh
 //! cargo run --release --example topology

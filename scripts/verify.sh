@@ -99,6 +99,30 @@ if grep '^name = ' Cargo.lock | grep -v '^name = "sixdust'; then
   exit 1
 fi
 
+echo "== grep gate: every sixdust-* dependency is named by its package"
+# A crate edge nothing spells is dead weight in the build graph: each
+# `sixdust-x` under [dependencies] needs a `sixdust_x` in the package's
+# src/, each one under [dev-dependencies] one in its src/ or tests/.
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+  dir=$(dirname "$manifest")
+  while read -r section dep; do
+    case $section in
+      dependencies) dirs=("$dir/src") ;;
+      dev-dependencies) dirs=("$dir/src" "$dir/tests") ;;
+    esac
+    if ! grep -rqw "${dep//-/_}" "${dirs[@]}" --include='*.rs' 2>/dev/null; then
+      echo "$manifest: $dep is a [$section] entry that no ${dirs[*]} file names" >&2
+      missing=1
+    fi
+  done < <(awk '/^\[/ { section = substr($0, 2, length($0) - 2) }
+      (section == "dependencies" || section == "dev-dependencies") && /^sixdust-/ {
+        split($1, name, "."); print section, name[1] }' "$manifest")
+done
+if [ "$missing" != 0 ]; then
+  echo "grep gate FAILED: drop the unused crate edges" >&2
+  exit 1
+fi
+
 echo "== non-test lines per crate (scripts/loc.sh: what a size claim in CHANGES.md quotes)"
 scripts/loc.sh
 
