@@ -285,13 +285,7 @@ impl Ctx {
         let passive_all = newsources::passive_sources(net, day);
         let passive_new: Vec<Addr> =
             passive_all.iter().filter(|a| !known.contains(a)).copied().collect();
-        let pool: Vec<Addr> = self
-            .svc
-            .unresponsive_pool()
-            .iter()
-            .filter(|a| !self.svc.gfw_impacted().contains(*a))
-            .copied()
-            .collect();
+        let pool = self.svc.unresponsive_pool().diff(self.svc.gfw_impacted()).to_addr_vec();
         let mut tga_lists: Vec<(&'static str, Vec<Addr>)> = Vec::new();
         for (generator, budget) in instrumented_lineup(self.scale.addr_div, &self.telemetry) {
             let t0 = std::time::Instant::now();

@@ -35,7 +35,7 @@ pub fn fig2(ctx: &Ctx) -> ExpOutput {
 
     let full = cdf_of(ctx, input.iter().copied());
     let unaliased = cdf_of(ctx, input.iter().filter(|a| !aliased.covers_addr(**a)).copied());
-    let gfw_cdf = cdf_of(ctx, gfw.iter().copied());
+    let gfw_cdf = cdf_of(ctx, gfw.addrs());
     let resp_cdf = cdf_of(ctx, responsive.addrs());
 
     // Who is the input's top AS, before aliased filtering?
@@ -260,7 +260,7 @@ pub fn table1(ctx: &Ctx) -> ExpOutput {
 
 /// Table 5: top 10 ASes of GFW-impacted addresses.
 pub fn table5(ctx: &Ctx) -> ExpOutput {
-    let counts = as_counts(ctx, ctx.svc.gfw_impacted().iter().copied());
+    let counts = as_counts(ctx, ctx.svc.gfw_impacted().addrs());
     let total: u64 = counts.values().sum();
     let mut rows: Vec<(u32, String, u64)> = counts
         .into_iter()

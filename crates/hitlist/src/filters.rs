@@ -3,9 +3,10 @@
 //! In pipeline order: the request-based **blocklist**, the **aliased
 //! prefix filter** (fed by the detector), the **GFW filter** this paper
 //! added, and the **30-day unresponsive filter**. Each is a small, testable
-//! unit; the service composes them.
+//! unit; the service composes them. The 30-day filter holds the input and
+//! the clocks of its active addresses; its dropped pool is never stored.
 
-use sixdust_addr::{Addr, AddrHashMap, AddrHashSet, Prefix, PrefixSet};
+use sixdust_addr::{Addr, AddrHashMap, AddrHashSet, AddrSet, Prefix, PrefixSet};
 use sixdust_net::Day;
 use sixdust_scan::{Detail, ScanResult};
 
@@ -61,7 +62,7 @@ impl Blocklist {
 /// or Teredo AAAA records), and remembers every address ever flagged.
 #[derive(Debug, Clone, Default)]
 pub struct GfwFilter {
-    impacted: AddrHashSet,
+    impacted: AddrSet,
 }
 
 impl GfwFilter {
@@ -71,28 +72,27 @@ impl GfwFilter {
     }
 
     /// Rebuilds the filter from a checkpointed impacted set.
-    pub fn restore(impacted: impl IntoIterator<Item = Addr>) -> GfwFilter {
-        GfwFilter { impacted: impacted.into_iter().collect() }
+    pub fn restore(impacted: AddrSet) -> GfwFilter {
+        GfwFilter { impacted }
     }
 
     /// Scans a UDP/53 result: records injected-flagged targets and returns
     /// the cleaned hit list.
     pub fn clean(&mut self, result: &ScanResult) -> Vec<Addr> {
-        let mut clean = Vec::new();
+        let (mut clean, mut injected) = (Vec::new(), Vec::new());
         for o in &result.outcomes {
             match &o.detail {
-                Detail::Dns { injected: true, .. } => {
-                    self.impacted.insert(o.target);
-                }
+                Detail::Dns { injected: true, .. } => injected.push(o.target.0),
                 _ if o.success => clean.push(o.target),
                 _ => {}
             }
         }
+        self.impacted.union_in_place(&AddrSet::from_unsorted(injected));
         clean
     }
 
     /// Every address ever seen with an injected response.
-    pub fn impacted(&self) -> &AddrHashSet {
+    pub fn impacted(&self) -> &AddrSet {
         &self.impacted
     }
 }
@@ -100,7 +100,9 @@ impl GfwFilter {
 /// The 30-day unresponsive filter: drops addresses unresponsive for 30+
 /// days from the scan target list — and, true to the original service,
 /// never re-tests them (Sec. 3.1; re-scanning that pool is Sec. 6's
-/// "unresponsive addresses" source).
+/// "unresponsive addresses" source). It owns the service's input and a
+/// clock for each active address: the dropped pool is the input without a
+/// clock, stored nowhere, and a dropped address cannot come back.
 ///
 /// Days inside **quarantined** windows (degraded rounds: heavy loss or an
 /// outage at the vantage) do not count toward an address's silence, so a
@@ -108,10 +110,10 @@ impl GfwFilter {
 /// exactly the quarantined days, not skipped.
 #[derive(Debug, Clone)]
 pub struct UnresponsiveFilter {
-    /// Day an address last answered any protocol (or entered the input).
+    /// Every address ever admitted, active or dropped.
+    input: AddrHashSet,
+    /// Day an active address last answered (or entered the input).
     last_seen: AddrHashMap<Day>,
-    /// Addresses permanently dropped.
-    dropped: AddrHashSet,
     /// The cutoff in days.
     pub window: u32,
     /// Half-open `[from, until)` day windows whose silence is forgiven.
@@ -122,8 +124,8 @@ pub struct UnresponsiveFilter {
 impl Default for UnresponsiveFilter {
     fn default() -> UnresponsiveFilter {
         UnresponsiveFilter {
+            input: AddrHashSet::default(),
             last_seen: AddrHashMap::default(),
-            dropped: AddrHashSet::default(),
             window: 30,
             quarantined: Vec::new(),
         }
@@ -136,11 +138,15 @@ impl UnresponsiveFilter {
         UnresponsiveFilter::default()
     }
 
-    /// Registers a new input address (its clock starts now).
-    pub fn register(&mut self, addr: Addr, day: Day) {
-        if !self.dropped.contains(&addr) {
-            self.last_seen.entry(addr).or_insert(day);
+    /// Admits an address to the input and starts its clock on `day`.
+    /// Returns whether it was new: an address already admitted, active or
+    /// dropped, keeps its clock or its lack of one.
+    pub fn register(&mut self, addr: Addr, day: Day) -> bool {
+        let new = self.input.insert(addr);
+        if new {
+            self.last_seen.insert(addr, day);
         }
+        new
     }
 
     /// Marks an address responsive on `day`: restarts the clock of an
@@ -173,13 +179,13 @@ impl UnresponsiveFilter {
     }
 
     /// Ages the filter: addresses silent longer than the window (net of
-    /// quarantined days) are permanently dropped. Returns how many were
+    /// quarantined days) lose their clock for good. Returns how many were
     /// dropped this sweep.
     pub fn sweep(&mut self, day: Day) -> usize {
         let window = self.window;
-        let mut dropped_now = Vec::new();
-        let quarantined = std::mem::take(&mut self.quarantined);
-        self.last_seen.retain(|addr, last| {
+        let before = self.last_seen.len();
+        let quarantined = &self.quarantined;
+        self.last_seen.retain(|_, last| {
             // Silent days are (last, day] = [last+1, day+1); forgive the
             // days intersecting any quarantined [from, until) window.
             let credit: u32 = quarantined
@@ -190,33 +196,28 @@ impl UnresponsiveFilter {
                     hi.saturating_sub(lo)
                 })
                 .sum();
-            if day.since(*last).saturating_sub(credit) >= window {
-                dropped_now.push(*addr);
-                false
-            } else {
-                true
-            }
+            day.since(*last).saturating_sub(credit) < window
         });
-        self.quarantined = quarantined;
-        let n = dropped_now.len();
-        self.dropped.extend(dropped_now);
-        n
+        before - self.last_seen.len()
     }
 
     /// Rebuilds a filter from checkpointed parts (the resume path of
-    /// [`ServiceState`](crate::ServiceState)).
+    /// [`ServiceState`](crate::ServiceState)): the input is the active
+    /// addresses and the dropped ones.
     pub fn restore(
         active: impl IntoIterator<Item = (Addr, Day)>,
         dropped: impl IntoIterator<Item = Addr>,
         window: u32,
         quarantined: Vec<(Day, Day)>,
     ) -> UnresponsiveFilter {
-        UnresponsiveFilter {
-            last_seen: active.into_iter().collect(),
-            dropped: dropped.into_iter().collect(),
-            window,
-            quarantined,
-        }
+        let last_seen: AddrHashMap<Day> = active.into_iter().collect();
+        let input = last_seen.keys().copied().chain(dropped).collect();
+        UnresponsiveFilter { input, last_seen, window, quarantined }
+    }
+
+    /// Every address ever admitted, active or dropped.
+    pub fn input(&self) -> &AddrHashSet {
+        &self.input
     }
 
     /// Active scan targets.
@@ -230,14 +231,17 @@ impl UnresponsiveFilter {
         self.last_seen.iter().map(|(a, d)| (*a, *d))
     }
 
-    /// The permanently dropped pool (Sec. 6's re-scan source).
-    pub fn dropped_pool(&self) -> &AddrHashSet {
-        &self.dropped
+    /// The permanently dropped pool (Sec. 6's re-scan source): the input
+    /// without a clock, built on each call.
+    pub fn dropped_pool(&self) -> AddrSet {
+        self.input.iter().filter(|a| !self.last_seen.contains_key(*a)).copied().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
     use sixdust_net::Protocol;
     use sixdust_scan::{ScanOutcome, ScanStats};
@@ -277,7 +281,7 @@ mod tests {
             ScanOutcome { target: a("2001:db8::99"), success: false, detail: Detail::Silent },
         ]));
         assert_eq!(clean, vec![a("2001:db8::53")]);
-        assert!(f.impacted().contains(&a("2400::1")));
+        assert!(f.impacted().contains_addr(a("2400::1")));
         assert_eq!(f.impacted().len(), 1);
     }
 
@@ -292,7 +296,7 @@ mod tests {
         assert_eq!(f.sweep(Day(30)), 1);
         assert!(f.active(a("::1")));
         assert!(!f.active(a("::2")));
-        assert!(f.dropped_pool().contains(&a("::2")));
+        assert!(f.dropped_pool().contains_addr(a("::2")));
         // Dropped addresses never re-enter.
         f.register(a("::2"), Day(31));
         f.mark_responsive(a("::2"), Day(31));
@@ -308,7 +312,7 @@ mod tests {
         assert_eq!(f.active_targets().collect::<Vec<_>>(), vec![a("::1")]);
         // It never ages out either: it was never in the rotation.
         assert_eq!(f.sweep(Day(40)), 1);
-        assert!(!f.dropped_pool().contains(&a("::9")));
+        assert!(!f.dropped_pool().contains_addr(a("::9")));
     }
 
     #[test]
@@ -354,6 +358,119 @@ mod tests {
         assert_eq!(f.sweep(Day(40)), 1);
     }
 
+    /// The filter as it was before it owned the input: the caller's input
+    /// set, a clock map and a dropped set, kept in step by hand.
+    #[derive(Default)]
+    struct ThreeTables {
+        input: BTreeSet<Addr>,
+        last_seen: BTreeMap<Addr, Day>,
+        dropped: BTreeSet<Addr>,
+        quarantined: Vec<(Day, Day)>,
+    }
+
+    impl ThreeTables {
+        /// The caller's `input.insert`, then the old `register`.
+        fn register(&mut self, addr: Addr, day: Day) -> bool {
+            let new = self.input.insert(addr);
+            if new && !self.dropped.contains(&addr) {
+                self.last_seen.entry(addr).or_insert(day);
+            }
+            new
+        }
+
+        fn mark_responsive(&mut self, addr: Addr, day: Day) {
+            if let Some(last) = self.last_seen.get_mut(&addr) {
+                *last = day;
+            }
+        }
+
+        fn quarantine(&mut self, from: Day, until: Day) {
+            if from < until {
+                self.quarantined.push((from, until));
+            }
+        }
+
+        fn sweep(&mut self, day: Day, window: u32) -> usize {
+            let expired: Vec<Addr> = self
+                .last_seen
+                .iter()
+                .filter(|(_, last)| {
+                    let credit: u32 = self
+                        .quarantined
+                        .iter()
+                        .map(|(from, until)| {
+                            until.0.min(day.0 + 1).saturating_sub(from.0.max(last.0 + 1))
+                        })
+                        .sum();
+                    day.since(**last).saturating_sub(credit) >= window
+                })
+                .map(|(a, _)| *a)
+                .collect();
+            for a in &expired {
+                self.last_seen.remove(a);
+                self.dropped.insert(*a);
+            }
+            expired.len()
+        }
+    }
+
+    #[test]
+    fn the_filter_matches_the_three_table_reference() {
+        let mut rng = sixdust_addr::prf::PrfStream::new(0xf117e5, 0, 0);
+        let mut revisits = 0;
+        for case in 0..96 {
+            // A dozen addresses over three /64s, so admissions repeat and
+            // dropped addresses are offered again.
+            let pool: Vec<Addr> =
+                (0..12u128).map(|i| Addr(((0x2001_0db8_0000_0000 + i % 3) << 64) | i)).collect();
+            let mut f = UnresponsiveFilter::new();
+            f.window = 2 + rng.next_bounded(8) as u32;
+            let mut model = ThreeTables::default();
+            let mut day = Day(0);
+            for step in 0..60 {
+                day = day.plus(rng.next_bounded(3) as u32);
+                let addr = pool[rng.next_bounded(pool.len() as u64) as usize];
+                let what = match rng.next_bounded(10) {
+                    0..=3 => {
+                        revisits += usize::from(model.dropped.contains(&addr));
+                        let got = f.register(addr, day);
+                        assert_eq!(got, model.register(addr, day), "case {case} step {step}");
+                        "register"
+                    }
+                    4..=6 => {
+                        f.mark_responsive(addr, day);
+                        model.mark_responsive(addr, day);
+                        "mark_responsive"
+                    }
+                    7 => {
+                        let from = Day(day.0.saturating_sub(rng.next_bounded(6) as u32));
+                        let until = from.plus(rng.next_bounded(6) as u32);
+                        f.quarantine(from, until);
+                        model.quarantine(from, until);
+                        "quarantine"
+                    }
+                    _ => {
+                        let got = f.sweep(day);
+                        assert_eq!(got, model.sweep(day, f.window), "case {case} step {step}");
+                        "sweep"
+                    }
+                };
+                let at = format!("case {case} step {step} ({what} on {day:?})");
+                for a in &pool {
+                    assert_eq!(f.active(*a), model.last_seen.contains_key(a), "{at}: {a}");
+                }
+                let entries: BTreeMap<Addr, Day> = f.active_entries().collect();
+                assert_eq!(entries, model.last_seen, "{at}: clocks");
+                let dropped: AddrSet = model.dropped.iter().copied().collect();
+                assert_eq!(f.dropped_pool(), dropped, "{at}: dropped pool");
+                let input: BTreeSet<Addr> = f.input().iter().copied().collect();
+                assert_eq!(input, model.input, "{at}: input");
+                assert_eq!(f.quarantined(), model.quarantined, "{at}: quarantine");
+            }
+        }
+        assert!(revisits >= 100, "{revisits} dropped addresses offered again");
+    }
+
     #[test]
     fn restore_round_trips_filter_parts() {
         let mut f = UnresponsiveFilter::new();
@@ -364,13 +481,13 @@ mod tests {
         assert!(!f.active(a("::1")));
         let g = UnresponsiveFilter::restore(
             f.active_entries(),
-            f.dropped_pool().iter().copied(),
+            f.dropped_pool().addrs(),
             f.window,
             f.quarantined().to_vec(),
         );
         assert!(g.active(a("::2")));
         assert!(!g.active(a("::1")));
-        assert!(g.dropped_pool().contains(&a("::1")));
+        assert!(g.dropped_pool().contains_addr(a("::1")));
         assert_eq!(g.quarantined(), f.quarantined());
     }
 }

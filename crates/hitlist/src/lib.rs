@@ -243,9 +243,9 @@ mod tests {
         let active: sixdust_addr::AddrHashSet =
             svc.unresponsive().active_entries().map(|(a, _)| a).collect();
         let pool = svc.unresponsive_pool();
-        assert!(active.iter().all(|a| !pool.contains(a)), "an address is active and dropped");
+        assert!(active.iter().all(|a| !pool.contains_addr(*a)), "an address is active and dropped");
         assert!(
-            svc.input().iter().all(|a| active.contains(a) || pool.contains(a)),
+            svc.input().iter().all(|a| active.contains(a) || pool.contains_addr(*a)),
             "an input address is neither active nor dropped"
         );
         assert_eq!(active.len() + pool.len(), svc.input().len(), "a filter entry is not input");

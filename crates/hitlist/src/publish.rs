@@ -61,10 +61,6 @@ json_struct!(Manifest { date, counts, gfw_filter_active, digests = Vec::new() })
 pub use sixdust_addr::digest::content_digest;
 use sixdust_addr::digest::content_digests;
 
-fn collect_set(addrs: impl IntoIterator<Item = Addr>) -> AddrSet {
-    addrs.into_iter().collect()
-}
-
 fn render(set: &AddrSet) -> String {
     let mut out = String::with_capacity(set.len() * 24);
     for a in set.addrs() {
@@ -93,9 +89,8 @@ pub fn publish(svc: &HitlistService) -> Publication {
         let packed: AddrSet = svc.aliased().iter().map(Prefix::packed).collect();
         (out, packed)
     };
-    let gfw_set = collect_set(svc.gfw_impacted().iter().copied());
-    let gfw_filtered = render(&gfw_set);
-    let input_set = collect_set(svc.input().iter().copied());
+    let gfw_filtered = render(svc.gfw_impacted());
+    let input_set: AddrSet = svc.input().iter().copied().collect();
     let input = render(&input_set);
 
     // Per-protocol slices come from the last completed round — retained
@@ -121,7 +116,7 @@ pub fn publish(svc: &HitlistService) -> Publication {
 
     // One digest per counted artifact, in the same order, hashed side by
     // side.
-    let digested = [responsive_set, &aliased_packed, &gfw_set, &input_set]
+    let digested = [responsive_set, &aliased_packed, svc.gfw_impacted(), &input_set]
         .into_iter()
         .chain(proto_sets.iter().map(|(_, set)| *set));
     let digests = counts

@@ -233,8 +233,8 @@ pub struct PreparedRound {
 pub struct HitlistService {
     config: ServiceConfig,
     telemetry: Option<Registry>,
-    input: AddrHashSet,
     blocklist: Blocklist,
+    /// The 30-day filter, which also holds the input.
     unresp: UnresponsiveFilter,
     gfw: GfwFilter,
     detector: AliasDetector,
@@ -282,7 +282,6 @@ impl HitlistService {
             detector: AliasDetector::new(config.detector.clone()).with_workers(config.scan.threads),
             config,
             telemetry: None,
-            input: AddrHashSet::default(),
             blocklist: Blocklist::new(),
             unresp: UnresponsiveFilter::new(),
             gfw: GfwFilter::new(),
@@ -348,9 +347,9 @@ impl HitlistService {
         self.unresp.window = days;
     }
 
-    /// Accumulated input addresses.
+    /// Accumulated input addresses, active and dropped: the 30-day filter's.
     pub fn input(&self) -> &AddrHashSet {
-        &self.input
+        self.unresp.input()
     }
 
     /// Current aliased prefix labels.
@@ -363,13 +362,14 @@ impl HitlistService {
         &self.detector
     }
 
-    /// GFW-impacted addresses recorded so far.
-    pub fn gfw_impacted(&self) -> &AddrHashSet {
+    /// GFW-impacted addresses recorded so far, the GFW filter's own set.
+    pub fn gfw_impacted(&self) -> &AddrSet {
         self.gfw.impacted()
     }
 
-    /// The 30-day-filtered pool (Sec. 6's re-scan source).
-    pub fn unresponsive_pool(&self) -> &AddrHashSet {
+    /// The 30-day-filtered pool (Sec. 6's re-scan source): the input
+    /// without a clock, built on each call.
+    pub fn unresponsive_pool(&self) -> AddrSet {
         self.unresp.dropped_pool()
     }
 
@@ -398,10 +398,9 @@ impl HitlistService {
     /// the timeline the original would have produced.
     pub fn from_state(config: ServiceConfig, state: &crate::state::ServiceState) -> HitlistService {
         let mut svc = HitlistService::new(config);
-        svc.input = state.input.addrs().collect();
         svc.aliased = state.aliased.iter().copied().collect();
         svc.detector.restore(&state.alias_window, &state.alias_detail);
-        svc.gfw = crate::filters::GfwFilter::restore(state.gfw_impacted.addrs());
+        svc.gfw = GfwFilter::restore(state.gfw_impacted.clone());
         let active: Vec<(Addr, Day)> = if state.active.is_empty() && !state.input.is_empty() {
             // v1 checkpoint: per-address clocks were not captured, so
             // every still-active input restarts its clock at the last
@@ -517,11 +516,10 @@ impl HitlistService {
         let week = day.0 / 7;
         let zone_due = self.last_zone_week != Some(week);
         self.last_zone_week = Some(week);
-        let (input, unresp) = (&mut self.input, &mut self.unresp);
+        let unresp = &mut self.unresp;
         let mut new = 0u64;
         let offered = sources::for_each_due(net, day, zone_due, |a| {
-            if input.insert(a) {
-                unresp.register(a, day);
+            if unresp.register(a, day) {
                 new += 1;
             }
         });
@@ -535,15 +533,14 @@ impl HitlistService {
         // Rotating weekly sample of the whole input (covers the Chinese
         // router pools whose interfaces rotate weekly).
         let targets =
-            traceroute_sample(&self.input, self.config.traceroute_cap, u64::from(day.0 / 7));
+            traceroute_sample(self.input(), self.config.traceroute_cap, u64::from(day.0 / 7));
         let (discovered, answered) =
             net.trace_tails(&targets, 3, &ProbeKind::IcmpEcho { size: 16 }, day);
         // The input's other way in: with `service.ingest.new`, these add
         // up to its growth.
         let mut new = 0u64;
         for &hop in &discovered {
-            if self.input.insert(hop) {
-                self.unresp.register(hop, day);
+            if self.unresp.register(hop, day) {
                 new += 1;
             }
         }
@@ -621,7 +618,7 @@ impl HitlistService {
         // Fig. 1.
         let phase_started = Instant::now();
         if day >= self.next_alias_day {
-            let input_vec: Vec<Addr> = self.input.iter().copied().collect();
+            let input_vec: Vec<Addr> = self.input().iter().copied().collect();
             let cands = candidates(net, &input_vec, self.config.detector.min_addrs_long);
             self.detector.run_round(net, &cands, day);
             self.aliased = self.detector.aliased();
@@ -862,7 +859,7 @@ impl HitlistService {
 
         let record = RoundRecord {
             day,
-            input_total: self.input.len(),
+            input_total: self.input().len(),
             targets: targets.len(),
             published,
             cleaned,
@@ -1306,9 +1303,7 @@ mod tests {
         ];
         for addrs in zone_backed.into_iter().filter(|_| run_zone_sources).chain(others) {
             for a in addrs {
-                if svc.input.insert(a) {
-                    svc.unresp.register(a, day);
-                }
+                svc.unresp.register(a, day);
             }
         }
     }
@@ -1452,7 +1447,9 @@ mod tests {
             .map(|(a, ..)| a)
             .take(400)
             .collect();
-        svc.input = input.clone();
+        for &a in &input {
+            svc.unresp.register(a, day);
+        }
         // Sent one by one: every expiry an interface answers is an offer,
         // however many paths share the interface.
         let probe = ProbeKind::IcmpEcho { size: 16 };
@@ -1466,7 +1463,7 @@ mod tests {
         svc.traceroute(&net, day);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("service.traceroute.offered"), Some(answered));
-        let new = (svc.input.len() - input.len()) as u64;
+        let new = (svc.input().len() - input.len()) as u64;
         assert_eq!(snap.counter("service.traceroute.new"), Some(new));
         assert!(0 < new && new < answered, "{new} new interfaces of {answered} offered");
     }
@@ -1481,15 +1478,19 @@ mod tests {
         let input: AddrHashSet =
             (0..80u128).map(|i| Addr((0x2001u128 << 112) | (i << 82) | 7)).collect();
         let mut week_a = HitlistService::new(cfg.clone());
-        week_a.input = input.clone();
+        for &a in &input {
+            week_a.unresp.register(a, Day(0));
+        }
         week_a.traceroute(&net, Day(0));
         let mut week_b = HitlistService::new(cfg);
-        week_b.input = input.clone();
+        for &a in &input {
+            week_b.unresp.register(a, Day(7));
+        }
         week_b.traceroute(&net, Day(7));
         let mut hops_a: Vec<Addr> =
-            week_a.input.iter().filter(|a| !input.contains(a)).copied().collect();
+            week_a.input().iter().filter(|a| !input.contains(a)).copied().collect();
         let mut hops_b: Vec<Addr> =
-            week_b.input.iter().filter(|a| !input.contains(a)).copied().collect();
+            week_b.input().iter().filter(|a| !input.contains(a)).copied().collect();
         hops_a.sort_unstable();
         hops_b.sort_unstable();
         assert_ne!(hops_a, hops_b, "different weeks discover different router interfaces");

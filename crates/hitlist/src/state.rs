@@ -8,7 +8,6 @@
 //! disk crash-safely ([`ServiceState::save_atomic`]), and restores into a
 //! running service ([`ServiceState::restore`]).
 
-use std::collections::HashSet;
 use std::path::Path;
 
 use sixdust_addr::{Addr, AddrSet, Prefix};
@@ -101,9 +100,6 @@ pub const OLDEST_SUPPORTED_STATE_VERSION: u32 = 1;
 impl ServiceState {
     /// Captures a checkpoint from a running service.
     pub fn capture(svc: &HitlistService) -> ServiceState {
-        let input: AddrSet = svc.input().iter().copied().collect();
-        let gfw: AddrSet = svc.gfw_impacted().iter().copied().collect();
-        let pool: AddrSet = svc.unresponsive_pool().iter().copied().collect();
         let mut cumulative: Vec<(Addr, ProtoSet)> =
             svc.cumulative().iter().map(|(a, p)| (*a, *p)).collect();
         cumulative.sort_unstable_by_key(|(a, _)| *a);
@@ -111,10 +107,10 @@ impl ServiceState {
         active.sort_unstable_by_key(|(a, _)| *a);
         ServiceState {
             version: STATE_VERSION,
-            input,
+            input: svc.input().iter().copied().collect(),
             aliased: svc.aliased().iter().collect(),
-            gfw_impacted: gfw,
-            unresponsive_pool: pool,
+            gfw_impacted: svc.gfw_impacted().clone(),
+            unresponsive_pool: svc.unresponsive_pool(),
             cumulative,
             rounds: svc.rounds().to_vec(),
             snapshots: svc.snapshots().to_vec(),
@@ -197,7 +193,7 @@ impl ServiceState {
                 return Err(format!("empty or inverted quarantine window {from:?}..{until:?}"));
             }
         }
-        let active: HashSet<Addr> = self.active.iter().map(|(a, _)| *a).collect();
+        let active: AddrSet = self.active.iter().map(|(a, _)| *a).collect();
         if active.len() != self.active.len() {
             return Err("duplicate active addresses".into());
         }
@@ -205,6 +201,14 @@ impl ServiceState {
             self.active.iter().find(|(a, _)| self.unresponsive_pool.contains_addr(*a))
         {
             return Err(format!("{a} both active and permanently dropped"));
+        }
+        // A restored filter's input is the active addresses and the pool:
+        // exactly the input, or with no clocks (v1) the pool inside it.
+        let mut split = active;
+        split.union_in_place(&self.unresponsive_pool);
+        let covers_input = self.active.is_empty() || split.len() == self.input.len();
+        if split.diff_count(&self.input) > 0 || !covers_input {
+            return Err("the input is not the active addresses and the dropped pool".into());
         }
         // A cold window (v1–v3, or no detection yet) says nothing; a
         // warm one is what the labels were merged from.
@@ -397,6 +401,37 @@ mod tests {
         let dup = bad.snapshots[0].clone();
         bad.snapshots.push(dup);
         assert!(bad.validate().is_err(), "snapshot days must increase");
+    }
+
+    #[test]
+    fn a_checkpoint_whose_input_and_filter_disagree_is_rejected() {
+        let net = test_net();
+        let mut svc = HitlistService::new(test_config());
+        svc.set_unresponsive_window(3);
+        svc.run(&net, Day(0), Day(12));
+        let base = ServiceState::capture(&svc);
+        base.validate().expect("a captured state is valid");
+        assert!(!base.active.is_empty() && !base.unresponsive_pool.is_empty());
+        let stranger = (1u128..).find(|v| !base.input.contains(*v)).unwrap();
+
+        let mut bad = base.clone();
+        bad.input.insert(stranger);
+        assert!(bad.validate().is_err(), "an input address neither active nor dropped");
+        let mut bad = base.clone();
+        bad.unresponsive_pool.insert(stranger);
+        assert!(bad.validate().is_err(), "a dropped address that is not input");
+        let mut bad = base.clone();
+        bad.input.remove(bad.active[0].0 .0);
+        assert!(bad.validate().is_err(), "an active address that is not input");
+
+        // Without clocks (a v1 checkpoint) the active addresses are the
+        // input outside the pool, so only the pool is held to the input.
+        let mut v1 = base.clone();
+        v1.active.clear();
+        v1.input.insert(stranger);
+        v1.validate().expect("a v1 checkpoint may hold input the pool does not");
+        v1.unresponsive_pool.insert(stranger + 1);
+        assert!(v1.validate().is_err(), "a v1 dropped address that is not input");
     }
 
     #[test]

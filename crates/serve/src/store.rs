@@ -481,7 +481,7 @@ pub fn service_artifacts(svc: &sixdust_hitlist::HitlistService) -> Vec<(Artifact
     let mut artifacts: Vec<(ArtifactKind, AddrSet)> = vec![
         (ArtifactKind::Responsive, svc.current_responsive().clone()),
         (ArtifactKind::AliasedPrefixes, svc.aliased().iter().map(Prefix::packed).collect()),
-        (ArtifactKind::GfwFiltered, svc.gfw_impacted().iter().map(|a| a.0).collect()),
+        (ArtifactKind::GfwFiltered, svc.gfw_impacted().clone()),
     ];
     for (proto, set) in svc.proto_responsive() {
         artifacts.push((ArtifactKind::PerProtocol(*proto), set.clone()));

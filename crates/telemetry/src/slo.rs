@@ -126,9 +126,9 @@ impl SloSpec {
         SloSpec {
             name: name.to_string(),
             signal: SloSignal::Ratio { bad: bad.to_string(), total: total.to_string() },
-            budget_permille: budget_permille.max(1),
-            short_window: short_window.max(1),
-            long_window: long_window.max(short_window).max(1),
+            budget_permille,
+            short_window,
+            long_window,
             burn_threshold_milli,
         }
     }
@@ -146,11 +146,19 @@ impl SloSpec {
         SloSpec {
             name: name.to_string(),
             signal: SloSignal::Above { metric: metric.to_string(), max },
-            budget_permille: budget_permille.max(1),
-            short_window: short_window.max(1),
-            long_window: long_window.max(short_window).max(1),
+            budget_permille,
+            short_window,
+            long_window,
             burn_threshold_milli,
         }
+    }
+
+    /// The spec with a nonzero budget and `1 <= short_window <= long_window`.
+    fn clamped(mut self) -> SloSpec {
+        self.budget_permille = self.budget_permille.max(1);
+        self.short_window = self.short_window.max(1);
+        self.long_window = self.long_window.max(self.short_window);
+        self
     }
 }
 
@@ -225,12 +233,12 @@ pub struct SloEngine {
 }
 
 impl SloEngine {
-    /// An engine over the given specs, with no registry emission.
+    /// An engine over the given specs, each clamped, with no registry emission.
     pub fn new(specs: Vec<SloSpec>) -> SloEngine {
         let slos = specs
             .into_iter()
             .map(|spec| SloState {
-                spec,
+                spec: spec.clamped(),
                 window: VecDeque::new(),
                 observed_rounds: 0,
                 breach_rounds: 0,
@@ -505,6 +513,28 @@ mod tests {
         let log: Vec<(&str, u32, bool)> =
             eng.breaches().iter().map(|b| (b.slo.as_str(), b.key, b.onset)).collect();
         assert_eq!(log, [("avail", 0, true), ("avail", 1, false), ("avail", 2, false)]);
+    }
+
+    #[test]
+    fn a_spec_literal_with_a_zero_budget_and_windows_is_clamped() {
+        let spec = SloSpec {
+            name: "literal".into(),
+            signal: SloSignal::Ratio { bad: "bad".into(), total: "total".into() },
+            budget_permille: 0,
+            short_window: 0,
+            long_window: 0,
+            burn_threshold_milli: 2000,
+        };
+        let mut eng = SloEngine::new(vec![spec]);
+        for k in 0..100 {
+            eng.observe(&round(k, &[("bad", 1), ("total", 10)]));
+            assert_eq!(eng.slos[0].window.len(), 1, "round {k}: the window is one round long");
+        }
+        let st = &eng.status()[0];
+        assert_eq!((st.budget_permille, st.observed_rounds), (1, 100));
+        // 100 permille bad over a budget of 1 permille.
+        assert_eq!((st.burn_short_milli, st.burn_long_milli), (100_000, 100_000));
+        assert_eq!(eng.breaches().len(), 100);
     }
 
     #[test]

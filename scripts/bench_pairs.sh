@@ -24,6 +24,14 @@
 # same runs, `peak_rss_mib` and `setup_s`, so that a change can show none
 # of them got worse.
 #
+# Then the verdict on those four metrics against the `bound` each has in
+# BENCHMARK.json: the change's median may be worse than the parent's by
+# at most that share of it. Where the parent's own interquartile range is
+# a wider share of its median than the bound, the runs cannot tell, and
+# the metric is unresolved unless every change run beat every parent run:
+#
+#   bounds: ok | <metric> worse by X % (bound B %); <metric> unresolved (…)
+#
 # Last, the verdict on `ops_per_s` by the rule this repository claims a
 # gain by: the change ahead in at least nine pairs of ten (W/N ≥ 9/10),
 # and its median above the parent's by more than the parent's
@@ -33,9 +41,10 @@
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-  sed -n '2,32p' "$0" >&2
+  sed -n '2,39p' "$0" >&2
   exit 2
 fi
+benchmark_json=$(dirname "$0")/../BENCHMARK.json
 parent=$1
 change=$2
 workload=$3
@@ -82,6 +91,34 @@ stat() {
   sort -g | awk -v what="$1" "$quantile"'
     { v[NR] = $1 }
     END { print (what == "median") ? q(0.5) : q(0.75) - q(0.25) }'
+}
+
+# bound_verdict <metric> <stem>: nothing when the change's median of the
+# runs in $tmp/<side>.<stem> is within the metric's bound of the parent's;
+# otherwise how far past it went, or why the runs cannot tell.
+bound_verdict() {
+  local entry bound better
+  entry=$(sed -n "/\"name\": \"$1\"/,/}/p" "$benchmark_json")
+  bound=$(sed -n 's/.*"bound": *\([-+0-9.eE]*\).*/\1/p' <<<"$entry")
+  better=$(sed -n 's/.*"better": *"\([a-z]*\)".*/\1/p' <<<"$entry")
+  if [ -z "$bound" ] || [ -z "$better" ]; then
+    echo "bench_pairs: no bound for $1 in $benchmark_json" >&2
+    exit 1
+  fi
+  awk -v name="$1" -v bound="$bound" -v better="$better" \
+    -v p="$(stat median <"$tmp/parent.$2")" -v c="$(stat median <"$tmp/change.$2")" \
+    -v iqr="$(stat iqr <"$tmp/parent.$2")" \
+    -v pmin="$(sort -g "$tmp/parent.$2" | head -n 1)" -v pmax="$(sort -g "$tmp/parent.$2" | tail -n 1)" \
+    -v cmin="$(sort -g "$tmp/change.$2" | head -n 1)" -v cmax="$(sort -g "$tmp/change.$2" | tail -n 1)" 'BEGIN {
+      base = (p != 0) ? p : 1
+      # How much worse the change median is, as a share of the parent one.
+      worse = ((better == "higher") ? p - c : c - p) / base
+      all_better = (better == "higher") ? cmin > pmax : cmax < pmin
+      if (worse > bound)
+        printf "%s worse by %.1f %% (bound %.0f %%)", name, 100 * worse, 100 * bound
+      else if (iqr / base > bound && !all_better)
+        printf "%s unresolved (parent iqr %.1f %% of its median, bound %.0f %%)", name, 100 * iqr / base, 100 * bound
+    }'
 }
 
 tmp=$(mktemp -d)
@@ -138,6 +175,18 @@ done
 for side in parent change; do
   echo "  $side setup_s           $(quartiles <"$tmp/$side.setup")"
 done
+verdicts=()
+for metric in ops_per_s:ops ops_per_s_median:med peak_rss_mib:rss setup_s:setup; do
+  v=$(bound_verdict "${metric%%:*}" "${metric#*:}")
+  if [ -n "$v" ]; then
+    verdicts+=("$v")
+  fi
+done
+if [ "${#verdicts[@]}" -eq 0 ]; then
+  echo "bounds: ok"
+else
+  (IFS=';' && echo "bounds:${verdicts[*]/#/ }")
+fi
 awk -v won="$won" -v n="$pairs" -v p="$(stat median <"$tmp/parent.ops")" \
   -v c="$(stat median <"$tmp/change.ops")" -v iqr="$(stat iqr <"$tmp/parent.ops")" 'BEGIN {
     met = (10 * won >= 9 * n) && (c - p > iqr)

@@ -133,7 +133,7 @@ fn gfw_region_disagreement_is_pinned() {
                     sample.silent_from.contains(&64498),
                     "egress filtering hides it from the Chinese vantage"
                 );
-                if impacted.contains(&sample.addr) {
+                if impacted.contains_addr(sample.addr) {
                     pinned = true;
                 }
             }
