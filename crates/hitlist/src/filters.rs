@@ -80,11 +80,10 @@ impl GfwFilter {
     /// the cleaned hit list.
     pub fn clean(&mut self, result: &ScanResult) -> Vec<Addr> {
         let (mut clean, mut injected) = (Vec::new(), Vec::new());
-        for o in &result.outcomes {
-            match &o.detail {
-                Detail::Dns { injected: true, .. } => injected.push(o.target.0),
-                _ if o.success => clean.push(o.target),
-                _ => {}
+        for h in &result.hits {
+            match h.detail {
+                Detail::Dns { injected: true, .. } => injected.push(h.target.0),
+                _ => clean.push(h.target),
             }
         }
         self.impacted.union_in_place(&AddrSet::from_unsorted(injected));
@@ -244,7 +243,7 @@ mod tests {
 
     use super::*;
     use sixdust_net::Protocol;
-    use sixdust_scan::{ScanOutcome, ScanStats};
+    use sixdust_scan::{Hit, ScanStats};
 
     fn a(s: &str) -> Addr {
         s.parse().unwrap()
@@ -260,25 +259,19 @@ mod tests {
         assert_eq!(b.len(), 1);
     }
 
-    fn dns_result(outcomes: Vec<ScanOutcome>) -> ScanResult {
-        ScanResult { protocol: Protocol::Udp53, day: Day(1), outcomes, stats: ScanStats::default() }
+    fn dns_result(hits: Vec<Hit>) -> ScanResult {
+        ScanResult { protocol: Protocol::Udp53, day: Day(1), hits, stats: ScanStats::default() }
     }
 
     #[test]
     fn gfw_filter_splits_injected() {
         let mut f = GfwFilter::new();
         let clean = f.clean(&dns_result(vec![
-            ScanOutcome {
-                target: a("2400::1"),
-                success: true,
-                detail: Detail::Dns { responses: 3, injected: true },
-            },
-            ScanOutcome {
+            Hit { target: a("2400::1"), detail: Detail::Dns { responses: 3, injected: true } },
+            Hit {
                 target: a("2001:db8::53"),
-                success: true,
                 detail: Detail::Dns { responses: 1, injected: false },
             },
-            ScanOutcome { target: a("2001:db8::99"), success: false, detail: Detail::Silent },
         ]));
         assert_eq!(clean, vec![a("2001:db8::53")]);
         assert!(f.impacted().contains_addr(a("2400::1")));

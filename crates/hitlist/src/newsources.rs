@@ -143,15 +143,14 @@ pub fn evaluate_source(
     for &day in days {
         for (i, proto) in Protocol::ALL.into_iter().enumerate() {
             let result = scan(net, proto, &targets, day, config);
-            for o in &result.outcomes {
-                match &o.detail {
+            for h in &result.hits {
+                match h.detail {
                     Detail::Dns { injected: true, .. } => {
-                        gfw_flagged.insert(o.target);
+                        gfw_flagged.insert(h.target);
                     }
-                    _ if o.success => {
-                        per_proto[i].1.insert(o.target);
+                    _ => {
+                        per_proto[i].1.insert(h.target);
                     }
-                    _ => {}
                 }
             }
         }

@@ -724,7 +724,7 @@ impl HitlistService {
             loss_weighted += per_scan * sent;
             sent_total += sent;
             received_total += result.stats.received;
-            let mut pub_hits: Vec<Addr> = result.hits().collect();
+            let mut pub_hits: Vec<Addr> = result.hit_addrs().collect();
             pub_hits.sort_unstable();
             let pub_set = AddrSet::from_sorted_addrs(&pub_hits);
             let gfw_started = Instant::now();

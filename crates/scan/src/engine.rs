@@ -135,14 +135,15 @@ impl ScanConfig {
     }
 }
 
-/// Per-target scan outcome.
+/// A target the protocol module classified as responsive — all a scan
+/// keeps of a probe. Silent and RST targets are counts in [`ScanStats`]
+/// and nothing else, the way ZMap's output modules write only the
+/// responsive targets a hitlist asks for.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanOutcome {
+pub struct Hit {
     /// Probed address.
     pub target: Addr,
-    /// Whether the module classified the target as responsive.
-    pub success: bool,
-    /// Response detail.
+    /// Response detail: never [`Detail::Silent`] or [`Detail::Rst`].
     pub detail: Detail,
 }
 
@@ -209,32 +210,36 @@ pub struct ScanStats {
     pub backoff_secs: f64,
 }
 
-/// A completed scan.
+/// A completed scan: its hits and the counts of every probe.
+///
+/// Only responsive targets are kept (`hits.len() == stats.hits`); a
+/// silent or RST-answering target shows in `stats.sent` and
+/// `stats.received` alone.
 #[derive(Debug, Clone)]
 pub struct ScanResult {
     /// Scanned protocol.
     pub protocol: Protocol,
     /// Simulation day the scan ran.
     pub day: Day,
-    /// Per-target outcomes, in probe order.
-    pub outcomes: Vec<ScanOutcome>,
+    /// The responsive targets, in probe order.
+    pub hits: Vec<Hit>,
     /// Aggregate statistics.
     pub stats: ScanStats,
 }
 
 impl ScanResult {
-    /// Iterates the responsive targets.
-    pub fn hits(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.outcomes.iter().filter(|o| o.success).map(|o| o.target)
+    /// Iterates the responsive targets' addresses, in probe order.
+    pub fn hit_addrs(&self) -> impl Iterator<Item = Addr> + '_ {
+        self.hits.iter().map(|h| h.target)
     }
 
     /// Iterates responsive targets that did NOT look GFW-injected — the
     /// cleaning filter this paper added to the service.
     pub fn clean_hits(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.outcomes
+        self.hits
             .iter()
-            .filter(|o| o.success && !matches!(o.detail, Detail::Dns { injected: true, .. }))
-            .map(|o| o.target)
+            .filter(|h| !matches!(h.detail, Detail::Dns { injected: true, .. }))
+            .map(|h| h.target)
     }
 }
 
@@ -325,9 +330,10 @@ pub struct SegmentTally {
     pub failed_of_responders: u64,
     /// Targets that produced at least one response.
     pub responders: u64,
-    /// Accumulated exponential-backoff wait.
+    /// Accumulated exponential-backoff wait, saturating at `u64::MAX`.
     pub backoff_ms: u64,
-    /// Targets whose outcome is anything but [`Detail::Silent`].
+    /// Targets that answered at all: every classification but
+    /// [`Detail::Silent`], RST included.
     pub received: u64,
     /// Targets classified responsive.
     pub hits: u64,
@@ -340,44 +346,37 @@ impl SegmentTally {
         self.retries += other.retries;
         self.failed_of_responders += other.failed_of_responders;
         self.responders += other.responders;
-        self.backoff_ms += other.backoff_ms;
+        self.backoff_ms = self.backoff_ms.saturating_add(other.backoff_ms);
         self.received += other.received;
         self.hits += other.hits;
     }
 }
 
-/// One protocol's share of a walked segment: its outcomes, in cycle
-/// order, and their tally.
-type Lane = (Vec<ScanOutcome>, SegmentTally);
+/// One protocol's share of a walked segment: its hits, in cycle order,
+/// and the tally of every probe.
+type Lane = (Vec<Hit>, SegmentTally);
 
 /// The one segment kernel: walks a contiguous range of `job`'s
 /// permutation cycle and returns one [`Lane`] per protocol of the job, in
 /// the job's protocol order.
 ///
 /// A target is resolved once ([`Internet::resolve`]) and every
-/// protocol's retry loop, classification and outcome runs against that
-/// one resolution, so a round of five protocols pays one population
-/// lookup per target, not five. What the probes count on the simulator's
-/// side is kept beside the loop and added to the shared counters once,
-/// when the segment is done. Each lane's vector starts with room for
-/// `capacity` outcomes.
-fn walk_segment(
-    job: &ScanJob<'_>,
-    perm: &CyclicPermutation,
-    start: u64,
-    len: u64,
-    capacity: usize,
-) -> Vec<Lane> {
+/// protocol's retry loop and classification runs against that one
+/// resolution, so a round of five protocols pays one population lookup
+/// per target, not five. A lane keeps a target only if the module
+/// classified it responsive; every probe is counted in the tally. What
+/// the probes count on the simulator's side is kept beside the loop and
+/// added to the shared counters once, when the segment is done.
+fn walk_segment(job: &ScanJob<'_>, perm: &CyclicPermutation, start: u64, len: u64) -> Vec<Lane> {
     let &ScanJob { net, protocols, targets, day, config, .. } = job;
     let probes: Vec<ProbeKind> =
         protocols.iter().map(|p| probe_for(*p, &config.dns_qname)).collect();
-    let mut lanes: Vec<Lane> =
-        protocols.iter().map(|_| (Vec::with_capacity(capacity), SegmentTally::default())).collect();
+    let mut lanes: Vec<Lane> = protocols.iter().map(|_| Lane::default()).collect();
     let mut net_tally = ProbeTally::default();
     for i in perm.segment(start, len) {
         let target = targets[i as usize];
         let resolved = net.resolve(target, day);
-        for ((&protocol, probe), (out, tally)) in protocols.iter().zip(&probes).zip(&mut lanes) {
+        for ((&protocol, probe), (hits, tally)) in protocols.iter().zip(&probes).zip(&mut lanes) {
             let mut responses = Vec::new();
             // The retry loop stops on the first response, so count the
             // probes actually emitted instead of assuming `attempts` per
@@ -387,9 +386,11 @@ fn walk_segment(
             for attempt in 0..config.attempts.max(1) {
                 if attempt > 0 {
                     tally.retries += 1;
-                    tally.backoff_ms += config
-                        .retry_backoff_ms
-                        .saturating_mul(1u64 << (u64::from(attempt) - 1).min(32));
+                    tally.backoff_ms = tally.backoff_ms.saturating_add(
+                        config
+                            .retry_backoff_ms
+                            .saturating_mul(1u64 << (u64::from(attempt) - 1).min(32)),
+                    );
                 }
                 tally.sent += 1;
                 responses = net.probe_resolved(&resolved, probe, attempt, &mut net_tally);
@@ -404,8 +405,10 @@ fn walk_segment(
             }
             let (success, detail) = classify(protocol, &responses);
             tally.received += u64::from(detail != Detail::Silent);
-            tally.hits += u64::from(success);
-            out.push(ScanOutcome { target, success, detail });
+            if success {
+                tally.hits += 1;
+                hits.push(Hit { target, detail });
+            }
         }
     }
     net.counters().add(&net_tally);
@@ -413,12 +416,12 @@ fn walk_segment(
 }
 
 /// Probes one contiguous range of a scan's permutation cycle and returns
-/// the outcomes (in cycle order) plus the segment's tally.
+/// the hits (in cycle order) plus the tally of every probe of the range.
 ///
 /// The one-protocol case of the kernel [`scan_jobs`] hands to the
 /// executor, public so a caller can time or partition a scan itself:
-/// concatenating the outcome vectors of contiguous segments in cycle
-/// order and merging their tallies reproduces `scan_with`'s result
+/// concatenating the hit vectors of contiguous segments in cycle order
+/// and merging their tallies reproduces `scan_with`'s result
 /// byte-for-byte regardless of which thread ran which segment — see
 /// [`assemble_scan`].
 // One argument over clippy's limit: the benchmark's scan kernel calls
@@ -433,21 +436,20 @@ pub fn scan_segment(
     perm: &CyclicPermutation,
     start: u64,
     len: u64,
-) -> (Vec<ScanOutcome>, SegmentTally) {
+) -> (Vec<Hit>, SegmentTally) {
     let job = ScanJob { net, protocols: &[protocol], targets, day, config, telemetry: None };
-    let capacity = len.min(targets.len() as u64) as usize;
-    walk_segment(&job, perm, start, len, capacity).pop().expect("one lane per protocol")
+    walk_segment(&job, perm, start, len).pop().expect("one lane per protocol")
 }
 
-/// Assembles a [`ScanResult`] from merged segment outcomes and the
-/// summed tally, recording the scan's telemetry tail. `outcomes` must be
-/// the concatenation of contiguous [`scan_segment`] ranges covering the
-/// whole cycle, in cycle order.
+/// Assembles a [`ScanResult`] from merged segment hits and the summed
+/// tally, recording the scan's telemetry tail. `hits` must be the
+/// concatenation of contiguous [`scan_segment`] ranges covering the whole
+/// cycle, in cycle order.
 pub fn assemble_scan(
     protocol: Protocol,
     day: Day,
     config: &ScanConfig,
-    outcomes: Vec<ScanOutcome>,
+    hits: Vec<Hit>,
     tally: SegmentTally,
     telemetry: Option<&Registry>,
 ) -> ScanResult {
@@ -467,7 +469,7 @@ pub fn assemble_scan(
     ScanResult {
         protocol,
         day,
-        outcomes,
+        hits,
         stats: ScanStats {
             sent: tally.sent,
             received: tally.received,
@@ -546,14 +548,12 @@ pub struct ScanJob<'a> {
 /// state) and walks it lazily, every protocol of the job against one
 /// resolution of each target. Every range of every job goes to
 /// [`execute`] as one flat task list — where an idle job's workers drain
-/// a busy one's segments — and each job's outcomes are put together in
-/// cycle order, so results are byte-identical at any budget. An outcome
-/// is written once: a job's first segment starts its vectors with room
-/// for the whole job and the result adopts them, later segments are
-/// appended (how many of a cycle range's indices fall inside the target
-/// list is not known up front), so at a budget of 1 nothing is copied. A
-/// budget outside `1..=32` is clamped, and counted once per instrumented
-/// job in `scan.config.threads_clamped`.
+/// a busy one's segments — and each job's hits are put together in cycle
+/// order, so results are byte-identical at any budget. A segment keeps
+/// only its hits, in vectors that start empty and grow: the result adopts
+/// the first segment's and appends the later ones', so at a budget of 1
+/// nothing is copied. A budget outside `1..=32` is clamped, and counted
+/// once per instrumented job in `scan.config.threads_clamped`.
 pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, ExecutorStats) {
     let budget = clamp_threads(threads);
     let mut tasks = Vec::new();
@@ -583,8 +583,6 @@ pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, Exec
         let first = tasks.len();
         for (worker, start) in (0..cycle).step_by(per_segment as usize).enumerate() {
             let len = per_segment.min(cycle - start);
-            // The first segment's vectors become the job's.
-            let capacity = if worker == 0 { n } else { len.min(n) } as usize;
             let (perm, chunk_hist, tracer) = (perm.clone(), chunk_hist.clone(), tracer.clone());
             tasks.push(move || {
                 let _span = chunk_hist.as_ref().map(SpanTimer::start);
@@ -597,7 +595,7 @@ pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, Exec
                         ],
                     )
                 });
-                walk_segment(&job, &perm, start, len, capacity)
+                walk_segment(&job, &perm, start, len)
             });
         }
         cuts.push((tasks.len() - first, scan_span));
@@ -614,13 +612,13 @@ pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, Exec
             .next()
             .unwrap_or_else(|| job.protocols.iter().map(|_| Lane::default()).collect());
         for later in segments {
-            for ((outcomes, tally), (more, more_tally)) in lanes.iter_mut().zip(later) {
-                outcomes.extend(more);
+            for ((hits, tally), (more, more_tally)) in lanes.iter_mut().zip(later) {
+                hits.extend(more);
                 tally.merge(more_tally);
             }
         }
-        results.extend(job.protocols.iter().zip(lanes).map(|(&protocol, (outcomes, tally))| {
-            assemble_scan(protocol, job.day, job.config, outcomes, tally, job.telemetry)
+        results.extend(job.protocols.iter().zip(lanes).map(|(&protocol, (hits, tally))| {
+            assemble_scan(protocol, job.day, job.config, hits, tally, job.telemetry)
         }));
     }
     (results, stats)
@@ -641,6 +639,8 @@ pub fn scan_wire(
 /// [`scan_wire`] with an optional telemetry registry attached. Adds the
 /// per-probe rate-limiter stall (`scan.rate.wait_us`, virtual
 /// microseconds) on top of the per-protocol counters of [`scan_with`].
+/// Like the semantic path it keeps only the hits, and counts the
+/// responses as it goes.
 pub fn scan_wire_with(
     net: &Internet,
     protocol: Protocol,
@@ -655,7 +655,7 @@ pub fn scan_wire_with(
     let mut bucket = TokenBucket::full(&limit);
     let mut now_us = 0u64;
     let wait_hist = telemetry.map(|t| t.histogram("scan.rate.wait_us"));
-    let mut outcomes = Vec::with_capacity(targets.len());
+    let (mut received, mut hits) = (0u64, Vec::new());
     for i in CyclicPermutation::new(targets.len() as u64, config.seed ^ u64::from(day.0)) {
         let target = targets[i as usize];
         let mut waited_us = 0u64;
@@ -672,25 +672,27 @@ pub fn scan_wire_with(
         let responses: Vec<Response> =
             reply_bytes.iter().filter_map(|b| parse_response(protocol, b)).collect();
         let (success, detail) = classify(protocol, &responses);
-        outcomes.push(ScanOutcome { target, success, detail });
+        received += u64::from(detail != Detail::Silent);
+        if success {
+            hits.push(Hit { target, detail });
+        }
     }
-    let received = outcomes.iter().filter(|o| !matches!(o.detail, Detail::Silent)).count() as u64;
-    let hits = outcomes.iter().filter(|o| o.success).count() as u64;
     let sent = targets.len() as u64;
+    let hit_count = hits.len() as u64;
     if let Some(reg) = telemetry {
         let key = proto_metric_key(protocol);
         reg.counter(&format!("scan.{key}.probes_sent")).add(sent);
         reg.counter(&format!("scan.{key}.responses")).add(received);
-        reg.counter(&format!("scan.{key}.hits")).add(hits);
+        reg.counter(&format!("scan.{key}.hits")).add(hit_count);
     }
     ScanResult {
         protocol,
         day,
-        outcomes,
+        hits,
         stats: ScanStats {
             sent,
             received,
-            hits,
+            hits: hit_count,
             duration_secs: now_us as f64 / 1e6,
             ..ScanStats::default()
         },

@@ -33,7 +33,7 @@ pub mod yarrp;
 
 pub use engine::{
     assemble_scan, proto_metric_key, reassemble_replies, scan, scan_jobs, scan_segment, scan_wire,
-    scan_wire_with, scan_with, Detail, ScanConfig, ScanJob, ScanOutcome, ScanResult, ScanStats,
+    scan_wire_with, scan_with, Detail, Hit, ScanConfig, ScanJob, ScanResult, ScanStats,
     SegmentTally,
 };
 pub use executor::{execute, ExecutorStats};
@@ -78,7 +78,7 @@ mod tests {
         let day = Day(100);
         let targets = responsive_targets(&net, day, Protocol::Icmp, 50);
         let result = scan(&net, Protocol::Icmp, &targets, day, &ScanConfig::default());
-        let hits: Vec<Addr> = result.hits().collect();
+        let hits: Vec<Addr> = result.hit_addrs().collect();
         assert_eq!(hits.len(), targets.len() - 50, "every live target hit, no dark hit");
         assert_eq!(result.stats.hits, hits.len() as u64);
         assert!(result.stats.duration_secs > 0.0);
@@ -88,14 +88,23 @@ mod tests {
     fn scan_outcome_order_covers_all_targets() {
         let net = net();
         let day = Day(100);
-        let targets = responsive_targets(&net, day, Protocol::Icmp, 10);
-        let result = scan(&net, Protocol::Icmp, &targets, day, &ScanConfig::default());
-        assert_eq!(result.outcomes.len(), targets.len());
-        let mut probed: Vec<Addr> = result.outcomes.iter().map(|o| o.target).collect();
-        let mut expected = targets.clone();
+        // A scan keeps only its hits, so on an all-live list (lossless
+        // net) the hit addresses are the target set exactly.
+        let live = responsive_targets(&net, day, Protocol::Icmp, 0);
+        let result = scan(&net, Protocol::Icmp, &live, day, &ScanConfig::default());
+        assert_eq!(result.hits.len(), live.len());
+        let mut probed: Vec<Addr> = result.hit_addrs().collect();
+        let mut expected = live.clone();
         probed.sort_unstable();
         expected.sort_unstable();
         assert_eq!(probed, expected);
+        // The dark targets leave no hit, but each was still probed.
+        let targets = responsive_targets(&net, day, Protocol::Icmp, 10);
+        let result = scan(&net, Protocol::Icmp, &targets, day, &ScanConfig::default());
+        let mut hit: Vec<Addr> = result.hit_addrs().collect();
+        hit.sort_unstable();
+        assert_eq!(hit, expected);
+        assert_eq!(result.stats.sent, live.len() as u64 + 10);
     }
 
     #[test]
@@ -108,8 +117,8 @@ mod tests {
         let targets: Vec<Addr> = (0..40u128).map(|i| Addr(block.0 | (0xdead_0000 + i))).collect();
         let result = scan(&net, Protocol::Udp53, &targets, day, &ScanConfig::default());
         assert_eq!(result.stats.hits, 40, "ZMap counts injected answers as success");
-        for o in &result.outcomes {
-            match &o.detail {
+        for h in &result.hits {
+            match &h.detail {
                 Detail::Dns { responses, injected } => {
                     assert!(*injected, "injection marker set");
                     assert!(*responses >= 2, "multiple injectors");
@@ -131,8 +140,8 @@ mod tests {
         let targets = responsive_targets(&net, day, Protocol::Tcp80, 0);
         let result = scan(&net, Protocol::Tcp80, &targets, day, &ScanConfig::default());
         assert_eq!(result.stats.hits as usize, targets.len());
-        for o in &result.outcomes {
-            match &o.detail {
+        for h in &result.hits {
+            match &h.detail {
                 Detail::SynAck { optionstext, mss, .. } => {
                     assert!(!optionstext.is_empty());
                     assert!(*mss >= 1280);
@@ -160,17 +169,16 @@ mod tests {
             targets.truncate(30);
             let fast = scan(&net, proto, &targets, day, &ScanConfig::default());
             let wire = scan_wire(&net, proto, &targets, day, &ScanConfig::default());
-            let mut fast_hits: Vec<Addr> = fast.hits().collect();
-            let mut wire_hits: Vec<Addr> = wire.hits().collect();
+            let mut fast_hits: Vec<Addr> = fast.hit_addrs().collect();
+            let mut wire_hits: Vec<Addr> = wire.hit_addrs().collect();
             fast_hits.sort_unstable();
             wire_hits.sort_unstable();
             assert_eq!(fast_hits, wire_hits, "{proto}");
             // Fingerprint details must agree too.
             for (f, w) in fast
-                .outcomes
+                .hits
                 .iter()
-                .filter(|o| o.success)
-                .flat_map(|f| wire.outcomes.iter().find(|w| w.target == f.target).map(|w| (f, w)))
+                .flat_map(|f| wire.hits.iter().find(|w| w.target == f.target).map(|w| (f, w)))
                 .take(10)
             {
                 match (&f.detail, &w.detail) {
@@ -210,7 +218,8 @@ mod tests {
         // merging *multiple days* (same-day retries with independent
         // loss coins are exercised in retries_mask_loss_and_estimate_it).
         let next_day = scan(&lossy, Protocol::Icmp, &targets, day.plus(1), &ScanConfig::default());
-        let merged: std::collections::HashSet<Addr> = one.hits().chain(next_day.hits()).collect();
+        let merged: std::collections::HashSet<Addr> =
+            one.hit_addrs().chain(next_day.hit_addrs()).collect();
         assert!(merged.len() >= one.stats.hits as usize);
         assert!(
             merged.len() as f64 >= targets.len() as f64 * 0.80,
@@ -378,7 +387,7 @@ mod tests {
         for threads in [2usize, 4, 8, 32] {
             let cfg = ScanConfig::default().with_threads(threads);
             let result = scan(&net, Protocol::Icmp, &targets, day, &cfg);
-            assert_eq!(result.outcomes, base.outcomes, "{threads} threads");
+            assert_eq!(result.hits, base.hits, "{threads} threads");
             assert_eq!(result.stats.sent, base.stats.sent, "{threads} threads");
             assert_eq!(result.stats.received, base.stats.received, "{threads} threads");
             assert_eq!(result.stats.hits, base.stats.hits, "{threads} threads");
@@ -468,7 +477,7 @@ mod tests {
                 for (f, r) in fused.iter().zip(&reference) {
                     let at = format!("{} on day {} at budget {budget}", r.protocol, day.0);
                     assert_eq!((f.protocol, f.day), (r.protocol, r.day), "{at}");
-                    assert_eq!(f.outcomes, r.outcomes, "{at}");
+                    assert_eq!(f.hits, r.hits, "{at}");
                     assert_eq!(f.stats, r.stats, "{at}");
                 }
                 assert_eq!(counted(&fused_net), counted(&one_by_one), "budget {budget}");
@@ -482,7 +491,7 @@ mod tests {
             let [_, dropped, duplicated, egress_filtered] = counted(&one_by_one);
             assert!(dropped > 0 && duplicated > 0, "{dropped} dropped, {duplicated} duplicated");
             let injected = of(Protocol::Udp53)
-                .outcomes
+                .hits
                 .iter()
                 .filter(|o| matches!(o.detail, Detail::Dns { injected: true, .. }))
                 .count();
@@ -505,7 +514,167 @@ mod tests {
         let (results, stats) = scan_jobs(4, &[job]);
         assert_eq!(stats.executed, 0, "an empty cycle is cut into no segment");
         assert_eq!(results.iter().map(|r| r.protocol).collect::<Vec<_>>(), Protocol::ALL);
-        assert!(results.iter().all(|r| r.outcomes.is_empty() && r.stats == ScanStats::default()));
+        assert!(results.iter().all(|r| r.hits.is_empty() && r.stats == ScanStats::default()));
+    }
+
+    /// The scan walk written plainly and reduced after the fact: every
+    /// target's outcome is kept, in permutation order, and the hits and
+    /// the stats are taken from that full list.
+    fn reference_scan(
+        net: &Internet,
+        protocol: Protocol,
+        targets: &[Addr],
+        day: Day,
+        config: &ScanConfig,
+    ) -> (Vec<Hit>, ScanStats) {
+        let probe = engine::probe_for(protocol, &config.dns_qname);
+        let mut net_tally = sixdust_net::ProbeTally::default();
+        let mut outcomes: Vec<(Addr, bool, Detail)> = Vec::new();
+        let (mut sent, mut retries, mut backoff_ms) = (0u64, 0u64, 0u64);
+        let (mut responders, mut failed_of_responders) = (0u64, 0u64);
+        for i in CyclicPermutation::new(targets.len() as u64, config.seed ^ u64::from(day.0)) {
+            let target = targets[i as usize];
+            let resolved = net.resolve(target, day);
+            let (mut responses, mut failed) = (Vec::new(), 0u64);
+            for attempt in 0..config.attempts {
+                if attempt > 0 {
+                    retries += 1;
+                    backoff_ms += config.retry_backoff_ms << (attempt - 1);
+                }
+                sent += 1;
+                responses = net.probe_resolved(&resolved, &probe, attempt, &mut net_tally);
+                if !responses.is_empty() {
+                    break;
+                }
+                failed += 1;
+            }
+            if !responses.is_empty() {
+                responders += 1;
+                failed_of_responders += failed;
+            }
+            let (success, detail) = engine::classify(protocol, &responses);
+            outcomes.push((target, success, detail));
+        }
+        net.counters().add(&net_tally);
+        let received = outcomes.iter().filter(|(.., detail)| *detail != Detail::Silent).count();
+        let hits: Vec<Hit> = outcomes
+            .into_iter()
+            .filter(|(_, success, _)| *success)
+            .map(|(target, _, detail)| Hit { target, detail })
+            .collect();
+        let backoff_secs = backoff_ms as f64 / 1e3;
+        let stats = ScanStats {
+            sent,
+            received: received as u64,
+            hits: hits.len() as u64,
+            duration_secs: sent as f64 / config.rate_pps as f64 + backoff_secs,
+            retries,
+            loss_estimate_permille: (failed_of_responders * 1000)
+                .checked_div(failed_of_responders + responders)
+                .unwrap_or(0) as u32,
+            backoff_secs,
+        };
+        (hits, stats)
+    }
+
+    #[test]
+    fn a_scan_keeps_every_hit_in_probe_order_and_nothing_else() {
+        let plain = net();
+        let ct = plain.registry().get(plain.registry().by_asn(4134).unwrap());
+        let counted = |net: &Internet| {
+            let c = net.counters();
+            [
+                &c.probes,
+                &c.ttl_probes,
+                &c.wire_packets,
+                &c.faults_dropped,
+                &c.faults_duplicated,
+                &c.faults_corrupted,
+                &c.faults_rate_limited,
+                &c.hops_vantage_fallback,
+                &c.gfw_egress_filtered,
+            ]
+            .map(|counter| counter.get())
+        };
+        let (mut rst, mut injected, mut dropped, mut duplicated) = (0, 0, 0, 0);
+        for case in 0..16u64 {
+            let rng = &mut sixdust_addr::prf::PrfStream::new(0x5CA7, u128::from(case), 40);
+            let day = events::GFW_ERA3.0.plus(rng.next_bounded(300) as u32);
+            let faults = FaultConfig::lossless()
+                .with_seed(rng.next_u64())
+                .with_drop_permille(100 + rng.next_bounded(300) as u32)
+                .with_duplicate_permille(50 + rng.next_bounded(200) as u32);
+            let config = ScanConfig::default()
+                .with_attempts(3)
+                .with_retry_backoff_ms(10)
+                .with_seed(rng.next_u64());
+            // Live hosts of every protocol mix (a host with one TCP port
+            // open answers the other with RST), dark space, and dark
+            // space behind the firewall.
+            let mut targets: Vec<Addr> = plain
+                .population()
+                .enumerate_responsive(day)
+                .into_iter()
+                .map(|(a, ..)| a)
+                .skip(case as usize)
+                .step_by(7)
+                .take(150)
+                .collect();
+            targets.extend(
+                (0..20u128).map(|i| Addr((0x3fff_u128 << 112) | (u128::from(case) << 8) | i)),
+            );
+            targets
+                .extend((0..20u128).map(|i| Addr(ct.prefixes[0].network().0 | (0xdead_0000 + i))));
+            for protocol in Protocol::ALL {
+                let reference_net = Internet::build(Scale::tiny()).with_faults(faults.clone());
+                let (hits, stats) =
+                    reference_scan(&reference_net, protocol, &targets, day, &config);
+                rst += stats.received - stats.hits;
+                injected += hits
+                    .iter()
+                    .filter(|h| matches!(h.detail, Detail::Dns { injected: true, .. }))
+                    .count();
+                let [.., drops, dups, _, _, _, _] = counted(&reference_net);
+                dropped += drops;
+                duplicated += dups;
+                for budget in [1usize, 2, 4] {
+                    let at = format!("case {case}, {protocol} at budget {budget}");
+                    let scan_net = Internet::build(Scale::tiny()).with_faults(faults.clone());
+                    let cfg = config.clone().with_threads(budget);
+                    let result = scan(&scan_net, protocol, &targets, day, &cfg);
+                    assert_eq!(result.hits, hits, "{at}");
+                    assert_eq!(result.stats, stats, "{at}");
+                    assert_eq!(counted(&scan_net), counted(&reference_net), "{at}");
+                }
+            }
+        }
+        // Every kind of outcome the reduction drops or keeps was there.
+        assert!(rst > 0 && injected > 0, "{rst} RST-only targets, {injected} injected hits");
+        assert!(dropped > 0 && duplicated > 0, "{dropped} dropped, {duplicated} duplicated");
+    }
+
+    #[test]
+    fn a_huge_retry_backoff_saturates_instead_of_overflowing() {
+        let net = net();
+        let day = Day(100);
+        let dark: Vec<Addr> = (0..4u128).map(|i| Addr((0x3fff_u128 << 112) | i)).collect();
+        let config = ScanConfig::default().with_attempts(3).with_retry_backoff_ms(u64::MAX / 2);
+        // Each half of the cycle saturates on its own, so at budget 2 the
+        // merge adds two saturated tallies.
+        let perm = CyclicPermutation::new(4, config.seed ^ u64::from(day.0));
+        let half = perm.cycle_len().div_ceil(2);
+        for start in [0, half] {
+            let len = half.min(perm.cycle_len() - start);
+            let (_, tally) =
+                scan_segment(&net, Protocol::Icmp, &dark, day, &config, &perm, start, len);
+            assert_eq!(tally.backoff_ms, u64::MAX, "segment at {start}");
+        }
+        for budget in [1usize, 2] {
+            let result =
+                scan(&net, Protocol::Icmp, &dark, day, &config.clone().with_threads(budget));
+            assert_eq!(result.stats.retries, 8, "budget {budget}");
+            assert_eq!(result.stats.backoff_secs, u64::MAX as f64 / 1e3, "budget {budget}");
+        }
     }
 
     #[test]

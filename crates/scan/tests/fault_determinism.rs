@@ -7,7 +7,7 @@
 use sixdust_addr::prf::PrfStream;
 use sixdust_addr::Addr;
 use sixdust_net::{Day, FaultConfig, GilbertElliott, Internet, Protocol, Scale};
-use sixdust_scan::{scan, ScanConfig, ScanOutcome, ScanResult, ScanStats};
+use sixdust_scan::{scan, Hit, ScanConfig, ScanResult, ScanStats};
 
 const CASES: u64 = 16;
 
@@ -38,12 +38,12 @@ fn faulty_net(
     Internet::build(Scale::tiny()).with_faults(faults)
 }
 
-/// The comparable projection of a scan: per-target outcomes in probe
-/// order plus every deterministic stats field. (`ScanResult` itself does
+/// The comparable projection of a scan: its hits in probe order plus
+/// every deterministic stats field. (`ScanResult` itself does
 /// not implement `Eq` because `duration_secs` is an `f64`.)
-fn fingerprint(r: &ScanResult) -> (Vec<ScanOutcome>, u64, u64, u64, u64, u32) {
+fn fingerprint(r: &ScanResult) -> (Vec<Hit>, u64, u64, u64, u64, u32) {
     let ScanStats { sent, received, hits, retries, loss_estimate_permille, .. } = r.stats;
-    (r.outcomes.clone(), sent, received, hits, retries, loss_estimate_permille)
+    (r.hits.clone(), sent, received, hits, retries, loss_estimate_permille)
 }
 
 /// Same seed + same `FaultConfig` ⇒ identical results for 1, 2 and 8
@@ -105,8 +105,8 @@ fn faulty_hits_are_a_subset_of_lossless_hits() {
         let config = ScanConfig::default().with_attempts(attempts);
         let faulty = scan(&lossy, Protocol::Icmp, &targets, day, &config);
         let baseline = scan(&clean, Protocol::Icmp, &targets, day, &config);
-        let baseline_hits: std::collections::HashSet<Addr> = baseline.hits().collect();
-        for hit in faulty.hits() {
+        let baseline_hits: std::collections::HashSet<Addr> = baseline.hit_addrs().collect();
+        for hit in faulty.hit_addrs() {
             assert!(baseline_hits.contains(&hit), "{hit} answered only under loss");
         }
         assert!(faulty.stats.hits <= baseline.stats.hits);

@@ -14,7 +14,7 @@
 //! *synchronized batch*: their rounds are prepared together, their scans
 //! run as one [`sixdust_scan::scan_jobs`] call — one five-protocol job
 //! per vantage, cut into permutation-cycle segments on one work-stealing
-//! budget — and their rounds complete in roster order. Segment outcomes
+//! budget — and their rounds complete in roster order. Segment hits
 //! are merged in cycle order, so every round artifact is byte-identical
 //! at any thread budget — with one vantage, identical to
 //! [`HitlistService::run_with`] itself.
@@ -357,10 +357,7 @@ impl VantageFleet {
 /// analysis compares across vantages. (The *cleaned* sets would hide
 /// the GFW split: cleaning exists precisely to delete it.)
 fn raw_hits(results: &[ScanResult]) -> AddrSet {
-    let mut addrs: Vec<Addr> = results
-        .iter()
-        .flat_map(|r| r.outcomes.iter().filter(|o| o.success).map(|o| o.target))
-        .collect();
+    let mut addrs: Vec<Addr> = results.iter().flat_map(ScanResult::hit_addrs).collect();
     addrs.sort_unstable();
     addrs.dedup();
     AddrSet::from_sorted_addrs(&addrs)

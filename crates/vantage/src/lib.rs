@@ -20,7 +20,7 @@
 //!   [`sixdust_scan::CyclicPermutation`] cycle segments — no
 //!   materialized permutations — and fanned out across a work-stealing
 //!   deque; idle workers steal segments from busy siblings, so a slow
-//!   vantage's scan is finished by the whole fleet. Segment outcomes
+//!   vantage's scan is finished by the whole fleet. Segment hits
 //!   merge in cycle order, which keeps results byte-identical no matter
 //!   which worker ran which segment.
 //! * **Disagreement analysis** ([`VantageReport`]): per synchronized

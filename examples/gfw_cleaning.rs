@@ -34,11 +34,13 @@ fn main() {
             result.stats.hits,
             targets.len()
         );
-        if let Some(outcome) = result.outcomes.iter().find(|o| o.success) {
-            if let Detail::Dns { responses, injected } = &outcome.detail {
+        // A scan keeps only its hits: here, every dark address the
+        // injectors answered for.
+        if let Some(hit) = result.hits.first() {
+            if let Detail::Dns { responses, injected } = &hit.detail {
                 println!(
                     "  e.g. {} answered with {} response(s), injection markers: {}",
-                    outcome.target, responses, injected
+                    hit.target, responses, injected
                 );
             }
         }

@@ -26,14 +26,15 @@ fn main() {
 
     // A measurement tool cannot enumerate; it needs candidates. Take the
     // ground truth as a stand-in target list and scan each protocol the
-    // IPv6 Hitlist probes.
+    // IPv6 Hitlist probes. A scan keeps the responsive targets
+    // (`result.hits`); every other probe is a count in `result.stats`.
     let targets: Vec<_> = truth.iter().map(|(a, ..)| *a).take(2000).collect();
     for proto in Protocol::ALL {
         let result = scan(&net, proto, &targets, day, &ScanConfig::default());
         println!(
             "  {:>8}: {:>5} of {} targets responsive ({} probes, {:.2}s virtual)",
             proto.to_string(),
-            result.stats.hits,
+            result.hits.len(),
             targets.len(),
             result.stats.sent,
             result.stats.duration_secs

@@ -32,16 +32,17 @@
 #
 #   bounds: ok | <metric> worse by X % (bound B %); <metric> unresolved (…)
 #
-# Last, the verdict on `ops_per_s` by the rule this repository claims a
-# gain by: the change ahead in at least nine pairs of ten (W/N ≥ 9/10),
-# and its median above the parent's by more than the parent's
-# interquartile range:
+# Last, one verdict per metric of the four by the rule this repository
+# claims a gain by: the change better, in the direction BENCHMARK.json
+# gives as the metric's `better`, in at least nine pairs of ten
+# (W/N ≥ 9/10), and its median better than the parent's by more than the
+# parent's interquartile range:
 #
-#   claim: met|not met (won W/N, gap G vs parent iqr I)
+#   claim <metric>: met|not met (won W/N, gap G vs parent iqr I)
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-  sed -n '2,39p' "$0" >&2
+  sed -n '2,41p' "$0" >&2
   exit 2
 fi
 benchmark_json=$(dirname "$0")/../BENCHMARK.json
@@ -93,11 +94,10 @@ stat() {
     END { print (what == "median") ? q(0.5) : q(0.75) - q(0.25) }'
 }
 
-# bound_verdict <metric> <stem>: nothing when the change's median of the
-# runs in $tmp/<side>.<stem> is within the metric's bound of the parent's;
-# otherwise how far past it went, or why the runs cannot tell.
-bound_verdict() {
-  local entry bound better
+# bench_entry <metric>: sets bound and better from the metric's
+# end-to-end entry in BENCHMARK.json.
+bench_entry() {
+  local entry
   entry=$(sed -n "/\"name\": \"$1\"/,/}/p" "$benchmark_json")
   bound=$(sed -n 's/.*"bound": *\([-+0-9.eE]*\).*/\1/p' <<<"$entry")
   better=$(sed -n 's/.*"better": *"\([a-z]*\)".*/\1/p' <<<"$entry")
@@ -105,6 +105,14 @@ bound_verdict() {
     echo "bench_pairs: no bound for $1 in $benchmark_json" >&2
     exit 1
   fi
+}
+
+# bound_verdict <metric> <stem>: nothing when the change's median of the
+# runs in $tmp/<side>.<stem> is within the metric's bound of the parent's;
+# otherwise how far past it went, or why the runs cannot tell.
+bound_verdict() {
+  local bound better
+  bench_entry "$1"
   awk -v name="$1" -v bound="$bound" -v better="$better" \
     -v p="$(stat median <"$tmp/parent.$2")" -v c="$(stat median <"$tmp/change.$2")" \
     -v iqr="$(stat iqr <"$tmp/parent.$2")" \
@@ -118,6 +126,22 @@ bound_verdict() {
         printf "%s worse by %.1f %% (bound %.0f %%)", name, 100 * worse, 100 * bound
       else if (iqr / base > bound && !all_better)
         printf "%s unresolved (parent iqr %.1f %% of its median, bound %.0f %%)", name, 100 * iqr / base, 100 * bound
+    }'
+}
+
+# claim_verdict <metric> <stem>: the claim line for that metric, from the
+# runs in $tmp/<side>.<stem>, one line per pair in pair order.
+claim_verdict() {
+  local bound better
+  bench_entry "$1"
+  paste "$tmp/parent.$2" "$tmp/change.$2" | awk -v name="$1" -v better="$better" \
+    -v p="$(stat median <"$tmp/parent.$2")" -v c="$(stat median <"$tmp/change.$2")" \
+    -v iqr="$(stat iqr <"$tmp/parent.$2")" '
+    { won += (better == "higher") ? ($2 > $1) : ($2 < $1) }
+    END {
+      gap = (better == "higher") ? c - p : p - c
+      met = (10 * won >= 9 * NR) && (gap > iqr)
+      printf "claim %s: %s (won %d/%d, gap %.4g vs parent iqr %.4g)\n", name, met ? "met" : "not met", won, NR, gap, iqr
     }'
 }
 
@@ -187,8 +211,6 @@ if [ "${#verdicts[@]}" -eq 0 ]; then
 else
   (IFS=';' && echo "bounds:${verdicts[*]/#/ }")
 fi
-awk -v won="$won" -v n="$pairs" -v p="$(stat median <"$tmp/parent.ops")" \
-  -v c="$(stat median <"$tmp/change.ops")" -v iqr="$(stat iqr <"$tmp/parent.ops")" 'BEGIN {
-    met = (10 * won >= 9 * n) && (c - p > iqr)
-    printf "claim: %s (won %d/%d, gap %.4g vs parent iqr %.4g)\n", met ? "met" : "not met", won, n, c - p, iqr
-  }'
+for metric in ops_per_s:ops ops_per_s_median:med peak_rss_mib:rss setup_s:setup; do
+  claim_verdict "${metric%%:*}" "${metric#*:}"
+done

@@ -212,7 +212,10 @@ fn heavy_corruption_never_panics_the_wire_scanner() {
             scan_wire_with(&net, proto, &targets, Day(10), &ScanConfig::default(), Some(&registry));
         // Garbage in flight may eat hits, never invariants.
         assert!(result.stats.hits <= targets.len() as u64, "{proto:?}");
-        assert_eq!(result.outcomes.len(), targets.len(), "{proto:?}");
+        assert_eq!(result.hits.len() as u64, result.stats.hits, "{proto:?}");
+        let hit: std::collections::HashSet<_> = result.hit_addrs().collect();
+        assert_eq!(hit.len(), result.hits.len(), "{proto:?}: a target is hit at most once");
+        assert!(hit.iter().all(|a| targets.contains(a)), "{proto:?}: every hit was a target");
     }
     assert!(registry.snapshot().counter("net.faults.corrupted").unwrap_or(0) > 0);
 }
