@@ -20,7 +20,6 @@ use std::collections::{HashMap, HashSet};
 use sixdust_addr::{prf, Addr, Prefix, PrefixSet};
 use sixdust_json::json_struct;
 use sixdust_net::{Day, Internet, ProbeKind, ProbeTally, Response};
-use sixdust_scan::execute;
 use sixdust_telemetry::{Registry, SpanTimer};
 
 /// Detector configuration.
@@ -96,10 +95,6 @@ pub struct AliasDetector {
     config: DetectorConfig,
     /// Optional metrics sink; not part of checkpointed state.
     telemetry: Option<Registry>,
-    /// Thread budget of a detection round, set by whoever owns the
-    /// detector ([`AliasDetector::with_workers`]); not part of
-    /// checkpointed state. Unset it is 0, which the executor reads as 1.
-    workers: usize,
 }
 
 /// Builds the candidate prefix list from the BGP table and the service
@@ -149,14 +144,6 @@ impl AliasDetector {
     /// Creates a detector.
     pub fn new(config: DetectorConfig) -> AliasDetector {
         AliasDetector { config, ..AliasDetector::default() }
-    }
-
-    /// Returns the detector with the thread budget of its detection
-    /// rounds replaced (the calling thread included). A detector built
-    /// with [`AliasDetector::new`] alone probes inline.
-    pub fn with_workers(mut self, workers: usize) -> AliasDetector {
-        self.workers = workers;
-        self
     }
 
     /// The configuration.
@@ -230,29 +217,12 @@ impl AliasDetector {
         let seed = prf::mix2(self.config.seed, u64::from(day.0));
         let mut detected = Vec::new();
         let mut probes = 0u64;
-        let chunk = cands.len().div_ceil(8).max(1);
-        let tasks: Vec<_> = cands
-            .chunks(chunk)
-            .map(|chunk_cands| {
-                move || {
-                    // One tally per chunk: its probes reach the shared
-                    // counters in one add when the task is done.
-                    let mut tally = ProbeTally::default();
-                    let labels = chunk_cands
-                        .iter()
-                        .map(|p| {
-                            let ps = prf::mix2(seed, p.network().iid() ^ u64::from(p.len()));
-                            let (icmp, tcp, n) = Self::probe_prefix(net, *p, day, ps, &mut tally);
-                            (*p, icmp, tcp, n)
-                        })
-                        .collect::<Vec<_>>();
-                    net.counters().add(&tally);
-                    labels
-                }
-            })
-            .collect();
-        let (results, _) = execute(self.workers, tasks);
-        for (p, icmp, tcp80, n) in results.into_iter().flatten() {
+        // One tally per round: its probes reach the shared counters in
+        // one add when the round is done.
+        let mut tally = ProbeTally::default();
+        for &p in cands {
+            let ps = prf::mix2(seed, p.network().iid() ^ u64::from(p.len()));
+            let (icmp, tcp80, n) = Self::probe_prefix(net, p, day, ps, &mut tally);
             probes += n;
             if icmp || tcp80 {
                 let d = DetectedPrefix { prefix: p, icmp, tcp80 };
@@ -260,6 +230,7 @@ impl AliasDetector {
                 detected.push(d);
             }
         }
+        net.counters().add(&tally);
         let this_round: HashSet<Prefix> = detected.iter().map(|d| d.prefix).collect();
         self.history.push(this_round);
         if self.history.len() > self.config.merge_rounds + 1 {
@@ -550,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn a_round_counts_on_the_simulator_what_it_reports_at_any_budget() {
+    fn a_round_counts_on_the_simulator_what_it_reports() {
         let day = Day(100);
         let world = net();
         // Aliased prefixes (all 32 probes sent) and server /64s (early
@@ -565,18 +536,13 @@ mod tests {
                 .take(20)
                 .map(|(a, ..)| Prefix::new(*a, 64)),
         );
-        let mut rounds = Vec::new();
-        for workers in [1usize, 3] {
-            let net = net();
-            let mut det = AliasDetector::new(DetectorConfig::default()).with_workers(workers);
-            let round = det.run_round(&net, &cands, day);
-            // Each chunk adds its tally once; after the round the shared
-            // counter is exact.
-            assert_eq!(net.counters().probes.get(), round.probes, "{workers} workers");
-            rounds.push((round.probes, round.detected));
-        }
-        assert_eq!(rounds[0], rounds[1]);
-        assert!(rounds[0].0 > 20 * 32, "{} probes", rounds[0].0);
+        let net = net();
+        let mut det = AliasDetector::new(DetectorConfig::default());
+        let round = det.run_round(&net, &cands, day);
+        // The round adds its tally once; after the round the shared
+        // counter is exact.
+        assert_eq!(net.counters().probes.get(), round.probes);
+        assert!(round.probes > 20 * 32, "{} probes", round.probes);
     }
 
     #[test]

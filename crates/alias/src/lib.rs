@@ -1,7 +1,6 @@
 //! # sixdust-alias — aliased ("fully responsive") prefix analysis
 //!
-//! The three methodologies of the paper's Sec. 5, built on `sixdust-net`
-//! and `sixdust-scan`:
+//! The three methodologies of the paper's Sec. 5, built on `sixdust-net`:
 //!
 //! * [`detect`] — the IPv6 Hitlist's multi-level aliased prefix detection:
 //!   BGP / per-/64 / long-prefix candidates, 16 nibble-spread pseudo-random

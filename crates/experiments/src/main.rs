@@ -520,9 +520,8 @@ fn run_vantage_fleet(n: usize, flags: &Flags) {
         (flags.telemetry.as_deref(), flags.checkpoint.as_deref());
 
     let registry = sixdust_telemetry::Registry::new();
-    let config = FleetConfig::new(scale, n)
-        .with_faults(FaultConfig::lossless().with_drop_permille(2))
-        .with_threads(4);
+    let config =
+        FleetConfig::new(scale, n).with_faults(FaultConfig::lossless().with_drop_permille(2));
     let from = events::GFW_FILTER_DEPLOYED;
     let until = from.plus(20);
 
@@ -573,7 +572,7 @@ fn run_vantage_fleet(n: usize, flags: &Flags) {
     let stats = fleet.stats();
     eprintln!(
         "[obs] vantage fleet: {} vantages over days {}..{} in {:.1}s — {} reports, \
-         {} disagreements ({} gfw-class), {} segments executed ({} stolen); wrote {}",
+         {} disagreements ({} gfw-class), {} segments executed; wrote {}",
         fleet.len(),
         from.0,
         until.0,
@@ -582,7 +581,6 @@ fn run_vantage_fleet(n: usize, flags: &Flags) {
         total,
         gfw,
         stats.executed,
-        stats.stolen,
         artifact.display()
     );
     if let Some(path) = telemetry_path {

@@ -26,7 +26,8 @@ use crate::sources;
 pub struct ServiceConfig {
     /// Scanner settings shared by all protocol modules.
     /// [`ScanConfig::threads`] is the round's one thread budget: the
-    /// five protocol scans share it, and alias detection runs on it.
+    /// five protocol scans share it. Alias detection probes on the
+    /// calling thread.
     pub scan: ScanConfig,
     /// Alias detector settings.
     pub detector: DetectorConfig,
@@ -279,7 +280,7 @@ impl HitlistService {
         let mut pending = config.snapshot_days.clone();
         pending.sort_unstable();
         HitlistService {
-            detector: AliasDetector::new(config.detector.clone()).with_workers(config.scan.threads),
+            detector: AliasDetector::new(config.detector.clone()),
             config,
             telemetry: None,
             blocklist: Blocklist::new(),
@@ -563,10 +564,9 @@ impl HitlistService {
 
     /// Records the round's scan-phase duration on behalf of an external
     /// executor that bypasses [`HitlistService::scan_prepared`] (the
-    /// multi-vantage work-stealing scheduler runs the protocol scans
-    /// itself). Keeps the `service.round.phase.scan_ms` histogram at
-    /// exactly one sample per round, the invariant every other phase
-    /// histogram upholds.
+    /// multi-vantage scheduler runs the protocol scans itself). Keeps the
+    /// `service.round.phase.scan_ms` histogram at exactly one sample per
+    /// round, the invariant every other phase histogram upholds.
     pub fn record_external_scan_phase(&self, elapsed: Duration) {
         self.record_phase(Phase::Scan, elapsed);
     }

@@ -11,6 +11,8 @@
 //! filter tool the authors published.
 
 use std::borrow::Cow;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sixdust_addr::Addr;
 use sixdust_net::{Day, Internet, ProbeKind, ProbeTally, Protocol, Response};
@@ -22,7 +24,6 @@ use sixdust_wire::tcp::TcpSegment;
 use sixdust_wire::udp::UdpDatagram;
 use sixdust_wire::{Ipv6Header, Packet, Transport};
 
-use crate::executor::{clamp_threads, execute, ExecutorStats};
 use crate::permute::CyclicPermutation;
 use crate::rate::{Limit, TokenBucket};
 
@@ -54,12 +55,13 @@ pub fn proto_metric_key(protocol: Protocol) -> &'static str {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanConfig {
-    /// The thread budget, calling thread included: 1 scans inline. The
-    /// executor clamps the effective value to `1..=32` at scan time — a
-    /// `0` runs single-threaded and anything above 32 runs with 32. A
-    /// clamped scan bumps the `scan.config.threads_clamped` telemetry
-    /// counter (once per scan) when a registry is attached, so a
-    /// misconfigured fleet is visible instead of silently slower.
+    /// The thread budget, calling thread included: 1 (the default) scans
+    /// inline, the measured fastest on the simulator. [`scan_jobs`]
+    /// clamps the effective value to `1..=32` at scan time — a `0` runs
+    /// single-threaded and anything above 32 runs with 32. A clamped scan
+    /// bumps the `scan.config.threads_clamped` telemetry counter (once
+    /// per scan) when a registry is attached, so a misconfigured fleet is
+    /// visible instead of silently slower. Results do not depend on it.
     pub threads: usize,
     /// Probes sent per target (ZMap default 1; retries mask loss).
     ///
@@ -86,7 +88,7 @@ pub struct ScanConfig {
 impl Default for ScanConfig {
     fn default() -> ScanConfig {
         ScanConfig {
-            threads: 4,
+            threads: 1,
             attempts: 1,
             rate_pps: 100_000,
             seed: 0x5CA7,
@@ -317,7 +319,7 @@ pub fn classify(protocol: Protocol, responses: &[Response]) -> (bool, Detail) {
 /// Per-segment accounting of one protocol's probes, merged into
 /// [`ScanStats`] once every segment of a scan has run. Every field is a
 /// sum, so merging segment tallies in any order yields the same totals —
-/// what lets a work-stealing executor hand segments to arbitrary workers
+/// what lets [`scan_jobs`] hand segments to whichever thread is free
 /// without perturbing the assembled [`ScanResult`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SegmentTally {
@@ -418,8 +420,8 @@ fn walk_segment(job: &ScanJob<'_>, perm: &CyclicPermutation, start: u64, len: u6
 /// Probes one contiguous range of a scan's permutation cycle and returns
 /// the hits (in cycle order) plus the tally of every probe of the range.
 ///
-/// The one-protocol case of the kernel [`scan_jobs`] hands to the
-/// executor, public so a caller can time or partition a scan itself:
+/// The one-protocol case of the kernel [`scan_jobs`] runs on each range,
+/// public so a caller can time or partition a scan itself:
 /// concatenating the hit vectors of contiguous segments in cycle order
 /// and merging their tallies reproduces `scan_with`'s result
 /// byte-for-byte regardless of which thread ran which segment — see
@@ -538,6 +540,17 @@ pub struct ScanJob<'a> {
     pub telemetry: Option<&'a Registry>,
 }
 
+/// What a [`scan_jobs`] call ran: the number of cycle ranges its jobs
+/// were cut into.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecutorStats {
+    /// Ranges walked: at most the budget per job, none for an empty job.
+    pub executed: u64,
+    /// Always 0: no range changes hands. The field stays only because the
+    /// benchmark harness reads it.
+    pub stolen: u64,
+}
+
 /// The scan scheduler: runs every job on one budget of `threads` and
 /// returns one [`ScanResult`] per (job, protocol), in job order and
 /// within a job in the order of [`ScanJob::protocols`].
@@ -546,21 +559,26 @@ pub struct ScanJob<'a> {
 /// instead of materializing the whole order (one u64 per target): a
 /// range jumps to its first cycle position (O(log start) setup, O(1)
 /// state) and walks it lazily, every protocol of the job against one
-/// resolution of each target. Every range of every job goes to
-/// [`execute`] as one flat task list — where an idle job's workers drain
-/// a busy one's segments — and each job's hits are put together in cycle
-/// order, so results are byte-identical at any budget. A segment keeps
-/// only its hits, in vectors that start empty and grow: the result adopts
-/// the first segment's and appends the later ones', so at a budget of 1
-/// nothing is copied. A budget outside `1..=32` is clamped, and counted
-/// once per instrumented job in `scan.config.threads_clamped`.
+/// resolution of each target. The calling thread and `threads − 1`
+/// scoped threads take the next range of any job off one shared cursor
+/// until none is left, so a thread that finishes early takes a busy
+/// job's next range. Each job's hits are put together in cycle order, so
+/// results are byte-identical at any budget. A range keeps only its hits,
+/// in vectors that start empty and grow: the result adopts the first
+/// range's and appends the later ones', so at a budget of 1 nothing is
+/// copied. A budget outside `1..=32` is clamped, and counted once per
+/// instrumented job in `scan.config.threads_clamped`. A panic in a walk
+/// reaches the caller with its own payload.
 pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, ExecutorStats) {
-    let budget = clamp_threads(threads);
-    let mut tasks = Vec::new();
-    // Per job: how many segments it was cut into, and its whole-scan span.
+    let budget = threads.clamp(1, 32);
+    // Per job: its permutation and telemetry handles, and how many ranges
+    // it was cut into.
     let mut cuts = Vec::with_capacity(jobs.len());
-    for &job in jobs {
-        let ScanJob { protocols, targets, day, config, telemetry, .. } = job;
+    // Every range of every job, in job order and within a job in cycle
+    // order: (job, index within the job, start, len).
+    let mut ranges = Vec::new();
+    for (j, job) in jobs.iter().enumerate() {
+        let ScanJob { protocols, targets, day, config, telemetry, .. } = *job;
         let n = targets.len() as u64;
         let perm = CyclicPermutation::new(n, config.seed ^ u64::from(day.0));
         if budget != threads {
@@ -571,47 +589,58 @@ pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, Exec
         // Resolved once per job, not once per segment.
         let chunk_hist = telemetry.map(|t| t.histogram("scan.worker.chunk_ms"));
         let tracer = telemetry.and_then(|t| t.tracer());
-        let scan_span = tracer.as_ref().map(|j| {
+        let scan_span = tracer.as_ref().map(|t| {
             let keys: Vec<&str> = protocols.iter().map(|p| proto_metric_key(*p)).collect();
-            j.span_with(
+            t.span_with(
                 &format!("scan.{}", keys.join("+")),
                 &[("day", day.0.to_string().as_str()), ("targets", n.to_string().as_str())],
             )
         });
         let cycle = perm.cycle_len();
-        let per_segment = cycle.div_ceil(budget as u64).max(1);
-        let first = tasks.len();
-        for (worker, start) in (0..cycle).step_by(per_segment as usize).enumerate() {
-            let len = per_segment.min(cycle - start);
-            let (perm, chunk_hist, tracer) = (perm.clone(), chunk_hist.clone(), tracer.clone());
-            tasks.push(move || {
-                let _span = chunk_hist.as_ref().map(SpanTimer::start);
-                let _trace_span = tracer.as_ref().map(|j| {
-                    j.span_with(
-                        "scan.worker",
-                        &[
-                            ("worker", worker.to_string().as_str()),
-                            ("chunk", len.to_string().as_str()),
-                        ],
-                    )
-                });
-                walk_segment(&job, &perm, start, len)
-            });
+        let per_range = cycle.div_ceil(budget as u64).max(1);
+        let first = ranges.len();
+        for (index, start) in (0..cycle).step_by(per_range as usize).enumerate() {
+            ranges.push((j, index, start, per_range.min(cycle - start)));
         }
-        cuts.push((tasks.len() - first, scan_span));
+        cuts.push((perm, chunk_hist, tracer, ranges.len() - first, scan_span));
     }
-    let (segment_results, stats) = execute(budget, tasks);
-    // Results come back in submission order, so each job's segments are
-    // contiguous and in cycle order.
-    let mut segment_results = segment_results.into_iter();
+    let cursor = AtomicUsize::new(0);
+    let walk = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&(j, index, start, len)) = ranges.get(i) else { return done };
+            let (perm, chunk_hist, tracer, ..) = &cuts[j];
+            let _span = chunk_hist.as_ref().map(SpanTimer::start);
+            let _trace_span = tracer.as_ref().map(|t| {
+                t.span_with(
+                    "scan.worker",
+                    &[("worker", index.to_string().as_str()), ("chunk", len.to_string().as_str())],
+                )
+            });
+            done.push((i, walk_segment(&jobs[j], perm, start, len)));
+        }
+    };
+    let mut walked = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..budget.min(ranges.len())).map(|_| s.spawn(walk)).collect();
+        let mut walked = walk();
+        for helper in helpers {
+            walked.extend(helper.join().unwrap_or_else(|payload| resume_unwind(payload)));
+        }
+        walked
+    });
+    walked.sort_unstable_by_key(|&(i, _)| i);
+    // Sorted by range index, each job's ranges are contiguous and in
+    // cycle order.
+    let mut walked = walked.into_iter().map(|(_, lanes)| lanes);
     let mut results = Vec::new();
-    for (job, (segments, _scan_span)) in jobs.iter().zip(cuts) {
-        let mut segments = segment_results.by_ref().take(segments);
-        // An empty target list has an empty cycle and no segment at all.
-        let mut lanes = segments
+    for (job, (.., cut, _scan_span)) in jobs.iter().zip(cuts) {
+        let mut lanes_of_job = walked.by_ref().take(cut);
+        // An empty target list has an empty cycle and no range at all.
+        let mut lanes = lanes_of_job
             .next()
             .unwrap_or_else(|| job.protocols.iter().map(|_| Lane::default()).collect());
-        for later in segments {
+        for later in lanes_of_job {
             for ((hits, tally), (more, more_tally)) in lanes.iter_mut().zip(later) {
                 hits.extend(more);
                 tally.merge(more_tally);
@@ -621,7 +650,7 @@ pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, Exec
             assemble_scan(protocol, job.day, job.config, hits, tally, job.telemetry)
         }));
     }
-    (results, stats)
+    (results, ExecutorStats { executed: ranges.len() as u64, stolen: 0 })
 }
 
 /// Runs the same scan through the byte-level wire path. Slower; used by

@@ -11,9 +11,10 @@
 //!   polluted the hitlist).
 //! * [`mod@yarrp`] — stateless randomized traceroute over the `(target, TTL)`
 //!   space, the service's router-harvesting input source.
-//! * [`executor`] — the one work-stealing task executor: scans, the
-//!   service's rounds, the vantage fleet's batches and alias detection
-//!   all submit to it.
+//! * [`scan_jobs`] — the scan scheduler: the service's rounds and the
+//!   vantage fleet's batches hand it every job of a round at once, each
+//!   job's permutation cycle cut into one contiguous range per thread of
+//!   the budget, the way ZMap shards one cycle across its sender threads.
 //! * [`permute`] / [`rate`] — the reusable mechanics.
 //! * [`pcap`] — libpcap traces of wire-mode runs (Wireshark-inspectable).
 //!
@@ -25,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod executor;
 pub mod pcap;
 pub mod permute;
 pub mod rate;
@@ -33,10 +33,9 @@ pub mod yarrp;
 
 pub use engine::{
     assemble_scan, proto_metric_key, reassemble_replies, scan, scan_jobs, scan_segment, scan_wire,
-    scan_wire_with, scan_with, Detail, Hit, ScanConfig, ScanJob, ScanResult, ScanStats,
-    SegmentTally,
+    scan_wire_with, scan_with, Detail, ExecutorStats, Hit, ScanConfig, ScanJob, ScanResult,
+    ScanStats, SegmentTally,
 };
-pub use executor::{execute, ExecutorStats};
 pub use pcap::{PcapReader, PcapWriter};
 pub use permute::{CyclicPermutation, PermutationSegment};
 pub use rate::{Limit, TokenBucket};
@@ -515,6 +514,112 @@ mod tests {
         assert_eq!(stats.executed, 0, "an empty cycle is cut into no segment");
         assert_eq!(results.iter().map(|r| r.protocol).collect::<Vec<_>>(), Protocol::ALL);
         assert!(results.iter().all(|r| r.hits.is_empty() && r.stats == ScanStats::default()));
+    }
+
+    #[test]
+    fn several_jobs_on_one_budget_equal_each_job_alone() {
+        use sixdust_net::Protocol::{Icmp, Tcp443, Tcp80, Udp443, Udp53};
+        let day = Day(100);
+        let lossy = || {
+            Internet::build(Scale::tiny()).with_faults(
+                FaultConfig::lossless().with_seed(9).with_drop_permille(300).with_burst(
+                    sixdust_net::GilbertElliott {
+                        mean_good_days: 2,
+                        mean_bad_days: 2,
+                        good_drop_permille: 50,
+                        bad_drop_permille: 600,
+                    },
+                ),
+            )
+        };
+        let plain = lossy();
+        let mut many: Vec<Addr> = plain
+            .population()
+            .enumerate_responsive(day)
+            .into_iter()
+            .map(|(a, ..)| a)
+            .step_by(3)
+            .take(300)
+            .collect();
+        many.extend((0..40u128).map(|i| Addr((0x3fff_u128 << 112) | i)));
+        let config = ScanConfig::default().with_attempts(3).with_retry_backoff_ms(5);
+        let other_seed = config.clone().with_seed(0xFEED);
+        let all = Protocol::ALL;
+        // Empty, one target, fewer targets than most budgets, a few
+        // hundred; each on its own protocol list.
+        let jobs: [(&[Addr], &[Protocol], &ScanConfig); 5] = [
+            (&[], &[Icmp, Udp53], &config),
+            (&many[..1], &[Tcp80], &config),
+            (&many[1..4], &[Udp53, Icmp, Tcp443], &other_seed),
+            (&many, &all, &config),
+            (&many[100..], &[Udp443, Tcp80], &other_seed),
+        ];
+        let counted = |net: &Internet| {
+            let c = net.counters();
+            [
+                &c.probes,
+                &c.ttl_probes,
+                &c.wire_packets,
+                &c.faults_dropped,
+                &c.faults_duplicated,
+                &c.faults_corrupted,
+                &c.faults_rate_limited,
+                &c.hops_vantage_fallback,
+                &c.gfw_egress_filtered,
+            ]
+            .map(|counter| counter.get())
+        };
+        // Each job alone at budget 1 on a fresh world: its results and
+        // what its world counted.
+        let alone: Vec<(Vec<ScanResult>, _)> = jobs
+            .iter()
+            .map(|&(targets, protocols, config)| {
+                let net = lossy();
+                let job = ScanJob { net: &net, protocols, targets, day, config, telemetry: None };
+                let (results, _) = scan_jobs(1, &[job]);
+                (results, counted(&net))
+            })
+            .collect();
+        for budget in [1usize, 2, 3, 4, 5, 40] {
+            let nets: Vec<Internet> = jobs.iter().map(|_| lossy()).collect();
+            let batch: Vec<ScanJob<'_>> = jobs
+                .iter()
+                .zip(&nets)
+                .map(|(&(targets, protocols, config), net)| ScanJob {
+                    net,
+                    protocols,
+                    targets,
+                    day,
+                    config,
+                    telemetry: None,
+                })
+                .collect();
+            let (results, stats) = scan_jobs(budget, &batch);
+            let mut results = results.into_iter();
+            let mut ranges = 0u64;
+            for (j, ((&(targets, protocols, config), net), (reference, net_counts))) in
+                jobs.iter().zip(&nets).zip(&alone).enumerate()
+            {
+                let at = format!("job {j} at budget {budget}");
+                let mine: Vec<ScanResult> = results.by_ref().take(protocols.len()).collect();
+                assert_eq!(mine.len(), reference.len(), "{at}");
+                for (m, r) in mine.iter().zip(reference) {
+                    assert_eq!((m.protocol, m.day), (r.protocol, r.day), "{at}");
+                    assert_eq!(m.hits, r.hits, "{at}, {}", r.protocol);
+                    assert_eq!(m.stats, r.stats, "{at}, {}", r.protocol);
+                }
+                assert_eq!(&counted(net), net_counts, "{at}");
+                let cycle =
+                    CyclicPermutation::new(targets.len() as u64, config.seed ^ 100).cycle_len();
+                ranges += cycle.div_ceil(cycle.div_ceil(budget.min(32) as u64).max(1));
+            }
+            assert!(results.next().is_none(), "budget {budget}");
+            assert_eq!(stats, ExecutorStats { executed: ranges, stolen: 0 }, "budget {budget}");
+        }
+        // The plan bit: retries happened and the big job had hits.
+        let big = &alone[3].0;
+        assert!(big.iter().all(|r| r.stats.retries > 0), "loss forces retries");
+        assert!(big.iter().any(|r| !r.hits.is_empty()));
     }
 
     /// The scan walk written plainly and reduced after the fact: every

@@ -13,7 +13,7 @@
 //! cadence ([`events::cadence`]); vantages due on the same day form a
 //! *synchronized batch*: their rounds are prepared together, their scans
 //! run as one [`sixdust_scan::scan_jobs`] call — one five-protocol job
-//! per vantage, cut into permutation-cycle segments on one work-stealing
+//! per vantage, cut into permutation-cycle segments on one thread
 //! budget — and their rounds complete in roster order. Segment hits
 //! are merged in cycle order, so every round artifact is byte-identical
 //! at any thread budget — with one vantage, identical to
@@ -46,20 +46,21 @@ pub struct FleetConfig {
     pub service: ServiceConfig,
     /// The roster; index 0 must be the historical default vantage.
     pub specs: Vec<VantageSpec>,
-    /// Worker-thread budget for the work-stealing executor.
+    /// Thread budget of a batch's [`sixdust_scan::scan_jobs`] call,
+    /// calling thread included: 1 (the default) scans inline.
     pub threads: usize,
 }
 
 impl FleetConfig {
     /// A fleet of `n` default-roster vantages at `scale`, lossless
-    /// faults, default service configuration, four workers.
+    /// faults, default service configuration, a thread budget of 1.
     pub fn new(scale: Scale, n: usize) -> FleetConfig {
         FleetConfig {
             scale,
             faults: FaultConfig::lossless(),
             service: ServiceConfig::default(),
             specs: VantageSpec::default_roster(n),
-            threads: 4,
+            threads: 1,
         }
     }
 
@@ -75,7 +76,7 @@ impl FleetConfig {
         self
     }
 
-    /// Replaces the executor worker budget.
+    /// Replaces the thread budget.
     pub fn with_threads(mut self, threads: usize) -> FleetConfig {
         self.threads = threads;
         self
@@ -230,7 +231,7 @@ impl VantageFleet {
         &self.reports
     }
 
-    /// Cumulative executor statistics.
+    /// Cumulative scan-scheduler statistics: the segments run so far.
     pub fn stats(&self) -> ExecutorStats {
         self.stats
     }
@@ -290,9 +291,10 @@ impl VantageFleet {
     }
 
     /// Runs one synchronized batch: prepare every due vantage's round,
-    /// run their scans as one [`scan_jobs`] call (a job per vantage),
-    /// complete in roster order, then (if the whole fleet scanned) build
-    /// the day's disagreement report.
+    /// run their scans as one [`scan_jobs`] call (a job per vantage, on
+    /// the fleet's thread budget; the segments it walked are added to
+    /// [`VantageFleet::stats`]), complete in roster order, then (if the
+    /// whole fleet scanned) build the day's disagreement report.
     fn run_batch(&mut self, day: Day, batch: &[usize]) {
         // Stage 1: prepare (sources, alias detection, target selection).
         let mut prepared: Vec<PreparedRound> = Vec::with_capacity(batch.len());
@@ -302,8 +304,8 @@ impl VantageFleet {
         }
 
         // Stage 2: one five-protocol job per due vantage, all on the
-        // fleet's one budget — this is where an idle vantage's workers
-        // drain a busy one's segments.
+        // fleet's one budget — a thread done with one vantage's segments
+        // takes the next of another's.
         let scan_started = Instant::now();
         let jobs: Vec<ScanJob<'_>> = batch
             .iter()
@@ -313,7 +315,6 @@ impl VantageFleet {
         let (results, stats) = scan_jobs(self.config.threads, &jobs);
         let scan_elapsed = scan_started.elapsed();
         self.stats.executed += stats.executed;
-        self.stats.stolen += stats.stolen;
 
         // Stage 3: per vantage, the raw (pre-cleaning) responsive set for
         // the disagreement merge, then complete its round — in roster
@@ -347,7 +348,6 @@ impl VantageFleet {
         if let Some(reg) = &self.telemetry {
             reg.counter("vantage.rounds").add(batch.len() as u64);
             reg.counter("vantage.segments.executed").add(stats.executed);
-            reg.counter("vantage.segments.stolen").add(stats.stolen);
         }
     }
 }

@@ -14,15 +14,13 @@
 //! * **Scheduler** ([`VantageFleet`]): a min-heap of `(day, vantage)`
 //!   events replays the historical scan cadence per vantage; all
 //!   vantages due on the same day form one synchronized batch.
-//! * **Executor** ([`execute`], which lives in `sixdust-scan`): every
-//!   vantage round of a batch is one five-protocol
-//!   [`sixdust_scan::ScanJob`], cut into lazy
+//! * **Scans** ([`sixdust_scan::scan_jobs`]): every vantage round of a
+//!   batch is one five-protocol [`sixdust_scan::ScanJob`], cut into lazy
 //!   [`sixdust_scan::CyclicPermutation`] cycle segments — no
-//!   materialized permutations — and fanned out across a work-stealing
-//!   deque; idle workers steal segments from busy siblings, so a slow
-//!   vantage's scan is finished by the whole fleet. Segment hits
-//!   merge in cycle order, which keeps results byte-identical no matter
-//!   which worker ran which segment.
+//!   materialized permutations — that the budget's threads take off one
+//!   shared cursor, so a slow vantage's scan is finished by whichever
+//!   thread is free. Segment hits merge in cycle order, which keeps
+//!   results byte-identical no matter which thread ran which segment.
 //! * **Disagreement analysis** ([`VantageReport`]): per synchronized
 //!   batch, the per-vantage responsive sets are merged with
 //!   [`sixdust_addr::AddrSet`] union/intersection kernels and every
@@ -41,6 +39,6 @@ mod state;
 
 pub use fleet::{FleetConfig, VantageFleet};
 pub use report::{AddrSample, AsDisagreement, DisagreementClass, VantageReport};
-pub use sixdust_scan::{execute, ExecutorStats};
+pub use sixdust_scan::ExecutorStats;
 pub use spec::VantageSpec;
 pub use state::FleetState;

@@ -21,8 +21,8 @@
 //!   control);
 //! * [`vantage`] — multi-vantage scanning: a deterministic
 //!   discrete-event round scheduler running N vantage points (EU / US /
-//!   behind-GFW CN) over one simulated Internet, with work-stealing
-//!   segment execution and cross-vantage disagreement analysis;
+//!   behind-GFW CN) over one simulated Internet, with one scan job per
+//!   vantage and cross-vantage disagreement analysis;
 //! * [`analysis`] — tables, CDFs and histograms for the experiments;
 //! * [`json`] — the one JSON layer: checkpoints, manifests and reports
 //!   are written and read back through it;
