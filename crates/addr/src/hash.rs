@@ -1,28 +1,22 @@
-//! Hash tables keyed by an address or a word, under a hasher that costs
-//! one mix.
+//! A hasher that costs one mix, for the `u128`- and `u64`-keyed tables
+//! of the simulator and the serve tier.
 //!
 //! std's default hasher is SipHash-1-3: keyed against collision attacks
-//! and several times the price of what an address table here needs —
-//! every address these tables hold comes out of the simulator or one of
-//! the service's own checkpoints, none from an adversary. An [`Addr`]
-//! hashes through [`Hasher::write_u128`], which [`AddrHasher`]
-//! answers with a single [`prf::mix64`] over the two halves folded into
-//! one word; a `u64` key (a client id, a packed `(client, kind)` pair)
-//! through [`Hasher::write_u64`], one [`prf::mix64`] of the word. Every
+//! and several times the price of what these tables need — every key
+//! they hold comes out of the simulator, none from an adversary. A
+//! `u128` key (the simulator's interface table) hashes through
+//! [`Hasher::write_u128`], which [`AddrHasher`] answers with a single
+//! [`prf::mix64`] over the two halves folded into one word; a `u64` key
+//! (a serve client id, a packed `(client, kind)` pair) through
+//! [`Hasher::write_u64`], one [`prf::mix64`] of the word. No table of
+//! the round's address state uses it: those are sorted columns. Every
 //! table draws its own key when it is constructed, so iteration order
 //! still differs from table to table and from run to run: code that lets
 //! a record depend on it keeps getting caught.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher, RandomState};
 
-use crate::{prf, Addr};
-
-/// A `HashSet<Addr>` hashed by [`AddrBuildHasher`].
-pub type AddrHashSet = HashSet<Addr, AddrBuildHasher>;
-
-/// A `HashMap<Addr, V>` hashed by [`AddrBuildHasher`].
-pub type AddrHashMap<V> = HashMap<Addr, V, AddrBuildHasher>;
+use crate::prf;
 
 /// Builds [`AddrHasher`]s that share one table's key.
 #[derive(Debug, Clone)]
@@ -79,8 +73,10 @@ impl Hasher for AddrHasher {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
-    use crate::Eui64;
+    use crate::{Addr, Eui64};
 
     /// 50 000 addresses of the shapes the simulated population mints.
     fn population_shapes() -> Vec<Addr> {
@@ -161,8 +157,8 @@ mod tests {
         assert_eq!(keys.len(), 8, "RandomState hands every construction another key");
         // Same members, another key: equal sets that iterate differently.
         let members = population_shapes();
-        let a: AddrHashSet = members.iter().copied().collect();
-        let b: AddrHashSet = members.iter().copied().collect();
+        let a: HashSet<Addr, AddrBuildHasher> = members.iter().copied().collect();
+        let b: HashSet<Addr, AddrBuildHasher> = members.iter().copied().collect();
         assert_eq!(a, b);
         assert!(a.iter().ne(b.iter()), "iteration order is per table");
     }

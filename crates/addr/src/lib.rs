@@ -32,9 +32,10 @@
 //!   linear merge kernels (union/diff/intersect over sorted slices) that
 //!   used to be public as `sorted::*` are now crate-private plumbing
 //!   behind this type.
-//! * [`AddrHashSet`] / [`AddrHashMap`] — the std hash tables for mutable
-//!   address-keyed state, under a per-table-keyed hasher that spends one
-//!   [`prf::mix64`] on an address where SipHash spends several.
+//! * [`AddrBuildHasher`] — a per-table-keyed hasher that spends one
+//!   [`prf::mix64`] on a `u128` or `u64` key where SipHash spends several:
+//!   the simulator's interface table and the serve tier's client maps.
+//!   No address state of the hitlist service is a hash table.
 //! * [`digest`] — the content digest of an item set (FNV-1a 64), one-shot
 //!   and streaming: the value `manifest.json` records and the serve layer
 //!   uses as ETag and delta frame.
@@ -62,7 +63,7 @@ pub use addr::Addr;
 pub use addrset::{AddrSet, Iter as AddrSetIter};
 pub use classify::{classify_iid, IidBreakdown, IidClass};
 pub use eui64::{Eui64, OuiVendor, OUI_REGISTRY, ZTE_OUI};
-pub use hash::{AddrBuildHasher, AddrHashMap, AddrHashSet, AddrHasher};
+pub use hash::{AddrBuildHasher, AddrHasher};
 pub use prefix::{ParsePrefixError, Prefix, SubPrefixes};
 pub use set::PrefixSet;
 pub use trie::PrefixTrie;

@@ -284,7 +284,7 @@ impl Ctx {
         // 8.3 M-address Akamai expansion).
         let passive_all = newsources::passive_sources(net, day);
         let passive_new: Vec<Addr> =
-            passive_all.iter().filter(|a| !known.contains(a)).copied().collect();
+            passive_all.iter().filter(|a| known.binary_search(a).is_err()).copied().collect();
         let pool = self.svc.unresponsive_pool().diff(self.svc.gfw_impacted()).to_addr_vec();
         let mut tga_lists: Vec<(&'static str, Vec<Addr>)> = Vec::new();
         for (generator, budget) in instrumented_lineup(self.scale.addr_div, &self.telemetry) {

@@ -21,7 +21,7 @@ use crate::ExpOutput;
 /// Sec. 7 extension: seedless discovery in uncovered announced prefixes.
 pub fn seedless(ctx: &Ctx) -> ExpOutput {
     let day = Day::PAPER_END;
-    let seeds: Vec<Addr> = ctx.svc.input().iter().copied().collect();
+    let seeds: Vec<Addr> = ctx.svc.input().to_vec();
     let announced: Vec<_> = ctx
         .net
         .registry()

@@ -228,18 +228,18 @@ pub fn table1(ctx: &Ctx) -> ExpOutput {
         json_rows.push(Value::sorted_object(jrow));
     }
     // Cumulative row.
-    let cumulative = ctx.svc.cumulative();
+    let cumulative = ctx.svc.cumulative().len();
     let mut cells = vec!["Cumulative".to_string()];
     let mut jrow: Vec<(String, Value)> = Vec::new();
     for proto in Protocol::ALL {
-        let n = cumulative.values().filter(|p| p.contains(proto)).count();
+        let n = ctx.svc.cumulative().filter(|(_, p)| p.contains(proto)).count();
         cells.push(human(n as u64));
         cells.push(String::new());
         jrow.push((format!("{proto}"), json!(n)));
     }
-    cells.push(human(cumulative.len() as u64));
+    cells.push(human(cumulative as u64));
     cells.push(String::new());
-    jrow.push(("total".into(), json!(cumulative.len())));
+    jrow.push(("total".into(), json!(cumulative)));
     t.row(cells);
     json_rows.push(Value::sorted_object(jrow));
 

@@ -6,7 +6,7 @@
 //! unit; the service composes them. The 30-day filter holds the input and
 //! the clocks of its active addresses; its dropped pool is never stored.
 
-use sixdust_addr::{Addr, AddrHashMap, AddrHashSet, AddrSet, Prefix, PrefixSet};
+use sixdust_addr::{Addr, AddrSet, Prefix, PrefixSet};
 use sixdust_net::Day;
 use sixdust_scan::{Detail, ScanResult};
 
@@ -100,8 +100,10 @@ impl GfwFilter {
 /// days from the scan target list — and, true to the original service,
 /// never re-tests them (Sec. 3.1; re-scanning that pool is Sec. 6's
 /// "unresponsive addresses" source). It owns the service's input and a
-/// clock for each active address: the dropped pool is the input without a
-/// clock, stored nowhere, and a dropped address cannot come back.
+/// clock for each active address, as two columns side by side: the
+/// input ascending, and beside each address the day it last answered or
+/// `None` once dropped. The dropped pool is the input without a clock,
+/// stored nowhere, and a dropped address cannot come back.
 ///
 /// Days inside **quarantined** windows (degraded rounds: heavy loss or an
 /// outage at the vantage) do not count toward an address's silence, so a
@@ -109,10 +111,11 @@ impl GfwFilter {
 /// exactly the quarantined days, not skipped.
 #[derive(Debug, Clone)]
 pub struct UnresponsiveFilter {
-    /// Every address ever admitted, active or dropped.
-    input: AddrHashSet,
-    /// Day an active address last answered (or entered the input).
-    last_seen: AddrHashMap<Day>,
+    /// Every address ever admitted, active or dropped, strictly ascending.
+    input: Vec<Addr>,
+    /// Beside each input address: the day it last answered (or entered
+    /// the input), `None` once dropped.
+    clocks: Vec<Option<Day>>,
     /// The cutoff in days.
     pub window: u32,
     /// Half-open `[from, until)` day windows whose silence is forgiven.
@@ -122,12 +125,7 @@ pub struct UnresponsiveFilter {
 
 impl Default for UnresponsiveFilter {
     fn default() -> UnresponsiveFilter {
-        UnresponsiveFilter {
-            input: AddrHashSet::default(),
-            last_seen: AddrHashMap::default(),
-            window: 30,
-            quarantined: Vec::new(),
-        }
+        UnresponsiveFilter { input: vec![], clocks: vec![], window: 30, quarantined: vec![] }
     }
 }
 
@@ -137,29 +135,58 @@ impl UnresponsiveFilter {
         UnresponsiveFilter::default()
     }
 
-    /// Admits an address to the input and starts its clock on `day`.
-    /// Returns whether it was new: an address already admitted, active or
-    /// dropped, keeps its clock or its lack of one.
-    pub fn register(&mut self, addr: Addr, day: Day) -> bool {
-        let new = self.input.insert(addr);
-        if new {
-            self.last_seen.insert(addr, day);
+    /// Admits a batch of addresses, in any order and with repeats, to the
+    /// input and starts their clocks on `day`. Returns how many were new:
+    /// an address already admitted, active or dropped, keeps its clock or
+    /// its lack of one. The batch is sorted, what the input holds is
+    /// dropped from it in one galloping walk, and the rest is merged into
+    /// both columns in place, back to front.
+    pub fn register(&mut self, mut addrs: Vec<Addr>, day: Day) -> usize {
+        addrs.sort_unstable();
+        addrs.dedup();
+        let mut at = 0;
+        addrs.retain(|a| {
+            at += gallop(&self.input[at..], a);
+            self.input.get(at) != Some(a)
+        });
+        let (mut old, mut new) = (self.input.len(), addrs.len());
+        self.input.resize(old + new, Addr(0));
+        self.clocks.resize(old + new, None);
+        // Back to front: the old entries above the largest address left (found
+        // by doubling steps down) move up past all those left; it goes below.
+        while new > 0 {
+            new -= 1;
+            let mut step = 1;
+            while step <= old && self.input[old - step] > addrs[new] {
+                step *= 2;
+            }
+            let lo = old.saturating_sub(step);
+            let above = lo + self.input[lo..old].partition_point(|k| *k < addrs[new]);
+            self.input.copy_within(above..old, above + new + 1);
+            self.clocks.copy_within(above..old, above + new + 1);
+            self.input[above + new] = addrs[new];
+            self.clocks[above + new] = Some(day);
+            old = above;
         }
-        new
+        addrs.len()
     }
 
-    /// Marks an address responsive on `day`: restarts the clock of an
-    /// active address. An address never registered, or already dropped,
-    /// has no clock and gets none.
-    pub fn mark_responsive(&mut self, addr: Addr, day: Day) {
-        if let Some(last) = self.last_seen.get_mut(&addr) {
-            *last = day;
+    /// Marks a set of addresses responsive on `day`, in one forward walk
+    /// of the input: restarts the clock of each active one. An address
+    /// never registered, or already dropped, has no clock and gets none.
+    pub fn mark_responsive(&mut self, addrs: &AddrSet, day: Day) {
+        let mut at = 0;
+        for a in addrs.addrs() {
+            at += gallop(&self.input[at..], &a);
+            if let Some(Some(last)) = self.clocks.get_mut(at).filter(|_| self.input[at] == a) {
+                *last = day;
+            }
         }
     }
 
     /// Whether the address is still in the scan rotation.
     pub fn active(&self, addr: Addr) -> bool {
-        self.last_seen.contains_key(&addr)
+        self.input.binary_search(&addr).is_ok_and(|at| self.clocks[at].is_some())
     }
 
     /// Quarantines the half-open day window `[from, until)`: silence
@@ -182,9 +209,10 @@ impl UnresponsiveFilter {
     /// dropped this sweep.
     pub fn sweep(&mut self, day: Day) -> usize {
         let window = self.window;
-        let before = self.last_seen.len();
         let quarantined = &self.quarantined;
-        self.last_seen.retain(|_, last| {
+        let mut dropped = 0;
+        for clock in &mut self.clocks {
+            let Some(last) = *clock else { continue };
             // Silent days are (last, day] = [last+1, day+1); forgive the
             // days intersecting any quarantined [from, until) window.
             let credit: u32 = quarantined
@@ -195,9 +223,12 @@ impl UnresponsiveFilter {
                     hi.saturating_sub(lo)
                 })
                 .sum();
-            day.since(*last).saturating_sub(credit) < window
-        });
-        before - self.last_seen.len()
+            if day.since(last).saturating_sub(credit) >= window {
+                *clock = None;
+                dropped += 1;
+            }
+        }
+        dropped
     }
 
     /// Rebuilds a filter from checkpointed parts (the resume path of
@@ -209,32 +240,48 @@ impl UnresponsiveFilter {
         window: u32,
         quarantined: Vec<(Day, Day)>,
     ) -> UnresponsiveFilter {
-        let last_seen: AddrHashMap<Day> = active.into_iter().collect();
-        let input = last_seen.keys().copied().chain(dropped).collect();
-        UnresponsiveFilter { input, last_seen, window, quarantined }
+        let mut entries: Vec<(Addr, Option<Day>)> = active
+            .into_iter()
+            .map(|(a, day)| (a, Some(day)))
+            .chain(dropped.into_iter().map(|a| (a, None)))
+            .collect();
+        entries.sort_by_key(|(a, _)| *a);
+        entries.dedup_by_key(|(a, _)| *a);
+        let (input, clocks) = entries.into_iter().unzip();
+        UnresponsiveFilter { input, clocks, window, quarantined }
     }
 
-    /// Every address ever admitted, active or dropped.
-    pub fn input(&self) -> &AddrHashSet {
+    /// Every address ever admitted, active or dropped, ascending.
+    pub fn input(&self) -> &[Addr] {
         &self.input
     }
 
-    /// Active scan targets.
+    /// Active scan targets, ascending.
     pub fn active_targets(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.last_seen.keys().copied()
+        self.active_entries().map(|(a, _)| a)
     }
 
-    /// Active addresses with the day they last answered (checkpoint
-    /// capture).
+    /// Active addresses with the day they last answered, ascending
+    /// (checkpoint capture).
     pub fn active_entries(&self) -> impl Iterator<Item = (Addr, Day)> + '_ {
-        self.last_seen.iter().map(|(a, d)| (*a, *d))
+        self.input.iter().zip(&self.clocks).filter_map(|(a, clock)| clock.map(|day| (*a, day)))
     }
 
     /// The permanently dropped pool (Sec. 6's re-scan source): the input
     /// without a clock, built on each call.
     pub fn dropped_pool(&self) -> AddrSet {
-        self.input.iter().filter(|a| !self.last_seen.contains_key(*a)).copied().collect()
+        self.input.iter().zip(&self.clocks).filter_map(|(a, c)| c.is_none().then_some(*a)).collect()
     }
+}
+
+/// How many of the ascending `sorted` lie below `x`: doubling steps from the
+/// front, then a binary search, so skipping `k` entries costs O(log k).
+fn gallop(sorted: &[Addr], x: &Addr) -> usize {
+    let mut end = 1;
+    while end < sorted.len() && sorted[end] < *x {
+        end *= 2;
+    }
+    sorted[..end.min(sorted.len())].partition_point(|k| k < x)
 }
 
 #[cfg(test)]
@@ -247,6 +294,10 @@ mod tests {
 
     fn a(s: &str) -> Addr {
         s.parse().unwrap()
+    }
+
+    fn set(addrs: &[&str]) -> AddrSet {
+        addrs.iter().map(|s| a(s)).collect()
     }
 
     #[test]
@@ -281,9 +332,9 @@ mod tests {
     #[test]
     fn unresponsive_filter_lifecycle() {
         let mut f = UnresponsiveFilter::new();
-        f.register(a("::1"), Day(0));
-        f.register(a("::2"), Day(0));
-        f.mark_responsive(a("::1"), Day(20));
+        f.register(vec![a("::1")], Day(0));
+        f.register(vec![a("::2")], Day(0));
+        f.mark_responsive(&set(&["::1"]), Day(20));
         assert_eq!(f.sweep(Day(29)), 0, "nothing out of window yet");
         // ::2 has been silent since day 0.
         assert_eq!(f.sweep(Day(30)), 1);
@@ -291,16 +342,16 @@ mod tests {
         assert!(!f.active(a("::2")));
         assert!(f.dropped_pool().contains_addr(a("::2")));
         // Dropped addresses never re-enter.
-        f.register(a("::2"), Day(31));
-        f.mark_responsive(a("::2"), Day(31));
+        f.register(vec![a("::2")], Day(31));
+        f.mark_responsive(&set(&["::2"]), Day(31));
         assert!(!f.active(a("::2")), "never re-tested after exclusion");
     }
 
     #[test]
     fn an_address_the_input_never_admitted_gets_no_clock() {
         let mut f = UnresponsiveFilter::new();
-        f.register(a("::1"), Day(0));
-        f.mark_responsive(a("::9"), Day(5));
+        f.register(vec![a("::1")], Day(0));
+        f.mark_responsive(&set(&["::9"]), Day(5));
         assert!(!f.active(a("::9")));
         assert_eq!(f.active_targets().collect::<Vec<_>>(), vec![a("::1")]);
         // It never ages out either: it was never in the rotation.
@@ -311,15 +362,15 @@ mod tests {
     #[test]
     fn register_does_not_reset_clock() {
         let mut f = UnresponsiveFilter::new();
-        f.register(a("::1"), Day(0));
-        f.register(a("::1"), Day(25));
+        f.register(vec![a("::1")], Day(0));
+        f.register(vec![a("::1")], Day(25));
         assert_eq!(f.sweep(Day(31)), 1, "re-registration must not refresh");
     }
 
     #[test]
     fn quarantine_defers_eviction_by_exactly_the_window() {
         let mut f = UnresponsiveFilter::new();
-        f.register(a("::1"), Day(0));
+        f.register(vec![a("::1")], Day(0));
         // A 10-day outage: days 20..30 are quarantined.
         f.quarantine(Day(20), Day(30));
         assert_eq!(f.sweep(Day(30)), 0, "30 silent days minus 10 forgiven");
@@ -330,8 +381,8 @@ mod tests {
     #[test]
     fn quarantine_outside_silence_interval_grants_nothing() {
         let mut f = UnresponsiveFilter::new();
-        f.register(a("::1"), Day(0));
-        f.mark_responsive(a("::1"), Day(10));
+        f.register(vec![a("::1")], Day(0));
+        f.mark_responsive(&set(&["::1"]), Day(10));
         // Window entirely before the address went silent.
         f.quarantine(Day(3), Day(8));
         assert_eq!(f.sweep(Day(40)), 1, "credit only for silent days");
@@ -340,7 +391,7 @@ mod tests {
     #[test]
     fn quarantine_windows_accumulate_and_empty_windows_are_ignored() {
         let mut f = UnresponsiveFilter::new();
-        f.register(a("::1"), Day(0));
+        f.register(vec![a("::1")], Day(0));
         f.quarantine(Day(5), Day(10));
         f.quarantine(Day(15), Day(20));
         f.quarantine(Day(30), Day(30)); // empty, ignored
@@ -422,17 +473,27 @@ mod tests {
             let mut day = Day(0);
             for step in 0..60 {
                 day = day.plus(rng.next_bounded(3) as u32);
-                let addr = pool[rng.next_bounded(pool.len() as u64) as usize];
-                let what = match rng.next_bounded(10) {
+                let roll = rng.next_bounded(10);
+                // A few pool addresses, repeats and known ones included.
+                let mut draw = |most: u64| -> Vec<Addr> {
+                    let n = rng.next_bounded(most + 1);
+                    (0..n).map(|_| pool[rng.next_bounded(pool.len() as u64) as usize]).collect()
+                };
+                let what = match roll {
                     0..=3 => {
-                        revisits += usize::from(model.dropped.contains(&addr));
-                        let got = f.register(addr, day);
-                        assert_eq!(got, model.register(addr, day), "case {case} step {step}");
+                        let batch = draw(4);
+                        revisits += batch.iter().filter(|a| model.dropped.contains(a)).count();
+                        let got = f.register(batch.clone(), day);
+                        let expected = batch.iter().filter(|a| model.register(**a, day)).count();
+                        assert_eq!(got, expected, "case {case} step {step}");
                         "register"
                     }
                     4..=6 => {
-                        f.mark_responsive(addr, day);
-                        model.mark_responsive(addr, day);
+                        let marked = draw(3);
+                        f.mark_responsive(&marked.iter().copied().collect(), day);
+                        for a in marked {
+                            model.mark_responsive(a, day);
+                        }
                         "mark_responsive"
                     }
                     7 => {
@@ -456,8 +517,9 @@ mod tests {
                 assert_eq!(entries, model.last_seen, "{at}: clocks");
                 let dropped: AddrSet = model.dropped.iter().copied().collect();
                 assert_eq!(f.dropped_pool(), dropped, "{at}: dropped pool");
-                let input: BTreeSet<Addr> = f.input().iter().copied().collect();
-                assert_eq!(input, model.input, "{at}: input");
+                assert!(f.input().is_sorted_by(|x, y| x < y), "{at}: input not strictly ascending");
+                let input: Vec<Addr> = model.input.iter().copied().collect();
+                assert_eq!(f.input(), input, "{at}: input");
                 assert_eq!(f.quarantined(), model.quarantined, "{at}: quarantine");
             }
         }
@@ -467,8 +529,8 @@ mod tests {
     #[test]
     fn restore_round_trips_filter_parts() {
         let mut f = UnresponsiveFilter::new();
-        f.register(a("::1"), Day(0));
-        f.register(a("::2"), Day(5));
+        f.register(vec![a("::1")], Day(0));
+        f.register(vec![a("::2")], Day(5));
         f.quarantine(Day(7), Day(9));
         f.sweep(Day(32)); // drops ::1 (32 silent − 2 forgiven ≥ 30)
         assert!(!f.active(a("::1")));

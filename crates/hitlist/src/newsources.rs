@@ -11,11 +11,13 @@
 //! modules across several days (the paper aggregates four weeks of scans),
 //! merges results, and applies the GFW cleaning filter.
 
-use std::collections::HashSet;
+use std::collections::BTreeMap;
 
-use sixdust_addr::{prf, Addr, PrefixSet};
+use sixdust_addr::{prf, Addr, AddrSet, PrefixSet};
 use sixdust_net::{Day, Internet, Protocol};
-use sixdust_scan::{scan, Detail, ScanConfig};
+use sixdust_scan::{scan, ScanConfig};
+
+use crate::filters::GfwFilter;
 
 /// NS and MX record targets from the zone file (Sec. 6: "the name server
 /// and mail exchanger domains were not explicitly included" before).
@@ -137,51 +139,33 @@ pub fn evaluate_source(
         t.dedup();
         t
     };
-    let mut per_proto: Vec<(Protocol, HashSet<Addr>)> =
-        Protocol::ALL.iter().map(|p| (*p, HashSet::new())).collect();
-    let mut gfw_flagged: HashSet<Addr> = HashSet::new();
+    let mut gfw = GfwFilter::new();
+    let mut per_proto: Vec<(Protocol, AddrSet)> =
+        Protocol::ALL.iter().map(|p| (*p, AddrSet::new())).collect();
     for &day in days {
-        for (i, proto) in Protocol::ALL.into_iter().enumerate() {
-            let result = scan(net, proto, &targets, day, config);
-            for h in &result.hits {
-                match h.detail {
-                    Detail::Dns { injected: true, .. } => {
-                        gfw_flagged.insert(h.target);
-                    }
-                    _ => {
-                        per_proto[i].1.insert(h.target);
-                    }
-                }
-            }
+        for (proto, hits) in &mut per_proto {
+            let result = scan(net, *proto, &targets, day, config);
+            hits.union_in_place(&gfw.clean(&result).into_iter().collect());
         }
     }
-    let mut responsive: HashSet<Addr> = HashSet::new();
-    for (_, set) in &per_proto {
-        responsive.extend(set.iter().copied());
+    let mut responsive = AddrSet::new();
+    for (_, hits) in &per_proto {
+        responsive.union_in_place(hits);
     }
-    let mut responsive: Vec<Addr> = responsive.into_iter().collect();
-    responsive.sort_unstable();
     SourceEval {
         name: name.to_string(),
         candidates: candidates.len(),
         scanned: targets.len(),
-        per_proto: per_proto
-            .into_iter()
-            .map(|(p, s)| {
-                let mut v: Vec<Addr> = s.into_iter().collect();
-                v.sort_unstable();
-                (p, v)
-            })
-            .collect(),
-        responsive,
-        gfw_filtered: gfw_flagged.len(),
+        per_proto: per_proto.into_iter().map(|(p, hits)| (p, hits.to_addr_vec())).collect(),
+        responsive: responsive.to_addr_vec(),
+        gfw_filtered: gfw.impacted().len(),
     }
 }
 
 /// Groups responsive addresses by AS and returns `(asn, name, count)` rows
 /// sorted by count (Table 4's Top-AS columns, Fig. 8's distributions).
 pub fn by_as(net: &Internet, addrs: &[Addr]) -> Vec<(u32, String, usize)> {
-    let mut counts: std::collections::HashMap<sixdust_net::AsId, usize> = Default::default();
+    let mut counts: BTreeMap<sixdust_net::AsId, usize> = BTreeMap::new();
     for a in addrs {
         if let Some(id) = net.registry().origin(*a) {
             *counts.entry(id).or_insert(0) += 1;

@@ -90,7 +90,7 @@ pub fn publish(svc: &HitlistService) -> Publication {
         (out, packed)
     };
     let gfw_filtered = render(svc.gfw_impacted());
-    let input_set: AddrSet = svc.input().iter().copied().collect();
+    let input_set = AddrSet::from_sorted_addrs(svc.input());
     let input = render(&input_set);
 
     // Per-protocol slices come from the last completed round — retained

@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use sixdust_addr::{prf, Addr, AddrHashMap, AddrHashSet, AddrSet, PrefixSet};
+use sixdust_addr::{prf, Addr, AddrSet, PrefixSet};
 use sixdust_alias::{candidates, AliasDetector, DetectorConfig};
 use sixdust_json::json_struct;
 use sixdust_net::{events, Day, Internet, ProbeKind, ProtoSet, Protocol};
@@ -240,12 +240,13 @@ pub struct HitlistService {
     gfw: GfwFilter,
     detector: AliasDetector,
     aliased: PrefixSet,
-    /// Cumulative per-address protocols (cleaned view).
-    cumulative: AddrHashMap<ProtoSet>,
     /// Previous round's cleaned responsive set (churn baseline).
     prev_responsive: AddrSet,
     /// Every address ever seen cleaned-responsive.
     ever: AddrSet,
+    /// Beside each member of `ever`, in its order: every protocol it has
+    /// answered (cleaned view).
+    ever_protos: Vec<ProtoSet>,
     /// Whether each protocol (Protocol::ALL order) has ever produced a
     /// cleaned responsive hit. Distinguishes a previously-alive protocol
     /// going totally silent (loss) from one that was always dark (not
@@ -287,9 +288,9 @@ impl HitlistService {
             unresp: UnresponsiveFilter::new(),
             gfw: GfwFilter::new(),
             aliased: PrefixSet::new(),
-            cumulative: AddrHashMap::default(),
             prev_responsive: AddrSet::new(),
             ever: AddrSet::new(),
+            ever_protos: Vec::new(),
             proto_seen: [false; 5],
             next_alias_day: Day(0),
             pending_snapshots: pending,
@@ -348,8 +349,9 @@ impl HitlistService {
         self.unresp.window = days;
     }
 
-    /// Accumulated input addresses, active and dropped: the 30-day filter's.
-    pub fn input(&self) -> &AddrHashSet {
+    /// Accumulated input addresses, active and dropped, ascending: the
+    /// 30-day filter's.
+    pub fn input(&self) -> &[Addr] {
         self.unresp.input()
     }
 
@@ -418,10 +420,13 @@ impl HitlistService {
             state.unresponsive_window,
             state.quarantined.clone(),
         );
-        svc.cumulative = state.cumulative.iter().copied().collect();
         svc.prev_responsive = state.current_responsive.clone();
-        // `ever` and `cumulative` accumulate from the same cleaned hits.
-        svc.ever = state.cumulative.iter().map(|(a, _)| *a).collect();
+        let mut cumulative = state.cumulative.clone();
+        cumulative.sort_by_key(|(a, _)| *a);
+        cumulative.dedup_by_key(|(a, _)| *a);
+        let (ever, protos): (Vec<Addr>, _) = cumulative.into_iter().unzip();
+        svc.ever = AddrSet::from_sorted_addrs(&ever);
+        svc.ever_protos = protos;
         svc.next_alias_day = state.next_alias_day;
         svc.rounds = state.rounds.clone();
         svc.snapshots = state.snapshots.clone();
@@ -453,9 +458,9 @@ impl HitlistService {
     }
 
     /// Addresses responsive at least once, with their cumulative protocol
-    /// sets (cleaned view).
-    pub fn cumulative(&self) -> &AddrHashMap<ProtoSet> {
-        &self.cumulative
+    /// sets (cleaned view), ascending by address.
+    pub fn cumulative(&self) -> impl ExactSizeIterator<Item = (Addr, ProtoSet)> + '_ {
+        self.ever.addrs().zip(self.ever_protos.iter().copied())
     }
 
     /// The service configuration.
@@ -517,13 +522,9 @@ impl HitlistService {
         let week = day.0 / 7;
         let zone_due = self.last_zone_week != Some(week);
         self.last_zone_week = Some(week);
-        let unresp = &mut self.unresp;
-        let mut new = 0u64;
-        let offered = sources::for_each_due(net, day, zone_due, |a| {
-            if unresp.register(a, day) {
-                new += 1;
-            }
-        });
+        let mut batch = Vec::new();
+        let offered = sources::for_each_due(net, day, zone_due, |a| batch.push(a));
+        let new = self.unresp.register(batch, day) as u64;
         if let Some(t) = &self.telemetry {
             t.counter("service.ingest.offered").add(offered);
             t.counter("service.ingest.new").add(new);
@@ -539,12 +540,7 @@ impl HitlistService {
             net.trace_tails(&targets, 3, &ProbeKind::IcmpEcho { size: 16 }, day);
         // The input's other way in: with `service.ingest.new`, these add
         // up to its growth.
-        let mut new = 0u64;
-        for &hop in &discovered {
-            if self.unresp.register(hop, day) {
-                new += 1;
-            }
-        }
+        let new = self.unresp.register(discovered, day) as u64;
         if let Some(t) = &self.telemetry {
             t.counter("service.traceroute.offered").add(answered);
             t.counter("service.traceroute.new").add(new);
@@ -618,8 +614,7 @@ impl HitlistService {
         // Fig. 1.
         let phase_started = Instant::now();
         if day >= self.next_alias_day {
-            let input_vec: Vec<Addr> = self.input().iter().copied().collect();
-            let cands = candidates(net, &input_vec, self.config.detector.min_addrs_long);
+            let cands = candidates(net, self.input(), self.config.detector.min_addrs_long);
             self.detector.run_round(net, &cands, day);
             self.aliased = self.detector.aliased();
             self.next_alias_day = day.plus(self.config.alias_every_days);
@@ -741,9 +736,6 @@ impl HitlistService {
             self.proto_seen[i] |= !clean_set.is_empty();
             responsive_published.union_in_place(&pub_set);
             responsive_cleaned.union_in_place(&clean_set);
-            for a in clean_set.addrs() {
-                self.cumulative.entry(a).or_insert(ProtoSet::EMPTY).insert(proto);
-            }
             proto_published_sets.push((proto, pub_set));
             proto_cleaned_sets.push((proto, clean_set));
         }
@@ -814,9 +806,7 @@ impl HitlistService {
         // are quarantined in the 30-day filter instead.
         let effective: &AddrSet =
             if gfw_live { &responsive_cleaned } else { &responsive_published };
-        for a in effective.addrs() {
-            self.unresp.mark_responsive(a, day);
-        }
+        self.unresp.mark_responsive(effective, day);
         let dropped = if degraded {
             let from = self.rounds.last().map(|r| r.day.plus(1)).unwrap_or(day);
             self.unresp.quarantine(from, day.plus(1));
@@ -854,7 +844,7 @@ impl HitlistService {
         let churn_recurring = newly.intersect_count(&self.ever) as u64;
         let churn_brand_new = (newly.len() - churn_recurring as usize) as u64;
         let churn_gone = self.prev_responsive.diff_count(&responsive_cleaned) as u64;
-        self.ever.union_in_place(&responsive_cleaned);
+        self.accumulate_ever(&responsive_cleaned, &proto_cleaned_sets);
         self.record_phase(Phase::Churn, phase_started.elapsed());
 
         let record = RoundRecord {
@@ -944,6 +934,27 @@ impl HitlistService {
         self.rounds.last().expect("just pushed")
     }
 
+    /// Folds a round's cleaned hits into `ever` and its protocol column in
+    /// one ascending walk over the old members, the round's cleaned set
+    /// and its per-protocol slices (each a subset of the cleaned set).
+    fn accumulate_ever(&mut self, cleaned: &AddrSet, slices: &[(Protocol, AddrSet)]) {
+        let mut hits: Vec<_> = slices.iter().map(|(p, set)| (*p, set.addrs().peekable())).collect();
+        let mut old = self.ever.addrs().zip(self.ever_protos.iter().copied()).peekable();
+        let most = self.ever.len() + cleaned.len();
+        let mut ever = (Vec::with_capacity(most), Vec::with_capacity(most));
+        for a in cleaned.addrs() {
+            ever.extend(std::iter::from_fn(|| old.next_if(|(b, _)| *b < a)));
+            let mut answered = old.next_if(|(b, _)| *b == a).map_or(ProtoSet::EMPTY, |(_, p)| p);
+            for proto in hits.iter_mut().filter_map(|(p, hit)| hit.next_if_eq(&a).and(Some(*p))) {
+                answered.insert(proto);
+            }
+            ever.extend([(a, answered)]);
+        }
+        ever.extend(old);
+        self.ever = AddrSet::from_sorted_addrs(&ever.0);
+        self.ever_protos = ever.1;
+    }
+
     /// Runs the service from `from` to `until` (inclusive) with the
     /// historical scan cadence. The final round always lands exactly on
     /// `until` so snapshots for that day exist.
@@ -1011,13 +1022,13 @@ const PROTO_COUNTERS: [[&str; 3]; 5] = [
 /// sample actually rotate: cutting a sorted-by-address candidate list at
 /// `cap` — as this service once did — handed the numerically lowest
 /// addresses a permanent seat, and with `stride == 1` returned the
-/// identical set every single week. Ties break by address, so the result
-/// is deterministic at any HashSet iteration order.
+/// identical set every single week. Ties break by address, so the sample
+/// depends on the input's members, not on their order.
 ///
 /// The draw chooses and the address orders: nothing a traceroute finds or
 /// counts depends on the order of its targets, and neighbours in address
 /// order share the BGP table's cache lines ([`Internet::trace_tails`]).
-fn traceroute_sample(input: &AddrHashSet, cap: usize, week: u64) -> Vec<Addr> {
+fn traceroute_sample(input: &[Addr], cap: usize, week: u64) -> Vec<Addr> {
     let stride = MultipleOf::new((input.len() / cap.max(1)).max(1) as u64);
     let draws = prf::Keyed::new(0x7ace, week);
     let mut ranked: Vec<(u64, Addr)> = input
@@ -1083,10 +1094,9 @@ mod tests {
         // sorted-by-address list at the cap returned the identical
         // lowest-`cap` set every single week.
         let cap = 100;
-        let input: AddrHashSet =
+        let input: Vec<Addr> =
             (0..150u128).map(|i| Addr((0x2001u128 << 112) | (i << 82) | 7)).collect();
-        let mut all: Vec<Addr> = input.iter().copied().collect();
-        all.sort_unstable();
+        let all = input.clone();
         let lowest_cap: Vec<Addr> = all.iter().take(cap).copied().collect();
 
         let sample = |week: u64| -> Vec<Addr> {
@@ -1108,7 +1118,7 @@ mod tests {
             AddrSet::from_sorted_addrs(&w0).intersect_count(&AddrSet::from_sorted_addrs(&w1));
         assert!(overlap < cap, "rotation changes membership beyond the cap boundary");
         // Small inputs are untouched: everything under the cap is traced.
-        let tiny: AddrHashSet = all.iter().take(10).copied().collect();
+        let tiny: Vec<Addr> = all.iter().take(10).copied().collect();
         let mut traced = traceroute_sample(&tiny, cap, 3);
         traced.sort_unstable();
         assert_eq!(traced, all[..10].to_vec());
@@ -1116,7 +1126,7 @@ mod tests {
 
     /// `traceroute_sample` as it read before: a remainder per address, and
     /// every admitted draw sorted to keep the lowest `cap`.
-    fn traceroute_sample_by_sorting(input: &AddrHashSet, cap: usize, week: u64) -> Vec<Addr> {
+    fn traceroute_sample_by_sorting(input: &[Addr], cap: usize, week: u64) -> Vec<Addr> {
         let stride = (input.len() / cap.max(1)).max(1) as u64;
         let mut ranked: Vec<(u64, Addr)> = input
             .iter()
@@ -1133,10 +1143,13 @@ mod tests {
     #[test]
     fn traceroute_sample_is_the_sorted_formula_as_a_set() {
         let mut rng = prf::PrfStream::new(0x5a3b1e, 0, 0);
-        let mut addrs = |n: usize| -> AddrHashSet {
-            (0..n)
+        let mut addrs = |n: usize| -> Vec<Addr> {
+            let mut input: Vec<Addr> = (0..n)
                 .map(|_| Addr(u128::from(rng.next_u64() % 64) << 64 | u128::from(rng.next_u64())))
-                .collect()
+                .collect();
+            input.sort_unstable();
+            input.dedup();
+            input
         };
         // Strides of one, odd, a power of two and mixed; a cap of nothing,
         // a cap no filter fills, and an input smaller than the cap.
@@ -1302,9 +1315,7 @@ mod tests {
             sources::discovery_drip(net, day),
         ];
         for addrs in zone_backed.into_iter().filter(|_| run_zone_sources).chain(others) {
-            for a in addrs {
-                svc.unresp.register(a, day);
-            }
+            svc.unresp.register(addrs, day);
         }
     }
 
@@ -1440,16 +1451,16 @@ mod tests {
         let cfg = ServiceConfig::default().with_traceroute_cap(150);
         let registry = Registry::new();
         let mut svc = HitlistService::new(cfg).with_telemetry(registry.clone());
-        let input: AddrHashSet = net
+        let mut input: Vec<Addr> = net
             .population()
             .enumerate_responsive(day)
             .into_iter()
             .map(|(a, ..)| a)
             .take(400)
             .collect();
-        for &a in &input {
-            svc.unresp.register(a, day);
-        }
+        input.sort_unstable();
+        input.dedup();
+        svc.unresp.register(input.clone(), day);
         // Sent one by one: every expiry an interface answers is an offer,
         // however many paths share the interface.
         let probe = ProbeKind::IcmpEcho { size: 16 };
@@ -1475,22 +1486,18 @@ mod tests {
         // different targets, so the discovered hop interfaces differ too.
         let net = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
         let cfg = ServiceConfig::default().with_traceroute_cap(40).with_alias_every_days(10_000);
-        let input: AddrHashSet =
+        let input: Vec<Addr> =
             (0..80u128).map(|i| Addr((0x2001u128 << 112) | (i << 82) | 7)).collect();
         let mut week_a = HitlistService::new(cfg.clone());
-        for &a in &input {
-            week_a.unresp.register(a, Day(0));
-        }
+        week_a.unresp.register(input.clone(), Day(0));
         week_a.traceroute(&net, Day(0));
         let mut week_b = HitlistService::new(cfg);
-        for &a in &input {
-            week_b.unresp.register(a, Day(7));
-        }
+        week_b.unresp.register(input.clone(), Day(7));
         week_b.traceroute(&net, Day(7));
         let mut hops_a: Vec<Addr> =
-            week_a.input().iter().filter(|a| !input.contains(a)).copied().collect();
+            week_a.input().iter().filter(|a| input.binary_search(a).is_err()).copied().collect();
         let mut hops_b: Vec<Addr> =
-            week_b.input().iter().filter(|a| !input.contains(a)).copied().collect();
+            week_b.input().iter().filter(|a| input.binary_search(a).is_err()).copied().collect();
         hops_a.sort_unstable();
         hops_b.sort_unstable();
         assert_ne!(hops_a, hops_b, "different weeks discover different router interfaces");

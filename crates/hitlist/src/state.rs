@@ -100,21 +100,16 @@ pub const OLDEST_SUPPORTED_STATE_VERSION: u32 = 1;
 impl ServiceState {
     /// Captures a checkpoint from a running service.
     pub fn capture(svc: &HitlistService) -> ServiceState {
-        let mut cumulative: Vec<(Addr, ProtoSet)> =
-            svc.cumulative().iter().map(|(a, p)| (*a, *p)).collect();
-        cumulative.sort_unstable_by_key(|(a, _)| *a);
-        let mut active: Vec<(Addr, Day)> = svc.unresponsive().active_entries().collect();
-        active.sort_unstable_by_key(|(a, _)| *a);
         ServiceState {
             version: STATE_VERSION,
-            input: svc.input().iter().copied().collect(),
+            input: AddrSet::from_sorted_addrs(svc.input()),
             aliased: svc.aliased().iter().collect(),
             gfw_impacted: svc.gfw_impacted().clone(),
             unresponsive_pool: svc.unresponsive_pool(),
-            cumulative,
+            cumulative: svc.cumulative().collect(),
             rounds: svc.rounds().to_vec(),
             snapshots: svc.snapshots().to_vec(),
-            active,
+            active: svc.unresponsive().active_entries().collect(),
             quarantined: svc.unresponsive().quarantined().to_vec(),
             current_responsive: svc.current_responsive().clone(),
             next_alias_day: svc.next_alias_day(),
@@ -172,6 +167,10 @@ impl ServiceState {
             if p.is_empty() {
                 return Err(format!("{a} in cumulative without protocols"));
             }
+        }
+        let cumulative: AddrSet = self.cumulative.iter().map(|(a, _)| *a).collect();
+        if cumulative.len() != self.cumulative.len() {
+            return Err("duplicate cumulative addresses".into());
         }
         for w in self.rounds.windows(2) {
             if w[1].day <= w[0].day {
@@ -234,7 +233,7 @@ impl ServiceState {
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
-    use sixdust_net::{Day, FaultConfig, Internet, Scale};
+    use sixdust_net::{Day, FaultConfig, Internet, Protocol, Scale};
 
     fn test_net() -> Internet {
         Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless())
@@ -432,6 +431,23 @@ mod tests {
         v1.validate().expect("a v1 checkpoint may hold input the pool does not");
         v1.unresponsive_pool.insert(stranger + 1);
         assert!(v1.validate().is_err(), "a v1 dropped address that is not input");
+    }
+
+    #[test]
+    fn a_checkpoint_that_repeats_a_cumulative_address_is_rejected() {
+        let base = ServiceState::capture(&run_service(5));
+        base.validate().expect("a captured state is valid");
+        // The address again, under protocols it was not captured with.
+        let (a, protos) = base.cumulative[0];
+        let other = if protos == ProtoSet::all() {
+            ProtoSet::of(&[Protocol::Icmp])
+        } else {
+            ProtoSet::all()
+        };
+        let mut bad = base;
+        bad.cumulative.insert(1, (a, other));
+        let err = bad.validate().unwrap_err();
+        assert!(err.contains("duplicate cumulative"), "{err}");
     }
 
     #[test]

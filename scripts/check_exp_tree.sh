@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Does the working tree's sixdust-exp write the same `all` tree as another
-# revision's? The output check a change makes against its parent.
+# Does the working tree's sixdust-exp write the same `all` tree and the
+# same service checkpoint as another revision's? The output check a
+# change makes against its parent.
 #
 #   scripts/check_exp_tree.sh <rev>
 #
@@ -9,12 +10,15 @@
 # worktree), builds its sixdust-exp there and the working tree's here
 # (release, offline), runs both with `--scale tiny --seed 11 --out DIR
 # all` (one DIR, moved aside after each run: the tree records its own
-# path) and compares the two output trees with `diff -r`. Exits non-zero
-# on any difference. Uncommitted work is in the working tree's binary.
+# path) and compares the two output trees with `diff -r`. Then runs both
+# with `--checkpoint FILE pipeline` (a fresh FILE each: an existing one
+# is resumed from) and compares the two four-year checkpoints with
+# `cmp`, since `all` alone never writes one. Exits non-zero on any
+# difference. Uncommitted work is in the working tree's binary.
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
-  sed -n '2,13p' "$0" >&2
+  sed -n '2,16p' "$0" >&2
   exit 2
 fi
 rev=$1
@@ -35,14 +39,21 @@ build() {
 }
 build "$work/src"
 build "$root"
-run() {
-  "$1/target/release/sixdust-exp" --scale tiny --seed 11 --out "$work/out" all \
-    >"$work/$2.out" 2>"$work/$2.log" || {
-    echo "check_exp_tree: the $2 binary failed; its last lines:" >&2
-    tail -5 "$work/$2.log" >&2
+invoke() {
+  local bin=$1 name=$2
+  shift 2
+  "$bin/target/release/sixdust-exp" --scale tiny --seed 11 --out "$work/out" "$@" \
+    >"$work/$name.out" 2>"$work/$name.log" || {
+    echo "check_exp_tree: the $name run failed; its last lines:" >&2
+    tail -5 "$work/$name.log" >&2
     exit 1
   }
+}
+run() {
+  invoke "$1" "$2" all
   mv "$work/out" "$work/$2"
+  invoke "$1" "$2-checkpoint" --checkpoint "$work/$2.checkpoint.json" pipeline
+  rm -rf "$work/out"
 }
 run "$work/src" rev
 run "$root" tree
@@ -51,5 +62,12 @@ if diff -r "$work/rev" "$work/tree"; then
     "at ${commit:0:12} and the working tree"
 else
   echo "check_exp_tree: the 'all' trees of ${commit:0:12} and the working tree differ" >&2
+  exit 1
+fi
+if cmp "$work/rev.checkpoint.json" "$work/tree.checkpoint.json"; then
+  echo "check_exp_tree: identical pipeline checkpoints" \
+    "($(wc -c <"$work/tree.checkpoint.json") bytes)"
+else
+  echo "check_exp_tree: the pipeline checkpoints of ${commit:0:12} and the working tree differ" >&2
   exit 1
 fi
