@@ -7,18 +7,24 @@
 //! [`ArtifactKind::ALL`] (the full responsive list dominates, exotic
 //! slices tail off), matching how real hitlist mirrors see traffic.
 //!
-//! One driver, `drive_day`, replays every day: it expands the schedule
-//! and, for each arrival, delivers the transfers that have finished,
-//! draws the request and submits it. Two load shapes feed it:
+//! One driver, `drive_day`, replays every day: it takes the arrivals in
+//! `(time, id)` order and, for each, delivers the transfers that have
+//! finished, draws the request and submits it. Two load shapes feed it:
 //!
 //! * **Uniform** (the default): `requests` arrivals spread PRF-uniform
-//!   across the day — the original 100k-request replay.
+//!   across the day — the original 100k-request replay. An arrival's
+//!   instant and client are draws keyed by its id alone, so the day holds
+//!   no schedule: it files each id under a power-of-two span of the day
+//!   (four bytes a request) and draws the arrivals of one span again,
+//!   sorted, when the replay reaches it.
 //! * **Sessions** ([`SessionShape`]): each of `clients` virtual clients
 //!   runs one session — a heavy-tailed (Zipf) number of requests spaced
 //!   by jittered think time — and a configurable slice of sessions joins
 //!   a flash crowd at each publication ([`FlashSpike`]), front-loaded
 //!   the way real consumers pile onto a fresh hitlist. This is what
-//!   scales the day to a million-plus virtual clients.
+//!   scales the day to a million-plus virtual clients. An arrival
+//!   depends on the session walk before it, so this shape expands the
+//!   whole schedule first and sorts it.
 //!
 //! Two backends answer it through the
 //! [`EventLoop`]: a bare [`Frontend`]
@@ -85,7 +91,8 @@ impl Draws {
 pub struct FleetConfig {
     /// Number of distinct registered consumers.
     pub clients: u64,
-    /// Requests issued across the day.
+    /// Requests issued across the day (uniform shape). At most
+    /// `u32::MAX`: a uniform day files each request id in four bytes.
     pub requests: u64,
     /// Zipf exponent over artifact popularity ranks (milli-units:
     /// 1000 = classic 1/rank).
@@ -216,6 +223,9 @@ pub enum FleetConfigError {
     ZeroClients,
     /// `requests` is zero in uniform mode: the day would be empty.
     ZeroRequests,
+    /// `requests` is above `u32::MAX` in uniform mode: the day files
+    /// each request id in a `u32`.
+    TooManyRequests,
     /// `day_micros` is zero: no timeline to schedule on.
     ZeroDayMicros,
     /// A Zipf exponent so extreme the fixed-point `rank^s` computation
@@ -235,6 +245,9 @@ impl std::fmt::Display for FleetConfigError {
             FleetConfigError::ZeroClients => write!(f, "clients must be at least 1"),
             FleetConfigError::ZeroRequests => {
                 write!(f, "requests must be at least 1 (uniform mode)")
+            }
+            FleetConfigError::TooManyRequests => {
+                write!(f, "requests must be at most {} (uniform mode)", u32::MAX)
             }
             FleetConfigError::ZeroDayMicros => write!(f, "day_micros must be at least 1"),
             FleetConfigError::ZipfExponentOverflow => {
@@ -299,6 +312,9 @@ impl FleetConfig {
             None => {
                 if self.requests == 0 {
                     return Err(FleetConfigError::ZeroRequests);
+                }
+                if self.requests > u64::from(u32::MAX) {
+                    return Err(FleetConfigError::TooManyRequests);
                 }
             }
             Some(shape) => {
@@ -533,8 +549,8 @@ pub(crate) enum Clients {
     OfATier,
 }
 
-/// One scheduled arrival of the day, after the load shape has been
-/// expanded: request `id` from `client` at `at_us`.
+/// One arrival of the day, after the load shape has been expanded:
+/// request `id` from `client` at `at_us`.
 #[derive(Debug, Clone, Copy)]
 struct Arrival {
     at_us: u64,
@@ -542,78 +558,133 @@ struct Arrival {
     client: u64,
 }
 
-/// Expands the configured load shape into the day's arrival schedule,
-/// sorted by `(time, id)` so replay order is total and independent of
-/// generation order. Returns the schedule and the number of arrivals
-/// that landed inside a flash-crowd window.
+/// The most arrivals a session schedule reserves room for up front; a
+/// day with more grows its vector as it walks.
+const SESSION_RESERVE: usize = 1 << 24;
+
+/// How many arrivals a session day of `clients` reserves before its walk:
+/// about two a client, saturating, and never past [`SESSION_RESERVE`].
+fn session_capacity_hint(clients: u64) -> usize {
+    usize::try_from(clients).unwrap_or(usize::MAX).saturating_mul(2).min(SESSION_RESERVE)
+}
+
+/// Expands a session day's load shape into its arrival schedule, sorted
+/// by `(time, id)` so replay order is total and independent of generation
+/// order. Returns the schedule and the number of arrivals that landed
+/// inside a flash-crowd window. A uniform day has no schedule: its
+/// arrivals come out of [`for_each_uniform_arrival`].
 fn build_schedule(config: &FleetConfig, draws: &Draws) -> (Vec<Arrival>, u64) {
+    let shape = config.session.as_ref().expect("only a session day has a schedule");
     let day = config.day_micros;
     let mut flash_arrivals = 0u64;
-    let mut schedule: Vec<Arrival> = match &config.session {
-        None => (0..config.requests)
-            .map(|i| {
-                let at = draws.time.draw(u128::from(i)) % day;
-                let client = draws.client.draw(u128::from(i)) % config.clients;
-                Arrival { at_us: at, id: i, client }
-            })
-            .collect(),
-        Some(shape) => {
-            let lengths = zipf_cumulative_checked(
-                u64::from(shape.max_requests_per_client),
-                shape.length_zipf_milli,
-            )
+    let lengths =
+        zipf_cumulative_checked(u64::from(shape.max_requests_per_client), shape.length_zipf_milli)
             .expect("FleetConfig rejected: session zipf exponent overflows");
-            let mut arrivals = Vec::with_capacity(config.clients as usize * 2);
-            let mut id = 0u64;
-            for client in 0..config.clients {
-                // Heavy-tailed session length: rank 1 (one request)
-                // dominates, a Zipf tail of long sessions hammers on.
-                let len_draw = draws.session_len.draw(u128::from(client));
-                let count = 1 + pick_weighted(&lengths, len_draw) as u64;
-                // Flash crowd: a slice of sessions starts inside a spike
-                // window, offset quadratically toward the publication
-                // instant (d²/w front-loads small offsets).
-                let spike = (!shape.spikes.is_empty()
-                    && draws.flash.draw(u128::from(client)) % 1000
-                        < u64::from(shape.flash_permille))
-                .then(|| {
-                    let pick = draws.spike.draw(u128::from(client)) % shape.spikes.len() as u64;
-                    shape.spikes[pick as usize]
-                });
-                let mut at = match spike {
-                    Some(s) => {
-                        let w = s.window_us.max(1);
-                        let d = draws.time.draw(u128::from(client)) % w;
-                        s.at_us + (u128::from(d) * u128::from(d) / u128::from(w)) as u64
-                    }
-                    None => draws.time.draw(u128::from(client)) % day,
-                };
-                // A gap is 1 + a draw below twice the mean think time; past
-                // a mean of `u64::MAX / 2` that bound takes 65 bits.
-                let think_bound = (2 * u128::from(shape.think_time_us)).max(1);
-                for r in 0..count {
-                    if at >= day {
-                        // The session is truncated at midnight.
-                        break;
-                    }
-                    arrivals.push(Arrival { at_us: at, id, client });
-                    id += 1;
-                    if let Some(s) = spike {
-                        if at >= s.at_us && at < s.at_us.saturating_add(s.window_us) {
-                            flash_arrivals += 1;
-                        }
-                    }
-                    let think =
-                        u128::from(draws.think.draw(u128::from(client) << 32 | u128::from(r)))
-                            % think_bound;
-                    at = at.saturating_add(u64::try_from(1 + think).unwrap_or(u64::MAX));
+    let mut schedule = Vec::with_capacity(session_capacity_hint(config.clients));
+    let mut id = 0u64;
+    for client in 0..config.clients {
+        // Heavy-tailed session length: rank 1 (one request)
+        // dominates, a Zipf tail of long sessions hammers on.
+        let len_draw = draws.session_len.draw(u128::from(client));
+        let count = 1 + pick_weighted(&lengths, len_draw) as u64;
+        // Flash crowd: a slice of sessions starts inside a spike
+        // window, offset quadratically toward the publication
+        // instant (d²/w front-loads small offsets).
+        let spike = (!shape.spikes.is_empty()
+            && draws.flash.draw(u128::from(client)) % 1000 < u64::from(shape.flash_permille))
+        .then(|| {
+            let pick = draws.spike.draw(u128::from(client)) % shape.spikes.len() as u64;
+            shape.spikes[pick as usize]
+        });
+        let mut at = match spike {
+            Some(s) => {
+                let w = s.window_us.max(1);
+                let d = draws.time.draw(u128::from(client)) % w;
+                s.at_us + (u128::from(d) * u128::from(d) / u128::from(w)) as u64
+            }
+            None => draws.time.draw(u128::from(client)) % day,
+        };
+        // A gap is 1 + a draw below twice the mean think time; past
+        // a mean of `u64::MAX / 2` that bound takes 65 bits.
+        let think_bound = (2 * u128::from(shape.think_time_us)).max(1);
+        for r in 0..count {
+            if at >= day {
+                // The session is truncated at midnight.
+                break;
+            }
+            schedule.push(Arrival { at_us: at, id, client });
+            id += 1;
+            if let Some(s) = spike {
+                if at >= s.at_us && at < s.at_us.saturating_add(s.window_us) {
+                    flash_arrivals += 1;
                 }
             }
-            arrivals
+            let think = u128::from(draws.think.draw(u128::from(client) << 32 | u128::from(r)))
+                % think_bound;
+            at = at.saturating_add(u64::try_from(1 + think).unwrap_or(u64::MAX));
         }
-    };
+    }
     schedule.sort_unstable_by_key(|a| (a.at_us, a.id));
     (schedule, flash_arrivals)
+}
+
+/// A uniform day's request `id`: its instant and its client are draws
+/// keyed by the id alone.
+fn uniform_arrival(config: &FleetConfig, draws: &Draws, id: u32) -> Arrival {
+    let id = u64::from(id);
+    let at_us = draws.time.draw(u128::from(id)) % config.day_micros;
+    let client = draws.client.draw(u128::from(id)) % config.clients;
+    Arrival { at_us, id, client }
+}
+
+/// Hands a uniform day's arrivals to `each` in `(time, id)` order without
+/// holding them all. The day is cut into power-of-two spans of
+/// microseconds, eight to sixteen arrivals a span on average (more only
+/// when one microsecond holds more); two passes over the ids file each id
+/// under its bucket, four bytes a request, and each bucket's arrivals are
+/// drawn again and sorted when it is replayed. Buckets are monotone in
+/// time, so their concatenation is the whole day's sorted schedule.
+fn for_each_uniform_arrival(config: &FleetConfig, draws: &Draws, mut each: impl FnMut(Arrival)) {
+    let requests = u32::try_from(config.requests).expect("FleetConfig rejected: too many requests");
+    let last_us = config.day_micros - 1;
+    // The narrowest span that keeps the bucket count at most requests / 8.
+    let span = last_us / u64::from(requests / 8).max(1) + 1;
+    let shift = (u64::BITS - (span - 1).leading_zeros()).min(u64::BITS - 1);
+    let buckets = (last_us >> shift) as usize + 1;
+    let bucket =
+        |id: u32| ((draws.time.draw(u128::from(id)) % config.day_micros) >> shift) as usize;
+
+    // `bounds[b]` counts bucket `b`, then (prefix sums) marks where it
+    // ends; filing each id at its bucket's end, counting down, leaves it
+    // marking where `b` starts. Bucket `b` is `ids[bounds[b]..bounds[b + 1]]`,
+    // its ids descending: the replay's sort, not the filing, puts the
+    // arrivals of one instant in id order.
+    let mut bounds = vec![0u32; buckets + 1];
+    for id in 0..requests {
+        bounds[bucket(id)] += 1;
+    }
+    let mut total = 0;
+    for bound in &mut bounds {
+        total += *bound;
+        *bound = total;
+    }
+    let mut ids = vec![0u32; requests as usize];
+    for id in 0..requests {
+        let bound = &mut bounds[bucket(id)];
+        *bound -= 1;
+        ids[*bound as usize] = id;
+    }
+
+    let mut arrivals = Vec::new();
+    for b in 0..buckets {
+        arrivals.extend(
+            ids[bounds[b] as usize..bounds[b + 1] as usize]
+                .iter()
+                .map(|&id| uniform_arrival(config, draws, id)),
+        );
+        arrivals.sort_unstable_by_key(|a| (a.at_us, a.id));
+        arrivals.drain(..).for_each(&mut each);
+    }
 }
 
 /// The per-request PRF draws: which artifact, delta-vs-full freshness,
@@ -712,7 +783,7 @@ impl Engine for SyncEngine<'_> {
     }
 }
 
-/// The one day driver: expand the schedule, and for each arrival first
+/// The one day driver: for each arrival in `(time, id)` order first
 /// apply every completion whose transfer has finished (updating what the
 /// clients hold), then draw and submit the request. `store` is where
 /// publications land: its round at day's end is the report's. The day's
@@ -728,7 +799,6 @@ pub(crate) fn drive_day(
     let prev_rounds: Vec<Option<u64>> =
         ArtifactKind::ALL.iter().map(|&k| store.artifact(k).and_then(|v| v.prev_round())).collect();
     let draws = Draws::new(config.seed);
-    let (schedule, flash_arrivals) = build_schedule(config, &draws);
 
     let mut held = HeldTable::default();
     let mut bodies_by_kind = vec![0u64; ArtifactKind::ALL.len()];
@@ -740,12 +810,23 @@ pub(crate) fn drive_day(
         }
     };
 
-    for &arrival in &schedule {
+    let arrive = |arrival: Arrival| {
         engine.poll(arrival.at_us, |c| deliver(c, &mut held));
         let request =
             draw_request(config, &draws, clients, &cumulative, &prev_rounds, &held, arrival);
         engine.submit(arrival.id, &request);
-    }
+    };
+    let flash_arrivals = match config.session {
+        None => {
+            for_each_uniform_arrival(config, &draws, arrive);
+            0
+        }
+        Some(_) => {
+            let (schedule, flash_arrivals) = build_schedule(config, &draws);
+            schedule.into_iter().for_each(arrive);
+            flash_arrivals
+        }
+    };
     engine.poll(u64::MAX, |c| deliver(c, &mut held));
     engine.publish();
 
@@ -883,6 +964,14 @@ pub(crate) mod tests {
         assert_eq!(err, FleetConfigError::ZeroRequests);
         let err = FleetConfig { day_micros: 0, ..FleetConfig::default() }.build().unwrap_err();
         assert_eq!(err, FleetConfigError::ZeroDayMicros);
+        // A uniform day files its request ids as `u32`s.
+        let most = FleetConfig { requests: u64::from(u32::MAX), ..FleetConfig::default() };
+        assert!(most.build().is_ok());
+        let over = FleetConfig { requests: u64::from(u32::MAX) + 1, ..FleetConfig::default() };
+        let err = over.clone().build().unwrap_err();
+        assert_eq!(err, FleetConfigError::TooManyRequests);
+        assert_eq!(err.to_string(), "requests must be at most 4294967295 (uniform mode)");
+        assert!(over.with_session(SessionShape::default()).build().is_ok(), "sessions ignore it");
         // 8 artifact ranks at exponent 40.0: 8^40 overflows the
         // fixed-point rank^s — the panic this used to be.
         let err = FleetConfig { zipf_exponent_milli: 40_000, ..FleetConfig::default() }
@@ -904,6 +993,67 @@ pub(crate) mod tests {
             .with_session(SessionShape::default())
             .build();
         assert!(ok.is_ok());
+    }
+
+    /// The whole-day schedule a uniform day used to build: every arrival
+    /// collected, then sorted by `(time, id)`.
+    fn sorted_uniform_schedule(config: &FleetConfig, draws: &Draws) -> Vec<(u64, u64, u64)> {
+        let mut schedule: Vec<(u64, u64, u64)> = (0..config.requests)
+            .map(|i| {
+                let at = draws.time.draw(u128::from(i)) % config.day_micros;
+                (at, i, draws.client.draw(u128::from(i)) % config.clients)
+            })
+            .collect();
+        schedule.sort_unstable_by_key(|&(at, id, _)| (at, id));
+        schedule
+    }
+
+    #[test]
+    fn uniform_arrivals_come_out_as_the_sorted_schedule() {
+        // One bucket, a bucket a microsecond, ties at equal instants, the
+        // default day, and the widest day (a 63-bit shift).
+        let days = [1, 2, 1_000, FleetConfig::default().day_micros, u64::MAX];
+        for seed in [1, 31, 0x6D15_7A11] {
+            for requests in [1, 7, 8, 9, 1_000, 100_000] {
+                for day_micros in days {
+                    for clients in [1, 5_000] {
+                        let config = FleetConfig {
+                            requests,
+                            day_micros,
+                            clients,
+                            seed,
+                            ..FleetConfig::default()
+                        }
+                        .build()
+                        .expect("valid uniform config");
+                        let draws = Draws::new(seed);
+                        let mut streamed = Vec::new();
+                        for_each_uniform_arrival(&config, &draws, |a| {
+                            streamed.push((a.at_us, a.id, a.client))
+                        });
+                        assert!(
+                            streamed == sorted_uniform_schedule(&config, &draws),
+                            "seed {seed}, {requests} requests, day {day_micros} µs, {clients} clients"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_session_day_of_any_client_count_reserves_a_bounded_schedule() {
+        // Valid configs: `2 · clients` used to overflow in debug past
+        // 2^63 clients and abort on allocation near 2^40.
+        for clients in [1u64 << 40, 1 << 63, u64::MAX] {
+            let config = FleetConfig::builder()
+                .with_clients(clients)
+                .with_session(SessionShape::default())
+                .build()
+                .expect("any client count is valid");
+            assert_eq!(session_capacity_hint(config.clients), SESSION_RESERVE);
+        }
+        assert_eq!(session_capacity_hint(150_000), 300_000);
     }
 
     #[test]

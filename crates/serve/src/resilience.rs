@@ -537,7 +537,7 @@ mod tests {
     use super::*;
     use crate::faults::ServeFaultConfig;
     use crate::fleet::tests::seeded_store;
-    use crate::fleet::SessionShape;
+    use crate::fleet::{run_day, SessionShape};
     use crate::mirror::MirrorTierConfig;
     use crate::reactor::Completion;
     use crate::server::{FetchKind, Frontend, FrontendConfig};
@@ -753,6 +753,24 @@ mod tests {
         assert_eq!(debug_digest(&session), 0xba20_91e1_7aa1_b54e, "{session:?}");
         assert!(session.totals.shed_client > 0 && session.totals.shed_global > 0);
         assert_eq!(session.round, 6, "the deferred publishes landed when the blackout lifted");
+    }
+
+    // Recorded at commit ca5d906, before the uniform schedule was streamed.
+    #[test]
+    fn run_day_reports_are_pinned_across_commits() {
+        let store = seeded_store();
+        // One virtual hour, so the buckets shed as well as serve.
+        let mut fleet = FleetConfig::builder().with_seed(7).with_requests(6_000).with_clients(40);
+        fleet.day_micros = HOUR_US;
+        let uniform = run_day(&fleet, FrontendConfig::default(), &store, None);
+        assert_eq!(debug_digest(&uniform), 0xb12d_6bff_3ae5_040f, "{uniform:?}");
+        assert!(uniform.totals.shed_client > 0 && uniform.totals.not_modified > 0);
+
+        let shape = SessionShape::builder().with_spike(8 * HOUR_US, HOUR_US / 2);
+        let fleet = FleetConfig::builder().with_seed(7).with_clients(2_000).with_session(shape);
+        let session = run_day(&fleet, FrontendConfig::default(), &store, None);
+        assert_eq!(debug_digest(&session), 0xf7ff_1a1e_c6cd_5f4f, "{session:?}");
+        assert!(session.flash_arrivals > 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 # The alternating-pairs protocol for claiming (or ruling out) a change in
 # a workload's throughput on a host that drifts.
 #
-#   scripts/bench_pairs.sh <parent-binary> <change-binary> <workload> [pairs=10] [seconds=6]
+#   scripts/bench_pairs.sh <parent-binary> <change-binary> <workload>[,<workload>…] [pairs=10] [seconds=6]
 #
 # Both arguments are prebuilt `sixdust-benchmark` binaries, one per
 # commit, which scripts/bench_build.sh makes without touching the working
@@ -39,16 +39,22 @@
 # parent's interquartile range:
 #
 #   claim <metric>: met|not met (won W/N, gap G vs parent iqr I)
+#
+# Given a comma-separated list of workloads, it runs each one's pairs in
+# turn and prints each one's lines as above, a blank line between them,
+# then one last line naming every workload whose bounds were not ok:
+#
+#   workloads: bounds ok | workloads: bounds not ok on <workload>[, …]
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
-  sed -n '2,41p' "$0" >&2
+  sed -n '2,47p' "$0" >&2
   exit 2
 fi
 benchmark_json=$(dirname "$0")/../BENCHMARK.json
 parent=$1
 change=$2
-workload=$3
+IFS=, read -r -a workloads <<<"$3"
 pairs=${4:-10}
 seconds=${5:-6}
 seed0=${SEED0:-101}
@@ -145,72 +151,100 @@ claim_verdict() {
     }'
 }
 
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
-won=0
-lost=0
-printf '%-5s %-6s %-6s %12s %12s %12s %12s\n' pair seed first parent change parent_med change_med
-for ((i = 0; i < pairs; i++)); do
-  seed=$((seed0 + i))
-  # Even pairs run the parent first, odd pairs the change.
-  sides=(parent change)
-  if ((i % 2 == 1)); then
-    sides=(change parent)
-  fi
-  for side in "${sides[@]}"; do
-    if [ "$side" = parent ]; then
-      run "$parent" "$seed"
-      p_ops=$r_ops p_med=$r_med p_ledger=$r_ledger
-      echo "$r_rss" >>"$tmp/parent.rss"
-      echo "$r_setup" >>"$tmp/parent.setup"
-    else
-      run "$change" "$seed"
-      c_ops=$r_ops c_med=$r_med c_ledger=$r_ledger
-      echo "$r_rss" >>"$tmp/change.rss"
-      echo "$r_setup" >>"$tmp/change.setup"
+# pairs_of <workload>: the pairs of one workload and their verdicts; sets
+# bounds_ok to whether that workload's bounds were ok.
+pairs_of() {
+  local workload=$1 won=0 lost=0 i seed side sides metric v verdicts
+  local p_ops p_med p_ledger c_ops c_med c_ledger
+  rm -f "$tmp"/*
+  won=0
+  lost=0
+  printf '%-5s %-6s %-6s %12s %12s %12s %12s\n' pair seed first parent change parent_med change_med
+  for ((i = 0; i < pairs; i++)); do
+    seed=$((seed0 + i))
+    # Even pairs run the parent first, odd pairs the change.
+    sides=(parent change)
+    if ((i % 2 == 1)); then
+      sides=(change parent)
+    fi
+    for side in "${sides[@]}"; do
+      if [ "$side" = parent ]; then
+        run "$parent" "$seed"
+        p_ops=$r_ops p_med=$r_med p_ledger=$r_ledger
+        echo "$r_rss" >>"$tmp/parent.rss"
+        echo "$r_setup" >>"$tmp/parent.setup"
+      else
+        run "$change" "$seed"
+        c_ops=$r_ops c_med=$r_med c_ledger=$r_ledger
+        echo "$r_rss" >>"$tmp/change.rss"
+        echo "$r_setup" >>"$tmp/change.setup"
+      fi
+    done
+    if [ -z "$p_ledger" ] || [ "$p_ledger" != "$c_ledger" ]; then
+      echo "bench_pairs: seed $seed: ledgers differ (parent '$p_ledger', change '$c_ledger')" >&2
+      exit 1
+    fi
+    printf '%-5s %-6s %-6s %12.4f %12.4f %12.4f %12.4f\n' \
+      "$((i + 1))" "$seed" "${sides[0]}" "$p_ops" "$c_ops" "$p_med" "$c_med"
+    echo "$p_ops" >>"$tmp/parent.ops"
+    echo "$c_ops" >>"$tmp/change.ops"
+    echo "$p_med" >>"$tmp/parent.med"
+    echo "$c_med" >>"$tmp/change.med"
+    case $(awk -v p="$p_ops" -v c="$c_ops" 'BEGIN { print (c > p) ? "won" : (c < p) ? "lost" : "tie" }') in
+      won) won=$((won + 1)) ;;
+      lost) lost=$((lost + 1)) ;;
+    esac
+  done
+
+  echo
+  echo "$workload, $pairs pairs of $seconds s, seeds $seed0..$((seed0 + pairs - 1)), every ledger equal:"
+  for side in parent change; do
+    echo "  $side ops_per_s         $(quartiles <"$tmp/$side.ops")"
+    echo "  $side ops_per_s_median  $(quartiles <"$tmp/$side.med")"
+  done
+  echo "  change ahead on ops_per_s in $won of $pairs pairs, behind in $lost"
+  for side in parent change; do
+    echo "  $side peak_rss_mib      $(quartiles <"$tmp/$side.rss")"
+  done
+  for side in parent change; do
+    echo "  $side setup_s           $(quartiles <"$tmp/$side.setup")"
+  done
+  verdicts=()
+  for metric in ops_per_s:ops ops_per_s_median:med peak_rss_mib:rss setup_s:setup; do
+    v=$(bound_verdict "${metric%%:*}" "${metric#*:}")
+    if [ -n "$v" ]; then
+      verdicts+=("$v")
     fi
   done
-  if [ -z "$p_ledger" ] || [ "$p_ledger" != "$c_ledger" ]; then
-    echo "bench_pairs: seed $seed: ledgers differ (parent '$p_ledger', change '$c_ledger')" >&2
-    exit 1
+  if [ "${#verdicts[@]}" -eq 0 ]; then
+    echo "bounds: ok"
+    bounds_ok=yes
+  else
+    (IFS=';' && echo "bounds:${verdicts[*]/#/ }")
+    bounds_ok=no
   fi
-  printf '%-5s %-6s %-6s %12.4f %12.4f %12.4f %12.4f\n' \
-    "$((i + 1))" "$seed" "${sides[0]}" "$p_ops" "$c_ops" "$p_med" "$c_med"
-  echo "$p_ops" >>"$tmp/parent.ops"
-  echo "$c_ops" >>"$tmp/change.ops"
-  echo "$p_med" >>"$tmp/parent.med"
-  echo "$c_med" >>"$tmp/change.med"
-  case $(awk -v p="$p_ops" -v c="$c_ops" 'BEGIN { print (c > p) ? "won" : (c < p) ? "lost" : "tie" }') in
-    won) won=$((won + 1)) ;;
-    lost) lost=$((lost + 1)) ;;
-  esac
-done
+  for metric in ops_per_s:ops ops_per_s_median:med peak_rss_mib:rss setup_s:setup; do
+    claim_verdict "${metric%%:*}" "${metric#*:}"
+  done
+}
 
-echo
-echo "$workload, $pairs pairs of $seconds s, seeds $seed0..$((seed0 + pairs - 1)), every ledger equal:"
-for side in parent change; do
-  echo "  $side ops_per_s         $(quartiles <"$tmp/$side.ops")"
-  echo "  $side ops_per_s_median  $(quartiles <"$tmp/$side.med")"
-done
-echo "  change ahead on ops_per_s in $won of $pairs pairs, behind in $lost"
-for side in parent change; do
-  echo "  $side peak_rss_mib      $(quartiles <"$tmp/$side.rss")"
-done
-for side in parent change; do
-  echo "  $side setup_s           $(quartiles <"$tmp/$side.setup")"
-done
-verdicts=()
-for metric in ops_per_s:ops ops_per_s_median:med peak_rss_mib:rss setup_s:setup; do
-  v=$(bound_verdict "${metric%%:*}" "${metric#*:}")
-  if [ -n "$v" ]; then
-    verdicts+=("$v")
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+not_ok=()
+for ((w = 0; w < ${#workloads[@]}; w++)); do
+  if ((w > 0)); then
+    echo
+  fi
+  pairs_of "${workloads[w]}"
+  if [ "$bounds_ok" = no ]; then
+    not_ok+=("${workloads[w]}")
   fi
 done
-if [ "${#verdicts[@]}" -eq 0 ]; then
-  echo "bounds: ok"
-else
-  (IFS=';' && echo "bounds:${verdicts[*]/#/ }")
+if [ "${#workloads[@]}" -gt 1 ]; then
+  if [ "${#not_ok[@]}" -eq 0 ]; then
+    echo "workloads: bounds ok"
+  else
+    printf -v list '%s, ' "${not_ok[@]}"
+    echo "workloads: bounds not ok on ${list%, }"
+  fi
 fi
-for metric in ops_per_s:ops ops_per_s_median:med peak_rss_mib:rss setup_s:setup; do
-  claim_verdict "${metric%%:*}" "${metric#*:}"
-done
