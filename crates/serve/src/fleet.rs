@@ -23,8 +23,11 @@
 //!   a flash crowd at each publication ([`FlashSpike`]), front-loaded
 //!   the way real consumers pile onto a fresh hitlist. This is what
 //!   scales the day to a million-plus virtual clients. An arrival
-//!   depends on the session walk before it, so this shape expands the
-//!   whole schedule first and sorts it.
+//!   depends on the session walk before it, so the day keeps each session
+//!   as its paused walk (40 bytes a client), files it under the same
+//!   power-of-two spans by its next arrival, and walks the sessions of one
+//!   span up to its end when the replay reaches it. A client whose session
+//!   has ended is forgotten: what it held is never read again.
 //!
 //! Two backends answer it through the
 //! [`EventLoop`]: a bare [`Frontend`]
@@ -524,14 +527,68 @@ struct Held {
     digest: u64,
 }
 
-/// `(client, artifact kind)` packed into one word, so a held entry of a
-/// million-client day stays three words and hashes in one mix.
-fn held_key(client: u64, kind: ArtifactKind) -> u64 {
-    client.wrapping_mul(ArtifactKind::ALL.len() as u64).wrapping_add(kind.index() as u64)
+/// `(client, artifact kind index)` packed into one word, so a held entry
+/// of a million-client day stays three words and hashes in one mix.
+fn held_key(client: u64, kind: usize) -> u64 {
+    client.wrapping_mul(ArtifactKind::ALL.len() as u64).wrapping_add(kind as u64)
 }
 
 /// What every client holds, by [`held_key`].
 type HeldTable = HashMap<u64, Held, AddrBuildHasher>;
+
+/// What the clients hold, and on a session day which kinds each holds
+/// and whose sessions have ended. A held copy is read only at its own
+/// client's arrivals, so a client past its last arrival keeps nothing: its
+/// copies are dropped and the bodies still on the wire to it are not kept.
+struct Holdings {
+    table: HeldTable,
+    /// A bit per [`ArtifactKind::index`] a client holds (session days
+    /// only; empty on a uniform day).
+    kinds: Vec<u8>,
+    /// A bit per client whose session has ended (session days only).
+    finished: Vec<u64>,
+}
+
+impl Holdings {
+    fn for_day(config: &FleetConfig) -> Holdings {
+        let tracked = match config.session {
+            Some(_) => usize::try_from(config.clients).unwrap_or(usize::MAX),
+            None => 0,
+        };
+        Holdings {
+            table: HeldTable::default(),
+            kinds: vec![0; tracked],
+            finished: vec![0; tracked.div_ceil(64)],
+        }
+    }
+
+    fn get(&self, client: u64, kind: ArtifactKind) -> Option<Held> {
+        self.table.get(&held_key(client, kind.index())).copied()
+    }
+
+    /// Records a delivered body, unless its client's session has ended.
+    fn keep(&mut self, client: u64, kind: ArtifactKind, held: Held) {
+        let (c, kind) = (client as usize, kind.index());
+        if let Some(kinds) = self.kinds.get_mut(c) {
+            if self.finished[c / 64] >> (c % 64) & 1 == 1 {
+                return;
+            }
+            *kinds |= 1 << kind;
+        }
+        self.table.insert(held_key(client, kind), held);
+    }
+
+    /// Drops what `client` holds once its session's last request is out.
+    fn forget(&mut self, client: u64) {
+        let c = client as usize;
+        let mut kinds = std::mem::take(&mut self.kinds[c]);
+        while kinds != 0 {
+            self.table.remove(&held_key(client, kinds.trailing_zeros() as usize));
+            kinds &= kinds - 1;
+        }
+        self.finished[c / 64] |= 1 << (c % 64);
+    }
+}
 
 /// Whose clients a day's are: what they ask for, given what they hold,
 /// is the one thing the two kinds of day differ in on the client side.
@@ -558,74 +615,165 @@ struct Arrival {
     client: u64,
 }
 
-/// The most arrivals a session schedule reserves room for up front; a
-/// day with more grows its vector as it walks.
+/// The most sessions a session day reserves room for up front; a day
+/// with more grows its table as it walks.
 const SESSION_RESERVE: usize = 1 << 24;
 
-/// How many arrivals a session day of `clients` reserves before its walk:
-/// about two a client, saturating, and never past [`SESSION_RESERVE`].
+/// How many sessions a session day of `clients` reserves before its walk:
+/// one a client, never past [`SESSION_RESERVE`].
 fn session_capacity_hint(clients: u64) -> usize {
-    usize::try_from(clients).unwrap_or(usize::MAX).saturating_mul(2).min(SESSION_RESERVE)
+    usize::try_from(clients).unwrap_or(usize::MAX).min(SESSION_RESERVE)
 }
 
-/// Expands a session day's load shape into its arrival schedule, sorted
-/// by `(time, id)` so replay order is total and independent of generation
-/// order. Returns the schedule and the number of arrivals that landed
-/// inside a flash-crowd window. A uniform day has no schedule: its
-/// arrivals come out of [`for_each_uniform_arrival`].
-fn build_schedule(config: &FleetConfig, draws: &Draws) -> (Vec<Arrival>, u64) {
-    let shape = config.session.as_ref().expect("only a session day has a schedule");
+/// The shift that cuts a day of `arrivals` into power-of-two spans of
+/// microseconds, eight to sixteen arrivals a span on average (more only
+/// when one microsecond holds more).
+fn bucket_shift(day_micros: u64, arrivals: u64) -> u32 {
+    let last_us = day_micros - 1;
+    // The narrowest span that keeps the bucket count at most arrivals / 8.
+    let span = last_us / (arrivals / 8).max(1) + 1;
+    (u64::BITS - (span - 1).leading_zeros()).min(u64::BITS - 1)
+}
+
+/// Marks an empty bucket and the end of a bucket's list of sessions.
+const NO_SESSION: usize = usize::MAX;
+
+/// A session paused before its next arrival. Its client is its index in
+/// the day's session table.
+struct Session {
+    /// When the next arrival comes.
+    at_us: u64,
+    /// The next arrival's request id.
+    id: u64,
+    /// The end of the session's flash-crowd window (zero outside a crowd):
+    /// an arrival before it lands inside the window.
+    flash_until: u64,
+    /// Which think-time draw spaces the next arrival from the one after.
+    think: u32,
+    /// Arrivals still to come before midnight, the next one included.
+    left: u32,
+    /// The next session filed under the same bucket, or [`NO_SESSION`].
+    next: usize,
+}
+
+/// When `client`'s session sends its next request after the one at
+/// `at_us`, by its `think`-th think-time draw. A gap is 1 + a draw below
+/// `think_bound`, twice the mean think time; past a mean of `u64::MAX / 2`
+/// that bound takes 65 bits.
+fn next_at(draws: &Draws, think_bound: u128, client: u64, think: u32, at_us: u64) -> u64 {
+    let think =
+        u128::from(draws.think.draw(u128::from(client) << 32 | u128::from(think))) % think_bound;
+    at_us.saturating_add(u64::try_from(1 + think).unwrap_or(u64::MAX))
+}
+
+/// Hands a session day's arrivals to `each` in `(time, id)` order without
+/// holding them all, each with whether it is the last of its session, and
+/// returns how many landed inside a flash-crowd window. A first pass walks
+/// the clients in order: each session's length, flash crowd and start,
+/// and how many of its arrivals come before midnight, which fixes every
+/// request id (a client's ids follow the ids of the clients before it).
+/// Each session is then filed under the power-of-two span of the day
+/// ([`bucket_shift`]) holding its next arrival. When the replay reaches a
+/// span, each of its sessions walks on to the span's end and is filed
+/// again under the span of the arrival after, and the span's arrivals are
+/// sorted. Spans are monotone in time, so their concatenation is the
+/// whole day's sorted schedule.
+fn for_each_session_arrival(
+    config: &FleetConfig,
+    draws: &Draws,
+    mut each: impl FnMut(Arrival, bool),
+) -> u64 {
+    let shape = config.session.as_ref().expect("only a session day has sessions");
     let day = config.day_micros;
-    let mut flash_arrivals = 0u64;
     let lengths =
         zipf_cumulative_checked(u64::from(shape.max_requests_per_client), shape.length_zipf_milli)
             .expect("FleetConfig rejected: session zipf exponent overflows");
-    let mut schedule = Vec::with_capacity(session_capacity_hint(config.clients));
+    let think_bound = (2 * u128::from(shape.think_time_us)).max(1);
+    let mut sessions = Vec::with_capacity(session_capacity_hint(config.clients));
     let mut id = 0u64;
     for client in 0..config.clients {
-        // Heavy-tailed session length: rank 1 (one request)
-        // dominates, a Zipf tail of long sessions hammers on.
+        // Heavy-tailed session length: rank 1 (one request) dominates, a
+        // Zipf tail of long sessions hammers on.
         let len_draw = draws.session_len.draw(u128::from(client));
-        let count = 1 + pick_weighted(&lengths, len_draw) as u64;
-        // Flash crowd: a slice of sessions starts inside a spike
-        // window, offset quadratically toward the publication
-        // instant (d²/w front-loads small offsets).
+        let count = 1 + pick_weighted(&lengths, len_draw) as u32;
+        // Flash crowd: a slice of sessions starts inside a spike window,
+        // offset quadratically toward the publication instant (d²/w
+        // front-loads small offsets).
         let spike = (!shape.spikes.is_empty()
             && draws.flash.draw(u128::from(client)) % 1000 < u64::from(shape.flash_permille))
         .then(|| {
             let pick = draws.spike.draw(u128::from(client)) % shape.spikes.len() as u64;
             shape.spikes[pick as usize]
         });
-        let mut at = match spike {
+        let start = match spike {
             Some(s) => {
                 let w = s.window_us.max(1);
                 let d = draws.time.draw(u128::from(client)) % w;
-                s.at_us + (u128::from(d) * u128::from(d) / u128::from(w)) as u64
+                s.at_us.saturating_add((u128::from(d) * u128::from(d) / u128::from(w)) as u64)
             }
             None => draws.time.draw(u128::from(client)) % day,
         };
-        // A gap is 1 + a draw below twice the mean think time; past
-        // a mean of `u64::MAX / 2` that bound takes 65 bits.
-        let think_bound = (2 * u128::from(shape.think_time_us)).max(1);
-        for r in 0..count {
-            if at >= day {
-                // The session is truncated at midnight.
-                break;
+        // The session is truncated at midnight; only a session that may
+        // reach it walks its think times here.
+        let left = if start >= day {
+            0
+        } else if u128::from(start) + u128::from(count - 1) * think_bound < u128::from(day) {
+            count
+        } else {
+            let (mut at, mut n) = (start, 1);
+            while n < count {
+                at = next_at(draws, think_bound, client, n - 1, at);
+                if at >= day {
+                    break;
+                }
+                n += 1;
             }
-            schedule.push(Arrival { at_us: at, id, client });
-            id += 1;
-            if let Some(s) = spike {
-                if at >= s.at_us && at < s.at_us.saturating_add(s.window_us) {
-                    flash_arrivals += 1;
+            n
+        };
+        let flash_until = spike.map_or(0, |s| s.at_us.saturating_add(s.window_us));
+        sessions.push(Session { at_us: start, id, flash_until, think: 0, left, next: NO_SESSION });
+        id += u64::from(left);
+    }
+
+    let shift = bucket_shift(day, id);
+    let mut heads = vec![NO_SESSION; ((day - 1) >> shift) as usize + 1];
+    let bucket = |at_us: u64| (at_us >> shift) as usize;
+    for (i, session) in sessions.iter_mut().enumerate().filter(|(_, s)| s.left > 0) {
+        let head = &mut heads[bucket(session.at_us)];
+        session.next = std::mem::replace(head, i);
+    }
+
+    let mut flash_arrivals = 0u64;
+    let mut arrivals = Vec::new();
+    for b in 0..heads.len() {
+        let mut client = std::mem::replace(&mut heads[b], NO_SESSION);
+        while client != NO_SESSION {
+            let session = &mut sessions[client];
+            let following = session.next;
+            loop {
+                let at_us = session.at_us;
+                let last = session.left == 1;
+                arrivals.push((Arrival { at_us, id: session.id, client: client as u64 }, last));
+                flash_arrivals += u64::from(at_us < session.flash_until);
+                if last {
+                    break;
+                }
+                session.at_us = next_at(draws, think_bound, client as u64, session.think, at_us);
+                session.id += 1;
+                session.think += 1;
+                session.left -= 1;
+                let next = bucket(session.at_us);
+                if next != b {
+                    session.next = std::mem::replace(&mut heads[next], client);
+                    break;
                 }
             }
-            let think = u128::from(draws.think.draw(u128::from(client) << 32 | u128::from(r)))
-                % think_bound;
-            at = at.saturating_add(u64::try_from(1 + think).unwrap_or(u64::MAX));
+            client = following;
         }
+        arrivals.sort_unstable_by_key(|(a, _)| (a.at_us, a.id));
+        arrivals.drain(..).for_each(|(a, last)| each(a, last));
     }
-    schedule.sort_unstable_by_key(|a| (a.at_us, a.id));
-    (schedule, flash_arrivals)
+    flash_arrivals
 }
 
 /// A uniform day's request `id`: its instant and its client are draws
@@ -639,18 +787,14 @@ fn uniform_arrival(config: &FleetConfig, draws: &Draws, id: u32) -> Arrival {
 
 /// Hands a uniform day's arrivals to `each` in `(time, id)` order without
 /// holding them all. The day is cut into power-of-two spans of
-/// microseconds, eight to sixteen arrivals a span on average (more only
-/// when one microsecond holds more); two passes over the ids file each id
+/// microseconds ([`bucket_shift`]); two passes over the ids file each id
 /// under its bucket, four bytes a request, and each bucket's arrivals are
 /// drawn again and sorted when it is replayed. Buckets are monotone in
 /// time, so their concatenation is the whole day's sorted schedule.
 fn for_each_uniform_arrival(config: &FleetConfig, draws: &Draws, mut each: impl FnMut(Arrival)) {
     let requests = u32::try_from(config.requests).expect("FleetConfig rejected: too many requests");
-    let last_us = config.day_micros - 1;
-    // The narrowest span that keeps the bucket count at most requests / 8.
-    let span = last_us / u64::from(requests / 8).max(1) + 1;
-    let shift = (u64::BITS - (span - 1).leading_zeros()).min(u64::BITS - 1);
-    let buckets = (last_us >> shift) as usize + 1;
+    let shift = bucket_shift(config.day_micros, u64::from(requests));
+    let buckets = ((config.day_micros - 1) >> shift) as usize + 1;
     let bucket =
         |id: u32| ((draws.time.draw(u128::from(id)) % config.day_micros) >> shift) as usize;
 
@@ -695,12 +839,12 @@ fn draw_request(
     clients: Clients,
     cumulative: &[u64],
     prev_rounds: &[Option<u64>],
-    held: &HeldTable,
+    held: &Holdings,
     arrival: Arrival,
 ) -> Request {
     let id = u128::from(arrival.id);
     let kind = pick_kind(cumulative, draws.kind.draw(id));
-    let state = held.get(&held_key(arrival.client, kind)).copied();
+    let state = held.get(arrival.client, kind);
     let one_behind = draws.fresh.draw(id) % 1000 < u64::from(config.one_behind_permille);
     let (delta_base, if_none_match) = match clients {
         Clients::OfOneFrontend => {
@@ -800,32 +944,31 @@ pub(crate) fn drive_day(
         ArtifactKind::ALL.iter().map(|&k| store.artifact(k).and_then(|v| v.prev_round())).collect();
     let draws = Draws::new(config.seed);
 
-    let mut held = HeldTable::default();
+    let mut held = Holdings::for_day(config);
     let mut bodies_by_kind = vec![0u64; ArtifactKind::ALL.len()];
     // Only a body leaves a client holding something.
-    let mut deliver = |c: Completion, held: &mut HeldTable| {
+    let mut deliver = |c: Completion, held: &mut Holdings| {
         if let Outcome::Body { round, digest, .. } = c.outcome {
             bodies_by_kind[c.kind.index()] += 1;
-            held.insert(held_key(c.client, c.kind), Held { round, digest });
+            held.keep(c.client, c.kind, Held { round, digest });
         }
     };
 
-    let arrive = |arrival: Arrival| {
+    let mut arrive = |arrival: Arrival, last: bool| {
         engine.poll(arrival.at_us, |c| deliver(c, &mut held));
         let request =
             draw_request(config, &draws, clients, &cumulative, &prev_rounds, &held, arrival);
         engine.submit(arrival.id, &request);
+        if last {
+            held.forget(arrival.client);
+        }
     };
     let flash_arrivals = match config.session {
         None => {
-            for_each_uniform_arrival(config, &draws, arrive);
+            for_each_uniform_arrival(config, &draws, |arrival| arrive(arrival, false));
             0
         }
-        Some(_) => {
-            let (schedule, flash_arrivals) = build_schedule(config, &draws);
-            schedule.into_iter().for_each(arrive);
-            flash_arrivals
-        }
+        Some(_) => for_each_session_arrival(config, &draws, arrive),
     };
     engine.poll(u64::MAX, |c| deliver(c, &mut held));
     engine.publish();
@@ -1041,6 +1184,160 @@ pub(crate) mod tests {
         }
     }
 
+    /// The whole-day schedule a session day used to build, the reference
+    /// for [`for_each_session_arrival`]: every session walked in client
+    /// order, every arrival collected, then sorted by `(time, id)`. Returns
+    /// the schedule and the number of arrivals that landed inside a
+    /// flash-crowd window.
+    fn build_schedule(config: &FleetConfig, draws: &Draws) -> (Vec<Arrival>, u64) {
+        let shape = config.session.as_ref().expect("only a session day has a schedule");
+        let day = config.day_micros;
+        let mut flash_arrivals = 0u64;
+        let lengths = zipf_cumulative_checked(
+            u64::from(shape.max_requests_per_client),
+            shape.length_zipf_milli,
+        )
+        .expect("FleetConfig rejected: session zipf exponent overflows");
+        let mut schedule = Vec::with_capacity(session_capacity_hint(config.clients));
+        let mut id = 0u64;
+        for client in 0..config.clients {
+            // Heavy-tailed session length: rank 1 (one request)
+            // dominates, a Zipf tail of long sessions hammers on.
+            let len_draw = draws.session_len.draw(u128::from(client));
+            let count = 1 + pick_weighted(&lengths, len_draw) as u64;
+            // Flash crowd: a slice of sessions starts inside a spike
+            // window, offset quadratically toward the publication
+            // instant (d²/w front-loads small offsets).
+            let spike = (!shape.spikes.is_empty()
+                && draws.flash.draw(u128::from(client)) % 1000 < u64::from(shape.flash_permille))
+            .then(|| {
+                let pick = draws.spike.draw(u128::from(client)) % shape.spikes.len() as u64;
+                shape.spikes[pick as usize]
+            });
+            let mut at = match spike {
+                Some(s) => {
+                    let w = s.window_us.max(1);
+                    let d = draws.time.draw(u128::from(client)) % w;
+                    s.at_us.saturating_add((u128::from(d) * u128::from(d) / u128::from(w)) as u64)
+                }
+                None => draws.time.draw(u128::from(client)) % day,
+            };
+            // A gap is 1 + a draw below twice the mean think time; past
+            // a mean of `u64::MAX / 2` that bound takes 65 bits.
+            let think_bound = (2 * u128::from(shape.think_time_us)).max(1);
+            for r in 0..count {
+                if at >= day {
+                    // The session is truncated at midnight.
+                    break;
+                }
+                schedule.push(Arrival { at_us: at, id, client });
+                id += 1;
+                if let Some(s) = spike {
+                    if at >= s.at_us && at < s.at_us.saturating_add(s.window_us) {
+                        flash_arrivals += 1;
+                    }
+                }
+                let think = u128::from(draws.think.draw(u128::from(client) << 32 | u128::from(r)))
+                    % think_bound;
+                at = at.saturating_add(u64::try_from(1 + think).unwrap_or(u64::MAX));
+            }
+        }
+        schedule.sort_unstable_by_key(|a| (a.at_us, a.id));
+        (schedule, flash_arrivals)
+    }
+
+    /// Holds [`for_each_session_arrival`] to the reference schedule of one
+    /// session day: the same arrivals in the same order, each client's last
+    /// one marked, and the same flash count.
+    fn assert_sessions_stream_the_schedule(config: &FleetConfig) {
+        let draws = Draws::new(config.seed);
+        let (schedule, flash) = build_schedule(config, &draws);
+        // A client's ids are consecutive: its last arrival has its largest id.
+        let mut last_id = vec![0; config.clients as usize];
+        for a in &schedule {
+            let last = &mut last_id[a.client as usize];
+            *last = a.id.max(*last);
+        }
+        let expected: Vec<_> = schedule
+            .iter()
+            .map(|a| (a.at_us, a.id, a.client, last_id[a.client as usize] == a.id))
+            .collect();
+        let mut streamed = Vec::new();
+        let streamed_flash = for_each_session_arrival(config, &draws, |a, last| {
+            streamed.push((a.at_us, a.id, a.client, last))
+        });
+        assert!(
+            streamed == expected && streamed_flash == flash,
+            "{config:?}: {} arrivals, {streamed_flash} in a crowd; expected {} and {flash}",
+            streamed.len(),
+            expected.len()
+        );
+    }
+
+    #[test]
+    fn session_arrivals_come_out_as_the_sorted_schedule() {
+        // One bucket, a bucket a microsecond, cut sessions, the default day.
+        let days = [1, 1_000, 3_600_000_000, FleetConfig::default().day_micros];
+        for seed in [1, 31, 0x6D15_7A11] {
+            for clients in [1, 7, 2_000, 30_000] {
+                for day_micros in days {
+                    // No crowd (no spike, or 0 ‰); then at 500 and 1000 ‰ a
+                    // spike across the day, one at the last microsecond
+                    // whose window runs past midnight, and a zero-width one.
+                    let spikes = [
+                        FlashSpike { at_us: 0, window_us: day_micros },
+                        FlashSpike { at_us: day_micros - 1, window_us: day_micros + 1 },
+                        FlashSpike { at_us: day_micros / 2, window_us: 0 },
+                    ];
+                    let crowds = std::iter::once((vec![], 0))
+                        .chain(spikes.iter().flat_map(|&s| [500, 1000].map(|p| (vec![s], p))));
+                    for (spikes, flash_permille) in crowds {
+                        for think_time_us in [1, 30_000_000, u64::MAX] {
+                            let shape = SessionShape {
+                                think_time_us,
+                                flash_permille,
+                                spikes: spikes.clone(),
+                                ..SessionShape::default()
+                            };
+                            let config =
+                                FleetConfig { clients, day_micros, seed, ..FleetConfig::default() }
+                                    .with_session(shape)
+                                    .build()
+                                    .expect("valid session config");
+                            assert_sessions_stream_the_schedule(&config);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_flash_crowd_at_the_end_of_the_widest_day_is_cut_at_midnight() {
+        // A crowd's start, `at_us + d²/w`, passes `u64::MAX` here: it must
+        // saturate to past midnight, not wrap to before the publication.
+        let spike_at = u64::MAX - 10;
+        let shape =
+            SessionShape::builder().with_spike(spike_at, u64::MAX).with_flash_permille(1000);
+        let config = FleetConfig { day_micros: u64::MAX, ..FleetConfig::default() }
+            .with_session(shape)
+            .build()
+            .expect("valid session config");
+        let draws = Draws::new(config.seed);
+        let mut arrivals = Vec::new();
+        let flash = for_each_session_arrival(&config, &draws, |a, _| arrivals.push(a.at_us));
+        assert!(
+            arrivals.iter().all(|&at| at >= spike_at && at < config.day_micros),
+            "{arrivals:?}"
+        );
+        assert_eq!(flash, arrivals.len() as u64, "every arrival is inside the crowd's window");
+        let (schedule, reference_flash) = build_schedule(&config, &draws);
+        assert!(schedule.iter().all(|a| a.at_us >= spike_at && a.at_us < config.day_micros));
+        assert_eq!((schedule.len(), reference_flash), (arrivals.len(), flash));
+        let report = run_day(&config, FrontendConfig::default(), &seeded_store(), None);
+        assert_eq!((report.totals.requests, report.flash_arrivals), (flash, flash));
+    }
+
     #[test]
     fn a_session_day_of_any_client_count_reserves_a_bounded_schedule() {
         // Valid configs: `2 · clients` used to overflow in debug past
@@ -1053,7 +1350,7 @@ pub(crate) mod tests {
                 .expect("any client count is valid");
             assert_eq!(session_capacity_hint(config.clients), SESSION_RESERVE);
         }
-        assert_eq!(session_capacity_hint(150_000), 300_000);
+        assert_eq!(session_capacity_hint(150_000), 150_000);
     }
 
     #[test]

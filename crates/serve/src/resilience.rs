@@ -771,6 +771,20 @@ mod tests {
         let session = run_day(&fleet, FrontendConfig::default(), &store, None);
         assert_eq!(debug_digest(&session), 0xf7ff_1a1e_c6cd_5f4f, "{session:?}");
         assert!(session.flash_arrivals > 0);
+
+        // Recorded at commit 20ed675, before a client's held copies were
+        // dropped after its last arrival. One hour of sessions ten minutes
+        // apart and a crowd whose window runs past midnight: most sessions
+        // are cut there, so most clients' last arrival is the one before
+        // midnight, not the last of their drawn length.
+        let shape = SessionShape::builder()
+            .with_think_time_us(600_000_000)
+            .with_spike(50 * 60_000_000, 30 * 60_000_000);
+        let mut fleet = FleetConfig::builder().with_seed(7).with_clients(2_000).with_session(shape);
+        fleet.day_micros = HOUR_US;
+        let cut = run_day(&fleet, FrontendConfig::default(), &store, None);
+        assert_eq!(debug_digest(&cut), 0x8ada_247b_0a1d_0343, "{cut:?}");
+        assert!(cut.flash_arrivals > 0 && cut.totals.not_modified > 0);
     }
 
     #[test]

@@ -518,9 +518,9 @@ impl Frontend {
     }
 
     /// Handles one request at its virtual arrival time. Requests must be
-    /// fed in non-decreasing `at_us` order (the fleet replay sorts its
-    /// schedule); the concurrency window is maintained by retiring every
-    /// in-flight request whose completion time has passed.
+    /// fed in non-decreasing `at_us` order (the fleet replay submits its
+    /// arrivals in time order); the concurrency window is maintained by
+    /// retiring every in-flight request whose completion time has passed.
     pub fn handle(&mut self, request: &Request) -> Outcome {
         let kind = request.kind.index();
         self.ledger.totals.requests += 1;

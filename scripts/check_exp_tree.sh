@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Does the working tree's sixdust-exp write the same `all` tree and the
-# same service checkpoint as another revision's? The output check a
-# change makes against its parent.
+# Does the working tree's sixdust-exp write the same `all` tree, the
+# same service checkpoint and the same session-day report as another
+# revision's? The output check a change makes against its parent.
 #
 #   scripts/check_exp_tree.sh <rev>
 #
@@ -13,12 +13,16 @@
 # path) and compares the two output trees with `diff -r`. Then runs both
 # with `--checkpoint FILE pipeline` (a fresh FILE each: an existing one
 # is resumed from) and compares the two four-year checkpoints with
-# `cmp`, since `all` alone never writes one. Exits non-zero on any
-# difference. Uncommitted work is in the working tree's binary.
+# `cmp`, since `all` alone never writes one. Last, runs both with
+# `--clients 200000 --flash-crowd --serve-report FILE publish`, a session
+# day of 200 000 clients with a flash crowd (~4 s), and compares the two
+# day reports with `cmp`, since `all` serves only the uniform day. Exits
+# non-zero on any difference. Uncommitted work is in the working tree's
+# binary.
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
-  sed -n '2,16p' "$0" >&2
+  sed -n '2,21p' "$0" >&2
   exit 2
 fi
 rev=$1
@@ -54,6 +58,9 @@ run() {
   mv "$work/out" "$work/$2"
   invoke "$1" "$2-checkpoint" --checkpoint "$work/$2.checkpoint.json" pipeline
   rm -rf "$work/out"
+  invoke "$1" "$2-sessions" --clients 200000 --flash-crowd \
+    --serve-report "$work/$2.sessions.json" publish
+  rm -rf "$work/out"
 }
 run "$work/src" rev
 run "$root" tree
@@ -69,5 +76,12 @@ if cmp "$work/rev.checkpoint.json" "$work/tree.checkpoint.json"; then
     "($(wc -c <"$work/tree.checkpoint.json") bytes)"
 else
   echo "check_exp_tree: the pipeline checkpoints of ${commit:0:12} and the working tree differ" >&2
+  exit 1
+fi
+if cmp "$work/rev.sessions.json" "$work/tree.sessions.json"; then
+  echo "check_exp_tree: identical session-day reports" \
+    "($(wc -c <"$work/tree.sessions.json") bytes)"
+else
+  echo "check_exp_tree: the session-day reports of ${commit:0:12} and the working tree differ" >&2
   exit 1
 fi
