@@ -21,9 +21,9 @@
 //! runs' lows go through the linear kernels of `sorted`.
 //!
 //! Iteration is ascending and streaming, identical to the order a
-//! normalized `Vec<u128>` would give. The JSON form is the same plain
-//! sequence of integers a `Vec<Addr>` writes, so existing checkpoints and
-//! manifests parse unchanged.
+//! normalized `Vec<u128>` would give. The JSON form is one string, the
+//! base64 of the set's [`codec`](crate::codec) body; the plain integer
+//! array older checkpoints wrote still reads.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -31,7 +31,7 @@ use std::ops::Range;
 use sixdust_json::{Error, FromJson, ToJson, Value};
 
 use crate::sorted;
-use crate::Addr;
+use crate::{codec, Addr};
 
 /// A value's run key: its high 64 bits, the /64 it lies in.
 fn key_of(value: u128) -> u64 {
@@ -95,8 +95,7 @@ fn steps<'a>(a: &'a [u64], b: &'a [u64]) -> impl Iterator<Item = Step> + 'a {
 /// boundary.
 ///
 /// Deterministic: iteration is ascending, equal content means equal
-/// structure, and JSON output matches a sorted `Vec<Addr>` element for
-/// element.
+/// structure, and equal sets write equal JSON.
 ///
 /// ```
 /// use sixdust_addr::AddrSet;
@@ -498,19 +497,29 @@ impl From<Vec<u128>> for AddrSet {
 }
 
 impl ToJson for AddrSet {
-    /// A plain ascending array of integers — the exact shape a sorted
-    /// `Vec<Addr>` (or `Vec<u128>`) has, so checkpoints and artifacts
-    /// stay byte-identical across the representation change.
+    /// One string: the padded base64 of the set's
+    /// [`encode_full`](crate::codec::encode_full) body, about 1.33 bytes
+    /// a body byte.
     fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Value::UInt).collect())
+        Value::String(crate::base64::encode(&codec::encode_full(self)))
     }
 }
 
 impl FromJson for AddrSet {
-    /// Reads an array of 128-bit integers in any order, duplicates
-    /// included: a legacy `Vec<Addr>` payload normalizes on the way in.
+    /// Reads the string [`ToJson`] writes through every check of
+    /// [`decode_full`](crate::codec::decode_full) (a string that is not
+    /// canonical base64 is rejected before them), or the array of 128-bit
+    /// integers a v1–v4 checkpoint wrote, in any order and with
+    /// duplicates, normalizing it on the way in.
     fn from_value(v: &Value) -> Result<AddrSet, Error> {
-        Vec::<u128>::from_value(v).map(AddrSet::from_unsorted)
+        match v {
+            Value::String(text) => {
+                let body = crate::base64::decode(text)
+                    .ok_or_else(|| Error::new("set body is not canonical base64"))?;
+                codec::decode_full(&body).map_err(|e| Error::new(format!("set body: {e}")))
+            }
+            legacy => Vec::<u128>::from_value(legacy).map(AddrSet::from_unsorted),
+        }
     }
 }
 
@@ -650,19 +659,30 @@ mod tests {
     }
 
     #[test]
-    fn json_matches_vec_of_addrs_byte_for_byte() {
+    fn json_is_the_base64_codec_body() {
         let values = clustered(300, 4);
         let set = AddrSet::from_unsorted(values.clone());
-        let vec: Vec<Addr> = set.addrs().collect();
-        let set_json = sixdust_json::to_string(&set);
-        let vec_json = sixdust_json::to_string(&vec);
-        assert_eq!(set_json, vec_json, "AddrSet must serialize exactly like a sorted Vec<Addr>");
-        let back: AddrSet = sixdust_json::from_str(&set_json).expect("round trip");
+        let json = sixdust_json::to_string(&set);
+        let body = codec::encode_full(&set);
+        assert_eq!(json, format!("\"{}\"", crate::base64::encode(&body)));
+        let back: AddrSet = sixdust_json::from_str(&json).expect("round trip");
         assert_eq!(back, set);
+        let empty: AddrSet = sixdust_json::from_str(&sixdust_json::to_string(&AddrSet::new()))
+            .expect("the empty set");
+        assert!(empty.is_empty());
         // A legacy unsorted Vec<Addr> payload still parses (and
-        // normalizes) — backward compatibility with v2 checkpoints.
+        // normalizes) — backward compatibility with v1–v4 checkpoints.
         let legacy: AddrSet = sixdust_json::from_str("[3, 1, 2, 3]").expect("legacy payload");
         assert_eq!(legacy.to_vec(), vec![1, 2, 3]);
+        // The string form holds the body to every check of the codec.
+        for bad in ["\"\"", "\"U0RGMQ==\"", "\"not base64\"", "1", "{}"] {
+            assert!(sixdust_json::from_str::<AddrSet>(bad).is_err(), "{bad}");
+        }
+        let mut torn = body.clone();
+        torn[6] ^= 1;
+        let torn = format!("\"{}\"", crate::base64::encode(&torn));
+        let err = sixdust_json::from_str::<AddrSet>(&torn).unwrap_err();
+        assert_eq!(err.to_string(), "set body: checksum mismatch");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! * [`AddrSet`] — the address-set type every crate boundary speaks: /64
 //!   columns (each distinct /64 once, 12 bytes, and the low 64 bits of its
 //!   members in one ascending run, 8 bytes a member), streaming ascending
-//!   iteration, and JSON output identical to a sorted `Vec<Addr>`. The
+//!   iteration, and a JSON form that is its codec body. The
 //!   linear merge kernels (union/diff/intersect over sorted slices) that
 //!   used to be public as `sorted::*` are now crate-private plumbing
 //!   behind this type.
@@ -36,6 +36,10 @@
 //!   [`prf::mix64`] on a `u128` or `u64` key where SipHash spends several:
 //!   the simulator's interface table and the serve tier's client maps.
 //!   No address state of the hitlist service is a hash table.
+//! * [`codec`] — the full-set codec: a set as one compact, checksummed
+//!   byte body (varint delta-of-delta items, FNV-1a checksum). The serve
+//!   layer publishes these bodies and frames its deltas from their parts;
+//!   a checkpoint stores every set as one, in [`base64`].
 //! * [`digest`] — the content digest of an item set (FNV-1a 64), one-shot
 //!   and streaming: the value `manifest.json` records and the serve layer
 //!   uses as ETag and delta frame.
@@ -48,7 +52,9 @@
 
 mod addr;
 mod addrset;
+pub mod base64;
 pub mod classify;
+pub mod codec;
 pub mod digest;
 mod eui64;
 mod hash;

@@ -2,13 +2,14 @@
 //! obviously-correct model (`BTreeSet<u128>`) whatever the shape of its
 //! /64 runs — one member or thousands, keys and lows at both ends of their
 //! range, neighbours either side of a /64 boundary — every set a kernel
-//! builds must hold no spare capacity, and the serialized form must stay
-//! byte-identical to a sorted `Vec<Addr>`. Seeded loops, 256 cases each.
+//! builds must hold no spare capacity, and the serialized form must be
+//! the set's codec body while the legacy integer array still reads.
+//! Seeded loops, 256 cases each.
 
 use std::collections::BTreeSet;
 
 use sixdust_addr::prf::PrfStream;
-use sixdust_addr::{Addr, AddrSet};
+use sixdust_addr::{base64, codec, Addr, AddrSet};
 
 const CASES: u64 = 256;
 
@@ -122,16 +123,19 @@ fn set_algebra_matches_model() {
 }
 
 #[test]
-fn json_is_byte_identical_to_sorted_vec() {
+fn json_is_the_codec_body_and_reads_the_legacy_array() {
     for case in 0..CASES {
         let items = items(&mut stream(5, case), 200);
         let set = AddrSet::from_unsorted(items.clone());
-        let flat: Vec<Addr> = model(&items).into_iter().map(Addr).collect();
         let via_set = sixdust_json::to_string(&set);
-        let via_vec = sixdust_json::to_string(&flat);
-        assert_eq!(via_set, via_vec, "AddrSet wire form is the sorted Vec<Addr> wire form");
+        let body = base64::encode(&codec::encode_full(&set));
+        assert_eq!(via_set, format!("\"{body}\""), "AddrSet wire form is its codec body");
         let back: AddrSet = sixdust_json::from_str(&via_set).expect("round trip");
         assert_eq!(back, set);
+        // The v1–v4 form, a sorted Vec<Addr>, still reads.
+        let flat: Vec<Addr> = model(&items).into_iter().map(Addr).collect();
+        let sorted: AddrSet = sixdust_json::from_str(&sixdust_json::to_string(&flat)).unwrap();
+        assert_eq!(sorted, set);
         // The legacy form: the raw items, unsorted and duplicated.
         let legacy: AddrSet = sixdust_json::from_str(&sixdust_json::to_string(&items)).unwrap();
         assert_eq!(legacy, set);

@@ -232,19 +232,21 @@ impl UnresponsiveFilter {
     }
 
     /// Rebuilds a filter from checkpointed parts (the resume path of
-    /// [`ServiceState`](crate::ServiceState)): the input is the active
-    /// addresses and the dropped ones.
+    /// [`ServiceState`](crate::ServiceState)): the input, with the clock
+    /// of each active address; an input address without one is dropped.
     pub fn restore(
+        input: impl IntoIterator<Item = Addr>,
         active: impl IntoIterator<Item = (Addr, Day)>,
-        dropped: impl IntoIterator<Item = Addr>,
         window: u32,
         quarantined: Vec<(Day, Day)>,
     ) -> UnresponsiveFilter {
         let mut entries: Vec<(Addr, Option<Day>)> = active
             .into_iter()
             .map(|(a, day)| (a, Some(day)))
-            .chain(dropped.into_iter().map(|a| (a, None)))
+            .chain(input.into_iter().map(|a| (a, None)))
             .collect();
+        // Stable, so an active address's clock comes before its input
+        // entry and is the one the dedup keeps.
         entries.sort_by_key(|(a, _)| *a);
         entries.dedup_by_key(|(a, _)| *a);
         let (input, clocks) = entries.into_iter().unzip();
@@ -535,8 +537,8 @@ mod tests {
         f.sweep(Day(32)); // drops ::1 (32 silent − 2 forgiven ≥ 30)
         assert!(!f.active(a("::1")));
         let g = UnresponsiveFilter::restore(
+            f.input().iter().copied(),
             f.active_entries(),
-            f.dropped_pool().addrs(),
             f.window,
             f.quarantined().to_vec(),
         );

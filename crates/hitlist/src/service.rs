@@ -174,10 +174,8 @@ json_struct!(RoundRecord {
 
 /// A retained full snapshot (Table 1 / Figs. 2, 9, 10 inputs).
 ///
-/// The per-protocol sets are [`AddrSet`]s; they serialize as the same
-/// plain address sequences the old `Vec<Addr>` layout wrote, so
-/// checkpoints containing snapshots are byte-identical across the
-/// representation change.
+/// The per-protocol sets are [`AddrSet`]s, and a checkpoint stores each
+/// as its codec body, as it does every other set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Snapshot day (the first scan round at or after the requested day).
@@ -393,30 +391,23 @@ impl HitlistService {
     }
 
     /// Rebuilds a service from a checkpoint — the inverse of
-    /// [`ServiceState::capture`](crate::ServiceState::capture). The alias
-    /// detector gets its merge window back (a checkpoint older than v4
-    /// has none: the labels are restored and the detector restarts cold)
-    /// and the per-protocol anomaly monitors are re-warmed by replaying
-    /// the checkpointed published series, so a resumed service continues
-    /// the timeline the original would have produced.
+    /// [`ServiceState::capture`](crate::ServiceState::capture). The 30-day
+    /// filter's dropped pool is the input without the active addresses.
+    /// The alias detector gets its merge window back (a checkpoint older
+    /// than v4 has none: the labels are restored and the detector restarts
+    /// cold) and the per-protocol anomaly monitors are re-warmed by
+    /// replaying the checkpointed published series, so a resumed service
+    /// continues the timeline the original would have produced. A v1
+    /// checkpoint's clocks were rebuilt when it was read
+    /// ([`ServiceState`](crate::ServiceState)'s `FromJson`).
     pub fn from_state(config: ServiceConfig, state: &crate::state::ServiceState) -> HitlistService {
         let mut svc = HitlistService::new(config);
         svc.aliased = state.aliased.iter().copied().collect();
         svc.detector.restore(&state.alias_window, &state.alias_detail);
         svc.gfw = GfwFilter::restore(state.gfw_impacted.clone());
-        let active: Vec<(Addr, Day)> = if state.active.is_empty() && !state.input.is_empty() {
-            // v1 checkpoint: per-address clocks were not captured, so
-            // every still-active input restarts its clock at the last
-            // checkpointed round (graceful, slightly lenient fallback).
-            let day = state.rounds.last().map(|r| r.day).unwrap_or(Day(0));
-            let dropped = &state.unresponsive_pool;
-            state.input.addrs().filter(|a| !dropped.contains_addr(*a)).map(|a| (a, day)).collect()
-        } else {
-            state.active.clone()
-        };
         svc.unresp = UnresponsiveFilter::restore(
-            active,
-            state.unresponsive_pool.addrs(),
+            state.input.addrs(),
+            state.active.iter().copied(),
             state.unresponsive_window,
             state.quarantined.clone(),
         );

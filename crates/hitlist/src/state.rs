@@ -3,16 +3,20 @@
 //! A long-running measurement service must survive restarts without losing
 //! four years of accumulated state (the real hitlist's input list *is* its
 //! history). [`ServiceState`] is a serializable snapshot of everything a
-//! [`HitlistService`] has learned; it round-trips
-//! through JSON so checkpoints are diffable and versionable, writes to
-//! disk crash-safely ([`ServiceState::save_atomic`]), and restores into a
-//! running service ([`ServiceState::restore`]).
+//! [`HitlistService`] has learned. It is one pretty JSON document whose
+//! address sets are each one string, the base64 of the set's full-codec
+//! body ([`sixdust_addr::codec`]), so the input costs about 13 bytes an
+//! address where a decimal array cost 44. It writes to disk crash-safely
+//! ([`ServiceState::save_atomic`]), is parsed and checked whole before
+//! anything in it is used, and restores into a running service
+//! ([`ServiceState::restore`]). Older versions are read in one place,
+//! beside the version gate: its `FromJson`.
 
 use std::path::Path;
 
 use sixdust_addr::{Addr, AddrSet, Prefix};
 use sixdust_alias::DetectedPrefix;
-use sixdust_json::json_struct;
+use sixdust_json::{Error, Fields, FromJson, ToJson, Value};
 use sixdust_net::{Day, ProtoSet};
 
 use crate::service::{HitlistService, RoundRecord, ServiceConfig, Snapshot};
@@ -21,42 +25,43 @@ use crate::service::{HitlistService, RoundRecord, ServiceConfig, Snapshot};
 ///
 /// Version 2 added the resume-critical fields (`active` clocks, quarantine
 /// windows, `current_responsive`, `next_alias_day`); their keys are
-/// optional so version-1 checkpoints still parse, restoring with a
-/// documented, slightly lenient fallback (see
-/// [`HitlistService::from_state`]).
+/// optional in a version-1 checkpoint only. A v1 checkpoint has no
+/// clocks: reading one restarts every input address outside its dropped
+/// pool at the last checkpointed round's day.
 ///
-/// Version 3 moved the address-set fields (`input`, `gfw_impacted`,
-/// `unresponsive_pool`, `current_responsive` and the per-protocol sets
-/// inside snapshots) onto [`AddrSet`]. The JSON shape is unchanged —
-/// `AddrSet` serializes as the same sorted address sequence the old
-/// `Vec<Addr>` fields wrote, and parses legacy (even unsorted) payloads
-/// by normalizing — so v2 checkpoints load without a migration step and
-/// a v3 checkpoint differs from its v2 twin only in the `version` field.
+/// Version 3 moved the address-set fields onto [`AddrSet`], which wrote
+/// the same sorted address arrays, so a v3 checkpoint differs from its v2
+/// twin only in the `version` field.
 ///
 /// Version 4 added the alias detector's merge window and the detection
 /// detail of its labels (`alias_window`, `alias_detail`), without which
 /// the alias rounds after a resume merged into an empty window. Their
-/// keys are optional: a v1–v3 checkpoint restores the labels alone and
-/// the detector starts cold, as it did.
+/// keys are optional before v4: a v1–v3 checkpoint restores the labels
+/// alone and the detector starts cold, as it did.
+///
+/// Version 5 writes every set as its codec body (`AddrSet`'s `ToJson`)
+/// and drops `unresponsive_pool`, which was the input without the active
+/// addresses, stored a second time. A v1–v4 document's sets are arrays
+/// and still read; its pool is read once, held to the input and the
+/// clocks, and not kept.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceState {
     /// Format version for forward compatibility.
     pub version: u32,
-    /// Accumulated input addresses.
+    /// Accumulated input addresses, active and dropped.
     pub input: AddrSet,
     /// Current aliased prefix labels.
     pub aliased: Vec<Prefix>,
     /// GFW-impacted addresses recorded so far.
     pub gfw_impacted: AddrSet,
-    /// The 30-day-filtered pool.
-    pub unresponsive_pool: AddrSet,
     /// Cumulative responsive addresses with their protocol sets.
     pub cumulative: Vec<(Addr, ProtoSet)>,
     /// Longitudinal round records.
     pub rounds: Vec<RoundRecord>,
     /// Retained full snapshots.
     pub snapshots: Vec<Snapshot>,
-    /// Active scan targets with the day each last answered (v2).
+    /// Active scan targets with the day each last answered (v2); the
+    /// input outside them is the 30-day filter's dropped pool.
     pub active: Vec<(Addr, Day)>,
     /// Quarantined `[from, until)` day windows of degraded rounds (v2).
     pub quarantined: Vec<(Day, Day)>,
@@ -73,26 +78,86 @@ pub struct ServiceState {
     /// ascending by prefix (v4).
     pub alias_detail: Vec<DetectedPrefix>,
 }
-json_struct!(ServiceState {
-    version,
-    input,
-    aliased,
-    gfw_impacted,
-    unresponsive_pool,
-    cumulative,
-    rounds,
-    snapshots,
-    active = Vec::new(),
-    quarantined = Vec::new(),
-    current_responsive = AddrSet::new(),
-    next_alias_day = Day::default(),
-    unresponsive_window = 30,
-    alias_window = Vec::new(),
-    alias_detail = Vec::new(),
-});
+
+impl ToJson for ServiceState {
+    fn to_value(&self) -> Value {
+        let member = |key: &str, value: &dyn ToJson| (key.to_string(), value.to_value());
+        Value::Object(vec![
+            member("version", &self.version),
+            member("input", &self.input),
+            member("aliased", &self.aliased),
+            member("gfw_impacted", &self.gfw_impacted),
+            member("cumulative", &self.cumulative),
+            member("rounds", &self.rounds),
+            member("snapshots", &self.snapshots),
+            member("active", &self.active),
+            member("quarantined", &self.quarantined),
+            member("current_responsive", &self.current_responsive),
+            member("next_alias_day", &self.next_alias_day),
+            member("unresponsive_window", &self.unresponsive_window),
+            member("alias_window", &self.alias_window),
+            member("alias_detail", &self.alias_detail),
+        ])
+    }
+}
+
+impl FromJson for ServiceState {
+    /// Reads any supported version, and only those: the version gate
+    /// comes first, then the fields, then for a v1–v4 document the legacy
+    /// step (`ServiceState::upgrade`). A service state read from any
+    /// document — a fleet checkpoint's included — has passed all three.
+    fn from_value(v: &Value) -> Result<ServiceState, Error> {
+        let fields = v.fields("ServiceState")?;
+        let version: u32 = fields.get("version")?;
+        if !(OLDEST_SUPPORTED_STATE_VERSION..=STATE_VERSION).contains(&version) {
+            return Err(Error::new(format!(
+                "checkpoint version {version} unsupported (expected \
+                 {OLDEST_SUPPORTED_STATE_VERSION}..={STATE_VERSION})"
+            )));
+        }
+        let mut state = ServiceState {
+            version,
+            input: fields.get("input")?,
+            aliased: fields.get("aliased")?,
+            gfw_impacted: fields.get("gfw_impacted")?,
+            cumulative: fields.get("cumulative")?,
+            rounds: fields.get("rounds")?,
+            snapshots: fields.get("snapshots")?,
+            active: added(&fields, version, 2, "active", Vec::new())?,
+            quarantined: added(&fields, version, 2, "quarantined", Vec::new())?,
+            current_responsive: added(&fields, version, 2, "current_responsive", AddrSet::new())?,
+            next_alias_day: added(&fields, version, 2, "next_alias_day", Day::default())?,
+            unresponsive_window: added(&fields, version, 2, "unresponsive_window", 30)?,
+            alias_window: added(&fields, version, 4, "alias_window", Vec::new())?,
+            alias_detail: added(&fields, version, 4, "alias_detail", Vec::new())?,
+        };
+        if version < 5 {
+            state.upgrade(&fields.get("unresponsive_pool")?)?;
+        }
+        Ok(state)
+    }
+}
+
+/// The member `key` of a version-`version` document, a key version
+/// `since` added: a document written before it takes `default`, and one
+/// written since must hold it (a v5 document without its clocks would
+/// otherwise read as one whose every address was dropped).
+fn added<T: FromJson>(
+    fields: &Fields<'_>,
+    version: u32,
+    since: u32,
+    key: &str,
+    default: T,
+) -> Result<T, Error> {
+    if version < since {
+        fields.get_or(key, default)
+    } else {
+        fields.get(key)
+    }
+}
 
 /// Current checkpoint format version.
-pub const STATE_VERSION: u32 = 4;
+pub const STATE_VERSION: u32 = 5;
 
 /// Oldest checkpoint version [`ServiceState::from_json`] still accepts.
 pub const OLDEST_SUPPORTED_STATE_VERSION: u32 = 1;
@@ -105,7 +170,6 @@ impl ServiceState {
             input: AddrSet::from_sorted_addrs(svc.input()),
             aliased: svc.aliased().iter().collect(),
             gfw_impacted: svc.gfw_impacted().clone(),
-            unresponsive_pool: svc.unresponsive_pool(),
             cumulative: svc.cumulative().collect(),
             rounds: svc.rounds().to_vec(),
             snapshots: svc.snapshots().to_vec(),
@@ -119,6 +183,32 @@ impl ServiceState {
         }
     }
 
+    /// The legacy step: what a v1–v4 document stored as its dropped
+    /// `pool`, a set v5 derives as the input without the active
+    /// addresses. A v1 document (known by its version) has no clocks, so
+    /// every input address outside the pool restarts its clock at the
+    /// last checkpointed round's day; its pool must lie inside the input.
+    /// A v2–v4 pool must be exactly the input without the active
+    /// addresses: any other pool contradicts the clocks.
+    fn upgrade(&mut self, pool: &AddrSet) -> Result<(), Error> {
+        if self.version == 1 {
+            if pool.diff_count(&self.input) > 0 {
+                return Err(Error::new("a v1 dropped address is not input"));
+            }
+            let day = self.rounds.last().map_or(Day(0), |r| r.day);
+            self.active = self.input.diff(pool).addrs().map(|a| (a, day)).collect();
+        } else {
+            let active: AddrSet = self.active.iter().map(|(a, _)| *a).collect();
+            if *pool != self.input.diff(&active) {
+                return Err(Error::new(format!(
+                    "the v{} dropped pool is not the input without the active addresses",
+                    self.version
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// Rebuilds a running service from this checkpoint; see
     /// [`HitlistService::from_state`] for the fidelity guarantees.
     pub fn restore(&self, config: ServiceConfig) -> HitlistService {
@@ -130,18 +220,9 @@ impl ServiceState {
         sixdust_json::to_string_pretty(self)
     }
 
-    /// Parses a checkpoint, rejecting unknown versions.
+    /// Parses a checkpoint of any supported version; see `FromJson`.
     pub fn from_json(json: &str) -> Result<ServiceState, String> {
-        let state: ServiceState =
-            sixdust_json::from_str(json).map_err(|e| format!("checkpoint parse: {e}"))?;
-        if !(OLDEST_SUPPORTED_STATE_VERSION..=STATE_VERSION).contains(&state.version) {
-            return Err(format!(
-                "checkpoint version {} unsupported (expected \
-                 {OLDEST_SUPPORTED_STATE_VERSION}..={STATE_VERSION})",
-                state.version
-            ));
-        }
-        Ok(state)
+        sixdust_json::from_str(json).map_err(|e| format!("checkpoint parse: {e}"))
     }
 
     /// Writes the checkpoint crash-safely; see
@@ -192,22 +273,14 @@ impl ServiceState {
                 return Err(format!("empty or inverted quarantine window {from:?}..{until:?}"));
             }
         }
+        // A restored filter's input is this one: the active addresses lie
+        // in it, and the rest of it is the dropped pool.
         let active: AddrSet = self.active.iter().map(|(a, _)| *a).collect();
         if active.len() != self.active.len() {
             return Err("duplicate active addresses".into());
         }
-        if let Some((a, _)) =
-            self.active.iter().find(|(a, _)| self.unresponsive_pool.contains_addr(*a))
-        {
-            return Err(format!("{a} both active and permanently dropped"));
-        }
-        // A restored filter's input is the active addresses and the pool:
-        // exactly the input, or with no clocks (v1) the pool inside it.
-        let mut split = active;
-        split.union_in_place(&self.unresponsive_pool);
-        let covers_input = self.active.is_empty() || split.len() == self.input.len();
-        if split.diff_count(&self.input) > 0 || !covers_input {
-            return Err("the input is not the active addresses and the dropped pool".into());
+        if active.diff_count(&self.input) > 0 {
+            return Err("an active address is not input".into());
         }
         // A cold window (v1–v3, or no detection yet) says nothing; a
         // warm one is what the labels were merged from.
@@ -230,7 +303,12 @@ impl ServiceState {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod legacy;
+
+#[cfg(test)]
 mod tests {
+    use super::legacy::{array, legacy_document, legacy_json, legacy_set, set_member};
     use super::*;
     use crate::service::ServiceConfig;
     use sixdust_net::{Day, FaultConfig, Internet, Protocol, Scale};
@@ -265,12 +343,23 @@ mod tests {
         // The pretty bytes of a tiny-scale checkpoint, by length and
         // content digest: a writer that drifts (spacing, key order, number
         // form) fails here instead of silently forking the on-disk format.
-        let json = ServiceState::capture(&run_service(8)).to_json();
+        // The v4 bytes come from the reference writer, and are the pin the
+        // v4 writer itself had.
+        let state = ServiceState::capture(&run_service(8));
+        let json = legacy_json(&state, 4);
         assert!(json.starts_with("{\n  \"version\": 4,\n  \"input\": [\n    "), "{:.60}", json);
         assert!(json.contains("\n  \"unresponsive_window\": 30,\n  \"alias_window\": [\n    [\n"));
         assert!(json.ends_with("\n      \"tcp80\": true\n    }\n  ]\n}"), "no trailing newline");
         let digest = sixdust_addr::digest::content_digest(json.bytes().map(u128::from));
         assert_eq!((json.len(), digest), (652_091, 17_253_704_505_380_632_577));
+        // v5: every set one base64 codec body, and no dropped pool.
+        let json = state.to_json();
+        assert!(json.starts_with("{\n  \"version\": 5,\n  \"input\": \"U0RGM"), "{:.60}", json);
+        assert!(json.contains("\n  \"unresponsive_window\": 30,\n  \"alias_window\": [\n    [\n"));
+        assert!(json.ends_with("\n      \"tcp80\": true\n    }\n  ]\n}"), "no trailing newline");
+        assert!(!json.contains("unresponsive_pool"));
+        let digest = sixdust_addr::digest::content_digest(json.bytes().map(u128::from));
+        assert_eq!((json.len(), digest), (545_636, 14_303_414_829_826_028_543));
     }
 
     #[test]
@@ -288,15 +377,9 @@ mod tests {
     fn v2_checkpoint_loads_into_v3_state() {
         let svc = run_service(8);
         let state = ServiceState::capture(&svc);
-        // A v2 checkpoint is today's output without the v4 keys and with
-        // another version field: the address-set fields serialized as
-        // sorted address sequences then, and `AddrSet` writes the same
-        // sequence now. Cutting the tail and rewriting the version
-        // therefore reconstructs a faithful v2 payload (and a v3 one).
-        let json = state.to_json();
-        let v4_keys = json.find(",\n  \"alias_window\": [").expect("the v4 keys come last");
-        let v2_json =
-            format!("{}\n}}", &json[..v4_keys]).replacen("\"version\": 4", "\"version\": 2", 1);
+        // A v2 checkpoint, from the reference writer: sets as arrays, the
+        // dropped pool, and none of the v4 keys.
+        let v2_json = legacy_json(&state, 2);
         let upgraded = ServiceState::from_json(&v2_json).expect("v2 checkpoint parses");
         upgraded.validate().expect("v2 checkpoint validates");
         assert_eq!(upgraded.version, 2);
@@ -319,9 +402,11 @@ mod tests {
         state.version = 99;
         let err = ServiceState::from_json(&state.to_json()).unwrap_err();
         assert!(err.contains("version 99"), "{err}");
-        // The previous format version is still accepted.
-        state.version = 1;
-        assert!(ServiceState::from_json(&state.to_json()).is_ok());
+        // The previous format versions are still accepted, in the shape
+        // their writer gave them.
+        for version in [1, 4] {
+            assert!(ServiceState::from_json(&legacy_json(&state, version)).is_ok(), "v{version}");
+        }
         state.version = 0;
         assert!(ServiceState::from_json(&state.to_json()).is_err());
     }
@@ -385,10 +470,17 @@ mod tests {
         let mut bad = base.clone();
         bad.quarantined.push((Day(9), Day(9)));
         assert!(bad.validate().is_err(), "empty quarantine window");
-        let mut bad = base.clone();
-        if let Some((a, _)) = bad.active.first().copied() {
-            bad.unresponsive_pool.insert(a.0);
-            assert!(bad.validate().is_err(), "active address in dropped pool");
+        if let Some((a, _)) = base.active.first().copied() {
+            // Only a v1–v4 document stores the pool: it must not hold an
+            // active address.
+            let mut doc = legacy_document(&base, 4);
+            let mut pool = legacy_set(&doc, "unresponsive_pool");
+            pool.insert(a.0);
+            set_member(&mut doc, "unresponsive_pool", array(&pool));
+            assert!(
+                ServiceState::from_json(&doc.pretty()).is_err(),
+                "active address in dropped pool"
+            );
         }
         let mut bad = base.clone();
         bad.alias_window[0].pop().expect("the first round labelled something");
@@ -402,35 +494,112 @@ mod tests {
         assert!(bad.validate().is_err(), "snapshot days must increase");
     }
 
-    #[test]
-    fn a_checkpoint_whose_input_and_filter_disagree_is_rejected() {
+    /// A tiny service with a 3-day window, twelve days in: some of its
+    /// input is active and some dropped.
+    fn service_with_a_pool() -> HitlistService {
         let net = test_net();
         let mut svc = HitlistService::new(test_config());
         svc.set_unresponsive_window(3);
         svc.run(&net, Day(0), Day(12));
-        let base = ServiceState::capture(&svc);
-        base.validate().expect("a captured state is valid");
-        assert!(!base.active.is_empty() && !base.unresponsive_pool.is_empty());
-        let stranger = (1u128..).find(|v| !base.input.contains(*v)).unwrap();
+        svc
+    }
 
-        let mut bad = base.clone();
-        bad.input.insert(stranger);
-        assert!(bad.validate().is_err(), "an input address neither active nor dropped");
-        let mut bad = base.clone();
-        bad.unresponsive_pool.insert(stranger);
-        assert!(bad.validate().is_err(), "a dropped address that is not input");
+    #[test]
+    fn a_checkpoint_whose_input_and_filter_disagree_is_rejected() {
+        let base = ServiceState::capture(&service_with_a_pool());
+        base.validate().expect("a captured state is valid");
+        assert!(!base.active.is_empty() && base.active.len() < base.input.len());
+        let stranger = (1u128..).find(|v| !base.input.contains(*v)).unwrap();
+        // A v1–v4 document whose stored pool disagrees with its input and
+        // clocks.
+        let legacy = |version: u32, input: &AddrSet, pool: &AddrSet| {
+            let mut doc = legacy_document(&base, version);
+            set_member(&mut doc, "input", array(input));
+            set_member(&mut doc, "unresponsive_pool", array(pool));
+            ServiceState::from_json(&doc.pretty())
+        };
+        let input = base.input.clone();
+        let pool = legacy_set(&legacy_document(&base, 4), "unresponsive_pool");
+
+        let mut more = input.clone();
+        more.insert(stranger);
+        assert!(legacy(4, &more, &pool).is_err(), "an input address neither active nor dropped");
+        let mut dropped = pool.clone();
+        dropped.insert(stranger);
+        assert!(legacy(4, &input, &dropped).is_err(), "a dropped address that is not input");
         let mut bad = base.clone();
         bad.input.remove(bad.active[0].0 .0);
         assert!(bad.validate().is_err(), "an active address that is not input");
 
         // Without clocks (a v1 checkpoint) the active addresses are the
         // input outside the pool, so only the pool is held to the input.
-        let mut v1 = base.clone();
-        v1.active.clear();
-        v1.input.insert(stranger);
-        v1.validate().expect("a v1 checkpoint may hold input the pool does not");
-        v1.unresponsive_pool.insert(stranger + 1);
-        assert!(v1.validate().is_err(), "a v1 dropped address that is not input");
+        let v1 = legacy(1, &more, &pool).expect("a v1 checkpoint may hold input the pool does not");
+        v1.validate().expect("and is valid");
+        assert!(v1.active.iter().any(|(a, _)| a.0 == stranger), "the stranger is active");
+        let mut dropped = pool;
+        dropped.insert(stranger + 1);
+        assert!(legacy(1, &more, &dropped).is_err(), "a v1 dropped address that is not input");
+    }
+
+    #[test]
+    fn a_checkpoint_whose_clocks_were_emptied_or_removed_is_rejected() {
+        // A v2–v4 document with emptied clocks must not read as a v1 one,
+        // whose every active address restarts at the last round's day.
+        let base = ServiceState::capture(&service_with_a_pool());
+        for version in [2, 4] {
+            let mut doc = legacy_document(&base, version);
+            set_member(&mut doc, "active", Value::Array(Vec::new()));
+            match ServiceState::from_json(&doc.pretty()) {
+                Err(err) => {
+                    assert!(err.contains("pool is not the input without the active"), "{err}")
+                }
+                Ok(read) => {
+                    panic!("v{version} without clocks loaded, {} active", read.active.len())
+                }
+            }
+        }
+        // A key a version added is required from that version on.
+        for (version, key) in
+            [(5, "active"), (2, "active"), (5, "alias_window"), (4, "alias_detail")]
+        {
+            let mut doc = match version {
+                5 => base.to_value(),
+                legacy => legacy_document(&base, legacy),
+            };
+            let Value::Object(members) = &mut doc else { unreachable!() };
+            members.retain(|(k, _)| k != key);
+            let err = ServiceState::from_json(&doc.pretty()).err().unwrap_or_default();
+            assert!(err.contains(&format!("missing field `{key}`")), "v{version}: {err}");
+        }
+    }
+
+    #[test]
+    fn legacy_documents_restore_the_service_they_were_written_from() {
+        let svc = service_with_a_pool();
+        let original = ServiceState::capture(&svc);
+        for version in [2, 4] {
+            let read = ServiceState::from_json(&legacy_json(&original, version)).expect("reads");
+            read.validate().expect("valid");
+            let mut recaptured = ServiceState::capture(&read.restore(test_config()));
+            if version < 4 {
+                // No merge window before v4: the detector restarts cold.
+                assert!(recaptured.alias_window.is_empty());
+                recaptured.alias_window = original.alias_window.clone();
+                recaptured.alias_detail = original.alias_detail.clone();
+            }
+            assert_eq!(recaptured, original, "v{version}");
+        }
+        // A v1 document has no clocks: every address outside its pool is
+        // active again, as of the last checkpointed round.
+        let read = ServiceState::from_json(&legacy_json(&original, 1)).expect("reads");
+        read.validate().expect("valid");
+        let last = original.rounds.last().expect("rounds ran").day;
+        assert_ne!(last, Day(0));
+        let restarted: Vec<(Addr, Day)> = original.active.iter().map(|&(a, _)| (a, last)).collect();
+        assert_eq!(read.active, restarted);
+        let resumed = read.restore(test_config());
+        assert_eq!(resumed.unresponsive().active_entries().collect::<Vec<_>>(), restarted);
+        assert_eq!(resumed.unresponsive_pool(), svc.unresponsive_pool());
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! an error, never a panic, and never accept an inconsistent timeline.
 //! Seeded loops, at least 64 cases each.
 
+mod common;
+
 use std::sync::OnceLock;
 
+use sixdust_addr::codec::{encode_full, push_checksum, FULL_MAGIC};
 use sixdust_addr::prf::PrfStream;
+use sixdust_addr::{base64, AddrSet};
 use sixdust_hitlist::{HitlistService, ServiceConfig, ServiceState};
 use sixdust_net::{Day, FaultConfig, Internet, Scale};
 
@@ -66,8 +70,10 @@ fn json_shaped_garbage_never_panics() {
         let json = format!("{{\"version\": {version}, \"{filler}\": {n}}}");
         assert!(ServiceState::from_json(&json).is_err(), "{json}");
     }
-    // Right keys, wrong or hostile values.
-    let donor = donor().to_json();
+    // Right keys, wrong or hostile values: in a v4 document, with its
+    // sets as arrays.
+    let state = donor();
+    let donor = common::legacy_json(state, 4);
     for (from, to) in [
         ("\"version\": 4", "\"version\": -4"),
         ("\"version\": 4", "\"version\": 4.0"),
@@ -84,6 +90,82 @@ fn json_shaped_garbage_never_panics() {
     ] {
         assert!(donor.contains(from), "{from}");
         assert!(ServiceState::from_json(&donor.replacen(from, to, 1)).is_err(), "{from} -> {to}");
+    }
+    // And in a v5 document, whose sets are base64 codec bodies: an empty
+    // string, a character outside the alphabet, and well-formed,
+    // checksummed bodies that break the codec's other rules.
+    let v5 = state.to_json();
+    let input = format!("\"input\": \"{}\"", base64::encode(&encode_full(&state.input)));
+    let body = |payload: &[u8]| {
+        let mut body = payload.to_vec();
+        push_checksum(&mut body);
+        format!("\"input\": \"{}\"", base64::encode(&body))
+    };
+    let good = encode_full(&AddrSet::from_sorted(vec![5, 9]));
+    let payload = &good[..good.len() - 8];
+    let mut bad_magic = payload.to_vec();
+    bad_magic[..4].copy_from_slice(b"SDF2");
+    let unsorted = [&FULL_MAGIC[..], &[2, 9, 0]].concat();
+    let trailing = [payload, &[0]].concat();
+    for to in [
+        "\"input\": \"\"".to_string(),
+        input.replacen("U0RG", "U0R-", 1),
+        input.replacen("U0RG", "U0R G", 1),
+        body(&bad_magic),
+        body(&unsorted),
+        body(&trailing),
+    ] {
+        assert!(v5.contains(&input));
+        assert!(ServiceState::from_json(&v5.replacen(&input, &to, 1)).is_err(), "{to:.60}");
+    }
+    assert!(ServiceState::from_json(&v5.replacen(&input, &body(payload), 1)).is_ok());
+}
+
+/// The base64 alphabet, and the padding character.
+const BASE64: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=";
+
+/// Where each set's string lies in a v5 document: every set body starts
+/// with the codec's magic, `SDF1`, which base64 writes as `U0RGM`.
+fn set_strings(json: &str) -> Vec<std::ops::Range<usize>> {
+    json.match_indices("\"U0RGM")
+        .map(|(at, _)| {
+            let start = at + 1;
+            start..start + json[start..].find('"').expect("a closed string")
+        })
+        .collect()
+}
+
+/// One changed character inside a set's string — a flipped bit of the
+/// body, a non-canonical padding, a character out of place — never
+/// loads: base64 decoding is strict, and a body that decodes to other
+/// bytes fails the codec's checksum.
+#[test]
+fn a_changed_byte_in_a_set_body_never_loads() {
+    let json = donor().to_json();
+    let sets = set_strings(&json);
+    assert_eq!(sets.len(), 3 + 2 * 2 * 5, "input, gfw, current, two snapshots' ten each");
+    let changed = |at: usize, to: u8| {
+        let mut bytes = json.clone().into_bytes();
+        assert_ne!(bytes[at], to);
+        bytes[at] = to;
+        String::from_utf8(bytes).expect("ASCII for ASCII")
+    };
+    for case in 0..CASES {
+        let rng = &mut stream(6, case);
+        let set = &sets[rng.next_bounded(sets.len() as u64) as usize];
+        let at = set.start + rng.next_bounded(set.len() as u64) as usize;
+        let others: Vec<u8> =
+            BASE64.iter().copied().filter(|&c| c != json.as_bytes()[at]).collect();
+        let to = others[rng.next_bounded(others.len() as u64) as usize];
+        assert!(ServiceState::from_json(&changed(at, to)).is_err(), "{at}: {}", to as char);
+    }
+    // Every other character in the last data place of a padded body:
+    // most leave a padding bit set, the rest change the checksum's last
+    // byte.
+    let padded = sets.iter().find(|s| json[s.start..s.end].ends_with('=')).expect("a padded body");
+    let last = padded.start + json[padded.start..padded.end].trim_end_matches('=').len() - 1;
+    for &to in BASE64.iter().filter(|&&c| c != json.as_bytes()[last]) {
+        assert!(ServiceState::from_json(&changed(last, to)).is_err(), "{}", to as char);
     }
 }
 

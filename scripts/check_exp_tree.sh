@@ -1,28 +1,33 @@
 #!/usr/bin/env bash
 # Does the working tree's sixdust-exp write the same `all` tree, the
 # same service checkpoint and the same session-day report as another
-# revision's? The output check a change makes against its parent.
+# revision's, and does a run resumed from either checkpoint write that
+# `all` tree too? The output check a change makes against its parent.
 #
 #   scripts/check_exp_tree.sh <rev>
 #
 # Exports <rev>'s committed files with `git archive` into a throwaway
 # directory under target/ (removed on exit, like bench_build.sh's
 # worktree), builds its sixdust-exp there and the working tree's here
-# (release, offline), runs both with `--scale tiny --seed 11 --out DIR
-# all` (one DIR, moved aside after each run: the tree records its own
-# path) and compares the two output trees with `diff -r`. Then runs both
-# with `--checkpoint FILE pipeline` (a fresh FILE each: an existing one
-# is resumed from) and compares the two four-year checkpoints with
-# `cmp`, since `all` alone never writes one. Last, runs both with
-# `--clients 200000 --flash-crowd --serve-report FILE publish`, a session
-# day of 200 000 clients with a flash crowd (~4 s), and compares the two
-# day reports with `cmp`, since `all` serves only the uniform day. Exits
-# non-zero on any difference. Uncommitted work is in the working tree's
-# binary.
+# (release, offline), and runs each binary three times with `--scale
+# tiny --seed 11 --out DIR` (one DIR, moved aside after each run: the
+# tree records its own path): `all`; `--checkpoint FILE pipeline` (a
+# fresh FILE: an existing one is resumed from), since `all` alone never
+# writes a checkpoint; and `--clients 200000 --flash-crowd
+# --serve-report FILE publish`, a session day of 200 000 clients with a
+# flash crowd (~4 s), since `all` serves only the uniform day. Then the
+# working tree's binary runs `--checkpoint COPY all` twice, from a copy
+# of <rev>'s checkpoint and from a copy of its own: both must resume
+# (the log says so) after the last round and write <rev>'s `all` tree. It compares the two
+# `all` trees and both resumed trees with `diff -r`, and the two
+# checkpoints and the two day reports with `cmp`, runs every comparison
+# (printing both checkpoint sizes when they differ) and exits non-zero
+# at the end if any of them differed. Uncommitted work is in the working
+# tree's binary.
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
-  sed -n '2,21p' "$0" >&2
+  sed -n '2,26p' "$0" >&2
   exit 2
 fi
 rev=$1
@@ -64,24 +69,40 @@ run() {
 }
 run "$work/src" rev
 run "$root" tree
-if diff -r "$work/rev" "$work/tree"; then
-  echo "check_exp_tree: identical 'all' trees ($(find "$work/tree" -type f | wc -l) files)" \
-    "at ${commit:0:12} and the working tree"
-else
-  echo "check_exp_tree: the 'all' trees of ${commit:0:12} and the working tree differ" >&2
-  exit 1
-fi
-if cmp "$work/rev.checkpoint.json" "$work/tree.checkpoint.json"; then
-  echo "check_exp_tree: identical pipeline checkpoints" \
-    "($(wc -c <"$work/tree.checkpoint.json") bytes)"
-else
-  echo "check_exp_tree: the pipeline checkpoints of ${commit:0:12} and the working tree differ" >&2
-  exit 1
-fi
-if cmp "$work/rev.sessions.json" "$work/tree.sessions.json"; then
-  echo "check_exp_tree: identical session-day reports" \
-    "($(wc -c <"$work/tree.sessions.json") bytes)"
-else
-  echo "check_exp_tree: the session-day reports of ${commit:0:12} and the working tree differ" >&2
-  exit 1
-fi
+failed=0
+for from in rev tree; do
+  cp "$work/$from.checkpoint.json" "$work/resume-$from.json"
+  invoke "$root" "resume-$from" --checkpoint "$work/resume-$from.json" all
+  mv "$work/out" "$work/resumed-from-$from"
+  # An unusable checkpoint is reported and ignored, and a fresh run
+  # writes the same tree: only the log tells a resume from one.
+  grep "resuming from checkpoint" "$work/resume-$from.log" || {
+    echo "check_exp_tree: the working tree did not resume from the $from checkpoint:" >&2
+    grep "checkpoint" "$work/resume-$from.log" >&2 || true
+    failed=1
+  }
+done
+same_tree() {
+  if diff -r "$work/rev" "$work/$1"; then
+    echo "check_exp_tree: identical 'all' trees ($(find "$work/$1" -type f | wc -l) files)" \
+      "at ${commit:0:12} and $2"
+  else
+    echo "check_exp_tree: the 'all' trees of ${commit:0:12} and $2 differ" >&2
+    failed=1
+  fi
+}
+same_file() {
+  if cmp "$work/rev.$1" "$work/tree.$1"; then
+    echo "check_exp_tree: identical $2 ($(wc -c <"$work/tree.$1") bytes)"
+  else
+    echo "check_exp_tree: the $2 of ${commit:0:12} and the working tree differ" \
+      "($(wc -c <"$work/rev.$1") and $(wc -c <"$work/tree.$1") bytes)" >&2
+    failed=1
+  fi
+}
+same_tree tree "the working tree"
+same_file checkpoint.json "pipeline checkpoints"
+same_file sessions.json "session-day reports"
+same_tree resumed-from-rev "the working tree resumed from ${commit:0:12}'s checkpoint"
+same_tree resumed-from-tree "the working tree resumed from its own checkpoint"
+exit "$failed"

@@ -212,6 +212,32 @@ grep -Eq "flash crowd: [1-9][0-9]* arrivals" "$flash_dir/a.log" \
 grep "serve day:" "$flash_dir/a.log"
 grep "flash crowd:" "$flash_dir/a.log"
 
+echo "== resume scenario (a run resumed from its own checkpoint writes the experiments)"
+# `--checkpoint C pipeline` runs the four years and leaves C behind;
+# `--checkpoint C all` must resume from it (an unusable checkpoint would
+# be reported, ignored and the run started afresh) with no round left to
+# run, and write the tree a fresh `all` writes. One --out directory,
+# moved aside after each run: the tree records its own path.
+resume_dir=target/verify-resume
+rm -rf "$resume_dir" && mkdir -p "$resume_dir"
+for run in fresh checkpoint resumed; do
+  case $run in
+    fresh) args=(all) ;;
+    checkpoint) args=(--checkpoint "$resume_dir/service.ckpt" pipeline) ;;
+    resumed) args=(--checkpoint "$resume_dir/service.ckpt" all) ;;
+  esac
+  target/release/sixdust-exp --scale tiny --seed 11 --out "$resume_dir/out" "${args[@]}" \
+    >/dev/null 2>"$resume_dir/$run.log"
+  mv "$resume_dir/out" "$resume_dir/$run"
+done
+grep "resuming from checkpoint" "$resume_dir/resumed.log" \
+  || { echo "resume scenario FAILED: the second run did not resume" >&2; \
+       grep "checkpoint" "$resume_dir/resumed.log" >&2 || true; exit 1; }
+diff -r "$resume_dir/fresh" "$resume_dir/resumed" \
+  || { echo "resume scenario FAILED: the resumed run wrote another tree" >&2; exit 1; }
+echo "resume scenario: $(find "$resume_dir/resumed" -type f | wc -l) files, as a fresh run," \
+  "from a $(wc -c <"$resume_dir/service.ckpt")-byte checkpoint"
+
 if [ "$quick" = 0 ]; then
   if [ -n "$parent" ]; then
     echo "== ledgers on seeds the change was not written against: equal to the parent's"

@@ -204,3 +204,17 @@ fn fleet_checkpoint_round_trips_through_disk() {
     assert!(FleetState::load(&path).is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A fleet checkpoint's services are read by `ServiceState`'s own
+/// reader, so none of them passes without the version gate.
+#[test]
+fn a_fleet_checkpoint_holds_each_service_to_the_version_gate() {
+    let mut fleet = VantageFleet::build(fleet_config(2, 2));
+    fleet.run(Day(0), Day(4));
+    let mut state = FleetState::capture(&fleet);
+    for version in [99, 0] {
+        state.services[0].version = version;
+        let err = FleetState::from_json(&state.to_json()).unwrap_err();
+        assert!(err.contains(&format!("checkpoint version {version} unsupported")), "{err}");
+    }
+}
