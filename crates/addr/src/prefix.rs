@@ -3,7 +3,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use sixdust_json::{Error, FromJson, ToJson, Value};
+use sixdust_json::{Error, FromJson, Value};
 
 use crate::prf;
 use crate::Addr;
@@ -19,18 +19,12 @@ pub struct Prefix {
     len: u8,
 }
 
-impl ToJson for Prefix {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("network".to_string(), self.network.to_value()),
-            ("len".to_string(), self.len.to_value()),
-        ])
-    }
-}
-
 impl FromJson for Prefix {
-    /// Rejects a length past 128 and masks the network, so a prefix read
-    /// from a file has the same canonical form as one built in memory.
+    /// Reads the `{"network": …, "len": …}` object a v1–v5 checkpoint
+    /// wrote for each prefix (a [`PrefixSet`](crate::PrefixSet) is now
+    /// written as its packed items). Rejects a length past 128 and masks
+    /// the network, so a prefix read from a file has the same canonical
+    /// form as one built in memory.
     fn from_value(v: &Value) -> Result<Prefix, Error> {
         let fields = v.fields("Prefix")?;
         let (network, len): (Addr, u8) = (fields.get("network")?, fields.get("len")?);
@@ -94,13 +88,59 @@ impl Prefix {
         self.len
     }
 
-    /// The prefix as one 128-bit item, `network | len`: how the
-    /// aliased-prefix artifact, and its digest, carry a prefix among
-    /// addresses. The length sits in the low byte, which the network of a
-    /// prefix no longer than /120 leaves zero.
+    /// The prefix as one 128-bit item: how the aliased-prefix artifact,
+    /// its digest and a checkpoint's prefix sets carry a prefix among
+    /// addresses. Up to /120 the item is `network | len`: the length sits
+    /// in the low byte, which such a network leaves zero. A /121–/124
+    /// network has bits in that byte, so its item keeps the network's
+    /// /120 and puts in the low byte 120 plus the prefix's place in the
+    /// preorder of the binary tree below that /120 (121–150). Either way
+    /// two prefixes pack apart and in the order of [`Prefix`];
+    /// [`Prefix::unpack`] is the inverse.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a prefix longer than /124, which has no item.
     #[inline]
     pub fn packed(self) -> u128 {
-        self.network.0 | u128::from(self.len)
+        let Some(depth) = self.len.checked_sub(120) else {
+            return self.network.0 | u128::from(self.len);
+        };
+        assert!(depth <= 4, "a /{} prefix has no packed item", self.len);
+        // Down the tree below the /120, one network bit a level: a left
+        // step passes the node, a right step the node and its whole left
+        // subtree, 2^(4 - level) - 1 nodes.
+        let low = self.network.0 & 0xff;
+        let place: u128 =
+            (0..depth).map(|level| if low >> (7 - level) & 1 == 1 { 16 >> level } else { 1 }).sum();
+        (self.network.0 & !0xff) | (120 + place)
+    }
+
+    /// The prefix [`Prefix::packed`] made `item` from, or `None` for an
+    /// item no prefix packs to.
+    pub fn unpack(item: u128) -> Option<Prefix> {
+        let (mut network, code) = (item & !0xff, (item & 0xff) as u8);
+        let len = match code.checked_sub(120) {
+            None => code,
+            Some(mut place) => {
+                let mut level = 0;
+                while place > 0 {
+                    if level == 4 {
+                        return None;
+                    }
+                    place -= 1;
+                    let left = (16 >> level) - 1;
+                    if place >= left {
+                        place -= left;
+                        network |= 0x80 >> level;
+                    }
+                    level += 1;
+                }
+                120 + level
+            }
+        };
+        let prefix = Prefix::new(Addr(network), len);
+        (prefix.network.0 == network).then_some(prefix)
     }
 
     /// `true` only for `::/0`.
@@ -291,6 +331,50 @@ mod tests {
         assert_eq!(p("2001:db8::/32").packed(), 0x2001_0db8 << 96 | 32);
         assert_eq!(p("2001:db8::ab00/120").packed() & 0xff, 120);
         assert_eq!(Prefix::ALL.packed(), 0);
+    }
+
+    #[test]
+    fn every_length_to_124_packs_apart_in_order_and_unpacks() {
+        // Two /124s that differ only in the network bits 4–7, which
+        // `network | len` would have ORed the length into.
+        let (a, b) = (p("2001:db8::/124"), p("2001:db8::70/124"));
+        assert_eq!(a.network().0 | 124, b.network().0 | 124);
+        assert_ne!(a.packed(), b.packed());
+        // Every length, at networks whose low bits are all zero, all one
+        // and mixed.
+        let mut prefixes: Vec<Prefix> =
+            [0u128, u128::MAX, 0x2001_0db8_0000_0000_0000_0000_dead_beef]
+                .iter()
+                .flat_map(|&bits| (0..=124).map(move |len| Prefix::new(Addr(bits), len)))
+                .collect();
+        // And the whole tree below one /120.
+        for low in 0..=0xffu128 {
+            for len in 120..=124 {
+                prefixes.push(Prefix::new(Addr(0x2001_0db8 << 96 | low), len));
+            }
+        }
+        prefixes.sort_unstable();
+        prefixes.dedup();
+        for q in &prefixes {
+            assert_eq!(Prefix::unpack(q.packed()), Some(*q), "{q}");
+            if q.len() <= 120 {
+                assert_eq!(q.packed(), q.network().0 | u128::from(q.len()), "{q} kept its item");
+            }
+        }
+        let packed: Vec<u128> = prefixes.iter().map(|q| q.packed()).collect();
+        assert!(packed.windows(2).all(|w| w[0] < w[1]), "one-to-one and in prefix order");
+        // Every code of the low byte under `::/120` is a prefix that packs
+        // back to it, or no prefix at all.
+        let codes = (0..=0xffu128).filter_map(Prefix::unpack);
+        assert!(codes.clone().all(|q| Prefix::unpack(q.packed()) == Some(q)));
+        assert_eq!(codes.count(), 151, "/0–/120 and the 30 prefixes below the /120");
+        assert_eq!(Prefix::unpack(0x1_00 | 32), None, "a network bit past the length");
+    }
+
+    #[test]
+    #[should_panic(expected = "no packed item")]
+    fn a_prefix_past_124_does_not_pack() {
+        p("2001:db8::/125").packed();
     }
 
     #[test]

@@ -3,14 +3,27 @@
 //! Used for the blocklist filter, the aliased-prefix filter and the GFW
 //! impacted-address bookkeeping of the hitlist pipeline.
 
-use crate::{Addr, Prefix, PrefixTrie};
+use sixdust_json::{Error, FromJson, ToJson, Value};
+
+use crate::{Addr, AddrSet, Prefix, PrefixTrie};
 
 /// A set of IPv6 prefixes answering "is this address covered?" and
 /// "is this prefix (partially) covered?".
+///
+/// Its JSON form is that of an [`AddrSet`] of its [packed
+/// items](PrefixSet::packed): one base64 codec body.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixSet {
     trie: PrefixTrie<()>,
 }
+
+impl PartialEq for PrefixSet {
+    fn eq(&self, other: &PrefixSet) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for PrefixSet {}
 
 impl PrefixSet {
     /// Creates an empty set.
@@ -57,6 +70,42 @@ impl PrefixSet {
     /// Adds every prefix of `other` into `self`.
     pub fn extend_from(&mut self, other: &PrefixSet) {
         self.extend(other.iter());
+    }
+
+    /// Every prefix as its [`Prefix::packed`] item, in one set: what the
+    /// aliased-prefix artifact ships, its digest covers and a checkpoint
+    /// writes. The packing keeps the order, so this is one pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set holds a prefix longer than /124.
+    pub fn packed(&self) -> AddrSet {
+        AddrSet::from_sorted(self.iter().map(Prefix::packed).collect())
+    }
+}
+
+impl ToJson for PrefixSet {
+    /// The JSON form of [`PrefixSet::packed`]: one base64 codec body.
+    fn to_value(&self) -> Value {
+        self.packed().to_value()
+    }
+}
+
+impl FromJson for PrefixSet {
+    /// Reads the body [`ToJson`] writes through every check of `AddrSet`'s
+    /// reader, and rejects an item no prefix packs to; or reads the array
+    /// of `{"network", "len"}` objects a v1–v5 checkpoint wrote.
+    fn from_value(v: &Value) -> Result<PrefixSet, Error> {
+        match v {
+            Value::String(_) => AddrSet::from_value(v)?
+                .iter()
+                .map(|item| {
+                    Prefix::unpack(item)
+                        .ok_or_else(|| Error::new(format!("item {item:#x} is not a packed prefix")))
+                })
+                .collect(),
+            legacy => Vec::<Prefix>::from_value(legacy).map(PrefixSet::from_iter),
+        }
     }
 }
 
@@ -132,6 +181,28 @@ mod tests {
         a_set.extend_from(&b_set);
         assert_eq!(a_set.len(), 2);
         assert!(a_set.covers_addr(a("2400::1")));
+    }
+
+    #[test]
+    fn json_is_the_packed_items_codec_body_and_reads_the_legacy_objects() {
+        let s: PrefixSet =
+            [p("2001:db8::70/124"), p("2001:db8::c0/124"), p("::/0"), p("2400::/12")]
+                .into_iter()
+                .collect();
+        let json = sixdust_json::to_string(&s);
+        assert_eq!(json, sixdust_json::to_string(&s.packed()));
+        assert_eq!(sixdust_json::from_str::<PrefixSet>(&json), Ok(s.clone()));
+        let legacy = r#"[{"network": 0, "len": 0}, {"network": 42540766411282592856903984951653826672, "len": 124},
+            {"network": 47852207848256971424537054170092404736, "len": 12},
+            {"network": 42540766411282592856903984951653826752, "len": 124}]"#;
+        assert_eq!(sixdust_json::from_str::<PrefixSet>(legacy), Ok(s));
+        // A body whose item no prefix packs to: a network bit past the
+        // length, or a code past the tree below a /120.
+        for item in [0x1_00 | 32, 151] {
+            let body = sixdust_json::to_string(&AddrSet::from_sorted(vec![item]));
+            let err = sixdust_json::from_str::<PrefixSet>(&body).unwrap_err();
+            assert!(err.to_string().contains("not a packed prefix"), "{err}");
+        }
     }
 
     #[test]

@@ -15,11 +15,8 @@
 //! single lossy round cannot clear (or set) the label — the ablation bench
 //! shows the misclassification rate without that merge.
 
-use std::collections::{HashMap, HashSet};
-
 use sixdust_addr::{prf, Addr, Prefix, PrefixSet};
-use sixdust_json::json_struct;
-use sixdust_net::{Day, Internet, ProbeKind, ProbeTally, Response};
+use sixdust_net::{Day, Internet, ProbeKind, ProbeTally, ProtoSet, Protocol, Response};
 use sixdust_telemetry::{Registry, SpanTimer};
 
 /// Detector configuration.
@@ -72,7 +69,15 @@ pub struct DetectedPrefix {
     /// Whether all 16 probes answered TCP/80.
     pub tcp80: bool,
 }
-json_struct!(DetectedPrefix { prefix, icmp, tcp80 });
+
+impl DetectedPrefix {
+    /// The protocols that answered, as a checkpoint's detail column holds
+    /// them: ICMP is bit 0, TCP/80 bit 1.
+    pub fn protos(&self) -> ProtoSet {
+        let answered = [(self.icmp, Protocol::Icmp), (self.tcp80, Protocol::Tcp80)];
+        answered.into_iter().filter(|(all, _)| *all).map(|(_, proto)| proto).collect()
+    }
+}
 
 /// One detection round's outcome.
 #[derive(Debug, Clone)]
@@ -90,8 +95,12 @@ pub struct DetectionRound {
 /// The stateful detector (holds the merge window).
 #[derive(Debug, Clone, Default)]
 pub struct AliasDetector {
-    history: Vec<HashSet<Prefix>>,
-    last_round_info: HashMap<Prefix, DetectedPrefix>,
+    /// The merge window, oldest round first: what each round labelled.
+    window: Vec<PrefixSet>,
+    /// One entry a label, ascending by prefix: the labels' latest
+    /// detection. A label is in some round of the window, and any later
+    /// detection of it too, so this is all the detail there is to keep.
+    detail: Vec<DetectedPrefix>,
     config: DetectorConfig,
     /// Optional metrics sink; not part of checkpointed state.
     telemetry: Option<Registry>,
@@ -225,17 +234,29 @@ impl AliasDetector {
             let (icmp, tcp80, n) = Self::probe_prefix(net, p, day, ps, &mut tally);
             probes += n;
             if icmp || tcp80 {
-                let d = DetectedPrefix { prefix: p, icmp, tcp80 };
-                self.last_round_info.insert(p, d);
-                detected.push(d);
+                detected.push(DetectedPrefix { prefix: p, icmp, tcp80 });
             }
         }
         net.counters().add(&tally);
-        let this_round: HashSet<Prefix> = detected.iter().map(|d| d.prefix).collect();
-        self.history.push(this_round);
-        if self.history.len() > self.config.merge_rounds + 1 {
-            self.history.remove(0);
+        self.window.push(detected.iter().map(|d| d.prefix).collect());
+        if self.window.len() > self.config.merge_rounds + 1 {
+            self.window.remove(0);
         }
+        // This round's detail replaces the old of the same prefix (a
+        // stable sort keeps the old first, the dedup keeps the last), and
+        // a label the window no longer holds goes.
+        let mut detail = std::mem::take(&mut self.detail);
+        detail.extend(detected.iter().copied());
+        detail.sort_by_key(|d| d.prefix);
+        detail.dedup_by(|later, kept| {
+            let same = later.prefix == kept.prefix;
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        detail.retain(|d| self.window.iter().any(|round| round.contains_exact(d.prefix)));
+        self.detail = detail;
         if let Some(reg) = &self.telemetry {
             reg.counter("alias.rounds").incr();
             reg.counter("alias.candidates").add(cands.len() as u64);
@@ -247,39 +268,42 @@ impl AliasDetector {
 
     /// The current label set: the union over the merge window.
     pub fn aliased(&self) -> PrefixSet {
-        self.history.iter().flatten().copied().collect()
+        self.detail.iter().map(|d| d.prefix).collect()
     }
 
     /// The merge window, oldest round first: the prefixes each round
-    /// detected, ascending. With [`AliasDetector::detected_details`] it is
-    /// what a checkpoint keeps of a detector.
-    pub fn window(&self) -> Vec<Vec<Prefix>> {
-        let ascending = |round: &HashSet<Prefix>| {
-            let mut round: Vec<Prefix> = round.iter().copied().collect();
-            round.sort_unstable();
-            round
-        };
-        self.history.iter().map(ascending).collect()
+    /// detected. With the protocols of [`AliasDetector::detected_details`]
+    /// it is what a checkpoint keeps of a detector.
+    pub fn window(&self) -> &[PrefixSet] {
+        &self.window
     }
 
-    /// Puts back what [`AliasDetector::window`] and
-    /// [`AliasDetector::detected_details`] returned, so the next rounds
-    /// merge into the window the checkpointed detector had; an empty
-    /// window is a cold start. Rounds older than this detector's
-    /// `merge_rounds` reaches are left out.
-    pub fn restore(&mut self, window: &[Vec<Prefix>], details: &[DetectedPrefix]) {
+    /// Puts back a checkpointed detector: its merge `window` and, beside
+    /// the labels that window merges to (ascending), the protocols each
+    /// label last answered. The next rounds merge into that window; an
+    /// empty one is a cold start. Rounds older than this detector's
+    /// `merge_rounds` reaches are left out, and so is the detail of a
+    /// label only they held.
+    pub fn restore(&mut self, window: &[PrefixSet], protos: &[ProtoSet]) {
+        let labels: PrefixSet = window.iter().flat_map(PrefixSet::iter).collect();
         let reach = window.len().saturating_sub(self.config.merge_rounds + 1);
-        self.history = window[reach..].iter().map(|r| r.iter().copied().collect()).collect();
-        self.last_round_info = details.iter().map(|d| (d.prefix, *d)).collect();
+        self.window = window[reach..].to_vec();
+        self.detail = labels
+            .iter()
+            .zip(protos)
+            .filter(|(prefix, _)| self.window.iter().any(|round| round.contains_exact(*prefix)))
+            .map(|(prefix, protos)| DetectedPrefix {
+                prefix,
+                icmp: protos.contains(Protocol::Icmp),
+                tcp80: protos.contains(Protocol::Tcp80),
+            })
+            .collect();
     }
 
-    /// All labeled prefixes with their per-protocol detection detail.
-    pub fn detected_details(&self) -> Vec<DetectedPrefix> {
-        let labels = self.aliased();
-        let mut v: Vec<DetectedPrefix> =
-            labels.iter().filter_map(|p| self.last_round_info.get(&p).copied()).collect();
-        v.sort_unstable_by_key(|d| d.prefix);
-        v
+    /// All labeled prefixes with their per-protocol detection detail,
+    /// ascending by prefix.
+    pub fn detected_details(&self) -> &[DetectedPrefix] {
+        &self.detail
     }
 }
 
@@ -310,6 +334,7 @@ pub fn minimal_cover(prefixes: &[Prefix]) -> Vec<Prefix> {
 mod tests {
     use super::*;
     use sixdust_net::{FaultConfig, Scale};
+    use std::collections::{HashMap, HashSet};
 
     fn net() -> Internet {
         Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless())
@@ -474,6 +499,59 @@ mod tests {
             truth.len()
         );
         assert!(merged_hits > truth.len() / 2, "sanity: {merged_hits}/{}", truth.len());
+    }
+
+    /// The detector as it read before: the window as hash sets, and the
+    /// latest detection of every prefix ever detected in a hash map.
+    #[test]
+    fn details_are_the_latest_detection_of_each_label_in_the_window() {
+        let lossy = Internet::build(Scale::tiny())
+            .with_faults(FaultConfig::lossless().with_drop_permille(60));
+        let day = Day(100);
+        let mut cands: Vec<Prefix> =
+            lossy.population().aliased_groups(day).map(|g| g.prefix).take(60).collect();
+        // Listed twice, unsorted: the later result wins, as it did.
+        cands.push(cands[7]);
+        cands.reverse();
+        let config = DetectorConfig::default().with_merge_rounds(2);
+        let mut det = AliasDetector::new(config.clone());
+        let (mut history, mut latest) = (Vec::<HashSet<Prefix>>::new(), HashMap::new());
+        let (mut before, mut dropped) = (Vec::new(), 0);
+        for round in 0..7u32 {
+            let r = det.run_round(&lossy, &cands, day.plus(round));
+            for d in &r.detected {
+                latest.insert(d.prefix, *d);
+            }
+            history.push(r.detected.iter().map(|d| d.prefix).collect());
+            if history.len() > config.merge_rounds + 1 {
+                history.remove(0);
+            }
+            let mut labels: Vec<Prefix> = history.iter().flatten().copied().collect();
+            labels.sort_unstable();
+            labels.dedup();
+            dropped += before.iter().filter(|p| labels.binary_search(p).is_err()).count();
+            before = labels.clone();
+            let details: Vec<DetectedPrefix> = labels.iter().map(|p| latest[p]).collect();
+            assert_eq!(det.aliased().iter().collect::<Vec<_>>(), labels, "round {round}");
+            assert_eq!(det.detected_details(), details, "round {round}");
+            let rounds: Vec<Vec<Prefix>> =
+                det.window().iter().map(|r| r.iter().collect()).collect();
+            let model: Vec<Vec<Prefix>> = history
+                .iter()
+                .map(|r| {
+                    let mut r: Vec<Prefix> = r.iter().copied().collect();
+                    r.sort_unstable();
+                    r
+                })
+                .collect();
+            assert_eq!(rounds, model, "round {round}");
+            // What a checkpoint keeps puts the same detector back.
+            let protos: Vec<ProtoSet> = details.iter().map(DetectedPrefix::protos).collect();
+            let mut restored = AliasDetector::new(config.clone());
+            restored.restore(det.window(), &protos);
+            assert_eq!(restored.detected_details(), det.detected_details(), "round {round}");
+        }
+        assert!(dropped > 0, "some label left the window");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! service run, one set of new-source evaluations — reused by every
 //! table/figure so `all` does the expensive work exactly once.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sixdust_addr::Addr;
@@ -116,6 +116,31 @@ fn run_checkpointed(
     }
 }
 
+/// Moves a checkpoint this run will not resume from out of the way
+/// before the run starts, so that its first save does not replace the
+/// file (a newer binary's checkpoint, say): to `PATH.unusable.N`, the
+/// first `N` from 1 that names no file, and the log says where. A file
+/// that cannot be moved stops the run instead.
+pub fn set_aside(path: &Path, log: &str, why: &str) {
+    let aside = (1..)
+        .map(|n| {
+            let mut name = path.as_os_str().to_os_string();
+            name.push(format!(".unusable.{n}"));
+            PathBuf::from(name)
+        })
+        .find(|name| !name.exists())
+        .expect("some name is free");
+    if let Err(e) = std::fs::rename(path, &aside) {
+        eprintln!("[{log}] cannot move the unusable checkpoint {} aside: {e}", path.display());
+        std::process::exit(1);
+    }
+    eprintln!(
+        "[{log}] ignoring unusable checkpoint {} ({why}); moved it to {}",
+        path.display(),
+        aside.display()
+    );
+}
+
 impl Ctx {
     /// Builds the Internet and runs the service from launch to the paper's
     /// final day — the expensive step (~minutes at paper scale) — with
@@ -125,8 +150,8 @@ impl Ctx {
     /// every [`CHECKPOINT_EVERY_ROUNDS`] rounds and at completion; if a
     /// valid checkpoint already exists, the service resumes from the day
     /// after its last recorded round instead of replaying from day 0. A
-    /// corrupt or version-incompatible checkpoint is reported and ignored
-    /// (fresh start) — never trusted, never fatal.
+    /// corrupt or version-incompatible checkpoint is never trusted: it is
+    /// moved aside ([`set_aside`]) and the run starts afresh.
     pub fn build_resumable(scale: Scale, opts: ObsOptions, checkpoint: Option<&Path>) -> Ctx {
         let telemetry = Registry::new();
         let trace = opts.trace.then(TraceJournal::new);
@@ -159,7 +184,7 @@ impl Ctx {
                     state.restore(config.clone())
                 }
                 Err(e) => {
-                    eprintln!("[ctx] ignoring unusable checkpoint {}: {e}", path.display());
+                    set_aside(path, "ctx", &e);
                     HitlistService::new(config.clone())
                 }
             },

@@ -16,10 +16,13 @@ fn trafficforce_as(ctx: &Ctx) -> Option<sixdust_net::AsId> {
     ctx.net.registry().by_asn(212144)
 }
 
-fn aliased_with_as(ctx: &Ctx, prefixes: &[Prefix]) -> Vec<(Prefix, sixdust_net::AsId)> {
+fn aliased_with_as(
+    ctx: &Ctx,
+    prefixes: impl IntoIterator<Item = Prefix>,
+) -> Vec<(Prefix, sixdust_net::AsId)> {
     prefixes
-        .iter()
-        .filter_map(|p| ctx.net.registry().origin(p.network()).map(|id| (*p, id)))
+        .into_iter()
+        .filter_map(|p| ctx.net.registry().origin(p.network()).map(|id| (p, id)))
         .collect()
 }
 
@@ -34,7 +37,7 @@ pub fn fig5(ctx: &Ctx) -> ExpOutput {
     let mut years = Vec::new();
     for snap_day in Day::SNAPSHOTS {
         let snap = ctx.snapshot_at(snap_day);
-        let with_as = aliased_with_as(ctx, &snap.aliased);
+        let with_as = aliased_with_as(ctx, snap.aliased.iter());
         let filtered: Vec<u8> =
             with_as.iter().filter(|(_, id)| Some(*id) != tf).map(|(p, _)| p.len()).collect();
         let h = PlenHistogram::from_lens(filtered);
@@ -51,7 +54,7 @@ pub fn fig5(ctx: &Ctx) -> ExpOutput {
     // The Trafficforce jump.
     let last = ctx.snapshot_at(Day::PAPER_END);
     let tf_count =
-        aliased_with_as(ctx, &last.aliased).iter().filter(|(_, id)| Some(*id) == tf).count();
+        aliased_with_as(ctx, last.aliased.iter()).iter().filter(|(_, id)| Some(*id) == tf).count();
     text.push_str(&format!(
         "Trafficforce /64 flood in the final snapshot: {tf_count} prefixes (paper: 66.4 k, ICMP-only)\n"
     ));
@@ -61,9 +64,9 @@ pub fn fig5(ctx: &Ctx) -> ExpOutput {
 /// Fig. 6: per-AS aliased address space vs announced space.
 pub fn fig6(ctx: &Ctx) -> ExpOutput {
     let last = ctx.snapshot_at(Day::PAPER_END);
-    let cover = minimal_cover(&last.aliased);
+    let cover = minimal_cover(&last.aliased.iter().collect::<Vec<_>>());
     let mut per_as: HashMap<sixdust_net::AsId, f64> = HashMap::new();
-    for (p, id) in aliased_with_as(ctx, &cover) {
+    for (p, id) in aliased_with_as(ctx, cover) {
         *per_as.entry(id).or_insert(0.0) += 2f64.powi(i32::from(p.size_log2()));
     }
     let mut rows: Vec<(String, u32, f64, f64)> = per_as
@@ -108,7 +111,7 @@ pub fn table2(ctx: &Ctx) -> ExpOutput {
     let day = Day::PAPER_END;
     let tf = trafficforce_as(ctx);
     let prefixes: Vec<(Prefix, sixdust_net::AsId)> =
-        aliased_with_as(ctx, &ctx.snapshot_at(day).aliased)
+        aliased_with_as(ctx, ctx.snapshot_at(day).aliased.iter())
             .into_iter()
             .filter(|(_, id)| Some(*id) != tf)
             .collect();
@@ -153,12 +156,12 @@ pub fn table2(ctx: &Ctx) -> ExpOutput {
 /// Sec. 5.1: TCP fingerprints + the Too Big Trick over the labeled set.
 pub fn fingerprints(ctx: &Ctx) -> ExpOutput {
     let day = Day::PAPER_END;
-    let prefixes: Vec<Prefix> = ctx.snapshot_at(day).aliased.clone();
+    let prefixes: Vec<Prefix> = ctx.snapshot_at(day).aliased.iter().collect();
     // TCP fingerprinting (needs TCP/80 responders).
     let (_, fp) = fingerprint_all(&ctx.net, &prefixes, day, 0x519);
     // TBT over everything (Trafficforce excluded like Table 2's scan).
     let tf = trafficforce_as(ctx);
-    let tbt_prefixes: Vec<Prefix> = aliased_with_as(ctx, &prefixes)
+    let tbt_prefixes: Vec<Prefix> = aliased_with_as(ctx, prefixes.iter().copied())
         .into_iter()
         .filter(|(_, id)| Some(*id) != tf)
         .map(|(p, _)| p)

@@ -18,7 +18,8 @@
 //! installs a trace journal and writes Chrome trace-event JSON loadable
 //! in `chrome://tracing` / Perfetto. `--checkpoint PATH` saves the
 //! service state crash-safely during the four-year run and resumes from
-//! it on restart (a corrupt checkpoint is ignored, never fatal).
+//! it on restart (a checkpoint it cannot use is moved aside to
+//! `PATH.unusable.N` and the run starts afresh).
 //! `--serve-report PATH` publishes every service round into a serve-layer
 //! snapshot store, replays a deterministic high-QPS day of simulated
 //! registered-consumer load against it (100k requests, Zipf artifact
@@ -508,7 +509,8 @@ fn run_experiments(ctx: &mut Ctx, flags: &Flags) {
 ///
 /// With `--checkpoint PATH` the fleet saves a crash-safe checkpoint
 /// after every synchronized batch and resumes from it on restart; a
-/// corrupt or roster-incompatible checkpoint is reported and ignored.
+/// corrupt or roster-incompatible checkpoint is moved aside
+/// ([`context::set_aside`]) and the fleet starts afresh.
 /// With `--telemetry PATH` the fleet's registry (including the
 /// `vantage.*` metrics) is dumped as JSON at the end of the run.
 fn run_vantage_fleet(n: usize, flags: &Flags) {
@@ -536,11 +538,11 @@ fn run_vantage_fleet(n: usize, flags: &Flags) {
                 VantageFleet::restore_with_telemetry(config, &registry, &state)
             }
             Ok(_) => {
-                eprintln!("[vantage] ignoring checkpoint {} (different roster)", path.display());
+                context::set_aside(path, "vantage", "a different roster");
                 VantageFleet::build_with_telemetry(config, &registry)
             }
             Err(e) => {
-                eprintln!("[vantage] ignoring unusable checkpoint {}: {e}", path.display());
+                context::set_aside(path, "vantage", &e);
                 VantageFleet::build_with_telemetry(config, &registry)
             }
         },

@@ -5,7 +5,8 @@
 use std::path::Path;
 use std::process::Command;
 
-use sixdust_hitlist::ServiceState;
+use sixdust_hitlist::{HitlistService, ServiceConfig, ServiceState};
+use sixdust_net::{Day, FaultConfig, Internet, Scale};
 use sixdust_serve::DayReport;
 use sixdust_telemetry::{is_deterministic_metric, Snapshot};
 
@@ -144,4 +145,39 @@ fn the_dashboard_and_its_series_replay_byte_identically() {
     assert!(deterministic(&series) == deterministic(&series_again), "same seed, same series");
     assert!(page.contains("<h2>Flight-recorder captures</h2>"), "the page shows a capture");
     assert!(page.contains(">serve.requests<"), "the serve day is a round of the page");
+}
+
+#[test]
+fn a_checkpoint_it_cannot_use_is_moved_aside_not_overwritten() {
+    // What a newer binary leaves behind: a real checkpoint under a version
+    // this one does not read. A file already set aside keeps its name.
+    let out = std::env::temp_dir().join(format!("sixdust_exp_aside_{}", std::process::id()));
+    std::fs::remove_dir_all(&out).ok();
+    std::fs::create_dir_all(&out).unwrap();
+    let net = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
+    let mut svc = HitlistService::new(ServiceConfig::default());
+    svc.run(&net, Day(0), Day(3));
+    let mut state = ServiceState::capture(&svc);
+    let current = state.version;
+    state.version = 99;
+    let newer = state.to_json();
+    let checkpoint = out.join("service.ckpt");
+    std::fs::write(&checkpoint, &newer).unwrap();
+    std::fs::write(out.join("service.ckpt.unusable.1"), "an earlier one").unwrap();
+    let run = Command::new(env!("CARGO_BIN_EXE_sixdust-exp"))
+        .args(["--scale", "tiny", "--seed", "11", "--out"])
+        .arg(out.join("out"))
+        .arg("--checkpoint")
+        .arg(&checkpoint)
+        .arg("pipeline")
+        .output()
+        .expect("sixdust-exp runs");
+    let log = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "{log}");
+    assert!(log.contains("version 99 unsupported") && log.contains("service.ckpt.unusable.2"));
+    assert_eq!(read(&out.join("service.ckpt.unusable.2")), newer, "the newer bytes survive");
+    assert_eq!(read(&out.join("service.ckpt.unusable.1")), "an earlier one");
+    let fresh = ServiceState::load(&checkpoint).expect("a fresh, valid checkpoint beside them");
+    assert_eq!(fresh.version, current);
+    std::fs::remove_dir_all(&out).ok();
 }

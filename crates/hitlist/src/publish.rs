@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use sixdust_addr::{Addr, AddrSet, Prefix};
+use sixdust_addr::{Addr, AddrSet};
 use sixdust_json::json_struct;
 use sixdust_scan::proto_metric_key;
 
@@ -84,10 +84,9 @@ pub fn publish(svc: &HitlistService) -> Publication {
         for p in v {
             let _ = writeln!(out, "{p}");
         }
-        // Prefixes digest over their packed form (network | len), the
-        // same item encoding the serve layer ships them in.
-        let packed: AddrSet = svc.aliased().iter().map(Prefix::packed).collect();
-        (out, packed)
+        // Prefixes digest over their packed items, the same items the
+        // serve layer ships them as.
+        (out, svc.aliased().packed())
     };
     let gfw_filtered = render(svc.gfw_impacted());
     let input_set = AddrSet::from_sorted_addrs(svc.input());

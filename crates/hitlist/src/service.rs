@@ -174,8 +174,9 @@ json_struct!(RoundRecord {
 
 /// A retained full snapshot (Table 1 / Figs. 2, 9, 10 inputs).
 ///
-/// The per-protocol sets are [`AddrSet`]s, and a checkpoint stores each
-/// as its codec body, as it does every other set.
+/// The per-protocol sets are [`AddrSet`]s and the labels a [`PrefixSet`],
+/// and a checkpoint stores each as its codec body, as it does every other
+/// set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Snapshot day (the first scan round at or after the requested day).
@@ -185,7 +186,7 @@ pub struct Snapshot {
     /// Published responsive addresses per protocol.
     pub published: Vec<(Protocol, AddrSet)>,
     /// Aliased prefix labels at snapshot time (Fig. 5's yearly series).
-    pub aliased: Vec<sixdust_addr::Prefix>,
+    pub aliased: PrefixSet,
 }
 json_struct!(Snapshot { day, cleaned, published, aliased });
 
@@ -402,7 +403,7 @@ impl HitlistService {
     /// ([`ServiceState`](crate::ServiceState)'s `FromJson`).
     pub fn from_state(config: ServiceConfig, state: &crate::state::ServiceState) -> HitlistService {
         let mut svc = HitlistService::new(config);
-        svc.aliased = state.aliased.iter().copied().collect();
+        svc.aliased = state.aliased.clone();
         svc.detector.restore(&state.alias_window, &state.alias_detail);
         svc.gfw = GfwFilter::restore(state.gfw_impacted.clone());
         svc.unresp = UnresponsiveFilter::restore(
@@ -412,12 +413,8 @@ impl HitlistService {
             state.quarantined.clone(),
         );
         svc.prev_responsive = state.current_responsive.clone();
-        let mut cumulative = state.cumulative.clone();
-        cumulative.sort_by_key(|(a, _)| *a);
-        cumulative.dedup_by_key(|(a, _)| *a);
-        let (ever, protos): (Vec<Addr>, _) = cumulative.into_iter().unzip();
-        svc.ever = AddrSet::from_sorted_addrs(&ever);
-        svc.ever_protos = protos;
+        svc.ever = state.ever.clone();
+        svc.ever_protos = state.ever_protos.clone();
         svc.next_alias_day = state.next_alias_day;
         svc.rounds = state.rounds.clone();
         svc.snapshots = state.snapshots.clone();
@@ -452,6 +449,12 @@ impl HitlistService {
     /// sets (cleaned view), ascending by address.
     pub fn cumulative(&self) -> impl ExactSizeIterator<Item = (Addr, ProtoSet)> + '_ {
         self.ever.addrs().zip(self.ever_protos.iter().copied())
+    }
+
+    /// [`HitlistService::cumulative`] as a checkpoint holds it: the set
+    /// and the protocol column beside it.
+    pub(crate) fn ever(&self) -> (&AddrSet, &[ProtoSet]) {
+        (&self.ever, &self.ever_protos)
     }
 
     /// The service configuration.
@@ -892,7 +895,7 @@ impl HitlistService {
                 day,
                 cleaned: proto_cleaned_sets.clone(),
                 published: proto_published_sets,
-                aliased: self.aliased.iter().collect(),
+                aliased: self.aliased.clone(),
             });
         }
         self.last_proto_cleaned = proto_cleaned_sets;

@@ -4,20 +4,24 @@
 //! four years of accumulated state (the real hitlist's input list *is* its
 //! history). [`ServiceState`] is a serializable snapshot of everything a
 //! [`HitlistService`] has learned. It is one pretty JSON document whose
-//! address sets are each one string, the base64 of the set's full-codec
-//! body ([`sixdust_addr::codec`]), so the input costs about 13 bytes an
-//! address where a decimal array cost 44. It writes to disk crash-safely
-//! ([`ServiceState::save_atomic`]), is parsed and checked whole before
-//! anything in it is used, and restores into a running service
-//! ([`ServiceState::restore`]). Older versions are read in one place,
-//! beside the version gate: its `FromJson`.
+//! sets are each one string, the base64 of a full-codec body
+//! ([`sixdust_addr::codec`]): an address set's members, or a prefix set's
+//! packed items. A value kept per member of a set is a column beside it:
+//! one base64 string of one byte a member, framed by a magic and the
+//! codec's checksum. So the input costs about 13
+//! bytes an address where a decimal array cost 44. It writes to disk
+//! crash-safely ([`ServiceState::save_atomic`]), is parsed and checked
+//! whole before anything in it is used, and restores into a running
+//! service ([`ServiceState::restore`]). Older versions are read in one
+//! place, beside the version gate: its `FromJson`.
 
 use std::path::Path;
 
-use sixdust_addr::{Addr, AddrSet, Prefix};
+use sixdust_addr::codec::{self, CodecError};
+use sixdust_addr::{base64, Addr, AddrSet, PrefixSet};
 use sixdust_alias::DetectedPrefix;
 use sixdust_json::{Error, Fields, FromJson, ToJson, Value};
-use sixdust_net::{Day, ProtoSet};
+use sixdust_net::{Day, ProtoSet, Protocol};
 
 use crate::service::{HitlistService, RoundRecord, ServiceConfig, Snapshot};
 
@@ -39,10 +43,16 @@ use crate::service::{HitlistService, RoundRecord, ServiceConfig, Snapshot};
 /// keys are optional before v4: a v1–v3 checkpoint restores the labels
 /// alone and the detector starts cold, as it did.
 ///
-/// Version 5 writes every set as its codec body (`AddrSet`'s `ToJson`)
-/// and drops `unresponsive_pool`, which was the input without the active
-/// addresses, stored a second time. A v1–v4 document's sets are arrays
-/// and still read; its pool is read once, held to the input and the
+/// Version 5 writes every address set as its codec body (`AddrSet`'s
+/// `ToJson`) and drops `unresponsive_pool`, which was the input without
+/// the active addresses, stored a second time.
+///
+/// Version 6 writes every prefix list as a [`PrefixSet`], the codec body
+/// of its packed items, where v1–v5 wrote `{"network", "len"}` objects.
+/// The `cumulative` pairs of address and protocols become the set `ever`
+/// and the column `ever_protos` beside it, and the `alias_detail` objects
+/// a column beside `aliased`. A v1–v5 document's lists and pairs still
+/// read; its pool (before v5) is read once, held to the input and the
 /// clocks, and not kept.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceState {
@@ -51,11 +61,14 @@ pub struct ServiceState {
     /// Accumulated input addresses, active and dropped.
     pub input: AddrSet,
     /// Current aliased prefix labels.
-    pub aliased: Vec<Prefix>,
+    pub aliased: PrefixSet,
     /// GFW-impacted addresses recorded so far.
     pub gfw_impacted: AddrSet,
-    /// Cumulative responsive addresses with their protocol sets.
-    pub cumulative: Vec<(Addr, ProtoSet)>,
+    /// Every address ever seen cleaned-responsive (v6).
+    pub ever: AddrSet,
+    /// Beside each member of `ever`, in its order: every protocol it has
+    /// answered (v6). Never empty.
+    pub ever_protos: Vec<ProtoSet>,
     /// Longitudinal round records.
     pub rounds: Vec<RoundRecord>,
     /// Retained full snapshots.
@@ -72,11 +85,12 @@ pub struct ServiceState {
     /// The 30-day filter's window override, in days (v2).
     pub unresponsive_window: u32,
     /// The alias detector's merge window, oldest round first: the
-    /// prefixes each detection round labelled, ascending (v4).
-    pub alias_window: Vec<Vec<Prefix>>,
-    /// Per-protocol detection detail of the labels in the window,
-    /// ascending by prefix (v4).
-    pub alias_detail: Vec<DetectedPrefix>,
+    /// prefixes each detection round labelled (v4).
+    pub alias_window: Vec<PrefixSet>,
+    /// Beside each label of `aliased`, in its order: the protocols its
+    /// latest detection found answering on all 16 probes, ICMP as bit 0
+    /// and TCP/80 as bit 1 (v6). Empty while the window is cold.
+    pub alias_detail: Vec<ProtoSet>,
 }
 
 impl ToJson for ServiceState {
@@ -87,7 +101,8 @@ impl ToJson for ServiceState {
             member("input", &self.input),
             member("aliased", &self.aliased),
             member("gfw_impacted", &self.gfw_impacted),
-            member("cumulative", &self.cumulative),
+            member("ever", &self.ever),
+            member("ever_protos", &column(&self.ever_protos)),
             member("rounds", &self.rounds),
             member("snapshots", &self.snapshots),
             member("active", &self.active),
@@ -96,16 +111,17 @@ impl ToJson for ServiceState {
             member("next_alias_day", &self.next_alias_day),
             member("unresponsive_window", &self.unresponsive_window),
             member("alias_window", &self.alias_window),
-            member("alias_detail", &self.alias_detail),
+            member("alias_detail", &column(&self.alias_detail)),
         ])
     }
 }
 
 impl FromJson for ServiceState {
     /// Reads any supported version, and only those: the version gate
-    /// comes first, then the fields, then for a v1–v4 document the legacy
-    /// step (`ServiceState::upgrade`). A service state read from any
-    /// document — a fleet checkpoint's included — has passed all three.
+    /// comes first, then the fields, then for a v1–v5 document the legacy
+    /// step (`ServiceState::upgrade`), then the columns are held to their
+    /// sets. A service state read from any document — a fleet
+    /// checkpoint's included — has passed all four.
     fn from_value(v: &Value) -> Result<ServiceState, Error> {
         let fields = v.fields("ServiceState")?;
         let version: u32 = fields.get("version")?;
@@ -115,12 +131,16 @@ impl FromJson for ServiceState {
                  {OLDEST_SUPPORTED_STATE_VERSION}..={STATE_VERSION})"
             )));
         }
+        // The v6 columns; a v1–v5 document's pairs and objects are read
+        // into them by the legacy step.
+        let since_v6 = |key| if version < 6 { Ok(Vec::new()) } else { read_column(&fields, key) };
         let mut state = ServiceState {
             version,
             input: fields.get("input")?,
             aliased: fields.get("aliased")?,
             gfw_impacted: fields.get("gfw_impacted")?,
-            cumulative: fields.get("cumulative")?,
+            ever: added(&fields, version, 6, "ever", AddrSet::new())?,
+            ever_protos: since_v6("ever_protos")?,
             rounds: fields.get("rounds")?,
             snapshots: fields.get("snapshots")?,
             active: added(&fields, version, 2, "active", Vec::new())?,
@@ -129,11 +149,12 @@ impl FromJson for ServiceState {
             next_alias_day: added(&fields, version, 2, "next_alias_day", Day::default())?,
             unresponsive_window: added(&fields, version, 2, "unresponsive_window", 30)?,
             alias_window: added(&fields, version, 4, "alias_window", Vec::new())?,
-            alias_detail: added(&fields, version, 4, "alias_detail", Vec::new())?,
+            alias_detail: since_v6("alias_detail")?,
         };
-        if version < 5 {
-            state.upgrade(&fields.get("unresponsive_pool")?)?;
+        if version < 6 {
+            state.upgrade(&fields)?;
         }
+        state.check_columns().map_err(Error::new)?;
         Ok(state)
     }
 }
@@ -156,8 +177,45 @@ fn added<T: FromJson>(
     }
 }
 
+/// Magic prefix of a column body (`SDC1`).
+const COLUMN_MAGIC: [u8; 4] = *b"SDC1";
+
+/// A column as a checkpoint writes it: one base64 string of the magic,
+/// one byte a member and the codec's checksum, so a changed byte fails
+/// to load as it does in a set's body.
+fn column(values: &[ProtoSet]) -> Value {
+    let mut body = COLUMN_MAGIC.to_vec();
+    body.extend(values.iter().map(|p| p.0));
+    codec::push_checksum(&mut body);
+    Value::String(base64::encode(&body))
+}
+
+/// The column `key` of a v6 document.
+fn read_column(fields: &Fields<'_>, key: &str) -> Result<Vec<ProtoSet>, Error> {
+    let text: String = fields.get(key)?;
+    let bad = |why: &dyn std::fmt::Display| Error::new(format!("ServiceState.{key}: {why}"));
+    let body = base64::decode(&text).ok_or_else(|| bad(&"not canonical base64"))?;
+    let payload = codec::checked_payload(&body).map_err(|e| bad(&e))?;
+    if payload[..4] != COLUMN_MAGIC {
+        return Err(bad(&CodecError::BadMagic));
+    }
+    Ok(payload[4..].iter().copied().map(ProtoSet).collect())
+}
+
+/// One `{"prefix", "icmp", "tcp80"}` object of a v4–v5 `alias_detail`.
+struct LegacyDetail(DetectedPrefix);
+
+impl FromJson for LegacyDetail {
+    fn from_value(v: &Value) -> Result<LegacyDetail, Error> {
+        let fields = v.fields("DetectedPrefix")?;
+        let (prefix, icmp, tcp80) =
+            (fields.get("prefix")?, fields.get("icmp")?, fields.get("tcp80")?);
+        Ok(LegacyDetail(DetectedPrefix { prefix, icmp, tcp80 }))
+    }
+}
+
 /// Current checkpoint format version.
-pub const STATE_VERSION: u32 = 5;
+pub const STATE_VERSION: u32 = 6;
 
 /// Oldest checkpoint version [`ServiceState::from_json`] still accepts.
 pub const OLDEST_SUPPORTED_STATE_VERSION: u32 = 1;
@@ -165,12 +223,14 @@ pub const OLDEST_SUPPORTED_STATE_VERSION: u32 = 1;
 impl ServiceState {
     /// Captures a checkpoint from a running service.
     pub fn capture(svc: &HitlistService) -> ServiceState {
+        let (ever, ever_protos) = svc.ever();
         ServiceState {
             version: STATE_VERSION,
             input: AddrSet::from_sorted_addrs(svc.input()),
-            aliased: svc.aliased().iter().collect(),
+            aliased: svc.aliased().clone(),
             gfw_impacted: svc.gfw_impacted().clone(),
-            cumulative: svc.cumulative().collect(),
+            ever: ever.clone(),
+            ever_protos: ever_protos.to_vec(),
             rounds: svc.rounds().to_vec(),
             snapshots: svc.snapshots().to_vec(),
             active: svc.unresponsive().active_entries().collect(),
@@ -178,32 +238,78 @@ impl ServiceState {
             current_responsive: svc.current_responsive().clone(),
             next_alias_day: svc.next_alias_day(),
             unresponsive_window: svc.unresponsive().window,
-            alias_window: svc.detector().window(),
-            alias_detail: svc.detector().detected_details(),
+            alias_window: svc.detector().window().to_vec(),
+            alias_detail: svc.detector().detected_details().iter().map(|d| d.protos()).collect(),
         }
     }
 
-    /// The legacy step: what a v1–v4 document stored as its dropped
-    /// `pool`, a set v5 derives as the input without the active
-    /// addresses. A v1 document (known by its version) has no clocks, so
-    /// every input address outside the pool restarts its clock at the
-    /// last checkpointed round's day; its pool must lie inside the input.
-    /// A v2–v4 pool must be exactly the input without the active
-    /// addresses: any other pool contradicts the clocks.
-    fn upgrade(&mut self, pool: &AddrSet) -> Result<(), Error> {
-        if self.version == 1 {
-            if pool.diff_count(&self.input) > 0 {
-                return Err(Error::new("a v1 dropped address is not input"));
+    /// The legacy step: what a v1–v5 document wrote in another shape.
+    ///
+    /// Before v5 it stored its dropped `pool`, a set later versions
+    /// derive as the input without the active addresses. A v1 document
+    /// (known by its version) has no clocks, so every input address
+    /// outside the pool restarts its clock at the last checkpointed
+    /// round's day; its pool must lie inside the input. A v2–v4 pool must
+    /// be exactly the input without the active addresses: any other pool
+    /// contradicts the clocks.
+    ///
+    /// Before v6 it stored `cumulative` pairs, read here into `ever` and
+    /// its column (an address twice is an error), and, from v4, the
+    /// detail of its labels as objects, read into the column beside
+    /// `aliased` when the window is warm (they must be the labels).
+    fn upgrade(&mut self, fields: &Fields<'_>) -> Result<(), Error> {
+        if self.version < 5 {
+            let pool: AddrSet = fields.get("unresponsive_pool")?;
+            if self.version == 1 {
+                if pool.diff_count(&self.input) > 0 {
+                    return Err(Error::new("a v1 dropped address is not input"));
+                }
+                let day = self.rounds.last().map_or(Day(0), |r| r.day);
+                self.active = self.input.diff(&pool).addrs().map(|a| (a, day)).collect();
+            } else {
+                let active: AddrSet = self.active.iter().map(|(a, _)| *a).collect();
+                if pool != self.input.diff(&active) {
+                    return Err(Error::new(format!(
+                        "the v{} dropped pool is not the input without the active addresses",
+                        self.version
+                    )));
+                }
             }
-            let day = self.rounds.last().map_or(Day(0), |r| r.day);
-            self.active = self.input.diff(pool).addrs().map(|a| (a, day)).collect();
-        } else {
-            let active: AddrSet = self.active.iter().map(|(a, _)| *a).collect();
-            if *pool != self.input.diff(&active) {
-                return Err(Error::new(format!(
-                    "the v{} dropped pool is not the input without the active addresses",
-                    self.version
-                )));
+        }
+        let mut cumulative: Vec<(Addr, ProtoSet)> = fields.get("cumulative")?;
+        cumulative.sort_unstable_by_key(|(a, _)| *a);
+        if cumulative.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(Error::new("duplicate cumulative addresses"));
+        }
+        let (ever, protos): (Vec<Addr>, _) = cumulative.into_iter().unzip();
+        self.ever = AddrSet::from_sorted_addrs(&ever);
+        self.ever_protos = protos;
+        if !self.alias_window.is_empty() {
+            let detail: Vec<LegacyDetail> = fields.get("alias_detail")?;
+            if !detail.iter().map(|d| d.0.prefix).eq(self.aliased.iter()) {
+                return Err(Error::new("alias detail does not cover the aliased labels"));
+            }
+            self.alias_detail = detail.iter().map(|d| d.0.protos()).collect();
+        }
+        Ok(())
+    }
+
+    /// Holds each column to the set it stands beside: one entry a member,
+    /// and only the protocols it can hold. `ever_protos` holds any
+    /// non-empty set of the five; `alias_detail`, empty while the window
+    /// is cold, a non-empty set of ICMP and TCP/80.
+    fn check_columns(&self) -> Result<(), String> {
+        let tested = ProtoSet::of(&[Protocol::Icmp, Protocol::Tcp80]);
+        let beside_labels = if self.alias_window.is_empty() { 0 } else { self.aliased.len() };
+        for (key, values, members, allowed) in [
+            ("ever_protos", &self.ever_protos, self.ever.len(), ProtoSet::all()),
+            ("alias_detail", &self.alias_detail, beside_labels, tested),
+        ] {
+            if values.len() != members {
+                return Err(format!("{key} holds {} entries for {members} members", values.len()));
+            }
+            if let Some(bad) = values.iter().find(|p| p.is_empty() || p.union(allowed) != allowed) {
+                return Err(format!("{key} holds the protocol set {:#04x}", bad.0));
             }
         }
         Ok(())
@@ -242,17 +348,9 @@ impl ServiceState {
     /// Consistency checks a downstream consumer (or a restarted service)
     /// should run before trusting a checkpoint.
     pub fn validate(&self) -> Result<(), String> {
-        // `input` is an `AddrSet`, deduplicated by construction — the v2
-        // duplicate-input check is structurally impossible to fail now.
-        for (a, p) in &self.cumulative {
-            if p.is_empty() {
-                return Err(format!("{a} in cumulative without protocols"));
-            }
-        }
-        let cumulative: AddrSet = self.cumulative.iter().map(|(a, _)| *a).collect();
-        if cumulative.len() != self.cumulative.len() {
-            return Err("duplicate cumulative addresses".into());
-        }
+        // `input` and `ever` are sets, deduplicated by construction, and
+        // their columns are checked where a document is read and here.
+        self.check_columns()?;
         for w in self.rounds.windows(2) {
             if w[1].day <= w[0].day {
                 return Err("round records out of order".into());
@@ -285,17 +383,9 @@ impl ServiceState {
         // A cold window (v1–v3, or no detection yet) says nothing; a
         // warm one is what the labels were merged from.
         if !self.alias_window.is_empty() {
-            let mut merged: Vec<Prefix> = self.alias_window.concat();
-            merged.sort_unstable();
-            merged.dedup();
-            let mut labels = self.aliased.clone();
-            labels.sort_unstable();
-            if merged != labels {
+            let merged: PrefixSet = self.alias_window.iter().flat_map(PrefixSet::iter).collect();
+            if merged != self.aliased {
                 return Err("alias window does not merge to the aliased labels".into());
-            }
-            let detailed: Vec<Prefix> = self.alias_detail.iter().map(|d| d.prefix).collect();
-            if detailed != labels {
-                return Err("alias detail does not cover the aliased labels".into());
             }
         }
         Ok(())
@@ -352,14 +442,28 @@ mod tests {
         assert!(json.ends_with("\n      \"tcp80\": true\n    }\n  ]\n}"), "no trailing newline");
         let digest = sixdust_addr::digest::content_digest(json.bytes().map(u128::from));
         assert_eq!((json.len(), digest), (652_091, 17_253_704_505_380_632_577));
-        // v5: every set one base64 codec body, and no dropped pool.
-        let json = state.to_json();
+        // v5: every address set one base64 codec body, and no dropped
+        // pool. From the reference writer too, and the pin the v5 writer
+        // had.
+        let json = legacy_json(&state, 5);
         assert!(json.starts_with("{\n  \"version\": 5,\n  \"input\": \"U0RGM"), "{:.60}", json);
         assert!(json.contains("\n  \"unresponsive_window\": 30,\n  \"alias_window\": [\n    [\n"));
         assert!(json.ends_with("\n      \"tcp80\": true\n    }\n  ]\n}"), "no trailing newline");
         assert!(!json.contains("unresponsive_pool"));
         let digest = sixdust_addr::digest::content_digest(json.bytes().map(u128::from));
         assert_eq!((json.len(), digest), (545_636, 14_303_414_829_826_028_543));
+        // v6: every prefix list one codec body too, and the per-member
+        // values two columns.
+        let json = state.to_json();
+        assert!(json.starts_with("{\n  \"version\": 6,\n  \"input\": \"U0RGM"), "{:.60}", json);
+        assert!(json.contains("\n  \"aliased\": \"U0RGM"));
+        assert!(
+            json.contains("\n  \"unresponsive_window\": 30,\n  \"alias_window\": [\n    \"U0RGM")
+        );
+        assert!(!json.contains("cumulative") && !json.contains("\"network\""));
+        assert!(json.ends_with("\"\n}"), "no trailing newline");
+        let digest = sixdust_addr::digest::content_digest(json.bytes().map(u128::from));
+        assert_eq!((json.len(), digest), (266_953, 8_148_060_174_902_567_672));
     }
 
     #[test]
@@ -369,7 +473,9 @@ mod tests {
         assert_eq!(state.input.len(), svc.input().len());
         assert_eq!(state.rounds.len(), svc.rounds().len());
         assert_eq!(state.aliased.len(), svc.aliased().len());
-        assert_eq!(state.cumulative.len(), svc.cumulative().len());
+        assert_eq!(state.ever.len(), svc.cumulative().len());
+        assert_eq!(state.ever_protos.len(), state.ever.len());
+        assert_eq!(state.alias_detail.len(), state.aliased.len());
         assert_eq!(state.snapshots.len(), 1);
     }
 
@@ -404,7 +510,7 @@ mod tests {
         assert!(err.contains("version 99"), "{err}");
         // The previous format versions are still accepted, in the shape
         // their writer gave them.
-        for version in [1, 4] {
+        for version in [1, 4, 5] {
             assert!(ServiceState::from_json(&legacy_json(&state, version)).is_ok(), "v{version}");
         }
         state.version = 0;
@@ -483,7 +589,8 @@ mod tests {
             );
         }
         let mut bad = base.clone();
-        bad.alias_window[0].pop().expect("the first round labelled something");
+        let first = bad.alias_window[0].iter().next().expect("the first round labelled something");
+        bad.alias_window[0] = bad.alias_window[0].iter().filter(|&p| p != first).collect();
         assert!(bad.validate().is_err(), "a label no round of the window detected");
         let mut bad = base;
         if bad.snapshots.is_empty() {
@@ -559,11 +666,19 @@ mod tests {
             }
         }
         // A key a version added is required from that version on.
-        for (version, key) in
-            [(5, "active"), (2, "active"), (5, "alias_window"), (4, "alias_detail")]
-        {
+        for (version, key) in [
+            (6, "active"),
+            (5, "active"),
+            (2, "active"),
+            (6, "alias_window"),
+            (6, "alias_detail"),
+            (5, "alias_detail"),
+            (4, "alias_detail"),
+            (6, "ever_protos"),
+            (5, "cumulative"),
+        ] {
             let mut doc = match version {
-                5 => base.to_value(),
+                6 => base.to_value(),
                 legacy => legacy_document(&base, legacy),
             };
             let Value::Object(members) = &mut doc else { unreachable!() };
@@ -577,7 +692,7 @@ mod tests {
     fn legacy_documents_restore_the_service_they_were_written_from() {
         let svc = service_with_a_pool();
         let original = ServiceState::capture(&svc);
-        for version in [2, 4] {
+        for version in [2, 4, 5] {
             let read = ServiceState::from_json(&legacy_json(&original, version)).expect("reads");
             read.validate().expect("valid");
             let mut recaptured = ServiceState::capture(&read.restore(test_config()));
@@ -606,16 +721,20 @@ mod tests {
     fn a_checkpoint_that_repeats_a_cumulative_address_is_rejected() {
         let base = ServiceState::capture(&run_service(5));
         base.validate().expect("a captured state is valid");
-        // The address again, under protocols it was not captured with.
-        let (a, protos) = base.cumulative[0];
+        // Only a v1–v5 document writes pairs: the address again, under
+        // protocols it was not captured with.
+        let (a, protos) = (base.ever.to_vec()[0], base.ever_protos[0]);
         let other = if protos == ProtoSet::all() {
             ProtoSet::of(&[Protocol::Icmp])
         } else {
             ProtoSet::all()
         };
-        let mut bad = base;
-        bad.cumulative.insert(1, (a, other));
-        let err = bad.validate().unwrap_err();
+        let mut doc = legacy_document(&base, 5);
+        let Some(Value::Array(pairs)) = doc.get("cumulative").cloned() else { panic!("pairs") };
+        let mut pairs = pairs;
+        pairs.insert(1, (a, other).to_value());
+        set_member(&mut doc, "cumulative", Value::Array(pairs));
+        let err = ServiceState::from_json(&doc.pretty()).unwrap_err();
         assert!(err.contains("duplicate cumulative"), "{err}");
     }
 

@@ -1,18 +1,21 @@
-//! The checkpoint writer of versions 1–4, kept as a test reference.
+//! The checkpoint writer of versions 1–5, kept as a test reference.
 //!
-//! Before v5 a checkpoint wrote every set as an ascending array of
-//! decimal integers and stored the 30-day filter's dropped pool
+//! Before v6 a checkpoint wrote every prefix as a `{"network", "len"}`
+//! object, the cumulative protocols as `[address, protocols]` pairs and
+//! the detail of the alias labels as `{"prefix", "icmp", "tcp80"}`
+//! objects. Before v5 it also wrote every address set as an ascending
+//! array of decimal integers and stored the 30-day filter's dropped pool
 //! (`unresponsive_pool`, the input without the active addresses) after
-//! `gfw_impacted`. [`legacy_document`] rebuilds that document from a v5
-//! `ServiceState`: `checkpoint_bytes_are_pinned` holds its v4 bytes to
-//! the pin the v4 writer had, and the legacy tests feed its v1, v2 and v4
-//! documents to today's reader.
+//! `gfw_impacted`. [`legacy_document`] rebuilds such a document from a v6
+//! `ServiceState`: `checkpoint_bytes_are_pinned` holds its v4 and v5
+//! bytes to the pins the v4 and v5 writers had, and the legacy tests feed
+//! its v1, v2, v4 and v5 documents to today's reader.
 //!
 //! Shared by the unit tests of `state.rs` and the integration tests, so
 //! it names no type of the crate: a state comes in through `ToJson`.
 #![allow(dead_code)]
 
-use sixdust_addr::AddrSet;
+use sixdust_addr::{base64, AddrSet, Prefix, PrefixSet};
 use sixdust_json::{FromJson, ToJson, Value};
 
 /// A set as the v1–v4 writer wrote it: its members, ascending.
@@ -23,6 +26,31 @@ pub fn array(set: &AddrSet) -> Value {
 /// The set a member holds, in either form.
 fn set_of(value: &Value) -> AddrSet {
     AddrSet::from_value(value).expect("a set")
+}
+
+/// A prefix as the v1–v5 writer wrote it.
+fn prefix_object(prefix: Prefix) -> Value {
+    Value::Object(vec![
+        ("network".to_string(), Value::UInt(prefix.network().0)),
+        ("len".to_string(), Value::UInt(prefix.len().into())),
+    ])
+}
+
+/// The prefixes of a prefix set's body.
+fn prefixes_of(value: &Value) -> Vec<Prefix> {
+    PrefixSet::from_value(value).expect("a prefix set").iter().collect()
+}
+
+/// A prefix set as the v1–v5 writer wrote it: one object a prefix.
+fn prefix_objects(value: &Value) -> Value {
+    Value::Array(prefixes_of(value).into_iter().map(prefix_object).collect())
+}
+
+/// The bytes of a v6 column: its body without the 4-byte magic and the
+/// 8-byte checksum.
+fn column_of(value: &Value) -> Vec<u8> {
+    let body = base64::decode(value.as_str().expect("a column")).expect("canonical base64");
+    body[4..body.len() - 8].to_vec()
 }
 
 /// Whether a version-`version` document has the key `key`: v2 added the
@@ -53,43 +81,78 @@ fn legacy_pairs(pairs: &Value) -> Value {
     )
 }
 
-/// A snapshot with its per-protocol sets as arrays.
-fn legacy_snapshot(snapshot: &Value) -> Value {
+/// A snapshot with its labels as objects and, before v5, its
+/// per-protocol sets as arrays.
+fn legacy_snapshot(snapshot: &Value, version: u32) -> Value {
     let Value::Object(fields) = snapshot else { panic!("a snapshot is an object") };
     let legacy = |(key, value): &(String, Value)| match key.as_str() {
-        "cleaned" | "published" => (key.clone(), legacy_pairs(value)),
+        "cleaned" | "published" if version < 5 => (key.clone(), legacy_pairs(value)),
+        "aliased" => (key.clone(), prefix_objects(value)),
         _ => (key.clone(), value.clone()),
     };
     Value::Object(fields.iter().map(legacy).collect())
 }
 
-/// The version-`version` (1–4) document of `state`, a v5
-/// `ServiceState`, as the v4 writer wrote it.
+/// The version-`version` (1–5) document of `state`, a v6
+/// `ServiceState`, as the v5 writer (or, before v5, the v4 writer) wrote
+/// it.
 pub fn legacy_document(state: &impl ToJson, version: u32) -> Value {
     let Value::Object(members) = state.to_value() else { panic!("a state is an object") };
     let member = |key: &str| &members.iter().find(|(k, _)| k == key).expect(key).1;
     let input = set_of(member("input"));
     let clocks = Vec::<(u128, u32)>::from_value(member("active")).expect("the clocks");
     let pool = input.diff(&clocks.iter().map(|&(a, _)| a).collect());
+    // The pairs of address and protocols, and the detail objects of the
+    // labels, from the columns beside `ever` and `aliased`.
+    let ever = set_of(member("ever"));
+    let cumulative: Vec<Value> = ever
+        .iter()
+        .zip(column_of(member("ever_protos")))
+        .map(|(a, protos)| Value::Array(vec![Value::UInt(a), Value::UInt(protos.into())]))
+        .collect();
+    let detail: Vec<Value> = prefixes_of(member("aliased"))
+        .into_iter()
+        .zip(column_of(member("alias_detail")))
+        .map(|(prefix, protos)| {
+            Value::Object(vec![
+                ("prefix".to_string(), prefix_object(prefix)),
+                ("icmp".to_string(), Value::Bool(protos & 1 != 0)),
+                ("tcp80".to_string(), Value::Bool(protos & 2 != 0)),
+            ])
+        })
+        .collect();
     let mut out = Vec::new();
     for (key, value) in members.iter().filter(|(key, _)| written_by(key, version)) {
         let value = match key.as_str() {
             "version" => Value::UInt(version.into()),
-            "input" | "gfw_impacted" | "current_responsive" => array(&set_of(value)),
+            "input" | "gfw_impacted" | "current_responsive" if version < 5 => array(&set_of(value)),
+            "aliased" => prefix_objects(value),
+            "ever" => Value::Array(cumulative.clone()),
+            "ever_protos" => continue,
             "snapshots" => Value::Array(
-                value.as_array().expect("snapshots").iter().map(legacy_snapshot).collect(),
+                value
+                    .as_array()
+                    .expect("snapshots")
+                    .iter()
+                    .map(|snapshot| legacy_snapshot(snapshot, version))
+                    .collect(),
             ),
+            "alias_window" => {
+                Value::Array(value.as_array().expect("rounds").iter().map(prefix_objects).collect())
+            }
+            "alias_detail" => Value::Array(detail.clone()),
             _ => value.clone(),
         };
-        out.push((key.clone(), value));
-        if key == "gfw_impacted" {
+        let key = if key == "ever" { "cumulative" } else { key };
+        out.push((key.to_string(), value));
+        if key == "gfw_impacted" && version < 5 {
             out.push(("unresponsive_pool".to_string(), array(&pool)));
         }
     }
     Value::Object(out)
 }
 
-/// [`legacy_document`] as the pretty text the v4 writer wrote.
+/// [`legacy_document`] as the pretty text the v5 (or v4) writer wrote.
 pub fn legacy_json(state: &impl ToJson, version: u32) -> String {
     legacy_document(state, version).pretty()
 }

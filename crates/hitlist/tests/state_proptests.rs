@@ -12,7 +12,7 @@ use sixdust_addr::codec::{encode_full, push_checksum, FULL_MAGIC};
 use sixdust_addr::prf::PrfStream;
 use sixdust_addr::{base64, AddrSet};
 use sixdust_hitlist::{HitlistService, ServiceConfig, ServiceState};
-use sixdust_net::{Day, FaultConfig, Internet, Scale};
+use sixdust_net::{Day, FaultConfig, Internet, ProtoSet, Protocol, Scale};
 
 const CASES: u64 = 64;
 
@@ -119,15 +119,61 @@ fn json_shaped_garbage_never_panics() {
         assert!(ServiceState::from_json(&v5.replacen(&input, &to, 1)).is_err(), "{to:.60}");
     }
     assert!(ServiceState::from_json(&v5.replacen(&input, &body(payload), 1)).is_ok());
+    // And in a v6 document, whose prefix sets are codec bodies of packed
+    // items and whose per-member values are columns: an item no prefix
+    // packs to, a column one entry short of its set or one past it, a
+    // member that answered no protocol, a protocol bit outside
+    // `ProtoSet` and, in the alias detail, a protocol the detector does
+    // not probe.
+    let v6 = state.to_json();
+    let packed = state.aliased.packed();
+    let aliased = format!("\"aliased\": \"{}\"", base64::encode(&encode_full(&packed)));
+    for item in [0x100 | 32, 151, u128::MAX] {
+        let body = base64::encode(&encode_full(&AddrSet::from_sorted(vec![item])));
+        let to = format!("\"aliased\": \"{body}\"");
+        assert!(v6.contains(&aliased));
+        let err = ServiceState::from_json(&v6.replacen(&aliased, &to, 1)).unwrap_err();
+        assert!(err.contains("not a packed prefix"), "{item:#x}: {err}");
+    }
+    assert!(!state.ever.is_empty() && !state.alias_detail.is_empty());
+    type Edit = fn(&mut ServiceState);
+    let hostile: [(&str, Edit); 8] = [
+        ("ever_protos one short", |s| {
+            s.ever_protos.pop();
+        }),
+        ("ever_protos one past", |s| s.ever_protos.push(ProtoSet::all())),
+        ("ever_protos zero", |s| s.ever_protos[0] = ProtoSet::EMPTY),
+        ("ever_protos bit 5", |s| s.ever_protos[0].0 |= 0x20),
+        ("alias_detail one short", |s| {
+            s.alias_detail.pop();
+        }),
+        ("alias_detail one past", |s| s.alias_detail.push(ProtoSet(1))),
+        ("alias_detail zero", |s| s.alias_detail[0] = ProtoSet::EMPTY),
+        ("alias_detail TCP/443", |s| s.alias_detail[0].insert(Protocol::Tcp443)),
+    ];
+    for (case, make) in hostile {
+        let mut bad = state.clone();
+        make(&mut bad);
+        assert!(ServiceState::from_json(&bad.to_json()).is_err(), "{case}");
+        assert!(bad.validate().is_err(), "{case}");
+    }
+    // A cold window has no detail: a column there is one past its labels.
+    let mut cold = state.clone();
+    cold.alias_window.clear();
+    assert!(ServiceState::from_json(&cold.to_json()).is_err(), "detail beside a cold window");
+    cold.alias_detail.clear();
+    assert!(ServiceState::from_json(&cold.to_json()).is_ok(), "a cold window, no detail");
 }
 
 /// The base64 alphabet, and the padding character.
 const BASE64: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=";
 
-/// Where each set's string lies in a v5 document: every set body starts
-/// with the codec's magic, `SDF1`, which base64 writes as `U0RGM`.
-fn set_strings(json: &str) -> Vec<std::ops::Range<usize>> {
-    json.match_indices("\"U0RGM")
+/// Where each body's string lies in a v6 document: every set body starts
+/// with the codec's magic, `SDF1`, which base64 writes as `U0RGM`, and
+/// every column body with `SDC1`, `U0RDM`.
+fn body_strings(json: &str) -> Vec<std::ops::Range<usize>> {
+    let starts = json.match_indices("\"U0RGM").chain(json.match_indices("\"U0RDM"));
+    starts
         .map(|(at, _)| {
             let start = at + 1;
             start..start + json[start..].find('"').expect("a closed string")
@@ -135,15 +181,20 @@ fn set_strings(json: &str) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
-/// One changed character inside a set's string — a flipped bit of the
-/// body, a non-canonical padding, a character out of place — never
-/// loads: base64 decoding is strict, and a body that decodes to other
-/// bytes fails the codec's checksum.
+/// One changed character inside a set's or a column's string — a flipped
+/// bit of the body, a non-canonical padding, a character out of place —
+/// never loads: base64 decoding is strict, and a body that decodes to
+/// other bytes fails the codec's checksum.
 #[test]
 fn a_changed_byte_in_a_set_body_never_loads() {
     let json = donor().to_json();
-    let sets = set_strings(&json);
-    assert_eq!(sets.len(), 3 + 2 * 2 * 5, "input, gfw, current, two snapshots' ten each");
+    let sets = body_strings(&json);
+    assert_eq!(
+        sets.len(),
+        3 + 2 * (2 * 5 + 1) + 2 + 1 + 2,
+        "input, gfw, current, two snapshots' ten sets and labels each, aliased, ever, \
+         one round of the alias window, the two columns"
+    );
     let changed = |at: usize, to: u8| {
         let mut bytes = json.clone().into_bytes();
         assert_ne!(bytes[at], to);
@@ -157,6 +208,13 @@ fn a_changed_byte_in_a_set_body_never_loads() {
         let others: Vec<u8> =
             BASE64.iter().copied().filter(|&c| c != json.as_bytes()[at]).collect();
         let to = others[rng.next_bounded(others.len() as u64) as usize];
+        assert!(ServiceState::from_json(&changed(at, to)).is_err(), "{at}: {}", to as char);
+    }
+    // One changed character in the middle of every body, so that each
+    // prefix set and each column is hit too.
+    for body in &sets {
+        let at = body.start + body.len() / 2;
+        let to = if json.as_bytes()[at] == b'A' { b'B' } else { b'A' };
         assert!(ServiceState::from_json(&changed(at, to)).is_err(), "{at}: {}", to as char);
     }
     // Every other character in the last data place of a padded body:

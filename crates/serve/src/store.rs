@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, Weak};
 
 use sixdust_addr::digest::content_digests;
-use sixdust_addr::{AddrSet, Prefix};
+use sixdust_addr::AddrSet;
 use sixdust_net::Protocol;
 use sixdust_scan::proto_metric_key;
 use sixdust_telemetry::Registry;
@@ -42,7 +42,8 @@ pub enum ArtifactKind {
     Responsive,
     /// `responsive-<proto>` — the per-protocol slice.
     PerProtocol(Protocol),
-    /// `aliased-prefixes` — MAPD labels, packed `network | len` items.
+    /// `aliased-prefixes` — MAPD labels as packed items
+    /// ([`Prefix::packed`](sixdust_addr::Prefix::packed)).
     AliasedPrefixes,
     /// `gfw-filtered` — addresses the paper's filter removed.
     GfwFiltered,
@@ -465,8 +466,9 @@ impl SnapshotStore {
     /// Publishes a [`HitlistService`](sixdust_hitlist::HitlistService)'s
     /// current state as one round: the cleaned responsive set, the
     /// per-protocol slices from the last completed round, the aliased
-    /// prefixes (packed as `network | len`, invertible for lengths the
-    /// detector emits) and the GFW-filtered pool. The natural hook body
+    /// prefixes (as [`PrefixSet::packed`](sixdust_addr::PrefixSet::packed)
+    /// items, one-to-one up to /124, the longest the detector emits) and
+    /// the GFW-filtered pool. The natural hook body
     /// for [`HitlistService::run_with`](sixdust_hitlist::HitlistService::run_with).
     pub fn publish_service(&self, svc: &sixdust_hitlist::HitlistService, round: u64, date: &str) {
         self.publish_round(round, date, service_artifacts(svc));
@@ -480,7 +482,7 @@ impl SnapshotStore {
 pub fn service_artifacts(svc: &sixdust_hitlist::HitlistService) -> Vec<(ArtifactKind, AddrSet)> {
     let mut artifacts: Vec<(ArtifactKind, AddrSet)> = vec![
         (ArtifactKind::Responsive, svc.current_responsive().clone()),
-        (ArtifactKind::AliasedPrefixes, svc.aliased().iter().map(Prefix::packed).collect()),
+        (ArtifactKind::AliasedPrefixes, svc.aliased().packed()),
         (ArtifactKind::GfwFiltered, svc.gfw_impacted().clone()),
     ];
     for (proto, set) in svc.proto_responsive() {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: everything CI runs, runnable locally in one shot.
 #
-#   scripts/verify.sh            # build + tests + clippy + docs
+#   scripts/verify.sh            # build + tests + clippy + docs + mutants
 #   scripts/verify.sh --quick    # build + tests only (fast pre-push check)
 #   scripts/verify.sh --against <parent-binary>
 #                                # full mode, and every workload's ledger equal
@@ -235,8 +235,14 @@ grep "resuming from checkpoint" "$resume_dir/resumed.log" \
        grep "checkpoint" "$resume_dir/resumed.log" >&2 || true; exit 1; }
 diff -r "$resume_dir/fresh" "$resume_dir/resumed" \
   || { echo "resume scenario FAILED: the resumed run wrote another tree" >&2; exit 1; }
+# Checkpoint v6 is 2 047 133 bytes; 2 661 854 is a quarter of v4's
+# 10 647 415. A format change that grows it back past that fails here.
+ckpt_bytes=$(wc -c <"$resume_dir/service.ckpt")
+[ "$ckpt_bytes" -le 2661854 ] \
+  || { echo "resume scenario FAILED: the checkpoint is $ckpt_bytes bytes, past 2661854" >&2; \
+       exit 1; }
 echo "resume scenario: $(find "$resume_dir/resumed" -type f | wc -l) files, as a fresh run," \
-  "from a $(wc -c <"$resume_dir/service.ckpt")-byte checkpoint"
+  "from a $ckpt_bytes-byte checkpoint"
 
 if [ "$quick" = 0 ]; then
   if [ -n "$parent" ]; then
@@ -252,6 +258,11 @@ if [ "$quick" = 0 ]; then
 
   echo "== cargo doc --workspace --no-deps (warnings denied)"
   RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
+
+  echo "== mutants: each fault in scripts/mutants.txt fails the test listed against it"
+  # The committed tree, or the uncommitted one when there is any (a stash
+  # commit of it; nothing is stashed away).
+  scripts/mutants.sh "$(git stash create || true)"
 fi
 
 echo "verify: OK"
