@@ -37,7 +37,7 @@ pub use state::ServiceState;
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use super::*;
     use sixdust_addr::Addr;
@@ -169,7 +169,7 @@ mod tests {
         assert_eq!(svc.snapshots()[0].day, Day(0));
         let snap = &svc.snapshots()[1];
         assert!(snap.day >= Day(10));
-        assert_eq!(snap.cleaned.len(), 5);
+        assert_eq!(snap.responsive.protos.len(), snap.responsive.members.len());
         assert!(!snap.cleaned_total().is_empty());
     }
 
@@ -190,14 +190,38 @@ mod tests {
         let net = net();
         let mut svc = HitlistService::new(quick_config());
         svc.run(&net, Day(0), Day(20));
-        assert!(svc.cumulative().len() as u64 >= svc.rounds().last().unwrap().total_cleaned);
+        let ever = &svc.cumulative().members;
+        assert!(ever.len() as u64 >= svc.rounds().last().unwrap().total_cleaned);
         for a in svc.current_responsive().addrs().take(20) {
-            assert!(svc.cumulative().any(|(b, _)| b == a));
+            assert!(ever.contains_addr(a));
         }
     }
 
+    /// Each protocol's hits of one round straight from its scan results,
+    /// in `Protocol::ALL` order: UDP/53 without its injected answers.
+    fn hits_of(results: &[sixdust_scan::ScanResult]) -> Vec<BTreeSet<Addr>> {
+        let injected = |d: &sixdust_scan::Detail| {
+            matches!(d, sixdust_scan::Detail::Dns { injected: true, .. })
+        };
+        results
+            .iter()
+            .map(|r| {
+                let udp53 = r.protocol == Protocol::Udp53;
+                r.hits
+                    .iter()
+                    .filter(|h| !(udp53 && injected(&h.detail)))
+                    .map(|h| h.target)
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn slices_of(view: &service::Responders) -> Vec<BTreeSet<Addr>> {
+        Protocol::ALL.iter().map(|&p| view.slice(p).addrs().collect()).collect()
+    }
+
     #[test]
-    fn cumulative_is_every_rounds_cleaned_slices_accumulated() {
+    fn the_views_are_the_scan_results_round_by_round() {
         // Across the start of GFW era 1, where the published UDP/53 view
         // carries injected hits the cleaned one does not. Loss draws one
         // coin a target for every protocol, so TCP/80 loses a tenth on
@@ -205,24 +229,58 @@ mod tests {
         let faults = FaultConfig::lossless().with_drop_permille(2);
         let net = Internet::build(Scale::tiny())
             .with_faults(faults.with_proto_drop(Protocol::Tcp80, 100));
-        let mut svc = HitlistService::new(quick_config());
-        let mut model: BTreeMap<Addr, ProtoSet> = BTreeMap::new();
-        svc.run_with(&net, Day(320), Day(380), |svc, day| {
-            for (proto, set) in svc.proto_responsive() {
-                for a in set.addrs() {
-                    model.entry(a).or_insert(ProtoSet::EMPTY).insert(*proto);
+        let snapshot_days = vec![Day(325), Day(370)];
+        let mut svc = HitlistService::new(quick_config().with_snapshot_days(snapshot_days));
+        let mut ever: BTreeMap<Addr, ProtoSet> = BTreeMap::new();
+        let mut of_snapshot_rounds = Vec::new();
+        for day in events::cadence(Day(320), Day(380)) {
+            let prepared = svc.prepare_round(&net, day);
+            let results = svc.scan_prepared(&net, &prepared);
+            let hits = hits_of(&results);
+            svc.complete_round(&net, prepared, results);
+            for (set, proto) in hits.iter().zip(Protocol::ALL) {
+                for a in set {
+                    ever.entry(*a).or_insert(ProtoSet::EMPTY).insert(proto);
                 }
             }
-            let cumulative: Vec<(Addr, ProtoSet)> = svc.cumulative().collect();
-            let expected: Vec<(Addr, ProtoSet)> = model.iter().map(|(a, p)| (*a, *p)).collect();
-            assert_eq!(cumulative, expected, "cumulative after {day:?}");
-        });
+            assert_eq!(slices_of(svc.current()), hits, "the current view after {day:?}");
+            let published: Vec<BTreeSet<Addr>> =
+                svc.proto_responsive().iter().map(|(_, set)| set.addrs().collect()).collect();
+            assert_eq!(published, hits, "the published slices after {day:?}");
+            if svc.snapshots().last().is_some_and(|s| s.day == day) {
+                of_snapshot_rounds.push(hits);
+            }
+            assert_eq!(svc.snapshots().len(), of_snapshot_rounds.len());
+            for (snap, hits) in svc.snapshots().iter().zip(&of_snapshot_rounds) {
+                assert_eq!(&slices_of(&snap.responsive), hits, "{:?} after {day:?}", snap.day);
+            }
+            let expected: Vec<(Addr, ProtoSet)> = ever.iter().map(|(a, p)| (*a, *p)).collect();
+            assert_eq!(svc.cumulative().iter().collect::<Vec<_>>(), expected, "ever after {day:?}");
+        }
+        assert_eq!((svc.rounds().len(), svc.snapshots().len()), (61, 2));
         let published: u64 = svc.rounds().iter().map(|r| r.total_published).sum();
         let cleaned: u64 = svc.rounds().iter().map(|r| r.total_cleaned).sum();
         assert!(
             published > cleaned,
             "the window publishes injected hits: {published} vs {cleaned}"
         );
+    }
+
+    #[test]
+    fn a_resume_off_a_snapshot_day_publishes_what_the_uninterrupted_run_does() {
+        let net = net();
+        let config = || quick_config().with_snapshot_days(vec![Day(5)]);
+        let mut original = HitlistService::new(config());
+        original.run(&net, Day(0), Day(9));
+        let json = ServiceState::capture(&original).to_json();
+        let resumed = ServiceState::from_json(&json).expect("parses").restore(config());
+        assert_ne!(original.snapshots().last().map(|s| s.day), Some(Day(9)));
+        assert_eq!(resumed.proto_responsive(), original.proto_responsive());
+        let published = publish(&original).per_protocol;
+        assert_eq!(published.len(), 5, "responsive-<proto>.txt for each protocol");
+        assert!(published.iter().all(|(_, body)| !body.is_empty()));
+        assert_eq!(publish(&resumed).per_protocol, published);
+        assert_eq!(publish(&resumed).manifest.digests, publish(&original).manifest.digests);
     }
 
     #[test]

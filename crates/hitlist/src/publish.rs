@@ -92,13 +92,12 @@ pub fn publish(svc: &HitlistService) -> Publication {
     let input_set = AddrSet::from_sorted_addrs(svc.input());
     let input = render(&input_set);
 
-    // Per-protocol slices come from the last completed round — retained
-    // every round, not just snapshot days — so a mid-cadence publication
-    // reflects the current state.
-    let proto_sets: Vec<(String, &AddrSet)> = svc
+    // Per-protocol slices of the last completed round's view, so a
+    // mid-cadence publication reflects the current state.
+    let proto_sets: Vec<(String, AddrSet)> = svc
         .proto_responsive()
-        .iter()
-        .map(|(p, set)| (format!("responsive-{}.txt", proto_metric_key(*p)), set))
+        .into_iter()
+        .map(|(p, set)| (format!("responsive-{}.txt", proto_metric_key(p)), set))
         .collect();
     let per_protocol: Vec<(String, String)> =
         proto_sets.iter().map(|(stem, set)| (stem.clone(), render(set))).collect();
@@ -117,7 +116,7 @@ pub fn publish(svc: &HitlistService) -> Publication {
     // side.
     let digested = [responsive_set, &aliased_packed, svc.gfw_impacted(), &input_set]
         .into_iter()
-        .chain(proto_sets.iter().map(|(_, set)| *set));
+        .chain(proto_sets.iter().map(|(_, set)| set));
     let digests = counts
         .iter()
         .zip(content_digests(digested))

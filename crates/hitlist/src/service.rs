@@ -172,41 +172,100 @@ json_struct!(RoundRecord {
     loss_estimate_permille = 0,
 });
 
+/// Responsive addresses with the protocols each one answered (cleaned
+/// view): one row of the paper's Table 1. The service keeps three —
+/// the last round, every snapshot and the cumulative `ever` — and a
+/// per-protocol slice is built from one on demand.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Responders {
+    /// The addresses, ascending.
+    pub members: AddrSet,
+    /// Beside each member, in its order: the protocols it answered. Empty
+    /// beside members only where a checkpoint did not record it.
+    pub protos: Vec<ProtoSet>,
+}
+
+impl Responders {
+    /// The view of one round's hits: one ascending, duplicate-free list a
+    /// protocol, in `Protocol::ALL` order.
+    pub fn from_hits(hits: &[Vec<Addr>]) -> Responders {
+        let mut heads: Vec<_> = hits
+            .iter()
+            .zip(Protocol::ALL)
+            .map(|(h, p)| (h.iter().copied().peekable(), p))
+            .collect();
+        let mut view = (Vec::new(), Vec::new());
+        while let Some(a) = heads.iter_mut().filter_map(|(h, _)| h.peek().copied()).min() {
+            let mut answered = ProtoSet::EMPTY;
+            for (head, proto) in &mut heads {
+                if head.next_if_eq(&a).is_some() {
+                    answered.insert(*proto);
+                }
+            }
+            view.extend([(a, answered)]);
+        }
+        Responders::from_columns(view)
+    }
+
+    /// A view from its two columns, the protocols without spare capacity.
+    fn from_columns((members, mut protos): (Vec<Addr>, Vec<ProtoSet>)) -> Responders {
+        protos.shrink_to_fit();
+        Responders { members: AddrSet::from_sorted_addrs(&members), protos }
+    }
+
+    /// Each member with its protocols, ascending by address.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Addr, ProtoSet)> + '_ {
+        self.members.addrs().zip(self.protos.iter().copied())
+    }
+
+    /// The members that answered `proto`, built on each call.
+    pub fn slice(&self, proto: Protocol) -> AddrSet {
+        let addrs: Vec<Addr> =
+            self.iter().filter(|(_, p)| p.contains(proto)).map(|(a, _)| a).collect();
+        AddrSet::from_sorted_addrs(&addrs)
+    }
+
+    /// Folds `round` in: its members join, and a member of both keeps the
+    /// union of its protocols.
+    pub fn accumulate(&mut self, round: &Responders) {
+        let mut old = self.iter().peekable();
+        let most = self.members.len() + round.members.len();
+        let mut merged = (Vec::with_capacity(most), Vec::with_capacity(most));
+        for (a, answered) in round.iter() {
+            merged.extend(std::iter::from_fn(|| old.next_if(|(b, _)| *b < a)));
+            let before = old.next_if(|(b, _)| *b == a).map_or(ProtoSet::EMPTY, |(_, p)| p);
+            merged.extend([(a, before.union(answered))]);
+        }
+        merged.extend(old);
+        *self = Responders::from_columns(merged);
+    }
+
+    /// Resident bytes: the set's and the column's.
+    pub fn mem_bytes(&self) -> usize {
+        self.members.mem_bytes() + std::mem::size_of::<Vec<ProtoSet>>() + self.protos.capacity()
+    }
+}
+
 /// A retained full snapshot (Table 1 / Figs. 2, 9, 10 inputs).
-///
-/// The per-protocol sets are [`AddrSet`]s and the labels a [`PrefixSet`],
-/// and a checkpoint stores each as its codec body, as it does every other
-/// set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     /// Snapshot day (the first scan round at or after the requested day).
     pub day: Day,
-    /// Cleaned responsive addresses per protocol.
-    pub cleaned: Vec<(Protocol, AddrSet)>,
-    /// Published responsive addresses per protocol.
-    pub published: Vec<(Protocol, AddrSet)>,
+    /// The round's cleaned responsive addresses and their protocols.
+    pub responsive: Responders,
     /// Aliased prefix labels at snapshot time (Fig. 5's yearly series).
     pub aliased: PrefixSet,
 }
-json_struct!(Snapshot { day, cleaned, published, aliased });
-
-/// The shared empty set returned by by-protocol accessors when a
-/// protocol has no retained slice.
-static EMPTY_SET: AddrSet = AddrSet::new();
 
 impl Snapshot {
-    /// The cleaned set for one protocol.
-    pub fn cleaned_for(&self, proto: Protocol) -> &AddrSet {
-        self.cleaned.iter().find(|(p, _)| *p == proto).map(|(_, v)| v).unwrap_or(&EMPTY_SET)
+    /// The cleaned set for one protocol, built on each call.
+    pub fn cleaned_for(&self, proto: Protocol) -> AddrSet {
+        self.responsive.slice(proto)
     }
 
     /// All addresses responsive to at least one protocol (cleaned).
     pub fn cleaned_total(&self) -> AddrSet {
-        let mut total = AddrSet::new();
-        for (_, set) in &self.cleaned {
-            total.union_in_place(set);
-        }
-        total
+        self.responsive.members.clone()
     }
 }
 
@@ -239,13 +298,12 @@ pub struct HitlistService {
     gfw: GfwFilter,
     detector: AliasDetector,
     aliased: PrefixSet,
-    /// Previous round's cleaned responsive set (churn baseline).
-    prev_responsive: AddrSet,
-    /// Every address ever seen cleaned-responsive.
-    ever: AddrSet,
-    /// Beside each member of `ever`, in its order: every protocol it has
-    /// answered (cleaned view).
-    ever_protos: Vec<ProtoSet>,
+    /// The last round's view: its members are the churn baseline, and
+    /// publication and the serve layer slice it by protocol.
+    current: Responders,
+    /// Every address ever seen cleaned-responsive, with every protocol it
+    /// has answered.
+    ever: Responders,
     /// Whether each protocol (Protocol::ALL order) has ever produced a
     /// cleaned responsive hit. Distinguishes a previously-alive protocol
     /// going totally silent (loss) from one that was always dark (not
@@ -256,11 +314,6 @@ pub struct HitlistService {
     pending_snapshots: Vec<Day>,
     rounds: Vec<RoundRecord>,
     snapshots: Vec<Snapshot>,
-    /// The most recent round's cleaned responsive sets per protocol
-    /// (Protocol::ALL order) — retained every round, not just snapshot
-    /// days, so publication and the serve layer can slice the current
-    /// state by protocol.
-    last_proto_cleaned: Vec<(Protocol, AddrSet)>,
     last_zone_week: Option<u32>,
     /// One online MAD monitor per protocol, fed the published responsive
     /// counts (Protocol::ALL order). Always on: the detectors are a few
@@ -287,15 +340,13 @@ impl HitlistService {
             unresp: UnresponsiveFilter::new(),
             gfw: GfwFilter::new(),
             aliased: PrefixSet::new(),
-            prev_responsive: AddrSet::new(),
-            ever: AddrSet::new(),
-            ever_protos: Vec::new(),
+            current: Responders::default(),
+            ever: Responders::default(),
             proto_seen: [false; 5],
             next_alias_day: Day(0),
             pending_snapshots: pending,
             rounds: Vec::new(),
             snapshots: Vec::new(),
-            last_proto_cleaned: Vec::new(),
             last_zone_week: None,
             anomaly: std::array::from_fn(|_| MadDetector::new(MadConfig::default())),
             staleness_rounds: 0,
@@ -394,17 +445,22 @@ impl HitlistService {
     /// Rebuilds a service from a checkpoint — the inverse of
     /// [`ServiceState::capture`](crate::ServiceState::capture). The 30-day
     /// filter's dropped pool is the input without the active addresses.
-    /// The alias detector gets its merge window back (a checkpoint older
-    /// than v4 has none: the labels are restored and the detector restarts
-    /// cold) and the per-protocol anomaly monitors are re-warmed by
+    /// The alias detector gets its merge window back, trimmed to its own
+    /// `merge_rounds`, and the labels are what that window merges to (a
+    /// checkpoint older than v4 has none: the labels are restored and the
+    /// detector restarts cold). The per-protocol anomaly monitors are re-warmed by
     /// replaying the checkpointed published series, so a resumed service
     /// continues the timeline the original would have produced. A v1
     /// checkpoint's clocks were rebuilt when it was read
     /// ([`ServiceState`](crate::ServiceState)'s `FromJson`).
     pub fn from_state(config: ServiceConfig, state: &crate::state::ServiceState) -> HitlistService {
         let mut svc = HitlistService::new(config);
-        svc.aliased = state.aliased.clone();
         svc.detector.restore(&state.alias_window, &state.alias_detail);
+        svc.aliased = if state.alias_window.is_empty() {
+            state.aliased.clone()
+        } else {
+            svc.detector.aliased()
+        };
         svc.gfw = GfwFilter::restore(state.gfw_impacted.clone());
         svc.unresp = UnresponsiveFilter::restore(
             state.input.addrs(),
@@ -412,19 +468,11 @@ impl HitlistService {
             state.unresponsive_window,
             state.quarantined.clone(),
         );
-        svc.prev_responsive = state.current_responsive.clone();
+        svc.current = state.current.clone();
         svc.ever = state.ever.clone();
-        svc.ever_protos = state.ever_protos.clone();
         svc.next_alias_day = state.next_alias_day;
         svc.rounds = state.rounds.clone();
         svc.snapshots = state.snapshots.clone();
-        // Per-protocol sets are only checkpointed inside snapshots; when
-        // the last checkpointed round was a snapshot day its sets are the
-        // current ones, otherwise they re-fill on the next round.
-        svc.last_proto_cleaned = match (state.snapshots.last(), state.rounds.last()) {
-            (Some(snap), Some(round)) if snap.day == round.day => snap.cleaned.clone(),
-            _ => Vec::new(),
-        };
         // The week whose zone sample the input already holds; see
         // `ingest_sources` for why a resume must not forget it.
         svc.last_zone_week = state.rounds.last().map(|r| r.day.0 / 7);
@@ -446,15 +494,15 @@ impl HitlistService {
     }
 
     /// Addresses responsive at least once, with their cumulative protocol
-    /// sets (cleaned view), ascending by address.
-    pub fn cumulative(&self) -> impl ExactSizeIterator<Item = (Addr, ProtoSet)> + '_ {
-        self.ever.addrs().zip(self.ever_protos.iter().copied())
+    /// sets (cleaned view): Table 1's cumulative row.
+    pub fn cumulative(&self) -> &Responders {
+        &self.ever
     }
 
-    /// [`HitlistService::cumulative`] as a checkpoint holds it: the set
-    /// and the protocol column beside it.
-    pub(crate) fn ever(&self) -> (&AddrSet, &[ProtoSet]) {
-        (&self.ever, &self.ever_protos)
+    /// The last round's cleaned responsive addresses with the protocols
+    /// each answered.
+    pub fn current(&self) -> &Responders {
+        &self.current
     }
 
     /// The service configuration.
@@ -475,32 +523,26 @@ impl HitlistService {
     /// The most recent cleaned responsive set (ascending iteration via
     /// [`AddrSet::iter`] / [`AddrSet::addrs`]).
     pub fn current_responsive(&self) -> &AddrSet {
-        &self.prev_responsive
+        &self.current.members
     }
 
     /// The most recent round's cleaned responsive sets per protocol
-    /// (Protocol::ALL order). Empty until the first round runs (or, on a
-    /// resumed service, until the first post-resume round when the
-    /// checkpoint did not end on a snapshot day).
-    pub fn proto_responsive(&self) -> &[(Protocol, AddrSet)] {
-        &self.last_proto_cleaned
+    /// (Protocol::ALL order), built on each call. Empty until the first
+    /// round runs.
+    pub fn proto_responsive(&self) -> Vec<(Protocol, AddrSet)> {
+        if self.rounds.is_empty() {
+            return Vec::new();
+        }
+        Protocol::ALL.iter().map(|&p| (p, self.current.slice(p))).collect()
     }
 
-    /// Approximate heap bytes currently held by the service's address
-    /// sets: the churn baselines, the per-protocol slices of the last
-    /// round, and every retained snapshot. This is the resident-set
-    /// metric the population-scale bench curve tracks.
+    /// Approximate heap bytes currently held by the service's responsive
+    /// views: the last round's, the cumulative one and every retained
+    /// snapshot's, each set with its protocol column. This is the
+    /// resident-set metric the population-scale bench curve tracks.
     pub fn resident_set_bytes(&self) -> usize {
-        let mut bytes = self.prev_responsive.mem_bytes() + self.ever.mem_bytes();
-        for (_, set) in &self.last_proto_cleaned {
-            bytes += set.mem_bytes();
-        }
-        for snap in &self.snapshots {
-            for (_, set) in snap.cleaned.iter().chain(snap.published.iter()) {
-                bytes += set.mem_bytes();
-            }
-        }
-        bytes
+        let snapshots = self.snapshots.iter().map(|snap| snap.responsive.mem_bytes());
+        self.current.mem_bytes() + self.ever.mem_bytes() + snapshots.sum::<usize>()
     }
 
     /// Round stage 1: admits every candidate that is due on `day`.
@@ -679,16 +721,12 @@ impl HitlistService {
         let day_str = day.0.to_string();
 
         // 3c. Merge, strictly in Protocol::ALL order. GFW cleaning
-        // mutates filter state and stays sequential; set bookkeeping
-        // accumulates into chunked [`AddrSet`]s one /32 bucket at a time
-        // instead of per-protocol HashSet churn or full flat-vector
-        // rebuilds.
+        // mutates filter state and stays sequential; the five cleaned hit
+        // lists become the round's view in one merge.
         let mut published = [0u64; 5];
         let mut cleaned = [0u64; 5];
-        let mut responsive_published = AddrSet::new();
-        let mut responsive_cleaned = AddrSet::new();
-        let mut proto_cleaned_sets: Vec<(Protocol, AddrSet)> = Vec::new();
-        let mut proto_published_sets: Vec<(Protocol, AddrSet)> = Vec::new();
+        let mut hits: Vec<Vec<Addr>> = Vec::with_capacity(5);
+        let mut udp53_published = Vec::new();
         let mut gfw_elapsed = Duration::ZERO;
         let mut loss_weighted = 0u64;
         let mut sent_total = 0u64;
@@ -713,33 +751,35 @@ impl HitlistService {
             loss_weighted += per_scan * sent;
             sent_total += sent;
             received_total += result.stats.received;
-            let mut pub_hits: Vec<Addr> = result.hit_addrs().collect();
-            pub_hits.sort_unstable();
-            let pub_set = AddrSet::from_sorted_addrs(&pub_hits);
-            let gfw_started = Instant::now();
-            let clean_set: AddrSet = if proto == Protocol::Udp53 {
-                let mut v = self.gfw.clean(&result);
-                v.sort_unstable();
-                AddrSet::from_sorted_addrs(&v)
-            } else {
-                pub_set.clone()
-            };
-            gfw_elapsed += gfw_started.elapsed();
-            published[i] = pub_set.len() as u64;
-            cleaned[i] = clean_set.len() as u64;
-            self.proto_seen[i] |= !clean_set.is_empty();
-            responsive_published.union_in_place(&pub_set);
-            responsive_cleaned.union_in_place(&clean_set);
-            proto_published_sets.push((proto, pub_set));
-            proto_cleaned_sets.push((proto, clean_set));
+            let mut proto_hits: Vec<Addr> = result.hit_addrs().collect();
+            proto_hits.sort_unstable();
+            published[i] = proto_hits.len() as u64;
+            if proto == Protocol::Udp53 {
+                let gfw_started = Instant::now();
+                let mut clean = self.gfw.clean(&result);
+                clean.sort_unstable();
+                udp53_published = std::mem::replace(&mut proto_hits, clean);
+                gfw_elapsed += gfw_started.elapsed();
+            }
+            cleaned[i] = proto_hits.len() as u64;
+            self.proto_seen[i] |= !proto_hits.is_empty();
+            hits.push(proto_hits);
         }
         self.record_phase(Phase::Gfw, gfw_elapsed);
+        let view = Responders::from_hits(&hits);
 
         // 4. Once the filter is deployed the service *publishes* cleaned
-        // results too (the February 2022 drop in Fig. 3 left).
+        // results too (the February 2022 drop in Fig. 3 left). Before,
+        // it published the UDP/53 hits the filter cleans out as well
+        // (only UDP/53 counts differ, and only when it cleaned some).
+        let published_union = (!gfw_live && published != cleaned).then(|| {
+            let mut all = view.members.clone();
+            all.union_sorted_addrs(&udp53_published);
+            all
+        });
+        let responsive_published = published_union.as_ref().unwrap_or(&view.members);
         if gfw_live {
             published = cleaned;
-            responsive_published = responsive_cleaned.clone();
         }
 
         // 4b. Online anomaly monitoring over the published counts — the
@@ -798,9 +838,7 @@ impl HitlistService {
         // round still credits whoever answered, but never sweeps: silence
         // during a broken measurement proves nothing, so the round's days
         // are quarantined in the 30-day filter instead.
-        let effective: &AddrSet =
-            if gfw_live { &responsive_cleaned } else { &responsive_published };
-        self.unresp.mark_responsive(effective, day);
+        self.unresp.mark_responsive(responsive_published, day);
         let dropped = if degraded {
             let from = self.rounds.last().map(|r| r.day.plus(1)).unwrap_or(day);
             self.unresp.quarantine(from, day.plus(1));
@@ -831,14 +869,14 @@ impl HitlistService {
         // responsive this round is "brand new" if no earlier round ever saw
         // it responsive, "recurring" otherwise.
         let phase_started = Instant::now();
-        let newly = responsive_cleaned.diff(&self.prev_responsive);
+        let newly = view.members.diff(&self.current.members);
         // A linear merge count per chunk pair, not a per-address binary
         // search over `ever` — the newly-responsive set is intersected
         // against the ever-responsive accumulator in one pass.
-        let churn_recurring = newly.intersect_count(&self.ever) as u64;
+        let churn_recurring = newly.intersect_count(&self.ever.members) as u64;
         let churn_brand_new = (newly.len() - churn_recurring as usize) as u64;
-        let churn_gone = self.prev_responsive.diff_count(&responsive_cleaned) as u64;
-        self.accumulate_ever(&responsive_cleaned, &proto_cleaned_sets);
+        let churn_gone = self.current.members.diff_count(&view.members) as u64;
+        self.ever.accumulate(&view);
         self.record_phase(Phase::Churn, phase_started.elapsed());
 
         let record = RoundRecord {
@@ -848,7 +886,7 @@ impl HitlistService {
             published,
             cleaned,
             total_published: responsive_published.len() as u64,
-            total_cleaned: responsive_cleaned.len() as u64,
+            total_cleaned: view.members.len() as u64,
             churn_brand_new,
             churn_recurring,
             churn_gone,
@@ -858,7 +896,6 @@ impl HitlistService {
             degraded,
             loss_estimate_permille,
         };
-        self.prev_responsive = responsive_cleaned;
 
         // Counters are fed from the very values the record carries, so a
         // registry snapshot reconciles exactly with summed RoundRecords.
@@ -886,19 +923,14 @@ impl HitlistService {
             }
         }
 
-        // 8. Per-protocol state and snapshots. The per-protocol sets are
-        // retained every round (publication and the serve layer read
-        // them); snapshot days additionally archive them permanently.
+        // 8. The view becomes the current one; snapshot days also
+        // archive it.
         if self.pending_snapshots.first().is_some_and(|d| day >= *d) {
             self.pending_snapshots.remove(0);
-            self.snapshots.push(Snapshot {
-                day,
-                cleaned: proto_cleaned_sets.clone(),
-                published: proto_published_sets,
-                aliased: self.aliased.clone(),
-            });
+            let (responsive, aliased) = (view.clone(), self.aliased.clone());
+            self.snapshots.push(Snapshot { day, responsive, aliased });
         }
-        self.last_proto_cleaned = proto_cleaned_sets;
+        self.current = view;
 
         // Onsets (first round of an episode) trigger black-box captures;
         // later rounds of the same episode only extend the event ring.
@@ -926,27 +958,6 @@ impl HitlistService {
         }
 
         self.rounds.last().expect("just pushed")
-    }
-
-    /// Folds a round's cleaned hits into `ever` and its protocol column in
-    /// one ascending walk over the old members, the round's cleaned set
-    /// and its per-protocol slices (each a subset of the cleaned set).
-    fn accumulate_ever(&mut self, cleaned: &AddrSet, slices: &[(Protocol, AddrSet)]) {
-        let mut hits: Vec<_> = slices.iter().map(|(p, set)| (*p, set.addrs().peekable())).collect();
-        let mut old = self.ever.addrs().zip(self.ever_protos.iter().copied()).peekable();
-        let most = self.ever.len() + cleaned.len();
-        let mut ever = (Vec::with_capacity(most), Vec::with_capacity(most));
-        for a in cleaned.addrs() {
-            ever.extend(std::iter::from_fn(|| old.next_if(|(b, _)| *b < a)));
-            let mut answered = old.next_if(|(b, _)| *b == a).map_or(ProtoSet::EMPTY, |(_, p)| p);
-            for proto in hits.iter_mut().filter_map(|(p, hit)| hit.next_if_eq(&a).and(Some(*p))) {
-                answered.insert(proto);
-            }
-            ever.extend([(a, answered)]);
-        }
-        ever.extend(old);
-        self.ever = AddrSet::from_sorted_addrs(&ever.0);
-        self.ever_protos = ever.1;
     }
 
     /// Runs the service from `from` to `until` (inclusive) with the

@@ -1,15 +1,19 @@
-//! The checkpoint writer of versions 1–5, kept as a test reference.
+//! The checkpoint writer of versions 1–6, kept as a test reference.
 //!
-//! Before v6 a checkpoint wrote every prefix as a `{"network", "len"}`
+//! Before v7 a checkpoint wrote each snapshot's cleaned and published
+//! set of each protocol as `[protocol, set]` pairs and no column beside
+//! `current_responsive`; this writer writes the published sets as the
+//! cleaned ones, which they were before the GFW eras and which no reader
+//! reads. Before v6 it wrote every prefix as a `{"network", "len"}`
 //! object, the cumulative protocols as `[address, protocols]` pairs and
 //! the detail of the alias labels as `{"prefix", "icmp", "tcp80"}`
 //! objects. Before v5 it also wrote every address set as an ascending
 //! array of decimal integers and stored the 30-day filter's dropped pool
 //! (`unresponsive_pool`, the input without the active addresses) after
-//! `gfw_impacted`. [`legacy_document`] rebuilds such a document from a v6
-//! `ServiceState`: `checkpoint_bytes_are_pinned` holds its v4 and v5
-//! bytes to the pins the v4 and v5 writers had, and the legacy tests feed
-//! its v1, v2, v4 and v5 documents to today's reader.
+//! `gfw_impacted`. [`legacy_document`] rebuilds such a document from a v7
+//! `ServiceState`: `checkpoint_bytes_are_pinned` holds its v4, v5 and v6
+//! bytes to the pins the v4, v5 and v6 writers had, and the legacy tests
+//! feed its v1, v2, v4, v5 and v6 documents to today's reader.
 //!
 //! Shared by the unit tests of `state.rs` and the integration tests, so
 //! it names no type of the crate: a state comes in through `ToJson`.
@@ -17,6 +21,7 @@
 
 use sixdust_addr::{base64, AddrSet, Prefix, PrefixSet};
 use sixdust_json::{FromJson, ToJson, Value};
+use sixdust_net::Protocol;
 
 /// A set as the v1–v4 writer wrote it: its members, ascending.
 pub fn array(set: &AddrSet) -> Value {
@@ -46,7 +51,7 @@ fn prefix_objects(value: &Value) -> Value {
     Value::Array(prefixes_of(value).into_iter().map(prefix_object).collect())
 }
 
-/// The bytes of a v6 column: its body without the 4-byte magic and the
+/// The bytes of a column: its body without the 4-byte magic and the
 /// 8-byte checksum.
 fn column_of(value: &Value) -> Vec<u8> {
     let body = base64::decode(value.as_str().expect("a column")).expect("canonical base64");
@@ -63,39 +68,41 @@ fn written_by(key: &str, version: u32) -> bool {
         | "next_alias_day"
         | "unresponsive_window" => version >= 2,
         "alias_window" | "alias_detail" => version >= 4,
+        "current_protos" => version >= 7,
         _ => true,
     }
 }
 
-/// The `[protocol, set]` pairs of a snapshot with each set as an array.
-fn legacy_pairs(pairs: &Value) -> Value {
-    let pairs = pairs.as_array().expect("per-protocol pairs");
-    Value::Array(
-        pairs
-            .iter()
-            .map(|pair| match pair.as_array().expect("a pair") {
-                [proto, set] => Value::Array(vec![proto.clone(), array(&set_of(set))]),
-                other => panic!("a pair of two, found {}", other.len()),
-            })
-            .collect(),
-    )
-}
-
-/// A snapshot with its labels as objects and, before v5, its
-/// per-protocol sets as arrays.
+/// A snapshot as the v6 writer wrote it: the `[protocol, set]` pairs of
+/// its cleaned and its published sets, and, before v6, its labels as
+/// objects and, before v5, its sets as arrays.
 fn legacy_snapshot(snapshot: &Value, version: u32) -> Value {
-    let Value::Object(fields) = snapshot else { panic!("a snapshot is an object") };
-    let legacy = |(key, value): &(String, Value)| match key.as_str() {
-        "cleaned" | "published" if version < 5 => (key.clone(), legacy_pairs(value)),
-        "aliased" => (key.clone(), prefix_objects(value)),
-        _ => (key.clone(), value.clone()),
-    };
-    Value::Object(fields.iter().map(legacy).collect())
+    let field = |key: &str| snapshot.get(key).expect(key);
+    let members = set_of(field("responsive"));
+    let protos = column_of(field("protos"));
+    let pairs: Vec<Value> = Protocol::ALL
+        .iter()
+        .map(|p| {
+            let bit = 1 << p.bit();
+            let slice = members.iter().zip(&protos).filter(|(_, &b)| b & bit != 0).map(|(a, _)| a);
+            let set = AddrSet::from_sorted(slice.collect());
+            let set = if version < 5 { array(&set) } else { set.to_value() };
+            Value::Array(vec![p.to_value(), set])
+        })
+        .collect();
+    let aliased =
+        if version < 6 { prefix_objects(field("aliased")) } else { field("aliased").clone() };
+    Value::Object(vec![
+        ("day".to_string(), field("day").clone()),
+        ("cleaned".to_string(), Value::Array(pairs.clone())),
+        ("published".to_string(), Value::Array(pairs)),
+        ("aliased".to_string(), aliased),
+    ])
 }
 
-/// The version-`version` (1–5) document of `state`, a v6
-/// `ServiceState`, as the v5 writer (or, before v5, the v4 writer) wrote
-/// it.
+/// The version-`version` (1–6) document of `state`, a v7
+/// `ServiceState`, as the v6 writer (or, before v6, the v5 writer, or,
+/// before v5, the v4 writer) wrote it.
 pub fn legacy_document(state: &impl ToJson, version: u32) -> Value {
     let Value::Object(members) = state.to_value() else { panic!("a state is an object") };
     let member = |key: &str| &members.iter().find(|(k, _)| k == key).expect(key).1;
@@ -126,9 +133,6 @@ pub fn legacy_document(state: &impl ToJson, version: u32) -> Value {
         let value = match key.as_str() {
             "version" => Value::UInt(version.into()),
             "input" | "gfw_impacted" | "current_responsive" if version < 5 => array(&set_of(value)),
-            "aliased" => prefix_objects(value),
-            "ever" => Value::Array(cumulative.clone()),
-            "ever_protos" => continue,
             "snapshots" => Value::Array(
                 value
                     .as_array()
@@ -137,13 +141,17 @@ pub fn legacy_document(state: &impl ToJson, version: u32) -> Value {
                     .map(|snapshot| legacy_snapshot(snapshot, version))
                     .collect(),
             ),
+            _ if version == 6 => value.clone(),
+            "aliased" => prefix_objects(value),
+            "ever" => Value::Array(cumulative.clone()),
+            "ever_protos" => continue,
             "alias_window" => {
                 Value::Array(value.as_array().expect("rounds").iter().map(prefix_objects).collect())
             }
             "alias_detail" => Value::Array(detail.clone()),
             _ => value.clone(),
         };
-        let key = if key == "ever" { "cumulative" } else { key };
+        let key = if key == "ever" && version < 6 { "cumulative" } else { key };
         out.push((key.to_string(), value));
         if key == "gfw_impacted" && version < 5 {
             out.push(("unresponsive_pool".to_string(), array(&pool)));
@@ -152,7 +160,7 @@ pub fn legacy_document(state: &impl ToJson, version: u32) -> Value {
     Value::Object(out)
 }
 
-/// [`legacy_document`] as the pretty text the v5 (or v4) writer wrote.
+/// [`legacy_document`] as the pretty text its writer wrote.
 pub fn legacy_json(state: &impl ToJson, version: u32) -> String {
     legacy_document(state, version).pretty()
 }

@@ -135,15 +135,22 @@ fn json_shaped_garbage_never_panics() {
         let err = ServiceState::from_json(&v6.replacen(&aliased, &to, 1)).unwrap_err();
         assert!(err.contains("not a packed prefix"), "{item:#x}: {err}");
     }
-    assert!(!state.ever.is_empty() && !state.alias_detail.is_empty());
+    assert!(!state.ever.members.is_empty() && !state.alias_detail.is_empty());
+    assert!(!state.current.members.is_empty());
     type Edit = fn(&mut ServiceState);
-    let hostile: [(&str, Edit); 8] = [
+    let hostile: [(&str, Edit); 12] = [
         ("ever_protos one short", |s| {
-            s.ever_protos.pop();
+            s.ever.protos.pop();
         }),
-        ("ever_protos one past", |s| s.ever_protos.push(ProtoSet::all())),
-        ("ever_protos zero", |s| s.ever_protos[0] = ProtoSet::EMPTY),
-        ("ever_protos bit 5", |s| s.ever_protos[0].0 |= 0x20),
+        ("ever_protos one past", |s| s.ever.protos.push(ProtoSet::all())),
+        ("ever_protos zero", |s| s.ever.protos[0] = ProtoSet::EMPTY),
+        ("ever_protos bit 5", |s| s.ever.protos[0].0 |= 0x20),
+        ("current_protos one short", |s| {
+            s.current.protos.pop();
+        }),
+        ("current_protos zero", |s| s.current.protos[0] = ProtoSet::EMPTY),
+        ("a snapshot's protos one past", |s| s.snapshots[1].responsive.protos.push(ProtoSet(1))),
+        ("a snapshot's protos bit 6", |s| s.snapshots[0].responsive.protos[0].0 |= 0x40),
         ("alias_detail one short", |s| {
             s.alias_detail.pop();
         }),
@@ -157,6 +164,11 @@ fn json_shaped_garbage_never_panics() {
         assert!(ServiceState::from_json(&bad.to_json()).is_err(), "{case}");
         assert!(bad.validate().is_err(), "{case}");
     }
+    // A current column is one entry a member, or none: a v1–v6 document
+    // whose last round was no snapshot day did not record it.
+    let mut unrecorded = state.clone();
+    unrecorded.current.protos.clear();
+    assert!(ServiceState::from_json(&unrecorded.to_json()).is_ok(), "no current column");
     // A cold window has no detail: a column there is one past its labels.
     let mut cold = state.clone();
     cold.alias_window.clear();
@@ -168,7 +180,7 @@ fn json_shaped_garbage_never_panics() {
 /// The base64 alphabet, and the padding character.
 const BASE64: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=";
 
-/// Where each body's string lies in a v6 document: every set body starts
+/// Where each body's string lies in a v7 document: every set body starts
 /// with the codec's magic, `SDF1`, which base64 writes as `U0RGM`, and
 /// every column body with `SDC1`, `U0RDM`.
 fn body_strings(json: &str) -> Vec<std::ops::Range<usize>> {
@@ -191,9 +203,9 @@ fn a_changed_byte_in_a_set_body_never_loads() {
     let sets = body_strings(&json);
     assert_eq!(
         sets.len(),
-        3 + 2 * (2 * 5 + 1) + 2 + 1 + 2,
-        "input, gfw, current, two snapshots' ten sets and labels each, aliased, ever, \
-         one round of the alias window, the two columns"
+        3 + 2 * 3 + 2 + 1 + 3,
+        "input, gfw, current, two snapshots' set, column and labels each, aliased, ever, \
+         one round of the alias window, the three other columns"
     );
     let changed = |at: usize, to: u8| {
         let mut bytes = json.clone().into_bytes();

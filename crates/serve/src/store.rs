@@ -486,7 +486,7 @@ pub fn service_artifacts(svc: &sixdust_hitlist::HitlistService) -> Vec<(Artifact
         (ArtifactKind::GfwFiltered, svc.gfw_impacted().clone()),
     ];
     for (proto, set) in svc.proto_responsive() {
-        artifacts.push((ArtifactKind::PerProtocol(*proto), set.clone()));
+        artifacts.push((ArtifactKind::PerProtocol(proto), set));
     }
     artifacts
 }

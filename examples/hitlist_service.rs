@@ -47,7 +47,7 @@ fn main() {
     println!("\nafter one year:");
     println!("  accumulated input:        {}", svc.input().len());
     println!("  responsive (cleaned):     {}", svc.current_responsive().len());
-    println!("  ever responsive:          {}", svc.cumulative().len());
+    println!("  ever responsive:          {}", svc.cumulative().members.len());
     println!("  aliased prefixes labeled: {}", svc.aliased().len());
     println!("  30-day filtered pool:     {}", svc.unresponsive_pool().len());
     println!("  GFW-impacted addresses:   {}", svc.gfw_impacted().len());

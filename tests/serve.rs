@@ -76,8 +76,8 @@ fn service_rounds_land_in_the_store() {
 
     // Per-protocol artifacts mirror the service's per-protocol slices.
     for (proto, set) in svc.proto_responsive() {
-        let v = store.artifact(ArtifactKind::PerProtocol(*proto)).expect("published");
-        assert_eq!(v.items().as_ref(), set, "{proto:?}");
+        let v = store.artifact(ArtifactKind::PerProtocol(proto)).expect("published");
+        assert_eq!(v.items().as_ref(), &set, "{proto:?}");
     }
 }
 
