@@ -1,73 +1,121 @@
-//! The content digest of an item set: FNV-1a 64 over the little-endian
-//! bytes of each item, in ascending order.
+//! The content digest of an item set: a keyed sum of one hash per item,
+//! `OFFSET_BASIS + Σ item_hash(a) mod 2⁶⁴`.
 //!
 //! One value names one set everywhere it travels: `manifest.json` records
 //! it per artifact, the serve layer uses it as the ETag and frames every
 //! delta stream with the digests of both endpoints. It is defined here,
 //! once, so the publisher and the distribution tier cannot drift apart.
 //!
-//! The function is a serial multiply chain — sixteen dependent multiplies
-//! per item, about 20 ns — and any other mixing would change every
-//! published digest, so one set cannot be hashed faster. Several sets
-//! can: their chains are independent, and [`content_digests`] steps up
-//! to four of them side by side through the same byte step, which costs
-//! the multiplier's throughput (5 ns per item, off flat slices and
-//! `AddrSet` iterators alike) where one chain costs its latency. A caller
-//! with two or more sets to hash — a publish
-//! has eight artifacts, the first read of a version's shards those
-//! shards, a mirror sync the changed artifacts of a generation, a delta
-//! both of its endpoints — hands them over together; a caller with one calls
-//! [`content_digest`], and either way a set is hashed once and the value
-//! carried.
+//! The terms are independent of each other and of order, so the digest
+//! composes: the set a delta leads to has
+//! `digest(base) + Σ item_hash(added) − Σ item_hash(removed)`
+//! ([`content_digest_after`]), which a receiver that holds the base's
+//! digest computes in the size of the delta, without building or hashing
+//! the result. Hashing a whole set costs two multiplies an item, and the
+//! items of a set do not wait on each other.
+//!
+//! What the digest guards against is corruption and torn transfers, not
+//! forgers: a sum of 64-bit terms is no more collision-resistant against
+//! someone who chooses the items than the FNV chain it replaced.
+//!
+//! FNV-1a 64 over the little-endian bytes of each item ([`fnv_items`],
+//! [`FnvHasher`]) stays for what pins a byte stream in a test (checkpoint
+//! bytes, reports, zone answers); it is order-dependent and serial, and
+//! names no set.
 
-/// FNV-1a 64 offset basis: the digest of the empty set.
+/// The digest of the empty set (FNV-1a 64's offset basis, the value it
+/// always had).
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64 prime.
-const PRIME: u64 = 0x100_0000_01b3;
-/// Chains [`content_digests`] keeps in flight: a multiply takes about
-/// three cycles to finish and one can start every cycle, so a fourth
-/// chain is the last that still finds the multiplier idle.
-const LANES: usize = 4;
-// `content_digests` names a lockstep for every group size up to this.
-const _: () = assert!(LANES == 4);
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+/// The key [`item_hash`] folds the high half with, so that item 0 has a
+/// term other than 0.
+const KEY: u64 = 0x243f_6a88_85a3_08d3;
+/// The two odd multipliers of [`item_hash`] (the golden ratio's and
+/// splitmix64's).
+const MUL_HIGH: u64 = 0x9e37_79b9_7f4a_7c15;
+const MUL_LOW: u64 = 0xbf58_476d_1ce4_e5b9;
 
-/// The byte step of the digest, the only one there is: folds one item
-/// into each of `N` running digests, a byte of every lane at a time, so
-/// that the `N` multiply chains overlap.
-#[inline(always)]
-fn fold<const N: usize>(hashes: &mut [u64; N], items: [u128; N]) {
-    let bytes = items.map(u128::to_le_bytes);
-    for byte in 0..16 {
-        for (hash, item) in hashes.iter_mut().zip(&bytes) {
-            *hash = (*hash ^ u64::from(item[byte])).wrapping_mul(PRIME);
-        }
-    }
+/// The term one item adds to a set's digest: the high half keyed and
+/// multiplied, folded onto itself and into the low half, multiplied
+/// again and folded. Each step is a bijection of what it reads while the
+/// other half is held, so two items that differ in one half — by a
+/// single bit or by more — never share a term. Both halves pass through
+/// the second multiply together, so two items that trade halves do not
+/// sum to what the original two did, as a sum of one term per half would.
+#[inline]
+pub fn item_hash(item: u128) -> u64 {
+    let (high, low) = ((item >> 64) as u64, item as u64);
+    let high = (high ^ KEY).wrapping_mul(MUL_HIGH);
+    let mixed = (high ^ (high >> 32) ^ low).wrapping_mul(MUL_LOW);
+    mixed ^ (mixed >> 31)
 }
 
-/// The streaming form of [`content_digest`]: push items in ascending
-/// deduplicated order, then [`finish`](ContentHasher::finish).
+/// The content digest of a set: the empty set's digest plus the
+/// [`item_hash`] of each item, wrapping. Consumes any item iterator, and
+/// an [`&AddrSet`](crate::AddrSet) directly; the items must be distinct,
+/// and their order does not matter.
 ///
 /// ```
-/// use sixdust_addr::digest::{content_digest, ContentHasher};
-/// let mut hasher = ContentHasher::new();
-/// for item in [1u128, 5, 9] {
+/// use sixdust_addr::digest::content_digest;
+/// assert_eq!(content_digest([9u128, 1, 5]), content_digest([1u128, 5, 9]));
+/// ```
+pub fn content_digest<I: IntoIterator<Item = u128>>(items: I) -> u64 {
+    content_digest_after(OFFSET_BASIS, std::iter::empty(), items)
+}
+
+/// The content digest of the set that a set whose digest is `base`
+/// becomes when `removed` leave it and `added` join it. Holds only when
+/// every removed item was a member and no added one was: the caller
+/// checks that, this adds and subtracts terms.
+///
+/// ```
+/// use sixdust_addr::digest::{content_digest, content_digest_after};
+/// let base = content_digest([1u128, 5, 9]);
+/// assert_eq!(content_digest_after(base, [5u128], [2u128, 7]), content_digest([1u128, 2, 7, 9]));
+/// ```
+pub fn content_digest_after(
+    base: u64,
+    removed: impl IntoIterator<Item = u128>,
+    added: impl IntoIterator<Item = u128>,
+) -> u64 {
+    let digest = removed.into_iter().fold(base, |sum, item| sum.wrapping_sub(item_hash(item)));
+    added.into_iter().fold(digest, |sum, item| sum.wrapping_add(item_hash(item)))
+}
+
+/// FNV-1a 64 over the 16 little-endian bytes of each item, in the order
+/// given: the digest a test pins a byte stream or an answer sequence by.
+pub fn fnv_items<I: IntoIterator<Item = u128>>(items: I) -> u64 {
+    let mut hasher = FnvHasher::new();
+    items.into_iter().for_each(|item| hasher.push(item));
+    hasher.finish()
+}
+
+/// The streaming form of [`fnv_items`]: push items, then
+/// [`finish`](FnvHasher::finish).
+///
+/// ```
+/// use sixdust_addr::digest::{fnv_items, FnvHasher};
+/// let mut hasher = FnvHasher::new();
+/// for item in [9u128, 1, 5] {
 ///     hasher.push(item);
 /// }
-/// assert_eq!(hasher.finish(), content_digest([1u128, 5, 9]));
+/// assert_eq!(hasher.finish(), fnv_items([9u128, 1, 5]));
 /// ```
 #[derive(Debug)]
-pub struct ContentHasher(u64);
+pub struct FnvHasher(u64);
 
-impl ContentHasher {
+impl FnvHasher {
     /// A hasher that has seen no item.
-    pub const fn new() -> ContentHasher {
-        ContentHasher(OFFSET_BASIS)
+    pub const fn new() -> FnvHasher {
+        FnvHasher(OFFSET_BASIS)
     }
 
-    /// Folds one item into the digest.
-    #[inline]
+    /// Folds one item into the digest, a byte at a time.
     pub fn push(&mut self, item: u128) {
-        fold(std::array::from_mut(&mut self.0), [item]);
+        for byte in item.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
     }
 
     /// The digest of the items pushed so far.
@@ -76,88 +124,10 @@ impl ContentHasher {
     }
 }
 
-impl Default for ContentHasher {
-    fn default() -> ContentHasher {
-        ContentHasher::new()
+impl Default for FnvHasher {
+    fn default() -> FnvHasher {
+        FnvHasher::new()
     }
-}
-
-/// FNV-1a 64-bit digest over the little-endian bytes of each item — the
-/// stable per-artifact content digest. Streaming: consumes any item
-/// iterator, and an [`&AddrSet`](crate::AddrSet) directly; items must
-/// arrive in ascending deduplicated order (the order every `AddrSet`
-/// iterates in) so the digest depends on content alone.
-pub fn content_digest<I: IntoIterator<Item = u128>>(items: I) -> u64 {
-    let mut hasher = ContentHasher::new();
-    for item in items {
-        hasher.push(item);
-    }
-    hasher.finish()
-}
-
-/// [`content_digest`] of every stream, in the order given: the same
-/// values, several chains at a time. Streams are taken four to a group
-/// and stepped in lockstep, an item of each per step, until the shortest
-/// of the group runs out; what is left of the others, and a stream that
-/// has a group to itself, is hashed as [`content_digest`] would. A group
-/// of two or three runs as many chains. Sets of similar length therefore
-/// gain the most, and no order of the streams changes a value.
-///
-/// The streams are consumed as they come — pass `&AddrSet`s or
-/// `slice.iter().copied()`, not flat copies made for the call.
-///
-/// ```
-/// use sixdust_addr::digest::{content_digest, content_digests};
-/// let sets = [vec![1u128, 5, 9], vec![], vec![2, 3]];
-/// let together = content_digests(sets.iter().map(|set| set.iter().copied()));
-/// let apart: Vec<u64> = sets.iter().map(|set| content_digest(set.iter().copied())).collect();
-/// assert_eq!(together, apart);
-/// ```
-pub fn content_digests<S>(streams: impl IntoIterator<Item = S>) -> Vec<u64>
-where
-    S: IntoIterator<Item = u128>,
-{
-    let mut streams: Vec<_> = streams.into_iter().map(|s| s.into_iter().fuse()).collect();
-    let mut digests = vec![OFFSET_BASIS; streams.len()];
-    for (group, hashes) in streams.chunks_mut(LANES).zip(digests.chunks_mut(LANES)) {
-        match group.len() {
-            4 => lockstep::<4, _>(group, hashes),
-            3 => lockstep::<3, _>(group, hashes),
-            2 => lockstep::<2, _>(group, hashes),
-            _ => {}
-        }
-        for (stream, hash) in group.iter_mut().zip(hashes) {
-            for item in stream {
-                fold(std::array::from_mut(hash), [item]);
-            }
-        }
-    }
-    digests
-}
-
-/// Steps `N` streams side by side, folding an item of each into its
-/// digest per step, until one of them ends; no item is taken from a
-/// stream without being folded in.
-fn lockstep<const N: usize, I: Iterator<Item = u128>>(streams: &mut [I], hashes: &mut [u64]) {
-    let mut running: [u64; N] = (&*hashes).try_into().expect("one digest per lane");
-    let (items, taken) = loop {
-        let mut items = [0u128; N];
-        let mut taken = 0;
-        for stream in streams.iter_mut() {
-            let Some(item) = stream.next() else { break };
-            items[taken] = item;
-            taken += 1;
-        }
-        if taken < N {
-            break (items, taken);
-        }
-        fold(&mut running, items);
-    };
-    // The lanes before the one that ended gave up an item in that step.
-    for (hash, &item) in running.iter_mut().zip(&items[..taken]) {
-        fold(std::array::from_mut(hash), [item]);
-    }
-    hashes.copy_from_slice(&running);
 }
 
 #[cfg(test)]
@@ -188,62 +158,83 @@ mod tests {
     #[test]
     fn empty_input_is_the_offset_basis() {
         assert_eq!(content_digest(std::iter::empty::<u128>()), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(ContentHasher::new().finish(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv_items(std::iter::empty::<u128>()), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(FnvHasher::new().finish(), 0xcbf2_9ce4_8422_2325);
     }
 
     #[test]
     fn published_digests_are_pinned() {
-        // Every ETag and manifest digest ever published depends on these
+        // Every ETag and manifest digest published depends on these
         // values: a change here is a format change.
-        assert_eq!(content_digest([0u128]), 0x88201fb960ff6465);
-        assert_eq!(content_digest([1u128, 2, 3]), 0x135739c3fb88c6e5);
-        assert_eq!(content_digest([u128::MAX]), 0xd6607508f5a1e855);
+        assert_eq!(content_digest([0u128]), 0xb87e_2d7c_642e_7a36);
+        assert_eq!(content_digest([1u128, 2, 3]), 0x1045_dd80_70d7_913a);
+        assert_eq!(content_digest([u128::MAX]), 0x599d_ccb7_3bc7_6f45);
+        // The FNV chain the set digest was until the sum replaced it; the
+        // checkpoint, report and zone pins are taken with it.
+        assert_eq!(fnv_items([0u128]), 0x88201fb960ff6465);
+        assert_eq!(fnv_items([1u128, 2, 3]), 0x135739c3fb88c6e5);
+        assert_eq!(fnv_items([u128::MAX]), 0xd6607508f5a1e855);
     }
 
     #[test]
-    fn side_by_side_digests_equal_one_at_a_time_for_every_stream_count() {
-        // How long stream `i` of `count` is under each shape; 40 rounds
-        // of seeded ragged lengths follow the three fixed ones.
-        type Shape = fn(u64, u64, u64) -> u64;
-        let all_equal: Shape = |_, _, _| 333;
-        let one_long: Shape = |_, i, count| if i == count / 2 { 4_000 } else { 100 };
-        let some_empty: Shape = |seed, i, _| if (seed + i) % 3 == 0 { 0 } else { 150 + 7 * i };
-        let ragged: Shape = |seed, i, _| match prf::prf_u128(seed, u128::from(i), 9) % 700 {
-            len if len < 70 => 0,
-            len => len,
-        };
-        let shapes = [all_equal, one_long, some_empty].into_iter().chain([ragged; 40]);
-        let (mut runs_of_one, mut runs_of_many) = (0, 0);
-        for (round, shape) in shapes.enumerate() {
-            for count in 0..=9u64 {
-                let seed = round as u64 * 16 + count;
-                let sets: Vec<AddrSet> =
-                    (0..count).map(|i| mixed_set(seed + i, shape(seed, i, count))).collect();
-                for set in &sets {
-                    let (one, many) = run_shapes(set);
-                    runs_of_one += one;
-                    runs_of_many += many;
-                }
-                let apart: Vec<u64> = sets.iter().map(content_digest).collect();
-                assert_eq!(content_digests(&sets), apart, "round {round}, {count} sets");
-                // Flat copies of the same items, and the reverse order.
-                let flat: Vec<Vec<u128>> = sets.iter().map(AddrSet::to_vec).collect();
-                assert_eq!(content_digests(flat.iter().map(|v| v.iter().copied())), apart);
-                let reversed: Vec<u64> = content_digests(sets.iter().rev());
-                assert!(reversed.iter().eq(apart.iter().rev()), "round {round}, {count} sets");
+    fn the_digest_after_a_delta_is_the_digest_of_the_result() {
+        let (mut removals, mut additions) = (0, 0);
+        for seed in 0..60u64 {
+            let base = mixed_set(seed, prf::prf_u128(seed, 0, 2) % 400);
+            let churn = 2 + prf::prf_u128(seed, 1, 2) % 9;
+            let removed: AddrSet =
+                base.iter().filter(|&a| prf::prf_u128(seed, a, 3).is_multiple_of(churn)).collect();
+            // Items in /64s the base has, and in /64s it has not.
+            let added: AddrSet = (0..u128::from(prf::prf_u128(seed, 2, 2) % 60))
+                .map(|i| match i % 2 {
+                    0 => (0x2001_0db8 << 96) | (1 << 40) | i,
+                    _ => u128::from(prf::prf_u128(seed, i, 4)) << 64 | 7,
+                })
+                .filter(|&a| !base.contains(a))
+                .collect();
+            let mut next = base.diff(&removed);
+            next.union_in_place(&added);
+            let composed = content_digest_after(content_digest(&base), &removed, &added);
+            assert_eq!(composed, content_digest(&next), "seed {seed}");
+            // Back again: the terms cancel.
+            assert_eq!(content_digest_after(composed, &added, &removed), content_digest(&base));
+            removals += removed.len();
+            additions += added.len();
+        }
+        assert!(removals > 500 && additions > 500, "{removals} removed, {additions} added");
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_item_hash() {
+        let items = (0..200u128)
+            .map(|i| u128::from(prf::prf_u128(7, i, 5)) << 64 | u128::from(prf::prf_u128(7, i, 6)))
+            .chain([0, 1, u128::MAX, 1 << 64, u128::from(u64::MAX)]);
+        for item in items {
+            for bit in 0..128 {
+                let flipped = item ^ (1 << bit);
+                assert_ne!(item_hash(item), item_hash(flipped), "{item:#x}, bit {bit}");
             }
         }
-        assert!(runs_of_one > 100 && runs_of_many > 100, "test needs both run shapes");
     }
 
     #[test]
-    fn a_stream_that_ends_mid_step_loses_no_item() {
-        // Lane 2 of 4 ends first: lanes 0 and 1 have already handed over
-        // their item of that step.
-        let streams = [vec![1u128, 2, 3], vec![4, 5, 6], vec![7, 8], vec![9, 10, 11]];
-        let apart: Vec<u64> = streams.iter().map(|s| content_digest(s.iter().copied())).collect();
-        assert_eq!(content_digests(streams.iter().map(|s| s.iter().copied())), apart);
-        assert_eq!(content_digests(Vec::<Vec<u128>>::new()), Vec::<u64>::new());
+    fn items_that_trade_halves_change_the_set_digest() {
+        let halves = |x: u128| (x >> 64, x & u128::from(u64::MAX));
+        // Small structured items, and seeded ones.
+        let small =
+            (1..12u128).flat_map(|a| (1..12u128).map(move |b| ((a << 64) | b, (b << 64) | a)));
+        let draw = |i, tag| {
+            u128::from(prf::prf_u128(9, i, tag)) << 64 | u128::from(prf::prf_u128(9, i, tag + 1))
+        };
+        let seeded = (0..500u128).map(|i| (draw(i, 6), draw(i, 8)));
+        for (x, y) in small.chain(seeded) {
+            let ((xh, xl), (yh, yl)) = (halves(x), halves(y));
+            let (u, v) = ((xh << 64) | yl, (yh << 64) | xl);
+            if [u, v].contains(&x) {
+                continue; // the same two items
+            }
+            assert_ne!(content_digest([x, y]), content_digest([u, v]), "{x:#x}, {y:#x}");
+        }
     }
 
     #[test]
@@ -255,11 +246,13 @@ mod tests {
         items.extend([u128::from(u64::MAX), 1 << 64]);
         let set = AddrSet::from_unsorted(items);
         assert_eq!(run_shapes(&set), (200, 2), "test needs both run shapes");
-        let mut hasher = ContentHasher::new();
+        let mut hasher = FnvHasher::new();
         for item in set.iter() {
             hasher.push(item);
         }
-        assert_eq!(hasher.finish(), content_digest(&set));
+        assert_eq!(hasher.finish(), fnv_items(&set));
+        assert_eq!(fnv_items(&set), fnv_items(set.to_vec()));
         assert_eq!(content_digest(&set), content_digest(set.to_vec()));
+        assert_eq!(content_digest(&set), content_digest(set.to_vec().into_iter().rev()));
     }
 }

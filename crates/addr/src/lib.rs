@@ -40,9 +40,10 @@
 //!   byte body (varint delta-of-delta items, FNV-1a checksum). The serve
 //!   layer publishes these bodies and frames its deltas from their parts;
 //!   a checkpoint stores every set as one, in [`base64`].
-//! * [`digest`] — the content digest of an item set (FNV-1a 64), one-shot
-//!   and streaming: the value `manifest.json` records and the serve layer
-//!   uses as ETag and delta frame.
+//! * [`digest`] — the content digest of an item set (a keyed sum of one
+//!   hash per item, so a delta's result digest composes from its base's):
+//!   the value `manifest.json` records and the serve layer uses as ETag
+//!   and delta frame.
 //!
 //! All types are `Copy` where possible, serializable, and allocate only when
 //! a collection genuinely must.

@@ -44,8 +44,9 @@ pub struct Manifest {
     pub counts: Vec<(String, usize)>,
     /// Whether the GFW filter was active for this round.
     pub gfw_filter_active: bool,
-    /// Stable per-artifact content digests (16 hex digits of FNV-1a 64
-    /// over the sorted item set), keyed by file stem. Content-derived,
+    /// Stable per-artifact content digests (16 hex digits of
+    /// [`content_digest`], the keyed sum over the item set), keyed by
+    /// file stem. Content-derived,
     /// not render-derived: two manifests list the same digest exactly
     /// when the artifact holds the same addresses, so consumers can key
     /// ETags and deltas off it. Absent in manifests written before
@@ -59,7 +60,6 @@ json_struct!(Manifest { date, counts, gfw_filter_active, digests = Vec::new() })
 /// same function the serve layer keys ETags and delta frames off, so the
 /// two cannot disagree about what a set is called.
 pub use sixdust_addr::digest::content_digest;
-use sixdust_addr::digest::content_digests;
 
 fn render(set: &AddrSet) -> String {
     let mut out = String::with_capacity(set.len() * 24);
@@ -112,14 +112,13 @@ pub fn publish(svc: &HitlistService) -> Publication {
         counts.push((stem.clone(), body.lines().count()));
     }
 
-    // One digest per counted artifact, in the same order, hashed side by
-    // side.
+    // One digest per counted artifact, in the same order.
     let digested = [responsive_set, &aliased_packed, svc.gfw_impacted(), &input_set]
         .into_iter()
         .chain(proto_sets.iter().map(|(_, set)| set));
     let digests = counts
         .iter()
-        .zip(content_digests(digested))
+        .zip(digested.map(content_digest))
         .map(|((stem, _), digest)| (stem.clone(), format!("{digest:016x}")))
         .collect();
 

@@ -508,7 +508,7 @@ mod tests {
         assert!(json.starts_with("{\n  \"version\": 4,\n  \"input\": [\n    "), "{:.60}", json);
         assert!(json.contains("\n  \"unresponsive_window\": 30,\n  \"alias_window\": [\n    [\n"));
         assert!(json.ends_with("\n      \"tcp80\": true\n    }\n  ]\n}"), "no trailing newline");
-        let digest = sixdust_addr::digest::content_digest(json.bytes().map(u128::from));
+        let digest = sixdust_addr::digest::fnv_items(json.bytes().map(u128::from));
         assert_eq!((json.len(), digest), (652_091, 17_253_704_505_380_632_577));
         // v5: every address set one base64 codec body, and no dropped
         // pool. From the reference writer too, and the pin the v5 writer
@@ -518,7 +518,7 @@ mod tests {
         assert!(json.contains("\n  \"unresponsive_window\": 30,\n  \"alias_window\": [\n    [\n"));
         assert!(json.ends_with("\n      \"tcp80\": true\n    }\n  ]\n}"), "no trailing newline");
         assert!(!json.contains("unresponsive_pool"));
-        let digest = sixdust_addr::digest::content_digest(json.bytes().map(u128::from));
+        let digest = sixdust_addr::digest::fnv_items(json.bytes().map(u128::from));
         assert_eq!((json.len(), digest), (545_636, 14_303_414_829_826_028_543));
         // v6: every prefix list one codec body too, and the per-member
         // values two columns. From the reference writer, and the pin the
@@ -531,7 +531,7 @@ mod tests {
         );
         assert!(!json.contains("cumulative") && !json.contains("\"network\""));
         assert!(json.ends_with("\"\n}"), "no trailing newline");
-        let digest = sixdust_addr::digest::content_digest(json.bytes().map(u128::from));
+        let digest = sixdust_addr::digest::fnv_items(json.bytes().map(u128::from));
         assert_eq!((json.len(), digest), (266_953, 8_148_060_174_902_567_672));
         // v7: a snapshot is one set and a column, and the current round's
         // protocols a column beside its set.
@@ -539,7 +539,7 @@ mod tests {
         assert!(json.starts_with("{\n  \"version\": 7,\n  \"input\": \"U0RGM"), "{:.60}", json);
         assert!(json.contains("\n      \"responsive\": \"U0RGM"));
         assert!(json.contains("\n  \"current_protos\": \"U0RDM"));
-        let digest = sixdust_addr::digest::content_digest(json.bytes().map(u128::from));
+        let digest = sixdust_addr::digest::fnv_items(json.bytes().map(u128::from));
         assert_eq!((json.len(), digest), (259_577, 10_851_572_715_604_131_735));
     }
 

@@ -669,7 +669,7 @@ mod tests {
         let r = AsRegistry::build(scale);
         let p = Population::build(&r);
         let z = DnsZones::build(&r, &p);
-        let mut h = sixdust_addr::digest::ContentHasher::new();
+        let mut h = sixdust_addr::digest::FnvHasher::new();
         for day in [Day(0), Day(9), Day(1000)] {
             for d in 0..2_000 {
                 for (addr, host) in
@@ -698,7 +698,7 @@ mod tests {
             let net = crate::Internet::build(Scale::tiny().with_population_mult(mult));
             assert_eq!(net.zones().total_domains(), domains);
             let index = net.zones().index(net.population());
-            let mut h = sixdust_addr::digest::ContentHasher::new();
+            let mut h = sixdust_addr::digest::FnvHasher::new();
             index.fixed.iter().for_each(|a| h.push(a.0));
             for &(group, period) in &index.rotating {
                 h.push(u128::from(group) << 32 | u128::from(period));

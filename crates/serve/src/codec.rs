@@ -11,10 +11,12 @@
 //!   [`decode_full`], [`CodecError`], [`FULL_MAGIC`]), the same body a
 //!   service checkpoint stores each set as.
 //! * **delta** — the removed and added items versus a base set, plus the
-//!   FNV-1a digests of both the base and the result, so a consumer can
+//!   content digests of both the base and the result, so a consumer can
 //!   detect applying a delta to the wrong base *before* trusting the
 //!   output. Its two item streams and its checksum are the full codec's
-//!   parts, framed by `SDD1` and the two digests.
+//!   parts, framed by `SDD2` and the two digests. (`SDD1` framed the
+//!   same parts with the FNV-1a digests the set digest was before it
+//!   became a sum; such a stream is rejected as [`CodecError::BadMagic`].)
 //!
 //! Every stream ends in an FNV-1a checksum over the preceding bytes.
 //! Decoding is panic-free: corrupted, truncated or internally
@@ -23,37 +25,34 @@
 //! # Consumers of a delta
 //!
 //! * [`apply_delta`] is for a consumer that wants the new set and holds
-//!   no digest: it rebuilds the result, hashes base and result and
-//!   returns the set.
-//! * [`verify_delta`] is for a consumer that only has to decide whether
-//!   the stream is a faithful path from a set it holds to a set it has
-//!   been told to expect. It takes the base's digest from the caller and
-//!   additionally pins the result to the expected digest.
+//!   no digest: it rebuilds the result by one walk (`ParsedDelta::replay`:
+//!   the base is flattened, each removed or added item is found by binary
+//!   search from where the last one was, and the run between two of them
+//!   is copied as a block), hashes base and result and returns the set.
+//! * [`verify_delta`] is for a consumer that holds the base and its
+//!   digest and only has to decide whether the stream is a faithful path
+//!   to a set it has been told to expect. It builds nothing: each removed
+//!   item must be in the base and each added one must not, by lookups,
+//!   and the result's digest is the base's plus the added items' terms
+//!   minus the removed ones' ([`content_digest_after`]), so it costs the
+//!   size of the delta, not of the base.
 //! * An edge mirror's sync ([`MirrorTier::try_sync`](crate::mirror::MirrorTier::try_sync))
-//!   opens every changed artifact of a generation the same way
-//!   (`Opened`) and confirms them together.
+//!   opens every changed artifact of a generation the way [`verify_delta`]
+//!   and [`verify_full`] do (`Opened`).
 //!
-//! All read the stream through one header parser and rebuild the result
-//! by one walk (`ParsedDelta::replay`): the base is flattened, each
-//! removed or added item is found by binary search from where the last
-//! one was, and the run between two of them — what the delta leaves
-//! alone — is copied as a block. They run the same checks in the same
-//! order and reject the same streams with the same error. The result
-//! digest is always computed from the items the walk produced; it is a
-//! serial multiply chain (about 20 ns per item), which is why each entry
-//! point hashes a set only when nobody has hashed it yet, and hashes the
-//! sets it must side by side
-//! ([`content_digests`]).
+//! All read the stream through one header parser and run the same checks
+//! in the same order, so they reject the same streams with the same
+//! error.
 
 use std::cmp::Ordering;
 
 use sixdust_addr::codec::{checked_payload, full_items, push_checksum, push_items, read_items};
 pub use sixdust_addr::codec::{decode_full, encode_full, CodecError, FULL_MAGIC};
-use sixdust_addr::digest::content_digests;
+use sixdust_addr::digest::content_digest_after;
 use sixdust_addr::AddrSet;
 
-/// Magic prefix of a delta stream (`SDD1`).
-pub const DELTA_MAGIC: [u8; 4] = *b"SDD1";
+/// Magic prefix of a delta stream (`SDD2`).
+pub const DELTA_MAGIC: [u8; 4] = *b"SDD2";
 
 /// The per-artifact content digest: [`sixdust_addr::digest::content_digest`],
 /// re-exported where the serve layer has always offered it. The same
@@ -68,17 +67,16 @@ pub use sixdust_addr::digest::content_digest;
 /// well-formed-but-wrong body (e.g. the origin swapped generations
 /// mid-transfer).
 pub fn verify_full(bytes: &[u8], expected_digest: u64) -> Result<AddrSet, CodecError> {
-    let opened = Opened::full(bytes, expected_digest)?;
-    confirm(std::slice::from_ref(&opened))?;
-    Ok(AddrSet::from_sorted(opened.items))
+    let items = full_items(bytes)?;
+    check_result(content_digest(items.iter().copied()), expected_digest)?;
+    Ok(AddrSet::from_sorted(items))
 }
 
 /// Encodes the delta from set `prev` to set `next`: the removed and
 /// added items, framed by the digests of both endpoints. Hashes both
-/// sets, side by side, for a caller that holds no digest of either.
+/// sets, for a caller that holds no digest of either.
 pub fn encode_delta(prev: &AddrSet, next: &AddrSet) -> Vec<u8> {
-    let digests = content_digests([prev, next]);
-    encode_delta_with(prev, digests[0], next, digests[1])
+    encode_delta_with(prev, content_digest(prev), next, content_digest(next))
 }
 
 /// [`encode_delta`] for a caller that holds both endpoint digests (the
@@ -169,6 +167,23 @@ impl ParsedDelta {
         Ok(())
     }
 
+    /// The content digest of the set the delta leads to from `base`,
+    /// whose content digest is `base_digest`, without building that set:
+    /// every removed item must be in the base and every added item must
+    /// not, which is looked up in `base`, and then the digest moves by
+    /// their terms. An item in both lists fails one of the two lookups,
+    /// whether the base holds it or not, as the replay rejects it. The
+    /// caller owes the digest the result checks, as after a replay.
+    fn result_digest_over(&self, base: &AddrSet, base_digest: u64) -> Result<u64, CodecError> {
+        let removes_members = self.removed.iter().all(|&item| base.contains(item));
+        let adds_strangers = !self.added.iter().any(|&item| base.contains(item));
+        if !(removes_members && adds_strangers) {
+            return Err(CodecError::InconsistentDelta);
+        }
+        let (removed, added) = (self.removed.iter().copied(), self.added.iter().copied());
+        Ok(content_digest_after(base_digest, removed, added))
+    }
+
     /// Replays the delta over `base`, the ascending items of the base
     /// set, and returns the ascending items of the result: every removed
     /// item must be in the base and is dropped, every added item must be
@@ -214,13 +229,14 @@ impl ParsedDelta {
     }
 }
 
-/// The items a transfer carries, every check passed that needs no
-/// content digest of them: for a full snapshot the stream checks, for a
-/// delta also the base digest and the replay. What is still owed is
-/// [`confirm`], which settles several transfers at once — an edge
-/// mirror's sync opens every changed artifact of a generation first.
+/// A transfer whose every check has passed that does not involve what
+/// its receiver expects, and the content digest of the set it carries:
+/// for a full snapshot the stream checks, for a delta also the base
+/// digest and the membership lookups. What is still owed is
+/// [`Opened::confirm`].
 pub(crate) struct Opened {
-    items: Vec<u128>,
+    /// The content digest of the set the transfer leads to.
+    digest: u64,
     /// The result digest a delta stream carries.
     promised: Option<u64>,
     /// The digest the receiver was told to expect.
@@ -231,12 +247,14 @@ impl Opened {
     /// Opens a full-snapshot stream that should hold the set whose
     /// content digest is `expected`.
     pub(crate) fn full(bytes: &[u8], expected: u64) -> Result<Opened, CodecError> {
-        Ok(Opened { items: full_items(bytes)?, promised: None, expected })
+        let digest = content_digest(full_items(bytes)?);
+        Ok(Opened { digest, promised: None, expected })
     }
 
     /// Opens a delta stream that should lead from the base set `prev`,
     /// whose content digest the caller holds as `prev_digest`, to the
-    /// set whose content digest is `expected`.
+    /// set whose content digest is `expected`. Costs the size of the
+    /// delta, whatever the size of `prev`.
     pub(crate) fn delta(
         prev: &AddrSet,
         prev_digest: u64,
@@ -245,13 +263,20 @@ impl Opened {
     ) -> Result<Opened, CodecError> {
         let delta = ParsedDelta::parse(bytes)?;
         delta.check_base(prev_digest)?;
-        let items = delta.replay(&prev.to_vec())?;
-        Ok(Opened { items, promised: Some(delta.result_digest), expected })
+        let digest = delta.result_digest_over(prev, prev_digest)?;
+        Ok(Opened { digest, promised: Some(delta.result_digest), expected })
+    }
+
+    /// Holds the digest of what arrived to the one a delta stream
+    /// promised, then to the one the receiver was told to expect.
+    pub(crate) fn confirm(&self) -> Result<(), CodecError> {
+        let mut owed = self.promised.into_iter().chain([self.expected]);
+        owed.try_for_each(|expected| check_result(self.digest, expected))
     }
 }
 
-/// A reconstructed set whose content digest is `actual` must be the one
-/// whose digest is `expected`.
+/// A set whose content digest is `actual` must be the one whose digest
+/// is `expected`.
 fn check_result(actual: u64, expected: u64) -> Result<(), CodecError> {
     if actual != expected {
         return Err(CodecError::ResultMismatch { expected, actual });
@@ -259,22 +284,9 @@ fn check_result(actual: u64, expected: u64) -> Result<(), CodecError> {
     Ok(())
 }
 
-/// Hashes the items of every opened transfer, side by side, and holds
-/// each to the digest its receiver was told to expect — and first, for a
-/// delta, to the digest its own stream promised. The first transfer that
-/// fails either is the error.
-pub(crate) fn confirm(opened: &[Opened]) -> Result<(), CodecError> {
-    let digests = content_digests(opened.iter().map(|o| o.items.iter().copied()));
-    for (transfer, actual) in opened.iter().zip(digests) {
-        let mut owed = transfer.promised.into_iter().chain([transfer.expected]);
-        owed.try_for_each(|expected| check_result(actual, expected))?;
-    }
-    Ok(())
-}
-
 /// Applies a delta stream to the base set `prev`, returning the
 /// reconstructed result set. For a consumer that wants the set and holds
-/// no digest of `prev`: base and result are hashed here, side by side.
+/// no digest of `prev`: base and result are hashed here.
 ///
 /// Three layers of validation guard the reconstruction: the stream
 /// checksum, the base digest (a wrong base is reported as
@@ -283,14 +295,10 @@ pub(crate) fn confirm(opened: &[Opened]) -> Result<(), CodecError> {
 /// cannot produce a silently wrong set).
 pub fn apply_delta(prev: &AddrSet, bytes: &[u8]) -> Result<AddrSet, CodecError> {
     let delta = ParsedDelta::parse(bytes)?;
-    let base = prev.to_vec();
-    let replayed = delta.replay(&base);
-    // A replay that failed leaves the base alone to hash.
-    let sets = [Some(&base), replayed.as_ref().ok()];
-    let digests = content_digests(sets.iter().flatten().map(|items| items.iter().copied()));
-    delta.check_base(digests[0])?;
+    let replayed = delta.replay(&prev.to_vec());
+    delta.check_base(content_digest(prev))?;
     let next = replayed?;
-    check_result(digests[1], delta.result_digest)?;
+    check_result(content_digest(next.iter().copied()), delta.result_digest)?;
     Ok(AddrSet::from_sorted(next))
 }
 
@@ -298,23 +306,24 @@ pub fn apply_delta(prev: &AddrSet, bytes: &[u8]) -> Result<AddrSet, CodecError> 
 /// path from `prev` to the set whose digest is `expected_digest`, or an
 /// error.
 ///
-/// Every check of [`apply_delta`] runs, in the same order and through the
-/// same parser and replay. Two things differ. The base is not hashed:
-/// the caller passes `prev_digest`, the digest it holds for `prev` (for
-/// a store's [`ArtifactVersion`](crate::store::ArtifactVersion),
-/// `digest()` is `content_digest(items())` by construction). And the
-/// reconstructed digest must equal `expected_digest` as well as the
-/// digest the stream carries, so a well-formed delta from the right base
-/// to some *other* set is rejected, as [`verify_full`] rejects such a
-/// body.
+/// Every check of [`apply_delta`] runs, in the same order and with the
+/// same errors, in the size of the delta. Three things differ. The base
+/// is not hashed: the caller passes `prev_digest`, the digest it holds
+/// for `prev` (for a store's
+/// [`ArtifactVersion`](crate::store::ArtifactVersion), `digest()` is
+/// `content_digest(items())` by construction). The result is not built:
+/// its items are checked against `prev` by lookups and its digest is
+/// composed from `prev_digest` ([`content_digest_after`]). And that
+/// digest must equal `expected_digest` as well as the digest the stream
+/// carries, so a well-formed delta from the right base to some *other*
+/// set is rejected, as [`verify_full`] rejects such a body.
 pub fn verify_delta(
     prev: &AddrSet,
     prev_digest: u64,
     bytes: &[u8],
     expected_digest: u64,
 ) -> Result<(), CodecError> {
-    let opened = Opened::delta(prev, prev_digest, bytes, expected_digest)?;
-    confirm(std::slice::from_ref(&opened))
+    Opened::delta(prev, prev_digest, bytes, expected_digest)?.confirm()
 }
 
 #[cfg(test)]
@@ -322,7 +331,6 @@ mod tests {
     use super::*;
 
     use sixdust_addr::codec::fnv_bytes;
-    use sixdust_addr::digest::ContentHasher;
     use sixdust_addr::prf;
 
     fn set(v: &[u128]) -> AddrSet {
@@ -331,18 +339,14 @@ mod tests {
 
     /// The reference oracle: `apply_delta` as it was before the replay
     /// copied runs — the base hashed first, then one merge walk that
-    /// visits every base item, drops removed items (which must exist),
-    /// interleaves added items (which must be new) and folds each item
-    /// of the result into a running digest as it goes.
+    /// visits every base item, drops removed items (which must exist) and
+    /// interleaves added items (which must be new), and last the result
+    /// hashed whole: rebuild and hash, nothing composed.
     fn reference_apply(prev: &AddrSet, bytes: &[u8]) -> Result<AddrSet, CodecError> {
         let delta = ParsedDelta::parse(bytes)?;
         delta.check_base(content_digest(prev))?;
-        let mut hasher = ContentHasher::new();
         let mut next = Vec::new();
-        let mut emit = |item: u128| {
-            hasher.push(item);
-            next.push(item);
-        };
+        let mut emit = |item: u128| next.push(item);
         let mut rem = delta.removed.iter().copied().peekable();
         let mut add = delta.added.iter().copied().peekable();
         for p in prev.iter() {
@@ -360,13 +364,13 @@ mod tests {
         if rem.next().is_some() {
             return Err(CodecError::InconsistentDelta);
         }
-        check_result(hasher.finish(), delta.result_digest)?;
+        check_result(content_digest(next.iter().copied()), delta.result_digest)?;
         Ok(AddrSet::from_sorted(next))
     }
 
     /// Length and FNV-1a of `encode_delta(hitlist_generations())`.
     const GOLDEN_LEN: usize = 1302;
-    const GOLDEN_FNV: u64 = 0xb469_e3f4_4fa3_0117;
+    const GOLDEN_FNV: u64 = 0x0eef_65a5_2226_b6f5;
 
     #[test]
     fn verify_full_pins_the_digest() {
@@ -465,6 +469,24 @@ mod tests {
         // The digest-reusing encoder writes the same bytes.
         let reused = encode_delta_with(&prev, content_digest(&prev), &next, content_digest(&next));
         assert_eq!(reused, delta);
+    }
+
+    #[test]
+    fn an_sdd1_stream_is_rejected_as_bad_magic() {
+        // The same two item streams framed as they were before the set
+        // digest became a sum: `SDD1` and the FNV digests of both sets.
+        // That stream is the golden one of then, byte for byte, and it is
+        // no longer read.
+        let (prev, next) = hitlist_generations();
+        let mut sdd1 = encode_delta(&prev, &next);
+        sdd1.truncate(sdd1.len() - 8);
+        sdd1[..4].copy_from_slice(b"SDD1");
+        sdd1[4..12].copy_from_slice(&sixdust_addr::digest::fnv_items(&prev).to_le_bytes());
+        sdd1[12..20].copy_from_slice(&sixdust_addr::digest::fnv_items(&next).to_le_bytes());
+        push_checksum(&mut sdd1);
+        assert_eq!((sdd1.len(), fnv_bytes(&sdd1)), (GOLDEN_LEN, 0xb469_e3f4_4fa3_0117));
+        assert_eq!(delta_digests(&sdd1), Err(CodecError::BadMagic));
+        assert_eq!(both(&prev, &sdd1, &next), Err(CodecError::BadMagic));
     }
 
     #[test]
@@ -604,6 +626,71 @@ mod tests {
         }
         assert!(accepted >= 30 && rejected.iter().all(|&n| n >= 30), "{accepted} {rejected:?}");
         assert!(accepted <= 40 && rejected[0] >= 130, "too few triples came out bent");
+    }
+
+    #[test]
+    fn the_mirror_path_agrees_with_the_rebuild_and_hash_oracle_on_every_byte_flip() {
+        use crate::store::{ArtifactKind, SnapshotStore, StoreConfig};
+        // Four seeded generations of an artifact as a store publishes them:
+        // the full body of each and the delta from the one before, the
+        // transfers a mirror syncs.
+        let store = SnapshotStore::new(StoreConfig::builder().with_shards(2));
+        let mut transfers = Vec::new();
+        let mut held = None;
+        for round in 1..=4u64 {
+            let draw = |i: u128, tag: u64| prf::prf_u128(round, i, tag);
+            let items: AddrSet = (0..500u128)
+                .filter(|&i| draw(i, 31) % 9 != 0)
+                .map(|i| match i % 6 {
+                    0 => u128::from(draw(i, 32)) << 64 | i,
+                    _ => ((0x2001_0db8 + i % 3) << 96) | (i * 5),
+                })
+                .collect();
+            store.publish_round(round, "d", vec![(ArtifactKind::Responsive, items)]);
+            let version = store.artifact(ArtifactKind::Responsive).expect("published");
+            transfers.push((None, version.full_encoded().to_vec(), version.digest()));
+            if let (Some(base), Some(delta)) = (held, version.delta_encoded()) {
+                transfers.push((Some(base), delta.to_vec(), version.digest()));
+            }
+            held = Some(version.clone());
+        }
+        assert_eq!(transfers.len(), 7);
+        // Errors of forged flips, by kind.
+        let mut kinds = std::collections::BTreeSet::new();
+        for (base, good, expected) in &transfers {
+            let verdict = |bytes: &[u8]| {
+                let (mirror, oracle) = match base {
+                    Some(base) => (
+                        Opened::delta(base.items(), base.digest(), bytes, *expected),
+                        reference_apply(base.items(), bytes)
+                            .and_then(|set| check_result(content_digest(&set), *expected)),
+                    ),
+                    None => {
+                        (Opened::full(bytes, *expected), verify_full(bytes, *expected).map(drop))
+                    }
+                };
+                let mirror = mirror.and_then(|opened| opened.confirm());
+                assert_eq!(mirror, oracle, "the mirror path left the oracle");
+                mirror
+            };
+            assert_eq!(verdict(good), Ok(()));
+            for i in 0..good.len() {
+                let mut flipped = good.clone();
+                flipped[i] ^= 0x20;
+                assert_eq!(verdict(&flipped), Err(CodecError::ChecksumMismatch), "at {i}");
+                if i < good.len() - 8 {
+                    flipped.truncate(good.len() - 8);
+                    push_checksum(&mut flipped);
+                    let err = verdict(&flipped).expect_err("a forged flip was accepted");
+                    let name = format!("{err:?}");
+                    kinds.insert(name.split([' ', '{']).next().unwrap_or_default().to_owned());
+                }
+            }
+        }
+        // Every inner check answered some flip: each error but
+        // `ChecksumMismatch`, which the refitted checksum rules out, and
+        // `BadVarint`, which a flip of a varint's data bit cannot reach.
+        assert_eq!(kinds.len(), 8, "{kinds:?}");
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   shards on first read. Unchanged artifacts, and unchanged shards of
 //!   a held previous version, are structurally shared (`Arc` reuse).
 //! * [`codec`] — full-snapshot and delta wire formats for sorted
-//!   `u128` address sets: varint delta-of-delta encoding, FNV-1a
-//!   content digests, and checksummed frames whose decoder rejects
-//!   corruption instead of panicking.
+//!   `u128` address sets: varint delta-of-delta encoding, composable
+//!   content digests, and FNV-1a-checksummed frames whose decoder
+//!   rejects corruption instead of panicking.
 //! * [`server`] — what one front end does to a request stream: ETag
 //!   conditional fetches (304s), an LRU of encoded bodies, per-client
 //!   token buckets plus a global concurrency cap, and explicit

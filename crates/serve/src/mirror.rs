@@ -433,15 +433,14 @@ impl MirrorTier {
     /// nothing. Returns whether the mirror is in sync with the origin
     /// afterwards.
     ///
-    /// Validation has two halves. Each transfer is opened as it arrives
-    /// — stream checksum, magic, strict parse and, for a delta, the base
-    /// digest and the replay over the held set — and the first that
-    /// fails ends the sync. The reconstructed sets of the generation are
-    /// then hashed side by side, and each must carry the origin
-    /// version's digest (and the one its delta stream promised). The
-    /// sets are dropped afterwards: the handles adopted are the
-    /// origin's. Whichever check fails, the sync counts as rejected
-    /// once.
+    /// Each transfer is checked as it arrives, and the first that fails
+    /// ends the sync: stream checksum, magic and strict parse, then for a
+    /// delta the base digest and lookups of its items in the held set,
+    /// and last the digest of what it carries against the one its delta
+    /// stream promised and the origin version's. A delta's digest is
+    /// composed from the held one in the size of the delta, and no set
+    /// is built: the handles adopted are the origin's. Whichever check
+    /// fails, the sync counts as rejected once.
     pub fn try_sync(&mut self, i: usize, at_us: u64) -> bool {
         if self.faults.origin_blackout(at_us) || self.faults.mirror_down(i, at_us) {
             self.totals.sync_blocked += 1;
@@ -458,9 +457,7 @@ impl MirrorTier {
         self.mirrors[i].sync_attempts += 1;
         let attempt = self.mirrors[i].sync_attempts;
 
-        // The transfer of every changed artifact, opened.
-        let mut opened: Vec<codec::Opened> = Vec::new();
-        let mut torn = false;
+        // The transfer of every changed artifact, checked.
         let mut full_transfers = 0u64;
         let mut delta_transfers = 0u64;
         let mut wire_bytes = 0u64;
@@ -506,16 +503,11 @@ impl MirrorTier {
                     codec::Opened::full(body, version.digest())
                 }
             };
-            let Ok(arrived) = arrived else {
-                torn = true;
-                break;
-            };
-            opened.push(arrived);
+            if arrived.and_then(|opened| opened.confirm()).is_err() {
+                self.totals.sync_rejected += 1;
+                return false;
+            }
             wire_bytes += wire.len() as u64;
-        }
-        if torn || codec::confirm(&opened).is_err() {
-            self.totals.sync_rejected += 1;
-            return false;
         }
 
         // Every version adopted, transferred or not: the origin's handles.

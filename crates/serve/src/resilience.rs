@@ -702,7 +702,7 @@ mod tests {
     }
 
     fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
-        sixdust_addr::digest::content_digest(format!("{value:?}").bytes().map(u128::from))
+        sixdust_addr::digest::fnv_items(format!("{value:?}").bytes().map(u128::from))
     }
 
     type Day = (ChaosDayConfig, MirrorTier, Vec<TimedPublish>);

@@ -26,7 +26,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, Weak};
 
-use sixdust_addr::digest::content_digests;
 use sixdust_addr::AddrSet;
 use sixdust_net::Protocol;
 use sixdust_scan::proto_metric_key;
@@ -190,8 +189,8 @@ impl ArtifactVersion {
     }
 
     /// Splits the items by [`shard_of`] (each per-shard list stays
-    /// ascending), hashes the shards side by side ([`content_digests`])
-    /// and encodes every shard the previous version cannot lend.
+    /// ascending), hashes the shards and encodes every shard the previous
+    /// version cannot lend.
     fn build_shards(&self) -> Vec<Arc<ShardData>> {
         let prev = self.prev.upgrade();
         let prev_shards = prev.as_ref().and_then(|pv| pv.shards.get());
@@ -199,9 +198,9 @@ impl ArtifactVersion {
         for item in self.items.iter() {
             per_shard[shard_of(item, self.shard_count)].push(item);
         }
-        let digests = content_digests(per_shard.iter().map(|s| s.iter().copied()));
         let mut shards: Vec<Arc<ShardData>> = Vec::with_capacity(self.shard_count);
-        for (i, (shard_items, shard_digest)) in per_shard.into_iter().zip(digests).enumerate() {
+        for (i, shard_items) in per_shard.into_iter().enumerate() {
+            let shard_digest = codec::content_digest(shard_items.iter().copied());
             let reusable = prev_shards.and_then(|s| s.get(i)).filter(|old| {
                 old.digest == shard_digest && old.items.iter().eq(shard_items.iter().copied())
             });
@@ -355,10 +354,8 @@ impl SnapshotStore {
     ///
     /// Each address is hashed once per publish, into its artifact's
     /// digest, and every later user of a digest (the delta frame, a
-    /// mirror's sync, an ETag) reads the stored value. The eight
-    /// artifacts are hashed side by side ([`content_digests`]). Shards
-    /// are not built here: [`ArtifactVersion::shards`] builds them on
-    /// first read.
+    /// mirror's sync, an ETag) reads the stored value. Shards are not
+    /// built here: [`ArtifactVersion::shards`] builds them on first read.
     pub fn publish_round(
         &self,
         round: u64,
@@ -370,17 +367,11 @@ impl SnapshotStore {
         let mut bytes_full = 0u64;
         let mut bytes_delta = 0u64;
 
-        let sets: Vec<AddrSet> = ArtifactKind::ALL
-            .iter()
-            .map(|kind| {
-                let supplied = artifacts.iter_mut().find(|(k, _)| k == kind);
-                supplied.map(|(_, set)| std::mem::take(set)).unwrap_or_default()
-            })
-            .collect();
-        let digests = content_digests(&sets);
-
         let mut versions: Vec<Arc<ArtifactVersion>> = Vec::with_capacity(ArtifactKind::ALL.len());
-        for ((kind, items), digest) in ArtifactKind::ALL.into_iter().zip(sets).zip(digests) {
+        for kind in ArtifactKind::ALL {
+            let supplied = artifacts.iter_mut().find(|(k, _)| *k == kind);
+            let items = supplied.map(|(_, set)| std::mem::take(set)).unwrap_or_default();
+            let digest = codec::content_digest(&items);
             let prev_version = prev.as_ref().map(|g| &g.artifacts[kind.index()]);
 
             // Unchanged artifact: carry the whole version over, only

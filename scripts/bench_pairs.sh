@@ -2,7 +2,7 @@
 # The alternating-pairs protocol for claiming (or ruling out) a change in
 # a workload's throughput on a host that drifts.
 #
-#   scripts/bench_pairs.sh <parent-binary> <change-binary> <workload>[,<workload>…] [pairs=10] [seconds=6]
+#   scripts/bench_pairs.sh [--json FILE] <parent-binary> <change-binary> <workload>[,<workload>…] [pairs=10] [seconds=6]
 #
 # Both arguments are prebuilt `sixdust-benchmark` binaries, one per
 # commit, which scripts/bench_build.sh makes without touching the working
@@ -45,10 +45,23 @@
 # then one last line naming every workload whose bounds were not ok:
 #
 #   workloads: bounds ok | workloads: bounds not ok on <workload>[, …]
+#
+# With --json FILE it prints the same and also writes FILE: the host
+# (`nproc`, rustc, date, and the revisions of the two binaries, taken
+# from PARENT_REV and CHANGE_REV, by default `git rev-parse HEAD~1` and
+# `HEAD`), the protocol (first seed, pairs, seconds), and per workload and
+# metric each side's median, q1 and q3, the pairs won, the bound verdict
+# and the claim verdict, with the `bounds:`, `claim` and `workloads:`
+# lines as printed. scripts/bench_history.sh reads such files.
 set -euo pipefail
 
+json_out=
+if [ "${1:-}" = --json ]; then
+  json_out=${2:?--json needs a file}
+  shift 2
+fi
 if [ "$#" -lt 3 ]; then
-  sed -n '2,47p' "$0" >&2
+  sed -n '2,55p' "$0" >&2
   exit 2
 fi
 benchmark_json=$(dirname "$0")/../BENCHMARK.json
@@ -98,6 +111,14 @@ stat() {
   sort -g | awk -v what="$1" "$quantile"'
     { v[NR] = $1 }
     END { print (what == "median") ? q(0.5) : q(0.75) - q(0.25) }'
+}
+
+# json_quartiles: the numbers on standard input as a JSON object of their
+# median, q1 and q3.
+json_quartiles() {
+  sort -g | awk "$quantile"'
+    { v[NR] = $1 }
+    END { printf "{\"median\": %.10g, \"q1\": %.10g, \"q3\": %.10g}", q(0.5), q(0.25), q(0.75) }'
 }
 
 # bench_entry <metric>: sets bound and better from the metric's
@@ -210,27 +231,77 @@ pairs_of() {
     echo "  $side setup_s           $(quartiles <"$tmp/$side.setup")"
   done
   verdicts=()
+  declare -A bound_of claim_of
   for metric in ops_per_s:ops ops_per_s_median:med peak_rss_mib:rss setup_s:setup; do
     v=$(bound_verdict "${metric%%:*}" "${metric#*:}")
+    bound_of[$metric]=${v:-ok}
     if [ -n "$v" ]; then
       verdicts+=("$v")
     fi
   done
   if [ "${#verdicts[@]}" -eq 0 ]; then
-    echo "bounds: ok"
+    bounds_line="bounds: ok"
     bounds_ok=yes
   else
-    (IFS=';' && echo "bounds:${verdicts[*]/#/ }")
+    bounds_line=$(IFS=';' && echo "bounds:${verdicts[*]/#/ }")
     bounds_ok=no
   fi
+  echo "$bounds_line"
   for metric in ops_per_s:ops ops_per_s_median:med peak_rss_mib:rss setup_s:setup; do
-    claim_verdict "${metric%%:*}" "${metric#*:}"
+    claim_of[$metric]=$(claim_verdict "${metric%%:*}" "${metric#*:}")
+    echo "${claim_of[$metric]}"
   done
+  if [ -n "$json_out" ]; then
+    json_workloads+=("$(json_workload)")
+  fi
+}
+
+# json_workload: the workload pairs_of has just run, as a JSON object,
+# from its runs in $tmp and the verdicts it printed.
+json_workload() {
+  local metric name claim sep=
+  printf '    {\n      "workload": "%s",\n      "metrics": {' "$workload"
+  for metric in ops_per_s:ops ops_per_s_median:med peak_rss_mib:rss setup_s:setup; do
+    name=${metric%%:*} claim=${claim_of[$metric]}
+    printf '%s\n        "%s": {"parent": %s, "change": %s, "won": %s, "pairs": %s, "bound": "%s", "claim": "%s"}' \
+      "$sep" "$name" "$(json_quartiles <"$tmp/parent.${metric#*:}")" \
+      "$(json_quartiles <"$tmp/change.${metric#*:}")" \
+      "$(sed -E 's/.*won ([0-9]+)\/.*/\1/' <<<"$claim")" "$pairs" "${bound_of[$metric]}" \
+      "$(sed -E 's/^claim [a-z_]+: (met|not met).*/\1/' <<<"$claim")"
+    sep=,
+  done
+  printf '\n      },\n      "bounds": "%s",\n      "claims": [' "$bounds_line"
+  sep=
+  for metric in ops_per_s:ops ops_per_s_median:med peak_rss_mib:rss setup_s:setup; do
+    printf '%s\n        "%s"' "$sep" "${claim_of[$metric]}"
+    sep=,
+  done
+  printf '\n      ]\n    }'
+}
+
+# write_json <workloads line>: FILE of --json, from every workload's object.
+write_json() {
+  local sep=
+  {
+    printf '{\n  "host": {\n'
+    printf '    "nproc": %s,\n' "$(nproc)"
+    printf '    "rustc": "%s",\n' "$(rustc --version)"
+    printf '    "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+    printf '    "parent_rev": "%s",\n' "${PARENT_REV:-$(git -C "$(dirname "$0")" rev-parse HEAD~1)}"
+    printf '    "change_rev": "%s"\n  },\n' "${CHANGE_REV:-$(git -C "$(dirname "$0")" rev-parse HEAD)}"
+    printf '  "seed0": %s,\n  "pairs": %s,\n  "seconds": %s,\n  "workloads": [' "$seed0" "$pairs" "$seconds"
+    for w in "${json_workloads[@]}"; do
+      printf '%s\n%s' "$sep" "$w"
+      sep=,
+    done
+    printf '\n  ],\n  "workloads_line": %s\n}\n' "${1:-null}"
+  } >"$json_out"
 }
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 not_ok=()
+json_workloads=()
 for ((w = 0; w < ${#workloads[@]}; w++)); do
   if ((w > 0)); then
     echo
@@ -240,11 +311,17 @@ for ((w = 0; w < ${#workloads[@]}; w++)); do
     not_ok+=("${workloads[w]}")
   fi
 done
+workloads_line=
 if [ "${#workloads[@]}" -gt 1 ]; then
   if [ "${#not_ok[@]}" -eq 0 ]; then
-    echo "workloads: bounds ok"
+    workloads_line="workloads: bounds ok"
   else
     printf -v list '%s, ' "${not_ok[@]}"
-    echo "workloads: bounds not ok on ${list%, }"
+    workloads_line="workloads: bounds not ok on ${list%, }"
   fi
+  echo "$workloads_line"
+fi
+if [ -n "$json_out" ]; then
+  # One workload prints no such line: null.
+  write_json "${workloads_line:+\"$workloads_line\"}"
 fi

@@ -228,7 +228,7 @@ fn an_observer_sees_each_hour_what_it_saw_when_the_counters_were_live() {
     // `serve.latency_ms` histogram was deleted: each is the digest the
     // commit before that printed for its series with the
     // `serve.latency_ms.*` entries filtered out.
-    let digest = |text: &str| sixdust::addr::digest::content_digest(text.bytes().map(u128::from));
+    let digest = |text: &str| sixdust::addr::digest::fnv_items(text.bytes().map(u128::from));
     let blackout: Vec<TimedPublish> = plan(4)
         .into_iter()
         .zip(0..)
