@@ -6,9 +6,12 @@
 //!   is [`Internet::resolve`] followed by [`Internet::probe_resolved`]: a
 //!   caller that sends a target several probes resolves it once.
 //! * [`Internet::send_bytes`] — the wire path: real packet bytes in, real
-//!   packet bytes out, built on the same semantics. Integration tests
-//!   assert the two paths agree, so the fast path inherits the wire
-//!   path's fidelity.
+//!   packet bytes out. It parses the probe, sends it through the entry
+//!   points above ([`Internet::probe_attempt`], the attempt number read
+//!   from the IPv6 flow label, or [`Internet::probe_ttl`] when its hop
+//!   limit runs out on the way) and serializes the answers, so every
+//!   decision has one path. Whole faulty service runs scanned both ways
+//!   are held to identical results.
 //!
 //! Mutable state is limited to PMTU caches (what the Too Big Trick pokes)
 //! and the controlled-domain query log (what the validation experiment
@@ -26,7 +29,9 @@ use sixdust_wire::icmpv6::Icmpv6;
 use sixdust_wire::quic::{QuicPacket, QUIC_V1};
 use sixdust_wire::tcp::{TcpOption, TcpSegment};
 use sixdust_wire::udp::UdpDatagram;
-use sixdust_wire::{Ipv6Header, Packet, Transport, IPV6_MIN_MTU};
+use sixdust_wire::{
+    fragment, Ipv6Header, NextHeader, Packet, Transport, IPV6_HEADER_LEN, IPV6_MIN_MTU,
+};
 
 use crate::faults::{FaultConfig, OutageScope};
 use crate::fingerprint::{DnsBehavior, TcpFingerprint};
@@ -234,7 +239,8 @@ pub struct ProbeTally {
 /// [`Internet::with_telemetry`]) merely makes them visible in snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct NetCounters {
-    /// Semantic end-to-end probes ([`Internet::probe`]).
+    /// End-to-end probes, structured or carried by a wire packet
+    /// ([`Internet::probe`], [`Internet::send_bytes`]).
     pub probes: Counter,
     /// TTL-limited traceroute probes ([`Internet::probe_ttl`]).
     pub ttl_probes: Counter,
@@ -472,13 +478,6 @@ impl Internet {
     #[inline]
     fn loss_draws(&self, day: Day, salt: u64) -> prf::Keyed {
         prf::Keyed::new(self.fault_seed() ^ salt, 0x10_55 ^ u64::from(day.0))
-    }
-
-    /// Whether an outage window silences a wire packet toward `dst` on
-    /// `day` — the path is down or the probe's protocol is blacked out.
-    fn outage_silenced(&self, dst: Addr, proto: Protocol, day: Day) -> bool {
-        !self.faults.outages.is_empty()
-            && (self.path_down(dst, day, &OnceCell::new()) || self.faults.proto_down(proto, day))
     }
 
     /// Charges one ICMPv6 message against `entity`'s daily budget and
@@ -902,67 +901,29 @@ impl Internet {
 
     // ---- wire adapter ----------------------------------------------------
 
-    /// Full wire-level send: parses the probe bytes, applies the same
-    /// semantics as [`Internet::probe`], and serializes responses.
+    /// Full wire-level send: parses the probe bytes, sends the probe they
+    /// carry through the structured entry points, and serializes what
+    /// comes back. There is one decision path: a probe whose hop limit
+    /// runs out before `dst` is [`Internet::probe_ttl`], any other is
+    /// [`Internet::probe_attempt`] with the attempt number the IPv6 flow
+    /// label carries (0, a first probe, unless the sender set it), so a
+    /// retry draws the loss coin a structured retry draws. Outages, loss,
+    /// duplication and the firewall are decided there and counted in the
+    /// same counters; only corruption is the wire's own. A SYN-ACK leaves
+    /// with its fingerprint's initial hop limit, less the path length.
     pub fn send_bytes(&self, bytes: &[u8], day: Day) -> Vec<Vec<u8>> {
         self.counters.wire_packets.incr();
-        let Ok(pkt) = Packet::parse(bytes) else {
+        let Ok(probe) = Packet::parse(bytes) else {
             return Vec::new();
         };
-        let src = pkt.ipv6.src;
-        let dst = pkt.ipv6.dst;
-        let (kind, echo_meta, tcp_meta, udp_meta) = match &pkt.transport {
-            Transport::Icmpv6(Icmpv6::EchoRequest { ident, seq, payload }) => (
-                ProbeKind::IcmpEcho { size: payload.len() as u16 },
-                Some((*ident, *seq, payload.len())),
-                None,
-                None,
-            ),
-            Transport::Icmpv6(Icmpv6::PacketTooBig { mtu }) => {
-                (ProbeKind::TooBig { mtu: *mtu }, None, None, None)
-            }
-            Transport::Icmpv6(_) => return Vec::new(),
-            Transport::Tcp(seg) => {
-                if !seg.flags.syn || seg.flags.ack {
-                    return Vec::new();
-                }
-                (ProbeKind::TcpSyn { port: seg.dst_port }, None, Some(seg.clone()), None)
-            }
-            Transport::Udp(d) => match d.dst_port {
-                53 => {
-                    let Ok(q) = DnsMessage::parse(&d.payload) else {
-                        return Vec::new();
-                    };
-                    let qname = q.qname().unwrap_or("").to_string();
-                    (ProbeKind::Dns { qname }, None, None, Some((d.clone(), Some(q))))
-                }
-                443 => {
-                    if QuicPacket::parse(&d.payload).is_err() {
-                        return Vec::new();
-                    }
-                    (ProbeKind::Quic, None, None, Some((d.clone(), None)))
-                }
-                _ => return Vec::new(),
-            },
-        };
-
-        if self.outage_silenced(dst, probe_proto(&kind), day) {
-            self.counters.faults_dropped.incr();
+        let Some(kind) = probe_kind(&probe.transport) else {
             return Vec::new();
-        }
-
-        // Hop-limited probes expire on-path: one probe of a [`HopWalk`],
-        // counted as the wire packet it is.
-        if pkt.ipv6.hop_limit < self.path_len(dst) {
-            let mut walk = self.hop_walk(probe_proto(&kind), day);
-            let path = walk.path(dst);
-            if walk.lost(&path, pkt.ipv6.hop_limit) {
-                self.counters.faults_dropped.incr();
-                return Vec::new();
-            }
-            let answer = walk.expire(&path, pkt.ipv6.hop_limit);
-            walk.finish();
-            let Some((hop, _)) = answer else {
+        };
+        let (src, dst) = (probe.ipv6.src, probe.ipv6.dst);
+        if probe.ipv6.hop_limit < self.path_len(dst) {
+            let Some(Response::TimeExceeded { hop }) =
+                self.probe_ttl(dst, probe.ipv6.hop_limit, &kind, day)
+            else {
                 return Vec::new();
             };
             let reply = Packet {
@@ -971,96 +932,77 @@ impl Internet {
             };
             return vec![self.maybe_corrupt(reply.to_bytes(), dst, day, 0)];
         }
-
-        let replies: Vec<Vec<u8>> = self
-            .probe(dst, &kind, day)
-            .into_iter()
-            .flat_map(|resp| {
-                let transport = match resp {
-                    Response::EchoReply { fragmented } => {
-                        let Some((ident, seq, len)) = echo_meta else {
-                            return Vec::new();
-                        };
-                        let reply = Packet {
-                            ipv6: Ipv6Header::new(dst, src, 64),
-                            transport: Transport::Icmpv6(Icmpv6::EchoReply {
-                                ident,
-                                seq,
-                                payload: vec![0u8; len],
-                                fragmented,
-                            }),
-                        };
-                        if fragmented {
-                            // A host whose PMTU cache says 1280 sends real
-                            // fragments on the wire.
-                            let bytes = reply.to_bytes();
-                            let hdr = sixdust_wire::Ipv6Header::parse(&bytes).expect("just built");
-                            return sixdust_wire::fragment::fragment(
-                                &hdr,
-                                sixdust_wire::NextHeader::Icmpv6,
-                                &bytes[sixdust_wire::IPV6_HEADER_LEN..],
-                                sixdust_wire::IPV6_MIN_MTU,
-                                prf::prf_u128(self.seed, dst.0, 0xF4A6) as u32,
-                            );
+        let attempt = u8::try_from(probe.ipv6.flow_label).unwrap_or(u8::MAX);
+        let mut replies = Vec::new();
+        for (i, response) in self.probe_attempt(dst, &kind, day, attempt).into_iter().enumerate() {
+            let mut ipv6 = Ipv6Header::new(dst, src, 64);
+            let mut fragments = false;
+            let transport = match (response, &probe.transport) {
+                (
+                    Response::EchoReply { fragmented },
+                    Transport::Icmpv6(Icmpv6::EchoRequest { ident, seq, payload }),
+                ) => {
+                    fragments = fragmented;
+                    Transport::Icmpv6(Icmpv6::EchoReply {
+                        ident: *ident,
+                        seq: *seq,
+                        payload: vec![0u8; payload.len()],
+                        fragmented,
+                    })
+                }
+                (Response::SynAck { fp }, Transport::Tcp(syn)) => {
+                    ipv6.hop_limit = fp.ittl.saturating_sub(self.path_len(dst));
+                    let seq = prf::prf_u128(self.seed, dst.0, 0x5EC) as u32;
+                    let mut syn_ack = TcpSegment::syn_ack(syn, seq, fp.window);
+                    syn_ack.options = fingerprint_options(&fp);
+                    Transport::Tcp(syn_ack)
+                }
+                (Response::Rst, Transport::Tcp(syn)) => Transport::Tcp(TcpSegment::rst(syn)),
+                (Response::Dns(mut msg), Transport::Udp(query)) => {
+                    // The query's id: the first two bytes of a message
+                    // that parsed.
+                    msg.id = u16::from_be_bytes([query.payload[0], query.payload[1]]);
+                    Transport::Udp(UdpDatagram {
+                        src_port: 53,
+                        dst_port: query.src_port,
+                        payload: msg.to_bytes(),
+                    })
+                }
+                (Response::QuicVn, Transport::Udp(initial)) => {
+                    let Ok(QuicPacket::Initial { dcid, scid, .. }) =
+                        QuicPacket::parse(&initial.payload)
+                    else {
+                        continue;
+                    };
+                    Transport::Udp(UdpDatagram {
+                        src_port: 443,
+                        dst_port: initial.src_port,
+                        payload: QuicPacket::VersionNegotiation {
+                            dcid: scid,
+                            scid: dcid,
+                            supported: vec![QUIC_V1],
                         }
-                        return vec![reply.to_bytes()];
-                    }
-                    Response::SynAck { fp } => {
-                        let Some(probe) = tcp_meta.as_ref() else {
-                            return Vec::new();
-                        };
-                        let mut sa = TcpSegment::syn_ack(
-                            probe,
-                            prf::prf_u128(self.seed, dst.0, 0x5EC) as u32,
-                            fp.window,
-                        );
-                        sa.options = fingerprint_options(&fp);
-                        Transport::Tcp(sa)
-                    }
-                    Response::Rst => {
-                        let Some(probe) = tcp_meta.as_ref() else {
-                            return Vec::new();
-                        };
-                        Transport::Tcp(TcpSegment::rst(probe))
-                    }
-                    Response::Dns(mut msg) => {
-                        let Some((probe_udp, query)) = udp_meta.as_ref() else {
-                            return Vec::new();
-                        };
-                        if let Some(q) = query {
-                            msg.id = q.id;
-                        }
-                        Transport::Udp(UdpDatagram {
-                            src_port: 53,
-                            dst_port: probe_udp.src_port,
-                            payload: msg.to_bytes(),
-                        })
-                    }
-                    Response::QuicVn => {
-                        let Some((probe_udp, _)) = udp_meta.as_ref() else {
-                            return Vec::new();
-                        };
-                        let Ok(QuicPacket::Initial { dcid, scid, .. }) =
-                            QuicPacket::parse(&probe_udp.payload)
-                        else {
-                            return Vec::new();
-                        };
-                        Transport::Udp(UdpDatagram {
-                            src_port: 443,
-                            dst_port: probe_udp.src_port,
-                            payload: QuicPacket::VersionNegotiation {
-                                dcid: scid,
-                                scid: dcid,
-                                supported: vec![QUIC_V1],
-                            }
-                            .to_bytes(),
-                        })
-                    }
-                    Response::TimeExceeded { .. } => return Vec::new(),
-                };
-                vec![Packet { ipv6: Ipv6Header::new(dst, src, 64), transport }.to_bytes()]
-            })
-            .collect();
+                        .to_bytes(),
+                    })
+                }
+                _ => continue,
+            };
+            let reply = Packet { ipv6, transport }.to_bytes();
+            if fragments {
+                // A host whose PMTU cache says 1280 sends real fragments,
+                // each datagram it sends under its own identification.
+                let ident = prf::prf_u128(self.seed, dst.0, 0xF4A6) as u32;
+                replies.extend(fragment::fragment(
+                    &ipv6,
+                    NextHeader::Icmpv6,
+                    &reply[IPV6_HEADER_LEN..],
+                    IPV6_MIN_MTU,
+                    ident.wrapping_add(i as u32),
+                ));
+            } else {
+                replies.push(reply);
+            }
+        }
         replies
             .into_iter()
             .enumerate()
@@ -1121,22 +1063,16 @@ impl<'a> HopWalk<'a> {
         HopPath { dst, path_len, own, silenced, loss_permille }
     }
 
-    /// Whether a probe toward `path.dst` with hop limit `ttl` is silenced
-    /// by an outage or lost on the way. The loss coin is salted by `ttl`,
-    /// which past every path's length (the probe arrives) has no key made.
-    fn lost(&self, path: &HopPath<'_>, ttl: u8) -> bool {
+    /// Counts one probe toward `path.dst` with hop limit `ttl`; false when
+    /// an outage silences it or it is lost on the way. The loss coin is
+    /// salted by `ttl`, which past every path's length (the probe arrives)
+    /// has no key made.
+    fn send(&mut self, path: &HopPath<'_>, ttl: u8) -> bool {
         let coin = || {
             let made = self.loss_draws.get(usize::from(ttl)).copied();
             loss_coin(made.unwrap_or_else(|| self.net.loss_draws(self.day, ttl.into())), path.dst)
         };
-        path.silenced || (path.loss_permille > 0 && coin() < path.loss_permille)
-    }
-
-    /// Counts one probe with hop limit `ttl`; false when it is [lost].
-    ///
-    /// [lost]: HopWalk::lost
-    fn send(&mut self, path: &HopPath<'_>, ttl: u8) -> bool {
-        let lost = self.lost(path, ttl);
+        let lost = path.silenced || (path.loss_permille > 0 && coin() < path.loss_permille);
         self.tally.ttl_probes += 1;
         self.tally.dropped += u64::from(lost);
         !lost
@@ -1220,6 +1156,29 @@ fn probe_proto(kind: &ProbeKind) -> Protocol {
         ProbeKind::Dns { .. } => Protocol::Udp53,
         ProbeKind::Quic => Protocol::Udp443,
     }
+}
+
+/// The probe a parsed packet carries, if the simulator answers it: an
+/// echo request, a Too Big, a SYN, a DNS query to port 53 or a QUIC
+/// Initial to port 443.
+fn probe_kind(transport: &Transport) -> Option<ProbeKind> {
+    Some(match transport {
+        Transport::Icmpv6(Icmpv6::EchoRequest { payload, .. }) => {
+            ProbeKind::IcmpEcho { size: payload.len() as u16 }
+        }
+        Transport::Icmpv6(Icmpv6::PacketTooBig { mtu }) => ProbeKind::TooBig { mtu: *mtu },
+        Transport::Tcp(seg) if seg.flags.syn && !seg.flags.ack => {
+            ProbeKind::TcpSyn { port: seg.dst_port }
+        }
+        Transport::Udp(d) if d.dst_port == 53 => {
+            let query = DnsMessage::parse(&d.payload).ok()?;
+            ProbeKind::Dns { qname: query.qname().unwrap_or("").to_string() }
+        }
+        Transport::Udp(d) if d.dst_port == 443 && QuicPacket::parse(&d.payload).is_ok() => {
+            ProbeKind::Quic
+        }
+        _ => return None,
+    })
 }
 
 /// One probe's loss coin, in `0..1000`: the probe is lost when it falls

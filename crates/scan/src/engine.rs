@@ -1,7 +1,8 @@
 //! The ZMapv6-style scan engine.
 //!
 //! One probe module per hitlist protocol, a cyclic-group permutation over
-//! the target list, a token-bucket rate limiter on virtual time, and —
+//! the target list, retries with backoff on virtual time, one scan loop
+//! over two links (structured probes or real packet bytes), and —
 //! crucially — ZMap's actual classification semantics, including the flaw
 //! the paper's GFW analysis hinges on: **any parseable DNS response counts
 //! as success**, so injected answers for `www.google.com` make dark
@@ -15,7 +16,7 @@ use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sixdust_addr::Addr;
-use sixdust_net::{Day, Internet, ProbeKind, ProbeTally, Protocol, Response};
+use sixdust_net::{Day, Internet, ProbeKind, ProbeTally, Protocol, ResolvedTarget, Response};
 use sixdust_telemetry::{Registry, SpanTimer};
 use sixdust_wire::dns::DnsMessage;
 use sixdust_wire::icmpv6::Icmpv6;
@@ -25,7 +26,6 @@ use sixdust_wire::udp::UdpDatagram;
 use sixdust_wire::{Ipv6Header, Packet, Transport};
 
 use crate::permute::CyclicPermutation;
-use crate::rate::{Limit, TokenBucket};
 
 /// The DNS name the hitlist's UDP/53 module queries. Blocked by the GFW —
 /// which is the root cause of the injected-response pollution.
@@ -217,7 +217,7 @@ pub struct ScanStats {
 /// Only responsive targets are kept (`hits.len() == stats.hits`); a
 /// silent or RST-answering target shows in `stats.sent` and
 /// `stats.received` alone.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanResult {
     /// Scanned protocol.
     pub protocol: Protocol,
@@ -358,27 +358,108 @@ impl SegmentTally {
 /// and the tally of every probe.
 type Lane = (Vec<Hit>, SegmentTally);
 
+/// How a probe crosses the simulator: the one thing [`walk_segment`]
+/// leaves open. The kernel works out each target once through its link
+/// and sends every protocol's probes and retries through it.
+trait Link {
+    /// What the link keeps of a target between its probes.
+    type Target;
+
+    /// Works out what every probe toward `dst` shares; `nonce` is the
+    /// target's position in the permutation cycle.
+    fn target(job: &ScanJob<'_>, dst: Addr, nonce: u32) -> Self::Target;
+
+    /// Sends one attempt of a protocol module's probe and returns every
+    /// response that came back. What the simulator counts goes to `tally`
+    /// or straight to its shared counters.
+    fn send(
+        job: &ScanJob<'_>,
+        target: &Self::Target,
+        module: &(Protocol, ProbeKind),
+        attempt: u8,
+        tally: &mut ProbeTally,
+    ) -> Vec<Response>;
+}
+
+/// The structured link the service scans on: [`Internet::probe_resolved`]
+/// on the one [`Internet::resolve`] of a target, so a round of five
+/// protocols pays one population lookup per target, not five.
+struct Structured;
+
+impl Link for Structured {
+    type Target = ResolvedTarget;
+
+    #[inline]
+    fn target(job: &ScanJob<'_>, dst: Addr, _nonce: u32) -> ResolvedTarget {
+        job.net.resolve(dst, job.day)
+    }
+
+    #[inline]
+    fn send(
+        job: &ScanJob<'_>,
+        target: &ResolvedTarget,
+        (_, probe): &(Protocol, ProbeKind),
+        attempt: u8,
+        tally: &mut ProbeTally,
+    ) -> Vec<Response> {
+        job.net.probe_resolved(target, probe, attempt, tally)
+    }
+}
+
+/// The byte link: each attempt is a real packet (the attempt number in
+/// its flow label) through [`Internet::send_bytes`], and the replies are
+/// reassembled and parsed the way a receive path would. The simulator
+/// counts these probes into its shared counters itself.
+struct Wire;
+
+impl Link for Wire {
+    type Target = (Addr, u32);
+
+    fn target(_job: &ScanJob<'_>, dst: Addr, nonce: u32) -> (Addr, u32) {
+        (dst, nonce)
+    }
+
+    fn send(
+        job: &ScanJob<'_>,
+        &(dst, nonce): &(Addr, u32),
+        (protocol, probe): &(Protocol, ProbeKind),
+        attempt: u8,
+        _tally: &mut ProbeTally,
+    ) -> Vec<Response> {
+        let bytes = probe_packet(probe, job.net.source_addr(), dst, nonce, attempt);
+        reassemble_replies(job.net.send_bytes(&bytes, job.day))
+            .iter()
+            .filter_map(|reply| parse_response(*protocol, reply))
+            .collect()
+    }
+}
+
 /// The one segment kernel: walks a contiguous range of `job`'s
 /// permutation cycle and returns one [`Lane`] per protocol of the job, in
 /// the job's protocol order.
 ///
-/// A target is resolved once ([`Internet::resolve`]) and every
-/// protocol's retry loop and classification runs against that one
-/// resolution, so a round of five protocols pays one population lookup
-/// per target, not five. A lane keeps a target only if the module
-/// classified it responsive; every probe is counted in the tally. What
-/// the probes count on the simulator's side is kept beside the loop and
-/// added to the shared counters once, when the segment is done.
-fn walk_segment(job: &ScanJob<'_>, perm: &CyclicPermutation, start: u64, len: u64) -> Vec<Lane> {
-    let &ScanJob { net, protocols, targets, day, config, .. } = job;
-    let probes: Vec<ProbeKind> =
-        protocols.iter().map(|p| probe_for(*p, &config.dns_qname)).collect();
+/// A target is worked out once ([`Link::target`]) and every protocol's
+/// retry loop and classification runs against it. A lane keeps a target
+/// only if the module classified it responsive; every probe is counted in
+/// the tally. What the probes count on the simulator's side is kept
+/// beside the loop and added to the shared counters once, when the
+/// segment is done.
+fn walk_segment<L: Link>(
+    job: &ScanJob<'_>,
+    perm: &CyclicPermutation,
+    start: u64,
+    len: u64,
+) -> Vec<Lane> {
+    let &ScanJob { net, protocols, targets, config, .. } = job;
+    let modules: Vec<(Protocol, ProbeKind)> =
+        protocols.iter().map(|&p| (p, probe_for(p, &config.dns_qname))).collect();
     let mut lanes: Vec<Lane> = protocols.iter().map(|_| Lane::default()).collect();
     let mut net_tally = ProbeTally::default();
     for i in perm.segment(start, len) {
         let target = targets[i as usize];
-        let resolved = net.resolve(target, day);
-        for ((&protocol, probe), (hits, tally)) in protocols.iter().zip(&probes).zip(&mut lanes) {
+        let resolved = L::target(job, target, i as u32);
+        for (module, (hits, tally)) in modules.iter().zip(&mut lanes) {
+            let protocol = module.0;
             let mut responses = Vec::new();
             // The retry loop stops on the first response, so count the
             // probes actually emitted instead of assuming `attempts` per
@@ -395,7 +476,7 @@ fn walk_segment(job: &ScanJob<'_>, perm: &CyclicPermutation, start: u64, len: u6
                     );
                 }
                 tally.sent += 1;
-                responses = net.probe_resolved(&resolved, probe, attempt, &mut net_tally);
+                responses = L::send(job, &resolved, module, attempt, &mut net_tally);
                 if !responses.is_empty() {
                     break;
                 }
@@ -440,7 +521,7 @@ pub fn scan_segment(
     len: u64,
 ) -> (Vec<Hit>, SegmentTally) {
     let job = ScanJob { net, protocols: &[protocol], targets, day, config, telemetry: None };
-    walk_segment(&job, perm, start, len).pop().expect("one lane per protocol")
+    walk_segment::<Structured>(&job, perm, start, len).pop().expect("one lane per protocol")
 }
 
 /// Assembles a [`ScanResult`] from merged segment hits and the summed
@@ -570,6 +651,21 @@ pub struct ExecutorStats {
 /// instrumented job in `scan.config.threads_clamped`. A panic in a walk
 /// reaches the caller with its own payload.
 pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, ExecutorStats) {
+    run_jobs::<Structured>(threads, jobs)
+}
+
+/// [`scan_jobs`] on the byte link: the same segments, retries, backoff,
+/// tallies, counters and spans, but every probe is a real packet through
+/// [`Internet::send_bytes`] (its attempt number in the IPv6 flow label)
+/// and every reply is reassembled and parsed from bytes. Slower; what it
+/// returns is held to [`scan_jobs`]' result, field for field, over whole
+/// faulty service runs.
+pub fn scan_jobs_wire(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, ExecutorStats) {
+    run_jobs::<Wire>(threads, jobs)
+}
+
+/// The scheduler of [`scan_jobs`] on the link `L`.
+fn run_jobs<L: Link>(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, ExecutorStats) {
     let budget = threads.clamp(1, 32);
     // Per job: its permutation and telemetry handles, and how many ranges
     // it was cut into.
@@ -618,7 +714,7 @@ pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, Exec
                     &[("worker", index.to_string().as_str()), ("chunk", len.to_string().as_str())],
                 )
             });
-            done.push((i, walk_segment(&jobs[j], perm, start, len)));
+            done.push((i, walk_segment::<L>(&jobs[j], perm, start, len)));
         }
     };
     let mut walked = std::thread::scope(|s| {
@@ -653,107 +749,40 @@ pub fn scan_jobs(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, Exec
     (results, ExecutorStats { executed: ranges.len() as u64, stolen: 0 })
 }
 
-/// Runs the same scan through the byte-level wire path. Slower; used by
-/// tests and benches to validate that the fast path is faithful.
-pub fn scan_wire(
-    net: &Internet,
-    protocol: Protocol,
-    targets: &[Addr],
-    day: Day,
-    config: &ScanConfig,
-) -> ScanResult {
-    scan_wire_with(net, protocol, targets, day, config, None)
-}
-
-/// [`scan_wire`] with an optional telemetry registry attached. Adds the
-/// per-probe rate-limiter stall (`scan.rate.wait_us`, virtual
-/// microseconds) on top of the per-protocol counters of [`scan_with`].
-/// Like the semantic path it keeps only the hits, and counts the
-/// responses as it goes.
-pub fn scan_wire_with(
-    net: &Internet,
-    protocol: Protocol,
-    targets: &[Addr],
-    day: Day,
-    config: &ScanConfig,
-    telemetry: Option<&Registry>,
-) -> ScanResult {
-    let src = net.registry().vantage_addr();
-    assert!(config.rate_pps > 0, "rate must be positive");
-    let limit = Limit { rate: config.rate_pps, period_us: 1_000_000, burst: 128 };
-    let mut bucket = TokenBucket::full(&limit);
-    let mut now_us = 0u64;
-    let wait_hist = telemetry.map(|t| t.histogram("scan.rate.wait_us"));
-    let (mut received, mut hits) = (0u64, Vec::new());
-    for i in CyclicPermutation::new(targets.len() as u64, config.seed ^ u64::from(day.0)) {
-        let target = targets[i as usize];
-        let mut waited_us = 0u64;
-        while !bucket.try_take(&limit, now_us) {
-            let step = bucket.wait_hint_micros(&limit);
-            waited_us += step;
-            now_us += step;
-        }
-        if let Some(h) = &wait_hist {
-            h.record(waited_us);
-        }
-        let probe_bytes = build_probe_bytes(protocol, src, target, &config.dns_qname, i as u32);
-        let reply_bytes = reassemble_replies(net.send_bytes(&probe_bytes, day));
-        let responses: Vec<Response> =
-            reply_bytes.iter().filter_map(|b| parse_response(protocol, b)).collect();
-        let (success, detail) = classify(protocol, &responses);
-        received += u64::from(detail != Detail::Silent);
-        if success {
-            hits.push(Hit { target, detail });
-        }
-    }
-    let sent = targets.len() as u64;
-    let hit_count = hits.len() as u64;
-    if let Some(reg) = telemetry {
-        let key = proto_metric_key(protocol);
-        reg.counter(&format!("scan.{key}.probes_sent")).add(sent);
-        reg.counter(&format!("scan.{key}.responses")).add(received);
-        reg.counter(&format!("scan.{key}.hits")).add(hit_count);
-    }
-    ScanResult {
-        protocol,
-        day,
-        hits,
-        stats: ScanStats {
-            sent,
-            received,
-            hits: hit_count,
-            duration_secs: now_us as f64 / 1e6,
-            ..ScanStats::default()
-        },
-    }
-}
-
-/// Reassembles fragment packets in a reply batch: fragments are grouped
-/// by (source, identification), reassembled, and replaced by the whole
-/// packet; non-fragments pass through. Undecodable fragment groups are
-/// dropped, like a real receive path would time them out.
+/// Reassembles fragment packets in a reply batch: the fragments of one
+/// datagram (one source and identification) are replaced by the whole
+/// packet, at the place its first fragment arrived; other packets pass
+/// through in order. A datagram whose fragments do not reassemble is
+/// dropped, the way a real receive path times it out.
 pub fn reassemble_replies(replies: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
     use sixdust_wire::fragment;
-    let mut out = Vec::with_capacity(replies.len());
-    let mut groups: std::collections::HashMap<(Addr, u32), Vec<Vec<u8>>> = Default::default();
+    /// A whole packet (no key), or the fragments of one datagram.
+    type Arrival = (Option<(Addr, u32)>, Vec<Vec<u8>>);
+    let mut arrivals: Vec<Arrival> = Vec::new();
     for r in replies {
-        if fragment::is_fragment(&r) {
-            if let (Some(src), Some(ident)) = (fragment::src_of(&r), fragment::fragment_ident(&r)) {
-                groups.entry((src, ident)).or_default().push(r);
-            }
-        } else {
-            out.push(r);
+        if !fragment::is_fragment(&r) {
+            arrivals.push((None, vec![r]));
+            continue;
+        }
+        let (Some(src), Some(ident)) = (fragment::src_of(&r), fragment::fragment_ident(&r)) else {
+            continue;
+        };
+        let key = Some((src, ident));
+        match arrivals.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, fragments)) => fragments.push(r),
+            None => arrivals.push((key, vec![r])),
         }
     }
-    for (_, frags) in groups {
-        if let Ok(whole) = fragment::reassemble(&frags) {
-            out.push(whole);
-        }
-    }
-    out
+    arrivals
+        .into_iter()
+        .filter_map(|(key, mut packets)| match key {
+            None => packets.pop(),
+            Some(_) => fragment::reassemble(&packets).ok(),
+        })
+        .collect()
 }
 
-/// Builds the module's probe packet bytes.
+/// Builds the module's probe packet bytes: a first attempt (flow label 0).
 pub fn build_probe_bytes(
     protocol: Protocol,
     src: Addr,
@@ -761,25 +790,28 @@ pub fn build_probe_bytes(
     dns_qname: &str,
     nonce: u32,
 ) -> Vec<u8> {
-    let transport = match protocol {
-        Protocol::Icmp => Transport::Icmpv6(Icmpv6::EchoRequest {
+    probe_packet(&probe_for(protocol, dns_qname), src, dst, nonce, 0)
+}
+
+/// The packet that carries `probe`, with `attempt` in its IPv6 flow label
+/// (which no checksum covers) and `nonce` in the fields a reply echoes.
+fn probe_packet(probe: &ProbeKind, src: Addr, dst: Addr, nonce: u32, attempt: u8) -> Vec<u8> {
+    let src_port = 40_000 + (nonce % 20_000) as u16;
+    let transport = match probe {
+        ProbeKind::IcmpEcho { size } => Transport::Icmpv6(Icmpv6::EchoRequest {
             ident: (nonce >> 16) as u16,
             seq: nonce as u16,
-            payload: vec![0u8; 8],
+            payload: vec![0u8; usize::from(*size)],
         }),
-        Protocol::Tcp80 => {
-            Transport::Tcp(TcpSegment::syn(80, 40_000 + (nonce % 20_000) as u16, nonce))
-        }
-        Protocol::Tcp443 => {
-            Transport::Tcp(TcpSegment::syn(443, 40_000 + (nonce % 20_000) as u16, nonce))
-        }
-        Protocol::Udp53 => Transport::Udp(UdpDatagram {
-            src_port: 40_000 + (nonce % 20_000) as u16,
+        ProbeKind::TooBig { mtu } => Transport::Icmpv6(Icmpv6::PacketTooBig { mtu: *mtu }),
+        ProbeKind::TcpSyn { port } => Transport::Tcp(TcpSegment::syn(*port, src_port, nonce)),
+        ProbeKind::Dns { qname } => Transport::Udp(UdpDatagram {
+            src_port,
             dst_port: 53,
-            payload: DnsMessage::aaaa_query(nonce as u16, dns_qname).to_bytes(),
+            payload: DnsMessage::aaaa_query(nonce as u16, qname).to_bytes(),
         }),
-        Protocol::Udp443 => Transport::Udp(UdpDatagram {
-            src_port: 40_000 + (nonce % 20_000) as u16,
+        ProbeKind::Quic => Transport::Udp(UdpDatagram {
+            src_port,
             dst_port: 443,
             payload: QuicPacket::Initial {
                 version: FORCE_VN_VERSION,
@@ -789,7 +821,20 @@ pub fn build_probe_bytes(
             .to_bytes(),
         }),
     };
-    Packet { ipv6: Ipv6Header::new(src, dst, 64), transport }.to_bytes()
+    let ipv6 = Ipv6Header { flow_label: u32::from(attempt), ..Ipv6Header::new(src, dst, 64) };
+    Packet { ipv6, transport }.to_bytes()
+}
+
+/// The initial hop limit a reply left with: the smallest of the common
+/// stack defaults (32, 64, 128, 255) at or above the hop limit it
+/// arrived with.
+fn initial_ttl(hop_limit: u8) -> u8 {
+    match hop_limit {
+        0..=32 => 32,
+        33..=64 => 64,
+        65..=128 => 128,
+        _ => 255,
+    }
 }
 
 fn parse_response(protocol: Protocol, bytes: &[u8]) -> Option<Response> {
@@ -806,7 +851,7 @@ fn parse_response(protocol: Protocol, bytes: &[u8]) -> Option<Response> {
                         window: seg.window,
                         wscale: seg.window_scale().unwrap_or(0),
                         mss: seg.mss().unwrap_or(0),
-                        ittl: pkt.ipv6.hop_limit.next_power_of_two(),
+                        ittl: initial_ttl(pkt.ipv6.hop_limit),
                     },
                 })
             } else if seg.flags.rst {
@@ -823,5 +868,79 @@ fn parse_response(protocol: Protocol, bytes: &[u8]) -> Option<Response> {
             _ => None,
         },
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sixdust_net::{events, FaultConfig, Outage, Scale};
+
+    #[test]
+    fn the_two_links_answer_every_probe_alike() {
+        // Loss, duplication and a protocol outage on a GFW era day, and
+        // beside the five modules' probes a Too Big followed by an echo
+        // that comes back in fragments.
+        let day = events::GFW_ERA3.0.plus(5);
+        let world = || {
+            Internet::build(Scale::tiny()).with_faults(
+                FaultConfig::lossless()
+                    .with_seed(11)
+                    .with_drop_permille(250)
+                    .with_duplicate_permille(300)
+                    .with_outage(Outage::protocol(Protocol::Udp443, day, day.plus(1))),
+            )
+        };
+        let (structured, wire) = (world(), world());
+        let ct = structured.registry().by_asn(4134).expect("China Telecom");
+        let block = structured.registry().get(ct).prefixes[0].network();
+        let targets: Vec<Addr> = structured
+            .population()
+            .enumerate_responsive(day)
+            .into_iter()
+            .step_by(7)
+            .take(60)
+            .map(|(a, ..)| a)
+            .chain((0..5u128).map(|i| Addr(block.0 | (0xdead_0000 + i))))
+            .collect();
+        let config = ScanConfig::default();
+        let job = |net| ScanJob {
+            net,
+            protocols: &Protocol::ALL,
+            targets: &targets,
+            day,
+            config: &config,
+            telemetry: None,
+        };
+        let (on_structured, on_wire) = (job(&structured), job(&wire));
+        let mut modules: Vec<(Protocol, ProbeKind)> =
+            Protocol::ALL.iter().map(|&p| (p, probe_for(p, DEFAULT_DNS_QNAME))).collect();
+        modules.push((Protocol::Icmp, ProbeKind::TooBig { mtu: 1280 }));
+        modules.push((Protocol::Icmp, ProbeKind::IcmpEcho { size: 1400 }));
+        let mut tally = ProbeTally::default();
+        let (mut answered, mut fragmented) = (0, 0);
+        for &dst in &targets {
+            let resolved = Structured::target(&on_structured, dst, 0);
+            for module in &modules {
+                for attempt in 0..3 {
+                    let expected =
+                        Structured::send(&on_structured, &resolved, module, attempt, &mut tally);
+                    let got = Wire::send(&on_wire, &(dst, 0), module, attempt, &mut tally);
+                    assert_eq!(got, expected, "{dst} {module:?} attempt {attempt}");
+                    answered += usize::from(!got.is_empty());
+                    fragmented += got
+                        .iter()
+                        .filter(|r| matches!(r, Response::EchoReply { fragmented: true }))
+                        .count();
+                }
+            }
+        }
+        assert!(answered > 100 && fragmented > 10, "{answered} answered, {fragmented} fragmented");
+        structured.counters().add(&tally);
+        let counted = |net: &Internet| {
+            let c = net.counters();
+            [&c.probes, &c.ttl_probes, &c.faults_dropped, &c.faults_duplicated].map(|c| c.get())
+        };
+        assert_eq!(counted(&wire), counted(&structured));
     }
 }

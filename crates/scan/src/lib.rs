@@ -6,21 +6,25 @@
 //!
 //! * [`engine`] — the scanner: probe modules for ICMP, TCP/80, TCP/443,
 //!   UDP/53 (DNS) and UDP/443 (QUIC), ZMap's cyclic-group target
-//!   permutation, token-bucket rate limiting, and faithful classification
-//!   semantics (a DNS *response* is a success, which is how GFW injections
-//!   polluted the hitlist).
+//!   permutation, retries with backoff on virtual time, and faithful
+//!   classification semantics (a DNS *response* is a success, which is how
+//!   GFW injections polluted the hitlist).
 //! * [`mod@yarrp`] — stateless randomized traceroute over the `(target, TTL)`
 //!   space, the service's router-harvesting input source.
 //! * [`scan_jobs`] — the scan scheduler: the service's rounds and the
 //!   vantage fleet's batches hand it every job of a round at once, each
 //!   job's permutation cycle cut into one contiguous range per thread of
 //!   the budget, the way ZMap shards one cycle across its sender threads.
-//! * [`permute`] / [`rate`] — the reusable mechanics.
+//! * [`permute`] / [`rate`] — the reusable mechanics (the token bucket
+//!   is the serve front end's admission control).
 //! * [`pcap`] — libpcap traces of wire-mode runs (Wireshark-inspectable).
 //!
-//! Two fidelity levels: [`engine::scan`] drives the simulator's semantic
-//! fast path; [`engine::scan_wire`] serializes real packets both ways.
-//! The test suite pins them to identical classifications.
+//! One scan loop, two links: [`scan_jobs`] sends each probe through the
+//! simulator's structured path, [`scan_jobs_wire`] as real packets both
+//! ways, the attempt number in each probe's IPv6 flow label. Both run the
+//! same segment kernel (retries, backoff, tallies, classification), and
+//! the test suite holds whole faulty service runs on the two links to
+//! identical results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,8 +36,8 @@ pub mod rate;
 pub mod yarrp;
 
 pub use engine::{
-    assemble_scan, proto_metric_key, reassemble_replies, scan, scan_jobs, scan_segment, scan_wire,
-    scan_wire_with, scan_with, Detail, ExecutorStats, Hit, ScanConfig, ScanJob, ScanResult,
+    assemble_scan, proto_metric_key, reassemble_replies, scan, scan_jobs, scan_jobs_wire,
+    scan_segment, scan_with, Detail, ExecutorStats, Hit, ScanConfig, ScanJob, ScanResult,
     ScanStats, SegmentTally,
 };
 pub use pcap::{PcapReader, PcapWriter};
@@ -160,42 +164,32 @@ mod tests {
     }
 
     #[test]
-    fn wire_and_semantic_paths_agree() {
+    fn the_byte_link_keeps_each_profiles_initial_ttl() {
+        // Profiles start at 64, 128 and 255 hops; a SYN-ACK arrives with
+        // that less the path, and the estimate rounds it back up.
         let net = net();
         let day = Day(200);
-        for proto in [Protocol::Icmp, Protocol::Tcp80, Protocol::Udp53, Protocol::Udp443] {
-            let mut targets = responsive_targets(&net, day, proto, 5);
-            targets.truncate(30);
-            let fast = scan(&net, proto, &targets, day, &ScanConfig::default());
-            let wire = scan_wire(&net, proto, &targets, day, &ScanConfig::default());
-            let mut fast_hits: Vec<Addr> = fast.hit_addrs().collect();
-            let mut wire_hits: Vec<Addr> = wire.hit_addrs().collect();
-            fast_hits.sort_unstable();
-            wire_hits.sort_unstable();
-            assert_eq!(fast_hits, wire_hits, "{proto}");
-            // Fingerprint details must agree too.
-            for (f, w) in fast
-                .hits
-                .iter()
-                .flat_map(|f| wire.hits.iter().find(|w| w.target == f.target).map(|w| (f, w)))
-                .take(10)
-            {
-                match (&f.detail, &w.detail) {
-                    (
-                        Detail::SynAck { optionstext: a, window: wa, mss: ma, .. },
-                        Detail::SynAck { optionstext: b, window: wb, mss: mb, .. },
-                    ) => {
-                        assert_eq!(a, b);
-                        assert_eq!(wa, wb);
-                        assert_eq!(ma, mb);
-                    }
-                    (Detail::Dns { injected: a, .. }, Detail::Dns { injected: b, .. }) => {
-                        assert_eq!(a, b)
-                    }
-                    (x, y) => assert_eq!(std::mem::discriminant(x), std::mem::discriminant(y)),
-                }
-            }
-        }
+        let targets = responsive_targets(&net, day, Protocol::Tcp80, 0);
+        let config = ScanConfig::default();
+        let job = ScanJob {
+            net: &net,
+            protocols: &[Protocol::Tcp80],
+            targets: &targets,
+            day,
+            config: &config,
+            telemetry: None,
+        };
+        let wire = scan_jobs_wire(1, &[job]).0.pop().expect("one result");
+        let ittls: std::collections::BTreeSet<u8> = wire
+            .hits
+            .iter()
+            .map(|h| match h.detail {
+                Detail::SynAck { ittl, .. } => ittl,
+                ref other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(ittls, [64, 128, 255].into());
+        assert_eq!(wire.hits, scan(&net, Protocol::Tcp80, &targets, day, &config).hits);
     }
 
     #[test]
@@ -321,16 +315,22 @@ mod tests {
         // Worker chunk timings recorded once per worker.
         let chunks = snap.histogram("scan.worker.chunk_ms").unwrap();
         assert_eq!(chunks.count, ScanConfig::default().threads as u64);
-        // The wire path also records rate-limiter stalls.
-        let wire =
-            scan_wire_with(&net, Protocol::Icmp, &targets, day, &ScanConfig::default(), Some(&reg));
+        // The byte link records through the same tail.
+        let config = ScanConfig::default();
+        let job = ScanJob {
+            net: &net,
+            protocols: &[Protocol::Icmp],
+            targets: &targets,
+            day,
+            config: &config,
+            telemetry: Some(&reg),
+        };
+        let wire = scan_jobs_wire(config.threads, &[job]).0.pop().expect("one result");
+        assert_eq!(wire, result);
         let snap = reg.snapshot();
-        let wait = snap.histogram("scan.rate.wait_us").unwrap();
-        assert_eq!(wait.count, wire.stats.sent);
-        assert_eq!(
-            snap.counter("scan.icmp.probes_sent"),
-            Some(result.stats.sent + wire.stats.sent)
-        );
+        assert_eq!(snap.counter("scan.icmp.probes_sent"), Some(2 * result.stats.sent));
+        assert_eq!(snap.counter("scan.icmp.hits"), Some(2 * result.stats.hits));
+        assert_eq!(snap.histogram("scan.worker.chunk_ms").unwrap().count, 2 * chunks.count);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The workspace's one token bucket, in exact integer arithmetic on
 //! virtual microseconds the caller passes in. Used by
-//! [`scan_wire_with`](crate::scan_wire_with) (probes per second) and by
 //! `sixdust_serve::Frontend` (requests per client per minute).
 //!
 //! A bucket is three `u64`s — whole tokens, the time of the last call, the
@@ -69,18 +68,6 @@ impl TokenBucket {
             false
         }
     }
-
-    /// Microseconds after the last call at which a token is available: 0
-    /// when one is banked, `u64::MAX` when the rate is zero.
-    pub fn wait_hint_micros(&self, limit: &Limit) -> u64 {
-        if self.tokens > 0 {
-            0
-        } else if limit.rate == 0 {
-            u64::MAX
-        } else {
-            (limit.period_us - self.carry).div_ceil(limit.rate)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -141,31 +128,6 @@ mod tests {
         let limit = Limit { rate: u64::MAX, period_us: 1, burst: u64::MAX };
         let mut bucket = TokenBucket { tokens: 0, last_us: 0, carry: 0 };
         assert!(bucket.try_take(&limit, u64::MAX), "earned tokens saturate at the burst");
-    }
-
-    #[test]
-    fn the_next_take_succeeds_exactly_at_the_hint() {
-        // 3 pps: a token every 333 333.3 µs, so a floored hint is one
-        // microsecond short.
-        for rate in [1, 3, 7, 1000, 999_999] {
-            let limit = per_second(rate, 1);
-            let mut bucket = TokenBucket::full(&limit);
-            let mut now = 0;
-            assert!(bucket.try_take(&limit, now));
-            for _ in 0..50 {
-                let hint = bucket.wait_hint_micros(&limit);
-                assert!(hint > 0);
-                let mut early = bucket;
-                assert!(!early.try_take(&limit, now + hint - 1), "rate {rate}: not before");
-                now += hint;
-                assert!(bucket.try_take(&limit, now), "rate {rate}: at the hint");
-            }
-        }
-        let quota = per_second(0, 1);
-        let mut bucket = TokenBucket::full(&quota);
-        assert_eq!(bucket.wait_hint_micros(&quota), 0);
-        assert!(bucket.try_take(&quota, 0));
-        assert_eq!(bucket.wait_hint_micros(&quota), u64::MAX, "a zero rate never refills");
     }
 
     #[test]

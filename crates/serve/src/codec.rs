@@ -725,7 +725,8 @@ mod tests {
         let b = set(&[2, 3, 1]);
         assert_eq!(content_digest(&a), content_digest(&b));
         assert_ne!(content_digest(&a), content_digest([1u128, 2]));
-        // Known FNV-1a property: empty input is the offset basis.
+        // The empty set sums no terms: its digest is the summed digest's
+        // chosen base, which is FNV-1a 64's offset basis.
         assert_eq!(content_digest(std::iter::empty::<u128>()), 0xcbf2_9ce4_8422_2325);
     }
 }

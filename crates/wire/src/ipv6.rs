@@ -59,7 +59,8 @@ pub struct Ipv6Header {
     /// Transport protocol selector.
     pub next_header: NextHeader,
     /// Hop limit (TTL); the iTTL fingerprint feature rounds the received
-    /// value to the next power of two to recover this field's initial value.
+    /// value up to the next common initial value (32, 64, 128 or 255) to
+    /// recover what this field was when the reply left.
     pub hop_limit: u8,
     /// Source address.
     pub src: Addr,

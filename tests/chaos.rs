@@ -12,7 +12,7 @@ use sixdust::hitlist::{HitlistService, ServiceConfig};
 use sixdust::net::{
     Day, FaultConfig, GilbertElliott, IcmpRateLimit, Internet, Outage, Protocol, Scale,
 };
-use sixdust::scan::{scan_wire_with, ScanConfig};
+use sixdust::scan::{scan_jobs_wire, ScanConfig, ScanJob};
 use sixdust::telemetry::Registry;
 
 /// The outage window every chaos run schedules: days `[20, 25)`.
@@ -137,15 +137,17 @@ fn fault_counters_surface_in_exported_telemetry() {
         .map(|(a, ..)| a)
         .take(400)
         .collect();
-    let result = scan_wire_with(
-        &wire,
-        Protocol::Icmp,
-        &targets,
-        Day(30),
-        &ScanConfig::default(),
-        Some(&wire_registry),
-    );
-    assert!(result.stats.sent > 0);
+    let config = ScanConfig::default();
+    let job = ScanJob {
+        net: &wire,
+        protocols: &[Protocol::Icmp],
+        targets: &targets,
+        day: Day(30),
+        config: &config,
+        telemetry: Some(&wire_registry),
+    };
+    let (results, _) = scan_jobs_wire(1, &[job]);
+    assert!(results[0].stats.sent > 0);
     assert!(
         wire_registry.snapshot().counter("net.faults.corrupted").unwrap_or(0) > 0,
         "corruption must fire on the wire path"
@@ -207,9 +209,17 @@ fn heavy_corruption_never_panics_the_wire_scanner() {
         .map(|(a, ..)| a)
         .take(300)
         .collect();
-    for proto in Protocol::ALL {
-        let result =
-            scan_wire_with(&net, proto, &targets, Day(10), &ScanConfig::default(), Some(&registry));
+    let config = ScanConfig::default();
+    let job = ScanJob {
+        net: &net,
+        protocols: &Protocol::ALL,
+        targets: &targets,
+        day: Day(10),
+        config: &config,
+        telemetry: Some(&registry),
+    };
+    for (proto, result) in Protocol::ALL.into_iter().zip(scan_jobs_wire(1, &[job]).0) {
+        assert_eq!(result.protocol, proto);
         // Garbage in flight may eat hits, never invariants.
         assert!(result.stats.hits <= targets.len() as u64, "{proto:?}");
         assert_eq!(result.hits.len() as u64, result.stats.hits, "{proto:?}");
