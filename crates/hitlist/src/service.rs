@@ -16,7 +16,7 @@ use sixdust_alias::{candidates, AliasDetector, DetectorConfig};
 use sixdust_json::json_struct;
 use sixdust_net::{events, Day, Internet, ProbeKind, ProtoSet, Protocol};
 use sixdust_scan::{scan_jobs, ScanConfig, ScanJob, ScanResult};
-use sixdust_telemetry::{MadConfig, MadDetector, Observer, Registry, TraceSpan};
+use sixdust_telemetry::{MadConfig, MadDetector, Observer, Registry, TraceJournal, TraceSpan};
 
 use crate::filters::{Blocklist, GfwFilter, UnresponsiveFilter};
 use crate::sources;
@@ -554,13 +554,19 @@ impl HitlistService {
     /// state: [`HitlistService::from_state`] restores it from the last
     /// checkpointed round, or a service resumed mid-week would walk the
     /// zone again and ingest a 4-day slot the uninterrupted run never saw.
-    fn ingest_sources(&mut self, net: &Internet, day: Day) {
+    ///
+    /// With a journal, the stage records `service.ingest.zone` and
+    /// `service.ingest.feeds` ([`sources::for_each_due`]) and
+    /// `service.ingest.register`.
+    fn ingest_sources(&mut self, net: &Internet, day: Day, tracer: Option<&TraceJournal>) {
         let week = day.0 / 7;
         let zone_due = self.last_zone_week != Some(week);
         self.last_zone_week = Some(week);
         let mut batch = Vec::new();
-        let offered = sources::for_each_due(net, day, zone_due, |a| batch.push(a));
+        let offered = sources::for_each_due(net, day, zone_due, tracer, |a| batch.push(a));
+        let span = tracer.map(|t| t.span("service.ingest.register"));
         let new = self.unresp.register(batch, day) as u64;
+        drop(span);
         if let Some(t) = &self.telemetry {
             t.counter("service.ingest.offered").add(offered);
             t.counter("service.ingest.new").add(new);
@@ -632,7 +638,7 @@ impl HitlistService {
 
         // 1. Sources.
         let phase_started = Instant::now();
-        self.ingest_sources(net, day);
+        self.ingest_sources(net, day, tracer.as_ref());
         self.record_phase(Phase::Ingest, phase_started.elapsed());
 
         self.select_targets(net, day, round_span)
@@ -1020,7 +1026,7 @@ const PROTO_COUNTERS: [[&str; 3]; 5] = [
     ["service.hits.published.udp53", "service.hits.cleaned.udp53", "service.anomaly.udp53"],
 ];
 
-/// One week's rotating traceroute sample, ascending by address. The PRF
+/// One week's rotating traceroute sample, in the input's order. The PRF
 /// filter admits roughly `cap · stride` of the input; the cap then keeps
 /// the `cap` *lowest draws*, a fresh pseudo-random cross-section each
 /// week. Ranking by the draw rather than by address is what makes the
@@ -1030,11 +1036,17 @@ const PROTO_COUNTERS: [[&str; 3]; 5] = [
 /// identical set every single week. Ties break by address, so the sample
 /// depends on the input's members, not on their order.
 ///
-/// The draw chooses and the address orders: nothing a traceroute finds or
-/// counts depends on the order of its targets, and neighbours in address
-/// order share the BGP table's cache lines ([`Internet::trace_tails`]).
+/// The draw chooses and the input orders: the cut is the `cap`-th
+/// smallest `(draw, address)` of the candidates, and the candidates at or
+/// below it stay where the input had them, so no sample is sorted.
+/// Nothing a traceroute finds or counts depends on the order of its
+/// targets, and the service's ascending input keeps neighbours in address
+/// order, which share the BGP table's cache lines ([`Internet::trace_tails`]).
 fn traceroute_sample(input: &[Addr], cap: usize, week: u64) -> Vec<Addr> {
-    let stride = MultipleOf::new((input.len() / cap.max(1)).max(1) as u64);
+    if cap == 0 {
+        return Vec::new();
+    }
+    let stride = MultipleOf::new((input.len() / cap).max(1) as u64);
     let draws = prf::Keyed::new(0x7ace, week);
     let mut ranked: Vec<(u64, Addr)> = input
         .iter()
@@ -1044,12 +1056,18 @@ fn traceroute_sample(input: &[Addr], cap: usize, week: u64) -> Vec<Addr> {
         })
         .collect();
     if cap < ranked.len() {
-        ranked.select_nth_unstable(cap);
-        ranked.truncate(cap);
+        // The `cap`-th smallest draw, selected on a copy of the draws
+        // alone, and among the candidates that drew it the address that
+        // fills the cap.
+        let mut draws: Vec<u64> = ranked.iter().map(|&(draw, _)| draw).collect();
+        let cut = *draws.select_nth_unstable(cap - 1).1;
+        let below = draws.iter().filter(|&&draw| draw < cut).count();
+        let mut tied: Vec<Addr> =
+            ranked.iter().filter(|&&(draw, _)| draw == cut).map(|&(_, a)| a).collect();
+        let threshold = (cut, *tied.select_nth_unstable(cap - 1 - below).1);
+        ranked.retain(|&candidate| candidate <= threshold);
     }
-    let mut sample: Vec<Addr> = ranked.into_iter().map(|(_, a)| a).collect();
-    sample.sort_unstable();
-    sample
+    ranked.into_iter().map(|(_, a)| a).collect()
 }
 
 /// `n % d == 0` for one divisor and many `n`, without dividing: `d` is
@@ -1352,7 +1370,7 @@ mod tests {
                         "ingestion starts from the last record's input on {day:?}"
                     );
                     let zone_due = streamed.last_zone_week != Some(day.0 / 7);
-                    streamed.ingest_sources(&net, day);
+                    streamed.ingest_sources(&net, day, None);
                     ingest_eagerly(&mut eager, &net, day);
                     assert_eq!(streamed.input(), eager.input(), "input after ingesting {day:?}");
                     assert_eq!(active_clocks(&streamed), active_clocks(&eager), "clocks, {day:?}");
@@ -1473,7 +1491,7 @@ mod tests {
         for dst in traceroute_sample(&input, 150, u64::from(day.0 / 7)) {
             let path_len = net.path_len(dst);
             for ttl in path_len - 3..path_len {
-                answered += u64::from(net.probe_ttl(dst, ttl, &probe, day).is_some());
+                answered += u64::from(net.probe_ttl(dst, ttl, &probe, day, 0).is_some());
             }
         }
         svc.traceroute(&net, day);

@@ -30,6 +30,7 @@
 
 use sixdust_addr::{prf, Addr};
 use sixdust_net::{events, Day, Internet};
+use sixdust_telemetry::TraceJournal;
 
 /// The AAAA answer of every `step`-th domain of the zone file.
 fn zone_answers(net: &Internet, day: Day, step: usize) -> impl Iterator<Item = Addr> + '_ {
@@ -69,7 +70,8 @@ pub fn ripe_atlas(net: &Internet, day: Day) -> Vec<Addr> {
 
 /// Feeds `sink` the live addresses on `day` that `picks` selects, hidden
 /// dense clusters excluded (they were never public): what a sampling feed
-/// sees of the population.
+/// sees of the population. The pick and the dense check come before a
+/// member's liveness, so the walk draws liveness for the picked few only.
 fn sample_population(
     net: &Internet,
     day: Day,
@@ -77,11 +79,7 @@ fn sample_population(
     mut sink: impl FnMut(Addr),
 ) {
     let pop = net.population();
-    pop.for_each_responsive(day, |a, _, _| {
-        if picks(a) && !pop.is_dense_member(a) {
-            sink(a);
-        }
-    });
+    pop.for_each_responsive(day, |a| picks(a) && !pop.is_dense_member(a), |a, _, _| sink(a));
 }
 
 fn collect_sample(net: &Internet, day: Day, picks: impl Fn(Addr) -> bool) -> Vec<Addr> {
@@ -142,12 +140,24 @@ pub fn passive_visible(net: &Internet, day: Day) -> Vec<Addr> {
 /// zone's: a walk counts one candidate per domain, as [`domains_aaaa`]
 /// would offer, and hands `sink` each distinct answer once
 /// ([`Internet::for_each_zone_answer`]).
-pub fn for_each_due(net: &Internet, day: Day, zone_due: bool, mut sink: impl FnMut(Addr)) -> u64 {
+///
+/// With a journal, the zone walk (the first walk's index build included)
+/// is a `service.ingest.zone` span and the rest a `service.ingest.feeds`
+/// span.
+pub fn for_each_due(
+    net: &Internet,
+    day: Day,
+    zone_due: bool,
+    tracer: Option<&TraceJournal>,
+    mut sink: impl FnMut(Addr),
+) -> u64 {
     let mut offered = 0;
     if zone_due {
+        let _span = tracer.map(|t| t.span("service.ingest.zone"));
         net.for_each_zone_answer(day, &mut sink);
         offered += net.zones().total_domains();
     }
+    let _span = tracer.map(|t| t.span("service.ingest.feeds"));
     let mut counted = |a| {
         offered += 1;
         sink(a);
@@ -229,6 +239,38 @@ mod tests {
         // Every visible address is genuinely responsive.
         for a in visible.iter().take(50) {
             assert!(net.population().lookup(*a, day).is_some(), "{a}");
+        }
+    }
+
+    #[test]
+    fn each_feed_samples_the_public_live_population() {
+        for mult in [1, 50] {
+            let net = Internet::build(Scale::tiny().with_population_mult(mult));
+            let pop = net.population();
+            for day in [Day(0), events::RDNS_IMPORT, Day(700)] {
+                let public: Vec<Addr> = (pop.enumerate_responsive(day).into_iter())
+                    .map(|(a, ..)| a)
+                    .filter(|&a| !pop.is_dense_member(a))
+                    .collect();
+                let (launch, rdns) = (day == Day(0), day == events::RDNS_IMPORT);
+                let picks: [(&str, &dyn Fn(Addr) -> bool); 4] = [
+                    ("drip", &|a| drip_picks(a, day)),
+                    ("launch", &launch_picks),
+                    ("rdns", &rdns_picks),
+                    ("due", &|a| {
+                        drip_picks(a, day) || (launch && launch_picks(a)) || (rdns && rdns_picks(a))
+                    }),
+                ];
+                for (feed, pick) in picks {
+                    let expected: Vec<Addr> = public.iter().copied().filter(|&a| pick(a)).collect();
+                    assert!(!expected.is_empty(), "{feed} on {day:?} at x{mult}");
+                    assert_eq!(
+                        collect_sample(&net, day, pick),
+                        expected,
+                        "{feed} on {day:?} at x{mult}"
+                    );
+                }
+            }
         }
     }
 

@@ -535,22 +535,25 @@ impl Internet {
     ///
     /// One probe through the steps [`Internet::trace_tails`] takes for
     /// every hop of every destination, and past the last hop an
-    /// end-to-end [`Internet::probe`].
+    /// end-to-end [`Internet::probe_attempt`]. Its loss coin is salted by
+    /// `attempt` as an end-to-end retry's is; attempt 0 draws the coin
+    /// every traceroute draws.
     pub fn probe_ttl(
         &self,
         dst: Addr,
         hop_limit: u8,
         kind: &ProbeKind,
         day: Day,
+        attempt: u8,
     ) -> Option<Response> {
         let mut walk = self.hop_walk(probe_proto(kind), day);
         let path = walk.path(dst);
-        let answer = if !walk.send(&path, hop_limit) {
+        let answer = if !walk.send(&path, hop_limit, attempt) {
             None
         } else if hop_limit < path.path_len {
             walk.expire(&path, hop_limit).map(|(hop, _)| Response::TimeExceeded { hop })
         } else {
-            self.probe(dst, kind, day).into_iter().next()
+            self.probe_attempt(dst, kind, day, attempt).into_iter().next()
         };
         walk.finish();
         answer
@@ -580,7 +583,7 @@ impl Internet {
         for &dst in dsts {
             let path = walk.path(dst);
             for ttl in path.path_len.saturating_sub(tail)..path.path_len {
-                if !walk.send(&path, ttl) {
+                if !walk.send(&path, ttl, 0) {
                     continue;
                 }
                 if let Some((hop, answered_before)) = walk.expire(&path, ttl) {
@@ -905,9 +908,9 @@ impl Internet {
     /// carry through the structured entry points, and serializes what
     /// comes back. There is one decision path: a probe whose hop limit
     /// runs out before `dst` is [`Internet::probe_ttl`], any other is
-    /// [`Internet::probe_attempt`] with the attempt number the IPv6 flow
-    /// label carries (0, a first probe, unless the sender set it), so a
-    /// retry draws the loss coin a structured retry draws. Outages, loss,
+    /// [`Internet::probe_attempt`], each with the attempt number the IPv6
+    /// flow label carries (0, a first probe, unless the sender set it), so
+    /// a retry draws the loss coin a structured retry draws. Outages, loss,
     /// duplication and the firewall are decided there and counted in the
     /// same counters; only corruption is the wire's own. A SYN-ACK leaves
     /// with its fingerprint's initial hop limit, less the path length.
@@ -920,9 +923,10 @@ impl Internet {
             return Vec::new();
         };
         let (src, dst) = (probe.ipv6.src, probe.ipv6.dst);
+        let attempt = u8::try_from(probe.ipv6.flow_label).unwrap_or(u8::MAX);
         if probe.ipv6.hop_limit < self.path_len(dst) {
             let Some(Response::TimeExceeded { hop }) =
-                self.probe_ttl(dst, probe.ipv6.hop_limit, &kind, day)
+                self.probe_ttl(dst, probe.ipv6.hop_limit, &kind, day, attempt)
             else {
                 return Vec::new();
             };
@@ -932,7 +936,6 @@ impl Internet {
             };
             return vec![self.maybe_corrupt(reply.to_bytes(), dst, day, 0)];
         }
-        let attempt = u8::try_from(probe.ipv6.flow_label).unwrap_or(u8::MAX);
         let mut replies = Vec::new();
         for (i, response) in self.probe_attempt(dst, &kind, day, attempt).into_iter().enumerate() {
             let mut ipv6 = Ipv6Header::new(dst, src, 64);
@@ -1065,12 +1068,14 @@ impl<'a> HopWalk<'a> {
 
     /// Counts one probe toward `path.dst` with hop limit `ttl`; false when
     /// an outage silences it or it is lost on the way. The loss coin is
-    /// salted by `ttl`, which past every path's length (the probe arrives)
-    /// has no key made.
-    fn send(&mut self, path: &HopPath<'_>, ttl: u8) -> bool {
+    /// salted by `ttl` and by the retry `attempt` ([`attempt_salt`], 0 for
+    /// a first probe); only first probes within every path's length (the
+    /// probe expires on the way) have their key made.
+    fn send(&mut self, path: &HopPath<'_>, ttl: u8, attempt: u8) -> bool {
         let coin = || {
-            let made = self.loss_draws.get(usize::from(ttl)).copied();
-            loss_coin(made.unwrap_or_else(|| self.net.loss_draws(self.day, ttl.into())), path.dst)
+            let made = self.loss_draws.get(usize::from(ttl)).filter(|_| attempt == 0).copied();
+            let salt = u64::from(ttl) ^ attempt_salt(attempt);
+            loss_coin(made.unwrap_or_else(|| self.net.loss_draws(self.day, salt)), path.dst)
         };
         let lost = path.silenced || (path.loss_permille > 0 && coin() < path.loss_permille);
         self.tally.ttl_probes += 1;
@@ -1477,10 +1482,11 @@ mod tests {
         let day = Day(100);
         let dst = find_host(&net, day, Protocol::Icmp);
         let plen = net.path_len(dst);
-        let r =
-            net.probe_ttl(dst, 2, &ProbeKind::IcmpEcho { size: 16 }, day).expect("hop 2 answers");
+        let r = net
+            .probe_ttl(dst, 2, &ProbeKind::IcmpEcho { size: 16 }, day, 0)
+            .expect("hop 2 answers");
         assert!(matches!(r, Response::TimeExceeded { .. }));
-        let r2 = net.probe_ttl(dst, plen, &ProbeKind::IcmpEcho { size: 16 }, day);
+        let r2 = net.probe_ttl(dst, plen, &ProbeKind::IcmpEcho { size: 16 }, day, 0);
         assert_eq!(r2, Some(Response::EchoReply { fragmented: false }));
     }
 
@@ -1732,7 +1738,7 @@ mod tests {
                     (answers, sent.counted)
                 };
                 assert_eq!(
-                    single(&|dst, ttl| net.probe_ttl(dst, ttl, &probe, day)),
+                    single(&|dst, ttl| net.probe_ttl(dst, ttl, &probe, day, 0)),
                     single(&|dst, ttl| probe_ttl_one_by_one(&net, dst, ttl, &probe, day)),
                     "{name}, late vantage {late}: single probes"
                 );
@@ -1764,7 +1770,7 @@ mod tests {
                     let answer =
                         (expected != Addr(0)).then_some(Response::TimeExceeded { hop: expected });
                     assert_eq!(probe_ttl_one_by_one(&net, dst, ttl, &probe, day), answer);
-                    assert_eq!(net.probe_ttl(dst, ttl, &probe, day), answer);
+                    assert_eq!(net.probe_ttl(dst, ttl, &probe, day, 0), answer);
                     hops += 1;
                 }
             }
@@ -1941,6 +1947,59 @@ mod tests {
     }
 
     #[test]
+    fn a_hop_limited_retry_on_the_wire_draws_its_own_loss_coin() {
+        let lossy = Internet::build(Scale::tiny())
+            .with_faults(FaultConfig::lossless().with_drop_permille(500));
+        let day = Day(100);
+        let src = lossy.registry().vantage_addr();
+        let dsts: Vec<Addr> = lossy
+            .population()
+            .enumerate_responsive(day)
+            .into_iter()
+            .map(|(a, ..)| a)
+            .take(300)
+            .collect();
+        let probe = ProbeKind::IcmpEcho { size: 16 };
+        // Which destinations a hop-limit-2 echo with `label` in its flow
+        // label comes back from.
+        let answered = |label: u32| -> Vec<bool> {
+            dsts.iter()
+                .map(|&dst| {
+                    let echo = Packet {
+                        ipv6: Ipv6Header { flow_label: label, ..Ipv6Header::new(src, dst, 2) },
+                        transport: Transport::Icmpv6(Icmpv6::EchoRequest {
+                            ident: 1,
+                            seq: 1,
+                            payload: vec![0; 16],
+                        }),
+                    };
+                    !lossy.send_bytes(&echo.to_bytes(), day).is_empty()
+                })
+                .collect()
+        };
+        let (first, retry) = (answered(0), answered(1));
+        let structured: Vec<bool> =
+            dsts.iter().map(|&dst| lossy.probe_ttl(dst, 2, &probe, day, 0).is_some()).collect();
+        let one_by_one: Vec<bool> = dsts
+            .iter()
+            .map(|&dst| probe_ttl_one_by_one(&lossy, dst, 2, &probe, day).is_some())
+            .collect();
+        assert_eq!(first, structured, "flow label 0 is a first probe");
+        assert_eq!(first, one_by_one, "a first probe draws the coin it always drew");
+        let lost = |answers: &[bool]| answers.iter().filter(|a| !**a).count();
+        assert!(
+            lost(&first) > 100 && lost(&retry) > 100,
+            "{} and {} lost",
+            lost(&first),
+            lost(&retry)
+        );
+        assert_ne!(first, retry, "a retry redraws the loss coin");
+        let retried: Vec<bool> =
+            dsts.iter().map(|&dst| lossy.probe_ttl(dst, 2, &probe, day, 1).is_some()).collect();
+        assert_eq!(retry, retried, "flow label 1 is the structured attempt 1");
+    }
+
+    #[test]
     fn per_protocol_loss_override_only_hits_that_protocol() {
         let net = Internet::build(Scale::tiny())
             .with_faults(FaultConfig::lossless().with_proto_drop(Protocol::Udp53, 1000));
@@ -1958,7 +2017,7 @@ mod tests {
         );
         let dst = find_host(&net, Day(100), Protocol::Icmp);
         assert!(net.probe(dst, &ProbeKind::IcmpEcho { size: 16 }, Day(100)).is_empty());
-        assert!(net.probe_ttl(dst, 2, &ProbeKind::IcmpEcho { size: 16 }, Day(100)).is_none());
+        assert!(net.probe_ttl(dst, 2, &ProbeKind::IcmpEcho { size: 16 }, Day(100), 0).is_none());
         // The window is half-open: the day after, service resumes.
         assert!(!net.probe(dst, &ProbeKind::IcmpEcho { size: 16 }, Day(101)).is_empty());
         assert!(net.counters().faults_dropped.get() >= 2);
@@ -2004,12 +2063,12 @@ mod tests {
         let dst = find_host(&net, day, Protocol::Icmp);
         // Same router interface answers hop 2 every time; budget is 3/day.
         let answers = (0..10)
-            .filter(|_| net.probe_ttl(dst, 2, &ProbeKind::IcmpEcho { size: 16 }, day).is_some())
+            .filter(|_| net.probe_ttl(dst, 2, &ProbeKind::IcmpEcho { size: 16 }, day, 0).is_some())
             .count();
         assert_eq!(answers, 3);
         assert_eq!(net.counters().faults_rate_limited.get(), 7);
         // Next day the budget refills.
-        assert!(net.probe_ttl(dst, 2, &ProbeKind::IcmpEcho { size: 16 }, day.plus(1)).is_some());
+        assert!(net.probe_ttl(dst, 2, &ProbeKind::IcmpEcho { size: 16 }, day.plus(1), 0).is_some());
     }
 
     #[test]

@@ -718,20 +718,31 @@ impl Population {
     }
 
     /// Calls `f` for every responsive address on `day` from non-aliased
-    /// groups (ground truth; also the raw material for TGA seed corpora),
-    /// with its protocols and owning AS: group members in group order,
-    /// then stable router interfaces, then CPE devices. Aliased prefixes
-    /// are skipped — they are unbounded by construction.
-    pub fn for_each_responsive(&self, day: Day, mut f: impl FnMut(Addr, ProtoSet, AsId)) {
+    /// groups that `pick` selects (ground truth; also the raw material for
+    /// TGA seed corpora and the sampling feeds), with its protocols and
+    /// owning AS: group members in group order, then stable router
+    /// interfaces, then CPE devices. Aliased prefixes are skipped — they
+    /// are unbounded by construction.
+    ///
+    /// `pick` sees each candidate address before its liveness is drawn, so
+    /// a caller that keeps a few percent of the population pays the
+    /// liveness draws of those few percent only. The walk yields what the
+    /// unpicked walk yields, filtered by `pick`, in the same order.
+    pub fn for_each_responsive(
+        &self,
+        day: Day,
+        mut pick: impl FnMut(Addr) -> bool,
+        mut f: impl FnMut(Addr, ProtoSet, AsId),
+    ) {
         for g in &self.groups {
             if matches!(g.kind, GroupKind::Aliased { .. }) {
                 continue;
             }
             let n = g.pattern.count(g.prefix);
             for m in 0..n {
-                if g.member_alive(self.seed, m, day) {
-                    let protos = g.member_protos(self.seed, m);
-                    f(g.pattern.member_addr(g.prefix, m), protos, g.asid);
+                let addr = g.pattern.member_addr(g.prefix, m);
+                if pick(addr) && g.member_alive(self.seed, m, day) {
+                    f(addr, g.member_protos(self.seed, m), g.asid);
                 }
             }
         }
@@ -739,8 +750,9 @@ impl Population {
         for pool in &self.routers {
             if pool.rotation_days == 0 {
                 for s in 0..pool.slots {
-                    if pool.slot_responds(s, day) {
-                        f(pool.hop_addr(s, day), ProtoSet::of(&[Protocol::Icmp]), pool.asid);
+                    let addr = pool.hop_addr(s, day);
+                    if pick(addr) && pool.slot_responds(s, day) {
+                        f(addr, ProtoSet::of(&[Protocol::Icmp]), pool.asid);
                     }
                 }
             }
@@ -748,17 +760,22 @@ impl Population {
         // CPE devices currently responding.
         for fleet in &self.cpe {
             for d in 0..fleet.devices {
-                if fleet.device_responds(d) {
-                    f(fleet.current_addr(d, day), ProtoSet::of(&[Protocol::Icmp]), fleet.asid);
+                let addr = fleet.current_addr(d, day);
+                if pick(addr) && fleet.device_responds(d) {
+                    f(addr, ProtoSet::of(&[Protocol::Icmp]), fleet.asid);
                 }
             }
         }
     }
 
-    /// [`Population::for_each_responsive`], collected.
+    /// [`Population::for_each_responsive`] with nothing left out, collected.
     pub fn enumerate_responsive(&self, day: Day) -> Vec<(Addr, ProtoSet, AsId)> {
         let mut out = Vec::new();
-        self.for_each_responsive(day, |addr, protos, asid| out.push((addr, protos, asid)));
+        self.for_each_responsive(
+            day,
+            |_| true,
+            |addr, protos, asid| out.push((addr, protos, asid)),
+        );
         out
     }
 
@@ -911,9 +928,48 @@ mod tests {
             let eager = enumerate_eagerly(&p, day);
             assert!(!eager.is_empty());
             let mut walked = Vec::new();
-            p.for_each_responsive(day, |addr, protos, asid| walked.push((addr, protos, asid)));
+            p.for_each_responsive(
+                day,
+                |_| true,
+                |addr, protos, asid| walked.push((addr, protos, asid)),
+            );
             assert_eq!(walked, eager, "element for element on {day:?}");
             assert_eq!(p.enumerate_responsive(day), eager, "the collector on {day:?}");
+        }
+    }
+
+    #[test]
+    fn a_picked_walk_is_the_unpicked_walk_filtered() {
+        for mult in [1, 50] {
+            let p = Population::build(&AsRegistry::build(Scale::tiny().with_population_mult(mult)));
+            for day in [Day(0), crate::time::events::RDNS_IMPORT, Day(700)] {
+                let everything = enumerate_eagerly(&p, day);
+                // The kinds of pick a feed makes: a few percent of the
+                // population, about half of it, none of it, all of it, and
+                // a pick that looks the address up itself.
+                let picks: [(&str, &dyn Fn(Addr) -> bool); 6] = [
+                    ("weekly 3 %", &|a| prf::chance(0xD819, a.0, u64::from(day.0 / 7), 3, 100)),
+                    ("launch 55 %", &|a| prf::chance(0xB007, a.0, 0, 11, 20)),
+                    ("rdns 30 %", &|a| prf::chance(0xD45, a.0, 0x1, 3, 10)),
+                    ("nothing", &|_| false),
+                    ("everything", &|_| true),
+                    ("public", &|a| !p.is_dense_member(a)),
+                ];
+                for (kind, pick) in picks {
+                    let mut picked = Vec::new();
+                    p.for_each_responsive(day, pick, |addr, protos, asid| {
+                        picked.push((addr, protos, asid))
+                    });
+                    let filtered: Vec<_> =
+                        everything.iter().filter(|(addr, ..)| pick(*addr)).copied().collect();
+                    assert_eq!(picked, filtered, "{kind} on {day:?} at x{mult}");
+                    assert_eq!(
+                        picked.is_empty(),
+                        kind == "nothing",
+                        "{kind} on {day:?} at x{mult}"
+                    );
+                }
+            }
         }
     }
 
@@ -988,7 +1044,7 @@ mod tests {
             // Everything that answers.
             for day in days {
                 let mut responsive = Vec::new();
-                p.for_each_responsive(day, |addr, _, _| responsive.push(addr));
+                p.for_each_responsive(day, |_| true, |addr, _, _| responsive.push(addr));
                 assert!(responsive.len() > 100, "{} answer on {day:?}", responsive.len());
                 for addr in responsive {
                     assert!(check(addr, day), "{addr} answers on {day:?}");

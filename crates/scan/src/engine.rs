@@ -10,6 +10,18 @@
 //! answers carried injection markers (A records / Teredo AAAA) so the
 //! hitlist's cleaning filter can act on them, exactly like the ZMap-output
 //! filter tool the authors published.
+//!
+//! The permutation sets the order a scan *reports* in, not the order the
+//! simulator is asked in. ZMapv6 sends in cycle order to spread its load
+//! over networks; the simulator answers every probe from (target, day,
+//! attempt) alone, so a segment probes its targets in index order —
+//! ascending addresses for the service's sorted target lists, which keeps
+//! neighbouring lookups in the population index's cache — and puts each
+//! protocol's hits back into cycle order before it returns. Results are
+//! the cycle-order walk's, field for field. The one piece of simulator
+//! state a probe order could reorder is the controlled-domain NS log
+//! ([`Internet::take_ns_log`]); no scan job writes to it, since only a DNS
+//! probe for the controlled domain does.
 
 use std::borrow::Cow;
 use std::panic::resume_unwind;
@@ -17,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sixdust_addr::Addr;
 use sixdust_net::{Day, Internet, ProbeKind, ProbeTally, Protocol, ResolvedTarget, Response};
-use sixdust_telemetry::{Registry, SpanTimer};
+use sixdust_telemetry::{Registry, SpanTimer, TraceJournal};
 use sixdust_wire::dns::DnsMessage;
 use sixdust_wire::icmpv6::Icmpv6;
 use sixdust_wire::quic::{QuicPacket, FORCE_VN_VERSION};
@@ -358,6 +370,57 @@ impl SegmentTally {
 /// and the tally of every probe.
 type Lane = (Vec<Hit>, SegmentTally);
 
+/// A set of target indices, one bit an index.
+struct IndexSet {
+    words: Vec<u64>,
+}
+
+impl IndexSet {
+    fn new(n: usize) -> IndexSet {
+        IndexSet { words: vec![0; n.div_ceil(64)] }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The members, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// How many members lie below each word: with it, a member's rank
+    /// among the members is one lookup and one popcount.
+    fn ranks(&self) -> Vec<u32> {
+        let mut below = 0;
+        (self.words.iter())
+            .map(|word| {
+                let rank = below;
+                below += word.count_ones();
+                rank
+            })
+            .collect()
+    }
+
+    /// The number of members below `i`, given [`IndexSet::ranks`].
+    fn rank(&self, ranks: &[u32], i: usize) -> u32 {
+        ranks[i / 64] + (self.words[i / 64] & ((1 << (i % 64)) - 1)).count_ones()
+    }
+}
+
 /// How a probe crosses the simulator: the one thing [`walk_segment`]
 /// leaves open. The kernel works out each target once through its link
 /// and sends every protocol's probes and retries through it.
@@ -434,31 +497,63 @@ impl Link for Wire {
     }
 }
 
-/// The one segment kernel: walks a contiguous range of `job`'s
-/// permutation cycle and returns one [`Lane`] per protocol of the job, in
-/// the job's protocol order.
+/// The one segment kernel: probes the targets a contiguous range of
+/// `job`'s permutation cycle covers and returns one [`Lane`] per protocol
+/// of the job, in the job's protocol order, each lane's hits in cycle
+/// order.
 ///
-/// A target is worked out once ([`Link::target`]) and every protocol's
-/// retry loop and classification runs against it. A lane keeps a target
-/// only if the module classified it responsive; every probe is counted in
-/// the tally. What the probes count on the simulator's side is kept
-/// beside the loop and added to the shared counters once, when the
-/// segment is done.
+/// The walk runs in three steps, each a `scan.order`, `scan.walk` and
+/// `scan.report` span under the caller's `scan.worker` span when a
+/// journal is given:
+/// - *order*: the indices the range covers, one bit per target of the
+///   job;
+/// - *walk*: those indices in ascending order. A target is worked out
+///   once ([`Link::target`]) and every protocol's retry loop and
+///   classification runs against it; a lane keeps a target only if the
+///   module classified it responsive, and marks its index, and every
+///   probe is counted in the tally;
+/// - *report*: the range's cycle walked once more, without probing, to
+///   put each lane's hits back into cycle order in place, one `u32` a hit.
+///
+/// The simulator answers a probe from (target, day, attempt) alone, so
+/// the order it is asked in changes no answer; ascending indices, which
+/// the service's ascending target lists make ascending addresses, let
+/// neighbouring targets share the population index's cache lines. The
+/// one piece of simulator state a probe order could reorder is the
+/// controlled-domain NS log ([`Internet::take_ns_log`]), which only a
+/// DNS probe for the controlled domain writes, and no scan job sends one.
+/// What the probes count on the simulator's side is kept beside the loop
+/// and added to the shared counters once, when the segment is done; every
+/// count is a sum, so no order shows in it either.
 fn walk_segment<L: Link>(
     job: &ScanJob<'_>,
     perm: &CyclicPermutation,
     start: u64,
     len: u64,
+    tracer: Option<&TraceJournal>,
 ) -> Vec<Lane> {
     let &ScanJob { net, protocols, targets, config, .. } = job;
     let modules: Vec<(Protocol, ProbeKind)> =
         protocols.iter().map(|&p| (p, probe_for(p, &config.dns_qname))).collect();
     let mut lanes: Vec<Lane> = protocols.iter().map(|_| Lane::default()).collect();
+    // The indices each lane kept a hit for.
+    let mut answered: Vec<IndexSet> =
+        protocols.iter().map(|_| IndexSet::new(targets.len())).collect();
     let mut net_tally = ProbeTally::default();
+
+    let span = tracer.map(|t| t.span("scan.order"));
+    let mut covered = IndexSet::new(targets.len());
     for i in perm.segment(start, len) {
-        let target = targets[i as usize];
+        covered.insert(i as usize);
+    }
+    drop(span);
+
+    let span = tracer.map(|t| t.span("scan.walk"));
+    for i in covered.iter() {
+        let target = targets[i];
         let resolved = L::target(job, target, i as u32);
-        for (module, (hits, tally)) in modules.iter().zip(&mut lanes) {
+        for ((module, (hits, tally)), answered) in modules.iter().zip(&mut lanes).zip(&mut answered)
+        {
             let protocol = module.0;
             let mut responses = Vec::new();
             // The retry loop stops on the first response, so count the
@@ -491,11 +586,51 @@ fn walk_segment<L: Link>(
             if success {
                 tally.hits += 1;
                 hits.push(Hit { target, detail });
+                answered.insert(i);
             }
         }
     }
     net.counters().add(&net_tally);
+    drop(span);
+
+    let _span = tracer.map(|t| t.span("scan.report"));
+    // Per lane, where each hit of the cycle order sits among the hits in
+    // index order: an answered index's rank among the answered ones.
+    let ranks: Vec<Vec<u32>> = answered.iter().map(IndexSet::ranks).collect();
+    let mut sources: Vec<Vec<u32>> =
+        lanes.iter().map(|(hits, _)| Vec::with_capacity(hits.len())).collect();
+    for i in perm.segment(start, len) {
+        let i = i as usize;
+        for ((set, ranks), sources) in answered.iter().zip(&ranks).zip(&mut sources) {
+            if set.contains(i) {
+                sources.push(set.rank(ranks, i));
+            }
+        }
+    }
+    for ((hits, _), sources) in lanes.iter_mut().zip(&mut sources) {
+        permute_in_place(hits, sources);
+    }
     lanes
+}
+
+/// Moves `hits[sources[place]]` to `place` for every place, in place:
+/// `sources` must be a permutation of `0..hits.len()`, and is left
+/// holding nothing of use.
+fn permute_in_place(hits: &mut [Hit], sources: &mut [u32]) {
+    const MOVED: u32 = u32::MAX;
+    // Follow each cycle of the permutation: every swap settles one place.
+    for first in 0..hits.len() {
+        let mut place = first;
+        while sources[place] != MOVED {
+            let from = sources[place] as usize;
+            sources[place] = MOVED;
+            if from == first {
+                break;
+            }
+            hits.swap(place, from);
+            place = from;
+        }
+    }
 }
 
 /// Probes one contiguous range of a scan's permutation cycle and returns
@@ -521,7 +656,7 @@ pub fn scan_segment(
     len: u64,
 ) -> (Vec<Hit>, SegmentTally) {
     let job = ScanJob { net, protocols: &[protocol], targets, day, config, telemetry: None };
-    walk_segment::<Structured>(&job, perm, start, len).pop().expect("one lane per protocol")
+    walk_segment::<Structured>(&job, perm, start, len, None).pop().expect("one lane per protocol")
 }
 
 /// Assembles a [`ScanResult`] from merged segment hits and the summed
@@ -636,15 +771,16 @@ pub struct ExecutorStats {
 /// returns one [`ScanResult`] per (job, protocol), in job order and
 /// within a job in the order of [`ScanJob::protocols`].
 ///
-/// Each job's permutation cycle is cut into `threads` contiguous ranges
-/// instead of materializing the whole order (one u64 per target): a
-/// range jumps to its first cycle position (O(log start) setup, O(1)
-/// state) and walks it lazily, every protocol of the job against one
-/// resolution of each target. The calling thread and `threads − 1`
-/// scoped threads take the next range of any job off one shared cursor
-/// until none is left, so a thread that finishes early takes a busy
-/// job's next range. Each job's hits are put together in cycle order, so
-/// results are byte-identical at any budget. A range keeps only its hits,
+/// Each job's permutation cycle is cut into `threads` contiguous ranges:
+/// a range jumps to its first cycle position (O(log start) setup), marks
+/// the indices it covers (one bit per target of the job) and probes those
+/// targets in index order, every protocol of the job against one
+/// resolution of each target, then puts its hits back into cycle order.
+/// The calling thread and `threads − 1` scoped threads take the next
+/// range of any job off one shared cursor until none is left, so a thread
+/// that finishes early takes a busy job's next range. Each job's hits are
+/// put together in cycle order, so results are byte-identical at any
+/// budget. A range keeps only its hits,
 /// in vectors that start empty and grow: the result adopts the first
 /// range's and appends the later ones', so at a budget of 1 nothing is
 /// copied. A budget outside `1..=32` is clamped, and counted once per
@@ -714,7 +850,7 @@ fn run_jobs<L: Link>(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, 
                     &[("worker", index.to_string().as_str()), ("chunk", len.to_string().as_str())],
                 )
             });
-            done.push((i, walk_segment::<L>(&jobs[j], perm, start, len)));
+            done.push((i, walk_segment::<L>(&jobs[j], perm, start, len, tracer.as_ref())));
         }
     };
     let mut walked = std::thread::scope(|s| {

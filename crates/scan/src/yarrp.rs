@@ -112,7 +112,7 @@ pub fn yarrp(net: &Internet, targets: &[Addr], day: Day, config: &YarrpConfig) -
         let target = targets[(idx / max_ttl) as usize];
         let ttl = (idx % max_ttl) as u8 + 1;
         sent += 1;
-        match net.probe_ttl(target, ttl, &probe, day) {
+        match net.probe_ttl(target, ttl, &probe, day, 0) {
             Some(Response::TimeExceeded { hop }) => {
                 by_target.get_mut(&target).expect("known target").hops.push((ttl, hop));
             }
