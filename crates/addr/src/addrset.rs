@@ -507,19 +507,12 @@ impl ToJson for AddrSet {
 
 impl FromJson for AddrSet {
     /// Reads the string [`ToJson`] writes through every check of
-    /// [`decode_full`](crate::codec::decode_full) (a string that is not
-    /// canonical base64 is rejected before them), or the array of 128-bit
-    /// integers a v1–v4 checkpoint wrote, in any order and with
-    /// duplicates, normalizing it on the way in.
+    /// [`decode_full`](crate::codec::decode_full); a string that is not
+    /// canonical base64 is rejected before them.
     fn from_value(v: &Value) -> Result<AddrSet, Error> {
-        match v {
-            Value::String(text) => {
-                let body = crate::base64::decode(text)
-                    .ok_or_else(|| Error::new("set body is not canonical base64"))?;
-                codec::decode_full(&body).map_err(|e| Error::new(format!("set body: {e}")))
-            }
-            legacy => Vec::<u128>::from_value(legacy).map(AddrSet::from_unsorted),
-        }
+        let body = crate::base64::decode(v.as_str()?)
+            .ok_or_else(|| Error::new("set body is not canonical base64"))?;
+        codec::decode_full(&body).map_err(|e| Error::new(format!("set body: {e}")))
     }
 }
 
@@ -670,12 +663,10 @@ mod tests {
         let empty: AddrSet = sixdust_json::from_str(&sixdust_json::to_string(&AddrSet::new()))
             .expect("the empty set");
         assert!(empty.is_empty());
-        // A legacy unsorted Vec<Addr> payload still parses (and
-        // normalizes) — backward compatibility with v1–v4 checkpoints.
-        let legacy: AddrSet = sixdust_json::from_str("[3, 1, 2, 3]").expect("legacy payload");
-        assert_eq!(legacy.to_vec(), vec![1, 2, 3]);
-        // The string form holds the body to every check of the codec.
-        for bad in ["\"\"", "\"U0RGMQ==\"", "\"not base64\"", "1", "{}"] {
+        // The string form holds the body to every check of the codec, and
+        // nothing else is a set: not the integer array old checkpoints
+        // wrote either.
+        for bad in ["\"\"", "\"U0RGMQ==\"", "\"not base64\"", "1", "{}", "[3, 1, 2, 3]"] {
             assert!(sixdust_json::from_str::<AddrSet>(bad).is_err(), "{bad}");
         }
         let mut torn = body.clone();

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use sixdust_json::{Error, FromJson, Value};
-
 use crate::prf;
 use crate::Addr;
 
@@ -17,22 +15,6 @@ use crate::Addr;
 pub struct Prefix {
     network: Addr,
     len: u8,
-}
-
-impl FromJson for Prefix {
-    /// Reads the `{"network": …, "len": …}` object a v1–v5 checkpoint
-    /// wrote for each prefix (a [`PrefixSet`](crate::PrefixSet) is now
-    /// written as its packed items). Rejects a length past 128 and masks
-    /// the network, so a prefix read from a file has the same canonical
-    /// form as one built in memory.
-    fn from_value(v: &Value) -> Result<Prefix, Error> {
-        let fields = v.fields("Prefix")?;
-        let (network, len): (Addr, u8) = (fields.get("network")?, fields.get("len")?);
-        if len > 128 {
-            return Err(Error::new(format!("prefix length {len} out of range")));
-        }
-        Ok(Prefix::new(network, len))
-    }
 }
 
 /// Error returned when parsing a [`Prefix`] from text fails.

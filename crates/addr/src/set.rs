@@ -93,19 +93,15 @@ impl ToJson for PrefixSet {
 
 impl FromJson for PrefixSet {
     /// Reads the body [`ToJson`] writes through every check of `AddrSet`'s
-    /// reader, and rejects an item no prefix packs to; or reads the array
-    /// of `{"network", "len"}` objects a v1–v5 checkpoint wrote.
+    /// reader, and rejects an item no prefix packs to.
     fn from_value(v: &Value) -> Result<PrefixSet, Error> {
-        match v {
-            Value::String(_) => AddrSet::from_value(v)?
-                .iter()
-                .map(|item| {
-                    Prefix::unpack(item)
-                        .ok_or_else(|| Error::new(format!("item {item:#x} is not a packed prefix")))
-                })
-                .collect(),
-            legacy => Vec::<Prefix>::from_value(legacy).map(PrefixSet::from_iter),
-        }
+        AddrSet::from_value(v)?
+            .iter()
+            .map(|item| {
+                Prefix::unpack(item)
+                    .ok_or_else(|| Error::new(format!("item {item:#x} is not a packed prefix")))
+            })
+            .collect()
     }
 }
 
@@ -184,18 +180,18 @@ mod tests {
     }
 
     #[test]
-    fn json_is_the_packed_items_codec_body_and_reads_the_legacy_objects() {
+    fn json_is_the_packed_items_codec_body_and_refuses_the_legacy_objects() {
         let s: PrefixSet =
             [p("2001:db8::70/124"), p("2001:db8::c0/124"), p("::/0"), p("2400::/12")]
                 .into_iter()
                 .collect();
         let json = sixdust_json::to_string(&s);
         assert_eq!(json, sixdust_json::to_string(&s.packed()));
-        assert_eq!(sixdust_json::from_str::<PrefixSet>(&json), Ok(s.clone()));
-        let legacy = r#"[{"network": 0, "len": 0}, {"network": 42540766411282592856903984951653826672, "len": 124},
-            {"network": 47852207848256971424537054170092404736, "len": 12},
-            {"network": 42540766411282592856903984951653826752, "len": 124}]"#;
-        assert_eq!(sixdust_json::from_str::<PrefixSet>(legacy), Ok(s));
+        assert_eq!(sixdust_json::from_str::<PrefixSet>(&json), Ok(s));
+        // The `{"network", "len"}` objects old checkpoints wrote are no
+        // prefix set.
+        let legacy = r#"[{"network": 0, "len": 0}]"#;
+        assert!(sixdust_json::from_str::<PrefixSet>(legacy).is_err());
         // A body whose item no prefix packs to: a network bit past the
         // length, or a code past the tree below a /120.
         for item in [0x1_00 | 32, 151] {

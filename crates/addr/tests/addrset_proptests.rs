@@ -3,7 +3,8 @@
 //! /64 runs — one member or thousands, keys and lows at both ends of their
 //! range, neighbours either side of a /64 boundary — every set a kernel
 //! builds must hold no spare capacity, and the serialized form must be
-//! the set's codec body while the legacy integer array still reads.
+//! the set's codec body and nothing else: the legacy integer array is
+//! refused.
 //! Seeded loops, 256 cases each.
 
 use std::collections::BTreeSet;
@@ -123,7 +124,7 @@ fn set_algebra_matches_model() {
 }
 
 #[test]
-fn json_is_the_codec_body_and_reads_the_legacy_array() {
+fn json_is_the_codec_body_and_refuses_the_legacy_array() {
     for case in 0..CASES {
         let items = items(&mut stream(5, case), 200);
         let set = AddrSet::from_unsorted(items.clone());
@@ -132,13 +133,11 @@ fn json_is_the_codec_body_and_reads_the_legacy_array() {
         assert_eq!(via_set, format!("\"{body}\""), "AddrSet wire form is its codec body");
         let back: AddrSet = sixdust_json::from_str(&via_set).expect("round trip");
         assert_eq!(back, set);
-        // The v1–v4 form, a sorted Vec<Addr>, still reads.
+        // The form old checkpoints wrote, a sorted Vec<Addr>, is no set,
+        // and neither are the raw items, unsorted and duplicated.
         let flat: Vec<Addr> = model(&items).into_iter().map(Addr).collect();
-        let sorted: AddrSet = sixdust_json::from_str(&sixdust_json::to_string(&flat)).unwrap();
-        assert_eq!(sorted, set);
-        // The legacy form: the raw items, unsorted and duplicated.
-        let legacy: AddrSet = sixdust_json::from_str(&sixdust_json::to_string(&items)).unwrap();
-        assert_eq!(legacy, set);
+        assert!(sixdust_json::from_str::<AddrSet>(&sixdust_json::to_string(&flat)).is_err());
+        assert!(sixdust_json::from_str::<AddrSet>(&sixdust_json::to_string(&items)).is_err());
     }
 }
 
@@ -216,7 +215,10 @@ fn construct(rng: &mut PrfStream, items: &[u128]) -> AddrSet {
         2 => AddrSet::from_sorted_addrs(&ascending.into_iter().map(Addr).collect::<Vec<_>>()),
         3 => AddrSet::from(items.to_vec()),
         4 => items.iter().map(|&v| Addr(v)).collect(),
-        5 => sixdust_json::from_str(&sixdust_json::to_string(&items.to_vec())).expect("parses"),
+        5 => {
+            let json = sixdust_json::to_string(&AddrSet::from_unsorted(items.to_vec()));
+            sixdust_json::from_str(&json).expect("parses")
+        }
         _ => {
             let mut set = AddrSet::new();
             for &v in items {

@@ -149,35 +149,39 @@ fn the_dashboard_and_its_series_replay_byte_identically() {
 
 #[test]
 fn a_checkpoint_it_cannot_use_is_moved_aside_not_overwritten() {
-    // What a newer binary leaves behind: a real checkpoint under a version
-    // this one does not read. A file already set aside keeps its name.
-    let out = std::env::temp_dir().join(format!("sixdust_exp_aside_{}", std::process::id()));
-    std::fs::remove_dir_all(&out).ok();
-    std::fs::create_dir_all(&out).unwrap();
+    // What a newer binary leaves behind, and what one two versions older
+    // did: a real checkpoint under a version this one does not read. A
+    // file already set aside keeps its name.
     let net = Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless());
     let mut svc = HitlistService::new(ServiceConfig::default());
     svc.run(&net, Day(0), Day(3));
-    let mut state = ServiceState::capture(&svc);
-    let current = state.version;
-    state.version = 99;
-    let newer = state.to_json();
-    let checkpoint = out.join("service.ckpt");
-    std::fs::write(&checkpoint, &newer).unwrap();
-    std::fs::write(out.join("service.ckpt.unusable.1"), "an earlier one").unwrap();
-    let run = Command::new(env!("CARGO_BIN_EXE_sixdust-exp"))
-        .args(["--scale", "tiny", "--seed", "11", "--out"])
-        .arg(out.join("out"))
-        .arg("--checkpoint")
-        .arg(&checkpoint)
-        .arg("pipeline")
-        .output()
-        .expect("sixdust-exp runs");
-    let log = String::from_utf8_lossy(&run.stderr);
-    assert!(run.status.success(), "{log}");
-    assert!(log.contains("version 99 unsupported") && log.contains("service.ckpt.unusable.2"));
-    assert_eq!(read(&out.join("service.ckpt.unusable.2")), newer, "the newer bytes survive");
-    assert_eq!(read(&out.join("service.ckpt.unusable.1")), "an earlier one");
-    let fresh = ServiceState::load(&checkpoint).expect("a fresh, valid checkpoint beside them");
-    assert_eq!(fresh.version, current);
-    std::fs::remove_dir_all(&out).ok();
+    let json = ServiceState::capture(&svc).to_json();
+    let current = json.lines().nth(1).expect("the version line");
+    assert!(current.starts_with("  \"version\": "), "{current}");
+    for version in [99, 5] {
+        let out = std::env::temp_dir().join(format!("sixdust_exp_aside_{}", std::process::id()));
+        std::fs::remove_dir_all(&out).ok();
+        std::fs::create_dir_all(&out).unwrap();
+        let unusable = json.replacen(current, &format!("  \"version\": {version},"), 1);
+        let checkpoint = out.join("service.ckpt");
+        std::fs::write(&checkpoint, &unusable).unwrap();
+        std::fs::write(out.join("service.ckpt.unusable.1"), "an earlier one").unwrap();
+        let run = Command::new(env!("CARGO_BIN_EXE_sixdust-exp"))
+            .args(["--scale", "tiny", "--seed", "11", "--out"])
+            .arg(out.join("out"))
+            .arg("--checkpoint")
+            .arg(&checkpoint)
+            .arg("pipeline")
+            .output()
+            .expect("sixdust-exp runs");
+        let log = String::from_utf8_lossy(&run.stderr);
+        assert!(run.status.success(), "{log}");
+        let refused = format!("version {version} unsupported");
+        assert!(log.contains(&refused) && log.contains("service.ckpt.unusable.2"), "{log}");
+        assert_eq!(read(&out.join("service.ckpt.unusable.2")), unusable, "its bytes survive");
+        assert_eq!(read(&out.join("service.ckpt.unusable.1")), "an earlier one");
+        ServiceState::load(&checkpoint).expect("a fresh, valid checkpoint beside them");
+        assert_eq!(read(&checkpoint).lines().nth(1), Some(current), "at the current version");
+        std::fs::remove_dir_all(&out).ok();
+    }
 }

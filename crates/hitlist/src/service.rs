@@ -446,13 +446,11 @@ impl HitlistService {
     /// [`ServiceState::capture`](crate::ServiceState::capture). The 30-day
     /// filter's dropped pool is the input without the active addresses.
     /// The alias detector gets its merge window back, trimmed to its own
-    /// `merge_rounds`, and the labels are what that window merges to (a
-    /// checkpoint older than v4 has none: the labels are restored and the
-    /// detector restarts cold). The per-protocol anomaly monitors are re-warmed by
-    /// replaying the checkpointed published series, so a resumed service
-    /// continues the timeline the original would have produced. A v1
-    /// checkpoint's clocks were rebuilt when it was read
-    /// ([`ServiceState`](crate::ServiceState)'s `FromJson`).
+    /// `merge_rounds`, and the labels are what that window merges to (with
+    /// a cold window the labels are restored as they are). The
+    /// per-protocol anomaly monitors are re-warmed by replaying the
+    /// checkpointed published series, so a resumed service continues the
+    /// timeline the original would have produced.
     pub fn from_state(config: ServiceConfig, state: &crate::state::ServiceState) -> HitlistService {
         let mut svc = HitlistService::new(config);
         svc.detector.restore(&state.alias_window, &state.alias_detail);

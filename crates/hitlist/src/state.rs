@@ -12,14 +12,13 @@
 //! bytes an address where a decimal array cost 44. It writes to disk
 //! crash-safely ([`ServiceState::save_atomic`]), is parsed and checked
 //! whole before anything in it is used, and restores into a running
-//! service ([`ServiceState::restore`]). Older versions are read in one
-//! place, beside the version gate: its `FromJson`.
+//! service ([`ServiceState::restore`]). The version before the current
+//! one is read in one place, beside the version gate: its `FromJson`.
 
 use std::path::Path;
 
 use sixdust_addr::codec::{self, CodecError};
 use sixdust_addr::{base64, Addr, AddrSet, PrefixSet};
-use sixdust_alias::DetectedPrefix;
 use sixdust_json::{Error, Fields, FromJson, ToJson, Value};
 use sixdust_net::{Day, ProtoSet, Protocol};
 
@@ -27,42 +26,17 @@ use crate::service::{HitlistService, Responders, RoundRecord, ServiceConfig, Sna
 
 /// A serializable checkpoint of the service's accumulated knowledge.
 ///
-/// Version 2 added the resume-critical fields (`active` clocks, quarantine
-/// windows, `current_responsive`, `next_alias_day`); their keys are
-/// optional in a version-1 checkpoint only. A v1 checkpoint has no
-/// clocks: reading one restarts every input address outside its dropped
-/// pool at the last checkpointed round's day.
-///
-/// Version 3 moved the address-set fields onto [`AddrSet`], which wrote
-/// the same sorted address arrays, so a v3 checkpoint differs from its v2
-/// twin only in the `version` field.
-///
-/// Version 4 added the alias detector's merge window and the detection
-/// detail of its labels (`alias_window`, `alias_detail`), without which
-/// the alias rounds after a resume merged into an empty window. Their
-/// keys are optional before v4: a v1–v3 checkpoint restores the labels
-/// alone and the detector starts cold, as it did.
-///
-/// Version 5 writes every address set as its codec body (`AddrSet`'s
-/// `ToJson`) and drops `unresponsive_pool`, which was the input without
-/// the active addresses, stored a second time.
-///
-/// Version 6 writes every prefix list as a [`PrefixSet`], the codec body
-/// of its packed items, where v1–v5 wrote `{"network", "len"}` objects.
-/// The `cumulative` pairs of address and protocols become the set `ever`
-/// and the column `ever_protos` beside it, and the `alias_detail` objects
-/// a column beside `aliased`. A v1–v5 document's lists and pairs still
-/// read; its pool (before v5) is read once, held to the input and the
-/// clocks, and not kept.
+/// It is written at [`STATE_VERSION`] and read at that version and the
+/// one before ([`OLDEST_SUPPORTED_STATE_VERSION`]); an older document is
+/// refused by the version gate. Each version bump deletes the reader of
+/// the version two back.
 ///
 /// Version 7 writes each snapshot as its cleaned responsive set and a
-/// protocol column, where v1–v6 wrote a cleaned and a published set a
+/// protocol column, where v6 wrote a cleaned and a published set a
 /// protocol (the published ones, never read, are dropped), and adds the
 /// column `current_protos` beside `current_responsive`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceState {
-    /// Format version for forward compatibility.
-    pub version: u32,
     /// Accumulated input addresses, active and dropped.
     pub input: AddrSet,
     /// Current aliased prefix labels.
@@ -70,39 +44,40 @@ pub struct ServiceState {
     /// GFW-impacted addresses recorded so far.
     pub gfw_impacted: AddrSet,
     /// Every address ever seen cleaned-responsive, and beside it every
-    /// protocol it has answered (`ever` and `ever_protos`, v6).
+    /// protocol it has answered (`ever` and `ever_protos`).
     pub ever: Responders,
     /// Longitudinal round records.
     pub rounds: Vec<RoundRecord>,
     /// Retained full snapshots.
     pub snapshots: Vec<Snapshot>,
-    /// Active scan targets with the day each last answered (v2); the
-    /// input outside them is the 30-day filter's dropped pool.
+    /// Active scan targets with the day each last answered; the input
+    /// outside them is the 30-day filter's dropped pool.
     pub active: Vec<(Addr, Day)>,
-    /// Quarantined `[from, until)` day windows of degraded rounds (v2).
+    /// Quarantined `[from, until)` day windows of degraded rounds.
     pub quarantined: Vec<(Day, Day)>,
-    /// The last round's cleaned responsive set (`current_responsive`, v2;
-    /// the churn baseline) and the protocols each member answered
-    /// (`current_protos`, v7; empty where a v1–v6 document has none).
+    /// The last round's cleaned responsive set (`current_responsive`; the
+    /// churn baseline) and the protocols each member answered
+    /// (`current_protos`, v7; empty where a v6 document has none).
     pub current: Responders,
-    /// The day the next periodic alias detection is due (v2).
+    /// The day the next periodic alias detection is due.
     pub next_alias_day: Day,
-    /// The 30-day filter's window override, in days (v2).
+    /// The 30-day filter's window override, in days.
     pub unresponsive_window: u32,
     /// The alias detector's merge window, oldest round first: the
-    /// prefixes each detection round labelled (v4).
+    /// prefixes each detection round labelled.
     pub alias_window: Vec<PrefixSet>,
     /// Beside each label of `aliased`, in its order: the protocols its
     /// latest detection found answering on all 16 probes, ICMP as bit 0
-    /// and TCP/80 as bit 1 (v6). Empty while the window is cold.
+    /// and TCP/80 as bit 1. Empty while the window is cold.
     pub alias_detail: Vec<ProtoSet>,
 }
 
 impl ToJson for ServiceState {
+    /// The document at [`STATE_VERSION`], the only version written.
     fn to_value(&self) -> Value {
         let member = |key: &str, value: &dyn ToJson| (key.to_string(), value.to_value());
         Value::Object(vec![
-            member("version", &self.version),
+            member("version", &STATE_VERSION),
             member("input", &self.input),
             member("aliased", &self.aliased),
             member("gfw_impacted", &self.gfw_impacted),
@@ -123,9 +98,10 @@ impl ToJson for ServiceState {
 }
 
 impl FromJson for ServiceState {
-    /// Reads any supported version, and only those: the version gate
-    /// comes first, then the fields, then for a v1–v6 document the legacy
-    /// step (`ServiceState::upgrade`), then the columns are held to their
+    /// Reads a v7 or a v6 document, and only those: the version gate
+    /// comes first, then the fields (every key its version writes is
+    /// required), then for a v6 document the snapshot step
+    /// (`ServiceState::upgrade`), then the columns are held to their
     /// sets. A service state read from any document — a fleet
     /// checkpoint's included — has passed all four.
     fn from_value(v: &Value) -> Result<ServiceState, Error> {
@@ -137,54 +113,32 @@ impl FromJson for ServiceState {
                  {OLDEST_SUPPORTED_STATE_VERSION}..={STATE_VERSION})"
             )));
         }
-        // A v1–v6 document's pairs, objects and per-protocol sets are
-        // read by the legacy step.
-        let since = |v, key| if version < v { Ok(Vec::new()) } else { read_column(&fields, key) };
         let mut state = ServiceState {
-            version,
             input: fields.get("input")?,
             aliased: fields.get("aliased")?,
             gfw_impacted: fields.get("gfw_impacted")?,
             ever: Responders {
-                members: added(&fields, version, 6, "ever", AddrSet::new())?,
-                protos: since(6, "ever_protos")?,
+                members: fields.get("ever")?,
+                protos: read_column(&fields, "ever_protos")?,
             },
             rounds: fields.get("rounds")?,
-            snapshots: if version < 7 { Vec::new() } else { fields.get("snapshots")? },
-            active: added(&fields, version, 2, "active", Vec::new())?,
-            quarantined: added(&fields, version, 2, "quarantined", Vec::new())?,
-            current: Responders {
-                members: added(&fields, version, 2, "current_responsive", AddrSet::new())?,
-                protos: since(7, "current_protos")?,
-            },
-            next_alias_day: added(&fields, version, 2, "next_alias_day", Day::default())?,
-            unresponsive_window: added(&fields, version, 2, "unresponsive_window", 30)?,
-            alias_window: added(&fields, version, 4, "alias_window", Vec::new())?,
-            alias_detail: since(6, "alias_detail")?,
+            snapshots: Vec::new(),
+            active: fields.get("active")?,
+            quarantined: fields.get("quarantined")?,
+            current: Responders { members: fields.get("current_responsive")?, protos: Vec::new() },
+            next_alias_day: fields.get("next_alias_day")?,
+            unresponsive_window: fields.get("unresponsive_window")?,
+            alias_window: fields.get("alias_window")?,
+            alias_detail: read_column(&fields, "alias_detail")?,
         };
         if version < 7 {
             state.upgrade(&fields)?;
+        } else {
+            state.snapshots = fields.get("snapshots")?;
+            state.current.protos = read_column(&fields, "current_protos")?;
         }
         state.check_columns().map_err(Error::new)?;
         Ok(state)
-    }
-}
-
-/// The member `key` of a version-`version` document, a key version
-/// `since` added: a document written before it takes `default`, and one
-/// written since must hold it (a v5 document without its clocks would
-/// otherwise read as one whose every address was dropped).
-fn added<T: FromJson>(
-    fields: &Fields<'_>,
-    version: u32,
-    since: u32,
-    key: &str,
-    default: T,
-) -> Result<T, Error> {
-    if version < since {
-        fields.get_or(key, default)
-    } else {
-        fields.get(key)
     }
 }
 
@@ -235,7 +189,7 @@ impl FromJson for Snapshot {
     }
 }
 
-/// A v1–v6 snapshot: its cleaned sets, one a protocol in
+/// A v6 snapshot: its cleaned sets, one a protocol in
 /// `Protocol::ALL` order, become members and their column; its published
 /// sets are not read.
 struct LegacySnapshot(Snapshot);
@@ -253,29 +207,17 @@ impl FromJson for LegacySnapshot {
     }
 }
 
-/// One `{"prefix", "icmp", "tcp80"}` object of a v4–v5 `alias_detail`.
-struct LegacyDetail(DetectedPrefix);
-
-impl FromJson for LegacyDetail {
-    fn from_value(v: &Value) -> Result<LegacyDetail, Error> {
-        let fields = v.fields("DetectedPrefix")?;
-        let (prefix, icmp, tcp80) =
-            (fields.get("prefix")?, fields.get("icmp")?, fields.get("tcp80")?);
-        Ok(LegacyDetail(DetectedPrefix { prefix, icmp, tcp80 }))
-    }
-}
-
 /// Current checkpoint format version.
 pub const STATE_VERSION: u32 = 7;
 
-/// Oldest checkpoint version [`ServiceState::from_json`] still accepts.
-pub const OLDEST_SUPPORTED_STATE_VERSION: u32 = 1;
+/// Oldest checkpoint version [`ServiceState::from_json`] still accepts:
+/// the one before [`STATE_VERSION`].
+pub const OLDEST_SUPPORTED_STATE_VERSION: u32 = STATE_VERSION - 1;
 
 impl ServiceState {
     /// Captures a checkpoint from a running service.
     pub fn capture(svc: &HitlistService) -> ServiceState {
         ServiceState {
-            version: STATE_VERSION,
             input: AddrSet::from_sorted_addrs(svc.input()),
             aliased: svc.aliased().clone(),
             gfw_impacted: svc.gfw_impacted().clone(),
@@ -292,24 +234,11 @@ impl ServiceState {
         }
     }
 
-    /// The legacy step: what a v1–v6 document wrote in another shape.
+    /// The snapshot step: what a v6 document wrote in another shape.
     ///
-    /// Before v7 each snapshot held a set a protocol, read here into a
-    /// set and its column. The current column is the last snapshot's
-    /// when that was the last round, and otherwise stays empty.
-    ///
-    /// Before v5 it stored its dropped `pool`, a set later versions
-    /// derive as the input without the active addresses. A v1 document
-    /// (known by its version) has no clocks, so every input address
-    /// outside the pool restarts its clock at the last checkpointed
-    /// round's day; its pool must lie inside the input. A v2–v4 pool must
-    /// be exactly the input without the active addresses: any other pool
-    /// contradicts the clocks.
-    ///
-    /// Before v6 it stored `cumulative` pairs, read here into `ever` and
-    /// its column (an address twice is an error), and, from v4, the
-    /// detail of its labels as objects, read into the column beside
-    /// `aliased` when the window is warm (they must be the labels).
+    /// Each v6 snapshot held a set a protocol, read here into a set and
+    /// its column. The current column is the last snapshot's when that
+    /// was the last round, and otherwise stays empty.
     fn upgrade(&mut self, fields: &Fields<'_>) -> Result<(), Error> {
         let snapshots: Vec<LegacySnapshot> = fields.get("snapshots")?;
         self.snapshots = snapshots.into_iter().map(|s| s.0).collect();
@@ -317,41 +246,6 @@ impl ServiceState {
             if snap.day == round.day && snap.responsive.members == self.current.members {
                 self.current.protos = snap.responsive.protos.clone();
             }
-        }
-        if self.version == 6 {
-            return Ok(());
-        }
-        if self.version < 5 {
-            let pool: AddrSet = fields.get("unresponsive_pool")?;
-            if self.version == 1 {
-                if pool.diff_count(&self.input) > 0 {
-                    return Err(Error::new("a v1 dropped address is not input"));
-                }
-                let day = self.rounds.last().map_or(Day(0), |r| r.day);
-                self.active = self.input.diff(&pool).addrs().map(|a| (a, day)).collect();
-            } else {
-                let active: AddrSet = self.active.iter().map(|(a, _)| *a).collect();
-                if pool != self.input.diff(&active) {
-                    return Err(Error::new(format!(
-                        "the v{} dropped pool is not the input without the active addresses",
-                        self.version
-                    )));
-                }
-            }
-        }
-        let mut cumulative: Vec<(Addr, ProtoSet)> = fields.get("cumulative")?;
-        cumulative.sort_unstable_by_key(|(a, _)| *a);
-        if cumulative.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(Error::new("duplicate cumulative addresses"));
-        }
-        let (ever, protos): (Vec<Addr>, _) = cumulative.into_iter().unzip();
-        self.ever = Responders { members: AddrSet::from_sorted_addrs(&ever), protos };
-        if !self.alias_window.is_empty() {
-            let detail: Vec<LegacyDetail> = fields.get("alias_detail")?;
-            if !detail.iter().map(|d| d.0.prefix).eq(self.aliased.iter()) {
-                return Err(Error::new("alias detail does not cover the aliased labels"));
-            }
-            self.alias_detail = detail.iter().map(|d| d.0.protos()).collect();
         }
         Ok(())
     }
@@ -447,8 +341,8 @@ impl ServiceState {
         if active.diff_count(&self.input) > 0 {
             return Err("an active address is not input".into());
         }
-        // A cold window (v1–v3, or no detection yet) says nothing; a
-        // warm one is what the labels were merged from.
+        // A cold window (no detection yet) says nothing; a warm one is
+        // what the labels were merged from.
         if !self.alias_window.is_empty() {
             let merged: PrefixSet = self.alias_window.iter().flat_map(PrefixSet::iter).collect();
             if merged != self.aliased {
@@ -465,11 +359,11 @@ mod legacy;
 
 #[cfg(test)]
 mod tests {
-    use super::legacy::{array, legacy_document, legacy_json, legacy_set, set_member};
+    use super::legacy::{legacy_document, legacy_json};
     use super::*;
     use crate::service::ServiceConfig;
     use sixdust_alias::DetectorConfig;
-    use sixdust_net::{Day, FaultConfig, Internet, Protocol, Scale};
+    use sixdust_net::{Day, FaultConfig, Internet, Scale};
 
     fn test_net() -> Internet {
         Internet::build(Scale::tiny()).with_faults(FaultConfig::lossless())
@@ -501,35 +395,16 @@ mod tests {
         // The pretty bytes of a tiny-scale checkpoint, by length and
         // content digest: a writer that drifts (spacing, key order, number
         // form) fails here instead of silently forking the on-disk format.
-        // The v4 bytes come from the reference writer, and are the pin the
-        // v4 writer itself had.
-        let state = ServiceState::capture(&run_service(8));
-        let json = legacy_json(&state, 4);
-        assert!(json.starts_with("{\n  \"version\": 4,\n  \"input\": [\n    "), "{:.60}", json);
-        assert!(json.contains("\n  \"unresponsive_window\": 30,\n  \"alias_window\": [\n    [\n"));
-        assert!(json.ends_with("\n      \"tcp80\": true\n    }\n  ]\n}"), "no trailing newline");
-        let digest = sixdust_addr::digest::fnv_items(json.bytes().map(u128::from));
-        assert_eq!((json.len(), digest), (652_091, 17_253_704_505_380_632_577));
-        // v5: every address set one base64 codec body, and no dropped
-        // pool. From the reference writer too, and the pin the v5 writer
-        // had.
-        let json = legacy_json(&state, 5);
-        assert!(json.starts_with("{\n  \"version\": 5,\n  \"input\": \"U0RGM"), "{:.60}", json);
-        assert!(json.contains("\n  \"unresponsive_window\": 30,\n  \"alias_window\": [\n    [\n"));
-        assert!(json.ends_with("\n      \"tcp80\": true\n    }\n  ]\n}"), "no trailing newline");
-        assert!(!json.contains("unresponsive_pool"));
-        let digest = sixdust_addr::digest::fnv_items(json.bytes().map(u128::from));
-        assert_eq!((json.len(), digest), (545_636, 14_303_414_829_826_028_543));
-        // v6: every prefix list one codec body too, and the per-member
+        // v6: every set and prefix list one codec body, and the per-member
         // values two columns. From the reference writer, and the pin the
         // v6 writer had.
-        let json = legacy_json(&state, 6);
+        let state = ServiceState::capture(&run_service(8));
+        let json = legacy_json(&state);
         assert!(json.starts_with("{\n  \"version\": 6,\n  \"input\": \"U0RGM"), "{:.60}", json);
         assert!(json.contains("\n  \"aliased\": \"U0RGM"));
         assert!(
             json.contains("\n  \"unresponsive_window\": 30,\n  \"alias_window\": [\n    \"U0RGM")
         );
-        assert!(!json.contains("cumulative") && !json.contains("\"network\""));
         assert!(json.ends_with("\"\n}"), "no trailing newline");
         let digest = sixdust_addr::digest::fnv_items(json.bytes().map(u128::from));
         assert_eq!((json.len(), digest), (266_953, 8_148_060_174_902_567_672));
@@ -558,42 +433,39 @@ mod tests {
     }
 
     #[test]
-    fn v2_checkpoint_loads_into_v3_state() {
-        let svc = run_service(8);
-        let state = ServiceState::capture(&svc);
-        // A v2 checkpoint, from the reference writer: sets as arrays, the
-        // dropped pool, and none of the v4 keys.
-        let v2_json = legacy_json(&state, 2);
-        let upgraded = ServiceState::from_json(&v2_json).expect("v2 checkpoint parses");
-        upgraded.validate().expect("v2 checkpoint validates");
-        assert_eq!(upgraded.version, 2);
-        assert!(upgraded.alias_window.is_empty() && upgraded.alias_detail.is_empty());
-        let mut as_current = upgraded.clone();
-        as_current.version = STATE_VERSION;
-        as_current.alias_window = state.alias_window.clone();
-        as_current.alias_detail = state.alias_detail.clone();
-        as_current.current.protos = state.current.protos.clone();
-        assert_eq!(as_current, state, "v2 payload loads into the identical state otherwise");
-        // Restoring from the v2 state drives the same service forward.
-        let resumed = upgraded.restore(test_config());
-        assert_eq!(resumed.rounds(), svc.rounds());
-        assert_eq!(resumed.current_responsive(), svc.current_responsive());
+    fn version_gate() {
+        let state = ServiceState::capture(&run_service(3));
+        let (json, v6) = (state.to_json(), legacy_json(&state));
+        // The current version and the one before read, each in the shape
+        // its writer gave it.
+        assert!(ServiceState::from_json(&json).is_ok());
+        assert!(ServiceState::from_json(&v6).is_ok());
+        // Any other number is refused, whatever the shape: a v6 document
+        // renumbered 5 would otherwise read.
+        for version in [5, 99, 0] {
+            let to = format!("\"version\": {version}");
+            let renumbered = v6.replacen("\"version\": 6", &to, 1);
+            let err = ServiceState::from_json(&renumbered).unwrap_err();
+            assert!(
+                err.contains(&format!("version {version} unsupported (expected 6..=7)")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
-    fn version_gate() {
-        let svc = run_service(3);
-        let mut state = ServiceState::capture(&svc);
-        state.version = 99;
-        let err = ServiceState::from_json(&state.to_json()).unwrap_err();
-        assert!(err.contains("version 99"), "{err}");
-        // The previous format versions are still accepted, in the shape
-        // their writer gave them.
-        for version in [1, 4, 5, 6] {
-            assert!(ServiceState::from_json(&legacy_json(&state, version)).is_ok(), "v{version}");
-        }
-        state.version = 0;
-        assert!(ServiceState::from_json(&state.to_json()).is_err());
+    fn a_re_saved_checkpoint_loads_as_the_state_it_was_read_into() {
+        // A state read from a v6 document is saved at v7, the only
+        // version written, and loads back unchanged.
+        let read = ServiceState::from_json(&legacy_json(&ServiceState::capture(&run_service(8))))
+            .expect("a v6 document reads");
+        let dir = std::env::temp_dir().join(format!("sixdust_resave_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("service.ckpt");
+        read.save_atomic(&path).expect("saves");
+        let loaded = ServiceState::load(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(loaded, Ok(read));
     }
 
     #[test]
@@ -655,18 +527,6 @@ mod tests {
         let mut bad = base.clone();
         bad.quarantined.push((Day(9), Day(9)));
         assert!(bad.validate().is_err(), "empty quarantine window");
-        if let Some((a, _)) = base.active.first().copied() {
-            // Only a v1–v4 document stores the pool: it must not hold an
-            // active address.
-            let mut doc = legacy_document(&base, 4);
-            let mut pool = legacy_set(&doc, "unresponsive_pool");
-            pool.insert(a.0);
-            set_member(&mut doc, "unresponsive_pool", array(&pool));
-            assert!(
-                ServiceState::from_json(&doc.pretty()).is_err(),
-                "active address in dropped pool"
-            );
-        }
         let mut bad = base.clone();
         let first = bad.alias_window[0].iter().next().expect("the first round labelled something");
         bad.alias_window[0] = bad.alias_window[0].iter().filter(|&p| p != first).collect();
@@ -712,9 +572,9 @@ mod tests {
 
     /// A tiny service with a 3-day window, twelve days in: some of its
     /// input is active and some dropped.
-    fn service_with_a_pool() -> HitlistService {
+    fn service_with_a_pool(config: ServiceConfig) -> HitlistService {
         let net = test_net();
-        let mut svc = HitlistService::new(test_config());
+        let mut svc = HitlistService::new(config);
         svc.set_unresponsive_window(3);
         svc.run(&net, Day(0), Day(12));
         svc
@@ -722,136 +582,55 @@ mod tests {
 
     #[test]
     fn a_checkpoint_whose_input_and_filter_disagree_is_rejected() {
-        let base = ServiceState::capture(&service_with_a_pool());
-        base.validate().expect("a captured state is valid");
-        assert!(!base.active.is_empty() && base.active.len() < base.input.len());
-        let stranger = (1u128..).find(|v| !base.input.contains(*v)).unwrap();
-        // A v1–v4 document whose stored pool disagrees with its input and
-        // clocks.
-        let legacy = |version: u32, input: &AddrSet, pool: &AddrSet| {
-            let mut doc = legacy_document(&base, version);
-            set_member(&mut doc, "input", array(input));
-            set_member(&mut doc, "unresponsive_pool", array(pool));
-            ServiceState::from_json(&doc.pretty())
-        };
-        let input = base.input.clone();
-        let pool = legacy_set(&legacy_document(&base, 4), "unresponsive_pool");
-
-        let mut more = input.clone();
-        more.insert(stranger);
-        assert!(legacy(4, &more, &pool).is_err(), "an input address neither active nor dropped");
-        let mut dropped = pool.clone();
-        dropped.insert(stranger);
-        assert!(legacy(4, &input, &dropped).is_err(), "a dropped address that is not input");
-        let mut bad = base.clone();
+        let mut bad = ServiceState::capture(&service_with_a_pool(test_config()));
+        bad.validate().expect("a captured state is valid");
+        assert!(!bad.active.is_empty() && bad.active.len() < bad.input.len());
         bad.input.remove(bad.active[0].0 .0);
         assert!(bad.validate().is_err(), "an active address that is not input");
-
-        // Without clocks (a v1 checkpoint) the active addresses are the
-        // input outside the pool, so only the pool is held to the input.
-        let v1 = legacy(1, &more, &pool).expect("a v1 checkpoint may hold input the pool does not");
-        v1.validate().expect("and is valid");
-        assert!(v1.active.iter().any(|(a, _)| a.0 == stranger), "the stranger is active");
-        let mut dropped = pool;
-        dropped.insert(stranger + 1);
-        assert!(legacy(1, &more, &dropped).is_err(), "a v1 dropped address that is not input");
     }
 
     #[test]
     fn a_checkpoint_whose_clocks_were_emptied_or_removed_is_rejected() {
-        // A v2–v4 document with emptied clocks must not read as a v1 one,
-        // whose every active address restarts at the last round's day.
-        let base = ServiceState::capture(&service_with_a_pool());
-        for version in [2, 4] {
-            let mut doc = legacy_document(&base, version);
-            set_member(&mut doc, "active", Value::Array(Vec::new()));
-            match ServiceState::from_json(&doc.pretty()) {
-                Err(err) => {
-                    assert!(err.contains("pool is not the input without the active"), "{err}")
-                }
-                Ok(read) => {
-                    panic!("v{version} without clocks loaded, {} active", read.active.len())
-                }
+        // Every key a supported version writes is required: a document
+        // without its clocks would otherwise read as one whose every
+        // address was dropped.
+        let base = ServiceState::capture(&service_with_a_pool(test_config()));
+        for doc in [base.to_value(), legacy_document(&base)] {
+            let Value::Object(members) = &doc else { unreachable!() };
+            let version = doc.get("version").cloned();
+            for (key, _) in members {
+                let Value::Object(mut without) = doc.clone() else { unreachable!() };
+                without.retain(|(k, _)| k != key);
+                let text = Value::Object(without).pretty();
+                let err = ServiceState::from_json(&text).err().unwrap_or_default();
+                assert!(err.contains(&format!("missing field `{key}`")), "{version:?}: {err}");
             }
-        }
-        // A key a version added is required from that version on.
-        for (version, key) in [
-            (7, "current_protos"),
-            (7, "active"),
-            (6, "active"),
-            (5, "active"),
-            (2, "active"),
-            (7, "alias_window"),
-            (6, "alias_window"),
-            (6, "alias_detail"),
-            (5, "alias_detail"),
-            (4, "alias_detail"),
-            (6, "ever_protos"),
-            (5, "cumulative"),
-        ] {
-            let mut doc = match version {
-                7 => base.to_value(),
-                legacy => legacy_document(&base, legacy),
-            };
-            let Value::Object(members) = &mut doc else { unreachable!() };
-            members.retain(|(k, _)| k != key);
-            let err = ServiceState::from_json(&doc.pretty()).err().unwrap_or_default();
-            assert!(err.contains(&format!("missing field `{key}`")), "v{version}: {err}");
         }
     }
 
     #[test]
     fn legacy_documents_restore_the_service_they_were_written_from() {
-        let svc = service_with_a_pool();
-        let original = ServiceState::capture(&svc);
-        for version in [2, 4, 5, 6] {
-            let read = ServiceState::from_json(&legacy_json(&original, version)).expect("reads");
+        // A v6 document holds no current column. The first service's last
+        // round was no snapshot day, so its column stays empty until the
+        // next round; the second's was, and its column is the last
+        // snapshot's.
+        let last_day_too = test_config().with_snapshot_days(vec![Day(5), Day(12)]);
+        for (config, snapshot_last) in [(test_config(), false), (last_day_too, true)] {
+            let original = ServiceState::capture(&service_with_a_pool(config.clone()));
+            let last_round = original.rounds.last().map(|r| r.day);
+            assert_eq!(original.snapshots.last().map(|s| s.day) == last_round, snapshot_last);
+            assert!(!original.current.protos.is_empty());
+            let read = ServiceState::from_json(&legacy_json(&original)).expect("reads");
             read.validate().expect("valid");
-            let mut recaptured = ServiceState::capture(&read.restore(test_config()));
-            // The last round was no snapshot day: before v7 its
-            // protocols were not written.
-            assert!(recaptured.current.protos.is_empty());
-            recaptured.current.protos = original.current.protos.clone();
-            if version < 4 {
-                // No merge window before v4: the detector restarts cold.
-                assert!(recaptured.alias_window.is_empty());
-                recaptured.alias_window = original.alias_window.clone();
-                recaptured.alias_detail = original.alias_detail.clone();
+            let mut recaptured = ServiceState::capture(&read.restore(config));
+            if snapshot_last {
+                assert_eq!(read.current.protos, original.current.protos);
+            } else {
+                assert!(recaptured.current.protos.is_empty());
+                recaptured.current.protos = original.current.protos.clone();
             }
-            assert_eq!(recaptured, original, "v{version}");
+            assert_eq!(recaptured, original);
         }
-        // A v1 document has no clocks: every address outside its pool is
-        // active again, as of the last checkpointed round.
-        let read = ServiceState::from_json(&legacy_json(&original, 1)).expect("reads");
-        read.validate().expect("valid");
-        let last = original.rounds.last().expect("rounds ran").day;
-        assert_ne!(last, Day(0));
-        let restarted: Vec<(Addr, Day)> = original.active.iter().map(|&(a, _)| (a, last)).collect();
-        assert_eq!(read.active, restarted);
-        let resumed = read.restore(test_config());
-        assert_eq!(resumed.unresponsive().active_entries().collect::<Vec<_>>(), restarted);
-        assert_eq!(resumed.unresponsive_pool(), svc.unresponsive_pool());
-    }
-
-    #[test]
-    fn a_checkpoint_that_repeats_a_cumulative_address_is_rejected() {
-        let base = ServiceState::capture(&run_service(5));
-        base.validate().expect("a captured state is valid");
-        // Only a v1–v5 document writes pairs: the address again, under
-        // protocols it was not captured with.
-        let (a, protos) = (base.ever.members.to_vec()[0], base.ever.protos[0]);
-        let other = if protos == ProtoSet::all() {
-            ProtoSet::of(&[Protocol::Icmp])
-        } else {
-            ProtoSet::all()
-        };
-        let mut doc = legacy_document(&base, 5);
-        let Some(Value::Array(pairs)) = doc.get("cumulative").cloned() else { panic!("pairs") };
-        let mut pairs = pairs;
-        pairs.insert(1, (a, other).to_value());
-        set_member(&mut doc, "cumulative", Value::Array(pairs));
-        let err = ServiceState::from_json(&doc.pretty()).unwrap_err();
-        assert!(err.contains("duplicate cumulative"), "{err}");
     }
 
     #[test]

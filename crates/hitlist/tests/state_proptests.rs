@@ -1,10 +1,8 @@
 //! Property tests for checkpoint robustness: a restarting service parses
-//! whatever it finds on disk — a checkpoint from an older version, a file
-//! truncated by a crash, or plain garbage — and must reject bad input with
+//! whatever it finds on disk — a checkpoint from an unsupported version, a
+//! file truncated by a crash, or plain garbage — and must reject bad input with
 //! an error, never a panic, and never accept an inconsistent timeline.
 //! Seeded loops, at least 64 cases each.
-
-mod common;
 
 use std::sync::OnceLock;
 
@@ -70,31 +68,24 @@ fn json_shaped_garbage_never_panics() {
         let json = format!("{{\"version\": {version}, \"{filler}\": {n}}}");
         assert!(ServiceState::from_json(&json).is_err(), "{json}");
     }
-    // Right keys, wrong or hostile values: in a v4 document, with its
-    // sets as arrays.
+    // Right keys, wrong or hostile values.
     let state = donor();
-    let donor = common::legacy_json(state, 4);
+    let json = state.to_json();
     for (from, to) in [
-        ("\"version\": 4", "\"version\": -4"),
-        ("\"version\": 4", "\"version\": 4.0"),
-        ("\"version\": 4", "\"version\": 4294967296"),
-        ("\"version\": 4", "\"version\": \"4\""),
-        ("\"input\": [", "\"input\": [-1, "),
-        ("\"input\": [", "\"input\": [340282366920938463463374607431768211456, "),
-        ("\"input\": [", "\"input\": [null, "),
-        ("\"len\": ", "\"len\": 1"),
+        ("\"version\": 7", "\"version\": -7"),
+        ("\"version\": 7", "\"version\": 7.0"),
+        ("\"version\": 7", "\"version\": 4294967296"),
+        ("\"version\": 7", "\"version\": \"7\""),
         ("\"rounds\": [", "\"rounds\": [{}, "),
-        ("\"unresponsive_window\": 30", "\"unresponsive_window\": 30, \"version\": 4"),
+        ("\"unresponsive_window\": 30", "\"unresponsive_window\": 30, \"version\": 7"),
         ("\"alias_window\": [", "\"alias_window\": [{}, "),
-        ("\"alias_detail\": [", "\"alias_detail\": [[], "),
     ] {
-        assert!(donor.contains(from), "{from}");
-        assert!(ServiceState::from_json(&donor.replacen(from, to, 1)).is_err(), "{from} -> {to}");
+        assert!(json.contains(from), "{from}");
+        assert!(ServiceState::from_json(&json.replacen(from, to, 1)).is_err(), "{from} -> {to}");
     }
-    // And in a v5 document, whose sets are base64 codec bodies: an empty
-    // string, a character outside the alphabet, and well-formed,
-    // checksummed bodies that break the codec's other rules.
-    let v5 = state.to_json();
+    // Sets are base64 codec bodies: an empty string, a character outside
+    // the alphabet, and well-formed, checksummed bodies that break the
+    // codec's other rules.
     let input = format!("\"input\": \"{}\"", base64::encode(&encode_full(&state.input)));
     let body = |payload: &[u8]| {
         let mut body = payload.to_vec();
@@ -115,24 +106,22 @@ fn json_shaped_garbage_never_panics() {
         body(&unsorted),
         body(&trailing),
     ] {
-        assert!(v5.contains(&input));
-        assert!(ServiceState::from_json(&v5.replacen(&input, &to, 1)).is_err(), "{to:.60}");
+        assert!(json.contains(&input));
+        assert!(ServiceState::from_json(&json.replacen(&input, &to, 1)).is_err(), "{to:.60}");
     }
-    assert!(ServiceState::from_json(&v5.replacen(&input, &body(payload), 1)).is_ok());
-    // And in a v6 document, whose prefix sets are codec bodies of packed
-    // items and whose per-member values are columns: an item no prefix
-    // packs to, a column one entry short of its set or one past it, a
-    // member that answered no protocol, a protocol bit outside
-    // `ProtoSet` and, in the alias detail, a protocol the detector does
-    // not probe.
-    let v6 = state.to_json();
+    assert!(ServiceState::from_json(&json.replacen(&input, &body(payload), 1)).is_ok());
+    // Prefix sets are codec bodies of packed items and per-member values
+    // are columns: an item no prefix packs to, a column one entry short
+    // of its set or one past it, a member that answered no protocol, a
+    // protocol bit outside `ProtoSet` and, in the alias detail, a
+    // protocol the detector does not probe.
     let packed = state.aliased.packed();
     let aliased = format!("\"aliased\": \"{}\"", base64::encode(&encode_full(&packed)));
     for item in [0x100 | 32, 151, u128::MAX] {
         let body = base64::encode(&encode_full(&AddrSet::from_sorted(vec![item])));
         let to = format!("\"aliased\": \"{body}\"");
-        assert!(v6.contains(&aliased));
-        let err = ServiceState::from_json(&v6.replacen(&aliased, &to, 1)).unwrap_err();
+        assert!(json.contains(&aliased));
+        let err = ServiceState::from_json(&json.replacen(&aliased, &to, 1)).unwrap_err();
         assert!(err.contains("not a packed prefix"), "{item:#x}: {err}");
     }
     assert!(!state.ever.members.is_empty() && !state.alias_detail.is_empty());
@@ -164,7 +153,7 @@ fn json_shaped_garbage_never_panics() {
         assert!(ServiceState::from_json(&bad.to_json()).is_err(), "{case}");
         assert!(bad.validate().is_err(), "{case}");
     }
-    // A current column is one entry a member, or none: a v1–v6 document
+    // A current column is one entry a member, or none: a v6 document
     // whose last round was no snapshot day did not record it.
     let mut unrecorded = state.clone();
     unrecorded.current.protos.clear();

@@ -11,6 +11,7 @@
 //! and a fleet checkpoint saved mid-run resumes to the exact state of
 //! an uninterrupted run.
 
+use sixdust::hitlist::state::STATE_VERSION;
 use sixdust::hitlist::HitlistService;
 use sixdust::hitlist::{ServiceConfig, ServiceState};
 use sixdust::net::{events, Day, FaultConfig, Internet, Scale};
@@ -211,10 +212,12 @@ fn fleet_checkpoint_round_trips_through_disk() {
 fn a_fleet_checkpoint_holds_each_service_to_the_version_gate() {
     let mut fleet = VantageFleet::build(fleet_config(2, 2));
     fleet.run(Day(0), Day(4));
-    let mut state = FleetState::capture(&fleet);
+    let json = FleetState::capture(&fleet).to_json();
+    let service_version = format!("\"version\": {STATE_VERSION}");
+    assert!(json.contains(&service_version));
     for version in [99, 0] {
-        state.services[0].version = version;
-        let err = FleetState::from_json(&state.to_json()).unwrap_err();
+        let renumbered = json.replacen(&service_version, &format!("\"version\": {version}"), 1);
+        let err = FleetState::from_json(&renumbered).unwrap_err();
         assert!(err.contains(&format!("checkpoint version {version} unsupported")), "{err}");
     }
 }
