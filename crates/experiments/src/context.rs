@@ -310,7 +310,11 @@ impl Ctx {
         let passive_all = newsources::passive_sources(net, day);
         let passive_new: Vec<Addr> =
             passive_all.iter().filter(|a| known.binary_search(a).is_err()).copied().collect();
-        let pool = self.svc.unresponsive_pool().diff(self.svc.gfw_impacted()).to_addr_vec();
+        // The dropped pool less what the GFW filter flagged (`c` a clock, `s`
+        // a byte), in one walk of the input table.
+        let rows = self.svc.unresponsive().rows();
+        let pool: Vec<Addr> =
+            rows.filter(|(_, c, s)| c.is_none() && !s.gfw_cleaned()).map(|r| r.0).collect();
         let mut tga_lists: Vec<(&'static str, Vec<Addr>)> = Vec::new();
         for (generator, budget) in instrumented_lineup(self.scale.addr_div, &self.telemetry) {
             let t0 = std::time::Instant::now();

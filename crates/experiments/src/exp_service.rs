@@ -228,11 +228,12 @@ pub fn table1(ctx: &Ctx) -> ExpOutput {
         json_rows.push(Value::sorted_object(jrow));
     }
     // Cumulative row.
-    let cumulative = ctx.svc.cumulative().members.len();
+    let ever = ctx.svc.cumulative();
+    let cumulative = ever.members.len();
     let mut cells = vec!["Cumulative".to_string()];
     let mut jrow: Vec<(String, Value)> = Vec::new();
     for proto in Protocol::ALL {
-        let n = ctx.svc.cumulative().iter().filter(|(_, p)| p.contains(proto)).count();
+        let n = ever.iter().filter(|(_, p)| p.contains(proto)).count();
         cells.push(human(n as u64));
         cells.push(String::new());
         jrow.push((format!("{proto}"), json!(n)));

@@ -158,7 +158,7 @@ fn a_checkpoint_it_cannot_use_is_moved_aside_not_overwritten() {
     let json = ServiceState::capture(&svc).to_json();
     let current = json.lines().nth(1).expect("the version line");
     assert!(current.starts_with("  \"version\": "), "{current}");
-    for version in [99, 5] {
+    for version in [99, 6] {
         let out = std::env::temp_dir().join(format!("sixdust_exp_aside_{}", std::process::id()));
         std::fs::remove_dir_all(&out).ok();
         std::fs::create_dir_all(&out).unwrap();

@@ -1,13 +1,14 @@
-//! The filter chain of the hitlist pipeline (Fig. 1, middle).
+//! The filter chain of the hitlist pipeline (Fig. 1, middle), and the
+//! service's one per-address table.
 //!
 //! In pipeline order: the request-based **blocklist**, the **aliased
-//! prefix filter** (fed by the detector), the **GFW filter** this paper
-//! added, and the **30-day unresponsive filter**. Each is a small, testable
-//! unit; the service composes them. The 30-day filter holds the input and
-//! the clocks of its active addresses; its dropped pool is never stored.
+//! prefix filter** (the detector's labels), the **GFW cleaning** this
+//! paper added, and the **30-day unresponsive filter**. The last owns the
+//! input, which never shrinks and holds every address the service learns
+//! anything about, so each per-address fact is a column beside it.
 
 use sixdust_addr::{Addr, AddrSet, Prefix, PrefixSet};
-use sixdust_net::Day;
+use sixdust_net::{Day, ProtoSet};
 use sixdust_scan::{Detail, ScanResult};
 
 /// The request-based blocklist: operators who opted out of scanning.
@@ -28,12 +29,6 @@ impl Blocklist {
     /// Creates an empty blocklist.
     pub fn new() -> Blocklist {
         Blocklist::default()
-    }
-
-    /// Seeds the blocklist (the paper seeds from the existing service's
-    /// list to honour prior opt-outs).
-    pub fn seed(prefixes: impl IntoIterator<Item = Prefix>) -> Blocklist {
-        Blocklist { prefixes: prefixes.into_iter().collect() }
     }
 
     /// Registers an opt-out request.
@@ -57,53 +52,55 @@ impl Blocklist {
     }
 }
 
-/// The GFW cleaning filter (Sec. 4.2): removes UDP/53 successes whose
-/// responses carried injection markers (A records answering AAAA queries,
-/// or Teredo AAAA records), and remembers every address ever flagged.
-#[derive(Debug, Clone, Default)]
-pub struct GfwFilter {
-    impacted: AddrSet,
-}
-
-impl GfwFilter {
-    /// Creates the filter.
-    pub fn new() -> GfwFilter {
-        GfwFilter::default()
-    }
-
-    /// Rebuilds the filter from a checkpointed impacted set.
-    pub fn restore(impacted: AddrSet) -> GfwFilter {
-        GfwFilter { impacted }
-    }
-
-    /// Scans a UDP/53 result: records injected-flagged targets and returns
-    /// the cleaned hit list.
-    pub fn clean(&mut self, result: &ScanResult) -> Vec<Addr> {
-        let (mut clean, mut injected) = (Vec::new(), Vec::new());
-        for h in &result.hits {
-            match h.detail {
-                Detail::Dns { injected: true, .. } => injected.push(h.target.0),
-                _ => clean.push(h.target),
-            }
+/// The GFW cleaning filter (Sec. 4.2): splits a UDP/53 scan's hits into
+/// the clean ones and the injected ones, whose responses carried
+/// injection markers (A records answering AAAA queries, or Teredo AAAA
+/// records), each in the scan's order.
+pub fn gfw_clean(result: &ScanResult) -> (Vec<Addr>, Vec<Addr>) {
+    let (mut clean, mut injected) = (Vec::new(), Vec::new());
+    for h in &result.hits {
+        match h.detail {
+            Detail::Dns { injected: true, .. } => injected.push(h.target),
+            _ => clean.push(h.target),
         }
-        self.impacted.union_in_place(&AddrSet::from_unsorted(injected));
-        clean
+    }
+    (clean, injected)
+}
+
+/// What the service has learned of one input address, in one byte: bits
+/// 0–4 are the protocols it has answered in the cleaned view (a
+/// [`ProtoSet`]), bit 5 says the GFW filter cleaned an injected answer
+/// from it, and bits 6 and 7 are never set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Seen(pub u8);
+
+impl Seen {
+    /// Bit 5: the GFW filter cleaned an injected UDP/53 answer.
+    pub const GFW_CLEANED: Seen = Seen(1 << 5);
+
+    /// The protocols the address has answered in the cleaned view.
+    pub fn protos(self) -> ProtoSet {
+        ProtoSet(self.0 & !Seen::GFW_CLEANED.0)
     }
 
-    /// Every address ever seen with an injected response.
-    pub fn impacted(&self) -> &AddrSet {
-        &self.impacted
+    /// Whether the GFW filter cleaned an injected answer from the address.
+    pub fn gfw_cleaned(self) -> bool {
+        self.0 & Seen::GFW_CLEANED.0 != 0
     }
 }
 
-/// The 30-day unresponsive filter: drops addresses unresponsive for 30+
-/// days from the scan target list — and, true to the original service,
-/// never re-tests them (Sec. 3.1; re-scanning that pool is Sec. 6's
-/// "unresponsive addresses" source). It owns the service's input and a
-/// clock for each active address, as two columns side by side: the
-/// input ascending, and beside each address the day it last answered or
-/// `None` once dropped. The dropped pool is the input without a clock,
-/// stored nowhere, and a dropped address cannot come back.
+/// The clock of a dropped address: a day no round reaches.
+const DROPPED: Day = Day(u32::MAX);
+
+/// The service's input and the 30-day unresponsive filter over it: drops
+/// addresses unresponsive for 30+ days from the scan target list — and,
+/// true to the original service, never re-tests them (Sec. 3.1;
+/// re-scanning that pool is Sec. 6's "unresponsive addresses" source).
+///
+/// Three columns side by side: the input ascending; beside each address
+/// the day it last answered (or entered the input), a sentinel once it
+/// is dropped for good; and its [`Seen`] byte. The dropped pool, the
+/// cumulative responders and the GFW-impacted set are views of them.
 ///
 /// Days inside **quarantined** windows (degraded rounds: heavy loss or an
 /// outage at the vantage) do not count toward an address's silence, so a
@@ -114,44 +111,41 @@ pub struct UnresponsiveFilter {
     /// Every address ever admitted, active or dropped, strictly ascending.
     input: Vec<Addr>,
     /// Beside each input address: the day it last answered (or entered
-    /// the input), `None` once dropped.
-    clocks: Vec<Option<Day>>,
+    /// the input), `DROPPED` once dropped.
+    clocks: Vec<Day>,
+    /// Beside each input address: what the service has learned of it,
+    /// without spare capacity.
+    seen: Vec<Seen>,
     /// The cutoff in days.
     pub window: u32,
     /// Half-open `[from, until)` day windows whose silence is forgiven.
-    /// Absent in checkpoints written before quarantine existed.
     quarantined: Vec<(Day, Day)>,
 }
 
 impl Default for UnresponsiveFilter {
+    /// The empty filter with the paper's 30-day window.
     fn default() -> UnresponsiveFilter {
-        UnresponsiveFilter { input: vec![], clocks: vec![], window: 30, quarantined: vec![] }
+        UnresponsiveFilter::restore([], [], 30, vec![])
     }
 }
 
 impl UnresponsiveFilter {
-    /// Creates the filter with the paper's 30-day window.
-    pub fn new() -> UnresponsiveFilter {
-        UnresponsiveFilter::default()
-    }
-
     /// Admits a batch of addresses, in any order and with repeats, to the
-    /// input and starts their clocks on `day`. Returns how many were new:
-    /// an address already admitted, active or dropped, keeps its clock or
-    /// its lack of one. The batch is sorted, what the input holds is
-    /// dropped from it in one galloping walk, and the rest is merged into
-    /// both columns in place, back to front.
+    /// input and starts their clocks on `day`, with nothing seen. Returns
+    /// how many were new: an address already admitted, active or dropped,
+    /// keeps its row. The batch is sorted, what the input holds is dropped
+    /// from it in one galloping walk, and the rest is merged into the
+    /// columns in place, back to front.
     pub fn register(&mut self, mut addrs: Vec<Addr>, day: Day) -> usize {
         addrs.sort_unstable();
         addrs.dedup();
         let mut at = 0;
-        addrs.retain(|a| {
-            at += gallop(&self.input[at..], a);
-            self.input.get(at) != Some(a)
-        });
+        addrs.retain(|a| seek(&self.input, &mut at, *a).is_none());
         let (mut old, mut new) = (self.input.len(), addrs.len());
         self.input.resize(old + new, Addr(0));
-        self.clocks.resize(old + new, None);
+        self.clocks.resize(old + new, DROPPED);
+        self.seen.reserve_exact(new);
+        self.seen.resize(old + new, Seen::default());
         // Back to front: the old entries above the largest address left (found
         // by doubling steps down) move up past all those left; it goes below.
         while new > 0 {
@@ -164,8 +158,10 @@ impl UnresponsiveFilter {
             let above = lo + self.input[lo..old].partition_point(|k| *k < addrs[new]);
             self.input.copy_within(above..old, above + new + 1);
             self.clocks.copy_within(above..old, above + new + 1);
+            self.seen.copy_within(above..old, above + new + 1);
             self.input[above + new] = addrs[new];
-            self.clocks[above + new] = Some(day);
+            self.clocks[above + new] = day;
+            self.seen[above + new] = Seen::default();
             old = above;
         }
         addrs.len()
@@ -176,17 +172,31 @@ impl UnresponsiveFilter {
     /// never registered, or already dropped, has no clock and gets none.
     pub fn mark_responsive(&mut self, addrs: &AddrSet, day: Day) {
         let mut at = 0;
-        for a in addrs.addrs() {
-            at += gallop(&self.input[at..], &a);
-            if let Some(Some(last)) = self.clocks.get_mut(at).filter(|_| self.input[at] == a) {
-                *last = day;
+        for i in addrs.addrs().filter_map(|a| seek(&self.input, &mut at, a)) {
+            if self.clocks[i] != DROPPED {
+                self.clocks[i] = day;
             }
         }
     }
 
-    /// Whether the address is still in the scan rotation.
-    pub fn active(&self, addr: Addr) -> bool {
-        self.input.binary_search(&addr).is_ok_and(|at| self.clocks[at].is_some())
+    /// ORs a byte into the row of each address (ascending), in one forward
+    /// walk of the input. An address the input never admitted is passed
+    /// over.
+    pub fn mark_seen(&mut self, marks: impl IntoIterator<Item = (Addr, Seen)>) {
+        let mut at = 0;
+        for (a, bits) in marks {
+            if let Some(i) = seek(&self.input, &mut at, a) {
+                self.seen[i].0 |= bits.0;
+            }
+        }
+    }
+
+    /// How many of `addrs` (ascending) have answered some protocol before,
+    /// in one forward walk of the input.
+    pub fn count_answered(&self, addrs: impl IntoIterator<Item = Addr>) -> usize {
+        let mut at = 0;
+        let rows = addrs.into_iter().filter_map(|a| seek(&self.input, &mut at, a));
+        rows.filter(|&i| !self.seen[i].protos().is_empty()).count()
     }
 
     /// Quarantines the half-open day window `[from, until)`: silence
@@ -211,8 +221,8 @@ impl UnresponsiveFilter {
         let window = self.window;
         let quarantined = &self.quarantined;
         let mut dropped = 0;
-        for clock in &mut self.clocks {
-            let Some(last) = *clock else { continue };
+        for clock in self.clocks.iter_mut().filter(|clock| **clock != DROPPED) {
+            let last = *clock;
             // Silent days are (last, day] = [last+1, day+1); forgive the
             // days intersecting any quarantined [from, until) window.
             let credit: u32 = quarantined
@@ -224,7 +234,7 @@ impl UnresponsiveFilter {
                 })
                 .sum();
             if day.since(last).saturating_sub(credit) >= window {
-                *clock = None;
+                *clock = DROPPED;
                 dropped += 1;
             }
         }
@@ -232,25 +242,28 @@ impl UnresponsiveFilter {
     }
 
     /// Rebuilds a filter from checkpointed parts (the resume path of
-    /// [`ServiceState`](crate::ServiceState)): the input, with the clock
-    /// of each active address; an input address without one is dropped.
+    /// [`ServiceState`](crate::ServiceState)): the input ascending with
+    /// each address's byte, and the clock of each active address. An
+    /// input address without a clock is dropped; a clock outside the
+    /// input is passed over.
     pub fn restore(
-        input: impl IntoIterator<Item = Addr>,
+        rows: impl IntoIterator<Item = (Addr, Seen)>,
         active: impl IntoIterator<Item = (Addr, Day)>,
         window: u32,
         quarantined: Vec<(Day, Day)>,
     ) -> UnresponsiveFilter {
-        let mut entries: Vec<(Addr, Option<Day>)> = active
-            .into_iter()
-            .map(|(a, day)| (a, Some(day)))
-            .chain(input.into_iter().map(|a| (a, None)))
-            .collect();
-        // Stable, so an active address's clock comes before its input
-        // entry and is the one the dedup keeps.
-        entries.sort_by_key(|(a, _)| *a);
-        entries.dedup_by_key(|(a, _)| *a);
-        let (input, clocks) = entries.into_iter().unzip();
-        UnresponsiveFilter { input, clocks, window, quarantined }
+        let (input, mut seen): (Vec<Addr>, Vec<Seen>) = rows.into_iter().unzip();
+        seen.shrink_to_fit();
+        let mut clocks = vec![DROPPED; input.len()];
+        let mut active: Vec<(Addr, Day)> = active.into_iter().collect();
+        active.sort_unstable();
+        let mut at = 0;
+        for (a, day) in active {
+            if let Some(i) = seek(&input, &mut at, a) {
+                clocks[i] = day;
+            }
+        }
+        UnresponsiveFilter { input, clocks, seen, window, quarantined }
     }
 
     /// Every address ever admitted, active or dropped, ascending.
@@ -258,32 +271,37 @@ impl UnresponsiveFilter {
         &self.input
     }
 
-    /// Active scan targets, ascending.
-    pub fn active_targets(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.active_entries().map(|(a, _)| a)
+    /// Each input address with its clock (`None` once dropped) and its
+    /// byte, ascending.
+    pub fn rows(&self) -> impl Iterator<Item = (Addr, Option<Day>, Seen)> + '_ {
+        let clocks = self.clocks.iter().map(|&day| (day != DROPPED).then_some(day));
+        let rows = self.input.iter().copied().zip(clocks).zip(self.seen.iter().copied());
+        rows.map(|((a, clock), seen)| (a, clock, seen))
     }
 
     /// Active addresses with the day they last answered, ascending
-    /// (checkpoint capture).
+    /// (target selection and checkpoint capture).
     pub fn active_entries(&self) -> impl Iterator<Item = (Addr, Day)> + '_ {
-        self.input.iter().zip(&self.clocks).filter_map(|(a, clock)| clock.map(|day| (*a, day)))
+        self.rows().filter_map(|(a, clock, _)| clock.map(|day| (a, day)))
     }
 
-    /// The permanently dropped pool (Sec. 6's re-scan source): the input
-    /// without a clock, built on each call.
-    pub fn dropped_pool(&self) -> AddrSet {
-        self.input.iter().zip(&self.clocks).filter_map(|(a, c)| c.is_none().then_some(*a)).collect()
+    /// Resident bytes of the byte column.
+    pub fn seen_bytes(&self) -> usize {
+        std::mem::size_of::<Vec<Seen>>() + self.seen.capacity()
     }
 }
 
-/// How many of the ascending `sorted` lie below `x`: doubling steps from the
-/// front, then a binary search, so skipping `k` entries costs O(log k).
-fn gallop(sorted: &[Addr], x: &Addr) -> usize {
+/// Where `a` lies in the ascending `sorted`, searched from `*at` on by
+/// doubling steps and then a binary search, so that skipping `k` entries
+/// costs O(log k). `*at` is left at the first entry not below `a`.
+fn seek(sorted: &[Addr], at: &mut usize, a: Addr) -> Option<usize> {
+    let rest = &sorted[*at..];
     let mut end = 1;
-    while end < sorted.len() && sorted[end] < *x {
+    while end < rest.len() && rest[end] < a {
         end *= 2;
     }
-    sorted[..end.min(sorted.len())].partition_point(|k| k < x)
+    *at += rest[..end.min(rest.len())].partition_point(|k| *k < a);
+    (sorted.get(*at) == Some(&a)).then_some(*at)
 }
 
 #[cfg(test)]
@@ -302,6 +320,14 @@ mod tests {
         addrs.iter().map(|s| a(s)).collect()
     }
 
+    fn active(f: &UnresponsiveFilter, addr: Addr) -> bool {
+        f.active_entries().any(|(a, _)| a == addr)
+    }
+
+    fn dropped_pool(f: &UnresponsiveFilter) -> AddrSet {
+        f.rows().filter_map(|(a, clock, _)| clock.is_none().then_some(a)).collect()
+    }
+
     #[test]
     fn blocklist_covers() {
         let mut b = Blocklist::new();
@@ -318,8 +344,7 @@ mod tests {
 
     #[test]
     fn gfw_filter_splits_injected() {
-        let mut f = GfwFilter::new();
-        let clean = f.clean(&dns_result(vec![
+        let (clean, injected) = gfw_clean(&dns_result(vec![
             Hit { target: a("2400::1"), detail: Detail::Dns { responses: 3, injected: true } },
             Hit {
                 target: a("2001:db8::53"),
@@ -327,43 +352,42 @@ mod tests {
             },
         ]));
         assert_eq!(clean, vec![a("2001:db8::53")]);
-        assert!(f.impacted().contains_addr(a("2400::1")));
-        assert_eq!(f.impacted().len(), 1);
+        assert_eq!(injected, vec![a("2400::1")]);
     }
 
     #[test]
     fn unresponsive_filter_lifecycle() {
-        let mut f = UnresponsiveFilter::new();
+        let mut f = UnresponsiveFilter::default();
         f.register(vec![a("::1")], Day(0));
         f.register(vec![a("::2")], Day(0));
         f.mark_responsive(&set(&["::1"]), Day(20));
         assert_eq!(f.sweep(Day(29)), 0, "nothing out of window yet");
         // ::2 has been silent since day 0.
         assert_eq!(f.sweep(Day(30)), 1);
-        assert!(f.active(a("::1")));
-        assert!(!f.active(a("::2")));
-        assert!(f.dropped_pool().contains_addr(a("::2")));
+        assert!(active(&f, a("::1")));
+        assert!(!active(&f, a("::2")));
+        assert!(dropped_pool(&f).contains_addr(a("::2")));
         // Dropped addresses never re-enter.
         f.register(vec![a("::2")], Day(31));
         f.mark_responsive(&set(&["::2"]), Day(31));
-        assert!(!f.active(a("::2")), "never re-tested after exclusion");
+        assert!(!active(&f, a("::2")), "never re-tested after exclusion");
     }
 
     #[test]
     fn an_address_the_input_never_admitted_gets_no_clock() {
-        let mut f = UnresponsiveFilter::new();
+        let mut f = UnresponsiveFilter::default();
         f.register(vec![a("::1")], Day(0));
         f.mark_responsive(&set(&["::9"]), Day(5));
-        assert!(!f.active(a("::9")));
-        assert_eq!(f.active_targets().collect::<Vec<_>>(), vec![a("::1")]);
+        assert!(!active(&f, a("::9")));
+        assert_eq!(f.active_entries().map(|(a, _)| a).collect::<Vec<_>>(), vec![a("::1")]);
         // It never ages out either: it was never in the rotation.
         assert_eq!(f.sweep(Day(40)), 1);
-        assert!(!f.dropped_pool().contains_addr(a("::9")));
+        assert!(!dropped_pool(&f).contains_addr(a("::9")));
     }
 
     #[test]
     fn register_does_not_reset_clock() {
-        let mut f = UnresponsiveFilter::new();
+        let mut f = UnresponsiveFilter::default();
         f.register(vec![a("::1")], Day(0));
         f.register(vec![a("::1")], Day(25));
         assert_eq!(f.sweep(Day(31)), 1, "re-registration must not refresh");
@@ -371,7 +395,7 @@ mod tests {
 
     #[test]
     fn quarantine_defers_eviction_by_exactly_the_window() {
-        let mut f = UnresponsiveFilter::new();
+        let mut f = UnresponsiveFilter::default();
         f.register(vec![a("::1")], Day(0));
         // A 10-day outage: days 20..30 are quarantined.
         f.quarantine(Day(20), Day(30));
@@ -382,7 +406,7 @@ mod tests {
 
     #[test]
     fn quarantine_outside_silence_interval_grants_nothing() {
-        let mut f = UnresponsiveFilter::new();
+        let mut f = UnresponsiveFilter::default();
         f.register(vec![a("::1")], Day(0));
         f.mark_responsive(&set(&["::1"]), Day(10));
         // Window entirely before the address went silent.
@@ -392,7 +416,7 @@ mod tests {
 
     #[test]
     fn quarantine_windows_accumulate_and_empty_windows_are_ignored() {
-        let mut f = UnresponsiveFilter::new();
+        let mut f = UnresponsiveFilter::default();
         f.register(vec![a("::1")], Day(0));
         f.quarantine(Day(5), Day(10));
         f.quarantine(Day(15), Day(20));
@@ -406,12 +430,14 @@ mod tests {
 
     /// The filter as it was before it owned the input: the caller's input
     /// set, a clock map and a dropped set, kept in step by hand.
+    /// With, beside them, the byte of each input address.
     #[derive(Default)]
     struct ThreeTables {
         input: BTreeSet<Addr>,
         last_seen: BTreeMap<Addr, Day>,
         dropped: BTreeSet<Addr>,
         quarantined: Vec<(Day, Day)>,
+        seen: BTreeMap<Addr, u8>,
     }
 
     impl ThreeTables {
@@ -421,7 +447,16 @@ mod tests {
             if new && !self.dropped.contains(&addr) {
                 self.last_seen.entry(addr).or_insert(day);
             }
+            if new {
+                self.seen.insert(addr, 0);
+            }
             new
+        }
+
+        fn mark_seen(&mut self, addr: Addr, bits: u8) {
+            if let Some(byte) = self.seen.get_mut(&addr) {
+                *byte |= bits;
+            }
         }
 
         fn mark_responsive(&mut self, addr: Addr, day: Day) {
@@ -463,19 +498,19 @@ mod tests {
     #[test]
     fn the_filter_matches_the_three_table_reference() {
         let mut rng = sixdust_addr::prf::PrfStream::new(0xf117e5, 0, 0);
-        let mut revisits = 0;
+        let (mut revisits, mut below_marked, mut gfw_marks) = (0, 0, 0);
         for case in 0..96 {
             // A dozen addresses over three /64s, so admissions repeat and
             // dropped addresses are offered again.
             let pool: Vec<Addr> =
                 (0..12u128).map(|i| Addr(((0x2001_0db8_0000_0000 + i % 3) << 64) | i)).collect();
-            let mut f = UnresponsiveFilter::new();
-            f.window = 2 + rng.next_bounded(8) as u32;
+            let window = 2 + rng.next_bounded(8) as u32;
+            let mut f = UnresponsiveFilter { window, ..Default::default() };
             let mut model = ThreeTables::default();
             let mut day = Day(0);
             for step in 0..60 {
                 day = day.plus(rng.next_bounded(3) as u32);
-                let roll = rng.next_bounded(10);
+                let roll = rng.next_bounded(12);
                 // A few pool addresses, repeats and known ones included.
                 let mut draw = |most: u64| -> Vec<Addr> {
                     let n = rng.next_bounded(most + 1);
@@ -485,6 +520,14 @@ mod tests {
                     0..=3 => {
                         let batch = draw(4);
                         revisits += batch.iter().filter(|a| model.dropped.contains(a)).count();
+                        let lowest_marked =
+                            model.seen.iter().find(|(_, b)| **b != 0).map(|(a, _)| *a);
+                        below_marked += batch
+                            .iter()
+                            .filter(|a| {
+                                !model.input.contains(a) && lowest_marked.is_some_and(|m| **a < m)
+                            })
+                            .count();
                         let got = f.register(batch.clone(), day);
                         let expected = batch.iter().filter(|a| model.register(**a, day)).count();
                         assert_eq!(got, expected, "case {case} step {step}");
@@ -497,6 +540,26 @@ mod tests {
                             model.mark_responsive(a, day);
                         }
                         "mark_responsive"
+                    }
+                    8 | 9 => {
+                        // Protocols, or the GFW bit, ORed in ascending.
+                        let mut marked = draw(4);
+                        marked.sort_unstable();
+                        let bits = match rng.next_bounded(3) {
+                            0 => Seen::GFW_CLEANED.0,
+                            _ => 1 + rng.next_bounded(0x1f) as u8,
+                        };
+                        gfw_marks += usize::from(bits == Seen::GFW_CLEANED.0);
+                        let answered = marked
+                            .iter()
+                            .filter(|a| model.seen.get(a).is_some_and(|b| b & 0x1f != 0))
+                            .count();
+                        assert_eq!(f.count_answered(marked.iter().copied()), answered);
+                        f.mark_seen(marked.iter().map(|a| (*a, Seen(bits))));
+                        for a in marked {
+                            model.mark_seen(a, bits);
+                        }
+                        "mark_seen"
                     }
                     7 => {
                         let from = Day(day.0.saturating_sub(rng.next_bounded(6) as u32));
@@ -513,38 +576,53 @@ mod tests {
                 };
                 let at = format!("case {case} step {step} ({what} on {day:?})");
                 for a in &pool {
-                    assert_eq!(f.active(*a), model.last_seen.contains_key(a), "{at}: {a}");
+                    assert_eq!(active(&f, *a), model.last_seen.contains_key(a), "{at}: {a}");
                 }
                 let entries: BTreeMap<Addr, Day> = f.active_entries().collect();
                 assert_eq!(entries, model.last_seen, "{at}: clocks");
                 let dropped: AddrSet = model.dropped.iter().copied().collect();
-                assert_eq!(f.dropped_pool(), dropped, "{at}: dropped pool");
+                assert_eq!(dropped_pool(&f), dropped, "{at}: dropped pool");
                 assert!(f.input().is_sorted_by(|x, y| x < y), "{at}: input not strictly ascending");
                 let input: Vec<Addr> = model.input.iter().copied().collect();
                 assert_eq!(f.input(), input, "{at}: input");
                 assert_eq!(f.quarantined(), model.quarantined, "{at}: quarantine");
+                let rows: BTreeMap<Addr, u8> = f.rows().map(|(a, _, seen)| (a, seen.0)).collect();
+                for a in &pool {
+                    assert_eq!(rows.get(a), model.seen.get(a), "{at}: the byte of {a}");
+                }
+                let g = UnresponsiveFilter::restore(
+                    f.rows().map(|(a, _, seen)| (a, seen)),
+                    f.active_entries(),
+                    f.window,
+                    f.quarantined().to_vec(),
+                );
+                assert!(g.rows().eq(f.rows()), "{at}: restored");
             }
         }
         assert!(revisits >= 100, "{revisits} dropped addresses offered again");
+        assert!(below_marked >= 100, "{below_marked} registered below a marked row");
+        assert!(gfw_marks >= 100, "{gfw_marks} GFW marks");
     }
 
     #[test]
     fn restore_round_trips_filter_parts() {
-        let mut f = UnresponsiveFilter::new();
+        let mut f = UnresponsiveFilter::default();
         f.register(vec![a("::1")], Day(0));
         f.register(vec![a("::2")], Day(5));
         f.quarantine(Day(7), Day(9));
         f.sweep(Day(32)); // drops ::1 (32 silent − 2 forgiven ≥ 30)
-        assert!(!f.active(a("::1")));
+        assert!(!active(&f, a("::1")));
+        f.mark_seen([(a("::1"), Seen(0b11)), (a("::2"), Seen::GFW_CLEANED)]);
         let g = UnresponsiveFilter::restore(
-            f.input().iter().copied(),
+            f.rows().map(|(a, _, seen)| (a, seen)),
             f.active_entries(),
             f.window,
             f.quarantined().to_vec(),
         );
-        assert!(g.active(a("::2")));
-        assert!(!g.active(a("::1")));
-        assert!(g.dropped_pool().contains_addr(a("::1")));
+        assert!(g.rows().map(|(.., seen)| seen).eq([Seen(0b11), Seen::GFW_CLEANED]));
+        assert!(active(&g, a("::2")));
+        assert!(!active(&g, a("::1")));
+        assert!(dropped_pool(&g).contains_addr(a("::1")));
         assert_eq!(g.quarantined(), f.quarantined());
     }
 }

@@ -6,7 +6,7 @@
 //! * [`sources`] — candidate ingestion (domain AAAA, CT logs, RIPE-Atlas
 //!   style probes, one-time rDNS, passive dense samples).
 //! * [`filters`] — blocklist, the paper's GFW cleaning filter, and the
-//!   30-day unresponsive filter.
+//!   30-day unresponsive filter, which holds the per-address table.
 //! * [`service`] — the orchestrating service: scans, alias detection,
 //!   traceroute feedback, longitudinal records, snapshots. Produces both
 //!   the *published* and the *cleaned* views of responsiveness.
@@ -29,7 +29,7 @@ pub mod service;
 pub mod sources;
 pub mod state;
 
-pub use filters::{Blocklist, GfwFilter, UnresponsiveFilter};
+pub use filters::{gfw_clean, Blocklist, Seen, UnresponsiveFilter};
 pub use newsources::{evaluate_source, passive_sources, SourceEval};
 pub use publish::{publish, Manifest, Publication};
 pub use service::{HitlistService, PreparedRound, RoundRecord, ServiceConfig, Snapshot};
@@ -190,7 +190,7 @@ mod tests {
         let net = net();
         let mut svc = HitlistService::new(quick_config());
         svc.run(&net, Day(0), Day(20));
-        let ever = &svc.cumulative().members;
+        let ever = svc.cumulative().members;
         assert!(ever.len() as u64 >= svc.rounds().last().unwrap().total_cleaned);
         for a in svc.current_responsive().addrs().take(20) {
             assert!(ever.contains_addr(a));
@@ -517,7 +517,7 @@ mod tests {
         assert_eq!(snap.counter("service.churn.recurring"), Some(sum(&|r| r.churn_recurring)));
         assert_eq!(snap.counter("service.churn.gone"), Some(sum(&|r| r.churn_gone)));
         for (i, proto) in Protocol::ALL.into_iter().enumerate() {
-            let key = sixdust_scan::proto_metric_key(proto);
+            let key = proto.metric_key();
             assert_eq!(
                 snap.counter(&format!("service.hits.published.{key}")),
                 Some(sum(&|r| r.published[i])),

@@ -17,7 +17,7 @@ use sixdust_addr::{prf, Addr, AddrSet, PrefixSet};
 use sixdust_net::{Day, Internet, Protocol};
 use sixdust_scan::{scan, ScanConfig};
 
-use crate::filters::GfwFilter;
+use crate::filters::gfw_clean;
 
 /// NS and MX record targets from the zone file (Sec. 6: "the name server
 /// and mail exchanger domains were not explicitly included" before).
@@ -139,13 +139,14 @@ pub fn evaluate_source(
         t.dedup();
         t
     };
-    let mut gfw = GfwFilter::new();
+    let mut injected = AddrSet::new();
     let mut per_proto: Vec<(Protocol, AddrSet)> =
         Protocol::ALL.iter().map(|p| (*p, AddrSet::new())).collect();
     for &day in days {
         for (proto, hits) in &mut per_proto {
-            let result = scan(net, *proto, &targets, day, config);
-            hits.union_in_place(&gfw.clean(&result).into_iter().collect());
+            let (clean, flagged) = gfw_clean(&scan(net, *proto, &targets, day, config));
+            hits.union_in_place(&clean.into_iter().collect());
+            injected.union_in_place(&flagged.into_iter().collect());
         }
     }
     let mut responsive = AddrSet::new();
@@ -158,7 +159,7 @@ pub fn evaluate_source(
         scanned: targets.len(),
         per_proto: per_proto.into_iter().map(|(p, hits)| (p, hits.to_addr_vec())).collect(),
         responsive: responsive.to_addr_vec(),
-        gfw_filtered: gfw.impacted().len(),
+        gfw_filtered: injected.len(),
     }
 }
 

@@ -11,7 +11,6 @@ use std::path::Path;
 
 use sixdust_addr::{Addr, AddrSet};
 use sixdust_json::json_struct;
-use sixdust_scan::proto_metric_key;
 
 use crate::service::HitlistService;
 
@@ -88,7 +87,8 @@ pub fn publish(svc: &HitlistService) -> Publication {
         // serve layer ships them as.
         (out, svc.aliased().packed())
     };
-    let gfw_filtered = render(svc.gfw_impacted());
+    let gfw_impacted = svc.gfw_impacted();
+    let gfw_filtered = render(&gfw_impacted);
     let input_set = AddrSet::from_sorted_addrs(svc.input());
     let input = render(&input_set);
 
@@ -97,7 +97,7 @@ pub fn publish(svc: &HitlistService) -> Publication {
     let proto_sets: Vec<(String, AddrSet)> = svc
         .proto_responsive()
         .into_iter()
-        .map(|(p, set)| (format!("responsive-{}.txt", proto_metric_key(p)), set))
+        .map(|(p, set)| (format!("responsive-{}.txt", p.metric_key()), set))
         .collect();
     let per_protocol: Vec<(String, String)> =
         proto_sets.iter().map(|(stem, set)| (stem.clone(), render(set))).collect();
@@ -113,7 +113,7 @@ pub fn publish(svc: &HitlistService) -> Publication {
     }
 
     // One digest per counted artifact, in the same order.
-    let digested = [responsive_set, &aliased_packed, svc.gfw_impacted(), &input_set]
+    let digested = [responsive_set, &aliased_packed, &gfw_impacted, &input_set]
         .into_iter()
         .chain(proto_sets.iter().map(|(_, set)| set));
     let digests = counts

@@ -18,7 +18,7 @@ use sixdust_net::{events, Day, Internet, ProbeKind, ProtoSet, Protocol};
 use sixdust_scan::{scan_jobs, ScanConfig, ScanJob, ScanResult};
 use sixdust_telemetry::{MadConfig, MadDetector, Observer, Registry, TraceJournal, TraceSpan};
 
-use crate::filters::{Blocklist, GfwFilter, UnresponsiveFilter};
+use crate::filters::{gfw_clean, Blocklist, Seen, UnresponsiveFilter};
 use crate::sources;
 
 /// Service configuration.
@@ -137,13 +137,12 @@ pub struct RoundRecord {
     /// Per-protocol anomaly verdicts on the published counts
     /// (Protocol::ALL order): `true` where the online MAD monitor judged
     /// this round's count far outside its rolling baseline — the live
-    /// version of Fig. 3's GFW spike eras. Absent in records checkpointed
-    /// before the monitor existed, hence the optional key.
+    /// version of Fig. 3's GFW spike eras.
     pub anomalous: [bool; 5],
     /// Whether this round was classified degraded (heavy loss, outage or
     /// broad downward anomaly) and therefore quarantined: the 30-day
     /// filter did not sweep, and the silent days will not count against
-    /// any address. Absent in pre-quarantine checkpoints.
+    /// any address.
     pub degraded: bool,
     /// Aggregate loss estimate for the round's scans in permille,
     /// weighting each protocol by the probes it *sent* (0 when
@@ -167,15 +166,15 @@ json_struct!(RoundRecord {
     churn_gone,
     aliased_prefixes,
     dropped,
-    anomalous = [false; 5],
-    degraded = false,
-    loss_estimate_permille = 0,
+    anomalous,
+    degraded,
+    loss_estimate_permille,
 });
 
 /// Responsive addresses with the protocols each one answered (cleaned
-/// view): one row of the paper's Table 1. The service keeps three —
-/// the last round, every snapshot and the cumulative `ever` — and a
-/// per-protocol slice is built from one on demand.
+/// view): one row of the paper's Table 1. The service keeps the last
+/// round's and every snapshot's, builds the cumulative one from its
+/// input table on demand, and a per-protocol slice from any of them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Responders {
     /// The addresses, ascending.
@@ -223,21 +222,6 @@ impl Responders {
         let addrs: Vec<Addr> =
             self.iter().filter(|(_, p)| p.contains(proto)).map(|(a, _)| a).collect();
         AddrSet::from_sorted_addrs(&addrs)
-    }
-
-    /// Folds `round` in: its members join, and a member of both keeps the
-    /// union of its protocols.
-    pub fn accumulate(&mut self, round: &Responders) {
-        let mut old = self.iter().peekable();
-        let most = self.members.len() + round.members.len();
-        let mut merged = (Vec::with_capacity(most), Vec::with_capacity(most));
-        for (a, answered) in round.iter() {
-            merged.extend(std::iter::from_fn(|| old.next_if(|(b, _)| *b < a)));
-            let before = old.next_if(|(b, _)| *b == a).map_or(ProtoSet::EMPTY, |(_, p)| p);
-            merged.extend([(a, before.union(answered))]);
-        }
-        merged.extend(old);
-        *self = Responders::from_columns(merged);
     }
 
     /// Resident bytes: the set's and the column's.
@@ -293,17 +277,14 @@ pub struct HitlistService {
     config: ServiceConfig,
     telemetry: Option<Registry>,
     blocklist: Blocklist,
-    /// The 30-day filter, which also holds the input.
+    /// The input, and beside each address its clock and what the
+    /// service has learned of it: the service's one per-address table.
     unresp: UnresponsiveFilter,
-    gfw: GfwFilter,
     detector: AliasDetector,
     aliased: PrefixSet,
     /// The last round's view: its members are the churn baseline, and
     /// publication and the serve layer slice it by protocol.
     current: Responders,
-    /// Every address ever seen cleaned-responsive, with every protocol it
-    /// has answered.
-    ever: Responders,
     /// Whether each protocol (Protocol::ALL order) has ever produced a
     /// cleaned responsive hit. Distinguishes a previously-alive protocol
     /// going totally silent (loss) from one that was always dark (not
@@ -337,11 +318,9 @@ impl HitlistService {
             config,
             telemetry: None,
             blocklist: Blocklist::new(),
-            unresp: UnresponsiveFilter::new(),
-            gfw: GfwFilter::new(),
+            unresp: UnresponsiveFilter::default(),
             aliased: PrefixSet::new(),
             current: Responders::default(),
-            ever: Responders::default(),
             proto_seen: [false; 5],
             next_alias_day: Day(0),
             pending_snapshots: pending,
@@ -415,19 +394,20 @@ impl HitlistService {
         &self.detector
     }
 
-    /// GFW-impacted addresses recorded so far, the GFW filter's own set.
-    pub fn gfw_impacted(&self) -> &AddrSet {
-        self.gfw.impacted()
+    /// Every input address the GFW filter has cleaned an injected answer
+    /// from, built from the input table on each call.
+    pub fn gfw_impacted(&self) -> AddrSet {
+        self.unresp.rows().filter_map(|(a, _, seen)| seen.gfw_cleaned().then_some(a)).collect()
     }
 
     /// The 30-day-filtered pool (Sec. 6's re-scan source): the input
     /// without a clock, built on each call.
     pub fn unresponsive_pool(&self) -> AddrSet {
-        self.unresp.dropped_pool()
+        self.unresp.rows().filter_map(|(a, clock, _)| clock.is_none().then_some(a)).collect()
     }
 
-    /// The 30-day unresponsive filter itself (active clocks, quarantined
-    /// windows — checkpoint capture reads these).
+    /// The 30-day unresponsive filter itself, the input table (its rows
+    /// and quarantined windows — checkpoint capture reads these).
     pub fn unresponsive(&self) -> &UnresponsiveFilter {
         &self.unresp
     }
@@ -443,8 +423,8 @@ impl HitlistService {
     }
 
     /// Rebuilds a service from a checkpoint — the inverse of
-    /// [`ServiceState::capture`](crate::ServiceState::capture). The 30-day
-    /// filter's dropped pool is the input without the active addresses.
+    /// [`ServiceState::capture`](crate::ServiceState::capture). Each input
+    /// row gets its byte back; an input address without a clock is dropped.
     /// The alias detector gets its merge window back, trimmed to its own
     /// `merge_rounds`, and the labels are what that window merges to (with
     /// a cold window the labels are restored as they are). The
@@ -459,15 +439,13 @@ impl HitlistService {
         } else {
             svc.detector.aliased()
         };
-        svc.gfw = GfwFilter::restore(state.gfw_impacted.clone());
         svc.unresp = UnresponsiveFilter::restore(
-            state.input.addrs(),
+            state.input.addrs().zip(state.seen.iter().copied()),
             state.active.iter().copied(),
             state.unresponsive_window,
             state.quarantined.clone(),
         );
         svc.current = state.current.clone();
-        svc.ever = state.ever.clone();
         svc.next_alias_day = state.next_alias_day;
         svc.rounds = state.rounds.clone();
         svc.snapshots = state.snapshots.clone();
@@ -492,9 +470,11 @@ impl HitlistService {
     }
 
     /// Addresses responsive at least once, with their cumulative protocol
-    /// sets (cleaned view): Table 1's cumulative row.
-    pub fn cumulative(&self) -> &Responders {
-        &self.ever
+    /// sets (cleaned view): Table 1's cumulative row, built from the input
+    /// table on each call.
+    pub fn cumulative(&self) -> Responders {
+        let answered = self.unresp.rows().map(|(a, _, seen)| (a, seen.protos()));
+        Responders::from_columns(answered.filter(|(_, protos)| !protos.is_empty()).unzip())
     }
 
     /// The last round's cleaned responsive addresses with the protocols
@@ -534,13 +514,13 @@ impl HitlistService {
         Protocol::ALL.iter().map(|&p| (p, self.current.slice(p))).collect()
     }
 
-    /// Approximate heap bytes currently held by the service's responsive
-    /// views: the last round's, the cumulative one and every retained
-    /// snapshot's, each set with its protocol column. This is the
-    /// resident-set metric the population-scale bench curve tracks.
+    /// Approximate heap bytes held beside the input: the last round's view
+    /// and every retained snapshot's, each a set with its protocol column,
+    /// and the input table's byte column (not the input or its clocks).
+    /// This is the resident-set metric the population-scale bench tracks.
     pub fn resident_set_bytes(&self) -> usize {
         let snapshots = self.snapshots.iter().map(|snap| snap.responsive.mem_bytes());
-        self.current.mem_bytes() + self.ever.mem_bytes() + snapshots.sum::<usize>()
+        self.current.mem_bytes() + self.unresp.seen_bytes() + snapshots.sum::<usize>()
     }
 
     /// Round stage 1: admits every candidate that is due on `day`.
@@ -667,8 +647,8 @@ impl HitlistService {
         let blocklist = &self.blocklist;
         let targets: Vec<Addr> = self
             .unresp
-            .active_targets()
-            .filter(|a| blocklist.allows(*a) && !aliased.covers_addr(*a))
+            .active_entries()
+            .filter_map(|(a, _)| (blocklist.allows(a) && !aliased.covers_addr(a)).then_some(a))
             .collect();
         self.record_phase(Phase::Select, phase_started.elapsed());
 
@@ -724,8 +704,8 @@ impl HitlistService {
         let flight = self.telemetry.as_ref().and_then(|t| t.flight());
         let day_str = day.0.to_string();
 
-        // 3c. Merge, strictly in Protocol::ALL order. GFW cleaning
-        // mutates filter state and stays sequential; the five cleaned hit
+        // 3c. Merge, strictly in Protocol::ALL order. GFW cleaning marks
+        // the input table and stays sequential; the five cleaned hit
         // lists become the round's view in one merge.
         let mut published = [0u64; 5];
         let mut cleaned = [0u64; 5];
@@ -760,8 +740,10 @@ impl HitlistService {
             published[i] = proto_hits.len() as u64;
             if proto == Protocol::Udp53 {
                 let gfw_started = Instant::now();
-                let mut clean = self.gfw.clean(&result);
+                let (mut clean, mut injected) = gfw_clean(&result);
                 clean.sort_unstable();
+                injected.sort_unstable();
+                self.unresp.mark_seen(injected.iter().map(|&a| (a, Seen::GFW_CLEANED)));
                 udp53_published = std::mem::replace(&mut proto_hits, clean);
                 gfw_elapsed += gfw_started.elapsed();
             }
@@ -870,17 +852,14 @@ impl HitlistService {
         self.record_phase(Phase::Traceroute, phase_started.elapsed());
 
         // 7. Churn accounting (cleaned view, Fig. 4): an address newly
-        // responsive this round is "brand new" if no earlier round ever saw
-        // it responsive, "recurring" otherwise.
+        // responsive this round is "brand new" if its byte holds no earlier
+        // answer, "recurring" otherwise; then the round's protocols go in.
         let phase_started = Instant::now();
         let newly = view.members.diff(&self.current.members);
-        // A linear merge count per chunk pair, not a per-address binary
-        // search over `ever` — the newly-responsive set is intersected
-        // against the ever-responsive accumulator in one pass.
-        let churn_recurring = newly.intersect_count(&self.ever.members) as u64;
+        let churn_recurring = self.unresp.count_answered(newly.addrs()) as u64;
         let churn_brand_new = (newly.len() - churn_recurring as usize) as u64;
         let churn_gone = self.current.members.diff_count(&view.members) as u64;
-        self.ever.accumulate(&view);
+        self.unresp.mark_seen(view.iter().map(|(a, protos)| (a, Seen(protos.0))));
         self.record_phase(Phase::Churn, phase_started.elapsed());
 
         let record = RoundRecord {
@@ -1229,7 +1208,7 @@ mod tests {
     #[test]
     fn metric_name_tables_spell_the_families_out() {
         for (i, proto) in Protocol::ALL.into_iter().enumerate() {
-            let key = sixdust_scan::proto_metric_key(proto);
+            let key = proto.metric_key();
             let expected = [
                 format!("service.hits.published.{key}"),
                 format!("service.hits.cleaned.{key}"),

@@ -8,8 +8,9 @@
 //! ([`sixdust_addr::codec`]): an address set's members, or a prefix set's
 //! packed items. A value kept per member of a set is a column beside it:
 //! one base64 string of one byte a member, framed by a magic and the
-//! codec's checksum. So the input costs about 13
-//! bytes an address where a decimal array cost 44. It writes to disk
+//! codec's checksum. So the input costs about 13 bytes an address where
+//! a decimal array cost 44, and what the service learned of each input
+//! address one byte more. It writes to disk
 //! crash-safely ([`ServiceState::save_atomic`]), is parsed and checked
 //! whole before anything in it is used, and restores into a running
 //! service ([`ServiceState::restore`]). The version before the current
@@ -22,6 +23,7 @@ use sixdust_addr::{base64, Addr, AddrSet, PrefixSet};
 use sixdust_json::{Error, Fields, FromJson, ToJson, Value};
 use sixdust_net::{Day, ProtoSet, Protocol};
 
+use crate::filters::Seen;
 use crate::service::{HitlistService, Responders, RoundRecord, ServiceConfig, Snapshot};
 
 /// A serializable checkpoint of the service's accumulated knowledge.
@@ -31,21 +33,21 @@ use crate::service::{HitlistService, Responders, RoundRecord, ServiceConfig, Sna
 /// refused by the version gate. Each version bump deletes the reader of
 /// the version two back.
 ///
-/// Version 7 writes each snapshot as its cleaned responsive set and a
-/// protocol column, where v6 wrote a cleaned and a published set a
-/// protocol (the published ones, never read, are dropped), and adds the
-/// column `current_protos` beside `current_responsive`.
+/// Version 8 writes what the service learned of each input address as one
+/// column beside `input`, `input_seen`: the protocols it has answered in
+/// the cleaned view and whether the GFW filter cleaned an injected answer
+/// from it ([`Seen`]). Version 7 wrote those as three keys of their own,
+/// `ever`, `ever_protos` and `gfw_impacted`, which its reader folds into
+/// the column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceState {
     /// Accumulated input addresses, active and dropped.
     pub input: AddrSet,
+    /// Beside each input address, in its order: what the service has
+    /// learned of it (`input_seen`).
+    pub seen: Vec<Seen>,
     /// Current aliased prefix labels.
     pub aliased: PrefixSet,
-    /// GFW-impacted addresses recorded so far.
-    pub gfw_impacted: AddrSet,
-    /// Every address ever seen cleaned-responsive, and beside it every
-    /// protocol it has answered (`ever` and `ever_protos`).
-    pub ever: Responders,
     /// Longitudinal round records.
     pub rounds: Vec<RoundRecord>,
     /// Retained full snapshots.
@@ -57,7 +59,8 @@ pub struct ServiceState {
     pub quarantined: Vec<(Day, Day)>,
     /// The last round's cleaned responsive set (`current_responsive`; the
     /// churn baseline) and the protocols each member answered
-    /// (`current_protos`, v7; empty where a v6 document has none).
+    /// (`current_protos`; empty in a v7 document re-saved from a v6 one
+    /// before its next round).
     pub current: Responders,
     /// The day the next periodic alias detection is due.
     pub next_alias_day: Day,
@@ -79,31 +82,29 @@ impl ToJson for ServiceState {
         Value::Object(vec![
             member("version", &STATE_VERSION),
             member("input", &self.input),
+            member("input_seen", &column(&self.seen, |s| s.0)),
             member("aliased", &self.aliased),
-            member("gfw_impacted", &self.gfw_impacted),
-            member("ever", &self.ever.members),
-            member("ever_protos", &column(&self.ever.protos)),
             member("rounds", &self.rounds),
             member("snapshots", &self.snapshots),
             member("active", &self.active),
             member("quarantined", &self.quarantined),
             member("current_responsive", &self.current.members),
-            member("current_protos", &column(&self.current.protos)),
+            member("current_protos", &column(&self.current.protos, |p| p.0)),
             member("next_alias_day", &self.next_alias_day),
             member("unresponsive_window", &self.unresponsive_window),
             member("alias_window", &self.alias_window),
-            member("alias_detail", &column(&self.alias_detail)),
+            member("alias_detail", &column(&self.alias_detail, |p| p.0)),
         ])
     }
 }
 
 impl FromJson for ServiceState {
-    /// Reads a v7 or a v6 document, and only those: the version gate
+    /// Reads a v8 or a v7 document, and only those: the version gate
     /// comes first, then the fields (every key its version writes is
-    /// required), then for a v6 document the snapshot step
-    /// (`ServiceState::upgrade`), then the columns are held to their
-    /// sets. A service state read from any document — a fleet
-    /// checkpoint's included — has passed all four.
+    /// required), then for a v7 document the column step
+    /// (`seen_of_v7`), then the columns are held to their sets. A
+    /// service state read from any document — a fleet checkpoint's
+    /// included — has passed all four.
     fn from_value(v: &Value) -> Result<ServiceState, Error> {
         let fields = v.fields("ServiceState")?;
         let version: u32 = fields.get("version")?;
@@ -113,30 +114,29 @@ impl FromJson for ServiceState {
                  {OLDEST_SUPPORTED_STATE_VERSION}..={STATE_VERSION})"
             )));
         }
-        let mut state = ServiceState {
-            input: fields.get("input")?,
+        let input: AddrSet = fields.get("input")?;
+        let seen = if version < 8 {
+            seen_of_v7(&fields, &input)?
+        } else {
+            read_column(&fields, "input_seen", Seen)?
+        };
+        let state = ServiceState {
+            input,
+            seen,
             aliased: fields.get("aliased")?,
-            gfw_impacted: fields.get("gfw_impacted")?,
-            ever: Responders {
-                members: fields.get("ever")?,
-                protos: read_column(&fields, "ever_protos")?,
-            },
             rounds: fields.get("rounds")?,
-            snapshots: Vec::new(),
+            snapshots: fields.get("snapshots")?,
             active: fields.get("active")?,
             quarantined: fields.get("quarantined")?,
-            current: Responders { members: fields.get("current_responsive")?, protos: Vec::new() },
+            current: Responders {
+                members: fields.get("current_responsive")?,
+                protos: read_column(&fields, "current_protos", ProtoSet)?,
+            },
             next_alias_day: fields.get("next_alias_day")?,
             unresponsive_window: fields.get("unresponsive_window")?,
             alias_window: fields.get("alias_window")?,
-            alias_detail: read_column(&fields, "alias_detail")?,
+            alias_detail: read_column(&fields, "alias_detail", ProtoSet)?,
         };
-        if version < 7 {
-            state.upgrade(&fields)?;
-        } else {
-            state.snapshots = fields.get("snapshots")?;
-            state.current.protos = read_column(&fields, "current_protos")?;
-        }
         state.check_columns().map_err(Error::new)?;
         Ok(state)
     }
@@ -148,15 +148,15 @@ const COLUMN_MAGIC: [u8; 4] = *b"SDC1";
 /// A column as a checkpoint writes it: one base64 string of the magic,
 /// one byte a member and the codec's checksum, so a changed byte fails
 /// to load as it does in a set's body.
-fn column(values: &[ProtoSet]) -> Value {
+fn column<T: Copy>(values: &[T], byte: fn(T) -> u8) -> Value {
     let mut body = COLUMN_MAGIC.to_vec();
-    body.extend(values.iter().map(|p| p.0));
+    body.extend(values.iter().map(|&v| byte(v)));
     codec::push_checksum(&mut body);
     Value::String(base64::encode(&body))
 }
 
-/// The column `key` of a v6 or later document.
-fn read_column(fields: &Fields<'_>, key: &str) -> Result<Vec<ProtoSet>, Error> {
+/// The column `key`, each byte read as `of` it.
+fn read_column<T>(fields: &Fields<'_>, key: &str, of: fn(u8) -> T) -> Result<Vec<T>, Error> {
     let text: String = fields.get(key)?;
     let bad = |why: &dyn std::fmt::Display| Error::new(format!("ServiceState.{key}: {why}"));
     let body = base64::decode(&text).ok_or_else(|| bad(&"not canonical base64"))?;
@@ -164,17 +164,49 @@ fn read_column(fields: &Fields<'_>, key: &str) -> Result<Vec<ProtoSet>, Error> {
     if payload[..4] != COLUMN_MAGIC {
         return Err(bad(&CodecError::BadMagic));
     }
-    Ok(payload[4..].iter().copied().map(ProtoSet).collect())
+    Ok(payload[4..].iter().map(|&b| of(b)).collect())
 }
 
-/// A snapshot as v7 writes it: its day, its cleaned responsive set, the
+/// The column step: a v7 document's `ever`, with its protocol column
+/// `ever_protos`, and its `gfw_impacted` set, folded into one byte beside
+/// each input address. Either set holding an address outside the input
+/// refuses the document.
+fn seen_of_v7(fields: &Fields<'_>, input: &AddrSet) -> Result<Vec<Seen>, Error> {
+    let ever: AddrSet = fields.get("ever")?;
+    let protos = read_column(fields, "ever_protos", ProtoSet)?;
+    let impacted: AddrSet = fields.get("gfw_impacted")?;
+    protos_fit("ever_protos", &protos, ever.len(), ProtoSet::all()).map_err(Error::new)?;
+    let input = input.to_addr_vec();
+    let mut seen = vec![Seen::default(); input.len()];
+    let answered = ever.addrs().zip(protos).map(|(a, p)| ("ever", a, Seen(p.0)));
+    let cleaned = impacted.addrs().map(|a| ("gfw_impacted", a, Seen::GFW_CLEANED));
+    for (key, a, bits) in answered.chain(cleaned) {
+        let not_input = |_| Error::new(format!("{key} holds {a}, which is not input"));
+        seen[input.binary_search(&a).map_err(not_input)?].0 |= bits.0;
+    }
+    Ok(seen)
+}
+
+/// Holds a protocol column to the set it stands beside: one entry a
+/// member, each a non-empty set of `of`.
+fn protos_fit(key: &str, values: &[ProtoSet], members: usize, of: ProtoSet) -> Result<(), String> {
+    if values.len() != members {
+        return Err(format!("{key} holds {} entries for {members} members", values.len()));
+    }
+    if let Some(bad) = values.iter().find(|p| p.is_empty() || p.union(of) != of) {
+        return Err(format!("{key} holds the protocol set {:#04x}", bad.0));
+    }
+    Ok(())
+}
+
+/// A snapshot as v7 and v8 write it: its day, its cleaned responsive set, the
 /// column of their protocols and its labels.
 impl ToJson for Snapshot {
     fn to_value(&self) -> Value {
         Value::Object(vec![
             ("day".to_string(), self.day.to_value()),
             ("responsive".to_string(), self.responsive.members.to_value()),
-            ("protos".to_string(), column(&self.responsive.protos)),
+            ("protos".to_string(), column(&self.responsive.protos, |p| p.0)),
             ("aliased".to_string(), self.aliased.to_value()),
         ])
     }
@@ -184,31 +216,13 @@ impl FromJson for Snapshot {
     fn from_value(v: &Value) -> Result<Snapshot, Error> {
         let fields = v.fields("Snapshot")?;
         let members = fields.get("responsive")?;
-        let responsive = Responders { members, protos: read_column(&fields, "protos")? };
+        let responsive = Responders { members, protos: read_column(&fields, "protos", ProtoSet)? };
         Ok(Snapshot { day: fields.get("day")?, responsive, aliased: fields.get("aliased")? })
     }
 }
 
-/// A v6 snapshot: its cleaned sets, one a protocol in
-/// `Protocol::ALL` order, become members and their column; its published
-/// sets are not read.
-struct LegacySnapshot(Snapshot);
-
-impl FromJson for LegacySnapshot {
-    fn from_value(v: &Value) -> Result<LegacySnapshot, Error> {
-        let fields = v.fields("Snapshot")?;
-        let cleaned: Vec<(Protocol, AddrSet)> = fields.get("cleaned")?;
-        if !cleaned.iter().map(|(p, _)| *p).eq(Protocol::ALL) {
-            return Err(Error::new("snapshot missing protocols"));
-        }
-        let hits: Vec<Vec<Addr>> = cleaned.iter().map(|(_, set)| set.to_addr_vec()).collect();
-        let (day, aliased) = (fields.get("day")?, fields.get("aliased")?);
-        Ok(LegacySnapshot(Snapshot { day, responsive: Responders::from_hits(&hits), aliased }))
-    }
-}
-
 /// Current checkpoint format version.
-pub const STATE_VERSION: u32 = 7;
+pub const STATE_VERSION: u32 = 8;
 
 /// Oldest checkpoint version [`ServiceState::from_json`] still accepts:
 /// the one before [`STATE_VERSION`].
@@ -219,9 +233,8 @@ impl ServiceState {
     pub fn capture(svc: &HitlistService) -> ServiceState {
         ServiceState {
             input: AddrSet::from_sorted_addrs(svc.input()),
+            seen: svc.unresponsive().rows().map(|(.., seen)| seen).collect(),
             aliased: svc.aliased().clone(),
-            gfw_impacted: svc.gfw_impacted().clone(),
-            ever: svc.cumulative().clone(),
             rounds: svc.rounds().to_vec(),
             snapshots: svc.snapshots().to_vec(),
             active: svc.unresponsive().active_entries().collect(),
@@ -234,28 +247,19 @@ impl ServiceState {
         }
     }
 
-    /// The snapshot step: what a v6 document wrote in another shape.
-    ///
-    /// Each v6 snapshot held a set a protocol, read here into a set and
-    /// its column. The current column is the last snapshot's when that
-    /// was the last round, and otherwise stays empty.
-    fn upgrade(&mut self, fields: &Fields<'_>) -> Result<(), Error> {
-        let snapshots: Vec<LegacySnapshot> = fields.get("snapshots")?;
-        self.snapshots = snapshots.into_iter().map(|s| s.0).collect();
-        if let (Some(snap), Some(round)) = (self.snapshots.last(), self.rounds.last()) {
-            if snap.day == round.day && snap.responsive.members == self.current.members {
-                self.current.protos = snap.responsive.protos.clone();
-            }
-        }
-        Ok(())
-    }
-
     /// Holds each column to the set it stands beside: one entry a member,
-    /// and only the protocols it can hold. A protocol column holds any
-    /// non-empty set of the five (the current one may be empty: see
-    /// `upgrade`); `alias_detail`, empty while the window is cold, a
-    /// non-empty set of ICMP and TCP/80.
+    /// and only the bits it can hold. `input_seen` holds any byte without
+    /// bits 6 and 7; a protocol column any non-empty set of the five
+    /// (the current one may be empty: see `current`); `alias_detail`,
+    /// empty while the window is cold, a non-empty set of ICMP and TCP/80.
     fn check_columns(&self) -> Result<(), String> {
+        let (entries, members) = (self.seen.len(), self.input.len());
+        if entries != members {
+            return Err(format!("input_seen holds {entries} entries for {members} members"));
+        }
+        if let Some(bad) = self.seen.iter().find(|s| s.0 >> 6 != 0) {
+            return Err(format!("input_seen holds the byte {:#04x}", bad.0));
+        }
         let tested = ProtoSet::of(&[Protocol::Icmp, Protocol::Tcp80]);
         let beside_labels = if self.alias_window.is_empty() { 0 } else { self.aliased.len() };
         let current = if self.current.protos.is_empty() { 0 } else { self.current.members.len() };
@@ -264,19 +268,13 @@ impl ServiceState {
             ("a snapshot's protos", &view.protos, view.members.len(), ProtoSet::all())
         });
         for (key, values, members, allowed) in [
-            ("ever_protos", &self.ever.protos, self.ever.members.len(), ProtoSet::all()),
             ("current_protos", &self.current.protos, current, ProtoSet::all()),
             ("alias_detail", &self.alias_detail, beside_labels, tested),
         ]
         .into_iter()
         .chain(snapshots)
         {
-            if values.len() != members {
-                return Err(format!("{key} holds {} entries for {members} members", values.len()));
-            }
-            if let Some(bad) = values.iter().find(|p| p.is_empty() || p.union(allowed) != allowed) {
-                return Err(format!("{key} holds the protocol set {:#04x}", bad.0));
-            }
+            protos_fit(key, values, members, allowed)?;
         }
         Ok(())
     }
@@ -314,8 +312,8 @@ impl ServiceState {
     /// Consistency checks a downstream consumer (or a restarted service)
     /// should run before trusting a checkpoint.
     pub fn validate(&self) -> Result<(), String> {
-        // `input` and `ever` are sets, deduplicated by construction, and
-        // their columns are checked where a document is read and here.
+        // `input` is a set, deduplicated by construction, and the columns
+        // are checked where a document is read and here.
         self.check_columns()?;
         for w in self.rounds.windows(2) {
             if w[1].day <= w[0].day {
@@ -359,7 +357,7 @@ mod legacy;
 
 #[cfg(test)]
 mod tests {
-    use super::legacy::{legacy_document, legacy_json};
+    use super::legacy::{v7_document, v7_json};
     use super::*;
     use crate::service::ServiceConfig;
     use sixdust_alias::DetectorConfig;
@@ -395,27 +393,27 @@ mod tests {
         // The pretty bytes of a tiny-scale checkpoint, by length and
         // content digest: a writer that drifts (spacing, key order, number
         // form) fails here instead of silently forking the on-disk format.
-        // v6: every set and prefix list one codec body, and the per-member
-        // values two columns. From the reference writer, and the pin the
-        // v6 writer had.
+        // v7: every set and prefix list one codec body, a snapshot one set
+        // and a column, and the current round's protocols a column beside
+        // its set. From the reference writer, and the pin the v7 writer
+        // had.
         let state = ServiceState::capture(&run_service(8));
-        let json = legacy_json(&state);
-        assert!(json.starts_with("{\n  \"version\": 6,\n  \"input\": \"U0RGM"), "{:.60}", json);
-        assert!(json.contains("\n  \"aliased\": \"U0RGM"));
-        assert!(
-            json.contains("\n  \"unresponsive_window\": 30,\n  \"alias_window\": [\n    \"U0RGM")
-        );
-        assert!(json.ends_with("\"\n}"), "no trailing newline");
-        let digest = sixdust_addr::digest::fnv_items(json.bytes().map(u128::from));
-        assert_eq!((json.len(), digest), (266_953, 8_148_060_174_902_567_672));
-        // v7: a snapshot is one set and a column, and the current round's
-        // protocols a column beside its set.
-        let json = state.to_json();
+        let json = v7_json(&state);
         assert!(json.starts_with("{\n  \"version\": 7,\n  \"input\": \"U0RGM"), "{:.60}", json);
         assert!(json.contains("\n      \"responsive\": \"U0RGM"));
         assert!(json.contains("\n  \"current_protos\": \"U0RDM"));
+        assert!(json.contains("\n  \"ever_protos\": \"U0RDM"));
+        assert!(json.ends_with("\"\n}"), "no trailing newline");
         let digest = sixdust_addr::digest::fnv_items(json.bytes().map(u128::from));
         assert_eq!((json.len(), digest), (259_577, 10_851_572_715_604_131_735));
+        // v8: what the service learned of each input address is one
+        // column beside the input.
+        let json = state.to_json();
+        assert!(json.starts_with("{\n  \"version\": 8,\n  \"input\": \"U0RGM"), "{:.60}", json);
+        assert!(json.contains("\",\n  \"input_seen\": \"U0RDM"));
+        assert!(!json.contains("\"ever") && !json.contains("\"gfw_impacted"));
+        let digest = sixdust_addr::digest::fnv_items(json.bytes().map(u128::from));
+        assert_eq!((json.len(), digest), (257_484, 12_345_333_448_284_194_892));
     }
 
     #[test]
@@ -425,8 +423,10 @@ mod tests {
         assert_eq!(state.input.len(), svc.input().len());
         assert_eq!(state.rounds.len(), svc.rounds().len());
         assert_eq!(state.aliased.len(), svc.aliased().len());
-        assert_eq!(state.ever, *svc.cumulative());
-        assert_eq!(state.ever.protos.len(), state.ever.members.len());
+        assert!(svc.unresponsive().rows().map(|(.., seen)| seen).eq(state.seen.iter().copied()));
+        let ever =
+            state.input.addrs().zip(&state.seen).filter(|(_, seen)| !seen.protos().is_empty());
+        assert!(ever.map(|(a, seen)| (a, seen.protos())).eq(svc.cumulative().iter()));
         assert_eq!(state.current.protos.len(), svc.current_responsive().len());
         assert_eq!(state.alias_detail.len(), state.aliased.len());
         assert_eq!(state.snapshots.len(), 1);
@@ -435,19 +435,19 @@ mod tests {
     #[test]
     fn version_gate() {
         let state = ServiceState::capture(&run_service(3));
-        let (json, v6) = (state.to_json(), legacy_json(&state));
+        let (json, v7) = (state.to_json(), v7_json(&state));
         // The current version and the one before read, each in the shape
         // its writer gave it.
         assert!(ServiceState::from_json(&json).is_ok());
-        assert!(ServiceState::from_json(&v6).is_ok());
-        // Any other number is refused, whatever the shape: a v6 document
-        // renumbered 5 would otherwise read.
-        for version in [5, 99, 0] {
+        assert!(ServiceState::from_json(&v7).is_ok());
+        // Any other number is refused, whatever the shape: a v7 document
+        // renumbered 6 would otherwise read.
+        for version in [6, 99, 0] {
             let to = format!("\"version\": {version}");
-            let renumbered = v6.replacen("\"version\": 6", &to, 1);
+            let renumbered = v7.replacen("\"version\": 7", &to, 1);
             let err = ServiceState::from_json(&renumbered).unwrap_err();
             assert!(
-                err.contains(&format!("version {version} unsupported (expected 6..=7)")),
+                err.contains(&format!("version {version} unsupported (expected 7..=8)")),
                 "{err}"
             );
         }
@@ -455,10 +455,10 @@ mod tests {
 
     #[test]
     fn a_re_saved_checkpoint_loads_as_the_state_it_was_read_into() {
-        // A state read from a v6 document is saved at v7, the only
+        // A state read from a v7 document is saved at v8, the only
         // version written, and loads back unchanged.
-        let read = ServiceState::from_json(&legacy_json(&ServiceState::capture(&run_service(8))))
-            .expect("a v6 document reads");
+        let read = ServiceState::from_json(&v7_json(&ServiceState::capture(&run_service(8))))
+            .expect("a v7 document reads");
         let dir = std::env::temp_dir().join(format!("sixdust_resave_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("service.ckpt");
@@ -595,7 +595,7 @@ mod tests {
         // without its clocks would otherwise read as one whose every
         // address was dropped.
         let base = ServiceState::capture(&service_with_a_pool(test_config()));
-        for doc in [base.to_value(), legacy_document(&base)] {
+        for doc in [base.to_value(), v7_document(&base)] {
             let Value::Object(members) = &doc else { unreachable!() };
             let version = doc.get("version").cloned();
             for (key, _) in members {
@@ -610,27 +610,31 @@ mod tests {
 
     #[test]
     fn legacy_documents_restore_the_service_they_were_written_from() {
-        // A v6 document holds no current column. The first service's last
-        // round was no snapshot day, so its column stays empty until the
-        // next round; the second's was, and its column is the last
-        // snapshot's.
-        let last_day_too = test_config().with_snapshot_days(vec![Day(5), Day(12)]);
-        for (config, snapshot_last) in [(test_config(), false), (last_day_too, true)] {
-            let original = ServiceState::capture(&service_with_a_pool(config.clone()));
-            let last_round = original.rounds.last().map(|r| r.day);
-            assert_eq!(original.snapshots.last().map(|s| s.day) == last_round, snapshot_last);
-            assert!(!original.current.protos.is_empty());
-            let read = ServiceState::from_json(&legacy_json(&original)).expect("reads");
-            read.validate().expect("valid");
-            let mut recaptured = ServiceState::capture(&read.restore(config));
-            if snapshot_last {
-                assert_eq!(read.current.protos, original.current.protos);
-            } else {
-                assert!(recaptured.current.protos.is_empty());
-                recaptured.current.protos = original.current.protos.clone();
-            }
-            assert_eq!(recaptured, original);
+        // A v7 document's `ever`, `ever_protos` and `gfw_impacted` fold
+        // into the one column: it reads as the state it was written from,
+        // and restores the service that state restores.
+        let original = ServiceState::capture(&service_with_a_pool(test_config()));
+        assert!(original.seen.iter().any(|seen| !seen.protos().is_empty()));
+        let read = ServiceState::from_json(&v7_json(&original)).expect("reads");
+        read.validate().expect("valid");
+        assert_eq!(read, original);
+        assert_eq!(ServiceState::capture(&read.restore(test_config())), original);
+        // No GFW era reached: mark two input addresses impacted, one of
+        // them answered, and they read with the bit and their protocols.
+        let mut marked = original.clone();
+        let answered = marked.seen.iter().position(|seen| !seen.protos().is_empty()).unwrap();
+        let silent = marked.seen.iter().position(|seen| seen.protos().is_empty()).unwrap();
+        for at in [answered, silent] {
+            marked.seen[at].0 |= Seen::GFW_CLEANED.0;
         }
+        let read = ServiceState::from_json(&v7_json(&marked)).expect("reads");
+        assert_eq!(read, marked);
+        let svc = read.restore(test_config());
+        let impacted: Vec<Addr> = svc.gfw_impacted().addrs().collect();
+        let input = original.input.to_addr_vec();
+        let mut expected = vec![input[answered], input[silent]];
+        expected.sort_unstable();
+        assert_eq!(impacted, expected);
     }
 
     #[test]

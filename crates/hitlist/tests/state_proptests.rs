@@ -4,12 +4,15 @@
 //! an error, never a panic, and never accept an inconsistent timeline.
 //! Seeded loops, at least 64 cases each.
 
+mod common;
+
 use std::sync::OnceLock;
 
 use sixdust_addr::codec::{encode_full, push_checksum, FULL_MAGIC};
 use sixdust_addr::prf::PrfStream;
 use sixdust_addr::{base64, AddrSet};
-use sixdust_hitlist::{HitlistService, ServiceConfig, ServiceState};
+use sixdust_hitlist::{HitlistService, Seen, ServiceConfig, ServiceState};
+use sixdust_json::{ToJson, Value};
 use sixdust_net::{Day, FaultConfig, Internet, ProtoSet, Protocol, Scale};
 
 const CASES: u64 = 64;
@@ -72,12 +75,12 @@ fn json_shaped_garbage_never_panics() {
     let state = donor();
     let json = state.to_json();
     for (from, to) in [
-        ("\"version\": 7", "\"version\": -7"),
-        ("\"version\": 7", "\"version\": 7.0"),
-        ("\"version\": 7", "\"version\": 4294967296"),
-        ("\"version\": 7", "\"version\": \"7\""),
+        ("\"version\": 8", "\"version\": -8"),
+        ("\"version\": 8", "\"version\": 8.0"),
+        ("\"version\": 8", "\"version\": 4294967296"),
+        ("\"version\": 8", "\"version\": \"8\""),
         ("\"rounds\": [", "\"rounds\": [{}, "),
-        ("\"unresponsive_window\": 30", "\"unresponsive_window\": 30, \"version\": 7"),
+        ("\"unresponsive_window\": 30", "\"unresponsive_window\": 30, \"version\": 8"),
         ("\"alias_window\": [", "\"alias_window\": [{}, "),
     ] {
         assert!(json.contains(from), "{from}");
@@ -85,8 +88,15 @@ fn json_shaped_garbage_never_panics() {
     }
     // Sets are base64 codec bodies: an empty string, a character outside
     // the alphabet, and well-formed, checksummed bodies that break the
-    // codec's other rules.
-    let input = format!("\"input\": \"{}\"", base64::encode(&encode_full(&state.input)));
+    // codec's other rules. The document's input is two addresses, one
+    // byte each, so a well-formed body of two others reads.
+    let two = ServiceState {
+        input: AddrSet::from_sorted(vec![5, 7]),
+        seen: vec![Seen(0); 2],
+        ..state.clone()
+    };
+    let two_json = two.to_json();
+    let input = format!("\"input\": \"{}\"", base64::encode(&encode_full(&two.input)));
     let body = |payload: &[u8]| {
         let mut body = payload.to_vec();
         push_checksum(&mut body);
@@ -106,14 +116,15 @@ fn json_shaped_garbage_never_panics() {
         body(&unsorted),
         body(&trailing),
     ] {
-        assert!(json.contains(&input));
-        assert!(ServiceState::from_json(&json.replacen(&input, &to, 1)).is_err(), "{to:.60}");
+        assert!(two_json.contains(&input));
+        let err = ServiceState::from_json(&two_json.replacen(&input, &to, 1)).unwrap_err();
+        assert!(err.contains("input"), "{to:.60}: {err}");
     }
-    assert!(ServiceState::from_json(&json.replacen(&input, &body(payload), 1)).is_ok());
+    assert!(ServiceState::from_json(&two_json.replacen(&input, &body(payload), 1)).is_ok());
     // Prefix sets are codec bodies of packed items and per-member values
     // are columns: an item no prefix packs to, a column one entry short
     // of its set or one past it, a member that answered no protocol, a
-    // protocol bit outside `ProtoSet` and, in the alias detail, a
+    // bit outside `Seen` or `ProtoSet` and, in the alias detail, a
     // protocol the detector does not probe.
     let packed = state.aliased.packed();
     let aliased = format!("\"aliased\": \"{}\"", base64::encode(&encode_full(&packed)));
@@ -124,16 +135,16 @@ fn json_shaped_garbage_never_panics() {
         let err = ServiceState::from_json(&json.replacen(&aliased, &to, 1)).unwrap_err();
         assert!(err.contains("not a packed prefix"), "{item:#x}: {err}");
     }
-    assert!(!state.ever.members.is_empty() && !state.alias_detail.is_empty());
+    assert!(state.seen.iter().any(|s| s.0 != 0) && !state.alias_detail.is_empty());
     assert!(!state.current.members.is_empty());
     type Edit = fn(&mut ServiceState);
     let hostile: [(&str, Edit); 12] = [
-        ("ever_protos one short", |s| {
-            s.ever.protos.pop();
+        ("input_seen one short", |s| {
+            s.seen.pop();
         }),
-        ("ever_protos one past", |s| s.ever.protos.push(ProtoSet::all())),
-        ("ever_protos zero", |s| s.ever.protos[0] = ProtoSet::EMPTY),
-        ("ever_protos bit 5", |s| s.ever.protos[0].0 |= 0x20),
+        ("input_seen one past", |s| s.seen.push(Seen(1))),
+        ("input_seen bit 6", |s| s.seen[0].0 |= 0x40),
+        ("input_seen bit 7", |s| s.seen[0].0 |= 0x80),
         ("current_protos one short", |s| {
             s.current.protos.pop();
         }),
@@ -154,7 +165,8 @@ fn json_shaped_garbage_never_panics() {
         assert!(bad.validate().is_err(), "{case}");
     }
     // A current column is one entry a member, or none: a v6 document
-    // whose last round was no snapshot day did not record it.
+    // whose last round was no snapshot day did not record it, nor does a
+    // v7 document re-saved from one before its next round.
     let mut unrecorded = state.clone();
     unrecorded.current.protos.clear();
     assert!(ServiceState::from_json(&unrecorded.to_json()).is_ok(), "no current column");
@@ -166,10 +178,35 @@ fn json_shaped_garbage_never_panics() {
     assert!(ServiceState::from_json(&cold.to_json()).is_ok(), "a cold window, no detail");
 }
 
+/// A v7 document kept `ever` and `gfw_impacted` beside the input; an
+/// address of either outside the input has no row to fold into, and the
+/// document is refused with an error.
+#[test]
+fn a_v7_set_outside_the_input_is_refused() {
+    let state = donor();
+    let Value::Object(v7) = common::v7_document(state) else { unreachable!() };
+    let ever = state.input.addrs().zip(&state.seen).find(|(_, s)| !s.protos().is_empty());
+    let (answered, _) = ever.expect("an address that answered");
+    let mut without = state.input.clone();
+    without.remove(answered.0);
+    let stranger = AddrSet::from_sorted(vec![1]);
+    assert!(!state.input.contains(1));
+    for (key, value, why) in [
+        ("input", without.to_value(), format!("ever holds {answered}, which is not input")),
+        ("gfw_impacted", stranger.to_value(), "gfw_impacted holds ::1, which is not input".into()),
+    ] {
+        let mut doc = v7.clone();
+        doc.iter_mut().find(|(k, _)| k == key).expect(key).1 = value;
+        let err = ServiceState::from_json(&Value::Object(doc).pretty()).unwrap_err();
+        assert!(err.contains(&why), "{key}: {err}");
+    }
+    assert_eq!(ServiceState::from_json(&common::v7_json(state)).as_ref(), Ok(state));
+}
+
 /// The base64 alphabet, and the padding character.
 const BASE64: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=";
 
-/// Where each body's string lies in a v7 document: every set body starts
+/// Where each body's string lies in a v8 document: every set body starts
 /// with the codec's magic, `SDF1`, which base64 writes as `U0RGM`, and
 /// every column body with `SDC1`, `U0RDM`.
 fn body_strings(json: &str) -> Vec<std::ops::Range<usize>> {
@@ -192,9 +229,9 @@ fn a_changed_byte_in_a_set_body_never_loads() {
     let sets = body_strings(&json);
     assert_eq!(
         sets.len(),
-        3 + 2 * 3 + 2 + 1 + 3,
-        "input, gfw, current, two snapshots' set, column and labels each, aliased, ever, \
-         one round of the alias window, the three other columns"
+        2 + 2 * 3 + 1 + 1 + 3,
+        "input, current, two snapshots' set, column and labels each, aliased, one round of \
+         the alias window, the three other columns"
     );
     let changed = |at: usize, to: u8| {
         let mut bytes = json.clone().into_bytes();

@@ -37,6 +37,18 @@ impl Protocol {
         }
     }
 
+    /// Stable metric-key segment, used in names like `scan.icmp.hits`,
+    /// `service.hits.cleaned.udp53` and `responsive-tcp443.txt`.
+    pub fn metric_key(self) -> &'static str {
+        match self {
+            Protocol::Icmp => "icmp",
+            Protocol::Tcp443 => "tcp443",
+            Protocol::Tcp80 => "tcp80",
+            Protocol::Udp443 => "udp443",
+            Protocol::Udp53 => "udp53",
+        }
+    }
+
     /// The label used in the paper's tables.
     pub fn label(self) -> &'static str {
         match self {

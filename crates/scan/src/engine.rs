@@ -43,18 +43,6 @@ use crate::permute::CyclicPermutation;
 /// which is the root cause of the injected-response pollution.
 pub const DEFAULT_DNS_QNAME: &str = "www.google.com";
 
-/// Stable metric-key segment for a protocol, used in names like
-/// `scan.icmp.hits` and `service.hits.cleaned.udp53`.
-pub fn proto_metric_key(protocol: Protocol) -> &'static str {
-    match protocol {
-        Protocol::Icmp => "icmp",
-        Protocol::Tcp443 => "tcp443",
-        Protocol::Tcp80 => "tcp80",
-        Protocol::Udp443 => "udp443",
-        Protocol::Udp53 => "udp53",
-    }
-}
-
 /// Scan engine configuration.
 ///
 /// Construct with the chainable `with_*` methods on
@@ -675,7 +663,7 @@ pub fn assemble_scan(
     let loss_estimate_permille =
         (tally.failed_of_responders * 1000).checked_div(loss_samples).unwrap_or(0) as u32;
     if let Some(reg) = telemetry {
-        let key = proto_metric_key(protocol);
+        let key = protocol.metric_key();
         reg.counter(&format!("scan.{key}.probes_sent")).add(tally.sent);
         reg.counter(&format!("scan.{key}.responses")).add(tally.received);
         reg.counter(&format!("scan.{key}.hits")).add(tally.hits);
@@ -822,7 +810,7 @@ fn run_jobs<L: Link>(threads: usize, jobs: &[ScanJob<'_>]) -> (Vec<ScanResult>, 
         let chunk_hist = telemetry.map(|t| t.histogram("scan.worker.chunk_ms"));
         let tracer = telemetry.and_then(|t| t.tracer());
         let scan_span = tracer.as_ref().map(|t| {
-            let keys: Vec<&str> = protocols.iter().map(|p| proto_metric_key(*p)).collect();
+            let keys: Vec<&str> = protocols.iter().map(|p| p.metric_key()).collect();
             t.span_with(
                 &format!("scan.{}", keys.join("+")),
                 &[("day", day.0.to_string().as_str()), ("targets", n.to_string().as_str())],

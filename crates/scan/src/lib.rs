@@ -15,8 +15,7 @@
 //!   vantage fleet's batches hand it every job of a round at once, each
 //!   job's permutation cycle cut into one contiguous range per thread of
 //!   the budget, the way ZMap shards one cycle across its sender threads.
-//! * [`permute`] / [`rate`] — the reusable mechanics (the token bucket
-//!   is the serve front end's admission control).
+//! * [`permute`] — ZMap's cyclic-group permutation, cut into segments.
 //! * [`pcap`] — libpcap traces of wire-mode runs (Wireshark-inspectable).
 //!
 //! One scan loop, two links: [`scan_jobs`] sends each probe through the
@@ -32,17 +31,14 @@
 pub mod engine;
 pub mod pcap;
 pub mod permute;
-pub mod rate;
 pub mod yarrp;
 
 pub use engine::{
-    assemble_scan, proto_metric_key, reassemble_replies, scan, scan_jobs, scan_jobs_wire,
-    scan_segment, scan_with, Detail, ExecutorStats, Hit, ScanConfig, ScanJob, ScanResult,
-    ScanStats, SegmentTally,
+    assemble_scan, reassemble_replies, scan, scan_jobs, scan_jobs_wire, scan_segment, scan_with,
+    Detail, ExecutorStats, Hit, ScanConfig, ScanJob, ScanResult, ScanStats, SegmentTally,
 };
 pub use pcap::{PcapReader, PcapWriter};
 pub use permute::{CyclicPermutation, PermutationSegment};
-pub use rate::{Limit, TokenBucket};
 pub use yarrp::{yarrp, Trace, YarrpConfig, YarrpResult};
 
 #[cfg(test)]
@@ -353,7 +349,7 @@ mod tests {
         let (results, stats) = scan_jobs(2, &[job]);
         let snap = reg.snapshot();
         for r in &results {
-            let key = proto_metric_key(r.protocol);
+            let key = r.protocol.metric_key();
             let counter = |measure: &str| snap.counter(&format!("scan.{key}.{measure}"));
             assert_eq!(counter("probes_sent"), Some(r.stats.sent), "{key}");
             assert_eq!(counter("responses"), Some(r.stats.received), "{key}");

@@ -17,7 +17,7 @@
 //!   rejects corruption instead of panicking.
 //! * [`server`] — what one front end does to a request stream: ETag
 //!   conditional fetches (304s), an LRU of encoded bodies, per-client
-//!   token buckets plus a global concurrency cap, and explicit
+//!   token buckets ([`rate`]) plus a global concurrency cap, and explicit
 //!   load-shedding accounting. Emits per-artifact-kind RED metrics
 //!   (`serve.kind.<stem>.{requests,errors,latency_us}`), virtual-time
 //!   latency in microseconds, and delta/304 byte-savings counters;
@@ -71,6 +71,7 @@ pub mod codec;
 pub mod faults;
 pub mod fleet;
 pub mod mirror;
+pub mod rate;
 pub mod reactor;
 pub mod resilience;
 pub mod server;

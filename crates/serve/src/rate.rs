@@ -1,6 +1,6 @@
 //! The workspace's one token bucket, in exact integer arithmetic on
-//! virtual microseconds the caller passes in. Used by
-//! `sixdust_serve::Frontend` (requests per client per minute).
+//! virtual microseconds the caller passes in. Used by the front end,
+//! [`Frontend`](crate::Frontend) (requests per client per minute).
 //!
 //! A bucket is three `u64`s — whole tokens, the time of the last call, the
 //! refill residue — 24 bytes, because the front end keeps one per client;

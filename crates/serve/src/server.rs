@@ -16,11 +16,11 @@ use std::sync::Arc;
 
 use sixdust_addr::AddrBuildHasher;
 use sixdust_json::json_struct;
-use sixdust_scan::rate::{Limit, TokenBucket};
 use sixdust_telemetry::{
     FlightRecorder, Histogram, HistogramSnapshot, LocalHistogram, Published, Registry,
 };
 
+use crate::rate::{Limit, TokenBucket};
 use crate::store::{ArtifactKind, GenerationCache, SnapshotStore};
 
 /// Front-end configuration.

@@ -28,7 +28,6 @@ use std::sync::{Arc, OnceLock, RwLock, Weak};
 
 use sixdust_addr::AddrSet;
 use sixdust_net::Protocol;
-use sixdust_scan::proto_metric_key;
 use sixdust_telemetry::Registry;
 
 use crate::codec::{self, CodecError};
@@ -71,7 +70,7 @@ impl ArtifactKind {
     pub fn file_stem(self) -> String {
         match self {
             ArtifactKind::Responsive => "responsive-addresses".to_string(),
-            ArtifactKind::PerProtocol(p) => format!("responsive-{}", proto_metric_key(p)),
+            ArtifactKind::PerProtocol(p) => format!("responsive-{}", p.metric_key()),
             ArtifactKind::AliasedPrefixes => "aliased-prefixes".to_string(),
             ArtifactKind::GfwFiltered => "gfw-filtered".to_string(),
         }
@@ -474,7 +473,7 @@ pub fn service_artifacts(svc: &sixdust_hitlist::HitlistService) -> Vec<(Artifact
     let mut artifacts: Vec<(ArtifactKind, AddrSet)> = vec![
         (ArtifactKind::Responsive, svc.current_responsive().clone()),
         (ArtifactKind::AliasedPrefixes, svc.aliased().packed()),
-        (ArtifactKind::GfwFiltered, svc.gfw_impacted().clone()),
+        (ArtifactKind::GfwFiltered, svc.gfw_impacted()),
     ];
     for (proto, set) in svc.proto_responsive() {
         artifacts.push((ArtifactKind::PerProtocol(proto), set));
