@@ -89,8 +89,11 @@ impl Seen {
     }
 }
 
-/// The clock of a dropped address: a day no round reaches.
-const DROPPED: Day = Day(u32::MAX);
+/// The clock of a dropped address: a day no round reaches, and so no
+/// checkpoint's active clock may hold ([`ServiceState::validate`]).
+///
+/// [`ServiceState::validate`]: crate::ServiceState::validate
+pub(crate) const DROPPED: Day = Day(u32::MAX);
 
 /// The service's input and the 30-day unresponsive filter over it: drops
 /// addresses unresponsive for 30+ days from the scan target list — and,
@@ -113,8 +116,7 @@ pub struct UnresponsiveFilter {
     /// Beside each input address: the day it last answered (or entered
     /// the input), `DROPPED` once dropped.
     clocks: Vec<Day>,
-    /// Beside each input address: what the service has learned of it,
-    /// without spare capacity.
+    /// Beside each input address: what the service has learned of it.
     seen: Vec<Seen>,
     /// The cutoff in days.
     pub window: u32,
@@ -144,7 +146,6 @@ impl UnresponsiveFilter {
         let (mut old, mut new) = (self.input.len(), addrs.len());
         self.input.resize(old + new, Addr(0));
         self.clocks.resize(old + new, DROPPED);
-        self.seen.reserve_exact(new);
         self.seen.resize(old + new, Seen::default());
         // Back to front: the old entries above the largest address left (found
         // by doubling steps down) move up past all those left; it goes below.
@@ -252,8 +253,7 @@ impl UnresponsiveFilter {
         window: u32,
         quarantined: Vec<(Day, Day)>,
     ) -> UnresponsiveFilter {
-        let (input, mut seen): (Vec<Addr>, Vec<Seen>) = rows.into_iter().unzip();
-        seen.shrink_to_fit();
+        let (input, seen): (Vec<Addr>, Vec<Seen>) = rows.into_iter().unzip();
         let mut clocks = vec![DROPPED; input.len()];
         let mut active: Vec<(Addr, Day)> = active.into_iter().collect();
         active.sort_unstable();

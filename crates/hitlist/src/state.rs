@@ -23,7 +23,7 @@ use sixdust_addr::{base64, Addr, AddrSet, PrefixSet};
 use sixdust_json::{Error, Fields, FromJson, ToJson, Value};
 use sixdust_net::{Day, ProtoSet, Protocol};
 
-use crate::filters::Seen;
+use crate::filters::{Seen, DROPPED};
 use crate::service::{HitlistService, Responders, RoundRecord, ServiceConfig, Snapshot};
 
 /// A serializable checkpoint of the service's accumulated knowledge.
@@ -338,6 +338,11 @@ impl ServiceState {
         }
         if active.diff_count(&self.input) > 0 {
             return Err("an active address is not input".into());
+        }
+        // The filter marks a dropped address by that clock, so an active
+        // one holding it would restore as dropped.
+        if let Some((a, _)) = self.active.iter().find(|(_, day)| *day == DROPPED) {
+            return Err(format!("active {a} holds the dropped clock {}", DROPPED.0));
         }
         // A cold window (no detection yet) says nothing; a warm one is
         // what the labels were merged from.

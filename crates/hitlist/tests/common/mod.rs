@@ -17,13 +17,13 @@ use sixdust_json::{FromJson, ToJson, Value};
 
 /// The bytes of a column: its body without the 4-byte magic and the
 /// 8-byte checksum.
-fn column_of(value: &Value) -> Vec<u8> {
+pub fn column_of(value: &Value) -> Vec<u8> {
     let body = base64::decode(value.as_str().expect("a column")).expect("canonical base64");
     body[4..body.len() - 8].to_vec()
 }
 
 /// A column of `bytes` as a checkpoint writes it.
-fn column(bytes: Vec<u8>) -> Value {
+pub fn column(bytes: Vec<u8>) -> Value {
     let mut body = b"SDC1".to_vec();
     body.extend(bytes);
     push_checksum(&mut body);

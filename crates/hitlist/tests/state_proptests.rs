@@ -203,6 +203,48 @@ fn a_v7_set_outside_the_input_is_refused() {
     assert_eq!(ServiceState::from_json(&common::v7_json(state)).as_ref(), Ok(state));
 }
 
+/// A v7 document's `ever_protos` column stands beside `ever`, one
+/// non-empty set of the five protocols a member: a column one entry short
+/// or one past, a member that answered nothing, or bit 5 (which the
+/// column step would fold in as a GFW mark) is refused with an error.
+#[test]
+fn a_v7_protocol_column_off_its_set_is_refused() {
+    let state = donor();
+    let Value::Object(v7) = common::v7_document(state) else { unreachable!() };
+    let protos = |doc: &[(String, Value)]| {
+        common::column_of(&doc.iter().find(|(k, _)| k == "ever_protos").expect("ever_protos").1)
+    };
+    assert!(!protos(&v7).is_empty());
+    type Edit = fn(&mut Vec<u8>);
+    let hostile: [(&str, Edit); 4] = [
+        ("one short", |c| {
+            c.pop();
+        }),
+        ("one past", |c| c.push(1)),
+        ("zero", |c| c[0] = 0),
+        ("bit 5", |c| c[0] |= 0x20),
+    ];
+    for (case, make) in hostile {
+        let mut column = protos(&v7);
+        make(&mut column);
+        let mut doc = v7.clone();
+        doc.iter_mut().find(|(k, _)| k == "ever_protos").expect("ever_protos").1 =
+            common::column(column);
+        let err = ServiceState::from_json(&Value::Object(doc).pretty()).unwrap_err();
+        assert!(err.contains("ever_protos holds"), "{case}: {err}");
+    }
+}
+
+/// An active clock at the filter's dropped sentinel would restore as a
+/// dropped address; the checkpoint is refused.
+#[test]
+fn an_active_clock_at_the_dropped_sentinel_is_refused() {
+    let mut state = donor().clone();
+    state.active[0].1 = Day(u32::MAX);
+    let err = state.validate().unwrap_err();
+    assert!(err.contains("holds the dropped clock"), "{err}");
+}
+
 /// The base64 alphabet, and the padding character.
 const BASE64: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=";
 
