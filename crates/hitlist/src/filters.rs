@@ -89,10 +89,7 @@ impl Seen {
     }
 }
 
-/// The clock of a dropped address: a day no round reaches, and so no
-/// checkpoint's active clock may hold ([`ServiceState::validate`]).
-///
-/// [`ServiceState::validate`]: crate::ServiceState::validate
+/// The clock of a dropped address: a day no round reaches.
 pub(crate) const DROPPED: Day = Day(u32::MAX);
 
 /// The service's input and the 30-day unresponsive filter over it: drops

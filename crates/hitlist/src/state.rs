@@ -339,8 +339,7 @@ impl ServiceState {
         if active.diff_count(&self.input) > 0 {
             return Err("an active address is not input".into());
         }
-        // The filter marks a dropped address by that clock, so an active
-        // one holding it would restore as dropped.
+        // An active clock at the dropped sentinel would restore as dropped.
         if let Some((a, _)) = self.active.iter().find(|(_, day)| *day == DROPPED) {
             return Err(format!("active {a} holds the dropped clock {}", DROPPED.0));
         }
