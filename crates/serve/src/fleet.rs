@@ -23,11 +23,14 @@
 //!   a flash crowd at each publication ([`FlashSpike`]), front-loaded
 //!   the way real consumers pile onto a fresh hitlist. This is what
 //!   scales the day to a million-plus virtual clients. An arrival
-//!   depends on the session walk before it, so the day keeps each session
-//!   as its paused walk (40 bytes a client), files it under the same
-//!   power-of-two spans by its next arrival, and walks the sessions of one
-//!   span up to its end when the replay reaches it. A client whose session
-//!   has ended is forgotten: what it held is never read again.
+//!   depends on the session walk before it, so a started session is kept
+//!   as its paused walk, filed under the same power-of-two spans by its
+//!   next arrival, and the sessions of one span walk up to its end when
+//!   the replay reaches it. A session not yet started keeps only its first
+//!   request id and a link in its start span's list (12 bytes a client);
+//!   it is drawn again when the replay reaches that span. A client whose
+//!   session has ended is forgotten: its paused walk, what it held and its
+//!   token bucket at the front end are never read again.
 //!
 //! Two backends answer it through the
 //! [`EventLoop`]: a bare [`Frontend`]
@@ -92,7 +95,8 @@ impl Draws {
 /// Fleet configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Number of distinct registered consumers.
+    /// Number of distinct registered consumers. At most `u32::MAX` on a
+    /// session day: the day links its clients by `u32` index.
     pub clients: u64,
     /// Requests issued across the day (uniform shape). At most
     /// `u32::MAX`: a uniform day files each request id in four bytes.
@@ -229,6 +233,9 @@ pub enum FleetConfigError {
     /// `requests` is above `u32::MAX` in uniform mode: the day files
     /// each request id in a `u32`.
     TooManyRequests,
+    /// `clients` is above `u32::MAX` in session mode: the day links its
+    /// clients by `u32` index.
+    TooManyClients,
     /// `day_micros` is zero: no timeline to schedule on.
     ZeroDayMicros,
     /// A Zipf exponent so extreme the fixed-point `rank^s` computation
@@ -251,6 +258,9 @@ impl std::fmt::Display for FleetConfigError {
             }
             FleetConfigError::TooManyRequests => {
                 write!(f, "requests must be at most {} (uniform mode)", u32::MAX)
+            }
+            FleetConfigError::TooManyClients => {
+                write!(f, "clients must be at most {} (session mode)", u32::MAX)
             }
             FleetConfigError::ZeroDayMicros => write!(f, "day_micros must be at least 1"),
             FleetConfigError::ZipfExponentOverflow => {
@@ -321,6 +331,9 @@ impl FleetConfig {
                 }
             }
             Some(shape) => {
+                if self.clients > u64::from(u32::MAX) {
+                    return Err(FleetConfigError::TooManyClients);
+                }
                 if shape.max_requests_per_client == 0 {
                     return Err(FleetConfigError::ZeroSessionRequestCap);
                 }
@@ -615,16 +628,6 @@ struct Arrival {
     client: u64,
 }
 
-/// The most sessions a session day reserves room for up front; a day
-/// with more grows its table as it walks.
-const SESSION_RESERVE: usize = 1 << 24;
-
-/// How many sessions a session day of `clients` reserves before its walk:
-/// one a client, never past [`SESSION_RESERVE`].
-fn session_capacity_hint(clients: u64) -> usize {
-    usize::try_from(clients).unwrap_or(usize::MAX).min(SESSION_RESERVE)
-}
-
 /// The shift that cuts a day of `arrivals` into power-of-two spans of
 /// microseconds, eight to sixteen arrivals a span on average (more only
 /// when one microsecond holds more).
@@ -635,11 +638,11 @@ fn bucket_shift(day_micros: u64, arrivals: u64) -> u32 {
     (u64::BITS - (span - 1).leading_zeros()).min(u64::BITS - 1)
 }
 
-/// Marks an empty bucket and the end of a bucket's list of sessions.
-const NO_SESSION: usize = usize::MAX;
+/// Marks an empty span and the end of a span's list.
+const NONE: u32 = u32::MAX;
 
-/// A session paused before its next arrival. Its client is its index in
-/// the day's session table.
+/// A started session paused before its next arrival, in the day's slab of
+/// started sessions.
 struct Session {
     /// When the next arrival comes.
     at_us: u64,
@@ -648,12 +651,31 @@ struct Session {
     /// The end of the session's flash-crowd window (zero outside a crowd):
     /// an arrival before it lands inside the window.
     flash_until: u64,
+    client: u32,
     /// Which think-time draw spaces the next arrival from the one after.
     think: u32,
     /// Arrivals still to come before midnight, the next one included.
     left: u32,
-    /// The next session filed under the same bucket, or [`NO_SESSION`].
-    next: usize,
+    /// The next slot filed under the same span, or [`NONE`].
+    next: u32,
+}
+
+/// When `client`'s session starts, and the end of its flash-crowd window
+/// (zero outside a crowd). A slice of sessions starts inside a spike
+/// window, offset quadratically toward the publication instant (d²/w
+/// front-loads small offsets); the others start uniformly across the day.
+fn session_start(shape: &SessionShape, draws: &Draws, day: u64, client: u64) -> (u64, u64) {
+    let c = u128::from(client);
+    let crowd =
+        !shape.spikes.is_empty() && draws.flash.draw(c) % 1000 < u64::from(shape.flash_permille);
+    if !crowd {
+        return (draws.time.draw(c) % day, 0);
+    }
+    let s = shape.spikes[(draws.spike.draw(c) % shape.spikes.len() as u64) as usize];
+    let w = s.window_us.max(1);
+    let d = draws.time.draw(c) % w;
+    let start = s.at_us.saturating_add((u128::from(d) * u128::from(d) / u128::from(w)) as u64);
+    (start, s.at_us.saturating_add(s.window_us))
 }
 
 /// When `client`'s session sends its next request after the one at
@@ -669,14 +691,16 @@ fn next_at(draws: &Draws, think_bound: u128, client: u64, think: u32, at_us: u64
 /// Hands a session day's arrivals to `each` in `(time, id)` order without
 /// holding them all, each with whether it is the last of its session, and
 /// returns how many landed inside a flash-crowd window. A first pass walks
-/// the clients in order: each session's length, flash crowd and start,
-/// and how many of its arrivals come before midnight, which fixes every
-/// request id (a client's ids follow the ids of the clients before it).
-/// Each session is then filed under the power-of-two span of the day
-/// ([`bucket_shift`]) holding its next arrival. When the replay reaches a
-/// span, each of its sessions walks on to the span's end and is filed
-/// again under the span of the arrival after, and the span's arrivals are
-/// sorted. Spans are monotone in time, so their concatenation is the
+/// the clients in order: each session's length and start, and how many of
+/// its arrivals come before midnight, which fixes every request id (a
+/// client's ids follow the ids of the clients before it). A client keeps
+/// only its first id, and is linked into the list of the power-of-two span
+/// of the day ([`bucket_shift`]) its session starts in. When the replay
+/// reaches a span, the sessions starting there are drawn again and join a
+/// slab of started sessions; each session of the span walks on to the
+/// span's end and is filed again under the span of the arrival after, and
+/// the span's arrivals are sorted. A session's slot is freed after its
+/// last arrival. Spans are monotone in time, so their concatenation is the
 /// whole day's sorted schedule.
 fn for_each_session_arrival(
     config: &FleetConfig,
@@ -685,34 +709,22 @@ fn for_each_session_arrival(
 ) -> u64 {
     let shape = config.session.as_ref().expect("only a session day has sessions");
     let day = config.day_micros;
+    let clients = u32::try_from(config.clients).expect("FleetConfig rejected: too many clients");
     let lengths =
         zipf_cumulative_checked(u64::from(shape.max_requests_per_client), shape.length_zipf_milli)
             .expect("FleetConfig rejected: session zipf exponent overflows");
     let think_bound = (2 * u128::from(shape.think_time_us)).max(1);
-    let mut sessions = Vec::with_capacity(session_capacity_hint(config.clients));
+    // `first[c]` is client `c`'s first request id, `first[c + 1] - first[c]`
+    // its arrivals before midnight.
+    let mut first = Vec::with_capacity(clients as usize + 1);
     let mut id = 0u64;
-    for client in 0..config.clients {
+    for client in 0..u64::from(clients) {
+        first.push(id);
         // Heavy-tailed session length: rank 1 (one request) dominates, a
         // Zipf tail of long sessions hammers on.
         let len_draw = draws.session_len.draw(u128::from(client));
         let count = 1 + pick_weighted(&lengths, len_draw) as u32;
-        // Flash crowd: a slice of sessions starts inside a spike window,
-        // offset quadratically toward the publication instant (d²/w
-        // front-loads small offsets).
-        let spike = (!shape.spikes.is_empty()
-            && draws.flash.draw(u128::from(client)) % 1000 < u64::from(shape.flash_permille))
-        .then(|| {
-            let pick = draws.spike.draw(u128::from(client)) % shape.spikes.len() as u64;
-            shape.spikes[pick as usize]
-        });
-        let start = match spike {
-            Some(s) => {
-                let w = s.window_us.max(1);
-                let d = draws.time.draw(u128::from(client)) % w;
-                s.at_us.saturating_add((u128::from(d) * u128::from(d) / u128::from(w)) as u64)
-            }
-            None => draws.time.draw(u128::from(client)) % day,
-        };
+        let (start, _) = session_start(shape, draws, day, client);
         // The session is truncated at midnight; only a session that may
         // reach it walks its think times here.
         let left = if start >= day {
@@ -730,45 +742,77 @@ fn for_each_session_arrival(
             }
             n
         };
-        let flash_until = spike.map_or(0, |s| s.at_us.saturating_add(s.window_us));
-        sessions.push(Session { at_us: start, id, flash_until, think: 0, left, next: NO_SESSION });
         id += u64::from(left);
     }
+    first.push(id);
 
     let shift = bucket_shift(day, id);
-    let mut heads = vec![NO_SESSION; ((day - 1) >> shift) as usize + 1];
-    let bucket = |at_us: u64| (at_us >> shift) as usize;
-    for (i, session) in sessions.iter_mut().enumerate().filter(|(_, s)| s.left > 0) {
-        let head = &mut heads[bucket(session.at_us)];
-        session.next = std::mem::replace(head, i);
+    let spans = ((day - 1) >> shift) as usize + 1;
+    let span = |at_us: u64| (at_us >> shift) as usize;
+    let mut starting = vec![NONE; spans];
+    let mut links = vec![NONE; clients as usize];
+    for client in (0..clients).filter(|&c| first[c as usize + 1] > first[c as usize]) {
+        let (start, _) = session_start(shape, draws, day, u64::from(client));
+        links[client as usize] = std::mem::replace(&mut starting[span(start)], client);
     }
 
+    let mut heads = vec![NONE; spans];
+    let mut slab: Vec<Session> = Vec::new();
+    let mut free = Vec::new();
     let mut flash_arrivals = 0u64;
     let mut arrivals = Vec::new();
-    for b in 0..heads.len() {
-        let mut client = std::mem::replace(&mut heads[b], NO_SESSION);
-        while client != NO_SESSION {
-            let session = &mut sessions[client];
+    for b in 0..spans {
+        let mut client = std::mem::replace(&mut starting[b], NONE);
+        while client != NONE {
+            let c = client as usize;
+            let (at_us, flash_until) = session_start(shape, draws, day, u64::from(client));
+            let left = (first[c + 1] - first[c]) as u32;
+            let session = Session {
+                at_us,
+                id: first[c],
+                flash_until,
+                client,
+                think: 0,
+                left,
+                next: heads[b],
+            };
+            heads[b] = match free.pop() {
+                Some(slot) => {
+                    slab[slot as usize] = session;
+                    slot
+                }
+                None => {
+                    slab.push(session);
+                    (slab.len() - 1) as u32
+                }
+            };
+            client = links[c];
+        }
+        let mut slot = std::mem::replace(&mut heads[b], NONE);
+        while slot != NONE {
+            let session = &mut slab[slot as usize];
             let following = session.next;
+            let client = u64::from(session.client);
             loop {
                 let at_us = session.at_us;
                 let last = session.left == 1;
-                arrivals.push((Arrival { at_us, id: session.id, client: client as u64 }, last));
+                arrivals.push((Arrival { at_us, id: session.id, client }, last));
                 flash_arrivals += u64::from(at_us < session.flash_until);
                 if last {
+                    free.push(slot);
                     break;
                 }
-                session.at_us = next_at(draws, think_bound, client as u64, session.think, at_us);
+                session.at_us = next_at(draws, think_bound, client, session.think, at_us);
                 session.id += 1;
                 session.think += 1;
                 session.left -= 1;
-                let next = bucket(session.at_us);
+                let next = span(session.at_us);
                 if next != b {
-                    session.next = std::mem::replace(&mut heads[next], client);
+                    session.next = std::mem::replace(&mut heads[next], slot);
                     break;
                 }
             }
-            client = following;
+            slot = following;
         }
         arrivals.sort_unstable_by_key(|(a, _)| (a.at_us, a.id));
         arrivals.drain(..).for_each(|(a, last)| each(a, last));
@@ -868,6 +912,9 @@ pub(crate) trait Engine {
     fn submit(&mut self, id: u64, request: &Request);
     fn poll(&mut self, until_us: u64, deliver: impl FnMut(Completion));
     fn backend(&self) -> &Self::Backend;
+    /// Ends `client`'s session at the backend, after its last `submit`
+    /// ([`Backend::end_session`]).
+    fn end_session(&mut self, client: u64);
     /// Tells the attached registries what the engine's and its backend's
     /// ledgers have counted.
     fn publish(&mut self);
@@ -886,6 +933,10 @@ impl<B: Backend> Engine for EventLoop<'_, B> {
 
     fn backend(&self) -> &B {
         EventLoop::backend(self)
+    }
+
+    fn end_session(&mut self, client: u64) {
+        EventLoop::end_session(self, client);
     }
 
     fn publish(&mut self) {
@@ -922,6 +973,10 @@ impl Engine for SyncEngine<'_> {
         self.frontend
     }
 
+    fn end_session(&mut self, client: u64) {
+        self.frontend.end_session(client);
+    }
+
     fn publish(&mut self) {
         self.frontend.publish();
     }
@@ -929,7 +984,8 @@ impl Engine for SyncEngine<'_> {
 
 /// The one day driver: for each arrival in `(time, id)` order first
 /// apply every completion whose transfer has finished (updating what the
-/// clients hold), then draw and submit the request. `store` is where
+/// clients hold), then draw and submit the request; after a session's
+/// last request, its client is forgotten here and at the backend. `store` is where
 /// publications land: its round at day's end is the report's. The day's
 /// ledgers are published to the attached registries when it ends.
 pub(crate) fn drive_day(
@@ -961,6 +1017,7 @@ pub(crate) fn drive_day(
         engine.submit(arrival.id, &request);
         if last {
             held.forget(arrival.client);
+            engine.end_session(arrival.client);
         }
     };
     let flash_arrivals = match config.session {
@@ -1198,7 +1255,7 @@ pub(crate) mod tests {
             shape.length_zipf_milli,
         )
         .expect("FleetConfig rejected: session zipf exponent overflows");
-        let mut schedule = Vec::with_capacity(session_capacity_hint(config.clients));
+        let mut schedule = Vec::new();
         let mut id = 0u64;
         for client in 0..config.clients {
             // Heavy-tailed session length: rank 1 (one request)
@@ -1339,18 +1396,95 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_session_day_of_any_client_count_reserves_a_bounded_schedule() {
-        // Valid configs: `2 · clients` used to overflow in debug past
-        // 2^63 clients and abort on allocation near 2^40.
-        for clients in [1u64 << 40, 1 << 63, u64::MAX] {
-            let config = FleetConfig::builder()
-                .with_clients(clients)
-                .with_session(SessionShape::default())
-                .build()
-                .expect("any client count is valid");
-            assert_eq!(session_capacity_hint(config.clients), SESSION_RESERVE);
+    fn a_session_day_of_more_than_u32_max_clients_is_refused() {
+        // A session day links its clients by `u32` index. These counts
+        // were once valid and reserved a bounded table.
+        for clients in [u64::from(u32::MAX) + 1, 1 << 40, 1 << 63, u64::MAX] {
+            let config = FleetConfig::builder().with_clients(clients);
+            let err = config.clone().with_session(SessionShape::default()).build().unwrap_err();
+            assert_eq!(err, FleetConfigError::TooManyClients, "{clients} clients");
+            assert!(config.build().is_ok(), "a uniform day draws its clients by modulo");
         }
-        assert_eq!(session_capacity_hint(150_000), 150_000);
+        let most = FleetConfig::builder().with_clients(u64::from(u32::MAX));
+        assert!(most.with_session(SessionShape::default()).build().is_ok());
+        assert_eq!(
+            FleetConfigError::TooManyClients.to_string(),
+            "clients must be at most 4294967295 (session mode)"
+        );
+    }
+
+    /// An engine whose sessions never end at the backend, so every front
+    /// end keeps every client's token bucket all day: the oracle a day
+    /// that drops a finished client's bucket is held to.
+    pub(crate) struct KeepEveryBucket<E>(pub(crate) E);
+
+    impl<E: Engine> Engine for KeepEveryBucket<E> {
+        type Backend = E::Backend;
+
+        fn submit(&mut self, id: u64, request: &Request) {
+            self.0.submit(id, request);
+        }
+
+        fn poll(&mut self, until_us: u64, deliver: impl FnMut(Completion)) {
+            self.0.poll(until_us, deliver);
+        }
+
+        fn backend(&self) -> &E::Backend {
+            self.0.backend()
+        }
+
+        fn end_session(&mut self, _client: u64) {}
+
+        fn publish(&mut self) {
+            self.0.publish();
+        }
+    }
+
+    #[test]
+    fn a_day_that_drops_finished_clients_buckets_reports_what_keeping_them_does() {
+        let store = seeded_store();
+        // Sessions ten seconds apart against one token a minute, and a
+        // one-minute crowd over two render slots: both the buckets and the
+        // cap shed.
+        let shape = SessionShape::builder()
+            .with_think_time_us(10_000_000)
+            .with_spike(8 * 3_600_000_000, 60_000_000)
+            .with_flash_permille(600);
+        for seed in [7, 31] {
+            let fleet = FleetConfig::builder()
+                .with_seed(seed)
+                .with_clients(2_000)
+                .with_session(shape.clone());
+            for burst in [1, 2] {
+                let config = FrontendConfig::builder()
+                    .with_client_bucket(burst, 1)
+                    .with_global_concurrency(2);
+                let mut fe = Frontend::new(config.clone(), store.clone());
+                let kept = drive_day(
+                    &fleet,
+                    Clients::OfOneFrontend,
+                    &mut KeepEveryBucket(EventLoop::new(&mut fe)),
+                    &store,
+                );
+                assert!(fe.buckets() > 0, "the oracle keeps the buckets");
+                assert!(kept.totals.shed_client > 0 && kept.totals.shed_global > 0, "{kept:?}");
+                let mut fe = Frontend::new(config.clone(), store.clone());
+                assert_eq!(
+                    simulate_day(&fleet, &mut fe, &store),
+                    kept,
+                    "seed {seed}, burst {burst}"
+                );
+                assert_eq!(fe.buckets(), 0, "every session ended");
+
+                let mut fe = Frontend::new(config.clone(), store.clone());
+                let sync = SyncEngine { frontend: &mut fe, pending: Timeline::new() };
+                let kept =
+                    drive_day(&fleet, Clients::OfOneFrontend, &mut KeepEveryBucket(sync), &store);
+                let mut fe = Frontend::new(config, store.clone());
+                assert_eq!(simulate_day_sync(&fleet, &mut fe, &store), kept);
+                assert_eq!(fe.buckets(), 0);
+            }
+        }
     }
 
     #[test]

@@ -358,6 +358,12 @@ impl MirrorTier {
         self.mirrors.iter().map(|m| &m.frontend)
     }
 
+    /// Ends `client`'s session at every mirror's front end: failover and
+    /// hedging may have admitted it at any of them.
+    pub(crate) fn end_session(&mut self, client: u64) {
+        self.mirrors.iter_mut().for_each(|m| m.frontend.end_session(client));
+    }
+
     /// Every mirror front end's totals folded into one report card.
     pub fn merged_frontend_totals(&self) -> FrontendTotals {
         let mut merged = FrontendTotals::default();

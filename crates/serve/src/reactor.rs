@@ -62,6 +62,11 @@ pub trait Backend {
     /// Tells the attached registries, if any, what the backend's ledgers
     /// have counted since they were last told.
     fn publish(&mut self);
+
+    /// `client`'s session is over: called once, after the client's last
+    /// [`answer`](Backend::answer), and no request of that client follows.
+    /// A backend drops what it keeps for the client alone.
+    fn end_session(&mut self, _client: u64) {}
 }
 
 impl Backend for Frontend {
@@ -84,6 +89,10 @@ impl Backend for Frontend {
 
     fn publish(&mut self) {
         Frontend::publish(self);
+    }
+
+    fn end_session(&mut self, client: u64) {
+        Frontend::end_session(self, client);
     }
 }
 
@@ -284,6 +293,12 @@ impl<'a, B: Backend> EventLoop<'a, B> {
     /// The wrapped backend (totals, latency snapshot).
     pub fn backend(&self) -> &B {
         self.backend
+    }
+
+    /// Ends `client`'s session at the backend ([`Backend::end_session`]):
+    /// after its last [`EventLoop::submit`].
+    pub fn end_session(&mut self, client: u64) {
+        self.backend.end_session(client);
     }
 
     /// The loop's phase counters and occupancy so far.

@@ -491,6 +491,10 @@ impl Backend for TierClient<'_> {
             o.registry().publish(&PUBLISHED, &self.ledger, &mut self.told);
         }
     }
+
+    fn end_session(&mut self, client: u64) {
+        self.tier.end_session(client);
+    }
 }
 
 /// Replays one day of fleet load against a [`MirrorTier`] through the
@@ -536,7 +540,7 @@ mod tests {
 
     use super::*;
     use crate::faults::ServeFaultConfig;
-    use crate::fleet::tests::seeded_store;
+    use crate::fleet::tests::{seeded_store, KeepEveryBucket};
     use crate::fleet::{run_day, SessionShape};
     use crate::mirror::MirrorTierConfig;
     use crate::reactor::Completion;
@@ -753,6 +757,46 @@ mod tests {
         assert_eq!(debug_digest(&session), 0xba20_91e1_7aa1_b54e, "{session:?}");
         assert!(session.totals.shed_client > 0 && session.totals.shed_global > 0);
         assert_eq!(session.round, 6, "the deferred publishes landed when the blackout lifted");
+    }
+
+    #[test]
+    fn a_chaos_day_that_drops_finished_clients_buckets_reports_what_keeping_them_does() {
+        let shape = SessionShape::builder()
+            .with_think_time_us(10_000_000)
+            .with_spike(8 * HOUR_US, HOUR_US / 60)
+            .with_flash_permille(600);
+        for seed in [7, 31] {
+            let fleet = FleetConfig::builder()
+                .with_seed(seed)
+                .with_clients(2_000)
+                .with_session(shape.clone());
+            let config = ChaosDayConfig::builder().with_fleet(fleet);
+            let plan = plan_at(&[8, 14, 15, 16, 17].map(|h| h * HOUR_US));
+            for burst in [1, 2] {
+                let frontend = FrontendConfig::builder()
+                    .with_client_bucket(burst, 1)
+                    .with_global_concurrency(1);
+                let mirrors = MirrorTierConfig::builder().with_mirrors(3).with_frontend(frontend);
+                let faults = ServeFaultConfig::chaos(seed, 3);
+                let mut keeping = tier(mirrors.clone(), faults.clone());
+                let origin = keeping.origin().clone();
+                let mut client = TierClient::new(&config, &mut keeping, &plan, None);
+                let mut kept = drive_day(
+                    &config.fleet,
+                    Clients::OfATier,
+                    &mut KeepEveryBucket(EventLoop::new(&mut client)),
+                    &origin,
+                );
+                // The final partial hour, as `run_chaos_day` closes a day.
+                kept.resilience = client.finish(24 + 1);
+                assert!(keeping.frontends().all(|fe| fe.buckets() > 0), "the oracle keeps them");
+                assert!(kept.totals.shed_client > 0 && kept.totals.shed_global > 0, "{kept:?}");
+                let mut dropping = tier(mirrors, faults);
+                let dropped = run_chaos_day(&config, &mut dropping, &plan, None);
+                assert_eq!(dropped, kept, "seed {seed}, burst {burst}");
+                assert!(dropping.frontends().all(|fe| fe.buckets() == 0), "every session ended");
+            }
+        }
     }
 
     // Recorded at commit ca5d906, before the uniform schedule was streamed.

@@ -417,7 +417,7 @@ pub struct Frontend {
 impl std::fmt::Debug for Frontend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Frontend")
-            .field("clients", &self.buckets.len())
+            .field("buckets", &self.buckets.len())
             .field("inflight", &self.inflight.len())
             .field("totals", &self.ledger.totals)
             .finish()
@@ -503,6 +503,19 @@ impl Frontend {
     /// unless a swap has landed since.
     pub(crate) fn current_round(&mut self) -> Option<u64> {
         self.seen.current(&self.store).map(|g| g.round)
+    }
+
+    /// Drops `client`'s token bucket: its session is over and it sends
+    /// nothing more ([`Backend::end_session`](crate::Backend::end_session)),
+    /// so a front end keeps a bucket only for a client whose session lives.
+    pub(crate) fn end_session(&mut self, client: u64) {
+        self.buckets.remove(&client);
+    }
+
+    /// How many clients hold a token bucket.
+    #[cfg(test)]
+    pub(crate) fn buckets(&self) -> usize {
+        self.buckets.len()
     }
 
     fn admit_client(&mut self, client: u64, now_us: u64) -> bool {
