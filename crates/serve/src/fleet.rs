@@ -651,6 +651,7 @@ struct Session {
     /// The end of the session's flash-crowd window (zero outside a crowd):
     /// an arrival before it lands inside the window.
     flash_until: u64,
+    /// Whose session it is.
     client: u32,
     /// Which think-time draw spaces the next arrival from the one after.
     think: u32,

@@ -297,7 +297,7 @@ impl<'a, B: Backend> EventLoop<'a, B> {
 
     /// Ends `client`'s session at the backend ([`Backend::end_session`]):
     /// after its last [`EventLoop::submit`].
-    pub fn end_session(&mut self, client: u64) {
+    pub(crate) fn end_session(&mut self, client: u64) {
         self.backend.end_session(client);
     }
 
