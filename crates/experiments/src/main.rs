@@ -91,7 +91,7 @@ fn usage() -> ! {
          [--telemetry PATH] [--series PATH] [--trace PATH] [--checkpoint PATH] \
          [--serve-report PATH] [--dashboard PATH] [--mirrors N] [--serve-faults] \
          [--clients N] [--flash-crowd] [--vantages N] <experiment>|all\n\
-         (--clients N switches the serve day to N session-based virtual clients;\n\
+         (--clients N switches the serve day to N session-based virtual clients, N < 2^32;\n\
           --flash-crowd adds a publication-chasing arrival spike — implies sessions)\n\
          (--vantages N runs the multi-vantage fleet and exits; no experiment needed)\n\
          experiments: {}",
@@ -201,7 +201,8 @@ fn parse_flags() -> Flags {
             "--dashboard" => flags.dashboard = Some(path(args.next())),
             "--mirrors" => flags.mirrors = Some(positive(args.next())),
             "--vantages" => flags.vantages = Some(positive(args.next())),
-            "--clients" => flags.clients = Some(positive(args.next())),
+            // A session day links its clients by `u32` index.
+            "--clients" => flags.clients = Some(u64::from(positive::<u32>(args.next()))),
             "--flash-crowd" => flags.flash_crowd = true,
             "--serve-faults" => flags.serve_faults = true,
             "--help" | "-h" => usage(),

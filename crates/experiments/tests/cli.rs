@@ -185,3 +185,15 @@ fn a_checkpoint_it_cannot_use_is_moved_aside_not_overwritten() {
         std::fs::remove_dir_all(&out).ok();
     }
 }
+
+#[test]
+fn a_client_count_past_u32_is_refused_at_the_flag() {
+    // A session day links its clients by `u32` index: the flag is refused
+    // before any work starts, with the usage text.
+    let run = Command::new(env!("CARGO_BIN_EXE_sixdust-exp"))
+        .args(["--clients", "4294967296", "--flash-crowd", "publish"])
+        .output()
+        .expect("sixdust-exp runs");
+    assert_eq!(run.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&run.stderr).contains("N < 2^32"));
+}

@@ -796,22 +796,24 @@ fn for_each_session_arrival(
             let client = u64::from(session.client);
             loop {
                 let at_us = session.at_us;
-                let last = session.left == 1;
+                session.left -= 1;
+                let last = session.left == 0;
                 arrivals.push((Arrival { at_us, id: session.id, client }, last));
                 flash_arrivals += u64::from(at_us < session.flash_until);
                 if last {
-                    free.push(slot);
                     break;
                 }
                 session.at_us = next_at(draws, think_bound, client, session.think, at_us);
                 session.id += 1;
                 session.think += 1;
-                session.left -= 1;
                 let next = span(session.at_us);
                 if next != b {
                     session.next = std::mem::replace(&mut heads[next], slot);
                     break;
                 }
+            }
+            if session.left == 0 {
+                free.push(slot);
             }
             slot = following;
         }
