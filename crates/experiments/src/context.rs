@@ -2,6 +2,8 @@
 //! service run, one set of new-source evaluations — reused by every
 //! table/figure so `all` does the expensive work exactly once.
 
+use std::cell::OnceCell;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -35,11 +37,11 @@ pub struct Ctx {
     /// Serve-layer snapshot store, populated with every round of the
     /// service run when `--serve-report <path>` is given.
     pub serve: Option<Arc<SnapshotStore>>,
-    /// The last [`PUBLISH_HISTORY`] service publishes, captured with full
+    /// The last `PUBLISH_HISTORY` service publishes, captured with full
     /// artifact payloads when `--mirrors` is given — the raw material for
     /// the chaos day's timed publish plan (oldest first).
     pub publish_history: Vec<TimedPublish>,
-    new_sources: Option<Vec<SourceEval>>,
+    new_sources: OnceCell<Vec<SourceEval>>,
 }
 
 /// Service publishes retained for the chaos day's publish plan: one
@@ -120,8 +122,8 @@ fn run_checkpointed(
 /// before the run starts, so that its first save does not replace the
 /// file (a newer binary's checkpoint, say): to `PATH.unusable.N`, the
 /// first `N` from 1 that names no file, and the log says where. A file
-/// that cannot be moved stops the run instead.
-pub fn set_aside(path: &Path, log: &str, why: &str) {
+/// that cannot be moved is an error, and the run must not start.
+pub fn set_aside(path: &Path, log: &str, why: &str) -> io::Result<()> {
     let aside = (1..)
         .map(|n| {
             let mut name = path.as_os_str().to_os_string();
@@ -130,15 +132,16 @@ pub fn set_aside(path: &Path, log: &str, why: &str) {
         })
         .find(|name| !name.exists())
         .expect("some name is free");
-    if let Err(e) = std::fs::rename(path, &aside) {
-        eprintln!("[{log}] cannot move the unusable checkpoint {} aside: {e}", path.display());
-        std::process::exit(1);
-    }
+    std::fs::rename(path, &aside).map_err(|e| {
+        let what = format!("cannot move the unusable checkpoint {} aside: {e}", path.display());
+        io::Error::new(e.kind(), what)
+    })?;
     eprintln!(
         "[{log}] ignoring unusable checkpoint {} ({why}); moved it to {}",
         path.display(),
         aside.display()
     );
+    Ok(())
 }
 
 impl Ctx {
@@ -147,12 +150,17 @@ impl Ctx {
     /// observability options plus an optional crash-safe checkpoint file.
     ///
     /// With a checkpoint path the four-year run saves its state atomically
-    /// every [`CHECKPOINT_EVERY_ROUNDS`] rounds and at completion; if a
+    /// every `CHECKPOINT_EVERY_ROUNDS` rounds and at completion; if a
     /// valid checkpoint already exists, the service resumes from the day
     /// after its last recorded round instead of replaying from day 0. A
     /// corrupt or version-incompatible checkpoint is never trusted: it is
-    /// moved aside ([`set_aside`]) and the run starts afresh.
-    pub fn build_resumable(scale: Scale, opts: ObsOptions, checkpoint: Option<&Path>) -> Ctx {
+    /// moved aside ([`set_aside`]) and the run starts afresh; the error is
+    /// that move's, when it fails.
+    pub fn build_resumable(
+        scale: Scale,
+        opts: ObsOptions,
+        checkpoint: Option<&Path>,
+    ) -> io::Result<Ctx> {
         let telemetry = Registry::new();
         let trace = opts.trace.then(TraceJournal::new);
         if let Some(journal) = &trace {
@@ -184,7 +192,7 @@ impl Ctx {
                     state.restore(config.clone())
                 }
                 Err(e) => {
-                    set_aside(path, "ctx", &e);
+                    set_aside(path, "ctx", &e)?;
                     HitlistService::new(config.clone())
                 }
             },
@@ -239,7 +247,8 @@ impl Ctx {
             svc.rounds().last().map(|r| r.total_cleaned).unwrap_or(0),
             t0.elapsed().as_secs_f64()
         );
-        Ctx { net, svc, scale, telemetry, trace, serve, publish_history, new_sources: None }
+        let new_sources = OnceCell::new();
+        Ok(Ctx { net, svc, scale, telemetry, trace, serve, publish_history, new_sources })
     }
 
     /// Builds the chaos replay inputs from the captured publish history:
@@ -286,12 +295,9 @@ impl Ctx {
         self.snapshot_at(TGA_SEED_DAY).cleaned_total().to_addr_vec()
     }
 
-    /// The Sec. 6 new-source evaluations (computed once, cached).
-    pub fn new_sources(&mut self) -> &[SourceEval] {
-        if self.new_sources.is_none() {
-            self.new_sources = Some(self.eval_new_sources());
-        }
-        self.new_sources.as_deref().expect("just computed")
+    /// The Sec. 6 new-source evaluations, computed by the first caller.
+    pub fn new_sources(&self) -> &[SourceEval] {
+        self.new_sources.get_or_init(|| self.eval_new_sources())
     }
 
     fn eval_new_sources(&self) -> Vec<SourceEval> {

@@ -248,5 +248,5 @@ pub fn ablations(ctx: &Ctx) -> ExpOutput {
     thirty_day_filter(&mut text, &mut json_rows);
     dc_params(ctx, &mut text, &mut json_rows);
     chaos_merge(&mut text, &mut json_rows);
-    ExpOutput { id: "ablations", text, json: json!({ "rows": json_rows }) }
+    ExpOutput { text, json: json!({ "rows": json_rows }) }
 }

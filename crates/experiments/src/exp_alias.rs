@@ -58,7 +58,7 @@ pub fn fig5(ctx: &Ctx) -> ExpOutput {
     text.push_str(&format!(
         "Trafficforce /64 flood in the final snapshot: {tf_count} prefixes (paper: 66.4 k, ICMP-only)\n"
     ));
-    ExpOutput { id: "fig5", text, json: json!({ "years": years, "trafficforce": tf_count }) }
+    ExpOutput { text, json: json!({ "years": years, "trafficforce": tf_count }) }
 }
 
 /// Fig. 6: per-AS aliased address space vs announced space.
@@ -98,11 +98,7 @@ pub fn fig6(ctx: &Ctx) -> ExpOutput {
         .iter()
         .map(|(name, asn, log2, share)| json!({ "as": name, "asn": asn, "log2": log2, "share": share }))
         .collect();
-    ExpOutput {
-        id: "fig6",
-        text,
-        json: json!({ "ases": jrows, "over50": over50, "over90": over90 }),
-    }
+    ExpOutput { text, json: json!({ "ases": jrows, "over50": over50, "over90": over90 }) }
 }
 
 /// Table 2: responsiveness of one random address per aliased prefix
@@ -150,7 +146,7 @@ pub fn table2(ctx: &Ctx) -> ExpOutput {
         prefixes.len(),
         t.render()
     );
-    ExpOutput { id: "table2", text, json: json!({ "prefixes": prefixes.len(), "rows": jrows }) }
+    ExpOutput { text, json: json!({ "prefixes": prefixes.len(), "rows": jrows }) }
 }
 
 /// Sec. 5.1: TCP fingerprints + the Too Big Trick over the labeled set.
@@ -192,7 +188,6 @@ pub fn fingerprints(ctx: &Ctx) -> ExpOutput {
         tbt.shared_partial,
     );
     ExpOutput {
-        id: "fingerprints",
         text,
         json: json!({
             "fingerprintable": fp.fingerprintable, "uniform": fp.uniform,
@@ -276,7 +271,6 @@ pub fn domains(ctx: &Ctx) -> ExpOutput {
         ));
     }
     ExpOutput {
-        id: "domains",
         text,
         json: json!({
             "total_domains": zones.total_domains(),
@@ -357,7 +351,6 @@ pub fn dnsvalidate(ctx: &Ctx) -> ExpOutput {
         silent,
     );
     ExpOutput {
-        id: "dnsvalidate",
         text,
         json: json!({ "total": total, "refused": refused, "recursive": correct_matching,
             "referral": referral, "proxied": proxied, "broken": broken, "silent": silent }),

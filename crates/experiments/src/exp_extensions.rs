@@ -71,7 +71,6 @@ pub fn seedless(ctx: &Ctx) -> ExpOutput {
         conventions.iter().map(|c| format!("::{c:x}")).collect::<Vec<_>>(),
     );
     ExpOutput {
-        id: "seedless",
         text,
         json: json!({
             "announced": announced.len(),
@@ -116,7 +115,6 @@ pub fn publish_artifacts(ctx: &Ctx, out_dir: &std::path::Path) -> ExpOutput {
     );
     let date = publication.date.clone();
     ExpOutput {
-        id: "publish",
         text,
         json: json!({
             "date": date,
@@ -149,9 +147,5 @@ pub fn iidclasses(ctx: &Ctx) -> ExpOutput {
         t.render()
     );
     let _ = Protocol::Icmp; // keep the import honest if the table shrinks
-    ExpOutput {
-        id: "iidclasses",
-        text,
-        json: json!({ "input": input.rows(), "responsive": responsive.rows() }),
-    }
+    ExpOutput { text, json: json!({ "input": input.rows(), "responsive": responsive.rows() }) }
 }

@@ -12,12 +12,12 @@ use crate::context::Ctx;
 use crate::ExpOutput;
 
 /// Table 3: new input sources — candidates and AS coverage.
-pub fn table3(ctx: &mut Ctx) -> ExpOutput {
+pub fn table3(ctx: &Ctx) -> ExpOutput {
     let announcing = ctx.net.registry().len();
-    let evals = ctx.new_sources().to_vec();
+    let evals = ctx.new_sources();
     let mut t = TextTable::new(&["Source", "Addresses", "ASes", "% of announcing"]);
     let mut jrows = Vec::new();
-    for e in &evals {
+    for e in evals {
         // AS coverage over the responsive set (candidate lists are not
         // retained in the eval; the paper's Table 3 column is candidates,
         // so treat this as a lower bound).
@@ -45,12 +45,12 @@ pub fn table3(ctx: &mut Ctx) -> ExpOutput {
         ctx.scale.addr_div,
         t.render()
     );
-    ExpOutput { id: "table3", text, json: json!({ "rows": jrows }) }
+    ExpOutput { text, json: json!({ "rows": jrows }) }
 }
 
 /// Table 4: responsive addresses per source per protocol, with top ASes.
-pub fn table4(ctx: &mut Ctx) -> ExpOutput {
-    let evals = ctx.new_sources().to_vec();
+pub fn table4(ctx: &Ctx) -> ExpOutput {
+    let evals = ctx.new_sources();
     let hitlist_snap = ctx.snapshot_at(Day::PAPER_END);
     let mut t = TextTable::new(&[
         "Source", "ICMP", "TCP/443", "TCP/80", "UDP/443", "UDP/53", "Total", "HitRate", "Top AS",
@@ -58,7 +58,7 @@ pub fn table4(ctx: &mut Ctx) -> ExpOutput {
     ]);
     let mut jrows = Vec::new();
     let mut union: HashSet<Addr> = HashSet::new();
-    for e in &evals {
+    for e in evals {
         union.extend(e.responsive.iter().copied());
         let top = by_as(&ctx.net, &e.responsive);
         let (top_name, top_share) = top
@@ -115,7 +115,7 @@ pub fn table4(ctx: &mut Ctx) -> ExpOutput {
         [Protocol::Icmp, Protocol::Tcp443, Protocol::Tcp80, Protocol::Udp443, Protocol::Udp53]
     {
         let mut set: HashSet<Addr> = HashSet::new();
-        for e in &evals {
+        for e in evals {
             set.extend(
                 e.per_proto
                     .iter()
@@ -154,7 +154,6 @@ pub fn table4(ctx: &mut Ctx) -> ExpOutput {
         human(grand.len() as u64),
     );
     ExpOutput {
-        id: "table4",
         text,
         json: json!({ "rows": jrows, "new_union": new_union,
             "hitlist": hitlist_total.len(), "combined": grand.len(),
@@ -163,8 +162,8 @@ pub fn table4(ctx: &mut Ctx) -> ExpOutput {
 }
 
 /// Fig. 7: overlap between the new sources' responsive sets.
-pub fn fig7(ctx: &mut Ctx) -> ExpOutput {
-    let evals = ctx.new_sources().to_vec();
+pub fn fig7(ctx: &Ctx) -> ExpOutput {
+    let evals = ctx.new_sources();
     let sets: Vec<(String, Vec<Addr>)> =
         evals.iter().map(|e| (e.name.clone(), e.responsive.clone())).collect();
     let m = OverlapMatrix::new(&sets);
@@ -197,7 +196,6 @@ pub fn fig7(ctx: &mut Ctx) -> ExpOutput {
         uniques,
     );
     ExpOutput {
-        id: "fig7",
         text,
         json: json!({ "labels": m.labels, "pct": m.pct,
             "tree_in_graph": tree_in_graph,
@@ -206,11 +204,11 @@ pub fn fig7(ctx: &mut Ctx) -> ExpOutput {
 }
 
 /// Fig. 8: AS distribution of responsive addresses per new source.
-pub fn fig8(ctx: &mut Ctx) -> ExpOutput {
-    let evals = ctx.new_sources().to_vec();
+pub fn fig8(ctx: &Ctx) -> ExpOutput {
+    let evals = ctx.new_sources();
     let mut t = TextTable::new(&["Source", "responsive", "ASes", "top-AS", "share", "skew"]);
     let mut series = Vec::new();
-    for e in &evals {
+    for e in evals {
         let rows = by_as(&ctx.net, &e.responsive);
         let cdf = RankCdf::new(rows.iter().map(|(_, _, n)| *n as u64).collect());
         let top = rows.first().map(|(_, n, _)| n.clone()).unwrap_or_default();
@@ -230,5 +228,5 @@ pub fn fig8(ctx: &mut Ctx) -> ExpOutput {
          paper shape: 6Graph/6Tree biased to Free SAS (≈52 %/41 %); DC & passive most even\n\n{}",
         t.render()
     );
-    ExpOutput { id: "fig8", text, json: json!({ "sources": series }) }
+    ExpOutput { text, json: json!({ "sources": series }) }
 }

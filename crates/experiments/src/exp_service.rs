@@ -1,5 +1,6 @@
 //! Experiments drawn from the service's longitudinal run:
-//! Fig. 2, Fig. 3, Fig. 4, Table 1, Table 5, Fig. 9, Fig. 10.
+//! Fig. 2, Fig. 3, Fig. 4, Table 1, Table 5, Fig. 9, Fig. 10, and the
+//! Fig. 1 pipeline diagram the service realizes.
 
 use std::collections::{HashMap, HashSet};
 
@@ -91,7 +92,7 @@ pub fn fig2(ctx: &Ctx) -> ExpOutput {
         "cdf": c.series(40) })
     })
     .collect();
-    ExpOutput { id: "fig2", text, json: json!({ "sets": series }) }
+    ExpOutput { text, json: json!({ "sets": series }) }
 }
 
 /// Fig. 3: responsiveness over time, published vs cleaned, per protocol.
@@ -149,7 +150,6 @@ pub fn fig3(ctx: &Ctx) -> ExpOutput {
         })
         .collect();
     ExpOutput {
-        id: "fig3",
         text,
         json: json!({ "rounds": jseries, "detected_eras": detected, "true_eras": true_eras }),
     }
@@ -196,7 +196,7 @@ pub fn fig4(ctx: &Ctx) -> ExpOutput {
                 "recurring": r.churn_recurring, "gone": r.churn_gone })
         })
         .collect();
-    ExpOutput { id: "fig4", text, json: json!({ "rounds": series }) }
+    ExpOutput { text, json: json!({ "rounds": series }) }
 }
 
 /// Table 1: responsive addresses and ASes per protocol at the yearly
@@ -256,7 +256,7 @@ pub fn table1(ctx: &Ctx) -> ExpOutput {
         human(last_total as u64),
         last_total as f64 / first_total.max(1) as f64,
     );
-    ExpOutput { id: "table1", text, json: json!({ "rows": json_rows }) }
+    ExpOutput { text, json: json!({ "rows": json_rows }) }
 }
 
 /// Table 5: top 10 ASes of GFW-impacted addresses.
@@ -292,7 +292,7 @@ pub fn table5(ctx: &Ctx) -> ExpOutput {
         human(total),
         t.render()
     );
-    ExpOutput { id: "table5", text, json: json!({ "total": total, "top10": json_rows }) }
+    ExpOutput { text, json: json!({ "total": total, "top10": json_rows }) }
 }
 
 /// Fig. 9: AS distribution of responsive addresses per protocol.
@@ -319,7 +319,7 @@ pub fn fig9(ctx: &Ctx) -> ExpOutput {
         snap.day.to_date(),
         t.render()
     );
-    ExpOutput { id: "fig9", text, json: json!({ "protocols": series }) }
+    ExpOutput { text, json: json!({ "protocols": series }) }
 }
 
 /// Fig. 10: overlap of addresses responsive to each protocol.
@@ -341,7 +341,6 @@ pub fn fig10(ctx: &Ctx) -> ExpOutput {
     );
     let icmp_cover = m.at(tcp80_row, icmp_col);
     ExpOutput {
-        id: "fig10",
         text,
         json: json!({ "labels": m.labels, "pct": m.pct, "tcp80_in_icmp": icmp_cover }),
     }
@@ -380,7 +379,6 @@ pub fn eui64(ctx: &Ctx) -> ExpOutput {
         human(singles as u64),
     );
     ExpOutput {
-        id: "eui64",
         text,
         json: json!({ "input": input.len(), "eui64": eui_total,
             "distinct_macs": distinct, "top_mac_addrs": top, "single_macs": singles }),
@@ -408,5 +406,27 @@ pub fn stability(ctx: &Ctx) -> ExpOutput {
         always.len() as f64 * 100.0 / last.max(1) as f64,
         human(last as u64),
     );
-    ExpOutput { id: "stability", text, json: json!({ "always": always.len(), "final": last }) }
+    ExpOutput { text, json: json!({ "always": always.len(), "final": last }) }
+}
+
+/// Fig. 1: the service pipeline, as a diagram of the modules that realize it.
+pub fn pipeline(_: &Ctx) -> ExpOutput {
+    let text = "Fig. 1 — the IPv6 Hitlist service pipeline as realized by sixdust\n\
+     \n\
+     sources ──────────────┐\n\
+       domain AAAA (zones) │\n\
+       CT logs             │         ┌────────────┐   ┌─────────────────┐\n\
+       RIPE-Atlas (CPE)    ├──► input│ blocklist  │──►│ aliased prefix  │\n\
+       rDNS (one-time)     │   accum.│ filter     │   │ filter (MAPD)   │\n\
+       traceroute feedback │         └────────────┘   └─────────────────┘\n\
+     ──────────────────────┘                                  │\n\
+                  ┌────────────────────┐   ┌──────────────┐   ▼\n\
+                  │ GFW filter (NEW,   │◄──│ ZMapv6 scans │◄── 30-day filter\n\
+                  │ cleans UDP/53)     │   │ 5 protocols  │\n\
+                  └────────────────────┘   └──────┬───────┘\n\
+                                                  │\n\
+                                        Yarrp traceroutes ──► new input\n\
+     \n\
+     modules: sixdust-hitlist::{sources,filters,service}, sixdust-scan, sixdust-alias\n";
+    ExpOutput { text: text.to_string(), json: json!({ "see": "DESIGN.md" }) }
 }

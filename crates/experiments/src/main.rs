@@ -1,8 +1,9 @@
-//! `sixdust-exp` — the experiment harness.
+//! `sixdust-exp` — the experiment harness, the command line over the
+//! `sixdust_experiments` library.
 //!
-//! One subcommand per table/figure of the paper (see `DESIGN.md` §4 for
-//! the index). Results are printed as paper-style text tables and written
-//! to `results/<id>.{txt,json}`.
+//! One subcommand per entry of the library's `EXPERIMENTS` table (see
+//! `DESIGN.md` §4 for the index). Results are printed as paper-style text
+//! tables and written to `results/<id>.{txt,json}`.
 //!
 //! ```text
 //! sixdust-exp [--scale tiny|small|paper] [--seed N] [--out DIR] \
@@ -35,57 +36,13 @@
 //! saves (and resumes from) a crash-safe fleet checkpoint. See
 //! EXPERIMENTS.md for worked examples.
 
-mod context;
-mod exp_ablations;
-mod exp_alias;
-mod exp_extensions;
-mod exp_newsources;
-mod exp_service;
+use std::path::{Path, PathBuf};
 
-use std::io::Write;
-use std::path::PathBuf;
-
-use context::Ctx;
+use sixdust_experiments::{run, set_aside, Ctx, ObsOptions, EXPERIMENTS};
 use sixdust_net::Scale;
 
-/// One experiment's rendered output.
-pub struct ExpOutput {
-    /// Experiment id (file stem).
-    pub id: &'static str,
-    /// Human-readable block.
-    pub text: String,
-    /// Machine-readable result.
-    pub json: sixdust_json::Value,
-}
-
-const EXPERIMENTS: &[&str] = &[
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "fingerprints",
-    "domains",
-    "dnsvalidate",
-    "eui64",
-    "stability",
-    "ablations",
-    "seedless",
-    "publish",
-    "iidclasses",
-    "pipeline",
-];
-
 fn usage() -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!(
         "usage: sixdust-exp [--scale tiny|small|paper] [--seed N] [--out DIR] \
          [--telemetry PATH] [--series PATH] [--trace PATH] [--checkpoint PATH] \
@@ -95,30 +52,17 @@ fn usage() -> ! {
           --flash-crowd adds a publication-chasing arrival spike — implies sessions)\n\
          (--vantages N runs the multi-vantage fleet and exits; no experiment needed)\n\
          experiments: {}",
-        EXPERIMENTS.join(", ")
+        names.join(", ")
     );
     std::process::exit(2);
 }
 
-fn pipeline_text() -> String {
-    "Fig. 1 — the IPv6 Hitlist service pipeline as realized by sixdust\n\
-     \n\
-     sources ──────────────┐\n\
-       domain AAAA (zones) │\n\
-       CT logs             │         ┌────────────┐   ┌─────────────────┐\n\
-       RIPE-Atlas (CPE)    ├──► input│ blocklist  │──►│ aliased prefix  │\n\
-       rDNS (one-time)     │   accum.│ filter     │   │ filter (MAPD)   │\n\
-       traceroute feedback │         └────────────┘   └─────────────────┘\n\
-     ──────────────────────┘                                  │\n\
-                  ┌────────────────────┐   ┌──────────────┐   ▼\n\
-                  │ GFW filter (NEW,   │◄──│ ZMapv6 scans │◄── 30-day filter\n\
-                  │ cleans UDP/53)     │   │ 5 protocols  │\n\
-                  └────────────────────┘   └──────┬───────┘\n\
-                                                  │\n\
-                                        Yarrp traceroutes ──► new input\n\
-     \n\
-     modules: sixdust-hitlist::{sources,filters,service}, sixdust-scan, sixdust-alias\n"
-        .to_string()
+/// The value, or the error printed under the `[log]` tag and exit 1.
+fn or_exit<T>(result: std::io::Result<T>, log: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("[{log}] {e}");
+        std::process::exit(1);
+    })
 }
 
 /// Window a flash crowd keeps arriving after a publication: 30 virtual
@@ -215,9 +159,10 @@ fn parse_flags() -> Flags {
             usage();
         }
         if flags.cmds.iter().any(|c| c == "all") {
-            flags.cmds = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+            flags.cmds = EXPERIMENTS.iter().map(|(name, _)| name.to_string()).collect();
         }
-        if let Some(c) = flags.cmds.iter().find(|c| !EXPERIMENTS.contains(&c.as_str())) {
+        let known = |c: &String| EXPERIMENTS.iter().any(|(name, _)| name == c);
+        if let Some(c) = flags.cmds.iter().find(|c| !known(c)) {
             eprintln!("unknown experiment {c:?}");
             usage();
         }
@@ -248,9 +193,9 @@ fn main() {
         run_vantage_fleet(n, &flags);
         return;
     }
-    let mut ctx = Ctx::build_resumable(
+    let ctx = Ctx::build_resumable(
         flags.scale,
-        context::ObsOptions {
+        ObsOptions {
             series: flags.series.is_some(),
             trace: flags.trace.is_some(),
             serve: flags.serve_report.is_some(),
@@ -259,6 +204,7 @@ fn main() {
         },
         flags.checkpoint.as_deref(),
     );
+    let mut ctx = or_exit(ctx, "ctx");
     if let Some(path) = &flags.series {
         write_series(&ctx, path);
     }
@@ -272,13 +218,13 @@ fn main() {
     if let Some(path) = &flags.dashboard {
         dashboard(&mut ctx, path, &flags);
     }
-    run_experiments(&mut ctx, &flags);
+    run_experiments(&ctx, &flags);
 }
 
 /// Writes the per-round series. The service run is over, so the series
 /// is complete now; it is written once up front rather than after each
 /// experiment.
-fn write_series(ctx: &Ctx, path: &std::path::Path) {
+fn write_series(ctx: &Ctx, path: &Path) {
     let recorder = ctx.svc.observer().expect("observer attached").series();
     write_observability(path, &recorder.to_jsonl());
     eprintln!("[obs] wrote {} rounds of series data to {}", recorder.len(), path.display());
@@ -428,7 +374,7 @@ fn serve_day(ctx: &Ctx, flags: &Flags) {
 /// fixed seed the HTML is byte-identical across runs. A `--mirrors` chaos
 /// replay keeps its metrics in a registry of its own, so there is no flat
 /// serve day to fold in and the subtitle says so.
-fn dashboard(ctx: &mut Ctx, path: &std::path::Path, flags: &Flags) {
+fn dashboard(ctx: &mut Ctx, path: &Path, flags: &Flags) {
     let flat_day = flags.mirrors.is_none();
     if flat_day {
         let serve_key = ctx.svc.rounds().last().map(|r| r.day.0 + 1).unwrap_or(0);
@@ -456,31 +402,21 @@ fn dashboard(ctx: &mut Ctx, path: &std::path::Path, flags: &Flags) {
 
 /// Runs each requested experiment, printing its text and writing
 /// `<out>/<id>.{txt,json}`.
-fn run_experiments(ctx: &mut Ctx, flags: &Flags) {
+fn run_experiments(ctx: &Ctx, flags: &Flags) {
     let scale = flags.scale;
-    for cmd in &flags.cmds {
+    for id in &flags.cmds {
         let t0 = std::time::Instant::now();
-        let out = if cmd == "publish" {
-            exp_extensions::publish_artifacts(ctx, &flags.out_dir)
-        } else {
-            run_one(ctx, cmd)
-        };
-        println!(
-            "\n================ {} ({:.1}s) ================",
-            out.id,
-            t0.elapsed().as_secs_f64()
-        );
+        let out = run(id, ctx, &flags.out_dir).expect("validated experiment name");
+        println!("\n================ {} ({:.1}s) ================", id, t0.elapsed().as_secs_f64());
         println!("{}", out.text);
-        let txt_path = flags.out_dir.join(format!("{}.txt", out.id));
-        std::fs::write(&txt_path, &out.text).expect("write txt");
-        let json_path = flags.out_dir.join(format!("{}.json", out.id));
-        let mut f = std::fs::File::create(&json_path).expect("create json");
+        write_observability(&flags.out_dir.join(format!("{id}.txt")), &out.text);
         let enriched = sixdust_json::json!({
-            "experiment": out.id,
+            "experiment": id,
             "scale": { "addr_div": scale.addr_div, "entity_div": scale.entity_div, "seed": scale.seed },
             "result": out.json,
         });
-        writeln!(f, "{}", enriched.pretty()).expect("write json");
+        let json = format!("{}\n", enriched.pretty());
+        write_observability(&flags.out_dir.join(format!("{id}.json")), &json);
         // Dump after every experiment so the telemetry and trace files are
         // complete even if a later experiment aborts the run (experiments
         // keep emitting spans, e.g. the new-source alias pass).
@@ -511,7 +447,7 @@ fn run_experiments(ctx: &mut Ctx, flags: &Flags) {
 /// With `--checkpoint PATH` the fleet saves a crash-safe checkpoint
 /// after every synchronized batch and resumes from it on restart; a
 /// corrupt or roster-incompatible checkpoint is moved aside
-/// ([`context::set_aside`]) and the fleet starts afresh.
+/// ([`set_aside`]) and the fleet starts afresh.
 /// With `--telemetry PATH` the fleet's registry (including the
 /// `vantage.*` metrics) is dumped as JSON at the end of the run.
 fn run_vantage_fleet(n: usize, flags: &Flags) {
@@ -539,11 +475,11 @@ fn run_vantage_fleet(n: usize, flags: &Flags) {
                 VantageFleet::restore_with_telemetry(config, &registry, &state)
             }
             Ok(_) => {
-                context::set_aside(path, "vantage", "a different roster");
+                or_exit(set_aside(path, "vantage", "a different roster"), "vantage");
                 VantageFleet::build_with_telemetry(config, &registry)
             }
             Err(e) => {
-                context::set_aside(path, "vantage", &e);
+                or_exit(set_aside(path, "vantage", &e), "vantage");
                 VantageFleet::build_with_telemetry(config, &registry)
             }
         },
@@ -592,44 +528,11 @@ fn run_vantage_fleet(n: usize, flags: &Flags) {
     }
 }
 
-/// Writes one observability artifact, creating parent directories.
-fn write_observability(path: &std::path::Path, contents: &str) {
+/// Writes one output file (an experiment's or an observability artifact),
+/// creating parent directories.
+fn write_observability(path: &Path, contents: &str) {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).expect("create output dir");
     }
     std::fs::write(path, contents).expect("write observability output");
-}
-
-fn run_one(ctx: &mut Ctx, cmd: &str) -> ExpOutput {
-    match cmd {
-        "fig2" => exp_service::fig2(ctx),
-        "fig3" => exp_service::fig3(ctx),
-        "fig4" => exp_service::fig4(ctx),
-        "fig5" => exp_alias::fig5(ctx),
-        "fig6" => exp_alias::fig6(ctx),
-        "fig7" => exp_newsources::fig7(ctx),
-        "fig8" => exp_newsources::fig8(ctx),
-        "fig9" => exp_service::fig9(ctx),
-        "fig10" => exp_service::fig10(ctx),
-        "table1" => exp_service::table1(ctx),
-        "table2" => exp_alias::table2(ctx),
-        "table3" => exp_newsources::table3(ctx),
-        "table4" => exp_newsources::table4(ctx),
-        "table5" => exp_service::table5(ctx),
-        "fingerprints" => exp_alias::fingerprints(ctx),
-        "domains" => exp_alias::domains(ctx),
-        "dnsvalidate" => exp_alias::dnsvalidate(ctx),
-        "eui64" => exp_service::eui64(ctx),
-        "stability" => exp_service::stability(ctx),
-        "ablations" => exp_ablations::ablations(ctx),
-        "seedless" => exp_extensions::seedless(ctx),
-        "iidclasses" => exp_extensions::iidclasses(ctx),
-        "publish" => unreachable!("handled in main"),
-        "pipeline" => ExpOutput {
-            id: "pipeline",
-            text: pipeline_text(),
-            json: sixdust_json::json!({ "see": "DESIGN.md" }),
-        },
-        other => unreachable!("validated: {other}"),
-    }
 }

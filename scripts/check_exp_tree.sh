@@ -1,33 +1,39 @@
 #!/usr/bin/env bash
 # Does the working tree's sixdust-exp write the same `all` tree, the
-# same service checkpoint and the same session-day report as another
-# revision's, and does a run resumed from either checkpoint write that
-# `all` tree too? The output check a change makes against its parent.
+# same service checkpoint, the same session-day report and the same
+# outputs of the three modes `all` never reaches as another revision's,
+# and does a run resumed from either checkpoint write that `all` tree
+# too? The output check a change makes against its parent.
 #
 #   scripts/check_exp_tree.sh <rev>
 #
 # Exports <rev>'s committed files with `git archive` into a throwaway
 # directory under target/ (removed on exit, like bench_build.sh's
 # worktree), builds its sixdust-exp there and the working tree's here
-# (release, offline), and runs each binary three times with `--scale
-# tiny --seed 11 --out DIR` (one DIR, moved aside after each run: the
-# tree records its own path): `all`; `--checkpoint FILE pipeline` (a
-# fresh FILE: an existing one is resumed from), since `all` alone never
-# writes a checkpoint; and `--clients 200000 --flash-crowd
-# --serve-report FILE publish`, a session day of 200 000 clients with a
-# flash crowd (~4 s), since `all` serves only the uniform day. Then the
-# working tree's binary runs `--checkpoint COPY all` twice, from a copy
-# of <rev>'s checkpoint and from a copy of its own: both must resume
-# (the log says so) after the last round and write <rev>'s `all` tree. It compares the two
-# `all` trees and both resumed trees with `diff -r`, and the two
-# checkpoints and the two day reports with `cmp`, runs every comparison
-# (printing both checkpoint sizes when they differ) and exits non-zero
-# at the end if any of them differed. Uncommitted work is in the working
-# tree's binary.
+# (release, offline), and runs each binary six times with `--scale tiny
+# --seed 11 --out DIR` (one DIR, moved aside after each run: the tree
+# records its own path): `all`; `--checkpoint FILE pipeline` (a fresh
+# FILE: an existing one is resumed from), since `all` alone never writes
+# a checkpoint; `--clients 200000 --flash-crowd --serve-report FILE
+# publish`, a session day of 200 000 clients with a flash crowd (~4 s),
+# since `all` serves only the uniform day; and the three modes `all`
+# never reaches: `--mirrors 3 --serve-faults --serve-report FILE
+# publish` (the chaos report), `--vantages 3` (its
+# vantage_disagreement.json) and `--dashboard FILE publish` (the HTML).
+# The `--series` JSONL carries wall-clock columns and is left to cli.rs.
+# Then the working tree's binary runs `--checkpoint COPY all` twice, from
+# a copy of <rev>'s checkpoint and from a copy of its own: both must
+# resume (the log says so) after the last round and write <rev>'s `all`
+# tree. It compares the two `all` trees and both resumed trees with
+# `diff -r`, and each pair of checkpoints, day reports, chaos reports,
+# vantage artifacts and dashboards with `cmp`, runs every comparison
+# (printing both sizes when they differ) and exits non-zero at the end
+# if any of them differed. Uncommitted work is in the working tree's
+# binary.
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
-  sed -n '2,26p' "$0" >&2
+  sed -n '2,32p' "$0" >&2
   exit 2
 fi
 rev=$1
@@ -66,6 +72,13 @@ run() {
   invoke "$1" "$2-sessions" --clients 200000 --flash-crowd \
     --serve-report "$work/$2.sessions.json" publish
   rm -rf "$work/out"
+  invoke "$1" "$2-chaos" --mirrors 3 --serve-faults --serve-report "$work/$2.chaos.json" publish
+  rm -rf "$work/out"
+  invoke "$1" "$2-vantages" --vantages 3
+  mv "$work/out/vantage_disagreement.json" "$work/$2.vantages.json"
+  rm -rf "$work/out"
+  invoke "$1" "$2-dashboard" --dashboard "$work/$2.dashboard.html" publish
+  rm -rf "$work/out"
 }
 run "$work/src" rev
 run "$root" tree
@@ -103,6 +116,9 @@ same_file() {
 same_tree tree "the working tree"
 same_file checkpoint.json "pipeline checkpoints"
 same_file sessions.json "session-day reports"
+same_file chaos.json "chaos reports"
+same_file vantages.json "vantage artifacts"
+same_file dashboard.html "dashboards"
 same_tree resumed-from-rev "the working tree resumed from ${commit:0:12}'s checkpoint"
 same_tree resumed-from-tree "the working tree resumed from its own checkpoint"
 exit "$failed"

@@ -14,10 +14,17 @@
 # catch), and the file is put back. Every line is tried; the exit is
 # non-zero at the end if a line was stale, a test failed unmutated or a
 # mutant survived. The list's format is described at its top.
+#
+# Each test binary is built first (`cargo test --no-run`), unbounded; then
+# the test alone runs, in its package's directory, under a virtual-memory
+# ceiling of 4 GiB and, mutated, under `timeout` at max(60 s, 10 times its
+# unmutated time). A mutant that runs past that limit is `caught (timed
+# out)` when the unmutated run took at most a tenth of the limit; a run
+# the memory ceiling stops is not a catch.
 set -euo pipefail
 
 if [ "$#" -gt 1 ]; then
-  sed -n '2,17p' "$0" >&2
+  sed -n '2,23p' "$0" >&2
   exit 2
 fi
 rev=${1:-HEAD}
@@ -32,6 +39,7 @@ rm -rf "$src"
 mkdir -p "$src"
 git -C "$root" archive "$commit" | tar -x -C "$src"
 export CARGO_TARGET_DIR=$work/target
+vmem_kib=$((4 * 1024 * 1024))
 
 # The lines of the list, comments and blank lines left out; each field is
 # cut at its tab, so an empty replacement stays a field.
@@ -46,24 +54,49 @@ field() {
   printf '%s' "${line%%$'\t'*}"
 }
 
-# Runs one test; the log is in $work/log.
-run_test() {
-  local args=$1 test=$2
+# Builds the one test binary the cargo arguments pick and prints its path
+# and its package's directory, tab-separated; the build log is in $work/log.
+build_test() {
+  local args=$1
   # shellcheck disable=SC2086 # the cargo arguments are words
-  (cd "$src" && cargo test -q --offline $args -- --exact "$test") >"$work/log" 2>&1
+  (cd "$src" && cargo test -q --offline --no-run $args \
+    --message-format=json-render-diagnostics 2>"$work/log") |
+    python3 -c '
+import json, os, sys
+tests = [m for m in map(json.loads, sys.stdin)
+         if m.get("reason") == "compiler-artifact" and m["profile"]["test"] and m["executable"]]
+if len(tests) != 1:
+    sys.exit(f"mutants: the cargo arguments pick {len(tests)} test binaries, not one")
+print(tests[0]["executable"], os.path.dirname(tests[0]["manifest_path"]), sep="\t")'
 }
 
+# Builds and runs one test under the memory ceiling and, when a limit in
+# seconds is given, under `timeout`. The status is the test's: 124 or 137
+# when it timed out, and 3 when it did not build. The log is in $work/log.
+run_test() {
+  local args=$1 test=$2 limit=${3:-} built
+  built=$(build_test "$args") || return 3
+  (
+    cd "${built#*$'\t'}"
+    ulimit -v "$vmem_kib"
+    exec ${limit:+timeout -k 5 "$limit"} "${built%%$'\t'*}" --exact "$test"
+  ) >"$work/log" 2>&1
+}
+
+now_ms() { echo $(($(date +%s%N) / 1000000)); }
+
 failed=0
-declare -A checked
+declare -A unmutated_ms
 for line in "${mutants[@]}"; do
   args=$(field "$line" 4) test=$(field "$line" 5)
-  [ -z "${checked[$args $test]:-}" ] || continue
-  checked[$args $test]=1
+  [ -z "${unmutated_ms[$args $test]:-}" ] || continue
+  started=$(now_ms)
   if ! run_test "$args" "$test" || ! grep -q '^running 1 test$' "$work/log"; then
     echo "mutants: $test ($args) does not run and pass unmutated; its log:" >&2
     tail -15 "$work/log" >&2
     failed=1
   fi
+  unmutated_ms[$args $test]=$(($(now_ms) - started))
 done
 [ "$failed" = 0 ] || exit 1
 
@@ -82,8 +115,25 @@ EOF
     failed=1
     continue
   fi
-  if run_test "$args" "$test"; then
+  took=${unmutated_ms[$args $test]}
+  limit=$(((10 * took + 999) / 1000))
+  [ "$limit" -ge 60 ] || limit=60
+  status=0
+  run_test "$args" "$test" "$limit" || status=$?
+  if [ "$status" = 0 ]; then
     echo "SURVIVED: $file: '$from' -> '$to' passes $test" >&2
+    failed=1
+  elif [ "$status" = 124 ] || [ "$status" = 137 ]; then
+    if [ $((10 * took)) -le $((1000 * limit)) ]; then
+      echo "caught (timed out): $file: '$from' -> '$to' runs $test past $limit s"
+    else
+      echo "NOT RUN: $file: '$from' -> '$to' runs $test past $limit s," \
+        "which took $took ms unmutated" >&2
+      failed=1
+    fi
+  elif [ "$status" = 3 ]; then
+    echo "NOT RUN: $file: '$from' -> '$to' does not build; the log:" >&2
+    tail -15 "$work/log" >&2
     failed=1
   elif grep -qF -- "---- $test stdout ----" "$work/log"; then
     echo "caught: $file: '$from' -> '$to' fails $test"
